@@ -19,10 +19,10 @@ use scanshare_bench::{criterion_group, criterion_main};
 use scanshare_bench::measured_scale;
 use scanshare_common::VirtualDuration;
 use scanshare_common::{PolicyKind, ScanShareConfig, VirtualInstant};
-use scanshare_core::bufferpool::BufferPool;
 use scanshare_core::lru::LruPolicy;
 use scanshare_core::pbm::{PbmConfig, PbmPolicy};
 use scanshare_core::policy::ReplacementPolicy;
+use scanshare_core::ShardedPool;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::microbench::{self, MicrobenchConfig};
 
@@ -37,7 +37,7 @@ fn replay(
     policy: Box<dyn ReplacementPolicy>,
     report_progress: bool,
 ) -> u64 {
-    let mut pool = BufferPool::new(pool_pages, page_size, policy);
+    let pool = ShardedPool::new(pool_pages, page_size, policy, 1);
     let now = VirtualInstant::EPOCH;
     // Build per-stream page queues (streams interleave page by page).
     let mut queues: Vec<Vec<(scanshare_common::ScanId, scanshare_common::PageId, u64, u64)>> =

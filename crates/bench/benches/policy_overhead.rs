@@ -11,11 +11,11 @@ use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::{criterion_group, criterion_main};
 
 use scanshare_common::{PageId, ScanShareConfig, VirtualInstant};
-use scanshare_core::bufferpool::BufferPool;
 use scanshare_core::lru::LruPolicy;
 use scanshare_core::opt::simulate_opt;
 use scanshare_core::pbm::{PbmConfig, PbmPolicy};
 use scanshare_core::policy::ReplacementPolicy;
+use scanshare_core::ShardedPool;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::microbench;
 
@@ -50,7 +50,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(policy_name),
             &policy_name,
             |b, name| {
-                let mut pool = BufferPool::new(4096, page_size, make_policy(name));
+                let pool = ShardedPool::new(4096, page_size, make_policy(name), 1);
                 let scan = pool.register_scan(&plan, now);
                 for desc in plan.interleaved() {
                     pool.request_page(desc.page, Some(scan), now).unwrap();
@@ -75,7 +75,7 @@ fn bench(c: &mut Criterion) {
             &policy_name,
             |b, name| {
                 b.iter(|| {
-                    let mut pool = BufferPool::new(4096, page_size, make_policy(name));
+                    let pool = ShardedPool::new(4096, page_size, make_policy(name), 1);
                     let id = pool.register_scan(&plan, now);
                     pool.unregister_scan(id, now);
                 });
@@ -91,7 +91,7 @@ fn bench(c: &mut Criterion) {
             BenchmarkId::from_parameter(policy_name),
             &policy_name,
             |b, name| {
-                let mut pool = BufferPool::new(64, page_size, make_policy(name));
+                let pool = ShardedPool::new(64, page_size, make_policy(name), 1);
                 let scan = pool.register_scan(&plan, now);
                 let pages: Vec<PageId> = plan.interleaved().iter().map(|d| d.page).collect();
                 let mut i = 0;

@@ -5,7 +5,7 @@
 //! charged the device and completed it while every other starved worker
 //! spin-polled the ABM lock. [`LoadScheduler`] replaces that with the same
 //! bounded in-flight window the page-level prefetcher uses
-//! ([`top_up_prefetch_window`](crate::bufferpool::top_up_prefetch_window)):
+//! ([`top_up_prefetch_window`](crate::sharded::top_up_prefetch_window)):
 //! chunk loads are planned by the relevance core, submitted through
 //! [`BlockDevice::submit_read`] and retired by *whichever* stream pumps next
 //! — concurrent CScan streams overlap loading with consumption instead of

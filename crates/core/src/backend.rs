@@ -256,8 +256,8 @@ impl PooledBackend {
         if self.prefetch_pages == 0 {
             return;
         }
-        crate::bufferpool::top_up_prefetch_window(
-            &mut &self.pool,
+        crate::sharded::top_up_prefetch_window(
+            &self.pool,
             self.device.as_ref(),
             &mut self.inflight.lock(),
             self.prefetch_pages,

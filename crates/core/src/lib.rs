@@ -18,16 +18,17 @@
 //! * [`opt`] — Belady's OPT replayed over a recorded page-reference trace,
 //!   the theoretical optimum for order-preserving policies.
 //!
-//! [`bufferpool::BufferPool`] is the shared page-level pool driven by a
-//! pluggable [`policy::ReplacementPolicy`] (LRU or PBM); the ABM replaces the
-//! pool wholesale for Cooperative Scans, as it does in the paper.
+//! [`sharded::ShardedPool`] is the one page-level pool — the engine shares
+//! it between scan threads, the simulator drives a one-shard instance —
+//! driven by a pluggable [`policy::ReplacementPolicy`] (LRU, PBM, ...); the
+//! ABM replaces the pool wholesale for Cooperative Scans, as it does in the
+//! paper.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod abm;
 pub mod backend;
-pub mod bufferpool;
 pub mod clock;
 pub mod lru;
 pub mod metrics;
@@ -43,7 +44,6 @@ pub mod throttle;
 
 pub use abm::{Abm, AbmAction, AbmConfig, CScanHandle, LoadScheduler, MonolithicAbm};
 pub use backend::{CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
-pub use bufferpool::{AccessOutcome, BufferPool, PrefetchPool};
 pub use clock::ClockPolicy;
 pub use lru::LruPolicy;
 pub use metrics::BufferStats;
@@ -53,6 +53,6 @@ pub use pbm::{PbmConfig, PbmPolicy};
 pub use pbm_lru::{PbmLruConfig, PbmLruPolicy};
 pub use policy::{ReplacementPolicy, ScanInfo};
 pub use registry::{PolicyFactory, PolicyRegistry};
-pub use sharded::ShardedPool;
+pub use sharded::{AccessOutcome, ShardedPool};
 pub use sieve::SievePolicy;
 pub use throttle::{ScanProgress, ThrottleConfig, ThrottlePlanner};

@@ -1,7 +1,7 @@
 //! The replacement-policy abstraction shared by LRU and PBM.
 //!
-//! The [`bufferpool::BufferPool`](crate::bufferpool::BufferPool) delegates
-//! every replacement decision to a [`ReplacementPolicy`]. The interface
+//! The [`ShardedPool`](crate::sharded::ShardedPool) delegates every
+//! replacement decision to a [`ReplacementPolicy`]. The interface
 //! mirrors the three functions PBM adds to the buffer manager
 //! (`RegisterScan`, `ReportScanPosition`, `UnregisterScan`, Figure 3 of the
 //! paper) plus the page-lifecycle callbacks any policy needs. LRU simply

@@ -1,11 +1,19 @@
 //! A sharded page buffer with globally exact replacement decisions.
 //!
-//! [`ShardedPool`] is the concurrent counterpart of [`BufferPool`](crate::bufferpool::BufferPool): the page
-//! table, pin counts and statistics are partitioned across N independently
-//! locked shards (`shard = page id mod N`), so concurrent scans hitting warm
-//! pages synchronize only on the shard that owns the page instead of on one
-//! global pool lock — the serialization point the single
-//! `Mutex<BufferPool>` used to be under multi-stream workloads.
+//! [`ShardedPool`] is the one page-level pool of the workspace: the
+//! execution engine shares it between its scan threads and the discrete-event
+//! simulator drives a one-shard instance of it. It tracks which pages are
+//! resident, delegates every replacement decision to a pluggable
+//! [`ReplacementPolicy`], maintains the statistics reported in the paper's
+//! figures and can record a page-reference trace for the OPT simulation. It
+//! is free of timing concerns: callers decide *when* a miss completes using
+//! the I/O device; the pool only answers *whether* a request hits and *which*
+//! pages get evicted.
+//!
+//! The page table, pin counts and statistics are partitioned across N
+//! independently locked shards (`shard = page id mod N`), so concurrent scans
+//! hitting warm pages synchronize only on the shard that owns the page
+//! instead of on one global pool lock.
 //!
 //! ## Why the policy is *not* partitioned
 //!
@@ -27,10 +35,11 @@
 //!
 //! The policy therefore sees the same calls, with the same arguments, in the
 //! same order, at every decision point, for every shard count: hit counts
-//! and total I/O volume are byte-identical to [`BufferPool`](crate::bufferpool::BufferPool) for any
-//! single-threaded trace (`tests/sharded_pool_properties.rs` asserts this
-//! property over randomized traces), and misses — which pay virtual I/O
-//! anyway — are the only accesses that serialize on the policy.
+//! and total I/O volume are byte-identical to a pool that calls the policy
+//! eagerly for any single-threaded trace (`tests/sharded_pool_properties.rs`
+//! asserts this against such an oracle over randomized traces), and misses —
+//! which pay virtual I/O anyway — are the only accesses that serialize on
+//! the policy.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -38,10 +47,9 @@ use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, MutexGuard};
 use scanshare_common::{Error, PageId, Result, ScanId, VirtualInstant};
-use scanshare_iosim::ReferenceTrace;
+use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
 use scanshare_storage::layout::ScanPagePlan;
 
-use crate::bufferpool::AccessOutcome;
 use crate::metrics::BufferStats;
 use crate::policy::{ReplacementPolicy, ScanInfo};
 
@@ -50,6 +58,25 @@ use crate::policy::{ReplacementPolicy, ScanInfo};
 /// workloads. Draining is order-preserving, so the threshold affects only
 /// *when* the policy catches up, never *what* it observes.
 const EVENT_FLUSH_THRESHOLD: usize = 1024;
+
+/// Result of a page request.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum AccessOutcome {
+    /// The page was already resident.
+    Hit,
+    /// The page had to be loaded; the listed pages were evicted to make room.
+    Miss {
+        /// Pages evicted to make room for the new page.
+        evicted: Vec<PageId>,
+    },
+}
+
+impl AccessOutcome {
+    /// Whether the access was a hit.
+    pub fn is_hit(&self) -> bool {
+        matches!(self, AccessOutcome::Hit)
+    }
+}
 
 /// A deferred policy callback, tagged with its global arrival sequence.
 #[derive(Debug)]
@@ -84,11 +111,16 @@ struct Shard {
 struct PoolCore {
     policy: Box<dyn ReplacementPolicy>,
     next_scan: u64,
+    /// Where a drain gathers and sorts the pending events; empty between
+    /// drains, kept for its capacity.
+    scratch: Vec<(u64, PendingEvent)>,
 }
 
 /// All locks held at once, with every pending event already replayed: the
 /// state a single-shard pool would be in. Shard locks are always taken in
-/// ascending index order, then the report queue, then the core.
+/// ascending index order, then the core; the report queue is a leaf lock,
+/// held only while its events move out and never while another lock is
+/// being acquired.
 struct Locked<'a> {
     shards: Vec<MutexGuard<'a, Shard>>,
     core: MutexGuard<'a, PoolCore>,
@@ -97,9 +129,9 @@ struct Locked<'a> {
 /// A fixed-capacity page buffer partitioned into independently-locked
 /// shards, driven by one globally consistent replacement policy.
 ///
-/// The interface mirrors [`BufferPool`](crate::bufferpool::BufferPool) but takes `&self`: the pool is
-/// shared directly between the scan threads of an engine (see
-/// [`PooledBackend`](crate::backend::PooledBackend)) without an outer lock.
+/// Every method takes `&self`: the pool is shared directly between the scan
+/// threads of an engine (see [`PooledBackend`](crate::backend::PooledBackend))
+/// without an outer lock.
 #[derive(Debug)]
 pub struct ShardedPool {
     shards: Vec<Mutex<Shard>>,
@@ -112,16 +144,15 @@ pub struct ShardedPool {
     resident_total: AtomicUsize,
     capacity_pages: usize,
     page_size_bytes: u64,
-    evict_batch: usize,
     trace: Option<Arc<ReferenceTrace>>,
     name: &'static str,
 }
 
 impl ShardedPool {
     /// Creates a pool of `capacity_pages` pages of `page_size_bytes` each,
-    /// partitioned into `shards` lock domains. `shards == 1` reproduces the
-    /// fully serialized [`BufferPool`](crate::bufferpool::BufferPool) behaviour (and any other shard count
-    /// reproduces its *decisions* — see the module docs).
+    /// partitioned into `shards` lock domains. `shards == 1` is a fully
+    /// serialized pool (and any other shard count reproduces its
+    /// *decisions* — see the module docs).
     pub fn new(
         capacity_pages: usize,
         page_size_bytes: u64,
@@ -140,28 +171,22 @@ impl ShardedPool {
             core: Mutex::new(PoolCore {
                 policy,
                 next_scan: 0,
+                scratch: Vec::new(),
             }),
             seq: AtomicU64::new(0),
             resident_total: AtomicUsize::new(0),
             capacity_pages,
             page_size_bytes,
-            evict_batch: 1,
             trace: None,
             name,
         }
     }
 
-    /// Attaches a reference-trace recorder (the OPT replay methodology, see
-    /// [`BufferPool::with_trace`](crate::bufferpool::BufferPool::with_trace)).
+    /// Attaches a reference-trace recorder (used to later replay the same
+    /// page-reference sequence under OPT, exactly like the paper does with
+    /// the trace of a PBM run).
     pub fn with_trace(mut self, trace: Arc<ReferenceTrace>) -> Self {
         self.trace = Some(trace);
-        self
-    }
-
-    /// Sets the eviction batch size (see
-    /// [`BufferPool::with_evict_batch`](crate::bufferpool::BufferPool::with_evict_batch)).
-    pub fn with_evict_batch(mut self, batch: usize) -> Self {
-        self.evict_batch = batch.max(1);
         self
     }
 
@@ -220,25 +245,28 @@ impl ShardedPool {
         self.seq.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Takes every lock (shards in ascending order, then reports, then the
-    /// core) and replays all pending events in global arrival order, leaving
-    /// the policy in exactly the state a single-shard pool would have.
+    /// Takes every lock (shards in ascending order, then the core) and
+    /// replays all pending events in global arrival order, leaving the
+    /// policy in exactly the state a single-shard pool would have.
     fn lock_all(&self) -> Locked<'_> {
         let mut shards: Vec<MutexGuard<'_, Shard>> = self.shards.iter().map(|s| s.lock()).collect();
-        let mut pending: Vec<(u64, PendingEvent)> = std::mem::take(&mut *self.reports.lock());
-        for shard in &mut shards {
-            pending.append(&mut shard.events);
-        }
         let mut core = self.core.lock();
-        pending.sort_unstable_by_key(|(seq, _)| *seq);
-        for (_, event) in pending {
+        let PoolCore {
+            policy, scratch, ..
+        } = &mut *core;
+        scratch.append(&mut self.reports.lock());
+        for shard in &mut shards {
+            scratch.append(&mut shard.events);
+        }
+        scratch.sort_unstable_by_key(|(seq, _)| *seq);
+        for (_, event) in scratch.drain(..) {
             match event {
-                PendingEvent::Access { page, scan, now } => core.policy.on_access(page, scan, now),
+                PendingEvent::Access { page, scan, now } => policy.on_access(page, scan, now),
                 PendingEvent::Report {
                     scan,
                     tuples_consumed,
                     now,
-                } => core.policy.report_scan_position(scan, tuples_consumed, now),
+                } => policy.report_scan_position(scan, tuples_consumed, now),
             }
         }
         Locked { shards, core }
@@ -367,8 +395,7 @@ impl ShardedPool {
         let mut evicted = Vec::new();
         let resident: usize = locked.shards.iter().map(|s| s.resident.len()).sum();
         if resident >= self.capacity_pages {
-            let need = resident + 1 - self.capacity_pages;
-            let want = need.max(self.evict_batch).min(resident);
+            let want = resident + 1 - self.capacity_pages;
             let mut exclude: HashSet<PageId> = locked
                 .shards
                 .iter()
@@ -406,9 +433,10 @@ impl ShardedPool {
         Ok(AccessOutcome::Miss { evicted })
     }
 
-    /// Asks the policy which non-resident pages to stage next, filtered
-    /// against residency (see
-    /// [`BufferPool::prefetch_candidates`](crate::bufferpool::BufferPool::prefetch_candidates)).
+    /// Asks the policy which non-resident pages to stage next (see
+    /// [`ReplacementPolicy::prefetch_hints`]) and filters the answer against
+    /// the current residency set. Returns at most `budget` pages, most
+    /// urgent first.
     pub fn prefetch_candidates(&self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
         if budget == 0 {
             return Vec::new();
@@ -425,8 +453,21 @@ impl ShardedPool {
             .collect()
     }
 
-    /// Admits `page` speculatively; counts as prefetch I/O, never evicts
-    /// (see [`BufferPool::admit_prefetch`](crate::bufferpool::BufferPool::admit_prefetch)).
+    /// Admits `page` speculatively (the caller has submitted the transfer to
+    /// the I/O device). Counts as prefetch I/O, not as a miss: the demand
+    /// access that later consumes the page is a hit.
+    ///
+    /// Prefetch admissions **never evict**: they only fill otherwise-unused
+    /// capacity. Evicting for a speculative load would let one scan's
+    /// readahead displace pages other scans still need — under memory
+    /// pressure that cascades into re-read storms that cost far more I/O
+    /// than the overlap saves. Bounding prefetch to free buffers caps the
+    /// downside at zero extra misses while keeping the full benefit where it
+    /// exists (cold data, pools with headroom).
+    ///
+    /// Returns `false` without side effects when the page is already
+    /// resident or the pool is full (prefetching is best-effort and never
+    /// errors a scan).
     pub fn admit_prefetch(&self, page: PageId, now: VirtualInstant) -> bool {
         let mut locked = self.lock_all();
         let shard_idx = self.shard_index(page);
@@ -448,11 +489,14 @@ impl ShardedPool {
         true
     }
 
-    /// Drops the listed pages if resident and unpinned, in the given order
-    /// (see [`BufferPool::invalidate_pages`](crate::bufferpool::BufferPool::invalidate_pages)).
-    /// All pending policy events are replayed first, so the policy observes
-    /// the invalidation at exactly the same point in the event sequence a
-    /// single-shard pool would.
+    /// Drops the listed pages from the pool if resident and unpinned, in the
+    /// given order, telling the policy to forget each one. Used when a
+    /// checkpoint replaces a table's stable image: the old snapshot's pages
+    /// can never be requested again, so keeping them resident only wastes
+    /// capacity. Counted as `invalidated_pages`, not as evictions. Returns
+    /// how many pages were dropped. All pending policy events are replayed
+    /// first, so the policy observes the invalidation at exactly the same
+    /// point in the event sequence a single-shard pool would.
     pub fn invalidate_pages(&self, pages: &[PageId]) -> usize {
         let mut locked = self.lock_all();
         let mut dropped = 0;
@@ -471,46 +515,52 @@ impl ShardedPool {
         }
         dropped
     }
-
-    /// Drops every resident page and resets the statistics (the policy keeps
-    /// its scan registrations).
-    pub fn clear(&self) {
-        let mut locked = self.lock_all();
-        for shard in &mut locked.shards {
-            for page in shard.resident.drain() {
-                locked.core.policy.on_evict(page);
-            }
-            shard.pinned.clear();
-            shard.stats = BufferStats::default();
-        }
-        self.resident_total.store(0, Ordering::Relaxed);
-    }
 }
 
-/// The shared prefetch-window implementation drives a `ShardedPool` through
-/// a shared reference: the pool's interior locks replace the `&mut`
-/// exclusivity [`BufferPool`](crate::bufferpool::BufferPool) relies on.
-impl crate::bufferpool::PrefetchPool for &ShardedPool {
-    fn free_pages(&self) -> usize {
-        ShardedPool::free_pages(self)
+/// Tops up a bounded asynchronous prefetch window: drops completed transfers
+/// from `inflight`, asks the pool's policy for the most urgent non-resident
+/// pages, admits them (never evicting — only free capacity is filled) and
+/// submits their transfers to `device` without blocking.
+///
+/// This is the one implementation of the window semantics, shared by the
+/// execution engine's `PooledBackend` and the discrete-event simulator so
+/// the two timing models cannot drift apart.
+pub fn top_up_prefetch_window(
+    pool: &ShardedPool,
+    device: &dyn BlockDevice,
+    inflight: &mut HashMap<PageId, VirtualInstant>,
+    window: usize,
+    now: VirtualInstant,
+) {
+    if window == 0 {
+        return;
     }
-    fn page_size_bytes(&self) -> u64 {
-        ShardedPool::page_size_bytes(self)
+    // Completed transfers free their window slots; their pages stay
+    // resident in the pool.
+    inflight.retain(|_, done| *done > now);
+    let slots = window.saturating_sub(inflight.len()).min(pool.free_pages());
+    if slots == 0 {
+        return;
     }
-    fn prefetch_candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
-        ShardedPool::prefetch_candidates(self, budget, now)
-    }
-    fn admit_prefetch(&mut self, page: PageId, now: VirtualInstant) -> bool {
-        ShardedPool::admit_prefetch(self, page, now)
+    let page_size = pool.page_size_bytes();
+    for page in pool.prefetch_candidates(slots, now) {
+        if pool.admit_prefetch(page, now) {
+            let spec =
+                ReadSpec::for_pages(std::slice::from_ref(&page), page_size, IoKind::Prefetch);
+            // A failed speculative submission costs only the window slot:
+            // the page stays admitted and a later demand access loads it
+            // through the ordinary (error-reporting) miss path.
+            if let Ok(completion) = device.submit_read(now, spec) {
+                inflight.insert(page, completion.done_at);
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bufferpool::BufferPool;
     use crate::lru::LruPolicy;
-    use crate::pbm::{PbmConfig, PbmPolicy};
 
     fn pool(capacity: usize, shards: usize) -> ShardedPool {
         ShardedPool::new(capacity, 1024, Box::new(LruPolicy::new()), shards)
@@ -603,7 +653,7 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_matches_bufferpool_and_respects_pins() {
+    fn invalidation_respects_pins_and_is_not_an_eviction() {
         for shards in [1, 2, 8] {
             let pool = pool(4, shards);
             for i in 0..4 {
@@ -624,17 +674,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_contents_and_stats() {
-        let pool = pool(4, 2);
-        pool.request_page(p(1), None, now()).unwrap();
-        pool.request_page(p(2), None, now()).unwrap();
-        pool.clear();
-        assert_eq!(pool.resident_count(), 0);
-        assert_eq!(pool.stats(), BufferStats::default());
-        assert!(!pool.request_page(p(1), None, now()).unwrap().is_hit());
-    }
-
-    #[test]
     fn prefetch_admissions_fill_free_capacity_only() {
         let pool = pool(2, 2);
         assert!(pool.admit_prefetch(p(1), now()));
@@ -647,6 +686,10 @@ mod tests {
         assert_eq!(stats.evictions, 0);
         // The demand access that consumes a prefetched page is a hit.
         assert!(pool.request_page(p(1), None, now()).unwrap().is_hit());
+        // Once capacity frees up, prefetching resumes.
+        pool.invalidate_pages(&[p(2)]);
+        assert!(pool.admit_prefetch(p(3), now()));
+        assert!(pool.contains(p(3)));
     }
 
     #[test]
@@ -687,69 +730,63 @@ mod tests {
         assert!(pool.reports.lock().len() < EVENT_FLUSH_THRESHOLD);
     }
 
-    /// Replays the same scan-flavoured trace through `BufferPool` and
-    /// through `ShardedPool` at several shard counts: every outcome and
-    /// every counter must match exactly.
     #[test]
-    fn matches_bufferpool_exactly_for_pbm_scan_traces() {
-        let make_policy = || -> Box<dyn ReplacementPolicy> {
-            Box::new(PbmPolicy::new(PbmConfig {
-                default_scan_speed: 1000.0,
-                ..Default::default()
-            }))
+    fn scan_registration_assigns_increasing_ids() {
+        let pool = pool(2, 2);
+        let plan = ScanPagePlan {
+            table: scanshare_common::TableId::new(0),
+            total_tuples: 0,
+            pages: vec![],
         };
-        let plan = |pages: &[u64]| -> ScanPagePlan {
-            use scanshare_common::{ColumnId, TupleRange};
-            use scanshare_storage::layout::PageDescriptor;
-            ScanPagePlan {
-                table: scanshare_common::TableId::new(0),
-                total_tuples: pages.len() as u64 * 100,
-                pages: pages
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &page)| PageDescriptor {
-                        page: p(page),
-                        column: ColumnId::new(0),
-                        column_index: 0,
-                        sid_range: TupleRange::new(i as u64 * 100, (i + 1) as u64 * 100),
-                        tuples_behind: i as u64 * 100,
-                        tuple_count: 100,
-                    })
-                    .collect(),
-            }
-        };
-        let pages: Vec<u64> = (0..12).collect();
+        let a = pool.register_scan(&plan, now());
+        let b = pool.register_scan(&plan, now());
+        assert!(b > a);
+        pool.report_scan_position(a, 10, now());
+        pool.unregister_scan(a, now());
+        pool.unregister_scan(b, now());
+    }
 
-        let mut reference = BufferPool::new(4, 1024, make_policy());
-        let run_ref = |pool: &mut BufferPool| {
-            let mut outcomes = Vec::new();
-            let scan = pool.register_scan(&plan(&pages), now());
-            let mut consumed = 0;
-            for &page in &pages {
-                outcomes.push(pool.request_page(p(page), Some(scan), now()).unwrap());
-                consumed += 100;
-                pool.report_scan_position(scan, consumed, now());
-            }
-            pool.unregister_scan(scan, now());
-            outcomes
-        };
-        let expected_outcomes = run_ref(&mut reference);
-        let expected_stats = reference.stats();
+    #[test]
+    fn prefetch_admission_counts_as_prefetch_io_not_as_miss() {
+        let pool = pool(2, 2);
+        assert!(pool.admit_prefetch(p(1), now()));
+        let stats = pool.stats();
+        assert_eq!((stats.hits, stats.misses), (0, 0));
+        assert_eq!(stats.prefetched_pages, 1);
+        assert_eq!(stats.prefetch_io_bytes, 1024);
+        assert_eq!(stats.io_bytes, 1024);
+        // The demand access that consumes the prefetched page is a hit.
+        assert!(pool.request_page(p(1), None, now()).unwrap().is_hit());
+        assert_eq!(pool.stats().hits, 1);
+        // Re-prefetching a resident page is a no-op.
+        assert!(!pool.admit_prefetch(p(1), now()));
+        assert_eq!(pool.stats().prefetched_pages, 1);
+    }
 
-        for shards in [1, 2, 8] {
-            let pool = ShardedPool::new(4, 1024, make_policy(), shards);
-            let mut outcomes = Vec::new();
-            let scan = pool.register_scan(&plan(&pages), now());
-            let mut consumed = 0;
-            for &page in &pages {
-                outcomes.push(pool.request_page(p(page), Some(scan), now()).unwrap());
-                consumed += 100;
-                pool.report_scan_position(scan, consumed, now());
-            }
-            pool.unregister_scan(scan, now());
-            assert_eq!(outcomes, expected_outcomes, "shards {shards}");
-            assert_eq!(pool.stats(), expected_stats, "shards {shards}");
-        }
+    #[test]
+    fn prefetch_candidates_come_from_the_policy_filtered_by_residency() {
+        // The plain LRU pool only yields candidates once a scan registered a
+        // plan; candidates never include resident pages.
+        let pool = pool(4, 2);
+        let plan = ScanPagePlan {
+            table: scanshare_common::TableId::new(0),
+            total_tuples: 300,
+            pages: (0..3)
+                .map(|i| scanshare_storage::layout::PageDescriptor {
+                    page: p(i),
+                    column: scanshare_common::ColumnId::new(0),
+                    column_index: 0,
+                    sid_range: scanshare_common::TupleRange::new(i * 100, (i + 1) * 100),
+                    tuples_behind: i * 100,
+                    tuple_count: 100,
+                })
+                .collect(),
+        };
+        let scan = pool.register_scan(&plan, now());
+        assert_eq!(pool.prefetch_candidates(2, now()), vec![p(0), p(1)]);
+        pool.request_page(p(0), Some(scan), now()).unwrap();
+        assert_eq!(pool.prefetch_candidates(4, now()), vec![p(1), p(2)]);
+        assert!(pool.prefetch_candidates(0, now()).is_empty());
     }
 
     #[test]

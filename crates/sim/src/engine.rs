@@ -2,7 +2,8 @@
 //!
 //! Streams execute their queries back to back. A query is a sequence of range
 //! scans; each scan either issues page requests in order against the shared
-//! [`BufferPool`] (LRU, PBM, OPT-trace runs) or attaches to the
+//! [`ShardedPool`] — the pool type the execution engine runs, built the same
+//! way with one shard (LRU, PBM, OPT-trace runs) — or attaches to the
 //! [`Abm`] and consumes chunks out of order
 //! (Cooperative Scans). Misses are served by a bandwidth-limited
 //! [`IoDevice`]; CPU work is charged per tuple, scaled by the query's CPU
@@ -42,10 +43,10 @@ use scanshare_common::{
     TupleRange, VirtualDuration, VirtualInstant,
 };
 use scanshare_core::abm::{Abm, AbmConfig, CScanHandle, CScanRequest, LoadPlan};
-use scanshare_core::bufferpool::{top_up_prefetch_window, BufferPool};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::simulate_opt;
 use scanshare_core::registry::{pooled_policy_name, PolicyRegistry};
+use scanshare_core::sharded::{top_up_prefetch_window, ShardedPool};
 use scanshare_iosim::{IoDevice, ReferenceTrace};
 use scanshare_pdt::checkpoint::checkpoint_stack;
 use scanshare_pdt::pdt::Pdt;
@@ -62,11 +63,11 @@ use crate::sharing::SharingProfile;
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Storage / buffer / policy configuration shared with the rest of the
-    /// workspace. The simulator is single-threaded, so
-    /// `ScanShareConfig::pool_shards` — a lock-partitioning knob for the
-    /// live engine — has no effect here; that is sound because sharding
-    /// never changes replacement decisions or I/O accounting (see
-    /// `scanshare_core::sharded`), only contention.
+    /// workspace. The simulator is single-threaded, so it always builds its
+    /// pool with one shard and `ScanShareConfig::pool_shards` — a
+    /// lock-partitioning knob for the live engine — has no effect here; that
+    /// is sound because sharding never changes replacement decisions or I/O
+    /// accounting (see `scanshare_core::sharded`), only contention.
     pub scanshare: ScanShareConfig,
     /// Number of CPU cores of the simulated server (the paper's machine has
     /// two 4-core CPUs).
@@ -214,11 +215,33 @@ struct QueryRun {
     started: VirtualInstant,
 }
 
+/// One stream of a phase: its queued queries, the query in flight (`R` is
+/// the page-level [`QueryRun`] or the chunk-level [`CScanQueryRun`]) and the
+/// time it ran out of queries.
 #[derive(Debug)]
-struct StreamState {
+struct StreamState<R> {
     queries: VecDeque<ResolvedQuery>,
-    current: Option<QueryRun>,
+    current: Option<R>,
     finished: Option<VirtualInstant>,
+}
+
+fn start_streams<R>(phase_queries: Vec<VecDeque<ResolvedQuery>>) -> Vec<StreamState<R>> {
+    phase_queries
+        .into_iter()
+        .map(|queries| StreamState {
+            queries,
+            current: None,
+            finished: None,
+        })
+        .collect()
+}
+
+/// When each stream ran out of queries; `None` if one never did.
+fn finish_times<R>(streams: &[StreamState<R>]) -> Option<Vec<u64>> {
+    streams
+        .iter()
+        .map(|s| s.finished.map(|at| at.as_nanos()))
+        .collect()
 }
 
 /// One query in the chunk-level (Cooperative Scans) model.
@@ -229,13 +252,6 @@ struct CScanQueryRun {
     active: Option<CScanHandle>,
     cpu_ns_per_tuple: f64,
     started: VirtualInstant,
-}
-
-#[derive(Debug)]
-struct CScanStreamState {
-    queries: VecDeque<ResolvedQuery>,
-    current: Option<CScanQueryRun>,
-    finished: Option<VirtualInstant>,
 }
 
 /// Periodic sharing-potential sampling state (Figures 17/18), shared by the
@@ -298,26 +314,30 @@ struct MirrorTable {
     stack: PdtStack,
 }
 
-/// Persistent state of a pooled (LRU / PBM / OPT-trace) run: survives round
-/// barriers so checkpointed tables churn a warm pool, exactly as in the
-/// engine.
-struct PoolRunState {
-    pool: BufferPool,
+/// Persistent state of a run: survives round barriers so checkpointed tables
+/// churn warm buffers, exactly as in the engine. `B` is what buffers the
+/// pages: [`PoolBuffers`] (LRU / PBM / OPT-trace runs) or the [`Abm`]
+/// (Cooperative Scans).
+struct RunState<B> {
+    buffers: B,
     device: IoDevice,
-    /// The asynchronous prefetch window, mirroring
-    /// `PooledBackend::top_up_prefetch` in the execution engine: page ->
-    /// completion time of prefetch transfers that may still be in flight.
-    inflight: HashMap<PageId, VirtualInstant>,
     sampler: SharingSampler,
     query_latencies: Vec<VirtualDuration>,
 }
 
-/// Persistent state of a Cooperative Scans run.
-struct CScanRunState {
-    abm: Abm,
-    device: IoDevice,
-    sampler: SharingSampler,
-    query_latencies: Vec<VirtualDuration>,
+/// One phase of a run's event loop (`Simulation::pool_phase` or
+/// `Simulation::cscan_phase`): every stream starts its queued queries at the
+/// given time; returns when each stream finished.
+type PhaseFn<B> =
+    fn(&Simulation, &mut RunState<B>, Vec<VecDeque<ResolvedQuery>>, u64) -> Result<Vec<u64>>;
+
+/// The buffers of a pooled run.
+struct PoolBuffers {
+    pool: ShardedPool,
+    /// The asynchronous prefetch window, mirroring
+    /// `PooledBackend::top_up_prefetch` in the execution engine: page ->
+    /// completion time of prefetch transfers that may still be in flight.
+    inflight: HashMap<PageId, VirtualInstant>,
 }
 
 impl Simulation {
@@ -371,7 +391,7 @@ impl Simulation {
         match self.config.scanshare.policy {
             PolicyKind::CScan => self.run_cscan(workload),
             PolicyKind::Opt => self.run_opt(workload),
-            policy => self.run_pool(workload, policy, false).map(|(r, _)| r),
+            policy => self.run_pool(workload, policy, None),
         }
     }
 
@@ -557,17 +577,19 @@ impl Simulation {
         &self,
         policy: PolicyKind,
         trace: Option<Arc<ReferenceTrace>>,
-    ) -> Result<BufferPool> {
-        // The simulator shares policy construction with the execution engine:
-        // the page-level policy comes from the registry (honouring
-        // `custom_policy`), so the policies the figures measure are the
-        // policies the engine runs.
+    ) -> Result<ShardedPool> {
+        // The simulator shares pool and policy construction with the
+        // execution engine: the page-level policy comes from the registry
+        // (honouring `custom_policy`), so the policies the figures measure
+        // are the policies the engine runs. One shard: the simulator is
+        // single-threaded and decisions are shard-invariant.
         let name = pooled_policy_name(&self.config.scanshare, policy);
         let replacement = PolicyRegistry::default().build(name, &self.config.scanshare)?;
-        let mut pool = BufferPool::new(
+        let mut pool = ShardedPool::new(
             self.config.scanshare.buffer_pool_pages().max(1),
             self.config.scanshare.page_size_bytes,
             replacement,
+            1,
         );
         if let Some(trace) = trace {
             pool = pool.with_trace(trace);
@@ -581,7 +603,7 @@ impl Simulation {
     /// pure PDT rows cost no I/O).
     fn build_part_run(
         &self,
-        pool: &mut BufferPool,
+        pool: &ShardedPool,
         scan: &ResolvedScan,
         now: VirtualInstant,
     ) -> Result<Option<PartRun>> {
@@ -606,7 +628,7 @@ impl Simulation {
 
     fn build_query_run(
         &self,
-        pool: &mut BufferPool,
+        pool: &ShardedPool,
         query: &ResolvedQuery,
         now: VirtualInstant,
     ) -> Result<QueryRun> {
@@ -639,21 +661,14 @@ impl Simulation {
     /// streams start at `start_ns`. Returns each stream's finish time.
     fn pool_phase(
         &self,
-        state: &mut PoolRunState,
+        state: &mut RunState<PoolBuffers>,
         phase_queries: Vec<VecDeque<ResolvedQuery>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
         let prefetch_window = self.config.scanshare.prefetch_pages;
 
-        let mut streams: Vec<StreamState> = phase_queries
-            .into_iter()
-            .map(|queries| StreamState {
-                queries,
-                current: None,
-                finished: None,
-            })
-            .collect();
+        let mut streams: Vec<StreamState<QueryRun>> = start_streams(phase_queries);
 
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -701,7 +716,7 @@ impl Simulation {
                     }
                     continue;
                 };
-                let run = self.build_query_run(&mut state.pool, &query, now)?;
+                let run = self.build_query_run(&state.buffers.pool, &query, now)?;
                 streams[s].current = Some(run);
             }
 
@@ -713,7 +728,7 @@ impl Simulation {
                     // scans, exactly when the engine's task opens them.
                     let pending = std::mem::take(&mut run.pending);
                     for scan in &pending {
-                        if let Some(part) = self.build_part_run(&mut state.pool, scan, now)? {
+                        if let Some(part) = self.build_part_run(&state.buffers.pool, scan, now)? {
                             run.parts.push(part);
                         }
                     }
@@ -729,7 +744,7 @@ impl Simulation {
             let cpu_ns_per_tuple = run.cpu_ns_per_tuple;
             let part = &mut run.parts[run.part_idx];
             if part.next >= part.pages.len() {
-                state.pool.unregister_scan(part.scan_id, now);
+                state.buffers.pool.unregister_scan(part.scan_id, now);
                 run.part_idx += 1;
                 push(&mut heap, event.time, EventKind::Stream(s));
                 continue;
@@ -737,8 +752,12 @@ impl Simulation {
             let (page, tuples) = part.pages[part.next];
             part.next += 1;
             part.consumed += tuples;
-            let outcome = state.pool.request_page(page, Some(part.scan_id), now)?;
+            let outcome = state
+                .buffers
+                .pool
+                .request_page(page, Some(part.scan_id), now)?;
             state
+                .buffers
                 .pool
                 .report_scan_position(part.scan_id, part.consumed, now);
             let cpu_ns = (tuples as f64 * cpu_ns_per_tuple).round() as u64;
@@ -746,7 +765,7 @@ impl Simulation {
             let io_done = if outcome.is_hit() {
                 // A hit on a page whose prefetch is still in flight waits
                 // for the remaining transfer time only.
-                match state.inflight.remove(&page) {
+                match state.buffers.inflight.remove(&page) {
                     Some(done) => {
                         consumed_inflight = true;
                         done.as_nanos().max(event.time)
@@ -762,9 +781,9 @@ impl Simulation {
             // prefetch picture, so warm-pool hits stay cheap.
             if !outcome.is_hit() || consumed_inflight {
                 top_up_prefetch_window(
-                    &mut state.pool,
+                    &state.buffers.pool,
                     &state.device,
-                    &mut state.inflight,
+                    &mut state.buffers.inflight,
                     prefetch_window,
                     now,
                 );
@@ -772,35 +791,60 @@ impl Simulation {
             push(&mut heap, io_done + cpu_ns, EventKind::Stream(s));
         }
 
-        Ok(streams
-            .iter()
-            .map(|s| {
-                s.finished
-                    .unwrap_or(VirtualInstant::from_nanos(start_ns))
-                    .as_nanos()
-            })
-            .collect())
+        Ok(finish_times(&streams).expect("every pooled stream drains its queue"))
     }
 
     fn run_pool(
         &self,
         workload: &WorkloadSpec,
         policy: PolicyKind,
-        record_trace: bool,
-    ) -> Result<(SimResult, Option<Arc<ReferenceTrace>>)> {
-        let trace = record_trace.then(|| Arc::new(ReferenceTrace::new()));
-        let stream_count = workload.stream_count();
-        let mut state = PoolRunState {
-            pool: self.make_pool(policy, trace.clone())?,
-            device: self.device(),
+        trace: Option<Arc<ReferenceTrace>>,
+    ) -> Result<SimResult> {
+        let buffers = PoolBuffers {
+            pool: self.make_pool(policy, trace)?,
             inflight: HashMap::new(),
+        };
+        self.run_rounds(
+            workload,
+            policy,
+            buffers,
+            Self::pool_phase,
+            // The same hook semantics the engine's backend uses.
+            |buffers, stale| {
+                for page in stale {
+                    buffers.inflight.remove(page);
+                }
+                buffers.pool.invalidate_pages(stale);
+            },
+            |buffers| buffers.pool.stats(),
+        )
+    }
+
+    /// The orchestration every policy shares: resolves the workload's
+    /// queries, runs them through `phase` over `buffers` — in one phase when
+    /// the workload is read-only, else round by round behind the update
+    /// barrier, with `invalidate` dropping checkpointed pages — and
+    /// assembles the result from the finish times and `stats`.
+    fn run_rounds<B>(
+        &self,
+        workload: &WorkloadSpec,
+        policy: PolicyKind,
+        buffers: B,
+        phase: PhaseFn<B>,
+        invalidate: fn(&mut B, &[PageId]),
+        stats: fn(&B) -> BufferStats,
+    ) -> Result<SimResult> {
+        let stream_count = workload.stream_count();
+        let mut state = RunState {
+            buffers,
+            device: self.device(),
             sampler: SharingSampler::new(self.config.sharing_sample_interval),
             query_latencies: Vec::new(),
         };
         let mut pruned = 0u64;
 
         let finish_ns = if !workload.has_updates() {
-            let phase: Vec<VecDeque<ResolvedQuery>> = workload
+            let queries: Vec<VecDeque<ResolvedQuery>> = workload
                 .streams
                 .iter()
                 .map(|s| {
@@ -810,7 +854,7 @@ impl Simulation {
                         .collect::<Result<VecDeque<_>>>()
                 })
                 .collect::<Result<_>>()?;
-            self.pool_phase(&mut state, phase, 0)?
+            phase(self, &mut state, queries, 0)?
         } else {
             let mut generators: Vec<UpdateOpGen> = workload
                 .update_streams
@@ -823,20 +867,14 @@ impl Simulation {
             for round in 0..workload.rounds() {
                 // Barrier: apply the update batches (in spec order, exactly
                 // like the driver), invalidating checkpointed pages from
-                // the persistent pool through the same hook semantics the
-                // engine's backend uses.
+                // the persistent buffers.
                 for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
-                    let pool = &mut state.pool;
-                    let inflight = &mut state.inflight;
                     self.mirror_update_batch(&mut mirror, spec, generator, round, &mut |stale| {
-                        for page in stale {
-                            inflight.remove(page);
-                        }
-                        pool.invalidate_pages(stale);
+                        invalidate(&mut state.buffers, stale)
                     })?;
                 }
                 // Concurrent phase: this round's query of every stream.
-                let phase: Vec<VecDeque<ResolvedQuery>> = workload
+                let queries: Vec<VecDeque<ResolvedQuery>> = workload
                     .streams
                     .iter()
                     .map(|stream| {
@@ -852,7 +890,7 @@ impl Simulation {
                         Ok(queries)
                     })
                     .collect::<Result<_>>()?;
-                let round_finish = self.pool_phase(&mut state, phase, barrier_ns)?;
+                let round_finish = phase(self, &mut state, queries, barrier_ns)?;
                 for (s, stream) in workload.streams.iter().enumerate() {
                     if round < stream.queries.len() {
                         finish[s] = round_finish[s];
@@ -869,9 +907,9 @@ impl Simulation {
             .iter()
             .map(|&ns| VirtualInstant::from_nanos(ns).since(VirtualInstant::EPOCH))
             .collect();
-        let mut stats = state.pool.stats();
+        let mut stats = stats(&state.buffers);
         stats.pruned_tuples = pruned;
-        let result = SimResult {
+        Ok(SimResult {
             workload: workload.name.clone(),
             policy,
             stream_times,
@@ -881,8 +919,7 @@ impl Simulation {
             makespan: VirtualInstant::from_nanos(makespan_ns).since(VirtualInstant::EPOCH),
             has_timing: true,
             sharing: state.sampler.into_profile(),
-        };
-        Ok((result, trace))
+        })
     }
 
     // -----------------------------------------------------------------
@@ -890,8 +927,8 @@ impl Simulation {
     // -----------------------------------------------------------------
 
     fn run_opt(&self, workload: &WorkloadSpec) -> Result<SimResult> {
-        let (pbm_result, trace) = self.run_pool(workload, PolicyKind::Pbm, true)?;
-        let trace = trace.expect("trace recording was requested");
+        let trace = Arc::new(ReferenceTrace::new());
+        let pbm_result = self.run_pool(workload, PolicyKind::Pbm, Some(Arc::clone(&trace)))?;
         let capacity = self.config.scanshare.buffer_pool_pages().max(1);
         let opt = simulate_opt(&trace.pages(), capacity);
         let page_size = self.config.scanshare.page_size_bytes;
@@ -954,20 +991,14 @@ impl Simulation {
     /// `state`; the ABM's chunk cache survives phases.
     fn cscan_phase(
         &self,
-        state: &mut CScanRunState,
+        state: &mut RunState<Abm>,
         phase_queries: Vec<VecDeque<ResolvedQuery>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
 
-        let mut streams: Vec<CScanStreamState> = phase_queries
-            .into_iter()
-            .map(|queries| CScanStreamState {
-                queries,
-                current: None,
-                finished: None,
-            })
-            .collect();
+        let abm = &state.buffers;
+        let mut streams: Vec<StreamState<CScanQueryRun>> = start_streams(phase_queries);
 
         let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
         let mut seq = 0u64;
@@ -993,7 +1024,7 @@ impl Simulation {
         macro_rules! kick_loader {
             ($heap:expr, $now:expr) => {
                 if !loader_busy {
-                    if let Some(plan) = state.abm.next_load(VirtualInstant::from_nanos($now)) {
+                    if let Some(plan) = abm.next_load(VirtualInstant::from_nanos($now)) {
                         let done = state
                             .device
                             .submit(VirtualInstant::from_nanos($now), plan.bytes)
@@ -1012,7 +1043,6 @@ impl Simulation {
             // Periodic sharing-potential sampling: the outstanding data of
             // a CScan is the page set of its still-needed chunks, which the
             // ABM tracks directly.
-            let abm = &state.abm;
             state.sampler.sample_if_due(event.time, page_size, || {
                 streams
                     .iter()
@@ -1025,7 +1055,7 @@ impl Simulation {
             match event.kind {
                 EventKind::LoadDone => {
                     let plan = event.plan.expect("load event carries its plan");
-                    state.abm.complete_load(&plan, now)?;
+                    abm.complete_load(&plan, now)?;
                     loader_busy = false;
                     // Wake blocked streams in index order: HashSet iteration
                     // order varies between processes and would make ABM
@@ -1052,7 +1082,7 @@ impl Simulation {
                             cpu_ns_per_tuple: query.cpu_ns_per_tuple,
                             started: now,
                         };
-                        run.active = self.activate_next_cscan_part(&state.abm, &mut run)?;
+                        run.active = self.activate_next_cscan_part(abm, &mut run)?;
                         streams[s].current = Some(run);
                         kick_loader!(&mut heap, now_ns);
                     }
@@ -1066,17 +1096,17 @@ impl Simulation {
                         continue;
                     };
 
-                    match state.abm.get_chunk(handle.id)? {
+                    match abm.get_chunk(handle.id)? {
                         Some(delivery) => {
                             let cpu_ns =
                                 (delivery.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
                             push_event(&mut heap, now_ns + cpu_ns, EventKind::Stream(s), None);
                         }
                         None => {
-                            if state.abm.is_finished(handle.id) {
-                                state.abm.unregister_cscan(handle.id)?;
+                            if abm.is_finished(handle.id) {
+                                abm.unregister_cscan(handle.id)?;
                                 run.part_idx += 1;
-                                run.active = self.activate_next_cscan_part(&state.abm, run)?;
+                                run.active = self.activate_next_cscan_part(abm, run)?;
                                 push_event(&mut heap, now_ns, EventKind::Stream(s), None);
                                 kick_loader!(&mut heap, now_ns);
                             } else {
@@ -1089,106 +1119,30 @@ impl Simulation {
             }
         }
 
-        if streams.iter().any(|s| s.finished.is_none()) {
-            return Err(Error::internal(
+        finish_times(&streams).ok_or_else(|| {
+            Error::internal(
                 "Cooperative Scans simulation deadlocked: buffer pool too small for one chunk",
-            ));
-        }
-
-        Ok(streams
-            .iter()
-            .map(|s| s.finished.expect("checked above").as_nanos())
-            .collect())
+            )
+        })
     }
 
     fn run_cscan(&self, workload: &WorkloadSpec) -> Result<SimResult> {
-        let stream_count = workload.stream_count();
-        let mut state = CScanRunState {
-            abm: Abm::new(AbmConfig::new(
-                self.config.scanshare.buffer_pool_bytes,
-                self.config.scanshare.page_size_bytes,
-            )),
-            device: self.device(),
-            sampler: SharingSampler::new(self.config.sharing_sample_interval),
-            query_latencies: Vec::new(),
-        };
-        let mut pruned = 0u64;
-
-        let finish_ns = if !workload.has_updates() {
-            let phase: Vec<VecDeque<ResolvedQuery>> = workload
-                .streams
-                .iter()
-                .map(|s| {
-                    s.queries
-                        .iter()
-                        .map(|q| self.resolve_read_only(q, stream_count, &mut pruned))
-                        .collect::<Result<VecDeque<_>>>()
-                })
-                .collect::<Result<_>>()?;
-            self.cscan_phase(&mut state, phase, 0)?
-        } else {
-            let mut generators: Vec<UpdateOpGen> = workload
-                .update_streams
-                .iter()
-                .map(UpdateStreamSpec::ops)
-                .collect();
-            let mut mirror = UpdateMirror::default();
-            let mut finish = vec![0u64; stream_count];
-            let mut barrier_ns = 0u64;
-            for round in 0..workload.rounds() {
-                for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
-                    // The ABM's chunk cache is snapshot-versioned: stale
-                    // versions die with their last scan (the engine-side
-                    // CScanBackend invalidation hook is likewise a no-op),
-                    // so checkpoint invalidation drops nothing here.
-                    self.mirror_update_batch(&mut mirror, spec, generator, round, &mut |_| {})?;
-                }
-                let phase: Vec<VecDeque<ResolvedQuery>> = workload
-                    .streams
-                    .iter()
-                    .map(|stream| {
-                        let mut queries = VecDeque::new();
-                        if round < stream.queries.len() {
-                            queries.push_back(self.resolve_mixed(
-                                &mut mirror,
-                                &stream.queries[round],
-                                stream_count,
-                                &mut pruned,
-                            )?);
-                        }
-                        Ok(queries)
-                    })
-                    .collect::<Result<_>>()?;
-                let round_finish = self.cscan_phase(&mut state, phase, barrier_ns)?;
-                for (s, stream) in workload.streams.iter().enumerate() {
-                    if round < stream.queries.len() {
-                        finish[s] = round_finish[s];
-                    }
-                }
-                barrier_ns =
-                    barrier_ns.max(round_finish.iter().copied().max().unwrap_or(barrier_ns));
-            }
-            finish
-        };
-
-        let makespan_ns = finish_ns.iter().copied().max().unwrap_or(0);
-        let stream_times: Vec<VirtualDuration> = finish_ns
-            .iter()
-            .map(|&ns| VirtualInstant::from_nanos(ns).since(VirtualInstant::EPOCH))
-            .collect();
-        let mut stats = state.abm.stats();
-        stats.pruned_tuples = pruned;
-        Ok(SimResult {
-            workload: workload.name.clone(),
-            policy: PolicyKind::CScan,
-            stream_times,
-            query_latencies: state.query_latencies,
-            total_io_bytes: stats.io_bytes,
-            buffer: stats,
-            makespan: VirtualInstant::from_nanos(makespan_ns).since(VirtualInstant::EPOCH),
-            has_timing: true,
-            sharing: state.sampler.into_profile(),
-        })
+        let abm = Abm::new(AbmConfig::new(
+            self.config.scanshare.buffer_pool_bytes,
+            self.config.scanshare.page_size_bytes,
+        ));
+        self.run_rounds(
+            workload,
+            PolicyKind::CScan,
+            abm,
+            Self::cscan_phase,
+            // The ABM's chunk cache is snapshot-versioned: stale versions
+            // die with their last scan (the engine-side CScanBackend
+            // invalidation hook is likewise a no-op), so checkpoint
+            // invalidation drops nothing here.
+            |_, _| {},
+            Abm::stats,
+        )
     }
 }
 

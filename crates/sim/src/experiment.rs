@@ -5,7 +5,7 @@
 //! stream count), runs all four policies and returns one [`ExperimentRow`]
 //! per (policy, x-value) point. The absolute numbers depend on the simulated
 //! substrate, but the *shape* — who wins, by roughly what factor, where the
-//! cross-overs fall — reproduces the paper (see `EXPERIMENTS.md`).
+//! cross-overs fall — reproduces the paper.
 
 use std::sync::Arc;
 

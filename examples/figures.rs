@@ -8,7 +8,7 @@
 //!
 //! The absolute numbers are produced by the simulated substrate, not the
 //! paper's 16-SSD server; the *shapes* (which policy wins, where the curves
-//! flatten) are what EXPERIMENTS.md compares against the paper.
+//! flatten) are what to compare against the paper.
 
 use scanshare::sim::experiment::{
     fig11_micro_buffer_sweep, fig12_micro_bandwidth_sweep, fig13_micro_stream_sweep,

@@ -371,7 +371,7 @@ pub mod prelude {
     pub use scanshare_core::opt::simulate_opt;
     pub use scanshare_core::registry::PolicyRegistry;
     pub use scanshare_core::{
-        Abm, AbmConfig, BufferPool, BufferStats, ClockPolicy, LruPolicy, PbmConfig, PbmPolicy,
+        Abm, AbmConfig, BufferStats, ClockPolicy, LruPolicy, PbmConfig, PbmPolicy,
         ReplacementPolicy, ShardedPool, SievePolicy,
     };
     pub use scanshare_exec::ops::{

@@ -5,7 +5,6 @@
 use std::sync::Arc;
 
 use scanshare::common::PageId;
-use scanshare::core::bufferpool::BufferPool;
 use scanshare::core::lru::LruPolicy;
 use scanshare::core::opt::simulate_opt;
 use scanshare::core::pbm::{PbmConfig, PbmPolicy};
@@ -38,7 +37,7 @@ fn interleaved_scans(
         .map(|p| (p.page, p.tuple_count))
         .collect();
 
-    let mut pool = BufferPool::new(pool_pages, 64 * 1024, policy);
+    let pool = ShardedPool::new(pool_pages, 64 * 1024, policy, 1);
     let now = VirtualInstant::EPOCH;
     let scan_a = pool.register_scan(&plan, now);
     let scan_b = pool.register_scan(&plan, now);

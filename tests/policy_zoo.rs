@@ -7,7 +7,7 @@
 //!    `pool_harness` grammar shared with `sharded_pool_properties.rs`)
 //!    against a `ShardedPool` at any shard count yields byte-identical
 //!    outcomes, statistics and prefetch decisions to the single-threaded
-//!    `BufferPool` reference.
+//!    `EagerPool` oracle.
 //! 2. **Policy invariants** — SIEVE never evicts a visited page while an
 //!    unvisited one exists; CLOCK's hand only ever moves forward. Both are
 //!    asserted over randomized operation streams against the public
@@ -22,9 +22,8 @@ mod pool_harness;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use pool_harness::{random_trace, replay, Rng};
+use pool_harness::{random_trace, replay, EagerPool, Rng};
 use scanshare::common::{PageId, VirtualInstant};
-use scanshare::core::bufferpool::BufferPool;
 use scanshare::core::clock::ClockPolicy;
 use scanshare::core::policy::ReplacementPolicy;
 use scanshare::core::sharded::ShardedPool;
@@ -51,7 +50,7 @@ fn clock_and_sieve_traces_are_shard_count_invariant() {
         let trace = random_trace(&mut rng, pages, capacity, 300);
 
         for (name, make_policy) in zoo() {
-            let mut reference = BufferPool::new(capacity, 1024, make_policy());
+            let mut reference = EagerPool::new(capacity, 1024, make_policy());
             let (expected_obs, expected_stats) = replay(&mut reference, &trace);
             assert!(
                 expected_stats.hits + expected_stats.misses > 0,

@@ -1,7 +1,8 @@
 //! Shared buffer-pool trace harness for the property tests: a deterministic
-//! RNG, a trace grammar over pool operations, a `TracePool` adapter that
-//! papers over `BufferPool` (`&mut self`) vs `ShardedPool` (internally
-//! synchronized), and a replayer that records everything observable.
+//! RNG, a trace grammar over pool operations, the `EagerPool` oracle (a
+//! single-threaded pool that calls the policy immediately), a `TracePool`
+//! adapter over the oracle and `ShardedPool`, and a replayer that records
+//! everything observable.
 //!
 //! Used by `sharded_pool_properties.rs` (sharding transparency for the
 //! built-in policies) and `policy_zoo.rs` (the same property for CLOCK and
@@ -9,10 +10,11 @@
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
+use std::collections::{HashMap, HashSet};
+
 use scanshare::common::{ColumnId, PageId, ScanId, TableId, TupleRange, VirtualInstant};
-use scanshare::core::bufferpool::{AccessOutcome, BufferPool};
-use scanshare::core::sharded::ShardedPool;
-use scanshare::core::BufferStats;
+use scanshare::core::policy::{ReplacementPolicy, ScanInfo};
+use scanshare::core::{AccessOutcome, BufferStats, ShardedPool};
 use scanshare::storage::layout::{PageDescriptor, ScanPagePlan};
 
 /// Deterministic xorshift64* generator.
@@ -100,7 +102,7 @@ pub fn plan_over(pages: &[u64], tuples_per_page: u64) -> ScanPagePlan {
     }
 }
 
-/// The trace operations a pool under test must support. `BufferPool` takes
+/// The trace operations a pool under test must support. `EagerPool` takes
 /// `&mut self`, `ShardedPool` synchronizes internally; the trait papers
 /// over that difference for the replay.
 pub trait TracePool {
@@ -116,9 +118,49 @@ pub trait TracePool {
     fn stats(&self) -> BufferStats;
 }
 
-impl TracePool for BufferPool {
+/// The reference the sharded pool is compared against: a resident set, pin
+/// counts and a policy that hears about every event the moment it happens —
+/// no shards, no event buffering, no replay. It shares none of the code under
+/// test beyond the policy itself.
+pub struct EagerPool {
+    capacity_pages: usize,
+    page_size_bytes: u64,
+    policy: Box<dyn ReplacementPolicy>,
+    resident: HashSet<PageId>,
+    pinned: HashMap<PageId, u32>,
+    stats: BufferStats,
+    next_scan: u64,
+}
+
+impl EagerPool {
+    pub fn new(
+        capacity_pages: usize,
+        page_size_bytes: u64,
+        policy: Box<dyn ReplacementPolicy>,
+    ) -> Self {
+        Self {
+            capacity_pages,
+            page_size_bytes,
+            policy,
+            resident: HashSet::new(),
+            pinned: HashMap::new(),
+            stats: BufferStats::default(),
+            next_scan: 0,
+        }
+    }
+}
+
+impl TracePool for EagerPool {
     fn register(&mut self, plan: &ScanPagePlan, now: VirtualInstant) -> ScanId {
-        BufferPool::register_scan(self, plan, now)
+        let id = ScanId::new(self.next_scan);
+        self.next_scan += 1;
+        let info = ScanInfo {
+            id,
+            total_tuples: plan.total_tuples,
+            distinct_pages: plan.distinct_pages(),
+        };
+        self.policy.register_scan(&info, plan, now);
+        id
     }
     fn request(
         &mut self,
@@ -126,28 +168,78 @@ impl TracePool for BufferPool {
         scan: Option<ScanId>,
         now: VirtualInstant,
     ) -> AccessOutcome {
-        BufferPool::request_page(self, page, scan, now).expect("pins are bounded")
+        if self.resident.contains(&page) {
+            self.stats.hits += 1;
+            self.policy.on_access(page, scan, now);
+            return AccessOutcome::Hit;
+        }
+        let mut evicted = Vec::new();
+        if self.resident.len() >= self.capacity_pages {
+            let mut exclude: HashSet<PageId> = self.pinned.keys().copied().collect();
+            exclude.insert(page);
+            for victim in self.policy.choose_victims(1, &exclude, now) {
+                if self.resident.remove(&victim) {
+                    self.policy.on_evict(victim);
+                    self.stats.evictions += 1;
+                    evicted.push(victim);
+                }
+            }
+        }
+        assert!(
+            self.resident.len() < self.capacity_pages,
+            "pins are bounded"
+        );
+        self.resident.insert(page);
+        self.policy.on_admit(page, now);
+        self.policy.on_access(page, scan, now);
+        self.stats.misses += 1;
+        self.stats.pages_loaded += 1;
+        self.stats.io_bytes += self.page_size_bytes;
+        AccessOutcome::Miss { evicted }
     }
     fn report(&mut self, scan: ScanId, tuples: u64, now: VirtualInstant) {
-        BufferPool::report_scan_position(self, scan, tuples, now)
+        self.policy.report_scan_position(scan, tuples, now)
     }
     fn unregister(&mut self, scan: ScanId, now: VirtualInstant) {
-        BufferPool::unregister_scan(self, scan, now)
+        self.policy.unregister_scan(scan, now)
     }
     fn pin(&mut self, page: PageId) {
-        BufferPool::pin(self, page)
+        *self.pinned.entry(page).or_insert(0) += 1;
     }
     fn unpin(&mut self, page: PageId) {
-        BufferPool::unpin(self, page)
+        if let Some(count) = self.pinned.get_mut(&page) {
+            *count -= 1;
+            if *count == 0 {
+                self.pinned.remove(&page);
+            }
+        }
     }
     fn candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
-        BufferPool::prefetch_candidates(self, budget, now)
+        if budget == 0 {
+            return Vec::new();
+        }
+        let mut seen = HashSet::new();
+        self.policy
+            .prefetch_hints(now, budget)
+            .into_iter()
+            .filter(|p| !self.resident.contains(p) && seen.insert(*p))
+            .take(budget)
+            .collect()
     }
     fn admit_prefetch(&mut self, page: PageId, now: VirtualInstant) -> bool {
-        BufferPool::admit_prefetch(self, page, now)
+        if self.resident.contains(&page) || self.resident.len() >= self.capacity_pages {
+            return false;
+        }
+        self.resident.insert(page);
+        self.policy.on_admit(page, now);
+        self.stats.pages_loaded += 1;
+        self.stats.io_bytes += self.page_size_bytes;
+        self.stats.prefetched_pages += 1;
+        self.stats.prefetch_io_bytes += self.page_size_bytes;
+        true
     }
     fn stats(&self) -> BufferStats {
-        BufferPool::stats(self)
+        self.stats
     }
 }
 

@@ -1,7 +1,7 @@
 //! The sharding-transparency property: for *any* trace, a `ShardedPool`
 //! with any shard count produces exactly the outcomes, statistics and
-//! prefetch decisions of the single-threaded `BufferPool` reference — per
-//! policy, byte for byte.
+//! prefetch decisions of the eagerly applied, single-threaded `EagerPool`
+//! oracle (`pool_harness`) — per policy, byte for byte.
 //!
 //! This is the invariant the engine's I/O accounting rests on: partitioning
 //! the page table across locks must change contention only, never *what*
@@ -16,8 +16,7 @@ mod pool_harness;
 
 use std::sync::Arc;
 
-use pool_harness::{random_trace, replay, Rng};
-use scanshare::core::bufferpool::BufferPool;
+use pool_harness::{random_trace, replay, EagerPool, Rng, Step};
 use scanshare::core::lru::LruPolicy;
 use scanshare::core::pbm::{PbmConfig, PbmPolicy};
 use scanshare::core::pbm_lru::{PbmLruConfig, PbmLruPolicy};
@@ -52,7 +51,7 @@ fn any_trace_is_shard_count_invariant_per_policy() {
         let trace = random_trace(&mut rng, pages, capacity, steps);
 
         for (name, make_policy) in policies() {
-            let mut reference = BufferPool::new(capacity, 1024, make_policy());
+            let mut reference = EagerPool::new(capacity, 1024, make_policy());
             let (expected_obs, expected_stats) = replay(&mut reference, &trace);
             assert!(
                 expected_stats.hits + expected_stats.misses > 0,
@@ -72,6 +71,46 @@ fn any_trace_is_shard_count_invariant_per_policy() {
                 );
             }
         }
+    }
+}
+
+/// The deterministic scan-shaped case of the property above: one registered
+/// PBM scan walking its plan under replacement pressure, reporting its
+/// position after every page — the access pattern the simulator and the
+/// engine's scan operator produce.
+#[test]
+fn pbm_scan_trace_matches_the_eager_oracle_exactly() {
+    let make_policy = || -> Box<dyn ReplacementPolicy> {
+        Box::new(PbmPolicy::new(PbmConfig {
+            default_scan_speed: 1000.0,
+            ..Default::default()
+        }))
+    };
+    let pages: Vec<u64> = (0..12).collect();
+    let mut trace = vec![Step::Register {
+        pages: pages.clone(),
+        tuples_per_page: 100,
+    }];
+    for (i, &page) in pages.iter().enumerate() {
+        trace.push(Step::Access {
+            scan: Some(0),
+            page,
+        });
+        trace.push(Step::Report {
+            scan: 0,
+            tuples: (i as u64 + 1) * 100,
+        });
+    }
+    trace.push(Step::Unregister { scan: 0 });
+
+    let (expected_obs, expected_stats) =
+        replay(&mut EagerPool::new(4, 1024, make_policy()), &trace);
+    assert_eq!(expected_stats.misses, 12);
+    for shards in [1usize, 2, 8] {
+        let mut pool = ShardedPool::new(4, 1024, make_policy(), shards);
+        let (obs, stats) = replay(&mut pool, &trace);
+        assert_eq!(obs, expected_obs, "shards {shards}");
+        assert_eq!(stats, expected_stats, "shards {shards}");
     }
 }
 
