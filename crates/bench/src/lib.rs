@@ -1,10 +1,11 @@
 //! Shared helpers for the benchmark harness.
 //!
-//! Every `benches/figNN_*.rs` target regenerates one figure of the paper:
-//! it prints the figure's data table (policies × swept parameter, average
-//! stream time and total I/O volume) and then measures a representative
-//! simulation point with the [`crit`] mini-harness (a dependency-free
-//! Criterion stand-in).
+//! `benches/fig_paper.rs` regenerates Figures 11-18 of the paper from the
+//! simulator's `FIGURES` table: for each it prints the figure's data table
+//! (policies × swept parameter, average stream time and total I/O volume,
+//! or the sharing-potential profile) and then measures regenerating it with
+//! the [`crit`] mini-harness (a dependency-free Criterion stand-in). The
+//! other `benches/*.rs` targets are the engine-side figures and ablations.
 //!
 //! The scale of the printed figures is controlled with the
 //! `SCANSHARE_BENCH_SCALE` environment variable: `test` (default, seconds),

@@ -32,7 +32,6 @@ pub mod backend;
 pub mod clock;
 pub mod lru;
 pub mod metrics;
-pub mod opportunistic;
 pub mod opt;
 pub mod pbm;
 pub mod pbm_lru;
@@ -40,14 +39,12 @@ pub mod policy;
 pub mod registry;
 pub mod sharded;
 pub mod sieve;
-pub mod throttle;
 
 pub use abm::{Abm, AbmAction, AbmConfig, CScanHandle, LoadScheduler, MonolithicAbm};
 pub use backend::{CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
 pub use clock::ClockPolicy;
 pub use lru::LruPolicy;
 pub use metrics::BufferStats;
-pub use opportunistic::OpportunisticPlanner;
 pub use opt::{simulate_opt, OptResult};
 pub use pbm::{PbmConfig, PbmPolicy};
 pub use pbm_lru::{PbmLruConfig, PbmLruPolicy};
@@ -55,4 +52,3 @@ pub use policy::{ReplacementPolicy, ScanInfo};
 pub use registry::{PolicyFactory, PolicyRegistry};
 pub use sharded::{AccessOutcome, ShardedPool};
 pub use sieve::SievePolicy;
-pub use throttle::{ScanProgress, ThrottleConfig, ThrottlePlanner};

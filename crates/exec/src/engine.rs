@@ -792,7 +792,9 @@ impl Engine {
         let column_indices = self.storage.resolve_columns(pin.table, columns)?;
         // Translate the projection-relative predicate into a table-relative
         // zone predicate. A predicate naming a column outside the projection
-        // is left to the row-level filter to reject; it never prunes.
+        // never prunes here, and nothing later rejects it — batches are
+        // indexed unchecked — so `Query::validate` refuses such a plan before
+        // it opens a scan; a direct caller must do the same.
         let zone_pred = match filter {
             Some(pred) if self.config.zone_maps => column_indices
                 .get(pred.column)

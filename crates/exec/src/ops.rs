@@ -1,18 +1,22 @@
 //! Relational operators above the scans: Select, Project, Aggr, GroupBy,
 //! TopK and the broadcast hash join.
 //!
-//! The original set was just enough to express the TPC-H Q1 / Q6 style
-//! queries of the paper's microbenchmarks: a range scan with a selection,
-//! projection and (optionally grouped) aggregation on top. The pipeline
-//! extensions add multi-key grouping ([`GroupSpec`]), order-insensitive
-//! top-k selection ([`TopKSpec`]/[`TopKState`]) and a broadcast hash join
-//! ([`JoinBuild`]/[`JoinTable`]/[`JoinSource`]). All of them are
-//! deterministic functions of the input *multiset*: grouped results are
+//! A pipeline is a [`BatchSource`] (a scan, optionally wrapped by the
+//! probe side of a broadcast hash join: [`JoinBuild`]/[`JoinTable`]/
+//! [`JoinSource`]), an optional [`Predicate`] and a `Sink` that consumes the
+//! surviving rows. There is one sink per kind of result: the keyed
+//! aggregation `KeyedAggr` — generic over the group key, a plain [`Value`]
+//! for the optional key column of an [`AggrSpec`] and a `Vec<Value>` for the
+//! composite key of `Query::group_by` — the top-k selection [`TopKState`]
+//! and plain row collection. Every sink folds one batch at a time and merges
+//! the partial result of another plan fragment, and every one is a
+//! deterministic function of the input *multiset*: grouped results are
 //! ordered maps, top-k breaks value ties by full-row lexicographic order,
 //! and join buckets are sorted at build finish — so out-of-order delivery
 //! (Cooperative Scans) and parallel merges cannot change any result.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::btree_map::{BTreeMap, Entry};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use scanshare_common::Result;
@@ -113,6 +117,14 @@ impl Predicate {
             .map(|&v| self.matches(v))
             .collect()
     }
+
+    /// Keeps the rows of `batch` that satisfy `filter`; no filter keeps all.
+    pub(crate) fn select(filter: Option<&Predicate>, batch: Batch) -> Batch {
+        match filter {
+            Some(pred) => batch.filter(&pred.mask(&batch)),
+            None => batch,
+        }
+    }
 }
 
 /// Aggregate functions.
@@ -211,6 +223,118 @@ fn merge_group_state(existing: &mut GroupState, other: &GroupState, aggregates: 
     }
 }
 
+/// The result of a multi-key aggregation: composite key (the key columns'
+/// values, in `group_by` order) mapped to its group state, ordered by key —
+/// the ordered map makes the result independent of input delivery order.
+pub type GroupedResult = BTreeMap<Vec<Value>, GroupState>;
+
+/// The consuming end of a pipeline: folds the (already filtered) batches of
+/// one plan fragment into a partial result and merges the partials of the
+/// other fragments (the "XChg + upper operator" of Figure 8).
+pub(crate) trait Sink: Send {
+    /// Folds one batch into the partial result.
+    fn fold(&mut self, batch: &Batch);
+    /// Merges the partial result of another plan fragment into this one.
+    fn merge(&mut self, other: Self);
+}
+
+/// Pulls `source` dry, folding every batch that survives `filter` into
+/// `sink`.
+pub(crate) fn drain(
+    source: &mut dyn BatchSource,
+    filter: Option<&Predicate>,
+    sink: &mut impl Sink,
+) -> Result<()> {
+    while let Some(batch) = source.next_batch()? {
+        sink.fold(&Predicate::select(filter, batch));
+    }
+    Ok(())
+}
+
+/// A group key read off a row: a plain [`Value`] for the at most one key
+/// column of an [`AggrSpec`] (0 when ungrouped; nothing is allocated per
+/// row), a `Vec<Value>` for a composite key.
+pub(crate) trait GroupKey: Ord + Send {
+    /// The key of `row`: its values in the key `columns`.
+    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self;
+}
+
+impl GroupKey for Value {
+    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self {
+        columns.first().map_or(0, |&c| batch.value(row, c))
+    }
+}
+
+impl GroupKey for Vec<Value> {
+    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self {
+        columns.iter().map(|&c| batch.value(row, c)).collect()
+    }
+}
+
+fn fold_keyed<K: GroupKey>(
+    groups: &mut BTreeMap<K, GroupState>,
+    keys: &[usize],
+    aggregates: &[Aggregate],
+    batch: &Batch,
+) {
+    for row in 0..batch.len() {
+        let entry = groups
+            .entry(K::read(keys, batch, row))
+            .or_insert_with(|| new_group_state(aggregates));
+        accumulate_row(entry, aggregates, batch, row);
+    }
+}
+
+/// The keyed-aggregation sink: one [`GroupState`] per distinct key, in key
+/// order.
+pub(crate) struct KeyedAggr<'a, K: GroupKey> {
+    keys: &'a [usize],
+    aggregates: &'a [Aggregate],
+    /// The groups folded (and merged) so far.
+    pub groups: BTreeMap<K, GroupState>,
+}
+
+impl<'a, K: GroupKey> KeyedAggr<'a, K> {
+    /// An empty aggregation of `aggregates` grouped by `keys`.
+    pub fn new(keys: &'a [usize], aggregates: &'a [Aggregate]) -> Self {
+        Self {
+            keys,
+            aggregates,
+            groups: BTreeMap::new(),
+        }
+    }
+}
+
+impl<K: GroupKey> Sink for KeyedAggr<'_, K> {
+    fn fold(&mut self, batch: &Batch) {
+        fold_keyed(&mut self.groups, self.keys, self.aggregates, batch);
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (key, state) in other.groups {
+            match self.groups.entry(key) {
+                Entry::Vacant(slot) => {
+                    slot.insert(state);
+                }
+                Entry::Occupied(mut slot) => {
+                    merge_group_state(slot.get_mut(), &state, self.aggregates)
+                }
+            }
+        }
+    }
+}
+
+/// Plain row collection, in delivery order.
+impl Sink for Vec<Vec<Value>> {
+    fn fold(&mut self, batch: &Batch) {
+        self.extend(batch.to_rows());
+    }
+
+    fn merge(&mut self, mut other: Self) {
+        self.append(&mut other);
+    }
+}
+
 /// Folds one batch into a running aggregation: applies `filter` (if any)
 /// and accumulates every surviving row into `groups` under `spec`. The
 /// incremental form of [`aggregate`], used by the morsel-driven
@@ -223,20 +347,8 @@ pub fn fold_batch(
     filter: Option<&Predicate>,
     spec: &AggrSpec,
 ) {
-    let batch = match filter {
-        Some(pred) => batch.filter(&pred.mask(&batch)),
-        None => batch,
-    };
-    if batch.is_empty() {
-        return;
-    }
-    for row in 0..batch.len() {
-        let key = spec.group_by.map(|c| batch.value(row, c)).unwrap_or(0);
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| new_group_state(&spec.aggregates));
-        accumulate_row(entry, &spec.aggregates, &batch, row);
-    }
+    let batch = Predicate::select(filter, batch);
+    fold_keyed(groups, spec.group_by.as_slice(), &spec.aggregates, &batch);
 }
 
 /// Consumes `source`, applying `filter` (if any) and computing `spec`.
@@ -247,103 +359,9 @@ pub fn aggregate(
     filter: Option<Predicate>,
     spec: &AggrSpec,
 ) -> Result<AggrResult> {
-    let mut groups: AggrResult = BTreeMap::new();
-    while let Some(batch) = source.next_batch()? {
-        fold_batch(&mut groups, batch, filter.as_ref(), spec);
-    }
-    Ok(groups)
-}
-
-/// Merges partial aggregation results produced by parallel plan fragments
-/// (the "XChg + upper Aggr" of Figure 8).
-pub fn merge_aggregates(spec: &AggrSpec, partials: Vec<AggrResult>) -> AggrResult {
-    let mut merged: AggrResult = BTreeMap::new();
-    for partial in partials {
-        for (key, state) in partial {
-            match merged.get_mut(&key) {
-                None => {
-                    merged.insert(key, state);
-                }
-                Some(existing) => merge_group_state(existing, &state, &spec.aggregates),
-            }
-        }
-    }
-    merged
-}
-
-// ---------------------------------------------------------------------------
-// Multi-key grouping
-// ---------------------------------------------------------------------------
-
-/// A multi-key grouped aggregation: group by the tuple of `keys` columns and
-/// compute `aggregates` per group. The single-key [`AggrSpec`] is the
-/// degenerate form the microbenchmarks keep using.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupSpec {
-    /// Columns (within the operator output) forming the composite group key.
-    pub keys: Vec<usize>,
-    /// Aggregates to compute per group.
-    pub aggregates: Vec<Aggregate>,
-}
-
-/// The result of a multi-key aggregation: composite key (the key columns'
-/// values, in `keys` order) mapped to its group state, ordered by key — the
-/// ordered map makes the result independent of input delivery order.
-pub type GroupedResult = BTreeMap<Vec<Value>, GroupState>;
-
-/// Folds one batch into a running multi-key aggregation; the incremental
-/// form of [`aggregate_grouped`], mirroring [`fold_batch`].
-pub fn fold_batch_grouped(
-    groups: &mut GroupedResult,
-    batch: Batch,
-    filter: Option<&Predicate>,
-    spec: &GroupSpec,
-) {
-    let batch = match filter {
-        Some(pred) => batch.filter(&pred.mask(&batch)),
-        None => batch,
-    };
-    if batch.is_empty() {
-        return;
-    }
-    for row in 0..batch.len() {
-        let key: Vec<Value> = spec.keys.iter().map(|&c| batch.value(row, c)).collect();
-        let entry = groups
-            .entry(key)
-            .or_insert_with(|| new_group_state(&spec.aggregates));
-        accumulate_row(entry, &spec.aggregates, &batch, row);
-    }
-}
-
-/// Consumes `source`, applying `filter` (if any) and computing the
-/// multi-key aggregation `spec` — the GroupBy analogue of [`aggregate`].
-pub fn aggregate_grouped(
-    source: &mut dyn BatchSource,
-    filter: Option<Predicate>,
-    spec: &GroupSpec,
-) -> Result<GroupedResult> {
-    let mut groups: GroupedResult = BTreeMap::new();
-    while let Some(batch) = source.next_batch()? {
-        fold_batch_grouped(&mut groups, batch, filter.as_ref(), spec);
-    }
-    Ok(groups)
-}
-
-/// Merges partial multi-key aggregation results produced by parallel plan
-/// fragments — the GroupBy analogue of [`merge_aggregates`].
-pub fn merge_grouped(spec: &GroupSpec, partials: Vec<GroupedResult>) -> GroupedResult {
-    let mut merged: GroupedResult = BTreeMap::new();
-    for partial in partials {
-        for (key, state) in partial {
-            match merged.get_mut(&key) {
-                None => {
-                    merged.insert(key, state);
-                }
-                Some(existing) => merge_group_state(existing, &state, &spec.aggregates),
-            }
-        }
-    }
-    merged
+    let mut sink = KeyedAggr::new(spec.group_by.as_slice(), &spec.aggregates);
+    drain(source, filter.as_ref(), &mut sink)?;
+    Ok(sink.groups)
 }
 
 // ---------------------------------------------------------------------------
@@ -421,6 +439,17 @@ impl TopKState {
     pub fn finish(mut self) -> Vec<Vec<Value>> {
         self.compact();
         self.rows
+    }
+}
+
+impl Sink for TopKState {
+    fn fold(&mut self, batch: &Batch) {
+        self.push_batch(batch);
+    }
+
+    fn merge(&mut self, mut other: Self) {
+        self.rows.append(&mut other.rows);
+        self.compact();
     }
 }
 
@@ -564,10 +593,7 @@ impl BatchSource for JoinSource {
         let Some(batch) = self.inner.next_batch()? else {
             return Ok(None);
         };
-        let batch = match &self.filter {
-            Some(pred) => batch.filter(&pred.mask(&batch)),
-            None => batch,
-        };
+        let batch = Predicate::select(self.filter.as_ref(), batch);
         Ok(Some(self.table.probe(&batch, self.key_col)))
     }
 }
@@ -631,36 +657,43 @@ mod tests {
         assert!(aggregate(&mut empty, None, &spec).unwrap().is_empty());
     }
 
+    /// Runs `source` through a fresh keyed sink, like one plan fragment.
+    fn keyed<'a, K: GroupKey>(
+        source: &mut VecSource,
+        filter: Option<Predicate>,
+        keys: &'a [usize],
+        aggregates: &'a [Aggregate],
+    ) -> KeyedAggr<'a, K> {
+        let mut sink = KeyedAggr::new(keys, aggregates);
+        drain(source, filter.as_ref(), &mut sink).unwrap();
+        sink
+    }
+
+    /// The two batches of [`source`] as two separate plan fragments.
+    fn halves() -> (VecSource, VecSource) {
+        (
+            VecSource::new(
+                2,
+                vec![Batch::new(vec![vec![0, 1, 0, 1], vec![10, 20, 30, 40]])],
+            ),
+            VecSource::new(2, vec![Batch::new(vec![vec![1, 0], vec![50, 60]])]),
+        )
+    }
+
     #[test]
     fn merge_aggregates_combines_partials() {
-        let spec = AggrSpec::grouped(
-            0,
-            vec![Aggregate::Sum(1), Aggregate::Count, Aggregate::Min(1)],
-        );
-        let mut a = AggrResult::new();
-        a.insert(
-            1,
-            GroupState {
-                count: 2,
-                accumulators: vec![30, 2, 10],
-            },
-        );
-        let mut b = AggrResult::new();
-        b.insert(
-            1,
-            GroupState {
-                count: 1,
-                accumulators: vec![5, 1, 5],
-            },
-        );
-        b.insert(
-            2,
-            GroupState {
-                count: 1,
-                accumulators: vec![7, 1, 7],
-            },
-        );
-        let merged = merge_aggregates(&spec, vec![a, b]);
+        let aggregates = [Aggregate::Sum(1), Aggregate::Count, Aggregate::Min(1)];
+        let state = |count, accumulators| GroupState {
+            count,
+            accumulators,
+        };
+        let mut a = KeyedAggr::<Value>::new(&[0], &aggregates);
+        a.groups.insert(1, state(2, vec![30, 2, 10]));
+        let mut b = KeyedAggr::<Value>::new(&[0], &aggregates);
+        b.groups.insert(1, state(1, vec![5, 1, 5]));
+        b.groups.insert(2, state(1, vec![7, 1, 7]));
+        a.merge(b);
+        let merged = a.groups;
         assert_eq!(merged[&1].count, 3);
         assert_eq!(merged[&1].accumulators, vec![35, 3, 5]);
         assert_eq!(merged[&2].accumulators, vec![7, 1, 7]);
@@ -668,17 +701,13 @@ mod tests {
 
     #[test]
     fn multi_key_grouping_matches_hand_computation() {
-        // Columns: key (0/1), value. Group by (key, value % nothing) —
-        // use both columns as the composite key on a small source.
-        let spec = GroupSpec {
-            keys: vec![0, 1],
-            aggregates: vec![Aggregate::Count, Aggregate::Sum(1)],
-        };
+        // Columns: key (0/1), value; both columns form the composite key.
+        let aggregates = [Aggregate::Count, Aggregate::Sum(1)];
         let mut src = VecSource::new(
             2,
             vec![Batch::new(vec![vec![0, 0, 1, 0], vec![10, 10, 10, 20]])],
         );
-        let result = aggregate_grouped(&mut src, None, &spec).unwrap();
+        let result = keyed::<Vec<Value>>(&mut src, None, &[0, 1], &aggregates).groups;
         assert_eq!(result.len(), 3);
         assert_eq!(result[&vec![0, 10]].accumulators, vec![2, 20]);
         assert_eq!(result[&vec![0, 20]].accumulators, vec![1, 20]);
@@ -687,25 +716,20 @@ mod tests {
 
     #[test]
     fn merge_grouped_equals_single_pass() {
-        let spec = GroupSpec {
-            keys: vec![0],
-            aggregates: vec![Aggregate::Sum(1), Aggregate::Min(1), Aggregate::Max(1)],
-        };
+        let aggregates = [Aggregate::Sum(1), Aggregate::Min(1), Aggregate::Max(1)];
         let filter = Some(Predicate::new(1, CompareOp::Le, 50));
-        let whole = aggregate_grouped(&mut source(), filter, &spec).unwrap();
-        let mut p1 = VecSource::new(
-            2,
-            vec![Batch::new(vec![vec![0, 1, 0, 1], vec![10, 20, 30, 40]])],
-        );
-        let mut p2 = VecSource::new(2, vec![Batch::new(vec![vec![1, 0], vec![50, 60]])]);
-        let merged = merge_grouped(
-            &spec,
-            vec![
-                aggregate_grouped(&mut p1, filter, &spec).unwrap(),
-                aggregate_grouped(&mut p2, filter, &spec).unwrap(),
-            ],
-        );
-        assert_eq!(whole, merged);
+        let whole = keyed::<Vec<Value>>(&mut source(), filter, &[0], &aggregates);
+        let (mut p1, mut p2) = halves();
+        let mut merged = keyed::<Vec<Value>>(&mut p1, filter, &[0], &aggregates);
+        merged.merge(keyed(&mut p2, filter, &[0], &aggregates));
+        assert_eq!(whole.groups, merged.groups);
+        // One key column groups exactly like the single-key form.
+        let spec = AggrSpec::grouped(0, aggregates.to_vec());
+        let single = aggregate(&mut source(), filter, &spec).unwrap();
+        assert_eq!(single.len(), whole.groups.len());
+        for (key, group) in &single {
+            assert_eq!(&whole.groups[&vec![*key]], group);
+        }
     }
 
     #[test]
@@ -826,21 +850,33 @@ mod tests {
     fn merging_partials_equals_single_pass() {
         let spec = AggrSpec::grouped(0, vec![Aggregate::Sum(1), Aggregate::Max(1)]);
         let whole = aggregate(&mut source(), None, &spec).unwrap();
-        // Split the same data into two sources and merge.
-        let part1 = VecSource::new(
-            2,
-            vec![Batch::new(vec![vec![0, 1, 0, 1], vec![10, 20, 30, 40]])],
-        );
-        let part2 = VecSource::new(2, vec![Batch::new(vec![vec![1, 0], vec![50, 60]])]);
-        let mut p1 = part1;
-        let mut p2 = part2;
-        let merged = merge_aggregates(
-            &spec,
-            vec![
-                aggregate(&mut p1, None, &spec).unwrap(),
-                aggregate(&mut p2, None, &spec).unwrap(),
-            ],
-        );
-        assert_eq!(whole, merged);
+        // Split the same data into two fragments and merge.
+        let (mut p1, mut p2) = halves();
+        let mut merged = keyed::<Value>(&mut p1, None, &[0], &spec.aggregates);
+        merged.merge(keyed(&mut p2, None, &[0], &spec.aggregates));
+        assert_eq!(whole, merged.groups);
+    }
+
+    #[test]
+    fn row_and_top_k_partials_merge_like_a_single_pass() {
+        let spec = TopKSpec {
+            column: 1,
+            k: 2,
+            order: SortOrder::Desc,
+        };
+        let (mut p1, mut p2) = halves();
+        let (mut rows, mut rows2) = (Vec::new(), Vec::new());
+        let (mut top, mut top2) = (TopKState::new(spec), TopKState::new(spec));
+        drain(&mut p1, None, &mut rows).unwrap();
+        drain(&mut p2, None, &mut rows2).unwrap();
+        rows.merge(rows2);
+        let mut all = Vec::new();
+        drain(&mut source(), None, &mut all).unwrap();
+        assert_eq!(rows, all);
+        let (mut p1, mut p2) = halves();
+        drain(&mut p1, None, &mut top).unwrap();
+        drain(&mut p2, None, &mut top2).unwrap();
+        top.merge(top2);
+        assert_eq!(top.finish(), vec![vec![0, 60], vec![1, 50]]);
     }
 }

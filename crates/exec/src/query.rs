@@ -20,6 +20,13 @@
 //! worker (`parallelism`), backend-chosen delivery order. Only `columns` is
 //! mandatory, and `run` requires an `aggregate`; use [`Query::rows`] to
 //! materialize filtered rows without aggregating.
+//!
+//! There is one pipeline behind the terminals: [`Query::run`],
+//! [`Query::run_grouped`], [`Query::rows`] and [`Query::into_task`] all run
+//! the one plan validator first — a misplaced clause or a column index
+//! outside the row its clause is applied to is an [`Error::InvalidPlan`]
+//! before anything is pinned or registered — and the inline three differ
+//! only in the sink (see [`crate::ops`]) they hand to the one executor.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -29,9 +36,8 @@ use scanshare_storage::datagen::Value;
 
 use crate::engine::Engine;
 use crate::ops::{
-    aggregate, aggregate_grouped, merge_aggregates, merge_grouped, AggrResult, AggrSpec,
-    BatchSource, GroupSpec, GroupedResult, JoinBuild, JoinSource, JoinTable, Predicate, SortOrder,
-    TopKSpec, TopKState,
+    drain, AggrResult, AggrSpec, Aggregate, BatchSource, GroupedResult, JoinBuild, JoinSource,
+    JoinTable, KeyedAggr, Predicate, Sink, SortOrder, TopKSpec, TopKState,
 };
 use crate::txn::TablePin;
 
@@ -39,26 +45,15 @@ use crate::txn::TablePin;
 /// table. The build side (the other table) is fully scanned and hashed
 /// before the probe side opens; the probe side is the query's own scan.
 #[derive(Debug, Clone)]
-pub(crate) struct JoinClause {
+struct JoinClause {
     /// The build-side table.
-    pub table: TableId,
+    table: TableId,
     /// Probe-projection column index joined against the build key.
-    pub left_col: usize,
-    /// Build-side join key column (by name).
-    pub right_col: String,
-    /// Extra build-side columns carried into the join output after the key.
-    pub extra_columns: Vec<String>,
-}
-
-impl JoinClause {
-    /// The build-side projection: the key column first, then the extras —
-    /// the layout the join output appends after the probe columns.
-    pub fn build_columns(&self) -> Vec<&str> {
-        let mut columns = Vec::with_capacity(1 + self.extra_columns.len());
-        columns.push(self.right_col.as_str());
-        columns.extend(self.extra_columns.iter().map(String::as_str));
-        columns
-    }
+    left_col: usize,
+    /// The build-side projection (by name): the join key first, then the
+    /// extra columns — the layout the join output appends after the probe
+    /// columns.
+    columns: Vec<String>,
 }
 
 /// A query under construction; see the [module docs](self) for the clause
@@ -198,8 +193,7 @@ impl Query {
         self.join = Some(JoinClause {
             table,
             left_col,
-            right_col: right_col.into(),
-            extra_columns: Vec::new(),
+            columns: vec![right_col.into()],
         });
         self
     }
@@ -230,6 +224,11 @@ impl Query {
         self
     }
 
+    /// The one plan validator, run first by every terminal: clause shape,
+    /// and every column index a clause names against the row that clause is
+    /// applied to (filter and join key: the probe projection; group keys,
+    /// top-k and aggregates: the operator output). Batches are indexed
+    /// unchecked, so nothing downstream catches what this lets through.
     fn validate(&mut self) -> Result<()> {
         if self.columns.is_empty() {
             return Err(Error::plan(
@@ -241,7 +240,10 @@ impl Query {
         }
         if let Some(extra) = self.join_extra.take() {
             match self.join.as_mut() {
-                Some(join) => join.extra_columns = extra,
+                Some(join) => {
+                    join.columns.truncate(1);
+                    join.columns.extend(extra);
+                }
                 None => {
                     return Err(Error::plan(
                         "join_columns without a join; call .join(table, left, right) first",
@@ -249,99 +251,114 @@ impl Query {
                 }
             }
         }
+        // Operator output rows are the probe projection plus, in join plans,
+        // the build key and the extra build columns.
+        let probe = (self.columns.len(), "probe projection");
+        let joined = self.join.as_ref().map_or(0, |join| join.columns.len());
+        let output = (probe.0 + joined, "operator output");
+        let check = |what: &str, column: usize, (width, row): (usize, &str)| {
+            if column < width {
+                return Ok(());
+            }
+            Err(Error::plan(format!(
+                "{what} column {column} is outside the {width}-column {row}"
+            )))
+        };
         if let Some(join) = &self.join {
-            if join.left_col >= self.columns.len() {
-                return Err(Error::plan(format!(
-                    "join key column {} is outside the {}-column probe projection",
-                    join.left_col,
-                    self.columns.len()
-                )));
+            check("join key", join.left_col, probe)?;
+        }
+        if let Some(filter) = &self.filter {
+            check("filter", filter.column, probe)?;
+        }
+        for &key in self.group_keys.iter().flatten() {
+            check("group key", key, output)?;
+        }
+        if let Some(top_k) = &self.top_k {
+            check("top_k", top_k.column, output)?;
+        }
+        if let Some(spec) = &self.aggregate {
+            if let Some(column) = spec.group_by {
+                check("group_by", column, output)?;
+            }
+            for aggregate in &spec.aggregates {
+                if let Aggregate::Sum(c) | Aggregate::Min(c) | Aggregate::Max(c) = *aggregate {
+                    check("aggregate", c, output)?;
+                }
             }
         }
         Ok(())
     }
 
-    /// The width of the operator output rows: the probe projection plus, in
-    /// join plans, the build key and extra build columns.
-    fn output_width(&self) -> usize {
-        self.columns.len()
-            + self
-                .join
-                .as_ref()
-                .map(|j| 1 + j.extra_columns.len())
-                .unwrap_or(0)
+    /// The single-key aggregation that `terminal` (`run`, `into_task`)
+    /// computes; group keys and top-k belong to the other terminals.
+    fn take_aggregate(&mut self, terminal: &str) -> Result<AggrSpec> {
+        if self.group_keys.is_some() {
+            return Err(Error::plan(format!(
+                "query has group_by keys; use .run_grouped() instead of {terminal}"
+            )));
+        }
+        if self.top_k.is_some() {
+            return Err(Error::plan(format!(
+                "top_k applies to .rows(), not {terminal}"
+            )));
+        }
+        self.aggregate.take().ok_or_else(|| {
+            Error::plan("query has no aggregate; call .aggregate(...) or use .rows()")
+        })
     }
 
-    /// Pins the table's published state unless the query already carries a
-    /// pin (a transaction's view, or a retried `run`).
-    fn resolve_pin(&mut self) -> Result<&TablePin> {
+    /// Pins the table's published state (unless the query carries a
+    /// transaction's view) and splits the effective RID range — the
+    /// requested bounds clamped to the rows visible through the pin — evenly
+    /// over `workers` (Equation 1); a range with fewer rows than workers
+    /// stays whole.
+    fn range_parts(&mut self, workers: usize) -> Result<Vec<TupleRange>> {
         if self.pin.is_none() {
             self.pin = Some(self.engine.table_pin(self.table)?);
         }
-        Ok(self.pin.as_ref().expect("pinned above"))
+        let visible = self.pin.as_ref().map_or(0, TablePin::visible_rows);
+        let end = self.end.unwrap_or(visible).min(visible);
+        let range = TupleRange::new(self.start.min(end), end);
+        Ok(if workers == 1 || range.len() < workers as u64 {
+            vec![range]
+        } else {
+            range.split_even(workers)
+        })
     }
 
-    /// The effective RID range: the requested bounds clamped to the rows
-    /// visible through the query's pin.
-    fn resolve_range(&mut self) -> Result<TupleRange> {
-        let (start, end) = (self.start, self.end);
-        let visible = self.resolve_pin()?.visible_rows();
-        let end = end.unwrap_or(visible).min(visible);
-        Ok(TupleRange::new(start.min(end), end))
-    }
-
-    fn column_refs(&self) -> Vec<&str> {
-        self.columns.iter().map(String::as_str).collect()
-    }
-
-    pub(crate) fn open_scan(&self, range: TupleRange) -> Result<Box<dyn BatchSource + Send>> {
-        let columns = self.column_refs();
-        let pin = self
-            .pin
-            .clone()
-            .expect("resolve_range pinned the table before any scan opens");
-        self.engine
-            .scan_pinned(pin, &columns, range, self.in_order, self.filter.as_ref())
-    }
-
-    /// Opens the build-side scan of the join clause: a full scan of the
-    /// build table's key + extra columns through a fresh pin. The scan
-    /// registers with the backend like any other; dropping the returned
-    /// source unregisters it — the caller drains it fully *before* opening
-    /// any probe scan, which is what makes the join "broadcast": one
-    /// build pass, shared by every probe fragment.
-    pub(crate) fn open_build_scan(&self) -> Result<Box<dyn BatchSource + Send>> {
-        let join = self.join.as_ref().expect("caller checked the join clause");
-        let columns = join.build_columns();
+    /// Opens the build side of the join clause, if any: a full scan of the
+    /// build table's key + extra columns through a fresh pin, and the empty
+    /// hash table it fills. The scan registers with the backend like any
+    /// other; dropping it unregisters it — the caller drains it fully
+    /// *before* opening any probe scan, which is what makes the join
+    /// "broadcast": one build pass, shared by every probe fragment.
+    pub(crate) fn open_join_build(
+        &self,
+    ) -> Result<Option<(Box<dyn BatchSource + Send>, JoinBuild)>> {
+        let Some(join) = &self.join else {
+            return Ok(None);
+        };
+        let columns: Vec<&str> = join.columns.iter().map(String::as_str).collect();
         let pin = self.engine.table_pin(join.table)?;
         let range = TupleRange::new(0, pin.visible_rows());
-        self.engine.scan_pinned(pin, &columns, range, false, None)
+        let scan = self.engine.scan_pinned(pin, &columns, range, false, None)?;
+        Ok(Some((scan, JoinBuild::new(0, columns.len()))))
     }
 
-    /// Fully builds the join hash table (register → drain → unregister the
-    /// build scan) for the inline execution paths. The cooperative path
-    /// drains the same scan incrementally inside
-    /// [`QueryTask`](crate::sched::QueryTask).
-    fn build_join_table(&self) -> Result<Arc<JoinTable>> {
-        let join = self.join.as_ref().expect("caller checked the join clause");
-        let mut scan = self.open_build_scan()?;
-        let mut build = JoinBuild::new(0, 1 + join.extra_columns.len());
-        while let Some(batch) = scan.next_batch()? {
-            build.push_batch(&batch);
-        }
-        Ok(Arc::new(build.finish()))
-    }
-
-    /// Wraps a probe scan with the join probe when the query has a join
-    /// clause (applying the filter pre-join), or leaves it untouched.
-    /// Returns the filter the *downstream* operators should apply: `None`
-    /// once the join source has consumed it.
-    pub(crate) fn wrap_probe(
+    /// Opens the scan of one range part, wrapped with the join probe (which
+    /// applies the filter pre-join) when the query has a join clause. The
+    /// table must be pinned, and `table` built, before any part opens.
+    pub(crate) fn open_part(
         &self,
-        scan: Box<dyn BatchSource + Send>,
+        part: TupleRange,
         table: Option<&Arc<JoinTable>>,
-    ) -> Box<dyn BatchSource + Send> {
-        match (table, self.join.as_ref()) {
+    ) -> Result<Box<dyn BatchSource + Send>> {
+        let columns: Vec<&str> = self.columns.iter().map(String::as_str).collect();
+        let pin = self.pin.clone().expect("range_parts pinned the table");
+        let scan =
+            self.engine
+                .scan_pinned(pin, &columns, part, self.in_order, self.filter.as_ref())?;
+        Ok(match (table, &self.join) {
             (Some(table), Some(join)) => Box::new(JoinSource::new(
                 scan,
                 Arc::clone(table),
@@ -349,17 +366,61 @@ impl Query {
                 self.filter,
             )),
             _ => scan,
+        })
+    }
+
+    /// The filter the sink side applies to what [`Query::open_part`]
+    /// yields: the join probe has already applied it.
+    pub(crate) fn downstream_filter(&self) -> Option<Predicate> {
+        match self.join {
+            Some(_) => None,
+            None => self.filter,
         }
     }
 
-    /// The filter the operators above the (possibly join-wrapped) scan
-    /// apply: the join source already applied it pre-probe.
-    fn downstream_filter(&self) -> Option<Predicate> {
-        if self.join.is_some() {
-            None
-        } else {
-            self.filter
+    /// The one executor behind [`Query::run`], [`Query::run_grouped`] and
+    /// [`Query::rows`]: pin and range, then the join hash table (the build
+    /// scan registers, drains and unregisters before any probe scan opens),
+    /// then scan → probe → filter → `new_sink()` over every range part —
+    /// inline for one part, one scoped OS thread per part below the XChg
+    /// otherwise — and the partial sinks merged by the upper operator.
+    fn execute<S: Sink>(&mut self, workers: usize, new_sink: impl Fn() -> S + Sync) -> Result<S> {
+        let parts = self.range_parts(workers)?;
+        let table = match self.open_join_build()? {
+            Some((mut scan, mut build)) => {
+                while let Some(batch) = scan.next_batch()? {
+                    build.push_batch(&batch);
+                }
+                Some(Arc::new(build.finish()))
+            }
+            None => None,
+        };
+        let (query, filter) = (&*self, self.downstream_filter());
+        let run_part = |part: TupleRange| {
+            let mut scan = query.open_part(part, table.as_ref())?;
+            let mut sink = new_sink();
+            drain(scan.as_mut(), filter.as_ref(), &mut sink)?;
+            Ok(sink)
+        };
+        if let [part] = parts[..] {
+            return run_part(part);
         }
+        let partials: Vec<Result<S>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = parts
+                .iter()
+                .filter(|part| !part.is_empty())
+                .map(|&part| scope.spawn(move || run_part(part)))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("worker thread panicked"))
+                .collect()
+        });
+        let mut merged = new_sink();
+        for partial in partials {
+            merged.merge(partial?);
+        }
+        Ok(merged)
     }
 
     /// Executes the query and returns the aggregation result.
@@ -371,55 +432,9 @@ impl Query {
     /// backend), and the partials are merged by an upper aggregation.
     pub fn run(mut self) -> Result<AggrResult> {
         self.validate()?;
-        if self.group_keys.is_some() {
-            return Err(Error::plan(
-                "query has group_by keys; use .run_grouped() instead of .run()",
-            ));
-        }
-        if self.top_k.is_some() {
-            return Err(Error::plan("top_k applies to .rows(), not .run()"));
-        }
-        let spec = self.aggregate.clone().ok_or_else(|| {
-            Error::plan("query has no aggregate; call .aggregate(...) or use .rows()")
-        })?;
-        let range = self.resolve_range()?;
-        let join = self.join_table_if_any()?;
-        let filter = self.downstream_filter();
-
-        if self.parallelism == 1 || range.len() < self.parallelism as u64 {
-            let scan = self.open_scan(range)?;
-            let mut scan = self.wrap_probe(scan, join.as_ref());
-            return aggregate(scan.as_mut(), filter, &spec);
-        }
-
-        let parts = range.split_even(self.parallelism);
-        let partials: Vec<Result<AggrResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .filter(|part| !part.is_empty())
-                .map(|part| {
-                    let query = &self;
-                    let spec = &spec;
-                    let join = &join;
-                    let part = *part;
-                    scope.spawn(move || {
-                        let scan = query.open_scan(part)?;
-                        let mut scan = query.wrap_probe(scan, join.as_ref());
-                        aggregate(scan.as_mut(), filter, spec)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-
-        let mut results = Vec::with_capacity(partials.len());
-        for partial in partials {
-            results.push(partial?);
-        }
-        Ok(merge_aggregates(&spec, results))
+        let spec = self.take_aggregate(".run()")?;
+        let new_sink = || KeyedAggr::<Value>::new(spec.group_by.as_slice(), &spec.aggregates);
+        Ok(self.execute(self.parallelism, new_sink)?.groups)
     }
 
     /// Executes a multi-key grouped aggregation: requires [`Query::group_by`]
@@ -432,76 +447,24 @@ impl Query {
         if self.top_k.is_some() {
             return Err(Error::plan("top_k applies to .rows(), not .run_grouped()"));
         }
-        let keys = self.group_keys.clone().ok_or_else(|| {
+        let keys = self.group_keys.take().ok_or_else(|| {
             Error::plan("run_grouped without group keys; call .group_by(&[...]) first")
         })?;
-        let aggr = self.aggregate.clone().ok_or_else(|| {
-            Error::plan("run_grouped needs aggregates; call .aggregate(AggrSpec::global(...))")
-        })?;
-        if aggr.group_by.is_some() {
-            return Err(Error::plan(
-                "run_grouped takes its keys from .group_by(); pass a global AggrSpec",
-            ));
-        }
-        let width = self.output_width();
-        if let Some(&bad) = keys.iter().find(|&&k| k >= width) {
-            return Err(Error::plan(format!(
-                "group key column {bad} is outside the {width}-column operator output"
-            )));
-        }
-        let spec = GroupSpec {
-            keys,
-            aggregates: aggr.aggregates,
+        let aggregates = match self.aggregate.take() {
+            Some(spec) if spec.group_by.is_none() => spec.aggregates,
+            Some(_) => {
+                return Err(Error::plan(
+                    "run_grouped takes its keys from .group_by(); pass a global AggrSpec",
+                ))
+            }
+            None => {
+                return Err(Error::plan(
+                    "run_grouped needs aggregates; call .aggregate(AggrSpec::global(...))",
+                ))
+            }
         };
-        let range = self.resolve_range()?;
-        let join = self.join_table_if_any()?;
-        let filter = self.downstream_filter();
-
-        if self.parallelism == 1 || range.len() < self.parallelism as u64 {
-            let scan = self.open_scan(range)?;
-            let mut scan = self.wrap_probe(scan, join.as_ref());
-            return aggregate_grouped(scan.as_mut(), filter, &spec);
-        }
-
-        let parts = range.split_even(self.parallelism);
-        let partials: Vec<Result<GroupedResult>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .filter(|part| !part.is_empty())
-                .map(|part| {
-                    let query = &self;
-                    let spec = &spec;
-                    let join = &join;
-                    let part = *part;
-                    scope.spawn(move || {
-                        let scan = query.open_scan(part)?;
-                        let mut scan = query.wrap_probe(scan, join.as_ref());
-                        aggregate_grouped(scan.as_mut(), filter, spec)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
-                .collect()
-        });
-
-        let mut results = Vec::with_capacity(partials.len());
-        for partial in partials {
-            results.push(partial?);
-        }
-        Ok(merge_grouped(&spec, results))
-    }
-
-    /// Builds the join hash table when the query has a join clause; `None`
-    /// otherwise. Must run after `resolve_range` (probe pinned) and before
-    /// any probe scan opens, so the backend sees the paper-shaped sequence:
-    /// build scan registers, drains and unregisters first.
-    fn join_table_if_any(&self) -> Result<Option<Arc<JoinTable>>> {
-        match self.join {
-            Some(_) => Ok(Some(self.build_join_table()?)),
-            None => Ok(None),
-        }
+        let new_sink = || KeyedAggr::<Vec<Value>>::new(&keys, &aggregates);
+        Ok(self.execute(self.parallelism, new_sink)?.groups)
     }
 
     /// Lowers the query onto the task scheduler instead of executing it
@@ -511,52 +474,19 @@ impl Query {
     ///
     /// Semantics match [`Query::run`] exactly (same validation errors, same
     /// results — the per-quantum [`fold_batch`](crate::ops::fold_batch) is
-    /// equivalent to the partial-aggregate-then-merge of the threaded
-    /// exchange plan), but execution is cooperative: the task yields at
+    /// the keyed fold of the threaded exchange plan, and folding every part
+    /// into one map equals merging per-part partials), but execution is
+    /// cooperative: the task yields at
     /// batch boundaries so thousands of queries share a fixed worker pool.
     /// `parallelism` here controls how many partial scans the task
     /// *interleaves*, not how many OS threads it occupies — cross-worker
     /// parallelism comes from running many tasks, and from work stealing.
     pub fn into_task(mut self) -> Result<crate::sched::QueryTask> {
         self.validate()?;
-        if self.group_keys.is_some() || self.top_k.is_some() {
-            return Err(Error::plan(
-                "the task path computes aggregates; group_by/top_k plans run inline",
-            ));
-        }
-        let spec = self.aggregate.clone().ok_or_else(|| {
-            Error::plan("query has no aggregate; call .aggregate(...) or use .rows()")
-        })?;
-        let range = self.resolve_range()?;
-        let parts: Vec<TupleRange> =
-            if self.parallelism == 1 || range.len() < self.parallelism as u64 {
-                vec![range]
-            } else {
-                range.split_even(self.parallelism)
-            }
-            .into_iter()
-            .filter(|part| !part.is_empty())
-            .collect();
-
-        if let Some(join) = &self.join {
-            // Join plans defer the probe: the task drains the build scan
-            // cooperatively (a bounded number of batches per quantum), and
-            // only once it finishes — build scan unregistered, hash table
-            // frozen — do the probe scans open. The backend therefore sees
-            // the same register/drain/unregister-then-probe sequence as the
-            // inline path, just interleaved with other sessions.
-            let build_scan = self.open_build_scan()?;
-            let build = JoinBuild::new(0, 1 + join.extra_columns.len());
-            return Ok(crate::sched::QueryTask::with_join(
-                build_scan, build, self, parts, spec,
-            ));
-        }
-
-        let mut scans = Vec::with_capacity(parts.len());
-        for part in parts {
-            scans.push(self.open_scan(part)?);
-        }
-        Ok(crate::sched::QueryTask::new(scans, self.filter, spec))
+        let spec = self.take_aggregate(".into_task()")?;
+        let mut parts = self.range_parts(self.parallelism)?;
+        parts.retain(|part| !part.is_empty());
+        crate::sched::QueryTask::new(self, parts, spec)
     }
 
     /// Executes the query and materializes the (filtered) rows instead of
@@ -570,43 +500,9 @@ impl Query {
                 "query has group_by keys; use .run_grouped() instead of .rows()",
             ));
         }
-        if let Some(top_k) = &self.top_k {
-            let width = self.output_width();
-            if top_k.column >= width {
-                return Err(Error::plan(format!(
-                    "top_k column {} is outside the {width}-column operator output",
-                    top_k.column
-                )));
-            }
-        }
-        let range = self.resolve_range()?;
-        let join = self.join_table_if_any()?;
-        let filter = self.downstream_filter();
-        let scan = self.open_scan(range)?;
-        let mut scan = self.wrap_probe(scan, join.as_ref());
         match self.top_k {
-            Some(spec) => {
-                let mut state = TopKState::new(spec);
-                while let Some(batch) = scan.next_batch()? {
-                    let batch = match &filter {
-                        Some(predicate) => batch.filter(&predicate.mask(&batch)),
-                        None => batch,
-                    };
-                    state.push_batch(&batch);
-                }
-                Ok(state.finish())
-            }
-            None => {
-                let mut rows = Vec::new();
-                while let Some(batch) = scan.next_batch()? {
-                    let batch = match &filter {
-                        Some(predicate) => batch.filter(&predicate.mask(&batch)),
-                        None => batch,
-                    };
-                    rows.extend(batch.to_rows());
-                }
-                Ok(rows)
-            }
+            Some(spec) => Ok(self.execute(1, || TopKState::new(spec))?.finish()),
+            None => self.execute(1, Vec::new),
         }
     }
 }
@@ -614,7 +510,7 @@ impl Query {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::{Aggregate, CompareOp};
+    use crate::ops::CompareOp;
     use scanshare_common::{PolicyKind, ScanShareConfig};
     use scanshare_storage::column::{ColumnSpec, ColumnType};
     use scanshare_storage::datagen::DataGen;
@@ -1133,6 +1029,56 @@ mod tests {
             .aggregate(AggrSpec::global(vec![Aggregate::Count]))
             .into_task();
         assert!(matches!(task_group.unwrap_err(), Error::InvalidPlan(_)));
+
+        // A filter, group_by or aggregate column outside the row it is
+        // applied to is a plan error at every terminal, naming the index and
+        // the width — the batches themselves are indexed unchecked.
+        let base = || engine.query(lineitem).columns(["l_flag", "l_quantity"]);
+        let count = || AggrSpec::global(vec![Aggregate::Count]);
+        let bad_plans: [(&str, Query); 4] = [
+            (
+                "filter column 2 is outside the 2-column probe projection",
+                base()
+                    .filter(Predicate::new(2, CompareOp::Le, 1))
+                    .aggregate(count()),
+            ),
+            (
+                "group_by column 5 is outside the 2-column operator output",
+                base().aggregate(AggrSpec::grouped(5, vec![Aggregate::Count])),
+            ),
+            (
+                "aggregate column 9 is outside the 2-column operator output",
+                base().aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(9)])),
+            ),
+            // The filter sees the probe projection only, the aggregates the
+            // joined row: 0=l_flag 1=l_quantity 2=p_key.
+            (
+                "aggregate column 3 is outside the 3-column operator output",
+                base()
+                    .join(part, 0, "p_key")
+                    .filter(Predicate::new(1, CompareOp::Le, 24))
+                    .aggregate(AggrSpec::global(vec![Aggregate::Max(2), Aggregate::Min(3)])),
+            ),
+        ];
+        for (message, plan) in bad_plans {
+            let errors = [
+                plan.clone().run().unwrap_err(),
+                plan.clone().group_by(&[0]).run_grouped().unwrap_err(),
+                plan.clone().rows().unwrap_err(),
+                plan.into_task().unwrap_err(),
+            ];
+            for error in errors {
+                assert!(matches!(error, Error::InvalidPlan(_)), "{error}");
+                assert!(error.to_string().contains(message), "{error}");
+            }
+        }
+        let in_range = base()
+            .join(part, 0, "p_key")
+            .filter(Predicate::new(1, CompareOp::Le, 24))
+            .aggregate(AggrSpec::global(vec![Aggregate::Max(2)]))
+            .run()
+            .unwrap();
+        assert_eq!(in_range[&0].accumulators, vec![3]);
     }
 
     #[test]

@@ -35,7 +35,8 @@
 //! (Equation 1) forming the *per-query task queue*; each quantum produces
 //! batches from the front part and rotates it to the back, so one session
 //! interleaves its own partial scans exactly like the scheduler interleaves
-//! sessions.
+//! sessions. It is the cooperative form of the one query pipeline in
+//! [`crate::query`]: same plan validation, same part scans, same keyed fold.
 //!
 //! [`ScanShareConfig::scheduler_workers`]: scanshare_common::ScanShareConfig::scheduler_workers
 //! [`ScanOperator`]: crate::scan::ScanOperator
@@ -49,11 +50,9 @@ use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
 use scanshare_common::sync::Mutex;
-use scanshare_common::{Error, Result};
+use scanshare_common::{Error, Result, TupleRange};
 
-use scanshare_common::TupleRange;
-
-use crate::ops::{fold_batch, AggrResult, AggrSpec, BatchSource, JoinBuild, Predicate};
+use crate::ops::{fold_batch, AggrResult, AggrSpec, BatchSource, JoinBuild, JoinTable};
 use crate::query::Query;
 
 /// How many scan batches a [`QueryTask`] produces per scheduler quantum
@@ -477,11 +476,6 @@ fn find_work(shared: &Shared, me: usize) -> Option<Box<dyn Runnable>> {
 // QueryTask: a builder query as a cooperative task
 // ---------------------------------------------------------------------------
 
-/// One partial scan of a query (one Equation-1 range part).
-struct ScanPart {
-    scan: Box<dyn BatchSource + Send>,
-}
-
 /// The deferred join-build phase of a [`QueryTask`]: the build scan is
 /// drained cooperatively (at most [`BATCHES_PER_QUANTUM`] batches per
 /// quantum); when it runs dry the hash table is frozen, the build scan is
@@ -490,9 +484,6 @@ struct ScanPart {
 struct JoinPhase {
     scan: Box<dyn BatchSource + Send>,
     build: JoinBuild,
-    /// The probe query, pin already resolved; opens the probe scans once
-    /// the build finishes.
-    probe: Query,
     /// The Equation-1 probe range parts still to open.
     parts: Vec<TupleRange>,
 }
@@ -503,20 +494,22 @@ struct JoinPhase {
 /// The query's RID range is split into `parallelism` parts exactly like the
 /// thread-based path; the parts form the query's own task queue. Each
 /// [`Task::step`] produces up to [`BATCHES_PER_QUANTUM`] batches from the
-/// front part, folds them into the running aggregation
-/// ([`fold_batch`] — equivalent to the
-/// partial-aggregate-then-merge of the exchange plan, since every supported
-/// aggregate commutes), rotates the part to the back and yields. A join
-/// plan first drains its build scan through a `JoinPhase`, one quantum at
-/// a time, before the probe parts open. Obtain one
+/// front part, folds them into the running aggregation with
+/// [`fold_batch`] — the keyed fold the inline executor's sink runs; one map
+/// fed by every part equals its merge of per-part partials, since every
+/// supported aggregate commutes — rotates the part to the back and yields.
+/// A join plan first drains its build scan through a `JoinPhase`, one
+/// quantum at a time, before the probe parts open. Obtain one
 /// with [`Query::into_task`](crate::query::Query::into_task), run it with
 /// [`TaskScheduler::spawn`], and take the result from the finished task
 /// with [`QueryTask::into_result`].
 pub struct QueryTask {
+    /// The validated query, pin already resolved; opens the part scans.
+    query: Query,
     /// `Some` while a join plan is still draining its build side.
     join: Option<JoinPhase>,
-    parts: VecDeque<ScanPart>,
-    filter: Option<Predicate>,
+    /// The open partial scans, one per Equation-1 range part.
+    parts: VecDeque<Box<dyn BatchSource + Send>>,
     spec: AggrSpec,
     groups: AggrResult,
 }
@@ -531,43 +524,32 @@ impl std::fmt::Debug for QueryTask {
 }
 
 impl QueryTask {
-    pub(crate) fn new(
-        parts: Vec<Box<dyn BatchSource + Send>>,
-        filter: Option<Predicate>,
-        spec: AggrSpec,
-    ) -> Self {
-        Self {
+    /// Lowers the validated, pinned `query` computing `spec` over the range
+    /// `parts`. A plain plan opens (registers) every part's scan right away;
+    /// a join plan opens only the build scan and defers the probe parts to
+    /// the end of its `JoinPhase`, so the backend sees the same
+    /// register/drain/unregister-then-probe sequence as the inline path,
+    /// just interleaved with other sessions.
+    pub(crate) fn new(query: Query, parts: Vec<TupleRange>, spec: AggrSpec) -> Result<Self> {
+        let mut task = Self {
             join: None,
-            parts: parts.into_iter().map(|scan| ScanPart { scan }).collect(),
-            filter,
+            parts: VecDeque::new(),
             spec,
             groups: AggrResult::new(),
+            query,
+        };
+        match task.query.open_join_build()? {
+            Some((scan, build)) => task.join = Some(JoinPhase { scan, build, parts }),
+            None => task.open_parts(parts, None)?,
         }
+        Ok(task)
     }
 
-    /// A join plan lowered onto the scheduler: `scan` is the already-open
-    /// build scan, `probe` the query (pin resolved) whose probe scans open
-    /// over `parts` once the build completes. The probe filter is applied
-    /// inside the join source, so the fold filter stays `None`.
-    pub(crate) fn with_join(
-        scan: Box<dyn BatchSource + Send>,
-        build: JoinBuild,
-        probe: Query,
-        parts: Vec<TupleRange>,
-        spec: AggrSpec,
-    ) -> Self {
-        Self {
-            join: Some(JoinPhase {
-                scan,
-                build,
-                probe,
-                parts,
-            }),
-            parts: VecDeque::new(),
-            filter: None,
-            spec,
-            groups: AggrResult::new(),
+    fn open_parts(&mut self, parts: Vec<TupleRange>, table: Option<&Arc<JoinTable>>) -> Result<()> {
+        for part in parts {
+            self.parts.push_back(self.query.open_part(part, table)?);
         }
+        Ok(())
     }
 
     /// The aggregation accumulated so far (complete once the task has
@@ -593,13 +575,8 @@ impl Task for QueryTask {
                         // (dropping its operator), then open the probes.
                         let phase = self.join.take().expect("checked above");
                         drop(phase.scan);
-                        let table = std::sync::Arc::new(phase.build.finish());
-                        for part in phase.parts {
-                            let scan = phase.probe.open_scan(part)?;
-                            self.parts.push_back(ScanPart {
-                                scan: phase.probe.wrap_probe(scan, Some(&table)),
-                            });
-                        }
+                        let table = Arc::new(phase.build.finish());
+                        self.open_parts(phase.parts, Some(&table))?;
                         return Ok(TaskStep::Yield);
                     }
                 }
@@ -609,11 +586,10 @@ impl Task for QueryTask {
         let Some(mut part) = self.parts.pop_front() else {
             return Ok(TaskStep::Done);
         };
+        let filter = self.query.downstream_filter();
         for _ in 0..BATCHES_PER_QUANTUM {
-            match part.scan.next_batch()? {
-                Some(batch) => {
-                    fold_batch(&mut self.groups, batch, self.filter.as_ref(), &self.spec)
-                }
+            match part.next_batch()? {
+                Some(batch) => fold_batch(&mut self.groups, batch, filter.as_ref(), &self.spec),
                 None => {
                     // Part exhausted; drop its operator (unregistering the
                     // scan) before deciding whether the query is done.

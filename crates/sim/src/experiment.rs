@@ -1,11 +1,13 @@
 //! Experiment sweeps reproducing every figure of the paper's evaluation.
 //!
-//! Each `figNN_*` function regenerates one figure: it builds the workload,
-//! sweeps the parameter the paper sweeps (buffer-pool size, I/O bandwidth or
-//! stream count), runs all four policies and returns one [`ExperimentRow`]
-//! per (policy, x-value) point. The absolute numbers depend on the simulated
-//! substrate, but the *shape* — who wins, by roughly what factor, where the
-//! cross-overs fall — reproduces the paper.
+//! [`FIGURES`] lists the eight figures (11-18) as data — which workload
+//! suite each runs and which parameter it sweeps — and [`run_figure`]
+//! regenerates any of them: it builds the workload, sweeps the parameter the
+//! paper sweeps (buffer-pool size, I/O bandwidth or stream count), runs all
+//! four policies and returns one [`ExperimentRow`] per (policy, x-value)
+//! point, or the sharing-potential profile of Figures 17/18. The absolute
+//! numbers depend on the simulated substrate, but the *shape* — who wins, by
+//! roughly what factor, where the cross-overs fall — reproduces the paper.
 
 use std::sync::Arc;
 
@@ -134,19 +136,48 @@ impl ExperimentScale {
         }
     }
 
-    fn micro_config(&self, streams: usize) -> MicrobenchConfig {
-        MicrobenchConfig {
-            streams,
-            lineitem_tuples: self.micro_lineitem_tuples,
-            ..MicrobenchConfig::default()
+    /// The suite's defaults: I/O bandwidth (MB/s), pool fraction of the
+    /// accessed volume, and the stream counts its stream sweep visits.
+    fn suite_defaults(&self, suite: Suite) -> (f64, f64, &[usize]) {
+        match suite {
+            Suite::Micro => (
+                self.micro_default_bandwidth_mb,
+                self.micro_default_pool_fraction,
+                &self.micro_streams,
+            ),
+            Suite::Tpch => (
+                self.tpch_default_bandwidth_mb,
+                self.tpch_default_pool_fraction,
+                &self.tpch_streams,
+            ),
         }
     }
 
-    fn tpch_config(&self, streams: usize) -> TpchConfig {
-        TpchConfig {
-            streams,
-            lineitem_tuples: self.tpch_lineitem_tuples,
-            ..TpchConfig::default()
+    /// Builds the storage and workload `figure` runs with `streams` streams.
+    fn build(&self, figure: &Figure, streams: usize) -> Result<(Arc<Storage>, WorkloadSpec)> {
+        match figure.suite {
+            Suite::Micro => {
+                let mut config = MicrobenchConfig {
+                    streams,
+                    lineitem_tuples: self.micro_lineitem_tuples,
+                    ..MicrobenchConfig::default()
+                };
+                if figure.axis == Axis::Streams {
+                    // All queries scan 50 % of the table, as in the paper.
+                    config = config.with_fixed_percentage(50);
+                }
+                microbench::build(&config, self.page_size_bytes, self.chunk_tuples)
+            }
+            Suite::Tpch => {
+                let config = TpchConfig {
+                    streams,
+                    lineitem_tuples: self.tpch_lineitem_tuples,
+                    ..TpchConfig::default()
+                };
+                let (storage, _tables, workload) =
+                    tpch::build(&config, self.page_size_bytes, self.chunk_tuples)?;
+                Ok((storage, workload))
+            }
         }
     }
 
@@ -172,282 +203,192 @@ pub const ALL_POLICIES: [PolicyKind; 4] = [
     PolicyKind::Opt,
 ];
 
-fn run_point(
-    storage: &Arc<Storage>,
-    workload: &WorkloadSpec,
-    mut sim_config: SimConfig,
-    policy: PolicyKind,
-    figure: &str,
-    x_label: &str,
-    x_value: f64,
-) -> Result<ExperimentRow> {
-    sim_config.scanshare.policy = policy;
-    let sim = Simulation::new(Arc::clone(storage), sim_config)?;
-    let result = sim.run(workload)?;
-    Ok(ExperimentRow {
-        figure: figure.to_string(),
-        workload: workload.name.clone(),
-        policy,
-        x_label: x_label.to_string(),
-        x_value,
-        avg_stream_time_s: result.avg_stream_time_secs(),
-        total_io_gb: result.total_io_gb(),
-        hit_ratio: result.buffer.hit_ratio(),
-    })
+/// The workload suite a figure runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Suite {
+    /// The Q1/Q6 microbenchmark of section 4.1.
+    Micro,
+    /// The TPC-H throughput run of section 4.2.
+    Tpch,
 }
 
-fn buffer_sweep(
-    figure: &str,
-    storage: &Arc<Storage>,
-    workload: &WorkloadSpec,
-    scale: &ExperimentScale,
-    bandwidth_mb: f64,
-    fractions: &[f64],
-) -> Result<Vec<ExperimentRow>> {
-    let base = scale.base_sim_config(bandwidth_mb);
-    let probe = Simulation::new(Arc::clone(storage), base.clone())?;
-    let accessed = probe.accessed_volume(workload)?;
+/// What a figure varies along its x-axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Axis {
+    /// Buffer-pool size, as a fraction of the accessed data volume.
+    Buffer,
+    /// I/O bandwidth.
+    Bandwidth,
+    /// Number of concurrent streams.
+    Streams,
+    /// Nothing: one PBM run at the suite's defaults, sampled over time for
+    /// its sharing potential.
+    Sharing,
+}
+
+/// One figure of the paper's evaluation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Figure {
+    /// The figure's number in the paper.
+    pub id: u32,
+    /// What the figure shows.
+    pub title: &'static str,
+    /// The workload it runs.
+    pub suite: Suite,
+    /// The parameter it sweeps.
+    pub axis: Axis,
+}
+
+/// The figures of the paper's evaluation, in paper order.
+pub const FIGURES: [Figure; 8] = [
+    Figure {
+        id: 11,
+        title: "microbenchmark, varying the buffer pool size",
+        suite: Suite::Micro,
+        axis: Axis::Buffer,
+    },
+    Figure {
+        id: 12,
+        title: "microbenchmark, varying the I/O bandwidth",
+        suite: Suite::Micro,
+        axis: Axis::Bandwidth,
+    },
+    Figure {
+        id: 13,
+        title: "microbenchmark, varying the number of streams",
+        suite: Suite::Micro,
+        axis: Axis::Streams,
+    },
+    Figure {
+        id: 14,
+        title: "TPC-H throughput, varying the buffer pool size",
+        suite: Suite::Tpch,
+        axis: Axis::Buffer,
+    },
+    Figure {
+        id: 15,
+        title: "TPC-H throughput, varying the I/O bandwidth",
+        suite: Suite::Tpch,
+        axis: Axis::Bandwidth,
+    },
+    Figure {
+        id: 16,
+        title: "TPC-H throughput, varying the number of streams",
+        suite: Suite::Tpch,
+        axis: Axis::Streams,
+    },
+    Figure {
+        id: 17,
+        title: "sharing potential in the microbenchmark",
+        suite: Suite::Micro,
+        axis: Axis::Sharing,
+    },
+    Figure {
+        id: 18,
+        title: "sharing potential in TPC-H throughput",
+        suite: Suite::Tpch,
+        axis: Axis::Sharing,
+    },
+];
+
+/// What [`run_figure`] measured: a sweep's rows, or a sharing profile.
+#[derive(Debug, Clone)]
+pub enum FigureData {
+    /// One row per (policy, x-value) point of a sweep figure.
+    Rows(Vec<ExperimentRow>),
+    /// The sharing-potential profile of Figures 17/18.
+    Sharing(SharingProfile),
+}
+
+/// Regenerates one figure at `scale`.
+pub fn run_figure(figure: &Figure, scale: &ExperimentScale) -> Result<FigureData> {
+    let (bandwidth_mb, pool_fraction, swept_streams) = scale.suite_defaults(figure.suite);
+    let (x_label, stream_counts) = match figure.axis {
+        Axis::Buffer => ("buffer pool (% of accessed data)", None),
+        Axis::Bandwidth => ("I/O bandwidth (MB/s)", None),
+        Axis::Streams => ("concurrent streams", Some(swept_streams)),
+        Axis::Sharing => ("", None),
+    };
     let mut rows = Vec::new();
-    for &fraction in fractions {
-        let pool = ((accessed as f64 * fraction) as u64).max(4 * scale.page_size_bytes);
-        for policy in ALL_POLICIES {
-            let mut cfg = base.clone();
-            cfg.scanshare.buffer_pool_bytes = pool;
-            rows.push(run_point(
-                storage,
-                workload,
-                cfg,
-                policy,
-                figure,
-                "buffer pool (% of accessed data)",
-                fraction * 100.0,
-            )?);
-        }
-    }
-    Ok(rows)
-}
-
-fn bandwidth_sweep(
-    figure: &str,
-    storage: &Arc<Storage>,
-    workload: &WorkloadSpec,
-    scale: &ExperimentScale,
-    pool_fraction: f64,
-    bandwidths: &[f64],
-) -> Result<Vec<ExperimentRow>> {
-    let probe = Simulation::new(Arc::clone(storage), scale.base_sim_config(700.0))?;
-    let accessed = probe.accessed_volume(workload)?;
-    let pool = ((accessed as f64 * pool_fraction) as u64).max(4 * scale.page_size_bytes);
-    let mut rows = Vec::new();
-    for &mb in bandwidths {
-        for policy in ALL_POLICIES {
-            let mut cfg = scale.base_sim_config(mb);
-            cfg.scanshare.buffer_pool_bytes = pool;
-            rows.push(run_point(
-                storage,
-                workload,
-                cfg,
-                policy,
-                figure,
-                "I/O bandwidth (MB/s)",
-                mb,
-            )?);
-        }
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Microbenchmark figures
-// ---------------------------------------------------------------------------
-
-/// Figure 11: microbenchmark, varying the buffer pool size.
-pub fn fig11_micro_buffer_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let config = scale.micro_config(scale.default_streams);
-    let (storage, workload) =
-        microbench::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    buffer_sweep(
-        "fig11",
-        &storage,
-        &workload,
-        scale,
-        scale.micro_default_bandwidth_mb,
-        &scale.buffer_fractions,
-    )
-}
-
-/// Figure 12: microbenchmark, varying the I/O bandwidth.
-pub fn fig12_micro_bandwidth_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let config = scale.micro_config(scale.default_streams);
-    let (storage, workload) =
-        microbench::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    bandwidth_sweep(
-        "fig12",
-        &storage,
-        &workload,
-        scale,
-        scale.micro_default_pool_fraction,
-        &scale.bandwidths_mb,
-    )
-}
-
-/// Figure 13: microbenchmark, varying the number of concurrent streams
-/// (all queries scan 50 % of the table, as in the paper).
-pub fn fig13_micro_stream_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let mut rows = Vec::new();
-    for &streams in &scale.micro_streams {
-        let config = scale.micro_config(streams).with_fixed_percentage(50);
-        let (storage, workload) =
-            microbench::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-        let probe = Simulation::new(
-            Arc::clone(&storage),
-            scale.base_sim_config(scale.micro_default_bandwidth_mb),
-        )?;
+    for &streams in stream_counts.unwrap_or(std::slice::from_ref(&scale.default_streams)) {
+        let (storage, workload) = scale.build(figure, streams)?;
+        let probe = Simulation::new(Arc::clone(&storage), scale.base_sim_config(bandwidth_mb))?;
         let accessed = probe.accessed_volume(&workload)?;
-        let pool = ((accessed as f64 * scale.micro_default_pool_fraction) as u64)
-            .max(4 * scale.page_size_bytes);
-        for policy in ALL_POLICIES {
-            let mut cfg = scale.base_sim_config(scale.micro_default_bandwidth_mb);
-            cfg.scanshare.buffer_pool_bytes = pool;
-            rows.push(run_point(
-                &storage,
-                &workload,
-                cfg,
-                policy,
-                "fig13",
-                "concurrent streams",
-                streams as f64,
-            )?);
+        // The points run on this workload: (x value, pool fraction, MB/s).
+        let points: Vec<(f64, f64, f64)> = match figure.axis {
+            Axis::Buffer => scale
+                .buffer_fractions
+                .iter()
+                .map(|&fraction| (fraction * 100.0, fraction, bandwidth_mb))
+                .collect(),
+            Axis::Bandwidth => scale
+                .bandwidths_mb
+                .iter()
+                .map(|&mb| (mb, pool_fraction, mb))
+                .collect(),
+            Axis::Streams | Axis::Sharing => vec![(streams as f64, pool_fraction, bandwidth_mb)],
+        };
+        for (x_value, fraction, mb) in points {
+            let mut config = scale.base_sim_config(mb);
+            config.scanshare.buffer_pool_bytes =
+                ((accessed as f64 * fraction) as u64).max(4 * scale.page_size_bytes);
+            if figure.axis == Axis::Sharing {
+                config.scanshare.policy = PolicyKind::Pbm;
+                // Sample densely enough that even the down-scaled workloads
+                // (whose whole run may last only tens of virtual
+                // milliseconds) produce a profile.
+                config.sharing_sample_interval = Some(VirtualDuration::from_millis(1));
+                let result = Simulation::new(Arc::clone(&storage), config)?.run(&workload)?;
+                return Ok(FigureData::Sharing(result.sharing.unwrap_or_default()));
+            }
+            for policy in ALL_POLICIES {
+                config.scanshare.policy = policy;
+                let result =
+                    Simulation::new(Arc::clone(&storage), config.clone())?.run(&workload)?;
+                rows.push(ExperimentRow {
+                    figure: format!("fig{}", figure.id),
+                    workload: workload.name.clone(),
+                    policy,
+                    x_label: x_label.to_string(),
+                    x_value,
+                    avg_stream_time_s: result.avg_stream_time_secs(),
+                    total_io_gb: result.total_io_gb(),
+                    hit_ratio: result.buffer.hit_ratio(),
+                });
+            }
         }
     }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// TPC-H throughput figures
-// ---------------------------------------------------------------------------
-
-/// Figure 14: TPC-H throughput, varying the buffer pool size.
-pub fn fig14_tpch_buffer_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let config = scale.tpch_config(scale.default_streams);
-    let (storage, _tables, workload) =
-        tpch::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    buffer_sweep(
-        "fig14",
-        &storage,
-        &workload,
-        scale,
-        scale.tpch_default_bandwidth_mb,
-        &scale.buffer_fractions,
-    )
-}
-
-/// Figure 15: TPC-H throughput, varying the I/O bandwidth.
-pub fn fig15_tpch_bandwidth_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let config = scale.tpch_config(scale.default_streams);
-    let (storage, _tables, workload) =
-        tpch::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    bandwidth_sweep(
-        "fig15",
-        &storage,
-        &workload,
-        scale,
-        scale.tpch_default_pool_fraction,
-        &scale.bandwidths_mb,
-    )
-}
-
-/// Figure 16: TPC-H throughput, varying the number of streams.
-pub fn fig16_tpch_stream_sweep(scale: &ExperimentScale) -> Result<Vec<ExperimentRow>> {
-    let mut rows = Vec::new();
-    for &streams in &scale.tpch_streams {
-        let config = scale.tpch_config(streams);
-        let (storage, _tables, workload) =
-            tpch::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-        let probe = Simulation::new(
-            Arc::clone(&storage),
-            scale.base_sim_config(scale.tpch_default_bandwidth_mb),
-        )?;
-        let accessed = probe.accessed_volume(&workload)?;
-        let pool = ((accessed as f64 * scale.tpch_default_pool_fraction) as u64)
-            .max(4 * scale.page_size_bytes);
-        for policy in ALL_POLICIES {
-            let mut cfg = scale.base_sim_config(scale.tpch_default_bandwidth_mb);
-            cfg.scanshare.buffer_pool_bytes = pool;
-            rows.push(run_point(
-                &storage,
-                &workload,
-                cfg,
-                policy,
-                "fig16",
-                "concurrent streams",
-                streams as f64,
-            )?);
-        }
-    }
-    Ok(rows)
-}
-
-// ---------------------------------------------------------------------------
-// Sharing-potential figures
-// ---------------------------------------------------------------------------
-
-fn sharing_profile(
-    storage: &Arc<Storage>,
-    workload: &WorkloadSpec,
-    scale: &ExperimentScale,
-    pool_fraction: f64,
-    bandwidth_mb: f64,
-) -> Result<SharingProfile> {
-    let probe = Simulation::new(Arc::clone(storage), scale.base_sim_config(bandwidth_mb))?;
-    let accessed = probe.accessed_volume(workload)?;
-    let mut cfg = scale.base_sim_config(bandwidth_mb);
-    cfg.scanshare.policy = PolicyKind::Pbm;
-    cfg.scanshare.buffer_pool_bytes =
-        ((accessed as f64 * pool_fraction) as u64).max(4 * scale.page_size_bytes);
-    // Sample densely enough that even the down-scaled workloads (whose whole
-    // run may last only tens of virtual milliseconds) produce a profile.
-    cfg.sharing_sample_interval = Some(VirtualDuration::from_millis(1));
-    let result = Simulation::new(Arc::clone(storage), cfg)?.run(workload)?;
-    Ok(result.sharing.unwrap_or_default())
-}
-
-/// Figure 17: sharing potential over time in the microbenchmark.
-pub fn fig17_sharing_micro(scale: &ExperimentScale) -> Result<SharingProfile> {
-    let config = scale.micro_config(scale.default_streams);
-    let (storage, workload) =
-        microbench::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    sharing_profile(
-        &storage,
-        &workload,
-        scale,
-        scale.micro_default_pool_fraction,
-        scale.micro_default_bandwidth_mb,
-    )
-}
-
-/// Figure 18: sharing potential over time in the TPC-H throughput run.
-pub fn fig18_sharing_tpch(scale: &ExperimentScale) -> Result<SharingProfile> {
-    let config = scale.tpch_config(scale.default_streams);
-    let (storage, _tables, workload) =
-        tpch::build(&config, scale.page_size_bytes, scale.chunk_tuples)?;
-    sharing_profile(
-        &storage,
-        &workload,
-        scale,
-        scale.tpch_default_pool_fraction,
-        scale.tpch_default_bandwidth_mb,
-    )
+    Ok(FigureData::Rows(rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn rows(id: u32, scale: &ExperimentScale) -> Vec<ExperimentRow> {
+        match run_figure(&FIGURES[id as usize - 11], scale).unwrap() {
+            FigureData::Rows(rows) => rows,
+            FigureData::Sharing(_) => panic!("figure {id} is a sweep"),
+        }
+    }
+
+    fn sharing(id: u32, scale: &ExperimentScale) -> SharingProfile {
+        match run_figure(&FIGURES[id as usize - 11], scale).unwrap() {
+            FigureData::Sharing(profile) => profile,
+            FigureData::Rows(_) => panic!("figure {id} is a sharing profile"),
+        }
+    }
+
+    #[test]
+    fn figures_table_is_in_paper_order() {
+        let ids: Vec<u32> = FIGURES.iter().map(|f| f.id).collect();
+        assert_eq!(ids, (11..=18).collect::<Vec<u32>>());
+    }
+
     #[test]
     fn fig11_rows_cover_all_policies_and_fractions() {
         let scale = ExperimentScale::test();
-        let rows = fig11_micro_buffer_sweep(&scale).unwrap();
+        let rows = rows(11, &scale);
         assert_eq!(
             rows.len(),
             scale.buffer_fractions.len() * ALL_POLICIES.len()
@@ -477,7 +418,7 @@ mod tests {
     #[test]
     fn fig12_io_volume_is_roughly_bandwidth_independent() {
         let scale = ExperimentScale::test();
-        let rows = fig12_micro_bandwidth_sweep(&scale).unwrap();
+        let rows = rows(12, &scale);
         for (policy, tolerance) in [(PolicyKind::Lru, 1.25), (PolicyKind::Pbm, 1.25)] {
             let ios: Vec<f64> = rows
                 .iter()
@@ -503,7 +444,7 @@ mod tests {
     #[test]
     fn fig13_more_streams_increase_total_io() {
         let scale = ExperimentScale::test();
-        let rows = fig13_micro_stream_sweep(&scale).unwrap();
+        let rows = rows(13, &scale);
         let lru: Vec<&ExperimentRow> = rows
             .iter()
             .filter(|r| r.policy == PolicyKind::Lru)
@@ -514,7 +455,7 @@ mod tests {
     #[test]
     fn fig17_microbenchmark_has_substantial_sharing_potential() {
         let scale = ExperimentScale::test();
-        let micro = fig17_sharing_micro(&scale).unwrap();
+        let micro = sharing(17, &scale);
         assert!(!micro.is_empty());
         assert!(
             micro.avg_shared_fraction() > 0.05,
@@ -525,8 +466,8 @@ mod tests {
     #[test]
     fn fig18_tpch_shares_less_than_the_microbenchmark() {
         let scale = ExperimentScale::test();
-        let micro = fig17_sharing_micro(&scale).unwrap();
-        let tpch = fig18_sharing_tpch(&scale).unwrap();
+        let micro = sharing(17, &scale);
+        let tpch = sharing(18, &scale);
         assert!(!tpch.is_empty());
         assert!(
             tpch.avg_shared_fraction() <= micro.avg_shared_fraction() + 0.05,

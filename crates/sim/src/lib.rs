@@ -22,7 +22,7 @@ pub mod result;
 pub mod sharing;
 
 pub use engine::{SimConfig, Simulation};
-pub use experiment::{ExperimentRow, ExperimentScale};
-pub use report::{format_rows, format_sharing};
+pub use experiment::{run_figure, ExperimentRow, ExperimentScale, Figure, FigureData, FIGURES};
+pub use report::{format_figure, format_rows, format_sharing};
 pub use result::SimResult;
 pub use sharing::{SharingProfile, SharingSample};

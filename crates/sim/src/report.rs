@@ -10,8 +10,18 @@ use std::fmt::Write as _;
 
 use scanshare_common::PolicyKind;
 
-use crate::experiment::ExperimentRow;
+use crate::experiment::{ExperimentRow, Figure, FigureData};
 use crate::sharing::SharingProfile;
+
+/// Formats what [`run_figure`](crate::experiment::run_figure) measured for
+/// `figure` under the heading "Figure N: title".
+pub fn format_figure(figure: &Figure, data: &FigureData) -> String {
+    let title = format!("Figure {}: {}", figure.id, figure.title);
+    match data {
+        FigureData::Rows(rows) => format_rows(&title, rows),
+        FigureData::Sharing(profile) => format_sharing(&title, profile),
+    }
+}
 
 /// Formats experiment rows as two aligned tables (stream time and I/O
 /// volume), one column per policy — the textual equivalent of the paper's

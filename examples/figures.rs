@@ -10,13 +10,7 @@
 //! paper's 16-SSD server; the *shapes* (which policy wins, where the curves
 //! flatten) are what to compare against the paper.
 
-use scanshare::sim::experiment::{
-    fig11_micro_buffer_sweep, fig12_micro_bandwidth_sweep, fig13_micro_stream_sweep,
-    fig14_tpch_buffer_sweep, fig15_tpch_bandwidth_sweep, fig16_tpch_stream_sweep,
-    fig17_sharing_micro, fig18_sharing_tpch,
-};
-use scanshare::sim::report::{format_rows, format_sharing};
-use scanshare::sim::ExperimentScale;
+use scanshare::sim::{format_figure, run_figure, ExperimentScale, FIGURES};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -38,81 +32,8 @@ fn main() {
         scale.micro_lineitem_tuples, scale.tpch_lineitem_tuples
     );
 
-    if wanted(11) {
-        let rows = fig11_micro_buffer_sweep(&scale).expect("fig11");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 11: microbenchmark, varying the buffer pool size",
-                &rows
-            )
-        );
-    }
-    if wanted(12) {
-        let rows = fig12_micro_bandwidth_sweep(&scale).expect("fig12");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 12: microbenchmark, varying the I/O bandwidth",
-                &rows
-            )
-        );
-    }
-    if wanted(13) {
-        let rows = fig13_micro_stream_sweep(&scale).expect("fig13");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 13: microbenchmark, varying the number of streams",
-                &rows
-            )
-        );
-    }
-    if wanted(14) {
-        let rows = fig14_tpch_buffer_sweep(&scale).expect("fig14");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 14: TPC-H throughput, varying the buffer pool size",
-                &rows
-            )
-        );
-    }
-    if wanted(15) {
-        let rows = fig15_tpch_bandwidth_sweep(&scale).expect("fig15");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 15: TPC-H throughput, varying the I/O bandwidth",
-                &rows
-            )
-        );
-    }
-    if wanted(16) {
-        let rows = fig16_tpch_stream_sweep(&scale).expect("fig16");
-        println!(
-            "{}",
-            format_rows(
-                "Figure 16: TPC-H throughput, varying the number of streams",
-                &rows
-            )
-        );
-    }
-    if wanted(17) {
-        let profile = fig17_sharing_micro(&scale).expect("fig17");
-        println!(
-            "{}",
-            format_sharing(
-                "Figure 17: sharing potential in the microbenchmark",
-                &profile
-            )
-        );
-    }
-    if wanted(18) {
-        let profile = fig18_sharing_tpch(&scale).expect("fig18");
-        println!(
-            "{}",
-            format_sharing("Figure 18: sharing potential in TPC-H throughput", &profile)
-        );
+    for figure in FIGURES.iter().filter(|figure| wanted(figure.id)) {
+        let data = run_figure(figure, &scale).unwrap_or_else(|e| panic!("fig{}: {e}", figure.id));
+        println!("{}", format_figure(figure, &data));
     }
 }

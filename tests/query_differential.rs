@@ -1,7 +1,8 @@
 //! Randomized differential testing of the vectorized query pipelines: a
 //! naive row-at-a-time reference executor, computed from raw `Storage`
 //! values, must agree **byte for byte** with the engine's operators —
-//! filters × multi-key group-by × top-k × broadcast hash join — under every
+//! filters × multi-key group-by (one key through both the single-key and
+//! the multi-key API) × top-k × broadcast hash join — under every
 //! replacement policy (including CLOCK and SIEVE via the registry), at
 //! shard counts 1 and 4, across parallelism degrees, over many seeds.
 //!
@@ -104,6 +105,13 @@ enum Shape {
         keys: Vec<usize>,
         aggregates: Vec<Aggregate>,
     },
+    /// One key both ways: `.group_by(&[key]).run_grouped()` must equal
+    /// `.aggregate(AggrSpec::grouped(key, ..)).run()` key for key
+    /// (`vec![key]` vs `key`), at parallelism 1 and 4.
+    SingleKey {
+        key: usize,
+        aggregates: Vec<Aggregate>,
+    },
     /// `.top_k(column, k, order)` + `.rows()`.
     TopK {
         column: usize,
@@ -166,7 +174,7 @@ fn random_plan(rng: &mut Rng) -> Plan {
         let value = rng.below(121) as Value - 60;
         Predicate::new(column, op, value)
     });
-    let shape = match rng.below(4) {
+    let shape = match rng.below(5) {
         0 => {
             let n = 1 + rng.below(3) as usize;
             Shape::Agg {
@@ -193,6 +201,14 @@ fn random_plan(rng: &mut Rng) -> Plan {
             let n = 1 + rng.below(2) as usize;
             Shape::Grouped {
                 keys,
+                aggregates: random_aggregates(rng, width, n),
+            }
+        }
+        3 => {
+            let key = rng.below(width as u64) as usize;
+            let n = 1 + rng.below(2) as usize;
+            Shape::SingleKey {
+                key,
                 aggregates: random_aggregates(rng, width, n),
             }
         }
@@ -372,6 +388,34 @@ fn assert_plan_matches(
                 fold_reference(std::slice::from_ref(row), aggregates, entry);
             }
             assert_eq!(got, expected, "{context}: group-by diverged for {plan:?}");
+        }
+        Shape::SingleKey { key, aggregates } => {
+            let mut expected: BTreeMap<Vec<Value>, GroupState> = BTreeMap::new();
+            for row in &rows {
+                let entry = expected
+                    .entry(vec![row[*key]])
+                    .or_insert_with(|| empty_state(aggregates));
+                fold_reference(std::slice::from_ref(row), aggregates, entry);
+            }
+            for parallelism in [1, 4] {
+                let query = query.clone().parallelism(parallelism);
+                let multi = query
+                    .clone()
+                    .group_by(&[*key])
+                    .aggregate(AggrSpec::global(aggregates.clone()))
+                    .run_grouped()
+                    .unwrap();
+                let single: BTreeMap<Vec<Value>, GroupState> = query
+                    .aggregate(AggrSpec::grouped(*key, aggregates.clone()))
+                    .run()
+                    .unwrap()
+                    .into_iter()
+                    .map(|(key, state)| (vec![key], state))
+                    .collect();
+                let context = format!("{context} parallelism {parallelism}");
+                assert_eq!(multi, single, "{context}: one key diverged for {plan:?}");
+                assert_eq!(multi, expected, "{context}: one key diverged for {plan:?}");
+            }
         }
         Shape::TopK { column, k, order } => {
             let got = query.top_k(*column, *k, *order).rows().unwrap();

@@ -264,9 +264,32 @@ fn bad_requests_get_typed_error_frames() {
         other => panic!("expected BAD_QUERY error frame, got {other:?}"),
     }
 
-    // The session survives typed errors: a good query still works.
-    let groups = client.query(sum_request()).unwrap();
-    assert_eq!(groups[0].count, TUPLES);
+    // A filter, group-by or aggregate column outside the 2-column
+    // projection is a plan error, not a worker panic: each gets a BAD_QUERY
+    // frame naming the index, and the session answers the next query.
+    let mut bad_filter = sum_request();
+    bad_filter.filter = Some(Predicate::new(2, CompareOp::Le, 10));
+    let mut bad_group_by = sum_request();
+    bad_group_by.group_by = Some(5);
+    let mut bad_aggregate = sum_request();
+    bad_aggregate.aggregates = vec![Aggregate::Count, Aggregate::Sum(9)];
+    for (request, index) in [
+        (bad_filter, "column 2"),
+        (bad_group_by, "column 5"),
+        (bad_aggregate, "column 9"),
+    ] {
+        match client.query(request) {
+            Err(scanshare::common::Error::Remote { code, message }) => {
+                assert_eq!(code, ErrorCode::BadQuery.as_u16(), "{message}");
+                assert!(message.contains(index), "{message}");
+                assert!(message.contains("2-column"), "{message}");
+            }
+            other => panic!("expected BAD_QUERY error frame, got {other:?}"),
+        }
+        // The session survives typed errors: a good query still works.
+        let groups = client.query(sum_request()).unwrap();
+        assert_eq!(groups[0].count, TUPLES);
+    }
     server.shutdown();
 }
 

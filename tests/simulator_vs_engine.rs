@@ -5,9 +5,7 @@
 use std::sync::Arc;
 
 use scanshare::prelude::*;
-use scanshare::sim::experiment::{
-    fig11_micro_buffer_sweep, fig14_tpch_buffer_sweep, ExperimentScale,
-};
+use scanshare::sim::experiment::{run_figure, ExperimentScale, FigureData, FIGURES};
 use scanshare::workload::microbench;
 use scanshare::workload::spec::{QuerySpec, ScanSpec, StreamSpec};
 
@@ -872,9 +870,19 @@ fn workload_driver_matches_simulator_with_zone_skipping_under_cscan() {
 #[test]
 fn figure_harness_smoke_test() {
     let scale = ExperimentScale::test();
-    let fig11 = fig11_micro_buffer_sweep(&scale).unwrap();
+    let buffer_sweep = |id: u32| {
+        let figure = FIGURES
+            .iter()
+            .find(|f| f.id == id)
+            .expect("figure in table");
+        match run_figure(figure, &scale).unwrap() {
+            FigureData::Rows(rows) => rows,
+            FigureData::Sharing(_) => panic!("figure {id} is a sweep"),
+        }
+    };
+    let fig11 = buffer_sweep(11);
     assert_eq!(fig11.len(), scale.buffer_fractions.len() * 4);
-    let fig14 = fig14_tpch_buffer_sweep(&scale).unwrap();
+    let fig14 = buffer_sweep(14);
     assert_eq!(fig14.len(), scale.buffer_fractions.len() * 4);
     // Larger pools never increase I/O for any policy.
     for policy in [
