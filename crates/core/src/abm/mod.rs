@@ -58,7 +58,7 @@ pub mod relevance;
 pub mod scheduler;
 
 pub use reference::MonolithicAbm;
-pub use scheduler::{LoadScheduler, PumpOutcome};
+pub use scheduler::LoadScheduler;
 
 use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};

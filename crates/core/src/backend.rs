@@ -14,16 +14,31 @@
 //!
 //! 1. [`ScanBackend::register_scan`] — `RegisterScan` / `RegisterCScan`:
 //!    announce the stable (SID) ranges and columns the scan will read;
-//! 2. [`ScanBackend::next_chunk`] — the backend schedules the next SID range
-//!    the scan should produce: sequential for pooled backends, the ABM's
-//!    `GetChunk` choice (generally out of table order) for Cooperative
-//!    Scans. The backend performs and accounts any I/O this requires;
+//! 2. [`ScanBackend::next_chunk`] — a non-blocking probe for the next SID
+//!    range the scan should produce: sequential for pooled backends, the
+//!    ABM's `GetChunk` choice (generally out of table order) for
+//!    Cooperative Scans, [`ScanStep::Starved`] when nothing the scan needs
+//!    is cached — the driver then runs the load pipeline
+//!    ([`ScanBackend::plan_load`] / [`ScanBackend::retire_load`]);
 //! 3. [`ScanBackend::request_page`] — page-granular requests issued while
 //!    producing a delivered range (pooled backends count hits/misses and
 //!    charge misses to the device; the ABM already loaded the chunk);
 //! 4. [`ScanBackend::report_position`] — `ReportScanPosition`: progress
 //!    feedback that PBM turns into next-consumption estimates;
 //! 5. [`ScanBackend::finish_scan`] — `UnregisterScan` / `UnregisterCScan`.
+//!
+//! # Clock-free
+//!
+//! Backends own no clock. Every call that happens *at* a point in time
+//! takes that instant as `now` (the convention of
+//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy), [`ShardedPool`]
+//! and [`Abm`]), and every call that costs time returns the instant its
+//! result is usable. The caller owns time: the execution engine reads `now`
+//! from its shared monotone clock and advances it to whatever a call
+//! returned; the discrete-event simulator passes its event time and
+//! schedules the stream's next event at the returned instant. One
+//! implementation therefore serves both executors, and both build it with
+//! the one constructor, [`build_backend`].
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -31,15 +46,16 @@ use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, RwLock};
 use scanshare_common::{
-    Error, PageId, PolicyKind, RangeList, Result, ScanId, TableId, TupleRange, VirtualClock,
+    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
     VirtualInstant,
 };
-use scanshare_iosim::{BlockDevice, IoKind, ReadSpec};
+use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 
-use crate::abm::{Abm, CScanRequest, LoadScheduler, PumpOutcome};
+use crate::abm::{Abm, AbmConfig, CScanRequest, LoadScheduler};
 use crate::metrics::BufferStats;
+use crate::registry::{pooled_policy_name, PolicyRegistry};
 use crate::sharded::ShardedPool;
 
 /// What a scan announces to a backend when it registers: the stable data it
@@ -70,6 +86,12 @@ pub enum ScanStep {
     Deliver(TupleRange),
     /// Every registered range has been delivered.
     Finished,
+    /// Nothing the scan still needs is cached: the caller must drive the
+    /// load pipeline ([`ScanBackend::plan_load`] /
+    /// [`ScanBackend::retire_load`]) and probe again. A scan that is still
+    /// starved with nothing plannable and nothing in flight cannot progress
+    /// ([`Error::ScanStarved`]). Pooled backends never starve.
+    Starved,
 }
 
 /// A concurrent-scan buffer-management backend.
@@ -83,22 +105,46 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// Which policy family the backend implements.
     fn kind(&self) -> PolicyKind;
 
-    /// Registers a scan and its data interest; returns the scan id used in
-    /// all subsequent calls.
-    fn register_scan(&self, request: ScanRequest) -> Result<ScanId>;
+    /// Registers a scan and its data interest at `now`; returns the scan id
+    /// used in all subsequent calls.
+    fn register_scan(&self, request: ScanRequest, now: VirtualInstant) -> Result<ScanId>;
 
-    /// Schedules the next SID range `scan` should produce, loading data (and
-    /// charging the I/O device in virtual time) as required.
+    /// Probes for the next SID range `scan` should produce. Never blocks
+    /// and never performs I/O; see [`ScanStep`].
     fn next_chunk(&self, scan: ScanId) -> Result<ScanStep>;
 
-    /// A page-granular request issued while producing a delivered range.
-    fn request_page(&self, scan: ScanId, page: PageId) -> Result<()>;
+    /// A page-granular request issued at `now` while producing a delivered
+    /// range. Returns the instant the page is usable: `now` on a hit, the
+    /// in-flight transfer's completion on a hit on a page still being
+    /// prefetched, the demand read's completion on a miss.
+    fn request_page(
+        &self,
+        scan: ScanId,
+        page: PageId,
+        now: VirtualInstant,
+    ) -> Result<VirtualInstant>;
 
     /// The scan consumed `tuples_consumed` tuples so far (`ReportScanPosition`).
-    fn report_position(&self, scan: ScanId, tuples_consumed: u64);
+    fn report_position(&self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant);
 
     /// The scan finished (or was dropped) and its metadata can be freed.
-    fn finish_scan(&self, scan: ScanId);
+    fn finish_scan(&self, scan: ScanId, now: VirtualInstant);
+
+    /// Puts one more chunk load in flight at `now` if the backend's load
+    /// window has room and a load is worth starting; returns the instant
+    /// its transfer completes. Backends that load on demand (the pooled
+    /// ones) never plan anything.
+    fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
+        let _ = now;
+        Ok(None)
+    }
+
+    /// Completes the earliest in-flight chunk load, making its data
+    /// deliverable; returns its completion instant — the caller waits until
+    /// then — or `None` when nothing is in flight.
+    fn retire_load(&self) -> Result<Option<VirtualInstant>> {
+        Ok(None)
+    }
 
     /// Accumulated buffer statistics (`io_bytes` is the paper's total I/O
     /// volume metric).
@@ -121,7 +167,9 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// batches — so transfers overlap with tuple processing. The default
     /// does nothing; backends without a prefetcher (or with
     /// `prefetch_pages == 0`) ignore it.
-    fn drive_prefetch(&self) {}
+    fn drive_prefetch(&self, now: VirtualInstant) {
+        let _ = now;
+    }
 
     /// Notifies the backend that a checkpoint replaced `table`'s stable
     /// image: `stale_pages` belonged to the superseded master snapshot and
@@ -140,27 +188,46 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Charges a demand read of `targets` (`bytes` in total) to the device and
-/// waits (in virtual time) for the transfer to complete. Device faults are
-/// surfaced to the caller as typed errors.
-fn charge_io(
-    device: &dyn BlockDevice,
-    clock: &VirtualClock,
-    bytes: u64,
-    targets: &[PageId],
-) -> Result<()> {
-    if bytes == 0 {
-        return Ok(());
+/// Builds the scan backend `config` selects — the one constructor behind
+/// both executors: a [`CScanBackend`] over a fresh [`Abm`] for
+/// `PolicyKind::CScan`, otherwise a [`PooledBackend`] over a
+/// [`ShardedPool`] whose replacement policy `registry` resolves (see
+/// [`pooled_policy_name`]). Pool and ABM directory are partitioned across
+/// `config.pool_shards` lock domains; decisions stay globally exact, so the
+/// shard count changes contention, never I/O volume. All I/O is charged to
+/// `device`.
+///
+/// `PolicyKind::Opt` runs under PBM while recording the page-reference
+/// trace returned alongside, for replay under Belady's algorithm
+/// ([`simulate_opt`](crate::opt::simulate_opt)).
+#[allow(clippy::type_complexity)]
+pub fn build_backend(
+    config: &ScanShareConfig,
+    registry: &PolicyRegistry,
+    device: Arc<dyn BlockDevice>,
+) -> Result<(Box<dyn ScanBackend>, Option<Arc<ReferenceTrace>>)> {
+    if config.policy == PolicyKind::CScan {
+        let abm = Abm::new(
+            AbmConfig::new(config.buffer_pool_bytes, config.page_size_bytes)
+                .with_shards(config.pool_shards),
+        );
+        let backend = CScanBackend::new(abm, device).with_load_window(config.cscan_load_window);
+        return Ok((Box::new(backend), None));
     }
-    let spec = ReadSpec {
-        bytes,
-        pages: targets.len() as u64,
-        kind: IoKind::Demand,
-        targets,
-    };
-    let done = device.submit_read(clock.now(), spec)?.done_at;
-    clock.advance_to(done);
-    Ok(())
+    let replacement = registry.build(pooled_policy_name(config, config.policy), config)?;
+    let mut pool = ShardedPool::new(
+        config.buffer_pool_pages().max(1),
+        config.page_size_bytes,
+        replacement,
+        config.pool_shards,
+    );
+    let trace = (config.policy == PolicyKind::Opt).then(|| Arc::new(ReferenceTrace::new()));
+    if let Some(trace) = &trace {
+        pool = pool.with_trace(Arc::clone(trace));
+    }
+    let backend =
+        PooledBackend::new(pool, device, config.policy).with_prefetch_window(config.prefetch_pages);
+    Ok((Box::new(backend), trace))
 }
 
 // ---------------------------------------------------------------------------
@@ -183,7 +250,9 @@ fn charge_io(
 /// up to `prefetch_pages` policy-predicted pages in flight on the I/O
 /// device: their transfers proceed in virtual time while scans compute, and
 /// a demand access to a page still in flight waits only for the *remaining*
-/// transfer time instead of a full synchronous load.
+/// transfer time instead of a full synchronous load. The window is topped
+/// up at registration, at [`ScanBackend::drive_prefetch`] and whenever an
+/// access changed the prefetch picture, always at the caller's `now`.
 #[derive(Debug)]
 pub struct PooledBackend {
     pool: ShardedPool,
@@ -203,7 +272,6 @@ pub struct PooledBackend {
     /// Tuples skipped by zone-map pruning before scans registered (see
     /// [`ScanBackend::record_pruned`]).
     pruned_tuples: AtomicU64,
-    clock: Arc<VirtualClock>,
     device: Arc<dyn BlockDevice>,
     kind: PolicyKind,
     name: &'static str,
@@ -211,15 +279,10 @@ pub struct PooledBackend {
 }
 
 impl PooledBackend {
-    /// Wraps `pool`, charging misses to `device` on `clock`. `kind` is the
-    /// policy family reported by [`ScanBackend::kind`] (custom registry
-    /// policies report the family they were configured under).
-    pub fn new(
-        pool: ShardedPool,
-        clock: Arc<VirtualClock>,
-        device: Arc<dyn BlockDevice>,
-        kind: PolicyKind,
-    ) -> Self {
+    /// Wraps `pool`, charging misses to `device`. `kind` is the policy
+    /// family reported by [`ScanBackend::kind`] (custom registry policies
+    /// report the family they were configured under).
+    pub fn new(pool: ShardedPool, device: Arc<dyn BlockDevice>, kind: PolicyKind) -> Self {
         let name = pool.policy_name();
         let page_size_bytes = pool.page_size_bytes();
         Self {
@@ -229,7 +292,6 @@ impl PooledBackend {
             prefetch_pages: 0,
             invalidation_epochs: Mutex::new(HashMap::new()),
             pruned_tuples: AtomicU64::new(0),
-            clock,
             device,
             kind,
             name,
@@ -244,15 +306,10 @@ impl PooledBackend {
         self
     }
 
-    /// The configured prefetch window, in pages.
-    pub fn prefetch_window(&self) -> usize {
-        self.prefetch_pages
-    }
-
     /// Tops up the prefetch window: asks the pool (and through it the
     /// policy) for the most urgent non-resident pages and submits their
-    /// transfers asynchronously, without advancing the caller's clock.
-    fn top_up_prefetch(&self) {
+    /// transfers asynchronously at `now`.
+    fn top_up_prefetch(&self, now: VirtualInstant) {
         if self.prefetch_pages == 0 {
             return;
         }
@@ -261,7 +318,7 @@ impl PooledBackend {
             self.device.as_ref(),
             &mut self.inflight.lock(),
             self.prefetch_pages,
-            self.clock.now(),
+            now,
         );
     }
 }
@@ -275,14 +332,14 @@ impl ScanBackend for PooledBackend {
         self.kind
     }
 
-    fn register_scan(&self, request: ScanRequest) -> Result<ScanId> {
+    fn register_scan(&self, request: ScanRequest, now: VirtualInstant) -> Result<ScanId> {
         let plan =
             request
                 .layout
                 .scan_page_plan(&request.snapshot, &request.columns, &request.ranges);
-        let id = self.pool.register_scan(&plan, self.clock.now());
+        let id = self.pool.register_scan(&plan, now);
         // A fresh scan's first pages can start loading immediately.
-        self.top_up_prefetch();
+        self.top_up_prefetch(now);
         self.pending
             .lock()
             .insert(id, request.ranges.ranges().iter().copied().collect());
@@ -298,45 +355,46 @@ impl ScanBackend for PooledBackend {
         })
     }
 
-    fn request_page(&self, scan: ScanId, page: PageId) -> Result<()> {
-        let outcome = self.pool.request_page(page, Some(scan), self.clock.now())?;
-        let mut consumed_inflight = false;
-        if outcome.is_hit() {
-            // A hit on a page whose prefetch is still in flight waits for
-            // the remaining transfer time — the overlapped part is free.
-            if self.prefetch_pages > 0 {
-                if let Some(done) = self.inflight.lock().remove(&page) {
-                    self.clock.advance_to(done);
-                    consumed_inflight = true;
-                }
-            }
-        } else {
+    fn request_page(
+        &self,
+        scan: ScanId,
+        page: PageId,
+        now: VirtualInstant,
+    ) -> Result<VirtualInstant> {
+        let outcome = self.pool.request_page(page, Some(scan), now)?;
+        let ready = if !outcome.is_hit() {
             // The demand read is submitted before any new prefetches so it
             // never queues behind speculative transfers it did not need.
-            charge_io(
-                self.device.as_ref(),
-                &self.clock,
-                self.page_size_bytes,
-                std::slice::from_ref(&page),
-            )?;
-        }
-        // Top up only when this access changed the prefetch picture (a miss
-        // loaded a page, or a window slot was consumed): a hit on an
-        // already-warm pool must not pay an O(tracked pages) policy scan.
-        if self.prefetch_pages > 0 && (!outcome.is_hit() || consumed_inflight) {
-            self.top_up_prefetch();
-        }
-        Ok(())
+            let targets = std::slice::from_ref(&page);
+            let spec = ReadSpec::for_pages(targets, self.page_size_bytes, IoKind::Demand);
+            self.device.submit_read(now, spec)?.done_at
+        } else {
+            // A hit on a page whose prefetch is still in flight waits for
+            // the remaining transfer time — the overlapped part is free. Any
+            // other hit returns without topping up: a hit on an already-warm
+            // pool must not pay an O(tracked pages) policy scan.
+            let in_flight = match self.prefetch_pages {
+                0 => None,
+                _ => self.inflight.lock().remove(&page),
+            };
+            match in_flight {
+                Some(done) => done.max(now),
+                None => return Ok(now),
+            }
+        };
+        // This access changed the prefetch picture (a miss loaded a page, or
+        // a window slot was consumed).
+        self.top_up_prefetch(now);
+        Ok(ready)
     }
 
-    fn report_position(&self, scan: ScanId, tuples_consumed: u64) {
-        self.pool
-            .report_scan_position(scan, tuples_consumed, self.clock.now());
+    fn report_position(&self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant) {
+        self.pool.report_scan_position(scan, tuples_consumed, now);
     }
 
-    fn finish_scan(&self, scan: ScanId) {
+    fn finish_scan(&self, scan: ScanId, now: VirtualInstant) {
         if self.pending.lock().remove(&scan).is_some() {
-            self.pool.unregister_scan(scan, self.clock.now());
+            self.pool.unregister_scan(scan, now);
         }
     }
 
@@ -350,8 +408,8 @@ impl ScanBackend for PooledBackend {
         self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
     }
 
-    fn drive_prefetch(&self) {
-        self.top_up_prefetch();
+    fn drive_prefetch(&self, now: VirtualInstant) {
+        self.top_up_prefetch(now);
     }
 
     fn invalidate_stale(&self, table: TableId, epoch: u64, stale_pages: &[PageId]) {
@@ -389,9 +447,11 @@ struct CScanMeta {
 }
 
 /// A [`ScanBackend`] over the [`Abm`]: chunks are delivered in whatever
-/// order the ABM's relevance functions consider best, and chunk loads are
-/// pumped through a shared [`LoadScheduler`] (charged to the device in
-/// virtual time) whenever a scan would otherwise starve.
+/// order the ABM's relevance functions consider best, and chunk loads go
+/// through a shared [`LoadScheduler`] (charged to the device) that the
+/// driver runs whenever a scan would otherwise starve. In a real system a
+/// dedicated ABM thread does this; in the embedded engine whichever stream
+/// is starved drives the pipeline, in the simulator the event loop does.
 ///
 /// The backend holds no outer mutex: the decomposed ABM synchronizes
 /// internally (per-shard directory locks for delivery, one relevance-core
@@ -399,33 +459,35 @@ struct CScanMeta {
 /// metadata sits behind a read-mostly `RwLock`, and starved streams retire
 /// each other's in-flight loads through the scheduler instead of
 /// spin-polling one `Mutex<Abm>`.
+///
+/// [`ScanBackend::invalidate_stale`] keeps its no-op default: the ABM caches
+/// at chunk granularity, keyed by snapshot *version*. Scans pinned to a
+/// checkpoint-superseded snapshot keep their version (and its cached chunks
+/// — they still need them), and the version is destroyed, releasing every
+/// cached byte, the moment its last scan unregisters — the paper's
+/// PDT-checkpoint semantics. There is nothing to drop eagerly that some live
+/// scan does not still reference.
 #[derive(Debug)]
 pub struct CScanBackend {
     abm: Abm,
     scans: RwLock<HashMap<ScanId, CScanMeta>>,
     scheduler: LoadScheduler,
-    /// Largest checkpoint epoch seen per table (see
-    /// [`ScanBackend::invalidate_stale`]).
-    invalidation_epochs: Mutex<HashMap<TableId, u64>>,
     /// Tuples skipped by zone-map pruning before scans registered (see
     /// [`ScanBackend::record_pruned`]).
     pruned_tuples: AtomicU64,
-    clock: Arc<VirtualClock>,
     device: Arc<dyn BlockDevice>,
 }
 
 impl CScanBackend {
-    /// Wraps `abm`, charging chunk loads to `device` on `clock`, with the
+    /// Wraps `abm`, charging chunk loads to `device`, with the
     /// paper-faithful one-load-at-a-time window (see
     /// [`CScanBackend::with_load_window`]).
-    pub fn new(abm: Abm, clock: Arc<VirtualClock>, device: Arc<dyn BlockDevice>) -> Self {
+    pub fn new(abm: Abm, device: Arc<dyn BlockDevice>) -> Self {
         Self {
             abm,
             scans: RwLock::new(HashMap::new()),
             scheduler: LoadScheduler::new(1),
-            invalidation_epochs: Mutex::new(HashMap::new()),
             pruned_tuples: AtomicU64::new(0),
-            clock,
             device,
         }
     }
@@ -436,16 +498,6 @@ impl CScanBackend {
     pub fn with_load_window(mut self, window: usize) -> Self {
         self.scheduler = LoadScheduler::new(window.max(1));
         self
-    }
-
-    /// The configured load window.
-    pub fn load_window(&self) -> usize {
-        self.scheduler.window()
-    }
-
-    /// The underlying Active Buffer Manager.
-    pub fn abm(&self) -> &Abm {
-        &self.abm
     }
 }
 
@@ -458,7 +510,7 @@ impl ScanBackend for CScanBackend {
         PolicyKind::CScan
     }
 
-    fn register_scan(&self, request: ScanRequest) -> Result<ScanId> {
+    fn register_scan(&self, request: ScanRequest, _now: VirtualInstant) -> Result<ScanId> {
         let meta = CScanMeta {
             layout: Arc::clone(&request.layout),
             stable_tuples: request.snapshot.stable_tuples(),
@@ -476,56 +528,47 @@ impl ScanBackend for CScanBackend {
     }
 
     fn next_chunk(&self, scan: ScanId) -> Result<ScanStep> {
-        loop {
-            // Delivery is the sharded fast path: only the directory shard
-            // owning this scan is locked.
-            if let Some(delivery) = self.abm.get_chunk(scan)? {
-                let scans = self.scans.read();
-                let meta = scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
-                let sids = meta
-                    .layout
-                    .chunk_sid_range(delivery.chunk, meta.stable_tuples);
-                return Ok(ScanStep::Deliver(sids));
-            }
-            if self.abm.is_finished(scan) {
-                return Ok(ScanStep::Finished);
-            }
-            // The scan is starved: pump the load scheduler. In a real system
-            // a dedicated ABM thread does this; in the embedded engine
-            // whichever stream is starved drives the pipeline — planning a
-            // new load if the window has room, otherwise retiring the
-            // earliest in-flight load (possibly one another stream planned).
-            match self
-                .scheduler
-                .pump(&self.abm, &self.clock, self.device.as_ref())?
-            {
-                PumpOutcome::Progress => continue,
-                PumpOutcome::Idle => {
-                    // Between our failed delivery probe and this pump,
-                    // another stream may have retired the very load this
-                    // scan was waiting for (the pipeline is then rightly
-                    // empty): re-probe before declaring starvation. A scan
-                    // that is still starved here cannot progress — nothing
-                    // cached, nothing loadable, nothing in flight.
-                    if self.abm.has_cached_chunk(scan) || self.abm.is_finished(scan) {
-                        continue;
-                    }
-                    return Err(Error::ScanStarved(scan));
-                }
-            }
-        }
+        // Delivery is the sharded fast path: only the directory shard
+        // owning this scan is locked.
+        let Some(delivery) = self.abm.get_chunk(scan)? else {
+            return Ok(if self.abm.is_finished(scan) {
+                ScanStep::Finished
+            } else {
+                ScanStep::Starved
+            });
+        };
+        let scans = self.scans.read();
+        let meta = scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
+        let sids = meta
+            .layout
+            .chunk_sid_range(delivery.chunk, meta.stable_tuples);
+        Ok(ScanStep::Deliver(sids))
     }
 
-    fn request_page(&self, _scan: ScanId, _page: PageId) -> Result<()> {
+    fn request_page(
+        &self,
+        _scan: ScanId,
+        _page: PageId,
+        now: VirtualInstant,
+    ) -> Result<VirtualInstant> {
         // Chunk loads already brought the pages in and accounted the I/O.
-        Ok(())
+        Ok(now)
     }
 
-    fn report_position(&self, _scan: ScanId, _tuples_consumed: u64) {
+    fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
+        self.scheduler
+            .plan_load(&self.abm, self.device.as_ref(), now)
+    }
+
+    fn retire_load(&self) -> Result<Option<VirtualInstant>> {
+        self.scheduler.retire_load(&self.abm)
+    }
+
+    fn report_position(&self, _scan: ScanId, _tuples_consumed: u64, _now: VirtualInstant) {
         // The ABM tracks progress through chunk deliveries, not positions.
     }
 
-    fn finish_scan(&self, scan: ScanId) {
+    fn finish_scan(&self, scan: ScanId, _now: VirtualInstant) {
         if self.scans.write().remove(&scan).is_some() {
             let _ = self.abm.unregister_cscan(scan);
         }
@@ -540,26 +583,11 @@ impl ScanBackend for CScanBackend {
     fn record_pruned(&self, tuples: u64) {
         self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
     }
-
-    fn invalidate_stale(&self, table: TableId, epoch: u64, _stale_pages: &[PageId]) {
-        // The ABM caches at chunk granularity, keyed by snapshot *version*:
-        // scans pinned to the superseded snapshot keep their version (and
-        // its cached chunks — they still need them), and the version is
-        // destroyed, releasing every cached byte, the moment its last scan
-        // unregisters (`Abm::unregister_cscan`). That is precisely the
-        // paper's PDT-checkpoint semantics, so the hook only has to record
-        // the epoch for the staleness contract; there is nothing to drop
-        // eagerly that some live scan does not still reference.
-        let mut epochs = self.invalidation_epochs.lock();
-        let seen = epochs.entry(table).or_insert(0);
-        *seen = (*seen).max(epoch);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::abm::AbmConfig;
     use crate::lru::LruPolicy;
     use scanshare_common::{Bandwidth, VirtualDuration};
     use scanshare_iosim::IoDevice;
@@ -569,6 +597,7 @@ mod tests {
     use scanshare_storage::table::TableSpec;
 
     const PAGE: u64 = 1024;
+    const T0: VirtualInstant = VirtualInstant::EPOCH;
 
     fn setup(tuples: u64) -> (Arc<Storage>, ScanRequest) {
         let storage = Storage::with_seed(PAGE, 500, 3);
@@ -600,45 +629,71 @@ mod tests {
         (storage, request)
     }
 
-    fn clock_and_device() -> (Arc<VirtualClock>, Arc<IoDevice>) {
-        (
-            VirtualClock::shared(),
-            Arc::new(IoDevice::new(
-                Bandwidth::from_mb_per_sec(700.0),
-                VirtualDuration::from_micros(100),
-            )),
-        )
+    fn device() -> Arc<IoDevice> {
+        Arc::new(IoDevice::new(
+            Bandwidth::from_mb_per_sec(700.0),
+            VirtualDuration::from_micros(100),
+        ))
+    }
+
+    fn lru_backend(pages: usize, shards: usize, device: Arc<IoDevice>) -> PooledBackend {
+        let pool = ShardedPool::new(pages, PAGE, Box::new(LruPolicy::new()), shards);
+        PooledBackend::new(pool, device, PolicyKind::Lru)
+    }
+
+    fn cscan_backend(shards: usize) -> CScanBackend {
+        let abm = Abm::new(AbmConfig::new(1 << 20, PAGE).with_shards(shards));
+        CScanBackend::new(abm, device())
+    }
+
+    /// The driver side of the chunk protocol in one place, on a local
+    /// clock: probe, and while starved plan a load or else retire one,
+    /// advancing `now` to its completion.
+    fn next_delivery(
+        backend: &dyn ScanBackend,
+        scan: ScanId,
+        now: &mut VirtualInstant,
+    ) -> Option<TupleRange> {
+        loop {
+            match backend.next_chunk(scan).unwrap() {
+                ScanStep::Deliver(sids) => return Some(sids),
+                ScanStep::Finished => return None,
+                ScanStep::Starved => {}
+            }
+            if backend.plan_load(*now).unwrap().is_none() {
+                let done = backend.retire_load().unwrap();
+                *now = done
+                    .expect("a starved scan has a load to wait for")
+                    .max(*now);
+            }
+        }
     }
 
     #[test]
     fn pooled_backend_delivers_ranges_in_order_and_counts_io() {
         let (_storage, request) = setup(2000);
-        let (clock, device) = clock_and_device();
-        let backend = PooledBackend::new(
-            ShardedPool::new(64, PAGE, Box::new(LruPolicy::new()), 2),
-            Arc::clone(&clock),
-            device,
-            PolicyKind::Lru,
-        );
+        let backend = lru_backend(64, 2, device());
         assert_eq!(backend.name(), "lru");
         assert_eq!(backend.kind(), PolicyKind::Lru);
-        let scan = backend.register_scan(request.clone()).unwrap();
+        let scan = backend.register_scan(request.clone(), T0).unwrap();
         assert_eq!(
             backend.next_chunk(scan).unwrap(),
             ScanStep::Deliver(TupleRange::new(0, 2000))
         );
         assert_eq!(backend.next_chunk(scan).unwrap(), ScanStep::Finished);
+        // Pooled backends load on demand: nothing to plan or retire.
+        assert_eq!(backend.plan_load(T0).unwrap(), None);
+        assert_eq!(backend.retire_load().unwrap(), None);
 
-        // Page requests count misses and advance the virtual clock.
-        let t0 = clock.now();
+        // A miss is usable when its demand read completes, a hit at once.
         let page = request.snapshot.page(0, 0).unwrap();
-        backend.request_page(scan, page).unwrap();
-        assert!(clock.now() > t0, "a miss pays I/O time");
-        backend.request_page(scan, page).unwrap();
+        let ready = backend.request_page(scan, page, T0).unwrap();
+        assert!(ready > T0, "a miss pays I/O time");
+        assert_eq!(backend.request_page(scan, page, ready).unwrap(), ready);
         let stats = backend.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
-        backend.report_position(scan, 1000);
-        backend.finish_scan(scan);
+        backend.report_position(scan, 1000, ready);
+        backend.finish_scan(scan, ready);
         assert!(
             backend.next_chunk(scan).is_err(),
             "finished scans are unregistered"
@@ -648,17 +703,18 @@ mod tests {
     #[test]
     fn cscan_backend_delivers_every_chunk_and_accounts_loads() {
         let (_storage, request) = setup(3000);
-        let (clock, device) = clock_and_device();
-        let backend = CScanBackend::new(
-            Abm::new(AbmConfig::new(1 << 20, PAGE)),
-            Arc::clone(&clock),
-            device,
-        );
+        let backend = cscan_backend(1);
         assert_eq!(backend.name(), "cscan");
         assert_eq!(backend.kind(), PolicyKind::CScan);
-        let scan = backend.register_scan(request).unwrap();
+        let mut now = T0;
+        let scan = backend.register_scan(request, now).unwrap();
+        assert_eq!(
+            backend.next_chunk(scan).unwrap(),
+            ScanStep::Starved,
+            "the probe never loads by itself"
+        );
         let mut delivered = RangeList::new();
-        while let ScanStep::Deliver(sids) = backend.next_chunk(scan).unwrap() {
+        while let Some(sids) = next_delivery(&backend, scan, &mut now) {
             delivered.add(sids);
         }
         assert_eq!(
@@ -667,13 +723,20 @@ mod tests {
             "chunks cover the whole range"
         );
         assert!(backend.stats().io_bytes > 0);
-        assert!(
-            clock.now().as_nanos() > 0,
-            "loads advanced the virtual clock"
+        assert!(now > T0, "waiting for loads moved the caller's clock");
+        assert_eq!(
+            backend.retire_load().unwrap(),
+            None,
+            "nothing left in flight"
         );
-        // Progress reports are accepted (and ignored) for API symmetry.
-        backend.report_position(scan, 1);
-        backend.finish_scan(scan);
+        // Page requests are free (the chunk load brought the pages in) and
+        // progress reports are accepted (and ignored) for API symmetry.
+        assert_eq!(
+            backend.request_page(scan, PageId::new(0), now).unwrap(),
+            now
+        );
+        backend.report_position(scan, 1, now);
+        backend.finish_scan(scan, now);
     }
 
     #[test]
@@ -685,17 +748,17 @@ mod tests {
         // exceed the serial case by at most a page per chunk boundary.
         let run = |window: usize| {
             let (_storage, request) = setup(4000);
-            let (clock, device) = clock_and_device();
-            let backend = CScanBackend::new(
-                Abm::new(AbmConfig::new(1 << 20, PAGE).with_shards(2)),
-                clock,
-                device,
-            )
-            .with_load_window(window);
-            assert_eq!(backend.load_window(), window);
-            let scan = backend.register_scan(request).unwrap();
-            while let ScanStep::Deliver(_) = backend.next_chunk(scan).unwrap() {}
-            backend.finish_scan(scan);
+            let backend = cscan_backend(2).with_load_window(window);
+            let mut now = T0;
+            let scan = backend.register_scan(request, now).unwrap();
+            // The window bounds how many loads can be planned back to back.
+            let mut planned = 0;
+            while backend.plan_load(now).unwrap().is_some() {
+                planned += 1;
+            }
+            assert_eq!(planned, window);
+            while next_delivery(&backend, scan, &mut now).is_some() {}
+            backend.finish_scan(scan, now);
             backend.stats()
         };
         let sync = run(1);
@@ -711,71 +774,80 @@ mod tests {
     #[test]
     fn backends_are_usable_as_trait_objects() {
         let (_storage, request) = setup(500);
-        let (clock, device) = clock_and_device();
         let backends: Vec<Box<dyn ScanBackend>> = vec![
-            Box::new(PooledBackend::new(
-                ShardedPool::new(64, PAGE, Box::new(LruPolicy::new()), 2),
-                Arc::clone(&clock),
-                device.clone(),
-                PolicyKind::Lru,
-            )),
-            Box::new(CScanBackend::new(
-                Abm::new(AbmConfig::new(1 << 20, PAGE)),
-                clock,
-                device,
-            )),
+            Box::new(lru_backend(64, 2, device())),
+            Box::new(cscan_backend(1)),
         ];
         for backend in backends {
-            let scan = backend.register_scan(request.clone()).unwrap();
+            let mut now = T0;
+            let scan = backend.register_scan(request.clone(), now).unwrap();
             let mut steps = 0;
-            while let ScanStep::Deliver(_) = backend.next_chunk(scan).unwrap() {
+            while next_delivery(backend.as_ref(), scan, &mut now).is_some() {
                 steps += 1;
                 assert!(steps < 100);
             }
             assert!(steps > 0);
-            backend.finish_scan(scan);
+            backend.finish_scan(scan, now);
         }
+    }
+
+    #[test]
+    fn build_backend_follows_the_configured_policy() {
+        let config = |policy| ScanShareConfig {
+            page_size_bytes: PAGE,
+            buffer_pool_bytes: 64 * PAGE,
+            policy,
+            ..Default::default()
+        };
+        let registry = PolicyRegistry::default();
+        for (policy, name) in [
+            (PolicyKind::Lru, "lru"),
+            (PolicyKind::Pbm, "pbm"),
+            (PolicyKind::Opt, "pbm"),
+            (PolicyKind::CScan, "cscan"),
+        ] {
+            let (backend, trace) = build_backend(&config(policy), &registry, device()).unwrap();
+            assert_eq!((backend.kind(), backend.name()), (policy, name));
+            assert_eq!(trace.is_some(), policy == PolicyKind::Opt, "{policy}");
+        }
+        let custom = config(PolicyKind::Lru).with_custom_policy("sieve");
+        let (backend, _) = build_backend(&custom, &registry, device()).unwrap();
+        assert_eq!((backend.kind(), backend.name()), (PolicyKind::Lru, "sieve"));
+        let unknown = config(PolicyKind::Lru).with_custom_policy("no-such-policy");
+        assert!(build_backend(&unknown, &registry, device()).is_err());
     }
 
     #[test]
     fn prefetch_window_overlaps_io_with_demand_accesses() {
         let (_storage, request) = setup(2000);
         // Synchronous baseline.
-        let (sync_clock, sync_device) = clock_and_device();
-        let sync_backend = PooledBackend::new(
-            ShardedPool::new(64, PAGE, Box::new(LruPolicy::new()), 2),
-            Arc::clone(&sync_clock),
-            sync_device.clone(),
-            PolicyKind::Lru,
-        );
-        assert_eq!(sync_backend.prefetch_window(), 0);
+        let sync_device = device();
+        let sync_backend = lru_backend(64, 2, sync_device.clone());
         // Prefetching backend with a 4-page window.
-        let (pf_clock, pf_device) = clock_and_device();
-        let pf_backend = PooledBackend::new(
-            ShardedPool::new(64, PAGE, Box::new(LruPolicy::new()), 2),
-            Arc::clone(&pf_clock),
-            pf_device.clone(),
-            PolicyKind::Lru,
-        )
-        .with_prefetch_window(4);
-        assert_eq!(pf_backend.prefetch_window(), 4);
+        let pf_device = device();
+        let pf_backend = lru_backend(64, 2, pf_device.clone()).with_prefetch_window(4);
 
+        // Drives one scan on a local clock; returns when it finished.
         let run = |backend: &dyn ScanBackend| {
-            let scan = backend.register_scan(request.clone()).unwrap();
+            let mut now = T0;
+            let scan = backend.register_scan(request.clone(), now).unwrap();
             while let ScanStep::Deliver(range) = backend.next_chunk(scan).unwrap() {
                 for sid in (range.start..range.end).step_by(128) {
                     for col in 0..2 {
                         if let Some(page) = request.snapshot.page(col, sid / 128) {
-                            backend.request_page(scan, page).unwrap();
+                            now = backend.request_page(scan, page, now).unwrap();
                         }
                     }
-                    backend.drive_prefetch();
+                    // Compute on the batch, then let the backend prefetch.
+                    now = now.after(VirtualDuration::from_micros(20));
+                    backend.drive_prefetch(now);
                 }
             }
-            backend.finish_scan(scan);
+            backend.finish_scan(scan, now);
+            now
         };
-        run(&sync_backend);
-        run(&pf_backend);
+        let sync_done = run(&sync_backend);
+        let pf_done = run(&pf_backend);
 
         // Both read every distinct page exactly once (the pool holds the
         // whole table), but the prefetching backend loaded most of them
@@ -792,28 +864,16 @@ mod tests {
         );
         assert_eq!(sync_device.stats().prefetch_bytes, 0);
         assert!(
-            pf_clock.now() <= sync_clock.now(),
-            "prefetching never makes the scan slower (pf {} vs sync {})",
-            pf_clock.now(),
-            sync_clock.now()
+            pf_done < sync_done,
+            "prefetching hides transfers behind compute (pf {pf_done} vs sync {sync_done})"
         );
     }
 
     #[test]
     fn record_pruned_accumulates_into_stats_on_both_backends() {
-        let (clock, device) = clock_and_device();
         let backends: Vec<Box<dyn ScanBackend>> = vec![
-            Box::new(PooledBackend::new(
-                ShardedPool::new(4, PAGE, Box::new(LruPolicy::new()), 1),
-                Arc::clone(&clock),
-                device.clone(),
-                PolicyKind::Lru,
-            )),
-            Box::new(CScanBackend::new(
-                Abm::new(AbmConfig::new(1 << 20, PAGE)),
-                clock,
-                device,
-            )),
+            Box::new(lru_backend(4, 1, device())),
+            Box::new(cscan_backend(1)),
         ];
         for backend in backends {
             assert_eq!(backend.stats().pruned_tuples, 0);
@@ -825,15 +885,9 @@ mod tests {
 
     #[test]
     fn unknown_scan_ids_error() {
-        let (clock, device) = clock_and_device();
-        let backend = PooledBackend::new(
-            ShardedPool::new(4, PAGE, Box::new(LruPolicy::new()), 1),
-            clock,
-            device,
-            PolicyKind::Lru,
-        );
+        let backend = lru_backend(4, 1, device());
         assert!(backend.next_chunk(ScanId::new(7)).is_err());
         // finish_scan of an unknown id is a harmless no-op (Drop paths).
-        backend.finish_scan(ScanId::new(7));
+        backend.finish_scan(ScanId::new(7), T0);
     }
 }

@@ -18,11 +18,13 @@
 //! * [`opt`] — Belady's OPT replayed over a recorded page-reference trace,
 //!   the theoretical optimum for order-preserving policies.
 //!
-//! [`sharded::ShardedPool`] is the one page-level pool — the engine shares
-//! it between scan threads, the simulator drives a one-shard instance —
-//! driven by a pluggable [`policy::ReplacementPolicy`] (LRU, PBM, ...); the
-//! ABM replaces the pool wholesale for Cooperative Scans, as it does in the
-//! paper.
+//! [`sharded::ShardedPool`] is the one page-level pool, driven by a
+//! pluggable [`policy::ReplacementPolicy`] (LRU, PBM, ...); the ABM replaces
+//! the pool wholesale for Cooperative Scans, as it does in the paper. Both
+//! sit behind the clock-free [`backend::ScanBackend`] interface, which
+//! [`backend::build_backend`] constructs for the execution engine (sharded
+//! across its scan threads) and for the discrete-event simulator (one
+//! shard) alike.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,7 +43,7 @@ pub mod sharded;
 pub mod sieve;
 
 pub use abm::{Abm, AbmAction, AbmConfig, CScanHandle, LoadScheduler, MonolithicAbm};
-pub use backend::{CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
+pub use backend::{build_backend, CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
 pub use clock::ClockPolicy;
 pub use lru::LruPolicy;
 pub use metrics::BufferStats;

@@ -50,11 +50,10 @@ pub fn pbm_config_for(config: &ScanShareConfig) -> PbmConfig {
 
 /// The registry name the page-level policy of an engine or simulation
 /// resolves to: `config.custom_policy` when set, otherwise the built-in
-/// name for `policy`. `PolicyKind::Opt` (and, in the simulator's OPT
-/// replay, `CScan` never reaches this) runs under PBM, exactly like the
-/// paper's trace-recording methodology. Both the execution engine and the
-/// discrete-event simulator resolve through this function so they can never
-/// drift apart.
+/// name for `policy`. `PolicyKind::Opt` runs under PBM, exactly like the
+/// paper's trace-recording methodology (`CScan` never reaches this).
+/// [`build_backend`](crate::backend::build_backend) resolves through this
+/// function for the execution engine and the discrete-event simulator alike.
 pub fn pooled_policy_name(config: &ScanShareConfig, policy: PolicyKind) -> &str {
     config.custom_policy.as_deref().unwrap_or(match policy {
         PolicyKind::Lru => "lru",

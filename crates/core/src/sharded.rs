@@ -2,7 +2,8 @@
 //!
 //! [`ShardedPool`] is the one page-level pool of the workspace: the
 //! execution engine shares it between its scan threads and the discrete-event
-//! simulator drives a one-shard instance of it. It tracks which pages are
+//! simulator runs on a one-shard instance of it (both behind a
+//! [`PooledBackend`](crate::backend::PooledBackend)). It tracks which pages are
 //! resident, delegates every replacement decision to a pluggable
 //! [`ReplacementPolicy`], maintains the statistics reported in the paper's
 //! figures and can record a page-reference trace for the OPT simulation. It
@@ -195,19 +196,9 @@ impl ShardedPool {
         self.name
     }
 
-    /// Pool capacity in pages.
-    pub fn capacity_pages(&self) -> usize {
-        self.capacity_pages
-    }
-
     /// Page size in bytes.
     pub fn page_size_bytes(&self) -> u64 {
         self.page_size_bytes
-    }
-
-    /// Number of lock shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// Number of resident pages (across all shards).
@@ -522,9 +513,9 @@ impl ShardedPool {
 /// pages, admits them (never evicting — only free capacity is filled) and
 /// submits their transfers to `device` without blocking.
 ///
-/// This is the one implementation of the window semantics, shared by the
-/// execution engine's `PooledBackend` and the discrete-event simulator so
-/// the two timing models cannot drift apart.
+/// This is the one implementation of the window semantics: `PooledBackend`
+/// calls it at the explicit `now` of a registration, page request or
+/// compute point, whichever executor drives the backend.
 pub fn top_up_prefetch_window(
     pool: &ShardedPool,
     device: &dyn BlockDevice,
@@ -578,7 +569,6 @@ mod tests {
     fn hits_and_misses_are_counted_across_shards() {
         for shards in [1, 2, 8] {
             let pool = pool(2, shards);
-            assert_eq!(pool.shard_count(), shards);
             assert!(!pool.request_page(p(1), None, now()).unwrap().is_hit());
             assert!(pool.request_page(p(1), None, now()).unwrap().is_hit());
             assert!(!pool.request_page(p(2), None, now()).unwrap().is_hit());

@@ -6,7 +6,7 @@
 //! task on the [`TaskScheduler`] — a fixed
 //! pool of [`ScanShareConfig::scheduler_workers`](scanshare_common::ScanShareConfig::scheduler_workers)
 //! OS threads — with every query lowered from its
-//! [`QuerySpec`]/[`ScanSpec`] onto the
+//! [`QuerySpec`] (through the shared [`QuerySpec::steps`] lowering) onto the
 //! builder [`Query`](crate::query::Query) API against the shared engine —
 //! and therefore the shared, concurrently-driven buffer-management backend.
 //! The driver is deliberately a *thin client* of the scheduler: the same
@@ -31,7 +31,7 @@ use scanshare_common::{Error, Result, TupleRange, VirtualDuration};
 use scanshare_core::metrics::BufferStats;
 use scanshare_iosim::{IoLatency, IoStats};
 use scanshare_workload::spec::{
-    JoinSpec, QuerySpec, ScanSpec, UpdateOp, UpdateOpGen, UpdateStreamSpec, WorkloadSpec,
+    QuerySpec, QueryStep, UpdateOp, UpdateOpGen, UpdateStreamSpec, WorkloadSpec,
 };
 
 use std::collections::VecDeque;
@@ -39,10 +39,8 @@ use std::collections::VecDeque;
 use scanshare_common::sync::Mutex;
 use scanshare_common::TableId;
 
-use scanshare_storage::zone::ZoneOp;
-
 use crate::engine::Engine;
-use crate::ops::{AggrSpec, Aggregate, CompareOp, Predicate};
+use crate::ops::{AggrSpec, Aggregate, Predicate};
 use crate::sched::{Task, TaskHandle, TaskOutcome, TaskScheduler, TaskStep};
 
 /// Runs [`WorkloadSpec`]s against an [`Engine`], one cooperative session
@@ -461,9 +459,10 @@ struct JoinUnit {
     extras: Vec<String>,
 }
 
-/// One scan-range unit of a lowered [`QuerySpec`]: an aggregation query
-/// (count + sum over the first column) over one SID range, so every
-/// registered page is actually read and processed.
+/// One [`QueryStep`] of a lowered [`QuerySpec`] as an aggregation query
+/// (count + sum over the first column) over its range, so every registered
+/// page is actually read and processed. A join's build step rides on its
+/// probe step's unit.
 struct QueryUnit {
     table: TableId,
     columns: Vec<String>,
@@ -488,17 +487,6 @@ struct RunningQuery {
     active: Option<(crate::sched::QueryTask, Option<u64>, String, TupleRange)>,
 }
 
-/// The row-level form of a spec's zone-predicate operator (1:1).
-fn compare_op(op: ZoneOp) -> CompareOp {
-    match op {
-        ZoneOp::Lt => CompareOp::Lt,
-        ZoneOp::Le => CompareOp::Le,
-        ZoneOp::Gt => CompareOp::Gt,
-        ZoneOp::Ge => CompareOp::Ge,
-        ZoneOp::Eq => CompareOp::Eq,
-    }
-}
-
 /// A workload stream as a cooperative session task: runs its
 /// [`QuerySpec`]s back to back, one scan-range unit at a time, yielding at
 /// every unit's batch boundaries via the embedded
@@ -519,10 +507,10 @@ struct StreamSessionTask {
 }
 
 impl StreamSessionTask {
-    /// Resolves a scan's table-relative column indices to column names.
-    fn resolve_columns(&self, label: &str, scan: &ScanSpec) -> Result<Vec<String>> {
-        let table = self.engine.storage().table(scan.table)?;
-        scan.columns
+    /// Resolves a step's table-relative column indices to column names.
+    fn resolve_columns(&self, label: &str, step: &QueryStep) -> Result<Vec<String>> {
+        let table = self.engine.storage().table(step.table)?;
+        step.columns
             .iter()
             .map(|&idx| {
                 table
@@ -542,150 +530,75 @@ impl StreamSessionTask {
             .collect()
     }
 
-    /// Lowers a scan's table-relative zone predicate into the builder API's
+    /// Lowers a step's table-relative zone predicate into the builder API's
     /// projection-relative row predicate.
-    fn resolve_predicate(label: &str, scan: &ScanSpec) -> Result<Option<Predicate>> {
-        // The spec's predicate is table-relative; the builder API wants
-        // the column's position within the projection.
-        match &scan.predicate {
-            Some(pred) => {
-                let position = scan
-                    .columns
-                    .iter()
-                    .position(|&idx| idx == pred.column)
-                    .ok_or_else(|| {
-                        Error::plan(format!(
-                            "scan of query {label:?} filters on column index {}, which is not \
-                             among its scanned columns {:?}",
-                            pred.column, scan.columns
-                        ))
-                    })?;
-                Ok(Some(Predicate::new(
-                    position,
-                    compare_op(pred.op),
-                    pred.value,
-                )))
-            }
-            None => Ok(None),
-        }
-    }
-
-    /// Lowers one [`QuerySpec`] into its scan-range units, resolving column
-    /// indices to names and fixing each unit's expected tuple count.
-    fn lower(&self, query: &QuerySpec) -> Result<RunningQuery> {
-        if let Some(join) = &query.join {
-            return self.lower_join(query, join);
-        }
-        let mut units = VecDeque::new();
-        for scan in &query.scans {
-            let columns = self.resolve_columns(&query.label, scan)?;
-            let predicate = Self::resolve_predicate(&query.label, scan)?;
-            for &range in scan.ranges.ranges() {
-                let expected = if predicate.is_some() {
-                    // Predicated units count whatever matches; the spec
-                    // cannot know the data-dependent cardinality.
-                    None
-                } else if self.clamp_to_visible {
-                    let visible = self.engine.visible_rows(scan.table)?;
-                    Some(range.intersect(&TupleRange::new(0, visible)).len())
-                } else {
-                    Some(range.len())
-                };
-                units.push_back(QueryUnit {
-                    table: scan.table,
-                    columns: columns.clone(),
-                    range,
-                    predicate,
-                    join: None,
-                    expected,
-                    label: query.label.clone(),
-                });
-            }
-        }
-        Ok(RunningQuery {
-            started: Instant::now(),
-            tuples: query.total_tuples(),
-            units,
-            active: None,
-        })
-    }
-
-    /// Lowers a broadcast-join [`QuerySpec`] (`scans[0]` = build, `scans[1]`
-    /// = probe) into a single probe-side unit with the build side attached
-    /// through the builder API's `.join(...)` clause — the build scan still
-    /// registers with the backend and fully drains before any probe I/O.
-    /// The joined cardinality is data-dependent, so the unit carries no
-    /// expected count.
-    fn lower_join(&self, query: &QuerySpec, join: &JoinSpec) -> Result<RunningQuery> {
-        let [build, probe] = query.scans.as_slice() else {
-            return Err(Error::plan(format!(
-                "join query {:?} needs exactly two scans (build, probe), got {}",
-                query.label,
-                query.scans.len()
-            )));
+    fn resolve_predicate(label: &str, step: &QueryStep) -> Result<Option<Predicate>> {
+        let Some(pred) = &step.predicate else {
+            return Ok(None);
         };
-        if build.predicate.is_some() {
-            return Err(Error::plan(format!(
-                "join query {:?} puts a predicate on its build scan; predicates are \
-                 probe-side only",
-                query.label
-            )));
-        }
-        let visible = self.engine.visible_rows(build.table)?;
-        if build.ranges.ranges() != [TupleRange::new(0, visible)] {
-            return Err(Error::plan(format!(
-                "join query {:?} must scan the full build table (0..{visible}), got {:?}",
-                query.label,
-                build.ranges.ranges()
-            )));
-        }
-        let build_columns = self.resolve_columns(&query.label, build)?;
-        let probe_columns = self.resolve_columns(&query.label, probe)?;
-        let right_key = build_columns.get(join.right_col).cloned().ok_or_else(|| {
-            Error::plan(format!(
-                "join query {:?} keys on build column {} of {}",
-                query.label,
-                join.right_col,
-                build_columns.len()
-            ))
-        })?;
-        if join.left_col >= probe_columns.len() {
-            return Err(Error::plan(format!(
-                "join query {:?} keys on probe column {} of {}",
-                query.label,
-                join.left_col,
-                probe_columns.len()
-            )));
-        }
-        let extras: Vec<String> = build_columns
+        // The spec's predicate is table-relative; the builder API wants the
+        // column's position within the projection.
+        let position = step
+            .columns
             .iter()
-            .enumerate()
-            .filter(|&(i, _)| i != join.right_col)
-            .map(|(_, name)| name.clone())
-            .collect();
-        let predicate = Self::resolve_predicate(&query.label, probe)?;
-        let [range] = probe.ranges.ranges() else {
-            return Err(Error::plan(format!(
-                "join query {:?} needs a single-range probe scan, got {} ranges",
-                query.label,
-                probe.ranges.ranges().len()
-            )));
-        };
+            .position(|&idx| idx == pred.column)
+            .ok_or_else(|| {
+                Error::plan(format!(
+                    "scan of query {label:?} filters on column index {}, which is not among \
+                     its scanned columns {:?}",
+                    pred.column, step.columns
+                ))
+            })?;
+        Ok(Some(Predicate::new(position, pred.op, pred.value)))
+    }
+
+    /// Lowers one [`QuerySpec`] into its units — one per [`QueryStep`] of the
+    /// shared lowering, with a join's build step attached to its probe unit
+    /// through the builder API's `.join(...)` clause (the build scan still
+    /// registers with the backend and fully drains before any probe I/O) —
+    /// resolving column indices to names and fixing each unit's expected
+    /// tuple count.
+    fn lower(&self, query: &QuerySpec) -> Result<RunningQuery> {
+        let label = &query.label;
+        let steps = query.steps(&mut |table| self.engine.visible_rows(table))?;
         let mut units = VecDeque::new();
-        units.push_back(QueryUnit {
-            table: probe.table,
-            columns: probe_columns,
-            range: *range,
-            predicate,
-            join: Some(JoinUnit {
-                table: build.table,
-                left_col: join.left_col,
-                right_key,
-                extras,
-            }),
-            expected: None,
-            label: query.label.clone(),
-        });
+        let mut build: Option<(TableId, Vec<String>)> = None;
+        for (i, step) in steps.iter().enumerate() {
+            let columns = self.resolve_columns(label, step)?;
+            if steps.get(i + 1).is_some_and(|next| next.join_key.is_some()) {
+                build = Some((step.table, columns));
+                continue;
+            }
+            let predicate = Self::resolve_predicate(label, step)?;
+            let join = step.join_key.zip(build.take()).map(|(left_col, build)| {
+                let (table, mut names) = build;
+                JoinUnit {
+                    table,
+                    left_col,
+                    right_key: names.remove(0),
+                    extras: names,
+                }
+            });
+            let expected = if predicate.is_some() || join.is_some() {
+                // Predicated and joined units count whatever matches; the
+                // spec cannot know the data-dependent cardinality.
+                None
+            } else if self.clamp_to_visible {
+                let visible = self.engine.visible_rows(step.table)?;
+                Some(step.range.intersect(&TupleRange::new(0, visible)).len())
+            } else {
+                Some(step.range.len())
+            };
+            units.push_back(QueryUnit {
+                table: step.table,
+                columns,
+                range: step.range,
+                predicate,
+                join,
+                expected,
+                label: label.clone(),
+            });
+        }
         Ok(RunningQuery {
             started: Instant::now(),
             tuples: query.total_tuples(),
@@ -803,7 +716,7 @@ mod tests {
     use scanshare_common::{PolicyKind, RangeList, ScanShareConfig, TableId};
     use scanshare_storage::storage::Storage;
     use scanshare_workload::microbench::{self, MicrobenchConfig};
-    use scanshare_workload::spec::{ScanSpec, StreamSpec};
+    use scanshare_workload::spec::{JoinSpec, ScanSpec, StreamSpec};
 
     const PAGE: u64 = 16 * 1024;
 

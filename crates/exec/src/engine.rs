@@ -7,15 +7,13 @@ use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, RwLock};
 use scanshare_common::{
-    DeviceKind, Error, PageId, PolicyKind, Result, Rid, ScanShareConfig, SnapshotId, TableId,
-    TupleRange, VirtualClock, VirtualDuration, VirtualInstant,
+    DeviceKind, Error, PageId, PolicyKind, Result, Rid, ScanId, ScanShareConfig, SnapshotId,
+    TableId, TupleRange, VirtualClock, VirtualDuration, VirtualInstant,
 };
-use scanshare_core::abm::{Abm, AbmConfig};
-use scanshare_core::backend::{CScanBackend, PooledBackend, ScanBackend};
+use scanshare_core::backend::{build_backend, ScanBackend, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::{simulate_opt, OptResult};
 use scanshare_core::registry::PolicyRegistry;
-use scanshare_core::sharded::ShardedPool;
 use scanshare_iosim::{BlockDevice, FileIoDevice, IoDevice, ReferenceTrace};
 use scanshare_pdt::checkpoint::checkpoint_stack;
 use scanshare_pdt::pdt::Pdt;
@@ -25,9 +23,9 @@ use scanshare_storage::datagen::Value;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
 use scanshare_storage::wal::{decode_marker, Wal, WalRecordKind};
-use scanshare_storage::zone::{ZoneOp, ZonePredicate};
+use scanshare_storage::zone::ZonePredicate;
 
-use crate::ops::{BatchSource, CompareOp, Predicate};
+use crate::ops::{BatchSource, Predicate};
 use crate::query::Query;
 use crate::scan::ScanOperator;
 use crate::txn::{TablePin, Txn};
@@ -85,10 +83,12 @@ impl TableUpdates {
 /// A query-execution session: storage + differential updates + the
 /// configured concurrent-scan buffer-management backend.
 ///
-/// The engine holds exactly one [`ScanBackend`]: a [`PooledBackend`] for the
-/// page-level policies (LRU / PBM / OPT / anything registered with a
-/// [`PolicyRegistry`]) or a [`CScanBackend`] for Cooperative Scans. Scans
-/// never branch on the policy — they drive whichever backend is installed.
+/// The engine holds exactly one [`ScanBackend`], built by
+/// [`build_backend`]: a pooled backend for the page-level policies (LRU /
+/// PBM / OPT / anything registered with a [`PolicyRegistry`]) or the
+/// Cooperative Scans backend. Scans never branch on the policy — they drive
+/// whichever backend is installed. The backends are clock-free; the engine
+/// owns the shared monotone [`VirtualClock`] they are driven on.
 #[derive(Debug)]
 pub struct Engine {
     storage: Arc<Storage>,
@@ -96,6 +96,9 @@ pub struct Engine {
     backend: Box<dyn ScanBackend>,
     device: Arc<dyn BlockDevice>,
     clock: Arc<VirtualClock>,
+    /// Serializes the load-pipeline step of starved scans (see
+    /// [`Engine::wait_for_chunk`]).
+    load_pump: Mutex<()>,
     trace: Option<Arc<ReferenceTrace>>,
     tables: RwLock<HashMap<TableId, Arc<TableUpdates>>>,
     /// The write-ahead log, present when
@@ -175,54 +178,15 @@ impl Engine {
             Some(dir) => Some(Arc::new(Wal::open(dir, config.wal_group_commit)?)),
             None => None,
         };
-        let clock = VirtualClock::shared();
-        let mut trace = None;
-
-        let backend: Box<dyn ScanBackend> = match (config.policy, &config.custom_policy) {
-            (PolicyKind::CScan, None) => {
-                // The ABM's chunk directory is partitioned across the same
-                // `pool_shards` lock domains the page pool would use;
-                // relevance decisions stay globally exact, so the shard
-                // count changes contention, never I/O volume.
-                let abm = Abm::new(
-                    AbmConfig::new(config.buffer_pool_bytes, config.page_size_bytes)
-                        .with_shards(config.pool_shards),
-                );
-                Box::new(
-                    CScanBackend::new(abm, Arc::clone(&clock), Arc::clone(&device))
-                        .with_load_window(config.cscan_load_window),
-                )
-            }
-            (policy, _custom) => {
-                let name = scanshare_core::registry::pooled_policy_name(&config, policy);
-                let replacement = registry.build(name, &config)?;
-                // The page space is partitioned across `pool_shards` lock
-                // domains; replacement decisions stay globally exact, so the
-                // shard count changes contention, never I/O volume.
-                let mut pool = ShardedPool::new(
-                    config.buffer_pool_pages().max(1),
-                    config.page_size_bytes,
-                    replacement,
-                    config.pool_shards,
-                );
-                if policy == PolicyKind::Opt {
-                    let t = Arc::new(ReferenceTrace::new());
-                    trace = Some(Arc::clone(&t));
-                    pool = pool.with_trace(t);
-                }
-                Box::new(
-                    PooledBackend::new(pool, Arc::clone(&clock), Arc::clone(&device), policy)
-                        .with_prefetch_window(config.prefetch_pages),
-                )
-            }
-        };
+        let (backend, trace) = build_backend(&config, registry, Arc::clone(&device))?;
 
         Ok(Arc::new(Self {
             storage,
             config,
             backend,
             device,
-            clock,
+            clock: VirtualClock::shared(),
+            load_pump: Mutex::new(()),
             trace,
             tables: RwLock::new(HashMap::new()),
             wal,
@@ -314,6 +278,41 @@ impl Engine {
     /// The scan backend every scan of this engine drives.
     pub fn backend(&self) -> &dyn ScanBackend {
         self.backend.as_ref()
+    }
+
+    /// Blocks `scan` (in virtual time) until the backend delivers its next
+    /// SID range; `None` once every registered range was delivered.
+    ///
+    /// A starved scan drives the backend's load pipeline itself — in a real
+    /// system a dedicated ABM thread would: plan a new load while the window
+    /// has room, otherwise retire the earliest in-flight load (possibly one
+    /// another stream planned) and advance the clock to its completion.
+    /// Plan-or-retire is one step under `load_pump`, so "nothing to plan and
+    /// nothing in flight" is a fact about the pipeline, not a race between
+    /// two streams' half-steps.
+    pub(crate) fn wait_for_chunk(&self, scan: ScanId) -> Result<Option<TupleRange>> {
+        let mut idle = false;
+        loop {
+            match self.backend.next_chunk(scan)? {
+                ScanStep::Deliver(sids) => return Ok(Some(sids)),
+                ScanStep::Finished => return Ok(None),
+                // The pipeline was empty *after* the failed probe — so the
+                // probe just repeated could not have missed a load another
+                // stream retired in between: nothing cached, nothing
+                // loadable, nothing in flight.
+                ScanStep::Starved if idle => return Err(Error::ScanStarved(scan)),
+                ScanStep::Starved => {}
+            }
+            let _pump = self.load_pump.lock();
+            if self.backend.plan_load(self.now())?.is_none() {
+                match self.backend.retire_load()? {
+                    Some(done) => {
+                        self.clock.advance_to(done);
+                    }
+                    None => idle = true,
+                }
+            }
+        }
     }
 
     /// Aggregated buffer-manager statistics.
@@ -798,7 +797,7 @@ impl Engine {
         let zone_pred = match filter {
             Some(pred) if self.config.zone_maps => column_indices
                 .get(pred.column)
-                .map(|&table_col| ZonePredicate::new(table_col, zone_op(pred.op), pred.value)),
+                .map(|&table_col| ZonePredicate::new(table_col, pred.op, pred.value)),
             _ => None,
         };
         Ok(Box::new(ScanOperator::with_pin(
@@ -815,18 +814,6 @@ impl Engine {
     pub(crate) fn charge_cpu(&self, tuples: u64) {
         let secs = tuples as f64 / self.config.cpu_tuples_per_sec as f64;
         self.clock.advance(VirtualDuration::from_secs_f64(secs));
-    }
-}
-
-/// The zone-map form of a row-level comparison operator (1:1 — both sides
-/// compare a column against an inclusive/exclusive constant bound).
-fn zone_op(op: CompareOp) -> ZoneOp {
-    match op {
-        CompareOp::Lt => ZoneOp::Lt,
-        CompareOp::Le => ZoneOp::Le,
-        CompareOp::Gt => ZoneOp::Gt,
-        CompareOp::Ge => ZoneOp::Ge,
-        CompareOp::Eq => ZoneOp::Eq,
     }
 }
 

@@ -66,20 +66,10 @@ impl BatchSource for VecSource {
     }
 }
 
-/// Comparison operators for simple predicates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CompareOp {
-    /// `value < constant`
-    Lt,
-    /// `value <= constant`
-    Le,
-    /// `value > constant`
-    Gt,
-    /// `value >= constant`
-    Ge,
-    /// `value == constant`
-    Eq,
-}
+/// Comparison operators for simple predicates: the zone-map operators, so a
+/// row-level predicate and the [`ZonePredicate`](scanshare_storage::zone::ZonePredicate)
+/// that prunes for it share one operator.
+pub use scanshare_storage::zone::ZoneOp as CompareOp;
 
 /// A conjunctive predicate over one column of the scanned projection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -516,11 +506,6 @@ impl JoinTable {
         self.width
     }
 
-    /// Total number of build rows in the table.
-    pub fn build_rows(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-
     /// Probes one batch: every probe row is matched against the table on
     /// `key_col` and emits one output row per matching build row (inner
     /// join), laid out as probe columns followed by build columns.
@@ -797,7 +782,6 @@ mod tests {
         build.push_batch(&Batch::new(vec![vec![7, 8, 7], vec![70, 80, 71]]));
         let table = build.finish();
         assert_eq!(table.build_width(), 2);
-        assert_eq!(table.build_rows(), 3);
         // Probe: (key, qty); key 9 has no match and is dropped.
         let probe = Batch::new(vec![vec![7, 9, 8], vec![1, 2, 3]]);
         let out = table.probe(&probe, 0);

@@ -1,10 +1,14 @@
 //! The unified scan operator.
 //!
 //! One operator drives every
-//! [`ScanBackend`](scanshare_core::backend::ScanBackend): it registers its
-//! stable (SID) ranges, asks the backend for the next range to produce
+//! [`ScanBackend`](scanshare_core::backend::ScanBackend): it plans its scan
+//! with [`plan_scan`] (the planning step the simulator shares), registers
+//! the stable (SID) ranges, asks the backend for the next range to produce
 //! ([`next_chunk`](scanshare_core::backend::ScanBackend::next_chunk)) and
-//! merges the table's PDT on the fly. For
+//! merges the table's PDT on the fly. The backends are clock-free: every
+//! call passes the engine clock's `now`, and the clock is advanced to
+//! whatever instant a call returned — on a page request here, on a chunk
+//! wait in `Engine::wait_for_chunk`, the one blocking wait. For
 //! pooled backends the delivered ranges are sequential and page requests are
 //! issued (and progress reported) as the merge crosses page boundaries —
 //! which is what PBM exploits. For Cooperative Scans the backend hands out
@@ -25,10 +29,10 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
 use scanshare_common::{Error, RangeList, Result, ScanId, TableId, TupleRange};
-use scanshare_core::backend::{ScanRequest, ScanStep};
+use scanshare_core::backend::ScanRequest;
 use scanshare_pdt::merge::{MergeCursor, StableSource};
 use scanshare_pdt::pdt::Pdt;
-use scanshare_pdt::translate::{rid_range_to_sid_ranges, sid_range_to_rid_range};
+use scanshare_pdt::translate::{plan_scan, sid_range_to_rid_range};
 use scanshare_storage::datagen::Value;
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
@@ -46,7 +50,7 @@ pub const BATCH_SIZE: usize = 1024;
 const REPORT_INTERVAL: u64 = 4096;
 
 /// A stable-tuple source that fetches pages through the engine's scan
-/// backend, which accounts I/O on the engine's virtual clock.
+/// backend, waiting on the engine's virtual clock until each is usable.
 pub(crate) struct PooledSource {
     engine: Arc<Engine>,
     layout: Arc<TableLayout>,
@@ -107,9 +111,15 @@ impl StableSource for PooledSource {
         // surface as the batch's error.
         if let (Some(scan_id), Some(page_id)) = (self.scan_id, self.snapshot.page(col, page_index))
         {
-            if let Err(err) = self.engine.backend().request_page(scan_id, page_id) {
-                self.error = Some(err);
-                return 0;
+            let now = self.engine.now();
+            match self.engine.backend().request_page(scan_id, page_id, now) {
+                Ok(ready) => {
+                    self.engine.clock().advance_to(ready);
+                }
+                Err(err) => {
+                    self.error = Some(err);
+                    return 0;
+                }
             }
         }
         let data =
@@ -179,15 +189,11 @@ impl ScanOperator {
     /// backend registration — uses exactly the pinned `(Snapshot, PdtStack)`
     /// pair, so concurrent commits and checkpoints are invisible to it.
     ///
-    /// `zone_pred` enables data skipping: stable chunks whose zone metadata
-    /// proves no row can satisfy the predicate are removed from the scan's
-    /// interest before the backend registration, so the buffer manager never
-    /// sees a page request, an ABM chunk interest or a PBM consumption
-    /// prediction for them. Pruning only happens when the pin carries **no**
-    /// differential updates — RID and SID then coincide and no PDT modify
-    /// can turn a base-failing row into a match — and the caller must apply
-    /// the same predicate row-level (zone metadata is conservative: kept
-    /// chunks may still hold non-matching rows).
+    /// `zone_pred` enables data skipping, under [`plan_scan`]'s safety gate:
+    /// pruned chunks leave the scan's interest before the backend
+    /// registration, so the buffer manager never sees a page request, an ABM
+    /// chunk interest or a PBM consumption prediction for them. The caller
+    /// must apply the same predicate row-level.
     pub fn with_pin(
         engine: Arc<Engine>,
         pin: TablePin,
@@ -200,48 +206,32 @@ impl ScanOperator {
         let layout = engine.storage().layout(table)?;
         let snapshot = Arc::clone(&pin.snapshot);
         let pdt = pin.flatten()?;
-        let visible = pdt.visible_count(snapshot.stable_tuples());
-        let rid_range = rid_range.intersect(&TupleRange::new(0, visible));
-
-        // Convert the RID range to SID ranges and register the plan with the
-        // backend (RegisterScan / RegisterCScan). A range that touches no
-        // stable data (an empty range, or pure PDT inserts) needs no backend.
-        let sid_ranges = rid_range_to_sid_ranges(&pdt, &rid_range, snapshot.stable_tuples());
-        let mut requested = if rid_range.is_empty() {
-            RangeList::new()
-        } else {
-            RangeList::from_ranges([rid_range])
-        };
-        let sid_ranges = match zone_pred {
-            Some(pred) if pdt.is_empty() && !sid_ranges.is_empty() => {
-                let (pruned, skipped) =
-                    engine
-                        .storage()
-                        .prune_sid_ranges(&snapshot, &pred, &sid_ranges);
-                if skipped > 0 {
-                    // Counted even when the whole range is pruned and the
-                    // scan never registers.
-                    engine.backend().record_pruned(skipped);
-                    // With an empty PDT the requested RID ranges are the SID
-                    // ranges: dropping the pruned chunks here keeps the
-                    // drain phase from reading them through the page path.
-                    requested = pruned.clone();
-                }
-                pruned
-            }
-            _ => sid_ranges,
-        };
-        let scan_id = if rid_range.is_empty() || sid_ranges.is_empty() {
+        let (requested, sid_ranges, skipped) = plan_scan(
+            engine.storage(),
+            &snapshot,
+            &pdt,
+            rid_range,
+            zone_pred.as_ref(),
+        );
+        if skipped > 0 {
+            // Counted even when the whole range is pruned and the scan
+            // never registers.
+            engine.backend().record_pruned(skipped);
+        }
+        // RegisterScan / RegisterCScan. A range that touches no stable data
+        // (an empty range, or pure PDT inserts) needs no backend.
+        let scan_id = if sid_ranges.is_empty() {
             None
         } else {
-            Some(engine.backend().register_scan(ScanRequest {
+            let request = ScanRequest {
                 table,
                 snapshot: Arc::clone(&snapshot),
                 layout: Arc::clone(&layout),
                 columns: columns.clone(),
                 ranges: sid_ranges,
                 in_order,
-            })?)
+            };
+            Some(engine.backend().register_scan(request, engine.now())?)
         };
 
         let source = PooledSource::new(Arc::clone(&engine), layout, Arc::clone(&snapshot), scan_id);
@@ -271,7 +261,7 @@ impl ScanOperator {
         if let Some(scan_id) = self.scan_id {
             self.engine
                 .backend()
-                .report_position(scan_id, self.tuples_produced);
+                .report_position(scan_id, self.tuples_produced, self.engine.now());
         }
         self.last_report = self.tuples_produced;
     }
@@ -282,7 +272,9 @@ impl ScanOperator {
         }
         self.finished = true;
         if let Some(scan_id) = self.scan_id {
-            self.engine.backend().finish_scan(scan_id);
+            self.engine
+                .backend()
+                .finish_scan(scan_id, self.engine.now());
         }
     }
 
@@ -341,7 +333,7 @@ impl BatchSource for ScanOperator {
                 // A batch boundary is a compute point: let the backend top
                 // up its asynchronous prefetch window so the next pages'
                 // transfers overlap with this batch's downstream processing.
-                self.engine.backend().drive_prefetch();
+                self.engine.backend().drive_prefetch(self.engine.now());
                 if rows.is_empty() {
                     continue;
                 }
@@ -349,9 +341,9 @@ impl BatchSource for ScanOperator {
             }
             if !self.backend_done {
                 let scan_id = self.scan_id.expect("backend_done is set when unregistered");
-                match self.engine.backend().next_chunk(scan_id)? {
-                    ScanStep::Deliver(chunk_sids) => self.queue_chunk(chunk_sids),
-                    ScanStep::Finished => self.backend_done = true,
+                match self.engine.wait_for_chunk(scan_id)? {
+                    Some(chunk_sids) => self.queue_chunk(chunk_sids),
+                    None => self.backend_done = true,
                 }
                 continue;
             }

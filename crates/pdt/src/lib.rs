@@ -17,9 +17,10 @@
 //!   isolation, with composition (propagation) of layers and the
 //!   transaction primitives the engine's snapshot-isolated update path is
 //!   built on ([`PdtStack::absorb_top`], [`PdtStack::split_upper`]);
-//! * [`translate`]: RID ↔ SID range translation shared by the execution
-//!   engine and the discrete-event simulator, so both executors read the
-//!   same pages for the same visible range;
+//! * [`translate`]: RID ↔ SID range translation and the scan plan built on
+//!   it ([`plan_scan`]: clamp, translate, prune under the empty-PDT gate),
+//!   shared by the execution engine and the discrete-event simulator, so
+//!   both executors read the same pages for the same visible range;
 //! * [`checkpoint`]: materializing stable storage + PDT into a brand-new
 //!   table image, as performed by a PDT checkpoint (Figure 7);
 //! * [`wal`]: the write-ahead-log codec for committed write sets — a
@@ -40,5 +41,5 @@ pub use crate::pdt::{Pdt, UpdateStats};
 pub use checkpoint::{checkpoint_stack, checkpoint_table};
 pub use merge::{MergeCursor, SliceSource, StableSource};
 pub use stack::PdtStack;
-pub use translate::{rid_range_to_sid_ranges, sid_range_to_rid_range};
+pub use translate::{plan_scan, sid_range_to_rid_range};
 pub use wal::{decode_commit, encode_commit, CommitTableRecord};

@@ -1,22 +1,69 @@
-//! RID ↔ SID range translation shared by every executor.
+//! RID ↔ SID range translation and scan planning shared by every executor.
 //!
 //! A scan is planned in visible-row (RID) space but reads stable storage in
 //! SID space; the two are related through a table's PDT (Figure 4 of the
 //! paper). Both the execution engine's `ScanOperator` and the discrete-event
-//! simulator translate with **these** functions, so the page sets the two
-//! executors touch for the same visible range are identical — the property
-//! the engine==simulator I/O-parity tests and the `fig_updates` bench gate
-//! rely on once tables carry differential updates.
+//! simulator plan their scans with [`plan_scan`] — the one place that
+//! decides which stable ranges a visible range reads and when zone maps may
+//! prune them — so the page sets the two executors touch for the same
+//! visible range are identical: the property the engine==simulator
+//! I/O-parity tests and the `fig_updates` bench gate rely on.
 
 use scanshare_common::{RangeList, Rid, Sid, TupleRange};
+use scanshare_storage::snapshot::Snapshot;
+use scanshare_storage::storage::Storage;
+use scanshare_storage::zone::ZonePredicate;
 
 use crate::pdt::Pdt;
+
+/// Plans a scan of the visible rows `rid_range` of a pinned `(snapshot,
+/// pdt)` pair. Returns, in order:
+///
+/// * the **requested** RID ranges — `rid_range` clamped to the visible row
+///   count, minus whatever zone maps pruned;
+/// * the **stable** (SID) ranges to register with the buffer manager —
+///   empty when the range touches no stable data (an empty range, pure PDT
+///   inserts, or everything pruned), in which case no scan is registered;
+/// * the number of stable tuples zone-map pruning **skipped**.
+///
+/// `zone_pred` enables data skipping: chunks whose zone metadata proves no
+/// row can satisfy the predicate leave the scan's interest. Pruning is only
+/// sound while the PDT is **empty** — RID and SID then coincide and no
+/// pending modify can turn a base-failing row into a match — so a non-empty
+/// PDT prunes nothing. The caller must still apply the predicate row-level
+/// (zone metadata is conservative: kept chunks may hold non-matching rows).
+pub fn plan_scan(
+    storage: &Storage,
+    snapshot: &Snapshot,
+    pdt: &Pdt,
+    rid_range: TupleRange,
+    zone_pred: Option<&ZonePredicate>,
+) -> (RangeList, RangeList, u64) {
+    let stable = snapshot.stable_tuples();
+    let rid_range = rid_range.intersect(&TupleRange::new(0, pdt.visible_count(stable)));
+    let sid_ranges = rid_range_to_sid_ranges(pdt, &rid_range, stable);
+    let requested = if rid_range.is_empty() {
+        RangeList::new()
+    } else {
+        RangeList::from_ranges([rid_range])
+    };
+    match zone_pred {
+        Some(pred) if pdt.is_empty() && !sid_ranges.is_empty() => {
+            let (kept, skipped) = storage.prune_sid_ranges(snapshot, pred, &sid_ranges);
+            // With an empty PDT the requested RID ranges are the SID ranges:
+            // dropping the pruned chunks there too keeps a scan's drain
+            // phase from reading them through the page path.
+            (kept.clone(), kept, skipped)
+        }
+        _ => (requested, sid_ranges, 0),
+    }
+}
 
 /// Converts a visible-row (RID) range into the stable (SID) ranges that must
 /// be read from storage, using the PDT's positional translation. The result
 /// is empty when the range covers no stable data (an empty range, or rows
 /// that exist only as PDT inserts).
-pub fn rid_range_to_sid_ranges(pdt: &Pdt, rid_range: &TupleRange, stable_tuples: u64) -> RangeList {
+fn rid_range_to_sid_ranges(pdt: &Pdt, rid_range: &TupleRange, stable_tuples: u64) -> RangeList {
     if rid_range.is_empty() {
         return RangeList::new();
     }

@@ -345,7 +345,7 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn compare_op_code(op: CompareOp) -> u8 {
+fn cmp_op_code(op: CompareOp) -> u8 {
     match op {
         CompareOp::Lt => 0,
         CompareOp::Le => 1,
@@ -355,7 +355,7 @@ fn compare_op_code(op: CompareOp) -> u8 {
     }
 }
 
-fn compare_op_from(code: u8) -> Result<CompareOp> {
+fn cmp_op_from(code: u8) -> Result<CompareOp> {
     Ok(match code {
         0 => CompareOp::Lt,
         1 => CompareOp::Le,
@@ -378,7 +378,7 @@ fn encode_query(out: &mut Vec<u8>, q: &QueryRequest) {
         Some(p) => {
             out.push(1);
             out.push(p.column.min(255) as u8);
-            out.push(compare_op_code(p.op));
+            out.push(cmp_op_code(p.op));
             out.extend_from_slice(&p.value.to_le_bytes());
         }
         None => out.push(0),
@@ -433,7 +433,7 @@ fn decode_query(cursor: &mut Cursor<'_>) -> Result<QueryRequest> {
         0 => None,
         1 => {
             let column = cursor.u8()? as usize;
-            let op = compare_op_from(cursor.u8()?)?;
+            let op = cmp_op_from(cursor.u8()?)?;
             let value = cursor.i64()?;
             Some(Predicate::new(column, op, value))
         }

@@ -29,6 +29,7 @@ use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(unix)]
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -433,7 +434,31 @@ impl ServeQueryTask {
 }
 
 impl Task for ServeQueryTask {
+    /// One quantum of [`ServeQueryTask::advance`]. The task is detached —
+    /// nobody waits on its scheduler outcome — so a panic below it must not
+    /// end it silently: the session would never get a frame and its client
+    /// would wait forever. The panic becomes the query's answer instead, one
+    /// INTERNAL error frame delivered through the normal draining path (so
+    /// the session slot is released just before it, as for any final frame).
     fn step(&mut self) -> scanshare_common::Result<TaskStep> {
+        catch_unwind(AssertUnwindSafe(|| self.advance())).unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("non-string panic payload");
+            self.out.clear();
+            self.fail(
+                ErrorCode::Internal,
+                format!("query task panicked: {message}"),
+            );
+            Ok(TaskStep::Yield)
+        })
+    }
+}
+
+impl ServeQueryTask {
+    fn advance(&mut self) -> scanshare_common::Result<TaskStep> {
         match std::mem::replace(&mut self.state, QueryState::Draining) {
             QueryState::Pending(request) => {
                 self.build(*request);

@@ -1,14 +1,24 @@
 //! The discrete-event simulator.
 //!
-//! Streams execute their queries back to back. A query is a sequence of range
-//! scans; each scan either issues page requests in order against the shared
-//! [`ShardedPool`] — the pool type the execution engine runs, built the same
-//! way with one shard (LRU, PBM, OPT-trace runs) — or attaches to the
-//! [`Abm`] and consumes chunks out of order
-//! (Cooperative Scans). Misses are served by a bandwidth-limited
-//! [`IoDevice`]; CPU work is charged per tuple, scaled by the query's CPU
-//! factor and by the effective intra-query parallelism
-//! (`min(threads_per_query, cores / streams)`).
+//! The simulator is a second **client of the buffer-manager interface**
+//! ([`ScanBackend`]), beside the execution engine's scan operator: it builds
+//! its backend with the constructor the engine uses ([`build_backend`], one
+//! shard — the simulator is single-threaded), registers, requests, reports
+//! and unregisters through the trait, and never looks behind it. What it
+//! replaces is the *clock*: backends are clock-free, so where the engine
+//! advances a shared monotone clock to the instant a call returned, the
+//! simulator schedules the stream's next event there.
+//!
+//! Streams execute their queries back to back. A query is lowered into its
+//! scan steps by the shared [`QuerySpec::steps`], each step planned by the
+//! shared [`plan_scan`]; a step then either issues page requests in
+//! consumption order (`pool_phase`: the page-level policies —
+//! LRU, PBM, the PBM run recording OPT's trace) or consumes chunks in
+//! whatever order the backend delivers them, beside a loader
+//! (`cscan_phase`: Cooperative Scans). Misses and chunk loads
+//! are served by a bandwidth-limited [`IoDevice`]; CPU work is charged per
+//! tuple, scaled by the query's CPU factor and by the effective intra-query
+//! parallelism (`min(threads_per_query, cores / streams)`).
 //!
 //! # Mixed read/write workloads
 //!
@@ -19,15 +29,13 @@
 //! transaction layer uses, driven by the identical deterministic operation
 //! generator — checkpoints when due (merging the mirrored PDT stack into a
 //! brand-new stable image via the engine's own `checkpoint_stack`, then
-//! invalidating the superseded pages from the pool, exactly like the
-//! engine's epoch-tagged invalidation hook), and then simulates one query
-//! per stream concurrently. Scan ranges are translated from visible-row
-//! (RID) space to stable (SID) space through the mirrored PDTs with the
-//! *same* `scanshare_pdt::translate` functions the engine's scan operator
-//! uses, so both executors touch the identical page sets and their I/O
-//! volumes match byte for byte. The buffer pool (or ABM) and the I/O device
-//! persist across rounds — the whole point of the model is measuring how
-//! updates and checkpoints churn a *warm* buffer pool.
+//! handing the superseded pages to the backend's epoch-tagged
+//! `invalidate_stale` hook, exactly like the engine), and then simulates one
+//! query per stream concurrently. Scans are planned against the mirrored
+//! pair, so both executors touch the identical page sets and their I/O
+//! volumes match byte for byte. The backend and its I/O device persist
+//! across rounds — the whole point of the model is measuring how updates and
+//! checkpoints churn a *warm* buffer pool.
 //!
 //! Note that simulating a mixed workload **mutates the storage** (checkpoint
 //! snapshots are installed and promoted to master); give each mixed run its
@@ -35,23 +43,21 @@
 //! runs.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use scanshare_common::{
     Error, PageId, PolicyKind, RangeList, Result, Rid, ScanId, ScanShareConfig, TableId,
     TupleRange, VirtualDuration, VirtualInstant,
 };
-use scanshare_core::abm::{Abm, AbmConfig, CScanHandle, CScanRequest, LoadPlan};
+use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::simulate_opt;
-use scanshare_core::registry::{pooled_policy_name, PolicyRegistry};
-use scanshare_core::sharded::{top_up_prefetch_window, ShardedPool};
-use scanshare_iosim::{IoDevice, ReferenceTrace};
+use scanshare_iosim::IoDevice;
 use scanshare_pdt::checkpoint::checkpoint_stack;
 use scanshare_pdt::pdt::Pdt;
 use scanshare_pdt::stack::PdtStack;
-use scanshare_pdt::translate::rid_range_to_sid_ranges;
+use scanshare_pdt::translate::plan_scan;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::spec::{QuerySpec, UpdateOp, UpdateOpGen, UpdateStreamSpec, WorkloadSpec};
@@ -64,10 +70,10 @@ use crate::sharing::SharingProfile;
 pub struct SimConfig {
     /// Storage / buffer / policy configuration shared with the rest of the
     /// workspace. The simulator is single-threaded, so it always builds its
-    /// pool with one shard and `ScanShareConfig::pool_shards` — a
+    /// backend with one shard and `ScanShareConfig::pool_shards` — a
     /// lock-partitioning knob for the live engine — has no effect here; that
     /// is sound because sharding never changes replacement decisions or I/O
-    /// accounting (see `scanshare_core::sharded`), only contention.
+    /// accounting (see the page pool's module docs), only contention.
     pub scanshare: ScanShareConfig,
     /// Number of CPU cores of the simulated server (the paper's machine has
     /// two 4-core CPUs).
@@ -98,99 +104,58 @@ pub struct Simulation {
 // Internal run state
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum EventKind {
+    /// Stream `s` takes its next step.
     Stream(usize),
+    /// The earliest in-flight chunk load completes.
     LoadDone,
 }
 
-#[derive(Debug)]
-struct Event {
-    time: u64,
+/// The event queue of one phase: events pop in time order, ties in push
+/// order.
+#[derive(Debug, Default)]
+struct EventQueue {
+    heap: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
     seq: u64,
-    kind: EventKind,
-    plan: Option<LoadPlan>,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+impl EventQueue {
+    fn push(&mut self, time_ns: u64, kind: EventKind) {
+        self.heap.push(Reverse((time_ns, self.seq, kind)));
+        self.seq += 1;
     }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
+
+    fn pop(&mut self) -> Option<(u64, EventKind)> {
+        self.heap
+            .pop()
+            .map(|Reverse((time_ns, _, kind))| (time_ns, kind))
     }
 }
 
-/// One scan of a query, resolved against the snapshot and SID ranges its
-/// executor actually reads. For read-only workloads this is the spec
-/// verbatim against the master snapshot; in mixed workloads the ranges went
-/// through the mirrored PDT translation and the snapshot is the mirror's
-/// (possibly checkpoint-swapped) pinned image.
+/// One scan step of a query, planned against the `(Snapshot, Pdt)` pair its
+/// executor pins: the master snapshot untouched for read-only workloads, the
+/// mirror's (possibly checkpoint-swapped, updated) pair in mixed ones.
 #[derive(Debug, Clone)]
 struct ResolvedScan {
     table: TableId,
     columns: Vec<usize>,
     snapshot: Arc<Snapshot>,
-    /// Stable ranges to read; empty when the visible range maps to no
-    /// stable data (the engine then registers no backend scan either).
+    /// Stable ranges to read; empty when the visible range maps to no stable
+    /// data (no backend scan is registered then — pure PDT rows cost no
+    /// I/O).
     sid_ranges: RangeList,
+    /// The probe step of a join: it registers only once every earlier step
+    /// of its query (the build side) has drained, exactly like the engine's
+    /// `QueryTask` join phase.
+    barrier: bool,
 }
 
-/// One query with its scans resolved and its CPU cost precomputed.
+/// One query with its scan steps resolved and its CPU cost precomputed.
 #[derive(Debug, Clone)]
 struct ResolvedQuery {
     scans: Vec<ResolvedScan>,
     cpu_ns_per_tuple: f64,
-    /// Whether this is a broadcast-join query: `scans[0]` is the build side
-    /// and the remaining scans (the probe side) register with the pool only
-    /// once the build scan has fully drained, exactly like the engine's
-    /// `QueryTask` join phase.
-    join: bool,
-}
-
-/// Finishes query resolution (shared by the read-only and mixed paths):
-/// validates a join spec's shape and mirrors the engine's build-side
-/// projection order — the join key first, the remaining columns after — so
-/// the simulated build scan reads the identical page sequence the engine's
-/// `open_build_scan` does.
-fn finish_resolve(
-    query: &QuerySpec,
-    mut scans: Vec<ResolvedScan>,
-    cpu_ns_per_tuple: f64,
-) -> Result<ResolvedQuery> {
-    if let Some(join) = &query.join {
-        if scans.len() != 2 {
-            return Err(Error::plan(format!(
-                "join query {:?} needs exactly two scans (build, probe), got {}",
-                query.label,
-                scans.len()
-            )));
-        }
-        let build = &mut scans[0];
-        if join.right_col >= build.columns.len() {
-            return Err(Error::plan(format!(
-                "join query {:?} keys on build column {} of {}",
-                query.label,
-                join.right_col,
-                build.columns.len()
-            )));
-        }
-        let key = build.columns.remove(join.right_col);
-        build.columns.insert(0, key);
-    }
-    Ok(ResolvedQuery {
-        scans,
-        cpu_ns_per_tuple,
-        join: query.join.is_some(),
-    })
 }
 
 /// One scan of a query in the page-level (order-preserving) model.
@@ -207,9 +172,9 @@ struct PartRun {
 struct QueryRun {
     parts: Vec<PartRun>,
     part_idx: usize,
-    /// Probe-side scans of a join query, registered with the pool only once
-    /// every already-registered part has drained (the engine's probe scans
-    /// open together after the build phase finishes).
+    /// Steps behind a join barrier, registered only once every
+    /// already-registered part has drained (the engine's probe scans open
+    /// together after the build phase finishes).
     pending: Vec<ResolvedScan>,
     cpu_ns_per_tuple: f64,
     started: VirtualInstant,
@@ -244,12 +209,16 @@ fn finish_times<R>(streams: &[StreamState<R>]) -> Option<Vec<u64>> {
         .collect()
 }
 
-/// One query in the chunk-level (Cooperative Scans) model.
+/// One query in the chunk-level (Cooperative Scans) model: its steps run
+/// one at a time, `scans[part_idx]` being the registered one while `active`
+/// is set.
 #[derive(Debug)]
 struct CScanQueryRun {
     scans: Vec<ResolvedScan>,
     part_idx: usize,
-    active: Option<CScanHandle>,
+    active: Option<ScanId>,
+    /// The chunks delivered to the active step so far.
+    delivered: Vec<TupleRange>,
     cpu_ns_per_tuple: f64,
     started: VirtualInstant,
 }
@@ -300,9 +269,10 @@ impl SharingSampler {
     }
 }
 
-/// The engine-state mirror of a mixed workload: per table, the pinned
-/// snapshot and PDT stack the engine's transaction layer would publish at
-/// the same round barrier.
+/// The engine-state mirror of a workload: per table, the pinned snapshot
+/// and PDT stack the engine's transaction layer would publish at the same
+/// round barrier (the master snapshot under an empty stack until an update
+/// stream touches the table).
 #[derive(Debug, Default)]
 struct UpdateMirror {
     tables: HashMap<TableId, MirrorTable>,
@@ -312,32 +282,35 @@ struct UpdateMirror {
 struct MirrorTable {
     snapshot: Arc<Snapshot>,
     stack: PdtStack,
+    /// Checkpoints of this table so far; tags its stale-page invalidations.
+    epoch: u64,
 }
 
 /// Persistent state of a run: survives round barriers so checkpointed tables
-/// churn warm buffers, exactly as in the engine. `B` is what buffers the
-/// pages: [`PoolBuffers`] (LRU / PBM / OPT-trace runs) or the [`Abm`]
-/// (Cooperative Scans).
-struct RunState<B> {
-    buffers: B,
-    device: IoDevice,
+/// churn warm buffers, exactly as in the engine.
+struct RunState {
+    backend: Box<dyn ScanBackend>,
     sampler: SharingSampler,
     query_latencies: Vec<VirtualDuration>,
 }
 
 /// One phase of a run's event loop (`Simulation::pool_phase` or
-/// `Simulation::cscan_phase`): every stream starts its queued queries at the
-/// given time; returns when each stream finished.
-type PhaseFn<B> =
-    fn(&Simulation, &mut RunState<B>, Vec<VecDeque<ResolvedQuery>>, u64) -> Result<Vec<u64>>;
+/// `Simulation::cscan_phase`): every stream starts its queued queries at
+/// the given time; returns when each stream finished.
+type PhaseFn =
+    fn(&Simulation, &mut RunState, Vec<VecDeque<ResolvedQuery>>, u64) -> Result<Vec<u64>>;
 
-/// The buffers of a pooled run.
-struct PoolBuffers {
-    pool: ShardedPool,
-    /// The asynchronous prefetch window, mirroring
-    /// `PooledBackend::top_up_prefetch` in the execution engine: page ->
-    /// completion time of prefetch transfers that may still be in flight.
-    inflight: HashMap<PageId, VirtualInstant>,
+/// Puts chunk loads in flight while the backend's load window has room,
+/// scheduling a `LoadDone` event at each completion.
+fn kick_loader(
+    backend: &dyn ScanBackend,
+    events: &mut EventQueue,
+    now: VirtualInstant,
+) -> Result<()> {
+    while let Some(done) = backend.plan_load(now)? {
+        events.push(done.as_nanos(), EventKind::LoadDone);
+    }
+    Ok(())
 }
 
 impl Simulation {
@@ -377,22 +350,134 @@ impl Simulation {
         Ok(pages.len() as u64 * self.config.scanshare.page_size_bytes)
     }
 
-    /// Runs `workload` under the policy selected in the configuration. See
-    /// the [module docs](self) for how workloads with update streams are
-    /// executed (and note they mutate the storage).
+    /// Runs `workload` under the policy selected in the configuration: its
+    /// queries are resolved and run through the policy's phase loop over one
+    /// backend — in one phase when the workload is read-only, else round by
+    /// round behind the update barrier. See the [module docs](self) for how
+    /// workloads with update streams are executed (and note they mutate the
+    /// storage).
+    ///
+    /// `PolicyKind::Opt` runs under PBM while the backend records the page
+    /// reference trace, then replays the trace through Belady's algorithm:
+    /// the result carries the oracle's I/O volume and no timing, exactly
+    /// like the paper's OPT methodology.
     pub fn run(&self, workload: &WorkloadSpec) -> Result<SimResult> {
-        if workload.has_updates() && self.config.scanshare.policy == PolicyKind::Opt {
+        let policy = self.config.scanshare.policy;
+        if workload.has_updates() && policy == PolicyKind::Opt {
             return Err(Error::Unsupported(
                 "OPT trace replay is undefined across checkpoint invalidations; \
                  run mixed workloads under lru, pbm or cscan"
                     .into(),
             ));
         }
-        match self.config.scanshare.policy {
-            PolicyKind::CScan => self.run_cscan(workload),
-            PolicyKind::Opt => self.run_opt(workload),
-            policy => self.run_pool(workload, policy, None),
+        let scanshare = ScanShareConfig {
+            pool_shards: 1,
+            ..self.config.scanshare.clone()
+        };
+        let device = Arc::new(IoDevice::new(
+            scanshare.io_bandwidth,
+            VirtualDuration::from_nanos(scanshare.io_latency_nanos),
+        ));
+        // The default policy registry, as `Engine::new` resolves it.
+        let (backend, trace) = build_backend(&scanshare, &Default::default(), device)?;
+        let phase: PhaseFn = match policy {
+            PolicyKind::CScan => Self::cscan_phase,
+            _ => Self::pool_phase,
+        };
+        let mut state = RunState {
+            backend,
+            sampler: SharingSampler::new(self.config.sharing_sample_interval),
+            query_latencies: Vec::new(),
+        };
+        let stream_count = workload.stream_count();
+        let mut mirror = UpdateMirror::default();
+
+        let finish_ns = if !workload.has_updates() {
+            let queries: Vec<VecDeque<ResolvedQuery>> = workload
+                .streams
+                .iter()
+                .map(|s| {
+                    s.queries
+                        .iter()
+                        .map(|q| self.resolve(state.backend.as_ref(), &mut mirror, q, stream_count))
+                        .collect::<Result<VecDeque<_>>>()
+                })
+                .collect::<Result<_>>()?;
+            phase(self, &mut state, queries, 0)?
+        } else {
+            let mut generators: Vec<UpdateOpGen> = workload
+                .update_streams
+                .iter()
+                .map(UpdateStreamSpec::ops)
+                .collect();
+            let mut finish = vec![0u64; stream_count];
+            let mut barrier_ns = 0u64;
+            for round in 0..workload.rounds() {
+                // Barrier: apply the update batches (in spec order, exactly
+                // like the driver), invalidating checkpointed pages from
+                // the persistent backend.
+                for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
+                    let backend = state.backend.as_ref();
+                    self.mirror_update_batch(backend, &mut mirror, spec, generator, round)?;
+                }
+                // Concurrent phase: this round's query of every stream.
+                let queries: Vec<VecDeque<ResolvedQuery>> = workload
+                    .streams
+                    .iter()
+                    .map(|stream| {
+                        stream
+                            .queries
+                            .get(round)
+                            .map(|q| {
+                                self.resolve(state.backend.as_ref(), &mut mirror, q, stream_count)
+                            })
+                            .into_iter()
+                            .collect()
+                    })
+                    .collect::<Result<_>>()?;
+                let round_finish = phase(self, &mut state, queries, barrier_ns)?;
+                for (s, stream) in workload.streams.iter().enumerate() {
+                    if round < stream.queries.len() {
+                        finish[s] = round_finish[s];
+                    }
+                }
+                barrier_ns =
+                    barrier_ns.max(round_finish.iter().copied().max().unwrap_or(barrier_ns));
+            }
+            finish
+        };
+
+        let since_epoch = |ns: u64| VirtualInstant::from_nanos(ns).since(VirtualInstant::EPOCH);
+        let stats = state.backend.stats();
+        let mut result = SimResult {
+            workload: workload.name.clone(),
+            policy,
+            stream_times: finish_ns.iter().map(|&ns| since_epoch(ns)).collect(),
+            query_latencies: state.query_latencies,
+            total_io_bytes: stats.io_bytes,
+            buffer: stats,
+            makespan: since_epoch(finish_ns.iter().copied().max().unwrap_or(0)),
+            has_timing: true,
+            sharing: state.sampler.into_profile(),
+        };
+        if let Some(trace) = trace {
+            let capacity = scanshare.buffer_pool_pages().max(1);
+            let opt = simulate_opt(&trace.pages(), capacity);
+            let io_bytes = opt.io_bytes(scanshare.page_size_bytes);
+            result.query_latencies = Vec::new();
+            result.total_io_bytes = io_bytes;
+            result.buffer = BufferStats {
+                hits: opt.hits,
+                misses: opt.misses,
+                evictions: opt.evictions,
+                pages_loaded: opt.misses,
+                io_bytes,
+                ..BufferStats::default()
+            };
+            result.has_timing = false;
+            result.sharing = None;
         }
+        Ok(result)
     }
 
     fn effective_parallelism(&self, streams: usize) -> u64 {
@@ -405,50 +490,9 @@ impl Simulation {
         1e9 * query.cpu_factor / (self.config.scanshare.cpu_tuples_per_sec as f64 * parallelism)
     }
 
-    fn device(&self) -> IoDevice {
-        IoDevice::new(
-            self.config.scanshare.io_bandwidth,
-            VirtualDuration::from_nanos(self.config.scanshare.io_latency_nanos),
-        )
-    }
-
     // -----------------------------------------------------------------
     // Query resolution and the update mirror
     // -----------------------------------------------------------------
-
-    /// Resolves a query of a read-only workload: spec ranges verbatim (they
-    /// are already SID ranges when no updates exist) against the master
-    /// snapshot, minus the chunks whose zone maps refute the scan's
-    /// predicate — the identical `prune_sid_ranges` call (and the identical
-    /// skipped-tuple accounting into `pruned`) the engine's scan operator
-    /// performs.
-    fn resolve_read_only(
-        &self,
-        query: &QuerySpec,
-        streams: usize,
-        pruned: &mut u64,
-    ) -> Result<ResolvedQuery> {
-        let mut scans = Vec::with_capacity(query.scans.len());
-        for scan in &query.scans {
-            let snapshot = self.storage.master_snapshot(scan.table)?;
-            let mut sid_ranges = scan.ranges.clone();
-            if let Some(pred) = scan.predicate {
-                if self.config.scanshare.zone_maps {
-                    let (kept, skipped) =
-                        self.storage.prune_sid_ranges(&snapshot, &pred, &sid_ranges);
-                    *pruned += skipped;
-                    sid_ranges = kept;
-                }
-            }
-            scans.push(ResolvedScan {
-                table: scan.table,
-                columns: scan.columns.clone(),
-                snapshot,
-                sid_ranges,
-            });
-        }
-        finish_resolve(query, scans, self.cpu_ns_per_tuple(query, streams))
-    }
 
     /// The mirror entry of `table`, created on first touch from the current
     /// master snapshot — exactly like the engine's per-table state.
@@ -466,73 +510,65 @@ impl Simulation {
                 Ok(entry.insert(MirrorTable {
                     snapshot,
                     stack: PdtStack::new(columns, 1),
+                    epoch: 0,
                 }))
             }
         }
     }
 
-    /// Resolves a query of a mixed workload against the mirror: the spec's
-    /// visible-row ranges are clamped to the mirrored visible count and
-    /// translated to SID ranges through the mirrored PDT — the same
-    /// `rid_range_to_sid_ranges` call the engine's scan operator performs
-    /// on its pin.
-    fn resolve_mixed(
+    /// Resolves a query against the mirror, the way the engine resolves it
+    /// against its table pins: the shared lowering turns the spec into scan
+    /// steps, and the shared `plan_scan` turns each step's visible-row range
+    /// into the stable ranges to register (clamped, translated through the
+    /// mirrored PDT, zone-pruned under the empty-PDT gate), reporting the
+    /// skipped tuples to the backend.
+    fn resolve(
         &self,
+        backend: &dyn ScanBackend,
         mirror: &mut UpdateMirror,
         query: &QuerySpec,
         streams: usize,
-        pruned: &mut u64,
     ) -> Result<ResolvedQuery> {
-        let cpu_ns_per_tuple = self.cpu_ns_per_tuple(query, streams);
-        let mut scans = Vec::with_capacity(query.scans.len());
-        for scan in &query.scans {
-            let table = self.mirror_table(mirror, scan.table)?;
-            let stable = table.snapshot.stable_tuples();
-            let flat = table.stack.flatten(stable)?;
-            let visible = flat.visible_count(stable);
-            let mut sid_ranges = RangeList::new();
-            for &range in scan.ranges.ranges() {
-                let rid_range = range.intersect(&TupleRange::new(0, visible));
-                for &sids in rid_range_to_sid_ranges(&flat, &rid_range, stable).ranges() {
-                    sid_ranges.add(sids);
-                }
-            }
-            // Zone-map pruning mirrors the engine's scan operator exactly,
-            // including its safety gate: prune only while the mirrored PDT
-            // is empty (RID == SID), because a pending Modify could make a
-            // base-failing row match the predicate.
-            if let Some(pred) = scan.predicate {
-                if self.config.scanshare.zone_maps && flat.is_empty() {
-                    let (kept, skipped) =
-                        self.storage
-                            .prune_sid_ranges(&table.snapshot, &pred, &sid_ranges);
-                    *pruned += skipped;
-                    sid_ranges = kept;
-                }
-            }
+        let steps = query.steps(&mut |table| {
+            let table = self.mirror_table(mirror, table)?;
+            Ok(table.stack.visible_count(table.snapshot.stable_tuples()))
+        })?;
+        let zone_maps = self.config.scanshare.zone_maps;
+        let mut scans = Vec::with_capacity(steps.len());
+        for step in steps {
+            let table = self.mirror_table(mirror, step.table)?;
+            let flat = table.stack.flatten(table.snapshot.stable_tuples())?;
+            let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
+            let (_, sid_ranges, skipped) =
+                plan_scan(&self.storage, &table.snapshot, &flat, step.range, zone_pred);
+            backend.record_pruned(skipped);
             scans.push(ResolvedScan {
-                table: scan.table,
-                columns: scan.columns.clone(),
+                table: step.table,
+                columns: step.columns,
                 snapshot: Arc::clone(&table.snapshot),
                 sid_ranges,
+                barrier: step.join_key.is_some(),
             });
         }
-        finish_resolve(query, scans, cpu_ns_per_tuple)
+        Ok(ResolvedQuery {
+            scans,
+            cpu_ns_per_tuple: self.cpu_ns_per_tuple(query, streams),
+        })
     }
 
     /// Applies one update stream's round batch to the mirror — one
     /// transaction through the identical `PdtStack` algebra the engine's
     /// `Txn::commit` uses — and performs the periodic checkpoint when due:
     /// the same merged `checkpoint_stack` the engine runs (so the new image
-    /// carries values and zone maps), plus `invalidate(stale_pages)`,
-    /// matching the engine's epoch-tagged buffer invalidation.
+    /// carries values and zone maps), plus the engine's epoch-tagged
+    /// stale-page invalidation of the backend.
     fn mirror_update_batch(
         &self,
+        backend: &dyn ScanBackend,
         mirror: &mut UpdateMirror,
         spec: &UpdateStreamSpec,
         generator: &mut UpdateOpGen,
         round: usize,
-        invalidate: &mut dyn FnMut(&[PageId]),
     ) -> Result<()> {
         let columns = self.storage.table(spec.table)?.spec.columns.len();
         if spec.ops_per_round > 0 {
@@ -564,62 +600,69 @@ impl Simulation {
                 checkpoint_stack(&self.storage, spec.table, &table.snapshot, &table.stack)?;
             table.snapshot = new_snapshot;
             table.stack = PdtStack::new(columns, 1);
-            invalidate(&stale);
+            table.epoch += 1;
+            backend.invalidate_stale(spec.table, table.epoch, &stale);
         }
         Ok(())
+    }
+
+    /// What a resolved scan announces to the backend (`RegisterScan` /
+    /// `RegisterCScan`).
+    fn scan_request(&self, scan: &ResolvedScan) -> Result<ScanRequest> {
+        Ok(ScanRequest {
+            table: scan.table,
+            snapshot: Arc::clone(&scan.snapshot),
+            layout: self.storage.layout(scan.table)?,
+            columns: scan.columns.clone(),
+            ranges: scan.sid_ranges.clone(),
+            in_order: false,
+        })
+    }
+
+    /// The distinct pages `scan` still has to read once the `delivered`
+    /// chunks are consumed, ascending (the sharing-potential sampling input
+    /// of Figures 17/18).
+    fn outstanding_pages(&self, scan: &ResolvedScan, delivered: &[TupleRange]) -> Vec<PageId> {
+        let Ok(layout) = self.storage.layout(scan.table) else {
+            return Vec::new();
+        };
+        let delivered = RangeList::from_ranges(delivered.iter().copied());
+        let remaining = scan.sid_ranges.subtract(&delivered);
+        let plan = layout.scan_page_plan(&scan.snapshot, &scan.columns, &remaining);
+        let mut pages: Vec<PageId> = plan.pages.iter().map(|p| p.page).collect();
+        pages.sort_unstable();
+        pages.dedup();
+        pages
     }
 
     // -----------------------------------------------------------------
     // Order-preserving policies: LRU / PBM (and the PBM run behind OPT)
     // -----------------------------------------------------------------
 
-    fn make_pool(
-        &self,
-        policy: PolicyKind,
-        trace: Option<Arc<ReferenceTrace>>,
-    ) -> Result<ShardedPool> {
-        // The simulator shares pool and policy construction with the
-        // execution engine: the page-level policy comes from the registry
-        // (honouring `custom_policy`), so the policies the figures measure
-        // are the policies the engine runs. One shard: the simulator is
-        // single-threaded and decisions are shard-invariant.
-        let name = pooled_policy_name(&self.config.scanshare, policy);
-        let replacement = PolicyRegistry::default().build(name, &self.config.scanshare)?;
-        let mut pool = ShardedPool::new(
-            self.config.scanshare.buffer_pool_pages().max(1),
-            self.config.scanshare.page_size_bytes,
-            replacement,
-            1,
-        );
-        if let Some(trace) = trace {
-            pool = pool.with_trace(trace);
-        }
-        Ok(pool)
-    }
-
-    /// Registers one resolved scan with the pool and lays out its page
-    /// consumption order; `None` for scans whose visible range maps to no
-    /// stable data (the engine then registers no backend scan either —
-    /// pure PDT rows cost no I/O).
+    /// Registers one resolved scan with the backend and lays out its page
+    /// consumption order — the simulator's stand-in for the engine's merge
+    /// cursor crossing page boundaries; `None` for scans with no stable data
+    /// to read.
     fn build_part_run(
         &self,
-        pool: &ShardedPool,
+        backend: &dyn ScanBackend,
         scan: &ResolvedScan,
         now: VirtualInstant,
     ) -> Result<Option<PartRun>> {
         if scan.sid_ranges.is_empty() {
             return Ok(None);
         }
-        let layout = self.storage.layout(scan.table)?;
-        let plan = layout.scan_page_plan(&scan.snapshot, &scan.columns, &scan.sid_ranges);
-        let scan_id = pool.register_scan(&plan, now);
+        let request = self.scan_request(scan)?;
+        let plan = request
+            .layout
+            .scan_page_plan(&scan.snapshot, &scan.columns, &scan.sid_ranges);
         let pages: Vec<(PageId, u64)> = plan
             .interleaved()
             .iter()
             .map(|p| (p.page, p.tuple_count))
             .collect();
         Ok(Some(PartRun {
-            scan_id,
+            scan_id: backend.register_scan(request, now)?,
             pages,
             next: 0,
             consumed: 0,
@@ -628,23 +671,22 @@ impl Simulation {
 
     fn build_query_run(
         &self,
-        pool: &ShardedPool,
+        backend: &dyn ScanBackend,
         query: &ResolvedQuery,
         now: VirtualInstant,
     ) -> Result<QueryRun> {
-        // A join query registers only its build scan up front; the probe
-        // scans stay pending until the build side has drained, matching the
+        // Every step registers up front, except those behind a join barrier:
+        // they stay pending until the build side has drained, matching the
         // engine's build-then-probe registration order.
-        let (eager, pending) = if query.join {
-            query.scans.split_at(1.min(query.scans.len()))
-        } else {
-            query.scans.split_at(query.scans.len())
-        };
+        let eager = query
+            .scans
+            .iter()
+            .position(|scan| scan.barrier)
+            .unwrap_or(query.scans.len());
+        let (eager, pending) = query.scans.split_at(eager);
         let mut parts = Vec::with_capacity(eager.len());
         for scan in eager {
-            if let Some(part) = self.build_part_run(pool, scan, now)? {
-                parts.push(part);
-            }
+            parts.extend(self.build_part_run(backend, scan, now)?);
         }
         Ok(QueryRun {
             parts,
@@ -656,43 +698,34 @@ impl Simulation {
     }
 
     /// Runs one phase (a whole read-only workload, or one round of a mixed
-    /// one) of the page-level event loop over the persistent `state`.
-    /// `phase_queries` holds each stream's queries for this phase; all
-    /// streams start at `start_ns`. Returns each stream's finish time.
+    /// one) of the page-level event loop over the persistent `state`: a
+    /// stream consumes one page per event, its next event scheduled at the
+    /// instant the backend says the page is usable plus the CPU time of the
+    /// page's tuples. `phase_queries` holds each stream's queries for this
+    /// phase; all streams start at `start_ns`. Returns each stream's finish
+    /// time.
     fn pool_phase(
         &self,
-        state: &mut RunState<PoolBuffers>,
+        state: &mut RunState,
         phase_queries: Vec<VecDeque<ResolvedQuery>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
-        let prefetch_window = self.config.scanshare.prefetch_pages;
-
+        let backend = state.backend.as_ref();
         let mut streams: Vec<StreamState<QueryRun>> = start_streams(phase_queries);
-
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut push = |heap: &mut BinaryHeap<Reverse<Event>>, time: u64, kind: EventKind| {
-            heap.push(Reverse(Event {
-                time,
-                seq,
-                kind,
-                plan: None,
-            }));
-            seq += 1;
-        };
+        let mut events = EventQueue::default();
         for s in 0..streams.len() {
-            push(&mut heap, start_ns, EventKind::Stream(s));
+            events.push(start_ns, EventKind::Stream(s));
         }
 
-        while let Some(Reverse(event)) = heap.pop() {
-            let now = VirtualInstant::from_nanos(event.time);
-            let EventKind::Stream(s) = event.kind else {
+        while let Some((now_ns, kind)) = events.pop() {
+            let now = VirtualInstant::from_nanos(now_ns);
+            let EventKind::Stream(s) = kind else {
                 unreachable!("no loader in pool mode")
             };
 
             // Periodic sharing-potential sampling.
-            state.sampler.sample_if_due(event.time, page_size, || {
+            state.sampler.sample_if_due(now_ns, page_size, || {
                 streams
                     .iter()
                     .filter_map(|st| st.current.as_ref())
@@ -716,8 +749,7 @@ impl Simulation {
                     }
                     continue;
                 };
-                let run = self.build_query_run(&state.buffers.pool, &query, now)?;
-                streams[s].current = Some(run);
+                streams[s].current = Some(self.build_query_run(backend, &query, now)?);
             }
 
             // Process one page of the current query.
@@ -726,395 +758,159 @@ impl Simulation {
                 if !run.pending.is_empty() {
                     // Build side of a join drained: register the probe
                     // scans, exactly when the engine's task opens them.
-                    let pending = std::mem::take(&mut run.pending);
-                    for scan in &pending {
-                        if let Some(part) = self.build_part_run(&state.buffers.pool, scan, now)? {
-                            run.parts.push(part);
-                        }
+                    for scan in std::mem::take(&mut run.pending) {
+                        run.parts.extend(self.build_part_run(backend, &scan, now)?);
                     }
-                    push(&mut heap, event.time, EventKind::Stream(s));
-                    continue;
+                } else {
+                    // Query finished.
+                    state.query_latencies.push(now.since(run.started));
+                    streams[s].current = None;
                 }
-                // Query finished.
-                state.query_latencies.push(now.since(run.started));
-                streams[s].current = None;
-                push(&mut heap, event.time, EventKind::Stream(s));
+                events.push(now_ns, EventKind::Stream(s));
                 continue;
             }
-            let cpu_ns_per_tuple = run.cpu_ns_per_tuple;
             let part = &mut run.parts[run.part_idx];
             if part.next >= part.pages.len() {
-                state.buffers.pool.unregister_scan(part.scan_id, now);
+                backend.finish_scan(part.scan_id, now);
                 run.part_idx += 1;
-                push(&mut heap, event.time, EventKind::Stream(s));
+                events.push(now_ns, EventKind::Stream(s));
                 continue;
             }
             let (page, tuples) = part.pages[part.next];
             part.next += 1;
             part.consumed += tuples;
-            let outcome = state
-                .buffers
-                .pool
-                .request_page(page, Some(part.scan_id), now)?;
-            state
-                .buffers
-                .pool
-                .report_scan_position(part.scan_id, part.consumed, now);
-            let cpu_ns = (tuples as f64 * cpu_ns_per_tuple).round() as u64;
-            let mut consumed_inflight = false;
-            let io_done = if outcome.is_hit() {
-                // A hit on a page whose prefetch is still in flight waits
-                // for the remaining transfer time only.
-                match state.buffers.inflight.remove(&page) {
-                    Some(done) => {
-                        consumed_inflight = true;
-                        done.as_nanos().max(event.time)
-                    }
-                    None => event.time,
-                }
-            } else {
-                state.device.submit(now, page_size).as_nanos()
-            };
-            // Top up the prefetch window (after the demand read, which must
-            // not queue behind new speculative transfers), but — like the
-            // engine's PooledBackend — only when this access changed the
-            // prefetch picture, so warm-pool hits stay cheap.
-            if !outcome.is_hit() || consumed_inflight {
-                top_up_prefetch_window(
-                    &state.buffers.pool,
-                    &state.device,
-                    &mut state.buffers.inflight,
-                    prefetch_window,
-                    now,
-                );
-            }
-            push(&mut heap, io_done + cpu_ns, EventKind::Stream(s));
+            let ready = backend.request_page(part.scan_id, page, now)?;
+            backend.report_position(part.scan_id, part.consumed, now);
+            let cpu_ns = (tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
+            events.push(ready.as_nanos() + cpu_ns, EventKind::Stream(s));
         }
 
         Ok(finish_times(&streams).expect("every pooled stream drains its queue"))
-    }
-
-    fn run_pool(
-        &self,
-        workload: &WorkloadSpec,
-        policy: PolicyKind,
-        trace: Option<Arc<ReferenceTrace>>,
-    ) -> Result<SimResult> {
-        let buffers = PoolBuffers {
-            pool: self.make_pool(policy, trace)?,
-            inflight: HashMap::new(),
-        };
-        self.run_rounds(
-            workload,
-            policy,
-            buffers,
-            Self::pool_phase,
-            // The same hook semantics the engine's backend uses.
-            |buffers, stale| {
-                for page in stale {
-                    buffers.inflight.remove(page);
-                }
-                buffers.pool.invalidate_pages(stale);
-            },
-            |buffers| buffers.pool.stats(),
-        )
-    }
-
-    /// The orchestration every policy shares: resolves the workload's
-    /// queries, runs them through `phase` over `buffers` — in one phase when
-    /// the workload is read-only, else round by round behind the update
-    /// barrier, with `invalidate` dropping checkpointed pages — and
-    /// assembles the result from the finish times and `stats`.
-    fn run_rounds<B>(
-        &self,
-        workload: &WorkloadSpec,
-        policy: PolicyKind,
-        buffers: B,
-        phase: PhaseFn<B>,
-        invalidate: fn(&mut B, &[PageId]),
-        stats: fn(&B) -> BufferStats,
-    ) -> Result<SimResult> {
-        let stream_count = workload.stream_count();
-        let mut state = RunState {
-            buffers,
-            device: self.device(),
-            sampler: SharingSampler::new(self.config.sharing_sample_interval),
-            query_latencies: Vec::new(),
-        };
-        let mut pruned = 0u64;
-
-        let finish_ns = if !workload.has_updates() {
-            let queries: Vec<VecDeque<ResolvedQuery>> = workload
-                .streams
-                .iter()
-                .map(|s| {
-                    s.queries
-                        .iter()
-                        .map(|q| self.resolve_read_only(q, stream_count, &mut pruned))
-                        .collect::<Result<VecDeque<_>>>()
-                })
-                .collect::<Result<_>>()?;
-            phase(self, &mut state, queries, 0)?
-        } else {
-            let mut generators: Vec<UpdateOpGen> = workload
-                .update_streams
-                .iter()
-                .map(UpdateStreamSpec::ops)
-                .collect();
-            let mut mirror = UpdateMirror::default();
-            let mut finish = vec![0u64; stream_count];
-            let mut barrier_ns = 0u64;
-            for round in 0..workload.rounds() {
-                // Barrier: apply the update batches (in spec order, exactly
-                // like the driver), invalidating checkpointed pages from
-                // the persistent buffers.
-                for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
-                    self.mirror_update_batch(&mut mirror, spec, generator, round, &mut |stale| {
-                        invalidate(&mut state.buffers, stale)
-                    })?;
-                }
-                // Concurrent phase: this round's query of every stream.
-                let queries: Vec<VecDeque<ResolvedQuery>> = workload
-                    .streams
-                    .iter()
-                    .map(|stream| {
-                        let mut queries = VecDeque::new();
-                        if round < stream.queries.len() {
-                            queries.push_back(self.resolve_mixed(
-                                &mut mirror,
-                                &stream.queries[round],
-                                stream_count,
-                                &mut pruned,
-                            )?);
-                        }
-                        Ok(queries)
-                    })
-                    .collect::<Result<_>>()?;
-                let round_finish = phase(self, &mut state, queries, barrier_ns)?;
-                for (s, stream) in workload.streams.iter().enumerate() {
-                    if round < stream.queries.len() {
-                        finish[s] = round_finish[s];
-                    }
-                }
-                barrier_ns =
-                    barrier_ns.max(round_finish.iter().copied().max().unwrap_or(barrier_ns));
-            }
-            finish
-        };
-
-        let makespan_ns = finish_ns.iter().copied().max().unwrap_or(0);
-        let stream_times: Vec<VirtualDuration> = finish_ns
-            .iter()
-            .map(|&ns| VirtualInstant::from_nanos(ns).since(VirtualInstant::EPOCH))
-            .collect();
-        let mut stats = stats(&state.buffers);
-        stats.pruned_tuples = pruned;
-        Ok(SimResult {
-            workload: workload.name.clone(),
-            policy,
-            stream_times,
-            query_latencies: state.query_latencies,
-            total_io_bytes: stats.io_bytes,
-            buffer: stats,
-            makespan: VirtualInstant::from_nanos(makespan_ns).since(VirtualInstant::EPOCH),
-            has_timing: true,
-            sharing: state.sampler.into_profile(),
-        })
-    }
-
-    // -----------------------------------------------------------------
-    // OPT: replay the PBM trace through Belady's algorithm
-    // -----------------------------------------------------------------
-
-    fn run_opt(&self, workload: &WorkloadSpec) -> Result<SimResult> {
-        let trace = Arc::new(ReferenceTrace::new());
-        let pbm_result = self.run_pool(workload, PolicyKind::Pbm, Some(Arc::clone(&trace)))?;
-        let capacity = self.config.scanshare.buffer_pool_pages().max(1);
-        let opt = simulate_opt(&trace.pages(), capacity);
-        let page_size = self.config.scanshare.page_size_bytes;
-        Ok(SimResult {
-            workload: workload.name.clone(),
-            policy: PolicyKind::Opt,
-            stream_times: pbm_result.stream_times,
-            query_latencies: Vec::new(),
-            total_io_bytes: opt.io_bytes(page_size),
-            buffer: BufferStats {
-                hits: opt.hits,
-                misses: opt.misses,
-                evictions: opt.evictions,
-                pages_loaded: opt.misses,
-                io_bytes: opt.io_bytes(page_size),
-                ..BufferStats::default()
-            },
-            makespan: pbm_result.makespan,
-            has_timing: false,
-            sharing: None,
-        })
     }
 
     // -----------------------------------------------------------------
     // Cooperative Scans
     // -----------------------------------------------------------------
 
-    fn register_cscan_part(&self, abm: &Abm, scan: &ResolvedScan) -> Result<CScanHandle> {
-        let layout = self.storage.layout(scan.table)?;
-        abm.register_cscan(CScanRequest {
-            table: scan.table,
-            snapshot: Arc::clone(&scan.snapshot),
-            layout,
-            columns: scan.columns.clone(),
-            ranges: scan.sid_ranges.clone(),
-            in_order: false,
-        })
-    }
-
-    /// Advances a CScan query to its next part with stable data to read,
-    /// registering it; `None` when the query has no further parts.
+    /// Advances a CScan query to its next step with stable data to read,
+    /// registering it; `None` when the query has no further steps.
     fn activate_next_cscan_part(
         &self,
-        abm: &Abm,
+        backend: &dyn ScanBackend,
         run: &mut CScanQueryRun,
-    ) -> Result<Option<CScanHandle>> {
-        while run.part_idx < run.scans.len() {
-            let scan = &run.scans[run.part_idx];
-            if scan.sid_ranges.is_empty() {
-                // The engine registers no backend scan for PDT-only ranges.
-                run.part_idx += 1;
-                continue;
+        now: VirtualInstant,
+    ) -> Result<Option<ScanId>> {
+        while let Some(scan) = run.scans.get(run.part_idx) {
+            if !scan.sid_ranges.is_empty() {
+                return Ok(Some(backend.register_scan(self.scan_request(scan)?, now)?));
             }
-            return Ok(Some(self.register_cscan_part(abm, scan)?));
+            // The engine registers no backend scan for PDT-only ranges.
+            run.part_idx += 1;
         }
         Ok(None)
     }
 
-    /// One phase of the Cooperative Scans event loop over the persistent
-    /// `state`; the ABM's chunk cache survives phases.
+    /// One phase of the chunk-level event loop over the persistent `state`
+    /// (the backend's chunk cache survives phases): a stream consumes one
+    /// delivered chunk per event and blocks while starved; the loader — the
+    /// backend's `plan_load` / `retire_load` pair, as `LoadDone` events —
+    /// runs beside the streams and wakes the blocked ones whenever a load
+    /// lands.
     fn cscan_phase(
         &self,
-        state: &mut RunState<Abm>,
+        state: &mut RunState,
         phase_queries: Vec<VecDeque<ResolvedQuery>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
-
-        let abm = &state.buffers;
+        let backend = state.backend.as_ref();
         let mut streams: Vec<StreamState<CScanQueryRun>> = start_streams(phase_queries);
-
-        let mut heap: BinaryHeap<Reverse<Event>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        let mut push_event = |heap: &mut BinaryHeap<Reverse<Event>>,
-                              time: u64,
-                              kind: EventKind,
-                              plan: Option<LoadPlan>| {
-            heap.push(Reverse(Event {
-                time,
-                seq,
-                kind,
-                plan,
-            }));
-            seq += 1;
-        };
+        let mut events = EventQueue::default();
         for s in 0..streams.len() {
-            push_event(&mut heap, start_ns, EventKind::Stream(s), None);
+            events.push(start_ns, EventKind::Stream(s));
         }
+        // Ordered: blocked streams wake in index order, so scheduling (and
+        // therefore I/O volumes) cannot vary between processes.
+        let mut blocked: BTreeSet<usize> = BTreeSet::new();
 
-        let mut blocked: HashSet<usize> = HashSet::new();
-        let mut loader_busy = false;
-
-        macro_rules! kick_loader {
-            ($heap:expr, $now:expr) => {
-                if !loader_busy {
-                    if let Some(plan) = abm.next_load(VirtualInstant::from_nanos($now)) {
-                        let done = state
-                            .device
-                            .submit(VirtualInstant::from_nanos($now), plan.bytes)
-                            .as_nanos();
-                        loader_busy = true;
-                        push_event($heap, done, EventKind::LoadDone, Some(plan));
-                    }
-                }
-            };
-        }
-
-        while let Some(Reverse(event)) = heap.pop() {
-            let now_ns = event.time;
+        while let Some((now_ns, kind)) = events.pop() {
             let now = VirtualInstant::from_nanos(now_ns);
 
             // Periodic sharing-potential sampling: the outstanding data of
-            // a CScan is the page set of its still-needed chunks, which the
-            // ABM tracks directly.
-            state.sampler.sample_if_due(event.time, page_size, || {
+            // a CScan is what its not-yet-delivered chunks cover.
+            state.sampler.sample_if_due(now_ns, page_size, || {
                 streams
                     .iter()
                     .filter_map(|st| st.current.as_ref())
-                    .filter_map(|q| q.active)
-                    .map(|handle| abm.outstanding_pages(handle.id))
+                    .filter(|q| q.active.is_some())
+                    .map(|q| self.outstanding_pages(&q.scans[q.part_idx], &q.delivered))
                     .collect()
             });
 
-            match event.kind {
+            let s = match kind {
                 EventKind::LoadDone => {
-                    let plan = event.plan.expect("load event carries its plan");
-                    abm.complete_load(&plan, now)?;
-                    loader_busy = false;
-                    // Wake blocked streams in index order: HashSet iteration
-                    // order varies between processes and would make ABM
-                    // scheduling (and therefore I/O volumes) nondeterministic.
-                    let mut woken: Vec<usize> = blocked.drain().collect();
-                    woken.sort_unstable();
-                    for s in woken {
-                        push_event(&mut heap, now_ns, EventKind::Stream(s), None);
+                    backend.retire_load()?;
+                    for s in std::mem::take(&mut blocked) {
+                        events.push(now_ns, EventKind::Stream(s));
                     }
-                    kick_loader!(&mut heap, now_ns);
+                    kick_loader(backend, &mut events, now)?;
+                    continue;
                 }
-                EventKind::Stream(s) => {
-                    if streams[s].current.is_none() {
-                        let Some(query) = streams[s].queries.pop_front() else {
-                            if streams[s].finished.is_none() {
-                                streams[s].finished = Some(now);
-                            }
-                            continue;
-                        };
-                        let mut run = CScanQueryRun {
-                            scans: query.scans,
-                            part_idx: 0,
-                            active: None,
-                            cpu_ns_per_tuple: query.cpu_ns_per_tuple,
-                            started: now,
-                        };
-                        run.active = self.activate_next_cscan_part(abm, &mut run)?;
-                        streams[s].current = Some(run);
-                        kick_loader!(&mut heap, now_ns);
-                    }
+                EventKind::Stream(s) => s,
+            };
 
-                    let run = streams[s].current.as_mut().expect("set above");
-                    let Some(handle) = run.active else {
-                        // All parts done: the query is finished.
-                        state.query_latencies.push(now.since(run.started));
-                        streams[s].current = None;
-                        push_event(&mut heap, now_ns, EventKind::Stream(s), None);
-                        continue;
-                    };
-
-                    match abm.get_chunk(handle.id)? {
-                        Some(delivery) => {
-                            let cpu_ns =
-                                (delivery.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
-                            push_event(&mut heap, now_ns + cpu_ns, EventKind::Stream(s), None);
-                        }
-                        None => {
-                            if abm.is_finished(handle.id) {
-                                abm.unregister_cscan(handle.id)?;
-                                run.part_idx += 1;
-                                run.active = self.activate_next_cscan_part(abm, run)?;
-                                push_event(&mut heap, now_ns, EventKind::Stream(s), None);
-                                kick_loader!(&mut heap, now_ns);
-                            } else {
-                                blocked.insert(s);
-                                kick_loader!(&mut heap, now_ns);
-                            }
-                        }
+            if streams[s].current.is_none() {
+                let Some(query) = streams[s].queries.pop_front() else {
+                    if streams[s].finished.is_none() {
+                        streams[s].finished = Some(now);
                     }
+                    continue;
+                };
+                let mut run = CScanQueryRun {
+                    scans: query.scans,
+                    part_idx: 0,
+                    active: None,
+                    delivered: Vec::new(),
+                    cpu_ns_per_tuple: query.cpu_ns_per_tuple,
+                    started: now,
+                };
+                run.active = self.activate_next_cscan_part(backend, &mut run, now)?;
+                streams[s].current = Some(run);
+                kick_loader(backend, &mut events, now)?;
+            }
+
+            let run = streams[s].current.as_mut().expect("set above");
+            let Some(scan_id) = run.active else {
+                // All steps done: the query is finished.
+                state.query_latencies.push(now.since(run.started));
+                streams[s].current = None;
+                events.push(now_ns, EventKind::Stream(s));
+                continue;
+            };
+            match backend.next_chunk(scan_id)? {
+                ScanStep::Deliver(chunk) => {
+                    let scan = &run.scans[run.part_idx];
+                    let tuples: u64 = scan
+                        .sid_ranges
+                        .ranges()
+                        .iter()
+                        .map(|range| range.intersect(&chunk).len())
+                        .sum();
+                    run.delivered.push(chunk);
+                    let cpu_ns = (tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
+                    events.push(now_ns + cpu_ns, EventKind::Stream(s));
+                }
+                ScanStep::Finished => {
+                    backend.finish_scan(scan_id, now);
+                    run.part_idx += 1;
+                    run.delivered.clear();
+                    run.active = self.activate_next_cscan_part(backend, run, now)?;
+                    events.push(now_ns, EventKind::Stream(s));
+                    kick_loader(backend, &mut events, now)?;
+                }
+                ScanStep::Starved => {
+                    blocked.insert(s);
+                    kick_loader(backend, &mut events, now)?;
                 }
             }
         }
@@ -1124,25 +920,6 @@ impl Simulation {
                 "Cooperative Scans simulation deadlocked: buffer pool too small for one chunk",
             )
         })
-    }
-
-    fn run_cscan(&self, workload: &WorkloadSpec) -> Result<SimResult> {
-        let abm = Abm::new(AbmConfig::new(
-            self.config.scanshare.buffer_pool_bytes,
-            self.config.scanshare.page_size_bytes,
-        ));
-        self.run_rounds(
-            workload,
-            PolicyKind::CScan,
-            abm,
-            Self::cscan_phase,
-            // The ABM's chunk cache is snapshot-versioned: stale versions
-            // die with their last scan (the engine-side CScanBackend
-            // invalidation hook is likewise a no-op), so checkpoint
-            // invalidation drops nothing here.
-            |_, _| {},
-            Abm::stats,
-        )
     }
 }
 

@@ -8,9 +8,10 @@
 //! measures used throughout the paper: **average stream time** and **total
 //! I/O volume**, plus the sharing-potential analysis of Figures 17/18.
 //!
-//! The policies being simulated are the *same implementations* the execution
-//! engine uses (`scanshare-core`); the simulator only supplies the workload
-//! and the timing model.
+//! The buffer managers being simulated are the *same objects* the execution
+//! engine uses: the simulator is a client of `scanshare-core`'s clock-free
+//! `ScanBackend` interface, built by the same constructor, and only supplies
+//! the workload and the timing model.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

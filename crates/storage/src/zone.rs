@@ -71,8 +71,9 @@ impl ZoneEntry {
     }
 }
 
-/// Comparison operators a zone map can prune against; mirrors the executor's
-/// predicate operators.
+/// Comparison operators of single-column predicates: what a zone map can
+/// prune against, and (re-exported as `scanshare_exec::ops::CompareOp`) what
+/// the executor filters rows by.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ZoneOp {
     /// `value < constant`

@@ -31,7 +31,7 @@
 //! [`UpdateOpGen`], seeded per stream, so both executors generate the
 //! byte-identical operation sequence.
 
-use scanshare_common::{RangeList, TableId};
+use scanshare_common::{Error, RangeList, Result, TableId, TupleRange};
 use scanshare_storage::datagen::splitmix64;
 use scanshare_storage::zone::ZonePredicate;
 
@@ -98,6 +98,100 @@ impl QuerySpec {
     pub fn total_tuples(&self) -> u64 {
         self.scans.iter().map(ScanSpec::total_tuples).sum()
     }
+
+    /// Lowers the query into the ordered [`QueryStep`]s both executors run:
+    /// one step per `(scan, range)`, in spec order.
+    ///
+    /// A [`JoinSpec`] is validated here, once for both executors — exactly
+    /// two scans, the build scan unpredicated and covering the whole visible
+    /// table (`visible_rows` answers with the executor's current row count
+    /// of a table; it is only asked about a join's build table), a
+    /// single-range probe, both keys inside their projections — and lowers
+    /// to the build step, its projection reordered **key first** (the order
+    /// the join operator reads it in), followed by the probe step carrying
+    /// [`QueryStep::join_key`].
+    pub fn steps(
+        &self,
+        visible_rows: &mut dyn FnMut(TableId) -> Result<u64>,
+    ) -> Result<Vec<QueryStep>> {
+        let label = &self.label;
+        let mut steps: Vec<QueryStep> = self
+            .scans
+            .iter()
+            .flat_map(|scan| {
+                scan.ranges.ranges().iter().map(|&range| QueryStep {
+                    table: scan.table,
+                    columns: scan.columns.clone(),
+                    range,
+                    predicate: scan.predicate,
+                    join_key: None,
+                })
+            })
+            .collect();
+        let Some(join) = &self.join else {
+            return Ok(steps);
+        };
+        let [build, probe] = self.scans.as_slice() else {
+            return Err(Error::plan(format!(
+                "join query {label:?} needs exactly two scans (build, probe), got {}",
+                self.scans.len()
+            )));
+        };
+        if build.predicate.is_some() {
+            return Err(Error::plan(format!(
+                "join query {label:?} puts a predicate on its build scan; predicates are \
+                 probe-side only"
+            )));
+        }
+        let visible = visible_rows(build.table)?;
+        if build.ranges.ranges() != [TupleRange::new(0, visible)] {
+            return Err(Error::plan(format!(
+                "join query {label:?} must scan the full build table (0..{visible}), got {:?}",
+                build.ranges.ranges()
+            )));
+        }
+        if probe.ranges.ranges().len() != 1 {
+            return Err(Error::plan(format!(
+                "join query {label:?} needs a single-range probe scan, got {} ranges",
+                probe.ranges.ranges().len()
+            )));
+        }
+        for (side, key, columns) in [
+            ("build", join.right_col, &build.columns),
+            ("probe", join.left_col, &probe.columns),
+        ] {
+            if key >= columns.len() {
+                return Err(Error::plan(format!(
+                    "join query {label:?} keys on {side} column {key} of {}",
+                    columns.len()
+                )));
+            }
+        }
+        // Both scans are single-range: `steps` is exactly [build, probe].
+        steps[0].columns[..=join.right_col].rotate_right(1);
+        steps[1].join_key = Some(join.left_col);
+        Ok(steps)
+    }
+}
+
+/// One backend registration of a lowered [`QuerySpec`] (see
+/// [`QuerySpec::steps`]): a scan of one contiguous visible-row range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct QueryStep {
+    /// The scanned table.
+    pub table: TableId,
+    /// Column indices (within the table spec) the step reads, in read order.
+    pub columns: Vec<usize>,
+    /// The visible-row range the step covers.
+    pub range: TupleRange,
+    /// Optional row-level predicate (table-relative, see
+    /// [`ScanSpec::predicate`]).
+    pub predicate: Option<ZonePredicate>,
+    /// Set on the **probe** step of a join query: the probe-side join key
+    /// (index into `columns`). The step before it is the build side, whose
+    /// `columns[0]` is the build key, and is a barrier: the build scan drains
+    /// and unregisters before the probe step registers.
+    pub join_key: Option<usize>,
 }
 
 /// A stream: a sequence of queries executed back to back by one client.
@@ -327,7 +421,6 @@ impl WorkloadSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_common::TupleRange;
 
     #[test]
     fn totals_add_up() {
@@ -355,6 +448,58 @@ mod tests {
         assert_eq!(workload.total_tuples(), 1200);
         assert!(!workload.has_updates());
         assert_eq!(workload.rounds(), 2);
+    }
+
+    #[test]
+    fn steps_are_one_per_range_and_join_builds_read_key_first() {
+        let scan = |table: u32, columns: Vec<usize>, ranges: RangeList| ScanSpec {
+            table: TableId::new(table),
+            columns,
+            ranges,
+            predicate: None,
+        };
+        let two_ranges =
+            RangeList::from_ranges([TupleRange::new(0, 100), TupleRange::new(200, 250)]);
+        let mut query = QuerySpec {
+            label: "q".into(),
+            scans: vec![
+                scan(0, vec![3, 5, 7], RangeList::single(0, 40)),
+                scan(1, vec![0, 1], two_ranges),
+            ],
+            cpu_factor: 1.0,
+            join: None,
+        };
+        let mut visible = |table: TableId| Ok(if table == TableId::new(0) { 40 } else { 250 });
+        let steps = query.steps(&mut visible).unwrap();
+        let ranges: Vec<TupleRange> = steps.iter().map(|s| s.range).collect();
+        assert_eq!(
+            ranges,
+            [
+                TupleRange::new(0, 40),
+                TupleRange::new(0, 100),
+                TupleRange::new(200, 250)
+            ]
+        );
+        assert!(steps.iter().all(|s| s.join_key.is_none()));
+
+        // As a join: build key (projection index 2) first, probe marked.
+        query.scans[1].ranges = RangeList::single(0, 250);
+        query.join = Some(JoinSpec {
+            left_col: 1,
+            right_col: 2,
+        });
+        let steps = query.steps(&mut visible).unwrap();
+        assert_eq!(steps[0].columns, [7, 3, 5]);
+        assert_eq!((steps[0].join_key, steps[1].join_key), (None, Some(1)));
+        // A key outside its projection is a plan error.
+        query.join = Some(JoinSpec {
+            left_col: 2,
+            right_col: 0,
+        });
+        assert!(matches!(
+            query.steps(&mut visible),
+            Err(Error::InvalidPlan(_))
+        ));
     }
 
     #[test]

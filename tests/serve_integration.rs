@@ -6,15 +6,19 @@
 
 #![cfg(unix)]
 
+use std::collections::HashSet;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 
+use scanshare::common::{PageId, ScanId};
+use scanshare::core::policy::{ReplacementPolicy, ScanInfo};
 use scanshare::prelude::*;
 use scanshare::serve::loadgen::{self, LoadgenConfig, Target};
 use scanshare::serve::protocol::{read_frame, Message, PROTOCOL_VERSION};
+use scanshare::storage::layout::ScanPagePlan;
 
 const PAGE: u64 = 64 * 1024;
 const CHUNK: u64 = 10_000;
@@ -48,6 +52,15 @@ impl Drop for TestDir {
 }
 
 fn build_engine() -> (Arc<Engine>, TableId) {
+    build_engine_with(&PolicyRegistry::default(), None)
+}
+
+/// The test engine, its page-level policy resolved from `registry`
+/// (`custom_policy` selects a registered name; `None` keeps PBM).
+fn build_engine_with(
+    registry: &PolicyRegistry,
+    custom_policy: Option<&str>,
+) -> (Arc<Engine>, TableId) {
     let storage = Storage::new(PAGE, CHUNK);
     let table = storage
         .create_table_with_data(
@@ -65,18 +78,59 @@ fn build_engine() -> (Arc<Engine>, TableId) {
             ],
         )
         .unwrap();
-    let engine = Engine::new(
-        storage,
-        ScanShareConfig {
-            page_size_bytes: PAGE,
-            chunk_tuples: CHUNK,
-            buffer_pool_bytes: 4 << 20,
-            policy: PolicyKind::Pbm,
-            ..Default::default()
-        },
-    )
-    .unwrap();
+    let config = ScanShareConfig {
+        page_size_bytes: PAGE,
+        chunk_tuples: CHUNK,
+        buffer_pool_bytes: 4 << 20,
+        policy: PolicyKind::Pbm,
+        custom_policy: custom_policy.map(str::to_string),
+        ..Default::default()
+    };
+    let engine = Engine::with_registry(storage, config, registry).unwrap();
     (engine, table)
+}
+
+/// LRU, except that the `panic_at`-th `on_access` panics (once): a policy
+/// bug striking on a scheduler worker in the middle of a served query.
+#[derive(Debug)]
+struct PanicsOnce {
+    inner: LruPolicy,
+    accesses: u64,
+    panic_at: u64,
+}
+
+impl ReplacementPolicy for PanicsOnce {
+    fn name(&self) -> &'static str {
+        "panics-once"
+    }
+    fn register_scan(&mut self, info: &ScanInfo, plan: &ScanPagePlan, now: VirtualInstant) {
+        self.inner.register_scan(info, plan, now)
+    }
+    fn report_scan_position(&mut self, scan: ScanId, tuples: u64, now: VirtualInstant) {
+        self.inner.report_scan_position(scan, tuples, now)
+    }
+    fn unregister_scan(&mut self, scan: ScanId, now: VirtualInstant) {
+        self.inner.unregister_scan(scan, now)
+    }
+    fn on_access(&mut self, page: PageId, scan: Option<ScanId>, now: VirtualInstant) {
+        self.accesses += 1;
+        assert_ne!(self.accesses, self.panic_at, "injected policy panic");
+        self.inner.on_access(page, scan, now)
+    }
+    fn on_admit(&mut self, page: PageId, now: VirtualInstant) {
+        self.inner.on_admit(page, now)
+    }
+    fn on_evict(&mut self, page: PageId) {
+        self.inner.on_evict(page)
+    }
+    fn choose_victims(
+        &mut self,
+        count: usize,
+        exclude: &HashSet<PageId>,
+        now: VirtualInstant,
+    ) -> Vec<PageId> {
+        self.inner.choose_victims(count, exclude, now)
+    }
 }
 
 fn sum_request() -> QueryRequest {
@@ -290,6 +344,46 @@ fn bad_requests_get_typed_error_frames() {
         let groups = client.query(sum_request()).unwrap();
         assert_eq!(groups[0].count, TUPLES);
     }
+    server.shutdown();
+
+    // A query task that dies of a panic mid-scan (here: in the replacement
+    // policy, on a scheduler worker) still answers its session — one
+    // INTERNAL frame instead of silence — and the session answers the next
+    // query. The client runs on its own thread so a missing frame fails the
+    // test instead of hanging it.
+    let mut registry = PolicyRegistry::default();
+    registry.register("panics-once", |_| {
+        Box::new(PanicsOnce {
+            inner: LruPolicy::new(),
+            accesses: 0,
+            panic_at: 5,
+        })
+    });
+    let (engine, _) = build_engine_with(&registry, Some("panics-once"));
+    let mut server = Server::new(engine, ServeConfig::default());
+    let socket = TestDir::new("panic");
+    server.bind_unix(socket.socket()).unwrap();
+    let mut client = ServeClient::connect_unix(socket.socket(), "tenant-a").unwrap();
+    let (answers, answered) = std::sync::mpsc::channel();
+    let session = std::thread::spawn(move || {
+        for _ in 0..2 {
+            answers.send(client.query(sum_request())).unwrap();
+        }
+    });
+    let answer = || {
+        answered
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .expect("the session must get a frame for every query")
+    };
+    match answer() {
+        Err(scanshare::common::Error::Remote { code, message }) => {
+            assert_eq!(code, ErrorCode::Internal.as_u16(), "{message}");
+            assert!(message.contains("injected policy panic"), "{message}");
+        }
+        other => panic!("expected INTERNAL error frame, got {other:?}"),
+    }
+    assert_eq!(answer().unwrap()[0].count, TUPLES);
+    session.join().unwrap();
     server.shutdown();
 }
 

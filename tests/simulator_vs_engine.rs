@@ -4,6 +4,7 @@
 
 use std::sync::Arc;
 
+use scanshare::common::Error;
 use scanshare::prelude::*;
 use scanshare::sim::experiment::{run_figure, ExperimentScale, FigureData, FIGURES};
 use scanshare::workload::microbench;
@@ -338,10 +339,34 @@ fn prefetch_overlap_reduces_stream_time_when_compute_can_hide_io() {
 // simulator executes, against the live engine
 // ---------------------------------------------------------------------------
 
+/// `workload` with the middle third cut out of every scan: each `ScanSpec`
+/// then carries two disjoint ranges, which both executors must lower into
+/// two scan steps (two backend registrations), one per range.
+fn with_two_range_scans(workload: &WorkloadSpec) -> WorkloadSpec {
+    let mut workload = workload.clone();
+    workload.name.push_str("-two-ranges");
+    for scan in workload
+        .streams
+        .iter_mut()
+        .flat_map(|stream| &mut stream.queries)
+        .flat_map(|query| &mut query.scans)
+    {
+        let [range] = scan.ranges.ranges() else {
+            panic!("the generators emit single-range scans");
+        };
+        let third = range.len() / 3;
+        scan.ranges = RangeList::from_ranges([
+            TupleRange::new(range.start, range.start + third),
+            TupleRange::new(range.end - third, range.end),
+        ]);
+    }
+    workload
+}
+
 /// A microbench workload small enough that the pool holds every accessed
 /// page: each distinct page is read exactly once no matter how the driver's
 /// stream threads interleave, so the engine's I/O volume is deterministic
-/// and must equal the simulator's.
+/// and must equal the simulator's — with one range per scan and with two.
 #[test]
 fn workload_driver_and_simulator_agree_on_io_with_headroom() {
     let config = MicrobenchConfig {
@@ -351,8 +376,14 @@ fn workload_driver_and_simulator_agree_on_io_with_headroom() {
         ..Default::default()
     };
     let (storage, workload) = microbench::build(&config, 64 * 1024, 10_000).unwrap();
+    for workload in [with_two_range_scans(&workload), workload] {
+        headroom_parity(&storage, &workload);
+    }
+}
+
+fn headroom_parity(storage: &Arc<Storage>, workload: &WorkloadSpec) {
     let accessed = Simulation::new(
-        Arc::clone(&storage),
+        Arc::clone(storage),
         SimConfig {
             scanshare: ScanShareConfig {
                 page_size_bytes: 64 * 1024,
@@ -364,7 +395,7 @@ fn workload_driver_and_simulator_agree_on_io_with_headroom() {
         },
     )
     .unwrap()
-    .accessed_volume(&workload)
+    .accessed_volume(workload)
     .unwrap();
 
     for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
@@ -377,10 +408,10 @@ fn workload_driver_and_simulator_agree_on_io_with_headroom() {
                 pool_shards: shards,
                 ..Default::default()
             };
-            let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
-            let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+            let engine = Engine::new(Arc::clone(storage), scanshare.clone()).unwrap();
+            let report = WorkloadDriver::new(engine).run(workload).unwrap();
             let sim = Simulation::new(
-                Arc::clone(&storage),
+                Arc::clone(storage),
                 SimConfig {
                     scanshare,
                     cores: 8,
@@ -388,7 +419,7 @@ fn workload_driver_and_simulator_agree_on_io_with_headroom() {
                 },
             )
             .unwrap()
-            .run(&workload)
+            .run(workload)
             .unwrap();
             assert_eq!(
                 report.buffer.io_bytes, sim.total_io_bytes,
@@ -406,6 +437,12 @@ fn workload_driver_and_simulator_agree_on_io_with_headroom() {
 /// With a single stream there is no thread interleaving at all: the driver
 /// issues the exact page-request sequence the simulator models, so the I/O
 /// volumes must match byte-for-byte even under replacement pressure.
+///
+/// The two-range input runs under LRU only: both executors lower it into
+/// the same per-range steps and the same page sequence, but the simulator's
+/// page-level loop registers all of a query's steps when the query starts,
+/// the engine one at a time — and PBM, unlike LRU, evicts differently when
+/// it already knows a later step's interest.
 #[test]
 fn workload_driver_matches_simulator_under_pressure_single_stream() {
     let config = MicrobenchConfig {
@@ -415,7 +452,12 @@ fn workload_driver_matches_simulator_under_pressure_single_stream() {
         ..Default::default()
     };
     let (storage, workload) = microbench::build(&config, 64 * 1024, 10_000).unwrap();
-    for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
+    let two_ranges = with_two_range_scans(&workload);
+    for (workload, policy) in [
+        (&two_ranges, PolicyKind::Lru),
+        (&workload, PolicyKind::Lru),
+        (&workload, PolicyKind::Pbm),
+    ] {
         let scanshare = ScanShareConfig {
             page_size_bytes: 64 * 1024,
             chunk_tuples: 10_000,
@@ -424,7 +466,7 @@ fn workload_driver_matches_simulator_under_pressure_single_stream() {
             ..Default::default()
         };
         let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
-        let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+        let report = WorkloadDriver::new(engine).run(workload).unwrap();
         let sim = Simulation::new(
             Arc::clone(&storage),
             SimConfig {
@@ -434,15 +476,17 @@ fn workload_driver_matches_simulator_under_pressure_single_stream() {
             },
         )
         .unwrap()
-        .run(&workload)
+        .run(workload)
         .unwrap();
         assert!(
             report.buffer.evictions > 0,
-            "{policy}: the pressure configuration must actually evict"
+            "{} {policy}: the pressure configuration must actually evict",
+            workload.name
         );
         assert_eq!(
             report.buffer.io_bytes, sim.total_io_bytes,
-            "{policy}: engine and simulator I/O volumes must match under pressure"
+            "{} {policy}: engine and simulator I/O volumes must match under pressure",
+            workload.name
         );
     }
 }
@@ -457,7 +501,8 @@ fn workload_driver_matches_simulator_under_pressure_single_stream() {
 /// event loop models (extra no-op `GetChunk` probes aside), so the
 /// decomposed ABM must account the identical I/O volume, hit and miss
 /// counts — under replacement pressure and with headroom, at every
-/// directory shard count.
+/// directory shard count, with one range per scan and with two (both
+/// executors register a query's CScans one at a time, one per range).
 #[test]
 fn workload_driver_matches_simulator_under_cscan_single_stream() {
     let config = MicrobenchConfig {
@@ -483,7 +528,12 @@ fn workload_driver_matches_simulator_under_cscan_single_stream() {
     .accessed_volume(&workload)
     .unwrap();
 
-    for pool in [accessed * 2 / 5, accessed * 2] {
+    let two_ranges = with_two_range_scans(&workload);
+    for (workload, pool) in [&two_ranges, &workload]
+        .into_iter()
+        .flat_map(|w| [(w, accessed * 2 / 5), (w, accessed * 2)])
+    {
+        let name = &workload.name;
         let scanshare = ScanShareConfig {
             page_size_bytes: 64 * 1024,
             chunk_tuples: 10_000,
@@ -500,7 +550,7 @@ fn workload_driver_matches_simulator_under_cscan_single_stream() {
             },
         )
         .unwrap()
-        .run(&workload)
+        .run(workload)
         .unwrap();
         for shards in [1usize, 4] {
             let engine = Engine::new(
@@ -511,19 +561,19 @@ fn workload_driver_matches_simulator_under_cscan_single_stream() {
                 },
             )
             .unwrap();
-            let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+            let report = WorkloadDriver::new(engine).run(workload).unwrap();
             assert!(
                 report.stream_errors.is_empty(),
-                "pool {pool} shards {shards}"
+                "{name} pool {pool} shards {shards}"
             );
             assert_eq!(
                 report.buffer.io_bytes, sim.total_io_bytes,
-                "pool {pool} shards {shards}: engine and simulator I/O must match"
+                "{name} pool {pool} shards {shards}: engine and simulator I/O must match"
             );
             assert_eq!(
                 (report.buffer.hits, report.buffer.misses),
                 (sim.buffer.hits, sim.buffer.misses),
-                "pool {pool} shards {shards}: delivery/load counts must match"
+                "{name} pool {pool} shards {shards}: delivery/load counts must match"
             );
         }
     }
@@ -642,6 +692,7 @@ fn workload_driver_matches_simulator_for_mixed_read_write_workloads() {
 // drains first, probe scans stream through the shared-scan machinery)
 // ---------------------------------------------------------------------------
 
+use scanshare::storage::zone::{ZoneOp, ZonePredicate};
 use scanshare::workload::spec::JoinSpec;
 
 /// `lineitem` plus a 3000-row dimension table keyed so every `l_shipdate`
@@ -755,6 +806,51 @@ fn workload_driver_matches_simulator_for_join_queries() {
                 );
             }
         }
+    }
+
+    // Malformed join specs are one `InvalidPlan` from both executors (the
+    // shape checks live in the shared lowering), not a plan error in one
+    // and a silent run in the other.
+    type Break = fn(&mut QuerySpec);
+    let malformed: [(&str, Break); 3] = [
+        ("predicate on its build scan", |q| {
+            q.scans[0].predicate = Some(ZonePredicate::new(0, ZoneOp::Ge, 0))
+        }),
+        ("must scan the full build table", |q| {
+            q.scans[0].ranges = RangeList::single(0, 1500)
+        }),
+        ("single-range probe", |q| {
+            q.scans[1].ranges = RangeList::from_ranges([
+                TupleRange::new(0, 10_000),
+                TupleRange::new(30_000, 40_000),
+            ])
+        }),
+    ];
+    for (what, break_it) in malformed {
+        let mut broken = workload.clone();
+        break_it(&mut broken.streams[0].queries[1]);
+        let scanshare = ScanShareConfig {
+            page_size_bytes: 64 * 1024,
+            chunk_tuples: 10_000,
+            buffer_pool_bytes: 8 << 20,
+            ..Default::default()
+        };
+        let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
+        let from_engine = WorkloadDriver::new(engine).run(&broken).unwrap_err();
+        let sim_config = SimConfig {
+            scanshare,
+            cores: 8,
+            sharing_sample_interval: None,
+        };
+        let from_sim = Simulation::new(Arc::clone(&storage), sim_config)
+            .unwrap()
+            .run(&broken)
+            .unwrap_err();
+        assert!(
+            matches!(&from_engine, Error::InvalidPlan(msg) if msg.contains(what)),
+            "{what}: {from_engine}"
+        );
+        assert_eq!(from_engine.to_string(), from_sim.to_string(), "{what}");
     }
 }
 
