@@ -124,7 +124,10 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
         now: VirtualInstant,
     ) -> Result<VirtualInstant>;
 
-    /// The scan consumed `tuples_consumed` tuples so far (`ReportScanPosition`).
+    /// The scan consumed `tuples_consumed` rows of its own range list so far
+    /// (`ReportScanPosition`) — the unit of
+    /// [`ReplacementPolicy::report_scan_position`](crate::policy::ReplacementPolicy::report_scan_position):
+    /// rows, not tuples summed over the pages of every column.
     fn report_position(&self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant);
 
     /// The scan finished (or was dropped) and its metadata can be freed.

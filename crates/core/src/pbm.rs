@@ -16,12 +16,29 @@
 //! Pages are kept in a **timeline of buckets** (Figure 10): `n` groups of `m`
 //! buckets, where the time range covered by a bucket doubles with every
 //! group, so a bounded number of buckets covers an exponentially long
-//! horizon with O(1) insertion and O(1) (amortized) aging. Pages not needed
-//! by any registered scan live in a separate *not requested* bucket kept in
-//! LRU order. Eviction takes pages from the not-requested bucket first, then
-//! from the requested buckets furthest in the future.
+//! horizon with an O(1) choice of bucket and O(1) (amortized) aging. Pages
+//! not needed by any registered scan live in a separate *not requested*
+//! bucket kept in LRU order. Eviction takes pages from the not-requested
+//! bucket first, then from the requested buckets furthest in the future.
+//!
+//! **Inside a bucket** pages are ordered too. A bucket is a set of
+//! `(due, page)` keys, where `due` is the absolute instant the page was
+//! predicted to be consumed at when it was last pushed (`now +
+//! next_consumption`), so insertion and removal cost O(log n) and eviction
+//! walks a bucket from its back: the page predicted furthest away goes
+//! first, ties broken by page id. Without that order the victim among the
+//! pages of one bucket is arbitrary, and a run that is short against
+//! `time_slice` keeps nearly all its pages in a handful of buckets — the
+//! policy would then depend on the ratio of run length to slice length. The
+//! key is remembered with the page's state, so a page is always removed
+//! under the key it was inserted with. It is a snapshot, not a live
+//! estimate: it goes stale when the consuming scan's measured speed changes.
+//! The staleness is bounded the same way a page's *bucket* is: a consuming
+//! access, a registration or an unregistration re-pushes the pages it
+//! touches, and a page whose bucket ages off the front of the timeline
+//! (`refresh`) is re-estimated from the scans' current positions and speeds.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
 use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
@@ -75,9 +92,10 @@ impl PbmConfig {
 enum PageState {
     /// Not in the buffer pool; only interest metadata is kept.
     NotResident,
-    /// Resident and wanted by at least one scan; the payload is the bucket
-    /// index on the timeline.
-    Requested(usize),
+    /// Resident and wanted by at least one scan: the bucket index on the
+    /// timeline and the predicted consumption instant the page is keyed by
+    /// inside that bucket.
+    Requested { bucket: usize, due: VirtualInstant },
     /// Resident but not wanted by any registered scan (kept in LRU order).
     NotRequested,
 }
@@ -115,8 +133,9 @@ pub struct PbmPolicy {
     config: PbmConfig,
     scans: HashMap<ScanId, ScanState>,
     pages: HashMap<PageId, PageMeta>,
-    /// Requested buckets; index 0 is the nearest future.
-    buckets: Vec<HashSet<PageId>>,
+    /// Requested buckets; index 0 is the nearest future. Each is ordered by
+    /// `(predicted consumption instant at push, page)`.
+    buckets: Vec<BTreeSet<(VirtualInstant, PageId)>>,
     /// LRU queue (with lazy deletion) for the "not requested" bucket.
     not_requested: VecDeque<(PageId, u64)>,
     next_stamp: u64,
@@ -141,7 +160,7 @@ impl PbmPolicy {
             config,
             scans: HashMap::new(),
             pages: HashMap::new(),
-            buckets: (0..total).map(|_| HashSet::new()).collect(),
+            buckets: vec![BTreeSet::new(); total],
             not_requested: VecDeque::new(),
             next_stamp: 0,
             refreshed_slices: 0,
@@ -160,7 +179,7 @@ impl PbmPolicy {
 
     /// Number of resident pages currently in requested buckets.
     pub fn requested_pages(&self) -> usize {
-        self.buckets.iter().map(HashSet::len).sum()
+        self.buckets.iter().map(BTreeSet::len).sum()
     }
 
     /// Number of resident pages currently in the not-requested bucket.
@@ -213,32 +232,33 @@ impl PbmPolicy {
 
     fn remove_from_current_bucket(&mut self, page: PageId) {
         if let Some(meta) = self.pages.get(&page) {
-            if let PageState::Requested(idx) = meta.state() {
-                self.buckets[idx].remove(&page);
+            if let PageState::Requested { bucket, due } = meta.state() {
+                self.buckets[bucket].remove(&(due, page));
             }
         }
     }
 
     /// Re-computes the priority of a resident page and places it in the
-    /// appropriate bucket (`PagePush`).
-    fn page_push(&mut self, page: PageId, _now: VirtualInstant) {
-        self.remove_from_current_bucket(page);
-        let next = self.next_consumption(page);
-        self.pages.entry(page).or_default();
-        match next {
+    /// appropriate bucket (`PagePush`), keyed by the instant it is now
+    /// predicted to be consumed at.
+    fn page_push(&mut self, page: PageId, now: VirtualInstant) {
+        let placement = self
+            .next_consumption(page)
+            .map(|d| (self.bucket_index(d), now.after(d)));
+        let meta = self.pages.entry(page).or_default();
+        if let PageState::Requested { bucket, due } = meta.state() {
+            self.buckets[bucket].remove(&(due, page));
+        }
+        match placement {
             None => {
-                let stamp = self.next_stamp;
-                self.next_stamp += 1;
-                let meta = self.pages.get_mut(&page).expect("meta exists");
                 meta.state = Some(PageState::NotRequested);
-                meta.lru_stamp = stamp;
-                self.not_requested.push_back((page, stamp));
+                meta.lru_stamp = self.next_stamp;
+                self.not_requested.push_back((page, self.next_stamp));
+                self.next_stamp += 1;
             }
-            Some(d) => {
-                let idx = self.bucket_index(d);
-                let meta = self.pages.get_mut(&page).expect("meta exists");
-                meta.state = Some(PageState::Requested(idx));
-                self.buckets[idx].insert(page);
+            Some((bucket, due)) => {
+                meta.state = Some(PageState::Requested { bucket, due });
+                self.buckets[bucket].insert((due, page));
             }
         }
     }
@@ -270,19 +290,18 @@ impl PbmPolicy {
                 continue;
             }
             // Bucket 0 falls off the timeline; its pages are re-pushed below.
-            let overflow: Vec<PageId> = self.buckets[0].drain().collect();
+            let overflow = std::mem::take(&mut self.buckets[0]);
             for i in 1..k {
                 let set = std::mem::take(&mut self.buckets[i]);
-                for &page in &set {
+                for &(due, page) in &set {
                     if let Some(meta) = self.pages.get_mut(&page) {
-                        meta.state = Some(PageState::Requested(i - 1));
+                        meta.state = Some(PageState::Requested { bucket: i - 1, due });
                     }
                 }
                 self.buckets[i - 1] = set;
             }
-            self.buckets[k - 1] = HashSet::new();
             self.refreshed_slices = slice;
-            for page in overflow {
+            for (_, page) in overflow {
                 self.page_push(page, now);
             }
         }
@@ -358,6 +377,9 @@ impl ReplacementPolicy for PbmPolicy {
     fn report_scan_position(&mut self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant) {
         self.refresh(now);
         if let Some(state) = self.scans.get_mut(&scan) {
+            // The engine counts the rows it produced, which include rows the
+            // PDT inserted on top of the registered stable ranges; the clamp
+            // is for those, not for a caller counting a row once per column.
             state.tuples_consumed = tuples_consumed.min(state.total_tuples);
             let elapsed = now.since(state.registered_at).as_secs_f64();
             if elapsed > 0.0 && tuples_consumed > 0 {
@@ -439,32 +461,20 @@ impl ReplacementPolicy for PbmPolicy {
                 None => break,
             }
         }
-        // 2. Requested pages with the furthest estimated consumption time.
-        //    Candidates within a bucket are taken in page-id order so that
-        //    victim selection (and therefore every experiment) is
-        //    deterministic.
-        if victims.len() < count {
-            for idx in (0..self.buckets.len()).rev() {
-                if victims.len() >= count {
-                    break;
-                }
-                if self.buckets[idx].is_empty() {
-                    continue;
-                }
-                let mut candidates: Vec<PageId> = self.buckets[idx]
-                    .iter()
-                    .copied()
-                    .filter(|p| !exclude.contains(p))
-                    .collect();
-                candidates.sort_unstable();
-                for page in candidates {
-                    if victims.len() >= count {
-                        break;
-                    }
-                    victims.push(page);
-                }
-            }
-        }
+        // 2. Requested pages, furthest predicted consumption first: buckets
+        //    from the far end of the timeline, each bucket from its back.
+        //    The `(due, page)` key is a total order, so victim selection
+        //    (and therefore every experiment) is deterministic.
+        let needed = count - victims.len();
+        victims.extend(
+            self.buckets
+                .iter()
+                .rev()
+                .flat_map(|bucket| bucket.iter().rev())
+                .map(|&(_, page)| page)
+                .filter(|page| !exclude.contains(page))
+                .take(needed),
+        );
         victims
     }
 
@@ -549,6 +559,14 @@ mod tests {
         };
         pbm.register_scan(&info, plan, now);
         sid
+    }
+
+    /// The timeline bucket resident page `page` currently sits in.
+    fn bucket_of(pbm: &PbmPolicy, page: u64) -> usize {
+        match pbm.pages[&p(page)].state() {
+            PageState::Requested { bucket, .. } => bucket,
+            other => panic!("page {page} is not requested: {other:?}"),
+        }
     }
 
     #[test]
@@ -677,17 +695,11 @@ mod tests {
         let mut pbm = pbm_with_speed(100.0); // very slow default: 100 tuples/s
         let s = register(&mut pbm, 1, &plan(&[1, 2, 3, 4], 100), now_ms(0));
         pbm.on_admit(p(4), now_ms(0));
-        let before = match pbm.pages[&p(4)].state() {
-            PageState::Requested(idx) => idx,
-            other => panic!("unexpected state {other:?}"),
-        };
+        let before = bucket_of(&pbm, 4);
         // After 100ms the scan has done 200 tuples: 2000 tuples/sec.
         pbm.report_scan_position(s, 200, now_ms(100));
         pbm.on_admit(p(4), now_ms(100)); // re-push via admit path
-        let after = match pbm.pages[&p(4)].state() {
-            PageState::Requested(idx) => idx,
-            other => panic!("unexpected state {other:?}"),
-        };
+        let after = bucket_of(&pbm, 4);
         assert!(
             after < before,
             "higher speed => sooner consumption => nearer bucket"
@@ -708,21 +720,15 @@ mod tests {
         // so both land in bucket 2.
         register(&mut pbm, 1, &plan(&[1, 2, 3, 4], 100), now_ms(0));
         pbm.on_admit(p(4), now_ms(0));
-        assert_eq!(pbm.pages[&p(4)].state(), PageState::Requested(2));
+        assert_eq!(bucket_of(&pbm, 4), 2);
         pbm.on_admit(p(3), now_ms(0));
-        assert_eq!(pbm.pages[&p(3)].state(), PageState::Requested(2));
+        assert_eq!(bucket_of(&pbm, 3), 2);
 
         // After 200ms of virtual time the timeline has aged two slices: the
         // page that was ~200ms away is now imminent.
         pbm.refresh(now_ms(200));
-        let idx3 = match pbm.pages[&p(3)].state() {
-            PageState::Requested(idx) => idx,
-            other => panic!("unexpected {other:?}"),
-        };
-        let idx4 = match pbm.pages[&p(4)].state() {
-            PageState::Requested(idx) => idx,
-            other => panic!("unexpected {other:?}"),
-        };
+        let idx3 = bucket_of(&pbm, 3);
+        let idx4 = bucket_of(&pbm, 4);
         assert!(idx3 < 2, "page 3 moved towards the present (bucket {idx3})");
         assert!(idx4 <= 3 && idx4 >= idx3);
     }
@@ -756,6 +762,121 @@ mod tests {
         assert!(pbm.choose_victims(2, &exclude, now_ms(0)).is_empty());
         let exclude: HashSet<PageId> = [p(2)].into_iter().collect();
         assert_eq!(pbm.choose_victims(2, &exclude, now_ms(0)), vec![p(1)]);
+    }
+
+    /// Every evictable page, in eviction order.
+    fn all_victims(pbm: &mut PbmPolicy, exclude: &[u64], now: VirtualInstant) -> Vec<PageId> {
+        let exclude: HashSet<PageId> = exclude.iter().map(|&i| p(i)).collect();
+        pbm.choose_victims(pbm.pages.len(), &exclude, now)
+    }
+
+    #[test]
+    fn victims_inside_a_bucket_are_taken_furthest_first() {
+        // 1000 tuples/s and 10 tuples per page: consecutive pages are due
+        // 10 ms apart, all inside the first 100 ms bucket — whichever way the
+        // page ids run against the scan order.
+        for pages in [[1, 2, 3], [3, 2, 1]] {
+            let mut pbm = pbm_with_speed(1000.0);
+            register(&mut pbm, 1, &plan(&pages, 10), now_ms(0));
+            for page in pages {
+                pbm.on_admit(p(page), now_ms(0));
+                assert_eq!(bucket_of(&pbm, page), 0);
+            }
+            let last_first: Vec<PageId> = pages.iter().rev().map(|&i| p(i)).collect();
+            assert_eq!(all_victims(&mut pbm, &[], now_ms(0)), last_first);
+            // `exclude` is honoured from the back of the bucket.
+            assert_eq!(
+                all_victims(&mut pbm, &[pages[2]], now_ms(0)),
+                last_first[1..]
+            );
+        }
+    }
+
+    #[test]
+    fn pages_due_at_the_same_instant_break_ties_by_page_id() {
+        let mut pbm = pbm_with_speed(1000.0);
+        // Three scans, each about to consume its only page.
+        for (scan, page) in [(1, 9), (2, 5), (3, 7)] {
+            register(&mut pbm, scan, &plan(&[page], 10), now_ms(0));
+            pbm.on_admit(p(page), now_ms(0));
+        }
+        assert_eq!(
+            all_victims(&mut pbm, &[], now_ms(0)),
+            vec![p(9), p(7), p(5)]
+        );
+    }
+
+    #[test]
+    fn every_requested_page_sits_in_its_bucket_under_its_key() {
+        // A deterministic mix of every call that moves pages between states:
+        // the ordered sets must hold exactly the pages in `Requested` state,
+        // each under the key its state remembers (a removal under any other
+        // key would leave a stale entry for `choose_victims` to return).
+        let mut pbm = PbmPolicy::new(PbmConfig {
+            bucket_groups: 3,
+            buckets_per_group: 2,
+            default_scan_speed: 1000.0,
+            ..Default::default()
+        });
+        let mut rng = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (rng >> 33) % bound
+        };
+        let mut resident: HashSet<PageId> = HashSet::new();
+        let mut live_scans: Vec<ScanId> = Vec::new();
+        let mut now = 0;
+        for step in 0..2000 {
+            now += next(40);
+            let at = now_ms(now);
+            let page = p(next(24));
+            match next(7) {
+                0 => {
+                    let first = next(16);
+                    let pages: Vec<u64> = (first..first + 8).collect();
+                    live_scans.push(register(&mut pbm, step, &plan(&pages, 25), at));
+                }
+                1 if !live_scans.is_empty() => {
+                    let scan = live_scans.swap_remove(next(live_scans.len() as u64) as usize);
+                    pbm.unregister_scan(scan, at);
+                }
+                2 if !live_scans.is_empty() => {
+                    let scan = live_scans[next(live_scans.len() as u64) as usize];
+                    pbm.report_scan_position(scan, next(250), at);
+                }
+                3 if resident.contains(&page) => {
+                    let scan = live_scans.first().copied().filter(|_| next(2) == 0);
+                    pbm.on_access(page, scan, at);
+                }
+                4 if resident.remove(&page) => pbm.on_evict(page),
+                5 => {
+                    for victim in pbm.choose_victims(2, &HashSet::new(), at) {
+                        assert!(resident.remove(&victim), "victim {victim} not resident");
+                        pbm.on_evict(victim);
+                    }
+                }
+                _ => {
+                    resident.insert(page);
+                    pbm.on_admit(page, at);
+                }
+            }
+            let mut requested = 0;
+            for (&page, meta) in &pbm.pages {
+                assert_eq!(meta.is_resident(), resident.contains(&page), "{page}");
+                if let PageState::Requested { bucket, due } = meta.state() {
+                    assert!(pbm.buckets[bucket].contains(&(due, page)), "{page}");
+                    requested += 1;
+                }
+            }
+            assert_eq!(pbm.requested_pages(), requested, "step {step}");
+            assert_eq!(
+                requested + pbm.not_requested_pages(),
+                resident.len(),
+                "step {step}"
+            );
+        }
     }
 
     #[test]

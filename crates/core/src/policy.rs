@@ -17,7 +17,8 @@ use scanshare_storage::layout::ScanPagePlan;
 pub struct ScanInfo {
     /// The scan id assigned by the buffer pool.
     pub id: ScanId,
-    /// Total number of tuples the scan will process (per column position).
+    /// Total number of rows the scan will process (rows of its range list,
+    /// however many columns it reads).
     pub total_tuples: u64,
     /// Number of distinct pages the scan will touch.
     pub distinct_pages: usize,
@@ -36,6 +37,14 @@ pub trait ReplacementPolicy: Send + std::fmt::Debug {
     fn register_scan(&mut self, info: &ScanInfo, plan: &ScanPagePlan, now: VirtualInstant);
 
     /// A scan reported its progress (`ReportScanPosition`).
+    ///
+    /// `tuples_consumed` has one unit for every caller: **rows of the scan's
+    /// own range list consumed so far** — the unit of
+    /// [`PageDescriptor::tuples_behind`](scanshare_storage::layout::PageDescriptor::tuples_behind)
+    /// in the plan the scan registered, and at most [`ScanInfo::total_tuples`].
+    /// A scan of k columns consumes a row once, not k times: a caller walking
+    /// the plan page by page reports the `tuples_behind` of the page it is
+    /// at, never a sum of `tuple_count` over the pages of all columns.
     fn report_scan_position(&mut self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant);
 
     /// A scan finished and its metadata can be freed (`UnregisterScan`).

@@ -162,10 +162,21 @@ struct ResolvedQuery {
 #[derive(Debug)]
 struct PartRun {
     scan_id: ScanId,
-    /// (page, tuples on that page) in consumption order.
-    pages: Vec<(PageId, u64)>,
+    /// The page accesses in consumption order.
+    pages: Vec<PageStep>,
     next: usize,
-    consumed: u64,
+}
+
+/// One page access of a [`PartRun`].
+#[derive(Debug, Clone, Copy)]
+struct PageStep {
+    page: PageId,
+    /// Tuples of the scan's ranges stored on the page: the CPU charge of
+    /// consuming it (a scan of k columns is charged k times per row).
+    tuples: u64,
+    /// Rows of the scan's range list consumed before the page is needed
+    /// (`PageDescriptor::tuples_behind`): the position reported with it.
+    position: u64,
 }
 
 #[derive(Debug)]
@@ -656,16 +667,19 @@ impl Simulation {
         let plan = request
             .layout
             .scan_page_plan(&scan.snapshot, &scan.columns, &scan.sid_ranges);
-        let pages: Vec<(PageId, u64)> = plan
+        let pages = plan
             .interleaved()
             .iter()
-            .map(|p| (p.page, p.tuple_count))
+            .map(|p| PageStep {
+                page: p.page,
+                tuples: p.tuple_count,
+                position: p.tuples_behind,
+            })
             .collect();
         Ok(Some(PartRun {
             scan_id: backend.register_scan(request, now)?,
             pages,
             next: 0,
-            consumed: 0,
         }))
     }
 
@@ -731,8 +745,10 @@ impl Simulation {
                     .filter_map(|st| st.current.as_ref())
                     .flat_map(|q| {
                         q.parts[q.part_idx..].iter().map(|part| {
-                            let mut pages: Vec<PageId> =
-                                part.pages[part.next..].iter().map(|(p, _)| *p).collect();
+                            let mut pages: Vec<PageId> = part.pages[part.next..]
+                                .iter()
+                                .map(|step| step.page)
+                                .collect();
                             pages.sort_unstable();
                             pages.dedup();
                             pages
@@ -776,12 +792,11 @@ impl Simulation {
                 events.push(now_ns, EventKind::Stream(s));
                 continue;
             }
-            let (page, tuples) = part.pages[part.next];
+            let step = part.pages[part.next];
             part.next += 1;
-            part.consumed += tuples;
-            let ready = backend.request_page(part.scan_id, page, now)?;
-            backend.report_position(part.scan_id, part.consumed, now);
-            let cpu_ns = (tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
+            let ready = backend.request_page(part.scan_id, step.page, now)?;
+            backend.report_position(part.scan_id, step.position, now);
+            let cpu_ns = (step.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
             events.push(ready.as_nanos() + cpu_ns, EventKind::Stream(s));
         }
 
@@ -926,8 +941,12 @@ impl Simulation {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
     use scanshare_common::Bandwidth;
+    use scanshare_storage::layout::ScanPagePlan;
     use scanshare_workload::microbench::{self, MicrobenchConfig};
+    use scanshare_workload::spec::ScanSpec;
 
     fn sim_config(policy: PolicyKind, pool_bytes: u64) -> SimConfig {
         SimConfig {
@@ -1061,6 +1080,129 @@ mod tests {
             (0.85..=1.15).contains(&ratio),
             "I/O volume changed too much: {ratio}"
         );
+    }
+
+    /// A backend with every page resident that logs what the page-level
+    /// loop tells it.
+    #[derive(Debug, Default, Clone)]
+    struct PositionLog(Arc<Mutex<Logged>>);
+
+    #[derive(Debug, Default)]
+    struct Logged {
+        /// The plan of each registered scan; scan ids index it.
+        plans: Vec<ScanPagePlan>,
+        /// Per page request: the scan, the page, the position reported
+        /// with it.
+        calls: Vec<(ScanId, PageId, Option<u64>)>,
+    }
+
+    impl ScanBackend for PositionLog {
+        fn name(&self) -> &'static str {
+            "position-log"
+        }
+        fn kind(&self) -> PolicyKind {
+            PolicyKind::Pbm
+        }
+        fn register_scan(&self, request: ScanRequest, _: VirtualInstant) -> Result<ScanId> {
+            let plans = &mut self.0.lock().unwrap().plans;
+            plans.push(request.layout.scan_page_plan(
+                &request.snapshot,
+                &request.columns,
+                &request.ranges,
+            ));
+            Ok(ScanId::new(plans.len() as u64 - 1))
+        }
+        fn next_chunk(&self, _: ScanId) -> Result<ScanStep> {
+            unreachable!("the page-level loop lays out its own consumption order")
+        }
+        fn request_page(
+            &self,
+            scan: ScanId,
+            page: PageId,
+            now: VirtualInstant,
+        ) -> Result<VirtualInstant> {
+            self.0.lock().unwrap().calls.push((scan, page, None));
+            Ok(now)
+        }
+        fn report_position(&self, scan: ScanId, tuples_consumed: u64, _: VirtualInstant) {
+            let mut log = self.0.lock().unwrap();
+            let last = log.calls.last_mut().expect("a page was requested first");
+            assert_eq!((last.0, last.2), (scan, None));
+            last.2 = Some(tuples_consumed);
+        }
+        fn finish_scan(&self, _: ScanId, _: VirtualInstant) {}
+        fn stats(&self) -> BufferStats {
+            BufferStats::default()
+        }
+    }
+
+    #[test]
+    fn reported_positions_are_rows_of_the_scan_not_tuples_of_its_pages() {
+        let (storage, workload) = build_micro();
+        let table = storage.table_ids()[0];
+        let rows = storage.master_snapshot(table).unwrap().stable_tuples();
+        let three_columns = QuerySpec {
+            label: "three-columns".into(),
+            scans: vec![ScanSpec {
+                table,
+                columns: vec![0, 1, 2],
+                ranges: RangeList::single(0, rows),
+                predicate: None,
+            }],
+            cpu_factor: 1.0,
+            join: None,
+        };
+        // The microbenchmark's own (wider, partial-range) queries follow it
+        // and run beside it on the other streams.
+        let mut queries: Vec<Vec<QuerySpec>> =
+            workload.streams.iter().map(|s| s.queries.clone()).collect();
+        queries[0].insert(0, three_columns);
+
+        let sim = Simulation::new(storage, sim_config(PolicyKind::Pbm, 1 << 20)).unwrap();
+        let log = PositionLog::default();
+        let mut state = RunState {
+            backend: Box::new(log.clone()),
+            sampler: SharingSampler::new(None),
+            query_latencies: Vec::new(),
+        };
+        let mut mirror = UpdateMirror::default();
+        let resolved = queries
+            .iter()
+            .map(|stream| {
+                stream
+                    .iter()
+                    .map(|q| sim.resolve(&log, &mut mirror, q, queries.len()))
+                    .collect::<Result<VecDeque<_>>>()
+            })
+            .collect::<Result<Vec<_>>>()
+            .unwrap();
+        sim.pool_phase(&mut state, resolved, 0).unwrap();
+
+        let Logged { plans, calls } = &*log.0.lock().unwrap();
+        assert_eq!(
+            plans[0].total_tuples, rows,
+            "the three-column scan registers first"
+        );
+        assert_eq!(
+            plans[0].pages.iter().map(|p| p.tuple_count).sum::<u64>(),
+            3 * rows
+        );
+        for (id, plan) in plans.iter().enumerate() {
+            let reported: Vec<(PageId, Option<u64>)> = calls
+                .iter()
+                .filter(|call| call.0 == ScanId::new(id as u64))
+                .map(|&(_, page, position)| (page, position))
+                .collect();
+            let expected: Vec<(PageId, Option<u64>)> = plan
+                .interleaved()
+                .iter()
+                .map(|p| (p.page, Some(p.tuples_behind)))
+                .collect();
+            assert_eq!(reported, expected, "scan {id}");
+            assert!(reported
+                .iter()
+                .all(|&(_, pos)| pos < Some(plan.total_tuples)));
+        }
     }
 
     #[test]

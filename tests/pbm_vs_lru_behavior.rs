@@ -34,7 +34,7 @@ fn interleaved_scans(
     let pages: Vec<(PageId, u64)> = plan
         .interleaved()
         .iter()
-        .map(|p| (p.page, p.tuple_count))
+        .map(|p| (p.page, p.tuples_behind))
         .collect();
 
     let pool = ShardedPool::new(pool_pages, 64 * 1024, policy, 1);
@@ -44,21 +44,17 @@ fn interleaved_scans(
 
     // Scan B trails scan A by `offset_pages`.
     let mut trace = Vec::new();
-    let mut consumed_a = 0;
-    let mut consumed_b = 0;
     for i in 0..pages.len() + offset_pages {
         if i < pages.len() {
-            let (page, tuples) = pages[i];
-            consumed_a += tuples;
+            let (page, position) = pages[i];
             pool.request_page(page, Some(scan_a), now).unwrap();
-            pool.report_scan_position(scan_a, consumed_a, now);
+            pool.report_scan_position(scan_a, position, now);
             trace.push(page);
         }
         if i >= offset_pages {
-            let (page, tuples) = pages[i - offset_pages];
-            consumed_b += tuples;
+            let (page, position) = pages[i - offset_pages];
             pool.request_page(page, Some(scan_b), now).unwrap();
-            pool.report_scan_position(scan_b, consumed_b, now);
+            pool.report_scan_position(scan_b, position, now);
             trace.push(page);
         }
     }

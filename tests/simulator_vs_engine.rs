@@ -11,13 +11,17 @@ use scanshare::workload::microbench;
 use scanshare::workload::spec::{QuerySpec, ScanSpec, StreamSpec};
 
 fn micro_setup() -> (Arc<Storage>, WorkloadSpec, u64) {
-    let config = MicrobenchConfig {
+    micro_setup_with(&MicrobenchConfig {
         streams: 4,
         queries_per_stream: 6,
         lineitem_tuples: 150_000,
         ..Default::default()
-    };
-    let (storage, workload) = microbench::build(&config, 64 * 1024, 10_000).unwrap();
+    })
+}
+
+/// Storage, workload and accessed volume of one microbenchmark instance.
+fn micro_setup_with(config: &MicrobenchConfig) -> (Arc<Storage>, WorkloadSpec, u64) {
+    let (storage, workload) = microbench::build(config, 64 * 1024, 10_000).unwrap();
     let probe = Simulation::new(
         Arc::clone(&storage),
         SimConfig {
@@ -80,6 +84,32 @@ fn paper_headline_ordering_under_memory_pressure() {
 }
 
 #[test]
+fn headline_ordering_holds_at_eight_streams() {
+    // The Figure 13 point at the test scale (every query scans 50 % of the
+    // table, 40 % pool, 700 MB/s): with eight streams nearly every resident
+    // page is requested and shares a bucket with many others, so the order
+    // *inside* a bucket decides whether PBM beats LRU.
+    let config = MicrobenchConfig {
+        streams: 8,
+        lineitem_tuples: 120_000,
+        ..Default::default()
+    }
+    .with_fixed_percentage(50);
+    let (storage, workload, accessed) = micro_setup_with(&config);
+    let pool = accessed * 2 / 5;
+    let lru = run(&storage, &workload, PolicyKind::Lru, pool, 700.0);
+    let pbm = run(&storage, &workload, PolicyKind::Pbm, pool, 700.0);
+    let opt = run(&storage, &workload, PolicyKind::Opt, pool, 700.0);
+    assert!(
+        pbm.total_io_bytes <= lru.total_io_bytes,
+        "pbm {} B vs lru {} B",
+        pbm.total_io_bytes,
+        lru.total_io_bytes
+    );
+    assert!(opt.total_io_bytes <= pbm.total_io_bytes);
+}
+
+#[test]
 fn giant_pool_makes_all_policies_equal() {
     let (storage, workload, accessed) = micro_setup();
     // Pool larger than everything accessed: every policy reads each page once.
@@ -99,20 +129,27 @@ fn giant_pool_makes_all_policies_equal() {
 fn cpu_bound_regime_erases_policy_time_differences() {
     let (storage, workload, accessed) = micro_setup();
     let pool = accessed * 2 / 5;
-    // At very high bandwidth the system becomes CPU bound: LRU and PBM finish
-    // in (nearly) the same time even though their I/O volumes differ.
-    let lru = run(&storage, &workload, PolicyKind::Lru, pool, 20_000.0);
-    let pbm = run(&storage, &workload, PolicyKind::Pbm, pool, 20_000.0);
+    // At very high bandwidth the system becomes CPU bound: what is left of
+    // the gap between LRU and PBM is the device time of the requests PBM did
+    // not issue, and of that only the fixed per-request latency (which does
+    // not shrink with bandwidth) — a page transfer at 20 GB/s is ~3 % of it.
+    // The paper's convergence is likewise "roughly disappears", not equality.
+    let bandwidth_mb = 20_000.0;
+    let lru = run(&storage, &workload, PolicyKind::Lru, pool, bandwidth_mb);
+    let pbm = run(&storage, &workload, PolicyKind::Pbm, pool, bandwidth_mb);
     let t_lru = lru.avg_stream_time_secs().unwrap();
     let t_pbm = pbm.avg_stream_time_secs().unwrap();
-    // The remaining gap comes from the fixed per-request latency of the
-    // simulated device (which does not shrink with bandwidth); the paper's
-    // convergence is likewise "roughly disappears", not exact equality.
-    assert!(
-        (t_lru - t_pbm).abs() / t_pbm < 0.25,
-        "lru {t_lru} vs pbm {t_pbm}"
-    );
+    let latency = VirtualDuration::from_nanos(ScanShareConfig::default().io_latency_nanos);
+    let transfer = Bandwidth::from_mb_per_sec(bandwidth_mb).transfer_time(64 * 1024);
+    assert!(transfer.as_nanos() * 20 < latency.as_nanos());
     assert!(lru.total_io_bytes >= pbm.total_io_bytes);
+    let extra_requests = lru.buffer.misses - pbm.buffer.misses;
+    let extra_device_secs = extra_requests as f64 * (latency + transfer).as_secs_f64();
+    assert!(
+        t_pbm <= t_lru && t_lru - t_pbm <= extra_device_secs,
+        "lru {t_lru} vs pbm {t_pbm}: {extra_requests} extra requests explain \
+         at most {extra_device_secs} s"
+    );
 
     // The gap at high bandwidth must be (relatively) smaller than in the
     // I/O-bound regime at 200 MB/s.
