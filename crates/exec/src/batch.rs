@@ -27,18 +27,6 @@ impl Batch {
         }
     }
 
-    /// Builds a batch from row-major data.
-    pub fn from_rows(width: usize, rows: &[Vec<Value>]) -> Self {
-        let mut columns = vec![Vec::with_capacity(rows.len()); width];
-        for row in rows {
-            assert_eq!(row.len(), width, "row arity mismatch");
-            for (c, &v) in row.iter().enumerate() {
-                columns[c].push(v);
-            }
-        }
-        Self { columns }
-    }
-
     /// Number of columns.
     pub fn width(&self) -> usize {
         self.columns.len()
@@ -77,22 +65,6 @@ impl Batch {
         }
     }
 
-    /// Keeps only the rows at positions where `keep` is true.
-    pub fn filter(&self, keep: &[bool]) -> Batch {
-        assert_eq!(keep.len(), self.len());
-        let columns = self
-            .columns
-            .iter()
-            .map(|col| {
-                col.iter()
-                    .zip(keep.iter())
-                    .filter_map(|(&v, &k)| k.then_some(v))
-                    .collect()
-            })
-            .collect();
-        Batch { columns }
-    }
-
     /// Returns a batch containing only the given columns, in order.
     pub fn project(&self, cols: &[usize]) -> Batch {
         Batch {
@@ -100,11 +72,29 @@ impl Batch {
         }
     }
 
+    /// Row `row` as a vector of its values.
+    pub fn row(&self, row: usize) -> Vec<Value> {
+        self.columns.iter().map(|c| c[row]).collect()
+    }
+
     /// Converts to row-major form (convenient in tests).
     pub fn to_rows(&self) -> Vec<Vec<Value>> {
-        (0..self.len())
-            .map(|r| self.columns.iter().map(|c| c[r]).collect())
-            .collect()
+        (0..self.len()).map(|r| self.row(r)).collect()
+    }
+}
+
+#[cfg(test)]
+impl Batch {
+    /// Builds a batch from row-major data.
+    pub(crate) fn from_rows(width: usize, rows: &[Vec<Value>]) -> Self {
+        let mut columns = vec![Vec::with_capacity(rows.len()); width];
+        for row in rows {
+            assert_eq!(row.len(), width, "row arity mismatch");
+            for (c, &v) in row.iter().enumerate() {
+                columns[c].push(v);
+            }
+        }
+        Self { columns }
     }
 }
 
@@ -131,16 +121,15 @@ mod tests {
     }
 
     #[test]
-    fn append_filter_project() {
+    fn append_and_project() {
         let mut a = Batch::new(vec![vec![1, 2], vec![10, 20]]);
         let b = Batch::new(vec![vec![3], vec![30]]);
         a.append(&b);
         assert_eq!(a.len(), 3);
-        let filtered = a.filter(&[true, false, true]);
-        assert_eq!(filtered.column(0), &[1, 3]);
-        let projected = filtered.project(&[1]);
+        assert_eq!(a.row(2), vec![3, 30]);
+        let projected = a.project(&[1]);
         assert_eq!(projected.width(), 1);
-        assert_eq!(projected.column(0), &[10, 30]);
+        assert_eq!(projected.column(0), &[10, 20, 30]);
     }
 
     #[test]

@@ -4,7 +4,9 @@
 //! A pipeline is a [`BatchSource`] (a scan, optionally wrapped by the
 //! probe side of a broadcast hash join: [`JoinBuild`]/[`JoinTable`]/
 //! [`JoinSource`]), an optional [`Predicate`] and a `Sink` that consumes the
-//! surviving rows. There is one sink per kind of result: the keyed
+//! surviving rows — the predicate is a *selection* the sink iterates
+//! (`Predicate::selected`), never a filtered copy of the batch. There is
+//! one sink per kind of result: the keyed
 //! aggregation `KeyedAggr` — generic over the group key, a plain [`Value`]
 //! for the optional key column of an [`AggrSpec`] and a `Vec<Value>` for the
 //! composite key of `Query::group_by` — the top-k selection [`TopKState`]
@@ -99,21 +101,17 @@ impl Predicate {
         }
     }
 
-    /// Evaluates the predicate over a batch, returning a selection mask.
-    pub fn mask(&self, batch: &Batch) -> Vec<bool> {
-        batch
-            .column(self.column)
-            .iter()
-            .map(|&v| self.matches(v))
-            .collect()
-    }
-
-    /// Keeps the rows of `batch` that satisfy `filter`; no filter keeps all.
-    pub(crate) fn select(filter: Option<&Predicate>, batch: Batch) -> Batch {
-        match filter {
-            Some(pred) => batch.filter(&pred.mask(&batch)),
-            None => batch,
-        }
+    /// The selection `filter` makes on `batch`: the positions of the rows
+    /// that satisfy it, ascending; no filter selects every row.
+    pub(crate) fn selected<'a>(
+        filter: Option<&'a Predicate>,
+        batch: &'a Batch,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let tested = filter.map(|pred| (pred, batch.column(pred.column)));
+        (0..batch.len()).filter(move |&row| match tested {
+            Some((pred, column)) => pred.matches(column[row]),
+            None => true,
+        })
     }
 }
 
@@ -218,25 +216,25 @@ fn merge_group_state(existing: &mut GroupState, other: &GroupState, aggregates: 
 /// the ordered map makes the result independent of input delivery order.
 pub type GroupedResult = BTreeMap<Vec<Value>, GroupState>;
 
-/// The consuming end of a pipeline: folds the (already filtered) batches of
-/// one plan fragment into a partial result and merges the partials of the
-/// other fragments (the "XChg + upper operator" of Figure 8).
+/// The consuming end of a pipeline: folds the batches of one plan fragment
+/// into a partial result and merges the partials of the other fragments
+/// (the "XChg + upper operator" of Figure 8).
 pub(crate) trait Sink: Send {
-    /// Folds one batch into the partial result.
-    fn fold(&mut self, batch: &Batch);
+    /// Folds the rows of `batch` that satisfy `filter` into the partial
+    /// result.
+    fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>);
     /// Merges the partial result of another plan fragment into this one.
     fn merge(&mut self, other: Self);
 }
 
-/// Pulls `source` dry, folding every batch that survives `filter` into
-/// `sink`.
+/// Pulls `source` dry, folding the rows that survive `filter` into `sink`.
 pub(crate) fn drain(
     source: &mut dyn BatchSource,
     filter: Option<&Predicate>,
     sink: &mut impl Sink,
 ) -> Result<()> {
     while let Some(batch) = source.next_batch()? {
-        sink.fold(&Predicate::select(filter, batch));
+        sink.fold(&batch, filter);
     }
     Ok(())
 }
@@ -266,8 +264,9 @@ fn fold_keyed<K: GroupKey>(
     keys: &[usize],
     aggregates: &[Aggregate],
     batch: &Batch,
+    filter: Option<&Predicate>,
 ) {
-    for row in 0..batch.len() {
+    for row in Predicate::selected(filter, batch) {
         let entry = groups
             .entry(K::read(keys, batch, row))
             .or_insert_with(|| new_group_state(aggregates));
@@ -296,8 +295,8 @@ impl<'a, K: GroupKey> KeyedAggr<'a, K> {
 }
 
 impl<K: GroupKey> Sink for KeyedAggr<'_, K> {
-    fn fold(&mut self, batch: &Batch) {
-        fold_keyed(&mut self.groups, self.keys, self.aggregates, batch);
+    fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
+        fold_keyed(&mut self.groups, self.keys, self.aggregates, batch, filter);
     }
 
     fn merge(&mut self, other: Self) {
@@ -316,8 +315,8 @@ impl<K: GroupKey> Sink for KeyedAggr<'_, K> {
 
 /// Plain row collection, in delivery order.
 impl Sink for Vec<Vec<Value>> {
-    fn fold(&mut self, batch: &Batch) {
-        self.extend(batch.to_rows());
+    fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
+        self.extend(Predicate::selected(filter, batch).map(|row| batch.row(row)));
     }
 
     fn merge(&mut self, mut other: Self) {
@@ -337,8 +336,13 @@ pub fn fold_batch(
     filter: Option<&Predicate>,
     spec: &AggrSpec,
 ) {
-    let batch = Predicate::select(filter, batch);
-    fold_keyed(groups, spec.group_by.as_slice(), &spec.aggregates, &batch);
+    fold_keyed(
+        groups,
+        spec.group_by.as_slice(),
+        &spec.aggregates,
+        &batch,
+        filter,
+    );
 }
 
 /// Consumes `source`, applying `filter` (if any) and computing `spec`.
@@ -419,10 +423,7 @@ impl TopKState {
 
     /// Feeds one batch of candidate rows.
     pub fn push_batch(&mut self, batch: &Batch) {
-        self.rows.extend(batch.to_rows());
-        if self.rows.len() > self.spec.k.saturating_mul(2).max(1024) {
-            self.compact();
-        }
+        self.fold(batch, None);
     }
 
     /// The final top-k rows, sorted by the spec's total order.
@@ -433,8 +434,12 @@ impl TopKState {
 }
 
 impl Sink for TopKState {
-    fn fold(&mut self, batch: &Batch) {
-        self.push_batch(batch);
+    fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
+        self.rows
+            .extend(Predicate::selected(filter, batch).map(|row| batch.row(row)));
+        if self.rows.len() > self.spec.k.saturating_mul(2).max(1024) {
+            self.compact();
+        }
     }
 
     fn merge(&mut self, mut other: Self) {
@@ -473,8 +478,7 @@ impl JoinBuild {
         assert_eq!(batch.width(), self.width, "build batch width mismatch");
         for row in 0..batch.len() {
             let key = batch.value(row, self.key);
-            let full: Vec<Value> = (0..self.width).map(|c| batch.value(row, c)).collect();
-            self.map.entry(key).or_default().push(full);
+            self.map.entry(key).or_default().push(batch.row(row));
         }
     }
 
@@ -506,13 +510,14 @@ impl JoinTable {
         self.width
     }
 
-    /// Probes one batch: every probe row is matched against the table on
-    /// `key_col` and emits one output row per matching build row (inner
-    /// join), laid out as probe columns followed by build columns.
-    pub fn probe(&self, batch: &Batch, key_col: usize) -> Batch {
+    /// Probes one batch: every probe row that satisfies `filter` is matched
+    /// against the table on `key_col` and emits one output row per matching
+    /// build row (inner join), laid out as probe columns followed by build
+    /// columns.
+    pub fn probe(&self, batch: &Batch, key_col: usize, filter: Option<&Predicate>) -> Batch {
         let probe_width = batch.width();
         let mut columns: Vec<Vec<Value>> = vec![Vec::new(); probe_width + self.width];
-        for row in 0..batch.len() {
+        for row in Predicate::selected(filter, batch) {
             let Some(bucket) = self.map.get(&batch.value(row, key_col)) else {
                 continue;
             };
@@ -578,8 +583,8 @@ impl BatchSource for JoinSource {
         let Some(batch) = self.inner.next_batch()? else {
             return Ok(None);
         };
-        let batch = Predicate::select(self.filter.as_ref(), batch);
-        Ok(Some(self.table.probe(&batch, self.key_col)))
+        let joined = self.table.probe(&batch, self.key_col, self.filter.as_ref());
+        Ok(Some(joined))
     }
 }
 
@@ -602,7 +607,9 @@ mod tests {
     fn predicate_masks_rows() {
         let p = Predicate::new(1, CompareOp::Gt, 25);
         let batch = Batch::new(vec![vec![0, 1, 0], vec![10, 30, 50]]);
-        assert_eq!(p.mask(&batch), vec![false, true, true]);
+        let selected = |filter| Predicate::selected(filter, &batch).collect::<Vec<_>>();
+        assert_eq!(selected(Some(&p)), vec![1, 2]);
+        assert_eq!(selected(None), vec![0, 1, 2]);
         assert!(Predicate::new(0, CompareOp::Eq, 1).matches(1));
         assert!(Predicate::new(0, CompareOp::Le, 1).matches(1));
         assert!(!Predicate::new(0, CompareOp::Lt, 1).matches(1));
@@ -784,7 +791,7 @@ mod tests {
         assert_eq!(table.build_width(), 2);
         // Probe: (key, qty); key 9 has no match and is dropped.
         let probe = Batch::new(vec![vec![7, 9, 8], vec![1, 2, 3]]);
-        let out = table.probe(&probe, 0);
+        let out = table.probe(&probe, 0, None);
         assert_eq!(out.width(), 4);
         // Buckets are sorted: (7,70) before (7,71).
         assert_eq!(
@@ -804,8 +811,8 @@ mod tests {
             build.finish()
         };
         let probe = Batch::new(vec![vec![1]]);
-        let a = finish(&[0, 1, 2]).probe(&probe, 0);
-        let b = finish(&[2, 0, 1]).probe(&probe, 0);
+        let a = finish(&[0, 1, 2]).probe(&probe, 0, None);
+        let b = finish(&[2, 0, 1]).probe(&probe, 0, None);
         assert_eq!(a, b);
         assert_eq!(a.column(2), &[10, 20, 30]);
     }

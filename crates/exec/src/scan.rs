@@ -8,24 +8,37 @@
 //! merges the table's PDT on the fly. The backends are clock-free: every
 //! call passes the engine clock's `now`, and the clock is advanced to
 //! whatever instant a call returned — on a page request here, on a chunk
-//! wait in `Engine::wait_for_chunk`, the one blocking wait. For
-//! pooled backends the delivered ranges are sequential and page requests are
-//! issued (and progress reported) as the merge crosses page boundaries —
-//! which is what PBM exploits. For Cooperative Scans the backend hands out
-//! ABM-chosen chunks, generally **out of table order**; per delivered chunk
-//! the operator:
+//! wait in `Engine::wait_for_chunk`, the one blocking wait.
+//!
+//! The scan is **columnar** from page to batch. The merge
+//! ([`MergeCursor::merge`]) appends straight into the batch's column
+//! vectors: an untouched run of the stable image is one
+//! [`StableSource::fill`] call, which `PooledSource` serves by copying the
+//! run out of each column's open page (a slice of a stored or file-decoded
+//! page, or the generator run for exactly those SIDs — never a whole page);
+//! only positions the PDT touches are produced a row at a time. Page
+//! requests are issued *inside* that fill, before the copy that needs the
+//! page: whenever a column's open page does not cover the next SID, in
+//! ascending SID order and, among columns crossing a page boundary at the
+//! same SID, in projection order — which is what PBM exploits, and the order
+//! the simulator replays.
+//!
+//! For pooled backends the delivered ranges are sequential. For Cooperative
+//! Scans the backend hands out ABM-chosen chunks, generally **out of table
+//! order**; per delivered chunk the operator:
 //!
 //! 1. translates the chunk's SID range into the widest RID range it can
 //!    produce (`SIDtoRIDlow` / `SIDtoRIDhigh`, Section 2.1),
 //! 2. trims that RID range against the rows it has already produced (ranges
 //!    of neighbouring chunks may overlap after translation),
-//! 3. re-initializes PDT merging at the trimmed position and produces the
-//!    merged rows.
+//! 3. seeks one merge cursor per trimmed range — the only positional
+//!    translation the range costs — and produces its rows batch by batch
+//!    from that cursor.
 //!
 //! Rows that exist only in the PDT (inserts anchored past the last stable
 //! tuple) are produced after the backend reports completion.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use scanshare_common::{Error, RangeList, Result, ScanId, TableId, TupleRange};
@@ -36,7 +49,7 @@ use scanshare_pdt::translate::{plan_scan, sid_range_to_rid_range};
 use scanshare_storage::datagen::Value;
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
-use scanshare_storage::storage::PageData;
+use scanshare_storage::storage::PageHandle;
 use scanshare_storage::zone::ZonePredicate;
 
 use crate::batch::Batch;
@@ -56,13 +69,8 @@ pub(crate) struct PooledSource {
     layout: Arc<TableLayout>,
     snapshot: Arc<Snapshot>,
     scan_id: Option<ScanId>,
-    /// Last page materialized per column.
-    cached: HashMap<usize, PageData>,
-    /// First error encountered while fetching stable data.
-    /// [`StableSource::value`] is infallible, so device and storage faults
-    /// are parked here and re-raised by the operator after the merge step
-    /// instead of panicking mid-merge.
-    error: Option<Error>,
+    /// The page last opened per table column.
+    pages: Vec<Option<PageHandle>>,
 }
 
 impl PooledSource {
@@ -72,19 +80,45 @@ impl PooledSource {
         snapshot: Arc<Snapshot>,
         scan_id: Option<ScanId>,
     ) -> Self {
+        let pages = vec![None; layout.column_count()];
         Self {
             engine,
             layout,
             snapshot,
             scan_id,
-            cached: HashMap::new(),
-            error: None,
+            pages,
         }
     }
 
-    /// Takes the first parked fault, if any (see the `error` field).
-    fn take_error(&mut self) -> Option<Error> {
-        self.error.take()
+    /// Makes the open page of `col` the one covering `sid` and returns the
+    /// end of its SID range. A page not open yet is first requested through
+    /// the backend: pooled backends count the hit/miss and charge misses to
+    /// the I/O device, the ABM already loaded and accounted the chunk.
+    fn open(&mut self, col: usize, sid: u64) -> Result<u64> {
+        if let Some(page) = &self.pages[col] {
+            if page.sid_range.contains(sid) {
+                return Ok(page.sid_range.end);
+            }
+        }
+        let page_index = self.layout.page_index_for_sid(col, sid);
+        if let (Some(scan_id), Some(page_id)) = (self.scan_id, self.snapshot.page(col, page_index))
+        {
+            let now = self.engine.now();
+            let ready = self.engine.backend().request_page(scan_id, page_id, now)?;
+            self.engine.clock().advance_to(ready);
+        }
+        let page =
+            self.engine
+                .storage()
+                .open_page(&self.layout, &self.snapshot, col, page_index)?;
+        if !page.sid_range.contains(sid) {
+            return Err(Error::internal(format!(
+                "page {page_index} of column {col} does not cover sid {sid}"
+            )));
+        }
+        let end = page.sid_range.end;
+        self.pages[col] = Some(page);
+        Ok(end)
     }
 }
 
@@ -93,55 +127,23 @@ impl StableSource for PooledSource {
         self.snapshot.stable_tuples()
     }
 
-    fn value(&mut self, col: usize, sid: u64) -> Value {
-        if self.error.is_some() {
-            // A fault is already parked: produce placeholders until the
-            // operator notices and aborts the batch.
-            return 0;
-        }
-        if let Some(page) = self.cached.get(&col) {
-            if let Some(v) = page.value(sid) {
-                return v;
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()> {
+        let mut start = sids.start;
+        while start < sids.end {
+            // Open (and request), in projection order, every page that does
+            // not cover `start`; the piece ends where the first of them does.
+            let mut end = sids.end;
+            for &col in columns {
+                end = end.min(self.open(col, start)?);
             }
-        }
-        let page_index = self.layout.page_index_for_sid(col, sid);
-        // Request the page through the backend; pooled backends count the
-        // hit/miss and charge misses to the I/O device, the ABM already
-        // loaded and accounted the chunk. Device faults park here and
-        // surface as the batch's error.
-        if let (Some(scan_id), Some(page_id)) = (self.scan_id, self.snapshot.page(col, page_index))
-        {
-            let now = self.engine.now();
-            match self.engine.backend().request_page(scan_id, page_id, now) {
-                Ok(ready) => {
-                    self.engine.clock().advance_to(ready);
-                }
-                Err(err) => {
-                    self.error = Some(err);
-                    return 0;
-                }
+            let piece = TupleRange::new(start, end);
+            for (&col, out) in columns.iter().zip(out.iter_mut()) {
+                let page = self.pages[col].as_ref().expect("opened above");
+                page.fill(piece, out);
             }
+            start = end;
         }
-        let data =
-            match self
-                .engine
-                .storage()
-                .read_page(&self.layout, &self.snapshot, col, page_index)
-            {
-                Ok(data) => data,
-                Err(err) => {
-                    self.error = Some(err);
-                    return 0;
-                }
-            };
-        let Some(v) = data.value(sid) else {
-            self.error = Some(Error::internal(format!(
-                "page {page_index} of column {col} does not cover sid {sid}"
-            )));
-            return 0;
-        };
-        self.cached.insert(col, data);
-        v
+        Ok(())
     }
 }
 
@@ -157,8 +159,9 @@ pub struct ScanOperator {
     requested: RangeList,
     /// RID ranges already produced (chunk translations may overlap).
     produced: RangeList,
-    /// RID ranges of the delivered chunk currently being produced.
-    window: VecDeque<TupleRange>,
+    /// The RID ranges of the delivered chunk still to produce, each as the
+    /// merge cursor sought when it was queued.
+    window: VecDeque<MergeCursor>,
     /// The backend has delivered every registered range.
     backend_done: bool,
     /// PDT-only rows (past the stable data) have been scheduled.
@@ -279,32 +282,51 @@ impl ScanOperator {
     }
 
     /// Produces up to [`BATCH_SIZE`] rows from the front of the current
-    /// window (re-initializing the PDT merge at that position). A device or
-    /// storage fault parked by the source mid-merge aborts the batch with
-    /// the typed error.
-    fn produce_from_window(&mut self) -> Result<Vec<Vec<Value>>> {
-        let range = self.window.front().copied().expect("window is non-empty");
-        let end = (range.start + BATCH_SIZE as u64).min(range.end);
-        let piece = TupleRange::new(range.start, end);
-        let mut cursor = MergeCursor::new(&self.pdt, &mut self.source, self.columns.clone(), piece);
-        let rows = cursor.collect_rows();
-        drop(cursor);
-        if let Some(err) = self.source.take_error() {
-            return Err(err);
-        }
-        if end >= range.end {
+    /// window, continuing its cursor. A device or storage fault aborts the
+    /// batch with the typed error and leaves the cursor where the batch
+    /// started.
+    fn produce_from_window(&mut self) -> Result<Batch> {
+        let cursor = self.window.front_mut().expect("window is non-empty");
+        let start = *cursor;
+        let capacity = cursor.remaining().min(BATCH_SIZE as u64) as usize;
+        let mut columns: Vec<Vec<Value>> = (0..self.columns.len())
+            .map(|_| Vec::with_capacity(capacity))
+            .collect();
+        let merged = cursor.merge(
+            &self.pdt,
+            &mut self.source,
+            &self.columns,
+            BATCH_SIZE as u64,
+            &mut columns,
+        );
+        let produced = match merged {
+            Ok(produced) => produced,
+            Err(err) => {
+                *cursor = start;
+                return Err(err);
+            }
+        };
+        let piece = TupleRange::new(start.position().raw(), cursor.position().raw());
+        if cursor.is_exhausted() {
             self.window.pop_front();
-        } else {
-            self.window.front_mut().expect("checked above").start = end;
         }
         self.produced.add(piece);
-        let produced = rows.len() as u64;
         self.tuples_produced += produced;
         self.engine.charge_cpu(produced);
         if self.tuples_produced - self.last_report >= REPORT_INTERVAL {
             self.report_progress();
         }
-        Ok(rows)
+        Ok(Batch::new(columns))
+    }
+
+    /// Queues `ranges` on the window, seeking the merge to the start of each.
+    fn queue(&mut self, ranges: &RangeList) {
+        let stable = self.source.stable_tuples();
+        let cursors = ranges
+            .ranges()
+            .iter()
+            .map(|&range| MergeCursor::seek(&self.pdt, stable, range));
+        self.window.extend(cursors);
     }
 
     /// Translates a delivered chunk into the RID ranges still to produce and
@@ -314,7 +336,7 @@ impl ScanOperator {
         let fresh = RangeList::from_ranges([rid_window])
             .intersect(&self.requested)
             .subtract(&self.produced);
-        self.window.extend(fresh.ranges().iter().copied());
+        self.queue(&fresh);
     }
 }
 
@@ -329,15 +351,15 @@ impl BatchSource for ScanOperator {
                 return Ok(None);
             }
             if !self.window.is_empty() {
-                let rows = self.produce_from_window()?;
+                let batch = self.produce_from_window()?;
                 // A batch boundary is a compute point: let the backend top
                 // up its asynchronous prefetch window so the next pages'
                 // transfers overlap with this batch's downstream processing.
                 self.engine.backend().drive_prefetch(self.engine.now());
-                if rows.is_empty() {
+                if batch.is_empty() {
                     continue;
                 }
-                return Ok(Some(Batch::from_rows(self.columns.len(), &rows)));
+                return Ok(Some(batch));
             }
             if !self.backend_done {
                 let scan_id = self.scan_id.expect("backend_done is set when unregistered");
@@ -352,7 +374,7 @@ impl BatchSource for ScanOperator {
                 // last stable tuple) are not covered by any chunk window.
                 self.drained = true;
                 let rest = self.requested.subtract(&self.produced);
-                self.window.extend(rest.ranges().iter().copied());
+                self.queue(&rest);
                 continue;
             }
             self.finish();

@@ -9,15 +9,42 @@
 use std::sync::Arc;
 
 use scanshare_common::{Result, TableId, TupleRange};
+use scanshare_storage::datagen::Value;
+use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
 
-use crate::merge::{merge_range, SliceSource};
+use crate::merge::{merge_columns, StableSource};
 use crate::pdt::Pdt;
 use crate::stack::PdtStack;
 
+/// The stable image of one snapshot, read straight from storage: every run
+/// the merge asks for is copied out of the pages that hold it.
+struct SnapshotSource<'a> {
+    storage: &'a Storage,
+    layout: &'a TableLayout,
+    snapshot: &'a Snapshot,
+}
+
+impl StableSource for SnapshotSource<'_> {
+    fn stable_tuples(&self) -> u64 {
+        self.snapshot.stable_tuples()
+    }
+
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()> {
+        for (&col, out) in columns.iter().zip(out) {
+            self.storage
+                .read_range_into(self.layout, self.snapshot, col, sids, out)?;
+        }
+        Ok(())
+    }
+}
+
 /// Scans `snapshot` of `table`, merges `pdt`, and installs the merged result
 /// as a new checkpointed master snapshot. Returns the new snapshot.
+///
+/// The merge is the scans' columnar one, run a column at a time: the only
+/// full-size buffers are the new image's own columns.
 ///
 /// The installation is a compare-and-swap against `snapshot`: if the
 /// table's master changed while the merge ran (a concurrent bulk append
@@ -32,29 +59,18 @@ pub fn checkpoint_table(
     pdt: &Pdt,
 ) -> Result<Arc<Snapshot>> {
     let layout = storage.layout(table)?;
-    let stable = snapshot.stable_tuples();
-    let column_count = layout.column_count();
-
-    // Read the stable image (per column) and merge the PDT over it.
-    let columns: Vec<Vec<i64>> = (0..column_count)
-        .map(|col| storage.read_range(&layout, snapshot, col, TupleRange::new(0, stable)))
-        .collect::<Result<_>>()?;
-    let all_columns: Vec<usize> = (0..column_count).collect();
-    let visible = pdt.visible_count(stable);
-    let rows = merge_range(
-        pdt,
-        SliceSource::new(columns),
-        &all_columns,
-        TupleRange::new(0, visible),
-    );
-
-    // Transpose back to column-major for installation.
-    let mut new_values: Vec<Vec<i64>> = vec![Vec::with_capacity(rows.len()); column_count];
-    for row in &rows {
-        for (col, &v) in row.iter().enumerate() {
-            new_values[col].push(v);
-        }
-    }
+    let visible = pdt.visible_count(snapshot.stable_tuples());
+    let mut source = SnapshotSource {
+        storage,
+        layout: &layout,
+        snapshot,
+    };
+    let new_values = (0..layout.column_count())
+        .map(|col| {
+            let merged = merge_columns(pdt, &mut source, &[col], TupleRange::new(0, visible))?;
+            Ok(merged.into_iter().next().expect("one projected column"))
+        })
+        .collect::<Result<Vec<_>>>()?;
     storage.install_checkpoint_from(table, snapshot.id(), visible, Some(new_values))
 }
 

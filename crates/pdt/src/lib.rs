@@ -10,9 +10,11 @@
 //!   positional translation;
 //! * the translation functions of Figure 4: [`Pdt::rid_to_sid`],
 //!   [`Pdt::sid_to_rid_low`] and [`Pdt::sid_to_rid_high`];
-//! * [`merge`]: a re-initializable merge cursor that applies PDT changes to a
-//!   stable tuple stream for an arbitrary RID range — the operation a CScan
-//!   must restart for every out-of-order chunk it receives;
+//! * [`merge`]: a re-initializable, columnar merge cursor that applies PDT
+//!   changes to a stable tuple stream for an arbitrary RID range — untouched
+//!   runs of the stable image copied whole, touched positions row by row —
+//!   the operation a CScan must restart for every out-of-order chunk it
+//!   receives;
 //! * [`stack`]: stacked PDTs ("differences on differences") used for snapshot
 //!   isolation, with composition (propagation) of layers and the
 //!   transaction primitives the engine's snapshot-isolated update path is
@@ -39,7 +41,7 @@ pub mod wal;
 
 pub use crate::pdt::{Pdt, UpdateStats};
 pub use checkpoint::{checkpoint_stack, checkpoint_table};
-pub use merge::{MergeCursor, SliceSource, StableSource};
+pub use merge::{merge_columns, MergeCursor, SliceSource, StableSource};
 pub use stack::PdtStack;
 pub use translate::{plan_scan, sid_range_to_rid_range};
 pub use wal::{decode_commit, encode_commit, CommitTableRecord};

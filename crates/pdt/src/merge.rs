@@ -2,16 +2,25 @@
 //!
 //! Every scan (classical `Scan` or `CScan`) reads *stale* columnar data and
 //! merges the PDT on the fly so that its output corresponds to the latest
-//! visible database state. The merge is driven by RID ranges: the scan knows
-//! which visible rows it must produce, and pulls the stable tuples it needs
-//! from the buffer manager.
+//! visible database state. The merge is positional and **run-based**: the
+//! PDT's anchors cut the stable image into maximal untouched runs, and
+//! between two anchors the visible stream *is* the stable image. A run goes
+//! from the [`StableSource`] to the output columns in one
+//! [`StableSource::fill`] call (a slice copy, or a generator run straight
+//! into the output); only the positions the PDT touches — inserted rows, a
+//! deleted or modified stable tuple — are handled one row at a time, and an
+//! empty PDT never sees a row.
 //!
 //! Out-of-order chunk delivery (Cooperative Scans) means the merge must be
 //! **re-initializable at an arbitrary position**: whenever a new chunk
 //! arrives, the proper starting position inside the PDT has to be found
-//! again. [`MergeCursor::seek`] implements exactly that.
+//! again. [`MergeCursor::seek`] does exactly that, once per delivered range;
+//! the cursor then carries its position across the batches of that range.
+//!
+//! [`merge_range`] is the row-at-a-time walk of the whole visible stream,
+//! kept as the oracle the tests compare the columnar merge against.
 
-use scanshare_common::{Rid, TupleRange};
+use scanshare_common::{Result, Rid, TupleRange};
 use scanshare_storage::datagen::Value;
 
 use crate::pdt::Pdt;
@@ -20,16 +29,18 @@ use crate::pdt::Pdt;
 pub trait StableSource {
     /// Number of stable tuples available.
     fn stable_tuples(&self) -> u64;
-    /// The value of column `col` for stable tuple `sid`.
-    fn value(&mut self, col: usize, sid: u64) -> Value;
+    /// Appends the stable tuples `sids`, column `columns[i]` to `out[i]`
+    /// for every `i`. On an error the output columns are left in an
+    /// unspecified (possibly ragged) state.
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()>;
 }
 
 impl<S: StableSource + ?Sized> StableSource for &mut S {
     fn stable_tuples(&self) -> u64 {
         (**self).stable_tuples()
     }
-    fn value(&mut self, col: usize, sid: u64) -> Value {
-        (**self).value(col, sid)
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()> {
+        (**self).fill(columns, sids, out)
     }
 }
 
@@ -67,71 +78,49 @@ impl StableSource for SliceSource {
         self.columns.first().map(|c| c.len() as u64).unwrap_or(0)
     }
 
-    fn value(&mut self, col: usize, sid: u64) -> Value {
-        self.columns[col][sid as usize]
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()> {
+        for (&col, out) in columns.iter().zip(out) {
+            out.extend_from_slice(&self.columns[col][sids.start as usize..sids.end as usize]);
+        }
+        Ok(())
     }
 }
 
-/// A restartable cursor producing the merged (visible) tuple stream for a
-/// RID range, projected onto a set of columns.
-#[derive(Debug)]
-pub struct MergeCursor<'a, S> {
-    pdt: &'a Pdt,
-    source: S,
-    columns: Vec<usize>,
+/// The position of a columnar merge inside one RID range: where in the PDT
+/// and the stable image the next visible row comes from. Seeking costs a
+/// positional translation; advancing ([`MergeCursor::merge`]) costs one
+/// anchor lookup per run, so a scan seeks once per delivered range and
+/// carries the cursor across its batches.
+#[derive(Debug, Clone, Copy)]
+pub struct MergeCursor {
     next_rid: u64,
     end_rid: u64,
-    current_sid: u64,
+    /// The anchor position the next row belongs to.
+    sid: u64,
+    /// How many rows anchored at `sid` are already produced: below the
+    /// position's insert count the next row is that insert, at it the next
+    /// row is stable tuple `sid` itself.
     offset: usize,
 }
 
-impl<'a, S: StableSource> MergeCursor<'a, S> {
-    /// Creates a cursor over the visible rows in `rid_range`.
-    pub fn new(pdt: &'a Pdt, source: S, columns: Vec<usize>, rid_range: TupleRange) -> Self {
-        let mut cursor = Self {
-            pdt,
-            source,
-            columns,
-            next_rid: 0,
-            end_rid: 0,
-            current_sid: 0,
-            offset: 0,
-        };
-        cursor.seek_range(rid_range);
-        cursor
-    }
-
-    /// Re-initializes the cursor at a new RID range. This is the operation a
-    /// CScan performs whenever ABM delivers the next (out-of-order) chunk.
-    pub fn seek_range(&mut self, rid_range: TupleRange) {
-        let visible = self.pdt.visible_count(self.source.stable_tuples());
+impl MergeCursor {
+    /// Positions a cursor at the start of `rid_range` (clamped to the
+    /// visible rows). This is what a CScan does whenever ABM delivers the
+    /// next (out-of-order) chunk.
+    pub fn seek(pdt: &Pdt, stable_tuples: u64, rid_range: TupleRange) -> Self {
+        let visible = pdt.visible_count(stable_tuples);
         let clamped = rid_range.intersect(&TupleRange::new(0, visible));
-        self.next_rid = clamped.start;
-        self.end_rid = clamped.end;
-        self.seek(Rid::new(clamped.start));
-    }
-
-    /// Positions the internal PDT state at `rid` (without changing the end of
-    /// the current range).
-    pub fn seek(&mut self, rid: Rid) {
-        let stable = self.source.stable_tuples();
-        let (sid, offset) = if rid.raw() >= self.pdt.visible_count(stable) {
-            (stable, self.pdt.node_inserts(stable))
+        let (sid, offset) = if clamped.start >= visible {
+            (stable_tuples, pdt.node_inserts(stable_tuples))
         } else {
-            self.pdt_locate(rid)
+            pdt.locate(Rid::new(clamped.start), stable_tuples)
         };
-        self.next_rid = rid.raw();
-        self.current_sid = sid;
-        self.offset = offset;
-    }
-
-    fn pdt_locate(&self, rid: Rid) -> (u64, usize) {
-        // `locate` is crate-private on Pdt; re-derive it from the public API
-        // to keep the cursor independent of internals.
-        let stable = self.source.stable_tuples();
-        let sid = self.pdt.rid_to_sid(rid, stable);
-        let low = self.pdt.sid_to_rid_low(sid);
-        (sid.raw(), (rid.raw() - low.raw()) as usize)
+        Self {
+            next_rid: clamped.start,
+            end_rid: clamped.end,
+            sid,
+            offset,
+        }
     }
 
     /// The RID the next produced row will have.
@@ -139,81 +128,154 @@ impl<'a, S: StableSource> MergeCursor<'a, S> {
         Rid::new(self.next_rid)
     }
 
+    /// Rows of the range not produced yet.
+    pub fn remaining(&self) -> u64 {
+        self.end_rid - self.next_rid
+    }
+
     /// Whether the cursor has produced every row of its range.
     pub fn is_exhausted(&self) -> bool {
         self.next_rid >= self.end_rid
     }
 
-    /// Produces the next visible row (projected on the cursor's columns), or
-    /// `None` when the range is exhausted.
-    pub fn next_row(&mut self) -> Option<Vec<Value>> {
-        if self.is_exhausted() {
-            return None;
-        }
-        let stable = self.source.stable_tuples();
-        loop {
-            let inserts = self.pdt.node_inserts(self.current_sid);
-            if self.offset < inserts {
-                let row = self
-                    .pdt
-                    .node_insert_row(self.current_sid, self.offset)
-                    .expect("offset < inserts");
-                let projected = self.columns.iter().map(|&c| row[c]).collect();
-                self.offset += 1;
-                self.next_rid += 1;
-                return Some(projected);
+    /// Appends up to `limit` of the remaining visible rows, projected on
+    /// `columns`, to `out` (one vector per projected column) and returns how
+    /// many. Untouched runs of the stable image are filled by one source
+    /// call each, in ascending SID order; at a touched position the source
+    /// is asked, in projection order, only for the columns the PDT does not
+    /// overwrite. On an error `out` may be ragged and the cursor is
+    /// mid-batch: restore a copy taken before the call to retry.
+    pub fn merge<S: StableSource + ?Sized>(
+        &mut self,
+        pdt: &Pdt,
+        source: &mut S,
+        columns: &[usize],
+        limit: u64,
+        out: &mut [Vec<Value>],
+    ) -> Result<u64> {
+        debug_assert_eq!(columns.len(), out.len());
+        let stable = source.stable_tuples();
+        let wanted = limit.min(self.remaining());
+        let mut left = wanted;
+        while left > 0 {
+            match pdt.next_node(self.sid) {
+                Some((anchor, node)) if anchor == self.sid => {
+                    // A touched position: the rows inserted before the
+                    // stable tuple, then the tuple itself unless deleted.
+                    while self.offset < node.inserts.len() && left > 0 {
+                        let row = &node.inserts[self.offset];
+                        for (out, &col) in out.iter_mut().zip(columns) {
+                            out.push(row[col]);
+                        }
+                        self.offset += 1;
+                        left -= 1;
+                    }
+                    if left == 0 {
+                        break;
+                    }
+                    if !node.deleted && self.sid < stable {
+                        let tuple = TupleRange::new(self.sid, self.sid + 1);
+                        for (slot, col) in columns.iter().enumerate() {
+                            match node.modifies.get(col) {
+                                Some(&value) => out[slot].push(value),
+                                None => source.fill(
+                                    &columns[slot..=slot],
+                                    tuple,
+                                    &mut out[slot..=slot],
+                                )?,
+                            }
+                        }
+                        left -= 1;
+                    }
+                    self.sid += 1;
+                    self.offset = 0;
+                }
+                next => {
+                    // An untouched run, up to the next anchor.
+                    let run_end = next.map_or(stable, |(anchor, _)| anchor.min(stable));
+                    if run_end <= self.sid {
+                        // Past the stable image with no insert left: cannot
+                        // happen for a clamped range, but never spin.
+                        self.end_rid = self.next_rid + (wanted - left);
+                        break;
+                    }
+                    let run = TupleRange::new(self.sid, run_end.min(self.sid + left));
+                    source.fill(columns, run, out)?;
+                    self.sid = run.end;
+                    left -= run.len();
+                }
             }
-            let deleted = self.pdt.node_deleted(self.current_sid);
-            if self.offset == inserts && !deleted && self.current_sid < stable {
-                let sid = self.current_sid;
-                let projected = self
-                    .columns
-                    .iter()
-                    .map(|&c| {
-                        self.pdt
-                            .node_modify(sid, c)
-                            .unwrap_or_else(|| self.source.value(c, sid))
-                    })
-                    .collect();
-                self.offset += 1;
-                self.next_rid += 1;
-                return Some(projected);
-            }
-            // Move to the next anchor position.
-            if self.current_sid >= stable {
-                // Past the end: nothing left (should not happen when the
-                // range was clamped, but guard anyway).
-                self.next_rid = self.end_rid;
-                return None;
-            }
-            self.current_sid += 1;
-            self.offset = 0;
         }
-    }
-
-    /// Produces every remaining row of the range.
-    pub fn collect_rows(&mut self) -> Vec<Vec<Value>> {
-        let mut out = Vec::new();
-        while let Some(row) = self.next_row() {
-            out.push(row);
-        }
-        out
+        let produced = wanted - left;
+        self.next_rid += produced;
+        Ok(produced)
     }
 }
 
-/// Convenience: merges `pdt` over `source` for `rid_range`, projecting
-/// `columns`, and returns all rows.
+/// Merges `pdt` over `source` for `rid_range`, projecting `columns`, into
+/// one vector per projected column.
+pub fn merge_columns<S: StableSource + ?Sized>(
+    pdt: &Pdt,
+    source: &mut S,
+    columns: &[usize],
+    rid_range: TupleRange,
+) -> Result<Vec<Vec<Value>>> {
+    let mut cursor = MergeCursor::seek(pdt, source.stable_tuples(), rid_range);
+    let mut out: Vec<Vec<Value>> = (0..columns.len())
+        .map(|_| Vec::with_capacity(cursor.remaining() as usize))
+        .collect();
+    cursor.merge(pdt, source, columns, u64::MAX, &mut out)?;
+    Ok(out)
+}
+
+/// The test oracle of the columnar merge: walks the whole visible stream of
+/// `pdt` over `source` one row at a time — every anchor position's inserts,
+/// then its stable tuple unless deleted, with modifies applied — and returns
+/// the rows whose position falls in `rid_range`, projected on `columns`.
+/// Deliberately shares neither the seek nor the run logic of
+/// [`MergeCursor`].
+///
+/// # Panics
+/// Panics when the source fails; oracle sources are in-memory.
 pub fn merge_range<S: StableSource>(
     pdt: &Pdt,
-    source: S,
+    mut source: S,
     columns: &[usize],
     rid_range: TupleRange,
 ) -> Vec<Vec<Value>> {
-    MergeCursor::new(pdt, source, columns.to_vec(), rid_range).collect_rows()
+    let stable = source.stable_tuples();
+    let mut rows = Vec::new();
+    let mut rid = 0;
+    for sid in 0..=stable {
+        for i in 0..pdt.node_inserts(sid) {
+            if rid_range.contains(rid) {
+                let row = pdt.node_insert_row(sid, i).expect("i < inserts");
+                rows.push(columns.iter().map(|&c| row[c]).collect());
+            }
+            rid += 1;
+        }
+        if sid < stable && !pdt.node_deleted(sid) {
+            if rid_range.contains(rid) {
+                let mut row = vec![Vec::new(); columns.len()];
+                source
+                    .fill(columns, TupleRange::new(sid, sid + 1), &mut row)
+                    .expect("oracle sources do not fail");
+                rows.push(
+                    columns
+                        .iter()
+                        .zip(row)
+                        .map(|(&c, stable)| pdt.node_modify(sid, c).unwrap_or(stable[0]))
+                        .collect(),
+                );
+            }
+            rid += 1;
+        }
+    }
+    rows
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use scanshare_common::Sid;
 
@@ -221,10 +283,24 @@ mod tests {
         SliceSource::generate(2, n, |c, s| (s * 10 + c as u64) as Value)
     }
 
+    pub(crate) fn to_rows(columns: &[Vec<Value>]) -> Vec<Vec<Value>> {
+        (0..columns.first().map_or(0, Vec::len))
+            .map(|r| columns.iter().map(|c| c[r]).collect())
+            .collect()
+    }
+
+    /// The columnar merge of `range` over `source(n)`, as rows, checked
+    /// against the oracle.
+    fn merged(pdt: &Pdt, n: u64, columns: &[usize], range: TupleRange) -> Vec<Vec<Value>> {
+        let rows = to_rows(&merge_columns(pdt, &mut source(n), columns, range).unwrap());
+        assert_eq!(rows, merge_range(pdt, source(n), columns, range));
+        rows
+    }
+
     #[test]
     fn identity_merge_returns_stable_rows() {
         let pdt = Pdt::new(2);
-        let rows = merge_range(&pdt, source(5), &[0, 1], TupleRange::new(0, 5));
+        let rows = merged(&pdt, 5, &[0, 1], TupleRange::new(0, 5));
         assert_eq!(rows.len(), 5);
         assert_eq!(rows[3], vec![30, 31]);
     }
@@ -232,9 +308,9 @@ mod tests {
     #[test]
     fn projection_selects_columns_in_order() {
         let pdt = Pdt::new(2);
-        let rows = merge_range(&pdt, source(3), &[1], TupleRange::new(1, 3));
+        let rows = merged(&pdt, 3, &[1], TupleRange::new(1, 3));
         assert_eq!(rows, vec![vec![11], vec![21]]);
-        let rows = merge_range(&pdt, source(3), &[1, 0], TupleRange::new(0, 1));
+        let rows = merged(&pdt, 3, &[1, 0], TupleRange::new(0, 1));
         assert_eq!(rows, vec![vec![1, 0]]);
     }
 
@@ -246,7 +322,7 @@ mod tests {
         pdt.insert(Rid::new(2), vec![-1, -2], n).unwrap();
         pdt.modify(Rid::new(0), 1, 999, n).unwrap();
         // Visible stream: [10,999], [20,21], [-1,-2], [30,31], [40,41], [50,51]
-        let rows = merge_range(&pdt, source(n), &[0, 1], TupleRange::new(0, 6));
+        let rows = merged(&pdt, n, &[0, 1], TupleRange::new(0, 6));
         assert_eq!(
             rows,
             vec![
@@ -264,7 +340,7 @@ mod tests {
     fn range_is_clamped_to_visible_count() {
         let mut pdt = Pdt::new(2);
         pdt.delete(Rid::new(0), 4).unwrap();
-        let rows = merge_range(&pdt, source(4), &[0], TupleRange::new(0, 100));
+        let rows = merged(&pdt, 4, &[0], TupleRange::new(0, 100));
         assert_eq!(rows.len(), 3);
     }
 
@@ -279,19 +355,14 @@ mod tests {
         pdt.delete(Rid::new(10), n).unwrap();
         pdt.modify(Rid::new(7), 0, 777, n).unwrap();
 
-        let full = merge_range(&pdt, source(n), &[0, 1], TupleRange::new(0, 100));
+        let full = merged(&pdt, n, &[0, 1], TupleRange::new(0, 100));
         let visible = pdt.visible_count(n);
         assert_eq!(full.len() as u64, visible);
 
         // Any split into sub-ranges must reproduce the same stream.
         for split in 1..visible {
-            let mut parts = merge_range(&pdt, source(n), &[0, 1], TupleRange::new(0, split));
-            parts.extend(merge_range(
-                &pdt,
-                source(n),
-                &[0, 1],
-                TupleRange::new(split, visible),
-            ));
+            let mut parts = merged(&pdt, n, &[0, 1], TupleRange::new(0, split));
+            parts.extend(merged(&pdt, n, &[0, 1], TupleRange::new(split, visible)));
             assert_eq!(parts, full, "split at {split}");
         }
     }
@@ -302,15 +373,15 @@ mod tests {
         let mut pdt = Pdt::new(2);
         pdt.insert(Rid::new(4), vec![100, 200], n).unwrap();
         pdt.delete(Rid::new(9), n).unwrap();
-        let full = merge_range(&pdt, source(n), &[0], TupleRange::new(0, 12));
+        let full = merged(&pdt, n, &[0], TupleRange::new(0, 12));
 
-        // Deliver "chunks" out of order: [8,12), [0,4), [4,8).
-        let mut cursor = MergeCursor::new(&pdt, source(n), vec![0], TupleRange::new(8, 12));
-        let mut c3 = cursor.collect_rows();
-        cursor.seek_range(TupleRange::new(0, 4));
-        let c1 = cursor.collect_rows();
-        cursor.seek_range(TupleRange::new(4, 8));
-        let c2 = cursor.collect_rows();
+        // Deliver "chunks" out of order — [8,12), [0,4), [4,8) — into one
+        // source, re-seeking per chunk.
+        let mut source = source(n);
+        let mut chunk = |range| to_rows(&merge_columns(&pdt, &mut source, &[0], range).unwrap());
+        let mut c3 = chunk(TupleRange::new(8, 12));
+        let c1 = chunk(TupleRange::new(0, 4));
+        let c2 = chunk(TupleRange::new(4, 8));
 
         let mut reassembled = c1;
         reassembled.extend(c2);
@@ -321,15 +392,25 @@ mod tests {
     #[test]
     fn seek_tracks_position() {
         let n = 5;
-        let pdt = Pdt::new(2);
-        let mut cursor = MergeCursor::new(&pdt, source(n), vec![0], TupleRange::new(0, 5));
+        let mut pdt = Pdt::new(2);
+        pdt.insert(Rid::new(1), vec![-1, -2], n).unwrap();
+        let mut source = source(n);
+        let mut cursor = MergeCursor::seek(&pdt, n, TupleRange::new(0, 6));
+        let mut out = vec![Vec::new()];
         assert_eq!(cursor.position(), Rid::new(0));
-        cursor.next_row().unwrap();
+        // One row at a time: every batch boundary falls somewhere else.
+        let mut step = |cursor: &mut MergeCursor, out: &mut [Vec<Value>]| {
+            cursor.merge(&pdt, &mut source, &[0], 1, out).unwrap()
+        };
+        assert_eq!(step(&mut cursor, &mut out), 1);
         assert_eq!(cursor.position(), Rid::new(1));
+        assert_eq!(cursor.remaining(), 5);
         assert!(!cursor.is_exhausted());
-        cursor.collect_rows();
-        assert!(cursor.is_exhausted());
-        assert!(cursor.next_row().is_none());
+        while !cursor.is_exhausted() {
+            assert_eq!(step(&mut cursor, &mut out), 1);
+        }
+        assert_eq!(step(&mut cursor, &mut out), 0);
+        assert_eq!(out[0], vec![0, -1, 10, 20, 30, 40]);
     }
 
     #[test]
@@ -348,10 +429,10 @@ mod tests {
         let chunk = TupleRange::new(10, 20); // SID space
         let lo = pdt.sid_to_rid_low(Sid::new(chunk.start)).raw();
         let hi = pdt.sid_to_rid_high(Sid::new(chunk.end - 1)).raw() + 1;
-        let rows = merge_range(&pdt, source(n), &[0], TupleRange::new(lo, hi));
+        let rows = merged(&pdt, n, &[0], TupleRange::new(lo, hi));
         // The produced rows must be exactly the slice [lo, hi) of the full
         // visible stream.
-        let full = merge_range(&pdt, source(n), &[0], TupleRange::new(0, 100));
+        let full = merged(&pdt, n, &[0], TupleRange::new(0, 100));
         assert_eq!(rows.as_slice(), &full[lo as usize..hi as usize]);
     }
 
@@ -359,7 +440,9 @@ mod tests {
     fn generate_and_slice_source_agree() {
         let mut s = SliceSource::new(vec![vec![1, 2, 3], vec![4, 5, 6]]);
         assert_eq!(s.stable_tuples(), 3);
-        assert_eq!(s.value(1, 2), 6);
+        let mut out = vec![Vec::new(), vec![9]];
+        s.fill(&[1, 0], TupleRange::new(1, 3), &mut out).unwrap();
+        assert_eq!(out, vec![vec![5, 6], vec![9, 2, 3]]);
         let empty = SliceSource::new(vec![]);
         assert_eq!(empty.stable_tuples(), 0);
     }

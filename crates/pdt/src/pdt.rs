@@ -197,6 +197,15 @@ impl Pdt {
         self.node(sid).and_then(|n| n.modifies.get(&col).copied())
     }
 
+    /// The first node anchored at or after `from`, with its anchor SID: the
+    /// end of the untouched run of the stable image that starts at `from`.
+    pub(crate) fn next_node(&self, from: u64) -> Option<(u64, &Node)> {
+        self.nodes
+            .range(from..)
+            .next()
+            .map(|(&sid, node)| (sid, node))
+    }
+
     /// Iterates the anchor SIDs present in the PDT within `[from, to)`.
     pub(crate) fn anchors_in(&self, from: u64, to: u64) -> impl Iterator<Item = u64> + '_ {
         self.nodes.range(from..to).map(|(&sid, _)| sid)

@@ -16,7 +16,7 @@
 use scanshare_common::{Result, Rid, Sid, TupleRange};
 use scanshare_storage::datagen::Value;
 
-use crate::merge::{MergeCursor, StableSource};
+use crate::merge::{merge_columns, MergeCursor, StableSource};
 use crate::pdt::Pdt;
 
 /// A stack of PDT layers. `layers[0]` is closest to stable storage; the last
@@ -64,16 +64,12 @@ impl PdtStack {
 
     /// Number of rows visible after all layers are applied.
     pub fn visible_count(&self, stable_tuples: u64) -> u64 {
-        self.layers
-            .iter()
-            .fold(stable_tuples, |acc, layer| layer.visible_count(acc))
+        visible_through(&self.layers, stable_tuples)
     }
 
     /// Visible count after applying only the first `upto` layers.
     fn visible_below(&self, stable_tuples: u64, upto: usize) -> u64 {
-        self.layers[..upto]
-            .iter()
-            .fold(stable_tuples, |acc, layer| layer.visible_count(acc))
+        visible_through(&self.layers[..upto], stable_tuples)
     }
 
     /// Translates a top-level RID down to the stable SID it is anchored at,
@@ -124,44 +120,21 @@ impl PdtStack {
     }
 
     /// Merges the whole stack over `source` for a top-level RID range,
-    /// projecting `columns`.
-    pub fn merge_range<S: StableSource + Clone>(
+    /// projecting `columns`, into one vector per projected column. Every
+    /// layer runs the columnar merge with the merged output of the layers
+    /// below it as its stable input.
+    pub fn merge_columns(
         &self,
-        source: S,
+        source: &mut dyn StableSource,
         columns: &[usize],
         rid_range: TupleRange,
-    ) -> Vec<Vec<Value>> {
-        self.merge_layer(self.layers.len(), source, columns, rid_range)
-    }
-
-    /// Merges layers `0..upto` for a range in layer `upto`'s input space.
-    fn merge_layer<S: StableSource + Clone>(
-        &self,
-        upto: usize,
-        source: S,
-        columns: &[usize],
-        range: TupleRange,
-    ) -> Vec<Vec<Value>> {
-        if upto == 0 {
-            let mut source = source;
-            let stable = source.stable_tuples();
-            let clamped = range.intersect(&TupleRange::new(0, stable));
-            return (clamped.start..clamped.end)
-                .map(|sid| columns.iter().map(|&c| source.value(c, sid)).collect())
-                .collect();
-        }
-        let layer = &self.layers[upto - 1];
-        // The layer needs *all* columns of its input rows because inserted
-        // rows store every column; we materialize the input lazily through a
-        // recursive source.
-        let lower = StackSource {
-            stack: self,
-            upto: upto - 1,
+    ) -> Result<Vec<Vec<Value>>> {
+        let (top, lower) = self.layers.split_last().expect("depth >= 1");
+        let mut below = StackSource {
+            layers: lower,
             source,
-            cache: None,
         };
-        let mut cursor = MergeCursor::new(layer, lower, columns.to_vec(), range);
-        cursor.collect_rows()
+        merge_columns(top, &mut below, columns, rid_range)
     }
 
     /// Whether every layer is empty (no pending differences at all).
@@ -255,6 +228,13 @@ impl PdtStack {
     }
 }
 
+/// Rows visible after applying `layers`, bottom first, over `stable_tuples`.
+fn visible_through(layers: &[Pdt], stable_tuples: u64) -> u64 {
+    layers
+        .iter()
+        .fold(stable_tuples, |acc, layer| layer.visible_count(acc))
+}
+
 /// Applies every update of `upper` (whose positions live in the output space
 /// of `lower`) onto `lower`, so that `lower` alone produces the same visible
 /// stream as `lower` followed by `upper`.
@@ -291,54 +271,45 @@ fn compose_into(lower: &mut Pdt, upper: &Pdt, lower_stable: u64) -> Result<()> {
     Ok(())
 }
 
-/// A [`StableSource`] that materializes the merged output of the lower layers
-/// of a stack, used as the input of the layer above them.
-struct StackSource<'a, S> {
-    stack: &'a PdtStack,
-    upto: usize,
-    source: S,
-    cache: Option<(u64, Vec<Value>)>,
+/// A [`StableSource`] producing the merged output of `layers` over `source`:
+/// the stable input of the layer above them.
+struct StackSource<'a> {
+    layers: &'a [Pdt],
+    source: &'a mut dyn StableSource,
 }
 
-impl<'a, S: StableSource + Clone> StableSource for StackSource<'a, S> {
+impl StableSource for StackSource<'_> {
     fn stable_tuples(&self) -> u64 {
-        let mut count = self.source.stable_tuples();
-        for layer in &self.stack.layers[..self.upto] {
-            count = layer.visible_count(count);
-        }
-        count
+        visible_through(self.layers, self.source.stable_tuples())
     }
 
-    fn value(&mut self, col: usize, sid: u64) -> Value {
-        if let Some((cached_sid, row)) = &self.cache {
-            if *cached_sid == sid {
-                return row[col];
-            }
-        }
-        let all_columns: Vec<usize> = (0..self.stack.column_count).collect();
-        let rows = self.stack.merge_layer(
-            self.upto,
-            self.source.clone(),
-            &all_columns,
-            TupleRange::new(sid, sid + 1),
-        );
-        let row = rows
-            .into_iter()
-            .next()
-            .unwrap_or_else(|| vec![0; self.stack.column_count]);
-        let v = row[col];
-        self.cache = Some((sid, row));
-        v
+    fn fill(&mut self, columns: &[usize], sids: TupleRange, out: &mut [Vec<Value>]) -> Result<()> {
+        let Some((top, lower)) = self.layers.split_last() else {
+            return self.source.fill(columns, sids, out);
+        };
+        let mut below = StackSource {
+            layers: lower,
+            source: &mut *self.source,
+        };
+        let mut cursor = MergeCursor::seek(top, below.stable_tuples(), sids);
+        cursor.merge(top, &mut below, columns, u64::MAX, out)?;
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::merge::tests::to_rows;
     use crate::merge::{merge_range, SliceSource};
 
     fn source(n: u64) -> SliceSource {
         SliceSource::generate(2, n, |c, s| (s * 10 + c as u64) as Value)
+    }
+
+    /// The layered columnar merge of `range`, as rows.
+    fn merged(stack: &PdtStack, n: u64, columns: &[usize], range: TupleRange) -> Vec<Vec<Value>> {
+        to_rows(&stack.merge_columns(&mut source(n), columns, range).unwrap())
     }
 
     #[test]
@@ -351,7 +322,7 @@ mod tests {
         pdt.insert(Rid::new(2), vec![-1, -2], n).unwrap();
         pdt.delete(Rid::new(5), n).unwrap();
         assert_eq!(
-            stack.merge_range(source(n), &[0, 1], TupleRange::new(0, 100)),
+            merged(&stack, n, &[0, 1], TupleRange::new(0, 100)),
             merge_range(&pdt, source(n), &[0, 1], TupleRange::new(0, 100))
         );
         assert_eq!(stack.visible_count(n), pdt.visible_count(n));
@@ -377,7 +348,7 @@ mod tests {
         assert_eq!(stack.layer(0).stats().deletes, 1);
         // Layer 1 (private): insert at the new position 0.
         stack.insert(Rid::new(0), vec![-5, -6], n).unwrap();
-        let rows = stack.merge_range(source(n), &[0, 1], TupleRange::new(0, 3));
+        let rows = merged(&stack, n, &[0, 1], TupleRange::new(0, 3));
         assert_eq!(rows, vec![vec![-5, -6], vec![10, 11], vec![20, 21]]);
         assert_eq!(stack.visible_count(n), 10);
     }
@@ -408,12 +379,12 @@ mod tests {
         stack.insert(Rid::new(5), vec![-1, -1], n).unwrap();
         stack.delete(Rid::new(10), n).unwrap();
         stack.modify(Rid::new(0), 1, 77, n).unwrap();
-        let before = stack.merge_range(source(n), &[0, 1], TupleRange::new(0, 100));
+        let before = merged(&stack, n, &[0, 1], TupleRange::new(0, 100));
         stack.propagate(n).unwrap();
         // More updates in the fresh private layer.
         stack.insert(Rid::new(0), vec![-9, -9], n).unwrap();
         stack.propagate(n).unwrap();
-        let after = stack.merge_range(source(n), &[0, 1], TupleRange::new(0, 100));
+        let after = merged(&stack, n, &[0, 1], TupleRange::new(0, 100));
         assert_eq!(after.len(), before.len() + 1);
         assert_eq!(&after[1..], &before[..]);
         assert!(stack.top().is_empty());
@@ -434,7 +405,7 @@ mod tests {
         let flat = stack.flatten(n).unwrap();
         assert_eq!(
             merge_range(&flat, source(n), &[0, 1], TupleRange::new(0, 100)),
-            stack.merge_range(source(n), &[0, 1], TupleRange::new(0, 100))
+            merged(&stack, n, &[0, 1], TupleRange::new(0, 100))
         );
         assert_eq!(flat.visible_count(n), stack.visible_count(n));
     }
@@ -450,8 +421,8 @@ mod tests {
         }
         stack.propagate(n).unwrap();
         stack.delete(Rid::new(3), n).unwrap();
-        let full = stack.merge_range(source(n), &[0], TupleRange::new(0, 1000));
-        let part = stack.merge_range(source(n), &[0], TupleRange::new(10, 20));
+        let full = merged(&stack, n, &[0], TupleRange::new(0, 1000));
+        let part = merged(&stack, n, &[0], TupleRange::new(10, 20));
         assert_eq!(part.as_slice(), &full[10..20]);
     }
 
@@ -474,15 +445,12 @@ mod tests {
         work.push_layer(Pdt::new(2));
         work.insert(Rid::new(0), vec![-9, -9], n).unwrap();
         work.modify(Rid::new(5), 1, 42, n).unwrap();
-        let expected = work.merge_range(source(n), &[0, 1], TupleRange::new(0, 100));
+        let expected = merged(&work, n, &[0, 1], TupleRange::new(0, 100));
 
         let private = work.pop_layer().expect("depth 2");
         base.absorb_top(&private, n).unwrap();
         assert_eq!(base.depth(), 1);
-        assert_eq!(
-            base.merge_range(source(n), &[0, 1], TupleRange::new(0, 100)),
-            expected
-        );
+        assert_eq!(merged(&base, n, &[0, 1], TupleRange::new(0, 100)), expected);
         assert_eq!(base.visible_count(n), expected.len() as u64);
     }
 

@@ -541,6 +541,15 @@ struct ConnShared {
     inflight: std::sync::Mutex<HashSet<u32>>,
 }
 
+/// What the server keeps per accepted connection.
+struct Conn {
+    /// Socket clone used to unblock the reader thread at shutdown.
+    sock: Sock,
+    writer_queue: Arc<FrameQueue>,
+    /// The reader and the writer thread.
+    threads: [JoinHandle<()>; 2],
+}
+
 struct ServerInner {
     engine: Arc<Engine>,
     config: ServeConfig,
@@ -548,8 +557,10 @@ struct ServerInner {
     admission: std::sync::Mutex<AdmissionState>,
     stats: Arc<StatCounters>,
     shutdown: AtomicBool,
-    /// Socket clones used to unblock reader threads at shutdown.
-    conns: std::sync::Mutex<Vec<(Sock, Arc<FrameQueue>)>>,
+    /// The live connections; one that has closed is reaped (threads joined,
+    /// socket clone dropped) when the next one is accepted.
+    conns: std::sync::Mutex<Vec<Conn>>,
+    /// The accept loops.
     threads: std::sync::Mutex<Vec<JoinHandle<()>>>,
 }
 
@@ -792,20 +803,24 @@ impl Server {
         if let Some(mut scheduler) = self.scheduler.take() {
             scheduler.shutdown();
         }
-        // Unblock and close every connection.
-        {
-            let conns = self.inner.conns.lock().unwrap_or_else(|e| e.into_inner());
-            for (sock, queue) in conns.iter() {
-                queue.close();
-                sock.shutdown_both();
-            }
-        }
-        // Join accept loops and connection threads.
-        let threads: Vec<_> = {
+        // Join the accept loops: no connection starts after that.
+        let accept_loops: Vec<_> = {
             let mut guard = self.inner.threads.lock().unwrap_or_else(|e| e.into_inner());
             guard.drain(..).collect()
         };
-        for handle in threads {
+        for handle in accept_loops {
+            let _ = handle.join();
+        }
+        // Unblock, close and join every connection.
+        let conns: Vec<Conn> = {
+            let mut guard = self.inner.conns.lock().unwrap_or_else(|e| e.into_inner());
+            guard.drain(..).collect()
+        };
+        for conn in &conns {
+            conn.writer_queue.close();
+            conn.sock.shutdown_both();
+        }
+        for handle in conns.into_iter().flat_map(|conn| conn.threads) {
             let _ = handle.join();
         }
     }
@@ -855,14 +870,22 @@ fn start_connection(inner: &Arc<ServerInner>, sock: Sock) {
             queue.close();
         });
 
-    let mut threads = inner.threads.lock().unwrap_or_else(|e| e.into_inner());
     let mut conns = inner.conns.lock().unwrap_or_else(|e| e.into_inner());
+    // Reap the connections that have closed since: an exited thread keeps
+    // its stack until it is joined, and the clone keeps the socket open.
+    let (closed, live): (Vec<Conn>, Vec<Conn>) = std::mem::take(&mut *conns)
+        .into_iter()
+        .partition(|conn| conn.threads.iter().all(JoinHandle::is_finished));
+    *conns = live;
+    for handle in closed.into_iter().flat_map(|conn| conn.threads) {
+        let _ = handle.join();
+    }
     match (reader, writer) {
-        (Ok(r), Ok(w)) => {
-            threads.push(r);
-            threads.push(w);
-            conns.push((shutdown_half, writer_queue));
-        }
+        (Ok(reader), Ok(writer)) => conns.push(Conn {
+            sock: shutdown_half,
+            writer_queue,
+            threads: [reader, writer],
+        }),
         _ => writer_queue.close(),
     }
 }
@@ -1022,5 +1045,48 @@ fn reader_loop(inner: &Arc<ServerInner>, mut sock: Sock, writer: &Arc<FrameQueue
                 return;
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use scanshare_common::ScanShareConfig;
+    use scanshare_storage::{Storage, TableSpec};
+
+    /// A connection that has closed is reaped — its two threads joined, its
+    /// socket clone dropped — when the next one is accepted, so what the
+    /// server holds follows the open connections, not every connection it
+    /// ever served.
+    #[test]
+    fn closed_connections_are_reaped_when_the_next_one_is_accepted() {
+        let storage = Storage::new(4096, 100);
+        storage
+            .create_table(TableSpec::with_int_columns("t", 1, 100))
+            .unwrap();
+        let engine = Engine::new(storage, ScanShareConfig::default()).unwrap();
+        let mut server = Server::new(engine, ServeConfig::default());
+        let addr = server.bind_tcp("127.0.0.1:0").unwrap();
+        let held = |server: &Server| server.inner.conns.lock().unwrap().len();
+
+        // A handshake per connection: each one was accepted, and served.
+        let knock = || drop(crate::client::ServeClient::connect_tcp(addr, "t").unwrap());
+        for _ in 0..16 {
+            knock();
+        }
+        // Exiting is asynchronous: keep knocking until the backlog of closed
+        // connections has been reaped (the last knock may still be held).
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while held(&server) > 1 {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "{} connections still held",
+                held(&server)
+            );
+            std::thread::sleep(Duration::from_millis(10));
+            knock();
+        }
+        server.shutdown();
+        assert_eq!(held(&server), 0);
     }
 }

@@ -91,9 +91,19 @@ impl DataGen {
         }
     }
 
+    /// Appends the values of the sids in `[start, end)` to `out`: what
+    /// [`DataGen::value`] gives, generated straight into the caller's
+    /// buffer (a scan fills its batch column with exactly the sids it
+    /// needs instead of materializing the page around them).
+    pub fn fill(&self, seed: u64, start: u64, end: u64, out: &mut Vec<Value>) {
+        out.extend((start..end).map(|sid| self.value(seed, sid)));
+    }
+
     /// Materializes the generator for `sids` in `[start, end)`.
     pub fn materialize(&self, seed: u64, start: u64, end: u64) -> Vec<Value> {
-        (start..end).map(|sid| self.value(seed, sid)).collect()
+        let mut out = Vec::new();
+        self.fill(seed, start, end, &mut out);
+        out
     }
 
     /// A conservative `[min, max]` interval covering every value the

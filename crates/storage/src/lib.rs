@@ -37,7 +37,7 @@ pub use column::{ColumnSpec, ColumnType};
 pub use layout::{ChunkMap, PageDescriptor, ScanPagePlan, TableLayout};
 pub use segment::FileStore;
 pub use snapshot::{Snapshot, SnapshotStore};
-pub use storage::{AppendTransaction, PageData, Storage};
+pub use storage::{AppendTransaction, PageData, PageHandle, Storage};
 pub use table::TableSpec;
 pub use wal::{Wal, WalRecord, WalRecordKind};
 pub use zone::{ZoneEntry, ZoneMap, ZoneOp, ZonePredicate};

@@ -47,6 +47,51 @@ impl PageData {
     }
 }
 
+/// Where the values of an opened page come from.
+#[derive(Debug, Clone)]
+enum PageValues {
+    /// Stored (appended / checkpointed) or file-decoded values, one per SID
+    /// of the page.
+    Stored(Arc<Vec<Value>>),
+    /// A base page: a pure function of the SID, generated on demand.
+    Generated { gen: DataGen, seed: u64 },
+}
+
+/// One page of one column opened for ranged reads ([`Storage::open_page`]):
+/// a scan copies out exactly the SIDs it needs — a slice of the stored
+/// values, or the generator run for just those SIDs — instead of
+/// materializing the page around them.
+#[derive(Debug, Clone)]
+pub struct PageHandle {
+    /// The page id.
+    pub page: PageId,
+    /// The SID range the page covers.
+    pub sid_range: TupleRange,
+    values: PageValues,
+}
+
+impl PageHandle {
+    /// Appends the values of `sids` to `out`.
+    ///
+    /// # Panics
+    /// Panics when `sids` is not inside the page's `sid_range`.
+    pub fn fill(&self, sids: TupleRange, out: &mut Vec<Value>) {
+        assert!(
+            sids.is_empty() || self.sid_range.contains_range(&sids),
+            "page {} covers {} but {sids} was asked for",
+            self.page,
+            self.sid_range
+        );
+        match &self.values {
+            PageValues::Stored(values) => {
+                let at = |sid: u64| (sid - self.sid_range.start) as usize;
+                out.extend_from_slice(&values[at(sids.start)..at(sids.end)]);
+            }
+            PageValues::Generated { gen, seed } => gen.fill(*seed, sids.start, sids.end, out),
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Inner {
     catalog: Catalog,
@@ -401,6 +446,53 @@ impl Storage {
         })
     }
 
+    /// Opens one page of one column under a snapshot for ranged reads.
+    pub fn open_page(
+        &self,
+        layout: &TableLayout,
+        snapshot: &Snapshot,
+        col: usize,
+        page_index: u64,
+    ) -> Result<PageHandle> {
+        let page = snapshot
+            .page(col, page_index)
+            .ok_or_else(|| Error::internal(format!("column {col} has no page {page_index}")))?;
+        let sid_range = layout.sid_range_of_page(col, page_index, snapshot.stable_tuples());
+        let inner = self.inner.read();
+        let values = if let Some(values) = inner.page_data.get(&page) {
+            PageValues::Stored(Arc::clone(values))
+        } else if let Some(values) = self
+            .file_store
+            .read()
+            .as_ref()
+            .map(|store| store.page_values(page))
+            .transpose()
+            .map_err(|e| Error::io(format!("reading page {page}: {e}")))?
+            .flatten()
+        {
+            // File-backed page: decode-cache hit if the I/O device already
+            // read it, synchronous segment read otherwise — correctness
+            // never depends on the device having been asked first.
+            debug_assert_eq!(values.len() as u64, sid_range.len());
+            PageValues::Stored(values)
+        } else {
+            // Base page: generated on demand.
+            let gens = inner
+                .datagens
+                .get(&layout.table())
+                .ok_or_else(|| Error::UnknownTable(layout.table()))?;
+            PageValues::Generated {
+                gen: gens.get(col).copied().unwrap_or(DataGen::Constant(0)),
+                seed: inner.seed ^ ((layout.table().raw() as u64) << 32) ^ col as u64,
+            }
+        };
+        Ok(PageHandle {
+            page,
+            sid_range,
+            values,
+        })
+    }
+
     /// Materializes one page of one column under a snapshot.
     pub fn read_page(
         &self,
@@ -409,47 +501,39 @@ impl Storage {
         col: usize,
         page_index: u64,
     ) -> Result<PageData> {
-        let page = snapshot
-            .page(col, page_index)
-            .ok_or_else(|| Error::internal(format!("column {col} has no page {page_index}")))?;
-        let sid_range = layout.sid_range_of_page(col, page_index, snapshot.stable_tuples());
-        let inner = self.inner.read();
-        if let Some(values) = inner.page_data.get(&page) {
-            return Ok(PageData {
-                page,
-                sid_range,
-                values: Arc::clone(values),
-            });
-        }
-        // File-backed page: decode-cache hit if the I/O device already read
-        // it, synchronous segment read otherwise — correctness never depends
-        // on the device having been asked first.
-        if let Some(store) = self.file_store.read().as_ref() {
-            if let Some(values) = store
-                .page_values(page)
-                .map_err(|e| Error::io(format!("reading page {page}: {e}")))?
-            {
-                debug_assert_eq!(values.len() as u64, sid_range.len());
-                return Ok(PageData {
-                    page,
-                    sid_range,
-                    values,
-                });
+        let handle = self.open_page(layout, snapshot, col, page_index)?;
+        let values = match handle.values {
+            PageValues::Stored(values) => values,
+            PageValues::Generated { gen, seed } => {
+                Arc::new(gen.materialize(seed, handle.sid_range.start, handle.sid_range.end))
             }
-        }
-        // Base page: materialize from the generator.
-        let gens = inner
-            .datagens
-            .get(&layout.table())
-            .ok_or_else(|| Error::UnknownTable(layout.table()))?;
-        let gen = gens.get(col).copied().unwrap_or(DataGen::Constant(0));
-        let seed = inner.seed ^ ((layout.table().raw() as u64) << 32) ^ col as u64;
-        let values = Arc::new(gen.materialize(seed, sid_range.start, sid_range.end));
+        };
         Ok(PageData {
-            page,
-            sid_range,
+            page: handle.page,
+            sid_range: handle.sid_range,
             values,
         })
+    }
+
+    /// Appends the values of a column over a SID range (clamped to the
+    /// snapshot, crossing page boundaries as needed) to `out`.
+    pub fn read_range_into(
+        &self,
+        layout: &TableLayout,
+        snapshot: &Snapshot,
+        col: usize,
+        range: TupleRange,
+        out: &mut Vec<Value>,
+    ) -> Result<()> {
+        let clamped = range.intersect(&TupleRange::new(0, snapshot.stable_tuples()));
+        let Some((first, last)) = layout.page_index_range(col, &clamped) else {
+            return Ok(());
+        };
+        for idx in first..=last {
+            let page = self.open_page(layout, snapshot, col, idx)?;
+            page.fill(page.sid_range.intersect(&clamped), out);
+        }
+        Ok(())
     }
 
     /// Convenience: reads the values of a column over a SID range (crossing
@@ -461,21 +545,8 @@ impl Storage {
         col: usize,
         range: TupleRange,
     ) -> Result<Vec<Value>> {
-        let clamped = range.intersect(&TupleRange::new(0, snapshot.stable_tuples()));
-        let mut out = Vec::with_capacity(clamped.len() as usize);
-        if clamped.is_empty() {
-            return Ok(out);
-        }
-        let (first, last) = layout
-            .page_index_range(col, &clamped)
-            .ok_or_else(|| Error::internal("empty range after clamping"))?;
-        for idx in first..=last {
-            let data = self.read_page(layout, snapshot, col, idx)?;
-            let covered = data.sid_range.intersect(&clamped);
-            for sid in covered.start..covered.end {
-                out.push(data.value(sid).expect("page covers sid"));
-            }
-        }
+        let mut out = Vec::new();
+        self.read_range_into(layout, snapshot, col, range, &mut out)?;
         Ok(out)
     }
 

@@ -305,6 +305,86 @@ mod device_faults {
         }
     }
 
+    /// A hard fault on the k-th page read of a three-column scan: the
+    /// ranged fill that needed the page returns the typed error out of
+    /// `next_batch`, and whatever the fill had already appended to the
+    /// batch under construction is never seen — every row of every batch
+    /// that *was* returned carries its real values (no generator here ever
+    /// produces the `0` a placeholder would be).
+    #[test]
+    fn a_fault_on_the_kth_page_fails_next_batch_and_never_yields_a_placeholder() {
+        const TUPLES: u64 = 20_000;
+        let storage = Storage::with_seed(PAGE, 5_000, 17);
+        let spec = TableSpec::new(
+            "t",
+            vec![
+                ColumnSpec::with_width("k", ColumnType::Int64, 8.0),
+                ColumnSpec::with_width("u", ColumnType::Int64, 4.0),
+                ColumnSpec::with_width("c", ColumnType::Int64, 12.0),
+            ],
+            TUPLES,
+        );
+        let gens = vec![
+            DataGen::Sequential { start: 1, step: 1 },
+            DataGen::Uniform { min: 1, max: 9 },
+            DataGen::Constant(7),
+        ];
+        let table = storage.create_table_with_data(spec, gens).unwrap();
+        let layout = storage.layout(table).unwrap();
+        let snapshot = storage.master_snapshot(table).unwrap();
+        let expected_u = storage
+            .read_range(&layout, &snapshot, 1, TupleRange::new(0, TUPLES))
+            .unwrap();
+
+        for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
+            // A pooled scan reads its 10 + 5 + 15 pages one request each;
+            // the cooperative backend issues one request per chunk (4).
+            let faulted: &[u64] = match policy {
+                PolicyKind::CScan => &[0, 1, 3],
+                _ => &[0, 4, 7, 22],
+            };
+            for &k in faulted {
+                let device = Arc::new(
+                    FaultInjectingDevice::new(sim_device()).with_fault(k, FaultKind::HardError),
+                );
+                let engine = engine_with_device(&storage, policy, Arc::clone(&device));
+                let mut scan = engine
+                    .scan(table, &["k", "u", "c"], TupleRange::new(0, TUPLES))
+                    .unwrap();
+                let mut rows = 0;
+                let error = loop {
+                    match scan.next_batch() {
+                        Ok(Some(batch)) => {
+                            rows += batch.len() as u64;
+                            for row in batch.to_rows() {
+                                let sid = (row[0] - 1) as usize;
+                                assert_eq!(
+                                    row,
+                                    vec![sid as i64 + 1, expected_u[sid], 7],
+                                    "{policy} k={k}"
+                                );
+                            }
+                        }
+                        Ok(None) => panic!("{policy} k={k}: the fault never surfaced"),
+                        Err(error) => break error,
+                    }
+                };
+                assert!(matches!(error, Error::Io(_)), "{policy} k={k}: {error:?}");
+                assert!(rows < TUPLES, "{policy} k={k}");
+                assert_eq!(device.injected_faults(), 1, "{policy} k={k}");
+                // The failed batch left the pooled scan where the batch
+                // started: the fault was one-shot, so carrying on produces
+                // every remaining row exactly once.
+                if policy != PolicyKind::CScan {
+                    while let Some(batch) = scan.next_batch().unwrap() {
+                        rows += batch.len() as u64;
+                    }
+                    assert_eq!(rows, TUPLES, "{policy} k={k}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn a_dead_device_fails_every_stream_without_wedging_the_driver() {
         let (storage, workload) = workload();

@@ -12,8 +12,8 @@ use scanshare::core::lru::LruPolicy;
 use scanshare::core::opt::simulate_opt;
 use scanshare::core::pbm::{PbmConfig, PbmPolicy};
 use scanshare::core::ShardedPool;
-use scanshare::pdt::merge::{merge_range, SliceSource};
-use scanshare::pdt::Pdt;
+use scanshare::pdt::merge::{merge_columns, merge_range, MergeCursor, SliceSource};
+use scanshare::pdt::{Pdt, PdtStack};
 
 /// Deterministic xorshift64* generator.
 struct Rng(u64);
@@ -125,6 +125,168 @@ fn pdt_merge_equals_reference_model() {
             TupleRange::new(split, visible),
         ));
         assert_eq!(pieces, model, "seed {seed}");
+    }
+}
+
+const ORACLE_COLUMNS: usize = 3;
+
+fn oracle_source(stable: u64) -> SliceSource {
+    SliceSource::generate(ORACLE_COLUMNS, stable, |c, s| (s * 10 + c as u64) as i64)
+}
+
+fn to_rows(columns: &[Vec<i64>]) -> Vec<Vec<i64>> {
+    (0..columns.first().map_or(0, Vec::len))
+        .map(|r| columns.iter().map(|c| c[r]).collect())
+        .collect()
+}
+
+/// One seeded update against `target`'s visible stream. The first few steps
+/// force the shapes a run-based merge can get wrong: several inserts at RID
+/// 0 (one anchor), a run of deletes, a modify of every column of one row,
+/// inserts anchored past the last stable tuple; the rest are random.
+fn shaped_update(
+    rng: &mut Rng,
+    step: u64,
+    visible: u64,
+    mut apply: impl FnMut(Op3) -> scanshare::common::Result<()>,
+) {
+    let row = |rng: &mut Rng| {
+        (0..ORACLE_COLUMNS)
+            .map(|_| -(rng.below(900) as i64) - 1)
+            .collect()
+    };
+    let op = match step {
+        0..=2 => Op3::Insert(0, row(rng)),
+        3..=5 if visible > 4 => Op3::Delete(visible / 2),
+        6..=8 if visible > 0 => Op3::Modify(visible / 3, (step - 6) as usize, -7_000 - step as i64),
+        9 | 10 => Op3::Insert(visible, row(rng)),
+        _ => match rng.below(3) {
+            0 => Op3::Insert(rng.below(visible + 1), row(rng)),
+            1 if visible > 0 => Op3::Delete(rng.below(visible)),
+            _ if visible > 0 => Op3::Modify(
+                rng.below(visible),
+                rng.below(ORACLE_COLUMNS as u64) as usize,
+                -8_000 - step as i64,
+            ),
+            _ => return,
+        },
+    };
+    apply(op).unwrap();
+}
+
+enum Op3 {
+    Insert(u64, Vec<i64>),
+    Delete(u64),
+    Modify(u64, usize, i64),
+}
+
+/// The run-based columnar merge produces exactly the stream the
+/// row-at-a-time oracle does: for every projection (full, reordered, single
+/// column — so modifies land on projected and on non-projected columns),
+/// for every split point of the RID range, and for every batch size small
+/// enough that batch boundaries fall inside insert groups and delete runs.
+#[test]
+fn columnar_merge_equals_the_row_oracle() {
+    for seed in 0..32u64 {
+        let mut rng = Rng::new(seed + 7000);
+        let stable = rng.range(1, 48);
+        let mut pdt = Pdt::new(ORACLE_COLUMNS);
+        for step in 0..11 + rng.below(30) {
+            let visible = pdt.visible_count(stable);
+            shaped_update(&mut rng, step, visible, |op| match op {
+                Op3::Insert(rid, row) => pdt.insert(Rid::new(rid), row, stable),
+                Op3::Delete(rid) => pdt.delete(Rid::new(rid), stable),
+                Op3::Modify(rid, col, v) => pdt.modify(Rid::new(rid), col, v, stable),
+            });
+        }
+        let visible = pdt.visible_count(stable);
+        for columns in [&[0, 1, 2][..], &[2, 0], &[1]] {
+            let full = merge_range(
+                &pdt,
+                oracle_source(stable),
+                columns,
+                TupleRange::new(0, visible),
+            );
+            assert_eq!(full.len() as u64, visible, "seed {seed}");
+            let mut source = oracle_source(stable);
+            let mut columnar =
+                |range| to_rows(&merge_columns(&pdt, &mut source, columns, range).unwrap());
+            for split in 0..=visible {
+                let mut pieces = columnar(TupleRange::new(0, split));
+                pieces.extend(columnar(TupleRange::new(split, visible + 5)));
+                assert_eq!(
+                    pieces, full,
+                    "seed {seed} columns {columns:?} split {split}"
+                );
+            }
+            for batch in 1..=4 {
+                let mut cursor = MergeCursor::seek(&pdt, stable, TupleRange::new(0, visible));
+                let mut out = vec![Vec::new(); columns.len()];
+                while !cursor.is_exhausted() {
+                    let left = cursor.remaining();
+                    let produced = cursor
+                        .merge(&pdt, &mut source, columns, batch, &mut out)
+                        .unwrap();
+                    assert_eq!(produced, batch.min(left), "seed {seed}");
+                }
+                assert_eq!(
+                    to_rows(&out),
+                    full,
+                    "seed {seed} columns {columns:?} batch {batch}"
+                );
+            }
+        }
+    }
+}
+
+/// A layered `PdtStack` merge — every layer running the columnar merge over
+/// the merged output of the layers below it — equals the merge of the
+/// flattened stack, for every split point.
+#[test]
+fn layered_stack_merge_equals_the_flattened_merge() {
+    for seed in 0..24u64 {
+        let mut rng = Rng::new(seed + 9000);
+        let stable = rng.range(1, 40);
+        let mut stack = PdtStack::new(ORACLE_COLUMNS, 1);
+        for layer in 0..3 {
+            if layer > 0 {
+                stack.push_layer(Pdt::new(ORACLE_COLUMNS));
+            }
+            for step in 0..11 + rng.below(10) {
+                let visible = stack.visible_count(stable);
+                shaped_update(&mut rng, step, visible, |op| match op {
+                    Op3::Insert(rid, row) => stack.insert(Rid::new(rid), row, stable),
+                    Op3::Delete(rid) => stack.delete(Rid::new(rid), stable),
+                    Op3::Modify(rid, col, v) => stack.modify(Rid::new(rid), col, v, stable),
+                });
+            }
+            assert!(
+                !stack.top().is_empty(),
+                "seed {seed}: layer {layer} is populated"
+            );
+        }
+        let flat = stack.flatten(stable).unwrap();
+        let visible = stack.visible_count(stable);
+        assert_eq!(visible, flat.visible_count(stable), "seed {seed}");
+        for columns in [&[0, 1, 2][..], &[2, 0], &[1]] {
+            let full = merge_range(
+                &flat,
+                oracle_source(stable),
+                columns,
+                TupleRange::new(0, visible),
+            );
+            let mut source = oracle_source(stable);
+            for split in 0..=visible {
+                let mut layered =
+                    |range| to_rows(&stack.merge_columns(&mut source, columns, range).unwrap());
+                let mut pieces = layered(TupleRange::new(0, split));
+                pieces.extend(layered(TupleRange::new(split, visible)));
+                assert_eq!(
+                    pieces, full,
+                    "seed {seed} columns {columns:?} split {split}"
+                );
+            }
+        }
     }
 }
 

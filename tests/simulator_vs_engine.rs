@@ -528,6 +528,99 @@ fn workload_driver_matches_simulator_under_pressure_single_stream() {
     }
 }
 
+/// The page-request *order* of a multi-column scan, pinned. `lineitem`'s
+/// widths are all powers of two, so its columns cross page boundaries at
+/// shared SIDs and a reordering of the requests would go unseen. Here the
+/// widths are 4 / 12 / 3 bytes (256, 85 and 341 tuples per page: boundaries
+/// almost never coincide) and every range starts mid-page; the engine must
+/// request pages exactly as the simulator replays them — ascending first
+/// needed tuple, ties in column order — or the replacement decisions, and
+/// with them every counter, drift apart under pressure.
+#[test]
+fn page_request_order_matches_simulator_on_unaligned_columns() {
+    const PAGE: u64 = 1024;
+    const TUPLES: u64 = 20_000;
+    let storage = Storage::with_seed(PAGE, 500, 29);
+    let spec = TableSpec::new(
+        "unaligned",
+        vec![
+            ColumnSpec::with_width("a", ColumnType::Int64, 4.0),
+            ColumnSpec::with_width("b", ColumnType::Int64, 12.0),
+            ColumnSpec::with_width("c", ColumnType::Int64, 3.0),
+        ],
+        TUPLES,
+    );
+    let gens = vec![
+        DataGen::Sequential { start: 0, step: 1 },
+        DataGen::Uniform { min: 0, max: 99 },
+        DataGen::Constant(3),
+    ];
+    let table = storage.create_table_with_data(spec, gens).unwrap();
+    let query = |columns: &[usize], start: u64, end: u64| QuerySpec {
+        label: format!("scan-{start}-{end}"),
+        scans: vec![ScanSpec {
+            table,
+            columns: columns.to_vec(),
+            ranges: RangeList::single(start, end),
+            predicate: None,
+        }],
+        cpu_factor: 1.0,
+        join: None,
+    };
+    let workload = WorkloadSpec::read_only(
+        "unaligned-columns",
+        vec![StreamSpec {
+            label: "s0".into(),
+            // Each long scan is followed by a probe of its tail: which of
+            // the tail's pages are still resident depends on the order the
+            // long scan requested them in.
+            queries: vec![
+                query(&[0, 1, 2], 1_000, 18_000),
+                query(&[0], 17_300, 18_000),
+                query(&[2, 0], 130, 9_777),
+                query(&[2], 9_000, 9_777),
+                query(&[1, 2, 0], 4_321, 19_999),
+                query(&[1], 19_500, 19_999),
+                query(&[0, 1, 2], 19_300, 19_999),
+            ],
+        }],
+    );
+    for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
+        let scanshare = ScanShareConfig {
+            page_size_bytes: PAGE,
+            chunk_tuples: 500,
+            // One 1 024-row batch spans 19 pages of the three columns.
+            buffer_pool_bytes: 12 * PAGE,
+            policy,
+            ..Default::default()
+        };
+        let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
+        let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+        let sim = Simulation::new(
+            Arc::clone(&storage),
+            SimConfig {
+                scanshare,
+                cores: 8,
+                sharing_sample_interval: None,
+            },
+        )
+        .unwrap()
+        .run(&workload)
+        .unwrap();
+        let counters = |b: &BufferStats| (b.hits, b.misses, b.evictions, b.io_bytes);
+        assert!(
+            report.buffer.evictions > 0 && report.buffer.hits > 0,
+            "{policy}: {:?}",
+            report.buffer
+        );
+        assert_eq!(
+            counters(&report.buffer),
+            counters(&sim.buffer),
+            "{policy}: (hits, misses, evictions, io_bytes) of engine and simulator"
+        );
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Cooperative Scans: engine == simulator parity and sharing-potential
 // sampling over the decomposed ABM
