@@ -13,8 +13,8 @@
 //!
 //! Two executors run the identical round schedule: the live engine
 //! (`WorkloadDriver`, real threads, snapshot-isolated `Txn` commits,
-//! background-safe checkpoints) and the discrete-event simulator (the
-//! mirrored `PdtStack` algebra). Their I/O volumes must match **byte for
+//! background-safe checkpoints) and the discrete-event simulator (the same
+//! `pdt::TableState` calls, bare). Their I/O volumes must match **byte for
 //! byte** at every swept point; any divergence fails the figure after the
 //! JSON artifact is written. The `virtual_qps_*` metrics come from the
 //! simulator's deterministic virtual clock and are gated by
@@ -200,7 +200,7 @@ fn bench(c: &mut Criterion) {
         parity_violations.join("\n")
     );
 
-    // The measured point: the full mixed pipeline (mirror, translation,
+    // The measured point: the full mixed pipeline (table state, translation,
     // checkpoint invalidation, event loop) at the middle update rate.
     let mid_rate = preset.rates[preset.rates.len() / 2];
     let mut group = c.benchmark_group("fig_updates");

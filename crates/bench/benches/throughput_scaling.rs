@@ -31,11 +31,10 @@
 //! `WorkloadDriver` run under `PolicyKind::CScan` (directory shards ×
 //! load-scheduler window), and a backend phase driving the raw ABM chunk
 //! protocol — `RegisterCScan` → `GetChunk`… → `UnregisterCScan` over a
-//! warm chunk cache — against the decomposed ABM at several shard counts
-//! *and* against the pre-refactor `Mutex<MonolithicAbm>`, whose single
-//! lock serializes every stream. Accounting is asserted identical across
-//! implementations and shard counts; the decomposed-vs-monolithic speedup
-//! is gated (≥1.1×) on parallel hosts.
+//! warm chunk cache — against the ABM at several directory shard counts.
+//! Accounting is asserted identical across shard counts (equivalence with
+//! the pre-refactor monolithic ABM is `tests/abm_equivalence.rs`'s job,
+//! byte for byte).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,12 +43,10 @@ use scanshare_bench::crit::Criterion;
 use scanshare_bench::json::Json;
 use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
 
-use scanshare_common::sync::Mutex;
 use scanshare_common::{
     ColumnId, PageId, PolicyKind, RangeList, ScanShareConfig, TupleRange, VirtualInstant,
 };
-use scanshare_core::abm::{Abm, AbmConfig, CScanRequest, MonolithicAbm};
-use scanshare_core::metrics::BufferStats;
+use scanshare_core::abm::{Abm, AbmConfig, CScanRequest};
 use scanshare_core::registry::{pooled_policy_name, PolicyRegistry};
 use scanshare_core::sharded::ShardedPool;
 use scanshare_exec::{Engine, WorkloadDriver};
@@ -216,70 +213,8 @@ fn backend_throughput(policy: PolicyKind, shards: usize, preset: &Preset) -> (f6
 
 // ---------------------------------------------------------------------------
 // CScan backend phase: the ABM protocol (RegisterCScan -> GetChunk ->
-// UnregisterCScan) over a warm chunk cache, decomposed ABM vs the
-// pre-refactor Mutex<MonolithicAbm>
+// UnregisterCScan) over a warm chunk cache
 // ---------------------------------------------------------------------------
-
-/// The two ABM implementations behind the one protocol the phase drives.
-enum CscanPool {
-    /// The pre-refactor single-lock ABM behind the outer mutex the old
-    /// `CScanBackend` used: every stream serializes on one lock.
-    Monolithic(Mutex<MonolithicAbm>),
-    /// The decomposed ABM: sharded directory, internal synchronization.
-    Decomposed(Abm),
-}
-
-impl CscanPool {
-    fn register(&self, request: CScanRequest) -> scanshare_core::abm::CScanHandle {
-        match self {
-            CscanPool::Monolithic(abm) => abm.lock().register_cscan(request).expect("register"),
-            CscanPool::Decomposed(abm) => abm.register_cscan(request).expect("register"),
-        }
-    }
-    fn get_chunk(
-        &self,
-        scan: scanshare_common::ScanId,
-    ) -> Option<scanshare_core::abm::ChunkDelivery> {
-        match self {
-            CscanPool::Monolithic(abm) => abm.lock().get_chunk(scan).expect("get_chunk"),
-            CscanPool::Decomposed(abm) => abm.get_chunk(scan).expect("get_chunk"),
-        }
-    }
-    fn load_step(&self) -> bool {
-        let now = VirtualInstant::EPOCH;
-        match self {
-            CscanPool::Monolithic(abm) => {
-                let mut abm = abm.lock();
-                match abm.next_load(now) {
-                    Some(plan) => {
-                        abm.complete_load(&plan, now).expect("complete");
-                        true
-                    }
-                    None => false,
-                }
-            }
-            CscanPool::Decomposed(abm) => match abm.next_load(now) {
-                Some(plan) => {
-                    abm.complete_load(&plan, now).expect("complete");
-                    true
-                }
-                None => false,
-            },
-        }
-    }
-    fn unregister(&self, scan: scanshare_common::ScanId) {
-        match self {
-            CscanPool::Monolithic(abm) => abm.lock().unregister_cscan(scan).expect("unregister"),
-            CscanPool::Decomposed(abm) => abm.unregister_cscan(scan).expect("unregister"),
-        }
-    }
-    fn stats(&self) -> BufferStats {
-        match self {
-            CscanPool::Monolithic(abm) => abm.lock().stats(),
-            CscanPool::Decomposed(abm) => abm.stats(),
-        }
-    }
-}
 
 /// Builds the CScan phase table: two columns over `chunks` ABM chunks.
 fn cscan_storage(chunks: u64) -> (Arc<Storage>, scanshare_common::TableId, u64) {
@@ -311,7 +246,7 @@ fn cscan_storage(chunks: u64) -> (Arc<Storage>, scanshare_common::TableId, u64) 
 /// chunk deliveries — the ABM hot path with zero load traffic, so the
 /// measurement isolates the delivery/registration structure the directory
 /// shards exist to scale. Returns (queries/s, total I/O bytes, deliveries).
-fn cscan_backend_throughput(pool: &CscanPool, preset: &Preset) -> (f64, u64, u64) {
+fn cscan_backend_throughput(abm: &Abm, preset: &Preset) -> (f64, u64, u64) {
     const CHUNK_TUPLES: u64 = 1_000;
     let (storage, table, tuples) = cscan_storage(preset.cscan_chunks);
     let layout = storage.layout(table).expect("layout");
@@ -329,14 +264,16 @@ fn cscan_backend_throughput(pool: &CscanPool, preset: &Preset) -> (f64, u64, u64
     // chunk into the ABM cache. It never consumes, so the chunks stay
     // cached (and protected from metadata teardown) for the whole
     // measured phase.
-    let keeper = pool.register(request(0, tuples));
-    while pool.load_step() {}
+    let now = VirtualInstant::EPOCH;
+    let keeper = abm.register_cscan(request(0, tuples)).expect("register");
+    while let Some(plan) = abm.next_load(now) {
+        abm.complete_load(&plan, now).expect("complete");
+    }
 
     let span = preset.cscan_span_chunks * CHUNK_TUPLES;
     let started = Instant::now();
     std::thread::scope(|scope| {
         for stream in 0..STREAMS as u64 {
-            let pool = &pool;
             let request = &request;
             let queries = preset.cscan_queries;
             scope.spawn(move || {
@@ -345,23 +282,25 @@ fn cscan_backend_throughput(pool: &CscanPool, preset: &Preset) -> (f64, u64, u64
                     // microbenchmark's random placement.
                     let positions = preset.cscan_chunks - preset.cscan_span_chunks;
                     let start = ((stream * 7 + q * 3) % positions.max(1)) * CHUNK_TUPLES;
-                    let handle = pool.register(request(start, start + span));
+                    let handle = abm
+                        .register_cscan(request(start, start + span))
+                        .expect("register");
                     let mut delivered = 0usize;
-                    while pool.get_chunk(handle.id).is_some() {
+                    while abm.get_chunk(handle.id).expect("get_chunk").is_some() {
                         delivered += 1;
                     }
                     assert_eq!(
                         delivered, handle.total_chunks,
                         "warm ABM must deliver every chunk without loads"
                     );
-                    pool.unregister(handle.id);
+                    abm.unregister_cscan(handle.id).expect("unregister");
                 }
             });
         }
     });
     let elapsed = started.elapsed().as_secs_f64();
-    let stats = pool.stats();
-    pool.unregister(keeper.id);
+    let stats = abm.stats();
+    abm.unregister_cscan(keeper.id).expect("unregister");
     let total_queries = (STREAMS as u64 * preset.cscan_queries) as f64;
     (total_queries / elapsed, stats.io_bytes, stats.hits)
 }
@@ -541,60 +480,27 @@ fn bench(c: &mut Criterion) {
     }
 
     // -----------------------------------------------------------------
-    // Cooperative Scans: ABM protocol, decomposed vs pre-refactor
-    // Mutex<MonolithicAbm>
+    // Cooperative Scans: ABM protocol across directory shard counts
     // -----------------------------------------------------------------
-    println!(
-        "{:<14} {:>7} {:>14} {:>14}",
-        "abm impl", "shards", "cscan q/s", "deliveries/s"
-    );
+    println!("{:>7} {:>14} {:>14}", "shards", "cscan q/s", "deliveries/s");
     let span = preset.cscan_span_chunks as f64;
-    let (mono_qps, mono_io, mono_hits) = cscan_backend_throughput(
-        &CscanPool::Monolithic(Mutex::new(MonolithicAbm::new(AbmConfig::new(
-            1 << 22,
-            1024,
-        )))),
-        &preset,
-    );
-    println!(
-        "{:<14} {:>7} {:>14.1} {:>14.1}",
-        "monolithic",
-        "-",
-        mono_qps,
-        mono_qps * span
-    );
-    metrics.set(format!("qps_backend_cscan_s{STREAMS}_mono"), mono_qps);
-    let mut best_cscan_qps: f64 = 0.0;
+    let mut accounting = None;
     for &shards in preset.backend_shards {
         let (qps, io, hits) = cscan_backend_throughput(
-            &CscanPool::Decomposed(Abm::new(AbmConfig::new(1 << 22, 1024).with_shards(shards))),
+            &Abm::new(AbmConfig::new(1 << 22, 1024).with_shards(shards)),
             &preset,
         );
         // The protocol is deterministic in what it reads and delivers:
-        // both implementations, at every shard count, must account the
-        // identical I/O volume and delivery count.
+        // every shard count must account the identical I/O volume and
+        // delivery count.
         assert_eq!(
+            *accounting.get_or_insert((io, hits)),
             (io, hits),
-            (mono_io, mono_hits),
-            "cscan backend accounting must match the monolithic ABM (shards {shards})"
+            "cscan backend accounting must not depend on the shard count (shards {shards})"
         );
-        println!(
-            "{:<14} {:>7} {:>14.1} {:>14.1}",
-            "decomposed",
-            shards,
-            qps,
-            qps * span
-        );
+        println!("{:>7} {:>14.1} {:>14.1}", shards, qps, qps * span);
         metrics.set(format!("qps_backend_cscan_s{STREAMS}_sh{shards}"), qps);
-        best_cscan_qps = best_cscan_qps.max(qps);
     }
-    let cscan_speedup = if mono_qps > 0.0 {
-        best_cscan_qps / mono_qps
-    } else {
-        0.0
-    };
-    println!("cscan: decomposed ABM speedup over Mutex<MonolithicAbm>: {cscan_speedup:.2}x");
-    metrics.set(format!("speedup_cscan_backend_s{STREAMS}"), cscan_speedup);
 
     // Emit the machine-readable results *before* any wall-clock assertion:
     // if the scaling check fails, the numbers behind it must still land in
@@ -621,16 +527,11 @@ fn bench(c: &mut Criterion) {
             "sharding the pool must scale the backend path at {STREAMS} streams \
              (measured {best_backend_speedup:.2}x, expected >= 1.5x)"
         );
-        assert!(
-            cscan_speedup >= 1.1,
-            "the decomposed ABM must beat the pre-refactor Mutex<MonolithicAbm> \
-             at {STREAMS} streams (measured {cscan_speedup:.2}x, expected >= 1.1x)"
-        );
     } else {
         println!(
-            "note: host parallelism {parallelism} < 8; scaling assertions skipped \
-             (best backend speedup {best_backend_speedup:.2}x, cscan speedup \
-             {cscan_speedup:.2}x; set SCANSHARE_BENCH_ASSERT_SCALING=1 to enforce)"
+            "note: host parallelism {parallelism} < 8; scaling assertion skipped \
+             (best backend speedup {best_backend_speedup:.2}x; set \
+             SCANSHARE_BENCH_ASSERT_SCALING=1 to enforce)"
         );
     }
 

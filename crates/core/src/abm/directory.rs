@@ -20,7 +20,7 @@
 //! arrival order (see `Abm::lock_all` in the parent module), so the
 //! relevance core observes exactly the interest sets a single-lock ABM
 //! would: relevance decisions are byte-identical to the monolithic
-//! [`MonolithicAbm`](super::reference::MonolithicAbm) for any shard count.
+//! original (`tests/abm_reference`) for any shard count.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};

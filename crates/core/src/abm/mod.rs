@@ -48,16 +48,14 @@
 //! exactly the interest sets a single-lock ABM would at every decision
 //! point, for every shard count: chunk-delivery order, load plans and I/O
 //! volume are byte-identical to the pre-refactor monolithic implementation
-//! (kept as the executable spec in [`reference`](mod@reference)), which
+//! (kept as the executable spec in `tests/abm_reference`), which
 //! `tests/abm_equivalence.rs` asserts over randomized traces at 1/2/8
 //! shards.
 
 mod directory;
-pub mod reference;
 pub mod relevance;
 pub mod scheduler;
 
-pub use reference::MonolithicAbm;
 pub use scheduler::LoadScheduler;
 
 use std::cmp::Reverse;
@@ -159,16 +157,6 @@ pub struct ChunkDelivery {
     pub chunk: ChunkId,
     /// Number of tuples of the scan's ranges inside this chunk.
     pub tuples: u64,
-}
-
-/// Generic ABM actions, useful for drivers that poll the ABM in one place.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AbmAction {
-    /// Load the described chunk.
-    Load(LoadPlan),
-    /// Nothing to do right now (every runnable scan has cached data, or no
-    /// buffer space can be freed).
-    Idle,
 }
 
 // ---------------------------------------------------------------------------
@@ -991,15 +979,6 @@ impl Abm {
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Decides what an ABM load pump should do next: either load a chunk
-    /// (after freeing space) or stay idle.
-    pub fn next_action(&self, now: VirtualInstant) -> AbmAction {
-        match self.next_load(now) {
-            Some(plan) => AbmAction::Load(plan),
-            None => AbmAction::Idle,
-        }
-    }
-
     /// Chooses the next chunk to load (the
     /// QueryRelevance → LoadRelevance → KeepRelevance pipeline).
     pub fn next_load(&self, _now: VirtualInstant) -> Option<LoadPlan> {
@@ -1143,13 +1122,9 @@ mod tests {
                 assert!(delivery.tuples > 0);
                 continue;
             }
-            match abm.next_action(now()) {
-                AbmAction::Load(plan) => {
-                    abm.complete_load(&plan, now()).unwrap();
-                    loads += 1;
-                }
-                AbmAction::Idle => panic!("scan starved but ABM is idle"),
-            }
+            let plan = abm.next_load(now()).expect("scan starved but ABM is idle");
+            abm.complete_load(&plan, now()).unwrap();
+            loads += 1;
         }
         loads
     }
@@ -1196,10 +1171,8 @@ mod tests {
             if let Some(d) = abm.get_chunk(handle.id).unwrap() {
                 delivered.push(d.chunk);
             } else {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("starved"),
-                }
+                let plan = abm.next_load(now()).expect("starved");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         delivered.sort_unstable();
@@ -1238,10 +1211,10 @@ mod tests {
                 }
             }
             if !progressed {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("both scans starved but ABM idle"),
-                }
+                let plan = abm
+                    .next_load(now())
+                    .expect("both scans starved but ABM idle");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         let stats = abm.stats();
@@ -1305,10 +1278,8 @@ mod tests {
             if let Some(d) = abm.get_chunk(handle.id).unwrap() {
                 seen.push(d.chunk.raw());
             } else {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("starved"),
-                }
+                let plan = abm.next_load(now()).expect("starved");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         let expected: Vec<u32> = (0..5).collect();
@@ -1467,10 +1438,8 @@ mod tests {
                 assert!(outstanding < previous, "delivery must shrink the tail");
                 previous = outstanding;
             } else {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("starved"),
-                }
+                let plan = abm.next_load(now()).expect("starved");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         assert!(abm.outstanding_pages(handle.id).is_empty());
@@ -1545,10 +1514,8 @@ mod tests {
                     }
                 }
                 if !progressed {
-                    match abm.next_action(now()) {
-                        AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                        AbmAction::Idle => panic!("starved"),
-                    }
+                    let plan = abm.next_load(now()).expect("starved");
+                    abm.complete_load(&plan, now()).unwrap();
                 }
             }
             (trace, abm.stats())

@@ -14,7 +14,8 @@
 //!   QueryRelevance / LoadRelevance / UseRelevance / KeepRelevance functions,
 //!   and delivers chunks to CScan operators out of order. Decomposed into a
 //!   sharded chunk directory, a pure relevance core and an asynchronous
-//!   load scheduler (the monolithic original is kept as `abm::reference`);
+//!   load scheduler (the monolithic original is the test oracle
+//!   `tests/abm_reference`);
 //! * [`opt`] — Belady's OPT replayed over a recorded page-reference trace,
 //!   the theoretical optimum for order-preserving policies.
 //!
@@ -42,7 +43,7 @@ pub mod registry;
 pub mod sharded;
 pub mod sieve;
 
-pub use abm::{Abm, AbmAction, AbmConfig, CScanHandle, LoadScheduler, MonolithicAbm};
+pub use abm::{Abm, AbmConfig, CScanHandle, LoadScheduler};
 pub use backend::{build_backend, CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
 pub use clock::ClockPolicy;
 pub use lru::LruPolicy;

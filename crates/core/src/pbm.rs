@@ -255,6 +255,17 @@ impl PbmPolicy {
                 meta.lru_stamp = self.next_stamp;
                 self.not_requested.push_back((page, self.next_stamp));
                 self.next_stamp += 1;
+                // Superseded entries are otherwise dropped only when an
+                // eviction pops them, so a pool that never evicts would grow
+                // the queue by one entry per re-push, forever. Each tracked
+                // page has at most one live entry: past twice their number
+                // the stale ones are the majority. The live ones keep their
+                // order, so no victim changes.
+                if self.not_requested.len() > 2 * self.pages.len() {
+                    let pages = &self.pages;
+                    self.not_requested
+                        .retain(|&(page, stamp)| is_live_entry(pages, page, stamp));
+                }
             }
             Some((bucket, due)) => {
                 meta.state = Some(PageState::Requested { bucket, due });
@@ -312,12 +323,7 @@ impl PbmPolicy {
         let mut skipped = Vec::new();
         let mut found = None;
         while let Some((page, stamp)) = self.not_requested.pop_front() {
-            let valid = self
-                .pages
-                .get(&page)
-                .map(|m| m.state() == PageState::NotRequested && m.lru_stamp == stamp)
-                .unwrap_or(false);
-            if !valid {
+            if !is_live_entry(&self.pages, page, stamp) {
                 continue;
             }
             if exclude.contains(&page) {
@@ -332,6 +338,14 @@ impl PbmPolicy {
         }
         found
     }
+}
+
+/// Whether the `not_requested` entry `(page, stamp)` is the page's current
+/// one: the page is still unrequested and was not re-pushed since.
+fn is_live_entry(pages: &HashMap<PageId, PageMeta>, page: PageId, stamp: u64) -> bool {
+    pages
+        .get(&page)
+        .is_some_and(|m| m.state() == PageState::NotRequested && m.lru_stamp == stamp)
 }
 
 impl ReplacementPolicy for PbmPolicy {
@@ -889,6 +903,51 @@ mod tests {
         pbm.on_access(p(10), None, now_ms(1));
         let victims = pbm.choose_victims(2, &HashSet::new(), now_ms(1));
         assert_eq!(victims, vec![p(11), p(12)]);
+    }
+
+    #[test]
+    fn a_pool_that_never_evicts_keeps_the_not_requested_queue_bounded() {
+        let mut pbm = pbm_with_speed(1000.0);
+        let pages: Vec<u64> = (1..=16).collect();
+        for &page in &pages {
+            pbm.on_admit(p(page), now_ms(0));
+        }
+        // The expected LRU order: every push of an unrequested page moves it
+        // to the back.
+        let mut lru: Vec<u64> = pages.clone();
+        let touch = |lru: &mut Vec<u64>, page: u64| {
+            lru.retain(|&q| q != page);
+            lru.push(page);
+        };
+        let mut rng = 0x5eed_u64;
+        for cycle in 0..3_000u64 {
+            let now = now_ms(cycle);
+            let scan = register(&mut pbm, cycle, &plan(&pages, 100), now);
+            for &page in &pages {
+                pbm.on_access(p(page), Some(scan), now);
+                touch(&mut lru, page);
+            }
+            pbm.unregister_scan(scan, now);
+            for &page in &pages {
+                touch(&mut lru, page);
+            }
+            // An unregistered reader between queries scrambles the order.
+            rng = rng
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let page = pages[(rng >> 33) as usize % pages.len()];
+            pbm.on_access(p(page), None, now);
+            touch(&mut lru, page);
+            assert!(
+                pbm.not_requested.len() <= 2 * pages.len() + 1,
+                "cycle {cycle}: {} queue entries for {} resident pages",
+                pbm.not_requested.len(),
+                pages.len()
+            );
+        }
+        assert_eq!(pbm.not_requested_pages(), pages.len());
+        let victims = pbm.choose_victims(pages.len(), &HashSet::new(), now_ms(3_000));
+        assert_eq!(victims, lru.iter().map(|&q| p(q)).collect::<Vec<_>>());
     }
 
     #[test]

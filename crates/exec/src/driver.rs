@@ -354,8 +354,8 @@ impl WorkloadDriver {
 
         for round in 0..workload.rounds() {
             // Barrier phase: update batches apply sequentially in spec
-            // order, each as one transaction, exactly as the simulator's
-            // mirror applies them.
+            // order, each as one transaction, exactly as the simulator
+            // applies them.
             for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
                 let (ops, ckpts) = self.apply_update_batch(spec, generator, round)?;
                 update_ops += ops;

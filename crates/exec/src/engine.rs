@@ -5,10 +5,10 @@ use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
 
-use scanshare_common::sync::{Mutex, RwLock};
+use scanshare_common::sync::{Mutex, MutexGuard, RwLock};
 use scanshare_common::{
-    DeviceKind, Error, PageId, PolicyKind, Result, Rid, ScanId, ScanShareConfig, SnapshotId,
-    TableId, TupleRange, VirtualClock, VirtualDuration, VirtualInstant,
+    DeviceKind, Error, PolicyKind, Result, ScanId, ScanShareConfig, TableId, TupleRange,
+    VirtualClock, VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{build_backend, ScanBackend, ScanStep};
 use scanshare_core::metrics::BufferStats;
@@ -16,8 +16,7 @@ use scanshare_core::opt::{simulate_opt, OptResult};
 use scanshare_core::registry::PolicyRegistry;
 use scanshare_iosim::{BlockDevice, FileIoDevice, IoDevice, ReferenceTrace};
 use scanshare_pdt::checkpoint::checkpoint_stack;
-use scanshare_pdt::pdt::Pdt;
-use scanshare_pdt::stack::PdtStack;
+use scanshare_pdt::table::{TablePin, TableState, TableWrites};
 use scanshare_pdt::wal::{decode_commit, encode_commit, CommitTableRecord};
 use scanshare_storage::datagen::Value;
 use scanshare_storage::snapshot::Snapshot;
@@ -28,7 +27,7 @@ use scanshare_storage::zone::ZonePredicate;
 use crate::ops::{BatchSource, Predicate};
 use crate::query::Query;
 use crate::scan::ScanOperator;
-use crate::txn::{TablePin, Txn};
+use crate::txn::Txn;
 
 /// Summary of the work an engine performed (virtual time and I/O volume).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -39,44 +38,25 @@ pub struct QueryStats {
     pub buffer: BufferStats,
 }
 
-/// The published transactional state of one table: an immutable
-/// `(Snapshot, PdtStack)` pair that scans and transactions pin with two
-/// `Arc` clones, swapped atomically under the state mutex by commits,
-/// checkpoints and storage-append adoption. Writers hold the mutex only for
-/// the duration of the swap itself, never across I/O or materialization.
-#[derive(Debug)]
-pub(crate) struct TableTxnState {
-    /// The stable storage image the stack is anchored on (the engine's
-    /// adopted master snapshot; see
-    /// [`Engine::checkpoint`] for when it diverges from the storage-level
-    /// master).
-    pub snapshot: Arc<Snapshot>,
-    /// The shared differential-update layers (depth 1 normally; a second,
-    /// fresh top layer exists while a checkpoint materializes the frozen
-    /// layers below it).
-    pub stack: Arc<PdtStack>,
-    /// Bumped by every committed write (transactions, auto-commit updates
-    /// and adopted bulk appends); the first-committer-wins conflict check
-    /// compares against it.
-    pub commit_seq: u64,
-    /// Bumped by every completed checkpoint; tags the stale-page
-    /// invalidations sent to the scan backend.
-    pub epoch: u64,
-}
-
-/// Per-table transaction bookkeeping: the published state plus the mutex
-/// that serializes checkpoints of this table (checkpoints of different
-/// tables, and writers of this one, proceed concurrently).
+/// Per-table transaction bookkeeping: the published [`TableState`] behind
+/// the mutex writers hold only for a commit's validate → log → apply (or a
+/// checkpoint's freeze and swap), never across I/O or materialization, plus
+/// the mutex that serializes checkpoints of this table (checkpoints of
+/// different tables, and writers of this one, proceed concurrently).
 #[derive(Debug)]
 pub(crate) struct TableUpdates {
-    state: Mutex<TableTxnState>,
+    state: Mutex<TableState>,
     checkpoint: Mutex<()>,
 }
 
 impl TableUpdates {
-    /// The published state mutex.
-    pub(crate) fn state(&self) -> &Mutex<TableTxnState> {
-        &self.state
+    /// Locks the published state, first adopting any storage-level master
+    /// change (see [`TableState::adopt_master`]) so every pin, commit and
+    /// checkpoint starts from the current image.
+    pub(crate) fn lock(&self, storage: &Storage) -> Result<MutexGuard<'_, TableState>> {
+        let mut state = self.state.lock();
+        state.adopt_master(storage)?;
+        Ok(state)
     }
 }
 
@@ -221,17 +201,32 @@ impl Engine {
         self.wal.as_ref()
     }
 
-    /// Appends one commit's per-table write sets to the WAL without
-    /// syncing, returning the record's log sequence (or `None` when the
-    /// engine has no WAL). Callers must hold the written tables' state
-    /// locks across this call so the log order matches the commit-sequence
-    /// order, and pair it with [`Engine::wal_commit_sync`] after the locks
-    /// are released.
-    pub(crate) fn wal_append_commit(&self, records: &[CommitTableRecord]) -> Result<Option<u64>> {
-        match &self.wal {
-            Some(wal) => Ok(Some(wal.append_commit(&encode_commit(records))?)),
-            None => Ok(None),
+    /// The commit sequence [`Txn::commit`] and the auto-commit updates
+    /// share, run under the written tables' state locks (`written[i]` goes
+    /// to `states[i]`; none is read-only): validates every write set
+    /// (first-committer-wins) before applying any, and appends the commit's
+    /// WAL record *before* the in-memory apply — under the locks, so the log
+    /// order matches the commit-sequence order. Returns the record's log
+    /// sequence for [`Engine::wal_commit_sync`], which the caller runs once
+    /// the locks are released.
+    pub(crate) fn commit_locked(
+        &self,
+        states: &mut [MutexGuard<'_, TableState>],
+        written: Vec<TableWrites>,
+    ) -> Result<Option<u64>> {
+        let mut records = Vec::with_capacity(written.len());
+        for (writes, state) in written.into_iter().zip(states.iter()) {
+            records.extend(state.commit_record(writes)?);
         }
+        debug_assert_eq!(records.len(), states.len());
+        let wal_seq = match &self.wal {
+            Some(wal) => Some(wal.append_commit(&encode_commit(&records))?),
+            None => None,
+        };
+        for (record, state) in records.iter().zip(states) {
+            state.apply(record)?;
+        }
+        Ok(wal_seq)
     }
 
     /// Makes the commit record `seq` durable subject to group commit; a
@@ -356,61 +351,14 @@ impl Engine {
                 return Ok(Arc::clone(updates));
             }
         }
-        let columns = self.storage.table(table)?.spec.columns.len();
-        let snapshot = self.storage.master_snapshot(table)?;
-        // Start the commit sequence at the WAL sequence the durable image
-        // already covers (0 for in-memory tables), so replay after
-        // `Storage::open_directory` can tell folded-in commits from the ones
-        // it must re-apply.
-        let commit_seq = self.storage.durable_wal_seq(table);
+        let state = TableState::open(&self.storage, table)?;
         let mut tables = self.tables.write();
         Ok(Arc::clone(tables.entry(table).or_insert_with(|| {
             Arc::new(TableUpdates {
-                state: Mutex::new(TableTxnState {
-                    snapshot,
-                    stack: Arc::new(PdtStack::new(columns, 1)),
-                    commit_seq,
-                    epoch: 0,
-                }),
+                state: Mutex::new(state),
                 checkpoint: Mutex::new(()),
             })
         })))
-    }
-
-    /// Adopts a storage-level master change (a committed bulk append, or a
-    /// checkpoint installed by another engine over the same storage) into
-    /// the published state, when it is safe: always when no differential
-    /// updates are pending, and for append-derived snapshots — whose stable
-    /// stream extends the adopted one — even with pending updates, which are
-    /// then interpreted over the appended image. Adoption counts as a commit
-    /// (the visible stream changed), so open transactions conflict.
-    pub(crate) fn sync_state_with_storage(
-        &self,
-        table: TableId,
-        state: &mut TableTxnState,
-    ) -> Result<()> {
-        let master = self.storage.master_snapshot(table)?;
-        if master.id() == state.snapshot.id() {
-            return Ok(());
-        }
-        if state.stack.is_empty() || self.derives_from(&master, state.snapshot.id())? {
-            state.snapshot = master;
-            state.commit_seq += 1;
-        }
-        Ok(())
-    }
-
-    /// Whether `snapshot` was derived (through any chain of appends) from
-    /// the snapshot with id `ancestor`.
-    fn derives_from(&self, snapshot: &Snapshot, ancestor: SnapshotId) -> Result<bool> {
-        let mut current = snapshot.parent();
-        while let Some(id) = current {
-            if id == ancestor {
-                return Ok(true);
-            }
-            current = self.storage.snapshot(id)?.parent();
-        }
-        Ok(false)
     }
 
     /// Pins the current published `(Snapshot, PdtStack)` pair of `table`:
@@ -418,16 +366,7 @@ impl Engine {
     /// touch of the table) works against. Cheap — two `Arc` clones under a
     /// short mutex.
     pub fn table_pin(&self, table: TableId) -> Result<TablePin> {
-        let updates = self.table_updates(table)?;
-        let mut state = updates.state().lock();
-        self.sync_state_with_storage(table, &mut state)?;
-        Ok(TablePin {
-            table,
-            snapshot: Arc::clone(&state.snapshot),
-            stack: Arc::clone(&state.stack),
-            commit_seq: state.commit_seq,
-            epoch: state.epoch,
-        })
+        Ok(self.table_updates(table)?.lock(&self.storage)?.pin())
     }
 
     /// Begins a snapshot-isolated update transaction; see [`Txn`].
@@ -437,43 +376,25 @@ impl Engine {
 
     /// Applies one auto-committed update under the state mutex (a one-op
     /// transaction that can never conflict). The op runs against a private
-    /// top layer — exactly like a [`Txn`] — so the committed delta can be
+    /// layer — exactly like a [`Txn`] — so the committed delta can be
     /// logged to the WAL before it is folded into the shared stack.
-    fn autocommit<R>(
+    fn autocommit(
         &self,
         table: TableId,
-        op: impl FnOnce(&mut PdtStack, u64) -> Result<R>,
-    ) -> Result<R> {
+        op: impl FnOnce(&mut TableWrites) -> Result<()>,
+    ) -> Result<()> {
         let updates = self.table_updates(table)?;
-        let mut state = updates.state().lock();
-        self.sync_state_with_storage(table, &mut state)?;
-        let stable = state.snapshot.stable_tuples();
-        let visible_before = state.stack.visible_count(stable);
-        let stack = Arc::make_mut(&mut state.stack);
-        stack.push_layer(Pdt::new(stack.column_count()));
-        let result = match op(stack, stable) {
-            Ok(result) => result,
-            Err(err) => {
-                stack.pop_layer();
-                return Err(err);
-            }
-        };
-        let private = stack.pop_layer().expect("the private layer pushed above");
-        if private.is_empty() {
-            return Ok(result);
+        let mut state = updates.lock(&self.storage)?;
+        let mut writes = TableWrites::new(state.pin());
+        op(&mut writes)?;
+        if writes.is_read_only() {
+            return Ok(());
         }
-        let record = CommitTableRecord {
-            table,
-            commit_seq: state.commit_seq + 1,
-            visible_before,
-            pdt: private,
-        };
-        let wal_seq = self.wal_append_commit(std::slice::from_ref(&record))?;
-        Arc::make_mut(&mut state.stack).absorb_top(&record.pdt, stable)?;
-        state.commit_seq += 1;
+        // The commit consumes `writes` and with it the pin, so the layer is
+        // folded into the shared stack in place, not into a copy of it.
+        let wal_seq = self.commit_locked(std::slice::from_mut(&mut state), vec![writes])?;
         drop(state);
-        self.wal_commit_sync(wal_seq)?;
-        Ok(result)
+        self.wal_commit_sync(wal_seq)
     }
 
     /// Number of rows currently visible in `table` (stable tuples of the
@@ -485,23 +406,19 @@ impl Engine {
     /// Inserts a row at visible position `rid` (use `visible_rows` to append
     /// at the end) as a single auto-committed transaction.
     pub fn insert_row(&self, table: TableId, rid: u64, row: Vec<Value>) -> Result<()> {
-        self.autocommit(table, |stack, stable| {
-            stack.insert(Rid::new(rid), row, stable)
-        })
+        self.autocommit(table, |writes| writes.insert(rid, row))
     }
 
     /// Deletes the visible row at `rid` as a single auto-committed
     /// transaction.
     pub fn delete_row(&self, table: TableId, rid: u64) -> Result<()> {
-        self.autocommit(table, |stack, stable| stack.delete(Rid::new(rid), stable))
+        self.autocommit(table, |writes| writes.delete(rid))
     }
 
     /// Updates column `col` of the visible row at `rid` as a single
     /// auto-committed transaction.
     pub fn update_value(&self, table: TableId, rid: u64, col: usize, value: Value) -> Result<()> {
-        self.autocommit(table, |stack, stable| {
-            stack.modify(Rid::new(rid), col, value, stable)
-        })
+        self.autocommit(table, |writes| writes.modify(rid, col, value))
     }
 
     /// Checkpoints `table`: materializes the pending differential updates
@@ -535,15 +452,8 @@ impl Engine {
         let _one_at_a_time = updates.checkpoint.lock();
 
         // Phase 1: freeze.
-        let (old_snapshot, frozen, frozen_depth, through_seq) = {
-            let mut state = updates.state().lock();
-            self.sync_state_with_storage(table, &mut state)?;
-            let old_snapshot = Arc::clone(&state.snapshot);
-            let frozen = Arc::clone(&state.stack);
-            let depth = frozen.depth();
-            Arc::make_mut(&mut state.stack).push_layer(Pdt::new(frozen.column_count()));
-            (old_snapshot, frozen, depth, state.commit_seq)
-        };
+        let frozen = updates.lock(&self.storage)?.freeze();
+        let through_seq = frozen.commit_seq;
 
         // Phase 2: materialize without holding the state mutex. For durable
         // engines the phase is bracketed by WAL markers and additionally
@@ -555,7 +465,8 @@ impl Engine {
             if let Some(wal) = &self.wal {
                 wal.append_marker(WalRecordKind::CheckpointBegin, table, through_seq)?;
             }
-            let new_snapshot = checkpoint_stack(&self.storage, table, &old_snapshot, &frozen)?;
+            let new_snapshot =
+                checkpoint_stack(&self.storage, table, &frozen.snapshot, &frozen.stack)?;
             if let Some(dir) = &self.config.wal_dir {
                 self.storage
                     .materialize_snapshot_logged(&new_snapshot, dir, through_seq)?;
@@ -565,27 +476,16 @@ impl Engine {
         let new_snapshot = match materialized {
             Ok(snapshot) => snapshot,
             Err(err) => {
-                // Undo the freeze: fold the during-checkpoint layer back
-                // into the layer it was pushed onto.
-                let mut state = updates.state().lock();
-                let stable = state.snapshot.stable_tuples();
-                let stack = Arc::make_mut(&mut state.stack);
-                if let Some(top) = stack.pop_layer() {
-                    stack.absorb_top(&top, stable)?;
-                }
+                updates.state.lock().thaw()?;
                 return Err(err);
             }
         };
 
         // Phase 3: swap and invalidate.
-        let stale: Vec<PageId> = old_snapshot.pages().collect();
-        let epoch = {
-            let mut state = updates.state().lock();
-            state.stack = Arc::new(state.stack.split_upper(frozen_depth));
-            state.snapshot = Arc::clone(&new_snapshot);
-            state.epoch += 1;
-            state.epoch
-        };
+        let (epoch, stale) = updates
+            .state
+            .lock()
+            .install(&frozen, Arc::clone(&new_snapshot));
         self.backend.invalidate_stale(table, epoch, &stale);
         if let Some(wal) = &self.wal {
             wal.append_marker(WalRecordKind::CheckpointEnd, table, through_seq)?;
@@ -661,7 +561,7 @@ impl Engine {
 
     /// Replays every verified WAL record over the freshly opened durable
     /// images. Commit records re-apply their serialized private PDTs through
-    /// the same [`PdtStack::absorb_top`] a live commit uses; checkpoint
+    /// the same [`TableState::apply`] a live commit uses; checkpoint
     /// markers are validated but drive no state (the manifest rename is the
     /// checkpoint's durable commit point).
     fn replay_wal(&self, dir: &Path) -> Result<()> {
@@ -686,33 +586,15 @@ impl Engine {
         Ok(())
     }
 
-    /// Re-applies one table's share of a logged commit. Records the durable
-    /// image already covers (per-table sequence at or below the manifest's
-    /// `wal_seq`) are skipped; sequence *gaps* are tolerated — adopted bulk
-    /// appends bump the live commit sequence without writing WAL records —
-    /// but the logged pre-commit visible row count must match the rebuilt
-    /// state exactly, which catches a stale image, a lost append or record
-    /// misordering as [`Error::WalCorrupt`] instead of silently diverging.
+    /// Re-applies one table's share of a logged commit through
+    /// [`TableState::apply`], which skips what the durable image already
+    /// covers and rejects a record that contradicts the rebuilt state. No
+    /// master adoption here: replay runs over exactly the image it opened.
     fn replay_commit(&self, entry: CommitTableRecord) -> Result<()> {
         if self.storage.table(entry.table).is_err() {
             return Err(Error::WalUnknownTable(entry.table));
         }
-        let updates = self.table_updates(entry.table)?;
-        let mut state = updates.state().lock();
-        if entry.commit_seq <= state.commit_seq {
-            return Ok(());
-        }
-        let stable = state.snapshot.stable_tuples();
-        let visible = state.stack.visible_count(stable);
-        if visible != entry.visible_before {
-            return Err(Error::WalCorrupt(format!(
-                "commit {} of table {} expects {} visible rows but the recovered state has {}",
-                entry.commit_seq, entry.table, entry.visible_before, visible
-            )));
-        }
-        Arc::make_mut(&mut state.stack).absorb_top(&entry.pdt, stable)?;
-        state.commit_seq = entry.commit_seq;
-        Ok(())
+        self.table_updates(entry.table)?.state.lock().apply(&entry)
     }
 
     // ------------------------------------------------------------------
@@ -820,7 +702,9 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanshare_common::Rid;
     use scanshare_core::policy::{ReplacementPolicy, ScanInfo};
+    use scanshare_pdt::pdt::Pdt;
     use scanshare_storage::column::{ColumnSpec, ColumnType};
     use scanshare_storage::datagen::DataGen;
     use scanshare_storage::layout::ScanPagePlan;

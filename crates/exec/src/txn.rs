@@ -3,91 +3,42 @@
 //! Vectorwise gives every transaction a consistent pair of (storage
 //! snapshot, PDT layer stack) and keeps its own updates in a tiny
 //! transaction-private PDT on top of the shared layers (Section 2.1; Héman
-//! et al., SIGMOD 2010). The engine mirrors that:
+//! et al., SIGMOD 2010). That algebra — the published per-table state, the
+//! pin, the private layer, first-committer-wins, the one `apply` — lives in
+//! [`scanshare_pdt::table`]; this module is the engine's transaction around
+//! it:
 //!
 //! * [`Engine::begin`](crate::engine::Engine::begin) returns a [`Txn`].
 //!   The first touch of each table captures a [`TablePin`] — the table's
 //!   published `(Snapshot, PdtStack)` pair plus its commit sequence number —
-//!   and stacks a fresh private PDT on top of it. Reads and scans inside the
-//!   transaction compose the shared layers with the private one; nothing a
-//!   concurrent committer or checkpointer does is ever visible.
-//! * [`Txn::commit`] uses **first-committer-wins** conflict detection: if
-//!   any written table's commit sequence advanced since the pin was taken,
-//!   the commit fails with
-//!   [`Error::TransactionConflict`]
-//!   and the private updates are discarded. Otherwise each private layer is
-//!   folded into the table's shared top layer
-//!   ([`PdtStack::absorb_top`]) — the "propagate" step of stacked PDTs.
+//!   and starts a private [`TableWrites`] layer over it. Reads and scans
+//!   inside the transaction compose the shared layers with the private one;
+//!   nothing a concurrent committer or checkpointer does is ever visible.
+//! * [`Txn::commit`] locks every written table's state in table-id order,
+//!   validates all of them (**first-committer-wins**: if any written
+//!   table's commit sequence advanced since the pin was taken, the commit
+//!   fails with [`Error::TransactionConflict`](scanshare_common::Error) and
+//!   the private updates are discarded), logs the write sets to the WAL and
+//!   only then applies them — all-or-nothing.
 //! * Scans never block writers and writers never block scans: the published
 //!   state is an immutable `Arc` pair swapped under a short mutex, so a
 //!   scan pins it with two reference-count bumps and merges on the fly.
 //!
-//! Background checkpoints interleave freely with transactions: a checkpoint
-//! freezes the current shared layers, pushes a fresh top layer for
-//! commits that arrive while it materializes, and atomically swaps in the
-//! new stable image with exactly those during-checkpoint layers on top (see
+//! Background checkpoints interleave freely with transactions (see
 //! [`Engine::checkpoint`](crate::engine::Engine::checkpoint)). A
 //! transaction's RID space is unchanged by a checkpoint, so transactions
 //! spanning one commit normally.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 use std::sync::Arc;
 
-use scanshare_common::{Error, Result, Rid, TableId};
-use scanshare_pdt::pdt::Pdt;
-use scanshare_pdt::stack::PdtStack;
-use scanshare_pdt::wal::CommitTableRecord;
+use scanshare_common::{Result, TableId};
+pub use scanshare_pdt::table::TablePin;
+use scanshare_pdt::table::TableWrites;
 use scanshare_storage::datagen::Value;
-use scanshare_storage::snapshot::Snapshot;
 
 use crate::engine::Engine;
 use crate::query::Query;
-
-/// A consistent view of one table: the storage snapshot and PDT layer stack
-/// a scan or transaction works against, captured atomically from the
-/// engine's published state.
-///
-/// Pins are cheap (two `Arc` clones) and immutable: updates committed after
-/// the pin was taken swap the engine's published `Arc`s and never mutate the
-/// pinned ones.
-#[derive(Debug, Clone)]
-pub struct TablePin {
-    /// The pinned table.
-    pub table: TableId,
-    /// The stable storage image the stack is anchored on.
-    pub snapshot: Arc<Snapshot>,
-    /// The differential-update layers visible to this pin (bottom layer
-    /// anchored directly on `snapshot`).
-    pub stack: Arc<PdtStack>,
-    /// The table's commit sequence number when the pin was taken; used for
-    /// first-committer-wins conflict detection.
-    pub commit_seq: u64,
-    /// The table's checkpoint epoch when the pin was taken.
-    pub epoch: u64,
-}
-
-impl TablePin {
-    /// Number of rows visible through this pin.
-    pub fn visible_rows(&self) -> u64 {
-        self.stack.visible_count(self.snapshot.stable_tuples())
-    }
-
-    /// Flattens the pinned layer stack into a single equivalent [`Pdt`]
-    /// anchored directly on the pinned snapshot (what a scan operator merges
-    /// with).
-    pub fn flatten(&self) -> Result<Pdt> {
-        self.stack.flatten(self.snapshot.stable_tuples())
-    }
-}
-
-/// One table touched by a transaction: the captured base pin plus a working
-/// stack whose top layer holds the transaction's private updates.
-#[derive(Debug)]
-struct TxnTable {
-    base: TablePin,
-    /// `base.stack` with one extra (private) top layer.
-    work: PdtStack,
-}
 
 /// A snapshot-isolated update transaction; created with
 /// [`Engine::begin`](crate::engine::Engine::begin). See the [module
@@ -100,7 +51,7 @@ struct TxnTable {
 pub struct Txn {
     engine: Arc<Engine>,
     /// Touched tables in id order (which is also the commit lock order).
-    tables: BTreeMap<TableId, TxnTable>,
+    tables: BTreeMap<TableId, TableWrites>,
 }
 
 impl Txn {
@@ -111,60 +62,43 @@ impl Txn {
         }
     }
 
-    /// The table state this transaction works on, captured from the engine
-    /// on first touch.
-    fn table_mut(&mut self, table: TableId) -> Result<&mut TxnTable> {
-        if !self.tables.contains_key(&table) {
-            let base = self.engine.table_pin(table)?;
-            let mut work = (*base.stack).clone();
-            work.push_layer(Pdt::new(work.column_count()));
-            self.tables.insert(table, TxnTable { base, work });
-        }
-        Ok(self.tables.get_mut(&table).expect("inserted above"))
+    /// This transaction's private layer over `table`, started from the
+    /// engine's published pin on first touch.
+    fn table_mut(&mut self, table: TableId) -> Result<&mut TableWrites> {
+        Ok(match self.tables.entry(table) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => entry.insert(TableWrites::new(self.engine.table_pin(table)?)),
+        })
     }
 
     /// Number of rows visible to this transaction (its own uncommitted
     /// updates included).
     pub fn visible_rows(&mut self, table: TableId) -> Result<u64> {
-        let t = self.table_mut(table)?;
-        Ok(t.work.visible_count(t.base.snapshot.stable_tuples()))
+        Ok(self.table_mut(table)?.visible_rows())
     }
 
     /// Inserts a row at visible position `rid` of this transaction's view
     /// (use [`Txn::visible_rows`] to append at the end).
     pub fn insert(&mut self, table: TableId, rid: u64, row: Vec<Value>) -> Result<()> {
-        let t = self.table_mut(table)?;
-        let stable = t.base.snapshot.stable_tuples();
-        t.work.insert(Rid::new(rid), row, stable)
+        self.table_mut(table)?.insert(rid, row)
     }
 
     /// Deletes the visible row at `rid` of this transaction's view.
     pub fn delete(&mut self, table: TableId, rid: u64) -> Result<()> {
-        let t = self.table_mut(table)?;
-        let stable = t.base.snapshot.stable_tuples();
-        t.work.delete(Rid::new(rid), stable)
+        self.table_mut(table)?.delete(rid)
     }
 
     /// Updates column `col` of the visible row at `rid` of this
     /// transaction's view.
     pub fn modify(&mut self, table: TableId, rid: u64, col: usize, value: Value) -> Result<()> {
-        let t = self.table_mut(table)?;
-        let stable = t.base.snapshot.stable_tuples();
-        t.work.modify(Rid::new(rid), col, value, stable)
+        self.table_mut(table)?.modify(rid, col, value)
     }
 
     /// A pin of this transaction's current view of `table`: the base
     /// snapshot and shared layers plus a copy of the private layer. Scans
     /// opened from it see the transaction's own uncommitted updates.
     pub fn pin(&mut self, table: TableId) -> Result<TablePin> {
-        let t = self.table_mut(table)?;
-        Ok(TablePin {
-            table,
-            snapshot: Arc::clone(&t.base.snapshot),
-            stack: Arc::new(t.work.clone()),
-            commit_seq: t.base.commit_seq,
-            epoch: t.base.epoch,
-        })
+        Ok(self.table_mut(table)?.pin())
     }
 
     /// Starts building a query that reads this transaction's view of
@@ -178,7 +112,7 @@ impl Txn {
 
     /// Whether the transaction wrote anything.
     pub fn is_read_only(&self) -> bool {
-        self.tables.iter().all(|(_, t)| t.work.top().is_empty())
+        self.tables.values().all(TableWrites::is_read_only)
     }
 
     /// Commits the transaction with first-committer-wins semantics: for
@@ -186,76 +120,34 @@ impl Txn {
     /// auto-commit update, or a storage bulk append the engine adopted)
     /// committed to it since this transaction first touched it, the whole
     /// commit fails with
-    /// [`Error::TransactionConflict`]
+    /// [`Error::TransactionConflict`](scanshare_common::Error)
     /// and no table is modified. Tables the transaction only read never
     /// conflict.
     ///
     /// On success each private layer is folded into its table's shared top
     /// layer; scans pinned before the commit keep their view.
     pub fn commit(mut self) -> Result<()> {
-        // Extract the private layers, keeping only written tables.
-        let mut written: Vec<(TableId, TablePin, Pdt)> = Vec::new();
-        for (table, mut t) in std::mem::take(&mut self.tables) {
-            let private = t.work.pop_layer().expect("work stack has a private layer");
-            if !private.is_empty() {
-                written.push((table, t.base, private));
-            }
-        }
+        let written: Vec<TableWrites> = std::mem::take(&mut self.tables)
+            .into_values()
+            .filter(|writes| !writes.is_read_only())
+            .collect();
         if written.is_empty() {
             return Ok(());
         }
 
         // Lock every written table's state in table-id order (`written` is
-        // BTreeMap-ordered), validate all sequence numbers, then apply —
-        // all-or-nothing.
+        // BTreeMap-ordered), then validate all, log and apply —
+        // all-or-nothing. The fsync (subject to group commit) happens after
+        // the locks are released.
         let updates: Vec<_> = written
             .iter()
-            .map(|(table, _, _)| self.engine.table_updates(*table))
+            .map(|writes| self.engine.table_updates(writes.table()))
             .collect::<Result<_>>()?;
-        let mut guards: Vec<_> = updates.iter().map(|u| u.state().lock()).collect();
-        for ((table, base, _), guard) in written.iter().zip(guards.iter_mut()) {
-            self.engine.sync_state_with_storage(*table, guard)?;
-            if guard.commit_seq != base.commit_seq {
-                return Err(Error::TransactionConflict(format!(
-                    "table {table}: commit sequence advanced from {} to {} since the \
-                     transaction began (first committer wins)",
-                    base.commit_seq, guard.commit_seq
-                )));
-            }
-        }
-        // Log the write sets before applying them, still under the state
-        // locks so the WAL order matches the commit-sequence order. The
-        // fsync (subject to group commit) happens after the locks are
-        // released.
-        let wal_seq = if self.engine.is_durable() {
-            let records: Vec<CommitTableRecord> = written
-                .iter()
-                .zip(guards.iter())
-                .map(|((table, _, private), guard)| {
-                    let stable = guard.snapshot.stable_tuples();
-                    CommitTableRecord {
-                        table: *table,
-                        commit_seq: guard.commit_seq + 1,
-                        visible_before: guard.stack.visible_count(stable),
-                        pdt: private.clone(),
-                    }
-                })
-                .collect();
-            self.engine.wal_append_commit(&records)?
-        } else {
-            None
-        };
-        for ((_, _, private), guard) in written.iter().zip(guards.iter_mut()) {
-            // The conflict check passed, so the table's visible stream is
-            // exactly the one the private layer's positions refer to — even
-            // if a checkpoint swapped the underlying representation in the
-            // meantime (a checkpoint changes the anchoring, never the
-            // stream).
-            let stable = guard.snapshot.stable_tuples();
-            let stack = Arc::make_mut(&mut guard.stack);
-            stack.absorb_top(private, stable)?;
-            guard.commit_seq += 1;
-        }
+        let mut guards: Vec<_> = updates
+            .iter()
+            .map(|u| u.lock(self.engine.storage()))
+            .collect::<Result<_>>()?;
+        let wal_seq = self.engine.commit_locked(&mut guards, written)?;
         drop(guards);
         self.engine.wal_commit_sync(wal_seq)
     }
@@ -268,7 +160,7 @@ impl Txn {
 mod tests {
     use super::*;
     use crate::ops::{AggrSpec, Aggregate};
-    use scanshare_common::{PolicyKind, ScanShareConfig};
+    use scanshare_common::{Error, PolicyKind, ScanShareConfig};
     use scanshare_storage::column::{ColumnSpec, ColumnType};
     use scanshare_storage::datagen::DataGen;
     use scanshare_storage::storage::Storage;

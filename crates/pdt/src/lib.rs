@@ -27,7 +27,13 @@
 //!   table image, as performed by a PDT checkpoint (Figure 7);
 //! * [`wal`]: the write-ahead-log codec for committed write sets — a
 //!   commit is logged as the serialized private PDT per table, so replay
-//!   is the same [`PdtStack::absorb_top`] a live commit performs.
+//!   is the same [`PdtStack::absorb_top`] a live commit performs;
+//! * [`table`]: the per-table update state both executors hold — the
+//!   published `(Snapshot, PdtStack, commit_seq, epoch)` ([`TableState`]:
+//!   pin, adopt a storage master change, commit with first-committer-wins,
+//!   apply a live or replayed record, freeze → install a checkpoint), the
+//!   immutable [`TablePin`] scans read through and a writer's private layer
+//!   ([`TableWrites`]). No locks, no log: the engine adds those around it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,6 +42,7 @@ pub mod checkpoint;
 pub mod merge;
 pub mod pdt;
 pub mod stack;
+pub mod table;
 pub mod translate;
 pub mod wal;
 
@@ -43,5 +50,6 @@ pub use crate::pdt::{Pdt, UpdateStats};
 pub use checkpoint::{checkpoint_stack, checkpoint_table};
 pub use merge::{merge_columns, MergeCursor, SliceSource, StableSource};
 pub use stack::PdtStack;
+pub use table::{TablePin, TableState, TableWrites};
 pub use translate::{plan_scan, sid_range_to_rid_range};
 pub use wal::{decode_commit, encode_commit, CommitTableRecord};

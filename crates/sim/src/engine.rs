@@ -22,20 +22,20 @@
 //!
 //! # Mixed read/write workloads
 //!
-//! A workload with update streams executes in **rounds**, mirroring the
-//! engine-side `WorkloadDriver` exactly: at every round barrier the
-//! simulator applies each update stream's generated batch to a per-table
-//! *mirror* — the same `(Snapshot, PdtStack)` algebra the engine's
-//! transaction layer uses, driven by the identical deterministic operation
-//! generator — checkpoints when due (merging the mirrored PDT stack into a
-//! brand-new stable image via the engine's own `checkpoint_stack`, then
-//! handing the superseded pages to the backend's epoch-tagged
-//! `invalidate_stale` hook, exactly like the engine), and then simulates one
-//! query per stream concurrently. Scans are planned against the mirrored
-//! pair, so both executors touch the identical page sets and their I/O
-//! volumes match byte for byte. The backend and its I/O device persist
-//! across rounds — the whole point of the model is measuring how updates and
-//! checkpoints churn a *warm* buffer pool.
+//! A workload with update streams executes in **rounds**, like the
+//! engine-side `WorkloadDriver`: at every round barrier the simulator
+//! commits each update stream's generated batch to the table's
+//! [`TableState`] — the object the engine keeps behind its per-table mutex,
+//! driven by the identical deterministic operation generator — checkpoints
+//! when due (freeze, merge the frozen stack into a brand-new stable image
+//! with `checkpoint_stack`, install, hand the superseded pages to the
+//! backend's epoch-tagged `invalidate_stale` hook — the engine's steps
+//! minus its locks and its log), and then simulates one query per stream
+//! concurrently. Scans are planned against the state's pin, so both
+//! executors touch the identical page sets and their I/O volumes match byte
+//! for byte. The backend and its I/O device persist across rounds — the
+//! whole point of the model is measuring how updates and checkpoints churn a
+//! *warm* buffer pool.
 //!
 //! Note that simulating a mixed workload **mutates the storage** (checkpoint
 //! snapshots are installed and promoted to master); give each mixed run its
@@ -43,20 +43,20 @@
 //! runs.
 
 use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use scanshare_common::{
-    Error, PageId, PolicyKind, RangeList, Result, Rid, ScanId, ScanShareConfig, TableId,
-    TupleRange, VirtualDuration, VirtualInstant,
+    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
+    VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::simulate_opt;
 use scanshare_iosim::IoDevice;
 use scanshare_pdt::checkpoint::checkpoint_stack;
-use scanshare_pdt::pdt::Pdt;
-use scanshare_pdt::stack::PdtStack;
+use scanshare_pdt::table::{TableState, TableWrites};
 use scanshare_pdt::translate::plan_scan;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
@@ -135,7 +135,7 @@ impl EventQueue {
 
 /// One scan step of a query, planned against the `(Snapshot, Pdt)` pair its
 /// executor pins: the master snapshot untouched for read-only workloads, the
-/// mirror's (possibly checkpoint-swapped, updated) pair in mixed ones.
+/// table state's (possibly checkpoint-swapped, updated) pair in mixed ones.
 #[derive(Debug, Clone)]
 struct ResolvedScan {
     table: TableId,
@@ -280,22 +280,9 @@ impl SharingSampler {
     }
 }
 
-/// The engine-state mirror of a workload: per table, the pinned snapshot
-/// and PDT stack the engine's transaction layer would publish at the same
-/// round barrier (the master snapshot under an empty stack until an update
-/// stream touches the table).
-#[derive(Debug, Default)]
-struct UpdateMirror {
-    tables: HashMap<TableId, MirrorTable>,
-}
-
-#[derive(Debug)]
-struct MirrorTable {
-    snapshot: Arc<Snapshot>,
-    stack: PdtStack,
-    /// Checkpoints of this table so far; tags its stale-page invalidations.
-    epoch: u64,
-}
+/// The update state of every table a run touched, opened from the storage
+/// master on first touch — what the engine keeps per table behind a mutex.
+type TableStates = HashMap<TableId, TableState>;
 
 /// Persistent state of a run: survives round barriers so checkpointed tables
 /// churn warm buffers, exactly as in the engine.
@@ -401,7 +388,7 @@ impl Simulation {
             query_latencies: Vec::new(),
         };
         let stream_count = workload.stream_count();
-        let mut mirror = UpdateMirror::default();
+        let mut tables = TableStates::new();
 
         let finish_ns = if !workload.has_updates() {
             let queries: Vec<VecDeque<ResolvedQuery>> = workload
@@ -410,7 +397,7 @@ impl Simulation {
                 .map(|s| {
                     s.queries
                         .iter()
-                        .map(|q| self.resolve(state.backend.as_ref(), &mut mirror, q, stream_count))
+                        .map(|q| self.resolve(state.backend.as_ref(), &mut tables, q, stream_count))
                         .collect::<Result<VecDeque<_>>>()
                 })
                 .collect::<Result<_>>()?;
@@ -429,7 +416,7 @@ impl Simulation {
                 // the persistent backend.
                 for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
                     let backend = state.backend.as_ref();
-                    self.mirror_update_batch(backend, &mut mirror, spec, generator, round)?;
+                    self.apply_update_batch(backend, &mut tables, spec, generator, round)?;
                 }
                 // Concurrent phase: this round's query of every stream.
                 let queries: Vec<VecDeque<ResolvedQuery>> = workload
@@ -440,7 +427,7 @@ impl Simulation {
                             .queries
                             .get(round)
                             .map(|q| {
-                                self.resolve(state.backend.as_ref(), &mut mirror, q, stream_count)
+                                self.resolve(state.backend.as_ref(), &mut tables, q, stream_count)
                             })
                             .into_iter()
                             .collect()
@@ -502,61 +489,52 @@ impl Simulation {
     }
 
     // -----------------------------------------------------------------
-    // Query resolution and the update mirror
+    // Query resolution and update batches
     // -----------------------------------------------------------------
 
-    /// The mirror entry of `table`, created on first touch from the current
-    /// master snapshot — exactly like the engine's per-table state.
-    fn mirror_table<'a>(
+    /// The state of `table`, current with the storage master — what the
+    /// engine's per-table lock hands out.
+    fn table_state<'a>(
         &self,
-        mirror: &'a mut UpdateMirror,
+        tables: &'a mut TableStates,
         table: TableId,
-    ) -> Result<&'a mut MirrorTable> {
-        use std::collections::hash_map::Entry;
-        match mirror.tables.entry(table) {
-            Entry::Occupied(entry) => Ok(entry.into_mut()),
-            Entry::Vacant(entry) => {
-                let snapshot = self.storage.master_snapshot(table)?;
-                let columns = self.storage.table(table)?.spec.columns.len();
-                Ok(entry.insert(MirrorTable {
-                    snapshot,
-                    stack: PdtStack::new(columns, 1),
-                    epoch: 0,
-                }))
-            }
-        }
+    ) -> Result<&'a mut TableState> {
+        let state = match tables.entry(table) {
+            Entry::Occupied(entry) => entry.into_mut(),
+            Entry::Vacant(entry) => entry.insert(TableState::open(&self.storage, table)?),
+        };
+        state.adopt_master(&self.storage)?;
+        Ok(state)
     }
 
-    /// Resolves a query against the mirror, the way the engine resolves it
-    /// against its table pins: the shared lowering turns the spec into scan
-    /// steps, and the shared `plan_scan` turns each step's visible-row range
-    /// into the stable ranges to register (clamped, translated through the
-    /// mirrored PDT, zone-pruned under the empty-PDT gate), reporting the
-    /// skipped tuples to the backend.
+    /// Resolves a query against the table states, the way the engine
+    /// resolves it against its table pins: the shared lowering turns the
+    /// spec into scan steps, and the shared `plan_scan` turns each step's
+    /// visible-row range into the stable ranges to register (clamped,
+    /// translated through the pinned PDT, zone-pruned under the empty-PDT
+    /// gate), reporting the skipped tuples to the backend.
     fn resolve(
         &self,
         backend: &dyn ScanBackend,
-        mirror: &mut UpdateMirror,
+        tables: &mut TableStates,
         query: &QuerySpec,
         streams: usize,
     ) -> Result<ResolvedQuery> {
-        let steps = query.steps(&mut |table| {
-            let table = self.mirror_table(mirror, table)?;
-            Ok(table.stack.visible_count(table.snapshot.stable_tuples()))
-        })?;
+        let steps =
+            query.steps(&mut |table| Ok(self.table_state(tables, table)?.pin().visible_rows()))?;
         let zone_maps = self.config.scanshare.zone_maps;
         let mut scans = Vec::with_capacity(steps.len());
         for step in steps {
-            let table = self.mirror_table(mirror, step.table)?;
-            let flat = table.stack.flatten(table.snapshot.stable_tuples())?;
+            let pin = self.table_state(tables, step.table)?.pin();
+            let flat = pin.flatten()?;
             let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
             let (_, sid_ranges, skipped) =
-                plan_scan(&self.storage, &table.snapshot, &flat, step.range, zone_pred);
+                plan_scan(&self.storage, &pin.snapshot, &flat, step.range, zone_pred);
             backend.record_pruned(skipped);
             scans.push(ResolvedScan {
                 table: step.table,
                 columns: step.columns,
-                snapshot: Arc::clone(&table.snapshot),
+                snapshot: pin.snapshot,
                 sid_ranges,
                 barrier: step.join_key.is_some(),
             });
@@ -567,52 +545,41 @@ impl Simulation {
         })
     }
 
-    /// Applies one update stream's round batch to the mirror — one
-    /// transaction through the identical `PdtStack` algebra the engine's
-    /// `Txn::commit` uses — and performs the periodic checkpoint when due:
-    /// the same merged `checkpoint_stack` the engine runs (so the new image
-    /// carries values and zone maps), plus the engine's epoch-tagged
-    /// stale-page invalidation of the backend.
-    fn mirror_update_batch(
+    /// Commits one update stream's round batch as one transaction and
+    /// performs the periodic checkpoint when due — the calls the engine's
+    /// `Txn::commit` and `Engine::checkpoint` make on the same `TableState`,
+    /// including the merged `checkpoint_stack` (so the new image carries
+    /// values and zone maps and post-checkpoint pruning agrees) and the
+    /// epoch-tagged stale-page invalidation of the backend.
+    fn apply_update_batch(
         &self,
         backend: &dyn ScanBackend,
-        mirror: &mut UpdateMirror,
+        tables: &mut TableStates,
         spec: &UpdateStreamSpec,
         generator: &mut UpdateOpGen,
         round: usize,
     ) -> Result<()> {
-        let columns = self.storage.table(spec.table)?.spec.columns.len();
+        let state = self.table_state(tables, spec.table)?;
         if spec.ops_per_round > 0 {
-            let table = self.mirror_table(mirror, spec.table)?;
-            let stable = table.snapshot.stable_tuples();
-            let mut work = table.stack.clone();
-            work.push_layer(Pdt::new(columns));
+            let columns = self.storage.table(spec.table)?.spec.columns.len();
+            let mut writes = TableWrites::new(state.pin());
             for _ in 0..spec.ops_per_round {
-                let visible = work.visible_count(stable);
-                match generator.next_op(visible, columns) {
-                    UpdateOp::Insert { rid, row } => work.insert(Rid::new(rid), row, stable)?,
-                    UpdateOp::Delete { rid } => work.delete(Rid::new(rid), stable)?,
-                    UpdateOp::Modify { rid, col, value } => {
-                        work.modify(Rid::new(rid), col, value, stable)?
-                    }
+                match generator.next_op(writes.visible_rows(), columns) {
+                    UpdateOp::Insert { rid, row } => writes.insert(rid, row)?,
+                    UpdateOp::Delete { rid } => writes.delete(rid)?,
+                    UpdateOp::Modify { rid, col, value } => writes.modify(rid, col, value)?,
                 }
             }
-            let private = work.pop_layer().expect("pushed above");
-            table.stack.absorb_top(&private, stable)?;
+            if let Some(record) = state.commit_record(writes)? {
+                state.apply(&record)?;
+            }
         }
         if spec.checkpoint_due(round) {
-            let table = self.mirror_table(mirror, spec.table)?;
-            let stale: Vec<PageId> = table.snapshot.pages().collect();
-            // A real merged checkpoint (not a metadata-only install): the new
-            // stable image carries the merged values, so its zone maps are
-            // rebuilt exactly as the engine's checkpoint rebuilds them — the
-            // post-checkpoint pruning decisions of both executors agree.
+            let frozen = state.freeze();
             let new_snapshot =
-                checkpoint_stack(&self.storage, spec.table, &table.snapshot, &table.stack)?;
-            table.snapshot = new_snapshot;
-            table.stack = PdtStack::new(columns, 1);
-            table.epoch += 1;
-            backend.invalidate_stale(spec.table, table.epoch, &stale);
+                checkpoint_stack(&self.storage, spec.table, &frozen.snapshot, &frozen.stack)?;
+            let (epoch, stale) = state.install(&frozen, new_snapshot);
+            backend.invalidate_stale(spec.table, epoch, &stale);
         }
         Ok(())
     }
@@ -1165,13 +1132,13 @@ mod tests {
             sampler: SharingSampler::new(None),
             query_latencies: Vec::new(),
         };
-        let mut mirror = UpdateMirror::default();
+        let mut tables = TableStates::new();
         let resolved = queries
             .iter()
             .map(|stream| {
                 stream
                     .iter()
-                    .map(|q| sim.resolve(&log, &mut mirror, q, queries.len()))
+                    .map(|q| sim.resolve(&log, &mut tables, q, queries.len()))
                     .collect::<Result<VecDeque<_>>>()
             })
             .collect::<Result<Vec<_>>>()

@@ -110,6 +110,55 @@ struct Inner {
     seed: u64,
 }
 
+impl Inner {
+    /// The page lookup behind [`Storage::open_page`]: stored (appended /
+    /// checkpointed) values first, then the file store, then the base-data
+    /// generator. Over `&Inner` so that writers already holding the lock
+    /// resolve pages the same way readers do.
+    fn open_page(
+        &self,
+        file_store: Option<&FileStore>,
+        layout: &TableLayout,
+        snapshot: &Snapshot,
+        col: usize,
+        page_index: u64,
+    ) -> Result<PageHandle> {
+        let page = snapshot
+            .page(col, page_index)
+            .ok_or_else(|| Error::internal(format!("column {col} has no page {page_index}")))?;
+        let sid_range = layout.sid_range_of_page(col, page_index, snapshot.stable_tuples());
+        let values = if let Some(values) = self.page_data.get(&page) {
+            PageValues::Stored(Arc::clone(values))
+        } else if let Some(values) = file_store
+            .map(|store| store.page_values(page))
+            .transpose()
+            .map_err(|e| Error::io(format!("reading page {page}: {e}")))?
+            .flatten()
+        {
+            // File-backed page: decode-cache hit if the I/O device already
+            // read it, synchronous segment read otherwise — correctness
+            // never depends on the device having been asked first.
+            debug_assert_eq!(values.len() as u64, sid_range.len());
+            PageValues::Stored(values)
+        } else {
+            // Base page: generated on demand.
+            let gens = self
+                .datagens
+                .get(&layout.table())
+                .ok_or_else(|| Error::UnknownTable(layout.table()))?;
+            PageValues::Generated {
+                gen: gens.get(col).copied().unwrap_or(DataGen::Constant(0)),
+                seed: self.seed ^ ((layout.table().raw() as u64) << 32) ^ col as u64,
+            }
+        };
+        Ok(PageHandle {
+            page,
+            sid_range,
+            values,
+        })
+    }
+}
+
 /// Shared storage engine.
 #[derive(Debug)]
 pub struct Storage {
@@ -454,43 +503,9 @@ impl Storage {
         col: usize,
         page_index: u64,
     ) -> Result<PageHandle> {
-        let page = snapshot
-            .page(col, page_index)
-            .ok_or_else(|| Error::internal(format!("column {col} has no page {page_index}")))?;
-        let sid_range = layout.sid_range_of_page(col, page_index, snapshot.stable_tuples());
         let inner = self.inner.read();
-        let values = if let Some(values) = inner.page_data.get(&page) {
-            PageValues::Stored(Arc::clone(values))
-        } else if let Some(values) = self
-            .file_store
-            .read()
-            .as_ref()
-            .map(|store| store.page_values(page))
-            .transpose()
-            .map_err(|e| Error::io(format!("reading page {page}: {e}")))?
-            .flatten()
-        {
-            // File-backed page: decode-cache hit if the I/O device already
-            // read it, synchronous segment read otherwise — correctness
-            // never depends on the device having been asked first.
-            debug_assert_eq!(values.len() as u64, sid_range.len());
-            PageValues::Stored(values)
-        } else {
-            // Base page: generated on demand.
-            let gens = inner
-                .datagens
-                .get(&layout.table())
-                .ok_or_else(|| Error::UnknownTable(layout.table()))?;
-            PageValues::Generated {
-                gen: gens.get(col).copied().unwrap_or(DataGen::Constant(0)),
-                seed: inner.seed ^ ((layout.table().raw() as u64) << 32) ^ col as u64,
-            }
-        };
-        Ok(PageHandle {
-            page,
-            sid_range,
-            values,
-        })
+        let file_store = self.file_store.read();
+        inner.open_page(file_store.as_deref(), layout, snapshot, col, page_index)
     }
 
     /// Materializes one page of one column under a snapshot.
@@ -680,57 +695,27 @@ impl Storage {
         let old_tuples = working.stable_tuples();
         let file_store = self.file_store.read().clone();
 
-        // Materialize data for the new pages: existing tuples come from the
-        // parent snapshot, appended tuples from `rows`.
-        let mut existing: Vec<HashMap<u64, Value>> = vec![HashMap::new(); layout.column_count()];
-        {
-            // Collect the old values needed for rewritten partial pages.
-            for np in &new_pages {
-                let overlap = np.sid_range.intersect(&TupleRange::new(0, old_tuples));
-                if overlap.is_empty() {
-                    continue;
-                }
-                let col = np.column_index;
-                let (first, last) = layout
-                    .page_index_range(col, &overlap)
-                    .expect("non-empty overlap maps to pages");
+        // Materialize data for the new pages: the tuples a rewritten partial
+        // page already held come from the parent snapshot's pages, appended
+        // tuples from `rows`.
+        for np in &new_pages {
+            let col = np.column_index;
+            let mut values = Vec::with_capacity(np.sid_range.len() as usize);
+            let old = np.sid_range.intersect(&TupleRange::new(0, old_tuples));
+            if let Some((first, last)) = layout.page_index_range(col, &old) {
                 for idx in first..=last {
-                    let page = working.page(col, idx).expect("parent page exists");
-                    let sid_range = layout.sid_range_of_page(col, idx, old_tuples);
-                    let values = if let Some(v) = inner.page_data.get(&page) {
-                        Arc::clone(v)
-                    } else if let Some(v) = file_store
-                        .as_ref()
-                        .map(|store| store.page_values(page))
-                        .transpose()
-                        .map_err(|e| Error::io(format!("reading page {page}: {e}")))?
-                        .flatten()
-                    {
-                        v
-                    } else {
-                        let gens = inner
-                            .datagens
-                            .get(&table)
-                            .ok_or(Error::UnknownTable(table))?;
-                        let gen = gens.get(col).copied().unwrap_or(DataGen::Constant(0));
-                        let seed = inner.seed ^ ((table.raw() as u64) << 32) ^ col as u64;
-                        Arc::new(gen.materialize(seed, sid_range.start, sid_range.end))
-                    };
-                    for sid in overlap.start.max(sid_range.start)..overlap.end.min(sid_range.end) {
-                        existing[col].insert(sid, values[(sid - sid_range.start) as usize]);
-                    }
+                    let page =
+                        inner.open_page(file_store.as_deref(), &layout, working, col, idx)?;
+                    page.fill(page.sid_range.intersect(&old), &mut values);
                 }
             }
+            let new = np
+                .sid_range
+                .intersect(&TupleRange::new(old_tuples, u64::MAX));
+            let at = |sid: u64| (sid - old_tuples) as usize;
+            values.extend_from_slice(&rows[col][at(new.start)..at(new.end)]);
+            inner.page_data.insert(np.page, Arc::new(values));
         }
-        store_new_page_data(&mut inner.page_data, &new_pages, |col, sid| {
-            if sid < old_tuples {
-                *existing[col]
-                    .get(&sid)
-                    .expect("old value collected for rewritten page")
-            } else {
-                rows[col][(sid - old_tuples) as usize]
-            }
-        });
         // Inherit the parent snapshot's zone metadata, widened by the
         // appended rows (the last partial chunk absorbs them; fresh chunks
         // get exact entries). Parents without zones stay zone-less.

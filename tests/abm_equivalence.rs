@@ -12,9 +12,12 @@
 //! load plan (chunk, page list, byte count), starvation probes, and the
 //! final statistics / cached-bytes / I/O volume.
 
+mod abm_reference;
+
 use std::sync::Arc;
 
-use scanshare::core::abm::{Abm, AbmConfig, CScanRequest, LoadPlan, MonolithicAbm};
+use abm_reference::MonolithicAbm;
+use scanshare::core::abm::{Abm, AbmConfig, CScanRequest, LoadPlan};
 use scanshare::prelude::*;
 use scanshare::storage::datagen::{splitmix64, DataGen};
 

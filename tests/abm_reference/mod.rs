@@ -2,33 +2,28 @@
 //! executable specification of ABM behaviour.
 //!
 //! [`MonolithicAbm`] is the single-lock state machine the decomposed
-//! [`Abm`](super::Abm) replaced: every operation takes `&mut self`, so
-//! concurrent use requires an outer `Mutex` that serializes all streams —
-//! exactly the bottleneck the directory / relevance / scheduler layering
-//! removes. It is retained (frozen, bug-for-bug) for two jobs:
+//! [`Abm`](scanshare::core::abm::Abm) replaced: every operation takes
+//! `&mut self`. It is retained (frozen, bug-for-bug) as the **executable
+//! spec**: `abm_equivalence.rs` replays randomized traces through this
+//! implementation and through the decomposed ABM at several shard counts
+//! and asserts byte-identical chunk-delivery order, load plans, statistics
+//! and I/O volume. It uses only public `scanshare::core::abm` types, which
+//! is why it lives beside the test and not in the production crate.
 //!
-//! * **executable spec** — `tests/abm_equivalence.rs` replays randomized
-//!   traces through this implementation and through the decomposed ABM at
-//!   several shard counts and asserts byte-identical chunk-delivery order,
-//!   load plans, statistics and I/O volume;
-//! * **performance baseline** — the `throughput_scaling` figure drives the
-//!   CScan protocol against a `Mutex<MonolithicAbm>` to quantify what the
-//!   decomposition buys under multi-stream load.
-//!
-//! The relevance semantics are documented on the [parent module](super);
-//! do not modify this file when changing ABM behaviour — change the
-//! decomposed implementation and let the equivalence test tell you what
-//! diverged.
+//! The relevance semantics are documented on `scanshare::core::abm`; do not
+//! modify this file when changing ABM behaviour — change the decomposed
+//! implementation and let the equivalence test tell you what diverged.
+
+#![allow(dead_code)] // the equivalence trace drives a subset of the surface
 
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use scanshare_common::{ChunkId, Error, PageId, Result, ScanId, TableId, VirtualInstant};
-use scanshare_storage::layout::ChunkMap;
-use scanshare_storage::snapshot::Snapshot;
-
-use super::{AbmAction, AbmConfig, CScanHandle, CScanRequest, ChunkDelivery, LoadPlan};
-use crate::metrics::BufferStats;
+use scanshare::common::{ChunkId, Error, PageId, Result, ScanId, TableId, VirtualInstant};
+use scanshare::core::abm::{AbmConfig, CScanHandle, CScanRequest, ChunkDelivery, LoadPlan};
+use scanshare::core::BufferStats;
+use scanshare::storage::layout::ChunkMap;
+use scanshare::storage::snapshot::Snapshot;
 
 #[derive(Debug)]
 struct ChunkState {
@@ -467,15 +462,6 @@ impl MonolithicAbm {
     // Scheduling
     // ------------------------------------------------------------------
 
-    /// Decides what the ABM I/O thread should do next: either load a chunk
-    /// (after freeing space) or stay idle.
-    pub fn next_action(&mut self, now: VirtualInstant) -> AbmAction {
-        match self.next_load(now) {
-            Some(plan) => AbmAction::Load(plan),
-            None => AbmAction::Idle,
-        }
-    }
-
     /// Chooses the next chunk to load: the most relevant query (QueryRelevance),
     /// then its most relevant chunk (LoadRelevance). Evicts low-KeepRelevance
     /// chunks to make room; returns `None` when nothing should or can be
@@ -502,7 +488,7 @@ impl MonolithicAbm {
         None
     }
 
-    pub(crate) fn plan_load_for(&mut self, scan_id: ScanId) -> Option<LoadPlan> {
+    fn plan_load_for(&mut self, scan_id: ScanId) -> Option<LoadPlan> {
         let state = self.scans.get(&scan_id)?;
         let table = state.request.table;
         let version_idx = state.version;
@@ -829,11 +815,11 @@ impl MonolithicAbm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_common::{RangeList, TupleRange};
-    use scanshare_storage::column::{ColumnSpec, ColumnType};
-    use scanshare_storage::datagen::DataGen;
-    use scanshare_storage::storage::Storage;
-    use scanshare_storage::table::TableSpec;
+    use scanshare::common::{RangeList, TupleRange};
+    use scanshare::storage::column::{ColumnSpec, ColumnType};
+    use scanshare::storage::datagen::DataGen;
+    use scanshare::storage::storage::Storage;
+    use scanshare::storage::table::TableSpec;
 
     const PAGE: u64 = 1024;
     const CHUNK: u64 = 1000;
@@ -896,10 +882,8 @@ mod tests {
             if let Some(d) = abm.get_chunk(handle.id).unwrap() {
                 delivered.push(d.chunk);
             } else {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("starved"),
-                }
+                let plan = abm.next_load(now()).expect("starved");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         delivered.sort_unstable();
@@ -938,10 +922,10 @@ mod tests {
                 }
             }
             if !progressed {
-                match abm.next_action(now()) {
-                    AbmAction::Load(plan) => abm.complete_load(&plan, now()).unwrap(),
-                    AbmAction::Idle => panic!("both scans starved but ABM idle"),
-                }
+                let plan = abm
+                    .next_load(now())
+                    .expect("both scans starved but ABM idle");
+                abm.complete_load(&plan, now()).unwrap();
             }
         }
         let stats = abm.stats();
@@ -970,13 +954,9 @@ mod tests {
             if abm.get_chunk(a.id).unwrap().is_some() {
                 continue;
             }
-            match abm.next_action(now()) {
-                AbmAction::Load(plan) => {
-                    abm.complete_load(&plan, now()).unwrap();
-                    loads += 1;
-                }
-                AbmAction::Idle => panic!("scan starved but ABM is idle"),
-            }
+            let plan = abm.next_load(now()).expect("scan starved but ABM is idle");
+            abm.complete_load(&plan, now()).unwrap();
+            loads += 1;
         }
         assert_eq!(loads, 10, "every chunk loaded exactly once");
         assert!(abm.stats().evictions > 0, "small buffer forces evictions");

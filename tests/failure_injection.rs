@@ -175,10 +175,8 @@ fn abm_unregisters_cleanly_when_a_cscan_aborts_half_way() {
     // Let the doomed scan consume a single chunk, then unregister it.
     let now = VirtualInstant::EPOCH;
     while abm.get_chunk(doomed.id).unwrap().is_none() {
-        match abm.next_action(now) {
-            scanshare::core::abm::AbmAction::Load(plan) => abm.complete_load(&plan, now).unwrap(),
-            scanshare::core::abm::AbmAction::Idle => panic!("nothing to load"),
-        }
+        let plan = abm.next_load(now).expect("nothing to load");
+        abm.complete_load(&plan, now).unwrap();
     }
     abm.unregister_cscan(doomed.id).unwrap();
     assert_eq!(abm.registered_scans(), 1);
@@ -196,12 +194,8 @@ fn abm_unregisters_cleanly_when_a_cscan_aborts_half_way() {
         if abm.get_chunk(survivor.id).unwrap().is_some() {
             delivered += 1;
         } else {
-            match abm.next_action(now) {
-                scanshare::core::abm::AbmAction::Load(plan) => {
-                    abm.complete_load(&plan, now).unwrap()
-                }
-                scanshare::core::abm::AbmAction::Idle => panic!("survivor starved"),
-            }
+            let plan = abm.next_load(now).expect("survivor starved");
+            abm.complete_load(&plan, now).unwrap()
         }
     }
     assert_eq!(delivered, survivor.total_chunks);

@@ -11,7 +11,7 @@ use std::sync::Arc;
 use scanshare::prelude::*;
 use scanshare::storage::datagen::splitmix64;
 
-fn build_engine(policy: PolicyKind, tuples: u64, pool_bytes: u64) -> (Arc<Engine>, TableId) {
+fn build_storage(tuples: u64) -> (Arc<Storage>, TableId) {
     let storage = Storage::with_seed(4 * 1024, 2_000, 0xdead);
     let table = storage
         .create_table_with_data(
@@ -29,6 +29,11 @@ fn build_engine(policy: PolicyKind, tuples: u64, pool_bytes: u64) -> (Arc<Engine
             ],
         )
         .unwrap();
+    (storage, table)
+}
+
+fn build_engine(policy: PolicyKind, tuples: u64, pool_bytes: u64) -> (Arc<Engine>, TableId) {
+    let (storage, table) = build_storage(tuples);
     let config = ScanShareConfig {
         page_size_bytes: 4 * 1024,
         chunk_tuples: 2_000,
@@ -136,6 +141,85 @@ fn randomized_update_checkpoint_trace_matches_model() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// The engine's transaction layer vs. the table state it wraps
+// ---------------------------------------------------------------------------
+
+/// `Engine::{begin, commit, checkpoint}` add locks, a log and a backend
+/// around `pdt::TableState`; they must not change what it computes. The same
+/// seeded update batches and checkpoint cadence, driven through an engine
+/// and through a bare state over an identically built storage (the
+/// simulator's side of the mixed-workload parity), publish the same pin
+/// after every round.
+#[test]
+fn engine_and_bare_table_state_publish_the_same_pin_every_round() {
+    use scanshare::pdt::{checkpoint_stack, encode_commit, CommitTableRecord};
+    use scanshare::pdt::{TableState, TableWrites};
+    use scanshare::workload::spec::UpdateOp;
+
+    fn fingerprint(pin: &TablePin) -> (Vec<u8>, u64, u64, u64) {
+        let flat = encode_commit(&[CommitTableRecord {
+            table: pin.table,
+            commit_seq: 0,
+            visible_before: 0,
+            pdt: pin.flatten().unwrap(),
+        }]);
+        (flat, pin.visible_rows(), pin.commit_seq, pin.epoch)
+    }
+
+    let (engine, table) = build_engine(PolicyKind::Pbm, 500, 1 << 20);
+    let (storage, bare_table) = build_storage(500);
+    assert_eq!(table, bare_table);
+    let mut state = TableState::open(&storage, table).unwrap();
+    let spec = UpdateStreamSpec {
+        label: "updates".into(),
+        table,
+        ops_per_round: 24,
+        mix: UpdateMix::balanced(),
+        checkpoint_every: Some(3),
+        seed: 0xfeed,
+    };
+    let (mut engine_ops, mut bare_ops) = (spec.ops(), spec.ops());
+
+    for round in 0..8 {
+        let mut txn = engine.begin();
+        let mut writes = TableWrites::new(state.pin());
+        for _ in 0..spec.ops_per_round {
+            let visible = txn.visible_rows(table).unwrap();
+            match engine_ops.next_op(visible, 2) {
+                UpdateOp::Insert { rid, row } => txn.insert(table, rid, row).unwrap(),
+                UpdateOp::Delete { rid } => txn.delete(table, rid).unwrap(),
+                UpdateOp::Modify { rid, col, value } => txn.modify(table, rid, col, value).unwrap(),
+            }
+            match bare_ops.next_op(writes.visible_rows(), 2) {
+                UpdateOp::Insert { rid, row } => writes.insert(rid, row).unwrap(),
+                UpdateOp::Delete { rid } => writes.delete(rid).unwrap(),
+                UpdateOp::Modify { rid, col, value } => writes.modify(rid, col, value).unwrap(),
+            }
+        }
+        txn.commit().unwrap();
+        let record = state
+            .commit_record(writes)
+            .unwrap()
+            .expect("a written batch");
+        state.apply(&record).unwrap();
+        if spec.checkpoint_due(round) {
+            engine.checkpoint(table).unwrap();
+            let frozen = state.freeze();
+            let image = checkpoint_stack(&storage, table, &frozen.snapshot, &frozen.stack).unwrap();
+            state.install(&frozen, image);
+        }
+        assert_eq!(
+            fingerprint(&engine.table_pin(table).unwrap()),
+            fingerprint(&state.pin()),
+            "round {round}"
+        );
+    }
+    let pin = state.pin();
+    assert_eq!((pin.commit_seq, pin.epoch), (8, 2));
+    assert!(!pin.stack.is_empty(), "rounds 6 and 7 are still pending");
 }
 
 // ---------------------------------------------------------------------------
