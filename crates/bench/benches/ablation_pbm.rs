@@ -25,21 +25,15 @@
 //! pbm-coarse-buckets                    27.6
 //! pbm-no-progress-reports               27.6
 //! ```
-//!
-//! What the knobs cost is host time, reported by the timed group below.
 
 use std::sync::Arc;
 
-use scanshare_bench::crit::Criterion;
-use scanshare_bench::{criterion_group, criterion_main};
-
-use scanshare_bench::measured_scale;
-use scanshare_common::VirtualDuration;
-use scanshare_common::{PolicyKind, ScanShareConfig, VirtualInstant};
+use scanshare_common::{PolicyKind, ScanShareConfig, VirtualDuration, VirtualInstant};
 use scanshare_core::lru::LruPolicy;
 use scanshare_core::pbm::{PbmConfig, PbmPolicy};
 use scanshare_core::policy::ReplacementPolicy;
 use scanshare_core::ShardedPool;
+use scanshare_sim::ExperimentScale;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::microbench::{self, MicrobenchConfig};
 
@@ -96,8 +90,8 @@ fn replay(
     pool.stats().io_bytes
 }
 
-fn bench(c: &mut Criterion) {
-    let scale = measured_scale();
+fn main() {
+    let scale = ExperimentScale::test();
     let micro = MicrobenchConfig {
         streams: 4,
         lineitem_tuples: scale.micro_lineitem_tuples,
@@ -174,25 +168,4 @@ fn bench(c: &mut Criterion) {
         );
         println!("{name:<26}{:>16.1}", io as f64 / 1e6);
     }
-
-    let mut group = c.benchmark_group("ablation_pbm");
-    group.sample_size(10);
-    for (name, make_policy, report) in variants {
-        group.bench_function(name, |b| {
-            b.iter(|| {
-                replay(
-                    &storage,
-                    &workload,
-                    pool_pages,
-                    page_size,
-                    make_policy(),
-                    report,
-                )
-            })
-        });
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -25,9 +25,8 @@
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{PolicyKind, ScanShareConfig, TableId};
 use scanshare_exec::{Engine, WorkloadDriver};
@@ -154,7 +153,7 @@ fn table_rows(engine: &Arc<Engine>, table: TableId) -> Vec<Vec<i64>> {
         .expect("table rows")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset_name = bench_preset();
     let preset = preset_of(preset_name);
 
@@ -273,35 +272,4 @@ fn bench(c: &mut Criterion) {
         "crash recovery diverged from the committed state:\n{}",
         violations.join("\n")
     );
-
-    // The measured point: a full durable mixed round (WAL appends, group
-    // commit fsyncs, checkpoint materialization) at the middle update rate.
-    let mid_rate = preset.rates[preset.rates.len() / 2];
-    let group_commit = *preset.groups.last().expect("groups");
-    let mut group = c.benchmark_group("fig_durability");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("durable_pbm_g{group_commit}_rate{mid_rate}")),
-        &mid_rate,
-        |b, &rate| {
-            b.iter(|| {
-                let dir = BenchDir::new("iter");
-                let (storage, _, workload) = build(&preset, rate);
-                let engine = Engine::new(
-                    storage,
-                    scanshare_config(PolicyKind::Pbm, pool)
-                        .with_wal_dir(dir.path())
-                        .with_wal_group_commit(group_commit),
-                )
-                .expect("durable engine");
-                WorkloadDriver::new(engine)
-                    .run(&workload)
-                    .expect("bench run")
-            })
-        },
-    );
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

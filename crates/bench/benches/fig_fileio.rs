@@ -22,9 +22,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{DeviceKind, PageId, PolicyKind, ScanShareConfig, TableId};
 use scanshare_exec::{Engine, WorkloadDriver};
@@ -134,7 +133,7 @@ fn run_wall(engine: &Arc<Engine>, workload: &scanshare_workload::WorkloadSpec) -
     (report.wall.as_secs_f64(), report.io.bytes_read)
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset = bench_preset();
     let (lineitem_tuples, calib_reps) = match preset {
         "smoke" => (120_000, 9),
@@ -261,23 +260,4 @@ fn bench(c: &mut Criterion) {
         "calibration fit error {:.1}% exceeds 25%",
         calib.fit_error * 100.0
     );
-
-    let mut group = c.benchmark_group("fig_fileio");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("pbm_file_single_stream"),
-        &(),
-        |b, ()| {
-            b.iter(|| {
-                run_wall(
-                    &file_engine(&storage, PolicyKind::Pbm, pool, WINDOW),
-                    &single_workload,
-                )
-            })
-        },
-    );
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

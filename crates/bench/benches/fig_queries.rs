@@ -13,19 +13,13 @@
 //! stream times yield the deterministic `virtual_speedup_<shape>_<policy>`
 //! metrics (time under LRU / time under the policy, > 1 means the policy
 //! beats LRU) gated by `bench/baseline.json`, exact on any machine.
-//!
-//! Wall-clock measurements cover the engine-side operator pipelines
-//! (multi-key group-by, top-k, join via the `Query` builder) and are
-//! reported but not gated.
 
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{PolicyKind, RangeList, ScanShareConfig, TableId, TupleRange};
-use scanshare_exec::ops::{AggrSpec, Aggregate, SortOrder};
 use scanshare_exec::{Engine, WorkloadDriver};
 use scanshare_sim::{SimConfig, SimResult, Simulation};
 use scanshare_storage::datagen::DataGen;
@@ -205,7 +199,7 @@ fn run_sim(storage: &Arc<Storage>, workload: &WorkloadSpec, config: ScanShareCon
     .expect("sim run")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset_name = bench_preset();
     let preset = preset_of(preset_name);
     let (storage, fact, dim) = setup(preset.tuples);
@@ -311,62 +305,4 @@ fn bench(c: &mut Criterion) {
         "engine and simulator disagreed on query-pipeline workloads:\n{}",
         violations.join("\n")
     );
-
-    // Wall-clock points: the operator pipelines themselves (group-by,
-    // top-k, join) through the Query builder on a PBM engine. Reported,
-    // not gated — the deterministic gate is the virtual metrics above.
-    let engine = Engine::new(
-        Arc::clone(&storage),
-        ScanShareConfig {
-            page_size_bytes: PAGE,
-            chunk_tuples: CHUNK,
-            buffer_pool_bytes: pool,
-            policy: PolicyKind::Pbm,
-            ..Default::default()
-        },
-    )
-    .expect("engine");
-    let mut group = c.benchmark_group("fig_queries");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("engine_group_by"),
-        &(),
-        |b, _| {
-            b.iter(|| {
-                engine
-                    .query(fact)
-                    .columns(["f_cat", "f_val", "f_qty"])
-                    .group_by(&[0])
-                    .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(1)]))
-                    .run_grouped()
-                    .expect("group_by")
-            })
-        },
-    );
-    group.bench_with_input(BenchmarkId::from_parameter("engine_top_k"), &(), |b, _| {
-        b.iter(|| {
-            engine
-                .query(fact)
-                .columns(["f_key", "f_val"])
-                .top_k(1, 10, SortOrder::Desc)
-                .rows()
-                .expect("top_k")
-        })
-    });
-    group.bench_with_input(BenchmarkId::from_parameter("engine_join"), &(), |b, _| {
-        b.iter(|| {
-            engine
-                .query(fact)
-                .columns(["f_key", "f_cat"])
-                .join(dim, 1, "d_key")
-                .join_columns(["d_bonus"])
-                .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(3)]))
-                .run()
-                .expect("join")
-        })
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -21,9 +21,8 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{PolicyKind, ScanShareConfig};
 use scanshare_exec::{Aggregate, Engine};
@@ -120,7 +119,7 @@ fn ms(d: std::time::Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset = bench_preset();
     let (tuples, session_sweep, queries_per_session): (u64, &[usize], usize) = match preset {
         "smoke" => (200_000, &[64, 256, 1024], 2),
@@ -173,7 +172,7 @@ fn bench(c: &mut Criterion) {
             .set(format!("p95_ms_s{sessions}"), ms(report.p95()))
             .set(format!("p99_ms_s{sessions}"), ms(report.p99()))
             .set(format!("p999_ms_s{sessions}"), ms(report.p999()))
-            .set(format!("qps_s{sessions}"), report.qps());
+            .set(format!("queries_per_s_s{sessions}"), report.qps());
         if sessions >= 1000 {
             let expected = (sessions * queries_per_session) as u64;
             scaling_ok &= report.completed == expected && report.errors == 0;
@@ -260,24 +259,4 @@ fn bench(c: &mut Criterion) {
     } else {
         println!("({cpus} CPUs: sessions-scaling assert skipped; set SCANSHARE_BENCH_ASSERT_SCALING=1 to force)");
     }
-
-    // The timed point: one closed-loop round of 64 sessions over the wire.
-    let mut server = Server::new(
-        Arc::clone(&engine),
-        ServeConfig::default().with_max_queued_per_tenant(1 << 14),
-    );
-    let socket = dir.socket("timed");
-    server.bind_unix(&socket).expect("bind unix");
-    let mut group = c.benchmark_group("fig_serving");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("serve_64_sessions_round"),
-        &(),
-        |b, ()| b.iter(|| run_load(socket.clone(), 64, 4, 1, scan_tuples)),
-    );
-    group.finish();
-    server.shutdown();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

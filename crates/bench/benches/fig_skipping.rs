@@ -18,9 +18,8 @@
 //! `io_skip_ratio_*` metrics are gated by `bench/baseline.json` through
 //! `bench_gate`.
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{PolicyKind, ScanShareConfig};
 use scanshare_exec::{Engine, WorkloadDriver};
@@ -97,7 +96,7 @@ fn run_sim(
     .expect("sim run")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset_name = bench_preset();
     let preset = preset_of(preset_name);
 
@@ -224,21 +223,4 @@ fn bench(c: &mut Criterion) {
             off.total_io_bytes
         );
     }
-
-    // The measured point: the full pruned pipeline at the most selective
-    // sweep value.
-    let mut group = c.benchmark_group("fig_skipping");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter("sim_pbm_sel1_zones_on"),
-        &(),
-        |b, _| {
-            let config = skip_config(&preset, 0.01);
-            b.iter(|| run_sim(&config, PolicyKind::Pbm, pool, true))
-        },
-    );
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

@@ -22,9 +22,8 @@
 
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{PolicyKind, ScanShareConfig};
 use scanshare_exec::{Engine, WorkloadDriver};
@@ -98,7 +97,7 @@ fn sim_config(policy: PolicyKind, pool_bytes: u64) -> SimConfig {
     }
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     let preset_name = bench_preset();
     let preset = preset_of(preset_name);
 
@@ -121,8 +120,8 @@ fn bench(c: &mut Criterion) {
         pool as f64 / 1e6
     );
     println!(
-        "{:<8} {:>10} {:>12} {:>12} {:>12} {:>12} {:>10}",
-        "policy", "ops/round", "engine MB", "sim MB", "engine qps", "virtual qps", "invalidated"
+        "{:<8} {:>10} {:>12} {:>12} {:>12} {:>10}",
+        "policy", "ops/round", "engine MB", "sim MB", "virtual qps", "invalidated"
     );
 
     let mut metrics = Json::object();
@@ -149,12 +148,11 @@ fn bench(c: &mut Criterion) {
 
             let virtual_qps = report.queries as f64 / sim.makespan.as_secs_f64().max(1e-12);
             println!(
-                "{:<8} {:>10} {:>12.2} {:>12.2} {:>12.1} {:>12.2} {:>10}",
+                "{:<8} {:>10} {:>12.2} {:>12.2} {:>12.2} {:>10}",
                 policy.name(),
                 rate,
                 report.buffer.io_bytes as f64 / 1e6,
                 sim.total_io_bytes as f64 / 1e6,
-                report.queries_per_sec(),
                 virtual_qps,
                 report.buffer.invalidated_pages,
             );
@@ -180,10 +178,6 @@ fn bench(c: &mut Criterion) {
                 .set(
                     format!("virtual_qps_{}_rate{rate}", policy.name()),
                     virtual_qps,
-                )
-                .set(
-                    format!("qps_engine_{}_rate{rate}", policy.name()),
-                    report.queries_per_sec(),
                 );
         }
     }
@@ -199,27 +193,4 @@ fn bench(c: &mut Criterion) {
         "engine and simulator disagreed on mixed read/write I/O:\n{}",
         parity_violations.join("\n")
     );
-
-    // The measured point: the full mixed pipeline (table state, translation,
-    // checkpoint invalidation, event loop) at the middle update rate.
-    let mid_rate = preset.rates[preset.rates.len() / 2];
-    let mut group = c.benchmark_group("fig_updates");
-    group.sample_size(10);
-    group.bench_with_input(
-        BenchmarkId::from_parameter(format!("sim_pbm_rate{mid_rate}")),
-        &mid_rate,
-        |b, &rate| {
-            b.iter(|| {
-                let (storage, workload) = build(&preset, rate);
-                Simulation::new(storage, sim_config(PolicyKind::Pbm, pool))
-                    .expect("sim")
-                    .run(&workload)
-                    .expect("bench run")
-            })
-        },
-    );
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

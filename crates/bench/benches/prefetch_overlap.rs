@@ -14,9 +14,8 @@
 
 use std::sync::Arc;
 
-use scanshare_bench::crit::{BenchmarkId, Criterion};
 use scanshare_bench::json::Json;
-use scanshare_bench::{bench_preset, criterion_group, criterion_main, write_bench_json};
+use scanshare_bench::{bench_preset, write_bench_json};
 
 use scanshare_common::{Bandwidth, PolicyKind, ScanShareConfig};
 use scanshare_sim::{SimConfig, Simulation};
@@ -56,7 +55,7 @@ fn sim(
     Simulation::new(Arc::clone(storage), config).expect("simulation")
 }
 
-fn bench(c: &mut Criterion) {
+fn main() {
     // The smoke preset (CI's bench-smoke job) shrinks the workload so the
     // figure runs in seconds; both clocks here are *virtual*, so the
     // speedups are deterministic and machine-independent at either scale.
@@ -169,25 +168,4 @@ fn bench(c: &mut Criterion) {
         "prefetching PBM must beat the synchronous baseline at high bandwidth \
          (sync {t_sync:.4}s vs prefetch {t_pf:.4}s)"
     );
-
-    let headroom_pool = (accessed as f64 * 1.1) as u64;
-    let mut group = c.benchmark_group("prefetch_overlap");
-    group.sample_size(10);
-    for prefetch_pages in [0usize, WINDOW] {
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("pbm_window_{prefetch_pages}")),
-            &prefetch_pages,
-            |b, &window| {
-                b.iter(|| {
-                    sim(&storage, PolicyKind::Pbm, headroom_pool, 2000.0, window)
-                        .run(&workload)
-                        .expect("bench run")
-                })
-            },
-        );
-    }
-    group.finish();
 }
-
-criterion_group!(benches, bench);
-criterion_main!(benches);

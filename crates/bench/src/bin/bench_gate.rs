@@ -1,21 +1,21 @@
 //! The CI bench-regression gate.
 //!
-//! Compares `BENCH_*.json` files produced by the figure benches against the
-//! checked-in `bench/baseline.json` and exits non-zero when any gated
-//! throughput metric regressed by more than the configured tolerance
-//! (default 20%).
+//! Compares `BENCH_*.json` files produced by the figure targets against the
+//! checked-in `bench/baseline.json` and exits non-zero when any gated metric
+//! dropped more than the configured tolerance (default 20%) below its
+//! baseline, or when a figure the baseline gates has no result file on the
+//! command line.
 //!
 //! ```text
-//! bench_gate --baseline bench/baseline.json BENCH_throughput_scaling.json ...
+//! bench_gate --baseline bench/baseline.json BENCH_prefetch_overlap.json BENCH_fig_updates.json ...
 //! ```
 //!
 //! The baseline lists, per figure, the metrics it gates and their expected
-//! values; metrics a bench emits but the baseline does not name are
+//! values; metrics a target emits but the baseline does not name are
 //! reported informationally and never fail the gate. Gating is one-sided —
-//! higher is better — because every gated metric is a throughput or a
-//! speedup. Wall-clock baselines are intentionally conservative (CI runners
-//! and developer machines differ widely); the virtual-time metrics from the
-//! simulator-backed figures are deterministic and gate tightly.
+//! higher is better. Every gated metric is deterministic (virtual time,
+//! parity flags, I/O ratios) except `calib_fit_score`, whose baseline is a
+//! floor rather than a measurement.
 
 use std::process::ExitCode;
 
@@ -46,7 +46,8 @@ fn parse_args() -> Result<Args, String> {
             }
             "--help" | "-h" => {
                 return Err(
-                    "usage: bench_gate [--baseline <path>] [--tolerance <frac>] <BENCH_*.json>..."
+                    "usage: bench_gate [--baseline <path>] [--tolerance <frac>] <BENCH_*.json>...\n\
+                     (one file for every figure the baseline lists; a missing one fails the gate)"
                         .into(),
                 );
             }
@@ -86,6 +87,7 @@ fn run() -> Result<bool, String> {
 
     let mut failures = 0usize;
     let mut checked = 0usize;
+    let mut seen: Vec<String> = Vec::new();
     for path in &args.bench_files {
         let bench = load(path)?;
         let figure = bench
@@ -99,6 +101,7 @@ fn run() -> Result<bool, String> {
             println!("{figure}: no baseline entry, skipping ({path})");
             continue;
         };
+        seen.push(figure.to_string());
         println!("{figure} ({path}), tolerance {:.0}%:", tolerance * 100.0);
         for (key, expected) in gated.entries() {
             let expected = expected
@@ -132,6 +135,14 @@ fn run() -> Result<bool, String> {
                     println!("  info {key}: {v:.3}");
                 }
             }
+        }
+    }
+
+    // A figure dropped from the command line must not drop its gates.
+    for (figure, _) in figures.entries() {
+        if !seen.iter().any(|s| s == figure) {
+            failures += 1;
+            println!("FAIL {figure}: no bench output given");
         }
     }
 

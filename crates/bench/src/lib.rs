@@ -1,25 +1,28 @@
-//! Shared helpers for the benchmark harness.
+//! The deterministic and functional gates, and the helpers they share.
 //!
-//! `benches/fig_paper.rs` regenerates Figures 11-18 of the paper from the
-//! simulator's `FIGURES` table: for each it prints the figure's data table
-//! (policies × swept parameter, average stream time and total I/O volume,
-//! or the sharing-potential profile) and then measures regenerating it with
-//! the [`crit`] mini-harness (a dependency-free Criterion stand-in). The
-//! other `benches/*.rs` targets are the engine-side figures and ablations.
+//! Each `benches/*.rs` target is a plain `fn main()` (`harness = false`)
+//! that prints its table, writes `BENCH_<figure>.json` through
+//! [`write_bench_json`] and asserts its own gates: virtual-time speedups and
+//! throughputs from the simulator's deterministic clock, engine == simulator
+//! byte parity, crash-recovery parity, zone-skipping I/O ratios, the
+//! file-device calibration fit and overload shedding. `src/bin/bench_gate.rs`
+//! compares those files against the checked-in `bench/baseline.json`.
 //!
-//! The scale of the printed figures is controlled with the
-//! `SCANSHARE_BENCH_SCALE` environment variable: `test` (default, seconds),
-//! `quick` (tens of seconds) or `paper` (minutes, closest to the paper's
-//! setup).
+//! Nothing here times the system: wall-clock throughput, latency and
+//! per-layer costs are measured by the repo benchmark (`benchmark/`,
+//! `BENCHMARK.json`), the one place a wall-clock claim can come from. The
+//! paper's Figures 11-18 are regenerated by `examples/figures.rs` and frozen
+//! by `tests/golden_figures.rs`.
+//!
+//! `SCANSHARE_BENCH_PRESET=smoke` shrinks every figure to the CI
+//! `bench-smoke` size; `SCANSHARE_BENCH_JSON_DIR` says where the result
+//! files go.
 
 #![warn(missing_docs)]
 
-pub mod crit;
 pub mod json;
 
 use std::path::PathBuf;
-
-use scanshare_sim::ExperimentScale;
 
 /// The figure preset selected via `SCANSHARE_BENCH_PRESET`: `"smoke"` (the
 /// CI `bench-smoke` job: small tables, few queries, runs in seconds) or
@@ -45,34 +48,5 @@ pub fn write_bench_json(figure: &str, doc: &json::Json) {
     match std::fs::write(&path, doc.to_pretty()) {
         Ok(()) => println!("wrote {}", path.display()),
         Err(err) => eprintln!("could not write {}: {err}", path.display()),
-    }
-}
-
-/// The experiment scale selected via `SCANSHARE_BENCH_SCALE`.
-pub fn bench_scale() -> ExperimentScale {
-    match std::env::var("SCANSHARE_BENCH_SCALE").as_deref() {
-        Ok("paper") => ExperimentScale::paper(),
-        Ok("quick") => ExperimentScale::quick(),
-        _ => ExperimentScale::test(),
-    }
-}
-
-/// A smaller scale used for the point measured inside the Criterion loop
-/// (so `cargo bench` stays fast even when the printed figure is large).
-pub fn measured_scale() -> ExperimentScale {
-    ExperimentScale::test()
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn default_scale_is_the_test_scale() {
-        // The env var is not set in unit tests.
-        if std::env::var("SCANSHARE_BENCH_SCALE").is_err() {
-            assert_eq!(bench_scale(), ExperimentScale::test());
-        }
-        assert_eq!(measured_scale(), ExperimentScale::test());
     }
 }

@@ -81,8 +81,11 @@ pub struct ScanRequest {
 /// One scheduling step handed to a scan operator by [`ScanBackend::next_chunk`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScanStep {
-    /// Produce the rows of this stable (SID) range next. Any I/O needed to
-    /// make the range available has already been performed and accounted.
+    /// Produce the rows of this stable (SID) range next. Under
+    /// [`CScanBackend`] the range is a cached chunk: its I/O was performed and
+    /// accounted when the load retired. Under [`PooledBackend`] it is only
+    /// the next registered range: each of its pages is requested, and a miss
+    /// charged, at [`ScanBackend::request_page`].
     Deliver(TupleRange),
     /// Every registered range has been delivered.
     Finished,

@@ -17,9 +17,8 @@
 //!
 //! * **wall-clock** throughput (`queries/s`, `tuples/s`) and per-query
 //!   latency percentiles — the real cost of running the streams, including
-//!   every lock the backend takes. This is the metric the
-//!   `throughput_scaling` figure sweeps across
-//!   [`ScanShareConfig::pool_shards`](scanshare_common::ScanShareConfig);
+//!   every lock the backend takes. The repo benchmark (`benchmark/`)
+//!   measures it as `tuples_per_s` / `queries_per_s`;
 //! * the engine's **virtual** elapsed time plus the aggregated
 //!   [`BufferStats`]/[`IoStats`] — the paper's deterministic I/O-volume
 //!   accounting, unchanged by sharding or scheduling.

@@ -122,8 +122,11 @@ impl ServeClient {
     /// A typed server-side failure (unknown table, malformed query,
     /// admission shedding, ...) surfaces as
     /// [`Error::Remote`] carrying the wire
-    /// error code.
+    /// error code. A request the wire format cannot carry unchanged is
+    /// rejected by [`QueryRequest::check_encodable`] before anything is
+    /// written.
     pub fn query(&mut self, request: QueryRequest) -> Result<Vec<ResultGroup>> {
+        request.check_encodable()?;
         write_frame(&mut self.sock, &Message::Query(request).encode(0))?;
         let mut groups = Vec::new();
         loop {

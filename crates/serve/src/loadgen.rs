@@ -180,13 +180,15 @@ struct ConnOutcome {
 ///
 /// Every session issues [`LoadgenConfig::queries_per_session`] queries
 /// closed-loop; the run ends when all of them have been answered (result,
-/// shed or error).
+/// shed or error). A request the wire format cannot carry unchanged
+/// ([`QueryRequest::check_encodable`]) fails the run before it connects.
 pub fn run(config: &LoadgenConfig) -> Result<LoadReport> {
     if config.connections == 0 || config.sessions == 0 {
         return Err(Error::config(
             "loadgen needs at least 1 connection and 1 session",
         ));
     }
+    config.request.check_encodable()?;
     let connections = config.connections.min(config.sessions);
     let started = Instant::now();
     let mut joins = Vec::with_capacity(connections);

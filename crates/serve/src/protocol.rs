@@ -37,6 +37,13 @@ pub const PROTOCOL_VERSION: u16 = 2;
 /// are treated as a protocol violation, bounding per-connection memory.
 pub const MAX_FRAME_LEN: u32 = 1 << 20;
 
+/// Longest string the wire carries: its byte length is a `u16`.
+pub const MAX_STRING_LEN: usize = u16::MAX as usize;
+
+/// Largest value of a one-byte QUERY field: a projection index, the number
+/// of columns, aggregates or join columns, and the parallelism.
+pub const MAX_U8_FIELD: usize = u8::MAX as usize;
+
 /// Client → server: handshake (must be the first frame on a connection).
 pub const KIND_HELLO: u8 = 0x01;
 /// Client → server: run a query on a session.
@@ -170,6 +177,72 @@ impl QueryRequest {
         self.join = Some(join);
         self
     }
+
+    /// Checks that the wire format can carry this request as it is: every
+    /// string at most [`MAX_STRING_LEN`] bytes, every projection index and
+    /// list length at most [`MAX_U8_FIELD`], `parallelism` in
+    /// `1..=MAX_U8_FIELD`, and the whole frame within [`MAX_FRAME_LEN`].
+    ///
+    /// [`Message::encode`] is infallible and clamps what does not fit, which
+    /// would make the server answer a different query; clients call this
+    /// before encoding ([`ServeClient::query`](crate::ServeClient::query)
+    /// and [`loadgen::run`](crate::loadgen::run) do). The error is an
+    /// [`Error::Protocol`] naming the field and the limit.
+    pub fn check_encodable(&self) -> Result<()> {
+        fn at_most(field: &str, what: &str, value: usize, limit: usize) -> Result<()> {
+            if value > limit {
+                return Err(Error::protocol(format!(
+                    "{field}: {what} {value} exceeds the wire limit of {limit}"
+                )));
+            }
+            Ok(())
+        }
+        let string = |field, s: &str| at_most(field, "byte length", s.len(), MAX_STRING_LEN);
+        let index = |field, i| at_most(field, "column index", i, MAX_U8_FIELD);
+        let count = |field, n| at_most(field, "element count", n, MAX_U8_FIELD);
+        let strings = |field, list: &[String]| {
+            count(field, list.len())?;
+            list.iter().try_for_each(|s| string(field, s))
+        };
+
+        string("table", &self.table)?;
+        strings("columns", &self.columns)?;
+        if let Some(predicate) = &self.filter {
+            index("filter.column", predicate.column)?;
+        }
+        if let Some(column) = self.group_by {
+            index("group_by", column)?;
+        }
+        count("aggregates", self.aggregates.len())?;
+        for aggregate in &self.aggregates {
+            match aggregate {
+                Aggregate::Count => {}
+                Aggregate::Sum(c) | Aggregate::Min(c) | Aggregate::Max(c) => {
+                    index("aggregates.column", *c)?
+                }
+            }
+        }
+        if self.parallelism == 0 {
+            return Err(Error::protocol("parallelism: 0 is below the minimum of 1"));
+        }
+        at_most("parallelism", "value", self.parallelism, MAX_U8_FIELD)?;
+        if let Some(join) = &self.join {
+            string("join.table", &join.table)?;
+            index("join.left_col", join.left_col)?;
+            string("join.right_col", &join.right_col)?;
+            strings("join.columns", &join.columns)?;
+        }
+        // Every field fits, so the encoding below is faithful; what is left
+        // is the sum (255 strings of 64 KiB do not fit one frame).
+        let mut payload = Vec::new();
+        encode_query(&mut payload, self);
+        at_most(
+            "QUERY frame",
+            "length",
+            5 + payload.len(),
+            MAX_FRAME_LEN as usize,
+        )
+    }
 }
 
 /// One group of a query result: the group key (0 for global aggregation),
@@ -277,10 +350,17 @@ pub fn write_frame(writer: &mut impl Write, frame: &[u8]) -> Result<()> {
 
 // --- encoding helpers -----------------------------------------------------
 
+/// Writes a `u16`-length-prefixed string. A longer one (a diagnostic
+/// message; requests are checked by `QueryRequest::check_encodable`) is cut
+/// at the last character boundary that fits, so the peer still decodes
+/// valid UTF-8.
 fn put_str(out: &mut Vec<u8>, s: &str) {
-    let len = s.len().min(u16::MAX as usize) as u16;
-    out.extend_from_slice(&len.to_le_bytes());
-    out.extend_from_slice(&s.as_bytes()[..len as usize]);
+    let mut len = s.len().min(MAX_STRING_LEN);
+    while !s.is_char_boundary(len) {
+        len -= 1;
+    }
+    out.extend_from_slice(&(len as u16).to_le_bytes());
+    out.extend_from_slice(&s.as_bytes()[..len]);
 }
 
 /// Cursor over a payload with typed, bounds-checked reads.
@@ -509,6 +589,10 @@ impl Message {
 
     /// Encodes the message as one complete frame (length prefix included)
     /// addressed to `session`.
+    ///
+    /// Infallible: a field the format cannot carry is clamped or truncated
+    /// to its limit. For [`Message::Query`] that changes the query, so call
+    /// [`QueryRequest::check_encodable`] first.
     pub fn encode(&self, session: u32) -> Vec<u8> {
         let mut payload = Vec::new();
         match self {
@@ -682,6 +766,296 @@ mod tests {
             9,
         );
         roundtrip(Message::Pong, 0);
+    }
+
+    /// `check_encodable` on `request`: `Ok` must also mean the frame decodes
+    /// back to the same request, `Err` must be typed and name `field`.
+    fn encodable(request: &QueryRequest, field: Option<&str>) {
+        match (request.check_encodable(), field) {
+            (Ok(()), None) => roundtrip(Message::Query(request.clone()), 1),
+            (Err(Error::Protocol(message)), Some(field)) => {
+                assert!(message.starts_with(field), "{message:?} names {field}")
+            }
+            (outcome, _) => panic!("expected {field:?}, got {outcome:?}"),
+        }
+    }
+
+    #[test]
+    fn check_encodable_accepts_each_limit_and_rejects_one_above() {
+        let base = || QueryRequest::count_star("t", vec!["k".into()]);
+        let join = || JoinRequest {
+            table: "d".into(),
+            left_col: 0,
+            right_col: "k".into(),
+            columns: Vec::new(),
+        };
+        encodable(&base(), None);
+        // At each limit (`over` 0) the request is carried; one above, the
+        // named field is refused.
+        for over in [0usize, 1] {
+            let index = MAX_U8_FIELD + over;
+            let count = |n| vec!["c".to_string(); n];
+            let text = |n| "x".repeat(n);
+            let expect = |field: &'static str| (over == 1).then_some(field);
+
+            let mut q = base();
+            q.filter = Some(Predicate::new(index, CompareOp::Le, 1));
+            encodable(&q, expect("filter.column"));
+            let mut q = base();
+            q.group_by = Some(index);
+            encodable(&q, expect("group_by"));
+            for aggregate in [Aggregate::Sum, Aggregate::Min, Aggregate::Max] {
+                let mut q = base();
+                q.aggregates = vec![Aggregate::Count, aggregate(index)];
+                encodable(&q, expect("aggregates.column"));
+            }
+            let mut q = base();
+            q.aggregates = vec![Aggregate::Count; index];
+            encodable(&q, expect("aggregates"));
+            let mut q = base();
+            q.columns = count(index);
+            encodable(&q, expect("columns"));
+            let mut q = base();
+            q.parallelism = index;
+            encodable(&q, expect("parallelism"));
+
+            let mut q = base();
+            q.table = text(MAX_STRING_LEN + over);
+            encodable(&q, expect("table"));
+            let mut q = base();
+            q.columns = vec!["k".into(), text(MAX_STRING_LEN + over)];
+            encodable(&q, expect("columns"));
+
+            let mut j = join();
+            j.left_col = index;
+            encodable(&base().with_join(j), expect("join.left_col"));
+            let mut j = join();
+            j.columns = count(index);
+            encodable(&base().with_join(j), expect("join.columns"));
+            let mut j = join();
+            j.table = text(MAX_STRING_LEN + over);
+            encodable(&base().with_join(j), expect("join.table"));
+            let mut j = join();
+            j.right_col = text(MAX_STRING_LEN + over);
+            encodable(&base().with_join(j), expect("join.right_col"));
+            let mut j = join();
+            j.columns = vec![text(MAX_STRING_LEN + over)];
+            encodable(&base().with_join(j), expect("join.columns"));
+        }
+        let mut q = base();
+        q.parallelism = 0;
+        encodable(&q, Some("parallelism"));
+
+        // Fields that each fit can still overflow the frame: sixteen 64 KiB
+        // names are past MAX_FRAME_LEN; trimming the last one to the byte
+        // lands exactly on it.
+        let mut q = base();
+        q.columns = vec!["x".repeat(MAX_STRING_LEN); 16];
+        encodable(&q, Some("QUERY frame"));
+        let excess = Message::Query(q.clone()).encode(0).len() - 4 - MAX_FRAME_LEN as usize;
+        q.columns[15].truncate(MAX_STRING_LEN - excess);
+        assert_eq!(
+            Message::Query(q.clone()).encode(0).len(),
+            4 + MAX_FRAME_LEN as usize
+        );
+        encodable(&q, None);
+        q.columns[15].push('x');
+        encodable(&q, Some("QUERY frame"));
+    }
+
+    #[test]
+    fn overlong_diagnostics_are_cut_on_a_character_boundary() {
+        // 'é' is two bytes and the cut at 65 535 falls inside one: the
+        // encoder must drop the whole character, not half of it.
+        let message = Message::Error {
+            code: ErrorCode::Internal.as_u16(),
+            message: "é".repeat(40_000),
+        };
+        let bytes = message.encode(0);
+        let frame = read_frame(&mut bytes.as_slice()).unwrap().unwrap();
+        match Message::decode(&frame).unwrap() {
+            Message::Error { message, .. } => assert_eq!(message, "é".repeat(32_767)),
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// One encoded instance of every message kind, the QUERY with every
+    /// optional clause present.
+    fn corpus() -> Vec<Vec<u8>> {
+        let query = QueryRequest {
+            table: "lineitem".into(),
+            start: 100,
+            end: Some(5000),
+            columns: vec!["l_flag".into(), "l_quantity".into()],
+            filter: Some(Predicate::new(1, CompareOp::Le, 24)),
+            group_by: Some(0),
+            aggregates: vec![Aggregate::Count, Aggregate::Sum(1), Aggregate::Max(3)],
+            parallelism: 4,
+            join: Some(JoinRequest {
+                table: "part".into(),
+                left_col: 1,
+                right_col: "p_key".into(),
+                columns: vec!["p_weight".into(), "p_size".into()],
+            }),
+        };
+        [
+            Message::Hello {
+                version: PROTOCOL_VERSION,
+                tenant: "tenant-a".into(),
+            },
+            Message::Query(query),
+            Message::Goodbye,
+            Message::Ping,
+            Message::Welcome {
+                version: PROTOCOL_VERSION,
+                session_limit: 4096,
+            },
+            Message::ResultGroup(ResultGroup {
+                key: -3,
+                count: 42,
+                accumulators: vec![1, -2, i64::MAX],
+            }),
+            Message::ResultDone { groups: 4 },
+            Message::Error {
+                code: ErrorCode::BadQuery.as_u16(),
+                message: "unknown column \u{e9}".into(),
+            },
+            Message::Pong,
+        ]
+        .iter()
+        .map(|message| message.encode(7))
+        .collect()
+    }
+
+    /// What the decoder owes any byte string: a message, a clean EOF or a
+    /// typed protocol error — and a message it accepts must survive
+    /// re-encoding unchanged (a QUERY within `check_encodable`'s limits).
+    fn decode_bytes(bytes: &[u8]) {
+        let length = bytes
+            .get(..4)
+            .map(|prefix| u32::from_le_bytes(prefix.try_into().unwrap()));
+        let frame = match read_frame(&mut &bytes[..]) {
+            Ok(Some(frame)) => frame,
+            Ok(None) => return assert!(bytes.len() < 4, "EOF inside a frame went unnoticed"),
+            Err(Error::Protocol(_)) => return,
+            Err(other) => panic!("untyped framing error {other:?}"),
+        };
+        // The body buffer is sized by the length prefix: only a checked one
+        // may get this far.
+        let length = length.expect("a frame has a prefix") as usize;
+        assert!((5..=MAX_FRAME_LEN as usize).contains(&length));
+        assert_eq!(frame.payload.len(), length - 5);
+        match Message::decode(&frame) {
+            Ok(message) => {
+                if let Message::Query(query) = &message {
+                    query.check_encodable().expect("decoded QUERY is encodable");
+                }
+                let again = message.encode(frame.session);
+                let reread = read_frame(&mut again.as_slice()).unwrap().unwrap();
+                assert_eq!(Message::decode(&reread).unwrap(), message);
+            }
+            Err(Error::Protocol(_)) => {}
+            Err(other) => panic!("untyped decode error {other:?}"),
+        }
+    }
+
+    /// Seeded frame mutation (ROADMAP item 5): bit flips, truncation at
+    /// every offset, length-prefix rewrites up to and past `MAX_FRAME_LEN`,
+    /// a `u16` rewritten at every payload offset (so every inner string
+    /// length is hit), random tails, and stacks of those. Every outcome is
+    /// `Ok` or a typed `Err`; a panic fails the test with the seed and the
+    /// mutated bytes.
+    #[test]
+    fn mutated_frames_decode_to_a_message_or_a_typed_error() {
+        const SEED: u64 = 0x5ca7_5ea7_0000_0020;
+        let mut draws = 0u64;
+        let mut next = move || {
+            draws += 1;
+            scanshare_storage::datagen::splitmix64(SEED.wrapping_add(draws))
+        };
+        let corpus = corpus();
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+
+        let lengths = |len: u32| {
+            let max = MAX_FRAME_LEN;
+            [
+                0,
+                4,
+                5,
+                6,
+                len - 5,
+                len - 3,
+                len + 1,
+                max - 1,
+                max,
+                max + 1,
+                u32::MAX,
+            ]
+        };
+        for frame in &corpus {
+            for cut in 0..frame.len() {
+                cases.push(frame[..cut].to_vec());
+            }
+            for length in lengths(frame.len() as u32) {
+                let mut mutated = frame.clone();
+                mutated[..4].copy_from_slice(&length.to_le_bytes());
+                cases.push(mutated);
+            }
+            for at in 9..frame.len().saturating_sub(1) {
+                for value in [0u16, 1, (frame.len() - at) as u16, 0x7fff, u16::MAX] {
+                    let mut mutated = frame.clone();
+                    mutated[at..at + 2].copy_from_slice(&value.to_le_bytes());
+                    cases.push(mutated);
+                }
+            }
+        }
+        // Random single mutations and stacks of up to three.
+        let mutate = |bytes: &mut Vec<u8>, next: &mut dyn FnMut() -> u64| match next() % 5 {
+            0 | 1 => {
+                let bit = next() as usize % (bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            2 => bytes.truncate(next() as usize % bytes.len().max(1)),
+            3 => {
+                // A random tail, announced by the prefix half of the time.
+                let tail = 1 + next() % 64;
+                bytes.extend((0..tail).map(|_| next() as u8));
+                if next() % 2 == 0 && bytes.len() >= 4 {
+                    let length = (bytes.len() - 4) as u32;
+                    bytes[..4].copy_from_slice(&length.to_le_bytes());
+                }
+            }
+            _ => {
+                if bytes.len() >= 4 {
+                    let length = match next() % 3 {
+                        0 => next() as u32,
+                        1 => MAX_FRAME_LEN - 2 + (next() % 5) as u32,
+                        _ => (next() % 512) as u32,
+                    };
+                    bytes[..4].copy_from_slice(&length.to_le_bytes());
+                }
+            }
+        };
+        while cases.len() < 12_000 {
+            let mut mutated = corpus[next() as usize % corpus.len()].clone();
+            for _ in 0..1 + next() % 3 {
+                if !mutated.is_empty() {
+                    mutate(&mut mutated, &mut next);
+                }
+            }
+            cases.push(mutated);
+        }
+
+        for (case, bytes) in cases.iter().enumerate() {
+            if let Err(panic) = std::panic::catch_unwind(|| decode_bytes(bytes)) {
+                let what = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("non-string panic");
+                panic!("seed {SEED:#x} case {case}: {what}\nframe bytes: {bytes:02x?}");
+            }
+        }
     }
 
     #[test]

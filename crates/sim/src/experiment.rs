@@ -44,7 +44,7 @@ pub struct ExperimentRow {
 }
 
 /// Controls the size of the generated workloads so the same experiment code
-/// serves fast unit tests, the `figures` example and the Criterion benches.
+/// serves fast unit tests, the `figures` example and the bench targets.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentScale {
     /// `lineitem` tuples in the microbenchmark.
@@ -116,7 +116,7 @@ impl ExperimentScale {
         }
     }
 
-    /// Larger scale for the Criterion benches (closer to the paper's setup,
+    /// Larger scale for `figures -- --paper` (closer to the paper's setup,
     /// still laptop-friendly).
     pub fn paper() -> Self {
         Self {

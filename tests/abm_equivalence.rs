@@ -328,3 +328,75 @@ fn headroom_traces_are_also_invariant_and_load_each_page_once() {
         assert_eq!(decomposed, reference, "shards {shards}");
     }
 }
+
+/// The chunk protocol over a warm cache, from concurrent threads: a keeper
+/// scan that never consumes pins every chunk in the cache, so eight threads
+/// registering scans over cached subranges must drain every chunk of every
+/// scan without a single load — and the I/O volume and delivery count must
+/// be the same at every directory shard count.
+#[test]
+fn warm_abm_serves_concurrent_scans_without_loads_at_every_shard_count() {
+    const CHUNKS: u64 = 32;
+    const SPAN_CHUNKS: u64 = 8;
+    const STREAMS: u64 = 8;
+    const QUERIES: u64 = 16;
+    let (storage, table) = setup(CHUNKS * CHUNK);
+    let layout = storage.layout(table).unwrap();
+    let snapshot = storage.master_snapshot(table).unwrap();
+    let request = |start: u64, end: u64| CScanRequest {
+        table,
+        snapshot: Arc::clone(&snapshot),
+        layout: Arc::clone(&layout),
+        columns: vec![0, 1],
+        ranges: RangeList::single(start, end),
+        in_order: false,
+    };
+    let now = VirtualInstant::EPOCH;
+
+    let mut accounting = None;
+    for shards in [1usize, 2, 4, 8] {
+        let abm = Abm::new(AbmConfig::new(1 << 22, PAGE).with_shards(shards));
+        let keeper = abm.register_cscan(request(0, CHUNKS * CHUNK)).unwrap();
+        while let Some(plan) = abm.next_load(now) {
+            abm.complete_load(&plan, now).unwrap();
+        }
+        let warm_io = abm.stats().io_bytes;
+
+        std::thread::scope(|scope| {
+            for stream in 0..STREAMS {
+                let (abm, request) = (&abm, &request);
+                scope.spawn(move || {
+                    for q in 0..QUERIES {
+                        let start = ((stream * 7 + q * 3) % (CHUNKS - SPAN_CHUNKS)) * CHUNK;
+                        let handle = abm
+                            .register_cscan(request(start, start + SPAN_CHUNKS * CHUNK))
+                            .unwrap();
+                        let mut delivered = 0;
+                        while abm.get_chunk(handle.id).unwrap().is_some() {
+                            delivered += 1;
+                        }
+                        assert_eq!(
+                            delivered, handle.total_chunks,
+                            "shards {shards}: a warm ABM delivers every chunk without loads"
+                        );
+                        abm.unregister_cscan(handle.id).unwrap();
+                    }
+                });
+            }
+        });
+
+        let stats = abm.stats();
+        abm.unregister_cscan(keeper.id).unwrap();
+        assert_eq!(stats.io_bytes, warm_io, "shards {shards}: the drain loaded");
+        assert_eq!(
+            stats.hits,
+            STREAMS * QUERIES * SPAN_CHUNKS,
+            "shards {shards}"
+        );
+        assert_eq!(
+            *accounting.get_or_insert((stats.io_bytes, stats.hits)),
+            (stats.io_bytes, stats.hits),
+            "accounting must not depend on the shard count (shards {shards})"
+        );
+    }
+}

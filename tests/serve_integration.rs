@@ -505,3 +505,63 @@ fn shutdown_mid_query_is_clean() {
         other => panic!("expected a shutdown-shaped error, got {other:?}"),
     }
 }
+
+/// A request the wire format cannot carry unchanged (`Sum(300)` would go out
+/// as `Sum(255)`) is refused on the client side, typed, and not one byte of
+/// it reaches the socket: a listener that plays the server's half of the
+/// handshake sees the connection end with nothing after HELLO, and the load
+/// generator does not even connect.
+#[test]
+fn unencodable_requests_are_rejected_before_anything_is_written() {
+    use scanshare::common::Error;
+    use std::io::Read;
+    use std::os::unix::net::UnixListener;
+
+    let mut request = sum_request();
+    request.aggregates = vec![Aggregate::Sum(300)];
+
+    let dir = TestDir::new("unencodable");
+    let listener = UnixListener::bind(dir.socket()).unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let hello = read_frame(&mut sock).unwrap().expect("HELLO");
+        assert!(matches!(
+            Message::decode(&hello).unwrap(),
+            Message::Hello { .. }
+        ));
+        let welcome = Message::Welcome {
+            version: PROTOCOL_VERSION,
+            session_limit: 1,
+        };
+        sock.write_all(&welcome.encode(0)).unwrap();
+        let mut rest = Vec::new();
+        sock.read_to_end(&mut rest).unwrap();
+        // Back to the test: what followed HELLO, and whether anyone else
+        // connected meanwhile.
+        listener.set_nonblocking(true).unwrap();
+        (rest, listener.accept().is_ok())
+    });
+
+    let mut client = ServeClient::connect_unix(dir.socket(), "tenant-a").unwrap();
+    match client.query(request.clone()) {
+        Err(Error::Protocol(message)) => {
+            assert!(message.contains("aggregates.column"), "{message}");
+            assert!(message.contains("255"), "{message}");
+        }
+        other => panic!("expected a protocol error, got {other:?}"),
+    }
+    let config = LoadgenConfig {
+        target: Target::Unix(dir.socket()),
+        tenant: "tenant-a".into(),
+        connections: 2,
+        sessions: 4,
+        queries_per_session: 1,
+        request,
+    };
+    assert!(matches!(loadgen::run(&config), Err(Error::Protocol(_))));
+    drop(client);
+
+    let (after_hello, second_connection) = peer.join().unwrap();
+    assert!(after_hello.is_empty(), "client wrote {after_hello:?}");
+    assert!(!second_connection, "loadgen connected");
+}

@@ -179,3 +179,132 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
         }
     }
 }
+
+/// The buffer-manager protocol from concurrent threads: eight streams
+/// register scans over a warm pool (capacity == page count, so nothing is
+/// ever evicted), sweep their pages, report progress and unregister. The
+/// interleaving differs run to run; the accounting must not, at any shard
+/// count.
+#[test]
+fn concurrent_sweeps_over_a_warm_pool_account_identically_at_every_shard_count() {
+    use scanshare::common::{ColumnId, PageId, TableId, TupleRange, VirtualInstant};
+    use scanshare::storage::layout::{PageDescriptor, ScanPagePlan};
+
+    const PAGE: u64 = 1024;
+    const PAGES: u64 = 512;
+    const QUERY_PAGES: u64 = 64;
+    const STREAMS: u64 = 8;
+    const QUERIES: u64 = 6;
+    const TUPLES_PER_PAGE: u64 = 1_000;
+    let now = VirtualInstant::EPOCH;
+    let plan = |first: u64| ScanPagePlan {
+        table: TableId::new(0),
+        total_tuples: QUERY_PAGES * TUPLES_PER_PAGE,
+        pages: (0..QUERY_PAGES)
+            .map(|i| PageDescriptor {
+                page: PageId::new((first + i) % PAGES),
+                column: ColumnId::new(0),
+                column_index: 0,
+                sid_range: TupleRange::new(i * TUPLES_PER_PAGE, (i + 1) * TUPLES_PER_PAGE),
+                tuples_behind: i * TUPLES_PER_PAGE,
+                tuple_count: TUPLES_PER_PAGE,
+            })
+            .collect(),
+    };
+
+    for (policy, make_policy) in policies() {
+        for shards in [1usize, 2, 4, 8] {
+            let pool = ShardedPool::new(PAGES as usize, PAGE, make_policy(), shards);
+            for page in 0..PAGES {
+                pool.request_page(PageId::new(page), None, now).unwrap();
+            }
+            std::thread::scope(|scope| {
+                for stream in 0..STREAMS {
+                    let (pool, plan) = (&pool, &plan);
+                    scope.spawn(move || {
+                        let mut cursor = stream * (PAGES / STREAMS);
+                        for _ in 0..QUERIES {
+                            let plan = plan(cursor);
+                            let scan = pool.register_scan(&plan, now);
+                            for (i, desc) in plan.pages.iter().enumerate() {
+                                pool.request_page(desc.page, Some(scan), now).unwrap();
+                                if i % 16 == 15 {
+                                    pool.report_scan_position(scan, desc.tuples_behind, now);
+                                }
+                            }
+                            pool.unregister_scan(scan, now);
+                            cursor = (cursor + QUERY_PAGES) % PAGES;
+                        }
+                    });
+                }
+            });
+            let stats = pool.stats();
+            assert_eq!(
+                (stats.io_bytes, stats.misses, stats.hits, stats.evictions),
+                (PAGES * PAGE, PAGES, STREAMS * QUERIES * QUERY_PAGES, 0),
+                "{policy} shards {shards}"
+            );
+        }
+    }
+}
+
+/// The same through the multi-threaded `WorkloadDriver`: with a pool that
+/// holds the whole table every page loads exactly once under any thread
+/// interleaving, so the cold pass's I/O volume and request count are the
+/// same at every shard count and the warm pass misses nothing. Cooperative
+/// Scans run the workload at (directory shards, load window) = (1, 1) and
+/// (4, 4) without starving a stream.
+#[test]
+fn driver_io_is_shard_count_invariant_and_a_headroom_pool_rereads_nothing() {
+    use scanshare::prelude::*;
+    use scanshare::workload::microbench;
+
+    const PAGE: u64 = 16 * 1024;
+    const CHUNK: u64 = 5_000;
+    let micro = MicrobenchConfig {
+        streams: 8,
+        queries_per_stream: 2,
+        lineitem_tuples: 20_000,
+        ..Default::default()
+    };
+    let (storage, workload) = microbench::build(&micro, PAGE, CHUNK).unwrap();
+    let config = |policy, shards| ScanShareConfig {
+        page_size_bytes: PAGE,
+        chunk_tuples: CHUNK,
+        buffer_pool_bytes: 64 << 20,
+        policy,
+        pool_shards: shards,
+        ..Default::default()
+    };
+
+    for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
+        let mut reference = None;
+        for shards in [1usize, 4] {
+            let engine = Engine::new(Arc::clone(&storage), config(policy, shards)).unwrap();
+            let driver = WorkloadDriver::new(engine);
+            let cold = driver.run(&workload).unwrap().buffer;
+            let cold = (cold.io_bytes, cold.hits + cold.misses);
+            assert_eq!(
+                *reference.get_or_insert(cold),
+                cold,
+                "{policy} shards {shards}: cold I/O volume / request count"
+            );
+            let warm = driver.run(&workload).unwrap().buffer;
+            assert_eq!(warm.misses, 0, "{policy} shards {shards}: warm pass");
+        }
+    }
+
+    for (shards, window) in [(1usize, 1usize), (4, 4)] {
+        let mut config = config(PolicyKind::CScan, shards);
+        config.cscan_load_window = window;
+        let driver = WorkloadDriver::new(Engine::new(Arc::clone(&storage), config).unwrap());
+        for pass in 0..2 {
+            let report = driver.run(&workload).unwrap();
+            assert!(
+                report.stream_errors.is_empty(),
+                "cscan shards {shards} window {window} pass {pass}: {:?}",
+                report.stream_errors
+            );
+        }
+    }
+}
