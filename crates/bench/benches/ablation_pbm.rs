@@ -15,8 +15,9 @@
 //! order and every PBM row read 29.6 MB, 1 % under LRU. The replay also
 //! keeps the clock at the epoch (it measures I/O volume of a fixed
 //! interleaving, not time), so no scan speed is ever measured and a report
-//! only moves the scan's position. Measured at the `test` scale (pool = 8
-//! pages):
+//! only moves the scan's position: **this table cannot show what the speed
+//! estimate is worth** — every scan stays at `default_scan_speed` in every
+//! row. Measured at the `test` scale (pool = 8 pages):
 //!
 //! ```text
 //! variant                           I/O [MB]
@@ -25,15 +26,37 @@
 //! pbm-coarse-buckets                    27.6
 //! pbm-no-progress-reports               27.6
 //! ```
+//!
+//! The second table is driven by the simulator, where time passes and scans
+//! are measured: two points of the paper's microbenchmark at the `test`
+//! scale, under LRU, PBM as configured, and PBM with
+//! `PbmConfig::default_scan_speed` wrong by a factor of 100 either way. PBM
+//! assumes that speed for unreported scans only until its first
+//! measurement and the mean of the measured scans from then on, so the three
+//! PBM rows are expected within a few percent of each other — the knob is
+//! inert, which is the evidence for deleting it. Nothing is gated.
+//!
+//! ```text
+//! point                     variant            I/O [MB]  stream time [s]
+//! fig11, 40 % pool          lru                    30.5           0.0829
+//! fig11, 40 % pool          pbm                    20.8           0.0567
+//! fig11, 40 % pool          pbm-prior-x0.01        20.8           0.0567
+//! fig11, 40 % pool          pbm-prior-x100         20.8           0.0567
+//! fig13, 16 streams         lru                   149.4           0.4207
+//! fig13, 16 streams         pbm                   106.8           0.3045
+//! fig13, 16 streams         pbm-prior-x0.01       106.8           0.3057
+//! fig13, 16 streams         pbm-prior-x100        106.8           0.3045
+//! ```
 
 use std::sync::Arc;
 
-use scanshare_common::{PolicyKind, ScanShareConfig, VirtualDuration, VirtualInstant};
+use scanshare_common::{Bandwidth, PolicyKind, ScanShareConfig, VirtualDuration, VirtualInstant};
 use scanshare_core::lru::LruPolicy;
 use scanshare_core::pbm::{PbmConfig, PbmPolicy};
 use scanshare_core::policy::ReplacementPolicy;
+use scanshare_core::registry::{pbm_config_for, PolicyRegistry};
 use scanshare_core::ShardedPool;
-use scanshare_sim::ExperimentScale;
+use scanshare_sim::{ExperimentScale, SimConfig, Simulation};
 use scanshare_storage::storage::Storage;
 use scanshare_workload::microbench::{self, MicrobenchConfig};
 
@@ -88,6 +111,56 @@ fn replay(
         }
     }
     pool.stats().io_bytes
+}
+
+/// Simulates one point of the microbenchmark the way the figure harness
+/// does (pool = 40 % of the accessed volume, 700 MB/s, 8 cores) under LRU,
+/// PBM, and PBM whose bootstrap speed is off by `x0.01` and `x100`, and
+/// prints a row per variant.
+fn simulate_prior_ablation(point: &str, scale: &ExperimentScale, micro: &MicrobenchConfig) {
+    let (storage, workload) =
+        microbench::build(micro, scale.page_size_bytes, scale.chunk_tuples).unwrap();
+    let mut config = SimConfig {
+        scanshare: ScanShareConfig {
+            page_size_bytes: scale.page_size_bytes,
+            chunk_tuples: scale.chunk_tuples,
+            io_bandwidth: Bandwidth::from_mb_per_sec(scale.micro_default_bandwidth_mb),
+            ..ScanShareConfig::default()
+        },
+        cores: 8,
+        sharing_sample_interval: None,
+    };
+    let accessed = Simulation::new(Arc::clone(&storage), config.clone())
+        .unwrap()
+        .accessed_volume(&workload)
+        .unwrap();
+    config.scanshare.buffer_pool_bytes =
+        (accessed as f64 * scale.micro_default_pool_fraction) as u64;
+    for (variant, policy, prior_factor) in [
+        ("lru", PolicyKind::Lru, 1.0),
+        ("pbm", PolicyKind::Pbm, 1.0),
+        ("pbm-prior-x0.01", PolicyKind::Pbm, 0.01),
+        ("pbm-prior-x100", PolicyKind::Pbm, 100.0),
+    ] {
+        let mut registry = PolicyRegistry::default();
+        registry.register("pbm", move |config| {
+            let pbm = pbm_config_for(config);
+            Box::new(PbmPolicy::new(PbmConfig {
+                default_scan_speed: pbm.default_scan_speed * prior_factor,
+                ..pbm
+            }))
+        });
+        config.scanshare.policy = policy;
+        let result = Simulation::with_registry(Arc::clone(&storage), config.clone(), &registry)
+            .unwrap()
+            .run(&workload)
+            .unwrap();
+        println!(
+            "{point:<26}{variant:<16}{:>11.1}{:>17.4}",
+            result.total_io_bytes as f64 / 1e6,
+            result.avg_stream_time_secs().unwrap()
+        );
+    }
 }
 
 fn main() {
@@ -168,4 +241,17 @@ fn main() {
         );
         println!("{name:<26}{:>16.1}", io as f64 / 1e6);
     }
+
+    println!("\nPBM speed prior (simulator, `test` scale)");
+    println!(
+        "{:<26}{:<16}{:>11}{:>17}",
+        "point", "variant", "I/O [MB]", "stream time [s]"
+    );
+    simulate_prior_ablation("fig11, 40 % pool", &scale, &micro);
+    let fig13 = MicrobenchConfig {
+        streams: 16,
+        ..micro.clone()
+    }
+    .with_fixed_percentage(50);
+    simulate_prior_ablation("fig13, 16 streams", &scale, &fig13);
 }

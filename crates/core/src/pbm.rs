@@ -37,6 +37,20 @@
 //! access, a registration or an unregistration re-pushes the pages it
 //! touches, and a page whose bucket ages off the front of the timeline
 //! (`refresh`) is re-estimated from the scans' current positions and speeds.
+//!
+//! Because a key outlives the estimate it was made from, the estimate made
+//! at registration matters: the already resident pages of a new scan are
+//! keyed before the scan has moved. `speed(s)` is the scan's lifetime
+//! average, known from its first progress report on. Until then the scan is
+//! assumed to run as fast as the scans the policy *has* measured — the mean
+//! speed of the registered scans that have reported, or the last such mean
+//! when none is registered. A fixed prior taken from the configured CPU rate
+//! is what a scan does on a resident table with the device to itself; under
+//! the memory pressure and bandwidth sharing that make eviction matter,
+//! scans run an order of magnitude slower, so a new scan's pages looked that
+//! much nearer than they were and outranked the accurately keyed pages of
+//! its neighbours. [`PbmConfig::default_scan_speed`] is still read, but only
+//! until the policy's first measurement.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -56,8 +70,10 @@ pub struct PbmConfig {
     pub bucket_groups: usize,
     /// Buckets per group (`m`).
     pub buckets_per_group: usize,
-    /// Speed (tuples per second) assumed for a scan before its first
-    /// progress report.
+    /// Bootstrap only: the speed (tuples per second) assumed for a scan that
+    /// has not reported yet, until the policy's first-ever measurement.
+    /// From then on such a scan runs at the mean measured speed of the
+    /// scans that have reported (see the module docs).
     pub default_scan_speed: f64,
 }
 
@@ -122,7 +138,9 @@ impl PageMeta {
 struct ScanState {
     tuples_consumed: u64,
     total_tuples: u64,
-    speed_tps: f64,
+    /// Lifetime average speed (tuples per second), `None` until the first
+    /// report that yields a measurement.
+    speed_tps: Option<f64>,
     registered_at: VirtualInstant,
     pages: Vec<PageId>,
 }
@@ -141,6 +159,16 @@ pub struct PbmPolicy {
     next_stamp: u64,
     /// Number of whole time slices already applied by `refresh`.
     refreshed_slices: u64,
+    /// Sum and count of the measured speeds of the registered scans that
+    /// have reported. Kept incrementally, in call order: a sum over `scans`
+    /// would follow the `HashMap`'s per-process iteration order and float
+    /// addition is not associative, so victims would differ between runs.
+    speed_sum: f64,
+    speed_count: usize,
+    /// What an unreported scan runs at while `speed_count` is zero: the
+    /// speed of the last reporting scan to unregister, `default_scan_speed`
+    /// before the first measurement.
+    idle_speed: f64,
 }
 
 impl Default for PbmPolicy {
@@ -157,6 +185,9 @@ impl PbmPolicy {
         assert!(config.default_scan_speed > 0.0);
         let total = config.total_buckets();
         Self {
+            idle_speed: config.default_scan_speed,
+            speed_sum: 0.0,
+            speed_count: 0,
             config,
             scans: HashMap::new(),
             pages: HashMap::new(),
@@ -210,18 +241,29 @@ impl PbmPolicy {
         self.config.total_buckets() - 1
     }
 
+    /// The speed a scan that has not reported yet is assumed to run at: the
+    /// mean measured speed of the registered scans that have.
+    fn unreported_speed(&self) -> f64 {
+        if self.speed_count == 0 {
+            self.idle_speed
+        } else {
+            self.speed_sum / self.speed_count as f64
+        }
+    }
+
     /// Estimated time until the next consumption of `page`
     /// (`PageNextConsumption`): the minimum over all scans that registered
     /// the page. Returns `None` when no registered scan needs the page.
     pub fn next_consumption(&self, page: PageId) -> Option<VirtualDuration> {
         let meta = self.pages.get(&page)?;
+        let unreported = self.unreported_speed();
         let mut nearest: Option<f64> = None;
         for (scan_id, &tuples_behind) in &meta.consuming {
             let Some(scan) = self.scans.get(scan_id) else {
                 continue;
             };
             let remaining = tuples_behind.saturating_sub(scan.tuples_consumed) as f64;
-            let secs = remaining / scan.speed_tps.max(1.0);
+            let secs = remaining / scan.speed_tps.unwrap_or(unreported).max(1.0);
             nearest = Some(match nearest {
                 Some(cur) => cur.min(secs),
                 None => secs,
@@ -370,7 +412,7 @@ impl ReplacementPolicy for PbmPolicy {
             ScanState {
                 tuples_consumed: 0,
                 total_tuples: info.total_tuples,
-                speed_tps: self.config.default_scan_speed,
+                speed_tps: None,
                 registered_at: now,
                 pages: page_list.clone(),
             },
@@ -397,7 +439,14 @@ impl ReplacementPolicy for PbmPolicy {
             state.tuples_consumed = tuples_consumed.min(state.total_tuples);
             let elapsed = now.since(state.registered_at).as_secs_f64();
             if elapsed > 0.0 && tuples_consumed > 0 {
-                state.speed_tps = tuples_consumed as f64 / elapsed;
+                let speed = tuples_consumed as f64 / elapsed;
+                match state.speed_tps.replace(speed) {
+                    Some(old) => self.speed_sum += speed - old,
+                    None => {
+                        self.speed_sum += speed;
+                        self.speed_count += 1;
+                    }
+                }
             }
         }
     }
@@ -406,6 +455,17 @@ impl ReplacementPolicy for PbmPolicy {
         let Some(state) = self.scans.remove(&scan) else {
             return;
         };
+        if let Some(speed) = state.speed_tps {
+            self.speed_count -= 1;
+            if self.speed_count == 0 {
+                // Restarting the sum from zero also drops whatever rounding
+                // error the increments accumulated.
+                self.idle_speed = speed;
+                self.speed_sum = 0.0;
+            } else {
+                self.speed_sum -= speed;
+            }
+        }
         for page in state.pages {
             let mut resident = false;
             let mut remove_meta = false;
@@ -890,6 +950,121 @@ mod tests {
                 resident.len(),
                 "step {step}"
             );
+            // The incremental pair is the mean over the reporting scans,
+            // here summed in `ScanId` order.
+            let mut reporting: Vec<(ScanId, f64)> = pbm
+                .scans
+                .iter()
+                .filter_map(|(&id, scan)| Some((id, scan.speed_tps?)))
+                .collect();
+            reporting.sort_unstable_by_key(|&(id, _)| id);
+            assert_eq!(pbm.speed_count, reporting.len(), "step {step}");
+            if !reporting.is_empty() {
+                let mean = reporting.iter().map(|&(_, s)| s).sum::<f64>() / reporting.len() as f64;
+                let got = pbm.unreported_speed();
+                assert!(
+                    (got - mean).abs() <= 1e-9 * mean,
+                    "step {step}: incremental mean {got}, recomputed {mean}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn an_unreported_scan_runs_at_the_measured_speed_of_its_neighbours() {
+        // A default that is wrong by five orders of magnitude.
+        let mut pbm = pbm_with_speed(100_000_000.0);
+        let s1 = register(&mut pbm, 1, &plan(&[1, 2, 3], 100), now_ms(0));
+        assert_eq!(
+            pbm.next_consumption(p(3)),
+            Some(VirtualDuration::from_nanos(2_000)),
+            "before any measurement only the configured default is known"
+        );
+        // 100 tuples in 100 ms: 1000 tuples/s.
+        pbm.report_scan_position(s1, 100, now_ms(100));
+        let s2 = register(&mut pbm, 2, &plan(&[7, 8, 9], 100), now_ms(100));
+        // Scan 2 has not reported: page 9, 200 tuples ahead of it, is 200 ms
+        // away at its neighbour's speed.
+        assert_eq!(
+            pbm.next_consumption(p(9)),
+            Some(VirtualDuration::from_millis(200))
+        );
+        // Its own first report replaces the assumption: 100 tuples in 50 ms.
+        pbm.report_scan_position(s2, 100, now_ms(150));
+        assert_eq!(
+            pbm.next_consumption(p(9)),
+            Some(VirtualDuration::from_millis(50))
+        );
+        // A third scan sees the mean of the two: (1000 + 2000) / 2.
+        register(&mut pbm, 3, &plan(&[20, 21], 150), now_ms(150));
+        assert_eq!(
+            pbm.next_consumption(p(21)),
+            Some(VirtualDuration::from_millis(100))
+        );
+    }
+
+    #[test]
+    fn the_learned_speed_survives_the_last_reporting_scan() {
+        let mut pbm = pbm_with_speed(100_000_000.0);
+        let s1 = register(&mut pbm, 1, &plan(&[1, 2], 100), now_ms(0));
+        pbm.report_scan_position(s1, 100, now_ms(100));
+        // A scan that never reported leaves no trace when it unregisters.
+        let s2 = register(&mut pbm, 2, &plan(&[3], 100), now_ms(100));
+        pbm.unregister_scan(s2, now_ms(100));
+        pbm.unregister_scan(s1, now_ms(100));
+        assert_eq!((pbm.speed_count, pbm.speed_sum), (0, 0.0));
+        register(&mut pbm, 3, &plan(&[7, 8, 9], 100), now_ms(200));
+        assert_eq!(
+            pbm.next_consumption(p(9)),
+            Some(VirtualDuration::from_millis(200)),
+            "1000 tuples/s, as last measured"
+        );
+    }
+
+    #[test]
+    fn two_policies_fed_the_same_calls_evict_the_same_pages() {
+        // Each `HashMap` of each policy has its own hash seed, so anything
+        // that leaked iteration order into an estimate shows up between two
+        // policies as it would between two processes. The victims are what
+        // must repeat; the estimate's bits are compared too because a
+        // last-bit difference only rarely flips a nanosecond key.
+        let run = || {
+            let mut pbm = pbm_with_speed(100_000_000.0);
+            let mut trace = Vec::new();
+            let mut scans = Vec::new();
+            for step in 0..200u64 {
+                let now = now_ms(step * 7);
+                // Overlapping 12-page scans, a new one every fifth step;
+                // each scan advances at its own pace.
+                if step % 5 == 0 {
+                    let pages: Vec<u64> = (step % 16..step % 16 + 12).collect();
+                    scans.push((register(&mut pbm, step, &plan(&pages, 10), now), 0u64));
+                }
+                for (scan, consumed) in scans.iter_mut() {
+                    *consumed += 3 + scan.raw() % 5;
+                    pbm.report_scan_position(*scan, *consumed, now);
+                }
+                if scans.len() > 6 {
+                    pbm.unregister_scan(scans.remove(0).0, now);
+                }
+                for page in step % 28..step % 28 + 4 {
+                    if !pbm.pages.get(&p(page)).is_some_and(PageMeta::is_resident) {
+                        pbm.on_admit(p(page), now);
+                    }
+                }
+                let victims =
+                    pbm.choose_victims(usize::from(step % 3 == 0) * 3, &HashSet::new(), now);
+                for &victim in &victims {
+                    pbm.on_evict(victim);
+                }
+                trace.push((pbm.unreported_speed().to_bits(), victims));
+            }
+            trace
+        };
+        let first = run();
+        assert!(first.iter().flat_map(|(_, victims)| victims).count() > 100);
+        for _ in 0..4 {
+            assert_eq!(run(), first);
         }
     }
 

@@ -8,7 +8,7 @@
 //!
 //! Factories receive the full [`ScanShareConfig`] so that policies can
 //! derive their tuning from the engine configuration (PBM, for example,
-//! seeds its scan-speed estimates from `cpu_tuples_per_sec`).
+//! bootstraps its scan-speed estimate from `cpu_tuples_per_sec`).
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -39,8 +39,10 @@ impl std::fmt::Debug for PolicyRegistry {
     }
 }
 
-/// The PBM configuration the engine has always used: scan-speed estimates
-/// seeded from the configured CPU processing rate.
+/// The PBM configuration of the engine and the simulator. The configured
+/// CPU processing rate is the bootstrap speed only: PBM assumes it for
+/// unreported scans until its first measurement and learns the speed from
+/// the scans that reported after that.
 pub fn pbm_config_for(config: &ScanShareConfig) -> PbmConfig {
     PbmConfig {
         default_scan_speed: config.cpu_tuples_per_sec as f64,

@@ -39,6 +39,7 @@ use crate::ops::{
     drain, AggrResult, AggrSpec, Aggregate, BatchSource, GroupedResult, JoinBuild, JoinSource,
     JoinTable, KeyedAggr, Predicate, Sink, SortOrder, TopKSpec, TopKState,
 };
+use crate::sched::panic_message;
 use crate::txn::TablePin;
 
 /// The join clause of a [`Query`]: a broadcast hash join against another
@@ -411,9 +412,19 @@ impl Query {
                 .filter(|part| !part.is_empty())
                 .map(|&part| scope.spawn(move || run_part(part)))
                 .collect();
+            // Every part is joined before the first failure is returned,
+            // so no worker outlives the query; a panic below a part (a
+            // policy or device bug) is that part's typed error.
             handles
                 .into_iter()
-                .map(|h| h.join().expect("worker thread panicked"))
+                .map(|h| {
+                    h.join().unwrap_or_else(|payload| {
+                        Err(Error::internal(format!(
+                            "scan worker panicked: {}",
+                            panic_message(payload)
+                        )))
+                    })
+                })
                 .collect()
         });
         let mut merged = new_sink();

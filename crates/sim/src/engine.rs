@@ -54,6 +54,7 @@ use scanshare_common::{
 use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::simulate_opt;
+use scanshare_core::registry::PolicyRegistry;
 use scanshare_iosim::IoDevice;
 use scanshare_pdt::checkpoint::checkpoint_stack;
 use scanshare_pdt::table::{TableState, TableWrites};
@@ -98,6 +99,7 @@ impl Default for SimConfig {
 pub struct Simulation {
     storage: Arc<Storage>,
     config: SimConfig,
+    registry: PolicyRegistry,
 }
 
 // ---------------------------------------------------------------------------
@@ -315,13 +317,27 @@ impl Simulation {
     /// Creates a simulation over `storage` (which must already contain the
     /// workload's tables).
     pub fn new(storage: Arc<Storage>, config: SimConfig) -> Result<Self> {
+        Self::with_registry(storage, config, &PolicyRegistry::default())
+    }
+
+    /// Like [`Simulation::new`], resolving the page-level policy from a
+    /// caller supplied registry, as `Engine::with_registry` does.
+    pub fn with_registry(
+        storage: Arc<Storage>,
+        config: SimConfig,
+        registry: &PolicyRegistry,
+    ) -> Result<Self> {
         config.scanshare.validate()?;
         if config.cores == 0 {
             return Err(Error::config(
                 "the simulated machine needs at least one core",
             ));
         }
-        Ok(Self { storage, config })
+        Ok(Self {
+            storage,
+            config,
+            registry: registry.clone(),
+        })
     }
 
     /// The simulator configuration.
@@ -376,8 +392,7 @@ impl Simulation {
             scanshare.io_bandwidth,
             VirtualDuration::from_nanos(scanshare.io_latency_nanos),
         ));
-        // The default policy registry, as `Engine::new` resolves it.
-        let (backend, trace) = build_backend(&scanshare, &Default::default(), device)?;
+        let (backend, trace) = build_backend(&scanshare, &self.registry, device)?;
         let phase: PhaseFn = match policy {
             PolicyKind::CScan => Self::cscan_phase,
             _ => Self::pool_phase,
@@ -1024,28 +1039,57 @@ mod tests {
 
     #[test]
     fn higher_bandwidth_reduces_stream_time_but_not_io() {
+        // What Figure 12 supports, at its pool (40 % of the accessed volume;
+        // on a pool of a few pages one victim more or less is tens of
+        // percent). "Approximately constant" I/O is not a property PBM can
+        // have more tightly than its traces allow: the scans' observed
+        // speeds, hence the consumption order, hence what even OPT must
+        // read, depend on how fast pages arrive. Over this 10x range OPT's
+        // volume on PBM's traces spans x1.23 here (x1.22 at the `quick`
+        // scale of Figure 12), PBM's x1.28 (x1.23) and LRU's x1.38 at
+        // `quick`; the band is checked against OPT's spread so it cannot be
+        // re-fitted below what the traces themselves allow.
+        const BAND: f64 = 1.4;
         let (storage, workload) = build_micro();
-        let mut slow_cfg = sim_config(PolicyKind::Pbm, 512 * 1024);
-        slow_cfg.scanshare.io_bandwidth = Bandwidth::from_mb_per_sec(200.0);
-        let mut fast_cfg = sim_config(PolicyKind::Pbm, 512 * 1024);
-        fast_cfg.scanshare.io_bandwidth = Bandwidth::from_gb_per_sec(2.0);
-        let slow = Simulation::new(Arc::clone(&storage), slow_cfg)
-            .unwrap()
-            .run(&workload)
-            .unwrap();
-        let fast = Simulation::new(Arc::clone(&storage), fast_cfg)
-            .unwrap()
-            .run(&workload)
-            .unwrap();
-        assert!(fast.avg_stream_time_secs().unwrap() <= slow.avg_stream_time_secs().unwrap());
-        // The I/O volume is (approximately) bandwidth-independent. It is not
-        // exactly equal for PBM because the scans' observed speeds — and
-        // therefore the next-consumption estimates — depend on how fast pages
-        // arrive, which is precisely the paper's "approximately constant".
-        let ratio = fast.total_io_bytes as f64 / slow.total_io_bytes as f64;
+        let probe =
+            Simulation::new(Arc::clone(&storage), sim_config(PolicyKind::Lru, 1 << 20)).unwrap();
+        let pool = probe.accessed_volume(&workload).unwrap() * 2 / 5;
+        let run = |policy, mb_per_sec| {
+            let mut config = sim_config(policy, pool);
+            config.scanshare.io_bandwidth = Bandwidth::from_mb_per_sec(mb_per_sec);
+            Simulation::new(Arc::clone(&storage), config)
+                .unwrap()
+                .run(&workload)
+                .unwrap()
+        };
+        let spread = |volumes: &[u64]| {
+            *volumes.iter().max().unwrap() as f64 / *volumes.iter().min().unwrap() as f64
+        };
+        let (mut pbm_io, mut opt_io, mut pbm_time) = (Vec::new(), Vec::new(), Vec::new());
+        for mb_per_sec in [200.0, 700.0, 2000.0] {
+            let pbm = run(PolicyKind::Pbm, mb_per_sec);
+            let lru = run(PolicyKind::Lru, mb_per_sec);
+            assert!(
+                pbm.total_io_bytes <= lru.total_io_bytes,
+                "{mb_per_sec} MB/s: pbm read {}, lru {}",
+                pbm.total_io_bytes,
+                lru.total_io_bytes
+            );
+            pbm_io.push(pbm.total_io_bytes);
+            pbm_time.push(pbm.avg_stream_time_secs().unwrap());
+            opt_io.push(run(PolicyKind::Opt, mb_per_sec).total_io_bytes);
+        }
         assert!(
-            (0.85..=1.15).contains(&ratio),
-            "I/O volume changed too much: {ratio}"
+            pbm_time.windows(2).all(|w| w[1] <= w[0]),
+            "stream time must fall with bandwidth: {pbm_time:?}"
+        );
+        assert!(
+            spread(&opt_io) <= BAND,
+            "the band is tighter than OPT's own spread: {opt_io:?}"
+        );
+        assert!(
+            spread(&pbm_io) <= BAND,
+            "I/O volume changed too much: {pbm_io:?}"
         );
     }
 

@@ -191,8 +191,8 @@ fn concurrent_queries_under_cooperative_scans() {
 
 #[test]
 fn concurrent_queries_on_a_sharded_pool_eight_streams() {
-    // The multi-stream throughput configuration of the `throughput_scaling`
-    // figure: 8 session threads on a 4-shard pool, with and without the
+    // The multi-stream throughput configuration: 8 session threads on a
+    // 4-shard pool (more shards than cores), with and without the
     // prefetch window, under every pooled policy. Exact aggregates and the
     // cross-layer pool == device accounting must survive the sharded fast
     // path (buffered policy events, per-shard statistics).
@@ -215,8 +215,8 @@ fn concurrent_queries_shard_sweep_under_pbm() {
 fn concurrent_queries_cscan_eight_streams_across_directory_shards() {
     // Cooperative Scans in the same multi-stream configuration the pooled
     // policies run: 8 session threads on the decomposed ABM, with the chunk
-    // directory at 1 shard (fully serialized) and 4 shards (the
-    // throughput_scaling configuration). Exact aggregates and the
+    // directory at 1 shard (fully serialized) and 4 shards (as many as the
+    // pooled test above). Exact aggregates and the
     // cross-layer ABM == device I/O accounting must survive the sharded
     // delivery fast path and its buffered membership events.
     for shards in [1usize, 4] {

@@ -133,6 +133,19 @@ impl ReplacementPolicy for PanicsOnce {
     }
 }
 
+/// An engine whose replacement policy panics on its fifth page access.
+fn build_panicking_engine() -> (Arc<Engine>, TableId) {
+    let mut registry = PolicyRegistry::default();
+    registry.register("panics-once", |_| {
+        Box::new(PanicsOnce {
+            inner: LruPolicy::new(),
+            accesses: 0,
+            panic_at: 5,
+        })
+    });
+    build_engine_with(&registry, Some("panics-once"))
+}
+
 fn sum_request() -> QueryRequest {
     let mut request =
         QueryRequest::count_star("lineitem", vec!["l_orderkey".into(), "l_quantity".into()]);
@@ -351,15 +364,7 @@ fn bad_requests_get_typed_error_frames() {
     // INTERNAL frame instead of silence — and the session answers the next
     // query. The client runs on its own thread so a missing frame fails the
     // test instead of hanging it.
-    let mut registry = PolicyRegistry::default();
-    registry.register("panics-once", |_| {
-        Box::new(PanicsOnce {
-            inner: LruPolicy::new(),
-            accesses: 0,
-            panic_at: 5,
-        })
-    });
-    let (engine, _) = build_engine_with(&registry, Some("panics-once"));
+    let (engine, _) = build_panicking_engine();
     let mut server = Server::new(engine, ServeConfig::default());
     let socket = TestDir::new("panic");
     server.bind_unix(socket.socket()).unwrap();
@@ -385,6 +390,31 @@ fn bad_requests_get_typed_error_frames() {
     assert_eq!(answer().unwrap()[0].count, TUPLES);
     session.join().unwrap();
     server.shutdown();
+}
+
+/// The inline path (`Query::run`, one scoped thread per range part) gives the
+/// same guarantee the served task path does: a panic below one part is a
+/// typed error to the caller, and the engine answers the next query.
+#[test]
+fn a_panicking_scan_worker_is_a_typed_error_on_the_inline_path() {
+    let sum = |engine: &Arc<Engine>, table| {
+        engine
+            .query(table)
+            .columns(["l_orderkey", "l_quantity"])
+            .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(1)]))
+            .parallelism(4)
+            .run()
+    };
+    let (healthy, table) = build_engine();
+    let expected = sum(&healthy, table).unwrap();
+    let (engine, table) = build_panicking_engine();
+    let message = sum(&engine, table)
+        .expect_err("the policy panics mid-scan")
+        .to_string();
+    assert!(message.contains("injected policy panic"), "{message}");
+    let groups = sum(&engine, table).unwrap();
+    assert_eq!(groups[&0].count, TUPLES);
+    assert_eq!(groups[&0].accumulators, expected[&0].accumulators);
 }
 
 /// Handshake violations: a wrong protocol version and a QUERY before HELLO
