@@ -150,9 +150,6 @@ pub struct ScanShareConfig {
     /// typical scan-select-aggregate query. Determines when a configuration
     /// becomes CPU-bound.
     pub cpu_tuples_per_sec: u64,
-    /// Maximum number of threads used per query by the parallel plans
-    /// (the paper's experiments use 8).
-    pub threads_per_query: usize,
     /// Which buffer-management policy to run.
     pub policy: PolicyKind,
     /// Size of the asynchronous prefetch window, in pages, maintained by the
@@ -199,15 +196,6 @@ pub struct ScanShareConfig {
     /// Number of worker threads the file device uses for positional reads.
     /// Ignored by the simulated device.
     pub io_workers: usize,
-    /// Capacity of the file device's bounded submission queue; submitters
-    /// block once this many requests are waiting. Ignored by the simulated
-    /// device.
-    pub io_queue_depth: usize,
-    /// Ask the file device to open segments with `O_DIRECT`, bypassing the
-    /// OS page cache (Linux only; falls back to buffered reads when the
-    /// platform or alignment does not permit it). Ignored by the simulated
-    /// device.
-    pub o_direct: bool,
     /// Directory holding the engine's durable state: on-disk column
     /// segments, per-table manifests and the `wal.log` write-ahead log.
     /// `None` (the default) keeps commits memory-only, reproducing the
@@ -255,7 +243,6 @@ impl Default for ScanShareConfig {
             io_bandwidth: Bandwidth::from_mb_per_sec(700.0),
             io_latency_nanos: 100_000, // 0.1 ms per request
             cpu_tuples_per_sec: 250_000_000,
-            threads_per_query: 8,
             policy: PolicyKind::Pbm,
             prefetch_pages: 0,
             pool_shards: 1,
@@ -263,8 +250,6 @@ impl Default for ScanShareConfig {
             custom_policy: None,
             device: DeviceKind::Sim,
             io_workers: 4,
-            io_queue_depth: 64,
-            o_direct: false,
             wal_dir: None,
             wal_group_commit: 1,
             zone_maps: true,
@@ -291,9 +276,6 @@ impl ScanShareConfig {
         if self.cpu_tuples_per_sec == 0 {
             return Err(Error::config("cpu_tuples_per_sec must be positive"));
         }
-        if self.threads_per_query == 0 {
-            return Err(Error::config("threads_per_query must be at least 1"));
-        }
         if self.prefetch_pages > 0 && self.prefetch_pages as u64 >= self.buffer_pool_pages() as u64
         {
             return Err(Error::config(
@@ -316,9 +298,6 @@ impl ScanShareConfig {
         }
         if self.io_workers == 0 {
             return Err(Error::config("io_workers must be at least 1"));
-        }
-        if self.io_queue_depth == 0 {
-            return Err(Error::config("io_queue_depth must be at least 1"));
         }
         if self.wal_group_commit == 0 {
             return Err(Error::config("wal_group_commit must be at least 1"));
@@ -390,18 +369,6 @@ impl ScanShareConfig {
     /// Returns a copy with a different file-device worker count.
     pub fn with_io_workers(mut self, workers: usize) -> Self {
         self.io_workers = workers;
-        self
-    }
-
-    /// Returns a copy with a different file-device submission queue depth.
-    pub fn with_io_queue_depth(mut self, depth: usize) -> Self {
-        self.io_queue_depth = depth;
-        self
-    }
-
-    /// Returns a copy toggling `O_DIRECT` for the file device.
-    pub fn with_o_direct(mut self, enabled: bool) -> Self {
-        self.o_direct = enabled;
         self
     }
 
@@ -547,16 +514,10 @@ mod tests {
     fn file_device_knobs_validate() {
         let cfg = ScanShareConfig::default()
             .with_device(DeviceKind::File)
-            .with_io_workers(2)
-            .with_io_queue_depth(8)
-            .with_o_direct(true);
+            .with_io_workers(2);
         cfg.validate().unwrap();
         assert!(ScanShareConfig::default()
             .with_io_workers(0)
-            .validate()
-            .is_err());
-        assert!(ScanShareConfig::default()
-            .with_io_queue_depth(0)
             .validate()
             .is_err());
     }

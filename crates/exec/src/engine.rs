@@ -29,6 +29,10 @@ use crate::query::Query;
 use crate::scan::ScanOperator;
 use crate::txn::Txn;
 
+/// Capacity of the file device's bounded submission queue: submitters block
+/// once this many reads are waiting.
+const FILE_IO_QUEUE_DEPTH: usize = 64;
+
 /// Summary of the work an engine performed (virtual time and I/O volume).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct QueryStats {
@@ -126,16 +130,10 @@ impl Engine {
                          (Storage::open_directory) first",
                     )
                 })?;
-                if config.o_direct {
-                    // Best effort: O_DIRECT is a performance knob, and some
-                    // filesystems (notably tmpfs) reject it. Buffered reads
-                    // keep every other property of the file device.
-                    store.set_o_direct(true);
-                }
                 Arc::new(FileIoDevice::new(
                     store,
                     config.io_workers,
-                    config.io_queue_depth,
+                    FILE_IO_QUEUE_DEPTH,
                 ))
             }
         };

@@ -9,9 +9,10 @@
 //!    engine is configured with — in-order page-level delivery for
 //!    LRU / PBM / OPT, out-of-order ABM chunk dispatch for Cooperative
 //!    Scans — with PDT merging, snapshot isolation for appends,
-//!    checkpointing and intra-query parallelism (XChg-style range
-//!    partitioning, Figure 8 / Equation 1). Integration tests assert that
-//!    every buffer-management policy returns byte-identical query results.
+//!    checkpointing and range-partitioned plans (the Equation-1 parts of
+//!    Figure 8, interleaved inside one query task). Integration tests assert
+//!    that every buffer-management policy returns byte-identical query
+//!    results.
 //! 2. **Realistic driving of the buffer managers.** The engine issues the
 //!    same `RegisterScan` / `ReportScanPosition` / `GetChunk` call sequences
 //!    the paper describes, so the policies that the benchmarks measure are
@@ -20,10 +21,12 @@
 //! Queries are built with the fluent [`query::Query`] API
 //! (`engine.query(table).columns(...).aggregate(...).run()`); the engine is
 //! deliberately small: batches are plain `Vec<i64>` columns and the operator
-//! set (`Scan`, `Select`, `Project`, `Aggr`, XChg-style parallel merge) is
-//! just large enough to run the TPC-H Q1 / Q6 style workloads of the paper's
-//! microbenchmarks. Whole multi-stream workload specifications run through
-//! the [`driver::WorkloadDriver`] — one thread per stream against the shared
+//! set (`Scan`, `Select`, `Project`, `Aggr`, `GroupBy`, `TopK`, broadcast
+//! hash join) is just large enough to run the TPC-H Q1 / Q6 style workloads
+//! of the paper's microbenchmarks. Every query runs as one resumable
+//! state machine (see [`sched`]); whole multi-stream workload
+//! specifications run through the [`driver::WorkloadDriver`] — one session
+//! task per stream on the [`sched::TaskScheduler`] against the shared
 //! (sharded) buffer-management backend, reporting throughput and latency
 //! percentiles.
 

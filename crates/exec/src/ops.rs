@@ -10,15 +10,15 @@
 //! aggregation `KeyedAggr` — generic over the group key, a plain [`Value`]
 //! for the optional key column of an [`AggrSpec`] and a `Vec<Value>` for the
 //! composite key of `Query::group_by` — the top-k selection [`TopKState`]
-//! and plain row collection. Every sink folds one batch at a time and merges
-//! the partial result of another plan fragment, and every one is a
+//! and plain row collection. Every sink folds one batch at a time — one sink
+//! is fed by every range part of a query — and every one is a
 //! deterministic function of the input *multiset*: grouped results are
 //! ordered maps, top-k breaks value ties by full-row lexicographic order,
 //! and join buckets are sorted at build finish — so out-of-order delivery
-//! (Cooperative Scans) and parallel merges cannot change any result.
+//! (Cooperative Scans) and the interleaving of parts cannot change any
+//! result.
 
-use std::collections::btree_map::{BTreeMap, Entry};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use scanshare_common::Result;
@@ -195,48 +195,16 @@ fn accumulate_row(entry: &mut GroupState, aggregates: &[Aggregate], batch: &Batc
     }
 }
 
-fn merge_group_state(existing: &mut GroupState, other: &GroupState, aggregates: &[Aggregate]) {
-    existing.count += other.count;
-    for ((acc, other), agg) in existing
-        .accumulators
-        .iter_mut()
-        .zip(other.accumulators.iter())
-        .zip(aggregates.iter())
-    {
-        match agg {
-            Aggregate::Count | Aggregate::Sum(_) => *acc += other,
-            Aggregate::Min(_) => *acc = (*acc).min(*other),
-            Aggregate::Max(_) => *acc = (*acc).max(*other),
-        }
-    }
-}
-
 /// The result of a multi-key aggregation: composite key (the key columns'
 /// values, in `group_by` order) mapped to its group state, ordered by key —
 /// the ordered map makes the result independent of input delivery order.
 pub type GroupedResult = BTreeMap<Vec<Value>, GroupState>;
 
-/// The consuming end of a pipeline: folds the batches of one plan fragment
-/// into a partial result and merges the partials of the other fragments
-/// (the "XChg + upper operator" of Figure 8).
+/// The consuming end of a pipeline: folds the batches of every range part
+/// of a query into its one result.
 pub(crate) trait Sink: Send {
-    /// Folds the rows of `batch` that satisfy `filter` into the partial
-    /// result.
+    /// Folds the rows of `batch` that satisfy `filter` into the result.
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>);
-    /// Merges the partial result of another plan fragment into this one.
-    fn merge(&mut self, other: Self);
-}
-
-/// Pulls `source` dry, folding the rows that survive `filter` into `sink`.
-pub(crate) fn drain(
-    source: &mut dyn BatchSource,
-    filter: Option<&Predicate>,
-    sink: &mut impl Sink,
-) -> Result<()> {
-    while let Some(batch) = source.next_batch()? {
-        sink.fold(&batch, filter);
-    }
-    Ok(())
 }
 
 /// A group key read off a row: a plain [`Value`] for the at most one key
@@ -276,16 +244,16 @@ fn fold_keyed<K: GroupKey>(
 
 /// The keyed-aggregation sink: one [`GroupState`] per distinct key, in key
 /// order.
-pub(crate) struct KeyedAggr<'a, K: GroupKey> {
-    keys: &'a [usize],
-    aggregates: &'a [Aggregate],
-    /// The groups folded (and merged) so far.
+pub(crate) struct KeyedAggr<K: GroupKey> {
+    keys: Vec<usize>,
+    aggregates: Vec<Aggregate>,
+    /// The groups folded so far.
     pub groups: BTreeMap<K, GroupState>,
 }
 
-impl<'a, K: GroupKey> KeyedAggr<'a, K> {
+impl<K: GroupKey> KeyedAggr<K> {
     /// An empty aggregation of `aggregates` grouped by `keys`.
-    pub fn new(keys: &'a [usize], aggregates: &'a [Aggregate]) -> Self {
+    pub fn new(keys: Vec<usize>, aggregates: Vec<Aggregate>) -> Self {
         Self {
             keys,
             aggregates,
@@ -294,22 +262,15 @@ impl<'a, K: GroupKey> KeyedAggr<'a, K> {
     }
 }
 
-impl<K: GroupKey> Sink for KeyedAggr<'_, K> {
+impl<K: GroupKey> Sink for KeyedAggr<K> {
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
-        fold_keyed(&mut self.groups, self.keys, self.aggregates, batch, filter);
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (key, state) in other.groups {
-            match self.groups.entry(key) {
-                Entry::Vacant(slot) => {
-                    slot.insert(state);
-                }
-                Entry::Occupied(mut slot) => {
-                    merge_group_state(slot.get_mut(), &state, self.aggregates)
-                }
-            }
-        }
+        fold_keyed(
+            &mut self.groups,
+            &self.keys,
+            &self.aggregates,
+            batch,
+            filter,
+        );
     }
 }
 
@@ -318,18 +279,13 @@ impl Sink for Vec<Vec<Value>> {
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
         self.extend(Predicate::selected(filter, batch).map(|row| batch.row(row)));
     }
-
-    fn merge(&mut self, mut other: Self) {
-        self.append(&mut other);
-    }
 }
 
 /// Folds one batch into a running aggregation: applies `filter` (if any)
 /// and accumulates every surviving row into `groups` under `spec`. The
-/// incremental form of [`aggregate`], used by the morsel-driven
-/// [`QueryTask`](crate::sched::QueryTask), which processes a bounded number
-/// of batches per scheduler quantum and must carry the accumulator state
-/// across yields.
+/// incremental form of [`aggregate`] — the same keyed fold a
+/// [`QueryTask`](crate::sched::QueryTask) runs, for callers that carry the
+/// accumulator state across their own batch loop.
 pub fn fold_batch(
     groups: &mut AggrResult,
     batch: Batch,
@@ -353,9 +309,11 @@ pub fn aggregate(
     filter: Option<Predicate>,
     spec: &AggrSpec,
 ) -> Result<AggrResult> {
-    let mut sink = KeyedAggr::new(spec.group_by.as_slice(), &spec.aggregates);
-    drain(source, filter.as_ref(), &mut sink)?;
-    Ok(sink.groups)
+    let mut groups = AggrResult::new();
+    while let Some(batch) = source.next_batch()? {
+        fold_batch(&mut groups, batch, filter.as_ref(), spec);
+    }
+    Ok(groups)
 }
 
 // ---------------------------------------------------------------------------
@@ -440,11 +398,6 @@ impl Sink for TopKState {
         if self.rows.len() > self.spec.k.saturating_mul(2).max(1024) {
             self.compact();
         }
-    }
-
-    fn merge(&mut self, mut other: Self) {
-        self.rows.append(&mut other.rows);
-        self.compact();
     }
 }
 
@@ -649,46 +602,18 @@ mod tests {
         assert!(aggregate(&mut empty, None, &spec).unwrap().is_empty());
     }
 
-    /// Runs `source` through a fresh keyed sink, like one plan fragment.
-    fn keyed<'a, K: GroupKey>(
+    /// Runs `source` through a fresh keyed sink.
+    fn keyed<K: GroupKey>(
         source: &mut VecSource,
         filter: Option<Predicate>,
-        keys: &'a [usize],
-        aggregates: &'a [Aggregate],
-    ) -> KeyedAggr<'a, K> {
-        let mut sink = KeyedAggr::new(keys, aggregates);
-        drain(source, filter.as_ref(), &mut sink).unwrap();
+        keys: &[usize],
+        aggregates: &[Aggregate],
+    ) -> KeyedAggr<K> {
+        let mut sink = KeyedAggr::new(keys.to_vec(), aggregates.to_vec());
+        while let Some(batch) = source.next_batch().unwrap() {
+            sink.fold(&batch, filter.as_ref());
+        }
         sink
-    }
-
-    /// The two batches of [`source`] as two separate plan fragments.
-    fn halves() -> (VecSource, VecSource) {
-        (
-            VecSource::new(
-                2,
-                vec![Batch::new(vec![vec![0, 1, 0, 1], vec![10, 20, 30, 40]])],
-            ),
-            VecSource::new(2, vec![Batch::new(vec![vec![1, 0], vec![50, 60]])]),
-        )
-    }
-
-    #[test]
-    fn merge_aggregates_combines_partials() {
-        let aggregates = [Aggregate::Sum(1), Aggregate::Count, Aggregate::Min(1)];
-        let state = |count, accumulators| GroupState {
-            count,
-            accumulators,
-        };
-        let mut a = KeyedAggr::<Value>::new(&[0], &aggregates);
-        a.groups.insert(1, state(2, vec![30, 2, 10]));
-        let mut b = KeyedAggr::<Value>::new(&[0], &aggregates);
-        b.groups.insert(1, state(1, vec![5, 1, 5]));
-        b.groups.insert(2, state(1, vec![7, 1, 7]));
-        a.merge(b);
-        let merged = a.groups;
-        assert_eq!(merged[&1].count, 3);
-        assert_eq!(merged[&1].accumulators, vec![35, 3, 5]);
-        assert_eq!(merged[&2].accumulators, vec![7, 1, 7]);
     }
 
     #[test]
@@ -704,24 +629,6 @@ mod tests {
         assert_eq!(result[&vec![0, 10]].accumulators, vec![2, 20]);
         assert_eq!(result[&vec![0, 20]].accumulators, vec![1, 20]);
         assert_eq!(result[&vec![1, 10]].accumulators, vec![1, 10]);
-    }
-
-    #[test]
-    fn merge_grouped_equals_single_pass() {
-        let aggregates = [Aggregate::Sum(1), Aggregate::Min(1), Aggregate::Max(1)];
-        let filter = Some(Predicate::new(1, CompareOp::Le, 50));
-        let whole = keyed::<Vec<Value>>(&mut source(), filter, &[0], &aggregates);
-        let (mut p1, mut p2) = halves();
-        let mut merged = keyed::<Vec<Value>>(&mut p1, filter, &[0], &aggregates);
-        merged.merge(keyed(&mut p2, filter, &[0], &aggregates));
-        assert_eq!(whole.groups, merged.groups);
-        // One key column groups exactly like the single-key form.
-        let spec = AggrSpec::grouped(0, aggregates.to_vec());
-        let single = aggregate(&mut source(), filter, &spec).unwrap();
-        assert_eq!(single.len(), whole.groups.len());
-        for (key, group) in &single {
-            assert_eq!(&whole.groups[&vec![*key]], group);
-        }
     }
 
     #[test]
@@ -835,39 +742,5 @@ mod tests {
         // Row (0,10) is filtered out; row (2,30) has no build match.
         assert_eq!(batch.to_rows(), vec![vec![1, 20, 1]]);
         assert!(source.next_batch().unwrap().is_none());
-    }
-
-    #[test]
-    fn merging_partials_equals_single_pass() {
-        let spec = AggrSpec::grouped(0, vec![Aggregate::Sum(1), Aggregate::Max(1)]);
-        let whole = aggregate(&mut source(), None, &spec).unwrap();
-        // Split the same data into two fragments and merge.
-        let (mut p1, mut p2) = halves();
-        let mut merged = keyed::<Value>(&mut p1, None, &[0], &spec.aggregates);
-        merged.merge(keyed(&mut p2, None, &[0], &spec.aggregates));
-        assert_eq!(whole, merged.groups);
-    }
-
-    #[test]
-    fn row_and_top_k_partials_merge_like_a_single_pass() {
-        let spec = TopKSpec {
-            column: 1,
-            k: 2,
-            order: SortOrder::Desc,
-        };
-        let (mut p1, mut p2) = halves();
-        let (mut rows, mut rows2) = (Vec::new(), Vec::new());
-        let (mut top, mut top2) = (TopKState::new(spec), TopKState::new(spec));
-        drain(&mut p1, None, &mut rows).unwrap();
-        drain(&mut p2, None, &mut rows2).unwrap();
-        rows.merge(rows2);
-        let mut all = Vec::new();
-        drain(&mut source(), None, &mut all).unwrap();
-        assert_eq!(rows, all);
-        let (mut p1, mut p2) = halves();
-        drain(&mut p1, None, &mut top).unwrap();
-        drain(&mut p2, None, &mut top2).unwrap();
-        top.merge(top2);
-        assert_eq!(top.finish(), vec![vec![0, 60], vec![1, 50]]);
     }
 }

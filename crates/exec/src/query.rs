@@ -2,8 +2,8 @@
 //! against an [`Engine`].
 //!
 //! A [`Query`] expresses the `Scan -> Select -> Aggr` plans of the paper's
-//! microbenchmarks (optionally parallelized with the XChg-style static range
-//! partitioning of Figure 8 / Equation 1) without positional arguments:
+//! microbenchmarks (optionally split into the static range parts of
+//! Figure 8 / Equation 1) without positional arguments:
 //!
 //! ```ignore
 //! let result = engine
@@ -17,16 +17,19 @@
 //! ```
 //!
 //! Every clause has a default: all visible rows (`range`), no filter, one
-//! worker (`parallelism`), backend-chosen delivery order. Only `columns` is
-//! mandatory, and `run` requires an `aggregate`; use [`Query::rows`] to
+//! range part (`parallelism`), backend-chosen delivery order. Only `columns`
+//! is mandatory, and `run` requires an `aggregate`; use [`Query::rows`] to
 //! materialize filtered rows without aggregating.
 //!
 //! There is one pipeline behind the terminals: [`Query::run`],
 //! [`Query::run_grouped`], [`Query::rows`] and [`Query::into_task`] all run
 //! the one plan validator first — a misplaced clause or a column index
 //! outside the row its clause is applied to is an [`Error::InvalidPlan`]
-//! before anything is pinned or registered — and the inline three differ
-//! only in the sink (see [`crate::ops`]) they hand to the one executor.
+//! before anything is pinned or registered — and then build the one query
+//! state machine of [`crate::sched`], differing only in the sink (see
+//! [`crate::ops`]) every range part feeds. `into_task` hands the machine to
+//! the caller (to spawn on a [`TaskScheduler`](crate::sched::TaskScheduler));
+//! the other three drive it to completion on the caller's thread.
 
 use std::ops::{Bound, RangeBounds};
 use std::sync::Arc;
@@ -36,10 +39,10 @@ use scanshare_storage::datagen::Value;
 
 use crate::engine::Engine;
 use crate::ops::{
-    drain, AggrResult, AggrSpec, Aggregate, BatchSource, GroupedResult, JoinBuild, JoinSource,
-    JoinTable, KeyedAggr, Predicate, Sink, SortOrder, TopKSpec, TopKState,
+    AggrResult, AggrSpec, Aggregate, BatchSource, GroupedResult, JoinBuild, JoinSource, JoinTable,
+    KeyedAggr, Predicate, Sink, SortOrder, TopKSpec, TopKState,
 };
-use crate::sched::panic_message;
+use crate::sched::{run_to_done, Pipeline, QueryTask};
 use crate::txn::TablePin;
 
 /// The join clause of a [`Query`]: a broadcast hash join against another
@@ -69,8 +72,8 @@ pub struct Query {
     /// The `(Snapshot, PdtStack)` pair the query reads through. `None`
     /// until execution, when the table's published state is pinned; a query
     /// built by a transaction carries the transaction's view instead.
-    /// Either way every scan of the query — including all parallel workers —
-    /// shares one consistent pin.
+    /// Either way every scan of the query — every range part — shares one
+    /// consistent pin.
     pin: Option<TablePin>,
     columns: Vec<String>,
     start: u64,
@@ -210,10 +213,13 @@ impl Query {
         self
     }
 
-    /// Parallelizes the plan over `workers` threads using static range
-    /// partitioning (Equation 1). Defaults to 1 (inline execution).
-    pub fn parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
+    /// Splits the plan into `parts` static range parts (Equation 1) that the
+    /// query interleaves inside its one task, batch quanta at a time, on
+    /// every terminal. Defaults to 1. Cores come from running many queries
+    /// at once (on a [`TaskScheduler`](crate::sched::TaskScheduler)), not
+    /// from this setting.
+    pub fn parallelism(mut self, parts: usize) -> Self {
+        self.parallelism = parts;
         self
     }
 
@@ -290,9 +296,11 @@ impl Query {
         Ok(())
     }
 
-    /// The single-key aggregation that `terminal` (`run`, `into_task`)
-    /// computes; group keys and top-k belong to the other terminals.
-    fn take_aggregate(&mut self, terminal: &str) -> Result<AggrSpec> {
+    /// The aggregating state machine behind `terminal` (`run`,
+    /// `into_task`): the single-key aggregation; group keys and top-k belong
+    /// to the other terminals.
+    fn aggregate_task(mut self, terminal: &str) -> Result<QueryTask> {
+        self.validate()?;
         if self.group_keys.is_some() {
             return Err(Error::plan(format!(
                 "query has group_by keys; use .run_grouped() instead of {terminal}"
@@ -303,28 +311,37 @@ impl Query {
                 "top_k applies to .rows(), not {terminal}"
             )));
         }
-        self.aggregate.take().ok_or_else(|| {
+        let spec = self.aggregate.take().ok_or_else(|| {
             Error::plan("query has no aggregate; call .aggregate(...) or use .rows()")
-        })
+        })?;
+        let sink = KeyedAggr::new(spec.group_by.into_iter().collect(), spec.aggregates);
+        Ok(QueryTask(self.pipeline(sink)?))
     }
 
     /// Pins the table's published state (unless the query carries a
     /// transaction's view) and splits the effective RID range — the
     /// requested bounds clamped to the rows visible through the pin — evenly
-    /// over `workers` (Equation 1); a range with fewer rows than workers
-    /// stays whole.
-    fn range_parts(&mut self, workers: usize) -> Result<Vec<TupleRange>> {
+    /// over `parallelism` parts (Equation 1); a range with fewer rows than
+    /// parts stays whole, an empty one has no parts.
+    fn range_parts(&mut self) -> Result<Vec<TupleRange>> {
         if self.pin.is_none() {
             self.pin = Some(self.engine.table_pin(self.table)?);
         }
         let visible = self.pin.as_ref().map_or(0, TablePin::visible_rows);
         let end = self.end.unwrap_or(visible).min(visible);
         let range = TupleRange::new(self.start.min(end), end);
-        Ok(if workers == 1 || range.len() < workers as u64 {
-            vec![range]
-        } else {
-            range.split_even(workers)
+        Ok(match range.len() {
+            0 => Vec::new(),
+            len if len < self.parallelism as u64 => vec![range],
+            _ => range.split_even(self.parallelism),
         })
+    }
+
+    /// The one place every terminal opens its scans: pins and splits the
+    /// range, then builds the query state machine feeding `sink`.
+    fn pipeline<S: Sink>(mut self, sink: S) -> Result<Pipeline<S>> {
+        let parts = self.range_parts()?;
+        Pipeline::new(self, parts, sink)
     }
 
     /// Opens the build side of the join clause, if any: a full scan of the
@@ -379,80 +396,20 @@ impl Query {
         }
     }
 
-    /// The one executor behind [`Query::run`], [`Query::run_grouped`] and
-    /// [`Query::rows`]: pin and range, then the join hash table (the build
-    /// scan registers, drains and unregisters before any probe scan opens),
-    /// then scan → probe → filter → `new_sink()` over every range part —
-    /// inline for one part, one scoped OS thread per part below the XChg
-    /// otherwise — and the partial sinks merged by the upper operator.
-    fn execute<S: Sink>(&mut self, workers: usize, new_sink: impl Fn() -> S + Sync) -> Result<S> {
-        let parts = self.range_parts(workers)?;
-        let table = match self.open_join_build()? {
-            Some((mut scan, mut build)) => {
-                while let Some(batch) = scan.next_batch()? {
-                    build.push_batch(&batch);
-                }
-                Some(Arc::new(build.finish()))
-            }
-            None => None,
-        };
-        let (query, filter) = (&*self, self.downstream_filter());
-        let run_part = |part: TupleRange| {
-            let mut scan = query.open_part(part, table.as_ref())?;
-            let mut sink = new_sink();
-            drain(scan.as_mut(), filter.as_ref(), &mut sink)?;
-            Ok(sink)
-        };
-        if let [part] = parts[..] {
-            return run_part(part);
-        }
-        let partials: Vec<Result<S>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = parts
-                .iter()
-                .filter(|part| !part.is_empty())
-                .map(|&part| scope.spawn(move || run_part(part)))
-                .collect();
-            // Every part is joined before the first failure is returned,
-            // so no worker outlives the query; a panic below a part (a
-            // policy or device bug) is that part's typed error.
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join().unwrap_or_else(|payload| {
-                        Err(Error::internal(format!(
-                            "scan worker panicked: {}",
-                            panic_message(payload)
-                        )))
-                    })
-                })
-                .collect()
-        });
-        let mut merged = new_sink();
-        for partial in partials {
-            merged.merge(partial?);
-        }
-        Ok(merged)
-    }
-
-    /// Executes the query and returns the aggregation result.
-    ///
-    /// With `parallelism > 1` the plan is duplicated below an XChg-style
-    /// exchange: the RID range is split evenly over the workers
-    /// (Equation 1), each worker runs scan → filter → partial aggregate
-    /// against the shared engine (and therefore the shared buffer-management
-    /// backend), and the partials are merged by an upper aggregation.
-    pub fn run(mut self) -> Result<AggrResult> {
-        self.validate()?;
-        let spec = self.take_aggregate(".run()")?;
-        let new_sink = || KeyedAggr::<Value>::new(spec.group_by.as_slice(), &spec.aggregates);
-        Ok(self.execute(self.parallelism, new_sink)?.groups)
+    /// Executes the query and returns the aggregation result: the
+    /// [`QueryTask`] of [`Query::into_task`], driven to completion on the
+    /// caller's thread. With `parallelism > 1` the RID range is split evenly
+    /// (Equation 1) and the parts' scans interleave inside the one task,
+    /// feeding one aggregation. A panic below the query (a policy or device
+    /// bug) is an [`Error::Internal`].
+    pub fn run(self) -> Result<AggrResult> {
+        Ok(run_to_done(self.aggregate_task(".run()")?)?.into_result())
     }
 
     /// Executes a multi-key grouped aggregation: requires [`Query::group_by`]
     /// keys and a *global* [`Query::aggregate`] spec supplying the per-group
-    /// aggregates. Parallelized exactly like [`Query::run`] (partial
-    /// grouped aggregates per Equation-1 range part, merged by an upper
-    /// GroupBy).
+    /// aggregates. Runs exactly like [`Query::run`], with every range part
+    /// feeding one grouped aggregation.
     pub fn run_grouped(mut self) -> Result<GroupedResult> {
         self.validate()?;
         if self.top_k.is_some() {
@@ -474,36 +431,30 @@ impl Query {
                 ))
             }
         };
-        let new_sink = || KeyedAggr::<Vec<Value>>::new(&keys, &aggregates);
-        Ok(self.execute(self.parallelism, new_sink)?.groups)
+        let sink = KeyedAggr::<Vec<Value>>::new(keys, aggregates);
+        Ok(run_to_done(self.pipeline(sink)?)?.sink.groups)
     }
 
-    /// Lowers the query onto the task scheduler instead of executing it
-    /// inline: validates the plan, pins the table, opens one scan per
-    /// Equation-1 range part and returns a [`QueryTask`](crate::sched::QueryTask) ready for
+    /// Lowers the query onto the task scheduler: validates the plan, pins
+    /// the table, opens one scan per Equation-1 range part and returns the
+    /// [`QueryTask`] ready for
     /// [`TaskScheduler::spawn`](crate::sched::TaskScheduler::spawn).
     ///
-    /// Semantics match [`Query::run`] exactly (same validation errors, same
-    /// results — the per-quantum [`fold_batch`](crate::ops::fold_batch) is
-    /// the keyed fold of the threaded exchange plan, and folding every part
-    /// into one map equals merging per-part partials), but execution is
-    /// cooperative: the task yields at
-    /// batch boundaries so thousands of queries share a fixed worker pool.
-    /// `parallelism` here controls how many partial scans the task
+    /// It is the very state machine [`Query::run`] drives (same validation
+    /// errors, same results), handed to the caller instead: the task yields
+    /// at batch boundaries so thousands of queries share a fixed worker
+    /// pool. `parallelism` controls how many partial scans the task
     /// *interleaves*, not how many OS threads it occupies — cross-worker
     /// parallelism comes from running many tasks, and from work stealing.
-    pub fn into_task(mut self) -> Result<crate::sched::QueryTask> {
-        self.validate()?;
-        let spec = self.take_aggregate(".into_task()")?;
-        let mut parts = self.range_parts(self.parallelism)?;
-        parts.retain(|part| !part.is_empty());
-        crate::sched::QueryTask::new(self, parts, spec)
+    pub fn into_task(self) -> Result<QueryTask> {
+        self.aggregate_task(".into_task()")
     }
 
     /// Executes the query and materializes the (filtered) rows instead of
     /// aggregating. Rows arrive in backend delivery order unless
-    /// [`Query::in_order`] is set. Single-threaded: materialization is for
-    /// result inspection, not for the throughput paths.
+    /// [`Query::in_order`] is set. Always one range part, so in-order
+    /// delivery stays in order: materialization is for result inspection,
+    /// not for the throughput paths.
     pub fn rows(mut self) -> Result<Vec<Vec<Value>>> {
         self.validate()?;
         if self.group_keys.is_some() {
@@ -511,9 +462,12 @@ impl Query {
                 "query has group_by keys; use .run_grouped() instead of .rows()",
             ));
         }
+        self.parallelism = 1;
         match self.top_k {
-            Some(spec) => Ok(self.execute(1, || TopKState::new(spec))?.finish()),
-            None => self.execute(1, Vec::new),
+            Some(spec) => Ok(run_to_done(self.pipeline(TopKState::new(spec))?)?
+                .sink
+                .finish()),
+            None => Ok(run_to_done(self.pipeline(Vec::new())?)?.sink),
         }
     }
 }
@@ -561,7 +515,6 @@ mod tests {
             chunk_tuples: 500,
             buffer_pool_bytes: 256 * 1024,
             policy,
-            threads_per_query: 4,
             ..Default::default()
         };
         (Engine::new(storage, config).unwrap(), table)
@@ -636,7 +589,6 @@ mod tests {
             chunk_tuples: 500,
             buffer_pool_bytes: 256 * 1024,
             policy,
-            threads_per_query: 4,
             ..Default::default()
         };
         (Engine::new(storage, config).unwrap(), table, dim)
@@ -872,28 +824,26 @@ mod tests {
     }
 
     #[test]
-    fn join_task_path_matches_inline_run() {
-        let (engine, lineitem, part) = engine_with_dim(PolicyKind::Lru, 3000, 8);
-        let query = || {
-            engine
-                .query(lineitem)
-                .columns(["l_flag", "l_quantity"])
-                .filter(Predicate::new(1, CompareOp::Le, 30))
-                .join(part, 0, "p_key")
-                .join_columns(["p_weight"])
-                .aggregate(AggrSpec::grouped(
-                    0,
-                    vec![Aggregate::Count, Aggregate::Sum(3)],
-                ))
-                .parallelism(2)
+    fn parallel_run_is_buffer_deterministic() {
+        // A pool a quarter the size of the scan: eviction decisions depend
+        // on the order the four parts request pages. The parts interleave
+        // inside one task on the caller's thread, so that order — and with
+        // it every hit, miss and eviction — is the same on every fresh
+        // engine.
+        let run = || {
+            let (engine, table) = engine(PolicyKind::Pbm, 120_000);
+            let result = engine
+                .query(table)
+                .columns(["l_flag", "l_quantity", "l_price"])
+                .aggregate(q1_spec())
+                .parallelism(4)
+                .run()
+                .unwrap();
+            (result, engine.buffer_stats())
         };
-        let inline = query().run().unwrap();
-        // Drive the cooperative form by hand: build quanta first, then the
-        // probe parts, exactly like a scheduler worker would.
-        use crate::sched::{Task, TaskStep};
-        let mut task = query().into_task().unwrap();
-        while !matches!(task.step().unwrap(), TaskStep::Done) {}
-        assert_eq!(task.into_result(), inline);
+        let (first, stats) = run();
+        assert!(stats.evictions > 0, "the pool is smaller than the scan");
+        assert_eq!(run(), (first, stats));
     }
 
     #[test]

@@ -30,13 +30,17 @@
 //! its handle with [`TaskOutcome::Panicked`] and the worker moves on, the
 //! cooperative analogue of the driver's caught stream panics.
 //!
-//! [`QueryTask`] lowers a builder [`Query`] onto the
-//! scheduler: the query's RID range is split into `parallelism` parts
-//! (Equation 1) forming the *per-query task queue*; each quantum produces
-//! batches from the front part and rotates it to the back, so one session
+//! The query state machine here is the engine's only query executor. It
+//! runs a builder [`Query`]: the query's RID range is split into
+//! `parallelism` parts (Equation 1) forming the *per-query task queue*;
+//! each quantum produces batches from the front part, folds them into the
+//! query's one sink and rotates the part to the back, so one session
 //! interleaves its own partial scans exactly like the scheduler interleaves
-//! sessions. It is the cooperative form of the one query pipeline in
-//! [`crate::query`]: same plan validation, same part scans, same keyed fold.
+//! sessions. [`QueryTask`] is its aggregating form, spawned on a
+//! [`TaskScheduler`]; the blocking terminals ([`Query::run`],
+//! [`Query::run_grouped`], [`Query::rows`]) drive the same machine with
+//! their own sink to completion on the caller's thread, a panic mapped to a
+//! typed error exactly as a scheduler worker maps it.
 //!
 //! [`ScanShareConfig::scheduler_workers`]: scanshare_common::ScanShareConfig::scheduler_workers
 //! [`ScanOperator`]: crate::scan::ScanOperator
@@ -51,8 +55,9 @@ use std::thread::JoinHandle;
 
 use scanshare_common::sync::Mutex;
 use scanshare_common::{Error, Result, TupleRange};
+use scanshare_storage::datagen::Value;
 
-use crate::ops::{fold_batch, AggrResult, AggrSpec, BatchSource, JoinBuild, JoinTable};
+use crate::ops::{AggrResult, BatchSource, JoinBuild, JoinTable, KeyedAggr, Sink};
 use crate::query::Query;
 
 /// How many scan batches a [`QueryTask`] produces per scheduler quantum
@@ -110,14 +115,45 @@ impl<T> TaskOutcome<T> {
     }
 }
 
-/// Extracts a readable message from a caught panic payload.
-pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Extracts a readable message from a caught panic payload (the `Err` of
+/// [`std::panic::catch_unwind`]): the `&str` or `String` a `panic!` carries,
+/// or a placeholder for any other payload type.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
         s.clone()
     } else {
         "task panicked with a non-string payload".to_string()
+    }
+}
+
+/// Runs one quantum of the task in `slot` under `catch_unwind`. `None` if it
+/// yielded (the task stays in `slot`); otherwise the task leaves `slot` and
+/// the outcome says how it ended — a failed or panicked task is dropped
+/// here, closing whatever it had open.
+fn run_quantum<T: Task>(slot: &mut Option<T>) -> Option<TaskOutcome<T>> {
+    let task = slot.as_mut().expect("task present until completion");
+    let outcome = match catch_unwind(AssertUnwindSafe(|| task.step())) {
+        Ok(Ok(TaskStep::Yield)) => return None,
+        Ok(Ok(TaskStep::Done)) => return slot.take().map(TaskOutcome::Finished),
+        Ok(Err(error)) => TaskOutcome::Failed(error),
+        Err(payload) => TaskOutcome::Panicked(panic_message(payload)),
+    };
+    *slot = None;
+    Some(outcome)
+}
+
+/// Drives `task` to [`TaskStep::Done`] on the caller's thread — how the
+/// blocking query terminals run. Every quantum runs and maps its outcome
+/// exactly as on a scheduler worker, so a panic below the task is an
+/// [`Error::Internal`], never an unwind into the caller.
+pub(crate) fn run_to_done<T: Task>(task: T) -> Result<T> {
+    let mut slot = Some(task);
+    loop {
+        if let Some(outcome) = run_quantum(&mut slot) {
+            return outcome.into_result();
+        }
     }
 }
 
@@ -190,21 +226,8 @@ struct TypedRun<T: Task> {
 
 impl<T: Task> Runnable for TypedRun<T> {
     fn run_step(&mut self, before_complete: &dyn Fn()) -> StepResult {
-        let task = self.task.as_mut().expect("task present until completion");
-        let outcome = match catch_unwind(AssertUnwindSafe(|| task.step())) {
-            Ok(Ok(TaskStep::Yield)) => return StepResult::Requeue,
-            Ok(Ok(TaskStep::Done)) => {
-                let task = self.task.take().expect("checked above");
-                TaskOutcome::Finished(task)
-            }
-            Ok(Err(error)) => {
-                self.task = None;
-                TaskOutcome::Failed(error)
-            }
-            Err(payload) => {
-                self.task = None;
-                TaskOutcome::Panicked(panic_message(payload))
-            }
+        let Some(outcome) = run_quantum(&mut self.task) else {
+            return StepResult::Requeue;
         };
         before_complete();
         self.state.complete(outcome);
@@ -473,14 +496,13 @@ fn find_work(shared: &Shared, me: usize) -> Option<Box<dyn Runnable>> {
 }
 
 // ---------------------------------------------------------------------------
-// QueryTask: a builder query as a cooperative task
+// The query state machine
 // ---------------------------------------------------------------------------
 
-/// The deferred join-build phase of a [`QueryTask`]: the build scan is
+/// The deferred join-build phase of a [`Pipeline`]: the build scan is
 /// drained cooperatively (at most [`BATCHES_PER_QUANTUM`] batches per
 /// quantum); when it runs dry the hash table is frozen, the build scan is
-/// dropped (unregistering it from the backend) and the probe scans open —
-/// the same build-then-probe sequence as the inline `Query::run` path.
+/// dropped (unregistering it from the backend) and the probe scans open.
 struct JoinPhase {
     scan: Box<dyn BatchSource + Send>,
     build: JoinBuild,
@@ -488,61 +510,45 @@ struct JoinPhase {
     parts: Vec<TupleRange>,
 }
 
-/// A builder [`Query`] lowered onto the scheduler: the
-/// morsel-driven form of [`Query::run`](crate::query::Query::run).
+/// A validated builder [`Query`] as a resumable state machine feeding one
+/// sink — the engine's only query executor (see the [module docs](self)).
 ///
-/// The query's RID range is split into `parallelism` parts exactly like the
-/// thread-based path; the parts form the query's own task queue. Each
+/// The Equation-1 range parts form the query's own task queue. Each
 /// [`Task::step`] produces up to [`BATCHES_PER_QUANTUM`] batches from the
-/// front part, folds them into the running aggregation with
-/// [`fold_batch`] — the keyed fold the inline executor's sink runs; one map
-/// fed by every part equals its merge of per-part partials, since every
-/// supported aggregate commutes — rotates the part to the back and yields.
-/// A join plan first drains its build scan through a `JoinPhase`, one
-/// quantum at a time, before the probe parts open. Obtain one
-/// with [`Query::into_task`](crate::query::Query::into_task), run it with
-/// [`TaskScheduler::spawn`], and take the result from the finished task
-/// with [`QueryTask::into_result`].
-pub struct QueryTask {
+/// front part, folds them into the sink, rotates the part to the back and
+/// yields; every sink is a function of the row multiset, so the
+/// interleaving never changes the result. A join plan first drains its build
+/// scan through a `JoinPhase`, one quantum at a time, before the probe parts
+/// open.
+pub(crate) struct Pipeline<S> {
     /// The validated query, pin already resolved; opens the part scans.
     query: Query,
     /// `Some` while a join plan is still draining its build side.
     join: Option<JoinPhase>,
     /// The open partial scans, one per Equation-1 range part.
     parts: VecDeque<Box<dyn BatchSource + Send>>,
-    spec: AggrSpec,
-    groups: AggrResult,
+    /// The one sink every part feeds.
+    pub(crate) sink: S,
 }
 
-impl std::fmt::Debug for QueryTask {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("QueryTask")
-            .field("parts_remaining", &self.parts.len())
-            .field("groups", &self.groups.len())
-            .finish()
-    }
-}
-
-impl QueryTask {
-    /// Lowers the validated, pinned `query` computing `spec` over the range
-    /// `parts`. A plain plan opens (registers) every part's scan right away;
+impl<S: Sink> Pipeline<S> {
+    /// Lowers the validated, pinned `query` over the range `parts` into
+    /// `sink`. A plain plan opens (registers) every part's scan right away;
     /// a join plan opens only the build scan and defers the probe parts to
-    /// the end of its `JoinPhase`, so the backend sees the same
-    /// register/drain/unregister-then-probe sequence as the inline path,
-    /// just interleaved with other sessions.
-    pub(crate) fn new(query: Query, parts: Vec<TupleRange>, spec: AggrSpec) -> Result<Self> {
-        let mut task = Self {
+    /// the end of its `JoinPhase`, so the backend sees the build scan
+    /// register, drain and unregister before any probe scan opens.
+    pub(crate) fn new(query: Query, parts: Vec<TupleRange>, sink: S) -> Result<Self> {
+        let mut pipeline = Self {
             join: None,
             parts: VecDeque::new(),
-            spec,
-            groups: AggrResult::new(),
+            sink,
             query,
         };
-        match task.query.open_join_build()? {
-            Some((scan, build)) => task.join = Some(JoinPhase { scan, build, parts }),
-            None => task.open_parts(parts, None)?,
+        match pipeline.query.open_join_build()? {
+            Some((scan, build)) => pipeline.join = Some(JoinPhase { scan, build, parts }),
+            None => pipeline.open_parts(parts, None)?,
         }
-        Ok(task)
+        Ok(pipeline)
     }
 
     fn open_parts(&mut self, parts: Vec<TupleRange>, table: Option<&Arc<JoinTable>>) -> Result<()> {
@@ -551,20 +557,9 @@ impl QueryTask {
         }
         Ok(())
     }
-
-    /// The aggregation accumulated so far (complete once the task has
-    /// finished).
-    pub fn result(&self) -> &AggrResult {
-        &self.groups
-    }
-
-    /// Consumes the finished task, returning the aggregation result.
-    pub fn into_result(self) -> AggrResult {
-        self.groups
-    }
 }
 
-impl Task for QueryTask {
+impl<S: Sink> Task for Pipeline<S> {
     fn step(&mut self) -> Result<TaskStep> {
         if let Some(phase) = self.join.as_mut() {
             for _ in 0..BATCHES_PER_QUANTUM {
@@ -589,7 +584,7 @@ impl Task for QueryTask {
         let filter = self.query.downstream_filter();
         for _ in 0..BATCHES_PER_QUANTUM {
             match part.next_batch()? {
-                Some(batch) => fold_batch(&mut self.groups, batch, filter.as_ref(), &self.spec),
+                Some(batch) => self.sink.fold(&batch, filter.as_ref()),
                 None => {
                     // Part exhausted; drop its operator (unregistering the
                     // scan) before deciding whether the query is done.
@@ -603,6 +598,41 @@ impl Task for QueryTask {
         }
         self.parts.push_back(part);
         Ok(TaskStep::Yield)
+    }
+}
+
+/// A builder [`Query`] lowered onto the scheduler: the aggregating form of
+/// the query state machine, the one [`Query::run`] drives on the caller's
+/// thread. Obtain one with [`Query::into_task`], run it with
+/// [`TaskScheduler::spawn`] (or step it from another task), and take the
+/// result from the finished task with [`QueryTask::into_result`].
+pub struct QueryTask(pub(crate) Pipeline<KeyedAggr<Value>>);
+
+impl std::fmt::Debug for QueryTask {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("QueryTask")
+            .field("parts_remaining", &self.0.parts.len())
+            .field("groups", &self.0.sink.groups.len())
+            .finish()
+    }
+}
+
+impl QueryTask {
+    /// The aggregation accumulated so far (complete once the task has
+    /// finished).
+    pub fn result(&self) -> &AggrResult {
+        &self.0.sink.groups
+    }
+
+    /// Consumes the finished task, returning the aggregation result.
+    pub fn into_result(self) -> AggrResult {
+        self.0.sink.groups
+    }
+}
+
+impl Task for QueryTask {
+    fn step(&mut self) -> Result<TaskStep> {
+        self.0.step()
     }
 }
 

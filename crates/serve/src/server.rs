@@ -39,7 +39,7 @@ use std::time::Duration;
 
 use scanshare_common::{Error, Result};
 use scanshare_exec::ops::AggrSpec;
-use scanshare_exec::sched::{QueryTask, SchedHandle, SchedulerStats, TaskScheduler};
+use scanshare_exec::sched::{panic_message, QueryTask, SchedHandle, SchedulerStats, TaskScheduler};
 use scanshare_exec::{Engine, Task, TaskStep};
 
 use crate::protocol::{read_frame, ErrorCode, Message};
@@ -442,15 +442,10 @@ impl Task for ServeQueryTask {
     /// the session slot is released just before it, as for any final frame).
     fn step(&mut self) -> scanshare_common::Result<TaskStep> {
         catch_unwind(AssertUnwindSafe(|| self.advance())).unwrap_or_else(|payload| {
-            let message = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("non-string panic payload");
             self.out.clear();
             self.fail(
                 ErrorCode::Internal,
-                format!("query task panicked: {message}"),
+                format!("query task panicked: {}", panic_message(payload)),
             );
             Ok(TaskStep::Yield)
         })

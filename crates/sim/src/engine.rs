@@ -18,7 +18,7 @@
 //! (`cscan_phase`: Cooperative Scans). Misses and chunk loads
 //! are served by a bandwidth-limited [`IoDevice`]; CPU work is charged per
 //! tuple, scaled by the query's CPU factor and by the effective intra-query
-//! parallelism (`min(threads_per_query, cores / streams)`).
+//! parallelism (`cores / streams`, at least 1).
 //!
 //! # Mixed read/write workloads
 //!
@@ -494,8 +494,7 @@ impl Simulation {
     }
 
     fn effective_parallelism(&self, streams: usize) -> u64 {
-        let per_stream = (self.config.cores / streams.max(1)).max(1);
-        per_stream.min(self.config.scanshare.threads_per_query) as u64
+        (self.config.cores / streams.max(1)).max(1) as u64
     }
 
     fn cpu_ns_per_tuple(&self, query: &QuerySpec, streams: usize) -> f64 {

@@ -12,11 +12,11 @@
 //! `align_up(tuples_per_page * 8, 4096)` bytes at offset
 //! `page_index * slot_bytes`: values are stored as 8-byte little-endian
 //! `i64`s (the engine's universal value representation) with zero padding up
-//! to the slot boundary. Slots are 4096-byte aligned so reads satisfy
-//! `O_DIRECT` alignment rules, and `Snapshot::page` maps to a `(file,
-//! offset)` pair by simple arithmetic. A 4096-byte footer block after the
-//! last slot records a magic number, the page count and the slot size so a
-//! cold open can sanity-check the file against the manifest.
+//! to the slot boundary. Slots are 4096-byte (block) aligned, and
+//! `Snapshot::page` maps to a `(file, offset)` pair by simple arithmetic. A
+//! 4096-byte footer block after the last slot records a magic number, the
+//! page count and the slot size so a cold open can sanity-check the file
+//! against the manifest.
 //!
 //! # Manifest
 //!
@@ -32,7 +32,7 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, RwLock};
@@ -46,8 +46,7 @@ use crate::snapshot::Snapshot;
 use crate::storage::Storage;
 use crate::zone::ZoneEntry;
 
-/// Slot (and footer) alignment in bytes; the strictest alignment `O_DIRECT`
-/// requires on common filesystems.
+/// Slot (and footer) alignment in bytes: one filesystem block.
 pub const SEGMENT_ALIGN: u64 = 4096;
 
 /// Magic bytes opening every segment footer block.
@@ -476,18 +475,10 @@ struct PageSlot {
     value_count: usize,
 }
 
-#[derive(Debug)]
-struct Segment {
-    path: PathBuf,
-    file: File,
-    /// Handle opened with `O_DIRECT`, present only while the flag is active
-    /// and the filesystem accepted it.
-    direct: Option<File>,
-}
-
 #[derive(Debug, Default)]
 struct FileMap {
-    segments: Vec<Segment>,
+    /// One open segment file per (table, column).
+    segments: Vec<File>,
     /// (table name, column index) → index into `segments`; re-materializing
     /// a table replaces its entries in place.
     seg_index: HashMap<(String, usize), usize>,
@@ -536,7 +527,6 @@ impl DecodeCache {
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
-    o_direct: AtomicBool,
     /// Bytes read off disk through this store (device reads + synchronous
     /// fallback reads).
     bytes_read: AtomicU64,
@@ -549,7 +539,6 @@ impl FileStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            o_direct: AtomicBool::new(false),
             bytes_read: AtomicU64::new(0),
             map: RwLock::new(FileMap::default()),
             cache: Mutex::new(DecodeCache {
@@ -580,46 +569,6 @@ impl FileStore {
         self.bytes_read.load(Ordering::Relaxed)
     }
 
-    /// Enables or disables `O_DIRECT` reads at runtime. Enabling opens a
-    /// second, direct handle per segment; if the platform or filesystem
-    /// rejects the flag (tmpfs, for one, does not support it) the store
-    /// stays on buffered reads. Returns whether `O_DIRECT` is active after
-    /// the call.
-    pub fn set_o_direct(&self, enabled: bool) -> bool {
-        let mut map = self.map.write();
-        if !enabled {
-            for seg in &mut map.segments {
-                seg.direct = None;
-            }
-            self.o_direct.store(false, Ordering::Relaxed);
-            return false;
-        }
-        let mut all_ok = true;
-        for seg in &mut map.segments {
-            if seg.direct.is_none() {
-                match open_direct(&seg.path) {
-                    Some(file) => seg.direct = Some(file),
-                    None => {
-                        all_ok = false;
-                        break;
-                    }
-                }
-            }
-        }
-        if !all_ok {
-            for seg in &mut map.segments {
-                seg.direct = None;
-            }
-        }
-        self.o_direct.store(all_ok, Ordering::Relaxed);
-        all_ok
-    }
-
-    /// Whether reads currently go through `O_DIRECT` handles.
-    pub fn o_direct_active(&self) -> bool {
-        self.o_direct.load(Ordering::Relaxed)
-    }
-
     /// Registers (or replaces) the mapping for one materialized table. The
     /// segment files of the given materialization version must already
     /// exist on disk.
@@ -630,7 +579,6 @@ impl FileStore {
         version: u64,
     ) -> Result<()> {
         let table_name = layout.spec().name.clone();
-        let o_direct = self.o_direct_active();
         let mut map = self.map.write();
         // Drop any previous registration of this table.
         if let Some(old_pages) = map.table_pages.remove(&table_name) {
@@ -642,10 +590,7 @@ impl FileStore {
         }
         let mut registered = Vec::new();
         for col in 0..layout.column_count() {
-            let path = self.dir.join(segment_file_name(&table_name, col, version));
-            let file = File::open(&path)?;
-            let direct = if o_direct { open_direct(&path) } else { None };
-            let segment = Segment { path, file, direct };
+            let segment = File::open(self.dir.join(segment_file_name(&table_name, col, version)))?;
             let seg_idx = match map.seg_index.get(&(table_name.clone(), col)) {
                 Some(&idx) => {
                     map.segments[idx] = segment;
@@ -704,15 +649,8 @@ impl FileStore {
         let Some(slot) = map.pages.get(&page).copied() else {
             return Ok(None);
         };
-        let segment = &map.segments[slot.segment];
-        let len = slot.slot_bytes as usize;
-        let mut raw = vec![0u8; len + SEGMENT_ALIGN as usize];
-        let shift = raw.as_ptr().align_offset(SEGMENT_ALIGN as usize);
-        let buf = &mut raw[shift..shift + len];
-        match &segment.direct {
-            Some(direct) => pread_exact(direct, buf, slot.offset)?,
-            None => pread_exact(&segment.file, buf, slot.offset)?,
-        }
+        let mut buf = vec![0u8; slot.slot_bytes as usize];
+        pread_exact(&map.segments[slot.segment], &mut buf, slot.offset)?;
         let values: Vec<Value> = buf[..slot.value_count * 8]
             .chunks_exact(8)
             .map(|c| i64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
@@ -754,35 +692,6 @@ fn pread_exact(file: &File, buf: &mut [u8], offset: u64) -> std::io::Result<()> 
         Err(std::io::Error::other(
             "positional segment reads require a unix platform",
         ))
-    }
-}
-
-/// Opens `path` with `O_DIRECT`, returning `None` if the platform or
-/// filesystem does not support it.
-fn open_direct(path: &Path) -> Option<File> {
-    #[cfg(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    ))]
-    {
-        use std::os::unix::fs::OpenOptionsExt;
-        #[cfg(target_arch = "x86_64")]
-        const O_DIRECT: i32 = 0x4000;
-        #[cfg(target_arch = "aarch64")]
-        const O_DIRECT: i32 = 0x10000;
-        OpenOptions::new()
-            .read(true)
-            .custom_flags(O_DIRECT)
-            .open(path)
-            .ok()
-    }
-    #[cfg(not(all(
-        target_os = "linux",
-        any(target_arch = "x86_64", target_arch = "aarch64")
-    )))]
-    {
-        let _ = path;
-        None
     }
 }
 
@@ -904,22 +813,6 @@ mod tests {
         let store = storage.materialize_table(id, &dir.0).unwrap();
         assert_eq!(store.read_page(PageId::new(999_999)).unwrap(), 0);
         assert!(store.page_values(PageId::new(999_999)).unwrap().is_none());
-    }
-
-    #[test]
-    fn o_direct_toggle_never_breaks_reads() {
-        let (storage, id) = sample_storage();
-        let dir = TestDir::new("odirect");
-        let store = storage.materialize_table(id, &dir.0).unwrap();
-        let snap = storage.master_snapshot(id).unwrap();
-        let page = snap.column_pages(0)[0];
-        // Whether O_DIRECT is accepted depends on the filesystem backing the
-        // temp dir (tmpfs rejects it); reads must work either way.
-        let active = store.set_o_direct(true);
-        assert_eq!(active, store.o_direct_active());
-        assert!(store.read_page(page).unwrap() > 0);
-        assert!(!store.set_o_direct(false));
-        assert!(store.read_page(page).unwrap() > 0);
     }
 
     #[test]

@@ -65,7 +65,8 @@
 //! };
 //! let engine = Engine::new(Arc::clone(&storage), config).unwrap();
 //!
-//! // SELECT count(*), sum(v) FROM t WHERE v <= 50
+//! // SELECT count(*), sum(v) FROM t WHERE v <= 50, as 4 range parts
+//! // interleaved inside the one query task
 //! let result = engine
 //!     .query(table)
 //!     .columns(["k", "v"])

@@ -392,29 +392,41 @@ fn bad_requests_get_typed_error_frames() {
     server.shutdown();
 }
 
-/// The inline path (`Query::run`, one scoped thread per range part) gives the
-/// same guarantee the served task path does: a panic below one part is a
-/// typed error to the caller, and the engine answers the next query.
+/// The blocking terminals (`Query::run`, `Query::rows`, which drive the query
+/// task on the caller's thread) give the same guarantee the served task path
+/// does, at every parallelism: a panic below the scan is a typed error to
+/// the caller, and the engine answers the next query exactly.
 #[test]
 fn a_panicking_scan_worker_is_a_typed_error_on_the_inline_path() {
-    let sum = |engine: &Arc<Engine>, table| {
-        engine
-            .query(table)
-            .columns(["l_orderkey", "l_quantity"])
+    let query =
+        |engine: &Arc<Engine>, table| engine.query(table).columns(["l_orderkey", "l_quantity"]);
+    let sum = |engine: &Arc<Engine>, table, parallelism| {
+        query(engine, table)
             .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(1)]))
-            .parallelism(4)
+            .parallelism(parallelism)
             .run()
+            .map(|groups| groups[&0].accumulators.clone())
     };
+    let rows = |engine: &Arc<Engine>, table| query(engine, table).in_order().rows();
     let (healthy, table) = build_engine();
-    let expected = sum(&healthy, table).unwrap();
+    let expected_sum = sum(&healthy, table, 1).unwrap();
+    assert_eq!(expected_sum[0], TUPLES as i64);
+    let expected_rows = rows(&healthy, table).unwrap();
+    assert_eq!(expected_rows.len() as u64, TUPLES);
+    for parallelism in [1, 4] {
+        let (engine, table) = build_panicking_engine();
+        let message = sum(&engine, table, parallelism)
+            .expect_err("the policy panics mid-scan")
+            .to_string();
+        assert!(message.contains("injected policy panic"), "{message}");
+        assert_eq!(sum(&engine, table, parallelism).unwrap(), expected_sum);
+    }
     let (engine, table) = build_panicking_engine();
-    let message = sum(&engine, table)
+    let message = rows(&engine, table)
         .expect_err("the policy panics mid-scan")
         .to_string();
     assert!(message.contains("injected policy panic"), "{message}");
-    let groups = sum(&engine, table).unwrap();
-    assert_eq!(groups[&0].count, TUPLES);
-    assert_eq!(groups[&0].accumulators, expected[&0].accumulators);
+    assert_eq!(rows(&engine, table).unwrap(), expected_rows);
 }
 
 /// Handshake violations: a wrong protocol version and a QUERY before HELLO
