@@ -4,19 +4,21 @@
 //! A pipeline is a [`BatchSource`] (a scan, optionally wrapped by the
 //! probe side of a broadcast hash join: [`JoinBuild`]/[`JoinTable`]/
 //! [`JoinSource`]), an optional [`Predicate`] and a `Sink` that consumes the
-//! surviving rows — the predicate is a *selection* the sink iterates
-//! (`Predicate::selected`), never a filtered copy of the batch. There is
-//! one sink per kind of result: the keyed
-//! aggregation `KeyedAggr` — generic over the group key, a plain [`Value`]
-//! for the optional key column of an [`AggrSpec`] and a `Vec<Value>` for the
-//! composite key of `Query::group_by` — the top-k selection [`TopKState`]
-//! and plain row collection. Every sink folds one batch at a time — one sink
-//! is fed by every range part of a query — and every one is a
-//! deterministic function of the input *multiset*: grouped results are
-//! ordered maps, top-k breaks value ties by full-row lexicographic order,
-//! and join buckets are sorted at build finish — so out-of-order delivery
-//! (Cooperative Scans) and the interleaving of parts cannot change any
-//! result.
+//! surviving rows — the predicate becomes a *selection vector* the sink
+//! iterates (`selection`: the kept positions, computed without a branch per
+//! row), never a filtered copy of the batch. An ungrouped aggregate folds
+//! the selection one column at a time into its one group; a grouped one
+//! looks its group up per selected row. There is one sink per kind of
+//! result: the keyed aggregation `KeyedAggr` — generic over the group key, a
+//! plain [`Value`] for the optional key column of an [`AggrSpec`] and a
+//! `Vec<Value>` for the composite key of `Query::group_by` — the top-k
+//! selection [`TopKState`] and plain row collection. Every sink folds one
+//! batch at a time — one sink is fed by every range part of a query — and
+//! every one is a deterministic function of the input *multiset*: grouped
+//! results are ordered maps, top-k breaks value ties by full-row
+//! lexicographic order, and join buckets are sorted at build finish — so
+//! out-of-order delivery (Cooperative Scans) and the interleaving of parts
+//! cannot change any result.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
@@ -100,18 +102,34 @@ impl Predicate {
             CompareOp::Eq => v == self.value,
         }
     }
+}
 
-    /// The selection `filter` makes on `batch`: the positions of the rows
-    /// that satisfy it, ascending; no filter selects every row.
-    pub(crate) fn selected<'a>(
-        filter: Option<&'a Predicate>,
-        batch: &'a Batch,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let tested = filter.map(|pred| (pred, batch.column(pred.column)));
-        (0..batch.len()).filter(move |&row| match tested {
-            Some((pred, column)) => pred.matches(column[row]),
-            None => true,
-        })
+/// The selection vector `filter` makes on `batch`: the positions of the
+/// rows that satisfy it, ascending; no filter selects every row. Branch-free:
+/// the operator is matched once per batch, and every row writes its
+/// position and advances the cursor by its own `matches` as 0 or 1, so a
+/// filter that keeps about half the rows costs what one that keeps all does.
+pub(crate) fn selection(filter: Option<&Predicate>, batch: &Batch) -> Vec<usize> {
+    fn select(column: &[Value], keep: impl Fn(Value) -> bool) -> Vec<usize> {
+        let mut sel = vec![0; column.len()];
+        let mut k = 0;
+        for (i, &v) in column.iter().enumerate() {
+            sel[k] = i;
+            k += keep(v) as usize;
+        }
+        sel.truncate(k);
+        sel
+    }
+    let Some(pred) = filter else {
+        return (0..batch.len()).collect();
+    };
+    let (column, c) = (batch.column(pred.column), pred.value);
+    match pred.op {
+        CompareOp::Lt => select(column, |v| v < c),
+        CompareOp::Le => select(column, |v| v <= c),
+        CompareOp::Gt => select(column, |v| v > c),
+        CompareOp::Ge => select(column, |v| v >= c),
+        CompareOp::Eq => select(column, |v| v == c),
     }
 }
 
@@ -234,11 +252,36 @@ fn fold_keyed<K: GroupKey>(
     batch: &Batch,
     filter: Option<&Predicate>,
 ) {
-    for row in Predicate::selected(filter, batch) {
-        let entry = groups
-            .entry(K::read(keys, batch, row))
-            .or_insert_with(|| new_group_state(aggregates));
-        accumulate_row(entry, aggregates, batch, row);
+    let sel = selection(filter, batch);
+    if !keys.is_empty() {
+        for &row in &sel {
+            let entry = groups
+                .entry(K::read(keys, batch, row))
+                .or_insert_with(|| new_group_state(aggregates));
+            accumulate_row(entry, aggregates, batch, row);
+        }
+        return;
+    }
+    // Ungrouped: one group, so one map entry per batch and one loop over the
+    // selection per aggregate, with `accumulate_row`'s arithmetic.
+    let Some(&first) = sel.first() else {
+        return;
+    };
+    let entry = groups
+        .entry(K::read(keys, batch, first))
+        .or_insert_with(|| new_group_state(aggregates));
+    entry.count += sel.len() as u64;
+    let selected = |c: usize| {
+        let column = batch.column(c);
+        sel.iter().map(move |&row| column[row])
+    };
+    for (acc, agg) in entry.accumulators.iter_mut().zip(aggregates.iter()) {
+        match *agg {
+            Aggregate::Count => *acc += sel.len() as Value,
+            Aggregate::Sum(c) => *acc = selected(c).fold(*acc, |a, v| a + v),
+            Aggregate::Min(c) => *acc = selected(c).fold(*acc, Value::min),
+            Aggregate::Max(c) => *acc = selected(c).fold(*acc, Value::max),
+        }
     }
 }
 
@@ -277,7 +320,11 @@ impl<K: GroupKey> Sink for KeyedAggr<K> {
 /// Plain row collection, in delivery order.
 impl Sink for Vec<Vec<Value>> {
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
-        self.extend(Predicate::selected(filter, batch).map(|row| batch.row(row)));
+        self.extend(
+            selection(filter, batch)
+                .into_iter()
+                .map(|row| batch.row(row)),
+        );
     }
 }
 
@@ -393,8 +440,11 @@ impl TopKState {
 
 impl Sink for TopKState {
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>) {
-        self.rows
-            .extend(Predicate::selected(filter, batch).map(|row| batch.row(row)));
+        self.rows.extend(
+            selection(filter, batch)
+                .into_iter()
+                .map(|row| batch.row(row)),
+        );
         if self.rows.len() > self.spec.k.saturating_mul(2).max(1024) {
             self.compact();
         }
@@ -470,7 +520,7 @@ impl JoinTable {
     pub fn probe(&self, batch: &Batch, key_col: usize, filter: Option<&Predicate>) -> Batch {
         let probe_width = batch.width();
         let mut columns: Vec<Vec<Value>> = vec![Vec::new(); probe_width + self.width];
-        for row in Predicate::selected(filter, batch) {
+        for row in selection(filter, batch) {
             let Some(bucket) = self.map.get(&batch.value(row, key_col)) else {
                 continue;
             };
@@ -556,17 +606,68 @@ mod tests {
         )
     }
 
+    /// The selection vector `pred` makes on a one-column batch of `values`,
+    /// checked against a row-at-a-time `Predicate::matches`.
+    fn checked_selection(pred: Predicate, values: &[Value]) -> Vec<usize> {
+        let batch = Batch::new(vec![values.to_vec()]);
+        let sel = selection(Some(&pred), &batch);
+        let oracle: Vec<usize> = (0..values.len())
+            .filter(|&row| pred.matches(values[row]))
+            .collect();
+        assert_eq!(sel, oracle, "{pred:?} on {values:?}");
+        sel
+    }
+
     #[test]
-    fn predicate_masks_rows() {
-        let p = Predicate::new(1, CompareOp::Gt, 25);
+    fn selection_at_the_constant_for_every_operator() {
+        // Below, at and above the constant 5, twice over in mixed order.
+        let values = [4, 5, 6, 6, 5, 4];
+        for (op, expected) in [
+            (CompareOp::Lt, vec![0, 5]),
+            (CompareOp::Le, vec![0, 1, 4, 5]),
+            (CompareOp::Gt, vec![2, 3]),
+            (CompareOp::Ge, vec![1, 2, 3, 4]),
+            (CompareOp::Eq, vec![1, 4]),
+        ] {
+            assert_eq!(
+                checked_selection(Predicate::new(0, op, 5), &values),
+                expected
+            );
+        }
+    }
+
+    #[test]
+    fn selection_without_filter_keeps_every_row() {
         let batch = Batch::new(vec![vec![0, 1, 0], vec![10, 30, 50]]);
-        let selected = |filter| Predicate::selected(filter, &batch).collect::<Vec<_>>();
-        assert_eq!(selected(Some(&p)), vec![1, 2]);
-        assert_eq!(selected(None), vec![0, 1, 2]);
-        assert!(Predicate::new(0, CompareOp::Eq, 1).matches(1));
-        assert!(Predicate::new(0, CompareOp::Le, 1).matches(1));
-        assert!(!Predicate::new(0, CompareOp::Lt, 1).matches(1));
-        assert!(Predicate::new(0, CompareOp::Ge, 1).matches(2));
+        assert_eq!(selection(None, &batch), vec![0, 1, 2]);
+        assert!(selection(None, &Batch::empty(2)).is_empty());
+    }
+
+    #[test]
+    fn selection_of_none_and_of_all() {
+        let values = [i64::MIN, -1, 0, 7, i64::MAX];
+        assert!(checked_selection(Predicate::new(0, CompareOp::Lt, i64::MIN), &values).is_empty());
+        assert!(checked_selection(Predicate::new(0, CompareOp::Eq, 3), &values).is_empty());
+        let all = checked_selection(Predicate::new(0, CompareOp::Le, i64::MAX), &values);
+        assert_eq!(all, vec![0, 1, 2, 3, 4]);
+        // The predicate reads its own column of a wider batch.
+        let batch = Batch::new(vec![vec![9, 9, 9], vec![1, 2, 3]]);
+        let pred = Predicate::new(1, CompareOp::Ge, 2);
+        assert_eq!(selection(Some(&pred), &batch), vec![1, 2]);
+    }
+
+    #[test]
+    fn global_aggregate_that_selects_nothing_creates_no_group() {
+        let spec = AggrSpec::global(vec![Aggregate::Count, Aggregate::Min(1)]);
+        let mut groups = AggrResult::new();
+        let batch = Batch::new(vec![vec![0, 1, 0], vec![10, 30, 50]]);
+        let filter = Predicate::new(1, CompareOp::Gt, 50);
+        fold_batch(&mut groups, batch.clone(), Some(&filter), &spec);
+        assert!(groups.is_empty());
+        // A later batch that does select still starts the one group fresh.
+        fold_batch(&mut groups, batch, None, &spec);
+        assert_eq!(groups[&0].count, 3);
+        assert_eq!(groups[&0].accumulators, vec![3, 10]);
     }
 
     #[test]

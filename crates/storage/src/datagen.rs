@@ -8,8 +8,10 @@
 //! Appended and checkpointed pages store their values explicitly (see
 //! [`crate::storage`]).
 
+use scanshare_common::{Error, Result};
+
 /// The value type used throughout the execution engine. Decimals are scaled
-//  integers and strings are dictionary codes, as is usual in columnar
+/// integers and strings are dictionary codes, as is usual in columnar
 /// engines.
 pub type Value = i64;
 
@@ -65,16 +67,13 @@ impl DataGen {
                 start.wrapping_add(step.wrapping_mul(sid as i64))
             }
             DataGen::Uniform { min, max } => {
-                debug_assert!(max >= min);
-                let span = (max - min) as u64 + 1;
                 let h = splitmix64(sid ^ seed.rotate_left(17));
-                min + (h % span) as i64
+                min.wrapping_add((h % span(min, max)) as i64)
             }
             DataGen::Cyclic { period, min, max } => {
-                debug_assert!(period > 0 && max >= min);
-                let span = (max - min) as u64 + 1;
+                debug_assert!(period > 0);
                 let pos = sid % period;
-                min + (pos * span / period.max(1)) as i64
+                min.wrapping_add((pos * span(min, max) / period) as i64)
             }
             DataGen::Constant(v) => v,
             DataGen::Zipfian { span } => {
@@ -95,8 +94,81 @@ impl DataGen {
     /// [`DataGen::value`] gives, generated straight into the caller's
     /// buffer (a scan fills its batch column with exactly the sids it
     /// needs instead of materializing the page around them).
+    ///
+    /// One kernel per variant, chosen once per call: everything that does
+    /// not depend on the sid is hoisted, and `Cyclic` steps its quotient and
+    /// remainder per sid instead of dividing. [`DataGen::value`] is the
+    /// definition; the two agree bit for bit on every generator
+    /// [`DataGen::validate`] accepts.
     pub fn fill(&self, seed: u64, start: u64, end: u64, out: &mut Vec<Value>) {
-        out.extend((start..end).map(|sid| self.value(seed, sid)));
+        let sids = start..end;
+        match *self {
+            DataGen::Sequential { start, step } => {
+                out.extend(sids.map(|sid| start.wrapping_add(step.wrapping_mul(sid as i64))));
+            }
+            DataGen::Uniform { min, max } => {
+                let span = span(min, max);
+                let key = seed.rotate_left(17);
+                out.extend(sids.map(|sid| min.wrapping_add((splitmix64(sid ^ key) % span) as i64)));
+            }
+            DataGen::Cyclic { period, min, max } => {
+                // Position `pos` of the cycle maps to `q = pos·span / period`
+                // with remainder `r`; one step adds `span / period` and
+                // `span % period` and carries. `validate` guarantees
+                // `period·span` fits, so nothing here overflows.
+                let span = span(min, max);
+                let (dq, dr) = (span / period, span % period);
+                let mut pos = start % period;
+                let (mut q, mut r) = (pos * span / period, pos * span % period);
+                out.extend(sids.map(|_| {
+                    let v = min.wrapping_add(q as i64);
+                    pos += 1;
+                    if pos == period {
+                        (pos, q, r) = (0, 0, 0);
+                    } else {
+                        q += dq;
+                        r += dr;
+                        if r >= period {
+                            r -= period;
+                            q += 1;
+                        }
+                    }
+                    v
+                }));
+            }
+            DataGen::Constant(v) => out.resize(out.len() + sids.count(), v),
+            DataGen::Zipfian { .. } => out.extend(sids.map(|sid| self.value(seed, sid))),
+        }
+    }
+
+    /// Rejects parameters under which [`DataGen::value`] would panic or
+    /// produce a value outside the `[min, max]` its
+    /// [`zone_entry`](DataGen::zone_entry) reports: `max < min`, a
+    /// `[min, max]` of more than 2⁶⁴ values, a `Cyclic` period of 0 or whose
+    /// `period · span` overflows `u64`, and a `Zipfian` span of 0 or above
+    /// `i64::MAX`.
+    pub fn validate(&self) -> Result<()> {
+        let span_of = |min: i64, max: i64| {
+            if max < min {
+                return Err(Error::config(format!("{self:?}: max is below min")));
+            }
+            u64::try_from(max as i128 - min as i128 + 1)
+                .map_err(|_| Error::config(format!("{self:?}: [min, max] holds 2^64 values")))
+        };
+        match *self {
+            DataGen::Sequential { .. } | DataGen::Constant(_) => Ok(()),
+            DataGen::Uniform { min, max } => span_of(min, max).map(drop),
+            DataGen::Cyclic { period, min, max } => match period.checked_mul(span_of(min, max)?) {
+                Some(_) if period > 0 => Ok(()),
+                _ => Err(Error::config(format!(
+                    "{self:?}: period must be at least 1 and period × span fit in u64"
+                ))),
+            },
+            DataGen::Zipfian { span } if (1..=i64::MAX as u64).contains(&span) => Ok(()),
+            DataGen::Zipfian { .. } => Err(Error::config(format!(
+                "{self:?}: span must be in [1, i64::MAX]"
+            ))),
+        }
     }
 
     /// Materializes the generator for `sids` in `[start, end)`.
@@ -132,10 +204,10 @@ impl DataGen {
                 // Exact when the range stays within one cycle (positions are
                 // monotone); otherwise the chunk sees the whole span.
                 if period > 0 && first / period == last / period {
-                    let span = (max - min) as u64 + 1;
-                    let lo = min + (first % period * span / period) as i64;
-                    let hi = min + (last % period * span / period) as i64;
-                    ZoneEntry { min: lo, max: hi }
+                    ZoneEntry {
+                        min: self.value(0, first),
+                        max: self.value(0, last),
+                    }
                 } else {
                     ZoneEntry { min, max }
                 }
@@ -147,6 +219,13 @@ impl DataGen {
             },
         }
     }
+}
+
+/// The number of values in `[min, max]`. Wrapping, so a span above
+/// `i64::MAX` comes out right; [`DataGen::validate`] rejects `max < min`
+/// and the 2⁶⁴-value span this cannot represent.
+fn span(min: i64, max: i64) -> u64 {
+    (max.wrapping_sub(min) as u64).wrapping_add(1)
 }
 
 /// SplitMix64: a small, fast, well-distributed 64-bit mixer. Used so that
@@ -273,6 +352,140 @@ mod tests {
                     );
                 }
             }
+        }
+    }
+
+    /// The oracle for the per-variant kernels: `fill` must give exactly the
+    /// per-sid `value` of every accepted generator — random spans (1
+    /// included) and periods (1 and periods above the span included),
+    /// starts at and past 2⁴⁰, one-sid fills (what the PDT merge asks at a
+    /// touched position) and fills appended to a non-empty buffer.
+    #[test]
+    fn fill_equals_value_for_every_variant() {
+        let mut state = 0x5eed_u64;
+        let mut next = || {
+            state = splitmix64(state);
+            state
+        };
+        let extremes = [
+            DataGen::Uniform {
+                min: i64::MIN,
+                max: i64::MAX - 1,
+            },
+            DataGen::Cyclic {
+                period: 1,
+                min: i64::MIN,
+                max: i64::MAX - 1,
+            },
+            DataGen::Cyclic {
+                period: u64::MAX,
+                min: 5,
+                max: 5,
+            },
+            DataGen::Zipfian {
+                span: i64::MAX as u64,
+            },
+            DataGen::Sequential {
+                start: i64::MAX,
+                step: i64::MIN + 3,
+            },
+        ];
+        for case in 0..2_000u64 {
+            let span = match next() % 4 {
+                0 => 1,
+                1 => 1 + next() % 16,
+                2 => 1 + next() % 100_000,
+                _ => 1 + next() % (1 << 40),
+            };
+            let min = (next() % (1 << 41)) as i64 - (1 << 40);
+            let max = min + (span - 1) as i64;
+            let period = match next() % 4 {
+                0 => 1,
+                1 => 1 + next() % 8,
+                // Above the span (unless the span is above 2^20, which
+                // keeps period · span inside u64).
+                2 => span.min(1 << 20) + 1 + next() % 1_000,
+                _ => 1 + next() % 5_000,
+            };
+            let gen = match case % 5 {
+                0 => DataGen::Sequential {
+                    start: next() as i64,
+                    step: (next() % 2_001) as i64 - 1_000,
+                },
+                1 => DataGen::Uniform { min, max },
+                2 => DataGen::Cyclic { period, min, max },
+                3 => DataGen::Constant(next() as i64),
+                _ => DataGen::Zipfian { span },
+            };
+            let gen = if case % 50 == 49 {
+                extremes[(case / 50) as usize % extremes.len()]
+            } else {
+                gen
+            };
+            gen.validate().unwrap();
+            let start = match next() % 4 {
+                0 => next() % 10_000,
+                1 => 1 << 40,
+                2 => (1 << 40) + next() % 10_000,
+                _ => (1 << 40) + next() % (1 << 40),
+            };
+            let len = match next() % 4 {
+                0 => 1,
+                1 => next() % 3,
+                _ => next() % 3_000,
+            };
+            let seed = next();
+            let prefix: Vec<Value> = (0..case % 3).map(|i| i as Value - 7).collect();
+            let mut out = prefix.clone();
+            gen.fill(seed, start, start + len, &mut out);
+            let expected: Vec<Value> = prefix
+                .iter()
+                .copied()
+                .chain((start..start + len).map(|sid| gen.value(seed, sid)))
+                .collect();
+            assert_eq!(out, expected, "{gen:?} seed {seed} sids {start}+{len}");
+        }
+    }
+
+    /// The edges of `validate` (the storage tests cover one rejected
+    /// generator per way of failing): the last accepted parameters and the
+    /// first rejected ones.
+    #[test]
+    fn validate_draws_the_line_at_the_edges() {
+        for ok in [
+            DataGen::Uniform { min: 3, max: 3 },
+            DataGen::Uniform {
+                min: i64::MIN + 1,
+                max: i64::MAX,
+            },
+            DataGen::Cyclic {
+                period: u64::MAX,
+                min: 0,
+                max: 0,
+            },
+            DataGen::Zipfian { span: 1 },
+            DataGen::Zipfian {
+                span: i64::MAX as u64,
+            },
+        ] {
+            assert!(ok.validate().is_ok(), "{ok:?}");
+        }
+        for bad in [
+            DataGen::Cyclic {
+                period: 1,
+                min: 1,
+                max: 0,
+            },
+            DataGen::Cyclic {
+                period: u64::MAX,
+                min: 0,
+                max: 1,
+            },
+            DataGen::Zipfian {
+                span: i64::MAX as u64 + 1,
+            },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
         }
     }
 

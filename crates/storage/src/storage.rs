@@ -377,7 +377,9 @@ impl Storage {
     }
 
     /// Creates a table whose base data is produced by the given generators
-    /// (one per column).
+    /// (one per column). Fails with [`Error::InvalidConfig`] on a generator
+    /// count that does not match the columns or on a generator
+    /// [`DataGen::validate`] rejects.
     pub fn create_table_with_data(
         self: &Arc<Self>,
         spec: TableSpec,
@@ -390,6 +392,10 @@ impl Storage {
                 spec.columns.len(),
                 generators.len()
             )));
+        }
+        for (col, gen) in generators.iter().enumerate() {
+            gen.validate()
+                .map_err(|e| Error::config(format!("table {} column {col}: {e}", spec.name)))?;
         }
         let stable = spec.base_tuples;
         let mut inner = self.inner.write();
@@ -867,6 +873,62 @@ mod tests {
             .create_table_with_data(two_col_spec(10), vec![DataGen::Constant(1)])
             .unwrap_err();
         assert!(err.to_string().contains("generators"));
+    }
+
+    /// Creating a table whose second column uses `gen` fails with
+    /// `InvalidConfig` and registers nothing: the same name then works.
+    fn assert_generator_rejected(gen: DataGen) {
+        let storage = small_storage();
+        let seq = DataGen::Sequential { start: 0, step: 1 };
+        let err = storage
+            .create_table_with_data(two_col_spec(100), vec![seq, gen])
+            .unwrap_err();
+        assert!(matches!(err, Error::InvalidConfig(_)), "{gen:?}: {err}");
+        assert!(err.to_string().contains("column 1"), "{err}");
+        storage
+            .create_table_with_data(two_col_spec(100), vec![seq, DataGen::Constant(1)])
+            .unwrap();
+    }
+
+    #[test]
+    fn cyclic_period_zero_is_rejected() {
+        // Would divide by zero inside a scan worker on the first read.
+        assert_generator_rejected(DataGen::Cyclic {
+            period: 0,
+            min: 0,
+            max: 9,
+        });
+    }
+
+    #[test]
+    fn zipfian_span_zero_is_rejected() {
+        // Would panic in `clamp(0, -1)`.
+        assert_generator_rejected(DataGen::Zipfian { span: 0 });
+    }
+
+    #[test]
+    fn uniform_max_below_min_is_rejected() {
+        // Would wrap to values outside the zone entry's `[min, max]`.
+        assert_generator_rejected(DataGen::Uniform { min: 10, max: 9 });
+    }
+
+    #[test]
+    fn cyclic_period_times_span_overflow_is_rejected() {
+        // `pos * span` would wrap for the late positions of the cycle.
+        assert_generator_rejected(DataGen::Cyclic {
+            period: 1 << 40,
+            min: 0,
+            max: 1 << 30,
+        });
+    }
+
+    #[test]
+    fn span_beyond_u64_is_rejected() {
+        // 2^64 values: `max - min + 1` wraps to 0, a remainder by zero.
+        assert_generator_rejected(DataGen::Uniform {
+            min: i64::MIN,
+            max: i64::MAX,
+        });
     }
 
     #[test]
