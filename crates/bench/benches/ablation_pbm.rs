@@ -55,7 +55,7 @@ use scanshare_core::lru::LruPolicy;
 use scanshare_core::pbm::{PbmConfig, PbmPolicy};
 use scanshare_core::policy::ReplacementPolicy;
 use scanshare_core::registry::{pbm_config_for, PolicyRegistry};
-use scanshare_core::ShardedPool;
+use scanshare_core::BufferPool;
 use scanshare_sim::{ExperimentScale, SimConfig, Simulation};
 use scanshare_storage::storage::Storage;
 use scanshare_workload::microbench::{self, MicrobenchConfig};
@@ -71,7 +71,7 @@ fn replay(
     policy: Box<dyn ReplacementPolicy>,
     report_progress: bool,
 ) -> u64 {
-    let pool = ShardedPool::new(pool_pages, page_size, policy, 1);
+    let pool = BufferPool::new(pool_pages, page_size, policy);
     let now = VirtualInstant::EPOCH;
     // Build per-stream page queues (streams interleave page by page).
     let mut queues: Vec<Vec<(scanshare_common::ScanId, scanshare_common::PageId, u64)>> =

@@ -161,26 +161,6 @@ pub struct ScanShareConfig {
     /// `prefetch_hints` (PBM ranks by predicted next-consumption time, LRU
     /// falls back to sequential readahead).
     pub prefetch_pages: usize,
-    /// Number of independently-locked shards the execution engine's buffer
-    /// management is partitioned into. For the page-level policies this
-    /// shards the pool's page table (residency, pinning, statistics); under
-    /// Cooperative Scans it shards the ABM's chunk directory (per-scan
-    /// progress and delivery) the same way. In both cases decisions stay
-    /// *globally exact*: the replacement policy / relevance core observes
-    /// the same event sequence it would see with a single shard, so hit
-    /// counts and the total I/O volume are identical for every shard
-    /// count — sharding changes contention, never decisions. `1` (the
-    /// default) reproduces the fully serialized structures. The
-    /// discrete-event simulator is single-threaded and ignores this knob.
-    pub pool_shards: usize,
-    /// Maximum number of ABM chunk loads the Cooperative Scans backend
-    /// keeps in flight on the I/O device at once (the load scheduler's
-    /// window). `1` (the default) reproduces the paper-faithful
-    /// one-load-at-a-time model — load decisions are then byte-identical
-    /// to the monolithic ABM's, which the simulator-parity tests rely on;
-    /// larger windows pipeline several chunk transfers behind concurrent
-    /// streams' consumption. Ignored by the page-level policies.
-    pub cscan_load_window: usize,
     /// Name of a custom replacement policy registered with a
     /// `PolicyRegistry`, overriding the page-level policy that `policy`
     /// would select. The engine keeps `policy`'s family semantics (OPT trace
@@ -245,8 +225,6 @@ impl Default for ScanShareConfig {
             cpu_tuples_per_sec: 250_000_000,
             policy: PolicyKind::Pbm,
             prefetch_pages: 0,
-            pool_shards: 1,
-            cscan_load_window: 1,
             custom_policy: None,
             device: DeviceKind::Sim,
             io_workers: 4,
@@ -283,12 +261,6 @@ impl ScanShareConfig {
                  fills free capacity (prefetch never evicts), so a window at least as \
                  large as the pool can never be satisfied",
             ));
-        }
-        if self.pool_shards == 0 {
-            return Err(Error::config("pool_shards must be at least 1"));
-        }
-        if self.cscan_load_window == 0 {
-            return Err(Error::config("cscan_load_window must be at least 1"));
         }
         if self.custom_policy.is_some() && self.policy == PolicyKind::CScan {
             return Err(Error::config(
@@ -335,21 +307,6 @@ impl ScanShareConfig {
     /// disables prefetching.
     pub fn with_prefetch_pages(mut self, pages: usize) -> Self {
         self.prefetch_pages = pages;
-        self
-    }
-
-    /// Returns a copy with a different buffer shard count (see
-    /// [`ScanShareConfig::pool_shards`]); `1` restores the single-lock pool.
-    pub fn with_pool_shards(mut self, shards: usize) -> Self {
-        self.pool_shards = shards;
-        self
-    }
-
-    /// Returns a copy with a different Cooperative Scans load window (see
-    /// [`ScanShareConfig::cscan_load_window`]); `1` restores the
-    /// one-load-at-a-time model.
-    pub fn with_cscan_load_window(mut self, window: usize) -> Self {
-        self.cscan_load_window = window;
         self
     }
 
@@ -467,37 +424,12 @@ mod tests {
             .with_policy(PolicyKind::Lru)
             .with_bandwidth(Bandwidth::from_mb_per_sec(200.0))
             .with_buffer_pool_bytes(1 << 20)
-            .with_prefetch_pages(3)
-            .with_pool_shards(4);
+            .with_prefetch_pages(3);
         assert_eq!(cfg.policy, PolicyKind::Lru);
         assert_eq!(cfg.buffer_pool_bytes, 1 << 20);
         assert_eq!(cfg.io_bandwidth.mb_per_sec(), 200.0);
         assert_eq!(cfg.prefetch_pages, 3);
-        assert_eq!(cfg.pool_shards, 4);
         cfg.validate().unwrap();
-    }
-
-    #[test]
-    fn cscan_load_window_defaults_to_one_and_zero_is_rejected() {
-        assert_eq!(ScanShareConfig::default().cscan_load_window, 1);
-        let bad = ScanShareConfig::default().with_cscan_load_window(0);
-        assert!(bad.validate().is_err());
-        ScanShareConfig::default()
-            .with_cscan_load_window(8)
-            .validate()
-            .unwrap();
-    }
-
-    #[test]
-    fn pool_shards_default_to_one_and_zero_is_rejected() {
-        assert_eq!(ScanShareConfig::default().pool_shards, 1);
-        let bad = ScanShareConfig::default().with_pool_shards(0);
-        assert!(bad.validate().is_err());
-        // Shard counts beyond the page count are pointless but harmless.
-        ScanShareConfig::default()
-            .with_pool_shards(1024)
-            .validate()
-            .unwrap();
     }
 
     #[test]

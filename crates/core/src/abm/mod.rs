@@ -1,5 +1,4 @@
-//! Cooperative Scans: the Active Buffer Manager (ABM), decomposed for the
-//! concurrent core.
+//! Cooperative Scans: the Active Buffer Manager (ABM).
 //!
 //! Under Cooperative Scans the buffer manager stops being a passive cache:
 //! CScan operators register their data interest up front
@@ -15,44 +14,18 @@
 //!
 //! # Layering
 //!
-//! The original implementation was one 1.3k-line state machine behind a
-//! single mutex, which serialized every concurrent CScan stream. It is now
-//! three layers:
-//!
-//! * `directory` — the **chunk directory**: per-scan progress and the
-//!   chunk residency / usefulness cells, sharded across N
-//!   independently-locked shards (`ScanShareConfig::pool_shards` in the
-//!   engine). Chunk delivery — the hot path under multi-stream load — takes
-//!   only the shard owning the scan;
-//! * [`relevance`] — the **relevance core's scoring**: QueryRelevance,
-//!   LoadRelevance, UseRelevance and KeepRelevance as pure, lock-free,
-//!   unit-testable functions;
-//! * [`scheduler`] — the **load scheduler**: chunk loads issued through
-//!   [`IoDevice::submit_async`](scanshare_iosim::IoDevice::submit_async)
-//!   with a bounded in-flight window, so starved streams retire each
-//!   other's loads instead of spin-polling one lock.
-//!
-//! # The event-queue invariance trick
-//!
-//! Sharding must not change what the ABM *decides* — the paper's figures
-//! hinge on exact I/O-volume accounting. The directory therefore reuses the
-//! order-preserving buffered event queue that
-//! [`ShardedPool`](crate::sharded::ShardedPool) introduced for the page
-//! pool: the delivery fast path updates shard-local state and the shared
-//! atomic usefulness counters eagerly, but *buffers* the membership side
-//! effect (removing the scan from the chunk's interested set) tagged with a
-//! global sequence number. Every decision path — load planning, eviction,
-//! registration, unregistration — first takes all shard locks (ascending),
-//! drains the buffers and replays the events in sequence order against the
-//! single-lock relevance state, then decides. The core therefore observes
-//! exactly the interest sets a single-lock ABM would at every decision
-//! point, for every shard count: chunk-delivery order, load plans and I/O
-//! volume are byte-identical to the pre-refactor monolithic implementation
-//! (kept as the executable spec in `tests/abm_reference`), which
-//! `tests/abm_equivalence.rs` asserts over randomized traces at 1/2/8
-//! shards.
+//! * this module — the ABM's state: per-scan progress and the per-version
+//!   chunk table (residency, interested scans, cached pages), all behind
+//!   **one lock**. Every operation, delivery included, applies its effects
+//!   immediately, so decisions are byte-identical to the frozen monolithic
+//!   original kept as the executable spec in `tests/abm_reference`
+//!   (`tests/abm_equivalence.rs` asserts this over randomized traces);
+//! * [`relevance`] — QueryRelevance, LoadRelevance, UseRelevance and
+//!   KeepRelevance as pure, unit-testable functions;
+//! * [`scheduler`] — the **load scheduler**: one chunk load at a time issued
+//!   through [`BlockDevice::submit_read`](scanshare_iosim::BlockDevice::submit_read),
+//!   so starved streams retire each other's loads instead of spin-polling.
 
-mod directory;
 pub mod relevance;
 pub mod scheduler;
 
@@ -62,7 +35,7 @@ use std::cmp::Reverse;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use scanshare_common::sync::{Mutex, MutexGuard};
+use scanshare_common::sync::Mutex;
 use scanshare_common::{
     ChunkId, Error, PageId, RangeList, Result, ScanId, TableId, VirtualInstant,
 };
@@ -70,7 +43,6 @@ use scanshare_storage::layout::{ChunkMap, TableLayout};
 use scanshare_storage::snapshot::Snapshot;
 
 use crate::metrics::BufferStats;
-use directory::{ChunkDirectory, ChunkFlags, DirEvent, DirShard, ScanSlot};
 
 /// Tuning knobs of the Active Buffer Manager.
 #[derive(Debug, Clone, PartialEq)]
@@ -81,10 +53,6 @@ pub struct AbmConfig {
     pub page_size_bytes: u64,
     /// Extra load-relevance weight given to shared chunks.
     pub shared_chunk_bonus: f64,
-    /// Number of independently-locked chunk-directory shards (see the
-    /// module docs). `1` reproduces a fully serialized directory; any
-    /// count produces identical decisions.
-    pub directory_shards: usize,
 }
 
 impl AbmConfig {
@@ -94,14 +62,7 @@ impl AbmConfig {
             buffer_capacity_bytes,
             page_size_bytes,
             shared_chunk_bonus: 0.5,
-            directory_shards: 1,
         }
-    }
-
-    /// Returns a copy with a different directory shard count.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.directory_shards = shards;
-        self
     }
 }
 
@@ -160,8 +121,16 @@ pub struct ChunkDelivery {
 }
 
 // ---------------------------------------------------------------------------
-// Relevance-core state (single lock, decisions only)
+// State (one lock)
 // ---------------------------------------------------------------------------
+
+/// Where a chunk's data is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Residency {
+    Empty,
+    Loading,
+    Cached,
+}
 
 #[derive(Debug)]
 struct CoreChunk {
@@ -172,14 +141,13 @@ struct CoreChunk {
     cached_pages: HashSet<PageId>,
     /// Full page set of a load in flight (set while loading).
     pending_pages: Vec<PageId>,
-    /// Scans that still need to consume this chunk (the authoritative
-    /// membership behind the shared interest counter).
+    /// Scans that still need to consume this chunk; its size is the
+    /// usefulness count behind Use/Load/KeepRelevance.
     interested: HashSet<ScanId>,
     /// Whether the chunk lies inside the longest snapshot prefix shared by
     /// at least two registered scans.
     shared: bool,
-    /// The residency/usefulness cell shared with the directory shards.
-    flags: Arc<ChunkFlags>,
+    residency: Residency,
 }
 
 impl CoreChunk {
@@ -189,7 +157,7 @@ impl CoreChunk {
             pending_pages: Vec::new(),
             interested: HashSet::new(),
             shared: false,
-            flags: Arc::new(ChunkFlags::new()),
+            residency: Residency::Empty,
         }
     }
 }
@@ -217,28 +185,66 @@ struct CoreScan {
     request: CScanRequest,
     chunk_map: Arc<ChunkMap>,
     version: usize,
+    /// Chunks not yet delivered, with the tuple count needed from each.
+    needed: HashMap<ChunkId, u64>,
+    /// Chunk ids in ascending (table) order, for in-order delivery.
+    order: Vec<ChunkId>,
+    next_in_order: usize,
+    /// Number of still-needed chunks that are currently cached. A cached
+    /// chunk that is the *only* available chunk of some scan must not be
+    /// evicted before that scan consumes it (otherwise two starved scans
+    /// can keep evicting each other's freshly loaded chunks forever).
+    cached_available: usize,
 }
 
 #[derive(Debug)]
-struct AbmCore {
+struct AbmState {
     scans: HashMap<ScanId, CoreScan>,
     tables: HashMap<TableId, TableState>,
-    /// Decision-side counters (misses, loads, evictions, I/O volume); the
-    /// delivery hit counters live in the directory shards.
     stats: BufferStats,
     cached_bytes: u64,
     next_scan: u64,
 }
 
-impl AbmCore {
-    fn new() -> Self {
-        Self {
-            scans: HashMap::new(),
-            tables: HashMap::new(),
-            stats: BufferStats::default(),
-            cached_bytes: 0,
-            next_scan: 0,
+impl AbmState {
+    /// The chunk table of the version `scan` reads.
+    fn version_of(&self, scan: &CoreScan) -> Option<&VersionState> {
+        self.tables
+            .get(&scan.request.table)
+            .and_then(|t| t.versions.get(scan.version))
+    }
+
+    /// The state of `chunk` in the version `scan` reads.
+    fn chunk_of(&self, scan: ScanId, chunk: ChunkId) -> Option<&CoreChunk> {
+        self.version_of(self.scans.get(&scan)?)?.chunks.get(&chunk)
+    }
+
+    /// UseRelevance: the cached chunk `scan` should process next — the
+    /// cached needed chunk with the lowest
+    /// [`use_preference`](relevance::use_preference) key; for in-order scans
+    /// only the next sequential chunk qualifies.
+    fn cached_candidate(&self, scan: ScanId) -> Option<ChunkId> {
+        let state = self.scans.get(&scan)?;
+        let version = self.version_of(state)?;
+        let cached = |chunk: &ChunkId| {
+            version
+                .chunks
+                .get(chunk)
+                .filter(|c| c.residency == Residency::Cached)
+        };
+        if state.request.in_order {
+            let next = state.order.get(state.next_in_order)?;
+            return cached(next).map(|_| *next);
         }
+        state
+            .needed
+            .keys()
+            .filter_map(|&chunk| {
+                let interest = cached(&chunk)?.interested.len();
+                Some((relevance::use_preference(interest, chunk), chunk))
+            })
+            .min_by_key(|(key, _)| *key)
+            .map(|(_, chunk)| chunk)
     }
 
     fn reindex_versions(&mut self, table: TableId) {
@@ -302,68 +308,21 @@ impl AbmCore {
             self.recompute_shared_prefix_for_table(table);
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// The facade
-// ---------------------------------------------------------------------------
-
-/// The Active Buffer Manager, decomposed into a sharded chunk directory, a
-/// pure [`relevance`] core and (via [`scheduler::LoadScheduler`]) an
-/// asynchronous load pipeline. All methods take `&self`: one `Abm` is
-/// shared by every CScan stream of an engine without an outer lock.
-#[derive(Debug)]
-pub struct Abm {
-    config: AbmConfig,
-    directory: ChunkDirectory,
-    core: Mutex<AbmCore>,
-}
-
-/// Every lock held at once, with all pending directory events already
-/// replayed: the state a single-lock ABM would be in. Shard locks are
-/// always taken in ascending index order, then the core.
-struct Locked<'a> {
-    shards: Vec<MutexGuard<'a, DirShard>>,
-    core: MutexGuard<'a, AbmCore>,
-}
-
-impl<'a> Locked<'a> {
-    fn shard_index(&self, scan: ScanId) -> usize {
-        directory::shard_of(scan, self.shards.len())
-    }
-
-    fn slot(&self, scan: ScanId) -> Option<&ScanSlot> {
-        self.shards[self.shard_index(scan)].scans.get(&scan)
-    }
-
-    fn slot_mut(&mut self, scan: ScanId) -> Option<&mut ScanSlot> {
-        let idx = self.shard_index(scan);
-        self.shards[idx].scans.get_mut(&scan)
-    }
 
     /// QueryRelevance: starved queries first (they have no cached chunk to
     /// process), then queries with the fewest chunks left.
     fn query_relevance(&self, scan: ScanId) -> Option<(bool, i64)> {
-        let slot = self.slot(scan)?;
-        if slot.needed.is_empty() {
+        let state = self.scans.get(&scan)?;
+        if state.needed.is_empty() {
             return None;
         }
-        let starved = slot.cached_candidate().is_none();
-        Some(relevance::query_priority(starved, slot.needed.len()))
+        let starved = self.cached_candidate(scan).is_none();
+        Some(relevance::query_priority(starved, state.needed.len()))
     }
 
     /// LoadRelevance of `chunk` for the version of `scan`.
     fn load_relevance(&self, scan: ScanId, chunk: ChunkId, config: &AbmConfig) -> f64 {
-        let Some(state) = self.core.scans.get(&scan) else {
-            return 0.0;
-        };
-        let Some(chunk_state) = self
-            .core
-            .tables
-            .get(&state.request.table)
-            .and_then(|t| t.versions.get(state.version))
-            .and_then(|v| v.chunks.get(&chunk))
-        else {
+        let Some(chunk_state) = self.chunk_of(scan, chunk) else {
             return 0.0;
         };
         relevance::load_relevance(
@@ -380,7 +339,6 @@ impl<'a> Locked<'a> {
     fn next_load(&mut self, config: &AbmConfig) -> Option<LoadPlan> {
         // Rank queries: starved first, then shortest remaining, then id.
         let mut candidates: Vec<(bool, i64, ScanId)> = self
-            .core
             .scans
             .keys()
             .filter_map(|&id| {
@@ -399,24 +357,29 @@ impl<'a> Locked<'a> {
     }
 
     fn plan_load_for(&mut self, scan_id: ScanId, config: &AbmConfig) -> Option<LoadPlan> {
-        let table = self.core.scans.get(&scan_id)?.request.table;
-        let version_idx = self.core.scans.get(&scan_id)?.version;
+        let state = self.scans.get(&scan_id)?;
+        let table = state.request.table;
+        let version_idx = state.version;
 
         // Candidate chunks: not cached, not loading.
-        let slot = self.slot(scan_id)?;
-        let loadable: Vec<ChunkId> = if slot.in_order {
-            slot.order
-                .get(slot.next_in_order)
+        let version = self.version_of(state)?;
+        let is_loadable = |c: &ChunkId| {
+            version
+                .chunks
+                .get(c)
+                .map(|cs| cs.residency == Residency::Empty)
+                .unwrap_or(false)
+        };
+        let loadable: Vec<ChunkId> = if state.request.in_order {
+            state
+                .order
+                .get(state.next_in_order)
                 .into_iter()
                 .copied()
-                .filter(|c| slot.flags.get(c).map(|f| f.is_loadable()).unwrap_or(false))
+                .filter(is_loadable)
                 .collect()
         } else {
-            slot.needed
-                .keys()
-                .copied()
-                .filter(|c| slot.flags.get(c).map(|f| f.is_loadable()).unwrap_or(false))
-                .collect()
+            state.needed.keys().copied().filter(is_loadable).collect()
         };
         if loadable.is_empty() {
             return None;
@@ -435,8 +398,7 @@ impl<'a> Locked<'a> {
         // this chunk, minus what is already resident in the buffer (pages
         // on chunk boundaries or shared between snapshot versions are not
         // read twice).
-        let state = self.core.scans.get(&scan_id)?;
-        let table_state = self.core.tables.get(&table)?;
+        let table_state = self.tables.get(&table)?;
         let chunk_state = table_state
             .versions
             .get(version_idx)?
@@ -444,16 +406,12 @@ impl<'a> Locked<'a> {
             .get(&best_chunk)?;
         let mut pages: BTreeSet<PageId> = BTreeSet::new();
         for interested in &chunk_state.interested {
-            if let Some(other) = self.core.scans.get(interested) {
-                for &p in other.chunk_map.pages(best_chunk) {
-                    pages.insert(p);
-                }
+            if let Some(other) = self.scans.get(interested) {
+                pages.extend(other.chunk_map.pages(best_chunk));
             }
         }
         if pages.is_empty() {
-            for &p in state.chunk_map.pages(best_chunk) {
-                pages.insert(p);
-            }
+            pages.extend(state.chunk_map.pages(best_chunk));
         }
         let full_pages: Vec<PageId> = pages.iter().copied().collect();
         let new_pages: Vec<PageId> = pages
@@ -465,14 +423,12 @@ impl<'a> Locked<'a> {
         // Make room, evicting chunks whose KeepRelevance is lower than the
         // candidate's LoadRelevance (forced if the requesting scan is
         // starved).
-        let starved = self.slot(scan_id)?.cached_candidate().is_none();
+        let starved = self.cached_candidate(scan_id).is_none();
         if !self.make_room(
             bytes,
             load_relevance,
             starved,
-            table,
-            version_idx,
-            best_chunk,
+            (table, version_idx, best_chunk),
             config,
         ) {
             return None;
@@ -480,12 +436,11 @@ impl<'a> Locked<'a> {
 
         // Mark loading.
         let chunk_state = self
-            .core
             .tables
             .get_mut(&table)
             .and_then(|t| t.versions.get_mut(version_idx))
             .and_then(|v| v.chunks.get_mut(&best_chunk))?;
-        chunk_state.flags.set_loading();
+        chunk_state.residency = Residency::Loading;
         chunk_state.pending_pages = full_pages;
 
         Some(LoadPlan {
@@ -499,42 +454,35 @@ impl<'a> Locked<'a> {
 
     /// Evicts cached chunks until `bytes` more fit in the buffer. Only
     /// chunks scoring below `load_relevance` are evicted unless `force` is
-    /// set (the requesting query is starved). Returns whether enough space
-    /// is free.
-    #[allow(clippy::too_many_arguments)]
+    /// set (the requesting query is starved); `skip` (table, version,
+    /// chunk) is the chunk being admitted. Returns whether enough space is
+    /// free.
     fn make_room(
         &mut self,
         bytes: u64,
         load_relevance: f64,
         force: bool,
-        skip_table: TableId,
-        skip_version: usize,
-        skip_chunk: ChunkId,
+        skip: (TableId, usize, ChunkId),
         config: &AbmConfig,
     ) -> bool {
-        let capacity = config.buffer_capacity_bytes;
-        let shared_bonus = config.shared_chunk_bonus;
-        while self.core.cached_bytes + bytes > capacity {
+        while self.cached_bytes + bytes > config.buffer_capacity_bytes {
             // Find the cached, unprotected chunk with the lowest
             // KeepRelevance; ties are broken by (table, version, chunk) so
             // the decision is deterministic.
             let mut victim: Option<(f64, TableId, usize, ChunkId)> = None;
-            for (&table, table_state) in self.core.tables.iter() {
+            for (&table, table_state) in self.tables.iter() {
                 for (vidx, version) in table_state.versions.iter().enumerate() {
                     for (&chunk, chunk_state) in &version.chunks {
-                        if !chunk_state.flags.is_cached() {
-                            continue;
-                        }
-                        if table == skip_table && vidx == skip_version && chunk == skip_chunk {
-                            continue;
-                        }
-                        if self.is_protected(chunk_state) {
+                        if chunk_state.residency != Residency::Cached
+                            || (table, vidx, chunk) == skip
+                            || self.is_protected(chunk_state)
+                        {
                             continue;
                         }
                         let keep = relevance::keep_relevance(
                             chunk_state.interested.len(),
                             chunk_state.shared,
-                            shared_bonus,
+                            config.shared_chunk_bonus,
                         );
                         let candidate = (keep, table, vidx, chunk);
                         let better = match &victim {
@@ -563,7 +511,7 @@ impl<'a> Locked<'a> {
                 return false;
             }
             let freed = self.evict_chunk(table, vidx, chunk, config);
-            self.core.stats.evictions += freed / config.page_size_bytes;
+            self.stats.evictions += freed / config.page_size_bytes;
         }
         true
     }
@@ -574,7 +522,8 @@ impl<'a> Locked<'a> {
     /// scans and a small pool) can livelock the ABM.
     fn is_protected(&self, chunk_state: &CoreChunk) -> bool {
         chunk_state.interested.iter().any(|scan| {
-            self.slot(*scan)
+            self.scans
+                .get(scan)
                 .map(|s| s.cached_available <= 1)
                 .unwrap_or(false)
         })
@@ -589,8 +538,7 @@ impl<'a> Locked<'a> {
         chunk: ChunkId,
         config: &AbmConfig,
     ) -> u64 {
-        let page_size = config.page_size_bytes;
-        let Some(table_state) = self.core.tables.get_mut(&table) else {
+        let Some(table_state) = self.tables.get_mut(&table) else {
             return 0;
         };
         let Some(chunk_state) = table_state
@@ -600,29 +548,36 @@ impl<'a> Locked<'a> {
         else {
             return 0;
         };
-        if !chunk_state.flags.is_cached() {
+        if chunk_state.residency != Residency::Cached {
             return 0;
         }
         let pages: Vec<PageId> = chunk_state.cached_pages.drain().collect();
         let interested: Vec<ScanId> = chunk_state.interested.iter().copied().collect();
-        chunk_state.flags.set_empty();
+        chunk_state.residency = Residency::Empty;
         let mut freed = 0u64;
         for page in pages {
             if let Some(count) = table_state.resident_pages.get_mut(&page) {
                 *count -= 1;
                 if *count == 0 {
                     table_state.resident_pages.remove(&page);
-                    freed += page_size;
+                    freed += config.page_size_bytes;
                 }
             }
         }
         for scan_id in interested {
-            if let Some(slot) = self.slot_mut(scan_id) {
-                slot.cached_available = slot.cached_available.saturating_sub(1);
+            if let Some(scan) = self.scans.get_mut(&scan_id) {
+                scan.cached_available = scan.cached_available.saturating_sub(1);
             }
         }
-        self.core.cached_bytes -= freed;
+        self.cached_bytes -= freed;
         freed
+    }
+
+    /// Counts a finished transfer in the I/O statistics.
+    fn account_load(&mut self, plan: &LoadPlan) {
+        self.stats.misses += 1;
+        self.stats.pages_loaded += plan.pages.len() as u64;
+        self.stats.io_bytes += plan.bytes;
     }
 
     /// Marks a chunk load as finished. The chunk's pages now occupy buffer
@@ -631,19 +586,19 @@ impl<'a> Locked<'a> {
     fn complete_load(&mut self, plan: &LoadPlan, config: &AbmConfig) -> Result<()> {
         // Resolve the target version through the planning scan when it is
         // still registered. A scan may unregister (mid-flight abort, a
-        // dropped operator) while its load sits in the scheduler's window;
-        // the transfer still happened, so fall back to whichever version of
-        // the table has the chunk mid-load — the load completes for the
-        // surviving interested scans instead of poisoning the pipeline.
-        // (The frozen `MonolithicAbm` errors here instead; its synchronous
-        // callers completed every load before the scan could go away.)
-        let version_idx = match self.core.scans.get(&plan.scan) {
+        // dropped operator) while its load is in flight; the transfer still
+        // happened, so fall back to whichever version of the table has the
+        // chunk mid-load — the load completes for the surviving interested
+        // scans instead of poisoning the pipeline. (The frozen
+        // `MonolithicAbm` errors here instead; its synchronous callers
+        // completed every load before the scan could go away.)
+        let version_idx = match self.scans.get(&plan.scan) {
             Some(scan) => Some(scan.version),
-            None => self.core.tables.get(&plan.table).and_then(|t| {
+            None => self.tables.get(&plan.table).and_then(|t| {
                 t.versions.iter().position(|v| {
                     v.chunks
                         .get(&plan.chunk)
-                        .map(|c| c.flags.is_loading())
+                        .map(|c| c.residency == Residency::Loading)
                         .unwrap_or(false)
                 })
             }),
@@ -653,14 +608,10 @@ impl<'a> Locked<'a> {
             // registered scan): there is nothing left to cache, but the
             // bytes were transferred — account them so the ABM and the
             // device keep agreeing on the I/O volume.
-            self.core.stats.misses += 1;
-            self.core.stats.pages_loaded += plan.pages.len() as u64;
-            self.core.stats.io_bytes += plan.bytes;
+            self.account_load(plan);
             return Ok(());
         };
-        let page_size = config.page_size_bytes;
         let table_state = self
-            .core
             .tables
             .get_mut(&plan.table)
             .ok_or(Error::UnknownTable(plan.table))?;
@@ -669,18 +620,16 @@ impl<'a> Locked<'a> {
             .get_mut(version_idx)
             .and_then(|v| v.chunks.get_mut(&plan.chunk))
             .ok_or(Error::UnknownChunk(plan.chunk))?;
-        if !chunk_state.flags.is_loading() {
+        if chunk_state.residency != Residency::Loading {
             // The chunk is not mid-load: a straggler fallback (above) raced
             // this completion, or the registration is new. Re-applying the
             // completion side effects would double-count cached_available —
             // and silently defeat the is_protected anti-livelock rule — so
             // only account the transferred bytes.
-            self.core.stats.misses += 1;
-            self.core.stats.pages_loaded += plan.pages.len() as u64;
-            self.core.stats.io_bytes += plan.bytes;
+            self.account_load(plan);
             return Ok(());
         }
-        chunk_state.flags.set_cached();
+        chunk_state.residency = Residency::Cached;
         let full_pages = std::mem::take(&mut chunk_state.pending_pages);
         let interested: Vec<ScanId> = chunk_state.interested.iter().copied().collect();
         let mut newly_resident = 0u64;
@@ -689,97 +638,69 @@ impl<'a> Locked<'a> {
             let count = table_state.resident_pages.entry(page).or_insert(0);
             *count += 1;
             if *count == 1 {
-                newly_resident += page_size;
+                newly_resident += config.page_size_bytes;
             }
         }
         // The chunk is now available to every scan that still needs it.
         for scan_id in interested {
-            if let Some(slot) = self.slot_mut(scan_id) {
-                slot.cached_available += 1;
+            if let Some(scan) = self.scans.get_mut(&scan_id) {
+                scan.cached_available += 1;
             }
         }
-        self.core.cached_bytes += newly_resident;
-        self.core.stats.misses += 1;
-        self.core.stats.pages_loaded += plan.pages.len() as u64;
-        self.core.stats.io_bytes += plan.bytes;
+        self.cached_bytes += newly_resident;
+        self.account_load(plan);
         Ok(())
     }
 }
 
+// ---------------------------------------------------------------------------
+// The facade
+// ---------------------------------------------------------------------------
+
+/// The Active Buffer Manager: its state behind one lock, the pure
+/// [`relevance`] scoring and (via [`scheduler::LoadScheduler`]) an
+/// asynchronous load pipeline. All methods take `&self`: one `Abm` is
+/// shared by every CScan stream of an engine without an outer lock.
+#[derive(Debug)]
+pub struct Abm {
+    config: AbmConfig,
+    state: Mutex<AbmState>,
+}
+
 impl Abm {
-    /// Creates an ABM managing a buffer of `config.buffer_capacity_bytes`,
-    /// with its chunk directory partitioned into `config.directory_shards`
-    /// lock domains.
+    /// Creates an ABM managing a buffer of `config.buffer_capacity_bytes`.
     pub fn new(config: AbmConfig) -> Self {
         assert!(config.buffer_capacity_bytes >= config.page_size_bytes);
-        let shards = config.directory_shards;
         Self {
-            directory: ChunkDirectory::new(shards),
-            core: Mutex::new(AbmCore::new()),
+            state: Mutex::new(AbmState {
+                scans: HashMap::new(),
+                tables: HashMap::new(),
+                stats: BufferStats::default(),
+                cached_bytes: 0,
+                next_scan: 0,
+            }),
             config,
         }
     }
 
-    /// Takes every lock (shards in ascending order, then the core) and
-    /// replays all buffered delivery events in global arrival order,
-    /// leaving the relevance core in exactly the state a single-lock ABM
-    /// would be in.
-    fn lock_all(&self) -> Locked<'_> {
-        let mut shards = self.directory.lock_shards();
-        let pending = ChunkDirectory::take_events(&mut shards);
-        let mut core = self.core.lock();
-        for (_, event) in pending {
-            let DirEvent::Delivered { scan, chunk } = event;
-            let Some((table, version)) =
-                core.scans.get(&scan).map(|s| (s.request.table, s.version))
-            else {
-                continue;
-            };
-            if let Some(chunk_state) = core
-                .tables
-                .get_mut(&table)
-                .and_then(|t| t.versions.get_mut(version))
-                .and_then(|v| v.chunks.get_mut(&chunk))
-            {
-                chunk_state.interested.remove(&scan);
-            }
-        }
-        Locked { shards, core }
-    }
-
-    /// Drains and replays all buffered delivery events (bounding buffer
-    /// memory on delivery-heavy workloads).
-    fn drain_events(&self) {
-        drop(self.lock_all());
-    }
-
-    /// Number of chunk-directory shards.
-    pub fn shard_count(&self) -> usize {
-        self.directory.shard_count()
-    }
-
-    /// Accumulated statistics (`io_bytes` is the total I/O volume). Hits
-    /// are aggregated from the directory shards, everything else from the
-    /// relevance core.
+    /// Accumulated statistics (`io_bytes` is the total I/O volume).
     pub fn stats(&self) -> BufferStats {
-        let mut total = self.directory.stats();
-        total.merge(&self.core.lock().stats);
-        total
+        self.state.lock().stats
     }
 
     /// Bytes currently cached.
     pub fn cached_bytes(&self) -> u64 {
-        self.core.lock().cached_bytes
+        self.state.lock().cached_bytes
     }
 
     /// Number of registered CScans.
     pub fn registered_scans(&self) -> usize {
-        self.core.lock().scans.len()
+        self.state.lock().scans.len()
     }
 
     /// Number of distinct table versions registered for `table`.
     pub fn version_count(&self, table: TableId) -> usize {
-        self.core
+        self.state
             .lock()
             .tables
             .get(&table)
@@ -789,7 +710,7 @@ impl Abm {
 
     /// Number of leading chunks of `table` currently marked shared.
     pub fn shared_prefix_chunks(&self, table: TableId) -> u32 {
-        self.core
+        self.state
             .lock()
             .tables
             .get(&table)
@@ -799,20 +720,10 @@ impl Abm {
 
     /// Whether `chunk` of the version used by `scan` is cached.
     pub fn chunk_is_cached(&self, scan: ScanId, chunk: ChunkId) -> bool {
-        if let Some(cached) = self.directory.chunk_flag_cached(scan, chunk) {
-            return cached;
-        }
-        // The chunk is outside the scan's registered set (or the scan is
-        // unknown): answer from the version-level chunk table.
-        let core = self.core.lock();
-        let Some(state) = core.scans.get(&scan) else {
-            return false;
-        };
-        core.tables
-            .get(&state.request.table)
-            .and_then(|t| t.versions.get(state.version))
-            .and_then(|v| v.chunks.get(&chunk))
-            .map(|c| c.flags.is_cached())
+        self.state
+            .lock()
+            .chunk_of(scan, chunk)
+            .map(|c| c.residency == Residency::Cached)
             .unwrap_or(false)
     }
 
@@ -842,20 +753,18 @@ impl Abm {
         }
         order.sort_unstable();
 
-        let mut locked = self.lock_all();
-        let id = ScanId::new(locked.core.next_scan);
-        locked.core.next_scan += 1;
+        let mut state = self.state.lock();
+        let id = ScanId::new(state.next_scan);
+        state.next_scan += 1;
         // The id is consumed even for an empty registration, exactly as the
         // monolithic ABM allocated it before validating.
         if chunk_ids.is_empty() {
             return Err(Error::plan("CScan covers no chunks"));
         }
-        let table = request.table;
-        let in_order = request.in_order;
 
         // Find or create the table version this snapshot belongs to
         // (checkpoint cases (i), (ii) and (iv) of Section 2.1).
-        let table_state = locked.core.tables.entry(table).or_default();
+        let table_state = state.tables.entry(request.table).or_default();
         let version = match table_state
             .versions
             .iter()
@@ -871,16 +780,18 @@ impl Abm {
                 table_state.versions.len() - 1
             }
         };
-        table_state.versions[version].scans.insert(id);
-        let mut flags = HashMap::with_capacity(order.len());
-        for &chunk in order.iter() {
-            let chunk_state = table_state.versions[version]
+        let version_state = &mut table_state.versions[version];
+        version_state.scans.insert(id);
+        // Some of the requested chunks may already be cached (loaded for
+        // other scans or by a previous query on the same table version).
+        let mut cached_available = 0;
+        for &chunk in &order {
+            let chunk_state = version_state
                 .chunks
                 .entry(chunk)
                 .or_insert_with(CoreChunk::new);
             chunk_state.interested.insert(id);
-            chunk_state.flags.add_interest();
-            flags.insert(chunk, Arc::clone(&chunk_state.flags));
+            cached_available += usize::from(chunk_state.residency == Residency::Cached);
         }
 
         let handle = CScanHandle {
@@ -888,33 +799,19 @@ impl Abm {
             total_chunks: order.len(),
             total_tuples,
         };
-        // Some of the requested chunks may already be cached (loaded for
-        // other scans or by a previous query on the same table version).
-        let cached_available = order
-            .iter()
-            .filter(|c| flags.get(c).map(|f| f.is_cached()).unwrap_or(false))
-            .count();
-        locked.core.scans.insert(
+        state.scans.insert(
             id,
             CoreScan {
                 request,
                 chunk_map,
                 version,
-            },
-        );
-        let shard_idx = locked.shard_index(id);
-        locked.shards[shard_idx].scans.insert(
-            id,
-            ScanSlot {
                 needed,
                 order,
                 next_in_order: 0,
                 cached_available,
-                in_order,
-                flags,
             },
         );
-        locked.core.recompute_shared_prefixes();
+        state.recompute_shared_prefixes();
         Ok(handle)
     }
 
@@ -922,22 +819,15 @@ impl Abm {
     /// metadata of table versions that no longer have any registered scan
     /// is destroyed, as described for PDT checkpoints.
     pub fn unregister_cscan(&self, scan: ScanId) -> Result<()> {
-        let mut locked = self.lock_all();
-        let state = locked
-            .core
-            .scans
-            .remove(&scan)
-            .ok_or(Error::UnknownScan(scan))?;
-        let shard_idx = locked.shard_index(scan);
-        locked.shards[shard_idx].scans.remove(&scan);
-        let table = state.request.table;
-        if let Some(table_state) = locked.core.tables.get_mut(&table) {
-            if let Some(version) = table_state.versions.get_mut(state.version) {
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        let removed = state.scans.remove(&scan).ok_or(Error::UnknownScan(scan))?;
+        let table = removed.request.table;
+        if let Some(table_state) = state.tables.get_mut(&table) {
+            if let Some(version) = table_state.versions.get_mut(removed.version) {
                 version.scans.remove(&scan);
                 for chunk in version.chunks.values_mut() {
-                    if chunk.interested.remove(&scan) {
-                        chunk.flags.remove_interest();
-                    }
+                    chunk.interested.remove(&scan);
                 }
             }
             // Drop versions without scans, releasing their cached bytes via
@@ -963,15 +853,14 @@ impl Abm {
                 }
             }
             table_state.versions = kept;
-            let empty = table_state.versions.is_empty();
-            locked.core.cached_bytes -= freed;
-            if empty {
-                locked.core.tables.remove(&table);
+            state.cached_bytes -= freed;
+            if table_state.versions.is_empty() {
+                state.tables.remove(&table);
             }
         }
         // Version indices of remaining scans may have shifted.
-        locked.core.reindex_versions(table);
-        locked.core.recompute_shared_prefix_for_table(table);
+        state.reindex_versions(table);
+        state.recompute_shared_prefix_for_table(table);
         Ok(())
     }
 
@@ -982,69 +871,72 @@ impl Abm {
     /// Chooses the next chunk to load (the
     /// QueryRelevance → LoadRelevance → KeepRelevance pipeline).
     pub fn next_load(&self, _now: VirtualInstant) -> Option<LoadPlan> {
-        let mut locked = self.lock_all();
-        locked.next_load(&self.config)
+        self.state.lock().next_load(&self.config)
     }
 
     /// Marks a chunk load as finished (the caller performed and accounted
     /// the actual transfer).
     pub fn complete_load(&self, plan: &LoadPlan, _now: VirtualInstant) -> Result<()> {
-        let mut locked = self.lock_all();
-        locked.complete_load(plan, &self.config)
+        self.state.lock().complete_load(plan, &self.config)
     }
 
     /// Hands the best cached chunk to `scan` (`GetChunk`). Returns `None`
     /// if nothing it needs is cached (the scan should block) or if it
-    /// already received everything. This is the sharded fast path: only the
-    /// shard owning `scan` is locked.
+    /// already received everything.
     pub fn get_chunk(&self, scan: ScanId) -> Result<Option<ChunkDelivery>> {
-        let (delivery, flush) = self.directory.try_deliver(scan)?;
-        if flush {
-            self.drain_events();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
+        if !state.scans.contains_key(&scan) {
+            return Err(Error::UnknownScan(scan));
         }
-        Ok(delivery)
+        let Some(chunk) = state.cached_candidate(scan) else {
+            return Ok(None);
+        };
+        let scan_state = state.scans.get_mut(&scan).expect("checked above");
+        let tuples = scan_state.needed.remove(&chunk).unwrap_or(0);
+        if scan_state.request.in_order {
+            scan_state.next_in_order += 1;
+        }
+        // The delivered chunk was one of this scan's cached-available chunks.
+        scan_state.cached_available = scan_state.cached_available.saturating_sub(1);
+        let (table, version) = (scan_state.request.table, scan_state.version);
+        state.stats.hits += 1;
+        if let Some(chunk_state) = state
+            .tables
+            .get_mut(&table)
+            .and_then(|t| t.versions.get_mut(version))
+            .and_then(|v| v.chunks.get_mut(&chunk))
+        {
+            chunk_state.interested.remove(&scan);
+        }
+        Ok(Some(ChunkDelivery { chunk, tuples }))
     }
 
     /// Whether a chunk is currently cached and available for `scan` (a
     /// non-consuming variant of [`Abm::get_chunk`]).
     pub fn has_cached_chunk(&self, scan: ScanId) -> bool {
-        self.directory.has_cached_chunk(scan)
+        self.state.lock().cached_candidate(scan).is_some()
     }
 
-    /// Whether `scan` has received every chunk it registered for.
+    /// Whether `scan` has received every chunk it registered for (unknown
+    /// scans count as finished).
     pub fn is_finished(&self, scan: ScanId) -> bool {
-        self.directory.is_finished(scan)
+        self.remaining_chunks(scan) == 0
     }
 
     /// Number of chunks `scan` still needs.
     pub fn remaining_chunks(&self, scan: ScanId) -> usize {
-        self.directory.remaining_chunks(scan)
-    }
-
-    /// Distinct pages `scan` still has to consume, in ascending order (the
-    /// sharing-potential sampling input of Figures 17/18).
-    pub fn outstanding_pages(&self, scan: ScanId) -> Vec<PageId> {
-        let needed = self.directory.needed_chunks(scan);
-        if needed.is_empty() {
-            return Vec::new();
-        }
-        let core = self.core.lock();
-        let Some(state) = core.scans.get(&scan) else {
-            return Vec::new();
-        };
-        let mut pages: Vec<PageId> = needed
-            .iter()
-            .flat_map(|chunk| state.chunk_map.pages(*chunk).iter().copied())
-            .collect();
-        pages.sort_unstable();
-        pages.dedup();
-        pages
+        self.state
+            .lock()
+            .scans
+            .get(&scan)
+            .map(|s| s.needed.len())
+            .unwrap_or(0)
     }
 
     #[cfg(test)]
     pub(crate) fn plan_load_for(&self, scan: ScanId) -> Option<LoadPlan> {
-        let mut locked = self.lock_all();
-        locked.plan_load_for(scan, &self.config)
+        self.state.lock().plan_load_for(scan, &self.config)
     }
 }
 
@@ -1100,10 +992,8 @@ mod tests {
         }
     }
 
-    /// Every test runs the decomposed ABM with a 2-way sharded directory, so
-    /// the event-queue replay path is always exercised.
     fn abm(capacity_bytes: u64) -> Abm {
-        Abm::new(AbmConfig::new(capacity_bytes, PAGE).with_shards(2))
+        Abm::new(AbmConfig::new(capacity_bytes, PAGE))
     }
 
     fn now() -> VirtualInstant {
@@ -1418,37 +1308,12 @@ mod tests {
         assert!(abm.is_finished(ScanId::new(99)));
         assert_eq!(abm.remaining_chunks(ScanId::new(99)), 0);
         assert!(!abm.has_cached_chunk(ScanId::new(99)));
-        assert!(abm.outstanding_pages(ScanId::new(99)).is_empty());
-    }
-
-    #[test]
-    fn outstanding_pages_shrink_as_chunks_are_delivered() {
-        let (storage, table) = setup(5_000);
-        let abm = abm(1 << 22);
-        let handle = abm
-            .register_cscan(request(&storage, table, TupleRange::new(0, 5_000), false))
-            .unwrap();
-        let initial = abm.outstanding_pages(handle.id);
-        // Column a: 4 B/tuple -> 20 pages, column b: 2 B/tuple -> 10 pages.
-        assert_eq!(initial.len(), 30);
-        let mut previous = initial.len();
-        while !abm.is_finished(handle.id) {
-            if abm.get_chunk(handle.id).unwrap().is_some() {
-                let outstanding = abm.outstanding_pages(handle.id).len();
-                assert!(outstanding < previous, "delivery must shrink the tail");
-                previous = outstanding;
-            } else {
-                let plan = abm.next_load(now()).expect("starved");
-                abm.complete_load(&plan, now()).unwrap();
-            }
-        }
-        assert!(abm.outstanding_pages(handle.id).is_empty());
     }
 
     #[test]
     fn loads_in_flight_survive_their_scan_unregistering() {
-        // A load planned for one scan may still be in the scheduler's
-        // window when that scan aborts. Completing it must neither error
+        // A load planned for one scan may still be in flight in the
+        // scheduler when that scan aborts. Completing it must neither error
         // nor leave the chunk stuck mid-load: survivors of the same
         // version get the chunk, and the transferred bytes stay accounted.
         let (storage, table) = setup(5_000);
@@ -1478,51 +1343,5 @@ mod tests {
         assert_eq!(abm.version_count(table), 0);
         assert_eq!(abm.stats().io_bytes, plan.bytes + plan2.bytes);
         assert_eq!(abm.cached_bytes(), 0);
-    }
-
-    #[test]
-    fn shard_counts_do_not_change_decisions_or_io() {
-        // The headline invariance property, in miniature (the randomized
-        // version lives in tests/abm_equivalence.rs): the same two-scan
-        // drive produces identical deliveries and stats per shard count.
-        let (storage, table) = setup(8_000);
-        let run = |shards: usize| {
-            let abm = Abm::new(AbmConfig::new(20 * PAGE, PAGE).with_shards(shards));
-            let a = abm
-                .register_cscan(request(&storage, table, TupleRange::new(0, 8_000), false))
-                .unwrap();
-            let b = abm
-                .register_cscan(request(
-                    &storage,
-                    table,
-                    TupleRange::new(2_000, 8_000),
-                    false,
-                ))
-                .unwrap();
-            let mut trace: Vec<(u64, u32)> = Vec::new();
-            let mut guard = 0;
-            while !(abm.is_finished(a.id) && abm.is_finished(b.id)) {
-                guard += 1;
-                assert!(guard < 10_000);
-                let mut progressed = false;
-                for scan in [a.id, b.id] {
-                    if !abm.is_finished(scan) {
-                        if let Some(d) = abm.get_chunk(scan).unwrap() {
-                            trace.push((scan.raw(), d.chunk.raw()));
-                            progressed = true;
-                        }
-                    }
-                }
-                if !progressed {
-                    let plan = abm.next_load(now()).expect("starved");
-                    abm.complete_load(&plan, now()).unwrap();
-                }
-            }
-            (trace, abm.stats())
-        };
-        let reference = run(1);
-        for shards in [2usize, 8] {
-            assert_eq!(run(shards), reference, "shards {shards}");
-        }
     }
 }

@@ -20,9 +20,7 @@
 //!   soonest).
 //!
 //! Every function here is a total, deterministic mapping from counters to a
-//! score or ordering key — no locks, no shared state — which is what lets
-//! the sharded chunk-directory hot path and the
-//! single-lock decision core compute byte-identical decisions.
+//! score or ordering key — no locks, no shared state.
 
 use std::cmp::Ordering;
 

@@ -1,26 +1,21 @@
-//! The load scheduler: a bounded window of asynchronous chunk loads.
+//! The load scheduler: one asynchronous chunk load in flight at a time.
 //!
-//! Chunk loads are planned by the relevance core, submitted through
-//! [`BlockDevice::submit_read`] and kept in a bounded in-flight window — the
-//! same idea as the page-level prefetcher's
-//! ([`top_up_prefetch_window`](crate::sharded::top_up_prefetch_window)).
-//! The scheduler is **clock-free**: it is told the submission instant and
-//! answers with completion instants, so one implementation serves both
-//! clocks. The pipeline has two halves:
+//! Chunk loads are planned by the relevance core and submitted through
+//! [`BlockDevice::submit_read`]; while a load is in flight no other is
+//! planned — the paper's one-load-at-a-time ABM. The scheduler is
+//! **clock-free**: it is told the submission instant and answers with the
+//! completion instant, so one implementation serves both clocks. The
+//! pipeline has two halves:
 //!
-//! * [`LoadScheduler::plan_load`] claims the next load from the ABM while the
-//!   window has room and puts its transfer in flight;
-//! * [`LoadScheduler::retire_load`] applies the earliest in-flight load to
-//!   the ABM, making its chunk deliverable.
+//! * [`LoadScheduler::plan_load`] claims the next load from the ABM when
+//!   nothing is in flight and puts its transfer on the device;
+//! * [`LoadScheduler::retire_load`] applies the in-flight load to the ABM,
+//!   making its chunk deliverable.
 //!
 //! The execution engine runs both from whichever stream is starved (plan if
 //! possible, else retire and advance the shared clock to the completion);
 //! the discrete-event simulator plans at stream events and retires at the
 //! `LoadDone` event it schedules for the returned instant.
-//!
-//! `window == 1` (the default) is the paper-faithful one-load-at-a-time
-//! model; with `window > 1` several transfers queue on the device while
-//! scans process already-delivered chunks.
 
 use scanshare_common::sync::Mutex;
 use scanshare_common::{Result, VirtualInstant};
@@ -35,27 +30,17 @@ struct InflightLoad {
     done_at: VirtualInstant,
 }
 
-/// Issues the relevance core's load plans through a [`BlockDevice`] with a
-/// bounded in-flight window. Shared by every stream of a `CScanBackend`;
-/// internally synchronized, deadlock-free against the ABM's own locks
-/// (the scheduler lock is only ever taken *before* ABM locks).
-#[derive(Debug)]
+/// Issues the relevance core's load plans through a [`BlockDevice`], one at
+/// a time. Shared by every stream of a `CScanBackend`; internally
+/// synchronized, deadlock-free against the ABM's own lock (the scheduler
+/// lock is only ever taken *before* the ABM's).
+#[derive(Debug, Default)]
 pub struct LoadScheduler {
-    window: usize,
-    inflight: Mutex<Vec<InflightLoad>>,
+    inflight: Mutex<Option<InflightLoad>>,
 }
 
 impl LoadScheduler {
-    /// Creates a scheduler keeping up to `window` chunk loads in flight.
-    pub fn new(window: usize) -> Self {
-        assert!(window >= 1, "the load scheduler needs a window of >= 1");
-        Self {
-            window,
-            inflight: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Plans one more chunk load at `now` if the window has room and the
+    /// Plans the next chunk load at `now` if none is in flight and the
     /// relevance core has one to offer, submitting its transfer to `device`
     /// without waiting; returns the instant the transfer completes. A plan
     /// whose pages are all resident already (chunk boundaries, shared
@@ -69,7 +54,7 @@ impl LoadScheduler {
         now: VirtualInstant,
     ) -> Result<Option<VirtualInstant>> {
         let mut inflight = self.inflight.lock();
-        if inflight.len() >= self.window {
+        if inflight.is_some() {
             return Ok(None);
         }
         let Some(plan) = abm.next_load(now) else {
@@ -93,28 +78,21 @@ impl LoadScheduler {
                 return Err(err);
             }
         };
-        inflight.push(InflightLoad { plan, done_at });
+        *inflight = Some(InflightLoad { plan, done_at });
         Ok(Some(done_at))
     }
 
-    /// Retires the earliest in-flight load (FIFO on ties — the device serves
-    /// requests in order), applying it to the ABM; returns its completion
-    /// instant, or `None` when nothing is in flight.
+    /// Retires the in-flight load, applying it to the ABM; returns its
+    /// completion instant, or `None` when nothing is in flight.
     ///
     /// Any stream may retire — a scan starved on a chunk that *another*
     /// stream put in flight retires that load itself instead of spinning
     /// until the other stream gets scheduled.
     pub fn retire_load(&self, abm: &Abm) -> Result<Option<VirtualInstant>> {
         let mut inflight = self.inflight.lock();
-        let Some(earliest) = inflight
-            .iter()
-            .enumerate()
-            .min_by_key(|(idx, load)| (load.done_at, *idx))
-            .map(|(idx, _)| idx)
-        else {
+        let Some(load) = inflight.take() else {
             return Ok(None);
         };
-        let load = inflight.remove(earliest);
         abm.complete_load(&load.plan, load.done_at)?;
         Ok(Some(load.done_at))
     }

@@ -5,7 +5,7 @@
 //! delivers most of Cooperative Scans' benefit *without* forking the system
 //! architecture. The execution layer mirrors that: a scan operator talks to
 //! a [`ScanBackend`] and never needs to know whether the engine runs a
-//! passive page buffer (a [`ShardedPool`] with a pluggable replacement
+//! passive page buffer (a [`BufferPool`] with a pluggable replacement
 //! policy, [`PooledBackend`]) or the chunk-dispatching [`Abm`]
 //! ([`CScanBackend`]).
 //!
@@ -31,7 +31,7 @@
 //!
 //! Backends own no clock. Every call that happens *at* a point in time
 //! takes that instant as `now` (the convention of
-//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy), [`ShardedPool`]
+//! [`ReplacementPolicy`](crate::policy::ReplacementPolicy), [`BufferPool`]
 //! and [`Abm`]), and every call that costs time returns the instant its
 //! result is usable. The caller owns time: the execution engine reads `now`
 //! from its shared monotone clock and advances it to whatever a call
@@ -55,8 +55,8 @@ use scanshare_storage::snapshot::Snapshot;
 
 use crate::abm::{Abm, AbmConfig, CScanRequest, LoadScheduler};
 use crate::metrics::BufferStats;
+use crate::pool::{top_up_prefetch_window, BufferPool};
 use crate::registry::{pooled_policy_name, PolicyRegistry};
-use crate::sharded::ShardedPool;
 
 /// What a scan announces to a backend when it registers: the stable data it
 /// is going to read.
@@ -136,16 +136,15 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// The scan finished (or was dropped) and its metadata can be freed.
     fn finish_scan(&self, scan: ScanId, now: VirtualInstant);
 
-    /// Puts one more chunk load in flight at `now` if the backend's load
-    /// window has room and a load is worth starting; returns the instant
-    /// its transfer completes. Backends that load on demand (the pooled
-    /// ones) never plan anything.
+    /// Puts a chunk load in flight at `now` if none is and a load is worth
+    /// starting; returns the instant its transfer completes. Backends that
+    /// load on demand (the pooled ones) never plan anything.
     fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
         let _ = now;
         Ok(None)
     }
 
-    /// Completes the earliest in-flight chunk load, making its data
+    /// Completes the in-flight chunk load, making its data
     /// deliverable; returns its completion instant — the caller waits until
     /// then — or `None` when nothing is in flight.
     fn retire_load(&self) -> Result<Option<VirtualInstant>> {
@@ -197,11 +196,8 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
 /// Builds the scan backend `config` selects — the one constructor behind
 /// both executors: a [`CScanBackend`] over a fresh [`Abm`] for
 /// `PolicyKind::CScan`, otherwise a [`PooledBackend`] over a
-/// [`ShardedPool`] whose replacement policy `registry` resolves (see
-/// [`pooled_policy_name`]). Pool and ABM directory are partitioned across
-/// `config.pool_shards` lock domains; decisions stay globally exact, so the
-/// shard count changes contention, never I/O volume. All I/O is charged to
-/// `device`.
+/// [`BufferPool`] whose replacement policy `registry` resolves (see
+/// [`pooled_policy_name`]). All I/O is charged to `device`.
 ///
 /// `PolicyKind::Opt` runs under PBM while recording the page-reference
 /// trace returned alongside, for replay under Belady's algorithm
@@ -213,19 +209,17 @@ pub fn build_backend(
     device: Arc<dyn BlockDevice>,
 ) -> Result<(Box<dyn ScanBackend>, Option<Arc<ReferenceTrace>>)> {
     if config.policy == PolicyKind::CScan {
-        let abm = Abm::new(
-            AbmConfig::new(config.buffer_pool_bytes, config.page_size_bytes)
-                .with_shards(config.pool_shards),
-        );
-        let backend = CScanBackend::new(abm, device).with_load_window(config.cscan_load_window);
-        return Ok((Box::new(backend), None));
+        let abm = Abm::new(AbmConfig::new(
+            config.buffer_pool_bytes,
+            config.page_size_bytes,
+        ));
+        return Ok((Box::new(CScanBackend::new(abm, device)), None));
     }
     let replacement = registry.build(pooled_policy_name(config, config.policy), config)?;
-    let mut pool = ShardedPool::new(
+    let mut pool = BufferPool::new(
         config.buffer_pool_pages().max(1),
         config.page_size_bytes,
         replacement,
-        config.pool_shards,
     );
     let trace = (config.policy == PolicyKind::Opt).then(|| Arc::new(ReferenceTrace::new()));
     if let Some(trace) = &trace {
@@ -237,19 +231,17 @@ pub fn build_backend(
 }
 
 // ---------------------------------------------------------------------------
-// PooledBackend: ShardedPool + ReplacementPolicy (LRU / PBM / OPT / custom)
+// PooledBackend: BufferPool + ReplacementPolicy (LRU / PBM / OPT / custom)
 // ---------------------------------------------------------------------------
 
-/// A [`ScanBackend`] over the page-level [`ShardedPool`] and its pluggable
+/// A [`ScanBackend`] over the page-level [`BufferPool`] and its pluggable
 /// [`ReplacementPolicy`](crate::policy::ReplacementPolicy).
 ///
 /// Ranges are delivered strictly in registration order; the interesting
 /// decisions (what to evict, what the scans' progress reports mean) happen
 /// inside the replacement policy on every [`ScanBackend::request_page`].
-/// The pool synchronizes internally (per-shard page-table locks, one policy
-/// lock fed by an order-preserving event queue — see
-/// [`sharded`](crate::sharded)), so concurrent scans of a multi-stream
-/// workload contend only on the shard owning the page they touch.
+/// The pool synchronizes internally (one lock, see [`pool`](crate::pool)),
+/// so the concurrent scans of a multi-stream workload share it directly.
 ///
 /// With a non-zero prefetch window
 /// ([`PooledBackend::with_prefetch_window`]), the backend additionally keeps
@@ -261,14 +253,14 @@ pub fn build_backend(
 /// access changed the prefetch picture, always at the caller's `now`.
 #[derive(Debug)]
 pub struct PooledBackend {
-    pool: ShardedPool,
+    pool: BufferPool,
     /// Pending SID ranges per registered scan, delivered front to back.
     pending: Mutex<HashMap<ScanId, VecDeque<TupleRange>>>,
     /// Prefetched pages whose transfer may still be in flight, with their
     /// completion times. Entries leave the map when the transfer completes
     /// (freeing a window slot) or when a demand access consumes the page.
     ///
-    /// Lock order: the pool's internal locks may be taken while holding
+    /// Lock order: the pool's internal lock may be taken while holding
     /// `inflight` (the prefetch top-up path), never the other way around.
     inflight: Mutex<HashMap<PageId, VirtualInstant>>,
     prefetch_pages: usize,
@@ -288,7 +280,7 @@ impl PooledBackend {
     /// Wraps `pool`, charging misses to `device`. `kind` is the policy
     /// family reported by [`ScanBackend::kind`] (custom registry policies
     /// report the family they were configured under).
-    pub fn new(pool: ShardedPool, device: Arc<dyn BlockDevice>, kind: PolicyKind) -> Self {
+    pub fn new(pool: BufferPool, device: Arc<dyn BlockDevice>, kind: PolicyKind) -> Self {
         let name = pool.policy_name();
         let page_size_bytes = pool.page_size_bytes();
         Self {
@@ -319,7 +311,7 @@ impl PooledBackend {
         if self.prefetch_pages == 0 {
             return;
         }
-        crate::sharded::top_up_prefetch_window(
+        top_up_prefetch_window(
             &self.pool,
             self.device.as_ref(),
             &mut self.inflight.lock(),
@@ -459,12 +451,10 @@ struct CScanMeta {
 /// dedicated ABM thread does this; in the embedded engine whichever stream
 /// is starved drives the pipeline, in the simulator the event loop does.
 ///
-/// The backend holds no outer mutex: the decomposed ABM synchronizes
-/// internally (per-shard directory locks for delivery, one relevance-core
-/// lock for decisions — see [`abm`](crate::abm)), the per-scan translation
-/// metadata sits behind a read-mostly `RwLock`, and starved streams retire
-/// each other's in-flight loads through the scheduler instead of
-/// spin-polling one `Mutex<Abm>`.
+/// The backend holds no outer mutex: the ABM synchronizes internally (one
+/// lock, see [`abm`](crate::abm)), the per-scan translation metadata sits
+/// behind a read-mostly `RwLock`, and starved streams retire each other's
+/// in-flight loads through the scheduler instead of spin-polling.
 ///
 /// [`ScanBackend::invalidate_stale`] keeps its no-op default: the ABM caches
 /// at chunk granularity, keyed by snapshot *version*. Scans pinned to a
@@ -485,25 +475,16 @@ pub struct CScanBackend {
 }
 
 impl CScanBackend {
-    /// Wraps `abm`, charging chunk loads to `device`, with the
-    /// paper-faithful one-load-at-a-time window (see
-    /// [`CScanBackend::with_load_window`]).
+    /// Wraps `abm`, charging chunk loads to `device`, one load in flight at
+    /// a time (the paper's model).
     pub fn new(abm: Abm, device: Arc<dyn BlockDevice>) -> Self {
         Self {
             abm,
             scans: RwLock::new(HashMap::new()),
-            scheduler: LoadScheduler::new(1),
+            scheduler: LoadScheduler::default(),
             pruned_tuples: AtomicU64::new(0),
             device,
         }
-    }
-
-    /// Sets the load scheduler's window: up to `window` chunk loads are
-    /// kept in flight on the device at once (`1` keeps the one-load-at-a-
-    /// time model whose decisions match the monolithic ABM byte for byte).
-    pub fn with_load_window(mut self, window: usize) -> Self {
-        self.scheduler = LoadScheduler::new(window.max(1));
-        self
     }
 }
 
@@ -534,8 +515,6 @@ impl ScanBackend for CScanBackend {
     }
 
     fn next_chunk(&self, scan: ScanId) -> Result<ScanStep> {
-        // Delivery is the sharded fast path: only the directory shard
-        // owning this scan is locked.
         let Some(delivery) = self.abm.get_chunk(scan)? else {
             return Ok(if self.abm.is_finished(scan) {
                 ScanStep::Finished
@@ -642,14 +621,13 @@ mod tests {
         ))
     }
 
-    fn lru_backend(pages: usize, shards: usize, device: Arc<IoDevice>) -> PooledBackend {
-        let pool = ShardedPool::new(pages, PAGE, Box::new(LruPolicy::new()), shards);
+    fn lru_backend(pages: usize, device: Arc<IoDevice>) -> PooledBackend {
+        let pool = BufferPool::new(pages, PAGE, Box::new(LruPolicy::new()));
         PooledBackend::new(pool, device, PolicyKind::Lru)
     }
 
-    fn cscan_backend(shards: usize) -> CScanBackend {
-        let abm = Abm::new(AbmConfig::new(1 << 20, PAGE).with_shards(shards));
-        CScanBackend::new(abm, device())
+    fn cscan_backend() -> CScanBackend {
+        CScanBackend::new(Abm::new(AbmConfig::new(1 << 20, PAGE)), device())
     }
 
     /// The driver side of the chunk protocol in one place, on a local
@@ -678,7 +656,7 @@ mod tests {
     #[test]
     fn pooled_backend_delivers_ranges_in_order_and_counts_io() {
         let (_storage, request) = setup(2000);
-        let backend = lru_backend(64, 2, device());
+        let backend = lru_backend(64, device());
         assert_eq!(backend.name(), "lru");
         assert_eq!(backend.kind(), PolicyKind::Lru);
         let scan = backend.register_scan(request.clone(), T0).unwrap();
@@ -709,7 +687,7 @@ mod tests {
     #[test]
     fn cscan_backend_delivers_every_chunk_and_accounts_loads() {
         let (_storage, request) = setup(3000);
-        let backend = cscan_backend(1);
+        let backend = cscan_backend();
         assert_eq!(backend.name(), "cscan");
         assert_eq!(backend.kind(), PolicyKind::CScan);
         let mut now = T0;
@@ -746,43 +724,11 @@ mod tests {
     }
 
     #[test]
-    fn cscan_backend_load_window_pipelines_with_bounded_io_overhead() {
-        // A deep load window loads the same chunks; overlapping in-flight
-        // loads may each fetch a chunk-boundary page the other also plans
-        // (a plan excludes only *resident* pages — exactly what happens
-        // when parallel workers claim overlapping loads), so the volume may
-        // exceed the serial case by at most a page per chunk boundary.
-        let run = |window: usize| {
-            let (_storage, request) = setup(4000);
-            let backend = cscan_backend(2).with_load_window(window);
-            let mut now = T0;
-            let scan = backend.register_scan(request, now).unwrap();
-            // The window bounds how many loads can be planned back to back.
-            let mut planned = 0;
-            while backend.plan_load(now).unwrap().is_some() {
-                planned += 1;
-            }
-            assert_eq!(planned, window);
-            while next_delivery(&backend, scan, &mut now).is_some() {}
-            backend.finish_scan(scan, now);
-            backend.stats()
-        };
-        let sync = run(1);
-        let deep = run(4);
-        assert_eq!(sync.misses, deep.misses, "same chunks loaded");
-        assert!(deep.io_bytes >= sync.io_bytes);
-        // 8 chunks x 2 columns: at most one duplicated boundary page per
-        // column per adjacent chunk pair.
-        assert!(deep.io_bytes <= sync.io_bytes + 2 * 7 * PAGE);
-        assert!(sync.io_bytes > 0);
-    }
-
-    #[test]
     fn backends_are_usable_as_trait_objects() {
         let (_storage, request) = setup(500);
         let backends: Vec<Box<dyn ScanBackend>> = vec![
-            Box::new(lru_backend(64, 2, device())),
-            Box::new(cscan_backend(1)),
+            Box::new(lru_backend(64, device())),
+            Box::new(cscan_backend()),
         ];
         for backend in backends {
             let mut now = T0;
@@ -828,10 +774,10 @@ mod tests {
         let (_storage, request) = setup(2000);
         // Synchronous baseline.
         let sync_device = device();
-        let sync_backend = lru_backend(64, 2, sync_device.clone());
+        let sync_backend = lru_backend(64, sync_device.clone());
         // Prefetching backend with a 4-page window.
         let pf_device = device();
-        let pf_backend = lru_backend(64, 2, pf_device.clone()).with_prefetch_window(4);
+        let pf_backend = lru_backend(64, pf_device.clone()).with_prefetch_window(4);
 
         // Drives one scan on a local clock; returns when it finished.
         let run = |backend: &dyn ScanBackend| {
@@ -878,8 +824,8 @@ mod tests {
     #[test]
     fn record_pruned_accumulates_into_stats_on_both_backends() {
         let backends: Vec<Box<dyn ScanBackend>> = vec![
-            Box::new(lru_backend(4, 1, device())),
-            Box::new(cscan_backend(1)),
+            Box::new(lru_backend(4, device())),
+            Box::new(cscan_backend()),
         ];
         for backend in backends {
             assert_eq!(backend.stats().pruned_tuples, 0);
@@ -891,7 +837,7 @@ mod tests {
 
     #[test]
     fn unknown_scan_ids_error() {
-        let backend = lru_backend(4, 1, device());
+        let backend = lru_backend(4, device());
         assert!(backend.next_chunk(ScanId::new(7)).is_err());
         // finish_scan of an unknown id is a harmless no-op (Drop paths).
         backend.finish_scan(ScanId::new(7), T0);

@@ -9,10 +9,10 @@
 //! comes from scan knowledge rather than from recency bookkeeping.
 //!
 //! Like [`LruPolicy`](crate::lru::LruPolicy), the implementation is a pure
-//! deterministic function of the observed event sequence, so
-//! [`ShardedPool`](crate::sharded::ShardedPool)'s order-preserving event
-//! replay makes its decisions byte-identical at any shard count with no
-//! extra code here. The hand only ever moves forward: [`ClockPolicy::
+//! deterministic function of the observed event sequence, so its decisions
+//! under the [`BufferPool`](crate::pool::BufferPool) are byte-identical to
+//! the single-threaded oracle's for the same trace. The hand only ever
+//! moves forward: [`ClockPolicy::
 //! hand_advances`] exposes the monotone sweep counter the policy-zoo tests
 //! assert on.
 

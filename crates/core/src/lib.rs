@@ -12,20 +12,20 @@
 //! * [`abm`] — **Cooperative Scans**: an Active Buffer Manager (ABM) takes
 //!   over load / evict / dispatch decisions at chunk granularity, using the
 //!   QueryRelevance / LoadRelevance / UseRelevance / KeepRelevance functions,
-//!   and delivers chunks to CScan operators out of order. Decomposed into a
-//!   sharded chunk directory, a pure relevance core and an asynchronous
-//!   load scheduler (the monolithic original is the test oracle
+//!   and delivers chunks to CScan operators out of order. Split into a
+//!   chunk directory, a pure relevance core and an asynchronous load
+//!   scheduler (the monolithic original is the test oracle
 //!   `tests/abm_reference`);
 //! * [`opt`] — Belady's OPT replayed over a recorded page-reference trace,
 //!   the theoretical optimum for order-preserving policies.
 //!
-//! [`sharded::ShardedPool`] is the one page-level pool, driven by a
-//! pluggable [`policy::ReplacementPolicy`] (LRU, PBM, ...); the ABM replaces
-//! the pool wholesale for Cooperative Scans, as it does in the paper. Both
-//! sit behind the clock-free [`backend::ScanBackend`] interface, which
-//! [`backend::build_backend`] constructs for the execution engine (sharded
-//! across its scan threads) and for the discrete-event simulator (one
-//! shard) alike.
+//! [`pool::BufferPool`] is the one page-level pool, driven by a pluggable
+//! [`policy::ReplacementPolicy`] (LRU, PBM, ...); the ABM replaces the pool
+//! wholesale for Cooperative Scans, as it does in the paper. Each is one
+//! lock domain. Both sit behind the clock-free [`backend::ScanBackend`]
+//! interface, which [`backend::build_backend`] constructs for the execution
+//! engine (shared by its scan threads) and for the discrete-event simulator
+//! alike.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -39,8 +39,8 @@ pub mod opt;
 pub mod pbm;
 pub mod pbm_lru;
 pub mod policy;
+pub mod pool;
 pub mod registry;
-pub mod sharded;
 pub mod sieve;
 
 pub use abm::{Abm, AbmConfig, CScanHandle, LoadScheduler};
@@ -52,6 +52,8 @@ pub use opt::{simulate_opt, OptResult};
 pub use pbm::{PbmConfig, PbmPolicy};
 pub use pbm_lru::{PbmLruConfig, PbmLruPolicy};
 pub use policy::{ReplacementPolicy, ScanInfo};
+#[doc(hidden)]
+pub use pool::ShardedPool;
+pub use pool::{AccessOutcome, BufferPool};
 pub use registry::{PolicyFactory, PolicyRegistry};
-pub use sharded::{AccessOutcome, ShardedPool};
 pub use sieve::SievePolicy;

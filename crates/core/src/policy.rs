@@ -1,6 +1,6 @@
 //! The replacement-policy abstraction shared by LRU and PBM.
 //!
-//! The [`ShardedPool`](crate::sharded::ShardedPool) delegates every
+//! The [`BufferPool`](crate::pool::BufferPool) delegates every
 //! replacement decision to a [`ReplacementPolicy`]. The interface
 //! mirrors the three functions PBM adds to the buffer manager
 //! (`RegisterScan`, `ReportScanPosition`, `UnregisterScan`, Figure 3 of the

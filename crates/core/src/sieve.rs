@@ -14,8 +14,9 @@
 //! Like every policy in this crate the implementation is a deterministic
 //! function of the observed event sequence — the linked list is traversed
 //! through explicit indices, hash maps are used for keyed lookup only — so
-//! [`ShardedPool`](crate::sharded::ShardedPool)'s replayed event queue keeps
-//! decisions byte-identical across shard counts.
+//! the same trace yields byte-identical decisions under the
+//! [`BufferPool`](crate::pool::BufferPool) and under the single-threaded
+//! oracle.
 
 use std::collections::{HashMap, HashSet};
 

@@ -21,7 +21,7 @@
 //!   measures it as `tuples_per_s` / `queries_per_s`;
 //! * the engine's **virtual** elapsed time plus the aggregated
 //!   [`BufferStats`]/[`IoStats`] — the paper's deterministic I/O-volume
-//!   accounting, unchanged by sharding or scheduling.
+//!   accounting, unchanged by scheduling.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -135,8 +135,7 @@ pub struct WorkloadReport {
     pub virtual_elapsed: VirtualDuration,
     /// Per-query wall-clock latencies, sorted ascending.
     pub latencies: Vec<Duration>,
-    /// Buffer-manager counters accumulated during the run (aggregated
-    /// across every pool shard).
+    /// Buffer-manager counters accumulated during the run.
     pub buffer: BufferStats,
     /// I/O-device counters accumulated during the run.
     pub io: IoStats,
@@ -729,7 +728,7 @@ mod tests {
         microbench::build(&config, PAGE, 5_000).unwrap()
     }
 
-    fn engine(storage: &Arc<Storage>, policy: PolicyKind, shards: usize) -> Arc<Engine> {
+    fn engine(storage: &Arc<Storage>, policy: PolicyKind) -> Arc<Engine> {
         Engine::new(
             Arc::clone(storage),
             ScanShareConfig {
@@ -737,7 +736,6 @@ mod tests {
                 chunk_tuples: 5_000,
                 buffer_pool_bytes: 64 * PAGE,
                 policy,
-                pool_shards: shards,
                 ..Default::default()
             },
         )
@@ -748,7 +746,7 @@ mod tests {
     fn driver_executes_every_stream_and_reports_consistent_metrics() {
         let (storage, workload) = setup();
         for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
-            let engine = engine(&storage, policy, 2);
+            let engine = engine(&storage, policy);
             let report = WorkloadDriver::new(Arc::clone(&engine))
                 .run(&workload)
                 .unwrap();
@@ -770,24 +768,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_does_not_change_the_workload_io_volume() {
-        let (storage, workload) = setup();
-        let mut reference: Option<(u64, u64)> = None;
-        for shards in [1usize, 2, 8] {
-            let engine = engine(&storage, PolicyKind::Pbm, shards);
-            let report = WorkloadDriver::new(engine).run(&workload).unwrap();
-            let observed = (
-                report.buffer.io_bytes,
-                report.buffer.hits + report.buffer.misses,
-            );
-            match &reference {
-                None => reference = Some(observed),
-                Some(expected) => assert_eq!(*expected, observed, "shards {shards}"),
-            }
-        }
-    }
-
-    #[test]
     fn starvation_is_stream_local_and_clean_cscan_runs_report_no_stream_errors() {
         use scanshare_common::ScanId;
         // Classification: only starvation is surfaced per stream; anything
@@ -798,7 +778,7 @@ mod tests {
         assert!(!is_stream_local(&Error::UnknownScan(ScanId::new(1))));
         // A healthy multi-stream CScan workload reports no stream errors.
         let (storage, workload) = setup();
-        let engine = engine(&storage, PolicyKind::CScan, 2);
+        let engine = engine(&storage, PolicyKind::CScan);
         let report = WorkloadDriver::new(engine).run(&workload).unwrap();
         assert!(report.stream_errors.is_empty());
         assert_eq!(report.queries, 6);
@@ -807,7 +787,7 @@ mod tests {
     #[test]
     fn driver_rejects_specs_with_out_of_range_columns() {
         let (storage, _) = setup();
-        let engine = engine(&storage, PolicyKind::Lru, 1);
+        let engine = engine(&storage, PolicyKind::Lru);
         let bogus = WorkloadSpec::read_only(
             "bogus",
             vec![StreamSpec {
@@ -886,7 +866,7 @@ mod tests {
             }],
         );
         for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
-            let engine = engine(&storage, policy, 2);
+            let engine = engine(&storage, policy);
             let report = WorkloadDriver::new(engine).run(&workload).unwrap();
             assert!(report.stream_errors.is_empty(), "{policy}");
             assert_eq!(report.queries, 1, "{policy}");
@@ -896,7 +876,7 @@ mod tests {
         // A build scan that does not cover the full table is a plan error.
         let mut bad = workload.clone();
         bad.streams[0].queries[0].scans[0].ranges = RangeList::single(0, 2);
-        let err = WorkloadDriver::new(engine(&storage, PolicyKind::Lru, 1))
+        let err = WorkloadDriver::new(engine(&storage, PolicyKind::Lru))
             .run(&bad)
             .unwrap_err();
         assert!(err.to_string().contains("full build table"), "{err}");
@@ -905,7 +885,7 @@ mod tests {
     #[test]
     fn empty_workloads_produce_an_empty_report() {
         let (storage, _) = setup();
-        let engine = engine(&storage, PolicyKind::Lru, 1);
+        let engine = engine(&storage, PolicyKind::Lru);
         let empty = WorkloadSpec::read_only("empty", Vec::new());
         let report = WorkloadDriver::new(engine).run(&empty).unwrap();
         assert_eq!(report.queries, 0);
@@ -1021,7 +1001,7 @@ mod tests {
     #[test]
     fn intra_query_parallelism_is_applied_and_results_stay_exact() {
         let (storage, workload) = setup();
-        let engine = engine(&storage, PolicyKind::Pbm, 4);
+        let engine = engine(&storage, PolicyKind::Pbm);
         let report = WorkloadDriver::new(Arc::clone(&engine))
             .with_parallelism(2)
             .run(&workload)

@@ -277,9 +277,9 @@ impl Engine {
     /// SID range; `None` once every registered range was delivered.
     ///
     /// A starved scan drives the backend's load pipeline itself — in a real
-    /// system a dedicated ABM thread would: plan a new load while the window
-    /// has room, otherwise retire the earliest in-flight load (possibly one
-    /// another stream planned) and advance the clock to its completion.
+    /// system a dedicated ABM thread would: plan a new load if none is in
+    /// flight, otherwise retire the in-flight load (possibly one another
+    /// stream planned) and advance the clock to its completion.
     /// Plan-or-retire is one step under `load_pump`, so "nothing to plan and
     /// nothing in flight" is a fact about the pipeline, not a race between
     /// two streams' half-steps.

@@ -27,7 +27,7 @@
 //! state machine (see [`sched`]); whole multi-stream workload
 //! specifications run through the [`driver::WorkloadDriver`] — one session
 //! task per stream on the [`sched::TaskScheduler`] against the shared
-//! (sharded) buffer-management backend, reporting throughput and latency
+//! buffer-management backend, reporting throughput and latency
 //! percentiles.
 
 #![warn(missing_docs)]

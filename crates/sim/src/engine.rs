@@ -2,8 +2,8 @@
 //!
 //! The simulator is a second **client of the buffer-manager interface**
 //! ([`ScanBackend`]), beside the execution engine's scan operator: it builds
-//! its backend with the constructor the engine uses ([`build_backend`], one
-//! shard — the simulator is single-threaded), registers, requests, reports
+//! its backend with the constructor the engine uses ([`build_backend`]),
+//! registers, requests, reports
 //! and unregisters through the trait, and never looks behind it. What it
 //! replaces is the *clock*: backends are clock-free, so where the engine
 //! advances a shared monotone clock to the instant a call returned, the
@@ -70,11 +70,7 @@ use crate::sharing::SharingProfile;
 #[derive(Debug, Clone)]
 pub struct SimConfig {
     /// Storage / buffer / policy configuration shared with the rest of the
-    /// workspace. The simulator is single-threaded, so it always builds its
-    /// backend with one shard and `ScanShareConfig::pool_shards` — a
-    /// lock-partitioning knob for the live engine — has no effect here; that
-    /// is sound because sharding never changes replacement decisions or I/O
-    /// accounting (see the page pool's module docs), only contention.
+    /// workspace.
     pub scanshare: ScanShareConfig,
     /// Number of CPU cores of the simulated server (the paper's machine has
     /// two 4-core CPUs).
@@ -300,14 +296,14 @@ struct RunState {
 type PhaseFn =
     fn(&Simulation, &mut RunState, Vec<VecDeque<ResolvedQuery>>, u64) -> Result<Vec<u64>>;
 
-/// Puts chunk loads in flight while the backend's load window has room,
-/// scheduling a `LoadDone` event at each completion.
+/// Puts a chunk load in flight unless one already is, scheduling a
+/// `LoadDone` event at its completion.
 fn kick_loader(
     backend: &dyn ScanBackend,
     events: &mut EventQueue,
     now: VirtualInstant,
 ) -> Result<()> {
-    while let Some(done) = backend.plan_load(now)? {
+    if let Some(done) = backend.plan_load(now)? {
         events.push(done.as_nanos(), EventKind::LoadDone);
     }
     Ok(())
@@ -384,15 +380,12 @@ impl Simulation {
                     .into(),
             ));
         }
-        let scanshare = ScanShareConfig {
-            pool_shards: 1,
-            ..self.config.scanshare.clone()
-        };
+        let scanshare = &self.config.scanshare;
         let device = Arc::new(IoDevice::new(
             scanshare.io_bandwidth,
             VirtualDuration::from_nanos(scanshare.io_latency_nanos),
         ));
-        let (backend, trace) = build_backend(&scanshare, &self.registry, device)?;
+        let (backend, trace) = build_backend(scanshare, &self.registry, device)?;
         let phase: PhaseFn = match policy {
             PolicyKind::CScan => Self::cscan_phase,
             _ => Self::pool_phase,

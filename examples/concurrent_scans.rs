@@ -84,9 +84,9 @@ fn main() {
 
     // -----------------------------------------------------------------
     // The same comparison on the LIVE engine: the WorkloadDriver lowers an
-    // identical multi-stream workload onto the sharded page pool (PBM) and
-    // onto the decomposed Active Buffer Manager (CScan) — one real thread
-    // per stream, wall-clock throughput.
+    // identical multi-stream workload onto the page pool (PBM) and onto
+    // the Active Buffer Manager (CScan) — one session task per stream,
+    // wall-clock throughput.
     // -----------------------------------------------------------------
     let live_micro = MicrobenchConfig {
         streams: 8,
@@ -130,8 +130,6 @@ fn main() {
                 chunk_tuples: live_chunk,
                 buffer_pool_bytes: (live_accessed as f64 * 0.4) as u64,
                 policy,
-                pool_shards: 4,
-                cscan_load_window: 4,
                 ..Default::default()
             },
         )
@@ -150,8 +148,7 @@ fn main() {
         );
     }
     println!(
-        "\nBoth backends run the identical specs: PBM through the sharded page\n\
-         pool, Cooperative Scans through the directory/relevance/scheduler ABM\n\
-         with out-of-order chunk delivery."
+        "\nBoth backends run the identical specs: PBM through the page pool,\n\
+         Cooperative Scans through the ABM with out-of-order chunk delivery."
     );
 }

@@ -91,8 +91,8 @@
 //! hashed up front, then the probe side streams through the shared-scan
 //! machinery, so joins share pages and zone-map pruning like any other
 //! scan. Results are deterministic functions of the row multiset —
-//! identical under out-of-order Cooperative-Scan delivery, any parallelism
-//! and any shard count:
+//! identical under out-of-order Cooperative-Scan delivery and any
+//! parallelism:
 //!
 //! ```
 //! use std::sync::Arc;
@@ -372,8 +372,8 @@ pub mod prelude {
     pub use scanshare_core::opt::simulate_opt;
     pub use scanshare_core::registry::PolicyRegistry;
     pub use scanshare_core::{
-        Abm, AbmConfig, BufferStats, ClockPolicy, LruPolicy, PbmConfig, PbmPolicy,
-        ReplacementPolicy, ShardedPool, SievePolicy,
+        Abm, AbmConfig, BufferPool, BufferStats, ClockPolicy, LruPolicy, PbmConfig, PbmPolicy,
+        ReplacementPolicy, SievePolicy,
     };
     pub use scanshare_exec::ops::{
         aggregate, AggrResult, AggrSpec, Aggregate, BatchSource, CompareOp, GroupState,

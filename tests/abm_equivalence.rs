@@ -1,16 +1,16 @@
 //! The ABM decomposition invariance property.
 //!
-//! PR 4 split the monolithic single-lock Active Buffer Manager into a
-//! sharded chunk directory, a pure relevance core and a load scheduler
-//! (`scanshare_core::abm`). The refactor must not change a single
-//! decision: this test replays randomized CScan traces — staggered
-//! registrations, interleaved `GetChunk` calls, load planning/completion,
-//! mid-flight aborts — through the frozen pre-refactor implementation
-//! (`MonolithicAbm`, the executable spec) and through the decomposed ABM
-//! at 1, 2 and 8 directory shards, and asserts that the **entire op-level
-//! outcome log** is byte-identical: chunk-delivery order per scan, every
-//! load plan (chunk, page list, byte count), starvation probes, and the
-//! final statistics / cached-bytes / I/O volume.
+//! The Active Buffer Manager (`scanshare_core::abm`) splits the original
+//! monolithic state machine into its state, a pure relevance core and a
+//! load scheduler. The split must not change a single decision: this test
+//! replays randomized CScan traces — staggered registrations, interleaved
+//! `GetChunk` calls, load planning/completion, mid-flight aborts — through
+//! the frozen original (`MonolithicAbm`, the executable spec) and through
+//! the decomposed ABM, and asserts that the **entire op-level outcome log**
+//! is byte-identical: chunk-delivery order per scan, every load plan
+//! (chunk, page list, byte count), starvation probes, and the final
+//! statistics / cached-bytes / I/O volume. A last test drives the
+//! decomposed ABM from eight threads.
 
 mod abm_reference;
 
@@ -245,7 +245,7 @@ fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> V
 }
 
 #[test]
-fn decomposed_abm_matches_the_monolithic_spec_at_every_shard_count() {
+fn decomposed_abm_matches_the_monolithic_spec() {
     const TUPLES: u64 = 12_000;
     let (storage, table) = setup(TUPLES);
     // Capacity of ~8 chunks of the widest column mix: real replacement
@@ -262,25 +262,18 @@ fn decomposed_abm_matches_the_monolithic_spec_at_every_shard_count() {
             reference.iter().any(|line| line.starts_with("get")),
             "seed {seed}: trace must deliver chunks"
         );
-        for shards in [1usize, 2, 8] {
-            let decomposed = run_trace(
-                AbmUnderTest::Decomposed(Abm::new(
-                    AbmConfig::new(capacity, PAGE).with_shards(shards),
-                )),
-                requests.clone(),
-                seed,
-            );
-            assert_eq!(
-                decomposed.len(),
-                reference.len(),
-                "seed {seed} shards {shards}: trace lengths diverge"
-            );
-            for (idx, (got, want)) in decomposed.iter().zip(reference.iter()).enumerate() {
-                assert_eq!(
-                    got, want,
-                    "seed {seed} shards {shards}: divergence at op {idx}"
-                );
-            }
+        let decomposed = run_trace(
+            AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(capacity, PAGE))),
+            requests,
+            seed,
+        );
+        assert_eq!(
+            decomposed.len(),
+            reference.len(),
+            "seed {seed}: trace lengths diverge"
+        );
+        for (idx, (got, want)) in decomposed.iter().zip(reference.iter()).enumerate() {
+            assert_eq!(got, want, "seed {seed}: divergence at op {idx}");
         }
     }
 }
@@ -319,23 +312,20 @@ fn headroom_traces_are_also_invariant_and_load_each_page_once() {
         last.contains("io_bytes: 71680"),
         "unexpected final line {last}"
     );
-    for shards in [2usize, 8] {
-        let decomposed = run_trace(
-            AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(1 << 22, PAGE).with_shards(shards))),
-            requests.clone(),
-            3,
-        );
-        assert_eq!(decomposed, reference, "shards {shards}");
-    }
+    let decomposed = run_trace(
+        AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(1 << 22, PAGE))),
+        requests,
+        3,
+    );
+    assert_eq!(decomposed, reference);
 }
 
 /// The chunk protocol over a warm cache, from concurrent threads: a keeper
 /// scan that never consumes pins every chunk in the cache, so eight threads
 /// registering scans over cached subranges must drain every chunk of every
-/// scan without a single load — and the I/O volume and delivery count must
-/// be the same at every directory shard count.
+/// scan without a single load, and every delivery must be counted.
 #[test]
-fn warm_abm_serves_concurrent_scans_without_loads_at_every_shard_count() {
+fn warm_abm_serves_concurrent_scans_without_loads() {
     const CHUNKS: u64 = 32;
     const SPAN_CHUNKS: u64 = 8;
     const STREAMS: u64 = 8;
@@ -353,50 +343,38 @@ fn warm_abm_serves_concurrent_scans_without_loads_at_every_shard_count() {
     };
     let now = VirtualInstant::EPOCH;
 
-    let mut accounting = None;
-    for shards in [1usize, 2, 4, 8] {
-        let abm = Abm::new(AbmConfig::new(1 << 22, PAGE).with_shards(shards));
-        let keeper = abm.register_cscan(request(0, CHUNKS * CHUNK)).unwrap();
-        while let Some(plan) = abm.next_load(now) {
-            abm.complete_load(&plan, now).unwrap();
-        }
-        let warm_io = abm.stats().io_bytes;
-
-        std::thread::scope(|scope| {
-            for stream in 0..STREAMS {
-                let (abm, request) = (&abm, &request);
-                scope.spawn(move || {
-                    for q in 0..QUERIES {
-                        let start = ((stream * 7 + q * 3) % (CHUNKS - SPAN_CHUNKS)) * CHUNK;
-                        let handle = abm
-                            .register_cscan(request(start, start + SPAN_CHUNKS * CHUNK))
-                            .unwrap();
-                        let mut delivered = 0;
-                        while abm.get_chunk(handle.id).unwrap().is_some() {
-                            delivered += 1;
-                        }
-                        assert_eq!(
-                            delivered, handle.total_chunks,
-                            "shards {shards}: a warm ABM delivers every chunk without loads"
-                        );
-                        abm.unregister_cscan(handle.id).unwrap();
-                    }
-                });
-            }
-        });
-
-        let stats = abm.stats();
-        abm.unregister_cscan(keeper.id).unwrap();
-        assert_eq!(stats.io_bytes, warm_io, "shards {shards}: the drain loaded");
-        assert_eq!(
-            stats.hits,
-            STREAMS * QUERIES * SPAN_CHUNKS,
-            "shards {shards}"
-        );
-        assert_eq!(
-            *accounting.get_or_insert((stats.io_bytes, stats.hits)),
-            (stats.io_bytes, stats.hits),
-            "accounting must not depend on the shard count (shards {shards})"
-        );
+    let abm = Abm::new(AbmConfig::new(1 << 22, PAGE));
+    let keeper = abm.register_cscan(request(0, CHUNKS * CHUNK)).unwrap();
+    while let Some(plan) = abm.next_load(now) {
+        abm.complete_load(&plan, now).unwrap();
     }
+    let warm_io = abm.stats().io_bytes;
+
+    std::thread::scope(|scope| {
+        for stream in 0..STREAMS {
+            let (abm, request) = (&abm, &request);
+            scope.spawn(move || {
+                for q in 0..QUERIES {
+                    let start = ((stream * 7 + q * 3) % (CHUNKS - SPAN_CHUNKS)) * CHUNK;
+                    let handle = abm
+                        .register_cscan(request(start, start + SPAN_CHUNKS * CHUNK))
+                        .unwrap();
+                    let mut delivered = 0;
+                    while abm.get_chunk(handle.id).unwrap().is_some() {
+                        delivered += 1;
+                    }
+                    assert_eq!(
+                        delivered, handle.total_chunks,
+                        "a warm ABM delivers every chunk without loads"
+                    );
+                    abm.unregister_cscan(handle.id).unwrap();
+                }
+            });
+        }
+    });
+
+    let stats = abm.stats();
+    abm.unregister_cscan(keeper.id).unwrap();
+    assert_eq!(stats.io_bytes, warm_io, "the drain loaded");
+    assert_eq!(stats.hits, STREAMS * QUERIES * SPAN_CHUNKS);
 }

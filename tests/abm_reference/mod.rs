@@ -5,7 +5,7 @@
 //! [`Abm`](scanshare::core::abm::Abm) replaced: every operation takes
 //! `&mut self`. It is retained (frozen, bug-for-bug) as the **executable
 //! spec**: `abm_equivalence.rs` replays randomized traces through this
-//! implementation and through the decomposed ABM at several shard counts
+//! implementation and through the decomposed ABM
 //! and asserts byte-identical chunk-delivery order, load plans, statistics
 //! and I/O volume. It uses only public `scanshare::core::abm` types, which
 //! is why it lives beside the test and not in the production crate.
@@ -109,9 +109,7 @@ pub struct MonolithicAbm {
 }
 
 impl MonolithicAbm {
-    /// Creates an ABM managing a buffer of `config.buffer_capacity_bytes`
-    /// (`config.directory_shards` is ignored: this implementation has no
-    /// directory to shard).
+    /// Creates an ABM managing a buffer of `config.buffer_capacity_bytes`.
     pub fn new(config: AbmConfig) -> Self {
         assert!(config.buffer_capacity_bytes >= config.page_size_bytes);
         Self {

@@ -19,12 +19,7 @@ const TUPLES: u64 = 20_000;
 const THREADS: u64 = 4;
 const ROUNDS: u64 = 2;
 
-fn build_engine_with_window(
-    policy: PolicyKind,
-    prefetch_pages: usize,
-    pool_shards: usize,
-    cscan_load_window: usize,
-) -> (Arc<Engine>, TableId) {
+fn build_engine(policy: PolicyKind, prefetch_pages: usize) -> (Arc<Engine>, TableId) {
     let storage = Storage::with_seed(1024, 2_000, 7);
     let spec = TableSpec::new(
         "t",
@@ -49,8 +44,6 @@ fn build_engine_with_window(
         buffer_pool_bytes: 64 * 1024, // 64 pages: real replacement pressure
         policy,
         prefetch_pages,
-        pool_shards,
-        cscan_load_window,
         ..Default::default()
     };
     (Engine::new(storage, config).unwrap(), table)
@@ -100,22 +93,11 @@ fn run_session(engine: &Arc<Engine>, table: TableId, thread: u64) {
 }
 
 fn stress(policy: PolicyKind, prefetch_pages: usize) {
-    stress_sharded(policy, prefetch_pages, 1, THREADS);
+    stress_threads(policy, prefetch_pages, THREADS);
 }
 
-fn stress_sharded(policy: PolicyKind, prefetch_pages: usize, pool_shards: usize, threads: u64) {
-    stress_with_window(policy, prefetch_pages, pool_shards, threads, 1);
-}
-
-fn stress_with_window(
-    policy: PolicyKind,
-    prefetch_pages: usize,
-    pool_shards: usize,
-    threads: u64,
-    cscan_load_window: usize,
-) {
-    let (engine, table) =
-        build_engine_with_window(policy, prefetch_pages, pool_shards, cscan_load_window);
+fn stress_threads(policy: PolicyKind, prefetch_pages: usize, threads: u64) {
+    let (engine, table) = build_engine(policy, prefetch_pages);
     std::thread::scope(|scope| {
         for thread in 0..threads {
             let engine = Arc::clone(&engine);
@@ -190,44 +172,33 @@ fn concurrent_queries_under_cooperative_scans() {
 }
 
 #[test]
-fn concurrent_queries_on_a_sharded_pool_eight_streams() {
-    // The multi-stream throughput configuration: 8 session threads on a
-    // 4-shard pool (more shards than cores), with and without the
-    // prefetch window, under every pooled policy. Exact aggregates and the
-    // cross-layer pool == device accounting must survive the sharded fast
-    // path (buffered policy events, per-shard statistics).
+fn concurrent_queries_eight_streams() {
+    // The multi-stream throughput configuration: 8 session threads on one
+    // pool (more threads than cores), with and without the prefetch
+    // window, under every pooled policy. Exact aggregates and the
+    // cross-layer pool == device accounting must survive the contention.
     for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::Opt] {
-        stress_sharded(policy, 0, 4, 8);
-        stress_sharded(policy, 4, 4, 8);
+        stress_threads(policy, 0, 8);
+        stress_threads(policy, 4, 8);
     }
 }
 
 #[test]
-fn concurrent_queries_shard_sweep_under_pbm() {
-    // Shard counts beside the pool's page count (64) and beyond the thread
-    // count exercise the all-shard lock paths (eviction, registration).
-    for shards in [2usize, 8, 64] {
-        stress_sharded(PolicyKind::Pbm, 0, shards, 4);
+fn concurrent_queries_thread_sweep_under_pbm() {
+    // With one lock per buffer manager the contention knob left is the
+    // session count: a lone session, a pair, and twice the eight-stream
+    // configuration all take the same lock paths (eviction, scan
+    // registration, position reports) and must account exactly.
+    for threads in [1u64, 2, 16] {
+        stress_threads(PolicyKind::Pbm, 0, threads);
     }
 }
 
 #[test]
-fn concurrent_queries_cscan_eight_streams_across_directory_shards() {
+fn concurrent_queries_cscan_eight_streams() {
     // Cooperative Scans in the same multi-stream configuration the pooled
-    // policies run: 8 session threads on the decomposed ABM, with the chunk
-    // directory at 1 shard (fully serialized) and 4 shards (as many as the
-    // pooled test above). Exact aggregates and the
-    // cross-layer ABM == device I/O accounting must survive the sharded
-    // delivery fast path and its buffered membership events.
-    for shards in [1usize, 4] {
-        stress_sharded(PolicyKind::CScan, 0, shards, 8);
-    }
-}
-
-#[test]
-fn concurrent_queries_cscan_with_deep_load_window() {
-    // A load window > 1 keeps several chunk transfers in flight while the
-    // 8 streams consume; results must stay exact and the ABM's accounting
-    // must still match the device byte for byte.
-    stress_with_window(PolicyKind::CScan, 0, 4, 8, 4);
+    // policies run: 8 session threads on one ABM. Exact aggregates and the
+    // cross-layer ABM == device I/O accounting must survive out-of-order
+    // delivery to contending streams.
+    stress_threads(PolicyKind::CScan, 0, 8);
 }

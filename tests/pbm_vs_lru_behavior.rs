@@ -37,7 +37,7 @@ fn interleaved_scans(
         .map(|p| (p.page, p.tuples_behind))
         .collect();
 
-    let pool = ShardedPool::new(pool_pages, 64 * 1024, policy, 1);
+    let pool = BufferPool::new(pool_pages, 64 * 1024, policy);
     let now = VirtualInstant::EPOCH;
     let scan_a = pool.register_scan(&plan, now);
     let scan_b = pool.register_scan(&plan, now);

@@ -3,19 +3,18 @@
 //!
 //! Three layers of guarantees:
 //!
-//! 1. **Sharding transparency** — replaying any randomized trace (the
-//!    `pool_harness` grammar shared with `sharded_pool_properties.rs`)
-//!    against a `ShardedPool` at any shard count yields byte-identical
-//!    outcomes, statistics and prefetch decisions to the single-threaded
-//!    `EagerPool` oracle.
+//! 1. **Pool transparency** — replaying any randomized trace (the
+//!    `pool_harness` grammar shared with `pool_properties.rs`) against a
+//!    `BufferPool` yields byte-identical outcomes, statistics and prefetch
+//!    decisions to the single-threaded `EagerPool` oracle.
 //! 2. **Policy invariants** — SIEVE never evicts a visited page while an
 //!    unvisited one exists; CLOCK's hand only ever moves forward. Both are
 //!    asserted over randomized operation streams against the public
 //!    observables (`SievePolicy::visited`/`pages_oldest_first`,
 //!    `ClockPolicy::hand_advances`/`referenced`).
 //! 3. **Registry wiring** — `custom_policy: "clock" | "sieve"` resolves
-//!    through the `PolicyRegistry` into a working engine whose I/O is
-//!    itself shard-count invariant.
+//!    through the `PolicyRegistry` into a working engine under replacement
+//!    pressure.
 
 mod pool_harness;
 
@@ -26,7 +25,7 @@ use pool_harness::{random_trace, replay, EagerPool, Rng};
 use scanshare::common::{PageId, VirtualInstant};
 use scanshare::core::clock::ClockPolicy;
 use scanshare::core::policy::ReplacementPolicy;
-use scanshare::core::sharded::ShardedPool;
+use scanshare::core::pool::BufferPool;
 use scanshare::core::sieve::SievePolicy;
 
 type PolicyFactory = fn() -> Box<dyn ReplacementPolicy>;
@@ -38,10 +37,9 @@ fn zoo() -> Vec<(&'static str, PolicyFactory)> {
     ]
 }
 
-/// Same property as `sharded_pool_properties`, for the policies the zoo
-/// adds: sharding must not change a single decision.
+/// Same property as `pool_properties`, for the policies the zoo adds.
 #[test]
-fn clock_and_sieve_traces_are_shard_count_invariant() {
+fn clock_and_sieve_traces_match_the_eager_oracle() {
     let cases = if cfg!(debug_assertions) { 10 } else { 32 };
     for case in 0..cases {
         let mut rng = Rng::new(0x0200_5eed + case * 6151);
@@ -56,18 +54,16 @@ fn clock_and_sieve_traces_are_shard_count_invariant() {
                 expected_stats.hits + expected_stats.misses > 0,
                 "case {case}: trace exercised no accesses"
             );
-            for shards in [1usize, 2, 4, 8] {
-                let mut pool = ShardedPool::new(capacity, 1024, make_policy(), shards);
-                let (obs, stats) = replay(&mut pool, &trace);
-                assert_eq!(
-                    stats, expected_stats,
-                    "case {case} policy {name} shards {shards}: statistics diverged"
-                );
-                assert_eq!(
-                    obs, expected_obs,
-                    "case {case} policy {name} shards {shards}: outcomes diverged"
-                );
-            }
+            let mut pool = BufferPool::new(capacity, 1024, make_policy());
+            let (obs, stats) = replay(&mut pool, &trace);
+            assert_eq!(
+                stats, expected_stats,
+                "case {case} policy {name}: statistics diverged"
+            );
+            assert_eq!(
+                obs, expected_obs,
+                "case {case} policy {name}: outcomes diverged"
+            );
         }
     }
 }
@@ -179,9 +175,9 @@ fn clock_hand_only_moves_forward() {
 }
 
 /// `custom_policy` resolves clock and sieve by name through the registry,
-/// and the resulting engines do shard-count-invariant I/O.
+/// and the resulting engines answer exactly under replacement pressure.
 #[test]
-fn registry_wires_clock_and_sieve_into_shard_invariant_engines() {
+fn registry_wires_clock_and_sieve_into_working_engines() {
     use scanshare::prelude::*;
 
     let registry = PolicyRegistry::default();
@@ -213,39 +209,30 @@ fn registry_wires_clock_and_sieve_into_shard_invariant_engines() {
     let storage = Arc::new(storage);
 
     for name in ["clock", "sieve"] {
-        let mut reference: Option<BufferStats> = None;
-        for shards in [1usize, 4] {
-            let engine = Engine::new(
-                Arc::clone(&storage),
-                ScanShareConfig {
-                    page_size_bytes: 2048,
-                    chunk_tuples: 1_000,
-                    buffer_pool_bytes: 20 * 2048, // pressure
-                    pool_shards: shards,
-                    ..Default::default()
-                }
-                .with_custom_policy(name),
-            )
-            .unwrap();
-            for _ in 0..2 {
-                let count = engine
-                    .query(table)
-                    .columns(["k", "v"])
-                    .aggregate(AggrSpec::global(vec![Aggregate::Count]))
-                    .run()
-                    .unwrap()[&0]
-                    .count;
-                assert_eq!(count, 30_000, "{name} shards {shards}");
+        let engine = Engine::new(
+            Arc::clone(&storage),
+            ScanShareConfig {
+                page_size_bytes: 2048,
+                chunk_tuples: 1_000,
+                buffer_pool_bytes: 20 * 2048, // pressure
+                ..Default::default()
             }
-            let stats = engine.buffer_stats();
-            assert!(stats.evictions > 0, "{name}: no replacement pressure");
-            match &reference {
-                None => reference = Some(stats),
-                Some(expected) => assert_eq!(
-                    *expected, stats,
-                    "{name} shards {shards}: engine I/O diverged"
-                ),
-            }
+            .with_custom_policy(name),
+        )
+        .unwrap();
+        assert_eq!(engine.backend().name(), name);
+        for _ in 0..2 {
+            let count = engine
+                .query(table)
+                .columns(["k", "v"])
+                .aggregate(AggrSpec::global(vec![Aggregate::Count]))
+                .run()
+                .unwrap()[&0]
+                .count;
+            assert_eq!(count, 30_000, "{name}");
         }
+        let stats = engine.buffer_stats();
+        assert!(stats.evictions > 0, "{name}: no replacement pressure");
+        assert_eq!(stats.io_bytes, stats.misses * 2048, "{name}");
     }
 }

@@ -1,12 +1,12 @@
 //! Shared buffer-pool trace harness for the property tests: a deterministic
 //! RNG, a trace grammar over pool operations, the `EagerPool` oracle (a
 //! single-threaded pool that calls the policy immediately), a `TracePool`
-//! adapter over the oracle and `ShardedPool`, and a replayer that records
+//! adapter over the oracle and `BufferPool`, and a replayer that records
 //! everything observable.
 //!
-//! Used by `sharded_pool_properties.rs` (sharding transparency for the
-//! built-in policies) and `policy_zoo.rs` (the same property for CLOCK and
-//! SIEVE, plus policy-specific invariants).
+//! Used by `pool_properties.rs` (pool transparency for the built-in
+//! policies) and `policy_zoo.rs` (the same property for CLOCK and SIEVE,
+//! plus policy-specific invariants).
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
@@ -14,7 +14,7 @@ use std::collections::{HashMap, HashSet};
 
 use scanshare::common::{ColumnId, PageId, ScanId, TableId, TupleRange, VirtualInstant};
 use scanshare::core::policy::{ReplacementPolicy, ScanInfo};
-use scanshare::core::{AccessOutcome, BufferStats, ShardedPool};
+use scanshare::core::{AccessOutcome, BufferPool, BufferStats};
 use scanshare::storage::layout::{PageDescriptor, ScanPagePlan};
 
 /// Deterministic xorshift64* generator.
@@ -103,7 +103,7 @@ pub fn plan_over(pages: &[u64], tuples_per_page: u64) -> ScanPagePlan {
 }
 
 /// The trace operations a pool under test must support. `EagerPool` takes
-/// `&mut self`, `ShardedPool` synchronizes internally; the trait papers
+/// `&mut self`, `BufferPool` synchronizes internally; the trait papers
 /// over that difference for the replay.
 pub trait TracePool {
     fn register(&mut self, plan: &ScanPagePlan, now: VirtualInstant) -> ScanId;
@@ -118,10 +118,10 @@ pub trait TracePool {
     fn stats(&self) -> BufferStats;
 }
 
-/// The reference the sharded pool is compared against: a resident set, pin
-/// counts and a policy that hears about every event the moment it happens —
-/// no shards, no event buffering, no replay. It shares none of the code under
-/// test beyond the policy itself.
+/// The reference the buffer pool is compared against: a resident set, pin
+/// counts and a policy that hears about every event the moment it happens,
+/// with no lock. It shares none of the code under test beyond the policy
+/// itself.
 pub struct EagerPool {
     capacity_pages: usize,
     page_size_bytes: u64,
@@ -243,9 +243,9 @@ impl TracePool for EagerPool {
     }
 }
 
-impl TracePool for ShardedPool {
+impl TracePool for BufferPool {
     fn register(&mut self, plan: &ScanPagePlan, now: VirtualInstant) -> ScanId {
-        ShardedPool::register_scan(self, plan, now)
+        BufferPool::register_scan(self, plan, now)
     }
     fn request(
         &mut self,
@@ -253,28 +253,28 @@ impl TracePool for ShardedPool {
         scan: Option<ScanId>,
         now: VirtualInstant,
     ) -> AccessOutcome {
-        ShardedPool::request_page(self, page, scan, now).expect("pins are bounded")
+        BufferPool::request_page(self, page, scan, now).expect("pins are bounded")
     }
     fn report(&mut self, scan: ScanId, tuples: u64, now: VirtualInstant) {
-        ShardedPool::report_scan_position(self, scan, tuples, now)
+        BufferPool::report_scan_position(self, scan, tuples, now)
     }
     fn unregister(&mut self, scan: ScanId, now: VirtualInstant) {
-        ShardedPool::unregister_scan(self, scan, now)
+        BufferPool::unregister_scan(self, scan, now)
     }
     fn pin(&mut self, page: PageId) {
-        ShardedPool::pin(self, page)
+        BufferPool::pin(self, page)
     }
     fn unpin(&mut self, page: PageId) {
-        ShardedPool::unpin(self, page)
+        BufferPool::unpin(self, page)
     }
     fn candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
-        ShardedPool::prefetch_candidates(self, budget, now)
+        BufferPool::prefetch_candidates(self, budget, now)
     }
     fn admit_prefetch(&mut self, page: PageId, now: VirtualInstant) -> bool {
-        ShardedPool::admit_prefetch(self, page, now)
+        BufferPool::admit_prefetch(self, page, now)
     }
     fn stats(&self) -> BufferStats {
-        ShardedPool::stats(self)
+        BufferPool::stats(self)
     }
 }
 

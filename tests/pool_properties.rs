@@ -1,16 +1,16 @@
-//! The sharding-transparency property: for *any* trace, a `ShardedPool`
-//! with any shard count produces exactly the outcomes, statistics and
-//! prefetch decisions of the eagerly applied, single-threaded `EagerPool`
-//! oracle (`pool_harness`) — per policy, byte for byte.
+//! The pool-transparency property: for *any* trace, the `BufferPool`
+//! produces exactly the outcomes, statistics and prefetch decisions of the
+//! eagerly applied, single-threaded `EagerPool` oracle (`pool_harness`) —
+//! per policy, byte for byte.
 //!
-//! This is the invariant the engine's I/O accounting rests on: partitioning
-//! the page table across locks must change contention only, never *what*
-//! is read. The traces are randomized (deterministic xorshift, like the
-//! other property tests in this workspace): interleaved scans with page
-//! plans, progress reports, scanless accesses, pins, prefetch admissions
-//! and virtual-time advances, replayed under replacement pressure. The
-//! trace grammar and replayer live in `pool_harness` and are shared with
-//! `policy_zoo.rs`, which runs the same property for CLOCK and SIEVE.
+//! This is the invariant the engine's I/O accounting rests on. The traces
+//! are randomized (deterministic xorshift, like the other property tests in
+//! this workspace): interleaved scans with page plans, progress reports,
+//! scanless accesses, pins, prefetch admissions and virtual-time advances,
+//! replayed under replacement pressure. The trace grammar and replayer live
+//! in `pool_harness` and are shared with `policy_zoo.rs`, which runs the
+//! same property for CLOCK and SIEVE. The remaining tests drive the pool
+//! from concurrent threads and through the engine and the workload driver.
 
 mod pool_harness;
 
@@ -21,7 +21,7 @@ use scanshare::core::lru::LruPolicy;
 use scanshare::core::pbm::{PbmConfig, PbmPolicy};
 use scanshare::core::pbm_lru::{PbmLruConfig, PbmLruPolicy};
 use scanshare::core::policy::ReplacementPolicy;
-use scanshare::core::sharded::ShardedPool;
+use scanshare::core::pool::BufferPool;
 
 type PolicyFactory = fn() -> Box<dyn ReplacementPolicy>;
 
@@ -41,7 +41,7 @@ fn policies() -> Vec<(&'static str, PolicyFactory)> {
 }
 
 #[test]
-fn any_trace_is_shard_count_invariant_per_policy() {
+fn any_trace_matches_the_eager_oracle_per_policy() {
     let cases = if cfg!(debug_assertions) { 12 } else { 40 };
     for case in 0..cases {
         let mut rng = Rng::new(0x5eed_0000 + case * 7919);
@@ -57,19 +57,17 @@ fn any_trace_is_shard_count_invariant_per_policy() {
                 expected_stats.hits + expected_stats.misses > 0,
                 "case {case}: trace exercised no accesses"
             );
-            for shards in [1usize, 2, 8] {
-                let mut pool = ShardedPool::new(capacity, 1024, make_policy(), shards);
-                let (obs, stats) = replay(&mut pool, &trace);
-                assert_eq!(
-                    stats, expected_stats,
-                    "case {case} policy {name} shards {shards}: statistics diverged \
-                     (hits/misses/evictions/io must be byte-identical)"
-                );
-                assert_eq!(
-                    obs, expected_obs,
-                    "case {case} policy {name} shards {shards}: outcomes diverged"
-                );
-            }
+            let mut pool = BufferPool::new(capacity, 1024, make_policy());
+            let (obs, stats) = replay(&mut pool, &trace);
+            assert_eq!(
+                stats, expected_stats,
+                "case {case} policy {name}: statistics diverged \
+                 (hits/misses/evictions/io must be byte-identical)"
+            );
+            assert_eq!(
+                obs, expected_obs,
+                "case {case} policy {name}: outcomes diverged"
+            );
         }
     }
 }
@@ -106,19 +104,16 @@ fn pbm_scan_trace_matches_the_eager_oracle_exactly() {
     let (expected_obs, expected_stats) =
         replay(&mut EagerPool::new(4, 1024, make_policy()), &trace);
     assert_eq!(expected_stats.misses, 12);
-    for shards in [1usize, 2, 8] {
-        let mut pool = ShardedPool::new(4, 1024, make_policy(), shards);
-        let (obs, stats) = replay(&mut pool, &trace);
-        assert_eq!(obs, expected_obs, "shards {shards}");
-        assert_eq!(stats, expected_stats, "shards {shards}");
-    }
+    let (obs, stats) = replay(&mut BufferPool::new(4, 1024, make_policy()), &trace);
+    assert_eq!(obs, expected_obs);
+    assert_eq!(stats, expected_stats);
 }
 
-/// The same property through the *engine*: a query workload on sharded
-/// engines does exactly the I/O of the single-shard engine. (The trace
+/// Through the *engine*: the same sequential query mix under replacement
+/// pressure does exactly the same I/O on two fresh engines. (The trace
 /// property above covers the pool in isolation; this covers the wiring.)
 #[test]
-fn engine_io_is_shard_count_invariant_for_sequential_queries() {
+fn engine_io_is_deterministic_for_sequential_queries() {
     use scanshare::prelude::*;
 
     let storage = Storage::with_seed(2048, 1_000, 23);
@@ -142,7 +137,7 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
 
     for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
         let mut reference: Option<BufferStats> = None;
-        for shards in [1usize, 2, 8] {
+        for run in 0..2 {
             let engine = Engine::new(
                 Arc::clone(&storage),
                 ScanShareConfig {
@@ -150,13 +145,12 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
                     chunk_tuples: 1_000,
                     buffer_pool_bytes: 24 * 2048, // pressure: ~24 of ~293 pages
                     policy,
-                    pool_shards: shards,
                     ..Default::default()
                 },
             )
             .unwrap();
             // Sequential (single-threaded) query mix: identical access
-            // order for every shard count.
+            // order on every run.
             for round in 0..2 {
                 let count = engine
                     .query(table)
@@ -165,7 +159,7 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
                     .run()
                     .unwrap()[&0]
                     .count;
-                assert_eq!(count, 40_000, "{policy} shards {shards} round {round}");
+                assert_eq!(count, 40_000, "{policy} run {run} round {round}");
             }
             let stats = engine.buffer_stats();
             assert!(stats.evictions > 0, "{policy}: no replacement pressure");
@@ -173,7 +167,7 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
                 None => reference = Some(stats),
                 Some(expected) => assert_eq!(
                     *expected, stats,
-                    "{policy} shards {shards}: engine-level I/O accounting diverged"
+                    "{policy} run {run}: engine-level I/O accounting diverged"
                 ),
             }
         }
@@ -183,10 +177,9 @@ fn engine_io_is_shard_count_invariant_for_sequential_queries() {
 /// The buffer-manager protocol from concurrent threads: eight streams
 /// register scans over a warm pool (capacity == page count, so nothing is
 /// ever evicted), sweep their pages, report progress and unregister. The
-/// interleaving differs run to run; the accounting must not, at any shard
-/// count.
+/// interleaving differs run to run; the accounting must not.
 #[test]
-fn concurrent_sweeps_over_a_warm_pool_account_identically_at_every_shard_count() {
+fn concurrent_sweeps_over_a_warm_pool_account_exactly() {
     use scanshare::common::{ColumnId, PageId, TableId, TupleRange, VirtualInstant};
     use scanshare::storage::layout::{PageDescriptor, ScanPagePlan};
 
@@ -213,49 +206,46 @@ fn concurrent_sweeps_over_a_warm_pool_account_identically_at_every_shard_count()
     };
 
     for (policy, make_policy) in policies() {
-        for shards in [1usize, 2, 4, 8] {
-            let pool = ShardedPool::new(PAGES as usize, PAGE, make_policy(), shards);
-            for page in 0..PAGES {
-                pool.request_page(PageId::new(page), None, now).unwrap();
-            }
-            std::thread::scope(|scope| {
-                for stream in 0..STREAMS {
-                    let (pool, plan) = (&pool, &plan);
-                    scope.spawn(move || {
-                        let mut cursor = stream * (PAGES / STREAMS);
-                        for _ in 0..QUERIES {
-                            let plan = plan(cursor);
-                            let scan = pool.register_scan(&plan, now);
-                            for (i, desc) in plan.pages.iter().enumerate() {
-                                pool.request_page(desc.page, Some(scan), now).unwrap();
-                                if i % 16 == 15 {
-                                    pool.report_scan_position(scan, desc.tuples_behind, now);
-                                }
-                            }
-                            pool.unregister_scan(scan, now);
-                            cursor = (cursor + QUERY_PAGES) % PAGES;
-                        }
-                    });
-                }
-            });
-            let stats = pool.stats();
-            assert_eq!(
-                (stats.io_bytes, stats.misses, stats.hits, stats.evictions),
-                (PAGES * PAGE, PAGES, STREAMS * QUERIES * QUERY_PAGES, 0),
-                "{policy} shards {shards}"
-            );
+        let pool = BufferPool::new(PAGES as usize, PAGE, make_policy());
+        for page in 0..PAGES {
+            pool.request_page(PageId::new(page), None, now).unwrap();
         }
+        std::thread::scope(|scope| {
+            for stream in 0..STREAMS {
+                let (pool, plan) = (&pool, &plan);
+                scope.spawn(move || {
+                    let mut cursor = stream * (PAGES / STREAMS);
+                    for _ in 0..QUERIES {
+                        let plan = plan(cursor);
+                        let scan = pool.register_scan(&plan, now);
+                        for (i, desc) in plan.pages.iter().enumerate() {
+                            pool.request_page(desc.page, Some(scan), now).unwrap();
+                            if i % 16 == 15 {
+                                pool.report_scan_position(scan, desc.tuples_behind, now);
+                            }
+                        }
+                        pool.unregister_scan(scan, now);
+                        cursor = (cursor + QUERY_PAGES) % PAGES;
+                    }
+                });
+            }
+        });
+        let stats = pool.stats();
+        assert_eq!(
+            (stats.io_bytes, stats.misses, stats.hits, stats.evictions),
+            (PAGES * PAGE, PAGES, STREAMS * QUERIES * QUERY_PAGES, 0),
+            "{policy}"
+        );
     }
 }
 
 /// The same through the multi-threaded `WorkloadDriver`: with a pool that
 /// holds the whole table every page loads exactly once under any thread
 /// interleaving, so the cold pass's I/O volume and request count are the
-/// same at every shard count and the warm pass misses nothing. Cooperative
-/// Scans run the workload at (directory shards, load window) = (1, 1) and
-/// (4, 4) without starving a stream.
+/// same under LRU and PBM and the warm pass misses nothing. Cooperative
+/// Scans run the workload twice without starving a stream.
 #[test]
-fn driver_io_is_shard_count_invariant_and_a_headroom_pool_rereads_nothing() {
+fn a_headroom_pool_rereads_nothing_under_the_driver() {
     use scanshare::prelude::*;
     use scanshare::workload::microbench;
 
@@ -268,43 +258,37 @@ fn driver_io_is_shard_count_invariant_and_a_headroom_pool_rereads_nothing() {
         ..Default::default()
     };
     let (storage, workload) = microbench::build(&micro, PAGE, CHUNK).unwrap();
-    let config = |policy, shards| ScanShareConfig {
+    let config = |policy| ScanShareConfig {
         page_size_bytes: PAGE,
         chunk_tuples: CHUNK,
         buffer_pool_bytes: 64 << 20,
         policy,
-        pool_shards: shards,
         ..Default::default()
     };
 
+    let mut reference = None;
     for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
-        let mut reference = None;
-        for shards in [1usize, 4] {
-            let engine = Engine::new(Arc::clone(&storage), config(policy, shards)).unwrap();
-            let driver = WorkloadDriver::new(engine);
-            let cold = driver.run(&workload).unwrap().buffer;
-            let cold = (cold.io_bytes, cold.hits + cold.misses);
-            assert_eq!(
-                *reference.get_or_insert(cold),
-                cold,
-                "{policy} shards {shards}: cold I/O volume / request count"
-            );
-            let warm = driver.run(&workload).unwrap().buffer;
-            assert_eq!(warm.misses, 0, "{policy} shards {shards}: warm pass");
-        }
+        let driver =
+            WorkloadDriver::new(Engine::new(Arc::clone(&storage), config(policy)).unwrap());
+        let cold = driver.run(&workload).unwrap().buffer;
+        let cold = (cold.io_bytes, cold.hits + cold.misses);
+        assert_eq!(
+            *reference.get_or_insert(cold),
+            cold,
+            "{policy}: cold I/O volume / request count"
+        );
+        let warm = driver.run(&workload).unwrap().buffer;
+        assert_eq!(warm.misses, 0, "{policy}: warm pass");
     }
 
-    for (shards, window) in [(1usize, 1usize), (4, 4)] {
-        let mut config = config(PolicyKind::CScan, shards);
-        config.cscan_load_window = window;
-        let driver = WorkloadDriver::new(Engine::new(Arc::clone(&storage), config).unwrap());
-        for pass in 0..2 {
-            let report = driver.run(&workload).unwrap();
-            assert!(
-                report.stream_errors.is_empty(),
-                "cscan shards {shards} window {window} pass {pass}: {:?}",
-                report.stream_errors
-            );
-        }
+    let driver =
+        WorkloadDriver::new(Engine::new(Arc::clone(&storage), config(PolicyKind::CScan)).unwrap());
+    for pass in 0..2 {
+        let report = driver.run(&workload).unwrap();
+        assert!(
+            report.stream_errors.is_empty(),
+            "cscan pass {pass}: {:?}",
+            report.stream_errors
+        );
     }
 }

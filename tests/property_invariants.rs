@@ -11,7 +11,7 @@ use scanshare::common::{PageId, RangeList, Rid, TupleRange, VirtualInstant};
 use scanshare::core::lru::LruPolicy;
 use scanshare::core::opt::simulate_opt;
 use scanshare::core::pbm::{PbmConfig, PbmPolicy};
-use scanshare::core::ShardedPool;
+use scanshare::core::BufferPool;
 use scanshare::pdt::merge::{merge_columns, merge_range, MergeCursor, SliceSource};
 use scanshare::pdt::{Pdt, PdtStack};
 
@@ -396,7 +396,7 @@ fn buffer_pool_respects_capacity() {
         } else {
             Box::new(LruPolicy::new())
         };
-        let pool = ShardedPool::new(capacity, 4096, policy, 1);
+        let pool = BufferPool::new(capacity, 4096, policy);
         let now = VirtualInstant::EPOCH;
         for &r in &refs {
             pool.request_page(PageId::new(r), None, now).unwrap();
@@ -425,7 +425,7 @@ fn opt_is_a_lower_bound() {
             .collect();
         let opt = simulate_opt(&trace, capacity);
 
-        let pool = ShardedPool::new(capacity, 1, Box::new(LruPolicy::new()), 1);
+        let pool = BufferPool::new(capacity, 1, Box::new(LruPolicy::new()));
         let now = VirtualInstant::EPOCH;
         for &page in &trace {
             pool.request_page(page, None, now).unwrap();

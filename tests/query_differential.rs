@@ -3,8 +3,8 @@
 //! values, must agree **byte for byte** with the engine's operators —
 //! filters × multi-key group-by (one key through both the single-key and
 //! the multi-key API) × top-k × broadcast hash join — under every
-//! replacement policy (including CLOCK and SIEVE via the registry), at
-//! shard counts 1 and 4, across parallelism degrees, over many seeds.
+//! replacement policy (including CLOCK and SIEVE via the registry), across
+//! parallelism degrees, over many seeds.
 //!
 //! The reference executor shares no code with the engine's batch pipeline:
 //! it reads column values through `Storage::read_range`, zips them into
@@ -478,19 +478,10 @@ fn random_plans_match_the_reference_executor_under_every_policy() {
         let mut rng = Rng::new(0x9e37_79b9 + seed * 104_729);
         let plans: Vec<Plan> = (0..plans_per_seed).map(|_| random_plan(&mut rng)).collect();
         for (name, config) in policy_configs() {
-            for shards in [1usize, 4] {
-                let engine = Engine::new(
-                    Arc::clone(&storage),
-                    ScanShareConfig {
-                        pool_shards: shards,
-                        ..config.clone()
-                    },
-                )
-                .unwrap();
-                for (i, plan) in plans.iter().enumerate() {
-                    let context = format!("seed {seed} plan {i} policy {name} shards {shards}");
-                    assert_plan_matches(&engine, &storage, fact, dim, plan, &context);
-                }
+            let engine = Engine::new(Arc::clone(&storage), config).unwrap();
+            for (i, plan) in plans.iter().enumerate() {
+                let context = format!("seed {seed} plan {i} policy {name}");
+                assert_plan_matches(&engine, &storage, fact, dim, plan, &context);
             }
         }
     }
@@ -570,26 +561,17 @@ fn random_workloads_do_identical_io_on_engine_and_simulator() {
             .unwrap()
             .run(&workload)
             .unwrap();
-            for shards in [1usize, 4] {
-                let engine = Engine::new(
-                    Arc::clone(&storage),
-                    ScanShareConfig {
-                        pool_shards: shards,
-                        ..config.clone()
-                    },
-                )
-                .unwrap();
-                let report = WorkloadDriver::new(engine).run(&workload).unwrap();
-                assert!(
-                    report.stream_errors.is_empty(),
-                    "seed {seed} policy {name} shards {shards}: {:?}",
-                    report.stream_errors
-                );
-                assert_eq!(
-                    report.buffer.io_bytes, sim.total_io_bytes,
-                    "seed {seed} policy {name} shards {shards}: I/O diverged"
-                );
-            }
+            let engine = Engine::new(Arc::clone(&storage), config).unwrap();
+            let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+            assert!(
+                report.stream_errors.is_empty(),
+                "seed {seed} policy {name}: {:?}",
+                report.stream_errors
+            );
+            assert_eq!(
+                report.buffer.io_bytes, sim.total_io_bytes,
+                "seed {seed} policy {name}: I/O diverged"
+            );
         }
     }
 }

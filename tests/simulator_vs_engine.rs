@@ -436,38 +436,35 @@ fn headroom_parity(storage: &Arc<Storage>, workload: &WorkloadSpec) {
     .unwrap();
 
     for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
-        for shards in [1usize, 4] {
-            let scanshare = ScanShareConfig {
-                page_size_bytes: 64 * 1024,
-                chunk_tuples: 10_000,
-                buffer_pool_bytes: accessed * 2,
-                policy,
-                pool_shards: shards,
-                ..Default::default()
-            };
-            let engine = Engine::new(Arc::clone(storage), scanshare.clone()).unwrap();
-            let report = WorkloadDriver::new(engine).run(workload).unwrap();
-            let sim = Simulation::new(
-                Arc::clone(storage),
-                SimConfig {
-                    scanshare,
-                    cores: 8,
-                    sharing_sample_interval: None,
-                },
-            )
-            .unwrap()
-            .run(workload)
-            .unwrap();
-            assert_eq!(
-                report.buffer.io_bytes, sim.total_io_bytes,
-                "{policy} shards {shards}: engine and simulator I/O volumes must match"
-            );
-            assert_eq!(
-                report.buffer.io_bytes, accessed,
-                "{policy} shards {shards}: with headroom every accessed page loads exactly once"
-            );
-            assert_eq!(report.queries, workload.query_count() as u64);
-        }
+        let scanshare = ScanShareConfig {
+            page_size_bytes: 64 * 1024,
+            chunk_tuples: 10_000,
+            buffer_pool_bytes: accessed * 2,
+            policy,
+            ..Default::default()
+        };
+        let engine = Engine::new(Arc::clone(storage), scanshare.clone()).unwrap();
+        let report = WorkloadDriver::new(engine).run(workload).unwrap();
+        let sim = Simulation::new(
+            Arc::clone(storage),
+            SimConfig {
+                scanshare,
+                cores: 8,
+                sharing_sample_interval: None,
+            },
+        )
+        .unwrap()
+        .run(workload)
+        .unwrap();
+        assert_eq!(
+            report.buffer.io_bytes, sim.total_io_bytes,
+            "{policy}: engine and simulator I/O volumes must match"
+        );
+        assert_eq!(
+            report.buffer.io_bytes, accessed,
+            "{policy}: with headroom every accessed page loads exactly once"
+        );
+        assert_eq!(report.queries, workload.query_count() as u64);
     }
 }
 
@@ -630,9 +627,9 @@ fn page_request_order_matches_simulator_on_unaligned_columns() {
 /// the exact RegisterCScan / GetChunk / load sequence the simulator's
 /// event loop models (extra no-op `GetChunk` probes aside), so the
 /// decomposed ABM must account the identical I/O volume, hit and miss
-/// counts — under replacement pressure and with headroom, at every
-/// directory shard count, with one range per scan and with two (both
-/// executors register a query's CScans one at a time, one per range).
+/// counts — under replacement pressure and with headroom, with one range
+/// per scan and with two (both executors register a query's CScans one at
+/// a time, one per range).
 #[test]
 fn workload_driver_matches_simulator_under_cscan_single_stream() {
     let config = MicrobenchConfig {
@@ -682,30 +679,18 @@ fn workload_driver_matches_simulator_under_cscan_single_stream() {
         .unwrap()
         .run(workload)
         .unwrap();
-        for shards in [1usize, 4] {
-            let engine = Engine::new(
-                Arc::clone(&storage),
-                ScanShareConfig {
-                    pool_shards: shards,
-                    ..scanshare.clone()
-                },
-            )
-            .unwrap();
-            let report = WorkloadDriver::new(engine).run(workload).unwrap();
-            assert!(
-                report.stream_errors.is_empty(),
-                "{name} pool {pool} shards {shards}"
-            );
-            assert_eq!(
-                report.buffer.io_bytes, sim.total_io_bytes,
-                "{name} pool {pool} shards {shards}: engine and simulator I/O must match"
-            );
-            assert_eq!(
-                (report.buffer.hits, report.buffer.misses),
-                (sim.buffer.hits, sim.buffer.misses),
-                "{name} pool {pool} shards {shards}: delivery/load counts must match"
-            );
-        }
+        let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
+        let report = WorkloadDriver::new(engine).run(workload).unwrap();
+        assert!(report.stream_errors.is_empty(), "{name} pool {pool}");
+        assert_eq!(
+            report.buffer.io_bytes, sim.total_io_bytes,
+            "{name} pool {pool}: engine and simulator I/O must match"
+        );
+        assert_eq!(
+            (report.buffer.hits, report.buffer.misses),
+            (sim.buffer.hits, sim.buffer.misses),
+            "{name} pool {pool}: delivery/load counts must match"
+        );
     }
 }
 
@@ -890,7 +875,7 @@ fn join_setup() -> (Arc<Storage>, WorkloadSpec) {
 /// Single stream, so both executors issue the identical request sequence:
 /// the driver's lowered join (build first, then the probe) must account the
 /// byte-identical I/O the simulator's deferred-probe registration models —
-/// under replacement pressure and with headroom, at every shard count.
+/// under replacement pressure and with headroom.
 #[test]
 fn workload_driver_matches_simulator_for_join_queries() {
     let (storage, workload) = join_setup();
@@ -914,27 +899,18 @@ fn workload_driver_matches_simulator_for_join_queries() {
             .unwrap()
             .run(&workload)
             .unwrap();
-            for shards in [1usize, 4] {
-                let engine = Engine::new(
-                    Arc::clone(&storage),
-                    ScanShareConfig {
-                        pool_shards: shards,
-                        ..scanshare.clone()
-                    },
-                )
-                .unwrap();
-                let report = WorkloadDriver::new(engine).run(&workload).unwrap();
-                assert!(
-                    report.stream_errors.is_empty(),
-                    "{policy} pool {pool} shards {shards}: {:?}",
-                    report.stream_errors
-                );
-                assert_eq!(
-                    report.buffer.io_bytes, sim.total_io_bytes,
-                    "{policy} pool {pool} shards {shards}: engine and simulator I/O must match \
-                     for join queries"
-                );
-            }
+            let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
+            let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+            assert!(
+                report.stream_errors.is_empty(),
+                "{policy} pool {pool}: {:?}",
+                report.stream_errors
+            );
+            assert_eq!(
+                report.buffer.io_bytes, sim.total_io_bytes,
+                "{policy} pool {pool}: engine and simulator I/O must match \
+                 for join queries"
+            );
         }
     }
 
@@ -994,7 +970,6 @@ fn assert_skipping_parity(
     config: &scanshare::workload::skipping::SkippingConfig,
     policy: PolicyKind,
     zone_maps: bool,
-    shards: usize,
     label: &str,
 ) {
     use scanshare::workload::skipping;
@@ -1003,7 +978,6 @@ fn assert_skipping_parity(
         chunk_tuples: 1000,
         buffer_pool_bytes: 8 << 20, // headroom: order-insensitive page sets
         policy,
-        pool_shards: shards,
         zone_maps,
         ..Default::default()
     };
@@ -1062,10 +1036,8 @@ fn workload_driver_matches_simulator_with_zone_skipping() {
     };
     for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
         for zone_maps in [true, false] {
-            for shards in [1usize, 4] {
-                let label = format!("{policy} zones {zone_maps} shards {shards}");
-                assert_skipping_parity(&config, policy, zone_maps, shards, &label);
-            }
+            let label = format!("{policy} zones {zone_maps}");
+            assert_skipping_parity(&config, policy, zone_maps, &label);
         }
     }
 }
@@ -1088,7 +1060,7 @@ fn workload_driver_matches_simulator_with_zone_skipping_under_cscan() {
                 seed: 0x5eed,
             };
             let label = format!("cscan sel {selectivity} zones {zone_maps}");
-            assert_skipping_parity(&config, PolicyKind::CScan, zone_maps, 1, &label);
+            assert_skipping_parity(&config, PolicyKind::CScan, zone_maps, &label);
         }
     }
 }

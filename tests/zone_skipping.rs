@@ -1,7 +1,7 @@
 //! Zone-map correctness properties: data skipping is an optimization, never
 //! a semantics change. Randomized (but seeded and deterministic) predicated
 //! queries must return byte-identical results with zone maps on and off,
-//! across every policy and shard count; pruning must survive checkpoints
+//! across every policy; pruning must survive checkpoints
 //! and cold restarts, and must disable itself while uncheckpointed updates
 //! are pending.
 
@@ -41,12 +41,7 @@ fn events_storage() -> (Arc<Storage>, TableId) {
     (storage, table)
 }
 
-fn engine(
-    storage: &Arc<Storage>,
-    policy: PolicyKind,
-    shards: usize,
-    zone_maps: bool,
-) -> Arc<Engine> {
+fn engine(storage: &Arc<Storage>, policy: PolicyKind, zone_maps: bool) -> Arc<Engine> {
     Engine::new(
         Arc::clone(storage),
         ScanShareConfig {
@@ -54,7 +49,6 @@ fn engine(
             chunk_tuples: CHUNK,
             buffer_pool_bytes: 8 << 20,
             policy,
-            pool_shards: shards,
             zone_maps,
             ..Default::default()
         },
@@ -105,7 +99,7 @@ fn predicated_rows(
 }
 
 /// The tentpole property: for a few dozen randomized predicates and ranges,
-/// every policy and shard count returns byte-identical rows with zone maps
+/// every policy returns byte-identical rows with zone maps
 /// enabled and disabled — and the enabled runs actually pruned something.
 #[test]
 fn random_predicates_return_identical_rows_with_zone_maps_on_and_off() {
@@ -121,24 +115,22 @@ fn random_predicates_return_identical_rows_with_zone_maps_on_and_off() {
         (0, TUPLES),
     ));
 
-    let reference = engine(&storage, PolicyKind::Lru, 1, false);
+    let reference = engine(&storage, PolicyKind::Lru, false);
     for (pred, range) in &queries {
         let expected = predicated_rows(&reference, table, *pred, *range);
         for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
-            for shards in [1usize, 4] {
-                let on = engine(&storage, policy, shards, true);
-                assert_eq!(
-                    predicated_rows(&on, table, *pred, *range),
-                    expected,
-                    "{policy} shards {shards} pred {pred:?} range {range:?}"
-                );
-            }
+            let on = engine(&storage, policy, true);
+            assert_eq!(
+                predicated_rows(&on, table, *pred, *range),
+                expected,
+                "{policy} pred {pred:?} range {range:?}"
+            );
         }
     }
 
     // Re-run the whole battery on one zones-on engine to check pruning
     // actually engaged (per-engine stats accumulate across queries).
-    let on = engine(&storage, PolicyKind::Pbm, 1, true);
+    let on = engine(&storage, PolicyKind::Pbm, true);
     for (pred, range) in &queries {
         let _ = predicated_rows(&on, table, *pred, *range);
     }
@@ -156,7 +148,7 @@ fn aggregates_are_identical_with_zone_maps_on_and_off() {
     let (storage, table) = events_storage();
     let pred = Predicate::new(0, CompareOp::Lt, (TUPLES / 50) as i64);
     let aggr = |zone_maps: bool, policy: PolicyKind| {
-        let engine = engine(&storage, policy, 1, zone_maps);
+        let engine = engine(&storage, policy, zone_maps);
         engine
             .query(table)
             .columns(["ev_key", "ev_value", "ev_payload"])
@@ -182,7 +174,7 @@ fn aggregates_are_identical_with_zone_maps_on_and_off() {
 #[test]
 fn updates_gate_pruning_and_checkpoints_rebuild_the_zones() {
     let (storage, table) = events_storage();
-    let eng = engine(&storage, PolicyKind::Pbm, 1, true);
+    let eng = engine(&storage, PolicyKind::Pbm, true);
     let pred = Predicate::new(0, CompareOp::Lt, 100);
     let base = predicated_rows(&eng, table, pred, (0, TUPLES));
     assert_eq!(base.len(), 100);
