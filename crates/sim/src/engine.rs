@@ -11,14 +11,17 @@
 //!
 //! Streams execute their queries back to back. A query is lowered into its
 //! scan steps by the shared [`QuerySpec::steps`], each step planned by the
-//! shared [`plan_scan`]; a step then either issues page requests in
-//! consumption order (`pool_phase`: the page-level policies —
-//! LRU, PBM, the PBM run recording OPT's trace) or consumes chunks in
-//! whatever order the backend delivers them, beside a loader
-//! (`cscan_phase`: Cooperative Scans). Misses and chunk loads
-//! are served by a bandwidth-limited [`IoDevice`]; CPU work is charged per
-//! tuple, scaled by the query's CPU factor and by the effective intra-query
-//! parallelism (`cores / streams`, at least 1).
+//! shared [`plan_scan`]. One event loop (`Simulation::phase`) then drives
+//! every backend the way the engine's scan operator does: a registered scan
+//! asks `next_chunk` for the next range to produce — in table order from the
+//! page-level policies (LRU, PBM, the PBM run recording OPT's trace), in
+//! whatever order the Active Buffer Manager chooses under Cooperative Scans
+//! — and a stream consumes one step of that range per event, blocking while
+//! starved; a loader runs beside the streams for the backends that load
+//! chunks. Misses and chunk loads are served by a bandwidth-limited
+//! [`IoDevice`]; CPU work is charged per tuple, scaled by the query's CPU
+//! factor and by the effective intra-query parallelism (`cores / streams`,
+//! at least 1).
 //!
 //! # Mixed read/write workloads
 //!
@@ -48,7 +51,7 @@ use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use scanshare_common::{
-    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
+    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
     VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
@@ -59,6 +62,7 @@ use scanshare_iosim::IoDevice;
 use scanshare_pdt::checkpoint::checkpoint_stack;
 use scanshare_pdt::table::{TableState, TableWrites};
 use scanshare_pdt::translate::plan_scan;
+use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::spec::{QuerySpec, UpdateOp, UpdateOpGen, UpdateStreamSpec, WorkloadSpec};
@@ -156,86 +160,60 @@ struct ResolvedQuery {
     cpu_ns_per_tuple: f64,
 }
 
-/// One scan of a query in the page-level (order-preserving) model.
-#[derive(Debug)]
-struct PartRun {
-    scan_id: ScanId,
-    /// The page accesses in consumption order.
-    pages: Vec<PageStep>,
-    next: usize,
-}
-
-/// One page access of a [`PartRun`].
+/// What a stream consumes in one event: one page of a delivered range, or
+/// a whole delivered chunk (see [`Simulation::steps_of`]).
 #[derive(Debug, Clone, Copy)]
-struct PageStep {
-    page: PageId,
-    /// Tuples of the scan's ranges stored on the page: the CPU charge of
-    /// consuming it (a scan of k columns is charged k times per row).
+struct Step {
+    /// The page to request first; `None` when the backend already loaded
+    /// the range.
+    page: Option<PageId>,
+    /// Tuples consumed: the step's CPU charge.
     tuples: u64,
-    /// Rows of the scan's range list consumed before the page is needed
-    /// (`PageDescriptor::tuples_behind`): the position reported with it.
+    /// Rows of the scan's range list consumed before the step
+    /// (`PageDescriptor::tuples_behind` of the whole scan's plan): the
+    /// position reported with it.
     position: u64,
 }
 
+/// One registered scan of a query in flight.
+#[derive(Debug)]
+struct Part {
+    scan: ResolvedScan,
+    layout: Arc<TableLayout>,
+    id: ScanId,
+    /// The ranges `next_chunk` delivered so far, the one being consumed
+    /// included.
+    delivered: RangeList,
+    /// Rows of the scan's range list in `delivered`.
+    rows: u64,
+    /// The steps of the range being consumed; `next` is the first one not
+    /// consumed yet.
+    steps: Vec<Step>,
+    next: usize,
+}
+
+/// One query in flight.
 #[derive(Debug)]
 struct QueryRun {
-    parts: Vec<PartRun>,
-    part_idx: usize,
-    /// Steps behind a join barrier, registered only once every
-    /// already-registered part has drained (the engine's probe scans open
-    /// together after the build phase finishes).
-    pending: Vec<ResolvedScan>,
+    /// The registered scans; the front one is being consumed.
+    parts: VecDeque<Part>,
+    /// The steps not registered yet, in step order.
+    waiting: VecDeque<ResolvedScan>,
     cpu_ns_per_tuple: f64,
     started: VirtualInstant,
 }
 
-/// One stream of a phase: its queued queries, the query in flight (`R` is
-/// the page-level [`QueryRun`] or the chunk-level [`CScanQueryRun`]) and the
+/// One stream of a phase: its queued queries, the query in flight and the
 /// time it ran out of queries.
 #[derive(Debug)]
-struct StreamState<R> {
+struct Stream {
     queries: VecDeque<ResolvedQuery>,
-    current: Option<R>,
+    current: Option<QueryRun>,
     finished: Option<VirtualInstant>,
 }
 
-fn start_streams<R>(phase_queries: Vec<VecDeque<ResolvedQuery>>) -> Vec<StreamState<R>> {
-    phase_queries
-        .into_iter()
-        .map(|queries| StreamState {
-            queries,
-            current: None,
-            finished: None,
-        })
-        .collect()
-}
-
-/// When each stream ran out of queries; `None` if one never did.
-fn finish_times<R>(streams: &[StreamState<R>]) -> Option<Vec<u64>> {
-    streams
-        .iter()
-        .map(|s| s.finished.map(|at| at.as_nanos()))
-        .collect()
-}
-
-/// One query in the chunk-level (Cooperative Scans) model: its steps run
-/// one at a time, `scans[part_idx]` being the registered one while `active`
-/// is set.
-#[derive(Debug)]
-struct CScanQueryRun {
-    scans: Vec<ResolvedScan>,
-    part_idx: usize,
-    active: Option<ScanId>,
-    /// The chunks delivered to the active step so far.
-    delivered: Vec<TupleRange>,
-    cpu_ns_per_tuple: f64,
-    started: VirtualInstant,
-}
-
-/// Periodic sharing-potential sampling state (Figures 17/18), shared by the
-/// pooled and Cooperative Scans event loops so the sampling cadence exists
-/// exactly once; the loops differ only in how each computes the outstanding
-/// page sets.
+/// Periodic sharing-potential sampling state (Figures 17/18); it survives
+/// the phases of a mixed run.
 struct SharingSampler {
     profile: Option<SharingProfile>,
     next_sample: u64,
@@ -289,12 +267,6 @@ struct RunState {
     sampler: SharingSampler,
     query_latencies: Vec<VirtualDuration>,
 }
-
-/// One phase of a run's event loop (`Simulation::pool_phase` or
-/// `Simulation::cscan_phase`): every stream starts its queued queries at
-/// the given time; returns when each stream finished.
-type PhaseFn =
-    fn(&Simulation, &mut RunState, Vec<VecDeque<ResolvedQuery>>, u64) -> Result<Vec<u64>>;
 
 /// Puts a chunk load in flight unless one already is, scheduling a
 /// `LoadDone` event at its completion.
@@ -361,7 +333,7 @@ impl Simulation {
     }
 
     /// Runs `workload` under the policy selected in the configuration: its
-    /// queries are resolved and run through the policy's phase loop over one
+    /// queries are resolved and run through the event loop over one
     /// backend — in one phase when the workload is read-only, else round by
     /// round behind the update barrier. See the [module docs](self) for how
     /// workloads with update streams are executed (and note they mutate the
@@ -386,10 +358,6 @@ impl Simulation {
             VirtualDuration::from_nanos(scanshare.io_latency_nanos),
         ));
         let (backend, trace) = build_backend(scanshare, &self.registry, device)?;
-        let phase: PhaseFn = match policy {
-            PolicyKind::CScan => Self::cscan_phase,
-            _ => Self::pool_phase,
-        };
         let mut state = RunState {
             backend,
             sampler: SharingSampler::new(self.config.sharing_sample_interval),
@@ -409,7 +377,7 @@ impl Simulation {
                         .collect::<Result<VecDeque<_>>>()
                 })
                 .collect::<Result<_>>()?;
-            phase(self, &mut state, queries, 0)?
+            self.phase(&mut state, queries, 0)?
         } else {
             let mut generators: Vec<UpdateOpGen> = workload
                 .update_streams
@@ -441,7 +409,7 @@ impl Simulation {
                             .collect()
                     })
                     .collect::<Result<_>>()?;
-                let round_finish = phase(self, &mut state, queries, barrier_ns)?;
+                let round_finish = self.phase(&mut state, queries, barrier_ns)?;
                 for (s, stream) in workload.streams.iter().enumerate() {
                     if round < stream.queries.len() {
                         finish[s] = round_finish[s];
@@ -591,229 +559,129 @@ impl Simulation {
         Ok(())
     }
 
-    /// What a resolved scan announces to the backend (`RegisterScan` /
-    /// `RegisterCScan`).
-    fn scan_request(&self, scan: &ResolvedScan) -> Result<ScanRequest> {
-        Ok(ScanRequest {
-            table: scan.table,
-            snapshot: Arc::clone(&scan.snapshot),
-            layout: self.storage.layout(scan.table)?,
-            columns: scan.columns.clone(),
-            ranges: scan.sid_ranges.clone(),
-            in_order: false,
-        })
+    /// Registers the query's next steps once none of its registered scans is
+    /// left, skipping the steps with no stable data (the engine registers no
+    /// backend scan for PDT-only ranges).
+    ///
+    /// One of the model's two differences from the engine (ROADMAP item 1):
+    /// a page-level backend registers every step up to the next join barrier
+    /// at once, so the probe scan opens only once the build side drained;
+    /// Cooperative Scans, like the engine, register one scan at a time.
+    fn register_next(
+        &self,
+        backend: &dyn ScanBackend,
+        run: &mut QueryRun,
+        now: VirtualInstant,
+    ) -> Result<()> {
+        while run.parts.is_empty() && !run.waiting.is_empty() {
+            let group = if backend.kind().is_order_preserving() {
+                let barrier = run.waiting.iter().skip(1).position(|s| s.barrier);
+                barrier.map_or(run.waiting.len(), |i| i + 1)
+            } else {
+                1
+            };
+            for scan in run.waiting.drain(..group) {
+                if scan.sid_ranges.is_empty() {
+                    continue;
+                }
+                let request = ScanRequest {
+                    table: scan.table,
+                    snapshot: Arc::clone(&scan.snapshot),
+                    layout: self.storage.layout(scan.table)?,
+                    columns: scan.columns.clone(),
+                    ranges: scan.sid_ranges.clone(),
+                    in_order: false,
+                };
+                let layout = Arc::clone(&request.layout);
+                run.parts.push_back(Part {
+                    id: backend.register_scan(request, now)?,
+                    scan,
+                    layout,
+                    delivered: RangeList::new(),
+                    rows: 0,
+                    steps: Vec::new(),
+                    next: 0,
+                });
+            }
+        }
+        Ok(())
     }
 
-    /// The distinct pages `scan` still has to read once the `delivered`
-    /// chunks are consumed, ascending (the sharing-potential sampling input
-    /// of Figures 17/18).
-    fn outstanding_pages(&self, scan: &ResolvedScan, delivered: &[TupleRange]) -> Vec<PageId> {
-        let Ok(layout) = self.storage.layout(scan.table) else {
-            return Vec::new();
-        };
-        let delivered = RangeList::from_ranges(delivered.iter().copied());
-        let remaining = scan.sid_ranges.subtract(&delivered);
-        let plan = layout.scan_page_plan(&scan.snapshot, &scan.columns, &remaining);
-        let mut pages: Vec<PageId> = plan.pages.iter().map(|p| p.page).collect();
+    /// The steps of consuming `ranges` — the part of the scan's range list
+    /// in the range `next_chunk` just delivered to `part`, after the ranges
+    /// it already consumed.
+    ///
+    /// The other of the model's two differences from the engine (ROADMAP
+    /// item 1): a page-level backend gets one step per page of the range, in
+    /// the `(tuples_behind, column)` order the engine's merge cursor requests
+    /// them, each charged the page's `tuple_count` — a scan of k columns
+    /// pays k times per row; Cooperative Scans get one step per chunk,
+    /// charged once per row like the engine.
+    fn steps_of(backend: &dyn ScanBackend, part: &Part, ranges: &RangeList) -> Vec<Step> {
+        if !backend.kind().is_order_preserving() {
+            return vec![Step {
+                page: None,
+                tuples: ranges.total_tuples(),
+                position: part.rows,
+            }];
+        }
+        let plan = part
+            .layout
+            .scan_page_plan(&part.scan.snapshot, &part.scan.columns, ranges);
+        let steps = plan.interleaved().into_iter().map(|p| Step {
+            page: Some(p.page),
+            tuples: p.tuple_count,
+            position: part.rows + p.tuples_behind,
+        });
+        steps.collect()
+    }
+
+    /// The distinct pages `part` still has to read, ascending: the rest of
+    /// the range being consumed and every range not delivered yet (the
+    /// sharing-potential sampling input of Figures 17/18).
+    fn outstanding_pages(part: &Part) -> Vec<PageId> {
+        let remaining = part.scan.sid_ranges.subtract(&part.delivered);
+        let plan = part
+            .layout
+            .scan_page_plan(&part.scan.snapshot, &part.scan.columns, &remaining);
+        let mut pages: Vec<PageId> = part.steps[part.next..]
+            .iter()
+            .filter_map(|step| step.page)
+            .chain(plan.pages.iter().map(|p| p.page))
+            .collect();
         pages.sort_unstable();
         pages.dedup();
         pages
     }
 
-    // -----------------------------------------------------------------
-    // Order-preserving policies: LRU / PBM (and the PBM run behind OPT)
-    // -----------------------------------------------------------------
-
-    /// Registers one resolved scan with the backend and lays out its page
-    /// consumption order — the simulator's stand-in for the engine's merge
-    /// cursor crossing page boundaries; `None` for scans with no stable data
-    /// to read.
-    fn build_part_run(
+    /// Runs one phase (a whole read-only workload, or one round of a mixed
+    /// one) of the event loop over the persistent `state`, driving the
+    /// backend the way the engine's scan operator does: a stream's front
+    /// registered scan asks `next_chunk` for the next range to produce, and
+    /// one event consumes one [`Step`] of it, the stream's next event
+    /// falling at the instant the step's page is usable (at once when it has
+    /// none) plus the step's CPU time. A starved stream blocks; the loader —
+    /// the backend's `plan_load` / `retire_load` pair, as `LoadDone` events —
+    /// runs beside the streams and wakes the blocked ones whenever a load
+    /// lands (a pooled backend never plans one). `phase_queries` holds each
+    /// stream's queries for this phase; all streams start at `start_ns`.
+    /// Returns each stream's finish time.
+    fn phase(
         &self,
-        backend: &dyn ScanBackend,
-        scan: &ResolvedScan,
-        now: VirtualInstant,
-    ) -> Result<Option<PartRun>> {
-        if scan.sid_ranges.is_empty() {
-            return Ok(None);
-        }
-        let request = self.scan_request(scan)?;
-        let plan = request
-            .layout
-            .scan_page_plan(&scan.snapshot, &scan.columns, &scan.sid_ranges);
-        let pages = plan
-            .interleaved()
-            .iter()
-            .map(|p| PageStep {
-                page: p.page,
-                tuples: p.tuple_count,
-                position: p.tuples_behind,
+        state: &mut RunState,
+        phase_queries: Vec<VecDeque<ResolvedQuery>>,
+        start_ns: u64,
+    ) -> Result<Vec<u64>> {
+        let page_size = self.config.scanshare.page_size_bytes;
+        let backend = state.backend.as_ref();
+        let mut streams: Vec<Stream> = phase_queries
+            .into_iter()
+            .map(|queries| Stream {
+                queries,
+                current: None,
+                finished: None,
             })
             .collect();
-        Ok(Some(PartRun {
-            scan_id: backend.register_scan(request, now)?,
-            pages,
-            next: 0,
-        }))
-    }
-
-    fn build_query_run(
-        &self,
-        backend: &dyn ScanBackend,
-        query: &ResolvedQuery,
-        now: VirtualInstant,
-    ) -> Result<QueryRun> {
-        // Every step registers up front, except those behind a join barrier:
-        // they stay pending until the build side has drained, matching the
-        // engine's build-then-probe registration order.
-        let eager = query
-            .scans
-            .iter()
-            .position(|scan| scan.barrier)
-            .unwrap_or(query.scans.len());
-        let (eager, pending) = query.scans.split_at(eager);
-        let mut parts = Vec::with_capacity(eager.len());
-        for scan in eager {
-            parts.extend(self.build_part_run(backend, scan, now)?);
-        }
-        Ok(QueryRun {
-            parts,
-            part_idx: 0,
-            pending: pending.to_vec(),
-            cpu_ns_per_tuple: query.cpu_ns_per_tuple,
-            started: now,
-        })
-    }
-
-    /// Runs one phase (a whole read-only workload, or one round of a mixed
-    /// one) of the page-level event loop over the persistent `state`: a
-    /// stream consumes one page per event, its next event scheduled at the
-    /// instant the backend says the page is usable plus the CPU time of the
-    /// page's tuples. `phase_queries` holds each stream's queries for this
-    /// phase; all streams start at `start_ns`. Returns each stream's finish
-    /// time.
-    fn pool_phase(
-        &self,
-        state: &mut RunState,
-        phase_queries: Vec<VecDeque<ResolvedQuery>>,
-        start_ns: u64,
-    ) -> Result<Vec<u64>> {
-        let page_size = self.config.scanshare.page_size_bytes;
-        let backend = state.backend.as_ref();
-        let mut streams: Vec<StreamState<QueryRun>> = start_streams(phase_queries);
-        let mut events = EventQueue::default();
-        for s in 0..streams.len() {
-            events.push(start_ns, EventKind::Stream(s));
-        }
-
-        while let Some((now_ns, kind)) = events.pop() {
-            let now = VirtualInstant::from_nanos(now_ns);
-            let EventKind::Stream(s) = kind else {
-                unreachable!("no loader in pool mode")
-            };
-
-            // Periodic sharing-potential sampling.
-            state.sampler.sample_if_due(now_ns, page_size, || {
-                streams
-                    .iter()
-                    .filter_map(|st| st.current.as_ref())
-                    .flat_map(|q| {
-                        q.parts[q.part_idx..].iter().map(|part| {
-                            let mut pages: Vec<PageId> = part.pages[part.next..]
-                                .iter()
-                                .map(|step| step.page)
-                                .collect();
-                            pages.sort_unstable();
-                            pages.dedup();
-                            pages
-                        })
-                    })
-                    .collect()
-            });
-
-            // Start the next query if needed.
-            if streams[s].current.is_none() {
-                let Some(query) = streams[s].queries.pop_front() else {
-                    if streams[s].finished.is_none() {
-                        streams[s].finished = Some(now);
-                    }
-                    continue;
-                };
-                streams[s].current = Some(self.build_query_run(backend, &query, now)?);
-            }
-
-            // Process one page of the current query.
-            let run = streams[s].current.as_mut().expect("set above");
-            if run.part_idx >= run.parts.len() {
-                if !run.pending.is_empty() {
-                    // Build side of a join drained: register the probe
-                    // scans, exactly when the engine's task opens them.
-                    for scan in std::mem::take(&mut run.pending) {
-                        run.parts.extend(self.build_part_run(backend, &scan, now)?);
-                    }
-                } else {
-                    // Query finished.
-                    state.query_latencies.push(now.since(run.started));
-                    streams[s].current = None;
-                }
-                events.push(now_ns, EventKind::Stream(s));
-                continue;
-            }
-            let part = &mut run.parts[run.part_idx];
-            if part.next >= part.pages.len() {
-                backend.finish_scan(part.scan_id, now);
-                run.part_idx += 1;
-                events.push(now_ns, EventKind::Stream(s));
-                continue;
-            }
-            let step = part.pages[part.next];
-            part.next += 1;
-            let ready = backend.request_page(part.scan_id, step.page, now)?;
-            backend.report_position(part.scan_id, step.position, now);
-            let cpu_ns = (step.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
-            events.push(ready.as_nanos() + cpu_ns, EventKind::Stream(s));
-        }
-
-        Ok(finish_times(&streams).expect("every pooled stream drains its queue"))
-    }
-
-    // -----------------------------------------------------------------
-    // Cooperative Scans
-    // -----------------------------------------------------------------
-
-    /// Advances a CScan query to its next step with stable data to read,
-    /// registering it; `None` when the query has no further steps.
-    fn activate_next_cscan_part(
-        &self,
-        backend: &dyn ScanBackend,
-        run: &mut CScanQueryRun,
-        now: VirtualInstant,
-    ) -> Result<Option<ScanId>> {
-        while let Some(scan) = run.scans.get(run.part_idx) {
-            if !scan.sid_ranges.is_empty() {
-                return Ok(Some(backend.register_scan(self.scan_request(scan)?, now)?));
-            }
-            // The engine registers no backend scan for PDT-only ranges.
-            run.part_idx += 1;
-        }
-        Ok(None)
-    }
-
-    /// One phase of the chunk-level event loop over the persistent `state`
-    /// (the backend's chunk cache survives phases): a stream consumes one
-    /// delivered chunk per event and blocks while starved; the loader — the
-    /// backend's `plan_load` / `retire_load` pair, as `LoadDone` events —
-    /// runs beside the streams and wakes the blocked ones whenever a load
-    /// lands.
-    fn cscan_phase(
-        &self,
-        state: &mut RunState,
-        phase_queries: Vec<VecDeque<ResolvedQuery>>,
-        start_ns: u64,
-    ) -> Result<Vec<u64>> {
-        let page_size = self.config.scanshare.page_size_bytes;
-        let backend = state.backend.as_ref();
-        let mut streams: Vec<StreamState<CScanQueryRun>> = start_streams(phase_queries);
         let mut events = EventQueue::default();
         for s in 0..streams.len() {
             events.push(start_ns, EventKind::Stream(s));
@@ -822,17 +690,13 @@ impl Simulation {
         // therefore I/O volumes) cannot vary between processes.
         let mut blocked: BTreeSet<usize> = BTreeSet::new();
 
-        while let Some((now_ns, kind)) = events.pop() {
+        'events: while let Some((now_ns, kind)) = events.pop() {
             let now = VirtualInstant::from_nanos(now_ns);
-
-            // Periodic sharing-potential sampling: the outstanding data of
-            // a CScan is what its not-yet-delivered chunks cover.
             state.sampler.sample_if_due(now_ns, page_size, || {
                 streams
                     .iter()
                     .filter_map(|st| st.current.as_ref())
-                    .filter(|q| q.active.is_some())
-                    .map(|q| self.outstanding_pages(&q.scans[q.part_idx], &q.delivered))
+                    .flat_map(|q| q.parts.iter().map(Self::outstanding_pages))
                     .collect()
             });
 
@@ -848,66 +712,72 @@ impl Simulation {
                 EventKind::Stream(s) => s,
             };
 
-            if streams[s].current.is_none() {
-                let Some(query) = streams[s].queries.pop_front() else {
-                    if streams[s].finished.is_none() {
-                        streams[s].finished = Some(now);
-                    }
+            let stream = &mut streams[s];
+            if stream.current.is_none() {
+                let Some(query) = stream.queries.pop_front() else {
+                    stream.finished.get_or_insert(now);
                     continue;
                 };
-                let mut run = CScanQueryRun {
-                    scans: query.scans,
-                    part_idx: 0,
-                    active: None,
-                    delivered: Vec::new(),
+                let mut run = QueryRun {
+                    parts: VecDeque::new(),
+                    waiting: query.scans.into(),
                     cpu_ns_per_tuple: query.cpu_ns_per_tuple,
                     started: now,
                 };
-                run.active = self.activate_next_cscan_part(backend, &mut run, now)?;
-                streams[s].current = Some(run);
+                self.register_next(backend, &mut run, now)?;
+                stream.current = Some(run);
                 kick_loader(backend, &mut events, now)?;
             }
 
-            let run = streams[s].current.as_mut().expect("set above");
-            let Some(scan_id) = run.active else {
-                // All steps done: the query is finished.
+            let run = stream.current.as_mut().expect("set above");
+            let Some(part) = run.parts.front_mut() else {
+                // Every step drained: the query is finished.
                 state.query_latencies.push(now.since(run.started));
-                streams[s].current = None;
+                stream.current = None;
                 events.push(now_ns, EventKind::Stream(s));
                 continue;
             };
-            match backend.next_chunk(scan_id)? {
-                ScanStep::Deliver(chunk) => {
-                    let scan = &run.scans[run.part_idx];
-                    let tuples: u64 = scan
-                        .sid_ranges
-                        .ranges()
-                        .iter()
-                        .map(|range| range.intersect(&chunk).len())
-                        .sum();
-                    run.delivered.push(chunk);
-                    let cpu_ns = (tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
-                    events.push(now_ns + cpu_ns, EventKind::Stream(s));
-                }
-                ScanStep::Finished => {
-                    backend.finish_scan(scan_id, now);
-                    run.part_idx += 1;
-                    run.delivered.clear();
-                    run.active = self.activate_next_cscan_part(backend, run, now)?;
-                    events.push(now_ns, EventKind::Stream(s));
-                    kick_loader(backend, &mut events, now)?;
-                }
-                ScanStep::Starved => {
-                    blocked.insert(s);
-                    kick_loader(backend, &mut events, now)?;
+            while part.next == part.steps.len() {
+                match backend.next_chunk(part.id)? {
+                    ScanStep::Deliver(range) => {
+                        let ranges = part.scan.sid_ranges.intersect_range(&range);
+                        part.steps = Self::steps_of(backend, part, &ranges);
+                        part.next = 0;
+                        part.rows += ranges.total_tuples();
+                        part.delivered.add(range);
+                    }
+                    ScanStep::Finished => {
+                        backend.finish_scan(part.id, now);
+                        run.parts.pop_front();
+                        self.register_next(backend, run, now)?;
+                        events.push(now_ns, EventKind::Stream(s));
+                        kick_loader(backend, &mut events, now)?;
+                        continue 'events;
+                    }
+                    ScanStep::Starved => {
+                        blocked.insert(s);
+                        kick_loader(backend, &mut events, now)?;
+                        continue 'events;
+                    }
                 }
             }
+            let step = part.steps[part.next];
+            part.next += 1;
+            let ready = match step.page {
+                Some(page) => backend.request_page(part.id, page, now)?,
+                None => now,
+            };
+            backend.report_position(part.id, step.position, now);
+            let cpu_ns = (step.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
+            events.push(ready.as_nanos() + cpu_ns, EventKind::Stream(s));
         }
 
-        finish_times(&streams).ok_or_else(|| {
-            Error::internal(
-                "Cooperative Scans simulation deadlocked: buffer pool too small for one chunk",
-            )
+        let finish: Option<Vec<u64>> = streams
+            .iter()
+            .map(|s| s.finished.map(|at| at.as_nanos()))
+            .collect();
+        finish.ok_or_else(|| {
+            Error::internal("simulation deadlocked: buffer pool too small for one chunk")
         })
     }
 }
@@ -917,7 +787,7 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    use scanshare_common::Bandwidth;
+    use scanshare_common::{Bandwidth, TupleRange};
     use scanshare_storage::layout::ScanPagePlan;
     use scanshare_workload::microbench::{self, MicrobenchConfig};
     use scanshare_workload::spec::ScanSpec;
@@ -1085,38 +955,75 @@ mod tests {
         );
     }
 
-    /// A backend with every page resident that logs what the page-level
-    /// loop tells it.
-    #[derive(Debug, Default, Clone)]
-    struct PositionLog(Arc<Mutex<Logged>>);
+    /// A backend with every page resident that delivers each scan's
+    /// registered ranges front to back, like `PooledBackend`, under whatever
+    /// policy family it claims to be, and logs what the event loop tells it.
+    #[derive(Debug, Clone)]
+    struct LogBackend {
+        kind: PolicyKind,
+        log: Arc<Mutex<Logged>>,
+    }
 
     #[derive(Debug, Default)]
     struct Logged {
         /// The plan of each registered scan; scan ids index it.
         plans: Vec<ScanPagePlan>,
-        /// Per page request: the scan, the page, the position reported
-        /// with it.
-        calls: Vec<(ScanId, PageId, Option<u64>)>,
+        /// The ranges of each registered scan not delivered yet.
+        pending: Vec<VecDeque<TupleRange>>,
+        calls: Vec<Call>,
     }
 
-    impl ScanBackend for PositionLog {
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Call {
+        Register(ScanId),
+        /// A page request and the position reported with it.
+        Request(ScanId, PageId, Option<u64>),
+        Finish(ScanId),
+    }
+
+    impl LogBackend {
+        fn new(kind: PolicyKind) -> Self {
+            Self {
+                kind,
+                log: Arc::default(),
+            }
+        }
+
+        fn run_state(&self) -> RunState {
+            RunState {
+                backend: Box::new(self.clone()),
+                sampler: SharingSampler::new(None),
+                query_latencies: Vec::new(),
+            }
+        }
+    }
+
+    impl ScanBackend for LogBackend {
         fn name(&self) -> &'static str {
-            "position-log"
+            "log"
         }
         fn kind(&self) -> PolicyKind {
-            PolicyKind::Pbm
+            self.kind
         }
         fn register_scan(&self, request: ScanRequest, _: VirtualInstant) -> Result<ScanId> {
-            let plans = &mut self.0.lock().unwrap().plans;
-            plans.push(request.layout.scan_page_plan(
-                &request.snapshot,
-                &request.columns,
-                &request.ranges,
-            ));
-            Ok(ScanId::new(plans.len() as u64 - 1))
+            let mut log = self.log.lock().unwrap();
+            let id = ScanId::new(log.plans.len() as u64);
+            let plan =
+                request
+                    .layout
+                    .scan_page_plan(&request.snapshot, &request.columns, &request.ranges);
+            log.plans.push(plan);
+            log.pending
+                .push(request.ranges.ranges().iter().copied().collect());
+            log.calls.push(Call::Register(id));
+            Ok(id)
         }
-        fn next_chunk(&self, _: ScanId) -> Result<ScanStep> {
-            unreachable!("the page-level loop lays out its own consumption order")
+        fn next_chunk(&self, scan: ScanId) -> Result<ScanStep> {
+            let mut log = self.log.lock().unwrap();
+            Ok(match log.pending[scan.index()].pop_front() {
+                Some(range) => ScanStep::Deliver(range),
+                None => ScanStep::Finished,
+            })
         }
         fn request_page(
             &self,
@@ -1124,16 +1031,20 @@ mod tests {
             page: PageId,
             now: VirtualInstant,
         ) -> Result<VirtualInstant> {
-            self.0.lock().unwrap().calls.push((scan, page, None));
+            let calls = &mut self.log.lock().unwrap().calls;
+            calls.push(Call::Request(scan, page, None));
             Ok(now)
         }
         fn report_position(&self, scan: ScanId, tuples_consumed: u64, _: VirtualInstant) {
-            let mut log = self.0.lock().unwrap();
-            let last = log.calls.last_mut().expect("a page was requested first");
-            assert_eq!((last.0, last.2), (scan, None));
-            last.2 = Some(tuples_consumed);
+            let calls = &mut self.log.lock().unwrap().calls;
+            if let Some(Call::Request(requested, _, position)) = calls.last_mut() {
+                assert_eq!((*requested, *position), (scan, None));
+                *position = Some(tuples_consumed);
+            }
         }
-        fn finish_scan(&self, _: ScanId, _: VirtualInstant) {}
+        fn finish_scan(&self, scan: ScanId, _: VirtualInstant) {
+            self.log.lock().unwrap().calls.push(Call::Finish(scan));
+        }
         fn stats(&self) -> BufferStats {
             BufferStats::default()
         }
@@ -1143,7 +1054,8 @@ mod tests {
     fn reported_positions_are_rows_of_the_scan_not_tuples_of_its_pages() {
         let (storage, workload) = build_micro();
         let table = storage.table_ids()[0];
-        let rows = storage.master_snapshot(table).unwrap().stable_tuples();
+        let snapshot = storage.master_snapshot(table).unwrap();
+        let rows = snapshot.stable_tuples();
         let three_columns = QuerySpec {
             label: "three-columns".into(),
             scans: vec![ScanSpec {
@@ -1162,14 +1074,9 @@ mod tests {
         queries[0].insert(0, three_columns);
 
         let sim = Simulation::new(storage, sim_config(PolicyKind::Pbm, 1 << 20)).unwrap();
-        let log = PositionLog::default();
-        let mut state = RunState {
-            backend: Box::new(log.clone()),
-            sampler: SharingSampler::new(None),
-            query_latencies: Vec::new(),
-        };
+        let log = LogBackend::new(PolicyKind::Pbm);
         let mut tables = TableStates::new();
-        let resolved = queries
+        let mut resolved = queries
             .iter()
             .map(|stream| {
                 stream
@@ -1179,9 +1086,23 @@ mod tests {
             })
             .collect::<Result<Vec<_>>>()
             .unwrap();
-        sim.pool_phase(&mut state, resolved, 0).unwrap();
+        // No workload lowers to a scan of several ranges: its positions must
+        // run on across the ranges it is delivered, the first two of which
+        // share pages.
+        let ranges = [(0, 1_000), (1_500, 30_000), (rows - 7, rows)];
+        resolved[1].push_front(ResolvedQuery {
+            scans: vec![ResolvedScan {
+                table,
+                columns: vec![0, 1],
+                snapshot,
+                sid_ranges: RangeList::from_ranges(ranges.map(|(s, e)| TupleRange::new(s, e))),
+                barrier: false,
+            }],
+            cpu_ns_per_tuple: 1.0,
+        });
+        sim.phase(&mut log.run_state(), resolved, 0).unwrap();
 
-        let Logged { plans, calls } = &*log.0.lock().unwrap();
+        let Logged { plans, calls, .. } = &*log.log.lock().unwrap();
         assert_eq!(
             plans[0].total_tuples, rows,
             "the three-column scan registers first"
@@ -1190,11 +1111,16 @@ mod tests {
             plans[0].pages.iter().map(|p| p.tuple_count).sum::<u64>(),
             3 * rows
         );
+        assert_eq!(plans[1].total_tuples, 1_000 + 28_500 + 7);
         for (id, plan) in plans.iter().enumerate() {
             let reported: Vec<(PageId, Option<u64>)> = calls
                 .iter()
-                .filter(|call| call.0 == ScanId::new(id as u64))
-                .map(|&(_, page, position)| (page, position))
+                .filter_map(|&call| match call {
+                    Call::Request(scan, page, position) if scan.index() == id => {
+                        Some((page, position))
+                    }
+                    _ => None,
+                })
                 .collect();
             let expected: Vec<(PageId, Option<u64>)> = plan
                 .interleaved()
@@ -1205,6 +1131,67 @@ mod tests {
             assert!(reported
                 .iter()
                 .all(|&(_, pos)| pos < Some(plan.total_tuples)));
+        }
+    }
+
+    /// The model's registration rule, which differs from the engine's under
+    /// the page-level policies (ROADMAP item 1): they register every step
+    /// before a join barrier at once, and the probe once the build side
+    /// drained; Cooperative Scans register one scan at a time.
+    #[test]
+    fn page_level_backends_register_up_to_the_join_barrier_cscan_one_scan_at_a_time() {
+        let (storage, _) = build_micro();
+        let table = storage.table_ids()[0];
+        let snapshot = storage.master_snapshot(table).unwrap();
+        let scan = |start, end, barrier| ResolvedScan {
+            table,
+            columns: vec![0, 1],
+            snapshot: Arc::clone(&snapshot),
+            sid_ranges: RangeList::single(start, end),
+            barrier,
+        };
+        // Two steps before the barrier, the build scan last, then the probe.
+        let query = ResolvedQuery {
+            scans: vec![
+                scan(40_000, 60_000, false),
+                scan(0, 20_000, false),
+                scan(0, 30_000, true),
+            ],
+            cpu_ns_per_tuple: 1.0,
+        };
+        let sim = Simulation::new(storage, sim_config(PolicyKind::Pbm, 1 << 20)).unwrap();
+        let (pre_barrier, probe) = ([ScanId::new(0), ScanId::new(1)], ScanId::new(2));
+        for kind in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
+            let log = LogBackend::new(kind);
+            let queries = vec![VecDeque::from([query.clone()])];
+            sim.phase(&mut log.run_state(), queries, 0).unwrap();
+            let calls = &log.log.lock().unwrap().calls;
+            let at = |wanted: Call| calls.iter().position(|&c| c == wanted).unwrap();
+            let registered = calls
+                .iter()
+                .filter(|c| matches!(c, Call::Register(_)))
+                .count();
+            assert_eq!(registered, 3, "{kind}");
+            if kind != PolicyKind::CScan {
+                let first_request = calls
+                    .iter()
+                    .position(|c| matches!(c, Call::Request(..)))
+                    .unwrap();
+                for id in pre_barrier {
+                    assert!(at(Call::Register(id)) < first_request, "{kind}");
+                    assert!(at(Call::Finish(id)) < at(Call::Register(probe)), "{kind}");
+                }
+            } else {
+                let mut live = 0;
+                for call in calls {
+                    match call {
+                        Call::Register(_) => live += 1,
+                        Call::Finish(_) => live -= 1,
+                        Call::Request(..) => {}
+                    }
+                    assert!(live <= 1, "{kind}: {calls:?}");
+                }
+            }
         }
     }
 
