@@ -7,11 +7,15 @@
 //! surviving rows — the predicate becomes a *selection vector* the sink
 //! iterates (`selection`: the kept positions, computed without a branch per
 //! row), never a filtered copy of the batch. An ungrouped aggregate folds
-//! the selection one column at a time into its one group; a grouped one
-//! looks its group up per selected row. There is one sink per kind of
-//! result: the keyed aggregation `KeyedAggr` — generic over the group key, a
-//! plain [`Value`] for the optional key column of an [`AggrSpec`] and a
-//! `Vec<Value>` for the composite key of `Query::group_by` — the top-k
+//! the selection one column at a time into its one group. A grouped one
+//! folds a batch in three passes: it gives every selected row a dense id
+//! among the batch's distinct keys (a batch-local open-addressing table
+//! sized by the selection, hashing and comparing keys in place), folds each
+//! aggregate one column at a time into per-id partials, and merges each
+//! distinct key's partials into its group once. There is one sink per kind
+//! of result: the keyed aggregation `KeyedAggr` — generic over the group
+//! key, a plain [`Value`] for the optional key column of an [`AggrSpec`] and
+//! a `Vec<Value>` for the composite key of `Query::group_by` — the top-k
 //! selection [`TopKState`] and plain row collection. Every sink folds one
 //! batch at a time — one sink is fed by every range part of a query — and
 //! every one is a deterministic function of the input *multiset*: grouped
@@ -20,6 +24,7 @@
 //! out-of-order delivery (Cooperative Scans) and the interleaving of parts
 //! cannot change any result.
 
+use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
@@ -138,12 +143,34 @@ pub(crate) fn selection(filter: Option<&Predicate>, batch: &Batch) -> Vec<usize>
 pub enum Aggregate {
     /// Count of qualifying rows.
     Count,
-    /// Sum of a column.
+    /// Sum of a column, modulo 2^64: it wraps on overflow in every build,
+    /// so a sum is a function of the row multiset whatever the order of
+    /// its additions.
     Sum(usize),
     /// Minimum of a column.
     Min(usize),
     /// Maximum of a column.
     Max(usize),
+}
+
+impl Aggregate {
+    /// The accumulator of a group no row has reached yet.
+    fn identity(self) -> Value {
+        match self {
+            Aggregate::Count | Aggregate::Sum(_) => 0,
+            Aggregate::Min(_) => Value::MAX,
+            Aggregate::Max(_) => Value::MIN,
+        }
+    }
+
+    /// Folds the partial `part` (over some rows of a group) into `acc`.
+    fn merge(self, acc: Value, part: Value) -> Value {
+        match self {
+            Aggregate::Count | Aggregate::Sum(_) => acc.wrapping_add(part),
+            Aggregate::Min(_) => acc.min(part),
+            Aggregate::Max(_) => acc.max(part),
+        }
+    }
 }
 
 /// An aggregation specification: optional group-by column plus a list of
@@ -190,26 +217,7 @@ pub type AggrResult = BTreeMap<Value, GroupState>;
 fn new_group_state(aggregates: &[Aggregate]) -> GroupState {
     GroupState {
         count: 0,
-        accumulators: aggregates
-            .iter()
-            .map(|a| match a {
-                Aggregate::Count | Aggregate::Sum(_) => 0,
-                Aggregate::Min(_) => Value::MAX,
-                Aggregate::Max(_) => Value::MIN,
-            })
-            .collect(),
-    }
-}
-
-fn accumulate_row(entry: &mut GroupState, aggregates: &[Aggregate], batch: &Batch, row: usize) {
-    entry.count += 1;
-    for (acc, agg) in entry.accumulators.iter_mut().zip(aggregates.iter()) {
-        match agg {
-            Aggregate::Count => *acc += 1,
-            Aggregate::Sum(c) => *acc += batch.value(row, *c),
-            Aggregate::Min(c) => *acc = (*acc).min(batch.value(row, *c)),
-            Aggregate::Max(c) => *acc = (*acc).max(batch.value(row, *c)),
-        }
+        accumulators: aggregates.iter().map(|a| a.identity()).collect(),
     }
 }
 
@@ -225,23 +233,150 @@ pub(crate) trait Sink: Send {
     fn fold(&mut self, batch: &Batch, filter: Option<&Predicate>);
 }
 
-/// A group key read off a row: a plain [`Value`] for the at most one key
-/// column of an [`AggrSpec`] (0 when ungrouped; nothing is allocated per
-/// row), a `Vec<Value>` for a composite key.
+/// A group key as the values of one row in the key columns of a batch
+/// (`columns`, one slice per key column): a plain [`Value`] for the at most
+/// one key column of an [`AggrSpec`] (0 when ungrouped), a `Vec<Value>` for
+/// a composite key. Hashing and comparing work on the columns in place, so
+/// a key is built only for a group the batch has not seen yet.
 pub(crate) trait GroupKey: Ord + Send {
-    /// The key of `row`: its values in the key `columns`.
-    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self;
+    /// The key of `row`.
+    fn read(columns: &[&[Value]], row: usize) -> Self;
+    /// A hash of the key of `row`.
+    fn hash_row(columns: &[&[Value]], row: usize) -> u64;
+    /// Whether `self` is the key of `row`.
+    fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool;
+}
+
+/// One step of a multiplicative (Fx-style) hash over a key's values; the
+/// high bits of the result are the well-mixed ones (see [`home_slot`]).
+fn mix(hash: u64, value: Value) -> u64 {
+    (hash.rotate_left(5) ^ value as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 impl GroupKey for Value {
-    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self {
-        columns.first().map_or(0, |&c| batch.value(row, c))
+    fn read(columns: &[&[Value]], row: usize) -> Self {
+        columns.first().map_or(0, |column| column[row])
+    }
+    fn hash_row(columns: &[&[Value]], row: usize) -> u64 {
+        mix(0, Self::read(columns, row))
+    }
+    fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool {
+        *self == Self::read(columns, row)
     }
 }
 
 impl GroupKey for Vec<Value> {
-    fn read(columns: &[usize], batch: &Batch, row: usize) -> Self {
-        columns.iter().map(|&c| batch.value(row, c)).collect()
+    fn read(columns: &[&[Value]], row: usize) -> Self {
+        columns.iter().map(|column| column[row]).collect()
+    }
+    fn hash_row(columns: &[&[Value]], row: usize) -> u64 {
+        columns
+            .iter()
+            .fold(0, |hash, column| mix(hash, column[row]))
+    }
+    fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool {
+        self.iter()
+            .zip(columns)
+            .all(|(&v, column)| column[row] == v)
+    }
+}
+
+/// The number of bits of the slot table that numbers `len` selected rows:
+/// at least twice as many slots as rows, so the table is at most half full.
+fn table_bits(len: usize) -> u32 {
+    (2 * len).next_power_of_two().trailing_zeros()
+}
+
+/// The slot a key of hash `hash` probes first in a table of `1 << bits`
+/// slots: the hash's top bits.
+fn home_slot(hash: u64, bits: u32) -> usize {
+    (hash >> (64 - bits)) as usize
+}
+
+/// A slot of the id table that holds no key.
+const EMPTY: u32 = u32::MAX;
+
+/// The grouped kernel's buffers of one entry per selected row or slot, kept
+/// per thread and reused from batch to batch: allocating them afresh for
+/// every batch churned the allocator enough to slow the ungrouped folds
+/// that ran after it. `ids` holds at most the largest selection the thread
+/// has folded, `slots` at most four times that.
+#[derive(Default)]
+struct IdScratch {
+    /// The batch's open-addressing table: per slot, the id of the key it
+    /// holds. Every slot is `EMPTY` between batches, so a batch resets only
+    /// the slots it took instead of the whole table.
+    slots: Vec<u32>,
+    /// Per selected row, the id of its key.
+    ids: Vec<u32>,
+}
+
+thread_local! {
+    /// Taken for the length of one batch's fold: a fold that panics drops
+    /// it, and the next starts from an empty one.
+    static ID_SCRATCH: Cell<IdScratch> = Cell::default();
+}
+
+/// The distinct keys of one batch's selected rows, numbered by pass 1 of
+/// the grouped kernel.
+struct BatchGroups<K> {
+    /// The distinct keys, by id: in order of first appearance.
+    keys: Vec<K>,
+    /// Per id, the number of selected rows that carry it.
+    counts: Vec<u64>,
+}
+
+impl<K: GroupKey> BatchGroups<K> {
+    /// Numbers the distinct keys of the rows `sel`, writing each row's id
+    /// to `scratch.ids`, through an open-addressing table (linear probing)
+    /// in `scratch.slots` that is local to the batch and sized by the
+    /// selection.
+    fn assign(columns: &[&[Value]], sel: &[usize], scratch: &mut IdScratch) -> Self {
+        let bits = table_bits(sel.len());
+        let mask = (1 << bits) - 1;
+        scratch.slots.resize(mask + 1, EMPTY);
+        scratch.ids.resize(sel.len(), 0);
+        let (slots, ids) = (&mut scratch.slots[..], &mut scratch.ids[..]);
+        let (mut keys, mut counts, mut taken) = (Vec::<K>::new(), Vec::new(), Vec::new());
+        for (id_of_row, &row) in ids.iter_mut().zip(sel) {
+            let mut slot = home_slot(K::hash_row(columns, row), bits);
+            let id = loop {
+                let id = slots[slot];
+                if id == EMPTY {
+                    let id = keys.len() as u32;
+                    slots[slot] = id;
+                    taken.push(slot);
+                    keys.push(K::read(columns, row));
+                    counts.push(0);
+                    break id;
+                }
+                if keys[id as usize].is_key_of(columns, row) {
+                    break id;
+                }
+                slot = (slot + 1) & mask;
+            };
+            counts[id as usize] += 1;
+            *id_of_row = id;
+        }
+        for slot in taken {
+            slots[slot] = EMPTY;
+        }
+        Self { keys, counts }
+    }
+}
+
+/// Folds the selected values of `column` into one partial per group id
+/// with `op`: pass 2 of the grouped kernel, one aggregate at a time.
+fn fold_by_id(
+    partials: &mut [Value],
+    ids: &[u32],
+    sel: &[usize],
+    column: &[Value],
+    op: impl Fn(Value, Value) -> Value,
+) {
+    for (&id, &row) in ids.iter().zip(sel) {
+        let partial = &mut partials[id as usize];
+        *partial = op(*partial, column[row]);
     }
 }
 
@@ -253,34 +388,79 @@ fn fold_keyed<K: GroupKey>(
     filter: Option<&Predicate>,
 ) {
     let sel = selection(filter, batch);
-    if !keys.is_empty() {
-        for &row in &sel {
-            let entry = groups
-                .entry(K::read(keys, batch, row))
-                .or_insert_with(|| new_group_state(aggregates));
-            accumulate_row(entry, aggregates, batch, row);
+    if sel.is_empty() {
+        return;
+    }
+    let columns: Vec<&[Value]> = keys.iter().map(|&c| batch.column(c)).collect();
+    if keys.is_empty() {
+        // Ungrouped: one group, so one map entry per batch and each
+        // aggregate folded straight into its accumulator.
+        let selected = |c: usize| {
+            let column = batch.column(c);
+            sel.iter().map(move |&row| column[row])
+        };
+        let entry = groups
+            .entry(K::read(&columns, sel[0]))
+            .or_insert_with(|| new_group_state(aggregates));
+        entry.count += sel.len() as u64;
+        for (acc, agg) in entry.accumulators.iter_mut().zip(aggregates) {
+            *acc = match *agg {
+                Aggregate::Count => acc.wrapping_add(sel.len() as Value),
+                Aggregate::Sum(c) => selected(c).fold(*acc, Value::wrapping_add),
+                Aggregate::Min(c) => selected(c).fold(*acc, Value::min),
+                Aggregate::Max(c) => selected(c).fold(*acc, Value::max),
+            };
         }
         return;
     }
-    // Ungrouped: one group, so one map entry per batch and one loop over the
-    // selection per aggregate, with `accumulate_row`'s arithmetic.
-    let Some(&first) = sel.first() else {
-        return;
-    };
-    let entry = groups
-        .entry(K::read(keys, batch, first))
-        .or_insert_with(|| new_group_state(aggregates));
-    entry.count += sel.len() as u64;
-    let selected = |c: usize| {
-        let column = batch.column(c);
-        sel.iter().map(move |&row| column[row])
-    };
-    for (acc, agg) in entry.accumulators.iter_mut().zip(aggregates.iter()) {
+    let mut scratch = ID_SCRATCH.take();
+    fold_grouped(groups, &columns, aggregates, batch, &sel, &mut scratch);
+    ID_SCRATCH.set(scratch);
+}
+
+/// Folds the rows `sel` of `batch` into `groups` by their keys in the key
+/// `columns`: numbers the batch's distinct keys, folds every aggregate one
+/// column at a time into per-id partials (aggregate-major), then merges
+/// each distinct key's partials into its group once. Never inlined, so the
+/// ungrouped loops of `fold_keyed` compile on their own: inlined, this body
+/// slowed them.
+#[inline(never)]
+fn fold_grouped<K: GroupKey>(
+    groups: &mut BTreeMap<K, GroupState>,
+    columns: &[&[Value]],
+    aggregates: &[Aggregate],
+    batch: &Batch,
+    sel: &[usize],
+    scratch: &mut IdScratch,
+) {
+    let BatchGroups {
+        keys: distinct,
+        counts,
+    } = BatchGroups::<K>::assign(columns, sel, scratch);
+    let (ids, n) = (&scratch.ids, distinct.len());
+    let mut partials: Vec<Value> = aggregates
+        .iter()
+        .flat_map(|a| std::iter::repeat(a.identity()).take(n))
+        .collect();
+    for (agg, out) in aggregates.iter().zip(partials.chunks_mut(n)) {
         match *agg {
-            Aggregate::Count => *acc += sel.len() as Value,
-            Aggregate::Sum(c) => *acc = selected(c).fold(*acc, |a, v| a + v),
-            Aggregate::Min(c) => *acc = selected(c).fold(*acc, Value::min),
-            Aggregate::Max(c) => *acc = selected(c).fold(*acc, Value::max),
+            Aggregate::Count => {
+                for (partial, &count) in out.iter_mut().zip(&counts) {
+                    *partial = count as Value;
+                }
+            }
+            Aggregate::Sum(c) => fold_by_id(out, ids, sel, batch.column(c), Value::wrapping_add),
+            Aggregate::Min(c) => fold_by_id(out, ids, sel, batch.column(c), Value::min),
+            Aggregate::Max(c) => fold_by_id(out, ids, sel, batch.column(c), Value::max),
+        }
+    }
+    for (id, key) in distinct.into_iter().enumerate() {
+        let entry = groups
+            .entry(key)
+            .or_insert_with(|| new_group_state(aggregates));
+        entry.count += counts[id];
+        for (a, (acc, agg)) in entry.accumulators.iter_mut().zip(aggregates).enumerate() {
+            *acc = agg.merge(*acc, partials[a * n + id]);
         }
     }
 }
@@ -594,6 +774,7 @@ impl BatchSource for JoinSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use scanshare_storage::datagen::splitmix64;
 
     fn source() -> VecSource {
         // Columns: key (0/1), value.
@@ -730,6 +911,177 @@ mod tests {
         assert_eq!(result[&vec![0, 10]].accumulators, vec![2, 20]);
         assert_eq!(result[&vec![0, 20]].accumulators, vec![1, 20]);
         assert_eq!(result[&vec![1, 10]].accumulators, vec![1, 10]);
+    }
+
+    /// The row-at-a-time fold the grouped kernel replaced, kept as its
+    /// oracle: every aggregate matched per row.
+    fn accumulate_row(entry: &mut GroupState, aggregates: &[Aggregate], batch: &Batch, row: usize) {
+        entry.count += 1;
+        for (acc, agg) in entry.accumulators.iter_mut().zip(aggregates) {
+            match agg {
+                Aggregate::Count => *acc += 1,
+                Aggregate::Sum(c) => *acc = acc.wrapping_add(batch.value(row, *c)),
+                Aggregate::Min(c) => *acc = (*acc).min(batch.value(row, *c)),
+                Aggregate::Max(c) => *acc = (*acc).max(batch.value(row, *c)),
+            }
+        }
+    }
+
+    /// Folds `batches` through a fresh keyed sink and asserts its groups
+    /// equal the oracle's: one map entry and one `accumulate_row` per row
+    /// `filter` keeps.
+    fn assert_matches_oracle<K: GroupKey + std::fmt::Debug>(
+        context: &str,
+        batches: &[Batch],
+        keys: &[usize],
+        aggregates: &[Aggregate],
+        filter: Option<Predicate>,
+    ) {
+        let mut oracle = BTreeMap::<K, GroupState>::new();
+        for batch in batches {
+            let columns: Vec<&[Value]> = keys.iter().map(|&c| batch.column(c)).collect();
+            for row in 0..batch.len() {
+                if filter.iter().all(|p| p.matches(batch.value(row, p.column))) {
+                    let entry = oracle
+                        .entry(K::read(&columns, row))
+                        .or_insert_with(|| new_group_state(aggregates));
+                    accumulate_row(entry, aggregates, batch, row);
+                }
+            }
+        }
+        let width = batches[0].width();
+        let mut source = VecSource::new(width, batches.to_vec());
+        let groups = keyed::<K>(&mut source, filter, keys, aggregates).groups;
+        assert_eq!(
+            groups, oracle,
+            "{context}: keys {keys:?}, {aggregates:?}, {filter:?}"
+        );
+    }
+
+    /// A key distribution: the key of a row from a random draw and the
+    /// row's position in its batch.
+    type KeyOf = fn(u64, usize) -> Value;
+
+    /// One batch per entry of `sizes`, of seeded rows: column 0 is the key
+    /// `key` gives, column 1 a second key part of two values, column 2 any
+    /// `Value` (so sums overflow) and column 3 a measure in -1000..=1000.
+    fn seeded_batches(seed: u64, sizes: &[usize], key: KeyOf) -> Vec<Batch> {
+        let mut state = seed;
+        let mut draw = || {
+            state = splitmix64(state);
+            state
+        };
+        let mut batches = Vec::new();
+        for &len in sizes {
+            let mut rows = Vec::new();
+            for row in 0..len {
+                rows.push(vec![
+                    key(draw(), row),
+                    (draw() % 2) as Value,
+                    draw() as Value,
+                    (draw() % 2001) as Value - 1000,
+                ]);
+            }
+            batches.push(Batch::from_rows(4, &rows));
+        }
+        batches
+    }
+
+    #[test]
+    fn grouped_fold_matches_the_row_at_a_time_oracle() {
+        const EXTREMES: [Value; 4] = [Value::MIN, -1, 0, Value::MAX];
+        let distributions: [(&str, KeyOf); 4] = [
+            ("one key", |_, _| 42),
+            ("three keys", |draw, _| [-5, 0, 9][(draw % 3) as usize]),
+            // Every batch repeats the keys of the one before.
+            ("a key per row", |_, row| row as Value),
+            ("extreme keys", |draw, _| EXTREMES[(draw % 4) as usize]),
+        ];
+        let every = [
+            Aggregate::Count,
+            Aggregate::Sum(2),
+            Aggregate::Min(2),
+            Aggregate::Max(2),
+            Aggregate::Sum(3),
+            Aggregate::Min(3),
+            Aggregate::Max(3),
+        ];
+        let aggregate_lists: [&[Aggregate]; 3] = [&every, &[], &[Aggregate::Sum(0)]];
+        let filters = [
+            None,
+            Some(Predicate::new(3, CompareOp::Ge, 0)),
+            Some(Predicate::new(3, CompareOp::Lt, -1000)), // selects nothing
+        ];
+        for (seed, (name, key)) in distributions.into_iter().enumerate() {
+            let batches = seeded_batches(seed as u64, &[1000, 1, 700, 1000], key);
+            for aggregates in aggregate_lists {
+                for filter in filters {
+                    for keys in [&[][..], &[0]] {
+                        assert_matches_oracle::<Value>(name, &batches, keys, aggregates, filter);
+                    }
+                    for keys in [&[0][..], &[0, 1], &[1, 0, 3]] {
+                        assert_matches_oracle::<Vec<Value>>(
+                            name, &batches, keys, aggregates, filter,
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn grouped_fold_probes_past_colliding_keys() {
+        // A batch of 20 rows, each of ten keys twice: six keys share the
+        // table's last slot as their home slot, so they probe past one
+        // another and wrap around to slot 0; the extreme keys land wherever
+        // they hash, possibly in that run.
+        let bits = table_bits(20);
+        let last = (1 << bits) - 1;
+        let home = |v: Value| home_slot(<Value as GroupKey>::hash_row(&[&[v][..]], 0), bits);
+        let mut keys: Vec<Value> = (1..).filter(|&v| home(v) == last).take(6).collect();
+        keys.extend([Value::MIN, -1, 0, Value::MAX]);
+        let rows: Vec<Vec<Value>> = keys
+            .iter()
+            .chain(keys.iter().rev())
+            .enumerate()
+            .map(|(i, &key)| vec![key, i as Value * 7 - 50])
+            .collect();
+        let batch = Batch::from_rows(2, &rows);
+        let batches = [batch.clone(), batch];
+        let aggregates = [
+            Aggregate::Count,
+            Aggregate::Sum(1),
+            Aggregate::Min(1),
+            Aggregate::Max(1),
+        ];
+        assert_matches_oracle::<Value>("colliding", &batches, &[0], &aggregates, None);
+        assert_matches_oracle::<Vec<Value>>("colliding", &batches, &[0], &aggregates, None);
+        let mut source = VecSource::new(2, batches.to_vec());
+        let groups = keyed::<Value>(&mut source, None, &[0], &aggregates).groups;
+        assert_eq!(groups.len(), 10);
+        assert!(groups.values().all(|g| g.count == 4));
+    }
+
+    #[test]
+    fn sum_wraps_through_an_intermediate_overflow() {
+        // The running total passes `Value::MAX` but the total fits: every
+        // build returns it exactly, ungrouped and grouped, whether the
+        // overflow happens inside one batch's fold or between partials.
+        let one = vec![Batch::new(vec![vec![0, 0, 0], vec![Value::MAX, 1, -1]])];
+        let split = vec![
+            Batch::new(vec![vec![0, 0], vec![Value::MAX, 1]]),
+            Batch::new(vec![vec![0], vec![-1]]),
+        ];
+        for batches in [one, split] {
+            for spec in [
+                AggrSpec::global(vec![Aggregate::Sum(1)]),
+                AggrSpec::grouped(0, vec![Aggregate::Sum(1)]),
+            ] {
+                let mut source = VecSource::new(2, batches.clone());
+                let result = aggregate(&mut source, None, &spec).unwrap();
+                assert_eq!(result[&0].accumulators, vec![Value::MAX], "{spec:?}");
+            }
+        }
     }
 
     #[test]

@@ -305,7 +305,7 @@ fn fold_reference(rows: &[Vec<Value>], aggregates: &[Aggregate], into: &mut Grou
         for (acc, agg) in into.accumulators.iter_mut().zip(aggregates) {
             match agg {
                 Aggregate::Count => *acc += 1,
-                Aggregate::Sum(c) => *acc += row[*c],
+                Aggregate::Sum(c) => *acc = acc.wrapping_add(row[*c]),
                 Aggregate::Min(c) => *acc = (*acc).min(row[*c]),
                 Aggregate::Max(c) => *acc = (*acc).max(row[*c]),
             }
