@@ -6,50 +6,37 @@
 //! multiplexes many sessions per connection instead; both speak the same
 //! frames (see `PROTOCOL.md`).
 
-use std::io::{Read, Write};
-use std::net::{TcpStream, ToSocketAddrs};
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::net::ToSocketAddrs;
 #[cfg(unix)]
 use std::path::Path;
 
 use scanshare_common::{Error, Result};
 
+#[cfg(unix)]
+use crate::loadgen::Target;
 use crate::protocol::{
     read_frame, write_frame, Message, QueryRequest, ResultGroup, PROTOCOL_VERSION,
 };
+use crate::sock::Sock;
 
-enum ClientSock {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Read for ClientSock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            ClientSock::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            ClientSock::Unix(s) => s.read(buf),
-        }
+/// The client half of the HELLO/WELCOME handshake, as `tenant`; returns the
+/// per-connection session limit the server advertised.
+pub(crate) fn handshake(sock: &mut Sock, tenant: &str) -> Result<u32> {
+    let hello = Message::Hello {
+        version: PROTOCOL_VERSION,
+        tenant: tenant.to_string(),
     }
-}
-
-impl Write for ClientSock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            ClientSock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            ClientSock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            ClientSock::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            ClientSock::Unix(s) => s.flush(),
-        }
+    .encode(0);
+    write_frame(sock, &hello)?;
+    let frame = read_frame(sock)?
+        .ok_or_else(|| Error::protocol("server closed the connection during handshake"))?;
+    match Message::decode(&frame)? {
+        Message::Welcome { session_limit, .. } => Ok(session_limit),
+        Message::Error { code, message } => Err(Error::Remote { code, message }),
+        other => Err(Error::protocol(format!(
+            "expected WELCOME, got {:?} frame",
+            other.kind()
+        ))),
     }
 }
 
@@ -61,7 +48,7 @@ impl Write for ClientSock {
 /// HELLO/WELCOME handshake, so a connected client is ready to
 /// [`query`](ServeClient::query).
 pub struct ServeClient {
-    sock: ClientSock,
+    sock: Sock,
     session_limit: u32,
 }
 
@@ -76,39 +63,22 @@ impl std::fmt::Debug for ServeClient {
 impl ServeClient {
     /// Connects over TCP and performs the protocol handshake as `tenant`.
     pub fn connect_tcp(addr: impl ToSocketAddrs, tenant: &str) -> Result<Self> {
-        let stream = TcpStream::connect(addr).map_err(Error::io)?;
-        stream.set_nodelay(true).map_err(Error::io)?;
-        Self::handshake(ClientSock::Tcp(stream), tenant)
+        Self::over(Sock::connect_tcp(addr)?, tenant)
     }
 
     /// Connects over a Unix-domain socket and performs the handshake as
     /// `tenant`.
     #[cfg(unix)]
     pub fn connect_unix(path: impl AsRef<Path>, tenant: &str) -> Result<Self> {
-        let stream = UnixStream::connect(path).map_err(Error::io)?;
-        Self::handshake(ClientSock::Unix(stream), tenant)
+        Self::over(Sock::connect(&Target::Unix(path.as_ref().into()))?, tenant)
     }
 
-    fn handshake(mut sock: ClientSock, tenant: &str) -> Result<Self> {
-        let hello = Message::Hello {
-            version: PROTOCOL_VERSION,
-            tenant: tenant.to_string(),
-        }
-        .encode(0);
-        write_frame(&mut sock, &hello)?;
-        let frame = read_frame(&mut sock)?
-            .ok_or_else(|| Error::protocol("server closed the connection during handshake"))?;
-        match Message::decode(&frame)? {
-            Message::Welcome { session_limit, .. } => Ok(Self {
-                sock,
-                session_limit,
-            }),
-            Message::Error { code, message } => Err(Error::Remote { code, message }),
-            other => Err(Error::protocol(format!(
-                "expected WELCOME, got {:?} frame",
-                other.kind()
-            ))),
-        }
+    fn over(mut sock: Sock, tenant: &str) -> Result<Self> {
+        let session_limit = handshake(&mut sock, tenant)?;
+        Ok(Self {
+            sock,
+            session_limit,
+        })
     }
 
     /// The per-connection session limit the server advertised in WELCOME.

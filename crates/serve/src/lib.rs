@@ -67,6 +67,7 @@ pub mod client;
 pub mod loadgen;
 pub mod protocol;
 pub mod server;
+mod sock;
 
 pub use client::ServeClient;
 pub use loadgen::{LoadReport, LoadgenConfig, Target};

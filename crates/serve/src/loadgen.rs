@@ -11,19 +11,15 @@
 //! are counted separately and do **not** contribute latency samples — the
 //! report's percentiles describe served queries under the measured load.
 
-use std::io::{Read, Write};
-use std::net::TcpStream;
-#[cfg(unix)]
-use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use scanshare_common::{Error, Result};
 
-use crate::protocol::{
-    read_frame, write_frame, ErrorCode, Message, QueryRequest, PROTOCOL_VERSION,
-};
+use crate::client::handshake;
+use crate::protocol::{read_frame, write_frame, ErrorCode, Message, QueryRequest};
+use crate::sock::Sock;
 
 /// Where the load generator connects.
 #[derive(Debug, Clone)]
@@ -109,62 +105,6 @@ impl LoadReport {
     /// All latency samples, sorted ascending.
     pub fn latencies(&self) -> &[Duration] {
         &self.latencies
-    }
-}
-
-enum LoadSock {
-    Tcp(TcpStream),
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl LoadSock {
-    fn connect(target: &Target) -> Result<Self> {
-        Ok(match target {
-            Target::Tcp(addr) => {
-                let stream = TcpStream::connect(addr.as_str()).map_err(Error::io)?;
-                stream.set_nodelay(true).map_err(Error::io)?;
-                LoadSock::Tcp(stream)
-            }
-            #[cfg(unix)]
-            Target::Unix(path) => LoadSock::Unix(UnixStream::connect(path).map_err(Error::io)?),
-        })
-    }
-
-    fn try_clone(&self) -> Result<Self> {
-        Ok(match self {
-            LoadSock::Tcp(s) => LoadSock::Tcp(s.try_clone().map_err(Error::io)?),
-            #[cfg(unix)]
-            LoadSock::Unix(s) => LoadSock::Unix(s.try_clone().map_err(Error::io)?),
-        })
-    }
-}
-
-impl Read for LoadSock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            LoadSock::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            LoadSock::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for LoadSock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            LoadSock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            LoadSock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            LoadSock::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            LoadSock::Unix(s) => s.flush(),
-        }
     }
 }
 
@@ -257,30 +197,10 @@ fn drive_connection(
     if sessions == 0 || queries_per_session == 0 {
         return Ok(outcome);
     }
-    let mut reader = LoadSock::connect(target)?;
-    let mut writer_sock = reader.try_clone()?;
-
     // Handshake on the reader thread, before the writer exists.
-    write_frame(
-        &mut writer_sock,
-        &Message::Hello {
-            version: PROTOCOL_VERSION,
-            tenant: tenant.to_string(),
-        }
-        .encode(0),
-    )?;
-    let frame = read_frame(&mut reader)?
-        .ok_or_else(|| Error::protocol("server closed the connection during handshake"))?;
-    match Message::decode(&frame)? {
-        Message::Welcome { .. } => {}
-        Message::Error { code, message } => return Err(Error::Remote { code, message }),
-        other => {
-            return Err(Error::protocol(format!(
-                "expected WELCOME, got {:?} frame",
-                other.kind()
-            )))
-        }
-    }
+    let mut reader = Sock::connect(target)?;
+    handshake(&mut reader, tenant)?;
+    let mut writer_sock = reader.try_clone()?;
 
     let (issue, next) = mpsc::channel::<u32>();
     let frames: Vec<Vec<u8>> = (0..sessions as u32)

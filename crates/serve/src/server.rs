@@ -11,7 +11,15 @@
 //! [`TaskScheduler`] worker pool.
 //! Thousands of sessions therefore cost a handful of sockets plus
 //! [`ScanShareConfig::scheduler_workers`](scanshare_common::ScanShareConfig::scheduler_workers)
-//! workers.
+//! workers. A connection opens at most 65 536 sessions (the limit WELCOME
+//! advertises).
+//!
+//! One socket type serves the whole crate: these connections,
+//! [`ServeClient`](crate::ServeClient) and the [load generator](crate::loadgen)
+//! all read and write a private `Sock` (TCP or Unix-domain, `sock.rs`).
+//! [`Server::bind_tcp`] and [`Server::bind_unix`] share one accept loop; an
+//! accept that fails (`ECONNABORTED`, `EMFILE`, ...) backs off and keeps
+//! listening.
 //!
 //! # Admission control, fairness, backpressure
 //!
@@ -21,14 +29,14 @@
 //! across tenants as running queries finish; when the tenant queue is full
 //! it is **shed** with an [`ErrorCode::Overloaded`] error frame. Result
 //! delivery is backpressured cooperatively: a query task whose connection's
-//! outbound queue is full *yields* and retries next quantum — it never
-//! blocks a scheduler worker on a slow client.
+//! outbound queue (1 024 frames) is full *yields* and retries next quantum
+//! — it never blocks a scheduler worker on a slow client.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, Write};
+use std::net::{SocketAddr, TcpListener, ToSocketAddrs};
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixListener;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 #[cfg(unix)]
 use std::path::Path;
@@ -43,6 +51,14 @@ use scanshare_exec::sched::{panic_message, QueryTask, SchedHandle, SchedulerStat
 use scanshare_exec::{Engine, Task, TaskStep};
 
 use crate::protocol::{read_frame, ErrorCode, Message};
+use crate::sock::Sock;
+
+/// Logical sessions one connection may open; advertised in WELCOME.
+const MAX_SESSIONS_PER_CONN: u32 = 65_536;
+
+/// Capacity (frames) of each connection's outbound queue — the backpressure
+/// buffer between query tasks and the socket.
+const WRITER_QUEUE_FRAMES: usize = 1024;
 
 /// Serving-layer tuning knobs, layered on top of the engine's
 /// [`ScanShareConfig`](scanshare_common::ScanShareConfig).
@@ -54,12 +70,6 @@ pub struct ServeConfig {
     /// Bound on each tenant's admission queue; arrivals beyond it are shed
     /// with [`ErrorCode::Overloaded`]. Default 256.
     pub max_queued_per_tenant: usize,
-    /// Maximum logical sessions one connection may open. Default 65 536.
-    pub max_sessions_per_conn: u32,
-    /// Capacity (frames) of each connection's outbound queue — the
-    /// backpressure buffer between query tasks and the socket. Default
-    /// 1024.
-    pub writer_queue_frames: usize,
 }
 
 impl Default for ServeConfig {
@@ -67,8 +77,6 @@ impl Default for ServeConfig {
         Self {
             max_inflight: 64,
             max_queued_per_tenant: 256,
-            max_sessions_per_conn: 65_536,
-            writer_queue_frames: 1024,
         }
     }
 }
@@ -85,18 +93,6 @@ impl ServeConfig {
         self.max_queued_per_tenant = max_queued;
         self
     }
-
-    /// Sets [`ServeConfig::max_sessions_per_conn`].
-    pub fn with_max_sessions_per_conn(mut self, limit: u32) -> Self {
-        self.max_sessions_per_conn = limit.max(1);
-        self
-    }
-
-    /// Sets [`ServeConfig::writer_queue_frames`].
-    pub fn with_writer_queue_frames(mut self, frames: usize) -> Self {
-        self.writer_queue_frames = frames.max(1);
-        self
-    }
 }
 
 /// Lifetime counters of a [`Server`]; snapshot with [`Server::stats`].
@@ -111,69 +107,6 @@ pub struct ServerStats {
     /// Queries whose full result (terminated by RESULT_DONE) was handed to
     /// the connection writer.
     pub completed: u64,
-}
-
-// ---------------------------------------------------------------------------
-// Sockets
-// ---------------------------------------------------------------------------
-
-/// A connected byte stream: TCP or Unix-domain.
-pub(crate) enum Sock {
-    /// A TCP connection.
-    Tcp(TcpStream),
-    /// A Unix-domain connection.
-    #[cfg(unix)]
-    Unix(UnixStream),
-}
-
-impl Sock {
-    pub(crate) fn try_clone(&self) -> Result<Sock> {
-        Ok(match self {
-            Sock::Tcp(s) => Sock::Tcp(s.try_clone().map_err(Error::io)?),
-            #[cfg(unix)]
-            Sock::Unix(s) => Sock::Unix(s.try_clone().map_err(Error::io)?),
-        })
-    }
-
-    pub(crate) fn shutdown_both(&self) {
-        match self {
-            Sock::Tcp(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-            #[cfg(unix)]
-            Sock::Unix(s) => {
-                let _ = s.shutdown(std::net::Shutdown::Both);
-            }
-        }
-    }
-}
-
-impl std::io::Read for Sock {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.read(buf),
-            #[cfg(unix)]
-            Sock::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Sock {
-    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        match self {
-            Sock::Tcp(s) => s.write(buf),
-            #[cfg(unix)]
-            Sock::Unix(s) => s.write(buf),
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Sock::Tcp(s) => s.flush(),
-            #[cfg(unix)]
-            Sock::Unix(s) => s.flush(),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -363,6 +296,15 @@ struct ServeQueryTask {
     slot: Option<SessionSlot>,
 }
 
+/// An ERROR frame on `session`.
+fn error_frame(code: ErrorCode, message: impl Into<String>, session: u32) -> Vec<u8> {
+    Message::Error {
+        code: code.as_u16(),
+        message: message.into(),
+    }
+    .encode(session)
+}
+
 /// Maps engine errors onto wire error codes.
 fn code_for(error: &Error) -> ErrorCode {
     match error {
@@ -376,13 +318,7 @@ fn code_for(error: &Error) -> ErrorCode {
 
 impl ServeQueryTask {
     fn fail(&mut self, code: ErrorCode, message: String) {
-        self.out.push_back(
-            Message::Error {
-                code: code.as_u16(),
-                message,
-            }
-            .encode(self.session),
-        );
+        self.out.push_back(error_frame(code, message, self.session));
         self.state = QueryState::Draining;
     }
 
@@ -699,30 +635,11 @@ impl Server {
         let listener = TcpListener::bind(addr).map_err(Error::io)?;
         let local = listener.local_addr().map_err(Error::io)?;
         listener.set_nonblocking(true).map_err(Error::io)?;
-        let inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name("serve-accept-tcp".into())
-            .spawn(move || loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        start_connection(&inner, Sock::Tcp(stream));
-                    }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => return,
-                }
-            })
-            .map_err(Error::io)?;
-        self.inner
-            .threads
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .push(handle);
+        self.accept_on("tcp", move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            Ok(Sock::Tcp(stream))
+        })?;
         Ok(local)
     }
 
@@ -734,22 +651,31 @@ impl Server {
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path).map_err(Error::io)?;
         listener.set_nonblocking(true).map_err(Error::io)?;
+        self.accept_on("unix", move || {
+            let (stream, _) = listener.accept()?;
+            stream.set_nonblocking(false)?;
+            Ok(Sock::Unix(stream))
+        })
+    }
+
+    /// The accept loop of one listener: `accept` polls it (non-blocking) for
+    /// the next connection. Until shutdown, an accept that yields none —
+    /// nothing pending, or a failure such as `ECONNABORTED` or `EMFILE` —
+    /// backs off 5 ms and tries again; a listener never stops on an error.
+    fn accept_on(
+        &self,
+        name: &str,
+        mut accept: impl FnMut() -> io::Result<Sock> + Send + 'static,
+    ) -> Result<()> {
         let inner = Arc::clone(&self.inner);
         let handle = std::thread::Builder::new()
-            .name("serve-accept-unix".into())
-            .spawn(move || loop {
-                if inner.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                match listener.accept() {
-                    Ok((stream, _)) => {
-                        let _ = stream.set_nonblocking(false);
-                        start_connection(&inner, Sock::Unix(stream));
+            .name(format!("serve-accept-{name}"))
+            .spawn(move || {
+                while !inner.shutdown.load(Ordering::SeqCst) {
+                    match accept() {
+                        Ok(sock) => start_connection(&inner, sock),
+                        Err(_) => std::thread::sleep(Duration::from_millis(5)),
                     }
-                    Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => return,
                 }
             })
             .map_err(Error::io)?;
@@ -829,7 +755,7 @@ impl Drop for Server {
 
 /// Spawns the reader + writer threads for one accepted connection.
 fn start_connection(inner: &Arc<ServerInner>, sock: Sock) {
-    let writer_queue = FrameQueue::new(inner.config.writer_queue_frames);
+    let writer_queue = FrameQueue::new(WRITER_QUEUE_FRAMES);
     let Ok(read_half) = sock.try_clone() else {
         return;
     };
@@ -900,86 +826,69 @@ fn reader_loop(inner: &Arc<ServerInner>, mut sock: Sock, writer: &Arc<FrameQueue
             Ok(None) => return,
             Err(error) => {
                 // Frame-level violation: report and close the connection.
-                writer.push_wait(
-                    Message::Error {
-                        code: ErrorCode::BadFrame.as_u16(),
-                        message: error.to_string(),
-                    }
-                    .encode(0),
-                );
+                writer.push_wait(error_frame(ErrorCode::BadFrame, error.to_string(), 0));
                 return;
             }
         };
         if inner.shutdown.load(Ordering::SeqCst) {
-            writer.push_wait(
-                Message::Error {
-                    code: ErrorCode::ShuttingDown.as_u16(),
-                    message: "server is shutting down".into(),
-                }
-                .encode(frame.session),
-            );
+            writer.push_wait(error_frame(
+                ErrorCode::ShuttingDown,
+                "server is shutting down",
+                frame.session,
+            ));
             return;
         }
         let message = match Message::decode(&frame) {
             Ok(message) => message,
             Err(error) => {
-                writer.push_wait(
-                    Message::Error {
-                        code: ErrorCode::BadFrame.as_u16(),
-                        message: error.to_string(),
-                    }
-                    .encode(frame.session),
-                );
+                writer.push_wait(error_frame(
+                    ErrorCode::BadFrame,
+                    error.to_string(),
+                    frame.session,
+                ));
                 return;
             }
         };
         match message {
             Message::Hello { version, tenant: t } => {
                 if version != crate::protocol::PROTOCOL_VERSION {
-                    writer.push_wait(
-                        Message::Error {
-                            code: ErrorCode::UnsupportedVersion.as_u16(),
-                            message: format!(
-                                "server speaks protocol version {}, client sent {version}",
-                                crate::protocol::PROTOCOL_VERSION
-                            ),
-                        }
-                        .encode(0),
-                    );
+                    writer.push_wait(error_frame(
+                        ErrorCode::UnsupportedVersion,
+                        format!(
+                            "server speaks protocol version {}, client sent {version}",
+                            crate::protocol::PROTOCOL_VERSION
+                        ),
+                        0,
+                    ));
                     return;
                 }
                 tenant = Some(t);
                 writer.push_wait(
                     Message::Welcome {
                         version: crate::protocol::PROTOCOL_VERSION,
-                        session_limit: inner.config.max_sessions_per_conn,
+                        session_limit: MAX_SESSIONS_PER_CONN,
                     }
                     .encode(0),
                 );
             }
             Message::Query(request) => {
                 let Some(tenant) = tenant.as_deref() else {
-                    writer.push_wait(
-                        Message::Error {
-                            code: ErrorCode::BadFrame.as_u16(),
-                            message: "QUERY before HELLO handshake".into(),
-                        }
-                        .encode(frame.session),
-                    );
+                    writer.push_wait(error_frame(
+                        ErrorCode::BadFrame,
+                        "QUERY before HELLO handshake",
+                        frame.session,
+                    ));
                     return;
                 };
                 if !sessions.contains(&frame.session) {
-                    if sessions.len() as u32 >= inner.config.max_sessions_per_conn {
-                        writer.push_wait(
-                            Message::Error {
-                                code: ErrorCode::SessionLimit.as_u16(),
-                                message: format!(
-                                    "connection reached its limit of {} sessions",
-                                    inner.config.max_sessions_per_conn
-                                ),
-                            }
-                            .encode(frame.session),
-                        );
+                    if sessions.len() as u32 >= MAX_SESSIONS_PER_CONN {
+                        writer.push_wait(error_frame(
+                            ErrorCode::SessionLimit,
+                            format!(
+                                "connection reached its limit of {MAX_SESSIONS_PER_CONN} sessions"
+                            ),
+                            frame.session,
+                        ));
                         continue;
                     }
                     sessions.insert(frame.session);
@@ -990,13 +899,11 @@ fn reader_loop(inner: &Arc<ServerInner>, mut sock: Sock, writer: &Arc<FrameQueue
                     .unwrap_or_else(|e| e.into_inner())
                     .insert(frame.session)
                 {
-                    writer.push_wait(
-                        Message::Error {
-                            code: ErrorCode::BadQuery.as_u16(),
-                            message: "session already has a query in flight".into(),
-                        }
-                        .encode(frame.session),
-                    );
+                    writer.push_wait(error_frame(
+                        ErrorCode::BadQuery,
+                        "session already has a query in flight",
+                        frame.session,
+                    ));
                     continue;
                 }
                 let pending = PendingQuery {
@@ -1009,13 +916,7 @@ fn reader_loop(inner: &Arc<ServerInner>, mut sock: Sock, writer: &Arc<FrameQueue
                     },
                 };
                 if let Submit::Shed(code, reason) = inner.submit(tenant, pending) {
-                    writer.push_wait(
-                        Message::Error {
-                            code: code.as_u16(),
-                            message: reason.into(),
-                        }
-                        .encode(frame.session),
-                    );
+                    writer.push_wait(error_frame(code, reason, frame.session));
                 }
             }
             Message::Goodbye => {
@@ -1030,13 +931,11 @@ fn reader_loop(inner: &Arc<ServerInner>, mut sock: Sock, writer: &Arc<FrameQueue
             | Message::ResultDone { .. }
             | Message::Error { .. }
             | Message::Pong => {
-                writer.push_wait(
-                    Message::Error {
-                        code: ErrorCode::BadFrame.as_u16(),
-                        message: "client sent a server-to-client frame kind".into(),
-                    }
-                    .encode(frame.session),
-                );
+                writer.push_wait(error_frame(
+                    ErrorCode::BadFrame,
+                    "client sent a server-to-client frame kind",
+                    frame.session,
+                ));
                 return;
             }
         }
@@ -1048,6 +947,16 @@ mod tests {
     use super::*;
     use scanshare_common::ScanShareConfig;
     use scanshare_storage::{Storage, TableSpec};
+    use std::net::TcpStream;
+
+    fn server() -> Server {
+        let storage = Storage::new(4096, 100);
+        storage
+            .create_table(TableSpec::with_int_columns("t", 1, 100))
+            .unwrap();
+        let engine = Engine::new(storage, ScanShareConfig::default()).unwrap();
+        Server::new(engine, ServeConfig::default())
+    }
 
     /// A connection that has closed is reaped — its two threads joined, its
     /// socket clone dropped — when the next one is accepted, so what the
@@ -1055,12 +964,7 @@ mod tests {
     /// ever served.
     #[test]
     fn closed_connections_are_reaped_when_the_next_one_is_accepted() {
-        let storage = Storage::new(4096, 100);
-        storage
-            .create_table(TableSpec::with_int_columns("t", 1, 100))
-            .unwrap();
-        let engine = Engine::new(storage, ScanShareConfig::default()).unwrap();
-        let mut server = Server::new(engine, ServeConfig::default());
+        let mut server = server();
         let addr = server.bind_tcp("127.0.0.1:0").unwrap();
         let held = |server: &Server| server.inner.conns.lock().unwrap().len();
 
@@ -1083,5 +987,35 @@ mod tests {
         }
         server.shutdown();
         assert_eq!(held(&server), 0);
+    }
+
+    /// A failed accept does not end the listener: the loop backs off and the
+    /// next connection is accepted and served.
+    #[test]
+    fn a_failed_accept_does_not_stop_the_accept_loop() {
+        let mut server = server();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut calls = 0;
+        server
+            .accept_on("scripted", move || {
+                calls += 1;
+                match calls {
+                    1 => Err(io::ErrorKind::ConnectionAborted.into()),
+                    2 => Ok(Sock::Tcp(listener.accept()?.0)),
+                    _ => Err(io::ErrorKind::WouldBlock.into()),
+                }
+            })
+            .unwrap();
+
+        let stream = TcpStream::connect(addr).unwrap();
+        // A loop that stopped at the first error never accepts this
+        // connection: the handshake then fails on the timeout, not hangs.
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let session_limit = crate::client::handshake(&mut Sock::Tcp(stream), "t").unwrap();
+        assert_eq!(session_limit, MAX_SESSIONS_PER_CONN);
+        server.shutdown();
     }
 }

@@ -129,29 +129,6 @@ pub fn format_sharing(title: &str, profile: &SharingProfile) -> String {
     out
 }
 
-/// Serializes rows to JSON (one object per row) for downstream plotting.
-pub fn rows_to_json(rows: &[ExperimentRow]) -> String {
-    let items: Vec<String> = rows
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"figure\":\"{}\",\"policy\":\"{}\",\"x_label\":\"{}\",\"x\":{},\
-                 \"avg_stream_time_s\":{},\"total_io_gb\":{:.6},\"hit_ratio\":{:.6}}}",
-                r.figure,
-                r.policy.name(),
-                r.x_label,
-                r.x_value,
-                r.avg_stream_time_s
-                    .map(|v| format!("{v:.6}"))
-                    .unwrap_or_else(|| "null".into()),
-                r.total_io_gb,
-                r.hit_ratio
-            )
-        })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,18 +189,5 @@ mod tests {
         assert!(text.contains("Figure 17"));
         assert!(text.contains("2.00"));
         assert!(text.contains("avg shared fraction"));
-    }
-
-    #[test]
-    fn json_output_is_well_formed_enough() {
-        let rows = vec![
-            row(PolicyKind::Lru, 10.0, Some(1.0), 2.0),
-            row(PolicyKind::Opt, 10.0, None, 1.0),
-        ];
-        let json = rows_to_json(&rows);
-        assert!(json.starts_with('['));
-        assert!(json.ends_with(']'));
-        assert!(json.contains("\"policy\":\"lru\""));
-        assert!(json.contains("\"avg_stream_time_s\":null"));
     }
 }

@@ -9,9 +9,10 @@
 use std::collections::HashSet;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
+use std::time::{Duration, Instant};
 
 use scanshare::common::{PageId, ScanId};
 use scanshare::core::policy::{ReplacementPolicy, ScanInfo};
@@ -52,15 +53,23 @@ impl Drop for TestDir {
 }
 
 fn build_engine() -> (Arc<Engine>, TableId) {
-    build_engine_with(&PolicyRegistry::default(), None)
+    build_engine_with(&PolicyRegistry::default(), test_config())
 }
 
-/// The test engine, its page-level policy resolved from `registry`
-/// (`custom_policy` selects a registered name; `None` keeps PBM).
-fn build_engine_with(
-    registry: &PolicyRegistry,
-    custom_policy: Option<&str>,
-) -> (Arc<Engine>, TableId) {
+/// The test engine's configuration: PBM over a 4 MiB pool.
+fn test_config() -> ScanShareConfig {
+    ScanShareConfig {
+        page_size_bytes: PAGE,
+        chunk_tuples: CHUNK,
+        buffer_pool_bytes: 4 << 20,
+        policy: PolicyKind::Pbm,
+        ..Default::default()
+    }
+}
+
+/// The test engine under `config`, its page-level policy resolved from
+/// `registry`.
+fn build_engine_with(registry: &PolicyRegistry, config: ScanShareConfig) -> (Arc<Engine>, TableId) {
     let storage = Storage::new(PAGE, CHUNK);
     let table = storage
         .create_table_with_data(
@@ -78,14 +87,6 @@ fn build_engine_with(
             ],
         )
         .unwrap();
-    let config = ScanShareConfig {
-        page_size_bytes: PAGE,
-        chunk_tuples: CHUNK,
-        buffer_pool_bytes: 4 << 20,
-        policy: PolicyKind::Pbm,
-        custom_policy: custom_policy.map(str::to_string),
-        ..Default::default()
-    };
     let engine = Engine::with_registry(storage, config, registry).unwrap();
     (engine, table)
 }
@@ -143,7 +144,11 @@ fn build_panicking_engine() -> (Arc<Engine>, TableId) {
             panic_at: 5,
         })
     });
-    build_engine_with(&registry, Some("panics-once"))
+    let config = ScanShareConfig {
+        custom_policy: Some("panics-once".into()),
+        ..test_config()
+    };
+    build_engine_with(&registry, config)
 }
 
 fn sum_request() -> QueryRequest {
@@ -151,6 +156,37 @@ fn sum_request() -> QueryRequest {
         QueryRequest::count_star("lineitem", vec!["l_orderkey".into(), "l_quantity".into()]);
     request.aggregates.push(Aggregate::Sum(1));
     request
+}
+
+/// A raw connection past the handshake, for frames `ServeClient` never
+/// sends or reads it never stops doing; reads time out instead of hanging.
+fn raw_connection(socket: &Path) -> UnixStream {
+    let mut sock = UnixStream::connect(socket).unwrap();
+    sock.set_read_timeout(Some(Duration::from_secs(20)))
+        .unwrap();
+    sock.write_all(
+        &Message::Hello {
+            version: PROTOCOL_VERSION,
+            tenant: "tenant-a".into(),
+        }
+        .encode(0),
+    )
+    .unwrap();
+    let welcome = read_frame(&mut sock).unwrap().expect("WELCOME");
+    match Message::decode(&welcome).unwrap() {
+        Message::Welcome { session_limit, .. } => assert_eq!(session_limit, 65_536),
+        other => panic!("expected WELCOME, got {other:?}"),
+    }
+    sock
+}
+
+/// The code of the ERROR frame that must come next on `sock`.
+fn next_error_code(sock: &mut UnixStream) -> u16 {
+    let frame = read_frame(sock).unwrap().expect("an error frame");
+    match Message::decode(&frame).unwrap() {
+        Message::Error { code, .. } => code,
+        other => panic!("expected ERROR frame, got {other:?}"),
+    }
 }
 
 /// Concurrent sessions over one Unix socket must each receive exactly the
@@ -429,8 +465,9 @@ fn a_panicking_scan_worker_is_a_typed_error_on_the_inline_path() {
     assert_eq!(rows(&engine, table).unwrap(), expected_rows);
 }
 
-/// Handshake violations: a wrong protocol version and a QUERY before HELLO
-/// are both rejected with the documented codes, closing the connection.
+/// Handshake violations — a wrong protocol version, a QUERY before HELLO —
+/// and a server-to-client kind (PONG) sent by the client are rejected with
+/// the documented codes, closing the connection.
 #[test]
 fn handshake_violations_are_rejected() {
     let dir = TestDir::new("handshake");
@@ -448,13 +485,10 @@ fn handshake_violations_are_rejected() {
         .encode(0),
     )
     .unwrap();
-    let frame = read_frame(&mut sock).unwrap().expect("an error frame");
-    match Message::decode(&frame).unwrap() {
-        Message::Error { code, .. } => {
-            assert_eq!(code, ErrorCode::UnsupportedVersion.as_u16())
-        }
-        other => panic!("expected ERROR frame, got {other:?}"),
-    }
+    assert_eq!(
+        next_error_code(&mut sock),
+        ErrorCode::UnsupportedVersion.as_u16()
+    );
     assert!(
         read_frame(&mut sock).unwrap().is_none(),
         "connection closes"
@@ -464,15 +498,107 @@ fn handshake_violations_are_rejected() {
     let mut sock = UnixStream::connect(dir.socket()).unwrap();
     sock.write_all(&Message::Query(sum_request()).encode(0))
         .unwrap();
-    let frame = read_frame(&mut sock).unwrap().expect("an error frame");
-    match Message::decode(&frame).unwrap() {
-        Message::Error { code, .. } => assert_eq!(code, ErrorCode::BadFrame.as_u16()),
-        other => panic!("expected ERROR frame, got {other:?}"),
-    }
+    assert_eq!(next_error_code(&mut sock), ErrorCode::BadFrame.as_u16());
     assert!(
         read_frame(&mut sock).unwrap().is_none(),
         "connection closes"
     );
+
+    // PONG from the client, after a good handshake.
+    let mut sock = raw_connection(&dir.socket());
+    sock.write_all(&Message::Pong.encode(0)).unwrap();
+    assert_eq!(next_error_code(&mut sock), ErrorCode::BadFrame.as_u16());
+    assert!(
+        read_frame(&mut sock).unwrap().is_none(),
+        "connection closes"
+    );
+    server.shutdown();
+}
+
+/// GOODBYE is not answered, and the connection stays usable after it: an
+/// answer would arrive where `ping` expects its PONG.
+#[test]
+fn goodbye_is_unanswered_and_the_connection_stays_usable() {
+    let dir = TestDir::new("goodbye");
+    let (engine, _) = build_engine();
+    let mut server = Server::new(engine, ServeConfig::default());
+    server.bind_unix(dir.socket()).unwrap();
+
+    let mut client = ServeClient::connect_unix(dir.socket(), "tenant-a").unwrap();
+    client.goodbye().unwrap();
+    client.ping().unwrap();
+    assert_eq!(client.query(sum_request()).unwrap()[0].count, TUPLES);
+    server.shutdown();
+}
+
+/// A client that stops reading mid-result stalls only itself. On one
+/// scheduler worker, connection A's query grouped on `l_orderkey` owes
+/// 200 000 RESULT_GROUP frames — far past the 1 024-frame outbound queue
+/// plus the socket buffer — and A reads none of them, so A's task can only
+/// yield on backpressure. Connection B's query still completes on that one
+/// worker. A second QUERY on A's busy session, sent before A reads anything
+/// and so while the first is necessarily in flight, gets BAD_QUERY. Then A
+/// reads its whole result in key order.
+#[test]
+fn a_stalled_client_blocks_neither_the_worker_nor_other_connections() {
+    let dir = TestDir::new("stalled");
+    let config = test_config().with_scheduler_workers(1);
+    let (engine, _) = build_engine_with(&PolicyRegistry::default(), config);
+    let mut server = Server::new(engine, ServeConfig::default());
+    server.bind_unix(dir.socket()).unwrap();
+
+    let mut grouped = sum_request();
+    grouped.group_by = Some(0);
+    let mut a = raw_connection(&dir.socket());
+    a.write_all(&Message::Query(grouped.clone()).encode(1))
+        .unwrap();
+    a.write_all(&Message::Query(grouped).encode(1)).unwrap();
+    // Counted as completed once aggregated: from then on A's task is
+    // draining into a queue that only A can empty.
+    let deadline = Instant::now() + Duration::from_secs(20);
+    while server.stats().completed == 0 {
+        assert!(Instant::now() < deadline, "A's query never aggregated");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // B on its own thread, so a blocked worker fails the test, not hangs it.
+    let socket = dir.socket();
+    let (answer, answered) = mpsc::channel();
+    let b = std::thread::spawn(move || {
+        let mut client = ServeClient::connect_unix(&socket, "tenant-b").unwrap();
+        answer.send(client.query(sum_request())).unwrap();
+    });
+    let groups = answered
+        .recv_timeout(Duration::from_secs(20))
+        .expect("B's query must complete while A stalls")
+        .unwrap();
+    assert_eq!(groups[0].count, TUPLES);
+    b.join().unwrap();
+
+    // A's frames: the BAD_QUERY reply wherever the reader thread got it into
+    // the queue, the groups in key order, RESULT_DONE after the last group.
+    let (mut groups, mut bad_query, mut done) = (0u64, 0, None);
+    while done.is_none() || bad_query == 0 {
+        let frame = read_frame(&mut a).unwrap().expect("A's result");
+        assert_eq!(frame.session, 1);
+        match Message::decode(&frame).unwrap() {
+            Message::ResultGroup(group) => {
+                assert!(done.is_none(), "a group after RESULT_DONE");
+                groups += 1;
+                assert_eq!(group.key, groups as i64);
+                assert_eq!(group.count, 1);
+            }
+            Message::ResultDone { groups } => done = Some(groups),
+            Message::Error { code, .. } => {
+                assert_eq!(code, ErrorCode::BadQuery.as_u16());
+                bad_query += 1;
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+    assert_eq!(groups, TUPLES);
+    assert_eq!(done, Some(TUPLES as u32));
+    assert_eq!(bad_query, 1);
     server.shutdown();
 }
 
