@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::ids::{ChunkId, PageId, ScanId, SnapshotId, TableId};
+use crate::ids::{ChunkId, PageId, ScanId, TableId};
 
 /// Convenience alias used across the workspace.
 pub type Result<T, E = Error> = std::result::Result<T, E>;
@@ -30,8 +30,6 @@ pub enum Error {
     UnknownChunk(ChunkId),
     /// A scan id was not registered with the buffer manager.
     UnknownScan(ScanId),
-    /// A snapshot id was not known to the storage layer.
-    UnknownSnapshot(SnapshotId),
     /// The buffer pool cannot fit even the working set of a single operation.
     BufferPoolTooSmall {
         /// Configured capacity in pages.
@@ -107,7 +105,6 @@ impl fmt::Display for Error {
             Error::UnknownPage(p) => write!(f, "unknown page {p}"),
             Error::UnknownChunk(c) => write!(f, "unknown chunk {c}"),
             Error::UnknownScan(s) => write!(f, "unknown scan {s}"),
-            Error::UnknownSnapshot(v) => write!(f, "unknown snapshot {v}"),
             Error::BufferPoolTooSmall {
                 capacity_pages,
                 required_pages,

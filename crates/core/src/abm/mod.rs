@@ -1231,7 +1231,9 @@ mod tests {
         let (storage, table) = setup(5_000);
         let layout = storage.layout(table).unwrap();
         let old = storage.master_snapshot(table).unwrap();
-        let new = storage.install_checkpoint(table, 5_000, None).unwrap();
+        let new = storage
+            .install_checkpoint(table, old.id(), vec![vec![0; 5_000]; 2])
+            .unwrap();
 
         let abm = abm(1 << 22);
         let req_old = CScanRequest {

@@ -209,13 +209,8 @@ impl ScanOperator {
         let layout = engine.storage().layout(table)?;
         let snapshot = Arc::clone(&pin.snapshot);
         let pdt = pin.flatten()?;
-        let (requested, sid_ranges, skipped) = plan_scan(
-            engine.storage(),
-            &snapshot,
-            &pdt,
-            rid_range,
-            zone_pred.as_ref(),
-        );
+        let (requested, sid_ranges, skipped) =
+            plan_scan(&snapshot, &pdt, rid_range, zone_pred.as_ref());
         if skipped > 0 {
             // Counted even when the whole range is pruned and the scan
             // never registers.

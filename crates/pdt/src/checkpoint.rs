@@ -71,7 +71,7 @@ pub fn checkpoint_table(
             Ok(merged.into_iter().next().expect("one projected column"))
         })
         .collect::<Result<Vec<_>>>()?;
-    storage.install_checkpoint_from(table, snapshot.id(), visible, Some(new_values))
+    storage.install_checkpoint(table, snapshot.id(), new_values)
 }
 
 /// Checkpoints a full [`PdtStack`] by flattening it into a single PDT first.

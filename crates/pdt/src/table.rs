@@ -18,7 +18,7 @@
 
 use std::sync::Arc;
 
-use scanshare_common::{Error, PageId, Result, Rid, SnapshotId, TableId};
+use scanshare_common::{Error, PageId, Result, Rid, TableId};
 use scanshare_storage::datagen::Value;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
@@ -139,7 +139,7 @@ impl TableState {
         if master.id() == self.snapshot.id() {
             return Ok(());
         }
-        if self.stack.is_empty() || derives_from(storage, &master, self.snapshot.id())? {
+        if self.stack.is_empty() || master.derives_from(self.snapshot.id()) {
             self.snapshot = master;
             self.commit_seq = self.next_commit_seq();
         }
@@ -247,19 +247,6 @@ impl TableState {
         self.epoch += 1;
         (self.epoch, frozen.snapshot.pages().collect())
     }
-}
-
-/// Whether `snapshot` was derived (through any chain of appends) from the
-/// snapshot with id `ancestor`.
-fn derives_from(storage: &Storage, snapshot: &Snapshot, ancestor: SnapshotId) -> Result<bool> {
-    let mut current = snapshot.parent();
-    while let Some(id) = current {
-        if id == ancestor {
-            return Ok(true);
-        }
-        current = storage.snapshot(id)?.parent();
-    }
-    Ok(false)
 }
 
 /// One writer's uncommitted updates to one table: a private PDT layer over
@@ -511,10 +498,16 @@ mod tests {
             tx.append_rows(&[vec![value], vec![value]]).unwrap();
             tx.commit().unwrap()
         };
+        let checkpoint = |rows: usize| {
+            let master = storage.master_snapshot(table).unwrap().id();
+            storage
+                .install_checkpoint(table, master, vec![vec![0; rows]; 2])
+                .unwrap()
+        };
 
         // No pending updates: any master is adopted, and counts as a commit.
         let mut writer = TableWrites::new(state.pin());
-        let foreign = storage.install_checkpoint(table, 80, None).unwrap();
+        let foreign = checkpoint(80);
         state.adopt_master(&storage).unwrap();
         let pin = state.pin();
         assert_eq!((pin.snapshot.id(), pin.commit_seq), (foreign.id(), 1));
@@ -534,10 +527,20 @@ mod tests {
         assert_eq!((pin.snapshot.id(), pin.commit_seq), (appended.id(), 3));
         assert_eq!(pin.visible_rows(), 80 - 1 + 1);
 
-        // ...any other master is not.
-        storage.install_checkpoint(table, 10, None).unwrap();
+        // ...through a chain of appends too, even once nothing holds the
+        // middle one any more...
+        let middle = Arc::downgrade(&append(2000));
+        let last = append(3000);
+        assert!(middle.upgrade().is_none(), "the middle append is gone");
         state.adopt_master(&storage).unwrap();
         let pin = state.pin();
-        assert_eq!((pin.snapshot.id(), pin.commit_seq), (appended.id(), 3));
+        assert_eq!((pin.snapshot.id(), pin.commit_seq), (last.id(), 4));
+        assert_eq!(pin.visible_rows(), 80 - 1 + 3);
+
+        // ...any other master is not.
+        checkpoint(10);
+        state.adopt_master(&storage).unwrap();
+        let pin = state.pin();
+        assert_eq!((pin.snapshot.id(), pin.commit_seq), (last.id(), 4));
     }
 }

@@ -11,7 +11,6 @@
 
 use scanshare_common::{RangeList, Rid, Sid, TupleRange};
 use scanshare_storage::snapshot::Snapshot;
-use scanshare_storage::storage::Storage;
 use scanshare_storage::zone::ZonePredicate;
 
 use crate::pdt::Pdt;
@@ -33,7 +32,6 @@ use crate::pdt::Pdt;
 /// PDT prunes nothing. The caller must still apply the predicate row-level
 /// (zone metadata is conservative: kept chunks may hold non-matching rows).
 pub fn plan_scan(
-    storage: &Storage,
     snapshot: &Snapshot,
     pdt: &Pdt,
     rid_range: TupleRange,
@@ -49,7 +47,7 @@ pub fn plan_scan(
     };
     match zone_pred {
         Some(pred) if pdt.is_empty() && !sid_ranges.is_empty() => {
-            let (kept, skipped) = storage.prune_sid_ranges(snapshot, pred, &sid_ranges);
+            let (kept, skipped) = snapshot.prune_sid_ranges(pred, &sid_ranges);
             // With an empty PDT the requested RID ranges are the SID ranges:
             // dropping the pruned chunks there too keeps a scan's drain
             // phase from reading them through the page path.

@@ -503,8 +503,7 @@ impl Simulation {
             let pin = self.table_state(tables, step.table)?.pin();
             let flat = pin.flatten()?;
             let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
-            let (_, sid_ranges, skipped) =
-                plan_scan(&self.storage, &pin.snapshot, &flat, step.range, zone_pred);
+            let (_, sid_ranges, skipped) = plan_scan(&pin.snapshot, &flat, step.range, zone_pred);
             backend.record_pruned(skipped);
             scans.push(ResolvedScan {
                 table: step.table,

@@ -383,14 +383,13 @@ mod tests {
     use super::*;
     use crate::column::{ColumnSpec, ColumnType};
     use crate::snapshot::SnapshotStore;
-    use scanshare_common::SnapshotId;
 
     /// Two columns with very different widths: 8 bytes/tuple and 0.5 bytes/tuple.
     fn test_layout(
         page_size: u64,
         chunk_tuples: u64,
         base_tuples: u64,
-    ) -> (Arc<TableLayout>, Snapshot) {
+    ) -> (Arc<TableLayout>, Arc<Snapshot>) {
         let spec = TableSpec::new(
             "t",
             vec![
@@ -407,7 +406,7 @@ mod tests {
             chunk_tuples,
         ));
         let mut store = SnapshotStore::new();
-        let snap = store.create_base_snapshot(&layout, SnapshotId::new(0));
+        let snap = store.create_base_snapshot(&layout, None);
         (layout, snap)
     }
 

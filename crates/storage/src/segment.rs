@@ -231,7 +231,7 @@ pub(crate) fn write_table(
     manifest.push_str(&format!("stable_tuples {}\n", snapshot.stable_tuples()));
     manifest.push_str(&format!("snapshot {}\n", snapshot.id().raw()));
     manifest.push_str(&format!("columns {}\n", layout.column_count()));
-    let zone_map = storage.zone_map(snapshot.id());
+    let zone_map = snapshot.zone_map();
     for (idx, col) in layout.spec().columns.iter().enumerate() {
         manifest.push_str(&format!(
             "column {idx} {} {} {}\n",
@@ -247,7 +247,7 @@ pub(crate) fn write_table(
         // Persist the snapshot's zone metadata (min/max pairs per chunk) so
         // a cold reopen keeps pruning exactly like the engine that wrote
         // this image.
-        if let Some(entries) = zone_map.as_ref().and_then(|z| z.entries().get(idx)) {
+        if let Some(entries) = zone_map.and_then(|z| z.entries().get(idx)) {
             manifest.push_str(&format!("zones {idx}"));
             for e in entries {
                 manifest.push_str(&format!(" {} {}", e.min, e.max));
@@ -943,16 +943,14 @@ mod tests {
         let dir = TestDir::new("zones");
         storage.materialize_table(id, &dir.0).unwrap();
         let snap = storage.master_snapshot(id).unwrap();
-        let zones = storage.zone_map(snap.id()).expect("base table has zones");
+        let zones = snap.zone_map().expect("base table has zones");
         let manifest = fs::read_to_string(dir.0.join("seg_t.manifest")).unwrap();
         assert!(manifest.contains("\nzones 0 "), "manifest persists zones");
 
         let reopened = Storage::open_directory(&dir.0).unwrap();
         let rid = reopened.table_by_name("seg_t").unwrap().id;
         let rsnap = reopened.master_snapshot(rid).unwrap();
-        let rzones = reopened
-            .zone_map(rsnap.id())
-            .expect("cold reopen restores zones");
+        let rzones = rsnap.zone_map().expect("cold reopen restores zones");
         assert_eq!(zones.entries(), rzones.entries());
     }
 
@@ -973,7 +971,7 @@ mod tests {
         let reopened = Storage::open_directory(&dir.0).unwrap();
         let rid = reopened.table_by_name("seg_t").unwrap().id;
         let rsnap = reopened.master_snapshot(rid).unwrap();
-        assert!(reopened.zone_map(rsnap.id()).is_none());
+        assert!(rsnap.zone_map().is_none());
     }
 
     #[test]

@@ -11,27 +11,56 @@
 //! (possibly empty after a checkpoint). The Active Buffer Manager uses the
 //! longest prefix shared by at least two running CScans to mark chunks as
 //! *shared* or *local*.
+//!
+//! A snapshot owns its image: the values of the pages an append or a
+//! checkpoint wrote for it and its zone map. Nothing else keeps an image
+//! alive, so a superseded one is freed with the last handle to it.
 
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::Arc;
 
-use scanshare_common::{Error, PageId, Result, SnapshotId, TableId, TupleRange};
+use scanshare_common::{Error, PageId, RangeList, Result, SnapshotId, TableId, TupleRange};
 
+use crate::datagen::Value;
 use crate::layout::TableLayout;
+use crate::zone::{ZoneMap, ZonePredicate};
 
 /// An immutable storage snapshot of one table.
-#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Snapshot {
     id: SnapshotId,
     table: TableId,
     /// Page references per column (outer index = column index in the table
     /// spec, inner index = page index).
     column_pages: Vec<Vec<PageId>>,
+    /// Stored values, parallel to `column_pages`: `Some` for a page an
+    /// append or a checkpoint wrote (an append shares its parent's `Arc`s
+    /// for the unchanged prefix), `None` for a page the file store or the
+    /// data generator serves.
+    stored: Vec<Vec<Option<Arc<Vec<Value>>>>>,
     /// Number of tuples stored in stable storage under this snapshot.
     stable_tuples: u64,
-    /// Snapshot this one was derived from (None for the base snapshot or a
-    /// checkpoint image).
-    parent: Option<SnapshotId>,
+    /// Ids of the snapshots this one was derived from by appends, nearest
+    /// first (empty for a base snapshot or a checkpoint image). Ids rather
+    /// than handles, so an append never keeps its parents' rewritten pages
+    /// alive.
+    ancestors: Vec<SnapshotId>,
+    /// Chunk-granular min/max metadata for data skipping; `None` prunes
+    /// nothing.
+    zones: Option<Arc<ZoneMap>>,
+}
+
+impl fmt::Debug for Snapshot {
+    /// Everything but the stored values, which are the image itself.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Snapshot")
+            .field("id", &self.id)
+            .field("table", &self.table)
+            .field("stable_tuples", &self.stable_tuples)
+            .field("pages", &self.total_pages())
+            .field("ancestors", &self.ancestors)
+            .finish_non_exhaustive()
+    }
 }
 
 impl Snapshot {
@@ -50,9 +79,33 @@ impl Snapshot {
         self.stable_tuples
     }
 
-    /// The snapshot this one was derived from, if any.
-    pub fn parent(&self) -> Option<SnapshotId> {
-        self.parent
+    /// Whether this snapshot was derived, through any chain of appends, from
+    /// the snapshot with id `ancestor` — whether or not anything still holds
+    /// that snapshot.
+    pub fn derives_from(&self, ancestor: SnapshotId) -> bool {
+        self.ancestors.contains(&ancestor)
+    }
+
+    /// The snapshot's zone metadata, if any was recorded for it.
+    pub(crate) fn zone_map(&self) -> Option<&Arc<ZoneMap>> {
+        self.zones.as_ref()
+    }
+
+    /// Intersects a scan's SID `ranges` with the chunks that can satisfy
+    /// `pred`, returning the pruned ranges and the number of tuples skipped.
+    /// A snapshot without zone metadata prunes nothing.
+    ///
+    /// Both executors (engine and simulator) route their skipping decisions
+    /// through this one helper so the pruned sets — and therefore every
+    /// downstream ABM relevance and PBM prediction — are byte-identical.
+    pub fn prune_sid_ranges(&self, pred: &ZonePredicate, ranges: &RangeList) -> (RangeList, u64) {
+        let Some(zones) = &self.zones else {
+            return (ranges.clone(), 0);
+        };
+        let survivors = zones.surviving_ranges(pred, self.stable_tuples);
+        let pruned = ranges.intersect(&survivors);
+        let skipped = ranges.total_tuples() - pruned.total_tuples();
+        (pruned, skipped)
     }
 
     /// Number of columns.
@@ -66,6 +119,18 @@ impl Snapshot {
             .get(col)
             .and_then(|pages| pages.get(page_index as usize))
             .copied()
+    }
+
+    /// The stored values of page `page_index` of column `col`, if this
+    /// snapshot holds them.
+    pub(crate) fn stored_page(&self, col: usize, page_index: u64) -> Option<&Arc<Vec<Value>>> {
+        self.stored.get(col)?.get(page_index as usize)?.as_ref()
+    }
+
+    /// Attaches the values of a page allocated while deriving this snapshot.
+    pub(crate) fn store_page(&mut self, page: &NewPage, values: Vec<Value>) {
+        debug_assert_eq!(values.len() as u64, page.sid_range.len());
+        self.stored[page.column_index][page.page_index as usize] = Some(Arc::new(values));
     }
 
     /// All page references of column `col`.
@@ -132,22 +197,21 @@ impl Snapshot {
 /// page's data.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct NewPage {
-    /// The freshly allocated page id.
-    pub page: PageId,
     /// Column (index in the table spec) the page belongs to.
     pub column_index: usize,
+    /// Index of the page within its column.
+    pub page_index: u64,
     /// SID range the page covers in the *new* snapshot.
     pub sid_range: TupleRange,
 }
 
-/// Allocates page ids and snapshot ids, derives snapshots and tracks the
-/// master snapshot of every table.
+/// Allocates page ids and snapshot ids, derives snapshots and holds the
+/// master snapshot of every table — the only snapshots it keeps alive.
 #[derive(Debug, Default)]
 pub struct SnapshotStore {
     next_page: u64,
     next_snapshot: u64,
-    snapshots: HashMap<SnapshotId, Arc<Snapshot>>,
-    masters: HashMap<TableId, SnapshotId>,
+    masters: HashMap<TableId, Arc<Snapshot>>,
 }
 
 impl SnapshotStore {
@@ -156,201 +220,185 @@ impl SnapshotStore {
         Self::default()
     }
 
-    /// Allocates `n` fresh page ids.
-    pub fn allocate_pages(&mut self, n: u64) -> Vec<PageId> {
-        let start = self.next_page;
-        self.next_page += n;
-        (start..start + n).map(PageId::new).collect()
+    fn allocate_page(&mut self) -> PageId {
+        let page = PageId::new(self.next_page);
+        self.next_page += 1;
+        page
     }
 
-    /// Allocates a fresh snapshot id.
-    pub fn allocate_snapshot_id(&mut self) -> SnapshotId {
+    fn allocate_snapshot_id(&mut self) -> SnapshotId {
         let id = SnapshotId::new(self.next_snapshot);
         self.next_snapshot += 1;
         id
     }
 
-    /// Creates the base snapshot of a table (its initial stable image) with
-    /// an explicit id, registering it as the table's master snapshot.
-    pub fn create_base_snapshot(&mut self, layout: &TableLayout, id: SnapshotId) -> Snapshot {
-        self.next_snapshot = self.next_snapshot.max(id.raw() + 1);
-        let base_tuples = layout.spec().base_tuples;
-        let column_pages: Vec<Vec<PageId>> = (0..layout.column_count())
-            .map(|col| self.allocate_pages(layout.pages_for_tuples(col, base_tuples)))
-            .collect();
-        let snapshot = Snapshot {
+    /// A snapshot with no stored values, which becomes its table's master.
+    fn install_master(
+        &mut self,
+        id: SnapshotId,
+        table: TableId,
+        column_pages: Vec<Vec<PageId>>,
+        stable_tuples: u64,
+        zones: Option<Arc<ZoneMap>>,
+    ) -> Arc<Snapshot> {
+        let snapshot = Arc::new(Snapshot {
             id,
-            table: layout.table(),
+            table,
+            stored: column_pages.iter().map(|p| vec![None; p.len()]).collect(),
             column_pages,
-            stable_tuples: base_tuples,
-            parent: None,
-        };
-        self.register(snapshot.clone());
-        self.masters.insert(layout.table(), id);
+            stable_tuples,
+            ancestors: Vec::new(),
+            zones,
+        });
+        self.set_master(Arc::clone(&snapshot));
         snapshot
     }
 
-    /// Installs a snapshot with *explicit* page references, registering it
-    /// and making it the table's master. Used when reopening a table
-    /// directory cold: the on-disk manifest records the page ids the
-    /// materialized snapshot was built with, and those ids must survive the
-    /// round trip so `Snapshot::page` keeps mapping to the same (file,
-    /// offset) slots. The page and snapshot counters are bumped past every
-    /// installed id so later appends and checkpoints never collide.
+    /// Creates the base snapshot of a table (its initial stable image, whose
+    /// pages the data generators serve) and makes it the table's master.
+    pub fn create_base_snapshot(
+        &mut self,
+        layout: &TableLayout,
+        zones: Option<Arc<ZoneMap>>,
+    ) -> Arc<Snapshot> {
+        let id = self.allocate_snapshot_id();
+        let base_tuples = layout.spec().base_tuples;
+        let column_pages = (0..layout.column_count())
+            .map(|col| {
+                (0..layout.pages_for_tuples(col, base_tuples))
+                    .map(|_| self.allocate_page())
+                    .collect()
+            })
+            .collect();
+        self.install_master(id, layout.table(), column_pages, base_tuples, zones)
+    }
+
+    /// Installs a snapshot with *explicit* page references and makes it the
+    /// table's master. Used when reopening a table directory cold: the
+    /// on-disk manifest records the page ids the materialized snapshot was
+    /// built with, and those ids must survive the round trip so
+    /// `Snapshot::page` keeps mapping to the same (file, offset) slots. The
+    /// page counter is bumped past every installed id so later appends and
+    /// checkpoints never collide.
     pub fn install_snapshot(
         &mut self,
         table: TableId,
         column_pages: Vec<Vec<PageId>>,
         stable_tuples: u64,
+        zones: Option<Arc<ZoneMap>>,
     ) -> Arc<Snapshot> {
         let id = self.allocate_snapshot_id();
         if let Some(max) = column_pages.iter().flatten().map(|p| p.raw()).max() {
             self.next_page = self.next_page.max(max + 1);
         }
-        let snapshot = Snapshot {
-            id,
-            table,
-            column_pages,
-            stable_tuples,
-            parent: None,
-        };
-        let arc = self.register(snapshot);
-        self.masters.insert(table, id);
-        arc
-    }
-
-    /// Registers a snapshot so it can be looked up by id.
-    pub fn register(&mut self, snapshot: Snapshot) -> Arc<Snapshot> {
-        let arc = Arc::new(snapshot);
-        self.snapshots.insert(arc.id(), Arc::clone(&arc));
-        arc
-    }
-
-    /// Looks up a snapshot by id.
-    pub fn snapshot(&self, id: SnapshotId) -> Result<Arc<Snapshot>> {
-        self.snapshots
-            .get(&id)
-            .cloned()
-            .ok_or(Error::UnknownSnapshot(id))
-    }
-
-    /// The master snapshot id of a table.
-    pub fn master_id(&self, table: TableId) -> Result<SnapshotId> {
-        self.masters
-            .get(&table)
-            .copied()
-            .ok_or(Error::UnknownTable(table))
+        self.install_master(id, table, column_pages, stable_tuples, zones)
     }
 
     /// The master snapshot of a table.
     pub fn master(&self, table: TableId) -> Result<Arc<Snapshot>> {
-        self.snapshot(self.master_id(table)?)
+        self.masters
+            .get(&table)
+            .cloned()
+            .ok_or(Error::UnknownTable(table))
     }
 
-    /// Promotes `id` to be the master snapshot of its table.
-    pub fn set_master(&mut self, id: SnapshotId) -> Result<()> {
-        let snap = self.snapshot(id)?;
-        self.masters.insert(snap.table(), id);
-        Ok(())
+    /// Promotes `snapshot` to be the master snapshot of its table.
+    pub fn set_master(&mut self, snapshot: Arc<Snapshot>) {
+        self.masters.insert(snapshot.table, snapshot);
     }
 
     /// Derives a new snapshot from `parent` by appending `added_tuples`
-    /// tuples. Following the copy-on-write rule, a partially-filled last page
-    /// of any column is replaced by a fresh page (this is why "even after
-    /// appending a single value to a table, its last chunk becomes local").
+    /// tuples, with the given zone metadata. Following the copy-on-write
+    /// rule, a partially-filled last page of any column is replaced by a
+    /// fresh page (this is why "even after appending a single value to a
+    /// table, its last chunk becomes local").
     ///
-    /// Returns the derived snapshot and the list of newly allocated pages
-    /// with the SID ranges they cover.
+    /// Returns the derived snapshot, which shares its parent's stored values
+    /// for every unchanged page, and the newly allocated pages, whose values
+    /// the caller attaches.
     pub fn derive_append(
         &mut self,
         layout: &TableLayout,
         parent: &Snapshot,
         added_tuples: u64,
+        zones: Option<Arc<ZoneMap>>,
     ) -> (Snapshot, Vec<NewPage>) {
         let id = self.allocate_snapshot_id();
         let old_tuples = parent.stable_tuples;
         let new_tuples = old_tuples + added_tuples;
         let mut column_pages = parent.column_pages.clone();
+        let mut stored = parent.stored.clone();
         let mut new_pages = Vec::new();
 
         if added_tuples > 0 {
-            for (col, pages) in column_pages
-                .iter_mut()
-                .enumerate()
-                .take(layout.column_count())
-            {
-                let tpp = layout.tuples_per_page(col);
-                // Replace a partial last page (copy-on-write).
-                let first_new_sid;
-                if old_tuples % tpp != 0 && !pages.is_empty() {
-                    let last_idx = pages.len() - 1;
-                    let fresh = self.allocate_pages(1)[0];
-                    pages[last_idx] = fresh;
-                    first_new_sid = last_idx as u64 * tpp;
-                    new_pages.push(NewPage {
-                        page: fresh,
-                        column_index: col,
-                        sid_range: layout.sid_range_of_page(col, last_idx as u64, new_tuples),
-                    });
-                } else {
-                    first_new_sid = pages.len() as u64 * tpp;
+            for (col, (pages, stored)) in column_pages.iter_mut().zip(&mut stored).enumerate() {
+                // Replace a partial last page (copy-on-write), then append
+                // brand-new pages until new_tuples are covered.
+                if old_tuples % layout.tuples_per_page(col) != 0 {
+                    pages.pop();
+                    stored.pop();
                 }
-                // Append brand-new pages until new_tuples are covered.
-                let needed = layout.pages_for_tuples(col, new_tuples);
-                let mut idx = pages.len() as u64;
-                while (pages.len() as u64) < needed {
-                    let fresh = self.allocate_pages(1)[0];
-                    pages.push(fresh);
+                for idx in pages.len() as u64..layout.pages_for_tuples(col, new_tuples) {
+                    pages.push(self.allocate_page());
+                    stored.push(None);
                     new_pages.push(NewPage {
-                        page: fresh,
                         column_index: col,
+                        page_index: idx,
                         sid_range: layout.sid_range_of_page(col, idx, new_tuples),
                     });
-                    idx += 1;
                 }
-                debug_assert!(first_new_sid <= new_tuples);
             }
         }
 
+        let mut ancestors = Vec::with_capacity(parent.ancestors.len() + 1);
+        ancestors.push(parent.id);
+        ancestors.extend_from_slice(&parent.ancestors);
         let snapshot = Snapshot {
             id,
             table: parent.table,
             column_pages,
+            stored,
             stable_tuples: new_tuples,
-            parent: Some(parent.id),
+            ancestors,
+            zones,
         };
         (snapshot, new_pages)
     }
 
     /// Derives a checkpoint snapshot: a completely new set of pages holding
     /// `new_tuples` tuples (the result of merging PDT changes into the old
-    /// image). The old and new snapshot share no pages at all.
+    /// image), with the given zone metadata. The old and new snapshot share
+    /// no pages at all; the caller attaches every new page's values.
     pub fn derive_checkpoint(
         &mut self,
         layout: &TableLayout,
         new_tuples: u64,
+        zones: Option<Arc<ZoneMap>>,
     ) -> (Snapshot, Vec<NewPage>) {
         let id = self.allocate_snapshot_id();
         let mut new_pages = Vec::new();
         let column_pages: Vec<Vec<PageId>> = (0..layout.column_count())
             .map(|col| {
-                let pages = self.allocate_pages(layout.pages_for_tuples(col, new_tuples));
-                for (idx, &page) in pages.iter().enumerate() {
-                    new_pages.push(NewPage {
-                        page,
-                        column_index: col,
-                        sid_range: layout.sid_range_of_page(col, idx as u64, new_tuples),
-                    });
-                }
-                pages
+                (0..layout.pages_for_tuples(col, new_tuples))
+                    .map(|idx| {
+                        new_pages.push(NewPage {
+                            column_index: col,
+                            page_index: idx,
+                            sid_range: layout.sid_range_of_page(col, idx, new_tuples),
+                        });
+                        self.allocate_page()
+                    })
+                    .collect()
             })
             .collect();
         let snapshot = Snapshot {
             id,
             table: layout.table(),
+            stored: column_pages.iter().map(|p| vec![None; p.len()]).collect(),
             column_pages,
             stable_tuples: new_tuples,
-            parent: None,
+            ancestors: Vec::new(),
+            zones,
         };
         (snapshot, new_pages)
     }
@@ -391,7 +439,7 @@ mod tests {
     fn base_snapshot_allocates_expected_pages() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let snap = store.create_base_snapshot(&layout, SnapshotId::new(0));
+        let snap = store.create_base_snapshot(&layout, None);
         assert_eq!(snap.column_pages(0).len(), 8); // 1000/128 -> 8 pages
         assert_eq!(snap.column_pages(1).len(), 1); // 1000/1024 -> 1 page
         assert_eq!(snap.stable_tuples(), 1000);
@@ -403,10 +451,11 @@ mod tests {
     fn append_reuses_prefix_and_rewrites_partial_last_page() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (appended, new_pages) = store.derive_append(&layout, &base, 500);
+        let base = store.create_base_snapshot(&layout, None);
+        let (appended, new_pages) = store.derive_append(&layout, &base, 500, None);
         assert_eq!(appended.stable_tuples(), 1500);
-        assert_eq!(appended.parent(), Some(base.id()));
+        assert!(appended.derives_from(base.id()));
+        assert!(!base.derives_from(appended.id()));
 
         // Wide column: 1000 tuples = 7 full pages + 1 partial page of 104 tuples.
         // The partial page is rewritten, and 1500 tuples need 12 pages total.
@@ -424,17 +473,22 @@ mod tests {
         assert!(new_pages.iter().any(|p| p.column_index == 1));
         // All new pages really are new (not referenced by the base snapshot).
         for p in &new_pages {
-            assert!(!base.references_page(p.page));
-            assert!(appended.references_page(p.page));
+            let page = appended.page(p.column_index, p.page_index).unwrap();
+            assert!(!base.references_page(page));
         }
+        assert_eq!(
+            new_pages.len() as u64,
+            store.pages_allocated() - 9,
+            "every fresh page is reported"
+        );
     }
 
     #[test]
     fn append_on_page_boundary_keeps_whole_prefix() {
         let layout = layout(1024); // narrow column exactly fills one page
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (appended, _) = store.derive_append(&layout, &base, 1024);
+        let base = store.create_base_snapshot(&layout, None);
+        let (appended, _) = store.derive_append(&layout, &base, 1024, None);
         let prefix = base.common_prefix_pages(&appended);
         assert_eq!(prefix[1], 1, "full pages are shared, not rewritten");
         assert_eq!(appended.column_pages(1).len(), 2);
@@ -444,8 +498,8 @@ mod tests {
     fn append_zero_tuples_shares_everything() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (same, new_pages) = store.derive_append(&layout, &base, 0);
+        let base = store.create_base_snapshot(&layout, None);
+        let (same, new_pages) = store.derive_append(&layout, &base, 0, None);
         assert!(new_pages.is_empty());
         assert!(same.same_pages(&base));
     }
@@ -454,8 +508,8 @@ mod tests {
     fn shared_prefix_tuples_is_min_over_columns() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (appended, _) = store.derive_append(&layout, &base, 500);
+        let base = store.create_base_snapshot(&layout, None);
+        let (appended, _) = store.derive_append(&layout, &base, 500, None);
         // Wide column shares 7 pages = 896 tuples; narrow shares 0 pages.
         assert_eq!(base.shared_prefix_tuples(&appended, &layout), 0);
         // A snapshot always fully shares with itself (clamped to tuple count).
@@ -466,31 +520,37 @@ mod tests {
     fn checkpoint_shares_no_pages() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (ckpt, new_pages) = store.derive_checkpoint(&layout, 900);
+        let base = store.create_base_snapshot(&layout, None);
+        let (ckpt, new_pages) = store.derive_checkpoint(&layout, 900, None);
         assert_eq!(ckpt.stable_tuples(), 900);
         assert_eq!(base.common_prefix_pages(&ckpt), vec![0, 0]);
         assert_eq!(base.shared_prefix_tuples(&ckpt, &layout), 0);
         assert_eq!(new_pages.len(), ckpt.total_pages());
-        assert_eq!(ckpt.parent(), None);
+        assert!(!ckpt.derives_from(base.id()));
     }
 
     #[test]
     fn master_promotion() {
         let layout = layout(1000);
         let mut store = SnapshotStore::new();
-        let base = store.create_base_snapshot(&layout, SnapshotId::new(0));
-        let (appended, _) = store.derive_append(&layout, &base, 10);
-        let arc = store.register(appended.clone());
-        store.set_master(arc.id()).unwrap();
+        let base = store.create_base_snapshot(&layout, None);
+        let (appended, _) = store.derive_append(&layout, &base, 10, None);
+        let appended = Arc::new(appended);
+        store.set_master(Arc::clone(&appended));
         assert_eq!(store.master(TableId::new(0)).unwrap().id(), appended.id());
-        assert!(store.set_master(SnapshotId::new(999)).is_err());
+        // The store holds only masters: the superseded base lives as long as
+        // a handle to it does.
+        let weak = Arc::downgrade(&base);
+        drop(base);
+        assert!(weak.upgrade().is_none());
     }
 
     #[test]
     fn snapshot_lookup_errors_on_unknown_id() {
         let store = SnapshotStore::new();
-        assert!(store.snapshot(SnapshotId::new(5)).is_err());
-        assert!(store.master(TableId::new(3)).is_err());
+        assert!(matches!(
+            store.master(TableId::new(3)),
+            Err(Error::UnknownTable(_))
+        ));
     }
 }

@@ -1,11 +1,12 @@
 //! The storage facade: catalog + snapshots + page contents.
 //!
 //! [`Storage`] is the single object the execution engine and the buffer
-//! managers talk to. It owns the catalog, the snapshot store (master
-//! snapshot per table, transaction-local snapshots for appends, checkpoint
-//! images) and the page contents. Base table pages are materialized lazily
-//! from deterministic generators; pages created by appends or checkpoints
-//! store their values explicitly.
+//! managers talk to. It owns the catalog, the snapshot store (the master
+//! snapshot of every table) and the base-data generators. Base table pages
+//! are materialized lazily from deterministic generators or read from the
+//! segment files; pages created by appends or checkpoints are owned by the
+//! snapshots that hold them, so an image lives exactly as long as something
+//! holds a snapshot of it.
 
 use std::collections::HashMap;
 use std::path::Path;
@@ -13,15 +14,15 @@ use std::sync::Arc;
 
 use scanshare_common::sync::RwLock;
 
-use scanshare_common::{Error, PageId, RangeList, Result, SnapshotId, TableId, TupleRange};
+use scanshare_common::{Error, PageId, Result, SnapshotId, TableId, TupleRange};
 
 use crate::catalog::{Catalog, TableEntry};
 use crate::datagen::{DataGen, Value};
 use crate::layout::TableLayout;
 use crate::segment::{self, FileStore};
-use crate::snapshot::{NewPage, Snapshot, SnapshotStore};
+use crate::snapshot::{Snapshot, SnapshotStore};
 use crate::table::TableSpec;
-use crate::zone::{ZoneMap, ZonePredicate};
+use crate::zone::ZoneMap;
 
 /// The materialized contents of one page of one column.
 #[derive(Debug, Clone)]
@@ -96,25 +97,24 @@ impl PageHandle {
 struct Inner {
     catalog: Catalog,
     snapshots: SnapshotStore,
-    /// Explicitly stored page contents (appended / checkpointed pages).
-    page_data: HashMap<PageId, Arc<Vec<Value>>>,
     /// Per table: one generator per column for base data.
     datagens: HashMap<TableId, Vec<DataGen>>,
     /// Per table: the WAL sequence number covered by the durable on-disk
     /// image (from the manifest on reopen, updated on materialization).
     wal_seqs: HashMap<TableId, u64>,
-    /// Per snapshot: chunk-granular min/max zone metadata used for data
-    /// skipping. Keyed by snapshot id because every checkpoint or append
-    /// produces a new image with its own (rebuilt or widened) zones.
-    zones: HashMap<SnapshotId, Arc<ZoneMap>>,
     seed: u64,
 }
 
 impl Inner {
-    /// The page lookup behind [`Storage::open_page`]: stored (appended /
-    /// checkpointed) values first, then the file store, then the base-data
-    /// generator. Over `&Inner` so that writers already holding the lock
-    /// resolve pages the same way readers do.
+    /// The page lookup behind [`Storage::open_page`]: the values `snapshot`
+    /// stores (appended / checkpointed pages) first, then the file store,
+    /// then the base-data generator. Over `&Inner` so that writers already
+    /// holding the lock resolve pages the same way readers do.
+    ///
+    /// A checkpointed page keeps its in-memory copy even once it is on
+    /// disk: re-materializing a table drops the superseded image's file
+    /// slots, and memory is then the only place a reader still pinned to
+    /// that image can read it from.
     fn open_page(
         &self,
         file_store: Option<&FileStore>,
@@ -127,7 +127,7 @@ impl Inner {
             .page(col, page_index)
             .ok_or_else(|| Error::internal(format!("column {col} has no page {page_index}")))?;
         let sid_range = layout.sid_range_of_page(col, page_index, snapshot.stable_tuples());
-        let values = if let Some(values) = self.page_data.get(&page) {
+        let values = if let Some(values) = snapshot.stored_page(col, page_index) {
             PageValues::Stored(Arc::clone(values))
         } else if let Some(values) = file_store
             .map(|store| store.page_values(page))
@@ -182,10 +182,8 @@ impl Storage {
             inner: RwLock::new(Inner {
                 catalog: Catalog::new(page_size_bytes, chunk_tuples),
                 snapshots: SnapshotStore::new(),
-                page_data: HashMap::new(),
                 datagens: HashMap::new(),
                 wal_seqs: HashMap::new(),
-                zones: HashMap::new(),
                 seed,
             }),
             file_store: RwLock::new(None),
@@ -320,20 +318,17 @@ impl Storage {
                     )));
                 }
                 let layout = inner.catalog.layout(id)?;
+                // Restore persisted zone metadata so cold reopens keep
+                // pruning exactly like the engine that wrote the manifest.
+                let zones = (!manifest.zones.is_empty())
+                    .then(|| Arc::new(ZoneMap::from_entries(chunk_tuples, manifest.zones.clone())));
                 let snapshot = inner.snapshots.install_snapshot(
                     id,
                     manifest.column_pages.clone(),
                     manifest.stable_tuples,
+                    zones,
                 );
                 inner.wal_seqs.insert(id, wal_seq);
-                // Restore persisted zone metadata so cold reopens keep
-                // pruning exactly like the engine that wrote the manifest.
-                if !manifest.zones.is_empty() {
-                    inner.zones.insert(
-                        snapshot.id(),
-                        Arc::new(ZoneMap::from_entries(chunk_tuples, manifest.zones.clone())),
-                    );
-                }
                 (layout, snapshot)
             };
             for (col, pages) in manifest.column_pages.iter().enumerate() {
@@ -401,8 +396,6 @@ impl Storage {
         let mut inner = self.inner.write();
         let id = inner.catalog.create_table(spec)?;
         let layout = inner.catalog.layout(id)?;
-        let snapshot_id = inner.snapshots.allocate_snapshot_id();
-        inner.snapshots.create_base_snapshot(&layout, snapshot_id);
         // Zone metadata of the base image, straight from the generators:
         // O(chunks), conservative where a generator is pseudo-random.
         let entries = generators
@@ -417,10 +410,10 @@ impl Storage {
                     .collect()
             })
             .collect();
-        inner.zones.insert(
-            snapshot_id,
-            Arc::new(ZoneMap::from_entries(self.chunk_tuples, entries)),
-        );
+        let zones = ZoneMap::from_entries(self.chunk_tuples, entries);
+        inner
+            .snapshots
+            .create_base_snapshot(&layout, Some(Arc::new(zones)));
         inner.datagens.insert(id, generators);
         Ok(id)
     }
@@ -450,45 +443,19 @@ impl Storage {
         self.inner.read().catalog.tables().map(|t| t.id).collect()
     }
 
-    /// The zone metadata of a snapshot, if any was recorded for it.
-    pub fn zone_map(&self, snapshot: SnapshotId) -> Option<Arc<ZoneMap>> {
-        self.inner.read().zones.get(&snapshot).cloned()
-    }
-
-    /// Intersects a scan's SID `ranges` with the chunks of `snapshot` that
-    /// can satisfy `pred`, returning the pruned ranges and the number of
-    /// tuples skipped. Snapshots without zone metadata prune nothing.
-    ///
-    /// Both executors (engine and simulator) route their skipping decisions
-    /// through this one helper so the pruned sets — and therefore every
-    /// downstream ABM relevance and PBM prediction — are byte-identical.
-    pub fn prune_sid_ranges(
-        &self,
-        snapshot: &Snapshot,
-        pred: &ZonePredicate,
-        ranges: &RangeList,
-    ) -> (RangeList, u64) {
-        let Some(zones) = self.zone_map(snapshot.id()) else {
-            return (ranges.clone(), 0);
-        };
-        let survivors = zones.surviving_ranges(pred, snapshot.stable_tuples());
-        let pruned = ranges.intersect(&survivors);
-        let skipped = ranges.total_tuples() - pruned.total_tuples();
-        (pruned, skipped)
-    }
-
     /// The current master snapshot of a table.
     pub fn master_snapshot(&self, table: TableId) -> Result<Arc<Snapshot>> {
         self.inner.read().snapshots.master(table)
     }
 
-    /// Looks up any registered snapshot by id.
-    pub fn snapshot(&self, id: SnapshotId) -> Result<Arc<Snapshot>> {
-        self.inner.read().snapshots.snapshot(id)
-    }
-
     /// Starts an append transaction against the current master snapshot of
     /// `table`.
+    ///
+    /// An append is durable only after the next checkpoint: nothing logs its
+    /// rows, so a crash before then loses them. Recovery comes up at the
+    /// pre-append rows without a word when no commit followed the append,
+    /// and fails with [`Error::WalCorrupt`] when one did (its logged row
+    /// count no longer matches).
     pub fn begin_append(self: &Arc<Self>, table: TableId) -> Result<AppendTransaction> {
         let inner = self.inner.read();
         let master = inner.snapshots.master(table)?;
@@ -572,86 +539,53 @@ impl Storage {
     }
 
     /// Installs a checkpoint image of `table`: a brand-new set of pages
-    /// holding `new_tuples` tuples. When `values` is provided it must
-    /// contain one vector per column with exactly `new_tuples` entries; when
-    /// it is `None` only the metadata is installed (sufficient for
-    /// simulation-level experiments).
+    /// holding `values`, one vector per column, all of one length. The new
+    /// snapshot becomes the master; older snapshots remain readable by
+    /// whoever still holds them, and their images are freed with the last
+    /// such handle.
     ///
-    /// The new snapshot becomes the master snapshot; older snapshots remain
-    /// readable by transactions that still hold them.
+    /// The install is a compare-and-swap: it happens only if the table's
+    /// master is still `expected_master`, so a bulk append that committed
+    /// while the checkpoint materialized is never silently overwritten (the
+    /// append wins; the checkpoint fails with [`Error::TransactionConflict`]
+    /// and can be retried against the new image).
     pub fn install_checkpoint(
         &self,
         table: TableId,
-        new_tuples: u64,
-        values: Option<Vec<Vec<Value>>>,
-    ) -> Result<Arc<Snapshot>> {
-        self.install_checkpoint_impl(table, None, new_tuples, values)
-    }
-
-    /// Like [`Storage::install_checkpoint`], but only if the table's master
-    /// snapshot is still `expected_master` — the compare-and-swap form a
-    /// checkpointer uses so a bulk append that committed while the
-    /// checkpoint materialized is never silently overwritten (the append
-    /// wins; the checkpoint fails with [`Error::TransactionConflict`] and
-    /// can be retried against the new image).
-    pub fn install_checkpoint_from(
-        &self,
-        table: TableId,
         expected_master: SnapshotId,
-        new_tuples: u64,
-        values: Option<Vec<Vec<Value>>>,
-    ) -> Result<Arc<Snapshot>> {
-        self.install_checkpoint_impl(table, Some(expected_master), new_tuples, values)
-    }
-
-    fn install_checkpoint_impl(
-        &self,
-        table: TableId,
-        expected_master: Option<SnapshotId>,
-        new_tuples: u64,
-        values: Option<Vec<Vec<Value>>>,
+        values: Vec<Vec<Value>>,
     ) -> Result<Arc<Snapshot>> {
         let mut inner = self.inner.write();
-        if let Some(expected) = expected_master {
-            let current = inner.snapshots.master_id(table)?;
-            if current != expected {
-                return Err(Error::TransactionConflict(format!(
-                    "table {table}: master snapshot changed from {expected} to {current} while \
-                     the checkpoint materialized (a concurrent bulk append committed; retry the \
-                     checkpoint against the new image)"
-                )));
-            }
+        let current = inner.snapshots.master(table)?.id();
+        if current != expected_master {
+            return Err(Error::TransactionConflict(format!(
+                "table {table}: master snapshot changed from {expected_master} to {current} while \
+                 the checkpoint materialized (a concurrent bulk append committed; retry the \
+                 checkpoint against the new image)"
+            )));
         }
         let layout = inner.catalog.layout(table)?;
-        if let Some(v) = &values {
-            if v.len() != layout.column_count() {
-                return Err(Error::config("checkpoint values must cover every column"));
-            }
-            if v.iter().any(|col| col.len() as u64 != new_tuples) {
-                return Err(Error::config(
-                    "checkpoint column lengths must equal new_tuples",
-                ));
-            }
+        if values.len() != layout.column_count() {
+            return Err(Error::config("checkpoint values must cover every column"));
         }
-        let (snapshot, new_pages) = inner.snapshots.derive_checkpoint(&layout, new_tuples);
-        // A value-carrying checkpoint rebuilds exact zone metadata from the
-        // merged data (this is how PDT-touched chunks get fresh bounds on
-        // absorb); a metadata-only checkpoint installs no zones, so scans of
-        // the new image simply never prune — conservative and safe.
-        let zones = values
-            .as_ref()
-            .map(|v| Arc::new(ZoneMap::from_values(self.chunk_tuples, v)));
-        if let Some(values) = values {
-            store_new_page_data(&mut inner.page_data, &new_pages, |col, sid| {
-                values[col][sid as usize]
-            });
+        let new_tuples = values.first().map_or(0, Vec::len) as u64;
+        if values.iter().any(|col| col.len() as u64 != new_tuples) {
+            return Err(Error::config("checkpoint columns must have equal lengths"));
         }
-        let arc = inner.snapshots.register(snapshot);
-        if let Some(zones) = zones {
-            inner.zones.insert(arc.id(), zones);
+        // Exact zone metadata rebuilt from the merged data: this is how
+        // PDT-touched chunks get fresh bounds on absorb.
+        let zones = ZoneMap::from_values(self.chunk_tuples, &values);
+        let (mut snapshot, new_pages) =
+            inner
+                .snapshots
+                .derive_checkpoint(&layout, new_tuples, Some(Arc::new(zones)));
+        for np in &new_pages {
+            let sids = np.sid_range.start as usize..np.sid_range.end as usize;
+            snapshot.store_page(np, values[np.column_index][sids].to_vec());
         }
-        inner.snapshots.set_master(arc.id())?;
-        Ok(arc)
+        let snapshot = Arc::new(snapshot);
+        inner.snapshots.set_master(Arc::clone(&snapshot));
+        Ok(snapshot)
     }
 
     /// Internal: total pages currently referenced by the master snapshots
@@ -667,14 +601,14 @@ impl Storage {
         working: &Arc<Snapshot>,
     ) -> Result<Arc<Snapshot>> {
         let mut inner = self.inner.write();
-        let current_master = inner.snapshots.master_id(table)?;
+        let current_master = inner.snapshots.master(table)?.id();
         if current_master != base_master {
             return Err(Error::TransactionConflict(format!(
                 "table {table}: master snapshot changed from {base_master} to {current_master} \
                  while the append transaction was running"
             )));
         }
-        inner.snapshots.set_master(working.id())?;
+        inner.snapshots.set_master(Arc::clone(working));
         Ok(Arc::clone(working))
     }
 
@@ -697,8 +631,18 @@ impl Storage {
         if rows.iter().any(|c| c.len() as u64 != added) {
             return Err(Error::config("append columns must have equal lengths"));
         }
-        let (snapshot, new_pages) = inner.snapshots.derive_append(&layout, working, added);
         let old_tuples = working.stable_tuples();
+        // Inherit the parent snapshot's zone metadata, widened by the
+        // appended rows (the last partial chunk absorbs them; fresh chunks
+        // get exact entries). Parents without zones stay zone-less.
+        let zones = working.zone_map().map(|parent| {
+            let mut zones = (**parent).clone();
+            zones.widen_append(old_tuples, rows);
+            Arc::new(zones)
+        });
+        let (mut snapshot, new_pages) = inner
+            .snapshots
+            .derive_append(&layout, working, added, zones);
         let file_store = self.file_store.read().clone();
 
         // Materialize data for the new pages: the tuples a rewritten partial
@@ -720,46 +664,21 @@ impl Storage {
                 .intersect(&TupleRange::new(old_tuples, u64::MAX));
             let at = |sid: u64| (sid - old_tuples) as usize;
             values.extend_from_slice(&rows[col][at(new.start)..at(new.end)]);
-            inner.page_data.insert(np.page, Arc::new(values));
+            snapshot.store_page(np, values);
         }
-        // Inherit the parent snapshot's zone metadata, widened by the
-        // appended rows (the last partial chunk absorbs them; fresh chunks
-        // get exact entries). Parents without zones stay zone-less.
-        let widened = inner.zones.get(&working.id()).map(|parent| {
-            let mut zones = (**parent).clone();
-            zones.widen_append(old_tuples, rows);
-            Arc::new(zones)
-        });
-        let arc = inner.snapshots.register(snapshot);
-        if let Some(zones) = widened {
-            inner.zones.insert(arc.id(), zones);
-        }
-        Ok(arc)
-    }
-}
-
-/// Stores values for freshly allocated pages using `value_of(col, sid)`.
-fn store_new_page_data(
-    page_data: &mut HashMap<PageId, Arc<Vec<Value>>>,
-    new_pages: &[NewPage],
-    value_of: impl Fn(usize, u64) -> Value,
-) {
-    for np in new_pages {
-        let values: Vec<Value> = (np.sid_range.start..np.sid_range.end)
-            .map(|sid| value_of(np.column_index, sid))
-            .collect();
-        page_data.insert(np.page, Arc::new(values));
+        Ok(Arc::new(snapshot))
     }
 }
 
 /// A bulk-append transaction (the paper's `Append` operator followed by
 /// `Commit`, Figure 5).
 ///
-/// The transaction works on its own snapshot, which is registered with the
-/// snapshot store immediately so that scans inside the same transaction (and
-/// the Active Buffer Manager) can reference it before commit. Only one of
-/// several concurrent appenders to the same table can commit; the others
-/// fail with [`Error::TransactionConflict`].
+/// The transaction works on its own snapshot, which scans inside the same
+/// transaction (and the Active Buffer Manager) can hold through
+/// [`AppendTransaction::snapshot`] before commit. Only one of several
+/// concurrent appenders to the same table can commit; the others fail with
+/// [`Error::TransactionConflict`]. A committed append is durable only after
+/// the next checkpoint (see [`Storage::begin_append`]).
 #[derive(Debug)]
 pub struct AppendTransaction {
     storage: Arc<Storage>,
@@ -802,8 +721,8 @@ impl AppendTransaction {
             .commit_append(self.table, self.base_master, &self.working)
     }
 
-    /// Aborts the transaction. Its snapshot stays registered (other
-    /// components may still hold references) but never becomes master.
+    /// Aborts the transaction. Its snapshot never becomes master; it is
+    /// freed with the last handle to it (a scan may still hold one).
     pub fn abort(mut self) {
         self.open = false;
     }
@@ -1028,7 +947,7 @@ mod tests {
         let layout = storage.layout(id).unwrap();
         let old = storage.master_snapshot(id).unwrap();
         let new_vals = vec![(0..900).map(|i| i * 2).collect::<Vec<i64>>(), vec![9; 900]];
-        let ckpt = storage.install_checkpoint(id, 900, Some(new_vals)).unwrap();
+        let ckpt = storage.install_checkpoint(id, old.id(), new_vals).unwrap();
         assert_eq!(storage.master_snapshot(id).unwrap().id(), ckpt.id());
         assert_eq!(old.common_prefix_pages(&ckpt).iter().sum::<usize>(), 0);
         let v = storage
@@ -1046,13 +965,23 @@ mod tests {
     fn checkpoint_value_shape_is_validated() {
         let storage = small_storage();
         let id = storage.create_table(two_col_spec(10)).unwrap();
+        let master = storage.master_snapshot(id).unwrap().id();
         assert!(storage
-            .install_checkpoint(id, 5, Some(vec![vec![1; 5]]))
+            .install_checkpoint(id, master, vec![vec![1; 5]])
             .is_err());
         assert!(storage
-            .install_checkpoint(id, 5, Some(vec![vec![1; 4], vec![1; 5]]))
+            .install_checkpoint(id, master, vec![vec![1; 4], vec![1; 5]])
             .is_err());
-        assert!(storage.install_checkpoint(id, 5, None).is_ok());
+        let ckpt = storage
+            .install_checkpoint(id, master, vec![vec![1; 5]; 2])
+            .unwrap();
+        assert_eq!(ckpt.stable_tuples(), 5);
+        // The compare-and-swap: the master moved, so the same install now
+        // conflicts.
+        assert!(matches!(
+            storage.install_checkpoint(id, master, vec![vec![1; 5]; 2]),
+            Err(Error::TransactionConflict(_))
+        ));
     }
 
     #[test]
@@ -1069,16 +998,14 @@ mod tests {
             )
             .unwrap();
         let snap = storage.master_snapshot(id).unwrap();
-        assert!(storage.zone_map(snap.id()).is_some());
+        assert!(snap.zone_map().is_some());
         // Clustered column: value < 1000 keeps exactly the first chunk.
         let all = RangeList::single(0, 10_000);
-        let (kept, skipped) =
-            storage.prune_sid_ranges(&snap, &ZonePredicate::new(0, ZoneOp::Lt, 1000), &all);
+        let (kept, skipped) = snap.prune_sid_ranges(&ZonePredicate::new(0, ZoneOp::Lt, 1000), &all);
         assert_eq!(kept.total_tuples(), 1000);
         assert_eq!(skipped, 9000);
         // Random column: conservative entries keep everything.
-        let (kept, skipped) =
-            storage.prune_sid_ranges(&snap, &ZonePredicate::new(1, ZoneOp::Eq, 7), &all);
+        let (kept, skipped) = snap.prune_sid_ranges(&ZonePredicate::new(1, ZoneOp::Eq, 7), &all);
         assert_eq!(kept.total_tuples(), 10_000);
         assert_eq!(skipped, 0);
     }
@@ -1101,7 +1028,7 @@ mod tests {
         let mut tx = storage.begin_append(id).unwrap();
         tx.append_rows(&[vec![-50], vec![5]]).unwrap();
         let appended = tx.commit().unwrap();
-        let zones = storage.zone_map(appended.id()).expect("append keeps zones");
+        let zones = appended.zone_map().expect("append keeps zones");
         let pred = ZonePredicate::new(0, ZoneOp::Lt, 0);
         let survivors = zones.surviving_ranges(&pred, appended.stable_tuples());
         assert!(
@@ -1111,18 +1038,14 @@ mod tests {
         // Base chunk [0, 1000) has min 0 and is still pruned; only the
         // one-tuple tail chunk survives.
         assert_eq!(survivors.total_tuples(), 1);
-        // A value-carrying checkpoint rebuilds exact zones.
+        // A checkpoint rebuilds exact zones from its values.
         let vals = vec![(0..900).map(|i| i * 2).collect::<Vec<i64>>(), vec![9; 900]];
-        let ckpt = storage.install_checkpoint(id, 900, Some(vals)).unwrap();
-        let zones = storage.zone_map(ckpt.id()).expect("checkpoint rebuilds");
+        let ckpt = storage.install_checkpoint(id, appended.id(), vals).unwrap();
+        let zones = ckpt.zone_map().expect("checkpoint rebuilds");
         assert_eq!(zones.entry(0, 0).unwrap().min, 0);
-        // A metadata-only checkpoint installs no zones (never prunes).
-        let meta = storage.install_checkpoint(id, 900, None).unwrap();
-        assert!(storage.zone_map(meta.id()).is_none());
         let all = RangeList::single(0, 900);
-        let (kept, skipped) =
-            storage.prune_sid_ranges(&meta, &ZonePredicate::new(0, ZoneOp::Eq, -1), &all);
-        assert_eq!((kept.total_tuples(), skipped), (900, 0));
+        let (kept, skipped) = ckpt.prune_sid_ranges(&ZonePredicate::new(0, ZoneOp::Lt, 0), &all);
+        assert_eq!((kept.total_tuples(), skipped), (0, 900));
     }
 
     #[test]

@@ -430,6 +430,7 @@ mod crash_recovery {
     use std::path::{Path, PathBuf};
     use std::sync::Arc;
 
+    use scanshare::common::Error;
     use scanshare::prelude::*;
     use scanshare::storage::wal::{Wal, WalRecordKind, WAL_FILE_NAME};
 
@@ -739,6 +740,35 @@ mod crash_recovery {
                 "kill point {dir:?}: recovered rows"
             );
         }
+    }
+
+    /// A bulk append is durable only after the next checkpoint: nothing logs
+    /// its rows. A crash right after it recovers the pre-append rows and
+    /// reports nothing. Once a logged commit follows the append, that
+    /// record's row count no longer matches the rebuilt table, so recovery
+    /// fails with `WalCorrupt` instead of replaying onto the wrong rows.
+    #[test]
+    fn a_bulk_append_before_the_next_checkpoint_is_lost_at_a_crash() {
+        let live = TestDir::new("append-window");
+        let copies = TestDir::new("append-window-copies");
+        let (engine, table, shadow) = durable_engine(live.path(), CHUNK, 1);
+        let mut tx = engine.storage().begin_append(table).unwrap();
+        tx.append_rows(&[vec![-1, -2], vec![0, 0]]).unwrap();
+        tx.commit().unwrap();
+        assert_eq!(engine.visible_rows(table).unwrap(), CHUNK + 2);
+        let appended = copies.path().join("appended");
+        copy_dir(live.path(), &appended);
+
+        engine.insert_row(table, 0, vec![-3, 0]).unwrap();
+        let committed = copies.path().join("committed");
+        copy_dir(live.path(), &committed);
+        drop(engine);
+
+        let recovered = Engine::recover(&appended, config()).unwrap();
+        assert_eq!(all_rows(&recovered, table), shadow, "the append is gone");
+        let err = Engine::recover(&committed, config())
+            .expect_err("the commit after the append cannot replay");
+        assert!(matches!(err, Error::WalCorrupt(_)), "got {err:?}");
     }
 
     /// A crash mid-manifest-install leaves a partially written `.tmp` next to
