@@ -15,6 +15,7 @@
 pub mod clock;
 pub mod config;
 pub mod error;
+pub mod hash;
 pub mod ids;
 pub mod quantile;
 pub mod range;

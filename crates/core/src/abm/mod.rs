@@ -15,8 +15,8 @@
 //! # Layering
 //!
 //! * this module — the ABM's state: per-scan progress and the per-version
-//!   chunk table (residency, interested scans, cached pages), all behind
-//!   **one lock**. Every operation, delivery included, applies its effects
+//!   chunk table (residency, interested scans, pages), all behind **one
+//!   lock**. Every operation, delivery included, applies its effects
 //!   immediately, so decisions are byte-identical to the frozen monolithic
 //!   original kept as the executable spec in `tests/abm_reference`
 //!   (`tests/abm_equivalence.rs` asserts this over randomized traces);
@@ -25,6 +25,24 @@
 //! * [`scheduler`] — the **load scheduler**: one chunk load at a time issued
 //!   through [`BlockDevice::submit_read`](scanshare_iosim::BlockDevice::submit_read),
 //!   so starved streams retire each other's loads instead of spin-polling.
+//!
+//! # Indexed state
+//!
+//! A decision reads an index instead of walking a scan's chunks:
+//!
+//! * a table version's chunk table is a `Vec` indexed by [`ChunkId`], and a
+//!   scan keeps the tuples it needs per chunk id, plus how many chunks
+//!   remain;
+//! * a scan keeps `available`, the chunks it still needs that are cached:
+//!   UseRelevance is the minimum over it, and an unordered scan is starved
+//!   exactly when it is empty;
+//! * the shared prefix is recomputed only for the table whose scans
+//!   changed, with one comparison per pair of versions (the scans of one
+//!   version read the same pages), and a chunk is shared iff its id lies
+//!   below it;
+//! * a version holds one [`ChunkMap`] per column set, shared by its scans
+//!   and dropped with it;
+//! * the id-keyed maps hash with [`IdHasher`](scanshare_common::hash::IdHasher).
 
 pub mod relevance;
 pub mod scheduler;
@@ -32,9 +50,9 @@ pub mod scheduler;
 pub use scheduler::LoadScheduler;
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::sync::Mutex;
 use scanshare_common::{
     ChunkId, Error, PageId, RangeList, Result, ScanId, TableId, VirtualInstant,
@@ -125,48 +143,50 @@ pub struct ChunkDelivery {
 // ---------------------------------------------------------------------------
 
 /// Where a chunk's data is.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 enum Residency {
+    #[default]
     Empty,
     Loading,
     Cached,
 }
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct CoreChunk {
-    /// Pages this cached chunk holds in the buffer (union over interested
-    /// scans' column sets). Pages on chunk boundaries may also be held by
-    /// the neighbouring chunk; table-level reference counts track real
-    /// residency.
-    cached_pages: HashSet<PageId>,
-    /// Full page set of a load in flight (set while loading).
-    pending_pages: Vec<PageId>,
-    /// Scans that still need to consume this chunk; its size is the
+    /// The chunk's pages, sorted: those its load in flight brings in while
+    /// `Loading`, those it holds in the buffer while `Cached` (the union
+    /// over the interested scans' column sets), none while `Empty`. Pages on
+    /// chunk boundaries may also be held by the neighbouring chunk;
+    /// table-level reference counts track real residency.
+    pages: Vec<PageId>,
+    /// Scans that still need to consume this chunk; its length is the
     /// usefulness count behind Use/Load/KeepRelevance.
-    interested: HashSet<ScanId>,
-    /// Whether the chunk lies inside the longest snapshot prefix shared by
-    /// at least two registered scans.
-    shared: bool,
+    interested: Vec<ScanId>,
     residency: Residency,
-}
-
-impl CoreChunk {
-    fn new() -> Self {
-        Self {
-            cached_pages: HashSet::new(),
-            pending_pages: Vec::new(),
-            interested: HashSet::new(),
-            shared: false,
-            residency: Residency::Empty,
-        }
-    }
 }
 
 #[derive(Debug)]
 struct VersionState {
     snapshot: Arc<Snapshot>,
-    chunks: HashMap<ChunkId, CoreChunk>,
-    scans: HashSet<ScanId>,
+    /// The chunk table, indexed by chunk id.
+    chunks: Vec<CoreChunk>,
+    /// Scans registered on this version.
+    scans: Vec<ScanId>,
+    /// One chunk map per column set read on this version, shared by the
+    /// scans that read it.
+    chunk_maps: Vec<(Vec<usize>, Arc<ChunkMap>)>,
+}
+
+impl VersionState {
+    /// The chunk map of `columns` on this version, built on first use.
+    fn chunk_map(&mut self, layout: &Arc<TableLayout>, columns: &[usize]) -> Arc<ChunkMap> {
+        if let Some((_, map)) = self.chunk_maps.iter().find(|(cols, _)| cols == columns) {
+            return Arc::clone(map);
+        }
+        let map = Arc::new(layout.chunk_map(&self.snapshot, columns));
+        self.chunk_maps.push((columns.to_vec(), Arc::clone(&map)));
+        map
+    }
 }
 
 #[derive(Debug, Default)]
@@ -175,9 +195,32 @@ struct TableState {
     /// Reference counts of resident pages: how many cached chunks (across
     /// versions) currently hold each page. Pages referenced by several
     /// snapshots or by adjacent chunks are counted once for I/O purposes.
-    resident_pages: HashMap<PageId, usize>,
+    resident_pages: IdHashMap<PageId, usize>,
     /// Number of leading chunks shared by at least two registered scans.
     shared_prefix_chunks: u32,
+}
+
+impl TableState {
+    /// Whether `chunk` lies inside the shared snapshot prefix.
+    fn is_shared(&self, chunk: ChunkId) -> bool {
+        chunk.raw() < self.shared_prefix_chunks
+    }
+}
+
+/// Drops one reference to each of `pages`, returning the bytes of those no
+/// cached chunk holds any more.
+fn release(resident: &mut IdHashMap<PageId, usize>, pages: &[PageId], page_size: u64) -> u64 {
+    let mut freed = 0;
+    for page in pages {
+        if let Some(count) = resident.get_mut(page) {
+            *count -= 1;
+            if *count == 0 {
+                resident.remove(page);
+                freed += page_size;
+            }
+        }
+    }
+    freed
 }
 
 #[derive(Debug)]
@@ -185,22 +228,42 @@ struct CoreScan {
     request: CScanRequest,
     chunk_map: Arc<ChunkMap>,
     version: usize,
-    /// Chunks not yet delivered, with the tuple count needed from each.
-    needed: HashMap<ChunkId, u64>,
+    /// Per chunk id, the tuples still needed from the chunk (0 once it is
+    /// delivered, or when it lies outside the scan's ranges).
+    needed: Vec<u64>,
+    /// Number of chunks not yet delivered.
+    remaining: usize,
     /// Chunk ids in ascending (table) order, for in-order delivery.
     order: Vec<ChunkId>,
     next_in_order: usize,
-    /// Number of still-needed chunks that are currently cached. A cached
-    /// chunk that is the *only* available chunk of some scan must not be
-    /// evicted before that scan consumes it (otherwise two starved scans
-    /// can keep evicting each other's freshly loaded chunks forever).
-    cached_available: usize,
+    /// The still-needed chunks that are cached. A cached chunk that is the
+    /// *only* available chunk of some scan must not be evicted before that
+    /// scan consumes it (otherwise two starved scans can keep evicting each
+    /// other's freshly loaded chunks forever).
+    available: Vec<ChunkId>,
 }
 
-#[derive(Debug)]
+impl CoreScan {
+    /// The chunks not yet delivered, in table order.
+    fn pending(&self) -> impl Iterator<Item = ChunkId> + '_ {
+        self.order[self.next_in_order..]
+            .iter()
+            .copied()
+            .filter(|c| self.needed[c.index()] > 0)
+    }
+
+    /// Removes `chunk` from the available set (it was delivered or evicted).
+    fn forget_available(&mut self, chunk: ChunkId) {
+        if let Some(pos) = self.available.iter().position(|&c| c == chunk) {
+            self.available.swap_remove(pos);
+        }
+    }
+}
+
+#[derive(Debug, Default)]
 struct AbmState {
-    scans: HashMap<ScanId, CoreScan>,
-    tables: HashMap<TableId, TableState>,
+    scans: IdHashMap<ScanId, CoreScan>,
+    tables: IdHashMap<TableId, TableState>,
     stats: BufferStats,
     cached_bytes: u64,
     next_scan: u64,
@@ -216,120 +279,74 @@ impl AbmState {
 
     /// The state of `chunk` in the version `scan` reads.
     fn chunk_of(&self, scan: ScanId, chunk: ChunkId) -> Option<&CoreChunk> {
-        self.version_of(self.scans.get(&scan)?)?.chunks.get(&chunk)
+        self.version_of(self.scans.get(&scan)?)?
+            .chunks
+            .get(chunk.index())
     }
 
     /// UseRelevance: the cached chunk `scan` should process next — the
-    /// cached needed chunk with the lowest
+    /// available chunk with the lowest
     /// [`use_preference`](relevance::use_preference) key; for in-order scans
     /// only the next sequential chunk qualifies.
-    fn cached_candidate(&self, scan: ScanId) -> Option<ChunkId> {
-        let state = self.scans.get(&scan)?;
-        let version = self.version_of(state)?;
-        let cached = |chunk: &ChunkId| {
-            version
-                .chunks
-                .get(chunk)
-                .filter(|c| c.residency == Residency::Cached)
-        };
-        if state.request.in_order {
-            let next = state.order.get(state.next_in_order)?;
-            return cached(next).map(|_| *next);
+    fn cached_candidate(&self, scan: &CoreScan) -> Option<ChunkId> {
+        let version = self.version_of(scan)?;
+        if scan.request.in_order {
+            let next = *scan.order.get(scan.next_in_order)?;
+            return (version.chunks[next.index()].residency == Residency::Cached).then_some(next);
         }
-        state
-            .needed
-            .keys()
-            .filter_map(|&chunk| {
-                let interest = cached(&chunk)?.interested.len();
-                Some((relevance::use_preference(interest, chunk), chunk))
-            })
-            .min_by_key(|(key, _)| *key)
-            .map(|(_, chunk)| chunk)
+        scan.available.iter().copied().min_by_key(|&chunk| {
+            relevance::use_preference(version.chunks[chunk.index()].interested.len(), chunk)
+        })
     }
 
-    fn reindex_versions(&mut self, table: TableId) {
-        let Some(table_state) = self.tables.get(&table) else {
-            return;
-        };
-        let mapping: Vec<(usize, Vec<ScanId>)> = table_state
-            .versions
-            .iter()
-            .enumerate()
-            .map(|(idx, v)| (idx, v.scans.iter().copied().collect()))
-            .collect();
-        for (idx, scan_ids) in mapping {
-            for sid in scan_ids {
-                if let Some(scan) = self.scans.get_mut(&sid) {
-                    scan.version = idx;
-                }
-            }
+    /// Whether `scan` has no cached chunk to process right now.
+    fn starved(&self, scan: &CoreScan) -> bool {
+        if scan.request.in_order {
+            self.cached_candidate(scan).is_none()
+        } else {
+            scan.available.is_empty()
         }
     }
 
-    /// Finds the longest prefix (in chunks) shared by at least two
-    /// registered CScans of `table` and marks chunks accordingly.
-    fn recompute_shared_prefix_for_table(&mut self, table: TableId) {
+    /// Recomputes the longest prefix (in chunks) shared by at least two
+    /// registered CScans of `table`. The scans of one version read the same
+    /// pages, so a version with two scans shares its whole snapshot, and two
+    /// versions share their snapshots' common prefix: one comparison per
+    /// version and per pair of versions, not per pair of scans.
+    fn recompute_shared_prefix(&mut self, table: TableId) {
         let Some(table_state) = self.tables.get(&table) else {
             return;
         };
-        let scans: Vec<&CoreScan> = table_state
+        let groups: Vec<(&CScanRequest, usize)> = table_state
             .versions
             .iter()
-            .flat_map(|v| v.scans.iter())
-            .filter_map(|s| self.scans.get(s))
+            .filter_map(|v| Some((&self.scans.get(v.scans.first()?)?.request, v.scans.len())))
             .collect();
         let mut best_tuples = 0u64;
-        for i in 0..scans.len() {
-            for j in i + 1..scans.len() {
-                let a = &scans[i].request;
-                let b = &scans[j].request;
-                let prefix = a.snapshot.shared_prefix_tuples(&b.snapshot, &a.layout);
-                best_tuples = best_tuples.max(prefix);
+        for (i, &(a, scans)) in groups.iter().enumerate() {
+            let shared = |b: &CScanRequest| a.snapshot.shared_prefix_tuples(&b.snapshot, &a.layout);
+            if scans >= 2 {
+                best_tuples = best_tuples.max(shared(a));
+            }
+            for &(b, _) in &groups[i + 1..] {
+                best_tuples = best_tuples.max(shared(b));
             }
         }
-        let chunk_tuples = scans
+        let chunk_tuples = groups
             .first()
-            .map(|s| s.request.layout.chunk_tuples())
-            .unwrap_or(1)
+            .map_or(1, |(request, _)| request.layout.chunk_tuples())
             .max(1);
         let prefix_chunks = (best_tuples / chunk_tuples) as u32;
-        let table_state = self.tables.get_mut(&table).expect("checked above");
-        table_state.shared_prefix_chunks = prefix_chunks;
-        for version in &mut table_state.versions {
-            for (&chunk, state) in &mut version.chunks {
-                state.shared = chunk.raw() < prefix_chunks;
-            }
-        }
-    }
-
-    fn recompute_shared_prefixes(&mut self) {
-        let tables: Vec<TableId> = self.tables.keys().copied().collect();
-        for table in tables {
-            self.recompute_shared_prefix_for_table(table);
-        }
+        self.tables
+            .get_mut(&table)
+            .expect("checked above")
+            .shared_prefix_chunks = prefix_chunks;
     }
 
     /// QueryRelevance: starved queries first (they have no cached chunk to
     /// process), then queries with the fewest chunks left.
-    fn query_relevance(&self, scan: ScanId) -> Option<(bool, i64)> {
-        let state = self.scans.get(&scan)?;
-        if state.needed.is_empty() {
-            return None;
-        }
-        let starved = self.cached_candidate(scan).is_none();
-        Some(relevance::query_priority(starved, state.needed.len()))
-    }
-
-    /// LoadRelevance of `chunk` for the version of `scan`.
-    fn load_relevance(&self, scan: ScanId, chunk: ChunkId, config: &AbmConfig) -> f64 {
-        let Some(chunk_state) = self.chunk_of(scan, chunk) else {
-            return 0.0;
-        };
-        relevance::load_relevance(
-            chunk_state.interested.len(),
-            chunk_state.shared,
-            config.shared_chunk_bonus,
-        )
+    fn query_relevance(&self, scan: &CoreScan) -> Option<(bool, i64)> {
+        (scan.remaining > 0).then(|| relevance::query_priority(self.starved(scan), scan.remaining))
     }
 
     /// Chooses the next chunk to load: the most relevant query
@@ -340,9 +357,9 @@ impl AbmState {
         // Rank queries: starved first, then shortest remaining, then id.
         let mut candidates: Vec<(bool, i64, ScanId)> = self
             .scans
-            .keys()
-            .filter_map(|&id| {
-                self.query_relevance(id)
+            .iter()
+            .filter_map(|(&id, scan)| {
+                self.query_relevance(scan)
                     .map(|(starved, rem)| (starved, rem, id))
             })
             .collect();
@@ -360,62 +377,47 @@ impl AbmState {
         let state = self.scans.get(&scan_id)?;
         let table = state.request.table;
         let version_idx = state.version;
-
-        // Candidate chunks: not cached, not loading.
-        let version = self.version_of(state)?;
-        let is_loadable = |c: &ChunkId| {
-            version
-                .chunks
-                .get(c)
-                .map(|cs| cs.residency == Residency::Empty)
-                .unwrap_or(false)
-        };
-        let loadable: Vec<ChunkId> = if state.request.in_order {
-            state
-                .order
-                .get(state.next_in_order)
-                .into_iter()
-                .copied()
-                .filter(is_loadable)
-                .collect()
-        } else {
-            state.needed.keys().copied().filter(is_loadable).collect()
-        };
-        if loadable.is_empty() {
-            return None;
-        }
-
-        // LoadRelevance: most interested scans (shared bonus), then lowest
-        // id to preserve some sequential locality.
-        let best_chunk = loadable.into_iter().max_by(|a, b| {
-            let ra = self.load_relevance(scan_id, *a, config);
-            let rb = self.load_relevance(scan_id, *b, config);
-            relevance::load_candidate_order(ra, *a, rb, *b)
-        })?;
-        let load_relevance = self.load_relevance(scan_id, best_chunk, config);
-
-        // Pages to load: union of the pages every interested scan needs for
-        // this chunk, minus what is already resident in the buffer (pages
-        // on chunk boundaries or shared between snapshot versions are not
-        // read twice).
         let table_state = self.tables.get(&table)?;
-        let chunk_state = table_state
-            .versions
-            .get(version_idx)?
-            .chunks
-            .get(&best_chunk)?;
-        let mut pages: BTreeSet<PageId> = BTreeSet::new();
-        for interested in &chunk_state.interested {
+        let version = table_state.versions.get(version_idx)?;
+
+        // Candidate chunks: not cached, not loading; an in-order scan may
+        // load only its next chunk. LoadRelevance, scored once per
+        // candidate: most interested scans (shared bonus), then lowest id
+        // to preserve some sequential locality.
+        let window = if state.request.in_order {
+            1
+        } else {
+            usize::MAX
+        };
+        let (best_chunk, load_relevance) = state
+            .pending()
+            .take(window)
+            .filter(|c| version.chunks[c.index()].residency == Residency::Empty)
+            .map(|c| {
+                let score = relevance::load_relevance(
+                    version.chunks[c.index()].interested.len(),
+                    table_state.is_shared(c),
+                    config.shared_chunk_bonus,
+                );
+                (c, score)
+            })
+            .max_by(|(a, ra), (b, rb)| relevance::load_candidate_order(*ra, *a, *rb, *b))?;
+
+        // Pages to load: union of the pages every interested scan (the
+        // requesting one among them) needs for this chunk, minus what is
+        // already resident in the buffer (pages on chunk boundaries or
+        // shared between snapshot versions are not read twice).
+        let mut pages: Vec<PageId> = Vec::new();
+        for interested in &version.chunks[best_chunk.index()].interested {
             if let Some(other) = self.scans.get(interested) {
-                pages.extend(other.chunk_map.pages(best_chunk));
+                pages.extend_from_slice(other.chunk_map.pages(best_chunk));
             }
         }
-        if pages.is_empty() {
-            pages.extend(state.chunk_map.pages(best_chunk));
-        }
-        let full_pages: Vec<PageId> = pages.iter().copied().collect();
+        pages.sort_unstable();
+        pages.dedup();
         let new_pages: Vec<PageId> = pages
-            .into_iter()
+            .iter()
+            .copied()
             .filter(|p| !table_state.resident_pages.contains_key(p))
             .collect();
         let bytes = new_pages.len() as u64 * config.page_size_bytes;
@@ -423,7 +425,7 @@ impl AbmState {
         // Make room, evicting chunks whose KeepRelevance is lower than the
         // candidate's LoadRelevance (forced if the requesting scan is
         // starved).
-        let starved = self.cached_candidate(scan_id).is_none();
+        let starved = self.starved(state);
         if !self.make_room(
             bytes,
             load_relevance,
@@ -439,9 +441,9 @@ impl AbmState {
             .tables
             .get_mut(&table)
             .and_then(|t| t.versions.get_mut(version_idx))
-            .and_then(|v| v.chunks.get_mut(&best_chunk))?;
+            .and_then(|v| v.chunks.get_mut(best_chunk.index()))?;
         chunk_state.residency = Residency::Loading;
-        chunk_state.pending_pages = full_pages;
+        chunk_state.pages = pages;
 
         Some(LoadPlan {
             scan: scan_id,
@@ -470,9 +472,10 @@ impl AbmState {
             // KeepRelevance; ties are broken by (table, version, chunk) so
             // the decision is deterministic.
             let mut victim: Option<(f64, TableId, usize, ChunkId)> = None;
-            for (&table, table_state) in self.tables.iter() {
+            for (&table, table_state) in &self.tables {
                 for (vidx, version) in table_state.versions.iter().enumerate() {
-                    for (&chunk, chunk_state) in &version.chunks {
+                    for (idx, chunk_state) in version.chunks.iter().enumerate() {
+                        let chunk = ChunkId::new(idx as u32);
                         if chunk_state.residency != Residency::Cached
                             || (table, vidx, chunk) == skip
                             || self.is_protected(chunk_state)
@@ -481,16 +484,13 @@ impl AbmState {
                         }
                         let keep = relevance::keep_relevance(
                             chunk_state.interested.len(),
-                            chunk_state.shared,
+                            table_state.is_shared(chunk),
                             config.shared_chunk_bonus,
                         );
                         let candidate = (keep, table, vidx, chunk);
-                        let better = match &victim {
+                        let better = match victim {
                             None => true,
-                            Some(best) => candidate
-                                .partial_cmp(best)
-                                .map(|o| o.is_lt())
-                                .unwrap_or(false),
+                            Some(best) => candidate < best,
                         };
                         if better {
                             victim = Some(candidate);
@@ -521,12 +521,10 @@ impl AbmState {
     /// that scan right back to being starved, which (with several starved
     /// scans and a small pool) can livelock the ABM.
     fn is_protected(&self, chunk_state: &CoreChunk) -> bool {
-        chunk_state.interested.iter().any(|scan| {
-            self.scans
-                .get(scan)
-                .map(|s| s.cached_available <= 1)
-                .unwrap_or(false)
-        })
+        chunk_state
+            .interested
+            .iter()
+            .any(|scan| self.scans.get(scan).is_some_and(|s| s.available.len() <= 1))
     }
 
     /// Drops a cached chunk, releasing the pages no other cached chunk
@@ -544,29 +542,21 @@ impl AbmState {
         let Some(chunk_state) = table_state
             .versions
             .get_mut(version_idx)
-            .and_then(|v| v.chunks.get_mut(&chunk))
+            .and_then(|v| v.chunks.get_mut(chunk.index()))
+            .filter(|c| c.residency == Residency::Cached)
         else {
             return 0;
         };
-        if chunk_state.residency != Residency::Cached {
-            return 0;
-        }
-        let pages: Vec<PageId> = chunk_state.cached_pages.drain().collect();
-        let interested: Vec<ScanId> = chunk_state.interested.iter().copied().collect();
         chunk_state.residency = Residency::Empty;
-        let mut freed = 0u64;
-        for page in pages {
-            if let Some(count) = table_state.resident_pages.get_mut(&page) {
-                *count -= 1;
-                if *count == 0 {
-                    table_state.resident_pages.remove(&page);
-                    freed += config.page_size_bytes;
-                }
-            }
-        }
-        for scan_id in interested {
-            if let Some(scan) = self.scans.get_mut(&scan_id) {
-                scan.cached_available = scan.cached_available.saturating_sub(1);
+        let pages = std::mem::take(&mut chunk_state.pages);
+        let freed = release(
+            &mut table_state.resident_pages,
+            &pages,
+            config.page_size_bytes,
+        );
+        for scan_id in &chunk_state.interested {
+            if let Some(scan) = self.scans.get_mut(scan_id) {
+                scan.forget_available(chunk);
             }
         }
         self.cached_bytes -= freed;
@@ -597,9 +587,8 @@ impl AbmState {
             None => self.tables.get(&plan.table).and_then(|t| {
                 t.versions.iter().position(|v| {
                     v.chunks
-                        .get(&plan.chunk)
-                        .map(|c| c.residency == Residency::Loading)
-                        .unwrap_or(false)
+                        .get(plan.chunk.index())
+                        .is_some_and(|c| c.residency == Residency::Loading)
                 })
             }),
         };
@@ -618,36 +607,31 @@ impl AbmState {
         let chunk_state = table_state
             .versions
             .get_mut(version_idx)
-            .and_then(|v| v.chunks.get_mut(&plan.chunk))
+            .and_then(|v| v.chunks.get_mut(plan.chunk.index()))
             .ok_or(Error::UnknownChunk(plan.chunk))?;
         if chunk_state.residency != Residency::Loading {
             // The chunk is not mid-load: a straggler fallback (above) raced
             // this completion, or the registration is new. Re-applying the
-            // completion side effects would double-count cached_available —
-            // and silently defeat the is_protected anti-livelock rule — so
-            // only account the transferred bytes.
+            // completion side effects would add the chunk to `available`
+            // twice — and silently defeat the is_protected anti-livelock
+            // rule — so only account the transferred bytes.
             self.account_load(plan);
             return Ok(());
         }
         chunk_state.residency = Residency::Cached;
-        let full_pages = std::mem::take(&mut chunk_state.pending_pages);
-        let interested: Vec<ScanId> = chunk_state.interested.iter().copied().collect();
-        let mut newly_resident = 0u64;
-        for page in full_pages {
-            chunk_state.cached_pages.insert(page);
+        for &page in &chunk_state.pages {
             let count = table_state.resident_pages.entry(page).or_insert(0);
             *count += 1;
             if *count == 1 {
-                newly_resident += config.page_size_bytes;
+                self.cached_bytes += config.page_size_bytes;
             }
         }
         // The chunk is now available to every scan that still needs it.
-        for scan_id in interested {
-            if let Some(scan) = self.scans.get_mut(&scan_id) {
-                scan.cached_available += 1;
+        for scan_id in &chunk_state.interested {
+            if let Some(scan) = self.scans.get_mut(scan_id) {
+                scan.available.push(plan.chunk);
             }
         }
-        self.cached_bytes += newly_resident;
         self.account_load(plan);
         Ok(())
     }
@@ -672,13 +656,7 @@ impl Abm {
     pub fn new(config: AbmConfig) -> Self {
         assert!(config.buffer_capacity_bytes >= config.page_size_bytes);
         Self {
-            state: Mutex::new(AbmState {
-                scans: HashMap::new(),
-                tables: HashMap::new(),
-                stats: BufferStats::default(),
-                cached_bytes: 0,
-                next_scan: 0,
-            }),
+            state: Mutex::new(AbmState::default()),
             config,
         }
     }
@@ -729,16 +707,12 @@ impl Abm {
 
     /// Registers a CScan (`RegisterCScan`).
     pub fn register_cscan(&self, request: CScanRequest) -> Result<CScanHandle> {
-        // Pure derivation first: the chunk map and needed set depend only
-        // on the request.
-        let chunk_map = Arc::new(
-            request
-                .layout
-                .chunk_map(&request.snapshot, &request.columns),
-        );
+        // Pure derivation first: the needed chunks depend only on the
+        // request.
         let stable = request.snapshot.stable_tuples();
+        let chunk_count = request.layout.chunk_count(stable) as usize;
         let chunk_ids = request.layout.chunks_for_ranges(&request.ranges, stable);
-        let mut needed = HashMap::with_capacity(chunk_ids.len());
+        let mut needed = vec![0; chunk_count];
         let mut order = Vec::with_capacity(chunk_ids.len());
         let mut total_tuples = 0u64;
         for &chunk in &chunk_ids {
@@ -747,13 +721,14 @@ impl Abm {
             if tuples == 0 {
                 continue;
             }
-            needed.insert(chunk, tuples);
+            needed[chunk.index()] = tuples;
             order.push(chunk);
             total_tuples += tuples;
         }
         order.sort_unstable();
 
-        let mut state = self.state.lock();
+        let mut guard = self.state.lock();
+        let state = &mut *guard;
         let id = ScanId::new(state.next_scan);
         state.next_scan += 1;
         // The id is consumed even for an empty registration, exactly as the
@@ -764,7 +739,8 @@ impl Abm {
 
         // Find or create the table version this snapshot belongs to
         // (checkpoint cases (i), (ii) and (iv) of Section 2.1).
-        let table_state = state.tables.entry(request.table).or_default();
+        let table = request.table;
+        let table_state = state.tables.entry(table).or_default();
         let version = match table_state
             .versions
             .iter()
@@ -774,24 +750,30 @@ impl Abm {
             None => {
                 table_state.versions.push(VersionState {
                     snapshot: Arc::clone(&request.snapshot),
-                    chunks: HashMap::new(),
-                    scans: HashSet::new(),
+                    chunks: Vec::new(),
+                    scans: Vec::new(),
+                    chunk_maps: Vec::new(),
                 });
                 table_state.versions.len() - 1
             }
         };
         let version_state = &mut table_state.versions[version];
-        version_state.scans.insert(id);
+        if version_state.chunks.len() < chunk_count {
+            version_state
+                .chunks
+                .resize_with(chunk_count, CoreChunk::default);
+        }
+        version_state.scans.push(id);
+        let chunk_map = version_state.chunk_map(&request.layout, &request.columns);
         // Some of the requested chunks may already be cached (loaded for
         // other scans or by a previous query on the same table version).
-        let mut cached_available = 0;
+        let mut available = Vec::new();
         for &chunk in &order {
-            let chunk_state = version_state
-                .chunks
-                .entry(chunk)
-                .or_insert_with(CoreChunk::new);
-            chunk_state.interested.insert(id);
-            cached_available += usize::from(chunk_state.residency == Residency::Cached);
+            let chunk_state = &mut version_state.chunks[chunk.index()];
+            chunk_state.interested.push(id);
+            if chunk_state.residency == Residency::Cached {
+                available.push(chunk);
+            }
         }
 
         let handle = CScanHandle {
@@ -806,17 +788,18 @@ impl Abm {
                 chunk_map,
                 version,
                 needed,
+                remaining: order.len(),
                 order,
                 next_in_order: 0,
-                cached_available,
+                available,
             },
         );
-        state.recompute_shared_prefixes();
+        state.recompute_shared_prefix(table);
         Ok(handle)
     }
 
     /// Unregisters a finished (or aborted) CScan (`UnregisterCScan`). Chunk
-    /// metadata of table versions that no longer have any registered scan
+    /// metadata of a table version that no longer has any registered scan
     /// is destroyed, as described for PDT checkpoints.
     pub fn unregister_cscan(&self, scan: ScanId) -> Result<()> {
         let mut guard = self.state.lock();
@@ -825,42 +808,38 @@ impl Abm {
         let table = removed.request.table;
         if let Some(table_state) = state.tables.get_mut(&table) {
             if let Some(version) = table_state.versions.get_mut(removed.version) {
-                version.scans.remove(&scan);
-                for chunk in version.chunks.values_mut() {
-                    chunk.interested.remove(&scan);
+                version.scans.retain(|&s| s != scan);
+                for chunk in removed.pending() {
+                    version.chunks[chunk.index()]
+                        .interested
+                        .retain(|&s| s != scan);
                 }
-            }
-            // Drop versions without scans, releasing their cached bytes via
-            // the page reference counts.
-            let page_size = self.config.page_size_bytes;
-            let mut freed = 0u64;
-            let mut kept = Vec::new();
-            for version in table_state.versions.drain(..) {
                 if version.scans.is_empty() {
-                    for chunk in version.chunks.values() {
-                        for page in &chunk.cached_pages {
-                            if let Some(count) = table_state.resident_pages.get_mut(page) {
-                                *count -= 1;
-                                if *count == 0 {
-                                    table_state.resident_pages.remove(page);
-                                    freed += page_size;
-                                }
+                    // Drop the version, releasing its cached bytes via the
+                    // page reference counts; the later versions shift down.
+                    let dropped = table_state.versions.remove(removed.version);
+                    let page_size = self.config.page_size_bytes;
+                    for chunk in &dropped.chunks {
+                        if chunk.residency == Residency::Cached {
+                            state.cached_bytes -=
+                                release(&mut table_state.resident_pages, &chunk.pages, page_size);
+                        }
+                    }
+                    let shifted = table_state.versions.iter().enumerate();
+                    for (idx, version) in shifted.skip(removed.version) {
+                        for sid in &version.scans {
+                            if let Some(s) = state.scans.get_mut(sid) {
+                                s.version = idx;
                             }
                         }
                     }
-                } else {
-                    kept.push(version);
                 }
             }
-            table_state.versions = kept;
-            state.cached_bytes -= freed;
             if table_state.versions.is_empty() {
                 state.tables.remove(&table);
             }
         }
-        // Version indices of remaining scans may have shifted.
-        state.reindex_versions(table);
-        state.recompute_shared_prefix_for_table(table);
+        state.recompute_shared_prefix(table);
         Ok(())
     }
 
@@ -886,28 +865,26 @@ impl Abm {
     pub fn get_chunk(&self, scan: ScanId) -> Result<Option<ChunkDelivery>> {
         let mut guard = self.state.lock();
         let state = &mut *guard;
-        if !state.scans.contains_key(&scan) {
-            return Err(Error::UnknownScan(scan));
-        }
-        let Some(chunk) = state.cached_candidate(scan) else {
+        let scan_state = state.scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
+        let Some(chunk) = state.cached_candidate(scan_state) else {
             return Ok(None);
         };
         let scan_state = state.scans.get_mut(&scan).expect("checked above");
-        let tuples = scan_state.needed.remove(&chunk).unwrap_or(0);
+        let tuples = std::mem::take(&mut scan_state.needed[chunk.index()]);
+        scan_state.remaining -= 1;
         if scan_state.request.in_order {
             scan_state.next_in_order += 1;
         }
-        // The delivered chunk was one of this scan's cached-available chunks.
-        scan_state.cached_available = scan_state.cached_available.saturating_sub(1);
+        scan_state.forget_available(chunk);
         let (table, version) = (scan_state.request.table, scan_state.version);
         state.stats.hits += 1;
         if let Some(chunk_state) = state
             .tables
             .get_mut(&table)
             .and_then(|t| t.versions.get_mut(version))
-            .and_then(|v| v.chunks.get_mut(&chunk))
+            .and_then(|v| v.chunks.get_mut(chunk.index()))
         {
-            chunk_state.interested.remove(&scan);
+            chunk_state.interested.retain(|&s| s != scan);
         }
         Ok(Some(ChunkDelivery { chunk, tuples }))
     }
@@ -915,7 +892,8 @@ impl Abm {
     /// Whether a chunk is currently cached and available for `scan` (a
     /// non-consuming variant of [`Abm::get_chunk`]).
     pub fn has_cached_chunk(&self, scan: ScanId) -> bool {
-        self.state.lock().cached_candidate(scan).is_some()
+        let state = self.state.lock();
+        state.scans.get(&scan).is_some_and(|s| !state.starved(s))
     }
 
     /// Whether `scan` has received every chunk it registered for (unknown
@@ -930,7 +908,7 @@ impl Abm {
             .lock()
             .scans
             .get(&scan)
-            .map(|s| s.needed.len())
+            .map(|s| s.remaining)
             .unwrap_or(0)
     }
 
@@ -1300,6 +1278,52 @@ mod tests {
         abm.complete_load(&plan, now()).unwrap();
         // The loaded chunk is also the one the long scan will reuse later.
         assert!(abm.chunk_is_cached(long.id, plan.chunk));
+    }
+
+    #[test]
+    fn available_holds_exactly_the_cached_chunks_a_scan_still_needs() {
+        let (storage, table) = setup(3_000);
+        let abm = abm(1 << 22);
+        let scan = abm
+            .register_cscan(request(&storage, table, TupleRange::new(0, 3_000), false))
+            .unwrap()
+            .id;
+        let first = abm.next_load(now()).unwrap();
+        abm.complete_load(&first, now()).unwrap();
+        {
+            let mut state = abm.state.lock();
+            assert_eq!(state.scans[&scan].available, [first.chunk]);
+            let chunk = state.chunk_of(scan, first.chunk).unwrap();
+            assert!(
+                state.is_protected(chunk),
+                "a scan's only available chunk is protected"
+            );
+            // Evicting the scan's last cached chunk starves it.
+            state.evict_chunk(table, 0, first.chunk, &abm.config);
+            assert!(state.starved(&state.scans[&scan]));
+        }
+        assert!(!abm.has_cached_chunk(scan));
+
+        for _ in 0..2 {
+            let plan = abm.next_load(now()).unwrap();
+            abm.complete_load(&plan, now()).unwrap();
+        }
+        {
+            let state = abm.state.lock();
+            let available = &state.scans[&scan].available;
+            assert_eq!(available.len(), 2);
+            for &chunk in available {
+                assert!(!state.is_protected(state.chunk_of(scan, chunk).unwrap()));
+            }
+        }
+        // A delivery consumes its chunk, which leaves the other one the
+        // scan's only available chunk.
+        let delivered = abm.get_chunk(scan).unwrap().unwrap().chunk;
+        let state = abm.state.lock();
+        let available = &state.scans[&scan].available;
+        assert_eq!(available.len(), 1);
+        assert_ne!(available[0], delivered);
+        assert!(state.is_protected(state.chunk_of(scan, available[0]).unwrap()));
     }
 
     #[test]

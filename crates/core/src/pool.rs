@@ -55,6 +55,9 @@ struct PoolState {
     policy: Box<dyn ReplacementPolicy>,
     resident: HashSet<PageId>,
     pinned: HashMap<PageId, u32>,
+    /// The pages a miss may not evict (the pinned ones and the page being
+    /// admitted), refilled on every eviction so a miss allocates no set.
+    exclude: HashSet<PageId>,
     stats: BufferStats,
     next_scan: u64,
 }
@@ -90,6 +93,7 @@ impl BufferPool {
                 policy,
                 resident: HashSet::new(),
                 pinned: HashMap::new(),
+                exclude: HashSet::new(),
                 stats: BufferStats::default(),
                 next_scan: 0,
             }),
@@ -205,9 +209,10 @@ impl BufferPool {
         let mut evicted = Vec::new();
         if state.resident.len() >= self.capacity_pages {
             let want = state.resident.len() + 1 - self.capacity_pages;
-            let mut exclude: HashSet<PageId> = state.pinned.keys().copied().collect();
-            exclude.insert(page);
-            for victim in state.policy.choose_victims(want, &exclude, now) {
+            state.exclude.clear();
+            state.exclude.extend(state.pinned.keys().copied());
+            state.exclude.insert(page);
+            for victim in state.policy.choose_victims(want, &state.exclude, now) {
                 if state.resident.remove(&victim) {
                     state.policy.on_evict(victim);
                     state.stats.evictions += 1;

@@ -28,7 +28,7 @@ use std::cell::Cell;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
-use scanshare_common::Result;
+use scanshare_common::{hash, Result};
 use scanshare_storage::datagen::Value;
 
 use crate::batch::Batch;
@@ -241,16 +241,11 @@ pub(crate) trait Sink: Send {
 pub(crate) trait GroupKey: Ord + Send {
     /// The key of `row`.
     fn read(columns: &[&[Value]], row: usize) -> Self;
-    /// A hash of the key of `row`.
+    /// A hash of the key of `row`: one [`hash::mix`] step per key value, so
+    /// the high bits are the well-mixed ones (see [`home_slot`]).
     fn hash_row(columns: &[&[Value]], row: usize) -> u64;
     /// Whether `self` is the key of `row`.
     fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool;
-}
-
-/// One step of a multiplicative (Fx-style) hash over a key's values; the
-/// high bits of the result are the well-mixed ones (see [`home_slot`]).
-fn mix(hash: u64, value: Value) -> u64 {
-    (hash.rotate_left(5) ^ value as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 impl GroupKey for Value {
@@ -258,7 +253,7 @@ impl GroupKey for Value {
         columns.first().map_or(0, |column| column[row])
     }
     fn hash_row(columns: &[&[Value]], row: usize) -> u64 {
-        mix(0, Self::read(columns, row))
+        hash::mix(0, Self::read(columns, row) as u64)
     }
     fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool {
         *self == Self::read(columns, row)
@@ -272,7 +267,7 @@ impl GroupKey for Vec<Value> {
     fn hash_row(columns: &[&[Value]], row: usize) -> u64 {
         columns
             .iter()
-            .fold(0, |hash, column| mix(hash, column[row]))
+            .fold(0, |h, column| hash::mix(h, column[row] as u64))
     }
     fn is_key_of(&self, columns: &[&[Value]], row: usize) -> bool {
         self.iter()

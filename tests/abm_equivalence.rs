@@ -9,8 +9,10 @@
 //! the decomposed ABM, and asserts that the **entire op-level outcome log**
 //! is byte-identical: chunk-delivery order per scan, every load plan
 //! (chunk, page list, byte count), starvation probes, and the final
-//! statistics / cached-bytes / I/O volume. A last test drives the
-//! decomposed ABM from eight threads.
+//! statistics / cached-bytes / I/O volume, plus every table's version count
+//! and shared prefix after each (un)registration. One set of traces spans
+//! two tables and three snapshot versions of one of them. A last test
+//! drives the decomposed ABM from eight threads.
 
 mod abm_reference;
 
@@ -109,6 +111,29 @@ impl AbmUnderTest {
             AbmUnderTest::Decomposed(abm) => abm.remaining_chunks(scan),
         }
     }
+    fn version_count(&self, table: TableId) -> usize {
+        match self {
+            AbmUnderTest::Monolithic(abm) => abm.version_count(table),
+            AbmUnderTest::Decomposed(abm) => abm.version_count(table),
+        }
+    }
+    fn shared_prefix_chunks(&self, table: TableId) -> u32 {
+        match self {
+            AbmUnderTest::Monolithic(abm) => abm.shared_prefix_chunks(table),
+            AbmUnderTest::Decomposed(abm) => abm.shared_prefix_chunks(table),
+        }
+    }
+    /// Per table of the trace: its version count and shared prefix.
+    fn table_states(&self, tables: &[TableId]) -> String {
+        let states: Vec<String> = tables
+            .iter()
+            .map(|&t| {
+                let (prefix, versions) = (self.shared_prefix_chunks(t), self.version_count(t));
+                format!("{t} prefix={prefix} versions={versions}")
+            })
+            .collect();
+        format!("tables {}", states.join("; "))
+    }
     fn stats(&self) -> scanshare::core::BufferStats {
         match self {
             AbmUnderTest::Monolithic(abm) => abm.stats(),
@@ -169,6 +194,9 @@ fn scan_requests(
 /// operation (the byte-identical artefact the property compares).
 fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> Vec<String> {
     let mut log: Vec<String> = Vec::new();
+    let mut tables: Vec<TableId> = requests.iter().map(|r| r.table).collect();
+    tables.sort_unstable();
+    tables.dedup();
     let mut to_register = requests;
     let mut active: Vec<scanshare::common::ScanId> = Vec::new();
     let mut rng = seed.wrapping_mul(0x9e3779b97f4a7c15) | 1;
@@ -192,6 +220,7 @@ fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> V
         if !to_register.is_empty() && (choice < 3 || active.is_empty()) {
             let handle = abm.register(to_register.remove(0));
             log.push(format!("register -> {handle:?}"));
+            log.push(abm.table_states(&tables));
             active.push(handle.id);
             continue;
         }
@@ -209,6 +238,7 @@ fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> V
             abm.unregister(scan);
             active.retain(|s| *s != scan);
             log.push(format!("abort {scan:?}"));
+            log.push(abm.table_states(&tables));
             continue;
         }
         if choice < 8 {
@@ -235,6 +265,7 @@ fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> V
         let scan = active.remove(next(active.len() as u64) as usize);
         abm.unregister(scan);
         log.push(format!("unregister {scan:?}"));
+        log.push(abm.table_states(&tables));
     }
     log.push(format!(
         "final stats={:?} cached_bytes={}",
@@ -242,6 +273,34 @@ fn run_trace(mut abm: AbmUnderTest, requests: Vec<CScanRequest>, seed: u64) -> V
         abm.cached_bytes()
     ));
     log
+}
+
+/// Replays one trace through the spec and the decomposed ABM, asserts the
+/// logs are identical and returns the spec's.
+fn assert_matches_spec(requests: Vec<CScanRequest>, capacity: u64, seed: u64) -> Vec<String> {
+    let reference = run_trace(
+        AbmUnderTest::Monolithic(MonolithicAbm::new(AbmConfig::new(capacity, PAGE))),
+        requests.clone(),
+        seed,
+    );
+    assert!(
+        reference.iter().any(|line| line.starts_with("get")),
+        "seed {seed}: trace must deliver chunks"
+    );
+    let decomposed = run_trace(
+        AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(capacity, PAGE))),
+        requests,
+        seed,
+    );
+    assert_eq!(
+        decomposed.len(),
+        reference.len(),
+        "seed {seed}: trace lengths diverge"
+    );
+    for (idx, (got, want)) in decomposed.iter().zip(reference.iter()).enumerate() {
+        assert_eq!(got, want, "seed {seed}: divergence at op {idx}");
+    }
+    reference
 }
 
 #[test]
@@ -252,30 +311,106 @@ fn decomposed_abm_matches_the_monolithic_spec() {
     // pressure, so KeepRelevance eviction and the protection rule fire.
     let capacity = 56 * PAGE;
     for seed in [1u64, 7, 42, 1234, 0xdead] {
-        let requests = scan_requests(&storage, table, TUPLES, seed);
-        let reference = run_trace(
-            AbmUnderTest::Monolithic(MonolithicAbm::new(AbmConfig::new(capacity, PAGE))),
-            requests.clone(),
-            seed,
-        );
-        assert!(
-            reference.iter().any(|line| line.starts_with("get")),
-            "seed {seed}: trace must deliver chunks"
-        );
-        let decomposed = run_trace(
-            AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(capacity, PAGE))),
-            requests,
-            seed,
-        );
-        assert_eq!(
-            decomposed.len(),
-            reference.len(),
-            "seed {seed}: trace lengths diverge"
-        );
-        for (idx, (got, want)) in decomposed.iter().zip(reference.iter()).enumerate() {
-            assert_eq!(got, want, "seed {seed}: divergence at op {idx}");
-        }
+        assert_matches_spec(scan_requests(&storage, table, TUPLES, seed), capacity, seed);
     }
+}
+
+/// Two tables, and three snapshot versions of one of them: the base image,
+/// an append that shares a prefix with it and a disjoint checkpoint image.
+/// Scans over all four snapshots, with differing column sets, check the
+/// per-version chunk tables, the shared prefixes and the version lifetimes
+/// against the spec (`version_count` and `shared_prefix_chunks` are logged
+/// after every registration and unregistration).
+#[test]
+fn multi_table_multi_version_traces_match_the_spec() {
+    const TUPLES: u64 = 12_000;
+    let (storage, lineitem) = setup(TUPLES);
+    let orders = storage
+        .create_table_with_data(
+            TableSpec::new(
+                "orders",
+                vec![
+                    ColumnSpec::with_width("k", ColumnType::Int64, 8.0),
+                    ColumnSpec::with_width("f", ColumnType::Int64, 1.0),
+                ],
+                6_000,
+            ),
+            vec![
+                DataGen::Sequential { start: 0, step: 1 },
+                DataGen::Constant(3),
+            ],
+        )
+        .unwrap();
+    let layout = storage.layout(lineitem).unwrap();
+    let base = storage.master_snapshot(lineitem).unwrap();
+    let mut tx = storage.begin_append(lineitem).unwrap();
+    tx.append_rows(&[vec![1; 3_000], vec![2; 3_000], vec![3; 3_000]])
+        .unwrap();
+    let appended = tx.commit().unwrap();
+    let checkpoint = storage
+        .install_checkpoint(lineitem, appended.id(), vec![vec![0; 14_000]; 3])
+        .unwrap();
+    assert!(base.shared_prefix_tuples(&appended, &layout) >= 4 * CHUNK);
+    assert_eq!(base.shared_prefix_tuples(&checkpoint, &layout), 0);
+    let snapshots = [
+        (
+            lineitem,
+            base,
+            &[vec![0, 1, 2], vec![0, 1], vec![2], vec![1, 2]][..],
+        ),
+        (
+            lineitem,
+            appended,
+            &[vec![0, 1, 2], vec![0, 2], vec![1]][..],
+        ),
+        (lineitem, checkpoint, &[vec![0, 1, 2], vec![2]][..]),
+        (
+            orders,
+            storage.master_snapshot(orders).unwrap(),
+            &[vec![0, 1], vec![1]][..],
+        ),
+    ];
+
+    let mut saw_three_versions = false;
+    let mut saw_shared_prefix = false;
+    for seed in [3u64, 11, 99, 2024] {
+        let mut rng = seed | 1;
+        let mut next = |limit: u64| -> u64 {
+            rng = splitmix64(rng);
+            rng % limit.max(1)
+        };
+        let requests: Vec<CScanRequest> = (0..9)
+            .map(|i| {
+                // Every snapshot at least twice, then a random one.
+                let (table, snapshot, column_sets) = &snapshots[if i < 8 {
+                    i % snapshots.len()
+                } else {
+                    next(snapshots.len() as u64) as usize
+                }];
+                let stable = snapshot.stable_tuples();
+                let span = (CHUNK * (2 + next(stable / CHUNK))).min(stable);
+                let start = next(stable - span + 1);
+                CScanRequest {
+                    table: *table,
+                    snapshot: Arc::clone(snapshot),
+                    layout: storage.layout(*table).unwrap(),
+                    columns: column_sets[next(column_sets.len() as u64) as usize].clone(),
+                    ranges: RangeList::single(start, start + span),
+                    in_order: next(5) == 0,
+                }
+            })
+            .collect();
+        let log = assert_matches_spec(requests, 48 * PAGE, seed);
+        let states: Vec<&String> = log.iter().filter(|l| l.starts_with("tables")).collect();
+        saw_three_versions |= states.iter().any(|l| l.contains("versions=3"));
+        let unshared = format!("{lineitem} prefix=0 ");
+        saw_shared_prefix |= states.iter().any(|l| !l.contains(&unshared));
+    }
+    assert!(
+        saw_three_versions,
+        "no trace held all three versions at once"
+    );
+    assert!(saw_shared_prefix, "no trace marked a shared prefix");
 }
 
 #[test]
@@ -300,11 +435,7 @@ fn headroom_traces_are_also_invariant_and_load_each_page_once() {
         in_order: false,
     })
     .collect();
-    let reference = run_trace(
-        AbmUnderTest::Monolithic(MonolithicAbm::new(AbmConfig::new(1 << 22, PAGE))),
-        requests.clone(),
-        3,
-    );
+    let reference = assert_matches_spec(requests, 1 << 22, 3);
     // With headroom, the trace ends with every distinct page loaded once:
     // 4+2+1 bytes/tuple over 10k tuples = 70 pages.
     let last = reference.last().unwrap();
@@ -312,12 +443,6 @@ fn headroom_traces_are_also_invariant_and_load_each_page_once() {
         last.contains("io_bytes: 71680"),
         "unexpected final line {last}"
     );
-    let decomposed = run_trace(
-        AbmUnderTest::Decomposed(Abm::new(AbmConfig::new(1 << 22, PAGE))),
-        requests,
-        3,
-    );
-    assert_eq!(decomposed, reference);
 }
 
 /// The chunk protocol over a warm cache, from concurrent threads: a keeper
