@@ -3,8 +3,8 @@
 //! [`ScanShareConfig`] captures the knobs that the paper's evaluation section
 //! sweeps: buffer pool size, I/O bandwidth, chunk granularity and the CPU
 //! processing rate that determines when a workload turns CPU-bound. Policy
-//! specific tuning (PBM bucket layout, ABM relevance weights) lives next to
-//! the policies in `scanshare-core`.
+//! specific tuning (PBM bucket layout, ABM relevance weights) is fixed in
+//! code next to the policies in `scanshare-core`.
 
 use std::path::PathBuf;
 

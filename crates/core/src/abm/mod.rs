@@ -62,15 +62,13 @@ use scanshare_storage::snapshot::Snapshot;
 
 use crate::metrics::BufferStats;
 
-/// Tuning knobs of the Active Buffer Manager.
+/// The buffer the Active Buffer Manager manages.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AbmConfig {
     /// Capacity of the buffer pool managed by ABM, in bytes.
     pub buffer_capacity_bytes: u64,
     /// Page size in bytes (uniform).
     pub page_size_bytes: u64,
-    /// Extra load-relevance weight given to shared chunks.
-    pub shared_chunk_bonus: f64,
 }
 
 impl AbmConfig {
@@ -79,7 +77,6 @@ impl AbmConfig {
         Self {
             buffer_capacity_bytes,
             page_size_bytes,
-            shared_chunk_bonus: 0.5,
         }
     }
 }
@@ -189,8 +186,10 @@ impl VersionState {
     }
 }
 
+/// The ABM's state of one table: its registered versions and which pages
+/// their cached chunks hold.
 #[derive(Debug, Default)]
-struct TableState {
+struct TableChunks {
     versions: Vec<VersionState>,
     /// Reference counts of resident pages: how many cached chunks (across
     /// versions) currently hold each page. Pages referenced by several
@@ -200,7 +199,7 @@ struct TableState {
     shared_prefix_chunks: u32,
 }
 
-impl TableState {
+impl TableChunks {
     /// Whether `chunk` lies inside the shared snapshot prefix.
     fn is_shared(&self, chunk: ChunkId) -> bool {
         chunk.raw() < self.shared_prefix_chunks
@@ -263,7 +262,7 @@ impl CoreScan {
 #[derive(Debug, Default)]
 struct AbmState {
     scans: IdHashMap<ScanId, CoreScan>,
-    tables: IdHashMap<TableId, TableState>,
+    tables: IdHashMap<TableId, TableChunks>,
     stats: BufferStats,
     cached_bytes: u64,
     next_scan: u64,
@@ -397,7 +396,6 @@ impl AbmState {
                 let score = relevance::load_relevance(
                     version.chunks[c.index()].interested.len(),
                     table_state.is_shared(c),
-                    config.shared_chunk_bonus,
                 );
                 (c, score)
             })
@@ -485,7 +483,6 @@ impl AbmState {
                         let keep = relevance::keep_relevance(
                             chunk_state.interested.len(),
                             table_state.is_shared(chunk),
-                            config.shared_chunk_bonus,
                         );
                         let candidate = (keep, table, vidx, chunk);
                         let better = match victim {

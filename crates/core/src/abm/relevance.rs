@@ -35,19 +35,25 @@ pub fn query_priority(starved: bool, remaining_chunks: usize) -> (bool, i64) {
     (starved, -(remaining_chunks as i64))
 }
 
+/// Extra LoadRelevance and KeepRelevance of a shared chunk: half an
+/// interested scan. Relevance is otherwise a whole number of scans, so every
+/// bonus strictly between 0 and 1 makes the same decisions: the bonus breaks
+/// ties between chunks the same number of scans want.
+pub const SHARED_CHUNK_BONUS: f64 = 0.5;
+
 /// LoadRelevance of a chunk: the number of registered scans still
-/// interested in it, with `shared_bonus` added when the chunk lies inside a
-/// snapshot prefix shared by at least two scans (shared chunks are worth
-/// loading early — they are reused across snapshot versions).
-pub fn load_relevance(interested: usize, shared: bool, shared_bonus: f64) -> f64 {
-    interested as f64 + if shared { shared_bonus } else { 0.0 }
+/// interested in it, with [`SHARED_CHUNK_BONUS`] added when the chunk lies
+/// inside a snapshot prefix shared by at least two scans (shared chunks are
+/// worth loading early — they are reused across snapshot versions).
+pub fn load_relevance(interested: usize, shared: bool) -> f64 {
+    interested as f64 + if shared { SHARED_CHUNK_BONUS } else { 0.0 }
 }
 
 /// KeepRelevance of a cached chunk: how much it is worth keeping. The
 /// paper scores keeping exactly like loading — a chunk is evicted only when
 /// its keep score is below the load candidate's relevance.
-pub fn keep_relevance(interested: usize, shared: bool, shared_bonus: f64) -> f64 {
-    load_relevance(interested, shared, shared_bonus)
+pub fn keep_relevance(interested: usize, shared: bool) -> f64 {
+    load_relevance(interested, shared)
 }
 
 /// UseRelevance preference key of a cached chunk for delivery: lower is
@@ -98,11 +104,11 @@ mod tests {
 
     #[test]
     fn shared_chunks_score_a_bonus() {
-        assert_eq!(load_relevance(3, false, 0.5), 3.0);
-        assert_eq!(load_relevance(3, true, 0.5), 3.5);
+        assert_eq!(load_relevance(3, false), 3.0);
+        assert_eq!(load_relevance(3, true), 3.5);
         // Keep and load relevance agree, as the eviction rule requires.
-        assert_eq!(keep_relevance(3, true, 0.5), load_relevance(3, true, 0.5));
-        assert_eq!(load_relevance(0, false, 0.5), 0.0);
+        assert_eq!(keep_relevance(3, true), load_relevance(3, true));
+        assert_eq!(load_relevance(0, false), 0.0);
     }
 
     #[test]

@@ -49,8 +49,8 @@ pub use clock::ClockPolicy;
 pub use lru::LruPolicy;
 pub use metrics::BufferStats;
 pub use opt::{simulate_opt, OptResult};
-pub use pbm::{PbmConfig, PbmPolicy};
-pub use pbm_lru::{PbmLruConfig, PbmLruPolicy};
+pub use pbm::PbmPolicy;
+pub use pbm_lru::PbmLruPolicy;
 pub use policy::{ReplacementPolicy, ScanInfo};
 #[doc(hidden)]
 pub use pool::ShardedPool;

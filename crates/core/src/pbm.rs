@@ -44,13 +44,19 @@
 //! average, known from its first progress report on. Until then the scan is
 //! assumed to run as fast as the scans the policy *has* measured — the mean
 //! speed of the registered scans that have reported, or the last such mean
-//! when none is registered. A fixed prior taken from the configured CPU rate
+//! when none is registered. A fixed prior taken from the default CPU rate
 //! is what a scan does on a resident table with the device to itself; under
 //! the memory pressure and bandwidth sharing that make eviction matter,
 //! scans run an order of magnitude slower, so a new scan's pages looked that
 //! much nearer than they were and outranked the accurately keyed pages of
-//! its neighbours. [`PbmConfig::default_scan_speed`] is still read, but only
-//! until the policy's first measurement.
+//! its neighbours. [`BOOTSTRAP_SCAN_SPEED`] is still read, but only until
+//! the policy's first measurement.
+//!
+//! The timeline and the bootstrap speed are fixed in code, not configured:
+//! at the figure harness's `test` scale a bootstrap speed × 0.01 or × 100
+//! read the same 20.8 MB at the Figure 11 point and 106.8 MB at the Figure 13
+//! point as the default, and a timeline of two 10 s buckets read the same
+//! 27.6 MB as the default one in a replay at heavy memory pressure.
 
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 
@@ -59,50 +65,21 @@ use scanshare_storage::layout::ScanPagePlan;
 
 use crate::policy::{ReplacementPolicy, ScanInfo};
 
-/// Tuning knobs of the Predictive Buffer Manager.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PbmConfig {
-    /// Length of the finest bucket (the paper's `time_slice`, 100 ms in its
-    /// example).
-    pub time_slice: VirtualDuration,
-    /// Number of bucket groups (`n`). The time range length doubles with
-    /// every successive group.
-    pub bucket_groups: usize,
-    /// Buckets per group (`m`).
-    pub buckets_per_group: usize,
-    /// Bootstrap only: the speed (tuples per second) assumed for a scan that
-    /// has not reported yet, until the policy's first-ever measurement.
-    /// From then on such a scan runs at the mean measured speed of the
-    /// scans that have reported (see the module docs).
-    pub default_scan_speed: f64,
-}
-
-impl Default for PbmConfig {
-    fn default() -> Self {
-        Self {
-            time_slice: VirtualDuration::from_millis(100),
-            bucket_groups: 10,
-            buckets_per_group: 10,
-            default_scan_speed: 100_000_000.0,
-        }
-    }
-}
-
-impl PbmConfig {
-    /// Total number of requested-page buckets.
-    pub fn total_buckets(&self) -> usize {
-        self.bucket_groups * self.buckets_per_group
-    }
-
-    /// The largest future horizon (in slices) the bucket timeline can
-    /// distinguish; anything further lands in the last bucket.
-    pub fn horizon_slices(&self) -> u64 {
-        let m = self.buckets_per_group as u64;
-        (0..self.bucket_groups as u64)
-            .map(|g| m * (1u64 << g))
-            .sum()
-    }
-}
+/// Length of the finest bucket (the paper's `time_slice`, 100 ms in its
+/// example).
+pub const TIME_SLICE: VirtualDuration = VirtualDuration::from_millis(100);
+/// Number of bucket groups (`n`). The time range length doubles with every
+/// successive group.
+pub const BUCKET_GROUPS: usize = 10;
+/// Buckets per group (`m`).
+pub const BUCKETS_PER_GROUP: usize = 10;
+/// Total number of requested-page buckets.
+const TOTAL_BUCKETS: usize = BUCKET_GROUPS * BUCKETS_PER_GROUP;
+/// Bootstrap only: the speed (tuples per second) assumed for a scan that has
+/// not reported yet, until the policy's first-ever measurement. From then on
+/// such a scan runs at the mean measured speed of the scans that have
+/// reported (see the module docs). It is the default CPU processing rate.
+pub const BOOTSTRAP_SCAN_SPEED: f64 = 250_000_000.0;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PageState {
@@ -148,7 +125,6 @@ struct ScanState {
 /// The Predictive Buffer Management replacement policy.
 #[derive(Debug)]
 pub struct PbmPolicy {
-    config: PbmConfig,
     scans: HashMap<ScanId, ScanState>,
     pages: HashMap<PageId, PageMeta>,
     /// Requested buckets; index 0 is the nearest future. Each is ordered by
@@ -166,41 +142,31 @@ pub struct PbmPolicy {
     speed_sum: f64,
     speed_count: usize,
     /// What an unreported scan runs at while `speed_count` is zero: the
-    /// speed of the last reporting scan to unregister, `default_scan_speed`
+    /// speed of the last reporting scan to unregister, [`BOOTSTRAP_SCAN_SPEED`]
     /// before the first measurement.
     idle_speed: f64,
 }
 
 impl Default for PbmPolicy {
     fn default() -> Self {
-        Self::new(PbmConfig::default())
+        Self::new()
     }
 }
 
 impl PbmPolicy {
-    /// Creates a PBM policy with the given configuration.
-    pub fn new(config: PbmConfig) -> Self {
-        assert!(config.bucket_groups > 0 && config.buckets_per_group > 0);
-        assert!(config.time_slice > VirtualDuration::ZERO);
-        assert!(config.default_scan_speed > 0.0);
-        let total = config.total_buckets();
+    /// Creates a PBM policy.
+    pub fn new() -> Self {
         Self {
-            idle_speed: config.default_scan_speed,
+            idle_speed: BOOTSTRAP_SCAN_SPEED,
             speed_sum: 0.0,
             speed_count: 0,
-            config,
             scans: HashMap::new(),
             pages: HashMap::new(),
-            buckets: vec![BTreeSet::new(); total],
+            buckets: vec![BTreeSet::new(); TOTAL_BUCKETS],
             not_requested: VecDeque::new(),
             next_stamp: 0,
             refreshed_slices: 0,
         }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &PbmConfig {
-        &self.config
     }
 
     /// Number of registered scans.
@@ -219,26 +185,6 @@ impl PbmPolicy {
             .values()
             .filter(|m| m.state() == PageState::NotRequested)
             .count()
-    }
-
-    /// The bucket index a page with `next_consumption` `d` in the future is
-    /// assigned to (`TimeToBucketNumber`).
-    pub fn bucket_index(&self, d: VirtualDuration) -> usize {
-        let ts = self.config.time_slice.as_nanos().max(1);
-        let slices = d.as_nanos() / ts;
-        let m = self.config.buckets_per_group as u64;
-        let mut idx = 0u64;
-        let mut remaining = slices;
-        for g in 0..self.config.bucket_groups as u64 {
-            let len = 1u64 << g;
-            let span = m * len;
-            if remaining < span {
-                return (idx + remaining / len) as usize;
-            }
-            remaining -= span;
-            idx += m;
-        }
-        self.config.total_buckets() - 1
     }
 
     /// The speed a scan that has not reported yet is assumed to run at: the
@@ -286,7 +232,7 @@ impl PbmPolicy {
     fn page_push(&mut self, page: PageId, now: VirtualInstant) {
         let placement = self
             .next_consumption(page)
-            .map(|d| (self.bucket_index(d), now.after(d)));
+            .map(|d| (bucket_index(d), now.after(d)));
         let meta = self.pages.entry(page).or_default();
         if let PageState::Requested { bucket, due } = meta.state() {
             self.buckets[bucket].remove(&(due, page));
@@ -321,24 +267,21 @@ impl PbmPolicy {
     /// a bucket in group `g` shifts every `2^g` slices. Pages that fall off
     /// the front get their priority recalculated.
     fn refresh(&mut self, now: VirtualInstant) {
-        let ts = self.config.time_slice.as_nanos().max(1);
-        let target_slices = now.as_nanos() / ts;
+        let target_slices = now.as_nanos() / TIME_SLICE.as_nanos();
         if target_slices <= self.refreshed_slices {
             return;
         }
-        let m = self.config.buckets_per_group;
-        let n = self.config.bucket_groups;
         for slice in self.refreshed_slices + 1..=target_slices {
             // How many whole groups shift at this tick (always a prefix).
             let mut shifted_groups = 0usize;
-            for g in 0..n {
+            for g in 0..BUCKET_GROUPS {
                 if slice % (1u64 << g) == 0 {
                     shifted_groups = g + 1;
                 } else {
                     break;
                 }
             }
-            let k = shifted_groups * m;
+            let k = shifted_groups * BUCKETS_PER_GROUP;
             if k == 0 {
                 continue;
             }
@@ -388,6 +331,23 @@ fn is_live_entry(pages: &HashMap<PageId, PageMeta>, page: PageId, stamp: u64) ->
     pages
         .get(&page)
         .is_some_and(|m| m.state() == PageState::NotRequested && m.lru_stamp == stamp)
+}
+
+/// The bucket index a page with `next_consumption` `d` in the future is
+/// assigned to (`TimeToBucketNumber`).
+fn bucket_index(d: VirtualDuration) -> usize {
+    let mut remaining = d.as_nanos() / TIME_SLICE.as_nanos();
+    let mut idx = 0;
+    for g in 0..BUCKET_GROUPS {
+        let len = 1u64 << g;
+        let span = BUCKETS_PER_GROUP as u64 * len;
+        if remaining < span {
+            return idx + (remaining / len) as usize;
+        }
+        remaining -= span;
+        idx += BUCKETS_PER_GROUP;
+    }
+    TOTAL_BUCKETS - 1
 }
 
 impl ReplacementPolicy for PbmPolicy {
@@ -617,11 +577,13 @@ mod tests {
         }
     }
 
+    /// A policy that assumes `speed` tuples per second for unreported scans
+    /// until its first measurement.
     fn pbm_with_speed(speed: f64) -> PbmPolicy {
-        PbmPolicy::new(PbmConfig {
-            default_scan_speed: speed,
-            ..Default::default()
-        })
+        PbmPolicy {
+            idle_speed: speed,
+            ..PbmPolicy::new()
+        }
     }
 
     fn register(pbm: &mut PbmPolicy, id: u64, plan: &ScanPagePlan, now: VirtualInstant) -> ScanId {
@@ -645,32 +607,62 @@ mod tests {
 
     #[test]
     fn bucket_index_is_monotone_and_respects_group_lengths() {
-        let pbm = PbmPolicy::new(PbmConfig {
-            time_slice: VirtualDuration::from_millis(100),
-            bucket_groups: 3,
-            buckets_per_group: 2,
-            ..Default::default()
-        });
-        // Group 0: buckets 0,1 of 100ms each; group 1: buckets 2,3 of 200ms;
-        // group 2: buckets 4,5 of 400ms.
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(0)), 0);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(99)), 0);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(100)), 1);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(200)), 2);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(399)), 2);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(400)), 3);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(600)), 4);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(999)), 4);
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_millis(1000)), 5);
+        // Group 0: buckets 0..=9 of 100 ms each; group 1: buckets 10..=19 of
+        // 200 ms; group 2: buckets 20..=29 of 400 ms.
+        let ms = |ms| bucket_index(VirtualDuration::from_millis(ms));
+        assert_eq!(ms(0), 0);
+        assert_eq!(ms(99), 0);
+        assert_eq!(ms(100), 1);
+        assert_eq!(ms(999), 9);
+        assert_eq!(ms(1000), 10);
+        assert_eq!(ms(1199), 10);
+        assert_eq!(ms(1200), 11);
+        assert_eq!(ms(2999), 19);
+        assert_eq!(ms(3000), 20);
+        assert_eq!(ms(3399), 20);
+        assert_eq!(ms(3400), 21);
         // Far beyond the horizon still lands in the last bucket.
-        assert_eq!(pbm.bucket_index(VirtualDuration::from_secs(3600)), 5);
+        assert_eq!(bucket_index(VirtualDuration::from_secs(3600)), 99);
         // Monotonicity.
         let mut last = 0;
-        for ms in (0..2000).step_by(10) {
-            let idx = pbm.bucket_index(VirtualDuration::from_millis(ms));
+        for t in (0..20_000).step_by(10) {
+            let idx = ms(t);
             assert!(idx >= last);
             last = idx;
         }
+    }
+
+    #[test]
+    fn the_production_timeline_is_ten_doubling_groups_of_ten_buckets() {
+        let slices = |n: u64| VirtualDuration::from_nanos(n * TIME_SLICE.as_nanos());
+        let before = |n: u64| VirtualDuration::from_nanos(n * TIME_SLICE.as_nanos() - 1);
+        assert_eq!(TIME_SLICE, VirtualDuration::from_millis(100));
+        for b in 0..10 {
+            // Group 0: one 100 ms slice per bucket.
+            assert_eq!(bucket_index(slices(b)), b as usize);
+            assert_eq!(bucket_index(before(b + 1)), b as usize);
+            // Group 1: two slices (200 ms) per bucket, from 1 s on.
+            assert_eq!(bucket_index(slices(10 + 2 * b)), 10 + b as usize);
+            assert_eq!(bucket_index(before(12 + 2 * b)), 10 + b as usize);
+        }
+        // The last bucket is group 9's tenth, 2^9 slices long; the horizon
+        // is 10 * (2^10 - 1) = 10 230 slices (1 023 s), and anything further
+        // stays in the last bucket.
+        let horizon = 10_230;
+        assert_eq!(slices(horizon), VirtualDuration::from_secs(1023));
+        assert_eq!(bucket_index(before(horizon - 512)), 98);
+        assert_eq!(bucket_index(slices(horizon - 512)), 99);
+        assert_eq!(bucket_index(before(horizon)), 99);
+        assert_eq!(bucket_index(slices(horizon)), 99);
+        assert_eq!(bucket_index(slices(10 * horizon)), 99);
+        // Monotone, one slice at a time, and no bucket is skipped.
+        let mut last = 0;
+        for n in 0..=horizon {
+            let idx = bucket_index(slices(n));
+            assert!(idx == last || idx == last + 1, "slice {n}: {last} -> {idx}");
+            last = idx;
+        }
+        assert_eq!(last, TOTAL_BUCKETS - 1);
     }
 
     #[test]
@@ -691,7 +683,7 @@ mod tests {
         // Page 3: scan 1 needs it after 200 tuples (200ms), scan 2 needs it
         // immediately — the *nearest* consumer defines the estimate.
         let d3 = pbm.next_consumption(p(3)).unwrap();
-        assert_eq!(pbm.bucket_index(d3), 0);
+        assert_eq!(bucket_index(d3), 0);
         assert!(d3 < VirtualDuration::from_millis(200));
 
         // After scan 1 consumed 150 tuples, page 2 is only 50 tuples away.
@@ -782,40 +774,32 @@ mod tests {
 
     #[test]
     fn refresh_shifts_pages_towards_the_present() {
-        let config = PbmConfig {
-            time_slice: VirtualDuration::from_millis(100),
-            bucket_groups: 2,
-            buckets_per_group: 2,
-            default_scan_speed: 1000.0,
-        };
-        let mut pbm = PbmPolicy::new(config);
-        // Buckets: 0:[0,100ms) 1:[100,200) 2:[200,400) 3:[400,800). Page 3 is
-        // needed after 200 tuples (200ms) and page 4 after 300 tuples (300ms),
-        // so both land in bucket 2.
-        register(&mut pbm, 1, &plan(&[1, 2, 3, 4], 100), now_ms(0));
-        pbm.on_admit(p(4), now_ms(0));
-        assert_eq!(bucket_of(&pbm, 4), 2);
-        pbm.on_admit(p(3), now_ms(0));
-        assert_eq!(bucket_of(&pbm, 3), 2);
+        let mut pbm = pbm_with_speed(1000.0);
+        // Group 1 holds buckets 10..=19 of 200 ms each. Page 11 is needed
+        // after 1 000 tuples (1 000 ms) and page 12 after 1 100 tuples
+        // (1 100 ms), so both land in bucket 10.
+        let pages: Vec<u64> = (1..=12).collect();
+        register(&mut pbm, 1, &plan(&pages, 100), now_ms(0));
+        pbm.on_admit(p(12), now_ms(0));
+        assert_eq!(bucket_of(&pbm, 12), 10);
+        pbm.on_admit(p(11), now_ms(0));
+        assert_eq!(bucket_of(&pbm, 11), 10);
 
-        // After 200ms of virtual time the timeline has aged two slices: the
-        // page that was ~200ms away is now imminent.
+        // Group 1 shifts every second slice: after one slice the pages have
+        // not moved, after two they sit at the end of group 0.
+        pbm.refresh(now_ms(100));
+        assert_eq!((bucket_of(&pbm, 11), bucket_of(&pbm, 12)), (10, 10));
         pbm.refresh(now_ms(200));
-        let idx3 = bucket_of(&pbm, 3);
-        let idx4 = bucket_of(&pbm, 4);
-        assert!(idx3 < 2, "page 3 moved towards the present (bucket {idx3})");
-        assert!(idx4 <= 3 && idx4 >= idx3);
+        assert_eq!(
+            (bucket_of(&pbm, 11), bucket_of(&pbm, 12)),
+            (9, 9),
+            "both pages moved towards the present"
+        );
     }
 
     #[test]
     fn refresh_overflow_pages_are_reprioritized_not_lost() {
-        let config = PbmConfig {
-            time_slice: VirtualDuration::from_millis(100),
-            bucket_groups: 2,
-            buckets_per_group: 2,
-            default_scan_speed: 1_000_000.0,
-        };
-        let mut pbm = PbmPolicy::new(config);
+        let mut pbm = pbm_with_speed(1_000_000.0);
         register(&mut pbm, 1, &plan(&[1], 100), now_ms(0));
         pbm.on_admit(p(1), now_ms(0));
         assert_eq!(pbm.requested_pages(), 1);
@@ -886,12 +870,8 @@ mod tests {
         // the ordered sets must hold exactly the pages in `Requested` state,
         // each under the key its state remembers (a removal under any other
         // key would leave a stale entry for `choose_victims` to return).
-        let mut pbm = PbmPolicy::new(PbmConfig {
-            bucket_groups: 3,
-            buckets_per_group: 2,
-            default_scan_speed: 1000.0,
-            ..Default::default()
-        });
+        // At 100 tuples/s a scan's pages spread over the first three groups.
+        let mut pbm = pbm_with_speed(100.0);
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
         let mut next = |bound: u64| {
             rng = rng
@@ -978,7 +958,7 @@ mod tests {
         assert_eq!(
             pbm.next_consumption(p(3)),
             Some(VirtualDuration::from_nanos(2_000)),
-            "before any measurement only the configured default is known"
+            "before any measurement only the bootstrap speed is known"
         );
         // 100 tuples in 100 ms: 1000 tuples/s.
         pbm.report_scan_position(s1, 100, now_ms(100));

@@ -22,30 +22,14 @@ use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
 use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
-use crate::pbm::{PbmConfig, PbmPolicy};
+use crate::pbm::PbmPolicy;
 use crate::policy::{ReplacementPolicy, ScanInfo};
 
-/// Configuration of the PBM/LRU extension.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PbmLruConfig {
-    /// Configuration of the underlying PBM policy.
-    pub pbm: PbmConfig,
-    /// How many past access timestamps are kept per page (the paper suggests
-    /// the last four uses).
-    pub history_window: usize,
-    /// Estimate used for a page seen only once (it has no gap history yet).
-    pub default_reuse_interval: VirtualDuration,
-}
-
-impl Default for PbmLruConfig {
-    fn default() -> Self {
-        Self {
-            pbm: PbmConfig::default(),
-            history_window: 4,
-            default_reuse_interval: VirtualDuration::from_secs(10),
-        }
-    }
-}
+/// How many past access timestamps are kept per page (the paper suggests the
+/// last four uses).
+pub const HISTORY_WINDOW: usize = 4;
+/// Estimate used for a page seen only once (it has no gap history yet).
+pub const DEFAULT_REUSE_INTERVAL: VirtualDuration = VirtualDuration::from_secs(10);
 
 #[derive(Debug, Default)]
 struct PageHistory {
@@ -57,9 +41,8 @@ struct PageHistory {
 }
 
 /// The PBM/LRU replacement policy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct PbmLruPolicy {
-    config: PbmLruConfig,
     pbm: PbmPolicy,
     history: HashMap<PageId, PageHistory>,
     /// Resident, unrequested pages ordered by estimated next use
@@ -68,22 +51,10 @@ pub struct PbmLruPolicy {
     resident: HashSet<PageId>,
 }
 
-impl Default for PbmLruPolicy {
-    fn default() -> Self {
-        Self::new(PbmLruConfig::default())
-    }
-}
-
 impl PbmLruPolicy {
     /// Creates a PBM/LRU policy.
-    pub fn new(config: PbmLruConfig) -> Self {
-        Self {
-            pbm: PbmPolicy::new(config.pbm.clone()),
-            config,
-            history: HashMap::new(),
-            order: BTreeSet::new(),
-            resident: HashSet::new(),
-        }
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of resident pages currently tracked on the history side.
@@ -100,7 +71,7 @@ impl PbmLruPolicy {
             let first = *history.accesses.front().expect("non-empty");
             (last - first) / (history.accesses.len() as u64 - 1)
         } else {
-            self.config.default_reuse_interval.as_nanos()
+            DEFAULT_REUSE_INTERVAL.as_nanos()
         };
         Some(VirtualInstant::from_nanos(last + gap.max(1)))
     }
@@ -108,7 +79,7 @@ impl PbmLruPolicy {
     fn record_access(&mut self, page: PageId, now: VirtualInstant) {
         let history = self.history.entry(page).or_default();
         history.accesses.push_back(now.as_nanos());
-        while history.accesses.len() > self.config.history_window {
+        while history.accesses.len() > HISTORY_WINDOW {
             history.accesses.pop_front();
         }
     }
@@ -331,15 +302,9 @@ mod tests {
 
     #[test]
     fn eviction_falls_back_to_pbm_for_requested_pages() {
-        // A slow default scan speed (1000 tuples/s) spreads the pages of the
-        // plan over distinct buckets so the furthest-needed page is distinct.
-        let mut policy = PbmLruPolicy::new(PbmLruConfig {
-            pbm: PbmConfig {
-                default_scan_speed: 1000.0,
-                ..PbmConfig::default()
-            },
-            ..PbmLruConfig::default()
-        });
+        // The plan's pages are due at distinct instants, so the
+        // furthest-needed page is distinct at any bootstrap speed.
+        let mut policy = PbmLruPolicy::new();
         let pl = plan(&[1, 2, 3], 100);
         register(&mut policy, 1, &pl, at(0));
         for page in [1, 2, 3] {

@@ -6,9 +6,9 @@
 //! factory under a name and select it via
 //! [`ScanShareConfig::custom_policy`](scanshare_common::ScanShareConfig).
 //!
-//! Factories receive the full [`ScanShareConfig`] so that policies can
-//! derive their tuning from the engine configuration (PBM, for example,
-//! bootstraps its scan-speed estimate from `cpu_tuples_per_sec`).
+//! Factories receive the full [`ScanShareConfig`] so that a custom policy
+//! can derive its tuning from the engine configuration; the built-in
+//! policies keep theirs in code.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -17,8 +17,8 @@ use scanshare_common::{Error, PolicyKind, Result, ScanShareConfig};
 
 use crate::clock::ClockPolicy;
 use crate::lru::LruPolicy;
-use crate::pbm::{PbmConfig, PbmPolicy};
-use crate::pbm_lru::{PbmLruConfig, PbmLruPolicy};
+use crate::pbm::PbmPolicy;
+use crate::pbm_lru::PbmLruPolicy;
 use crate::policy::ReplacementPolicy;
 use crate::sieve::SievePolicy;
 
@@ -36,17 +36,6 @@ impl std::fmt::Debug for PolicyRegistry {
         f.debug_struct("PolicyRegistry")
             .field("names", &self.names())
             .finish()
-    }
-}
-
-/// The PBM configuration of the engine and the simulator. The configured
-/// CPU processing rate is the bootstrap speed only: PBM assumes it for
-/// unreported scans until its first measurement and learns the speed from
-/// the scans that reported after that.
-pub fn pbm_config_for(config: &ScanShareConfig) -> PbmConfig {
-    PbmConfig {
-        default_scan_speed: config.cpu_tuples_per_sec as f64,
-        ..PbmConfig::default()
     }
 }
 
@@ -78,15 +67,8 @@ impl PolicyRegistry {
         registry.register("lru", |_| Box::new(LruPolicy::new()));
         registry.register("clock", |_| Box::new(ClockPolicy::new()));
         registry.register("sieve", |_| Box::new(SievePolicy::new()));
-        registry.register("pbm", |config| {
-            Box::new(PbmPolicy::new(pbm_config_for(config)))
-        });
-        registry.register("pbm-lru", |config| {
-            Box::new(PbmLruPolicy::new(PbmLruConfig {
-                pbm: pbm_config_for(config),
-                ..PbmLruConfig::default()
-            }))
-        });
+        registry.register("pbm", |_| Box::new(PbmPolicy::new()));
+        registry.register("pbm-lru", |_| Box::new(PbmLruPolicy::new()));
         registry
     }
 
@@ -223,14 +205,5 @@ mod tests {
         registry.register("fifo", |_| Box::new(LruPolicy::new()));
         let policy = registry.build("fifo", &ScanShareConfig::default()).unwrap();
         assert_eq!(policy.name(), "lru");
-    }
-
-    #[test]
-    fn pbm_factories_inherit_the_configured_scan_speed() {
-        let config = ScanShareConfig {
-            cpu_tuples_per_sec: 123_456,
-            ..Default::default()
-        };
-        assert_eq!(pbm_config_for(&config).default_scan_speed, 123_456.0);
     }
 }

@@ -372,7 +372,7 @@ pub mod prelude {
     pub use scanshare_core::opt::simulate_opt;
     pub use scanshare_core::registry::PolicyRegistry;
     pub use scanshare_core::{
-        Abm, AbmConfig, BufferPool, BufferStats, ClockPolicy, LruPolicy, PbmConfig, PbmPolicy,
+        Abm, AbmConfig, BufferPool, BufferStats, ClockPolicy, LruPolicy, PbmPolicy,
         ReplacementPolicy, SievePolicy,
     };
     pub use scanshare_exec::ops::{

@@ -11,8 +11,9 @@
 //! (chunk, page list, byte count), starvation probes, and the final
 //! statistics / cached-bytes / I/O volume, plus every table's version count
 //! and shared prefix after each (un)registration. One set of traces spans
-//! two tables and three snapshot versions of one of them. A last test
-//! drives the decomposed ABM from eight threads.
+//! two tables and three snapshot versions of one of them, and one pins the
+//! weight of the shared-prefix bonus. A last test drives the decomposed ABM
+//! from eight threads.
 
 mod abm_reference;
 
@@ -411,6 +412,29 @@ fn multi_table_multi_version_traces_match_the_spec() {
         "no trace held all three versions at once"
     );
     assert!(saw_shared_prefix, "no trace marked a shared prefix");
+}
+
+/// The magnitude of the shared-chunk bonus is part of the spec. Two scans
+/// of one snapshot share it up to its last whole chunk, so the partial
+/// chunk 12 is the one local chunk. Scan A wants every chunk, scan B only
+/// chunks 11 and 12: once chunk 11 is loaded, A chooses between shared
+/// chunks only it wants and the local chunk both want, and a bonus of one
+/// interested scan or more flips that choice.
+#[test]
+fn the_shared_prefix_bonus_weighs_less_than_one_interested_scan() {
+    const TUPLES: u64 = 12_500;
+    let (storage, table) = setup(TUPLES);
+    let request = |start: u64| CScanRequest {
+        table,
+        snapshot: storage.master_snapshot(table).unwrap(),
+        layout: storage.layout(table).unwrap(),
+        columns: vec![0, 1, 2],
+        ranges: RangeList::single(start, TUPLES),
+        in_order: false,
+    };
+    for seed in 0..16u64 {
+        assert_matches_spec(vec![request(0), request(11 * CHUNK)], 48 * PAGE, seed);
+    }
 }
 
 #[test]

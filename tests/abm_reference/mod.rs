@@ -25,6 +25,11 @@ use scanshare::core::BufferStats;
 use scanshare::storage::layout::ChunkMap;
 use scanshare::storage::snapshot::Snapshot;
 
+/// Extra Load/KeepRelevance of a chunk inside a shared snapshot prefix. The
+/// spec's own value, not an import of the production constant, so that a
+/// production bonus that changes a decision fails the equivalence test.
+const SHARED_CHUNK_BONUS: f64 = 0.5;
+
 #[derive(Debug)]
 struct ChunkState {
     /// Pages this cached chunk holds in the buffer (union over interested
@@ -399,7 +404,7 @@ impl MonolithicAbm {
         };
         chunk_state.interested.len() as f64
             + if chunk_state.shared {
-                self.config.shared_chunk_bonus
+                SHARED_CHUNK_BONUS
             } else {
                 0.0
             }
@@ -610,7 +615,7 @@ impl MonolithicAbm {
         skip_chunk: ChunkId,
     ) -> bool {
         let capacity = self.config.buffer_capacity_bytes;
-        let shared_bonus = self.config.shared_chunk_bonus;
+        let shared_bonus = SHARED_CHUNK_BONUS;
         while self.cached_bytes + bytes > capacity {
             // Find the cached, unprotected chunk with the lowest
             // KeepRelevance; ties are broken by (table, version, chunk) so

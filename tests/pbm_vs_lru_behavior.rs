@@ -7,7 +7,7 @@ use std::sync::Arc;
 use scanshare::common::PageId;
 use scanshare::core::lru::LruPolicy;
 use scanshare::core::opt::simulate_opt;
-use scanshare::core::pbm::{PbmConfig, PbmPolicy};
+use scanshare::core::pbm::PbmPolicy;
 use scanshare::core::policy::ReplacementPolicy;
 use scanshare::prelude::*;
 
@@ -81,10 +81,7 @@ fn pbm_beats_lru_when_a_trailing_scan_can_reuse_pages() {
         &storage,
         table,
         pool_pages,
-        Box::new(PbmPolicy::new(PbmConfig {
-            default_scan_speed: 1_000_000.0,
-            ..PbmConfig::default()
-        })),
+        Box::new(PbmPolicy::new()),
         offset,
     );
     assert!(

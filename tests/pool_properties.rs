@@ -18,8 +18,8 @@ use std::sync::Arc;
 
 use pool_harness::{random_trace, replay, EagerPool, Rng, Step};
 use scanshare::core::lru::LruPolicy;
-use scanshare::core::pbm::{PbmConfig, PbmPolicy};
-use scanshare::core::pbm_lru::{PbmLruConfig, PbmLruPolicy};
+use scanshare::core::pbm::PbmPolicy;
+use scanshare::core::pbm_lru::PbmLruPolicy;
 use scanshare::core::policy::ReplacementPolicy;
 use scanshare::core::pool::BufferPool;
 
@@ -28,15 +28,8 @@ type PolicyFactory = fn() -> Box<dyn ReplacementPolicy>;
 fn policies() -> Vec<(&'static str, PolicyFactory)> {
     vec![
         ("lru", || Box::new(LruPolicy::new())),
-        ("pbm", || {
-            Box::new(PbmPolicy::new(PbmConfig {
-                default_scan_speed: 10_000.0,
-                ..Default::default()
-            }))
-        }),
-        ("pbm-lru", || {
-            Box::new(PbmLruPolicy::new(PbmLruConfig::default()))
-        }),
+        ("pbm", || Box::new(PbmPolicy::new())),
+        ("pbm-lru", || Box::new(PbmLruPolicy::new())),
     ]
 }
 
@@ -78,12 +71,7 @@ fn any_trace_matches_the_eager_oracle_per_policy() {
 /// engine's scan operator produce.
 #[test]
 fn pbm_scan_trace_matches_the_eager_oracle_exactly() {
-    let make_policy = || -> Box<dyn ReplacementPolicy> {
-        Box::new(PbmPolicy::new(PbmConfig {
-            default_scan_speed: 1000.0,
-            ..Default::default()
-        }))
-    };
+    let make_policy = || -> Box<dyn ReplacementPolicy> { Box::new(PbmPolicy::new()) };
     let pages: Vec<u64> = (0..12).collect();
     let mut trace = vec![Step::Register {
         pages: pages.clone(),

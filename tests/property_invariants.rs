@@ -10,7 +10,7 @@
 use scanshare::common::{PageId, RangeList, Rid, TupleRange, VirtualInstant};
 use scanshare::core::lru::LruPolicy;
 use scanshare::core::opt::simulate_opt;
-use scanshare::core::pbm::{PbmConfig, PbmPolicy};
+use scanshare::core::pbm::PbmPolicy;
 use scanshare::core::BufferPool;
 use scanshare::pdt::merge::{merge_columns, merge_range, MergeCursor, SliceSource};
 use scanshare::pdt::{Pdt, PdtStack};
@@ -392,7 +392,7 @@ fn buffer_pool_respects_capacity() {
         let refs: Vec<u64> = (0..rng.range(1, 400)).map(|_| rng.below(200)).collect();
         let use_pbm = rng.below(2) == 0;
         let policy: Box<dyn scanshare::core::policy::ReplacementPolicy> = if use_pbm {
-            Box::new(PbmPolicy::new(PbmConfig::default()))
+            Box::new(PbmPolicy::new())
         } else {
             Box::new(LruPolicy::new())
         };
