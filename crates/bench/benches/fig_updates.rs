@@ -11,10 +11,12 @@
 //! invalidating the superseded pages from the buffer manager. Swept knobs:
 //! update rate (operations per round) × policy (LRU / PBM / CScan).
 //!
-//! Two executors run the identical round schedule: the live engine
-//! (`WorkloadDriver`, real threads, snapshot-isolated `Txn` commits,
-//! background-safe checkpoints) and the discrete-event simulator (the same
-//! `pdt::TableState` calls, bare). Their I/O volumes must match **byte for
+//! Two executors run the identical round schedule over the same update
+//! barrier (`scanshare_exec::UpdateBarrier`: snapshot-isolated `Txn`
+//! commits, background-safe checkpoints): the live engine (`WorkloadDriver`,
+//! one session task per stream on the task scheduler) and the
+//! discrete-event simulator (an engine of its own, stepped in virtual
+//! time). Their I/O volumes must match **byte for
 //! byte** at every swept point; any divergence fails the figure after the
 //! JSON artifact is written. The `virtual_qps_*` metrics come from the
 //! simulator's deterministic virtual clock and are gated by

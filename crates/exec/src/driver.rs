@@ -121,7 +121,7 @@ fn is_stream_local(error: &Error) -> bool {
 pub struct WorkloadReport {
     /// Name of the executed workload.
     pub workload: String,
-    /// Number of concurrent streams (= driver threads).
+    /// Number of concurrent streams (one session task each).
     pub streams: usize,
     /// Queries executed across all streams.
     pub queries: u64,
@@ -220,26 +220,23 @@ impl WorkloadDriver {
     /// [`ScanShareConfig::scheduler_workers`](scanshare_common::ScanShareConfig::scheduler_workers)
     /// worker threads, created for the duration of the run.
     ///
-    /// **Read-only workloads** (no update streams) run free: one session
-    /// task per [`StreamSpec`](scanshare_workload::spec::StreamSpec), each
-    /// stream's queries back to back through
-    /// the builder API, all sessions interleaving cooperatively on the
-    /// worker pool. A failing query ends its own stream immediately;
-    /// streams are independent sessions and are never aborted mid-query.
-    /// Per-stream scheduling errors (Cooperative Scans starvation,
-    /// [`Error::ScanStarved`]) are surfaced in
-    /// [`WorkloadReport::stream_errors`] while the other streams' results
+    /// The workload runs phase by phase ([`WorkloadSpec::phases`]), with
+    /// the [`UpdateBarrier`] before each: one session task per stream with
+    /// queries in the phase, each running them back to back through the
+    /// builder API, all sessions interleaving cooperatively on the worker
+    /// pool. A read-only workload is one phase; a mixed one is a phase per
+    /// round, so every update batch and checkpoint lands between two rounds
+    /// of queries — the schedule the discrete-event simulator executes over
+    /// the same barrier, which is what makes engine == simulator I/O parity
+    /// exact under updates.
+    ///
+    /// A failing query ends its own stream immediately; streams are
+    /// independent sessions and are never aborted mid-query, and a stream
+    /// that ended sits out the later phases. Per-stream scheduling errors
+    /// (Cooperative Scans starvation, [`Error::ScanStarved`]) are surfaced
+    /// in [`WorkloadReport::stream_errors`] while the other streams' results
     /// still count; any other error is returned once the remaining streams
     /// have run to completion.
-    ///
-    /// **Mixed workloads** (non-empty
-    /// [`WorkloadSpec::update_streams`](scanshare_workload::spec::WorkloadSpec::update_streams))
-    /// run in rounds: at each barrier every update stream applies its batch
-    /// as one snapshot-isolated transaction (checkpointing when due), then
-    /// every read stream runs its next query concurrently on the scheduler.
-    /// The discrete-event simulator executes the identical round schedule,
-    /// which is what makes engine == simulator I/O parity exact under
-    /// updates.
     pub fn run(&self, workload: &WorkloadSpec) -> Result<WorkloadReport> {
         let virtual_start = self.engine.now();
         let buffer_start = self.engine.buffer_stats();
@@ -247,17 +244,42 @@ impl WorkloadDriver {
         let wall_start = Instant::now();
         let scheduler = TaskScheduler::new(self.engine.config().scheduler_workers);
 
-        let (stream_results, update_ops, checkpoints) = if workload.has_updates() {
-            self.run_rounds(workload, &scheduler)?
-        } else {
-            let sessions: Vec<_> = workload
-                .streams
-                .iter()
-                .map(|stream| self.spawn_session(&scheduler, stream.queries.clone(), false))
+        // Updates grow and shrink the row space between phases, so a mixed
+        // workload checks each query's count against the rows visible then.
+        let clamp_to_visible = workload.has_updates();
+        let mut barrier = UpdateBarrier::new(workload);
+        let mut stream_results: Vec<(Vec<Duration>, u64, Option<StreamEnd>)> = workload
+            .streams
+            .iter()
+            .map(|_| (Vec::new(), 0, None))
+            .collect();
+        for (round, phase) in workload.phases().into_iter().enumerate() {
+            barrier.apply(&self.engine, round)?;
+            let sessions: Vec<(usize, _)> = phase
+                .into_iter()
+                .enumerate()
+                .filter(|(s, queries)| stream_results[*s].2.is_none() && !queries.is_empty())
+                .map(|(s, queries)| {
+                    let accum = Arc::new(Mutex::new(SessionAccum::default()));
+                    let task = StreamSessionTask {
+                        engine: Arc::clone(&self.engine),
+                        parallelism: self.parallelism_per_query,
+                        clamp_to_visible,
+                        pending: queries.iter().cloned().collect(),
+                        current: None,
+                        accum: Arc::clone(&accum),
+                    };
+                    (s, (accum, scheduler.spawn(task)))
+                })
                 .collect();
-            let results = sessions.into_iter().map(collect_session).collect();
-            (results, 0, 0)
-        };
+            for (s, session) in sessions {
+                let (latencies, tuples, end) = collect_session(session);
+                let result = &mut stream_results[s];
+                result.0.extend(latencies);
+                result.1 += tuples;
+                result.2 = end;
+            }
+        }
 
         let wall = wall_start.elapsed();
         let mut latencies = Vec::with_capacity(workload.query_count());
@@ -303,125 +325,73 @@ impl WorkloadDriver {
             io: diff_io(&io_start, &io_end),
             device_latency: self.engine.device().latency(),
             stream_errors,
-            update_ops,
-            checkpoints,
+            update_ops: barrier.update_ops,
+            checkpoints: barrier.checkpoints,
         })
     }
+}
 
-    /// Spawns one session task covering `queries` on the scheduler,
-    /// returning the session's shared accumulator plus its handle.
-    fn spawn_session(
-        &self,
-        scheduler: &TaskScheduler,
-        queries: Vec<QuerySpec>,
-        clamp_to_visible: bool,
-    ) -> (Arc<Mutex<SessionAccum>>, TaskHandle<StreamSessionTask>) {
-        let accum = Arc::new(Mutex::new(SessionAccum::default()));
-        let task = StreamSessionTask {
-            engine: Arc::clone(&self.engine),
-            parallelism: self.parallelism_per_query,
-            clamp_to_visible,
-            pending: queries.into(),
-            current: None,
-            accum: Arc::clone(&accum),
-        };
-        (accum, scheduler.spawn(task))
-    }
+/// The update barrier of a workload, which both executors run before every
+/// phase (see [`WorkloadSpec::phases`]): each update stream, in spec order,
+/// commits its round's batch as one transaction and checkpoints its table
+/// when due. Without update streams it does nothing.
+#[derive(Debug)]
+pub struct UpdateBarrier<'a> {
+    streams: &'a [UpdateStreamSpec],
+    /// One deterministic generator per update stream, so both executors
+    /// apply the byte-identical operation sequence.
+    generators: Vec<UpdateOpGen>,
+    /// Update operations applied so far.
+    pub update_ops: u64,
+    /// Checkpoints performed so far.
+    pub checkpoints: u64,
+}
 
-    /// The round-barrier executor for mixed read/write workloads; returns
-    /// the per-stream results plus the applied update-op / checkpoint
-    /// counts. See [`WorkloadDriver::run`] for the model.
-    #[allow(clippy::type_complexity)]
-    fn run_rounds(
-        &self,
-        workload: &WorkloadSpec,
-        scheduler: &TaskScheduler,
-    ) -> Result<(Vec<(Vec<Duration>, u64, Option<StreamEnd>)>, u64, u64)> {
-        let mut generators: Vec<UpdateOpGen> = workload
-            .update_streams
-            .iter()
-            .map(UpdateStreamSpec::ops)
-            .collect();
-        let mut results: Vec<(Vec<Duration>, u64, Option<StreamEnd>)> = workload
-            .streams
-            .iter()
-            .map(|_| (Vec::new(), 0u64, None))
-            .collect();
-        let mut update_ops = 0u64;
-        let mut checkpoints = 0u64;
-
-        for round in 0..workload.rounds() {
-            // Barrier phase: update batches apply sequentially in spec
-            // order, each as one transaction, exactly as the simulator
-            // applies them.
-            for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
-                let (ops, ckpts) = self.apply_update_batch(spec, generator, round)?;
-                update_ops += ops;
-                checkpoints += ckpts;
-            }
-
-            // Concurrent phase: one query per still-healthy stream, all
-            // queries of the round interleaving on the scheduler. The
-            // visible row count is barrier-stable, so the clamped
-            // expectations stay exact however the tasks interleave.
-            let phase: Vec<(usize, _)> = workload
-                .streams
-                .iter()
-                .enumerate()
-                .filter(|(s, stream)| results[*s].2.is_none() && round < stream.queries.len())
-                .map(|(s, stream)| {
-                    let query = stream.queries[round].clone();
-                    (s, self.spawn_session(scheduler, vec![query], true))
-                })
-                .collect();
-            for (s, session) in phase {
-                let (latencies, tuples, end) = collect_session(session);
-                results[s].0.extend(latencies);
-                results[s].1 += tuples;
-                if let Some(end) = end {
-                    results[s].2 = Some(end);
-                }
-            }
+impl<'a> UpdateBarrier<'a> {
+    /// The barrier of `workload`'s update streams, before its first round.
+    pub fn new(workload: &'a WorkloadSpec) -> Self {
+        let streams = workload.update_streams.as_slice();
+        Self {
+            streams,
+            generators: streams.iter().map(UpdateStreamSpec::ops).collect(),
+            update_ops: 0,
+            checkpoints: 0,
         }
-        Ok((results, update_ops, checkpoints))
     }
 
-    /// Applies one update stream's batch for `round` as a single
-    /// transaction, plus the periodic checkpoint when due.
-    fn apply_update_batch(
-        &self,
-        spec: &UpdateStreamSpec,
-        generator: &mut UpdateOpGen,
-        round: usize,
-    ) -> Result<(u64, u64)> {
-        let columns = self.engine.storage().table(spec.table)?.spec.columns.len();
-        if spec.ops_per_round > 0 {
-            let mut txn = self.engine.begin();
-            for _ in 0..spec.ops_per_round {
-                let visible = txn.visible_rows(spec.table)?;
-                match generator.next_op(visible, columns) {
-                    UpdateOp::Insert { rid, row } => txn.insert(spec.table, rid, row)?,
-                    UpdateOp::Delete { rid } => txn.delete(spec.table, rid)?,
-                    UpdateOp::Modify { rid, col, value } => {
-                        txn.modify(spec.table, rid, col, value)?
+    /// Applies every update stream's batch for (0-based) `round` to
+    /// `engine`, each as a single transaction, plus the periodic checkpoint
+    /// when due.
+    pub fn apply(&mut self, engine: &Arc<Engine>, round: usize) -> Result<()> {
+        for (spec, generator) in self.streams.iter().zip(&mut self.generators) {
+            let columns = engine.storage().table(spec.table)?.spec.columns.len();
+            if spec.ops_per_round > 0 {
+                let mut txn = engine.begin();
+                for _ in 0..spec.ops_per_round {
+                    let visible = txn.visible_rows(spec.table)?;
+                    match generator.next_op(visible, columns) {
+                        UpdateOp::Insert { rid, row } => txn.insert(spec.table, rid, row)?,
+                        UpdateOp::Delete { rid } => txn.delete(spec.table, rid)?,
+                        UpdateOp::Modify { rid, col, value } => {
+                            txn.modify(spec.table, rid, col, value)?
+                        }
                     }
                 }
+                txn.commit()?;
             }
-            txn.commit()?;
+            self.update_ops += spec.ops_per_round;
+            if spec.checkpoint_due(round) {
+                engine.checkpoint(spec.table)?;
+                self.checkpoints += 1;
+            }
         }
-        let mut checkpoints = 0;
-        if spec.checkpoint_due(round) {
-            self.engine.checkpoint(spec.table)?;
-            checkpoints = 1;
-        }
-        Ok((spec.ops_per_round, checkpoints))
+        Ok(())
     }
 }
 
 /// What one session has completed so far. Shared between the session task
 /// and the driver so results accumulated *before* a typed error are still
-/// reported when the stream ends early (a caught panic discards them, like
-/// the thread-per-stream driver did).
+/// reported when the stream ends early (a caught panic discards them).
 #[derive(Default)]
 struct SessionAccum {
     latencies: Vec<Duration>,

@@ -616,45 +616,14 @@ impl Engine {
         Query::new(Arc::clone(self), table)
     }
 
-    /// Opens a scan over `columns` (by name) of `table` for the visible row
-    /// range `rid_range`, driven by the engine's backend: sequential range
-    /// delivery for pooled backends, ABM chunk dispatch (out of table order)
-    /// for Cooperative Scans.
-    pub fn scan(
-        self: &Arc<Self>,
-        table: TableId,
-        columns: &[&str],
-        rid_range: TupleRange,
-    ) -> Result<Box<dyn BatchSource + Send>> {
-        self.scan_with_order(table, columns, rid_range, false)
-    }
-
-    /// Like [`Engine::scan`] but forcing in-order delivery even under
-    /// Cooperative Scans (the "CScan as drop-in replacement for Scan" mode of
-    /// Section 2.3).
-    pub fn scan_in_order(
-        self: &Arc<Self>,
-        table: TableId,
-        columns: &[&str],
-        rid_range: TupleRange,
-    ) -> Result<Box<dyn BatchSource + Send>> {
-        self.scan_with_order(table, columns, rid_range, true)
-    }
-
-    fn scan_with_order(
-        self: &Arc<Self>,
-        table: TableId,
-        columns: &[&str],
-        rid_range: TupleRange,
-        in_order: bool,
-    ) -> Result<Box<dyn BatchSource + Send>> {
-        let pin = self.table_pin(table)?;
-        self.scan_pinned(pin, columns, rid_range, in_order, None)
-    }
-
-    /// Like [`Engine::scan`] but reading through an explicit [`TablePin`]
-    /// (a transaction's view, or a pin captured earlier for a consistent
-    /// multi-scan read). `filter` is the row-level predicate the plan will
+    /// Opens a scan over `columns` (by name) of the visible row range
+    /// `rid_range`, reading through `pin` — the table's current state from
+    /// [`Engine::table_pin`], a transaction's view, or a pin captured
+    /// earlier for a consistent multi-scan read — and driven by the engine's
+    /// backend: sequential range delivery for pooled backends, ABM chunk
+    /// dispatch (out of table order) for Cooperative Scans unless `in_order`
+    /// forces table order (the "CScan as drop-in replacement for Scan" mode
+    /// of Section 2.3). `filter` is the row-level predicate the plan will
     /// apply (column index within the `columns` projection); the engine uses
     /// it for zone-map pruning — chunks whose min/max metadata proves no row
     /// can match are removed from the scan's stable interest *before* the

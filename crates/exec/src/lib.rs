@@ -43,7 +43,7 @@ pub mod sched;
 pub mod txn;
 
 pub use batch::Batch;
-pub use driver::{StreamError, WorkloadDriver, WorkloadReport};
+pub use driver::{StreamError, UpdateBarrier, WorkloadDriver, WorkloadReport};
 pub use engine::{Engine, QueryStats};
 pub use ops::{AggrSpec, Aggregate, Predicate};
 pub use query::Query;

@@ -41,7 +41,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use scanshare_common::{Error, RangeList, Result, ScanId, TableId, TupleRange};
+use scanshare_common::{Error, RangeList, Result, ScanId, TupleRange};
 use scanshare_core::backend::ScanRequest;
 use scanshare_pdt::merge::{MergeCursor, StableSource};
 use scanshare_pdt::pdt::Pdt;
@@ -172,25 +172,13 @@ pub struct ScanOperator {
 }
 
 impl ScanOperator {
-    /// Creates a scan over `columns` of `table` covering the visible rows in
-    /// `rid_range`, pinning the table's current published state. `in_order`
-    /// forces in-order delivery on backends that would otherwise reorder
-    /// (pooled backends always deliver in order).
-    pub fn new(
-        engine: Arc<Engine>,
-        table: TableId,
-        columns: Vec<usize>,
-        rid_range: TupleRange,
-        in_order: bool,
-    ) -> Result<Self> {
-        let pin = engine.table_pin(table)?;
-        Self::with_pin(engine, pin, columns, rid_range, in_order, None)
-    }
-
-    /// Creates a scan reading through an explicit [`TablePin`]: the
-    /// operator's whole lifetime — positional translation, PDT merging,
-    /// backend registration — uses exactly the pinned `(Snapshot, PdtStack)`
-    /// pair, so concurrent commits and checkpoints are invisible to it.
+    /// Creates a scan over `columns` covering the visible rows in
+    /// `rid_range`, reading through `pin`: the operator's whole lifetime —
+    /// positional translation, PDT merging, backend registration — uses
+    /// exactly the pinned `(Snapshot, PdtStack)` pair, so concurrent commits
+    /// and checkpoints are invisible to it. `in_order` forces in-order
+    /// delivery on backends that would otherwise reorder (pooled backends
+    /// always deliver in order).
     ///
     /// `zone_pred` enables data skipping, under [`plan_scan`]'s safety gate:
     /// pruned chunks leave the scan's interest before the backend
@@ -387,7 +375,7 @@ impl Drop for ScanOperator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_common::{PolicyKind, ScanShareConfig};
+    use scanshare_common::{PolicyKind, ScanShareConfig, TableId};
     use scanshare_storage::column::{ColumnSpec, ColumnType};
     use scanshare_storage::datagen::DataGen;
     use scanshare_storage::storage::Storage;
@@ -431,6 +419,18 @@ mod tests {
         engine_with(policy, 32 * 1024, tuples, 3)
     }
 
+    /// A scan of `table`'s current state.
+    fn scan(
+        engine: &Arc<Engine>,
+        table: TableId,
+        columns: Vec<usize>,
+        rid_range: TupleRange,
+        in_order: bool,
+    ) -> ScanOperator {
+        let pin = engine.table_pin(table).unwrap();
+        ScanOperator::with_pin(Arc::clone(engine), pin, columns, rid_range, in_order, None).unwrap()
+    }
+
     fn collect(op: &mut dyn BatchSource) -> Vec<Vec<Value>> {
         let mut rows = Vec::new();
         while let Some(batch) = op.next_batch().unwrap() {
@@ -448,14 +448,7 @@ mod tests {
     #[test]
     fn scan_returns_all_rows_in_order() {
         let (engine, table) = engine(PolicyKind::Lru, 3000);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0, 1],
-            TupleRange::new(0, 3000),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0, 1], TupleRange::new(0, 3000), false);
         let rows = collect(&mut op);
         assert_eq!(rows.len(), 3000);
         assert_eq!(rows[0], vec![0, 3]);
@@ -472,35 +465,20 @@ mod tests {
     #[test]
     fn scan_respects_rid_range_and_projection() {
         let (engine, table) = engine(PolicyKind::Pbm, 2000);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0],
-            TupleRange::new(100, 110),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0], TupleRange::new(100, 110), false);
         let rows = collect(&mut op);
         assert_eq!(rows, (100..110).map(|i| vec![i as i64]).collect::<Vec<_>>());
         // Out-of-bounds ranges are clamped.
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
+        let mut op = scan(
+            &engine,
             table,
             vec![0],
             TupleRange::new(1990, 99_999),
             false,
-        )
-        .unwrap();
+        );
         assert_eq!(collect(&mut op).len(), 10);
         // Empty ranges produce an empty scan without touching the backend.
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0],
-            TupleRange::new(5, 5),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0], TupleRange::new(5, 5), false);
         assert!(op.scan_id().is_none());
         assert!(collect(&mut op).is_empty());
     }
@@ -512,14 +490,7 @@ mod tests {
             engine.delete_row(table, 0).unwrap();
             engine.insert_row(table, 0, vec![-1, -2]).unwrap();
             engine.update_value(table, 10, 1, 99).unwrap();
-            let mut op = ScanOperator::new(
-                Arc::clone(&engine),
-                table,
-                vec![0, 1],
-                TupleRange::new(0, 20),
-                true,
-            )
-            .unwrap();
+            let mut op = scan(&engine, table, vec![0, 1], TupleRange::new(0, 20), true);
             let rows = collect(&mut op);
             assert_eq!(rows[0], vec![-1, -2], "{policy}");
             assert_eq!(rows[1], vec![1, 3], "{policy}");
@@ -535,14 +506,13 @@ mod tests {
             engine.insert_row(table, 1001, vec![8_000, 8_001]).unwrap();
             let visible = engine.visible_rows(table).unwrap();
             assert_eq!(visible, 1002);
-            let mut op = ScanOperator::new(
-                Arc::clone(&engine),
+            let mut op = scan(
+                &engine,
                 table,
                 vec![0, 1],
                 TupleRange::new(0, visible),
                 false,
-            )
-            .unwrap();
+            );
             let rows = collect_sorted(&mut op);
             assert_eq!(rows.len(), 1002, "{policy}");
             assert!(rows.contains(&vec![7_000, 7_001]), "{policy}");
@@ -553,14 +523,7 @@ mod tests {
     #[test]
     fn scan_isolation_from_later_updates() {
         let (engine, table) = engine(PolicyKind::Lru, 100);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0],
-            TupleRange::new(0, 100),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0], TupleRange::new(0, 100), false);
         // Updates applied after the operator was created are not visible to it.
         engine.delete_row(table, 0).unwrap();
         let rows = collect(&mut op);
@@ -572,14 +535,7 @@ mod tests {
     fn repeated_scans_hit_the_buffer_pool() {
         let (engine, table) = engine(PolicyKind::Lru, 1000);
         let run = |engine: &Arc<Engine>| {
-            let mut op = ScanOperator::new(
-                Arc::clone(engine),
-                table,
-                vec![0, 1],
-                TupleRange::new(0, 1000),
-                false,
-            )
-            .unwrap();
+            let mut op = scan(engine, table, vec![0, 1], TupleRange::new(0, 1000), false);
             collect(&mut op).len()
         };
         assert_eq!(run(&engine), 1000);
@@ -599,14 +555,7 @@ mod tests {
     #[test]
     fn cscan_produces_every_row_exactly_once() {
         let (engine, table) = engine_with(PolicyKind::CScan, 1 << 20, 3000, 7);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0, 1],
-            TupleRange::new(0, 3000),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0, 1], TupleRange::new(0, 3000), false);
         let rows = collect_sorted(&mut op);
         assert_eq!(rows.len(), 3000);
         for (i, row) in rows.iter().enumerate() {
@@ -624,14 +573,13 @@ mod tests {
         engine.update_value(table, 1999, 1, 42).unwrap();
         let visible = engine.visible_rows(table).unwrap();
         assert_eq!(visible, 2000);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
+        let mut op = scan(
+            &engine,
             table,
             vec![0, 1],
             TupleRange::new(0, visible),
             false,
-        )
-        .unwrap();
+        );
         let rows = collect_sorted(&mut op);
         assert_eq!(rows.len(), 2000);
         assert!(rows.contains(&vec![-5, -5]));
@@ -646,14 +594,7 @@ mod tests {
     fn cscan_with_small_buffer_still_completes() {
         // Each chunk is ~6 pages; give the ABM room for only two chunks.
         let (engine, table) = engine_with(PolicyKind::CScan, 12 * 1024, 5000, 7);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0, 1],
-            TupleRange::new(0, 5000),
-            false,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0, 1], TupleRange::new(0, 5000), false);
         let rows = collect_sorted(&mut op);
         assert_eq!(rows.len(), 5000);
         assert!(engine.buffer_stats().evictions > 0);
@@ -662,22 +603,8 @@ mod tests {
     #[test]
     fn two_concurrent_cscans_share_io() {
         let (engine, table) = engine_with(PolicyKind::CScan, 1 << 20, 4000, 7);
-        let mut a = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0, 1],
-            TupleRange::new(0, 4000),
-            false,
-        )
-        .unwrap();
-        let mut b = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0, 1],
-            TupleRange::new(0, 4000),
-            false,
-        )
-        .unwrap();
+        let mut a = scan(&engine, table, vec![0, 1], TupleRange::new(0, 4000), false);
+        let mut b = scan(&engine, table, vec![0, 1], TupleRange::new(0, 4000), false);
         // Interleave the two scans so they run "concurrently".
         let mut rows_a = Vec::new();
         let mut rows_b = Vec::new();
@@ -710,14 +637,7 @@ mod tests {
     #[test]
     fn in_order_cscan_delivers_rows_in_rid_order() {
         let (engine, table) = engine_with(PolicyKind::CScan, 1 << 20, 2000, 7);
-        let mut op = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0],
-            TupleRange::new(0, 2000),
-            true,
-        )
-        .unwrap();
+        let mut op = scan(&engine, table, vec![0], TupleRange::new(0, 2000), true);
         let mut last = -1;
         while let Some(batch) = op.next_batch().unwrap() {
             for &v in batch.column(0) {
@@ -838,14 +758,7 @@ mod tests {
         assert_eq!(rows.len(), 300, "the pinned view still has every row");
         assert_eq!(rows[0], vec![0]);
         // A fresh scan sees the post-commit, post-checkpoint state.
-        let mut fresh = ScanOperator::new(
-            Arc::clone(&engine),
-            table,
-            vec![0],
-            TupleRange::new(0, 300),
-            true,
-        )
-        .unwrap();
+        let mut fresh = scan(&engine, table, vec![0], TupleRange::new(0, 300), true);
         let fresh_rows = collect(&mut fresh);
         assert_eq!(fresh_rows.len(), 299);
         assert_eq!(fresh_rows[0], vec![1]);

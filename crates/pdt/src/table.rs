@@ -12,9 +12,10 @@
 //! `TableState` in a mutex and adds what is its own — id-ordered
 //! multi-table locking, the WAL append before [`TableState::apply`] and the
 //! fsync after the locks drop, checkpoint markers, stale-page invalidation
-//! of its scan backend. The simulator holds the same `TableState` per table
-//! and makes the same calls at its round barrier, which is why both
-//! executors pin identical pairs for the same update history.
+//! of its scan backend. The simulator runs its workloads on an engine of its
+//! own, through the same update barrier as the engine's workload driver,
+//! which is why both executors pin identical pairs for the same update
+//! history.
 
 use std::sync::Arc;
 

@@ -1,13 +1,16 @@
 //! The discrete-event simulator.
 //!
-//! The simulator is a second **client of the buffer-manager interface**
-//! ([`ScanBackend`]), beside the execution engine's scan operator: it builds
-//! its backend with the constructor the engine uses ([`build_backend`]),
-//! registers, requests, reports
-//! and unregisters through the trait, and never looks behind it. What it
-//! replaces is the *clock*: backends are clock-free, so where the engine
-//! advances a shared monotone clock to the instant a call returned, the
-//! simulator schedules the stream's next event there.
+//! The simulator runs its workload on an execution [`Engine`] and replaces
+//! only the engine's *clock*. Every run builds one engine over the
+//! simulator's own bandwidth-limited [`IoDevice`] and uses it for everything
+//! but timing: the event loop drives the engine's [`ScanBackend`] —
+//! registering, requesting, reporting and unregistering through the trait,
+//! never looking behind it — queries are planned against the engine's table
+//! pins, update batches and checkpoints go through the [`UpdateBarrier`] the
+//! engine-side `WorkloadDriver` runs, and OPT is the engine's
+//! [`opt_result`](Engine::opt_result). Backends are clock-free, so where the
+//! engine advances a shared monotone clock to the instant a call returned,
+//! the simulator schedules the stream's next event there.
 //!
 //! Streams execute their queries back to back. A query is lowered into its
 //! scan steps by the shared [`QuerySpec::steps`], each step planned by the
@@ -25,19 +28,18 @@
 //!
 //! # Mixed read/write workloads
 //!
-//! A workload with update streams executes in **rounds**, like the
-//! engine-side `WorkloadDriver`: at every round barrier the simulator
-//! commits each update stream's generated batch to the table's
-//! [`TableState`] — the object the engine keeps behind its per-table mutex,
-//! driven by the identical deterministic operation generator — checkpoints
-//! when due (freeze, merge the frozen stack into a brand-new stable image
-//! with `checkpoint_stack`, install, hand the superseded pages to the
-//! backend's epoch-tagged `invalidate_stale` hook — the engine's steps
-//! minus its locks and its log), and then simulates one query per stream
-//! concurrently. Scans are planned against the state's pin, so both
-//! executors touch the identical page sets and their I/O volumes match byte
-//! for byte. The backend and its I/O device persist across rounds — the
-//! whole point of the model is measuring how updates and checkpoints churn a
+//! Like the `WorkloadDriver`, the simulator runs a workload phase by phase
+//! ([`WorkloadSpec::phases`]) with the update barrier before each: a
+//! read-only workload is one phase, a mixed one a phase per **round**. At
+//! every round barrier each update stream commits its generated batch as
+//! one engine transaction and checkpoints its table when due (the new image
+//! swapped in, the superseded pages handed to the backend's epoch-tagged
+//! `invalidate_stale` hook); then one query per stream runs concurrently.
+//! The engine logs nothing (no simulator run sets a durability directory).
+//! Scans are planned against the engine's pins, so both executors touch the
+//! identical page sets and their I/O volumes match byte for byte. The
+//! engine, its backend and its I/O device persist across rounds — the whole
+//! point of the model is measuring how updates and checkpoints churn a
 //! *warm* buffer pool.
 //!
 //! Note that simulating a mixed workload **mutates the storage** (checkpoint
@@ -46,26 +48,23 @@
 //! runs.
 
 use std::cmp::Reverse;
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use scanshare_common::{
     Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
     VirtualDuration, VirtualInstant,
 };
-use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
+use scanshare_core::backend::{ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
-use scanshare_core::opt::simulate_opt;
 use scanshare_core::registry::PolicyRegistry;
+use scanshare_exec::{Engine, UpdateBarrier};
 use scanshare_iosim::IoDevice;
-use scanshare_pdt::checkpoint::checkpoint_stack;
-use scanshare_pdt::table::{TableState, TableWrites};
 use scanshare_pdt::translate::plan_scan;
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
-use scanshare_workload::spec::{QuerySpec, UpdateOp, UpdateOpGen, UpdateStreamSpec, WorkloadSpec};
+use scanshare_workload::spec::{QuerySpec, WorkloadSpec};
 
 use crate::result::SimResult;
 use crate::sharing::SharingProfile;
@@ -256,14 +255,10 @@ impl SharingSampler {
     }
 }
 
-/// The update state of every table a run touched, opened from the storage
-/// master on first touch — what the engine keeps per table behind a mutex.
-type TableStates = HashMap<TableId, TableState>;
-
 /// Persistent state of a run: survives round barriers so checkpointed tables
 /// churn warm buffers, exactly as in the engine.
-struct RunState {
-    backend: Box<dyn ScanBackend>,
+struct RunState<'a> {
+    backend: &'a dyn ScanBackend,
     sampler: SharingSampler,
     query_latencies: Vec<VirtualDuration>,
 }
@@ -334,10 +329,9 @@ impl Simulation {
 
     /// Runs `workload` under the policy selected in the configuration: its
     /// queries are resolved and run through the event loop over one
-    /// backend — in one phase when the workload is read-only, else round by
-    /// round behind the update barrier. See the [module docs](self) for how
-    /// workloads with update streams are executed (and note they mutate the
-    /// storage).
+    /// engine's backend, phase by phase behind the update barrier. See the
+    /// [module docs](self) for how workloads with update streams are
+    /// executed (and note they mutate the storage).
     ///
     /// `PolicyKind::Opt` runs under PBM while the backend records the page
     /// reference trace, then replays the trace through Belady's algorithm:
@@ -357,72 +351,43 @@ impl Simulation {
             scanshare.io_bandwidth,
             VirtualDuration::from_nanos(scanshare.io_latency_nanos),
         ));
-        let (backend, trace) = build_backend(scanshare, &self.registry, device)?;
+        let engine = Engine::with_device(
+            Arc::clone(&self.storage),
+            scanshare.clone(),
+            &self.registry,
+            device,
+        )?;
         let mut state = RunState {
-            backend,
+            backend: engine.backend(),
             sampler: SharingSampler::new(self.config.sharing_sample_interval),
             query_latencies: Vec::new(),
         };
         let stream_count = workload.stream_count();
-        let mut tables = TableStates::new();
-
-        let finish_ns = if !workload.has_updates() {
-            let queries: Vec<VecDeque<ResolvedQuery>> = workload
-                .streams
+        let mut barrier = UpdateBarrier::new(workload);
+        let mut finish_ns = vec![0u64; stream_count];
+        let mut start_ns = 0u64;
+        for (round, phase) in workload.phases().into_iter().enumerate() {
+            barrier.apply(&engine, round)?;
+            let queries: Vec<VecDeque<ResolvedQuery>> = phase
                 .iter()
-                .map(|s| {
-                    s.queries
-                        .iter()
-                        .map(|q| self.resolve(state.backend.as_ref(), &mut tables, q, stream_count))
-                        .collect::<Result<VecDeque<_>>>()
+                .map(|queries| {
+                    let resolve = |q| self.resolve(&engine, q, stream_count);
+                    queries.iter().map(resolve).collect()
                 })
                 .collect::<Result<_>>()?;
-            self.phase(&mut state, queries, 0)?
-        } else {
-            let mut generators: Vec<UpdateOpGen> = workload
-                .update_streams
-                .iter()
-                .map(UpdateStreamSpec::ops)
-                .collect();
-            let mut finish = vec![0u64; stream_count];
-            let mut barrier_ns = 0u64;
-            for round in 0..workload.rounds() {
-                // Barrier: apply the update batches (in spec order, exactly
-                // like the driver), invalidating checkpointed pages from
-                // the persistent backend.
-                for (spec, generator) in workload.update_streams.iter().zip(generators.iter_mut()) {
-                    let backend = state.backend.as_ref();
-                    self.apply_update_batch(backend, &mut tables, spec, generator, round)?;
+            let phase_finish = self.phase(&mut state, queries, start_ns)?;
+            // A stream idle in this phase keeps the finish time of its last
+            // query; the next phase starts once every stream is done.
+            for (s, queries) in phase.iter().enumerate() {
+                if !queries.is_empty() {
+                    finish_ns[s] = phase_finish[s];
                 }
-                // Concurrent phase: this round's query of every stream.
-                let queries: Vec<VecDeque<ResolvedQuery>> = workload
-                    .streams
-                    .iter()
-                    .map(|stream| {
-                        stream
-                            .queries
-                            .get(round)
-                            .map(|q| {
-                                self.resolve(state.backend.as_ref(), &mut tables, q, stream_count)
-                            })
-                            .into_iter()
-                            .collect()
-                    })
-                    .collect::<Result<_>>()?;
-                let round_finish = self.phase(&mut state, queries, barrier_ns)?;
-                for (s, stream) in workload.streams.iter().enumerate() {
-                    if round < stream.queries.len() {
-                        finish[s] = round_finish[s];
-                    }
-                }
-                barrier_ns =
-                    barrier_ns.max(round_finish.iter().copied().max().unwrap_or(barrier_ns));
             }
-            finish
-        };
+            start_ns = start_ns.max(phase_finish.iter().copied().max().unwrap_or(start_ns));
+        }
 
         let since_epoch = |ns: u64| VirtualInstant::from_nanos(ns).since(VirtualInstant::EPOCH);
-        let stats = state.backend.stats();
+        let stats = engine.buffer_stats();
         let mut result = SimResult {
             workload: workload.name.clone(),
             policy,
@@ -434,9 +399,8 @@ impl Simulation {
             has_timing: true,
             sharing: state.sampler.into_profile(),
         };
-        if let Some(trace) = trace {
-            let capacity = scanshare.buffer_pool_pages().max(1);
-            let opt = simulate_opt(&trace.pages(), capacity);
+        if policy == PolicyKind::Opt {
+            let opt = engine.opt_result()?;
             let io_bytes = opt.io_bytes(scanshare.page_size_bytes);
             result.query_latencies = Vec::new();
             result.total_io_bytes = io_bytes;
@@ -463,48 +427,22 @@ impl Simulation {
         1e9 * query.cpu_factor / (self.config.scanshare.cpu_tuples_per_sec as f64 * parallelism)
     }
 
-    // -----------------------------------------------------------------
-    // Query resolution and update batches
-    // -----------------------------------------------------------------
-
-    /// The state of `table`, current with the storage master — what the
-    /// engine's per-table lock hands out.
-    fn table_state<'a>(
-        &self,
-        tables: &'a mut TableStates,
-        table: TableId,
-    ) -> Result<&'a mut TableState> {
-        let state = match tables.entry(table) {
-            Entry::Occupied(entry) => entry.into_mut(),
-            Entry::Vacant(entry) => entry.insert(TableState::open(&self.storage, table)?),
-        };
-        state.adopt_master(&self.storage)?;
-        Ok(state)
-    }
-
-    /// Resolves a query against the table states, the way the engine
-    /// resolves it against its table pins: the shared lowering turns the
-    /// spec into scan steps, and the shared `plan_scan` turns each step's
-    /// visible-row range into the stable ranges to register (clamped,
-    /// translated through the pinned PDT, zone-pruned under the empty-PDT
-    /// gate), reporting the skipped tuples to the backend.
-    fn resolve(
-        &self,
-        backend: &dyn ScanBackend,
-        tables: &mut TableStates,
-        query: &QuerySpec,
-        streams: usize,
-    ) -> Result<ResolvedQuery> {
-        let steps =
-            query.steps(&mut |table| Ok(self.table_state(tables, table)?.pin().visible_rows()))?;
+    /// Resolves a query against the engine's table pins, the way the
+    /// engine's own scans resolve it: the shared lowering turns the spec into
+    /// scan steps, and the shared `plan_scan` turns each step's visible-row
+    /// range into the stable ranges to register (clamped, translated through
+    /// the pinned PDT, zone-pruned under the empty-PDT gate), reporting the
+    /// skipped tuples to the engine's backend.
+    fn resolve(&self, engine: &Engine, query: &QuerySpec, streams: usize) -> Result<ResolvedQuery> {
+        let steps = query.steps(&mut |table| engine.visible_rows(table))?;
         let zone_maps = self.config.scanshare.zone_maps;
         let mut scans = Vec::with_capacity(steps.len());
         for step in steps {
-            let pin = self.table_state(tables, step.table)?.pin();
+            let pin = engine.table_pin(step.table)?;
             let flat = pin.flatten()?;
             let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
             let (_, sid_ranges, skipped) = plan_scan(&pin.snapshot, &flat, step.range, zone_pred);
-            backend.record_pruned(skipped);
+            engine.backend().record_pruned(skipped);
             scans.push(ResolvedScan {
                 table: step.table,
                 columns: step.columns,
@@ -517,45 +455,6 @@ impl Simulation {
             scans,
             cpu_ns_per_tuple: self.cpu_ns_per_tuple(query, streams),
         })
-    }
-
-    /// Commits one update stream's round batch as one transaction and
-    /// performs the periodic checkpoint when due — the calls the engine's
-    /// `Txn::commit` and `Engine::checkpoint` make on the same `TableState`,
-    /// including the merged `checkpoint_stack` (so the new image carries
-    /// values and zone maps and post-checkpoint pruning agrees) and the
-    /// epoch-tagged stale-page invalidation of the backend.
-    fn apply_update_batch(
-        &self,
-        backend: &dyn ScanBackend,
-        tables: &mut TableStates,
-        spec: &UpdateStreamSpec,
-        generator: &mut UpdateOpGen,
-        round: usize,
-    ) -> Result<()> {
-        let state = self.table_state(tables, spec.table)?;
-        if spec.ops_per_round > 0 {
-            let columns = self.storage.table(spec.table)?.spec.columns.len();
-            let mut writes = TableWrites::new(state.pin());
-            for _ in 0..spec.ops_per_round {
-                match generator.next_op(writes.visible_rows(), columns) {
-                    UpdateOp::Insert { rid, row } => writes.insert(rid, row)?,
-                    UpdateOp::Delete { rid } => writes.delete(rid)?,
-                    UpdateOp::Modify { rid, col, value } => writes.modify(rid, col, value)?,
-                }
-            }
-            if let Some(record) = state.commit_record(writes)? {
-                state.apply(&record)?;
-            }
-        }
-        if spec.checkpoint_due(round) {
-            let frozen = state.freeze();
-            let new_snapshot =
-                checkpoint_stack(&self.storage, spec.table, &frozen.snapshot, &frozen.stack)?;
-            let (epoch, stale) = state.install(&frozen, new_snapshot);
-            backend.invalidate_stale(spec.table, epoch, &stale);
-        }
-        Ok(())
     }
 
     /// Registers the query's next steps once none of its registered scans is
@@ -667,12 +566,12 @@ impl Simulation {
     /// Returns each stream's finish time.
     fn phase(
         &self,
-        state: &mut RunState,
+        state: &mut RunState<'_>,
         phase_queries: Vec<VecDeque<ResolvedQuery>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
-        let backend = state.backend.as_ref();
+        let backend = state.backend;
         let mut streams: Vec<Stream> = phase_queries
             .into_iter()
             .map(|queries| Stream {
@@ -988,9 +887,9 @@ mod tests {
             }
         }
 
-        fn run_state(&self) -> RunState {
+        fn run_state(&self) -> RunState<'_> {
             RunState {
-                backend: Box::new(self.clone()),
+                backend: self,
                 sampler: SharingSampler::new(None),
                 query_latencies: Vec::new(),
             }
@@ -1073,14 +972,14 @@ mod tests {
         queries[0].insert(0, three_columns);
 
         let sim = Simulation::new(storage, sim_config(PolicyKind::Pbm, 1 << 20)).unwrap();
+        let engine = Engine::new(Arc::clone(&sim.storage), sim.config.scanshare.clone()).unwrap();
         let log = LogBackend::new(PolicyKind::Pbm);
-        let mut tables = TableStates::new();
         let mut resolved = queries
             .iter()
             .map(|stream| {
                 stream
                     .iter()
-                    .map(|q| sim.resolve(&log, &mut tables, q, queries.len()))
+                    .map(|q| sim.resolve(&engine, q, queries.len()))
                     .collect::<Result<VecDeque<_>>>()
             })
             .collect::<Result<Vec<_>>>()
@@ -1239,7 +1138,7 @@ mod tests {
     // Mixed read/write workloads
     // -----------------------------------------------------------------
 
-    use scanshare_workload::spec::UpdateMix;
+    use scanshare_workload::spec::{UpdateMix, UpdateStreamSpec};
 
     fn mixed_workload(
         rate: u64,

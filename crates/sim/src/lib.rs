@@ -8,10 +8,12 @@
 //! measures used throughout the paper: **average stream time** and **total
 //! I/O volume**, plus the sharing-potential analysis of Figures 17/18.
 //!
-//! The buffer managers being simulated are the *same objects* the execution
-//! engine uses: the simulator is a client of `scanshare-core`'s clock-free
-//! `ScanBackend` interface, built by the same constructor, and only supplies
-//! the workload and the timing model.
+//! The simulator runs every workload on a `scanshare-exec` `Engine` of its
+//! own and supplies only the timing model: the buffer manager it drives is
+//! that engine's clock-free `ScanBackend`, queries plan against the engine's
+//! table pins, update batches and checkpoints go through the same
+//! `UpdateBarrier` as the engine's `WorkloadDriver`, and OPT is the engine's
+//! trace replay.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -8,9 +8,10 @@
 //! * the discrete-event simulator (`scanshare-sim`), which models the
 //!   workload in virtual time and regenerates the paper's figures;
 //! * the execution engine's `WorkloadDriver` (`scanshare-exec`), which runs
-//!   the same spec against a live `Engine` — one real thread per stream,
-//!   queries lowered onto the builder `Query` API — and reports wall-clock
-//!   throughput, latency percentiles and buffer/I/O statistics.
+//!   the same spec against a live `Engine` — one session task per stream on
+//!   the engine's task scheduler, queries lowered onto the builder `Query`
+//!   API — and reports wall-clock throughput, latency percentiles and
+//!   buffer/I/O statistics.
 //!
 //! The two agree on I/O volume for the same spec and configuration
 //! (`tests/simulator_vs_engine.rs` asserts it), so specs serve both as
@@ -19,13 +20,15 @@
 //! # Mixed read/write workloads
 //!
 //! A workload with a non-empty [`WorkloadSpec::update_streams`] executes in
-//! **rounds** in both executors: at each round barrier every update stream
-//! applies [`UpdateStreamSpec::ops_per_round`] generated operations as one
-//! snapshot-isolated transaction (and optionally checkpoints the table),
-//! then every read stream runs its next query concurrently. The barrier
-//! makes the sequence of (update batch, checkpoint, scan registration)
-//! events identical in the multi-threaded engine and the single-threaded
-//! simulator, which is what lets the `fig_updates` bench gate exact
+//! **rounds** in both executors ([`WorkloadSpec::phases`]): at each round
+//! barrier every update stream applies [`UpdateStreamSpec::ops_per_round`]
+//! generated operations as one snapshot-isolated transaction (and
+//! optionally checkpoints the table), then every read stream runs its next
+//! query concurrently. A workload without read streams has no round, so its
+//! updates never apply. The barrier makes the sequence of (update batch,
+//! checkpoint, scan registration) events identical in the multi-threaded
+//! engine and the single-threaded simulator, which is what lets the
+//! `fig_updates` bench gate exact
 //! engine == simulator I/O parity while updates and checkpoints churn the
 //! table underneath the scans. Operations come from the deterministic
 //! [`UpdateOpGen`], seeded per stream, so both executors generate the
@@ -389,13 +392,36 @@ impl WorkloadSpec {
 
     /// Number of rounds a mixed workload executes: one per query of the
     /// longest read stream (streams with fewer queries idle in later
-    /// rounds, while updates keep applying).
+    /// rounds, while updates keep applying). A workload without read
+    /// streams has no round, so its update streams never apply.
     pub fn rounds(&self) -> usize {
         self.streams
             .iter()
             .map(|s| s.queries.len())
             .max()
             .unwrap_or(0)
+    }
+
+    /// The phases both executors run, in order, with the update barrier
+    /// before each: per phase, every stream's queries of that phase, run
+    /// back to back.
+    ///
+    /// A read-only workload is one phase holding each stream's whole query
+    /// list. A mixed workload has one phase per [round](Self::rounds),
+    /// holding each stream's query of that round, or an empty slice once the
+    /// stream has run out; with no read stream it has no phase at all.
+    pub fn phases(&self) -> Vec<Vec<&[QuerySpec]>> {
+        if !self.has_updates() {
+            return vec![self.streams.iter().map(|s| s.queries.as_slice()).collect()];
+        }
+        (0..self.rounds())
+            .map(|round| {
+                let queries = self.streams.iter().map(|s| &s.queries[..]);
+                queries
+                    .map(|q| q.get(round..=round).unwrap_or(&[]))
+                    .collect()
+            })
+            .collect()
     }
 
     /// Number of streams.
@@ -523,6 +549,74 @@ mod tests {
             ..spec.clone()
         };
         assert!(!never.checkpoint_due(1));
+    }
+
+    /// Streams of 2, 0 and 1 queries, each query labelled by its position.
+    fn uneven_streams() -> Vec<StreamSpec> {
+        let stream = |s: usize, n: usize| StreamSpec {
+            label: format!("s{s}"),
+            queries: (0..n)
+                .map(|q| QuerySpec {
+                    label: format!("s{s}q{q}"),
+                    scans: Vec::new(),
+                    cpu_factor: 1.0,
+                    join: None,
+                })
+                .collect(),
+        };
+        vec![stream(0, 2), stream(1, 0), stream(2, 1)]
+    }
+
+    fn updates() -> UpdateStreamSpec {
+        UpdateStreamSpec {
+            label: "u".into(),
+            table: TableId::new(0),
+            ops_per_round: 4,
+            mix: UpdateMix::balanced(),
+            checkpoint_every: Some(2),
+            seed: 1,
+        }
+    }
+
+    fn labels(phases: &[Vec<&[QuerySpec]>]) -> Vec<Vec<Vec<String>>> {
+        let stream = |queries: &&[QuerySpec]| queries.iter().map(|q| q.label.clone()).collect();
+        phases
+            .iter()
+            .map(|phase| phase.iter().map(stream).collect())
+            .collect()
+    }
+
+    #[test]
+    fn a_read_only_workload_is_one_phase_of_every_full_stream() {
+        let workload = WorkloadSpec::read_only("w", uneven_streams());
+        assert_eq!(
+            labels(&workload.phases()),
+            [[vec!["s0q0", "s0q1"], vec![], vec!["s2q0"]]]
+        );
+        // No stream at all is still one (empty) phase.
+        let empty = WorkloadSpec::read_only("none", Vec::new());
+        assert_eq!(empty.phases(), [Vec::<&[QuerySpec]>::new()]);
+    }
+
+    #[test]
+    fn a_mixed_workload_has_one_phase_per_round_and_idles_short_streams() {
+        let workload = WorkloadSpec::read_only("w", uneven_streams()).with_update_stream(updates());
+        let phases = workload.phases();
+        assert_eq!(phases.len(), workload.rounds());
+        assert_eq!(
+            labels(&phases),
+            [
+                [vec!["s0q0"], vec![], vec!["s2q0"]],
+                [vec!["s0q1"], vec![], vec![]],
+            ]
+        );
+    }
+
+    #[test]
+    fn a_mixed_workload_without_read_streams_has_no_phase() {
+        let workload = WorkloadSpec::read_only("w", Vec::new()).with_update_stream(updates());
+        assert_eq!(workload.rounds(), 0);
+        assert!(workload.phases().is_empty(), "its updates never apply");
     }
 
     #[test]

@@ -88,11 +88,14 @@ fn abandoning_a_scan_mid_flight_leaves_the_system_usable() {
         let engine = engine(policy, &storage);
         // Start a scan, consume only a couple of batches, then drop it.
         {
+            let pin = engine.table_pin(table).unwrap();
             let mut op = engine
-                .scan(
-                    table,
+                .scan_pinned(
+                    pin,
                     &["l_quantity", "l_shipdate"],
                     TupleRange::new(0, 50_000),
+                    false,
+                    None,
                 )
                 .unwrap();
             let first = op.next_batch().unwrap().expect("at least one batch");
@@ -111,8 +114,15 @@ fn scans_started_before_a_checkpoint_keep_their_snapshot() {
     let engine = engine(PolicyKind::Pbm, &storage);
 
     // Open a scan on the current state.
+    let pin = engine.table_pin(table).unwrap();
     let mut old_scan = engine
-        .scan(table, &["l_quantity"], TupleRange::new(0, 30_000))
+        .scan_pinned(
+            pin,
+            &["l_quantity"],
+            TupleRange::new(0, 30_000),
+            false,
+            None,
+        )
         .unwrap();
     let first = old_scan.next_batch().unwrap().expect("batch");
     assert!(!first.is_empty());
@@ -342,8 +352,15 @@ mod device_faults {
                     FaultInjectingDevice::new(sim_device()).with_fault(k, FaultKind::HardError),
                 );
                 let engine = engine_with_device(&storage, policy, Arc::clone(&device));
+                let pin = engine.table_pin(table).unwrap();
                 let mut scan = engine
-                    .scan(table, &["k", "u", "c"], TupleRange::new(0, TUPLES))
+                    .scan_pinned(
+                        pin,
+                        &["k", "u", "c"],
+                        TupleRange::new(0, TUPLES),
+                        false,
+                        None,
+                    )
                     .unwrap();
                 let mut rows = 0;
                 let error = loop {

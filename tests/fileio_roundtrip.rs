@@ -79,8 +79,15 @@ fn build_and_materialize(dir: &std::path::Path) -> (Arc<Storage>, TableId) {
     let engine = engine_for(&storage, PolicyKind::Pbm, DeviceKind::Sim);
 
     // Open a scan mid-workload so the checkpoint has to race it.
+    let pin = engine.table_pin(table).unwrap();
     let mut open_scan = engine
-        .scan(table, &["l_quantity"], TupleRange::new(0, TUPLES))
+        .scan_pinned(
+            pin,
+            &["l_quantity"],
+            TupleRange::new(0, TUPLES),
+            false,
+            None,
+        )
         .unwrap();
     open_scan.next_batch().unwrap().expect("first batch");
 

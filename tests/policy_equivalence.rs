@@ -138,20 +138,15 @@ fn scan_and_cscan_coexist_on_the_same_abm_engine() {
     let engine = build(PolicyKind::CScan, &storage);
     // In-order CScan (drop-in Scan replacement) and a normal out-of-order
     // CScan running against the same ABM must both return the full table.
-    let mut in_order = engine
-        .scan_in_order(
-            table,
-            &["l_quantity", "l_shipdate"],
-            TupleRange::new(0, 50_000),
-        )
-        .unwrap();
-    let mut out_of_order = engine
-        .scan(
-            table,
-            &["l_quantity", "l_shipdate"],
-            TupleRange::new(0, 50_000),
-        )
-        .unwrap();
+    let scan = |in_order| {
+        let pin = engine.table_pin(table).unwrap();
+        let columns = ["l_quantity", "l_shipdate"];
+        engine
+            .scan_pinned(pin, &columns, TupleRange::new(0, 50_000), in_order, None)
+            .unwrap()
+    };
+    let mut in_order = scan(true);
+    let mut out_of_order = scan(false);
 
     let mut rows_in_order = 0usize;
     let mut rows_out_of_order = 0usize;

@@ -800,6 +800,74 @@ fn workload_driver_matches_simulator_for_mixed_read_write_workloads() {
             );
         }
     }
+
+    // Idle streams: read streams of 6 and 3 queries, so the short one sits
+    // out the last three rounds in both executors. The pool holds every
+    // page the run touches, as in `headroom_parity`, so the engine's
+    // interleaving of the two streams cannot move I/O (multi-stream
+    // Cooperative Scans parity depends on timing by design).
+    let idle_setup = || {
+        let config = MicrobenchConfig {
+            streams: 2,
+            queries_per_stream: 6,
+            lineitem_tuples: 80_000,
+            ..Default::default()
+        };
+        let (storage, mut workload) = microbench::build(&config, 64 * 1024, 10_000).unwrap();
+        workload.streams[1].queries.truncate(3);
+        let table = storage.table_ids()[0];
+        let workload = workload.with_update_stream(UpdateStreamSpec {
+            label: "updates".into(),
+            table,
+            ops_per_round: 32,
+            mix: UpdateMix::balanced(),
+            checkpoint_every: Some(2),
+            seed: 0xbeef,
+        });
+        (storage, workload)
+    };
+    for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
+        let scanshare = ScanShareConfig {
+            page_size_bytes: 64 * 1024,
+            chunk_tuples: 10_000,
+            // Room for the base image and all three checkpoints' images of
+            // the ~72-page table.
+            buffer_pool_bytes: 32 << 20,
+            policy,
+            ..Default::default()
+        };
+        let (engine_storage, workload) = idle_setup();
+        let engine = Engine::new(engine_storage, scanshare.clone()).unwrap();
+        let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+        assert!(report.stream_errors.is_empty(), "{policy}");
+        assert_eq!(
+            report.buffer.evictions, 0,
+            "{policy}: the pool must hold the run"
+        );
+        assert_eq!(report.update_ops, 32 * 6, "{policy}");
+        assert_eq!(report.checkpoints, 3, "{policy}");
+
+        let (sim_storage, workload) = idle_setup();
+        let sim = Simulation::new(
+            sim_storage,
+            SimConfig {
+                scanshare,
+                cores: 8,
+                sharing_sample_interval: None,
+            },
+        )
+        .unwrap()
+        .run(&workload)
+        .unwrap();
+        assert_eq!(report.buffer.io_bytes, sim.total_io_bytes, "{policy}");
+        assert_eq!(
+            report.buffer.invalidated_pages, sim.buffer.invalidated_pages,
+            "{policy}"
+        );
+        assert!(report.buffer.invalidated_pages > 0, "{policy}");
+        assert_eq!(report.queries, 9, "{policy}");
+        assert_eq!(sim.query_latencies.len(), 9, "{policy}");
+    }
 }
 
 // ---------------------------------------------------------------------------
