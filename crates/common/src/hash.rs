@@ -6,8 +6,14 @@
 //! [`mix`] is one Fx-style step, and [`IdHasher`] folds every word written
 //! to it through that step. Neither resists adversarial keys: use them only
 //! for keys no client chooses.
+//!
+//! Users: the id-keyed maps of `scanshare-core` (pool, policies, OPT,
+//! backends, ABM) and `scanshare-sim`, and the grouped fold's key hash.
+//! `ReplacementPolicy::choose_victims`'s `exclude` set, and the pool buffer
+//! that feeds it, stay std `HashSet`s: policies outside the workspace
+//! implement that signature. `PolicyRegistry`'s names are chosen by callers.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 
 /// One step of a multiplicative (Fx-style) hash: folds `word` into `hash`.
@@ -49,6 +55,9 @@ impl Hasher for IdHasher {
 
 /// A `HashMap` hashed with [`IdHasher`].
 pub type IdHashMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// A `HashSet` hashed with [`IdHasher`].
+pub type IdHashSet<K> = HashSet<K, BuildHasherDefault<IdHasher>>;
 
 #[cfg(test)]
 mod tests {

@@ -40,10 +40,11 @@
 //! implementation therefore serves both executors, and both build it with
 //! the one constructor, [`build_backend`].
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::sync::{Mutex, RwLock};
 use scanshare_common::{
     Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
@@ -255,18 +256,18 @@ pub fn build_backend(
 pub struct PooledBackend {
     pool: BufferPool,
     /// Pending SID ranges per registered scan, delivered front to back.
-    pending: Mutex<HashMap<ScanId, VecDeque<TupleRange>>>,
+    pending: Mutex<IdHashMap<ScanId, VecDeque<TupleRange>>>,
     /// Prefetched pages whose transfer may still be in flight, with their
     /// completion times. Entries leave the map when the transfer completes
     /// (freeing a window slot) or when a demand access consumes the page.
     ///
     /// Lock order: the pool's internal lock may be taken while holding
     /// `inflight` (the prefetch top-up path), never the other way around.
-    inflight: Mutex<HashMap<PageId, VirtualInstant>>,
+    inflight: Mutex<IdHashMap<PageId, VirtualInstant>>,
     prefetch_pages: usize,
     /// Largest checkpoint epoch seen per table (see
     /// [`ScanBackend::invalidate_stale`]).
-    invalidation_epochs: Mutex<HashMap<TableId, u64>>,
+    invalidation_epochs: Mutex<IdHashMap<TableId, u64>>,
     /// Tuples skipped by zone-map pruning before scans registered (see
     /// [`ScanBackend::record_pruned`]).
     pruned_tuples: AtomicU64,
@@ -285,10 +286,10 @@ impl PooledBackend {
         let page_size_bytes = pool.page_size_bytes();
         Self {
             pool,
-            pending: Mutex::new(HashMap::new()),
-            inflight: Mutex::new(HashMap::new()),
+            pending: Mutex::new(IdHashMap::default()),
+            inflight: Mutex::new(IdHashMap::default()),
             prefetch_pages: 0,
-            invalidation_epochs: Mutex::new(HashMap::new()),
+            invalidation_epochs: Mutex::new(IdHashMap::default()),
             pruned_tuples: AtomicU64::new(0),
             device,
             kind,
@@ -466,7 +467,7 @@ struct CScanMeta {
 #[derive(Debug)]
 pub struct CScanBackend {
     abm: Abm,
-    scans: RwLock<HashMap<ScanId, CScanMeta>>,
+    scans: RwLock<IdHashMap<ScanId, CScanMeta>>,
     scheduler: LoadScheduler,
     /// Tuples skipped by zone-map pruning before scans registered (see
     /// [`ScanBackend::record_pruned`]).
@@ -480,7 +481,7 @@ impl CScanBackend {
     pub fn new(abm: Abm, device: Arc<dyn BlockDevice>) -> Self {
         Self {
             abm,
-            scans: RwLock::new(HashMap::new()),
+            scans: RwLock::new(IdHashMap::default()),
             scheduler: LoadScheduler::default(),
             pruned_tuples: AtomicU64::new(0),
             device,

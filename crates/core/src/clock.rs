@@ -16,8 +16,9 @@
 //! hand_advances`] exposes the monotone sweep counter the policy-zoo tests
 //! assert on.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::{PageId, ScanId, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
@@ -41,7 +42,7 @@ struct Slot {
 /// entry that is skipped (stamp mismatch) and periodically compacted away.
 #[derive(Debug, Default)]
 pub struct ClockPolicy {
-    resident: HashMap<PageId, Slot>,
+    resident: IdHashMap<PageId, Slot>,
     /// Sweep order, hand at the front. Entries are `(page, stamp)`; an entry
     /// whose stamp differs from the page's resident slot is stale.
     ring: VecDeque<(PageId, u64)>,

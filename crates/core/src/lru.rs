@@ -12,8 +12,9 @@
 //! non-resident pages directly ahead of each scan's furthest access — the
 //! traditional counterpart to PBM's prediction-ranked prefetching.
 
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashSet, VecDeque};
 
+use scanshare_common::hash::{IdHashMap, IdHashSet};
 use scanshare_common::{PageId, ScanId, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
@@ -26,7 +27,7 @@ struct ScanReadahead {
     /// with duplicates removed).
     pages: Vec<PageId>,
     /// Position of each page in `pages`.
-    index: HashMap<PageId, usize>,
+    index: IdHashMap<PageId, usize>,
     /// One past the furthest plan position the scan has accessed.
     cursor: usize,
 }
@@ -35,7 +36,7 @@ struct ScanReadahead {
 #[derive(Debug, Default)]
 pub struct LruPolicy {
     /// Current stamp of each resident page.
-    resident: HashMap<PageId, u64>,
+    resident: IdHashMap<PageId, u64>,
     /// Recency queue, oldest first; entries whose stamp is stale are skipped.
     queue: VecDeque<(PageId, u64)>,
     next_stamp: u64,
@@ -91,7 +92,8 @@ impl ReplacementPolicy for LruPolicy {
         // Remember the plan for sequential readahead (eviction stays
         // oblivious to scans). Duplicates keep their first consumption slot.
         let mut pages = Vec::with_capacity(plan.pages.len());
-        let mut index = HashMap::with_capacity(plan.pages.len());
+        let mut index = IdHashMap::default();
+        index.reserve(plan.pages.len());
         for desc in plan.interleaved() {
             if let std::collections::hash_map::Entry::Vacant(slot) = index.entry(desc.page) {
                 slot.insert(pages.len());
@@ -172,7 +174,7 @@ impl ReplacementPolicy for LruPolicy {
     /// each registered scan's furthest access, scans visited in id order.
     fn prefetch_hints(&mut self, _now: VirtualInstant, budget: usize) -> Vec<PageId> {
         let mut hints = Vec::with_capacity(budget);
-        let mut seen: HashSet<PageId> = HashSet::new();
+        let mut seen: IdHashSet<PageId> = IdHashSet::default();
         let resident = &self.resident;
         for ra in self.scans.values_mut() {
             // Fast-forward past resident pages at the cursor: on a warm pool

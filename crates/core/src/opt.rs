@@ -7,8 +7,7 @@
 //! reference trace of a PBM run and replay it here, reporting the I/O volume
 //! the oracle would have caused.
 
-use std::collections::HashMap;
-
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::PageId;
 
 /// Result of replaying a trace under OPT.
@@ -58,7 +57,7 @@ pub fn simulate_opt(trace: &[PageId], capacity_pages: usize) -> OptResult {
     // next_use[i] = index of the next reference to trace[i] after i, or
     // usize::MAX if it is never referenced again.
     let mut next_use = vec![usize::MAX; n];
-    let mut last_seen: HashMap<PageId, usize> = HashMap::new();
+    let mut last_seen: IdHashMap<PageId, usize> = IdHashMap::default();
     for (i, &page) in trace.iter().enumerate().rev() {
         if let Some(&later) = last_seen.get(&page) {
             next_use[i] = later;
@@ -68,7 +67,7 @@ pub fn simulate_opt(trace: &[PageId], capacity_pages: usize) -> OptResult {
 
     // Resident set: page -> next use index. A BTreeMap keyed by (next_use,
     // page) provides O(log n) victim selection.
-    let mut resident: HashMap<PageId, usize> = HashMap::new();
+    let mut resident: IdHashMap<PageId, usize> = IdHashMap::default();
     let mut by_next_use: std::collections::BTreeMap<(usize, PageId), ()> =
         std::collections::BTreeMap::new();
     let mut result = OptResult::default();

@@ -58,8 +58,9 @@
 //! point as the default, and a timeline of two 10 s buckets read the same
 //! 27.6 MB as the default one in a replay at heavy memory pressure.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
@@ -96,8 +97,10 @@ enum PageState {
 #[derive(Debug, Default)]
 struct PageMeta {
     /// Scans that will consume this page, with the number of tuples each
-    /// must process before reaching it (`page.consuming_scans` in Figure 9).
-    consuming: HashMap<ScanId, u64>,
+    /// must process before reaching it (`page.consuming_scans` in Figure 9),
+    /// one entry per scan, in no particular order: a page has a handful of
+    /// consumers, and the estimate is a minimum over them.
+    consuming: Vec<(ScanId, u64)>,
     state: Option<PageState>,
     lru_stamp: u64,
 }
@@ -108,6 +111,11 @@ impl PageMeta {
     }
     fn is_resident(&self) -> bool {
         !matches!(self.state(), PageState::NotResident)
+    }
+    /// Drops `scan`'s interest in the page; whether it had any.
+    fn remove_consumer(&mut self, scan: ScanId) -> bool {
+        let found = self.consuming.iter().position(|&(s, _)| s == scan);
+        found.map(|i| self.consuming.swap_remove(i)).is_some()
     }
 }
 
@@ -125,8 +133,8 @@ struct ScanState {
 /// The Predictive Buffer Management replacement policy.
 #[derive(Debug)]
 pub struct PbmPolicy {
-    scans: HashMap<ScanId, ScanState>,
-    pages: HashMap<PageId, PageMeta>,
+    scans: IdHashMap<ScanId, ScanState>,
+    pages: IdHashMap<PageId, PageMeta>,
     /// Requested buckets; index 0 is the nearest future. Each is ordered by
     /// `(predicted consumption instant at push, page)`.
     buckets: Vec<BTreeSet<(VirtualInstant, PageId)>>,
@@ -137,8 +145,9 @@ pub struct PbmPolicy {
     refreshed_slices: u64,
     /// Sum and count of the measured speeds of the registered scans that
     /// have reported. Kept incrementally, in call order: a sum over `scans`
-    /// would follow the `HashMap`'s per-process iteration order and float
-    /// addition is not associative, so victims would differ between runs.
+    /// would follow the map's iteration order, which depends on its hasher
+    /// and capacity, and float addition is not associative, so victims would
+    /// depend on how the map is laid out.
     speed_sum: f64,
     speed_count: usize,
     /// What an unreported scan runs at while `speed_count` is zero: the
@@ -160,8 +169,8 @@ impl PbmPolicy {
             idle_speed: BOOTSTRAP_SCAN_SPEED,
             speed_sum: 0.0,
             speed_count: 0,
-            scans: HashMap::new(),
-            pages: HashMap::new(),
+            scans: IdHashMap::default(),
+            pages: IdHashMap::default(),
             buckets: vec![BTreeSet::new(); TOTAL_BUCKETS],
             not_requested: VecDeque::new(),
             next_stamp: 0,
@@ -204,8 +213,8 @@ impl PbmPolicy {
         let meta = self.pages.get(&page)?;
         let unreported = self.unreported_speed();
         let mut nearest: Option<f64> = None;
-        for (scan_id, &tuples_behind) in &meta.consuming {
-            let Some(scan) = self.scans.get(scan_id) else {
+        for &(scan_id, tuples_behind) in &meta.consuming {
+            let Some(scan) = self.scans.get(&scan_id) else {
                 continue;
             };
             let remaining = tuples_behind.saturating_sub(scan.tuples_consumed) as f64;
@@ -327,7 +336,7 @@ impl PbmPolicy {
 
 /// Whether the `not_requested` entry `(page, stamp)` is the page's current
 /// one: the page is still unrequested and was not re-pushed since.
-fn is_live_entry(pages: &HashMap<PageId, PageMeta>, page: PageId, stamp: u64) -> bool {
+fn is_live_entry(pages: &IdHashMap<PageId, PageMeta>, page: PageId, stamp: u64) -> bool {
     pages
         .get(&page)
         .is_some_and(|m| m.state() == PageState::NotRequested && m.lru_stamp == stamp)
@@ -361,8 +370,10 @@ impl ReplacementPolicy for PbmPolicy {
             let meta = self.pages.entry(desc.page).or_default();
             // A page may be registered once per column; the scan needs it as
             // soon as it reaches the *earliest* of those positions.
-            let entry = meta.consuming.entry(info.id).or_insert(desc.tuples_behind);
-            *entry = (*entry).min(desc.tuples_behind);
+            match meta.consuming.iter_mut().find(|(s, _)| *s == info.id) {
+                Some((_, behind)) => *behind = (*behind).min(desc.tuples_behind),
+                None => meta.consuming.push((info.id, desc.tuples_behind)),
+            }
             page_list.push(desc.page);
         }
         page_list.sort_unstable();
@@ -430,7 +441,7 @@ impl ReplacementPolicy for PbmPolicy {
             let mut resident = false;
             let mut remove_meta = false;
             if let Some(meta) = self.pages.get_mut(&page) {
-                meta.consuming.remove(&scan);
+                meta.remove_consumer(scan);
                 resident = meta.is_resident();
                 remove_meta = meta.consuming.is_empty() && !resident;
             }
@@ -448,7 +459,7 @@ impl ReplacementPolicy for PbmPolicy {
         let mut changed = false;
         if let Some(scan) = scan {
             if let Some(meta) = self.pages.get_mut(&page) {
-                changed = meta.consuming.remove(&scan).is_some();
+                changed = meta.remove_consumer(scan);
             }
         }
         let resident = self
@@ -1003,11 +1014,13 @@ mod tests {
 
     #[test]
     fn two_policies_fed_the_same_calls_evict_the_same_pages() {
-        // Each `HashMap` of each policy has its own hash seed, so anything
-        // that leaked iteration order into an estimate shows up between two
-        // policies as it would between two processes. The victims are what
-        // must repeat; the estimate's bits are compared too because a
-        // last-bit difference only rarely flips a nanosecond key.
+        // Run-to-run repeatability: the maps hash with the unseeded
+        // `IdHasher`, so two policies fed the same calls lay them out alike
+        // and this test no longer exposes an iteration-order leak; that is
+        // what `the_estimate_ignores_the_order_of_a_pages_consumers` guards
+        // against. The victims are what must repeat; the estimate's bits are
+        // compared too because a last-bit difference only rarely flips a
+        // nanosecond key.
         let run = || {
             let mut pbm = pbm_with_speed(100_000_000.0);
             let mut trace = Vec::new();
@@ -1045,6 +1058,47 @@ mod tests {
         assert!(first.iter().flat_map(|(_, victims)| victims).count() > 100);
         for _ in 0..4 {
             assert_eq!(run(), first);
+        }
+    }
+
+    #[test]
+    fn the_estimate_ignores_the_order_of_a_pages_consumers() {
+        // Page 100 is 100, 200 and 300 tuples ahead of scans 1, 2 and 3,
+        // which run at 2 000, 5 000 and 9 000 tuples/s: 40, 30 and 23.3 ms.
+        let plans = [
+            plan(&[1, 100], 100),
+            plan(&[2, 3, 100], 100),
+            plan(&[3, 4, 5, 100], 100),
+        ];
+        let consumed = [20, 50, 90];
+        let run = |order: [usize; 3]| {
+            let mut pbm = pbm_with_speed(1000.0);
+            for page in [100, 1, 2, 3, 4, 5] {
+                pbm.on_admit(p(page), now_ms(0));
+            }
+            // Registration order is the order of the page's consumer list.
+            for i in order {
+                register(&mut pbm, i as u64 + 1, &plans[i], now_ms(0));
+            }
+            for (i, &tuples) in consumed.iter().enumerate() {
+                pbm.report_scan_position(ScanId::new(i as u64 + 1), tuples, now_ms(10));
+            }
+            let bits = |pbm: &PbmPolicy| {
+                pbm.next_consumption(p(100))
+                    .map(|d| d.as_secs_f64().to_bits())
+            };
+            let before = bits(&pbm);
+            // The nearest consumer reads the page: scan 2 is nearest now.
+            pbm.on_access(p(100), Some(ScanId::new(3)), now_ms(20));
+            let after = bits(&pbm);
+            assert_ne!(before, after, "{order:?}");
+            (before, after, all_victims(&mut pbm, &[], now_ms(20)))
+        };
+        let first = run([0, 1, 2]);
+        assert!(first.1.is_some());
+        assert_eq!(first.2.len(), 6);
+        for order in [[0, 2, 1], [1, 0, 2], [1, 2, 0], [2, 0, 1], [2, 1, 0]] {
+            assert_eq!(run(order), first, "{order:?}");
         }
     }
 

@@ -17,8 +17,9 @@
 //! buckets, trading O(1) for O(log n) in exchange for a much smaller
 //! implementation — the *policy decisions* are the same.
 
-use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet, VecDeque};
 
+use scanshare_common::hash::{IdHashMap, IdHashSet};
 use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
@@ -44,11 +45,11 @@ struct PageHistory {
 #[derive(Debug, Default)]
 pub struct PbmLruPolicy {
     pbm: PbmPolicy,
-    history: HashMap<PageId, PageHistory>,
+    history: IdHashMap<PageId, PageHistory>,
     /// Resident, unrequested pages ordered by estimated next use
     /// (largest = evict first).
     order: BTreeSet<(u64, PageId)>,
-    resident: HashSet<PageId>,
+    resident: IdHashSet<PageId>,
 }
 
 impl PbmLruPolicy {

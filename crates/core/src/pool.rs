@@ -19,9 +19,10 @@
 //! `tests/pool_harness` (`tests/pool_properties.rs` asserts this over
 //! randomized traces for every built-in policy).
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
+use scanshare_common::hash::{IdHashMap, IdHashSet};
 use scanshare_common::sync::Mutex;
 use scanshare_common::{Error, PageId, Result, ScanId, VirtualInstant};
 use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
@@ -53,10 +54,11 @@ impl AccessOutcome {
 #[derive(Debug)]
 struct PoolState {
     policy: Box<dyn ReplacementPolicy>,
-    resident: HashSet<PageId>,
-    pinned: HashMap<PageId, u32>,
+    resident: IdHashSet<PageId>,
+    pinned: IdHashMap<PageId, u32>,
     /// The pages a miss may not evict (the pinned ones and the page being
     /// admitted), refilled on every eviction so a miss allocates no set.
+    /// It stays on std hashing: `choose_victims` takes a std `HashSet`.
     exclude: HashSet<PageId>,
     stats: BufferStats,
     next_scan: u64,
@@ -91,8 +93,8 @@ impl BufferPool {
         Self {
             state: Mutex::new(PoolState {
                 policy,
-                resident: HashSet::new(),
-                pinned: HashMap::new(),
+                resident: IdHashSet::default(),
+                pinned: IdHashMap::default(),
                 exclude: HashSet::new(),
                 stats: BufferStats::default(),
                 next_scan: 0,
@@ -246,7 +248,7 @@ impl BufferPool {
         }
         let mut state = self.state.lock();
         let hints = state.policy.prefetch_hints(now, budget);
-        let mut seen = HashSet::with_capacity(hints.len());
+        let mut seen = IdHashSet::default();
         hints
             .into_iter()
             .filter(|p| !state.resident.contains(p) && seen.insert(*p))
@@ -341,7 +343,7 @@ impl ShardedPool {
 pub fn top_up_prefetch_window(
     pool: &BufferPool,
     device: &dyn BlockDevice,
-    inflight: &mut HashMap<PageId, VirtualInstant>,
+    inflight: &mut IdHashMap<PageId, VirtualInstant>,
     window: usize,
     now: VirtualInstant,
 ) {

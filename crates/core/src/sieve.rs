@@ -18,8 +18,9 @@
 //! [`BufferPool`](crate::pool::BufferPool) and under the single-threaded
 //! oracle.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::{PageId, ScanId, VirtualInstant};
 use scanshare_storage::layout::ScanPagePlan;
 
@@ -47,7 +48,7 @@ struct Node {
 pub struct SievePolicy {
     nodes: Vec<Node>,
     free: Vec<usize>,
-    slot: HashMap<PageId, usize>,
+    slot: IdHashMap<PageId, usize>,
     /// Most recently admitted page; `NIL` when empty.
     head: usize,
     /// Oldest page; `NIL` when empty.
@@ -62,7 +63,7 @@ impl SievePolicy {
         Self {
             nodes: Vec::new(),
             free: Vec::new(),
-            slot: HashMap::new(),
+            slot: IdHashMap::default(),
             head: NIL,
             tail: NIL,
             hand: NIL,

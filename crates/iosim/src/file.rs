@@ -154,11 +154,6 @@ impl FileIoDevice {
         Self { shared, workers }
     }
 
-    /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.workers.len()
-    }
-
     /// Capacity of the bounded submission queue.
     pub fn queue_depth(&self) -> usize {
         self.shared.queue_depth

@@ -48,9 +48,10 @@
 //! runs.
 
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashSet, VecDeque};
+use std::collections::{BTreeSet, BinaryHeap, VecDeque};
 use std::sync::Arc;
 
+use scanshare_common::hash::IdHashSet;
 use scanshare_common::{
     Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
     VirtualDuration, VirtualInstant,
@@ -313,7 +314,7 @@ impl Simulation {
     /// capacity equal to 40% of accessed data volume"). Computed against the
     /// current master snapshots, before any update stream runs.
     pub fn accessed_volume(&self, workload: &WorkloadSpec) -> Result<u64> {
-        let mut pages: HashSet<PageId> = HashSet::new();
+        let mut pages: IdHashSet<PageId> = IdHashSet::default();
         for stream in &workload.streams {
             for query in &stream.queries {
                 for scan in &query.scans {

@@ -8,8 +8,7 @@
 //! The simulator samples this distribution at a fixed virtual-time interval;
 //! the benchmark harness prints the same stacked series the paper plots.
 
-use std::collections::HashMap;
-
+use scanshare_common::hash::IdHashMap;
 use scanshare_common::{PageId, VirtualInstant};
 
 /// Overlap classes used by the paper's plots: data needed by exactly one
@@ -59,7 +58,7 @@ impl SharingProfile {
     where
         I: IntoIterator<Item = &'a Vec<PageId>>,
     {
-        let mut counts: HashMap<PageId, u32> = HashMap::new();
+        let mut counts: IdHashMap<PageId, u32> = IdHashMap::default();
         for pages in outstanding {
             for &page in pages {
                 *counts.entry(page).or_insert(0) += 1;

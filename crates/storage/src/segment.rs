@@ -559,11 +559,6 @@ impl FileStore {
         self.map.read().pages.contains_key(&page)
     }
 
-    /// Number of pages currently mapped to disk slots.
-    pub fn page_count(&self) -> usize {
-        self.map.read().pages.len()
-    }
-
     /// Total bytes read off disk through this store so far.
     pub fn bytes_read(&self) -> u64 {
         self.bytes_read.load(Ordering::Relaxed)

@@ -1,0 +1,129 @@
+#!/bin/sh
+# Alternating parent/change pairs of the repo benchmark driver: the
+# procedure behind a wall-clock claim in a BENCH_*.json record.
+#
+#   scripts/bench-pairs.sh <parent-driver> <change-driver> <workload> <metric> \
+#       <pairs> <first-seed> [--smoke] [--out <dir>]
+#
+# A driver is the binary `cargo build --release --offline --manifest-path
+# benchmark/Cargo.toml` leaves at benchmark/target/release/scanshare-benchmark,
+# built once in each tree. Pair i runs both drivers at seed first-seed + i - 1,
+# one process per run, `--seconds 18 --trace 0`; the parent runs first on odd
+# pairs and the change first on even ones. <metric> is an end-to-end metric of
+# BENCHMARK.json, whose `better` field decides which side won a pair.
+#
+# Prints each pair's two values (and whether their model_* numbers are
+# identical), each side's median and inclusive quartiles, the pairs the change
+# won and the gap between the medians. Exits non-zero if a run fails, reports
+# "correct": false or reports a failed operation. `--smoke` passes `--smoke`
+# to both drivers and runs them for 1 s, which keeps this script exercised in
+# CI. `--out <dir>` keeps each run's result line as <dir>/<side>-<seed>.json.
+set -eu
+
+usage() {
+    echo "usage: $0 <parent-driver> <change-driver> <workload> <metric> <pairs> <first-seed> [--smoke] [--out <dir>]" >&2
+    exit 2
+}
+[ $# -ge 6 ] || usage
+parent=$1 change=$2 workload=$3 metric=$4 pairs=$5 first_seed=$6
+shift 6
+smoke= seconds=18 out=
+while [ $# -gt 0 ]; do
+    case $1 in
+        --smoke) smoke=--smoke seconds=1 ;;
+        --out) [ $# -ge 2 ] || usage; out=$2; shift ;;
+        *) usage ;;
+    esac
+    shift
+done
+
+better=$(awk -v metric="$metric" '
+    index($0, "\"name\": \"" metric "\"") && match($0, /"better": "[a-z]+"/) {
+        print substr($0, RSTART + 11, RLENGTH - 12); exit
+    }' "$(dirname "$0")/../BENCHMARK.json")
+[ -n "$better" ] || { echo "$metric is not a metric of BENCHMARK.json" >&2; exit 2; }
+
+tmp=$(mktemp -d)
+trap 'rm -rf "$tmp"' EXIT
+if [ -n "$out" ]; then mkdir -p "$out"; else out=$tmp; fi
+
+# run <side> <driver> <seed>: one driver process; its result line lands in
+# $out/<side>-<seed>.json and the metric's value is printed.
+run() {
+    result=$out/$1-$3.json
+    if ! "$2" --workload "$workload" --seed "$3" --seconds "$seconds" --trace 0 $smoke \
+        >"$tmp/stdout" 2>"$tmp/stderr"; then
+        cat "$tmp/stderr" >&2
+        echo "$1 driver failed at seed $3" >&2
+        return 1
+    fi
+    tail -n 1 "$tmp/stdout" >"$result"
+    awk -v metric="$metric" -v side="$1" -v seed="$3" '
+        /"correct": *false/ { print side " run at seed " seed " is not correct" > "/dev/stderr"; bad = 1 }
+        match($0, /"failed": *[0-9]+/) && substr($0, RSTART + 9) + 0 > 0 {
+            print side " run at seed " seed " failed operations" > "/dev/stderr"; bad = 1
+        }
+        match($0, "\"" metric "\": *\\{\"value\": *[-+0-9.eE]+") {
+            value = substr($0, RSTART, RLENGTH); sub(/.*: */, "", value)
+        }
+        END {
+            if (value == "") { print side " run at seed " seed " reports no " metric > "/dev/stderr"; bad = 1 }
+            if (bad) exit 1
+            print value
+        }' "$result"
+}
+
+# The model_* entries of a result line, one per line.
+models() {
+    tr ',' '\n' <"$1" | grep '"model_' || true
+}
+
+i=1
+while [ "$i" -le "$pairs" ]; do
+    seed=$((first_seed + i - 1))
+    if [ $((i % 2)) -eq 1 ]; then
+        p=$(run parent "$parent" "$seed") && c=$(run change "$change" "$seed") || exit 1
+        first=parent
+    else
+        c=$(run change "$change" "$seed") && p=$(run parent "$parent" "$seed") || exit 1
+        first=change
+    fi
+    if [ "$(models "$out/parent-$seed.json")" = "$(models "$out/change-$seed.json")" ]; then
+        same=identical
+    else
+        same=DIFFERENT
+    fi
+    echo "pair $i seed $seed ($first first): parent $p change $c; model_* $same"
+    echo "$p $c" >>"$tmp/pairs"
+    i=$((i + 1))
+done
+
+awk -v metric="$metric" -v better="$better" '
+    # Inclusive quartile q (0.25, 0.5, 0.75) of the sorted v[1..n].
+    function quantile(v, n, q,   h, lo) {
+        h = (n - 1) * q + 1; lo = int(h)
+        return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+    }
+    function sort(v, n,   i, j, x) {
+        for (i = 2; i <= n; i++) {
+            x = v[i]
+            for (j = i - 1; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+            v[j + 1] = x
+        }
+    }
+    function summary(side, v, n) {
+        sort(v, n)
+        printf "%s: median %.6g, q1 %.6g, q3 %.6g\n", side,
+            quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
+    }
+    {
+        n++; p[n] = $1; c[n] = $2
+        if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) wins++
+    }
+    END {
+        summary("parent", p, n); summary("change", c, n)
+        pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+        iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
+        printf "%s (%s is better): change won %d of %d pairs; median gap %.6g (x%.4g), parent IQR %.6g\n",
+            metric, better, wins, n, cm - pm, pm == 0 ? 0 : cm / pm, iqr
+    }' "$tmp/pairs"
