@@ -53,25 +53,9 @@ impl VirtualDuration {
         self.0
     }
 
-    /// Millisecond count (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
-
     /// Fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Saturating addition.
-    pub fn saturating_add(self, other: Self) -> Self {
-        Self(self.0.saturating_add(other.0))
-    }
-
-    /// Scales the duration by a factor.
-    pub fn mul_f64(self, factor: f64) -> Self {
-        assert!(factor >= 0.0 && factor.is_finite());
-        Self((self.0 as f64 * factor).round() as u64)
     }
 }
 
@@ -282,7 +266,7 @@ mod tests {
     #[test]
     fn duration_constructors_and_accessors() {
         assert_eq!(VirtualDuration::from_millis(3).as_nanos(), 3_000_000);
-        assert_eq!(VirtualDuration::from_secs(2).as_millis(), 2_000);
+        assert_eq!(VirtualDuration::from_secs(2).as_nanos(), 2_000_000_000);
         assert!((VirtualDuration::from_secs_f64(0.5).as_secs_f64() - 0.5).abs() < 1e-9);
         assert_eq!(VirtualDuration::from_micros(5).as_nanos(), 5_000);
     }
@@ -291,12 +275,11 @@ mod tests {
     fn duration_arithmetic() {
         let a = VirtualDuration::from_millis(10);
         let b = VirtualDuration::from_millis(5);
-        assert_eq!((a + b).as_millis(), 15);
-        assert_eq!((a - b).as_millis(), 5);
-        assert_eq!((b * 3).as_millis(), 15);
-        assert_eq!(a.mul_f64(0.5).as_millis(), 5);
+        assert_eq!(a + b, VirtualDuration::from_millis(15));
+        assert_eq!(a - b, b);
+        assert_eq!(b * 3, VirtualDuration::from_millis(15));
         let total: VirtualDuration = [a, b].into_iter().sum();
-        assert_eq!(total.as_millis(), 15);
+        assert_eq!(total, VirtualDuration::from_millis(15));
     }
 
     #[test]

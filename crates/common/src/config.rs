@@ -285,31 +285,6 @@ impl ScanShareConfig {
         (self.buffer_pool_bytes / self.page_size_bytes) as usize
     }
 
-    /// Returns a copy with a different buffer pool size.
-    pub fn with_buffer_pool_bytes(mut self, bytes: u64) -> Self {
-        self.buffer_pool_bytes = bytes;
-        self
-    }
-
-    /// Returns a copy with a different I/O bandwidth.
-    pub fn with_bandwidth(mut self, bw: Bandwidth) -> Self {
-        self.io_bandwidth = bw;
-        self
-    }
-
-    /// Returns a copy with a different policy.
-    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Returns a copy with a different prefetch window (in pages); `0`
-    /// disables prefetching.
-    pub fn with_prefetch_pages(mut self, pages: usize) -> Self {
-        self.prefetch_pages = pages;
-        self
-    }
-
     /// Returns a copy selecting a custom registered replacement policy.
     pub fn with_custom_policy(mut self, name: impl Into<String>) -> Self {
         self.custom_policy = Some(name.into());
@@ -320,12 +295,6 @@ impl ScanShareConfig {
     /// [`ScanShareConfig::device`]).
     pub fn with_device(mut self, device: DeviceKind) -> Self {
         self.device = device;
-        self
-    }
-
-    /// Returns a copy with a different file-device worker count.
-    pub fn with_io_workers(mut self, workers: usize) -> Self {
-        self.io_workers = workers;
         self
     }
 
@@ -342,14 +311,6 @@ impl ScanShareConfig {
     /// individually durable.
     pub fn with_wal_group_commit(mut self, window: usize) -> Self {
         self.wal_group_commit = window;
-        self
-    }
-
-    /// Returns a copy toggling zone-map data skipping (see
-    /// [`ScanShareConfig::zone_maps`]); `false` restores full scans for
-    /// every query.
-    pub fn with_zone_maps(mut self, enabled: bool) -> Self {
-        self.zone_maps = enabled;
         self
     }
 
@@ -419,20 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_helpers_modify_fields() {
-        let cfg = ScanShareConfig::default()
-            .with_policy(PolicyKind::Lru)
-            .with_bandwidth(Bandwidth::from_mb_per_sec(200.0))
-            .with_buffer_pool_bytes(1 << 20)
-            .with_prefetch_pages(3);
-        assert_eq!(cfg.policy, PolicyKind::Lru);
-        assert_eq!(cfg.buffer_pool_bytes, 1 << 20);
-        assert_eq!(cfg.io_bandwidth.mb_per_sec(), 200.0);
-        assert_eq!(cfg.prefetch_pages, 3);
-        cfg.validate().unwrap();
-    }
-
-    #[test]
     fn device_kind_parses_and_defaults_to_sim() {
         assert_eq!(ScanShareConfig::default().device, DeviceKind::Sim);
         assert_eq!(DeviceKind::parse("sim").unwrap(), DeviceKind::Sim);
@@ -443,15 +390,29 @@ mod tests {
     }
 
     #[test]
-    fn file_device_knobs_validate() {
+    fn builder_helpers_modify_fields() {
         let cfg = ScanShareConfig::default()
+            .with_custom_policy("fifo")
             .with_device(DeviceKind::File)
-            .with_io_workers(2);
+            .with_scheduler_workers(3);
+        assert_eq!(cfg.custom_policy.as_deref(), Some("fifo"));
+        assert_eq!(cfg.device, DeviceKind::File);
+        assert_eq!(cfg.scheduler_workers, 3);
         cfg.validate().unwrap();
-        assert!(ScanShareConfig::default()
-            .with_io_workers(0)
-            .validate()
-            .is_err());
+    }
+
+    #[test]
+    fn file_device_knobs_validate() {
+        let cfg = ScanShareConfig {
+            io_workers: 2,
+            ..ScanShareConfig::default().with_device(DeviceKind::File)
+        };
+        cfg.validate().unwrap();
+        let cfg = ScanShareConfig {
+            io_workers: 0,
+            ..cfg
+        };
+        assert!(cfg.validate().is_err());
     }
 
     #[test]
@@ -486,10 +447,11 @@ mod tests {
 
     #[test]
     fn zone_maps_default_on_and_toggle_off() {
-        let cfg = ScanShareConfig::default();
-        assert!(cfg.zone_maps);
-        let cfg = cfg.with_zone_maps(false);
-        assert!(!cfg.zone_maps);
+        assert!(ScanShareConfig::default().zone_maps);
+        let cfg = ScanShareConfig {
+            zone_maps: false,
+            ..Default::default()
+        };
         cfg.validate().unwrap();
     }
 

@@ -30,18 +30,9 @@ pub enum Error {
     UnknownChunk(ChunkId),
     /// A scan id was not registered with the buffer manager.
     UnknownScan(ScanId),
-    /// The buffer pool cannot fit even the working set of a single operation.
-    BufferPoolTooSmall {
-        /// Configured capacity in pages.
-        capacity_pages: usize,
-        /// Pages that were required simultaneously.
-        required_pages: usize,
-    },
     /// A transaction conflict was detected (concurrent appends to the same
     /// table, only one of which may commit).
     TransactionConflict(String),
-    /// A transaction was already committed or aborted.
-    TransactionClosed,
     /// An update position was out of bounds for the visible table image.
     PositionOutOfBounds {
         /// The offending position (RID space).
@@ -105,16 +96,7 @@ impl fmt::Display for Error {
             Error::UnknownPage(p) => write!(f, "unknown page {p}"),
             Error::UnknownChunk(c) => write!(f, "unknown chunk {c}"),
             Error::UnknownScan(s) => write!(f, "unknown scan {s}"),
-            Error::BufferPoolTooSmall {
-                capacity_pages,
-                required_pages,
-            } => write!(
-                f,
-                "buffer pool of {capacity_pages} pages cannot hold the {required_pages} pages \
-                 required by a single operation"
-            ),
             Error::TransactionConflict(msg) => write!(f, "transaction conflict: {msg}"),
-            Error::TransactionClosed => write!(f, "transaction is already committed or aborted"),
             Error::PositionOutOfBounds { position, visible } => write!(
                 f,
                 "position {position} is out of bounds for a table with {visible} visible tuples"
@@ -189,13 +171,6 @@ mod tests {
         };
         assert!(e.to_string().contains("l_extendedprice"));
         assert!(e.to_string().contains("T1"));
-
-        let e = Error::BufferPoolTooSmall {
-            capacity_pages: 4,
-            required_pages: 9,
-        };
-        assert!(e.to_string().contains('4'));
-        assert!(e.to_string().contains('9'));
     }
 
     #[test]
@@ -249,6 +224,6 @@ mod tests {
     #[test]
     fn error_is_std_error() {
         fn takes_err(_e: &dyn std::error::Error) {}
-        takes_err(&Error::TransactionClosed);
+        takes_err(&Error::internal("x"));
     }
 }

@@ -91,42 +91,6 @@ define_id!(
     StreamId, "W", u32
 );
 
-/// A monotonically increasing id generator usable for any of the identifier
-/// types defined in this module.
-#[derive(Debug, Default)]
-pub struct IdGenerator {
-    next: u64,
-}
-
-impl IdGenerator {
-    /// Creates a generator that will hand out ids starting from zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a generator that starts from `first`.
-    pub fn starting_at(first: u64) -> Self {
-        Self { next: first }
-    }
-
-    /// Returns the next raw id.
-    pub fn next_raw(&mut self) -> u64 {
-        let id = self.next;
-        self.next += 1;
-        id
-    }
-
-    /// Returns the next id converted into the requested identifier type.
-    pub fn next_id<T: From<u64>>(&mut self) -> T {
-        T::from(self.next_raw())
-    }
-
-    /// Number of ids handed out so far.
-    pub fn issued(&self) -> u64 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,23 +116,6 @@ mod tests {
         assert_eq!(raw, 9);
         assert_eq!(id.index(), 9usize);
         assert_eq!(id.raw(), 9);
-    }
-
-    #[test]
-    fn generator_is_monotonic() {
-        let mut g = IdGenerator::new();
-        let a: ScanId = g.next_id();
-        let b: ScanId = g.next_id();
-        assert_eq!(a, ScanId::new(0));
-        assert_eq!(b, ScanId::new(1));
-        assert_eq!(g.issued(), 2);
-    }
-
-    #[test]
-    fn generator_starting_at_offset() {
-        let mut g = IdGenerator::starting_at(100);
-        let a: QueryId = g.next_id();
-        assert_eq!(a, QueryId::new(100));
     }
 
     #[test]

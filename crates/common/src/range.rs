@@ -63,21 +63,10 @@ impl TupleRange {
         TupleRange::new(start, end.max(start))
     }
 
-    /// Whether the two ranges share at least one tuple.
-    pub fn overlaps(&self, other: &TupleRange) -> bool {
-        !self.intersect(other).is_empty()
-    }
-
     /// Whether the two ranges are adjacent or overlapping (i.e. their union
     /// is a single range).
     pub fn touches(&self, other: &TupleRange) -> bool {
         self.start <= other.end && other.start <= self.end
-    }
-
-    /// Removes the part of `self` that lies before `cutoff`, returning the
-    /// remainder (used to trim already-produced RID ranges, Section 2.1).
-    pub fn trim_below(&self, cutoff: u64) -> TupleRange {
-        TupleRange::new(self.start.max(cutoff), self.end.max(cutoff))
     }
 
     /// Splits the range into `n` near-equal contiguous sub-ranges following
@@ -160,11 +149,6 @@ impl RangeList {
             out.push(merged);
         }
         self.ranges = out;
-    }
-
-    /// Number of distinct ranges.
-    pub fn range_count(&self) -> usize {
-        self.ranges.len()
     }
 
     /// Whether the list contains no tuples.
@@ -260,12 +244,6 @@ impl RangeList {
         out
     }
 
-    /// Iterates over every position covered by the list (use only for small
-    /// lists, e.g. in tests).
-    pub fn iter_positions(&self) -> impl Iterator<Item = u64> + '_ {
-        self.ranges.iter().flat_map(|r| r.start..r.end)
-    }
-
     /// Splits the covered tuples into `n` partitions of contiguous work,
     /// applying Equation (1) *per range* (this mirrors how Vectorwise splits
     /// the RID ranges handed to each parallel scan).
@@ -321,16 +299,6 @@ mod tests {
             TupleRange::new(15, 20)
         );
         assert!(r.intersect(&TupleRange::new(20, 30)).is_empty());
-        assert!(r.overlaps(&TupleRange::new(19, 21)));
-        assert!(!r.overlaps(&TupleRange::new(20, 21)));
-    }
-
-    #[test]
-    fn trim_below_cuts_prefix() {
-        let r = TupleRange::new(10, 20);
-        assert_eq!(r.trim_below(15), TupleRange::new(15, 20));
-        assert_eq!(r.trim_below(5), r);
-        assert!(r.trim_below(25).is_empty());
     }
 
     #[test]
@@ -378,7 +346,7 @@ mod tests {
     #[test]
     fn range_list_keeps_disjoint_ranges() {
         let list = RangeList::from_ranges([TupleRange::new(0, 5), TupleRange::new(10, 15)]);
-        assert_eq!(list.range_count(), 2);
+        assert_eq!(list.ranges().len(), 2);
         assert!(list.contains(3));
         assert!(!list.contains(7));
         assert!(list.contains(14));
@@ -454,13 +422,6 @@ mod tests {
         assert!(parts[0].contains(249));
         assert!(parts[1].contains(50));
         assert!(parts[1].contains(299));
-    }
-
-    #[test]
-    fn iter_positions_enumerates_all() {
-        let list = RangeList::from_ranges([TupleRange::new(0, 3), TupleRange::new(5, 7)]);
-        let positions: Vec<u64> = list.iter_positions().collect();
-        assert_eq!(positions, vec![0, 1, 2, 5, 6]);
     }
 
     #[test]

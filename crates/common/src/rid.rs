@@ -59,17 +59,6 @@ macro_rules! define_pos {
             pub fn checked_sub(self, n: u64) -> Option<Self> {
                 self.0.checked_sub(n).map(Self)
             }
-
-            /// Distance in tuples between `self` and an earlier position.
-            ///
-            /// # Panics
-            /// Panics if `earlier > self`.
-            #[inline]
-            pub fn distance_from(self, earlier: Self) -> u64 {
-                self.0
-                    .checked_sub(earlier.0)
-                    .expect("distance_from: earlier position is greater than self")
-            }
         }
 
         impl fmt::Display for $name {
@@ -143,18 +132,6 @@ mod tests {
         let mut r = Rid::new(0);
         r += 4;
         assert_eq!(r, Rid::new(4));
-    }
-
-    #[test]
-    fn distance_from_counts_tuples() {
-        assert_eq!(Rid::new(100).distance_from(Rid::new(40)), 60);
-        assert_eq!(Sid::new(7).distance_from(Sid::new(7)), 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "distance_from")]
-    fn distance_from_panics_on_inverted_order() {
-        let _ = Sid::new(1).distance_from(Sid::new(2));
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl ReplacementPolicy for ClockPolicy {
         _: VirtualInstant,
     ) -> Vec<PageId> {
         let mut victims = Vec::with_capacity(count);
-        // Pinned pages the hand passed over; restored in front of the hand
+        // Excluded pages the hand passed over; restored in front of the hand
         // afterwards so their sweep position is preserved.
         let mut skipped = Vec::new();
         while victims.len() < count {
@@ -141,7 +141,7 @@ impl ReplacementPolicy for ClockPolicy {
             }
             self.hand_advances += 1;
             if exclude.contains(&page) {
-                // Pinned (or being admitted): the hand passes without
+                // Excluded (being admitted): the hand passes without
                 // spending the page's reference bit.
                 skipped.push((page, stamp));
                 continue;

@@ -68,19 +68,6 @@ impl LruPolicy {
             self.queue.retain(|(p, s)| resident.get(p) == Some(s));
         }
     }
-
-    /// Number of resident pages the policy tracks.
-    pub fn tracked_pages(&self) -> usize {
-        self.resident.len()
-    }
-
-    /// The resident pages ordered from least to most recently used.
-    /// (Primarily for tests and diagnostics; O(n log n).)
-    pub fn recency_order(&self) -> Vec<PageId> {
-        let mut pages: Vec<(u64, PageId)> = self.resident.iter().map(|(&p, &s)| (s, p)).collect();
-        pages.sort_unstable();
-        pages.into_iter().map(|(_, p)| p).collect()
-    }
 }
 
 impl ReplacementPolicy for LruPolicy {
@@ -162,7 +149,7 @@ impl ReplacementPolicy for LruPolicy {
             }
             victims.push(page);
         }
-        // Entries we skipped (pinned pages) keep their recency position at
+        // Entries we skipped (excluded pages) keep their recency position at
         // the front of the queue.
         for entry in skipped.into_iter().rev() {
             self.queue.push_front(entry);
@@ -220,7 +207,10 @@ mod tests {
         assert_eq!(victims, vec![p(1), p(2)]);
         lru.on_evict(p(1));
         lru.on_evict(p(2));
-        assert_eq!(lru.recency_order(), vec![p(3), p(0)]);
+        assert_eq!(
+            lru.choose_victims(2, &HashSet::new(), now()),
+            vec![p(3), p(0)]
+        );
     }
 
     #[test]
@@ -233,7 +223,7 @@ mod tests {
         exclude.insert(p(0));
         assert_eq!(lru.choose_victims(1, &exclude, now()), vec![p(1)]);
         lru.on_evict(p(1));
-        // Page 0 is still the oldest once unpinned.
+        // Page 0 is still the oldest once no longer excluded.
         assert_eq!(lru.choose_victims(1, &HashSet::new(), now()), vec![p(0)]);
     }
 
@@ -241,7 +231,7 @@ mod tests {
     fn accessing_unknown_pages_is_a_no_op() {
         let mut lru = LruPolicy::new();
         lru.on_access(p(42), None, now());
-        assert_eq!(lru.tracked_pages(), 0);
+        assert_eq!(lru.resident.len(), 0);
         assert!(lru.choose_victims(1, &HashSet::new(), now()).is_empty());
     }
 
@@ -250,7 +240,7 @@ mod tests {
         let mut lru = LruPolicy::new();
         lru.on_admit(p(1), now());
         lru.on_evict(p(1));
-        assert_eq!(lru.tracked_pages(), 0);
+        assert_eq!(lru.resident.len(), 0);
         assert!(lru.choose_victims(4, &HashSet::new(), now()).is_empty());
     }
 
@@ -265,7 +255,7 @@ mod tests {
         }
         assert!(lru.queue.len() <= 4 * lru.resident.len().max(16) + 8);
         // Behaviour is still correct: 3 is the most recent.
-        let order = lru.recency_order();
+        let order = lru.choose_victims(8, &HashSet::new(), now());
         assert_eq!(*order.last().unwrap(), p(3));
     }
 

@@ -58,11 +58,6 @@ impl PbmLruPolicy {
         Self::default()
     }
 
-    /// Number of resident pages currently tracked on the history side.
-    pub fn history_tracked(&self) -> usize {
-        self.order.len()
-    }
-
     /// The estimated next use of a page based on its access history: last
     /// access plus the average gap between its recent accesses.
     pub fn estimated_next_use(&self, page: PageId) -> Option<VirtualInstant> {
@@ -253,7 +248,7 @@ mod tests {
         for t in 1..=4 {
             policy.on_access(p(10), None, at(t * 10));
         }
-        assert_eq!(policy.history_tracked(), 3);
+        assert_eq!(policy.order.len(), 3);
         let victims = policy.choose_victims(2, &HashSet::new(), at(50));
         assert!(
             !victims.contains(&p(10)),
@@ -288,7 +283,7 @@ mod tests {
         policy.on_admit(p(2), at(0));
         policy.on_admit(p(50), at(0)); // unrequested
         assert_eq!(
-            policy.history_tracked(),
+            policy.order.len(),
             1,
             "only the unrequested page is history-tracked"
         );
@@ -298,7 +293,7 @@ mod tests {
         assert_eq!(victims, vec![p(50)]);
         // Once the scan finishes, its pages move to the history side.
         policy.unregister_scan(scan, at(2));
-        assert_eq!(policy.history_tracked(), 3);
+        assert_eq!(policy.order.len(), 3);
     }
 
     #[test]
@@ -328,7 +323,7 @@ mod tests {
         exclude.insert(p(7));
         assert!(policy.choose_victims(1, &exclude, at(20)).is_empty());
         policy.on_evict(p(7));
-        assert_eq!(policy.history_tracked(), 0);
+        assert_eq!(policy.order.len(), 0);
         // Reuse history survives the eviction, so a re-admitted page keeps
         // its estimated period.
         policy.on_admit(p(7), at(30));

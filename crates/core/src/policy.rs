@@ -60,7 +60,7 @@ pub trait ReplacementPolicy: Send + std::fmt::Debug {
     fn on_evict(&mut self, page: PageId);
 
     /// Chooses up to `count` eviction victims among resident pages, never
-    /// returning pages in `exclude` (pinned pages and the page currently
+    /// returning pages in `exclude` (the pool passes the page currently
     /// being admitted). The pool evicts exactly the returned pages.
     fn choose_victims(
         &mut self,

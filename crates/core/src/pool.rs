@@ -1,4 +1,4 @@
-//! The page buffer: one lock over residency, pins, statistics and the
+//! The page buffer: one lock over residency, statistics and the
 //! replacement policy.
 //!
 //! [`BufferPool`] is the one page-level pool of the workspace: the execution
@@ -12,9 +12,9 @@
 //! the I/O device; the pool only answers *whether* a request hits and *which*
 //! pages get evicted.
 //!
-//! One mutex guards the page table, the pin counts, the statistics, the
-//! scan-id counter and the policy, and every policy callback runs eagerly,
-//! in arrival order, under it. The policy therefore observes exactly the
+//! One mutex guards the page table, the statistics, the scan-id counter and
+//! the policy, and every policy callback runs eagerly, in arrival order,
+//! under it. The policy therefore observes exactly the
 //! call sequence of the single-threaded `EagerPool` oracle in
 //! `tests/pool_harness` (`tests/pool_properties.rs` asserts this over
 //! randomized traces for every built-in policy).
@@ -55,10 +55,9 @@ impl AccessOutcome {
 struct PoolState {
     policy: Box<dyn ReplacementPolicy>,
     resident: IdHashSet<PageId>,
-    pinned: IdHashMap<PageId, u32>,
-    /// The pages a miss may not evict (the pinned ones and the page being
-    /// admitted), refilled on every eviction so a miss allocates no set.
-    /// It stays on std hashing: `choose_victims` takes a std `HashSet`.
+    /// The pages a miss may not evict (just the page being admitted), kept
+    /// so a miss allocates no set. It stays on std hashing:
+    /// `choose_victims` takes a std `HashSet`.
     exclude: HashSet<PageId>,
     stats: BufferStats,
     next_scan: u64,
@@ -94,7 +93,6 @@ impl BufferPool {
             state: Mutex::new(PoolState {
                 policy,
                 resident: IdHashSet::default(),
-                pinned: IdHashMap::default(),
                 exclude: HashSet::new(),
                 stats: BufferStats::default(),
                 next_scan: 0,
@@ -172,25 +170,11 @@ impl BufferPool {
         self.state.lock().policy.unregister_scan(scan, now);
     }
 
-    /// Pins a page, preventing its eviction until unpinned.
-    pub fn pin(&self, page: PageId) {
-        *self.state.lock().pinned.entry(page).or_insert(0) += 1;
-    }
-
-    /// Unpins a page previously pinned.
-    pub fn unpin(&self, page: PageId) {
-        let mut state = self.state.lock();
-        if let Some(count) = state.pinned.get_mut(&page) {
-            *count -= 1;
-            if *count == 0 {
-                state.pinned.remove(&page);
-            }
-        }
-    }
-
     /// Requests a page on behalf of `scan`. On a miss the page is admitted
     /// immediately (the caller accounts for the load time) after evicting
-    /// enough unpinned pages, chosen by the policy, to stay within capacity.
+    /// enough pages, chosen by the policy, to stay within capacity. Fails
+    /// only if the policy names too few resident victims, which no built-in
+    /// policy does.
     pub fn request_page(
         &self,
         page: PageId,
@@ -212,7 +196,6 @@ impl BufferPool {
         if state.resident.len() >= self.capacity_pages {
             let want = state.resident.len() + 1 - self.capacity_pages;
             state.exclude.clear();
-            state.exclude.extend(state.pinned.keys().copied());
             state.exclude.insert(page);
             for victim in state.policy.choose_victims(want, &state.exclude, now) {
                 if state.resident.remove(&victim) {
@@ -221,11 +204,12 @@ impl BufferPool {
                     evicted.push(victim);
                 }
             }
-            if state.resident.len() >= self.capacity_pages {
-                return Err(Error::BufferPoolTooSmall {
-                    capacity_pages: self.capacity_pages,
-                    required_pages: state.pinned.len() + 1,
-                });
+            if evicted.len() < want {
+                return Err(Error::internal(format!(
+                    "policy {} returned {} resident victims where {want} were needed",
+                    self.name,
+                    evicted.len()
+                )));
             }
         }
 
@@ -289,18 +273,18 @@ impl BufferPool {
         true
     }
 
-    /// Drops the listed pages from the pool if resident and unpinned, in the
-    /// given order, telling the policy to forget each one. Used when a
-    /// checkpoint replaces a table's stable image: the old snapshot's pages
-    /// can never be requested again, so keeping them resident only wastes
-    /// capacity. Counted as `invalidated_pages`, not as evictions. Returns
-    /// how many pages were dropped.
+    /// Drops the listed pages from the pool if resident, in the given order,
+    /// telling the policy to forget each one. Used when a checkpoint replaces
+    /// a table's stable image: the old snapshot's pages can never be
+    /// requested again, so keeping them resident only wastes capacity.
+    /// Counted as `invalidated_pages`, not as evictions. Returns how many
+    /// pages were dropped.
     pub fn invalidate_pages(&self, pages: &[PageId]) -> usize {
         let mut guard = self.state.lock();
         let state = &mut *guard;
         let mut dropped = 0;
         for page in pages {
-            if !state.pinned.contains_key(page) && state.resident.remove(page) {
+            if state.resident.remove(page) {
                 state.policy.on_evict(*page);
                 state.stats.invalidated_pages += 1;
                 dropped += 1;
@@ -451,20 +435,46 @@ mod tests {
         assert!(pool.contains(p(3)));
     }
 
+    /// A policy that never names a victim: the pool cannot make room.
+    #[derive(Debug)]
+    struct NoVictims;
+
+    impl ReplacementPolicy for NoVictims {
+        fn name(&self) -> &'static str {
+            "no-victims"
+        }
+        fn register_scan(&mut self, _: &ScanInfo, _: &ScanPagePlan, _: VirtualInstant) {}
+        fn report_scan_position(&mut self, _: ScanId, _: u64, _: VirtualInstant) {}
+        fn unregister_scan(&mut self, _: ScanId, _: VirtualInstant) {}
+        fn on_access(&mut self, _: PageId, _: Option<ScanId>, _: VirtualInstant) {}
+        fn on_admit(&mut self, _: PageId, _: VirtualInstant) {}
+        fn on_evict(&mut self, _: PageId) {}
+        fn choose_victims(
+            &mut self,
+            _: usize,
+            _: &HashSet<PageId>,
+            _: VirtualInstant,
+        ) -> Vec<PageId> {
+            Vec::new()
+        }
+    }
+
     #[test]
-    fn pinned_pages_survive_eviction_and_exhaust_the_pool() {
-        let pool = pool(2);
+    fn a_policy_naming_too_few_victims_is_an_internal_error() {
+        let pool = BufferPool::new(2, 1024, Box::new(NoVictims));
         pool.request_page(p(1), None, now()).unwrap();
-        pool.pin(p(1));
         pool.request_page(p(2), None, now()).unwrap();
-        pool.request_page(p(3), None, now()).unwrap();
-        assert!(pool.contains(p(1)), "pinned page survived");
-        pool.pin(p(3));
-        let err = pool.request_page(p(4), None, now()).unwrap_err();
-        assert!(matches!(err, Error::BufferPoolTooSmall { .. }));
-        pool.unpin(p(1));
-        pool.request_page(p(4), None, now()).unwrap();
-        assert!(!pool.contains(p(1)));
+        let err = pool.request_page(p(3), None, now()).unwrap_err();
+        assert!(matches!(err, Error::Internal(_)), "{err}");
+        let msg = err.to_string();
+        assert!(msg.contains("no-victims"), "{msg}");
+        assert!(
+            msg.contains("returned 0 resident victims where 1 were needed"),
+            "{msg}"
+        );
+        assert_eq!(pool.resident_count(), 2);
+        assert!(!pool.contains(p(3)));
+        assert_eq!(pool.stats().misses, 2);
     }
 
     #[test]
@@ -480,13 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn invalidation_respects_pins_and_is_not_an_eviction() {
+    fn invalidation_drops_resident_pages_and_is_not_an_eviction() {
         let pool = pool(4);
         for i in 0..4 {
             pool.request_page(p(i), None, now()).unwrap();
         }
-        pool.pin(p(3));
-        let dropped = pool.invalidate_pages(&[p(0), p(1), p(3), p(7)]);
+        let dropped = pool.invalidate_pages(&[p(0), p(1), p(7)]);
         assert_eq!(dropped, 2);
         assert_eq!(pool.resident_count(), 2);
         assert!(pool.contains(p(2)) && pool.contains(p(3)));

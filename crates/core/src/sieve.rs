@@ -198,7 +198,7 @@ impl ReplacementPolicy for SievePolicy {
                 continue;
             }
             if exclude.contains(&node.page) {
-                self.hand = node.newer; // pinned: pass without spending a bit
+                self.hand = node.newer; // excluded: pass without spending a bit
                 fruitless += 1;
                 continue;
             }

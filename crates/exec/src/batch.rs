@@ -47,11 +47,6 @@ impl Batch {
         &self.columns[i]
     }
 
-    /// All columns.
-    pub fn columns(&self) -> &[Vec<Value>] {
-        &self.columns
-    }
-
     /// The value at (`row`, `col`).
     pub fn value(&self, row: usize, col: usize) -> Value {
         self.columns[col][row]
@@ -62,13 +57,6 @@ impl Batch {
         assert_eq!(self.width(), other.width(), "batch width mismatch");
         for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
             dst.extend_from_slice(src);
-        }
-    }
-
-    /// Returns a batch containing only the given columns, in order.
-    pub fn project(&self, cols: &[usize]) -> Batch {
-        Batch {
-            columns: cols.iter().map(|&c| self.columns[c].clone()).collect(),
         }
     }
 
@@ -121,15 +109,13 @@ mod tests {
     }
 
     #[test]
-    fn append_and_project() {
+    fn append_extends_every_column() {
         let mut a = Batch::new(vec![vec![1, 2], vec![10, 20]]);
         let b = Batch::new(vec![vec![3], vec![30]]);
         a.append(&b);
         assert_eq!(a.len(), 3);
         assert_eq!(a.row(2), vec![3, 30]);
-        let projected = a.project(&[1]);
-        assert_eq!(projected.width(), 1);
-        assert_eq!(projected.column(0), &[10, 20, 30]);
+        assert_eq!(a.column(1), &[10, 20, 30]);
     }
 
     #[test]

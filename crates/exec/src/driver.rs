@@ -47,7 +47,6 @@ use crate::sched::{Task, TaskHandle, TaskOutcome, TaskScheduler, TaskStep};
 #[derive(Debug)]
 pub struct WorkloadDriver {
     engine: Arc<Engine>,
-    parallelism_per_query: usize,
 }
 
 /// A per-stream failure surfaced in the report instead of aborting the
@@ -91,11 +90,6 @@ impl StreamError {
             StreamError::Failed { error, .. } => Some(error),
             StreamError::Panicked { .. } => None,
         }
-    }
-
-    /// Whether this failure was a caught panic.
-    pub fn is_panic(&self) -> bool {
-        matches!(self, StreamError::Panicked { .. })
     }
 }
 
@@ -193,20 +187,9 @@ impl WorkloadReport {
 
 impl WorkloadDriver {
     /// Creates a driver over `engine`. Queries run single-threaded inside
-    /// their stream by default (the spec's streams provide the concurrency);
-    /// see [`WorkloadDriver::with_parallelism`].
+    /// their stream (the spec's streams provide the concurrency).
     pub fn new(engine: Arc<Engine>) -> Self {
-        Self {
-            engine,
-            parallelism_per_query: 1,
-        }
-    }
-
-    /// Sets the intra-query parallelism every lowered query runs with
-    /// (the builder API's `.parallelism(n)` clause).
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism_per_query = workers.max(1);
-        self
+        Self { engine }
     }
 
     /// The engine the driver executes against.
@@ -263,7 +246,6 @@ impl WorkloadDriver {
                     let accum = Arc::new(Mutex::new(SessionAccum::default()));
                     let task = StreamSessionTask {
                         engine: Arc::clone(&self.engine),
-                        parallelism: self.parallelism_per_query,
                         clamp_to_visible,
                         pending: queries.iter().cloned().collect(),
                         current: None,
@@ -461,7 +443,6 @@ struct RunningQuery {
 /// [`QueryTask`](crate::sched::QueryTask).
 struct StreamSessionTask {
     engine: Arc<Engine>,
-    parallelism: usize,
     /// Relaxes the exact-count check to the rows currently visible — needed
     /// for mixed workloads, whose updates grow and shrink the row space
     /// between rounds (the visible count is barrier-stable, so the clamped
@@ -585,8 +566,7 @@ impl StreamSessionTask {
             .query(unit.table)
             .columns(unit.columns.iter().map(String::as_str))
             .tuple_range(TupleRange::new(unit.range.start, unit.range.end))
-            .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(0)]))
-            .parallelism(self.parallelism);
+            .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(0)]));
         if let Some(predicate) = unit.predicate {
             query = query.filter(predicate);
         }
@@ -962,21 +942,12 @@ mod tests {
         // Exactly one stream ends on the caught panic; the others run to
         // completion (3 streams x 2 queries - the panicked stream's 2).
         assert_eq!(report.stream_errors.len(), 1);
-        assert!(report.stream_errors[0].is_panic());
+        assert!(matches!(
+            report.stream_errors[0],
+            StreamError::Panicked { .. }
+        ));
         assert!(report.stream_errors[0].error().is_none());
         assert!(format!("{:?}", report.stream_errors[0]).contains("injected register_scan panic"));
         assert_eq!(report.queries, 4);
-    }
-
-    #[test]
-    fn intra_query_parallelism_is_applied_and_results_stay_exact() {
-        let (storage, workload) = setup();
-        let engine = engine(&storage, PolicyKind::Pbm);
-        let report = WorkloadDriver::new(Arc::clone(&engine))
-            .with_parallelism(2)
-            .run(&workload)
-            .unwrap();
-        assert_eq!(report.queries, 6);
-        assert!(report.buffer.io_bytes > 0);
     }
 }

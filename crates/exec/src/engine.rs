@@ -189,11 +189,6 @@ impl Engine {
         Ok(())
     }
 
-    /// Whether commits of this engine are logged to a write-ahead log.
-    pub fn is_durable(&self) -> bool {
-        self.wal.is_some()
-    }
-
     /// The engine's write-ahead log, when durability is configured.
     pub fn wal(&self) -> Option<&Arc<Wal>> {
         self.wal.as_ref()
@@ -865,7 +860,7 @@ mod tests {
         let (storage, table) = storage_with_table(100);
         let cfg = config(PolicyKind::Lru).with_wal_dir(&dir.0);
         let engine = Engine::new(storage, cfg).unwrap();
-        assert!(engine.is_durable());
+        assert!(engine.wal().is_some());
         engine.insert_row(table, 0, vec![-1, -2]).unwrap();
         engine.delete_row(table, 50).unwrap();
         engine.update_value(table, 1, 1, 99).unwrap();

@@ -711,9 +711,9 @@ mod tests {
                 chunk_tuples: 500,
                 buffer_pool_bytes: 32 * 1024,
                 policy: PolicyKind::Lru,
+                zone_maps,
                 ..Default::default()
-            }
-            .with_zone_maps(zone_maps);
+            };
             let engine = Engine::new(storage, config).unwrap();
             if update {
                 // Any pending differential update suspends pruning: a PDT

@@ -151,9 +151,6 @@ impl Txn {
         drop(guards);
         self.engine.wal_commit_sync(wal_seq)
     }
-
-    /// Discards the transaction's updates (equivalent to dropping it).
-    pub fn rollback(self) {}
 }
 
 #[cfg(test)]
@@ -282,15 +279,12 @@ mod tests {
     #[test]
     fn rollback_discards_updates() {
         let (engine, table) = engine(50);
-        let mut txn = engine.begin();
-        txn.delete(table, 0).unwrap();
-        txn.rollback();
-        assert_eq!(engine.visible_rows(table).unwrap(), 50);
-        // Dropping without commit is a rollback too, and does not bump the
+        // Dropping without commit is the rollback, and does not bump the
         // commit sequence: a later transaction commits cleanly.
         let mut dropped = engine.begin();
         dropped.delete(table, 0).unwrap();
         drop(dropped);
+        assert_eq!(engine.visible_rows(table).unwrap(), 50);
         let mut txn = engine.begin();
         txn.insert(table, 0, vec![1, 2]).unwrap();
         txn.commit().unwrap();

@@ -45,11 +45,6 @@ impl IoCompletion {
     pub fn queue_wait(&self) -> VirtualDuration {
         self.started_at.since(self.submitted_at)
     }
-
-    /// Time the device spent serving the request (latency + transfer).
-    pub fn service_time(&self) -> VirtualDuration {
-        self.done_at.since(self.started_at)
-    }
 }
 
 #[derive(Debug)]
@@ -137,25 +132,9 @@ impl IoDevice {
         self.submit_async(now, bytes, IoKind::Demand).done_at
     }
 
-    /// Submits a demand read of `pages` pages of `page_size` bytes each, as
-    /// one sequential request (used for chunk loads, which preserve
-    /// sequential locality at the page level).
-    pub fn submit_pages(&self, now: VirtualInstant, pages: u64, page_size: u64) -> VirtualInstant {
-        if pages == 0 {
-            return now;
-        }
-        self.submit_internal(now, pages * page_size, pages, IoKind::Demand)
-            .done_at
-    }
-
     /// The time at which the device becomes idle.
     pub fn busy_until(&self) -> VirtualInstant {
         self.state.lock().busy_until
-    }
-
-    /// Whether the device would be idle at `now`.
-    pub fn is_idle_at(&self, now: VirtualInstant) -> bool {
-        self.state.lock().busy_until <= now
     }
 
     /// Snapshot of the accumulated I/O statistics.
@@ -172,6 +151,11 @@ impl IoDevice {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Time the device spent serving `c` (latency + transfer).
+    fn service(c: &IoCompletion) -> VirtualDuration {
+        c.done_at.since(c.started_at)
+    }
 
     fn device(mb_per_sec: f64) -> IoDevice {
         IoDevice::new(
@@ -221,28 +205,11 @@ mod tests {
     }
 
     #[test]
-    fn submit_pages_accounts_pages_and_bytes() {
-        let dev = device(700.0);
-        let done = dev.submit_pages(VirtualInstant::EPOCH, 16, 256 * 1024);
-        assert!(done > VirtualInstant::EPOCH);
-        let stats = dev.stats();
-        assert_eq!(stats.pages_read, 16);
-        assert_eq!(stats.bytes_read, 16 * 256 * 1024);
-        assert_eq!(stats.requests, 1);
-        // Zero pages is a no-op.
-        let t = dev.submit_pages(VirtualInstant::EPOCH, 0, 256 * 1024);
-        assert_eq!(t, VirtualInstant::EPOCH);
-        assert_eq!(dev.stats().requests, 1);
-    }
-
-    #[test]
     fn busy_until_and_reset_stats() {
         let dev = device(100.0);
-        assert!(dev.is_idle_at(VirtualInstant::EPOCH));
+        assert_eq!(dev.busy_until(), VirtualInstant::EPOCH);
         let done = dev.submit(VirtualInstant::EPOCH, 500_000);
         assert_eq!(dev.busy_until(), done);
-        assert!(!dev.is_idle_at(VirtualInstant::EPOCH));
-        assert!(dev.is_idle_at(done));
         dev.reset_stats();
         assert_eq!(dev.stats().bytes_read, 0);
         assert_eq!(dev.busy_until(), done, "reset_stats keeps the busy horizon");
@@ -258,8 +225,8 @@ mod tests {
         let demand = dev.submit_async(now, 1_000_000, IoKind::Demand);
         assert_eq!(prefetch.queue_wait(), VirtualDuration::ZERO);
         assert_eq!(demand.started_at, prefetch.done_at);
-        assert_eq!(demand.queue_wait(), prefetch.service_time());
-        assert_eq!(demand.service_time(), prefetch.service_time());
+        assert_eq!(demand.queue_wait(), service(&prefetch));
+        assert_eq!(service(&demand), service(&prefetch));
         assert!(demand.done_at > prefetch.done_at);
 
         let stats = dev.stats();
@@ -269,7 +236,7 @@ mod tests {
         assert_eq!(stats.queue_wait_nanos, demand.queue_wait().as_nanos());
         assert_eq!(
             stats.service_nanos,
-            prefetch.service_time().as_nanos() + demand.service_time().as_nanos()
+            service(&prefetch).as_nanos() + service(&demand).as_nanos()
         );
     }
 
@@ -282,10 +249,10 @@ mod tests {
         let b = dev.submit_async(mid, 1_000_000, IoKind::Prefetch);
         assert_eq!(b.submitted_at, mid);
         assert_eq!(b.started_at, a.done_at);
-        assert_eq!(b.done_at, b.started_at.after(b.service_time()));
+        assert_eq!(b.done_at, b.started_at.after(service(&b)));
         assert_eq!(
             b.done_at.since(b.submitted_at),
-            b.queue_wait() + b.service_time(),
+            b.queue_wait() + service(&b),
             "queue wait and service time partition the request's latency"
         );
     }

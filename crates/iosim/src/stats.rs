@@ -45,24 +45,6 @@ pub struct IoStats {
 }
 
 impl IoStats {
-    /// Records a raw read of `bytes` bytes (counted as one demand request
-    /// and, for page accounting, zero pages).
-    pub fn record_read(&mut self, bytes: u64) {
-        self.record_request(
-            IoKind::Demand,
-            bytes,
-            VirtualDuration::ZERO,
-            VirtualDuration::ZERO,
-        );
-    }
-
-    /// Records a read of `pages` pages of `page_size` bytes as one demand
-    /// request.
-    pub fn record_pages(&mut self, pages: u64, page_size: u64) {
-        self.record_read(pages * page_size);
-        self.pages_read += pages;
-    }
-
     /// Records one request of `kind`, with its time split into the wait
     /// behind earlier transfers (`queue_wait`) and the time the device spent
     /// serving it (`service`).
@@ -100,27 +82,6 @@ impl IoStats {
         self.prefetch_requests += other.prefetch_requests;
         self.queue_wait_nanos += other.queue_wait_nanos;
         self.service_nanos += other.service_nanos;
-    }
-
-    /// Bytes read expressed in (decimal) megabytes.
-    pub fn megabytes_read(&self) -> f64 {
-        self.bytes_read as f64 / 1_000_000.0
-    }
-
-    /// Average time a request waited behind earlier transfers before the
-    /// device started serving it; zero when nothing was recorded.
-    pub fn avg_queue_wait(&self) -> VirtualDuration {
-        VirtualDuration::from_nanos(
-            self.queue_wait_nanos
-                .checked_div(self.requests)
-                .unwrap_or(0),
-        )
-    }
-
-    /// Average time the device spent serving a request (latency + transfer);
-    /// zero when nothing was recorded.
-    pub fn avg_service_time(&self) -> VirtualDuration {
-        VirtualDuration::from_nanos(self.service_nanos.checked_div(self.requests).unwrap_or(0))
     }
 }
 
@@ -178,22 +139,26 @@ mod tests {
 
     #[test]
     fn record_and_merge() {
+        let read = |stats: &mut IoStats, bytes| {
+            let zero = VirtualDuration::ZERO;
+            stats.record_request(IoKind::Demand, bytes, zero, zero);
+        };
         let mut a = IoStats::default();
-        a.record_read(100);
-        a.record_pages(2, 50);
+        read(&mut a, 100);
+        read(&mut a, 100);
+        a.pages_read += 2;
         assert_eq!(a.bytes_read, 200);
-        assert_eq!(a.pages_read, 2);
         assert_eq!(a.requests, 2);
         assert_eq!(a.demand_bytes, 200);
         assert_eq!(a.demand_requests, 2);
 
         let mut b = IoStats::default();
-        b.record_pages(1, 1_000_000);
+        read(&mut b, 1_000_000);
+        b.pages_read += 1;
         b.merge(&a);
         assert_eq!(b.bytes_read, 1_000_200);
         assert_eq!(b.pages_read, 3);
         assert_eq!(b.requests, 3);
-        assert!((b.megabytes_read() - 1.0002).abs() < 1e-9);
     }
 
     #[test]
@@ -220,15 +185,6 @@ mod tests {
         assert_eq!(s.demand_requests + s.prefetch_requests, s.requests);
         assert_eq!(s.queue_wait_nanos, 40);
         assert_eq!(s.service_nanos, 100);
-        assert_eq!(s.avg_queue_wait().as_nanos(), 20);
-        assert_eq!(s.avg_service_time().as_nanos(), 50);
-    }
-
-    #[test]
-    fn averages_handle_the_empty_case() {
-        let s = IoStats::default();
-        assert_eq!(s.avg_queue_wait(), VirtualDuration::ZERO);
-        assert_eq!(s.avg_service_time(), VirtualDuration::ZERO);
     }
 
     #[test]

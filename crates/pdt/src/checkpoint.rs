@@ -180,9 +180,9 @@ mod tests {
         let layout = storage.layout(table).unwrap();
         let old = storage.master_snapshot(table).unwrap();
 
-        let mut stack = PdtStack::new(2, 3);
+        let mut stack = PdtStack::new(2, 1);
         stack.insert(Rid::new(0), vec![-1, -1], 200).unwrap();
-        stack.propagate(200).unwrap();
+        stack.push_layer(Pdt::new(2));
         stack.delete(Rid::new(5), 200).unwrap();
 
         let new = checkpoint_stack(&storage, table, &old, &stack).unwrap();

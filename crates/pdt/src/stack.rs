@@ -9,9 +9,8 @@
 //! The positions stored in layer `k` refer to the output (RID space) of layer
 //! `k-1`, so reads *compose* the layers: translation goes through every layer
 //! and the merged stream of layer `k-1` acts as the "stable" input of layer
-//! `k`. [`PdtStack::propagate`] flattens the top layer into the one below it
-//! (the operation performed when a transaction commits its private PDT into
-//! the shared one).
+//! `k`. [`PdtStack::absorb_top`] folds a transaction's private layer into
+//! the top one when it commits.
 
 use scanshare_common::{Result, Rid, Sid, TupleRange};
 use scanshare_storage::datagen::Value;
@@ -198,22 +197,6 @@ impl PdtStack {
         }
     }
 
-    /// Flattens the top layer into the layer below it, leaving a fresh empty
-    /// top layer. The observable merged stream is unchanged.
-    pub fn propagate(&mut self, stable_tuples: u64) -> Result<()> {
-        if self.layers.len() < 2 {
-            return Ok(());
-        }
-        let top = self.layers.pop().expect("len >= 2");
-        let below_tuples = self.visible_below(stable_tuples, self.layers.len() - 1);
-        {
-            let lower = self.layers.last_mut().expect("len >= 1");
-            compose_into(lower, &top, below_tuples)?;
-        }
-        self.layers.push(Pdt::new(self.column_count));
-        Ok(())
-    }
-
     /// Flattens every layer into a single equivalent PDT (used by
     /// checkpointing and by tests).
     ///
@@ -341,10 +324,10 @@ mod tests {
     #[test]
     fn stacked_layers_compose_for_reads() {
         let n = 10;
-        let mut stack = PdtStack::new(2, 2);
+        let mut stack = PdtStack::new(2, 1);
         // Layer 0 (shared): delete stable row 0.
-        stack.top_mut().delete(Rid::new(0), n).unwrap();
-        stack.propagate(n).unwrap(); // move it into layer 0
+        stack.delete(Rid::new(0), n).unwrap();
+        stack.push_layer(Pdt::new(2));
         assert_eq!(stack.layer(0).stats().deletes, 1);
         // Layer 1 (private): insert at the new position 0.
         stack.insert(Rid::new(0), vec![-5, -6], n).unwrap();
@@ -356,9 +339,9 @@ mod tests {
     #[test]
     fn translation_composes_through_layers() {
         let n = 10;
-        let mut stack = PdtStack::new(2, 2);
-        stack.top_mut().insert(Rid::new(3), vec![0, 0], n).unwrap();
-        stack.propagate(n).unwrap();
+        let mut stack = PdtStack::new(2, 1);
+        stack.insert(Rid::new(3), vec![0, 0], n).unwrap();
+        stack.push_layer(Pdt::new(2));
         stack.insert(Rid::new(0), vec![1, 1], n).unwrap();
         // Visible: [ins(1,1)], s0, s1, s2, [ins(0,0)], s3, ...
         assert_eq!(stack.rid_to_sid(Rid::new(0), n), Sid::new(0));
@@ -372,34 +355,14 @@ mod tests {
     }
 
     #[test]
-    fn propagate_preserves_the_visible_stream() {
-        let n = 20;
-        let mut stack = PdtStack::new(2, 3);
-        // A batch of updates in the private layer.
-        stack.insert(Rid::new(5), vec![-1, -1], n).unwrap();
-        stack.delete(Rid::new(10), n).unwrap();
-        stack.modify(Rid::new(0), 1, 77, n).unwrap();
-        let before = merged(&stack, n, &[0, 1], TupleRange::new(0, 100));
-        stack.propagate(n).unwrap();
-        // More updates in the fresh private layer.
-        stack.insert(Rid::new(0), vec![-9, -9], n).unwrap();
-        stack.propagate(n).unwrap();
-        let after = merged(&stack, n, &[0, 1], TupleRange::new(0, 100));
-        assert_eq!(after.len(), before.len() + 1);
-        assert_eq!(&after[1..], &before[..]);
-        assert!(stack.top().is_empty());
-        assert!(stack.layer(2).is_empty());
-    }
-
-    #[test]
     fn flatten_produces_equivalent_single_pdt() {
         let n = 15;
-        let mut stack = PdtStack::new(2, 3);
+        let mut stack = PdtStack::new(2, 1);
         stack.insert(Rid::new(3), vec![-1, -2], n).unwrap();
-        stack.propagate(n).unwrap();
+        stack.push_layer(Pdt::new(2));
         stack.delete(Rid::new(0), n).unwrap();
         stack.modify(Rid::new(5), 0, 500, n).unwrap();
-        stack.propagate(n).unwrap();
+        stack.push_layer(Pdt::new(2));
         stack.insert(Rid::new(7), vec![-3, -4], n).unwrap();
 
         let flat = stack.flatten(n).unwrap();
@@ -413,13 +376,13 @@ mod tests {
     #[test]
     fn partial_range_merge_through_stack_matches_slice_of_full() {
         let n = 25;
-        let mut stack = PdtStack::new(2, 2);
+        let mut stack = PdtStack::new(2, 1);
         for i in 0..5 {
             stack
                 .insert(Rid::new(i * 5), vec![-(i as Value), 0], n)
                 .unwrap();
         }
-        stack.propagate(n).unwrap();
+        stack.push_layer(Pdt::new(2));
         stack.delete(Rid::new(3), n).unwrap();
         let full = merged(&stack, n, &[0], TupleRange::new(0, 1000));
         let part = merged(&stack, n, &[0], TupleRange::new(10, 20));

@@ -304,11 +304,6 @@ impl Simulation {
         })
     }
 
-    /// The simulator configuration.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Total volume of distinct data accessed by the workload, in bytes
     /// (the quantity the paper sizes buffer pools against: "buffer pool
     /// capacity equal to 40% of accessed data volume"). Computed against the

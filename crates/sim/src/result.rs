@@ -45,20 +45,6 @@ impl SimResult {
         )
     }
 
-    /// Average query latency in seconds, if timing is meaningful.
-    pub fn avg_query_latency_secs(&self) -> Option<f64> {
-        if !self.has_timing || self.query_latencies.is_empty() {
-            return None;
-        }
-        Some(
-            self.query_latencies
-                .iter()
-                .map(|d| d.as_secs_f64())
-                .sum::<f64>()
-                / self.query_latencies.len() as f64,
-        )
-    }
-
     /// Total I/O volume in (decimal) gigabytes.
     pub fn total_io_gb(&self) -> f64 {
         self.total_io_bytes as f64 / 1e9
@@ -83,7 +69,6 @@ mod tests {
             sharing: None,
         };
         assert_eq!(result.avg_stream_time_secs(), Some(3.0));
-        assert_eq!(result.avg_query_latency_secs(), Some(0.5));
         assert_eq!(result.total_io_gb(), 2.0);
 
         let opt = SimResult {
@@ -91,6 +76,5 @@ mod tests {
             ..result
         };
         assert_eq!(opt.avg_stream_time_secs(), None);
-        assert_eq!(opt.avg_query_latency_secs(), None);
     }
 }

@@ -49,16 +49,6 @@ impl Catalog {
         }
     }
 
-    /// Page size used for all tables in this catalog.
-    pub fn page_size_bytes(&self) -> u64 {
-        self.page_size_bytes
-    }
-
-    /// Chunk granularity (tuples per chunk) used for all tables.
-    pub fn chunk_tuples(&self) -> u64 {
-        self.chunk_tuples
-    }
-
     /// Registers a table and returns its id.
     pub fn create_table(&mut self, spec: TableSpec) -> Result<TableId> {
         spec.validate()?;

@@ -104,11 +104,6 @@ impl ColumnSpec {
         let tpp = self.tuples_per_page(page_size_bytes);
         tuples.div_ceil(tpp)
     }
-
-    /// Total compressed bytes for `tuples` tuples.
-    pub fn bytes_for_tuples(&self, tuples: u64) -> u64 {
-        (self.bytes_per_tuple * tuples as f64).ceil() as u64
-    }
 }
 
 #[cfg(test)]
@@ -147,12 +142,6 @@ mod tests {
     fn pages_for_zero_tuples_is_zero() {
         let c = ColumnSpec::new("k", ColumnType::Int64);
         assert_eq!(c.pages_for_tuples(0, 4096), 0);
-    }
-
-    #[test]
-    fn bytes_for_tuples_rounds_up() {
-        let c = ColumnSpec::with_width("f", ColumnType::Dict { cardinality: 2 }, 0.3);
-        assert_eq!(c.bytes_for_tuples(10), 3);
     }
 
     #[test]

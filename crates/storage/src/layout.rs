@@ -124,11 +124,6 @@ impl TableLayout {
         Some((first, last))
     }
 
-    /// The chunk containing `sid`.
-    pub fn chunk_of_sid(&self, sid: u64) -> ChunkId {
-        ChunkId::new((sid / self.chunk_tuples) as u32)
-    }
-
     /// Number of chunks needed for `tuples` tuples.
     pub fn chunk_count(&self, tuples: u64) -> u32 {
         if tuples == 0 {
@@ -243,15 +238,6 @@ impl TableLayout {
             pages,
         }
     }
-
-    /// Total bytes occupied by `tuples` tuples across the given columns
-    /// (whole pages, as the buffer manager sees them).
-    pub fn bytes_for_scan(&self, columns: &[usize], tuples: u64) -> u64 {
-        columns
-            .iter()
-            .map(|&c| self.pages_for_tuples(c, tuples) * self.page_size_bytes)
-            .sum()
-    }
 }
 
 /// One page access of a scan, annotated for PBM registration.
@@ -293,12 +279,6 @@ impl ScanPagePlan {
         ids.len()
     }
 
-    /// Total bytes the plan will read assuming `page_size_bytes` pages and
-    /// a cold buffer pool.
-    pub fn cold_bytes(&self, page_size_bytes: u64) -> u64 {
-        self.distinct_pages() as u64 * page_size_bytes
-    }
-
     /// Iterates over the page accesses in the interleaved order in which a
     /// tuple-at-a-time scan actually needs them: ordered by `tuples_behind`
     /// (ties broken by column index). This is the per-page reference order
@@ -313,48 +293,22 @@ impl ScanPagePlan {
 /// Mapping from chunks to pages for one (snapshot, column set) pair.
 #[derive(Debug, Clone)]
 pub struct ChunkMap {
-    table: TableId,
-    chunk_tuples: u64,
-    stable_tuples: u64,
     /// Pages of each chunk (sorted, deduplicated).
     chunk_pages: Vec<Vec<PageId>>,
 }
 
 impl ChunkMap {
     fn build(layout: &TableLayout, snapshot: &Snapshot, columns: &[usize]) -> Self {
-        let stable = snapshot.stable_tuples();
-        let count = layout.chunk_count(stable);
+        let count = layout.chunk_count(snapshot.stable_tuples());
         let chunk_pages = (0..count)
             .map(|c| layout.pages_for_chunk(snapshot, columns, ChunkId::new(c)))
             .collect();
-        Self {
-            table: layout.table(),
-            chunk_tuples: layout.chunk_tuples(),
-            stable_tuples: stable,
-            chunk_pages,
-        }
-    }
-
-    /// Table this map describes.
-    pub fn table(&self) -> TableId {
-        self.table
+        Self { chunk_pages }
     }
 
     /// Number of chunks.
     pub fn chunk_count(&self) -> u32 {
         self.chunk_pages.len() as u32
-    }
-
-    /// Number of stable tuples covered.
-    pub fn stable_tuples(&self) -> u64 {
-        self.stable_tuples
-    }
-
-    /// SID range of a chunk.
-    pub fn chunk_sid_range(&self, chunk: ChunkId) -> TupleRange {
-        let start = chunk.raw() as u64 * self.chunk_tuples;
-        let end = (start + self.chunk_tuples).min(self.stable_tuples);
-        TupleRange::new(start.min(end), end)
     }
 
     /// Pages of a chunk (for the columns the map was built with).
@@ -438,8 +392,6 @@ mod tests {
     fn chunk_arithmetic() {
         let (layout, _snap) = test_layout(1024, 1000, 10_500);
         assert_eq!(layout.chunk_count(10_500), 11);
-        assert_eq!(layout.chunk_of_sid(999), ChunkId::new(0));
-        assert_eq!(layout.chunk_of_sid(1000), ChunkId::new(1));
         assert_eq!(
             layout.chunk_sid_range(ChunkId::new(10), 10_500),
             TupleRange::new(10_000, 10_500)
@@ -525,13 +477,5 @@ mod tests {
         // total distinct pages = wide (79 pages for 10000 tuples @128/page)
         // + narrow (5 pages @2048/page)
         assert_eq!(map.total_pages(), 79 + 5);
-    }
-
-    #[test]
-    fn bytes_for_scan_counts_whole_pages() {
-        let (layout, _snap) = test_layout(1024, 1000, 10_000);
-        assert_eq!(layout.bytes_for_scan(&[0], 128), 1024);
-        assert_eq!(layout.bytes_for_scan(&[0], 129), 2048);
-        assert_eq!(layout.bytes_for_scan(&[0, 1], 129), 2048 + 1024);
     }
 }

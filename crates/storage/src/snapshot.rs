@@ -108,11 +108,6 @@ impl Snapshot {
         (pruned, skipped)
     }
 
-    /// Number of columns.
-    pub fn column_count(&self) -> usize {
-        self.column_pages.len()
-    }
-
     /// Page reference `page_index` of column `col`, if it exists.
     pub fn page(&self, col: usize, page_index: u64) -> Option<PageId> {
         self.column_pages
@@ -151,11 +146,6 @@ impl Snapshot {
     /// state byte-identical.
     pub fn pages(&self) -> impl Iterator<Item = PageId> + '_ {
         self.column_pages.iter().flatten().copied()
-    }
-
-    /// Whether the given page is referenced by this snapshot.
-    pub fn references_page(&self, page: PageId) -> bool {
-        self.column_pages.iter().any(|pages| pages.contains(&page))
     }
 
     /// Per-column count of leading page references that are identical in
@@ -402,11 +392,6 @@ impl SnapshotStore {
         };
         (snapshot, new_pages)
     }
-
-    /// Number of page ids allocated so far.
-    pub fn pages_allocated(&self) -> u64 {
-        self.next_page
-    }
 }
 
 #[cfg(test)]
@@ -444,7 +429,7 @@ mod tests {
         assert_eq!(snap.column_pages(1).len(), 1); // 1000/1024 -> 1 page
         assert_eq!(snap.stable_tuples(), 1000);
         assert_eq!(store.master(TableId::new(0)).unwrap().id(), snap.id());
-        assert_eq!(store.pages_allocated(), 9);
+        assert_eq!(store.next_page, 9);
     }
 
     #[test]
@@ -474,11 +459,11 @@ mod tests {
         // All new pages really are new (not referenced by the base snapshot).
         for p in &new_pages {
             let page = appended.page(p.column_index, p.page_index).unwrap();
-            assert!(!base.references_page(page));
+            assert!(base.pages().all(|old| old != page));
         }
         assert_eq!(
             new_pages.len() as u64,
-            store.pages_allocated() - 9,
+            store.next_page - 9,
             "every fresh page is reported"
         );
     }

@@ -35,19 +35,6 @@ pub struct PageData {
     pub values: Arc<Vec<Value>>,
 }
 
-impl PageData {
-    /// Value of `sid`, if the page covers it.
-    pub fn value(&self, sid: u64) -> Option<Value> {
-        if self.sid_range.contains(sid) {
-            self.values
-                .get((sid - self.sid_range.start) as usize)
-                .copied()
-        } else {
-            None
-        }
-    }
-}
-
 /// Where the values of an opened page come from.
 #[derive(Debug, Clone)]
 enum PageValues {
@@ -464,7 +451,6 @@ impl Storage {
             table,
             base_master: master.id(),
             working: master,
-            open: true,
         })
     }
 
@@ -678,22 +664,18 @@ impl Storage {
 /// [`AppendTransaction::snapshot`] before commit. Only one of several
 /// concurrent appenders to the same table can commit; the others fail with
 /// [`Error::TransactionConflict`]. A committed append is durable only after
-/// the next checkpoint (see [`Storage::begin_append`]).
+/// the next checkpoint (see [`Storage::begin_append`]). Dropping the
+/// transaction uncommitted aborts it: its snapshot never becomes master and
+/// is freed with the last handle to it (a scan may still hold one).
 #[derive(Debug)]
 pub struct AppendTransaction {
     storage: Arc<Storage>,
     table: TableId,
     base_master: SnapshotId,
     working: Arc<Snapshot>,
-    open: bool,
 }
 
 impl AppendTransaction {
-    /// The table the transaction appends to.
-    pub fn table(&self) -> TableId {
-        self.table
-    }
-
     /// The snapshot this transaction currently sees (its own appends
     /// included).
     pub fn snapshot(&self) -> Arc<Snapshot> {
@@ -702,9 +684,6 @@ impl AppendTransaction {
 
     /// Appends a batch of rows given column-major (`rows[col][i]`).
     pub fn append_rows(&mut self, rows: &[Vec<Value>]) -> Result<()> {
-        if !self.open {
-            return Err(Error::TransactionClosed);
-        }
         self.working = self
             .storage
             .append_to_snapshot(self.table, &self.working, rows)?;
@@ -712,19 +691,9 @@ impl AppendTransaction {
     }
 
     /// Commits the transaction, promoting its snapshot to master.
-    pub fn commit(mut self) -> Result<Arc<Snapshot>> {
-        if !self.open {
-            return Err(Error::TransactionClosed);
-        }
-        self.open = false;
+    pub fn commit(self) -> Result<Arc<Snapshot>> {
         self.storage
             .commit_append(self.table, self.base_master, &self.working)
-    }
-
-    /// Aborts the transaction. Its snapshot never becomes master; it is
-    /// freed with the last handle to it (a scan may still hold one).
-    pub fn abort(mut self) {
-        self.open = false;
     }
 }
 
@@ -907,7 +876,7 @@ mod tests {
         let before = storage.master_snapshot(id).unwrap().id();
         let mut tx = storage.begin_append(id).unwrap();
         tx.append_rows(&[vec![1, 2], vec![3, 4]]).unwrap();
-        tx.abort();
+        drop(tx); // the abort
         assert_eq!(storage.master_snapshot(id).unwrap().id(), before);
     }
 
@@ -1057,6 +1026,5 @@ mod tests {
         let plan = layout.scan_page_plan(&snap, &[0, 1], &RangeList::single(0, 1000));
         // col a: 8 B/tuple, 128 t/page -> 8 pages; col b: 4 B/tuple, 256 t/page -> 4 pages.
         assert_eq!(plan.distinct_pages(), 12);
-        assert_eq!(plan.cold_bytes(1024), 12 * 1024);
     }
 }

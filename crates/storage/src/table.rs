@@ -56,11 +56,6 @@ impl TableSpec {
         self.columns.iter().map(|c| c.bytes_per_tuple).sum()
     }
 
-    /// Total compressed size of the base data in bytes.
-    pub fn base_bytes(&self) -> u64 {
-        (self.bytes_per_tuple() * self.base_tuples as f64).ceil() as u64
-    }
-
     /// Validates the spec.
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
@@ -106,7 +101,6 @@ mod tests {
             1000,
         );
         assert_eq!(t.bytes_per_tuple(), 14.0);
-        assert_eq!(t.base_bytes(), 14_000);
     }
 
     #[test]

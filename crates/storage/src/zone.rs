@@ -171,16 +171,6 @@ impl ZoneMap {
         }
     }
 
-    /// Chunk granularity the map was built with.
-    pub fn chunk_tuples(&self) -> u64 {
-        self.chunk_tuples
-    }
-
-    /// Number of columns covered.
-    pub fn column_count(&self) -> usize {
-        self.columns.len()
-    }
-
     /// Number of chunks covered (0 for an empty map).
     pub fn chunk_count(&self) -> usize {
         self.columns.first().map(Vec::len).unwrap_or(0)

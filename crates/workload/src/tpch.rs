@@ -53,12 +53,6 @@ impl TpchConfig {
             seed: 3,
         }
     }
-
-    /// Returns a copy with a different stream count (Figure 16 sweep).
-    pub fn with_streams(mut self, streams: usize) -> Self {
-        self.streams = streams;
-        self
-    }
 }
 
 /// The eight TPC-H tables in a fixed order.

@@ -1,0 +1,61 @@
+#!/bin/sh
+# Dead public API: every `pub fn` in the non-test code of crates/*/src whose
+# name occurs nowhere else in the non-test code of crates/, src/, examples/
+# or benchmark/src. Non-test code is each file cut at its first column-0
+# `#[cfg(test)]` whose next line opens a `mod` (the rule of nontest-loc.sh),
+# with `//` comments (doc comments and their doctests included) stripped.
+#
+# The scan matches by NAME, not by path: a live function of the same name
+# anywhere (`TableState::pin` once hid `BufferPool::pin`) keeps a dead one
+# off the list, and a name used only in a string or macro counts as a use.
+# Grep the call syntax before deleting a hit.
+#
+# Prints "<file> <name>" per hit. Exits non-zero if a hit is not listed in
+# scripts/dead-pub.allow ("<file> <name>  # reason" per line) or if an
+# allowlist line names no current hit.
+set -eu
+cd "$(dirname "$0")/.."
+allow=scripts/dead-pub.allow
+files=$(find crates src examples benchmark/src -name '*.rs' -not -path '*/tests/*' | LC_ALL=C sort)
+# shellcheck disable=SC2086
+hits=$(awk '
+    FNR == 1 { cut = 0; held = 0 }
+    cut { next }
+    held {
+        held = 0
+        if ($0 ~ /^(pub(\([a-z]+\))? )?mod /) { cut = 1; next }
+    }
+    /^#\[cfg\(test\)\]/ { held = 1; next }
+    {
+        line = $0
+        sub(/\/\/.*/, "", line)
+        if (FILENAME ~ /^crates\/[^\/]+\/src\// &&
+            match(line, /^[ \t]*pub (const |unsafe |async )*fn [A-Za-z_][A-Za-z0-9_]*/)) {
+            def = substr(line, RSTART, RLENGTH)
+            sub(/.* fn /, "", def)
+            defs[FILENAME " " def] = def
+        }
+        gsub(/[^A-Za-z0-9_]+/, " ", line)
+        n = split(line, words, " ")
+        for (i = 1; i <= n; i++) seen[words[i]]++
+    }
+    END { for (d in defs) if (seen[defs[d]] <= 1) print d }
+' $files | LC_ALL=C sort)
+printf '%s\n' "$hits" | awk -v allow="$allow" '
+    BEGIN {
+        while ((getline entry < allow) > 0) {
+            sub(/#.*/, "", entry)
+            if (split(entry, f, " ") >= 2) listed[f[1] " " f[2]] = 1
+        }
+    }
+    NF {
+        print
+        hit[$0] = 1
+        if (!($0 in listed)) new = new "\n  " $0
+    }
+    END {
+        for (k in listed) if (!(k in hit)) stale = stale "\n  " k
+        if (new != "") printf "dead public fn not in %s:%s\n", allow, new > "/dev/stderr"
+        if (stale != "") printf "stale %s entry (no longer a hit):%s\n", allow, stale > "/dev/stderr"
+        exit (new != "" || stale != "")
+    }'

@@ -57,8 +57,9 @@ fn aborted_appends_are_never_visible() {
     .unwrap();
     // The transaction itself sees its rows ...
     assert_eq!(tx.snapshot().stable_tuples(), 20_500);
-    // ... but after abort the master snapshot and every query are unchanged.
-    tx.abort();
+    // ... but once it is dropped (the abort) the master snapshot and every
+    // query are unchanged.
+    drop(tx);
     assert_eq!(
         storage.master_snapshot(table).unwrap().stable_tuples(),
         20_000

@@ -92,11 +92,11 @@ fn completion_times_are_monotone_in_submission_order() {
             assert!(c.done_at > c.started_at, "seed {seed} request {i}");
             assert_eq!(
                 c.done_at.since(c.submitted_at),
-                c.queue_wait() + c.service_time(),
+                c.queue_wait() + c.done_at.since(c.started_at),
                 "seed {seed} request {i}: wait + service must partition the latency"
             );
             assert!(
-                c.service_time() >= device.request_latency(),
+                c.done_at.since(c.started_at) >= device.request_latency(),
                 "seed {seed} request {i}: service time includes the fixed latency"
             );
         }
@@ -116,7 +116,7 @@ fn busy_horizon_never_regresses() {
             if rng.below(3) == 0 {
                 now = now.after(VirtualDuration::from_nanos(rng.below(20_000_000)));
             }
-            let was_idle = device.is_idle_at(now);
+            let was_idle = device.busy_until() <= now;
             let completion = device.submit_async(now, rng.range(1, 1 << 20), IoKind::Demand);
             let busy = device.busy_until();
             assert!(busy >= last_busy, "seed {seed}: busy_until regressed");
@@ -174,15 +174,15 @@ fn stats_split_sums_to_totals() {
         let wait: u64 = completions.iter().map(|c| c.queue_wait().as_nanos()).sum();
         let service: u64 = completions
             .iter()
-            .map(|c| c.service_time().as_nanos())
+            .map(|c| c.done_at.since(c.started_at).as_nanos())
             .sum();
         assert_eq!(stats.queue_wait_nanos, wait, "seed {seed}");
         assert_eq!(stats.service_nanos, service, "seed {seed}");
     }
 }
 
-/// The blocking wrappers (`submit`, `submit_pages`) agree with the
-/// asynchronous primitive: same horizon arithmetic, demand accounting.
+/// The blocking wrapper (`submit`) agrees with the asynchronous primitive:
+/// same horizon arithmetic, demand accounting.
 #[test]
 fn blocking_wrappers_agree_with_submit_async() {
     for seed in 0..32u64 {

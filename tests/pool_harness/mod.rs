@@ -10,7 +10,7 @@
 
 #![allow(dead_code)] // each test binary uses a subset of the harness
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use scanshare::common::{ColumnId, PageId, ScanId, TableId, TupleRange, VirtualInstant};
 use scanshare::core::policy::{ReplacementPolicy, ScanInfo};
@@ -56,12 +56,6 @@ pub enum Step {
     },
     Unregister {
         scan: usize,
-    },
-    Pin {
-        page: u64,
-    },
-    Unpin {
-        page: u64,
     },
     Prefetch {
         budget: usize,
@@ -111,15 +105,13 @@ pub trait TracePool {
         -> AccessOutcome;
     fn report(&mut self, scan: ScanId, tuples: u64, now: VirtualInstant);
     fn unregister(&mut self, scan: ScanId, now: VirtualInstant);
-    fn pin(&mut self, page: PageId);
-    fn unpin(&mut self, page: PageId);
     fn candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId>;
     fn admit_prefetch(&mut self, page: PageId, now: VirtualInstant) -> bool;
     fn stats(&self) -> BufferStats;
 }
 
-/// The reference the buffer pool is compared against: a resident set, pin
-/// counts and a policy that hears about every event the moment it happens,
+/// The reference the buffer pool is compared against: a resident set and a
+/// policy that hears about every event the moment it happens,
 /// with no lock. It shares none of the code under test beyond the policy
 /// itself.
 pub struct EagerPool {
@@ -127,7 +119,6 @@ pub struct EagerPool {
     page_size_bytes: u64,
     policy: Box<dyn ReplacementPolicy>,
     resident: HashSet<PageId>,
-    pinned: HashMap<PageId, u32>,
     stats: BufferStats,
     next_scan: u64,
 }
@@ -143,7 +134,6 @@ impl EagerPool {
             page_size_bytes,
             policy,
             resident: HashSet::new(),
-            pinned: HashMap::new(),
             stats: BufferStats::default(),
             next_scan: 0,
         }
@@ -175,8 +165,7 @@ impl TracePool for EagerPool {
         }
         let mut evicted = Vec::new();
         if self.resident.len() >= self.capacity_pages {
-            let mut exclude: HashSet<PageId> = self.pinned.keys().copied().collect();
-            exclude.insert(page);
+            let exclude = HashSet::from([page]);
             for victim in self.policy.choose_victims(1, &exclude, now) {
                 if self.resident.remove(&victim) {
                     self.policy.on_evict(victim);
@@ -187,7 +176,7 @@ impl TracePool for EagerPool {
         }
         assert!(
             self.resident.len() < self.capacity_pages,
-            "pins are bounded"
+            "the policy named a victim"
         );
         self.resident.insert(page);
         self.policy.on_admit(page, now);
@@ -202,17 +191,6 @@ impl TracePool for EagerPool {
     }
     fn unregister(&mut self, scan: ScanId, now: VirtualInstant) {
         self.policy.unregister_scan(scan, now)
-    }
-    fn pin(&mut self, page: PageId) {
-        *self.pinned.entry(page).or_insert(0) += 1;
-    }
-    fn unpin(&mut self, page: PageId) {
-        if let Some(count) = self.pinned.get_mut(&page) {
-            *count -= 1;
-            if *count == 0 {
-                self.pinned.remove(&page);
-            }
-        }
     }
     fn candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
         if budget == 0 {
@@ -253,19 +231,13 @@ impl TracePool for BufferPool {
         scan: Option<ScanId>,
         now: VirtualInstant,
     ) -> AccessOutcome {
-        BufferPool::request_page(self, page, scan, now).expect("pins are bounded")
+        BufferPool::request_page(self, page, scan, now).expect("the policy named a victim")
     }
     fn report(&mut self, scan: ScanId, tuples: u64, now: VirtualInstant) {
         BufferPool::report_scan_position(self, scan, tuples, now)
     }
     fn unregister(&mut self, scan: ScanId, now: VirtualInstant) {
         BufferPool::unregister_scan(self, scan, now)
-    }
-    fn pin(&mut self, page: PageId) {
-        BufferPool::pin(self, page)
-    }
-    fn unpin(&mut self, page: PageId) {
-        BufferPool::unpin(self, page)
     }
     fn candidates(&mut self, budget: usize, now: VirtualInstant) -> Vec<PageId> {
         BufferPool::prefetch_candidates(self, budget, now)
@@ -279,14 +251,13 @@ impl TracePool for BufferPool {
 }
 
 /// Generates a random trace over `pages` page ids with registered scans,
-/// progress reports, pins (bounded so the pool can always admit) and
-/// prefetch probes.
-pub fn random_trace(rng: &mut Rng, pages: u64, capacity: usize, steps: usize) -> Vec<Step> {
+/// progress reports, scanless accesses, prefetch probes and virtual-time
+/// advances. Every step is valid at any capacity, so the trace does not
+/// depend on `_capacity`.
+pub fn random_trace(rng: &mut Rng, pages: u64, _capacity: usize, steps: usize) -> Vec<Step> {
     let mut trace = Vec::with_capacity(steps);
     let mut live_scans: Vec<(usize, Vec<u64>, usize)> = Vec::new(); // (index, plan, cursor)
     let mut registered = 0usize;
-    let mut pinned: Vec<u64> = Vec::new();
-    let max_pinned = capacity.saturating_sub(2).min(3);
     for _ in 0..steps {
         match rng.below(16) {
             0 => {
@@ -314,16 +285,6 @@ pub fn random_trace(rng: &mut Rng, pages: u64, capacity: usize, steps: usize) ->
                     tuples: *cursor as u64 * 100,
                 });
             }
-            3 if pinned.len() < max_pinned => {
-                let page = rng.below(pages);
-                pinned.push(page);
-                trace.push(Step::Pin { page });
-            }
-            4 if !pinned.is_empty() => {
-                let idx = rng.below(pinned.len() as u64) as usize;
-                let page = pinned.remove(idx);
-                trace.push(Step::Unpin { page });
-            }
             5 => trace.push(Step::Prefetch {
                 budget: 1 + rng.below(6) as usize,
             }),
@@ -346,10 +307,6 @@ pub fn random_trace(rng: &mut Rng, pages: u64, capacity: usize, steps: usize) ->
                 page: rng.below(pages),
             }),
         }
-    }
-    // Unpin everything so later replays (and clears) stay comparable.
-    for page in pinned {
-        trace.push(Step::Unpin { page });
     }
     trace
 }
@@ -379,8 +336,6 @@ pub fn replay(pool: &mut dyn TracePool, trace: &[Step]) -> (Vec<Observation>, Bu
             }
             Step::Report { scan, tuples } => pool.report(scan_ids[*scan], *tuples, now),
             Step::Unregister { scan } => pool.unregister(scan_ids[*scan], now),
-            Step::Pin { page } => pool.pin(PageId::new(*page)),
-            Step::Unpin { page } => pool.unpin(PageId::new(*page)),
             Step::Prefetch { budget } => {
                 let candidates = pool.candidates(*budget, now);
                 let admitted = candidates

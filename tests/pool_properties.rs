@@ -6,7 +6,7 @@
 //! This is the invariant the engine's I/O accounting rests on. The traces
 //! are randomized (deterministic xorshift, like the other property tests in
 //! this workspace): interleaved scans with page plans, progress reports,
-//! scanless accesses, pins, prefetch admissions and virtual-time advances,
+//! scanless accesses, prefetch admissions and virtual-time advances,
 //! replayed under replacement pressure. The trace grammar and replayer live
 //! in `pool_harness` and are shared with `policy_zoo.rs`, which runs the
 //! same property for CLOCK and SIEVE. The remaining tests drive the pool

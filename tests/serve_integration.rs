@@ -319,7 +319,8 @@ fn join_queries_over_the_wire_match_the_engine() {
     let mut request = sum_request();
     request.aggregates = vec![Aggregate::Count, Aggregate::Sum(3)];
     request.parallelism = 2;
-    let groups = client.query(request.with_join(join.clone())).unwrap();
+    request.join = Some(join.clone());
+    let groups = client.query(request).unwrap();
     assert_eq!(groups.len(), 1);
     assert_eq!(groups[0].count, expected.count);
     assert_eq!(groups[0].accumulators, expected.accumulators);
@@ -327,7 +328,11 @@ fn join_queries_over_the_wire_match_the_engine() {
     // Unknown build table: typed error, session stays usable.
     let mut bad_join = join;
     bad_join.table = "no_such_dim".into();
-    match client.query(sum_request().with_join(bad_join)) {
+    let request = QueryRequest {
+        join: Some(bad_join),
+        ..sum_request()
+    };
+    match client.query(request) {
         Err(scanshare::common::Error::Remote { code, .. }) => {
             assert_eq!(code, ErrorCode::UnknownTable.as_u16())
         }
