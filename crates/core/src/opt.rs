@@ -7,6 +7,8 @@
 //! reference trace of a PBM run and replay it here, reporting the I/O volume
 //! the oracle would have caused.
 
+use std::collections::BinaryHeap;
+
 use scanshare_common::hash::IdHashMap;
 use scanshare_common::PageId;
 
@@ -46,8 +48,10 @@ impl OptResult {
 /// OPT policy and returns the resulting counters.
 ///
 /// Complexity is `O(n log n)` in the trace length: the next use of every
-/// reference is precomputed, and the resident set is kept in a max-structure
-/// keyed by next use.
+/// reference is precomputed, and the resident pages sit in a max-heap keyed
+/// by next use. A hit pushes the page's new key and leaves the old one
+/// behind; an entry counts only while it matches the page's key in
+/// `resident`, and an eviction pops the stale ones it finds on top.
 pub fn simulate_opt(trace: &[PageId], capacity_pages: usize) -> OptResult {
     assert!(
         capacity_pages > 0,
@@ -65,36 +69,38 @@ pub fn simulate_opt(trace: &[PageId], capacity_pages: usize) -> OptResult {
         last_seen.insert(page, i);
     }
 
-    // Resident set: page -> next use index. A BTreeMap keyed by (next_use,
-    // page) provides O(log n) victim selection.
+    // Resident set: page -> next use index, and the heap of (next_use,
+    // page) keys, live and stale. Next uses are distinct trace indices, so
+    // a page's live key is the only entry of the heap that matches it.
     let mut resident: IdHashMap<PageId, usize> = IdHashMap::default();
-    let mut by_next_use: std::collections::BTreeMap<(usize, PageId), ()> =
-        std::collections::BTreeMap::new();
+    let mut by_next_use: BinaryHeap<(usize, PageId)> = BinaryHeap::new();
     let mut result = OptResult::default();
 
     for (i, &page) in trace.iter().enumerate() {
-        if let Some(&old_next) = resident.get(&page) {
-            // Hit: update the page's next use.
+        if let Some(next) = resident.get_mut(&page) {
             result.hits += 1;
-            by_next_use.remove(&(old_next, page));
+            *next = next_use[i];
+        } else {
+            result.misses += 1;
+            if resident.len() >= capacity_pages {
+                // Evict the resident page referenced furthest in the future.
+                loop {
+                    let (next, victim) = by_next_use.pop().expect("resident set is non-empty");
+                    if resident.get(&victim) == Some(&next) {
+                        resident.remove(&victim);
+                        result.evictions += 1;
+                        break;
+                    }
+                }
+            }
             resident.insert(page, next_use[i]);
-            by_next_use.insert((next_use[i], page), ());
-            continue;
         }
-        result.misses += 1;
-        if resident.len() >= capacity_pages {
-            // Evict the resident page referenced furthest in the future.
-            let (&(victim_next, victim), ()) = by_next_use
-                .iter()
-                .next_back()
-                .expect("resident set is non-empty");
-            let _ = victim_next;
-            by_next_use.remove(&(victim_next, victim));
-            resident.remove(&victim);
-            result.evictions += 1;
+        by_next_use.push((next_use[i], page));
+        // Hits leave stale keys behind; past a few per resident page, drop
+        // them all.
+        if by_next_use.len() > 4 * resident.len() {
+            by_next_use.retain(|&(next, page)| resident.get(&page) == Some(&next));
         }
-        resident.insert(page, next_use[i]);
-        by_next_use.insert((next_use[i], page), ());
     }
     result
 }
@@ -167,6 +173,68 @@ mod tests {
             assert!(r.misses <= last, "OPT misses must be monotone in capacity");
             last = r.misses;
             assert_eq!(r.references(), ids.len() as u64);
+        }
+    }
+
+    /// The replay as it was with an ordered map of the resident pages,
+    /// which the lazy heap must match decision for decision.
+    fn simulate_opt_ordered(trace: &[PageId], capacity_pages: usize) -> OptResult {
+        let mut next_use = vec![usize::MAX; trace.len()];
+        let mut last_seen: IdHashMap<PageId, usize> = IdHashMap::default();
+        for (i, &page) in trace.iter().enumerate().rev() {
+            if let Some(&later) = last_seen.get(&page) {
+                next_use[i] = later;
+            }
+            last_seen.insert(page, i);
+        }
+        let mut resident: IdHashMap<PageId, usize> = IdHashMap::default();
+        let mut by_next_use = std::collections::BTreeSet::new();
+        let mut result = OptResult::default();
+        for (i, &page) in trace.iter().enumerate() {
+            if let Some(&old_next) = resident.get(&page) {
+                result.hits += 1;
+                by_next_use.remove(&(old_next, page));
+            } else {
+                result.misses += 1;
+                if resident.len() >= capacity_pages {
+                    let (_, victim) = by_next_use.pop_last().expect("resident set is non-empty");
+                    resident.remove(&victim);
+                    result.evictions += 1;
+                }
+            }
+            resident.insert(page, next_use[i]);
+            by_next_use.insert((next_use[i], page));
+        }
+        result
+    }
+
+    #[test]
+    fn the_lazy_heap_matches_the_ordered_replay() {
+        let mut state = 0x0dd_b1a5_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % bound
+        };
+        for round in 0..16 {
+            // Skewed references over a universe that outgrows some
+            // capacities and not others, with runs of repeats.
+            let universe = 2 + next(60);
+            let ids: Vec<u64> = (0..1_000)
+                .map(|_| match next(4) {
+                    0 => next(4),
+                    _ => next(universe),
+                })
+                .collect();
+            let t = trace(&ids);
+            for cap in 1..=40 {
+                assert_eq!(
+                    simulate_opt(&t, cap),
+                    simulate_opt_ordered(&t, cap),
+                    "round {round}, capacity {cap}"
+                );
+            }
         }
     }
 

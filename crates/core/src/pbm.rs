@@ -21,22 +21,27 @@
 //! bucket kept in LRU order. Eviction takes pages from the not-requested
 //! bucket first, then from the requested buckets furthest in the future.
 //!
-//! **Inside a bucket** pages are ordered too. A bucket is a set of
-//! `(due, page)` keys, where `due` is the absolute instant the page was
-//! predicted to be consumed at when it was last pushed (`now +
-//! next_consumption`), so insertion and removal cost O(log n) and eviction
-//! walks a bucket from its back: the page predicted furthest away goes
-//! first, ties broken by page id. Without that order the victim among the
-//! pages of one bucket is arbitrary, and a run that is short against
-//! `time_slice` keeps nearly all its pages in a handful of buckets — the
-//! policy would then depend on the ratio of run length to slice length. The
-//! key is remembered with the page's state, so a page is always removed
-//! under the key it was inserted with. It is a snapshot, not a live
-//! estimate: it goes stale when the consuming scan's measured speed changes.
-//! The staleness is bounded the same way a page's *bucket* is: a consuming
-//! access, a registration or an unregistration re-pushes the pages it
-//! touches, and a page whose bucket ages off the front of the timeline
-//! (`refresh`) is re-estimated from the scans' current positions and speeds.
+//! **Inside a bucket** pages are ordered too. A bucket is a max-heap of
+//! `(due, page, stamp)` entries, where `due` is the absolute instant the
+//! page was predicted to be consumed at when it was last pushed (`now +
+//! next_consumption`), and eviction takes a bucket from its top: the page
+//! predicted furthest away goes first, ties broken by page id. Without that
+//! order the victim among the pages of one bucket is arbitrary, and a run
+//! that is short against `time_slice` keeps nearly all its pages in a
+//! handful of buckets — the policy would then depend on the ratio of run
+//! length to slice length. Nothing is ever removed from a heap in place:
+//! every push gives the page a fresh `stamp`, and an entry is live only while
+//! its page is requested and still carries that stamp, so a re-push or an
+//! eviction leaves the old entry behind as garbage. Eviction drops the
+//! stale entries it meets on top, and once the entries outnumber the tracked
+//! pages `COMPACT_FACTOR` (4) times over, every heap keeps only its live ones.
+//! The not-requested queue uses the same stamps. A `due` key is a snapshot,
+//! not a live estimate: it goes stale when the consuming scan's measured
+//! speed changes. The staleness is bounded the same way a page's *bucket*
+//! is: a consuming access, a registration or an unregistration re-pushes the
+//! pages it touches, and a page whose bucket ages off the front of the
+//! timeline (`refresh`) is re-estimated from the scans' current positions
+//! and speeds.
 //!
 //! Because a key outlives the estimate it was made from, the estimate made
 //! at registration matters: the already resident pages of a new scan are
@@ -58,7 +63,7 @@
 //! point as the default, and a timeline of two 10 s buckets read the same
 //! 27.6 MB as the default one in a replay at heavy memory pressure.
 
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use scanshare_common::hash::IdHashMap;
 use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
@@ -81,40 +86,47 @@ const TOTAL_BUCKETS: usize = BUCKET_GROUPS * BUCKETS_PER_GROUP;
 /// such a scan runs at the mean measured speed of the scans that have
 /// reported (see the module docs). It is the default CPU processing rate.
 pub const BOOTSTRAP_SCAN_SPEED: f64 = 250_000_000.0;
+/// The timeline heaps keep only their live entries once they hold more than
+/// this many per tracked page, which bounds them as pushes leave garbage.
+const COMPACT_FACTOR: usize = 4;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// A timeline entry: predicted consumption instant, page, stamp of the push.
+type Entry = (VirtualInstant, PageId, u64);
+type Pages = IdHashMap<PageId, PageMeta>;
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 enum PageState {
     /// Not in the buffer pool; only interest metadata is kept.
+    #[default]
     NotResident,
-    /// Resident and wanted by at least one scan: the bucket index on the
-    /// timeline and the predicted consumption instant the page is keyed by
-    /// inside that bucket.
-    Requested { bucket: usize, due: VirtualInstant },
+    /// Resident and wanted by at least one scan: the page's live entry sits
+    /// in a timeline bucket.
+    Requested,
     /// Resident but not wanted by any registered scan (kept in LRU order).
     NotRequested,
 }
 
 #[derive(Debug, Default)]
 struct PageMeta {
-    /// Scans that will consume this page, with the number of tuples each
-    /// must process before reaching it (`page.consuming_scans` in Figure 9),
-    /// one entry per scan, in no particular order: a page has a handful of
-    /// consumers, and the estimate is a minimum over them.
-    consuming: Vec<(ScanId, u64)>,
-    state: Option<PageState>,
-    lru_stamp: u64,
+    /// Scans that will consume this page, as slots of the scan table, with
+    /// the number of tuples each must process before reaching it
+    /// (`page.consuming_scans` in Figure 9), one entry per scan, in no
+    /// particular order: a page has a handful of consumers, and the estimate
+    /// is a minimum over them.
+    consuming: Vec<(usize, u64)>,
+    state: PageState,
+    /// The stamp of the page's latest push: its entry in a timeline bucket
+    /// or in the not-requested queue is live only while it carries this one.
+    stamp: u64,
 }
 
 impl PageMeta {
-    fn state(&self) -> PageState {
-        self.state.unwrap_or(PageState::NotResident)
-    }
     fn is_resident(&self) -> bool {
-        !matches!(self.state(), PageState::NotResident)
+        self.state != PageState::NotResident
     }
-    /// Drops `scan`'s interest in the page; whether it had any.
-    fn remove_consumer(&mut self, scan: ScanId) -> bool {
-        let found = self.consuming.iter().position(|&(s, _)| s == scan);
+    /// Drops the interest of the scan in `slot`; whether it had any.
+    fn remove_consumer(&mut self, slot: usize) -> bool {
+        let found = self.consuming.iter().position(|&(s, _)| s == slot);
         found.map(|i| self.consuming.swap_remove(i)).is_some()
     }
 }
@@ -133,11 +145,21 @@ struct ScanState {
 /// The Predictive Buffer Management replacement policy.
 #[derive(Debug)]
 pub struct PbmPolicy {
-    scans: IdHashMap<ScanId, ScanState>,
-    pages: IdHashMap<PageId, PageMeta>,
-    /// Requested buckets; index 0 is the nearest future. Each is ordered by
-    /// `(predicted consumption instant at push, page)`.
-    buckets: Vec<BTreeSet<(VirtualInstant, PageId)>>,
+    /// Registered scans in a dense slot table, so a page's consumers reach
+    /// their scan without hashing; `None` slots are on `free_slots`.
+    scans: Vec<Option<ScanState>>,
+    free_slots: Vec<usize>,
+    slot_of: IdHashMap<ScanId, usize>,
+    pages: Pages,
+    /// Requested buckets; index 0 is the nearest future. Each is a max-heap
+    /// of live and stale entries (see the module docs).
+    buckets: Vec<BinaryHeap<Entry>>,
+    /// No bucket past this one holds an entry.
+    far: usize,
+    /// Entries in `buckets`, live and stale.
+    heap_entries: usize,
+    /// Pages in `Requested` state: the live entries in `buckets`.
+    requested: usize,
     /// LRU queue (with lazy deletion) for the "not requested" bucket.
     not_requested: VecDeque<(PageId, u64)>,
     next_stamp: u64,
@@ -145,9 +167,9 @@ pub struct PbmPolicy {
     refreshed_slices: u64,
     /// Sum and count of the measured speeds of the registered scans that
     /// have reported. Kept incrementally, in call order: a sum over `scans`
-    /// would follow the map's iteration order, which depends on its hasher
-    /// and capacity, and float addition is not associative, so victims would
-    /// depend on how the map is laid out.
+    /// would follow the table's slot order, which depends on the order
+    /// scans came and went, and float addition is not associative, so
+    /// victims would depend on how the table is laid out.
     speed_sum: f64,
     speed_count: usize,
     /// What an unreported scan runs at while `speed_count` is zero: the
@@ -169,9 +191,14 @@ impl PbmPolicy {
             idle_speed: BOOTSTRAP_SCAN_SPEED,
             speed_sum: 0.0,
             speed_count: 0,
-            scans: IdHashMap::default(),
+            scans: Vec::new(),
+            free_slots: Vec::new(),
+            slot_of: IdHashMap::default(),
             pages: IdHashMap::default(),
-            buckets: vec![BTreeSet::new(); TOTAL_BUCKETS],
+            buckets: vec![BinaryHeap::new(); TOTAL_BUCKETS],
+            far: 0,
+            heap_entries: 0,
+            requested: 0,
             not_requested: VecDeque::new(),
             next_stamp: 0,
             refreshed_slices: 0,
@@ -180,19 +207,19 @@ impl PbmPolicy {
 
     /// Number of registered scans.
     pub fn registered_scans(&self) -> usize {
-        self.scans.len()
+        self.slot_of.len()
     }
 
     /// Number of resident pages currently in requested buckets.
     pub fn requested_pages(&self) -> usize {
-        self.buckets.iter().map(BTreeSet::len).sum()
+        self.requested
     }
 
     /// Number of resident pages currently in the not-requested bucket.
     pub fn not_requested_pages(&self) -> usize {
         self.pages
             .values()
-            .filter(|m| m.state() == PageState::NotRequested)
+            .filter(|m| m.state == PageState::NotRequested)
             .count()
     }
 
@@ -211,47 +238,24 @@ impl PbmPolicy {
     /// the page. Returns `None` when no registered scan needs the page.
     pub fn next_consumption(&self, page: PageId) -> Option<VirtualDuration> {
         let meta = self.pages.get(&page)?;
-        let unreported = self.unreported_speed();
-        let mut nearest: Option<f64> = None;
-        for &(scan_id, tuples_behind) in &meta.consuming {
-            let Some(scan) = self.scans.get(&scan_id) else {
-                continue;
-            };
-            let remaining = tuples_behind.saturating_sub(scan.tuples_consumed) as f64;
-            let secs = remaining / scan.speed_tps.unwrap_or(unreported).max(1.0);
-            nearest = Some(match nearest {
-                Some(cur) => cur.min(secs),
-                None => secs,
-            });
-        }
-        nearest.map(VirtualDuration::from_secs_f64)
-    }
-
-    fn remove_from_current_bucket(&mut self, page: PageId) {
-        if let Some(meta) = self.pages.get(&page) {
-            if let PageState::Requested { bucket, due } = meta.state() {
-                self.buckets[bucket].remove(&(due, page));
-            }
-        }
+        estimate(&self.scans, self.unreported_speed(), &meta.consuming)
     }
 
     /// Re-computes the priority of a resident page and places it in the
     /// appropriate bucket (`PagePush`), keyed by the instant it is now
-    /// predicted to be consumed at.
+    /// predicted to be consumed at. The page's previous entry goes stale.
     fn page_push(&mut self, page: PageId, now: VirtualInstant) {
-        let placement = self
-            .next_consumption(page)
-            .map(|d| (bucket_index(d), now.after(d)));
+        let unreported = self.unreported_speed();
         let meta = self.pages.entry(page).or_default();
-        if let PageState::Requested { bucket, due } = meta.state() {
-            self.buckets[bucket].remove(&(due, page));
-        }
-        match placement {
+        let was_requested = meta.state == PageState::Requested;
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        meta.stamp = stamp;
+        match estimate(&self.scans, unreported, &meta.consuming) {
             None => {
-                meta.state = Some(PageState::NotRequested);
-                meta.lru_stamp = self.next_stamp;
-                self.not_requested.push_back((page, self.next_stamp));
-                self.next_stamp += 1;
+                meta.state = PageState::NotRequested;
+                self.requested -= usize::from(was_requested);
+                self.not_requested.push_back((page, stamp));
                 // Superseded entries are otherwise dropped only when an
                 // eviction pops them, so a pool that never evicts would grow
                 // the queue by one entry per re-push, forever. Each tracked
@@ -260,13 +264,29 @@ impl PbmPolicy {
                 // order, so no victim changes.
                 if self.not_requested.len() > 2 * self.pages.len() {
                     let pages = &self.pages;
-                    self.not_requested
-                        .retain(|&(page, stamp)| is_live_entry(pages, page, stamp));
+                    self.not_requested.retain(|&(page, stamp)| {
+                        is_live(pages, page, stamp, PageState::NotRequested)
+                    });
                 }
             }
-            Some((bucket, due)) => {
-                meta.state = Some(PageState::Requested { bucket, due });
-                self.buckets[bucket].insert((due, page));
+            Some(d) => {
+                meta.state = PageState::Requested;
+                self.requested += usize::from(!was_requested);
+                let bucket = bucket_index(d);
+                self.buckets[bucket].push((now.after(d), page, stamp));
+                self.far = self.far.max(bucket);
+                self.heap_entries += 1;
+                // The same bound for the timeline. A heap orders the live
+                // entries it keeps as before, so no victim changes.
+                if self.heap_entries > COMPACT_FACTOR * self.pages.len() {
+                    let pages = &self.pages;
+                    for bucket in &mut self.buckets {
+                        bucket.retain(|&(_, page, stamp)| {
+                            is_live(pages, page, stamp, PageState::Requested)
+                        });
+                    }
+                    self.heap_entries = self.buckets.iter().map(BinaryHeap::len).sum();
+                }
             }
         }
     }
@@ -281,33 +301,20 @@ impl PbmPolicy {
             return;
         }
         for slice in self.refreshed_slices + 1..=target_slices {
-            // How many whole groups shift at this tick (always a prefix).
-            let mut shifted_groups = 0usize;
-            for g in 0..BUCKET_GROUPS {
-                if slice % (1u64 << g) == 0 {
-                    shifted_groups = g + 1;
-                } else {
-                    break;
-                }
-            }
+            // Group g shifts when 2^g divides the slice: always a prefix.
+            let shifted_groups = (slice.trailing_zeros() as usize + 1).min(BUCKET_GROUPS);
             let k = shifted_groups * BUCKETS_PER_GROUP;
-            if k == 0 {
-                continue;
-            }
-            // Bucket 0 falls off the timeline; its pages are re-pushed below.
-            let overflow = std::mem::take(&mut self.buckets[0]);
-            for i in 1..k {
-                let set = std::mem::take(&mut self.buckets[i]);
-                for &(due, page) in &set {
-                    if let Some(meta) = self.pages.get_mut(&page) {
-                        meta.state = Some(PageState::Requested { bucket: i - 1, due });
-                    }
+            // Bucket 0 falls off the timeline and the next k - 1 move one
+            // position towards now; entries do not name their bucket, so
+            // nothing else changes. The live pages that fell off are
+            // re-pushed in `(due, page)` order.
+            self.buckets[..k].rotate_left(1);
+            let overflow = std::mem::take(&mut self.buckets[k - 1]).into_sorted_vec();
+            self.heap_entries -= overflow.len();
+            for (_, page, stamp) in overflow {
+                if is_live(&self.pages, page, stamp, PageState::Requested) {
+                    self.page_push(page, now);
                 }
-                self.buckets[i - 1] = set;
-            }
-            self.refreshed_slices = slice;
-            for (_, page) in overflow {
-                self.page_push(page, now);
             }
         }
         self.refreshed_slices = target_slices;
@@ -317,7 +324,7 @@ impl PbmPolicy {
         let mut skipped = Vec::new();
         let mut found = None;
         while let Some((page, stamp)) = self.not_requested.pop_front() {
-            if !is_live_entry(&self.pages, page, stamp) {
+            if !is_live(&self.pages, page, stamp, PageState::NotRequested) {
                 continue;
             }
             if exclude.contains(&page) {
@@ -334,12 +341,28 @@ impl PbmPolicy {
     }
 }
 
-/// Whether the `not_requested` entry `(page, stamp)` is the page's current
-/// one: the page is still unrequested and was not re-pushed since.
-fn is_live_entry(pages: &IdHashMap<PageId, PageMeta>, page: PageId, stamp: u64) -> bool {
+/// Whether the entry `(page, stamp)` of the queue or timeline that holds the
+/// pages in `state` is the page's current one: the page is still in that
+/// state and was not re-pushed since.
+fn is_live(pages: &Pages, page: PageId, stamp: u64, state: PageState) -> bool {
     pages
         .get(&page)
-        .is_some_and(|m| m.state() == PageState::NotRequested && m.lru_stamp == stamp)
+        .is_some_and(|m| m.state == state && m.stamp == stamp)
+}
+
+/// `PageNextConsumption` over a page's consumers, `unreported` being the
+/// speed assumed for a scan that has not reported yet.
+fn estimate(
+    scans: &[Option<ScanState>],
+    unreported: f64,
+    consuming: &[(usize, u64)],
+) -> Option<VirtualDuration> {
+    let secs = consuming.iter().filter_map(|&(slot, tuples_behind)| {
+        let scan = scans[slot].as_ref()?;
+        let remaining = tuples_behind.saturating_sub(scan.tuples_consumed) as f64;
+        Some(remaining / scan.speed_tps.unwrap_or(unreported).max(1.0))
+    });
+    secs.reduce(f64::min).map(VirtualDuration::from_secs_f64)
 }
 
 /// The bucket index a page with `next_consumption` `d` in the future is
@@ -364,38 +387,36 @@ impl ReplacementPolicy for PbmPolicy {
         "pbm"
     }
 
+    /// Scan ids are unique per registration, as the buffer pool assigns them.
     fn register_scan(&mut self, info: &ScanInfo, plan: &ScanPagePlan, now: VirtualInstant) {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.scans.push(None);
+            self.scans.len() - 1
+        });
+        self.slot_of.insert(info.id, slot);
         let mut page_list = Vec::with_capacity(plan.pages.len());
         for desc in &plan.pages {
             let meta = self.pages.entry(desc.page).or_default();
             // A page may be registered once per column; the scan needs it as
             // soon as it reaches the *earliest* of those positions.
-            match meta.consuming.iter_mut().find(|(s, _)| *s == info.id) {
+            match meta.consuming.iter_mut().find(|(s, _)| *s == slot) {
                 Some((_, behind)) => *behind = (*behind).min(desc.tuples_behind),
-                None => meta.consuming.push((info.id, desc.tuples_behind)),
+                None => meta.consuming.push((slot, desc.tuples_behind)),
             }
             page_list.push(desc.page);
         }
         page_list.sort_unstable();
         page_list.dedup();
-        self.scans.insert(
-            info.id,
-            ScanState {
-                tuples_consumed: 0,
-                total_tuples: info.total_tuples,
-                speed_tps: None,
-                registered_at: now,
-                pages: page_list.clone(),
-            },
-        );
+        self.scans[slot] = Some(ScanState {
+            tuples_consumed: 0,
+            total_tuples: info.total_tuples,
+            speed_tps: None,
+            registered_at: now,
+            pages: page_list.clone(),
+        });
         // Re-prioritize the pages of this scan that are already resident.
         for page in page_list {
-            if self
-                .pages
-                .get(&page)
-                .map(|m| m.is_resident())
-                .unwrap_or(false)
-            {
+            if self.pages[&page].is_resident() {
                 self.page_push(page, now);
             }
         }
@@ -403,29 +424,37 @@ impl ReplacementPolicy for PbmPolicy {
 
     fn report_scan_position(&mut self, scan: ScanId, tuples_consumed: u64, now: VirtualInstant) {
         self.refresh(now);
-        if let Some(state) = self.scans.get_mut(&scan) {
-            // The engine counts the rows it produced, which include rows the
-            // PDT inserted on top of the registered stable ranges; the clamp
-            // is for those, not for a caller counting a row once per column.
-            state.tuples_consumed = tuples_consumed.min(state.total_tuples);
-            let elapsed = now.since(state.registered_at).as_secs_f64();
-            if elapsed > 0.0 && tuples_consumed > 0 {
-                let speed = tuples_consumed as f64 / elapsed;
-                match state.speed_tps.replace(speed) {
-                    Some(old) => self.speed_sum += speed - old,
-                    None => {
-                        self.speed_sum += speed;
-                        self.speed_count += 1;
-                    }
+        let Some(&slot) = self.slot_of.get(&scan) else {
+            return;
+        };
+        let state = self.scans[slot]
+            .as_mut()
+            .expect("a registered scan has a slot");
+        // The engine counts the rows it produced, which include rows the
+        // PDT inserted on top of the registered stable ranges; the clamp
+        // is for those, not for a caller counting a row once per column.
+        state.tuples_consumed = tuples_consumed.min(state.total_tuples);
+        let elapsed = now.since(state.registered_at).as_secs_f64();
+        if elapsed > 0.0 && tuples_consumed > 0 {
+            let speed = tuples_consumed as f64 / elapsed;
+            match state.speed_tps.replace(speed) {
+                Some(old) => self.speed_sum += speed - old,
+                None => {
+                    self.speed_sum += speed;
+                    self.speed_count += 1;
                 }
             }
         }
     }
 
     fn unregister_scan(&mut self, scan: ScanId, now: VirtualInstant) {
-        let Some(state) = self.scans.remove(&scan) else {
+        let Some(slot) = self.slot_of.remove(&scan) else {
             return;
         };
+        let state = self.scans[slot]
+            .take()
+            .expect("a registered scan has a slot");
+        self.free_slots.push(slot);
         if let Some(speed) = state.speed_tps {
             self.speed_count -= 1;
             if self.speed_count == 0 {
@@ -437,56 +466,49 @@ impl ReplacementPolicy for PbmPolicy {
                 self.speed_sum -= speed;
             }
         }
+        // No page names the slot after this loop, so it is free to reuse.
         for page in state.pages {
-            let mut resident = false;
-            let mut remove_meta = false;
-            if let Some(meta) = self.pages.get_mut(&page) {
-                meta.remove_consumer(scan);
-                resident = meta.is_resident();
-                remove_meta = meta.consuming.is_empty() && !resident;
-            }
-            if resident {
+            let Some(meta) = self.pages.get_mut(&page) else {
+                continue;
+            };
+            meta.remove_consumer(slot);
+            if meta.is_resident() {
                 self.page_push(page, now);
-            } else if remove_meta {
+            } else if meta.consuming.is_empty() {
                 self.pages.remove(&page);
             }
         }
     }
 
     fn on_access(&mut self, page: PageId, scan: Option<ScanId>, now: VirtualInstant) {
+        let Some(meta) = self.pages.get_mut(&page) else {
+            return;
+        };
         // A consumption by the registered scan removes that scan's interest
         // in the page (it will not read it again) and re-prioritizes it.
-        let mut changed = false;
-        if let Some(scan) = scan {
-            if let Some(meta) = self.pages.get_mut(&page) {
-                changed = meta.remove_consumer(scan);
-            }
-        }
-        let resident = self
-            .pages
-            .get(&page)
-            .map(|m| m.is_resident())
-            .unwrap_or(false);
-        if resident && (changed || scan.is_none()) {
+        let changed = match scan.and_then(|scan| self.slot_of.get(&scan)) {
+            Some(&slot) => meta.remove_consumer(slot),
+            None => false,
+        };
+        if meta.is_resident() && (changed || scan.is_none()) {
             self.page_push(page, now);
         }
     }
 
     fn on_admit(&mut self, page: PageId, now: VirtualInstant) {
         self.refresh(now);
-        self.pages.entry(page).or_default();
         self.page_push(page, now);
     }
 
     fn on_evict(&mut self, page: PageId) {
-        self.remove_from_current_bucket(page);
-        let remove = if let Some(meta) = self.pages.get_mut(&page) {
-            meta.state = Some(PageState::NotResident);
-            meta.consuming.is_empty()
-        } else {
-            false
+        // The page's entry in the timeline or the queue goes stale with
+        // its state.
+        let Some(meta) = self.pages.get_mut(&page) else {
+            return;
         };
-        if remove {
+        self.requested -= usize::from(meta.state == PageState::Requested);
+        meta.state = PageState::NotResident;
+        if meta.consuming.is_empty() {
             self.pages.remove(&page);
         }
     }
@@ -507,19 +529,39 @@ impl ReplacementPolicy for PbmPolicy {
             }
         }
         // 2. Requested pages, furthest predicted consumption first: buckets
-        //    from the far end of the timeline, each bucket from its back.
-        //    The `(due, page)` key is a total order, so victim selection
-        //    (and therefore every experiment) is deterministic.
-        let needed = count - victims.len();
-        victims.extend(
-            self.buckets
-                .iter()
-                .rev()
-                .flat_map(|bucket| bucket.iter().rev())
-                .map(|&(_, page)| page)
-                .filter(|page| !exclude.contains(page))
-                .take(needed),
-        );
+        //    from the far end of the timeline, each from its top. The
+        //    `(due, page)` key is a total order over the live entries, so
+        //    victim selection (and therefore every experiment) is
+        //    deterministic. Stale entries met on top are dropped; the live
+        //    ones taken off a heap go back on it, and the last victim is
+        //    only peeked at.
+        while self.far > 0 && self.buckets[self.far].is_empty() {
+            self.far -= 1;
+        }
+        let mut held = Vec::new();
+        for bucket in self.buckets[..=self.far].iter_mut().rev() {
+            while victims.len() < count {
+                let Some(&(_, page, stamp)) = bucket.peek() else {
+                    break;
+                };
+                if !is_live(&self.pages, page, stamp, PageState::Requested) {
+                    bucket.pop();
+                    self.heap_entries -= 1;
+                    continue;
+                }
+                if !exclude.contains(&page) {
+                    victims.push(page);
+                    if victims.len() == count {
+                        break;
+                    }
+                }
+                held.extend(bucket.pop());
+            }
+            bucket.extend(held.drain(..));
+            if victims.len() == count {
+                break;
+            }
+        }
         victims
     }
 
@@ -532,11 +574,14 @@ impl ReplacementPolicy for PbmPolicy {
             return Vec::new();
         }
         self.refresh(now);
+        let unreported = self.unreported_speed();
         let mut candidates: Vec<(u64, PageId)> = self
             .pages
             .iter()
             .filter(|(_, meta)| !meta.is_resident() && !meta.consuming.is_empty())
-            .filter_map(|(&page, _)| self.next_consumption(page).map(|d| (d.as_nanos(), page)))
+            .filter_map(|(&page, meta)| {
+                estimate(&self.scans, unreported, &meta.consuming).map(|d| (d.as_nanos(), page))
+            })
             .collect();
         // Partial selection: only the `budget` nearest candidates need
         // ordering, so avoid a full sort of every tracked page.
@@ -608,11 +653,27 @@ mod tests {
         sid
     }
 
-    /// The timeline bucket resident page `page` currently sits in.
+    /// The buckets holding a live entry of `page`, once per entry.
+    fn live_buckets(pbm: &PbmPolicy, page: PageId) -> Vec<usize> {
+        let mut found = Vec::new();
+        for (b, bucket) in pbm.buckets.iter().enumerate() {
+            for &(_, q, stamp) in bucket.iter() {
+                if q == page && is_live(&pbm.pages, q, stamp, PageState::Requested) {
+                    found.push(b);
+                }
+            }
+        }
+        found
+    }
+
+    /// The timeline bucket resident page `page` currently sits in: the one
+    /// bucket that holds its one live entry.
     fn bucket_of(pbm: &PbmPolicy, page: u64) -> usize {
-        match pbm.pages[&p(page)].state() {
-            PageState::Requested { bucket, .. } => bucket,
-            other => panic!("page {page} is not requested: {other:?}"),
+        let state = pbm.pages[&p(page)].state;
+        assert_eq!(state, PageState::Requested, "page {page}");
+        match live_buckets(pbm, p(page))[..] {
+            [bucket] => bucket,
+            ref other => panic!("page {page} has live entries in buckets {other:?}"),
         }
     }
 
@@ -878,9 +939,10 @@ mod tests {
     #[test]
     fn every_requested_page_sits_in_its_bucket_under_its_key() {
         // A deterministic mix of every call that moves pages between states:
-        // the ordered sets must hold exactly the pages in `Requested` state,
-        // each under the key its state remembers (a removal under any other
-        // key would leave a stale entry for `choose_victims` to return).
+        // every page in `Requested` state must have exactly one live entry
+        // in the heaps, the one carrying its stamp (a second one would let
+        // `choose_victims` return the page from a bucket it left), and no
+        // other page any. The counters must match a recount.
         // At 100 tuples/s a scan's pages spread over the first three groups.
         let mut pbm = pbm_with_speed(100.0);
         let mut rng = 0x9e37_79b9_7f4a_7c15u64;
@@ -930,12 +992,19 @@ mod tests {
             let mut requested = 0;
             for (&page, meta) in &pbm.pages {
                 assert_eq!(meta.is_resident(), resident.contains(&page), "{page}");
-                if let PageState::Requested { bucket, due } = meta.state() {
-                    assert!(pbm.buckets[bucket].contains(&(due, page)), "{page}");
+                if meta.state == PageState::Requested {
+                    bucket_of(&pbm, page.raw());
                     requested += 1;
+                } else {
+                    assert!(live_buckets(&pbm, page).is_empty(), "{page}");
                 }
             }
             assert_eq!(pbm.requested_pages(), requested, "step {step}");
+            assert_eq!(
+                pbm.heap_entries,
+                pbm.buckets.iter().map(BinaryHeap::len).sum::<usize>(),
+                "step {step}"
+            );
             assert_eq!(
                 requested + pbm.not_requested_pages(),
                 resident.len(),
@@ -944,9 +1013,9 @@ mod tests {
             // The incremental pair is the mean over the reporting scans,
             // here summed in `ScanId` order.
             let mut reporting: Vec<(ScanId, f64)> = pbm
-                .scans
+                .slot_of
                 .iter()
-                .filter_map(|(&id, scan)| Some((id, scan.speed_tps?)))
+                .filter_map(|(&id, &slot)| Some((id, pbm.scans[slot].as_ref()?.speed_tps?)))
                 .collect();
             reporting.sort_unstable_by_key(|&(id, _)| id);
             assert_eq!(pbm.speed_count, reporting.len(), "step {step}");
@@ -1157,6 +1226,41 @@ mod tests {
         assert_eq!(pbm.not_requested_pages(), pages.len());
         let victims = pbm.choose_victims(pages.len(), &HashSet::new(), now_ms(3_000));
         assert_eq!(victims, lru.iter().map(|&q| p(q)).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_pool_that_never_evicts_keeps_the_timeline_heaps_bounded() {
+        // Every report and re-admission re-pushes requested pages, and only
+        // an eviction or a compaction drops the entries they leave behind.
+        let mut pbm = pbm_with_speed(1000.0);
+        let pages: Vec<u64> = (1..=16).collect();
+        let mut pushes = 0;
+        for cycle in 0..250u64 {
+            let now = now_ms(cycle * 40);
+            let scan = register(&mut pbm, cycle, &plan(&pages, 100), now);
+            for step in 1..=8 {
+                let now = now_ms(cycle * 40 + step * 5);
+                pbm.report_scan_position(scan, step * 50, now);
+                for &page in &pages {
+                    pbm.on_admit(p(page), now);
+                    pushes += 1;
+                    assert!(
+                        pbm.heap_entries <= COMPACT_FACTOR * pbm.pages.len(),
+                        "cycle {cycle}: {} heap entries for {} tracked pages",
+                        pbm.heap_entries,
+                        pbm.pages.len()
+                    );
+                }
+            }
+            pbm.unregister_scan(scan, now);
+        }
+        assert!(pushes > 30_000);
+        assert_eq!(
+            pbm.heap_entries,
+            pbm.buckets.iter().map(BinaryHeap::len).sum::<usize>()
+        );
+        assert_eq!(pbm.not_requested_pages(), pages.len());
+        assert_eq!(pbm.requested_pages(), 0);
     }
 
     #[test]

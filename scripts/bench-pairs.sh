@@ -14,10 +14,14 @@
 #
 # Prints each pair's two values (and whether their model_* numbers are
 # identical), each side's median and inclusive quartiles, the pairs the change
-# won and the gap between the medians. Exits non-zero if a run fails, reports
-# "correct": false or reports a failed operation. `--smoke` passes `--smoke`
-# to both drivers and runs them for 1 s, which keeps this script exercised in
-# CI. `--out <dir>` keeps each run's result line as <dir>/<side>-<seed>.json.
+# won and the gap between the medians. Then, from the same runs, every other
+# end-to-end metric the workload reports (not the placeholder 1 of a metric
+# that does not apply): each side's median and the pairs the change won, so
+# the no-regression check rests on the runs of the claim. Exits non-zero if a
+# run fails, reports "correct": false or reports a failed operation.
+# `--smoke` passes `--smoke` to both drivers and runs them for 1 s, which
+# keeps this script exercised in CI. `--out <dir>` keeps each run's result
+# line as <dir>/<side>-<seed>.json.
 set -eu
 
 usage() {
@@ -37,11 +41,17 @@ while [ $# -gt 0 ]; do
     shift
 done
 
-better=$(awk -v metric="$metric" '
-    index($0, "\"name\": \"" metric "\"") && match($0, /"better": "[a-z]+"/) {
-        print substr($0, RSTART + 11, RLENGTH - 12); exit
+# The end-to-end metrics of BENCHMARK.json, one "<name> <better>" per line.
+end_to_end=$(awk '
+    /"end_to_end"/ { on = 1 }
+    /"per_layer"/ { on = 0 }
+    on && match($0, /"name": "[a-z0-9_]+"/) {
+        name = substr($0, RSTART + 9, RLENGTH - 10)
+        if (match($0, /"better": "[a-z]+"/)) print name, substr($0, RSTART + 11, RLENGTH - 12)
     }' "$(dirname "$0")/../BENCHMARK.json")
-[ -n "$better" ] || { echo "$metric is not a metric of BENCHMARK.json" >&2; exit 2; }
+better=$(echo "$end_to_end" | awk -v metric="$metric" '$1 == metric { print $2 }')
+[ -n "$better" ] || { echo "$metric is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
+names=$(echo "$end_to_end" | awk '{ printf "%s ", $1 }')
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -78,6 +88,17 @@ models() {
     tr ',' '\n' <"$1" | grep '"model_' || true
 }
 
+# "<name> <value>" for each end-to-end metric the result line $1 reports.
+values() {
+    awk -v names="$names" '{
+        n = split(names, name)
+        for (i = 1; i <= n; i++)
+            if (match($0, "\"" name[i] "\": *\\{\"value\": *[-+0-9.eE]+")) {
+                v = substr($0, RSTART, RLENGTH); sub(/.*: */, "", v); print name[i], v
+            }
+    }' "$1"
+}
+
 i=1
 while [ "$i" -le "$pairs" ]; do
     seed=$((first_seed + i - 1))
@@ -94,11 +115,14 @@ while [ "$i" -le "$pairs" ]; do
         same=DIFFERENT
     fi
     echo "pair $i seed $seed ($first first): parent $p change $c; model_* $same"
-    echo "$p $c" >>"$tmp/pairs"
+    values "$out/parent-$seed.json" >"$tmp/parent"
+    values "$out/change-$seed.json" >"$tmp/change"
+    awk 'NR == FNR { p[$1] = $2; next } $1 in p { print $1, p[$1], $2 }' \
+        "$tmp/parent" "$tmp/change" >>"$tmp/pairs"
     i=$((i + 1))
 done
 
-awk -v metric="$metric" -v better="$better" '
+echo "$end_to_end" | awk -v metric="$metric" '
     # Inclusive quartile q (0.25, 0.5, 0.75) of the sorted v[1..n].
     function quantile(v, n, q,   h, lo) {
         h = (n - 1) * q + 1; lo = int(h)
@@ -112,18 +136,35 @@ awk -v metric="$metric" -v better="$better" '
         }
     }
     function summary(side, v, n) {
-        sort(v, n)
         printf "%s: median %.6g, q1 %.6g, q3 %.6g\n", side,
             quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
     }
-    {
-        n++; p[n] = $1; c[n] = $2
-        if ((better == "higher" && $2 > $1) || (better == "lower" && $2 < $1)) wins++
+    # The pairs of metric m in p[1..n] and c[1..n], sorted, and the wins.
+    function load(m,   k) {
+        n = pairs[m]; wins = 0; placeholder = 1
+        for (k = 1; k <= n; k++) {
+            p[k] = pv[m, k]; c[k] = cv[m, k]
+            if ((better[m] == "higher" && c[k] > p[k]) || (better[m] == "lower" && c[k] < p[k])) wins++
+            if (p[k] != 1 || c[k] != 1) placeholder = 0
+        }
+        sort(p, n); sort(c, n)
     }
+    NR == FNR { better[$1] = $2; order[++metrics] = $1; next }
+    { k = ++pairs[$1]; pv[$1, k] = $2; cv[$1, k] = $3 }
     END {
+        load(metric)
         summary("parent", p, n); summary("change", c, n)
         pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
         iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
         printf "%s (%s is better): change won %d of %d pairs; median gap %.6g (x%.4g), parent IQR %.6g\n",
-            metric, better, wins, n, cm - pm, pm == 0 ? 0 : cm / pm, iqr
-    }' "$tmp/pairs"
+            metric, better[metric], wins, n, cm - pm, pm == 0 ? 0 : cm / pm, iqr
+        for (i = 1; i <= metrics; i++) {
+            m = order[i]
+            if (m == metric || !(m in pairs)) continue
+            load(m)
+            if (placeholder) continue
+            pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
+            printf "  %s (%s is better): parent median %.6g, change median %.6g (x%.4g); change won %d of %d pairs\n",
+                m, better[m], pm, cm, pm == 0 ? 0 : cm / pm, wins, n
+        }
+    }' - "$tmp/pairs"
