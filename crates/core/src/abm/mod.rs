@@ -21,10 +21,7 @@
 //!   original kept as the executable spec in `tests/abm_reference`
 //!   (`tests/abm_equivalence.rs` asserts this over randomized traces);
 //! * [`relevance`] — QueryRelevance, LoadRelevance, UseRelevance and
-//!   KeepRelevance as pure, unit-testable functions;
-//! * [`scheduler`] — the **load scheduler**: one chunk load at a time issued
-//!   through [`BlockDevice::submit_read`](scanshare_iosim::BlockDevice::submit_read),
-//!   so starved streams retire each other's loads instead of spin-polling.
+//!   KeepRelevance as pure, unit-testable functions.
 //!
 //! # Indexed state
 //!
@@ -45,21 +42,17 @@
 //! * the id-keyed maps hash with [`IdHasher`](scanshare_common::hash::IdHasher).
 
 pub mod relevance;
-pub mod scheduler;
-
-pub use scheduler::LoadScheduler;
 
 use std::cmp::Reverse;
 use std::sync::Arc;
 
 use scanshare_common::hash::IdHashMap;
 use scanshare_common::sync::Mutex;
-use scanshare_common::{
-    ChunkId, Error, PageId, RangeList, Result, ScanId, TableId, VirtualInstant,
-};
+use scanshare_common::{ChunkId, Error, PageId, Result, ScanId, TableId, VirtualInstant};
 use scanshare_storage::layout::{ChunkMap, TableLayout};
 use scanshare_storage::snapshot::Snapshot;
 
+use crate::backend::{ScanRequest, ScanStep};
 use crate::metrics::BufferStats;
 
 /// The buffer the Active Buffer Manager manages.
@@ -81,24 +74,10 @@ impl AbmConfig {
     }
 }
 
-/// A request to register a CScan with the ABM.
-#[derive(Debug, Clone)]
-pub struct CScanRequest {
-    /// Table being scanned.
-    pub table: TableId,
-    /// Storage snapshot the scan's transaction works on.
-    pub snapshot: Arc<Snapshot>,
-    /// Layout of the table.
-    pub layout: Arc<TableLayout>,
-    /// Column indices the scan reads.
-    pub columns: Vec<usize>,
-    /// SID ranges the scan must cover.
-    pub ranges: RangeList,
-    /// Whether the scan demands in-order (chunk-by-chunk, ascending)
-    /// delivery and therefore acts as a drop-in replacement for a
-    /// traditional Scan.
-    pub in_order: bool,
-}
+/// A request to register a CScan with the ABM: the one [`ScanRequest`]
+/// every backend registers with, under the name the paper's `RegisterCScan`
+/// callers use.
+pub type CScanRequest = ScanRequest;
 
 /// Handle returned by [`Abm::register_cscan`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -632,16 +611,46 @@ impl AbmState {
         self.account_load(plan);
         Ok(())
     }
+
+    /// UseRelevance's choice for `scan`, consumed (`GetChunk`); `None` when
+    /// nothing it needs is cached or it already received everything.
+    fn get_chunk(&mut self, scan: ScanId) -> Result<Option<ChunkDelivery>> {
+        let scan_state = self.scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
+        let Some(chunk) = self.cached_candidate(scan_state) else {
+            return Ok(None);
+        };
+        let scan_state = self.scans.get_mut(&scan).expect("checked above");
+        let tuples = std::mem::take(&mut scan_state.needed[chunk.index()]);
+        scan_state.remaining -= 1;
+        if scan_state.request.in_order {
+            scan_state.next_in_order += 1;
+        }
+        scan_state.forget_available(chunk);
+        let (table, version) = (scan_state.request.table, scan_state.version);
+        self.stats.hits += 1;
+        if let Some(chunk_state) = self
+            .tables
+            .get_mut(&table)
+            .and_then(|t| t.versions.get_mut(version))
+            .and_then(|v| v.chunks.get_mut(chunk.index()))
+        {
+            chunk_state.interested.retain(|&s| s != scan);
+        }
+        Ok(Some(ChunkDelivery { chunk, tuples }))
+    }
 }
 
 // ---------------------------------------------------------------------------
 // The facade
 // ---------------------------------------------------------------------------
 
-/// The Active Buffer Manager: its state behind one lock, the pure
-/// [`relevance`] scoring and (via [`scheduler::LoadScheduler`]) an
-/// asynchronous load pipeline. All methods take `&self`: one `Abm` is
-/// shared by every CScan stream of an engine without an outer lock.
+/// The Active Buffer Manager: its state behind one lock and the pure
+/// [`relevance`] scoring. All methods take `&self`: one `Abm` is shared by
+/// every CScan stream of an engine without an outer lock. Loads run in two
+/// halves, [`Abm::next_load`] and [`Abm::complete_load`], so the transfer
+/// between them happens outside the lock
+/// ([`CScanBackend`](crate::backend::CScanBackend) keeps the one load in
+/// flight).
 #[derive(Debug)]
 pub struct Abm {
     config: AbmConfig,
@@ -860,30 +869,25 @@ impl Abm {
     /// if nothing it needs is cached (the scan should block) or if it
     /// already received everything.
     pub fn get_chunk(&self, scan: ScanId) -> Result<Option<ChunkDelivery>> {
-        let mut guard = self.state.lock();
-        let state = &mut *guard;
-        let scan_state = state.scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
-        let Some(chunk) = state.cached_candidate(scan_state) else {
-            return Ok(None);
-        };
-        let scan_state = state.scans.get_mut(&scan).expect("checked above");
-        let tuples = std::mem::take(&mut scan_state.needed[chunk.index()]);
-        scan_state.remaining -= 1;
-        if scan_state.request.in_order {
-            scan_state.next_in_order += 1;
-        }
-        scan_state.forget_available(chunk);
-        let (table, version) = (scan_state.request.table, scan_state.version);
-        state.stats.hits += 1;
-        if let Some(chunk_state) = state
-            .tables
-            .get_mut(&table)
-            .and_then(|t| t.versions.get_mut(version))
-            .and_then(|v| v.chunks.get_mut(chunk.index()))
-        {
-            chunk_state.interested.retain(|&s| s != scan);
-        }
-        Ok(Some(ChunkDelivery { chunk, tuples }))
+        self.state.lock().get_chunk(scan)
+    }
+
+    /// A CScan's probe under one acquisition of the ABM's lock: `GetChunk`,
+    /// with the delivered chunk's SID range computed from the registered
+    /// request, or whether the scan is finished or starved.
+    pub(crate) fn next_chunk(&self, scan: ScanId) -> Result<ScanStep> {
+        let mut state = self.state.lock();
+        let delivery = state.get_chunk(scan)?;
+        let scan_state = &state.scans[&scan];
+        Ok(match delivery {
+            Some(delivery) => {
+                let request = &scan_state.request;
+                let stable = request.snapshot.stable_tuples();
+                ScanStep::Deliver(request.layout.chunk_sid_range(delivery.chunk, stable))
+            }
+            None if scan_state.remaining == 0 => ScanStep::Finished,
+            None => ScanStep::Starved,
+        })
     }
 
     /// Whether a chunk is currently cached and available for `scan` (a
@@ -918,7 +922,7 @@ impl Abm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_common::TupleRange;
+    use scanshare_common::{RangeList, TupleRange};
     use scanshare_storage::column::{ColumnSpec, ColumnType};
     use scanshare_storage::datagen::DataGen;
     use scanshare_storage::storage::Storage;

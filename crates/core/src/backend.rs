@@ -41,11 +41,10 @@
 //! the one constructor, [`build_backend`].
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scanshare_common::hash::IdHashMap;
-use scanshare_common::sync::{Mutex, RwLock};
+use scanshare_common::sync::Mutex;
 use scanshare_common::{
     Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
     VirtualInstant,
@@ -54,13 +53,14 @@ use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 
-use crate::abm::{Abm, AbmConfig, CScanRequest, LoadScheduler};
+use crate::abm::{Abm, AbmConfig, LoadPlan};
 use crate::metrics::BufferStats;
 use crate::pool::{top_up_prefetch_window, BufferPool};
 use crate::registry::{pooled_policy_name, PolicyRegistry};
 
 /// What a scan announces to a backend when it registers: the stable data it
-/// is going to read.
+/// is going to read. [`CScanBackend`] hands it to the [`Abm`] as it is, which
+/// keeps it for the scan's lifetime.
 #[derive(Debug, Clone)]
 pub struct ScanRequest {
     /// Table being scanned.
@@ -156,16 +156,6 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// volume metric).
     fn stats(&self) -> BufferStats;
 
-    /// Records that zone-map pruning removed `tuples` stable tuples from a
-    /// scan's interest *before* registration: the backend never sees a page
-    /// request, an ABM chunk interest or a PBM consumption prediction for
-    /// them. Called even when pruning removes the entire range (and the scan
-    /// therefore never registers), so the counter reflects every skipped
-    /// tuple. Folded into [`BufferStats::pruned_tuples`].
-    fn record_pruned(&self, tuples: u64) {
-        let _ = tuples;
-    }
-
     /// Gives the backend an opportunity to issue asynchronous prefetch I/O
     /// (top up its in-flight window from the policy's
     /// [`prefetch_hints`](crate::policy::ReplacementPolicy::prefetch_hints)).
@@ -179,18 +169,18 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
 
     /// Notifies the backend that a checkpoint replaced `table`'s stable
     /// image: `stale_pages` belonged to the superseded master snapshot and
-    /// can never be requested by a scan pinned to the new image. `epoch` is
-    /// the table's checkpoint epoch *after* the swap; backends record the
-    /// largest epoch seen per table and ignore calls that do not advance it,
-    /// so a late or replayed invalidation can never clobber state installed
-    /// by a newer checkpoint.
+    /// can never be requested by a scan pinned to the new image. The caller
+    /// delivers each checkpoint's invalidation once, and a table's
+    /// invalidations in checkpoint order (the engine calls this under the
+    /// table's checkpoint lock), so a backend need not guard against late or
+    /// replayed calls.
     ///
     /// The default does nothing — correctness never depends on this hook
     /// (stale pages are simply never requested again); it exists so pooled
     /// backends can return the capacity immediately instead of waiting for
     /// the replacement policy to age the dead pages out.
-    fn invalidate_stale(&self, table: TableId, epoch: u64, stale_pages: &[PageId]) {
-        let _ = (table, epoch, stale_pages);
+    fn invalidate_stale(&self, table: TableId, stale_pages: &[PageId]) {
+        let _ = (table, stale_pages);
     }
 }
 
@@ -265,12 +255,6 @@ pub struct PooledBackend {
     /// `inflight` (the prefetch top-up path), never the other way around.
     inflight: Mutex<IdHashMap<PageId, VirtualInstant>>,
     prefetch_pages: usize,
-    /// Largest checkpoint epoch seen per table (see
-    /// [`ScanBackend::invalidate_stale`]).
-    invalidation_epochs: Mutex<IdHashMap<TableId, u64>>,
-    /// Tuples skipped by zone-map pruning before scans registered (see
-    /// [`ScanBackend::record_pruned`]).
-    pruned_tuples: AtomicU64,
     device: Arc<dyn BlockDevice>,
     kind: PolicyKind,
     name: &'static str,
@@ -289,8 +273,6 @@ impl PooledBackend {
             pending: Mutex::new(IdHashMap::default()),
             inflight: Mutex::new(IdHashMap::default()),
             prefetch_pages: 0,
-            invalidation_epochs: Mutex::new(IdHashMap::default()),
-            pruned_tuples: AtomicU64::new(0),
             device,
             kind,
             name,
@@ -398,28 +380,14 @@ impl ScanBackend for PooledBackend {
     }
 
     fn stats(&self) -> BufferStats {
-        let mut stats = self.pool.stats();
-        stats.pruned_tuples = self.pruned_tuples.load(Ordering::Relaxed);
-        stats
-    }
-
-    fn record_pruned(&self, tuples: u64) {
-        self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
+        self.pool.stats()
     }
 
     fn drive_prefetch(&self, now: VirtualInstant) {
         self.top_up_prefetch(now);
     }
 
-    fn invalidate_stale(&self, table: TableId, epoch: u64, stale_pages: &[PageId]) {
-        {
-            let mut epochs = self.invalidation_epochs.lock();
-            let seen = epochs.entry(table).or_insert(0);
-            if epoch <= *seen {
-                return;
-            }
-            *seen = epoch;
-        }
+    fn invalidate_stale(&self, _table: TableId, stale_pages: &[PageId]) {
         // Stale pages whose prefetch is still in flight just lose their
         // window slot; the transfer itself already happened (or is charged
         // regardless), exactly as for a page evicted mid-flight.
@@ -437,25 +405,21 @@ impl ScanBackend for PooledBackend {
 // CScanBackend: the Active Buffer Manager (Cooperative Scans)
 // ---------------------------------------------------------------------------
 
-/// Per-scan metadata the backend needs to translate ABM chunk deliveries
-/// back into SID ranges.
-#[derive(Debug)]
-struct CScanMeta {
-    layout: Arc<TableLayout>,
-    stable_tuples: u64,
-}
-
 /// A [`ScanBackend`] over the [`Abm`]: chunks are delivered in whatever
-/// order the ABM's relevance functions consider best, and chunk loads go
-/// through a shared [`LoadScheduler`] (charged to the device) that the
-/// driver runs whenever a scan would otherwise starve. In a real system a
-/// dedicated ABM thread does this; in the embedded engine whichever stream
-/// is starved drives the pipeline, in the simulator the event loop does.
+/// order the ABM's relevance functions consider best, and chunk loads are
+/// charged to the device one at a time (the paper's model), planned and
+/// retired by the driver whenever a scan would otherwise starve. In a real
+/// system a dedicated ABM thread does this; in the embedded engine whichever
+/// stream is starved drives the pipeline, in the simulator the event loop
+/// does.
 ///
-/// The backend holds no outer mutex: the ABM synchronizes internally (one
-/// lock, see [`abm`](crate::abm)), the per-scan translation metadata sits
-/// behind a read-mostly `RwLock`, and starved streams retire each other's
-/// in-flight loads through the scheduler instead of spin-polling.
+/// Every per-scan fact lives in the ABM: a probe is one acquisition of its
+/// lock (see [`abm`](crate::abm)), which answers with the delivered chunk's
+/// SID range. The backend itself holds only the load in flight, behind a
+/// lock taken before the ABM's and never while holding it; the device read
+/// is issued between [`Abm::next_load`] and [`Abm::complete_load`], outside
+/// the ABM's lock, so a blocking read never stalls another stream's probe,
+/// and starved streams retire each other's loads instead of spin-polling.
 ///
 /// [`ScanBackend::invalidate_stale`] keeps its no-op default: the ABM caches
 /// at chunk granularity, keyed by snapshot *version*. Scans pinned to a
@@ -467,11 +431,8 @@ struct CScanMeta {
 #[derive(Debug)]
 pub struct CScanBackend {
     abm: Abm,
-    scans: RwLock<IdHashMap<ScanId, CScanMeta>>,
-    scheduler: LoadScheduler,
-    /// Tuples skipped by zone-map pruning before scans registered (see
-    /// [`ScanBackend::record_pruned`]).
-    pruned_tuples: AtomicU64,
+    /// The chunk load whose transfer is in flight, with its completion.
+    inflight: Mutex<Option<(LoadPlan, VirtualInstant)>>,
     device: Arc<dyn BlockDevice>,
 }
 
@@ -481,9 +442,7 @@ impl CScanBackend {
     pub fn new(abm: Abm, device: Arc<dyn BlockDevice>) -> Self {
         Self {
             abm,
-            scans: RwLock::new(IdHashMap::default()),
-            scheduler: LoadScheduler::default(),
-            pruned_tuples: AtomicU64::new(0),
+            inflight: Mutex::new(None),
             device,
         }
     }
@@ -499,36 +458,11 @@ impl ScanBackend for CScanBackend {
     }
 
     fn register_scan(&self, request: ScanRequest, _now: VirtualInstant) -> Result<ScanId> {
-        let meta = CScanMeta {
-            layout: Arc::clone(&request.layout),
-            stable_tuples: request.snapshot.stable_tuples(),
-        };
-        let handle = self.abm.register_cscan(CScanRequest {
-            table: request.table,
-            snapshot: request.snapshot,
-            layout: request.layout,
-            columns: request.columns,
-            ranges: request.ranges,
-            in_order: request.in_order,
-        })?;
-        self.scans.write().insert(handle.id, meta);
-        Ok(handle.id)
+        Ok(self.abm.register_cscan(request)?.id)
     }
 
     fn next_chunk(&self, scan: ScanId) -> Result<ScanStep> {
-        let Some(delivery) = self.abm.get_chunk(scan)? else {
-            return Ok(if self.abm.is_finished(scan) {
-                ScanStep::Finished
-            } else {
-                ScanStep::Starved
-            });
-        };
-        let scans = self.scans.read();
-        let meta = scans.get(&scan).ok_or(Error::UnknownScan(scan))?;
-        let sids = meta
-            .layout
-            .chunk_sid_range(delivery.chunk, meta.stable_tuples);
-        Ok(ScanStep::Deliver(sids))
+        self.abm.next_chunk(scan)
     }
 
     fn request_page(
@@ -541,13 +475,51 @@ impl ScanBackend for CScanBackend {
         Ok(now)
     }
 
+    /// Claims the relevance core's next load when nothing is in flight and
+    /// submits its transfer without waiting. A plan whose pages are all
+    /// resident already (chunk boundaries, shared snapshot prefixes) is
+    /// submitted like any other: its zero-byte request pays the device's
+    /// fixed latency, as the simulator has always modelled it.
     fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
-        self.scheduler
-            .plan_load(&self.abm, self.device.as_ref(), now)
+        let mut inflight = self.inflight.lock();
+        if inflight.is_some() {
+            return Ok(None);
+        }
+        let Some(plan) = self.abm.next_load(now) else {
+            return Ok(None);
+        };
+        let spec = ReadSpec {
+            bytes: plan.bytes,
+            pages: plan.pages.len() as u64,
+            kind: IoKind::Demand,
+            targets: &plan.pages,
+        };
+        let done_at = match self.device.submit_read(now, spec) {
+            Ok(completion) => completion.done_at,
+            Err(err) => {
+                // The plan was already claimed from the relevance core:
+                // complete it anyway so the chunk pipeline cannot wedge
+                // (correctness never depends on the device — storage reads
+                // fall back to a synchronous path), then surface the device
+                // fault to the planning stream.
+                self.abm.complete_load(&plan, now)?;
+                return Err(err);
+            }
+        };
+        *inflight = Some((plan, done_at));
+        Ok(Some(done_at))
     }
 
+    /// Any stream may retire — a scan starved on a chunk that *another*
+    /// stream put in flight retires that load itself instead of spinning
+    /// until the other stream gets scheduled.
     fn retire_load(&self) -> Result<Option<VirtualInstant>> {
-        self.scheduler.retire_load(&self.abm)
+        let mut inflight = self.inflight.lock();
+        let Some((plan, done_at)) = inflight.take() else {
+            return Ok(None);
+        };
+        self.abm.complete_load(&plan, done_at)?;
+        Ok(Some(done_at))
     }
 
     fn report_position(&self, _scan: ScanId, _tuples_consumed: u64, _now: VirtualInstant) {
@@ -555,19 +527,12 @@ impl ScanBackend for CScanBackend {
     }
 
     fn finish_scan(&self, scan: ScanId, _now: VirtualInstant) {
-        if self.scans.write().remove(&scan).is_some() {
-            let _ = self.abm.unregister_cscan(scan);
-        }
+        // An unknown (or already finished) scan is a harmless no-op.
+        let _ = self.abm.unregister_cscan(scan);
     }
 
     fn stats(&self) -> BufferStats {
-        let mut stats = self.abm.stats();
-        stats.pruned_tuples = self.pruned_tuples.load(Ordering::Relaxed);
-        stats
-    }
-
-    fn record_pruned(&self, tuples: u64) {
-        self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
+        self.abm.stats()
     }
 }
 
@@ -822,25 +787,101 @@ mod tests {
         );
     }
 
+    /// The backend's one-lock probe answers exactly what the ABM's own
+    /// `GetChunk` and `is_finished` say, translated into SID ranges: an
+    /// out-of-order and an in-order scan over a table whose last chunk is
+    /// partial, registered on a `CScanBackend` and on a bare `Abm` alike.
     #[test]
-    fn record_pruned_accumulates_into_stats_on_both_backends() {
-        let backends: Vec<Box<dyn ScanBackend>> = vec![
-            Box::new(lru_backend(4, device())),
-            Box::new(cscan_backend()),
-        ];
-        for backend in backends {
-            assert_eq!(backend.stats().pruned_tuples, 0);
-            backend.record_pruned(1000);
-            backend.record_pruned(24);
-            assert_eq!(backend.stats().pruned_tuples, 1024);
+    fn cscan_probe_matches_the_abm_get_chunk() {
+        const ROWS: u64 = 2_250;
+        let (_storage, request) = setup(ROWS);
+        let layout = Arc::clone(&request.layout);
+        let in_order = ScanRequest {
+            ranges: RangeList::single(100, ROWS),
+            in_order: true,
+            ..request.clone()
+        };
+        let backend = cscan_backend();
+        let abm = Abm::new(AbmConfig::new(1 << 20, PAGE));
+        let scans: Vec<ScanId> = [request, in_order]
+            .into_iter()
+            .map(|request| {
+                let id = backend.register_scan(request.clone(), T0).unwrap();
+                assert_eq!(abm.register_cscan(request).unwrap().id, id);
+                id
+            })
+            .collect();
+        let mut now = T0;
+        let mut delivered: Vec<Vec<TupleRange>> = vec![Vec::new(); scans.len()];
+        while !scans.iter().all(|&scan| abm.is_finished(scan)) {
+            let mut progressed = false;
+            for (i, &scan) in scans.iter().enumerate() {
+                let expected = match abm.get_chunk(scan).unwrap() {
+                    Some(delivery) => {
+                        ScanStep::Deliver(layout.chunk_sid_range(delivery.chunk, ROWS))
+                    }
+                    None if abm.is_finished(scan) => ScanStep::Finished,
+                    None => ScanStep::Starved,
+                };
+                assert_eq!(backend.next_chunk(scan).unwrap(), expected, "scan {i}");
+                if let ScanStep::Deliver(sids) = expected {
+                    delivered[i].push(sids);
+                    progressed = true;
+                }
+            }
+            if !progressed {
+                let done = backend
+                    .plan_load(now)
+                    .unwrap()
+                    .expect("a starved scan loads");
+                let plan = abm.next_load(now).expect("the same decision");
+                abm.complete_load(&plan, done).unwrap();
+                assert_eq!(backend.retire_load().unwrap(), Some(done));
+                now = done;
+            }
         }
+        for &scan in &scans {
+            assert_eq!(backend.next_chunk(scan).unwrap(), ScanStep::Finished);
+        }
+        assert_eq!(backend.stats(), abm.stats());
+        let last = TupleRange::new(2_000, ROWS);
+        for sids in &delivered {
+            assert_eq!(sids.len(), 5);
+            assert!(
+                sids.contains(&last),
+                "the partial chunk ends at the table's end"
+            );
+        }
+        let chunk_starts: Vec<u64> = delivered[1].iter().map(|r| r.start).collect();
+        assert_eq!(
+            chunk_starts,
+            [0, 500, 1_000, 1_500, 2_000],
+            "in table order"
+        );
     }
 
     #[test]
     fn unknown_scan_ids_error() {
-        let backend = lru_backend(4, device());
-        assert!(backend.next_chunk(ScanId::new(7)).is_err());
-        // finish_scan of an unknown id is a harmless no-op (Drop paths).
-        backend.finish_scan(ScanId::new(7), T0);
+        let (_storage, request) = setup(500);
+        let backends: Vec<Box<dyn ScanBackend>> = vec![
+            Box::new(lru_backend(4, device())),
+            Box::new(cscan_backend()),
+        ];
+        let unknown = |result: Result<ScanStep>, id: ScanId| matches!(result, Err(Error::UnknownScan(scan)) if scan == id);
+        for backend in backends {
+            let name = backend.name();
+            assert!(
+                unknown(backend.next_chunk(ScanId::new(7)), ScanId::new(7)),
+                "{name}"
+            );
+            // finish_scan of an unknown id is a harmless no-op (Drop paths).
+            backend.finish_scan(ScanId::new(7), T0);
+            let scan = backend.register_scan(request.clone(), T0).unwrap();
+            backend.finish_scan(scan, T0);
+            let stats = backend.stats();
+            backend.finish_scan(scan, T0);
+            assert_eq!(backend.stats(), stats, "{name}: a second finish is a no-op");
+            assert!(unknown(backend.next_chunk(scan), scan), "{name}");
+        }
     }
 }

@@ -13,9 +13,8 @@
 //!   over load / evict / dispatch decisions at chunk granularity, using the
 //!   QueryRelevance / LoadRelevance / UseRelevance / KeepRelevance functions,
 //!   and delivers chunks to CScan operators out of order. Split into a
-//!   chunk directory, a pure relevance core and an asynchronous load
-//!   scheduler (the monolithic original is the test oracle
-//!   `tests/abm_reference`);
+//!   chunk directory and a pure relevance core (the monolithic original is
+//!   the test oracle `tests/abm_reference`);
 //! * [`opt`] — Belady's OPT replayed over a recorded page-reference trace,
 //!   the theoretical optimum for order-preserving policies.
 //!
@@ -43,7 +42,7 @@ pub mod pool;
 pub mod registry;
 pub mod sieve;
 
-pub use abm::{Abm, AbmConfig, CScanHandle, LoadScheduler};
+pub use abm::{Abm, AbmConfig, CScanHandle};
 pub use backend::{build_backend, CScanBackend, PooledBackend, ScanBackend, ScanRequest, ScanStep};
 pub use clock::ClockPolicy;
 pub use lru::LruPolicy;

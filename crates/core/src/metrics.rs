@@ -27,10 +27,12 @@ pub struct BufferStats {
     /// not displaced by a replacement decision, their data simply ceased to
     /// exist in the live snapshot.
     pub invalidated_pages: u64,
-    /// Tuples that registered scans skipped via zone-map pruning: the
+    /// Tuples that scans skipped via zone-map pruning before registering: the
     /// backend never saw a page request, an ABM chunk interest or a PBM
     /// consumption prediction for them. Tuple-granular (not chunk-granular)
     /// because parallel query parts split ranges at arbitrary boundaries.
+    /// The execution engine counts these (a backend's own statistics leave
+    /// it 0).
     pub pruned_tuples: u64,
 }
 

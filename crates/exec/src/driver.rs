@@ -7,7 +7,7 @@
 //! pool of [`ScanShareConfig::scheduler_workers`](scanshare_common::ScanShareConfig::scheduler_workers)
 //! OS threads — with every query lowered from its
 //! [`QuerySpec`] (through the shared [`QuerySpec::steps`] lowering) onto the
-//! builder [`Query`](crate::query::Query) API against the shared engine —
+//! builder [`Query`] API against the shared engine —
 //! and therefore the shared, concurrently-driven buffer-management backend.
 //! The driver is deliberately a *thin client* of the scheduler: the same
 //! session-task machinery serves the `scanshare-serve` network frontend,
@@ -40,6 +40,7 @@ use scanshare_common::TableId;
 
 use crate::engine::Engine;
 use crate::ops::{AggrSpec, Aggregate, Predicate};
+use crate::query::Query;
 use crate::sched::{Task, TaskHandle, TaskOutcome, TaskScheduler, TaskStep};
 
 /// Runs [`WorkloadSpec`]s against an [`Engine`], one cooperative session
@@ -395,46 +396,26 @@ fn collect_session(
     (std::mem::take(&mut accum.latencies), accum.tuples, end)
 }
 
-/// The build side of a lowered join query, attached to the probe unit via
-/// the builder API's `.join(...)` clause: the query fully scans and hashes
-/// `table` before any probe I/O starts.
-struct JoinUnit {
-    table: TableId,
-    /// Probe-projection index of the join key.
-    left_col: usize,
-    /// Build-side join-key column name.
-    right_key: String,
-    /// The remaining build-projection column names, carried into the join
-    /// output after the key.
-    extras: Vec<String>,
-}
-
 /// One [`QueryStep`] of a lowered [`QuerySpec`] as an aggregation query
 /// (count + sum over the first column) over its range, so every registered
 /// page is actually read and processed. A join's build step rides on its
-/// probe step's unit.
+/// probe step's query through the builder API's `.join(...)` clause.
 struct QueryUnit {
-    table: TableId,
-    columns: Vec<String>,
+    /// The unit's query, pinned when it opens.
+    query: Query,
     range: TupleRange,
-    /// Row-level predicate lowered from the spec (projection-relative), fed
-    /// to the builder API's `.filter(...)` — and through it to zone-map
-    /// pruning.
-    predicate: Option<Predicate>,
-    /// Broadcast-join build side for join queries (`None` for plain scans).
-    join: Option<JoinUnit>,
-    /// Exact tuple count the unit must produce; `None` for predicated
-    /// units, whose count depends on the data.
+    /// Exact tuple count the unit must produce; `None` for predicated and
+    /// joined units, whose count depends on the data.
     expected: Option<u64>,
-    label: String,
 }
 
 /// One [`QuerySpec`] mid-execution inside a session task.
 struct RunningQuery {
+    label: String,
     started: Instant,
     tuples: u64,
     units: VecDeque<QueryUnit>,
-    active: Option<(crate::sched::QueryTask, Option<u64>, String, TupleRange)>,
+    active: Option<(crate::sched::QueryTask, TupleRange, Option<u64>)>,
 }
 
 /// A workload stream as a cooperative session task: runs its
@@ -519,15 +500,7 @@ impl StreamSessionTask {
                 continue;
             }
             let predicate = Self::resolve_predicate(label, step)?;
-            let join = step.join_key.zip(build.take()).map(|(left_col, build)| {
-                let (table, mut names) = build;
-                JoinUnit {
-                    table,
-                    left_col,
-                    right_key: names.remove(0),
-                    extras: names,
-                }
-            });
+            let join = step.join_key.zip(build.take());
             let expected = if predicate.is_some() || join.is_some() {
                 // Predicated and joined units count whatever matches; the
                 // spec cannot know the data-dependent cardinality.
@@ -538,45 +511,32 @@ impl StreamSessionTask {
             } else {
                 Some(step.range.len())
             };
+            let mut query = self
+                .engine
+                .query(step.table)
+                .columns(columns)
+                .tuple_range(step.range)
+                .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(0)]));
+            if let Some(predicate) = predicate {
+                query = query.filter(predicate);
+            }
+            if let Some((left_col, (table, mut names))) = join {
+                let right_key = names.remove(0);
+                query = query.join(table, left_col, right_key).join_columns(names);
+            }
             units.push_back(QueryUnit {
-                table: step.table,
-                columns,
+                query,
                 range: step.range,
-                predicate,
-                join,
                 expected,
-                label: label.clone(),
             });
         }
         Ok(RunningQuery {
+            label: label.clone(),
             started: Instant::now(),
             tuples: query.total_tuples(),
             units,
             active: None,
         })
-    }
-
-    /// Opens one unit's scans as a [`QueryTask`](crate::sched::QueryTask).
-    fn open_unit(
-        &self,
-        unit: QueryUnit,
-    ) -> Result<(crate::sched::QueryTask, Option<u64>, String, TupleRange)> {
-        let mut query = self
-            .engine
-            .query(unit.table)
-            .columns(unit.columns.iter().map(String::as_str))
-            .tuple_range(TupleRange::new(unit.range.start, unit.range.end))
-            .aggregate(AggrSpec::global(vec![Aggregate::Count, Aggregate::Sum(0)]));
-        if let Some(predicate) = unit.predicate {
-            query = query.filter(predicate);
-        }
-        if let Some(join) = unit.join {
-            query = query
-                .join(join.table, join.left_col, join.right_key)
-                .join_columns(join.extras);
-        }
-        let task = query.into_task()?;
-        Ok((task, unit.expected, unit.label, unit.range))
     }
 }
 
@@ -595,7 +555,7 @@ impl Task for StreamSessionTask {
                 None => Ok(TaskStep::Done),
             };
         };
-        if let Some((task, expected, label, range)) = &mut running.active {
+        if let Some((task, range, expected)) = &mut running.active {
             match task.step()? {
                 TaskStep::Yield => {
                     self.current = Some(running);
@@ -606,8 +566,9 @@ impl Task for StreamSessionTask {
                     if let Some(expected) = *expected {
                         if counted != expected {
                             return Err(Error::internal(format!(
-                                "query {label:?} counted {counted} tuples in {range:?}, expected \
-                                 {expected}"
+                                "query {:?} counted {counted} tuples in {range:?}, expected \
+                                 {expected}",
+                                running.label
                             )));
                         }
                     }
@@ -617,7 +578,8 @@ impl Task for StreamSessionTask {
         }
         match running.units.pop_front() {
             Some(unit) => {
-                running.active = Some(self.open_unit(unit)?);
+                let task = unit.query.into_task()?;
+                running.active = Some((task, unit.range, unit.expected));
                 self.current = Some(running);
             }
             None => {

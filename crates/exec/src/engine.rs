@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, MutexGuard, RwLock};
@@ -90,6 +91,9 @@ pub struct Engine {
     /// append to it before they are acknowledged; [`Engine::recover`]
     /// replays it over the last durable segment image.
     wal: Option<Arc<Wal>>,
+    /// Tuples zone-map pruning removed before registration (see
+    /// [`Engine::record_pruned`]).
+    pruned_tuples: AtomicU64,
 }
 
 impl Engine {
@@ -168,6 +172,7 @@ impl Engine {
             trace,
             tables: RwLock::new(HashMap::new()),
             wal,
+            pruned_tuples: AtomicU64::new(0),
         }))
     }
 
@@ -303,9 +308,22 @@ impl Engine {
         }
     }
 
-    /// Aggregated buffer-manager statistics.
+    /// Records that zone-map pruning removed `tuples` stable tuples from a
+    /// scan's interest *before* registration: the backend never sees a page
+    /// request, an ABM chunk interest or a PBM consumption prediction for
+    /// them. Called even when pruning removes the entire range (and the scan
+    /// therefore never registers), so the count reflects every skipped
+    /// tuple. Reported as [`BufferStats::pruned_tuples`].
+    pub fn record_pruned(&self, tuples: u64) {
+        self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
+    }
+
+    /// Aggregated buffer-manager statistics, with the engine's pruning count.
     pub fn buffer_stats(&self) -> BufferStats {
-        self.backend.stats()
+        BufferStats {
+            pruned_tuples: self.pruned_tuples.load(Ordering::Relaxed),
+            ..self.backend.stats()
+        }
     }
 
     /// Replays the recorded page-reference trace under Belady's OPT with the
@@ -434,9 +452,11 @@ impl Engine {
     ///    the old pages.
     /// 3. **Swap** — atomically publish (new snapshot, during-checkpoint
     ///    layers), bump the checkpoint epoch and hand the old snapshot's
-    ///    now-unreachable pages to the scan backend's epoch-tagged
+    ///    now-unreachable pages to the scan backend's
     ///    [`invalidate_stale`](scanshare_core::backend::ScanBackend::invalidate_stale)
-    ///    hook so the buffer manager returns their capacity immediately.
+    ///    hook so the buffer manager returns their capacity immediately —
+    ///    still under the table's checkpoint lock, so a table's
+    ///    invalidations reach the backend once each and in order.
     ///
     /// Checkpoints of the same table serialize; checkpoints of different
     /// tables run concurrently. Returns the new master snapshot.
@@ -475,11 +495,11 @@ impl Engine {
         };
 
         // Phase 3: swap and invalidate.
-        let (epoch, stale) = updates
+        let (_, stale) = updates
             .state
             .lock()
             .install(&frozen, Arc::clone(&new_snapshot));
-        self.backend.invalidate_stale(table, epoch, &stale);
+        self.backend.invalidate_stale(table, &stale);
         if let Some(wal) = &self.wal {
             wal.append_marker(WalRecordKind::CheckpointEnd, table, through_seq)?;
             // The durable images now cover everything up to `through_seq`
@@ -719,6 +739,46 @@ mod tests {
         assert_eq!(opt.backend().name(), "pbm", "OPT records a trace under PBM");
         assert!(opt.opt_result().is_ok());
         assert!(lru.opt_result().is_err());
+    }
+
+    /// The engine counts pruning once, whatever the backend — also for a
+    /// range pruning removes entirely, whose scan never registers.
+    #[test]
+    fn pruned_tuples_are_counted_by_the_engine_on_every_backend() {
+        use crate::ops::{AggrSpec, Aggregate, CompareOp, Predicate};
+        for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
+            let (storage, table) = storage_with_table(3000);
+            let engine = Engine::new(storage, config(policy)).unwrap();
+            assert_eq!(engine.buffer_stats().pruned_tuples, 0, "{policy}");
+            let count_below_500 = |range: TupleRange| {
+                let result = engine
+                    .query(table)
+                    .columns(["k", "v"])
+                    .tuple_range(range)
+                    .filter(Predicate::new(0, CompareOp::Lt, 500))
+                    .aggregate(AggrSpec::global(vec![Aggregate::Count]))
+                    .run()
+                    .unwrap();
+                result.get(&0).map_or(0, |group| group.count)
+            };
+            // Chunk c holds the keys [500c, 500c + 500): five of six chunks
+            // are pruned.
+            assert_eq!(count_below_500(TupleRange::new(0, 3000)), 500, "{policy}");
+            let before = engine.buffer_stats();
+            assert_eq!(before.pruned_tuples, 2500, "{policy}");
+            // No key in 1000..2000 is below 500: the whole range is pruned,
+            // so no scan registers and nothing is read.
+            assert_eq!(count_below_500(TupleRange::new(1000, 2000)), 0, "{policy}");
+            let after = engine.buffer_stats();
+            assert_eq!(after.pruned_tuples, 3500, "{policy}");
+            assert_eq!(
+                (after.hits, after.misses, after.io_bytes),
+                (before.hits, before.misses, before.io_bytes),
+                "{policy}"
+            );
+            engine.record_pruned(24);
+            assert_eq!(engine.buffer_stats().pruned_tuples, 3524, "{policy}");
+        }
     }
 
     #[derive(Debug)]

@@ -202,7 +202,7 @@ impl ScanOperator {
         if skipped > 0 {
             // Counted even when the whole range is pruned and the scan
             // never registers.
-            engine.backend().record_pruned(skipped);
+            engine.record_pruned(skipped);
         }
         // RegisterScan / RegisterCScan. A range that touches no stable data
         // (an empty range, or pure PDT inserts) needs no backend.

@@ -237,7 +237,7 @@ impl TableState {
     /// materialized image of `frozen` — under exactly the layers pushed
     /// since the freeze, and starts a new epoch. Returns the epoch and the
     /// frozen snapshot's pages, which no later pin can reach, for the
-    /// buffer manager's epoch-tagged invalidation.
+    /// buffer manager's invalidation.
     pub fn install(
         &mut self,
         frozen: &TablePin,

@@ -33,7 +33,7 @@
 //! read-only workload is one phase, a mixed one a phase per **round**. At
 //! every round barrier each update stream commits its generated batch as
 //! one engine transaction and checkpoints its table when due (the new image
-//! swapped in, the superseded pages handed to the backend's epoch-tagged
+//! swapped in, the superseded pages handed to the backend's
 //! `invalidate_stale` hook); then one query per stream runs concurrently.
 //! The engine logs nothing (no simulator run sets a durability directory).
 //! Scans are planned against the engine's pins, so both executors touch the
@@ -53,8 +53,8 @@ use std::sync::Arc;
 
 use scanshare_common::hash::IdHashSet;
 use scanshare_common::{
-    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
-    VirtualDuration, VirtualInstant,
+    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, VirtualDuration,
+    VirtualInstant,
 };
 use scanshare_core::backend::{ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
@@ -62,8 +62,6 @@ use scanshare_core::registry::PolicyRegistry;
 use scanshare_exec::{Engine, UpdateBarrier};
 use scanshare_iosim::IoDevice;
 use scanshare_pdt::translate::plan_scan;
-use scanshare_storage::layout::TableLayout;
-use scanshare_storage::snapshot::Snapshot;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::spec::{QuerySpec, WorkloadSpec};
 
@@ -99,7 +97,6 @@ impl Default for SimConfig {
 pub struct Simulation {
     storage: Arc<Storage>,
     config: SimConfig,
-    registry: PolicyRegistry,
 }
 
 // ---------------------------------------------------------------------------
@@ -140,13 +137,10 @@ impl EventQueue {
 /// table state's (possibly checkpoint-swapped, updated) pair in mixed ones.
 #[derive(Debug, Clone)]
 struct ResolvedScan {
-    table: TableId,
-    columns: Vec<usize>,
-    snapshot: Arc<Snapshot>,
-    /// Stable ranges to read; empty when the visible range maps to no stable
-    /// data (no backend scan is registered then — pure PDT rows cost no
-    /// I/O).
-    sid_ranges: RangeList,
+    /// What the step registers. Its stable ranges are empty when the visible
+    /// range maps to no stable data (no backend scan is registered then —
+    /// pure PDT rows cost no I/O).
+    request: ScanRequest,
     /// The probe step of a join: it registers only once every earlier step
     /// of its query (the build side) has drained, exactly like the engine's
     /// `QueryTask` join phase.
@@ -179,7 +173,6 @@ struct Step {
 #[derive(Debug)]
 struct Part {
     scan: ResolvedScan,
-    layout: Arc<TableLayout>,
     id: ScanId,
     /// The ranges `next_chunk` delivered so far, the one being consumed
     /// included.
@@ -281,27 +274,13 @@ impl Simulation {
     /// Creates a simulation over `storage` (which must already contain the
     /// workload's tables).
     pub fn new(storage: Arc<Storage>, config: SimConfig) -> Result<Self> {
-        Self::with_registry(storage, config, &PolicyRegistry::default())
-    }
-
-    /// Like [`Simulation::new`], resolving the page-level policy from a
-    /// caller supplied registry, as `Engine::with_registry` does.
-    pub fn with_registry(
-        storage: Arc<Storage>,
-        config: SimConfig,
-        registry: &PolicyRegistry,
-    ) -> Result<Self> {
         config.scanshare.validate()?;
         if config.cores == 0 {
             return Err(Error::config(
                 "the simulated machine needs at least one core",
             ));
         }
-        Ok(Self {
-            storage,
-            config,
-            registry: registry.clone(),
-        })
+        Ok(Self { storage, config })
     }
 
     /// Total volume of distinct data accessed by the workload, in bytes
@@ -350,7 +329,7 @@ impl Simulation {
         let engine = Engine::with_device(
             Arc::clone(&self.storage),
             scanshare.clone(),
-            &self.registry,
+            &PolicyRegistry::default(),
             device,
         )?;
         let mut state = RunState {
@@ -428,7 +407,7 @@ impl Simulation {
     /// scan steps, and the shared `plan_scan` turns each step's visible-row
     /// range into the stable ranges to register (clamped, translated through
     /// the pinned PDT, zone-pruned under the empty-PDT gate), reporting the
-    /// skipped tuples to the engine's backend.
+    /// skipped tuples to the engine.
     fn resolve(&self, engine: &Engine, query: &QuerySpec, streams: usize) -> Result<ResolvedQuery> {
         let steps = query.steps(&mut |table| engine.visible_rows(table))?;
         let zone_maps = self.config.scanshare.zone_maps;
@@ -437,15 +416,18 @@ impl Simulation {
             let pin = engine.table_pin(step.table)?;
             let flat = pin.flatten()?;
             let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
-            let (_, sid_ranges, skipped) = plan_scan(&pin.snapshot, &flat, step.range, zone_pred);
-            engine.backend().record_pruned(skipped);
-            scans.push(ResolvedScan {
+            let (_, ranges, skipped) = plan_scan(&pin.snapshot, &flat, step.range, zone_pred);
+            engine.record_pruned(skipped);
+            let request = ScanRequest {
                 table: step.table,
-                columns: step.columns,
                 snapshot: pin.snapshot,
-                sid_ranges,
-                barrier: step.join_key.is_some(),
-            });
+                layout: engine.storage().layout(step.table)?,
+                columns: step.columns,
+                ranges,
+                in_order: false,
+            };
+            let barrier = step.join_key.is_some();
+            scans.push(ResolvedScan { request, barrier });
         }
         Ok(ResolvedQuery {
             scans,
@@ -462,7 +444,6 @@ impl Simulation {
     /// at once, so the probe scan opens only once the build side drained;
     /// Cooperative Scans, like the engine, register one scan at a time.
     fn register_next(
-        &self,
         backend: &dyn ScanBackend,
         run: &mut QueryRun,
         now: VirtualInstant,
@@ -475,22 +456,12 @@ impl Simulation {
                 1
             };
             for scan in run.waiting.drain(..group) {
-                if scan.sid_ranges.is_empty() {
+                if scan.request.ranges.is_empty() {
                     continue;
                 }
-                let request = ScanRequest {
-                    table: scan.table,
-                    snapshot: Arc::clone(&scan.snapshot),
-                    layout: self.storage.layout(scan.table)?,
-                    columns: scan.columns.clone(),
-                    ranges: scan.sid_ranges.clone(),
-                    in_order: false,
-                };
-                let layout = Arc::clone(&request.layout);
                 run.parts.push_back(Part {
-                    id: backend.register_scan(request, now)?,
+                    id: backend.register_scan(scan.request.clone(), now)?,
                     scan,
-                    layout,
                     delivered: RangeList::new(),
                     rows: 0,
                     steps: Vec::new(),
@@ -519,9 +490,10 @@ impl Simulation {
                 position: part.rows,
             }];
         }
-        let plan = part
+        let request = &part.scan.request;
+        let plan = request
             .layout
-            .scan_page_plan(&part.scan.snapshot, &part.scan.columns, ranges);
+            .scan_page_plan(&request.snapshot, &request.columns, ranges);
         let steps = plan.interleaved().into_iter().map(|p| Step {
             page: Some(p.page),
             tuples: p.tuple_count,
@@ -534,10 +506,11 @@ impl Simulation {
     /// the range being consumed and every range not delivered yet (the
     /// sharing-potential sampling input of Figures 17/18).
     fn outstanding_pages(part: &Part) -> Vec<PageId> {
-        let remaining = part.scan.sid_ranges.subtract(&part.delivered);
-        let plan = part
+        let request = &part.scan.request;
+        let remaining = request.ranges.subtract(&part.delivered);
+        let plan = request
             .layout
-            .scan_page_plan(&part.scan.snapshot, &part.scan.columns, &remaining);
+            .scan_page_plan(&request.snapshot, &request.columns, &remaining);
         let mut pages: Vec<PageId> = part.steps[part.next..]
             .iter()
             .filter_map(|step| step.page)
@@ -618,7 +591,7 @@ impl Simulation {
                     cpu_ns_per_tuple: query.cpu_ns_per_tuple,
                     started: now,
                 };
-                self.register_next(backend, &mut run, now)?;
+                Self::register_next(backend, &mut run, now)?;
                 stream.current = Some(run);
                 kick_loader(backend, &mut events, now)?;
             }
@@ -634,7 +607,7 @@ impl Simulation {
             while part.next == part.steps.len() {
                 match backend.next_chunk(part.id)? {
                     ScanStep::Deliver(range) => {
-                        let ranges = part.scan.sid_ranges.intersect_range(&range);
+                        let ranges = part.scan.request.ranges.intersect_range(&range);
                         part.steps = Self::steps_of(backend, part, &ranges);
                         part.next = 0;
                         part.rows += ranges.total_tuples();
@@ -643,7 +616,7 @@ impl Simulation {
                     ScanStep::Finished => {
                         backend.finish_scan(part.id, now);
                         run.parts.pop_front();
-                        self.register_next(backend, run, now)?;
+                        Self::register_next(backend, run, now)?;
                         events.push(now_ns, EventKind::Stream(s));
                         kick_loader(backend, &mut events, now)?;
                         continue 'events;
@@ -986,10 +959,14 @@ mod tests {
         let ranges = [(0, 1_000), (1_500, 30_000), (rows - 7, rows)];
         resolved[1].push_front(ResolvedQuery {
             scans: vec![ResolvedScan {
-                table,
-                columns: vec![0, 1],
-                snapshot,
-                sid_ranges: RangeList::from_ranges(ranges.map(|(s, e)| TupleRange::new(s, e))),
+                request: ScanRequest {
+                    table,
+                    snapshot,
+                    layout: sim.storage.layout(table).unwrap(),
+                    columns: vec![0, 1],
+                    ranges: RangeList::from_ranges(ranges.map(|(s, e)| TupleRange::new(s, e))),
+                    in_order: false,
+                },
                 barrier: false,
             }],
             cpu_ns_per_tuple: 1.0,
@@ -1037,11 +1014,16 @@ mod tests {
         let (storage, _) = build_micro();
         let table = storage.table_ids()[0];
         let snapshot = storage.master_snapshot(table).unwrap();
+        let layout = storage.layout(table).unwrap();
         let scan = |start, end, barrier| ResolvedScan {
-            table,
-            columns: vec![0, 1],
-            snapshot: Arc::clone(&snapshot),
-            sid_ranges: RangeList::single(start, end),
+            request: ScanRequest {
+                table,
+                snapshot: Arc::clone(&snapshot),
+                layout: Arc::clone(&layout),
+                columns: vec![0, 1],
+                ranges: RangeList::single(start, end),
+                in_order: false,
+            },
             barrier,
         };
         // Two steps before the barrier, the build scan last, then the probe.

@@ -122,6 +122,7 @@ fn main() {
         "{:<8} {:>12} {:>12} {:>10} {:>12} {:>14}",
         "policy", "queries/s", "Mtuples/s", "p95 ms", "io MB", "stream errors"
     );
+    let mut tuples = Vec::new();
     for policy in [PolicyKind::Pbm, PolicyKind::CScan] {
         let engine = Engine::new(
             Arc::clone(&live_storage),
@@ -146,7 +147,15 @@ fn main() {
             report.buffer.io_megabytes(),
             report.stream_errors.len(),
         );
+        assert!(
+            report.stream_errors.is_empty(),
+            "{}: {:?}",
+            policy.name(),
+            report.stream_errors
+        );
+        tuples.push(report.tuples);
     }
+    assert_eq!(tuples[0], tuples[1], "both backends scan the same tuples");
     println!(
         "\nBoth backends run the identical specs: PBM through the page pool,\n\
          Cooperative Scans through the ABM with out-of-order chunk delivery."

@@ -54,6 +54,7 @@ fn main() {
         "policy", "result(sum)", "io [MB]", "hit ratio", "virt. time [s]"
     );
 
+    let mut checksums = Vec::new();
     for policy in [PolicyKind::Lru, PolicyKind::Pbm, PolicyKind::CScan] {
         let config = ScanShareConfig {
             page_size_bytes: 128 * 1024,
@@ -100,7 +101,12 @@ fn main() {
             stats.hit_ratio(),
             engine.query_stats().elapsed.as_secs_f64(),
         );
+        checksums.push(checksum);
     }
+    assert!(
+        checksums.windows(2).all(|pair| pair[0] == pair[1]),
+        "the policies disagree: {checksums:?}"
+    );
 
     println!(
         "\nAll policies return identical results; PBM exploits the second user's \
