@@ -266,6 +266,15 @@ impl Pdt {
     /// follows them; positions at or past the end of the visible stream
     /// translate to `stable_tuples`.
     pub fn rid_to_sid(&self, rid: Rid, stable_tuples: u64) -> Sid {
+        if self.is_empty() {
+            // No anchors: every sid's first row is at rid == sid.
+            return Sid::new(rid.raw().min(stable_tuples));
+        }
+        self.search_rid_to_sid(rid, stable_tuples)
+    }
+
+    /// [`Pdt::rid_to_sid`] by binary search, whatever the PDT holds.
+    fn search_rid_to_sid(&self, rid: Rid, stable_tuples: u64) -> Sid {
         let rid = rid.raw();
         // Binary search the largest sid in [0, stable_tuples] whose first
         // anchored row is at or before `rid`.
@@ -454,6 +463,23 @@ mod tests {
         assert_eq!(pdt.rid_to_sid(Rid::new(7), 10), Sid::new(7));
         assert_eq!(pdt.sid_to_rid_low(Sid::new(7)), Rid::new(7));
         assert_eq!(pdt.sid_to_rid_high(Sid::new(7)), Rid::new(7));
+    }
+
+    /// The empty-PDT shortcut of `rid_to_sid` gives what the binary search
+    /// gives, past the end of the stream included, for stable images of 0,
+    /// 1 and a few tuples.
+    #[test]
+    fn empty_pdt_rid_to_sid_matches_the_search() {
+        let pdt = Pdt::new(2);
+        for stable in [0u64, 1, 2, 7, 64] {
+            for rid in 0..=stable + 2 {
+                assert_eq!(
+                    pdt.rid_to_sid(Rid::new(rid), stable),
+                    pdt.search_rid_to_sid(Rid::new(rid), stable),
+                    "rid {rid} of {stable} stable tuples"
+                );
+            }
+        }
     }
 
     #[test]

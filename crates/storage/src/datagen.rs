@@ -95,11 +95,19 @@ impl DataGen {
     /// buffer (a scan fills its batch column with exactly the sids it
     /// needs instead of materializing the page around them).
     ///
-    /// One kernel per variant, chosen once per call: everything that does
-    /// not depend on the sid is hoisted, and `Cyclic` steps its quotient and
-    /// remainder per sid instead of dividing. [`DataGen::value`] is the
-    /// definition; the two agree bit for bit on every generator
-    /// [`DataGen::validate`] accepts.
+    /// One kernel per variant, chosen once per call, with everything that
+    /// does not depend on the sid hoisted. Two of them avoid a division per
+    /// value:
+    /// - `Uniform` takes `h % span` as Lemire's exact remainder (Lemire,
+    ///   Kaser, Kurz, "Faster Remainder by Direct Computation", 2019): one
+    ///   reciprocal `⌈2¹²⁸ / span⌉` per call, then four 64-bit multiplies
+    ///   per value.
+    /// - `Cyclic` generates at most one period, stepping its quotient and
+    ///   remainder per sid, and copies that period over the rest of the run
+    ///   (a value depends only on `sid % period`).
+    ///
+    /// [`DataGen::value`] is the definition; the two agree bit for bit on
+    /// every generator [`DataGen::validate`] accepts.
     pub fn fill(&self, seed: u64, start: u64, end: u64, out: &mut Vec<Value>) {
         let sids = start..end;
         match *self {
@@ -108,8 +116,14 @@ impl DataGen {
             }
             DataGen::Uniform { min, max } => {
                 let span = span(min, max);
+                // Wraps to 0 for a span of 1, whose remainder is 0 anyway.
+                let m = (u128::MAX / span as u128).wrapping_add(1);
                 let key = seed.rotate_left(17);
-                out.extend(sids.map(|sid| min.wrapping_add((splitmix64(sid ^ key) % span) as i64)));
+                out.extend(
+                    sids.map(|sid| {
+                        min.wrapping_add(fast_rem(m, splitmix64(sid ^ key), span) as i64)
+                    }),
+                );
             }
             DataGen::Cyclic { period, min, max } => {
                 // Position `pos` of the cycle maps to `q = pos·span / period`
@@ -118,23 +132,35 @@ impl DataGen {
                 // `period·span` fits, so nothing here overflows.
                 let span = span(min, max);
                 let (dq, dr) = (span / period, span % period);
-                let mut pos = start % period;
-                let (mut q, mut r) = (pos * span / period, pos * span % period);
-                out.extend(sids.map(|_| {
-                    let v = min.wrapping_add(q as i64);
-                    pos += 1;
-                    if pos == period {
-                        (pos, q, r) = (0, 0, 0);
-                    } else {
+                let len = end - start;
+                let base = out.len();
+                out.reserve(len as usize);
+                let mut step = |pos: u64, count: u64| {
+                    let (mut q, mut r) = (pos * span / period, pos * span % period);
+                    out.extend((0..count).map(|_| {
+                        let v = min.wrapping_add(q as i64);
                         q += dq;
                         r += dr;
                         if r >= period {
                             r -= period;
                             q += 1;
                         }
-                    }
-                    v
-                }));
+                        v
+                    }));
+                };
+                // One period at most: up to the end of the cycle, then from
+                // its start. The rest copies what is already there, in
+                // chunks that stay whole periods until the last.
+                let first = start % period;
+                let head = len.min(period - first);
+                step(first, head);
+                step(0, len.min(period) - head);
+                let (len, mut filled) = (len as usize, len.min(period) as usize);
+                while filled < len {
+                    let n = filled.min(len - filled);
+                    out.extend_from_within(base..base + n);
+                    filled += n;
+                }
             }
             DataGen::Constant(v) => out.resize(out.len() + sids.count(), v),
             DataGen::Zipfian { .. } => out.extend(sids.map(|sid| self.value(seed, sid))),
@@ -226,6 +252,20 @@ impl DataGen {
 /// and the 2⁶⁴-value span this cannot represent.
 fn span(min: i64, max: i64) -> u64 {
     (max.wrapping_sub(min) as u64).wrapping_add(1)
+}
+
+/// `h % span`, given `m = ⌈2¹²⁸ / span⌉` (0 for a span of 1): the high
+/// 64 bits of `(m·h mod 2¹²⁸) · span`, which is exact for every 64-bit `h`
+/// and `span` (Lemire, Kaser, Kurz 2019). Written on `u64` halves: with
+/// `m·h mod 2¹²⁸ = hi·2⁶⁴ + lo`, the result is the high half of `hi·span`
+/// plus the carry out of its low half and the high half of `lo·span`.
+#[inline]
+fn fast_rem(m: u128, h: u64, span: u64) -> u64 {
+    let low = m.wrapping_mul(h as u128);
+    let (lo, hi) = (low as u64, (low >> 64) as u64);
+    let top = hi as u128 * span as u128;
+    let (_, carry) = (top as u64).overflowing_add(((lo as u128 * span as u128) >> 64) as u64);
+    (top >> 64) as u64 + carry as u64
 }
 
 /// SplitMix64: a small, fast, well-distributed 64-bit mixer. Used so that
@@ -359,9 +399,23 @@ mod tests {
     /// per-sid `value` of every accepted generator — random spans (1
     /// included) and periods (1 and periods above the span included),
     /// starts at and past 2⁴⁰, one-sid fills (what the PDT merge asks at a
-    /// touched position) and fills appended to a non-empty buffer.
+    /// touched position) and fills appended to a non-empty buffer. Then the
+    /// kernels' edges: `Uniform` spans at and just past 2³² and 2⁶³ and the
+    /// largest, `Cyclic` batches whose period is short, long, or one off the
+    /// batch, and the microbenchmark's `lineitem`.
     #[test]
     fn fill_equals_value_for_every_variant() {
+        let check = |gen: DataGen, seed: u64, start: u64, len: u64, prefix: &[Value]| {
+            gen.validate().unwrap();
+            let mut out = prefix.to_vec();
+            gen.fill(seed, start, start + len, &mut out);
+            let expected: Vec<Value> = prefix
+                .iter()
+                .copied()
+                .chain((start..start + len).map(|sid| gen.value(seed, sid)))
+                .collect();
+            assert_eq!(out, expected, "{gen:?} seed {seed} sids {start}+{len}");
+        };
         let mut state = 0x5eed_u64;
         let mut next = || {
             state = splitmix64(state);
@@ -422,7 +476,6 @@ mod tests {
             } else {
                 gen
             };
-            gen.validate().unwrap();
             let start = match next() % 4 {
                 0 => next() % 10_000,
                 1 => 1 << 40,
@@ -434,16 +487,65 @@ mod tests {
                 1 => next() % 3,
                 _ => next() % 3_000,
             };
-            let seed = next();
             let prefix: Vec<Value> = (0..case % 3).map(|i| i as Value - 7).collect();
-            let mut out = prefix.clone();
-            gen.fill(seed, start, start + len, &mut out);
-            let expected: Vec<Value> = prefix
-                .iter()
-                .copied()
-                .chain((start..start + len).map(|sid| gen.value(seed, sid)))
-                .collect();
-            assert_eq!(out, expected, "{gen:?} seed {seed} sids {start}+{len}");
+            check(gen, next(), start, len, &prefix);
+        }
+
+        // Spans 2, 2³², 2³² + 1, 2⁶³, 2⁶³ + 1 and 2⁶⁴ − 1.
+        for (min, max) in [
+            (-1, 0),
+            (0, u32::MAX as i64),
+            (-(1 << 31), 1 << 31),
+            (i64::MIN, -1),
+            (i64::MIN, 0),
+            (i64::MIN, i64::MAX - 1),
+        ] {
+            for start in [0, 5, 1 << 40] {
+                check(DataGen::Uniform { min, max }, next(), start, 4_096, &[]);
+            }
+        }
+        // A scan batch of 1 024 sids and a run of four, at unaligned
+        // starts, with periods below the run and one either side of it.
+        for len in [1_024u64, 4_096] {
+            for period in [1, 2, 3, 2_526, len - 1, len + 1] {
+                for (min, max) in [(0, 0), (0, 2), (8_000, 10_500), (-9, 1 << 40)] {
+                    let gen = DataGen::Cyclic { period, min, max };
+                    for start in [0, 1, period - 1, 1_000_003, (1 << 40) + 7] {
+                        check(gen, next(), start, len, &[3]);
+                    }
+                }
+            }
+        }
+        // `workload::microbench::lineitem_generators`, written out because
+        // this crate cannot depend on `workload`.
+        let lineitem = [
+            DataGen::Uniform { min: 1, max: 50 },
+            DataGen::Uniform {
+                min: 100,
+                max: 100_000,
+            },
+            DataGen::Uniform { min: 0, max: 10 },
+            DataGen::Uniform { min: 0, max: 8 },
+            DataGen::Cyclic {
+                period: 3,
+                min: 0,
+                max: 2,
+            },
+            DataGen::Cyclic {
+                period: 2,
+                min: 0,
+                max: 1,
+            },
+            DataGen::Cyclic {
+                period: 2526,
+                min: 8000,
+                max: 10_500,
+            },
+        ];
+        for (column, gen) in lineitem.into_iter().enumerate() {
+            for start in [0, 777, 2_000_000 - 1_024] {
+                check(gen, column as u64 + 1, start, 1_024, &[]);
+            }
         }
     }
 
