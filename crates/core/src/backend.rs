@@ -18,8 +18,8 @@
 //!    range the scan should produce: sequential for pooled backends, the
 //!    ABM's `GetChunk` choice (generally out of table order) for
 //!    Cooperative Scans, [`ScanStep::Starved`] when nothing the scan needs
-//!    is cached — the driver then runs the load pipeline
-//!    ([`ScanBackend::plan_load`] / [`ScanBackend::retire_load`]);
+//!    is cached — the driver then waits for the load that
+//!    [`ScanBackend::pump_loads`], the loader's one step, left in flight;
 //! 3. [`ScanBackend::request_page`] — page-granular requests issued while
 //!    producing a delivered range (pooled backends count hits/misses and
 //!    charge misses to the device; the ABM already loaded the chunk);
@@ -90,11 +90,11 @@ pub enum ScanStep {
     Deliver(TupleRange),
     /// Every registered range has been delivered.
     Finished,
-    /// Nothing the scan still needs is cached: the caller must drive the
-    /// load pipeline ([`ScanBackend::plan_load`] /
-    /// [`ScanBackend::retire_load`]) and probe again. A scan that is still
-    /// starved with nothing plannable and nothing in flight cannot progress
-    /// ([`Error::ScanStarved`]). Pooled backends never starve.
+    /// Nothing the scan still needs is cached: the caller must wait for the
+    /// load [`ScanBackend::pump_loads`] left in flight, pump again at its
+    /// completion and probe again. A scan that is still starved with the
+    /// loader idle cannot progress ([`Error::ScanStarved`]). Pooled backends
+    /// never starve.
     Starved,
 }
 
@@ -137,18 +137,15 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// The scan finished (or was dropped) and its metadata can be freed.
     fn finish_scan(&self, scan: ScanId, now: VirtualInstant);
 
-    /// Puts a chunk load in flight at `now` if none is and a load is worth
-    /// starting; returns the instant its transfer completes. Backends that
-    /// load on demand (the pooled ones) never plan anything.
-    fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
+    /// The chunk loader's one step, run at `now`: retires every load whose
+    /// transfer completed by `now`, planning the next load at each
+    /// retirement's completion instant, and plans one at `now` if nothing is
+    /// in flight. Returns the completion instant of the load left in flight
+    /// (always after `now`; a starved scan waits until then), or `None` when
+    /// the loader is idle. Backends that load on demand (the pooled ones)
+    /// never load anything.
+    fn pump_loads(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
         let _ = now;
-        Ok(None)
-    }
-
-    /// Completes the in-flight chunk load, making its data
-    /// deliverable; returns its completion instant — the caller waits until
-    /// then — or `None` when nothing is in flight.
-    fn retire_load(&self) -> Result<Option<VirtualInstant>> {
         Ok(None)
     }
 
@@ -407,11 +404,12 @@ impl ScanBackend for PooledBackend {
 
 /// A [`ScanBackend`] over the [`Abm`]: chunks are delivered in whatever
 /// order the ABM's relevance functions consider best, and chunk loads are
-/// charged to the device one at a time (the paper's model), planned and
-/// retired by the driver whenever a scan would otherwise starve. In a real
-/// system a dedicated ABM thread does this; in the embedded engine whichever
-/// stream is starved drives the pipeline, in the simulator the event loop
-/// does.
+/// charged to the device one at a time (the paper's model), each submitted
+/// the instant its predecessor completes while scans consume what is
+/// cached. In a real system a dedicated ABM thread does this; here
+/// [`ScanBackend::pump_loads`] replays that thread up to the caller's `now`
+/// — the engine calls it before every probe, the simulator's event loop at
+/// its load completions and stream events.
 ///
 /// Every per-scan fact lives in the ABM: a probe is one acquisition of its
 /// lock (see [`abm`](crate::abm)), which answers with the delivered chunk's
@@ -419,7 +417,7 @@ impl ScanBackend for PooledBackend {
 /// lock taken before the ABM's and never while holding it; the device read
 /// is issued between [`Abm::next_load`] and [`Abm::complete_load`], outside
 /// the ABM's lock, so a blocking read never stalls another stream's probe,
-/// and starved streams retire each other's loads instead of spin-polling.
+/// and any stream's step retires the loads due, whoever planned them.
 ///
 /// [`ScanBackend::invalidate_stale`] keeps its no-op default: the ABM caches
 /// at chunk granularity, keyed by snapshot *version*. Scans pinned to a
@@ -475,51 +473,49 @@ impl ScanBackend for CScanBackend {
         Ok(now)
     }
 
-    /// Claims the relevance core's next load when nothing is in flight and
-    /// submits its transfer without waiting. A plan whose pages are all
+    /// Claims the relevance core's next load whenever nothing is in flight
+    /// and submits its transfer without waiting, under the `inflight` lock,
+    /// so one step is atomic across threads. A plan whose pages are all
     /// resident already (chunk boundaries, shared snapshot prefixes) is
     /// submitted like any other: its zero-byte request pays the device's
     /// fixed latency, as the simulator has always modelled it.
-    fn plan_load(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
+    fn pump_loads(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
         let mut inflight = self.inflight.lock();
-        if inflight.is_some() {
-            return Ok(None);
-        }
-        let Some(plan) = self.abm.next_load(now) else {
-            return Ok(None);
-        };
-        let spec = ReadSpec {
-            bytes: plan.bytes,
-            pages: plan.pages.len() as u64,
-            kind: IoKind::Demand,
-            targets: &plan.pages,
-        };
-        let done_at = match self.device.submit_read(now, spec) {
-            Ok(completion) => completion.done_at,
-            Err(err) => {
-                // The plan was already claimed from the relevance core:
-                // complete it anyway so the chunk pipeline cannot wedge
-                // (correctness never depends on the device — storage reads
-                // fall back to a synchronous path), then surface the device
-                // fault to the planning stream.
-                self.abm.complete_load(&plan, now)?;
-                return Err(err);
+        let mut at = now;
+        loop {
+            match inflight.take() {
+                Some((plan, done_at)) if done_at > now => {
+                    *inflight = Some((plan, done_at));
+                    return Ok(Some(done_at));
+                }
+                Some((plan, done_at)) => {
+                    self.abm.complete_load(&plan, done_at)?;
+                    at = done_at;
+                }
+                None => {}
             }
-        };
-        *inflight = Some((plan, done_at));
-        Ok(Some(done_at))
-    }
-
-    /// Any stream may retire — a scan starved on a chunk that *another*
-    /// stream put in flight retires that load itself instead of spinning
-    /// until the other stream gets scheduled.
-    fn retire_load(&self) -> Result<Option<VirtualInstant>> {
-        let mut inflight = self.inflight.lock();
-        let Some((plan, done_at)) = inflight.take() else {
-            return Ok(None);
-        };
-        self.abm.complete_load(&plan, done_at)?;
-        Ok(Some(done_at))
+            let Some(plan) = self.abm.next_load(at) else {
+                return Ok(None);
+            };
+            let spec = ReadSpec {
+                bytes: plan.bytes,
+                pages: plan.pages.len() as u64,
+                kind: IoKind::Demand,
+                targets: &plan.pages,
+            };
+            match self.device.submit_read(at, spec) {
+                Ok(completion) => *inflight = Some((plan, completion.done_at)),
+                Err(err) => {
+                    // The plan was already claimed from the relevance core:
+                    // complete it anyway so the chunk pipeline cannot wedge
+                    // (correctness never depends on the device — storage
+                    // reads fall back to a synchronous path), then surface
+                    // the device fault to the pumping stream.
+                    self.abm.complete_load(&plan, at)?;
+                    return Err(err);
+                }
+            }
+        }
     }
 
     fn report_position(&self, _scan: ScanId, _tuples_consumed: u64, _now: VirtualInstant) {
@@ -597,24 +593,19 @@ mod tests {
     }
 
     /// The driver side of the chunk protocol in one place, on a local
-    /// clock: probe, and while starved plan a load or else retire one,
-    /// advancing `now` to its completion.
+    /// clock: pump the loader and probe; while starved, advance `now` to
+    /// the completion of the load in flight.
     fn next_delivery(
         backend: &dyn ScanBackend,
         scan: ScanId,
         now: &mut VirtualInstant,
     ) -> Option<TupleRange> {
         loop {
+            let due = backend.pump_loads(*now).unwrap();
             match backend.next_chunk(scan).unwrap() {
                 ScanStep::Deliver(sids) => return Some(sids),
                 ScanStep::Finished => return None,
-                ScanStep::Starved => {}
-            }
-            if backend.plan_load(*now).unwrap().is_none() {
-                let done = backend.retire_load().unwrap();
-                *now = done
-                    .expect("a starved scan has a load to wait for")
-                    .max(*now);
+                ScanStep::Starved => *now = due.expect("a starved scan has a load to wait for"),
             }
         }
     }
@@ -631,9 +622,8 @@ mod tests {
             ScanStep::Deliver(TupleRange::new(0, 2000))
         );
         assert_eq!(backend.next_chunk(scan).unwrap(), ScanStep::Finished);
-        // Pooled backends load on demand: nothing to plan or retire.
-        assert_eq!(backend.plan_load(T0).unwrap(), None);
-        assert_eq!(backend.retire_load().unwrap(), None);
+        // Pooled backends load on demand: the loader step does nothing.
+        assert_eq!(backend.pump_loads(T0).unwrap(), None);
 
         // A miss is usable when its demand read completes, a hit at once.
         let page = request.snapshot.page(0, 0).unwrap();
@@ -675,9 +665,9 @@ mod tests {
         assert!(backend.stats().io_bytes > 0);
         assert!(now > T0, "waiting for loads moved the caller's clock");
         assert_eq!(
-            backend.retire_load().unwrap(),
+            backend.pump_loads(now).unwrap(),
             None,
-            "nothing left in flight"
+            "nothing left to load"
         );
         // Page requests are free (the chunk load brought the pages in) and
         // progress reports are accepted (and ignored) for API symmetry.
@@ -812,8 +802,23 @@ mod tests {
             })
             .collect();
         let mut now = T0;
+        let mut mirror: Option<(LoadPlan, VirtualInstant)> = None;
         let mut delivered: Vec<Vec<TupleRange>> = vec![Vec::new(); scans.len()];
         while !scans.iter().all(|&scan| abm.is_finished(scan)) {
+            // The loader step, mirrored on the bare ABM and timed by the
+            // backend's device: `now` only ever advances to a completion, so
+            // each step retires at most the one load due.
+            let due = backend.pump_loads(now).unwrap();
+            if mirror.as_ref().is_some_and(|&(_, done)| done <= now) {
+                let (plan, done) = mirror.take().unwrap();
+                abm.complete_load(&plan, done).unwrap();
+            }
+            if mirror.is_none() {
+                mirror = abm
+                    .next_load(now)
+                    .map(|plan| (plan, due.expect("the same decision")));
+            }
+            assert_eq!(mirror.as_ref().map(|&(_, done)| done), due);
             let mut progressed = false;
             for (i, &scan) in scans.iter().enumerate() {
                 let expected = match abm.get_chunk(scan).unwrap() {
@@ -830,14 +835,7 @@ mod tests {
                 }
             }
             if !progressed {
-                let done = backend
-                    .plan_load(now)
-                    .unwrap()
-                    .expect("a starved scan loads");
-                let plan = abm.next_load(now).expect("the same decision");
-                abm.complete_load(&plan, done).unwrap();
-                assert_eq!(backend.retire_load().unwrap(), Some(done));
-                now = done;
+                now = due.expect("a starved scan waits for a load");
             }
         }
         for &scan in &scans {
@@ -858,6 +856,33 @@ mod tests {
             [0, 500, 1_000, 1_500, 2_000],
             "in table order"
         );
+    }
+
+    /// The loader runs beside the scans: a step taken late retires every load
+    /// due by then, each successor submitted at its predecessor's
+    /// completion, exactly as a step taken at every completion would.
+    #[test]
+    fn a_late_loader_step_chains_loads_at_their_predecessors_completion() {
+        let (_storage, request) = setup(3000);
+        let punctual = cscan_backend();
+        punctual.register_scan(request.clone(), T0).unwrap();
+        let mut completions = Vec::new();
+        let mut now = T0;
+        while let Some(done) = punctual.pump_loads(now).unwrap() {
+            assert!(done > now);
+            completions.push(done);
+            now = done;
+        }
+        assert!(completions.len() >= 3, "{completions:?}");
+        let (d2, d3) = (completions[1], completions[2]);
+
+        let late = cscan_backend();
+        late.register_scan(request, T0).unwrap();
+        assert_eq!(late.pump_loads(T0).unwrap(), Some(completions[0]));
+        let between = VirtualInstant::from_nanos((d2.as_nanos() + d3.as_nanos()) / 2);
+        assert_eq!(late.pump_loads(between).unwrap(), Some(d3));
+        assert_eq!(late.pump_loads(now).unwrap(), None);
+        assert_eq!(late.stats(), punctual.stats());
     }
 
     #[test]

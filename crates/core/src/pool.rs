@@ -295,9 +295,9 @@ impl BufferPool {
 }
 
 /// The former name of [`BufferPool`], kept only because the frozen
-/// `benchmark/` crate still calls `ShardedPool::new(.., 1)`. The
-/// benchmark-refresh step of ROADMAP item 1 points it at
-/// [`BufferPool::new`] and deletes this shim.
+/// `benchmark/` crate still calls `ShardedPool::new(.., 1)`. The ruler
+/// refresh of ROADMAP "One CPU model in one function; then regenerate
+/// once" points it at [`BufferPool::new`] and deletes this shim.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct ShardedPool;

@@ -81,9 +81,6 @@ pub struct Engine {
     backend: Box<dyn ScanBackend>,
     device: Arc<dyn BlockDevice>,
     clock: Arc<VirtualClock>,
-    /// Serializes the load-pipeline step of starved scans (see
-    /// [`Engine::wait_for_chunk`]).
-    load_pump: Mutex<()>,
     trace: Option<Arc<ReferenceTrace>>,
     tables: RwLock<HashMap<TableId, Arc<TableUpdates>>>,
     /// The write-ahead log, present when
@@ -168,7 +165,6 @@ impl Engine {
             backend,
             device,
             clock: VirtualClock::shared(),
-            load_pump: Mutex::new(()),
             trace,
             tables: RwLock::new(HashMap::new()),
             wal,
@@ -276,34 +272,29 @@ impl Engine {
     /// Blocks `scan` (in virtual time) until the backend delivers its next
     /// SID range; `None` once every registered range was delivered.
     ///
-    /// A starved scan drives the backend's load pipeline itself — in a real
-    /// system a dedicated ABM thread would: plan a new load if none is in
-    /// flight, otherwise retire the in-flight load (possibly one another
-    /// stream planned) and advance the clock to its completion.
-    /// Plan-or-retire is one step under `load_pump`, so "nothing to plan and
-    /// nothing in flight" is a fact about the pipeline, not a race between
-    /// two streams' half-steps.
+    /// Every probe first runs the backend's loader step at `now`
+    /// ([`ScanBackend::pump_loads`]), which catches the chunk loader up as
+    /// if it had run beside the scans — in a real system a dedicated ABM
+    /// thread does. A starved scan advances the clock to the completion of
+    /// the load left in flight (possibly one another stream planned) and
+    /// probes again. The step is atomic in the backend, so an idle loader
+    /// is a fact about the pipeline, not a race between two streams.
     pub(crate) fn wait_for_chunk(&self, scan: ScanId) -> Result<Option<TupleRange>> {
         let mut idle = false;
         loop {
+            let due = self.backend.pump_loads(self.now())?;
             match self.backend.next_chunk(scan)? {
                 ScanStep::Deliver(sids) => return Ok(Some(sids)),
                 ScanStep::Finished => return Ok(None),
-                // The pipeline was empty *after* the failed probe — so the
-                // probe just repeated could not have missed a load another
-                // stream retired in between: nothing cached, nothing
-                // loadable, nothing in flight.
-                ScanStep::Starved if idle => return Err(Error::ScanStarved(scan)),
-                ScanStep::Starved => {}
-            }
-            let _pump = self.load_pump.lock();
-            if self.backend.plan_load(self.now())?.is_none() {
-                match self.backend.retire_load()? {
+                ScanStep::Starved => match due {
                     Some(done) => {
                         self.clock.advance_to(done);
                     }
+                    // Idle at two steps with a probe between: nothing
+                    // cached, nothing loadable, nothing in flight.
+                    None if idle => return Err(Error::ScanStarved(scan)),
                     None => idle = true,
-                }
+                },
             }
         }
     }

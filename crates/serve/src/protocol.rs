@@ -943,12 +943,12 @@ mod tests {
         }
     }
 
-    /// Seeded frame mutation (ROADMAP item 5): bit flips, truncation at
-    /// every offset, length-prefix rewrites up to and past `MAX_FRAME_LEN`,
-    /// a `u16` rewritten at every payload offset (so every inner string
-    /// length is hit), random tails, and stacks of those. Every outcome is
-    /// `Ok` or a typed `Err`; a panic fails the test with the seed and the
-    /// mutated bytes.
+    /// Seeded frame mutation (ROADMAP "Whole-system deterministic torture
+    /// test"): bit flips, truncation at every offset, length-prefix
+    /// rewrites up to and past `MAX_FRAME_LEN`, a `u16` rewritten at every
+    /// payload offset (so every inner string length is hit), random tails,
+    /// and stacks of those. Every outcome is `Ok` or a typed `Err`; a panic
+    /// fails the test with the seed and the mutated bytes.
     #[test]
     fn mutated_frames_decode_to_a_message_or_a_typed_error() {
         const SEED: u64 = 0x5ca7_5ea7_0000_0020;

@@ -20,11 +20,12 @@
 //! page-level policies (LRU, PBM, the PBM run recording OPT's trace), in
 //! whatever order the Active Buffer Manager chooses under Cooperative Scans
 //! — and a stream consumes one step of that range per event, blocking while
-//! starved; a loader runs beside the streams for the backends that load
-//! chunks. Misses and chunk loads are served by a bandwidth-limited
-//! [`IoDevice`]; CPU work is charged per tuple, scaled by the query's CPU
-//! factor and by the effective intra-query parallelism (`cores / streams`,
-//! at least 1).
+//! starved; the backend's loader step ([`ScanBackend::pump_loads`], the one
+//! the engine runs before every probe) runs beside the streams for the
+//! backends that load chunks. Misses and chunk loads are served by a
+//! bandwidth-limited [`IoDevice`]; CPU work is charged per tuple, scaled by
+//! the query's CPU factor and by the effective intra-query parallelism
+//! (`cores / streams`, at least 1).
 //!
 //! # Mixed read/write workloads
 //!
@@ -107,7 +108,7 @@ pub struct Simulation {
 enum EventKind {
     /// Stream `s` takes its next step.
     Stream(usize),
-    /// The earliest in-flight chunk load completes.
+    /// The chunk load in flight completes: blocked streams wake.
     LoadDone,
 }
 
@@ -117,9 +118,22 @@ enum EventKind {
 struct EventQueue {
     heap: BinaryHeap<Reverse<(u64, u64, EventKind)>>,
     seq: u64,
+    /// Completion of the chunk load in flight, whose `LoadDone` is queued.
+    load_due: Option<u64>,
 }
 
 impl EventQueue {
+    /// Runs the backend's loader step at `now`, queueing a `LoadDone` at the
+    /// completion of a load the step newly put in flight.
+    fn pump_loads(&mut self, backend: &dyn ScanBackend, now: VirtualInstant) -> Result<()> {
+        let due = backend.pump_loads(now)?.map(VirtualInstant::as_nanos);
+        if let Some(done) = due.filter(|&done| Some(done) != self.load_due) {
+            self.push(done, EventKind::LoadDone);
+        }
+        self.load_due = due;
+        Ok(())
+    }
+
     fn push(&mut self, time_ns: u64, kind: EventKind) {
         self.heap.push(Reverse((time_ns, self.seq, kind)));
         self.seq += 1;
@@ -255,19 +269,6 @@ struct RunState<'a> {
     backend: &'a dyn ScanBackend,
     sampler: SharingSampler,
     query_latencies: Vec<VirtualDuration>,
-}
-
-/// Puts a chunk load in flight unless one already is, scheduling a
-/// `LoadDone` event at its completion.
-fn kick_loader(
-    backend: &dyn ScanBackend,
-    events: &mut EventQueue,
-    now: VirtualInstant,
-) -> Result<()> {
-    if let Some(done) = backend.plan_load(now)? {
-        events.push(done.as_nanos(), EventKind::LoadDone);
-    }
-    Ok(())
 }
 
 impl Simulation {
@@ -439,10 +440,11 @@ impl Simulation {
     /// left, skipping the steps with no stable data (the engine registers no
     /// backend scan for PDT-only ranges).
     ///
-    /// One of the model's two differences from the engine (ROADMAP item 1):
-    /// a page-level backend registers every step up to the next join barrier
-    /// at once, so the probe scan opens only once the build side drained;
-    /// Cooperative Scans, like the engine, register one scan at a time.
+    /// One of the model's two differences from the engine (ROADMAP "One CPU
+    /// model in one function"): a page-level backend registers every step up
+    /// to the next join barrier at once, so the probe scan opens only once
+    /// the build side drained; Cooperative Scans, like the engine, register
+    /// one scan at a time.
     fn register_next(
         backend: &dyn ScanBackend,
         run: &mut QueryRun,
@@ -477,11 +479,11 @@ impl Simulation {
     /// it already consumed.
     ///
     /// The other of the model's two differences from the engine (ROADMAP
-    /// item 1): a page-level backend gets one step per page of the range, in
-    /// the `(tuples_behind, column)` order the engine's merge cursor requests
-    /// them, each charged the page's `tuple_count` — a scan of k columns
-    /// pays k times per row; Cooperative Scans get one step per chunk,
-    /// charged once per row like the engine.
+    /// "One CPU model in one function"): a page-level backend gets one step
+    /// per page of the range, in the `(tuples_behind, column)` order the
+    /// engine's merge cursor requests them, each charged the page's
+    /// `tuple_count` — a scan of k columns pays k times per row; Cooperative
+    /// Scans get one step per chunk, charged once per row like the engine.
     fn steps_of(backend: &dyn ScanBackend, part: &Part, ranges: &RangeList) -> Vec<Step> {
         if !backend.kind().is_order_preserving() {
             return vec![Step {
@@ -528,9 +530,10 @@ impl Simulation {
     /// one event consumes one [`Step`] of it, the stream's next event
     /// falling at the instant the step's page is usable (at once when it has
     /// none) plus the step's CPU time. A starved stream blocks; the loader —
-    /// the backend's `plan_load` / `retire_load` pair, as `LoadDone` events —
-    /// runs beside the streams and wakes the blocked ones whenever a load
-    /// lands (a pooled backend never plans one). `phase_queries` holds each
+    /// the backend's `pump_loads` step, run at each `LoadDone` event, at
+    /// query start, at scan finish and on starvation — runs beside the
+    /// streams, and a `LoadDone` wakes the blocked ones whenever a load
+    /// lands (a pooled backend never loads one). `phase_queries` holds each
     /// stream's queries for this phase; all streams start at `start_ns`.
     /// Returns each stream's finish time.
     fn phase(
@@ -569,11 +572,10 @@ impl Simulation {
 
             let s = match kind {
                 EventKind::LoadDone => {
-                    backend.retire_load()?;
                     for s in std::mem::take(&mut blocked) {
                         events.push(now_ns, EventKind::Stream(s));
                     }
-                    kick_loader(backend, &mut events, now)?;
+                    events.pump_loads(backend, now)?;
                     continue;
                 }
                 EventKind::Stream(s) => s,
@@ -593,7 +595,7 @@ impl Simulation {
                 };
                 Self::register_next(backend, &mut run, now)?;
                 stream.current = Some(run);
-                kick_loader(backend, &mut events, now)?;
+                events.pump_loads(backend, now)?;
             }
 
             let run = stream.current.as_mut().expect("set above");
@@ -618,12 +620,12 @@ impl Simulation {
                         run.parts.pop_front();
                         Self::register_next(backend, run, now)?;
                         events.push(now_ns, EventKind::Stream(s));
-                        kick_loader(backend, &mut events, now)?;
+                        events.pump_loads(backend, now)?;
                         continue 'events;
                     }
                     ScanStep::Starved => {
                         blocked.insert(s);
-                        kick_loader(backend, &mut events, now)?;
+                        events.pump_loads(backend, now)?;
                         continue 'events;
                     }
                 }
@@ -1006,9 +1008,10 @@ mod tests {
     }
 
     /// The model's registration rule, which differs from the engine's under
-    /// the page-level policies (ROADMAP item 1): they register every step
-    /// before a join barrier at once, and the probe once the build side
-    /// drained; Cooperative Scans register one scan at a time.
+    /// the page-level policies (ROADMAP "One CPU model in one function"):
+    /// they register every step before a join barrier at once, and the
+    /// probe once the build side drained; Cooperative Scans register one
+    /// scan at a time.
     #[test]
     fn page_level_backends_register_up_to_the_join_barrier_cscan_one_scan_at_a_time() {
         let (storage, _) = build_micro();
