@@ -208,6 +208,20 @@ impl fmt::Display for Bandwidth {
     }
 }
 
+/// Tuples one core processes per second (4 ns per tuple): the cost model's
+/// CPU rate. It models the paper's ratio of CPU to I/O cost, which beside
+/// the swept [`Bandwidth`] decides when a configuration turns CPU-bound; it
+/// does not model this engine, which scans a stored image at 0.6–1.9 ns per
+/// value and a generated base table at 2.3–5.8 ns (the generator's cost).
+pub const CPU_TUPLES_PER_SEC: u64 = 250_000_000;
+
+/// The CPU time of `tuples` at [`CPU_TUPLES_PER_SEC`] × `cpu_factor` (finite,
+/// non-negative) over `parallelism` cores: both executors' one CPU charge.
+pub fn cpu_time(tuples: u64, cpu_factor: f64, parallelism: u64) -> VirtualDuration {
+    let ns_per_tuple = 1e9 * cpu_factor / (CPU_TUPLES_PER_SEC as f64 * parallelism as f64);
+    VirtualDuration((tuples as f64 * ns_per_tuple).round() as u64)
+}
+
 /// A shared, thread-safe virtual clock.
 ///
 /// The clock only moves forward. The simulator advances it from its event

@@ -1,10 +1,13 @@
 //! Workspace-level configuration.
 //!
 //! [`ScanShareConfig`] captures the knobs that the paper's evaluation section
-//! sweeps: buffer pool size, I/O bandwidth, chunk granularity and the CPU
-//! processing rate that determines when a workload turns CPU-bound. Policy
-//! specific tuning (PBM bucket layout, ABM relevance weights) is fixed in
-//! code next to the policies in `scanshare-core`.
+//! sweeps: buffer pool size, I/O bandwidth and chunk granularity. The CPU
+//! processing rate that determines when a workload turns CPU-bound is not
+//! one of them: it is the cost model's fixed
+//! [`CPU_TUPLES_PER_SEC`](crate::clock::CPU_TUPLES_PER_SEC), which the
+//! bandwidth sweep is measured against. Policy specific tuning (PBM bucket
+//! layout, ABM relevance weights) is fixed in code next to the policies in
+//! `scanshare-core`.
 
 use std::path::PathBuf;
 
@@ -146,10 +149,6 @@ pub struct ScanShareConfig {
     pub io_bandwidth: Bandwidth,
     /// Fixed per-request latency of the I/O subsystem (seek/queueing cost).
     pub io_latency_nanos: u64,
-    /// How many tuples one core processes per second of CPU work for a
-    /// typical scan-select-aggregate query. Determines when a configuration
-    /// becomes CPU-bound.
-    pub cpu_tuples_per_sec: u64,
     /// Which buffer-management policy to run.
     pub policy: PolicyKind,
     /// Size of the asynchronous prefetch window, in pages, maintained by the
@@ -222,7 +221,6 @@ impl Default for ScanShareConfig {
             buffer_pool_bytes: 512 * 1024 * 1024,
             io_bandwidth: Bandwidth::from_mb_per_sec(700.0),
             io_latency_nanos: 100_000, // 0.1 ms per request
-            cpu_tuples_per_sec: 250_000_000,
             policy: PolicyKind::Pbm,
             prefetch_pages: 0,
             custom_policy: None,
@@ -250,9 +248,6 @@ impl ScanShareConfig {
             return Err(Error::config(
                 "buffer_pool_bytes must hold at least one page",
             ));
-        }
-        if self.cpu_tuples_per_sec == 0 {
-            return Err(Error::config("cpu_tuples_per_sec must be positive"));
         }
         if self.prefetch_pages > 0 && self.prefetch_pages as u64 >= self.buffer_pool_pages() as u64
         {

@@ -22,7 +22,9 @@ pub mod range;
 pub mod rid;
 pub mod sync;
 
-pub use clock::{Bandwidth, VirtualClock, VirtualDuration, VirtualInstant};
+pub use clock::{
+    cpu_time, Bandwidth, VirtualClock, VirtualDuration, VirtualInstant, CPU_TUPLES_PER_SEC,
+};
 pub use config::{DeviceKind, PolicyKind, ScanShareConfig};
 pub use error::{Error, Result};
 pub use ids::{ChunkId, ColumnId, PageId, QueryId, ScanId, SnapshotId, StreamId, TableId};

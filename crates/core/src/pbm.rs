@@ -49,13 +49,13 @@
 //! average, known from its first progress report on. Until then the scan is
 //! assumed to run as fast as the scans the policy *has* measured — the mean
 //! speed of the registered scans that have reported, or the last such mean
-//! when none is registered. A fixed prior taken from the default CPU rate
-//! is what a scan does on a resident table with the device to itself; under
-//! the memory pressure and bandwidth sharing that make eviction matter,
-//! scans run an order of magnitude slower, so a new scan's pages looked that
-//! much nearer than they were and outranked the accurately keyed pages of
-//! its neighbours. [`BOOTSTRAP_SCAN_SPEED`] is still read, but only until
-//! the policy's first measurement.
+//! when none is registered. A fixed prior taken from the cost model's CPU
+//! rate is what a scan does on a resident table with the device to itself;
+//! under the memory pressure and bandwidth sharing that make eviction
+//! matter, scans run an order of magnitude slower, so a new scan's pages
+//! looked that much nearer than they were and outranked the accurately keyed
+//! pages of its neighbours. [`BOOTSTRAP_SCAN_SPEED`] is still read, but only
+//! until the policy's first measurement.
 //!
 //! The timeline and the bootstrap speed are fixed in code, not configured:
 //! at the figure harness's `test` scale a bootstrap speed × 0.01 or × 100
@@ -66,7 +66,7 @@
 use std::collections::{BinaryHeap, HashSet, VecDeque};
 
 use scanshare_common::hash::IdHashMap;
-use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant};
+use scanshare_common::{PageId, ScanId, VirtualDuration, VirtualInstant, CPU_TUPLES_PER_SEC};
 use scanshare_storage::layout::ScanPagePlan;
 
 use crate::policy::{ReplacementPolicy, ScanInfo};
@@ -84,8 +84,8 @@ const TOTAL_BUCKETS: usize = BUCKET_GROUPS * BUCKETS_PER_GROUP;
 /// Bootstrap only: the speed (tuples per second) assumed for a scan that has
 /// not reported yet, until the policy's first-ever measurement. From then on
 /// such a scan runs at the mean measured speed of the scans that have
-/// reported (see the module docs). It is the default CPU processing rate.
-pub const BOOTSTRAP_SCAN_SPEED: f64 = 250_000_000.0;
+/// reported (see the module docs). It is the cost model's CPU rate.
+pub const BOOTSTRAP_SCAN_SPEED: f64 = CPU_TUPLES_PER_SEC as f64;
 /// The timeline heaps keep only their live entries once they hold more than
 /// this many per tracked page, which bounds them as pushes leave garbage.
 const COMPACT_FACTOR: usize = 4;

@@ -8,16 +8,18 @@ use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, MutexGuard, RwLock};
 use scanshare_common::{
-    DeviceKind, Error, PolicyKind, Result, ScanId, ScanShareConfig, TableId, TupleRange,
-    VirtualClock, VirtualDuration, VirtualInstant,
+    cpu_time, DeviceKind, Error, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
+    TupleRange, VirtualClock, VirtualDuration, VirtualInstant,
 };
-use scanshare_core::backend::{build_backend, ScanBackend, ScanStep};
+use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::opt::{simulate_opt, OptResult};
 use scanshare_core::registry::PolicyRegistry;
 use scanshare_iosim::{BlockDevice, FileIoDevice, IoDevice, ReferenceTrace};
 use scanshare_pdt::checkpoint::checkpoint_stack;
+use scanshare_pdt::pdt::Pdt;
 use scanshare_pdt::table::{TablePin, TableState, TableWrites};
+use scanshare_pdt::translate::plan_scan;
 use scanshare_pdt::wal::{decode_commit, encode_commit, CommitTableRecord};
 use scanshare_storage::datagen::Value;
 use scanshare_storage::snapshot::Snapshot;
@@ -88,8 +90,8 @@ pub struct Engine {
     /// append to it before they are acknowledged; [`Engine::recover`]
     /// replays it over the last durable segment image.
     wal: Option<Arc<Wal>>,
-    /// Tuples zone-map pruning removed before registration (see
-    /// [`Engine::record_pruned`]).
+    /// Tuples zone-map pruning removed before registration (counted by
+    /// [`Engine::scan_request`]), reported as [`BufferStats::pruned_tuples`].
     pruned_tuples: AtomicU64,
 }
 
@@ -297,16 +299,6 @@ impl Engine {
                 },
             }
         }
-    }
-
-    /// Records that zone-map pruning removed `tuples` stable tuples from a
-    /// scan's interest *before* registration: the backend never sees a page
-    /// request, an ABM chunk interest or a PBM consumption prediction for
-    /// them. Called even when pruning removes the entire range (and the scan
-    /// therefore never registers), so the count reflects every skipped
-    /// tuple. Reported as [`BufferStats::pruned_tuples`].
-    pub fn record_pruned(&self, tuples: u64) {
-        self.pruned_tuples.fetch_add(tuples, Ordering::Relaxed);
     }
 
     /// Aggregated buffer-manager statistics, with the engine's pruning count.
@@ -649,12 +641,10 @@ impl Engine {
         // never prunes here, and nothing later rejects it — batches are
         // indexed unchecked — so `Query::validate` refuses such a plan before
         // it opens a scan; a direct caller must do the same.
-        let zone_pred = match filter {
-            Some(pred) if self.config.zone_maps => column_indices
-                .get(pred.column)
-                .map(|&table_col| ZonePredicate::new(table_col, pred.op, pred.value)),
-            _ => None,
-        };
+        let zone_pred = filter.and_then(|pred| {
+            let table_col = *column_indices.get(pred.column)?;
+            Some(ZonePredicate::new(table_col, pred.op, pred.value))
+        });
         Ok(Box::new(ScanOperator::with_pin(
             Arc::clone(self),
             pin,
@@ -665,10 +655,43 @@ impl Engine {
         )?))
     }
 
+    /// Builds the backend request of a scan of the visible rows `rid_range`
+    /// over `columns` of `pin`, whose layer stack flattens to `pdt`: the one
+    /// builder both executors register their scans through. [`plan_scan`]
+    /// clamps and translates the range and, when
+    /// [`ScanShareConfig::zone_maps`] is on, prunes it by `zone_pred`; the
+    /// skipped tuples are counted here, also when no scan registers. Returns
+    /// the requested RID ranges and the request, `None` when the range
+    /// touches no stable data (empty, pure PDT inserts or wholly pruned).
+    pub fn scan_request(
+        &self,
+        pin: &TablePin,
+        pdt: &Pdt,
+        columns: &[usize],
+        rid_range: TupleRange,
+        zone_pred: Option<&ZonePredicate>,
+        in_order: bool,
+    ) -> Result<(RangeList, Option<ScanRequest>)> {
+        let zone_pred = zone_pred.filter(|_| self.config.zone_maps);
+        let (requested, ranges, skipped) = plan_scan(&pin.snapshot, pdt, rid_range, zone_pred);
+        self.pruned_tuples.fetch_add(skipped, Ordering::Relaxed);
+        if ranges.is_empty() {
+            return Ok((requested, None));
+        }
+        let request = ScanRequest {
+            table: pin.table,
+            snapshot: Arc::clone(&pin.snapshot),
+            layout: self.storage.layout(pin.table)?,
+            columns: columns.to_vec(),
+            ranges,
+            in_order,
+        };
+        Ok((requested, Some(request)))
+    }
+
     /// Charges `tuples` of CPU work to the engine's virtual clock.
     pub(crate) fn charge_cpu(&self, tuples: u64) {
-        let secs = tuples as f64 / self.config.cpu_tuples_per_sec as f64;
-        self.clock.advance(VirtualDuration::from_secs_f64(secs));
+        self.clock.advance(cpu_time(tuples, 1.0, 1));
     }
 }
 
@@ -767,8 +790,6 @@ mod tests {
                 (before.hits, before.misses, before.io_bytes),
                 "{policy}"
             );
-            engine.record_pruned(24);
-            assert_eq!(engine.buffer_stats().pruned_tuples, 3524, "{policy}");
         }
     }
 

@@ -2,10 +2,10 @@
 //!
 //! One operator drives every
 //! [`ScanBackend`](scanshare_core::backend::ScanBackend): it plans its scan
-//! with [`plan_scan`] (the planning step the simulator shares), registers
-//! the stable (SID) ranges, asks the backend for the next range to produce
-//! ([`next_chunk`](scanshare_core::backend::ScanBackend::next_chunk)) and
-//! merges the table's PDT on the fly. The backends are clock-free: every
+//! with [`Engine::scan_request`] (the request builder the simulator shares),
+//! registers the stable (SID) ranges, asks the backend for the next range to
+//! produce ([`next_chunk`](scanshare_core::backend::ScanBackend::next_chunk))
+//! and merges the table's PDT on the fly. The backends are clock-free: every
 //! call passes the engine clock's `now`, and the clock is advanced to
 //! whatever instant a call returned — on a page request here, on a chunk
 //! wait in `Engine::wait_for_chunk`, the one blocking wait.
@@ -42,10 +42,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use scanshare_common::{Error, RangeList, Result, ScanId, TupleRange};
-use scanshare_core::backend::ScanRequest;
 use scanshare_pdt::merge::{MergeCursor, StableSource};
 use scanshare_pdt::pdt::Pdt;
-use scanshare_pdt::translate::{plan_scan, sid_range_to_rid_range};
+use scanshare_pdt::translate::sid_range_to_rid_range;
 use scanshare_storage::datagen::Value;
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
@@ -180,11 +179,12 @@ impl ScanOperator {
     /// delivery on backends that would otherwise reorder (pooled backends
     /// always deliver in order).
     ///
-    /// `zone_pred` enables data skipping, under [`plan_scan`]'s safety gate:
-    /// pruned chunks leave the scan's interest before the backend
-    /// registration, so the buffer manager never sees a page request, an ABM
-    /// chunk interest or a PBM consumption prediction for them. The caller
-    /// must apply the same predicate row-level.
+    /// `zone_pred` enables data skipping when the configuration's zone maps
+    /// are on, under `plan_scan`'s safety gate ([`Engine::scan_request`]
+    /// builds the registration): pruned chunks leave the scan's interest
+    /// before the backend registration, so the buffer manager never sees a
+    /// page request, an ABM chunk interest or a PBM consumption prediction
+    /// for them. The caller must apply the same predicate row-level.
     pub fn with_pin(
         engine: Arc<Engine>,
         pin: TablePin,
@@ -193,34 +193,22 @@ impl ScanOperator {
         in_order: bool,
         zone_pred: Option<ZonePredicate>,
     ) -> Result<Self> {
-        let table = pin.table;
-        let layout = engine.storage().layout(table)?;
-        let snapshot = Arc::clone(&pin.snapshot);
+        let layout = engine.storage().layout(pin.table)?;
         let pdt = pin.flatten()?;
-        let (requested, sid_ranges, skipped) =
-            plan_scan(&snapshot, &pdt, rid_range, zone_pred.as_ref());
-        if skipped > 0 {
-            // Counted even when the whole range is pruned and the scan
-            // never registers.
-            engine.record_pruned(skipped);
-        }
-        // RegisterScan / RegisterCScan. A range that touches no stable data
-        // (an empty range, or pure PDT inserts) needs no backend.
-        let scan_id = if sid_ranges.is_empty() {
-            None
-        } else {
-            let request = ScanRequest {
-                table,
-                snapshot: Arc::clone(&snapshot),
-                layout: Arc::clone(&layout),
-                columns: columns.clone(),
-                ranges: sid_ranges,
-                in_order,
-            };
-            Some(engine.backend().register_scan(request, engine.now())?)
+        let (requested, request) = engine.scan_request(
+            &pin,
+            &pdt,
+            &columns,
+            rid_range,
+            zone_pred.as_ref(),
+            in_order,
+        )?;
+        // RegisterScan / RegisterCScan, unless no stable data is read.
+        let scan_id = match request {
+            Some(request) => Some(engine.backend().register_scan(request, engine.now())?),
+            None => None,
         };
-
-        let source = PooledSource::new(Arc::clone(&engine), layout, Arc::clone(&snapshot), scan_id);
+        let source = PooledSource::new(Arc::clone(&engine), layout, pin.snapshot, scan_id);
         Ok(Self {
             engine,
             pdt,
@@ -236,11 +224,6 @@ impl ScanOperator {
             last_report: 0,
             finished: false,
         })
-    }
-
-    /// The backend scan id of this operator, if stable data is being read.
-    pub fn scan_id(&self) -> Option<ScanId> {
-        self.scan_id
     }
 
     fn report_progress(&mut self) {
@@ -479,7 +462,7 @@ mod tests {
         assert_eq!(collect(&mut op).len(), 10);
         // Empty ranges produce an empty scan without touching the backend.
         let mut op = scan(&engine, table, vec![0], TupleRange::new(5, 5), false);
-        assert!(op.scan_id().is_none());
+        assert!(op.scan_id.is_none());
         assert!(collect(&mut op).is_empty());
     }
 

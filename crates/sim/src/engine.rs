@@ -13,8 +13,9 @@
 //! the simulator schedules the stream's next event there.
 //!
 //! Streams execute their queries back to back. A query is lowered into its
-//! scan steps by the shared [`QuerySpec::steps`], each step planned by the
-//! shared [`plan_scan`]. One event loop (`Simulation::phase`) then drives
+//! scan steps by the shared [`QuerySpec::steps`], and each step's backend
+//! request is built by the engine's own builder, [`Engine::scan_request`],
+//! the one its scan operator registers through. One event loop (`Simulation::phase`) then drives
 //! every backend the way the engine's scan operator does: a registered scan
 //! asks `next_chunk` for the next range to produce — in table order from the
 //! page-level policies (LRU, PBM, the PBM run recording OPT's trace), in
@@ -23,9 +24,11 @@
 //! starved; the backend's loader step ([`ScanBackend::pump_loads`], the one
 //! the engine runs before every probe) runs beside the streams for the
 //! backends that load chunks. Misses and chunk loads are served by a
-//! bandwidth-limited [`IoDevice`]; CPU work is charged per tuple, scaled by
-//! the query's CPU factor and by the effective intra-query parallelism
-//! (`cores / streams`, at least 1).
+//! bandwidth-limited [`IoDevice`]; CPU work is charged by the shared
+//! [`cpu_time`], per tuple of a step, scaled by the query's CPU factor and
+//! divided by the effective intra-query parallelism (`cores / streams`, at
+//! least 1), where the engine charges its rows at factor 1 on one core
+//! (ARCHITECTURE.md, "The CPU charge", lists what still differs).
 //!
 //! # Mixed read/write workloads
 //!
@@ -54,15 +57,14 @@ use std::sync::Arc;
 
 use scanshare_common::hash::IdHashSet;
 use scanshare_common::{
-    Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, VirtualDuration,
-    VirtualInstant,
+    cpu_time, Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig,
+    VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
 use scanshare_core::registry::PolicyRegistry;
 use scanshare_exec::{Engine, UpdateBarrier};
 use scanshare_iosim::IoDevice;
-use scanshare_pdt::translate::plan_scan;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::spec::{QuerySpec, WorkloadSpec};
 
@@ -151,21 +153,14 @@ impl EventQueue {
 /// table state's (possibly checkpoint-swapped, updated) pair in mixed ones.
 #[derive(Debug, Clone)]
 struct ResolvedScan {
-    /// What the step registers. Its stable ranges are empty when the visible
-    /// range maps to no stable data (no backend scan is registered then —
-    /// pure PDT rows cost no I/O).
-    request: ScanRequest,
+    /// What the step registers; `None` when the visible range maps to no
+    /// stable data (no backend scan is registered then — pure PDT rows cost
+    /// no I/O).
+    request: Option<ScanRequest>,
     /// The probe step of a join: it registers only once every earlier step
     /// of its query (the build side) has drained, exactly like the engine's
     /// `QueryTask` join phase.
     barrier: bool,
-}
-
-/// One query with its scan steps resolved and its CPU cost precomputed.
-#[derive(Debug, Clone)]
-struct ResolvedQuery {
-    scans: Vec<ResolvedScan>,
-    cpu_ns_per_tuple: f64,
 }
 
 /// What a stream consumes in one event: one page of a delivered range, or
@@ -184,9 +179,9 @@ struct Step {
 }
 
 /// One registered scan of a query in flight.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Part {
-    scan: ResolvedScan,
+    request: ScanRequest,
     id: ScanId,
     /// The ranges `next_chunk` delivered so far, the one being consumed
     /// included.
@@ -199,14 +194,15 @@ struct Part {
     next: usize,
 }
 
-/// One query in flight.
-#[derive(Debug)]
+/// One query with its scan steps resolved, queued or in flight.
+#[derive(Debug, Clone)]
 struct QueryRun {
     /// The registered scans; the front one is being consumed.
     parts: VecDeque<Part>,
     /// The steps not registered yet, in step order.
     waiting: VecDeque<ResolvedScan>,
-    cpu_ns_per_tuple: f64,
+    /// The query's [`QuerySpec::cpu_factor`].
+    cpu_factor: f64,
     started: VirtualInstant,
 }
 
@@ -214,7 +210,7 @@ struct QueryRun {
 /// time it ran out of queries.
 #[derive(Debug)]
 struct Stream {
-    queries: VecDeque<ResolvedQuery>,
+    queries: VecDeque<QueryRun>,
     current: Option<QueryRun>,
     finished: Option<VirtualInstant>,
 }
@@ -338,18 +334,14 @@ impl Simulation {
             sampler: SharingSampler::new(self.config.sharing_sample_interval),
             query_latencies: Vec::new(),
         };
-        let stream_count = workload.stream_count();
         let mut barrier = UpdateBarrier::new(workload);
-        let mut finish_ns = vec![0u64; stream_count];
+        let mut finish_ns = vec![0u64; workload.stream_count()];
         let mut start_ns = 0u64;
         for (round, phase) in workload.phases().into_iter().enumerate() {
             barrier.apply(&engine, round)?;
-            let queries: Vec<VecDeque<ResolvedQuery>> = phase
+            let queries: Vec<VecDeque<QueryRun>> = phase
                 .iter()
-                .map(|queries| {
-                    let resolve = |q| self.resolve(&engine, q, stream_count);
-                    queries.iter().map(resolve).collect()
-                })
+                .map(|queries| queries.iter().map(|q| Self::resolve(&engine, q)).collect())
                 .collect::<Result<_>>()?;
             let phase_finish = self.phase(&mut state, queries, start_ns)?;
             // A stream idle in this phase keeps the finish time of its last
@@ -394,45 +386,30 @@ impl Simulation {
         Ok(result)
     }
 
-    fn effective_parallelism(&self, streams: usize) -> u64 {
-        (self.config.cores / streams.max(1)).max(1) as u64
-    }
-
-    fn cpu_ns_per_tuple(&self, query: &QuerySpec, streams: usize) -> f64 {
-        let parallelism = self.effective_parallelism(streams) as f64;
-        1e9 * query.cpu_factor / (self.config.scanshare.cpu_tuples_per_sec as f64 * parallelism)
-    }
-
     /// Resolves a query against the engine's table pins, the way the
     /// engine's own scans resolve it: the shared lowering turns the spec into
-    /// scan steps, and the shared `plan_scan` turns each step's visible-row
-    /// range into the stable ranges to register (clamped, translated through
-    /// the pinned PDT, zone-pruned under the empty-PDT gate), reporting the
-    /// skipped tuples to the engine.
-    fn resolve(&self, engine: &Engine, query: &QuerySpec, streams: usize) -> Result<ResolvedQuery> {
+    /// scan steps, and the engine's request builder
+    /// ([`Engine::scan_request`]) turns each step's visible-row range into
+    /// the request to register (clamped, translated through the pinned PDT,
+    /// zone-pruned under the configuration's and the empty-PDT gate),
+    /// recording the skipped tuples.
+    fn resolve(engine: &Engine, query: &QuerySpec) -> Result<QueryRun> {
         let steps = query.steps(&mut |table| engine.visible_rows(table))?;
-        let zone_maps = self.config.scanshare.zone_maps;
-        let mut scans = Vec::with_capacity(steps.len());
+        let mut waiting = VecDeque::with_capacity(steps.len());
         for step in steps {
             let pin = engine.table_pin(step.table)?;
             let flat = pin.flatten()?;
-            let zone_pred = step.predicate.as_ref().filter(|_| zone_maps);
-            let (_, ranges, skipped) = plan_scan(&pin.snapshot, &flat, step.range, zone_pred);
-            engine.record_pruned(skipped);
-            let request = ScanRequest {
-                table: step.table,
-                snapshot: pin.snapshot,
-                layout: engine.storage().layout(step.table)?,
-                columns: step.columns,
-                ranges,
-                in_order: false,
-            };
+            let predicate = step.predicate.as_ref();
+            let (_, request) =
+                engine.scan_request(&pin, &flat, &step.columns, step.range, predicate, false)?;
             let barrier = step.join_key.is_some();
-            scans.push(ResolvedScan { request, barrier });
+            waiting.push_back(ResolvedScan { request, barrier });
         }
-        Ok(ResolvedQuery {
-            scans,
-            cpu_ns_per_tuple: self.cpu_ns_per_tuple(query, streams),
+        Ok(QueryRun {
+            parts: VecDeque::new(),
+            waiting,
+            cpu_factor: query.cpu_factor,
+            started: VirtualInstant::EPOCH,
         })
     }
 
@@ -458,12 +435,12 @@ impl Simulation {
                 1
             };
             for scan in run.waiting.drain(..group) {
-                if scan.request.ranges.is_empty() {
+                let Some(request) = scan.request else {
                     continue;
-                }
+                };
                 run.parts.push_back(Part {
-                    id: backend.register_scan(scan.request.clone(), now)?,
-                    scan,
+                    id: backend.register_scan(request.clone(), now)?,
+                    request,
                     delivered: RangeList::new(),
                     rows: 0,
                     steps: Vec::new(),
@@ -492,7 +469,7 @@ impl Simulation {
                 position: part.rows,
             }];
         }
-        let request = &part.scan.request;
+        let request = &part.request;
         let plan = request
             .layout
             .scan_page_plan(&request.snapshot, &request.columns, ranges);
@@ -508,7 +485,7 @@ impl Simulation {
     /// the range being consumed and every range not delivered yet (the
     /// sharing-potential sampling input of Figures 17/18).
     fn outstanding_pages(part: &Part) -> Vec<PageId> {
-        let request = &part.scan.request;
+        let request = &part.request;
         let remaining = request.ranges.subtract(&part.delivered);
         let plan = request
             .layout
@@ -539,10 +516,11 @@ impl Simulation {
     fn phase(
         &self,
         state: &mut RunState<'_>,
-        phase_queries: Vec<VecDeque<ResolvedQuery>>,
+        phase_queries: Vec<VecDeque<QueryRun>>,
         start_ns: u64,
     ) -> Result<Vec<u64>> {
         let page_size = self.config.scanshare.page_size_bytes;
+        let parallelism = (self.config.cores / phase_queries.len().max(1)).max(1) as u64;
         let backend = state.backend;
         let mut streams: Vec<Stream> = phase_queries
             .into_iter()
@@ -583,16 +561,11 @@ impl Simulation {
 
             let stream = &mut streams[s];
             if stream.current.is_none() {
-                let Some(query) = stream.queries.pop_front() else {
+                let Some(mut run) = stream.queries.pop_front() else {
                     stream.finished.get_or_insert(now);
                     continue;
                 };
-                let mut run = QueryRun {
-                    parts: VecDeque::new(),
-                    waiting: query.scans.into(),
-                    cpu_ns_per_tuple: query.cpu_ns_per_tuple,
-                    started: now,
-                };
+                run.started = now;
                 Self::register_next(backend, &mut run, now)?;
                 stream.current = Some(run);
                 events.pump_loads(backend, now)?;
@@ -609,7 +582,7 @@ impl Simulation {
             while part.next == part.steps.len() {
                 match backend.next_chunk(part.id)? {
                     ScanStep::Deliver(range) => {
-                        let ranges = part.scan.request.ranges.intersect_range(&range);
+                        let ranges = part.request.ranges.intersect_range(&range);
                         part.steps = Self::steps_of(backend, part, &ranges);
                         part.next = 0;
                         part.rows += ranges.total_tuples();
@@ -637,8 +610,8 @@ impl Simulation {
                 None => now,
             };
             backend.report_position(part.id, step.position, now);
-            let cpu_ns = (step.tuples as f64 * run.cpu_ns_per_tuple).round() as u64;
-            events.push(ready.as_nanos() + cpu_ns, EventKind::Stream(s));
+            let cpu = cpu_time(step.tuples, run.cpu_factor, parallelism);
+            events.push((ready + cpu).as_nanos(), EventKind::Stream(s));
         }
 
         let finish: Option<Vec<u64>> = streams
@@ -950,7 +923,7 @@ mod tests {
             .map(|stream| {
                 stream
                     .iter()
-                    .map(|q| sim.resolve(&engine, q, queries.len()))
+                    .map(|q| Simulation::resolve(&engine, q))
                     .collect::<Result<VecDeque<_>>>()
             })
             .collect::<Result<Vec<_>>>()
@@ -959,19 +932,21 @@ mod tests {
         // run on across the ranges it is delivered, the first two of which
         // share pages.
         let ranges = [(0, 1_000), (1_500, 30_000), (rows - 7, rows)];
-        resolved[1].push_front(ResolvedQuery {
-            scans: vec![ResolvedScan {
-                request: ScanRequest {
+        resolved[1].push_front(QueryRun {
+            parts: VecDeque::new(),
+            waiting: VecDeque::from([ResolvedScan {
+                request: Some(ScanRequest {
                     table,
                     snapshot,
                     layout: sim.storage.layout(table).unwrap(),
                     columns: vec![0, 1],
                     ranges: RangeList::from_ranges(ranges.map(|(s, e)| TupleRange::new(s, e))),
                     in_order: false,
-                },
+                }),
                 barrier: false,
-            }],
-            cpu_ns_per_tuple: 1.0,
+            }]),
+            cpu_factor: 1.0,
+            started: VirtualInstant::EPOCH,
         });
         sim.phase(&mut log.run_state(), resolved, 0).unwrap();
 
@@ -1019,24 +994,26 @@ mod tests {
         let snapshot = storage.master_snapshot(table).unwrap();
         let layout = storage.layout(table).unwrap();
         let scan = |start, end, barrier| ResolvedScan {
-            request: ScanRequest {
+            request: Some(ScanRequest {
                 table,
                 snapshot: Arc::clone(&snapshot),
                 layout: Arc::clone(&layout),
                 columns: vec![0, 1],
                 ranges: RangeList::single(start, end),
                 in_order: false,
-            },
+            }),
             barrier,
         };
         // Two steps before the barrier, the build scan last, then the probe.
-        let query = ResolvedQuery {
-            scans: vec![
+        let query = QueryRun {
+            parts: VecDeque::new(),
+            waiting: VecDeque::from([
                 scan(40_000, 60_000, false),
                 scan(0, 20_000, false),
                 scan(0, 30_000, true),
-            ],
-            cpu_ns_per_tuple: 1.0,
+            ]),
+            cpu_factor: 1.0,
+            started: VirtualInstant::EPOCH,
         };
         let sim = Simulation::new(storage, sim_config(PolicyKind::Pbm, 1 << 20)).unwrap();
         let (pre_barrier, probe) = ([ScanId::new(0), ScanId::new(1)], ScanId::new(2));
@@ -1222,6 +1199,75 @@ mod tests {
                 on.total_io_bytes,
                 off.total_io_bytes
             );
+        }
+    }
+
+    /// The shared `cpu_time` is, bit for bit, both charges it replaced: the
+    /// simulator's per-step product of a precomputed per-tuple cost, and
+    /// the engine's per-batch `from_secs_f64(tuples / rate)`.
+    #[test]
+    fn cpu_time_reproduces_both_former_charges() {
+        use scanshare_exec::scan::BATCH_SIZE;
+        use scanshare_workload::tpch::{self, TpchConfig};
+        let (_, _, tpch) = tpch::build(&TpchConfig::tiny(), 64 * 1024, 10_000).unwrap();
+        let mut factors = vec![1.0, 1.4];
+        factors.extend(
+            tpch.streams
+                .iter()
+                .flat_map(|st| st.queries.iter())
+                .map(|q| q.cpu_factor),
+        );
+        factors.sort_by(f64::total_cmp);
+        factors.dedup();
+        assert!(factors.len() > 5, "{factors:?}");
+        let tuple_counts = (0..=4_096u64)
+            .chain((12..48).flat_map(|k| [(1u64 << k) - 1, 1 << k, 3 << (k - 1), (1 << k) + 7]))
+            .chain([10_000, 262_144, 999_983, 6_000_000]);
+        for tuples in tuple_counts {
+            for &factor in &factors {
+                for parallelism in [1u64, 2, 8] {
+                    let ns_per_tuple = 1e9 * factor / (250e6 * parallelism as f64);
+                    let former = (tuples as f64 * ns_per_tuple).round() as u64;
+                    assert_eq!(
+                        cpu_time(tuples, factor, parallelism).as_nanos(),
+                        former,
+                        "{tuples} tuples, factor {factor}, parallelism {parallelism}"
+                    );
+                }
+            }
+        }
+        for tuples in 0..=BATCH_SIZE as u64 {
+            let former = VirtualDuration::from_secs_f64(tuples as f64 / 250e6);
+            assert_eq!(cpu_time(tuples, 1.0, 1), former, "{tuples} tuples");
+        }
+    }
+
+    /// A CPU factor no time can be charged for is one typed plan error from
+    /// both executors' shared lowering, before any I/O: an infinite factor
+    /// would overflow the simulator's event time, and a NaN or negative one
+    /// would charge nothing.
+    #[test]
+    fn unchargeable_cpu_factors_are_plan_errors_from_both_executors() {
+        let (storage, workload) = build_micro();
+        for factor in [f64::NAN, f64::INFINITY, -1.0] {
+            let mut broken = workload.clone();
+            broken.streams[0].queries[0].cpu_factor = factor;
+            let config = sim_config(PolicyKind::Pbm, 1 << 20);
+            let from_sim = Simulation::new(Arc::clone(&storage), config.clone())
+                .unwrap()
+                .run(&broken)
+                .unwrap_err();
+            let engine = Engine::new(Arc::clone(&storage), config.scanshare).unwrap();
+            let from_engine = scanshare_exec::WorkloadDriver::new(engine)
+                .run(&broken)
+                .unwrap_err();
+            for err in [&from_sim, &from_engine] {
+                assert!(
+                    matches!(err, Error::InvalidPlan(msg) if msg.contains("cpu_factor")),
+                    "{factor}: {err}"
+                );
+            }
+            assert_eq!(from_sim.to_string(), from_engine.to_string(), "{factor}");
         }
     }
 

@@ -88,7 +88,8 @@ pub struct QuerySpec {
     pub scans: Vec<ScanSpec>,
     /// CPU cost multiplier relative to the baseline tuple-processing rate
     /// (1.0 = a simple scan-select-aggregate; complex TPC-H queries are
-    /// higher).
+    /// higher). Finite and non-negative: [`QuerySpec::steps`] rejects any
+    /// other factor.
     pub cpu_factor: f64,
     /// Optional broadcast hash join between `scans[0]` (build) and
     /// `scans[1]` (probe). `None` keeps the query a plain multi-scan
@@ -103,7 +104,9 @@ impl QuerySpec {
     }
 
     /// Lowers the query into the ordered [`QueryStep`]s both executors run:
-    /// one step per `(scan, range)`, in spec order.
+    /// one step per `(scan, range)`, in spec order. A `cpu_factor` that is
+    /// NaN, infinite or negative is an [`Error::InvalidPlan`]: no CPU time
+    /// can be charged for it.
     ///
     /// A [`JoinSpec`] is validated here, once for both executors — exactly
     /// two scans, the build scan unpredicated and covering the whole visible
@@ -118,6 +121,12 @@ impl QuerySpec {
         visible_rows: &mut dyn FnMut(TableId) -> Result<u64>,
     ) -> Result<Vec<QueryStep>> {
         let label = &self.label;
+        if !(self.cpu_factor.is_finite() && self.cpu_factor >= 0.0) {
+            return Err(Error::plan(format!(
+                "query {label:?} has cpu_factor {}; it must be finite and non-negative",
+                self.cpu_factor
+            )));
+        }
         let mut steps: Vec<QueryStep> = self
             .scans
             .iter()
