@@ -186,11 +186,6 @@ impl Bandwidth {
         }
     }
 
-    /// Bytes per second.
-    pub fn bytes_per_sec(self) -> f64 {
-        self.bytes_per_sec
-    }
-
     /// Megabytes per second.
     pub fn mb_per_sec(self) -> f64 {
         self.bytes_per_sec / 1_000_000.0

@@ -154,7 +154,9 @@ pub struct ScanShareConfig {
     /// Size of the asynchronous prefetch window, in pages, maintained by the
     /// page-level backends: up to this many predicted-next pages are kept in
     /// flight on the I/O device ahead of the scan cursors, so transfers
-    /// overlap with computation. `0` (the default) disables prefetching and
+    /// overlap with computation. The window is topped up when a scan
+    /// registers and at each page request that misses or consumes a window
+    /// slot, in both executors. `0` (the default) disables prefetching and
     /// reproduces the fully synchronous model of the paper's figures. Which
     /// pages get prefetched is decided by the replacement policy's
     /// `prefetch_hints` (PBM ranks by predicted next-consumption time, LRU

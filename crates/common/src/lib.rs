@@ -28,6 +28,6 @@ pub use clock::{
 pub use config::{DeviceKind, PolicyKind, ScanShareConfig};
 pub use error::{Error, Result};
 pub use ids::{ChunkId, ColumnId, PageId, QueryId, ScanId, SnapshotId, StreamId, TableId};
-pub use quantile::{nearest_rank, nearest_rank_unsorted};
+pub use quantile::nearest_rank;
 pub use range::{RangeList, TupleRange};
 pub use rid::{Rid, Sid};

@@ -23,13 +23,6 @@ pub fn nearest_rank<T: Copy>(sorted: &[T], q: f64) -> Option<T> {
     Some(sorted[rank - 1])
 }
 
-/// [`nearest_rank`] over unsorted samples (sorts a copy).
-pub fn nearest_rank_unsorted<T: Copy + Ord>(samples: &[T], q: f64) -> Option<T> {
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    nearest_rank(&sorted, q)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -67,14 +60,6 @@ mod tests {
         // 20 samples: ⌈0.95·20⌉ = 19 → the 19th.
         let samples: Vec<u64> = (1..=20).collect();
         assert_eq!(nearest_rank(&samples, 0.95), Some(19));
-    }
-
-    #[test]
-    fn unsorted_agrees_with_sorted() {
-        let mut samples = vec![5u64, 1, 9, 3, 7, 2, 8, 4, 6, 10];
-        assert_eq!(nearest_rank_unsorted(&samples, 0.9), Some(9));
-        samples.sort_unstable();
-        assert_eq!(nearest_rank(&samples, 0.9), Some(9));
     }
 
     /// The regression the shared helper guards against: percentiles must be

@@ -33,10 +33,14 @@
 //! * a scan keeps `available`, the chunks it still needs that are cached:
 //!   UseRelevance is the minimum over it, and an unordered scan is starved
 //!   exactly when it is empty;
+//! * a table's versions sit in a `BTreeMap` under a stable id that follows
+//!   registration order, so dropping a version renumbers nothing and
+//!   `make_room`'s tie-break by version is registration order; a scan names
+//!   its version by that id, and a version counts its scans;
 //! * the shared prefix is recomputed only for the table whose scans
-//!   changed, with one comparison per pair of versions (the scans of one
-//!   version read the same pages), and a chunk is shared iff its id lies
-//!   below it;
+//!   changed, comparing the versions' own snapshots once per version and
+//!   per pair of versions (the scans of one version read the same pages),
+//!   and a chunk is shared iff its id lies below it;
 //! * a version holds one [`ChunkMap`] per column set, shared by its scans
 //!   and dropped with it;
 //! * the id-keyed maps hash with [`IdHasher`](scanshare_common::hash::IdHasher).
@@ -44,6 +48,7 @@
 pub mod relevance;
 
 use std::cmp::Reverse;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use scanshare_common::hash::IdHashMap;
@@ -144,10 +149,11 @@ struct CoreChunk {
 #[derive(Debug)]
 struct VersionState {
     snapshot: Arc<Snapshot>,
+    layout: Arc<TableLayout>,
     /// The chunk table, indexed by chunk id.
     chunks: Vec<CoreChunk>,
-    /// Scans registered on this version.
-    scans: Vec<ScanId>,
+    /// Number of scans registered on this version.
+    scans: usize,
     /// One chunk map per column set read on this version, shared by the
     /// scans that read it.
     chunk_maps: Vec<(Vec<usize>, Arc<ChunkMap>)>,
@@ -155,11 +161,11 @@ struct VersionState {
 
 impl VersionState {
     /// The chunk map of `columns` on this version, built on first use.
-    fn chunk_map(&mut self, layout: &Arc<TableLayout>, columns: &[usize]) -> Arc<ChunkMap> {
+    fn chunk_map(&mut self, columns: &[usize]) -> Arc<ChunkMap> {
         if let Some((_, map)) = self.chunk_maps.iter().find(|(cols, _)| cols == columns) {
             return Arc::clone(map);
         }
-        let map = Arc::new(layout.chunk_map(&self.snapshot, columns));
+        let map = Arc::new(self.layout.chunk_map(&self.snapshot, columns));
         self.chunk_maps.push((columns.to_vec(), Arc::clone(&map)));
         map
     }
@@ -169,7 +175,10 @@ impl VersionState {
 /// their cached chunks hold.
 #[derive(Debug, Default)]
 struct TableChunks {
-    versions: Vec<VersionState>,
+    /// The registered versions by id; ids follow registration order.
+    versions: BTreeMap<u64, VersionState>,
+    /// The id the next new version gets.
+    next_version: u64,
     /// Reference counts of resident pages: how many cached chunks (across
     /// versions) currently hold each page. Pages referenced by several
     /// snapshots or by adjacent chunks are counted once for I/O purposes.
@@ -182,6 +191,30 @@ impl TableChunks {
     /// Whether `chunk` lies inside the shared snapshot prefix.
     fn is_shared(&self, chunk: ChunkId) -> bool {
         chunk.raw() < self.shared_prefix_chunks
+    }
+
+    /// Recomputes the longest prefix (in chunks) shared by at least two
+    /// registered CScans. The scans of one version read the same pages, so
+    /// a version with two scans shares its whole snapshot, and two versions
+    /// share their snapshots' common prefix: one comparison per version and
+    /// per pair of versions, not per pair of scans.
+    fn recompute_shared_prefix(&mut self) {
+        let mut best_tuples = 0u64;
+        for (i, a) in self.versions.values().enumerate() {
+            let shared = |b: &VersionState| a.snapshot.shared_prefix_tuples(&b.snapshot, &a.layout);
+            if a.scans >= 2 {
+                best_tuples = best_tuples.max(shared(a));
+            }
+            for b in self.versions.values().skip(i + 1) {
+                best_tuples = best_tuples.max(shared(b));
+            }
+        }
+        let chunk_tuples = self
+            .versions
+            .values()
+            .next()
+            .map_or(1, |v| v.layout.chunk_tuples());
+        self.shared_prefix_chunks = (best_tuples / chunk_tuples.max(1)) as u32;
     }
 }
 
@@ -205,7 +238,8 @@ fn release(resident: &mut IdHashMap<PageId, usize>, pages: &[PageId], page_size:
 struct CoreScan {
     request: CScanRequest,
     chunk_map: Arc<ChunkMap>,
-    version: usize,
+    /// The id of the table version the scan reads.
+    version: u64,
     /// Per chunk id, the tuples still needed from the chunk (0 once it is
     /// delivered, or when it lies outside the scan's ranges).
     needed: Vec<u64>,
@@ -252,7 +286,7 @@ impl AbmState {
     fn version_of(&self, scan: &CoreScan) -> Option<&VersionState> {
         self.tables
             .get(&scan.request.table)
-            .and_then(|t| t.versions.get(scan.version))
+            .and_then(|t| t.versions.get(&scan.version))
     }
 
     /// The state of `chunk` in the version `scan` reads.
@@ -284,41 +318,6 @@ impl AbmState {
         } else {
             scan.available.is_empty()
         }
-    }
-
-    /// Recomputes the longest prefix (in chunks) shared by at least two
-    /// registered CScans of `table`. The scans of one version read the same
-    /// pages, so a version with two scans shares its whole snapshot, and two
-    /// versions share their snapshots' common prefix: one comparison per
-    /// version and per pair of versions, not per pair of scans.
-    fn recompute_shared_prefix(&mut self, table: TableId) {
-        let Some(table_state) = self.tables.get(&table) else {
-            return;
-        };
-        let groups: Vec<(&CScanRequest, usize)> = table_state
-            .versions
-            .iter()
-            .filter_map(|v| Some((&self.scans.get(v.scans.first()?)?.request, v.scans.len())))
-            .collect();
-        let mut best_tuples = 0u64;
-        for (i, &(a, scans)) in groups.iter().enumerate() {
-            let shared = |b: &CScanRequest| a.snapshot.shared_prefix_tuples(&b.snapshot, &a.layout);
-            if scans >= 2 {
-                best_tuples = best_tuples.max(shared(a));
-            }
-            for &(b, _) in &groups[i + 1..] {
-                best_tuples = best_tuples.max(shared(b));
-            }
-        }
-        let chunk_tuples = groups
-            .first()
-            .map_or(1, |(request, _)| request.layout.chunk_tuples())
-            .max(1);
-        let prefix_chunks = (best_tuples / chunk_tuples) as u32;
-        self.tables
-            .get_mut(&table)
-            .expect("checked above")
-            .shared_prefix_chunks = prefix_chunks;
     }
 
     /// QueryRelevance: starved queries first (they have no cached chunk to
@@ -354,9 +353,9 @@ impl AbmState {
     fn plan_load_for(&mut self, scan_id: ScanId, config: &AbmConfig) -> Option<LoadPlan> {
         let state = self.scans.get(&scan_id)?;
         let table = state.request.table;
-        let version_idx = state.version;
+        let version_id = state.version;
         let table_state = self.tables.get(&table)?;
-        let version = table_state.versions.get(version_idx)?;
+        let version = table_state.versions.get(&version_id)?;
 
         // Candidate chunks: not cached, not loading; an in-order scan may
         // load only its next chunk. LoadRelevance, scored once per
@@ -407,7 +406,7 @@ impl AbmState {
             bytes,
             load_relevance,
             starved,
-            (table, version_idx, best_chunk),
+            (table, version_id, best_chunk),
             config,
         ) {
             return None;
@@ -417,7 +416,7 @@ impl AbmState {
         let chunk_state = self
             .tables
             .get_mut(&table)
-            .and_then(|t| t.versions.get_mut(version_idx))
+            .and_then(|t| t.versions.get_mut(&version_id))
             .and_then(|v| v.chunks.get_mut(best_chunk.index()))?;
         chunk_state.residency = Residency::Loading;
         chunk_state.pages = pages;
@@ -441,20 +440,20 @@ impl AbmState {
         bytes: u64,
         load_relevance: f64,
         force: bool,
-        skip: (TableId, usize, ChunkId),
+        skip: (TableId, u64, ChunkId),
         config: &AbmConfig,
     ) -> bool {
         while self.cached_bytes + bytes > config.buffer_capacity_bytes {
             // Find the cached, unprotected chunk with the lowest
             // KeepRelevance; ties are broken by (table, version, chunk) so
             // the decision is deterministic.
-            let mut victim: Option<(f64, TableId, usize, ChunkId)> = None;
+            let mut victim: Option<(f64, TableId, u64, ChunkId)> = None;
             for (&table, table_state) in &self.tables {
-                for (vidx, version) in table_state.versions.iter().enumerate() {
+                for (&vid, version) in &table_state.versions {
                     for (idx, chunk_state) in version.chunks.iter().enumerate() {
                         let chunk = ChunkId::new(idx as u32);
                         if chunk_state.residency != Residency::Cached
-                            || (table, vidx, chunk) == skip
+                            || (table, vid, chunk) == skip
                             || self.is_protected(chunk_state)
                         {
                             continue;
@@ -463,7 +462,7 @@ impl AbmState {
                             chunk_state.interested.len(),
                             table_state.is_shared(chunk),
                         );
-                        let candidate = (keep, table, vidx, chunk);
+                        let candidate = (keep, table, vid, chunk);
                         let better = match victim {
                             None => true,
                             Some(best) => candidate < best,
@@ -474,7 +473,7 @@ impl AbmState {
                     }
                 }
             }
-            let Some((keep, table, vidx, chunk)) = victim else {
+            let Some((keep, table, vid, chunk)) = victim else {
                 // Nothing can be evicted right now (everything cached is
                 // either being loaded, protected for a starved scan, or
                 // belongs to the chunk being admitted). Overcommit rather
@@ -486,7 +485,7 @@ impl AbmState {
             if keep >= load_relevance && !force {
                 return false;
             }
-            let freed = self.evict_chunk(table, vidx, chunk, config);
+            let freed = self.evict_chunk(table, vid, chunk, config);
             self.stats.evictions += freed / config.page_size_bytes;
         }
         true
@@ -508,7 +507,7 @@ impl AbmState {
     fn evict_chunk(
         &mut self,
         table: TableId,
-        version_idx: usize,
+        version: u64,
         chunk: ChunkId,
         config: &AbmConfig,
     ) -> u64 {
@@ -517,7 +516,7 @@ impl AbmState {
         };
         let Some(chunk_state) = table_state
             .versions
-            .get_mut(version_idx)
+            .get_mut(&version)
             .and_then(|v| v.chunks.get_mut(chunk.index()))
             .filter(|c| c.residency == Residency::Cached)
         else {
@@ -558,17 +557,20 @@ impl AbmState {
         // scans instead of poisoning the pipeline. (The frozen
         // `MonolithicAbm` errors here instead; its synchronous callers
         // completed every load before the scan could go away.)
-        let version_idx = match self.scans.get(&plan.scan) {
+        let version = match self.scans.get(&plan.scan) {
             Some(scan) => Some(scan.version),
             None => self.tables.get(&plan.table).and_then(|t| {
-                t.versions.iter().position(|v| {
-                    v.chunks
-                        .get(plan.chunk.index())
-                        .is_some_and(|c| c.residency == Residency::Loading)
-                })
+                t.versions
+                    .iter()
+                    .find(|(_, v)| {
+                        v.chunks
+                            .get(plan.chunk.index())
+                            .is_some_and(|c| c.residency == Residency::Loading)
+                    })
+                    .map(|(&id, _)| id)
             }),
         };
-        let Some(version_idx) = version_idx else {
+        let Some(version) = version else {
             // The scan and its whole version are gone (it was the last
             // registered scan): there is nothing left to cache, but the
             // bytes were transferred — account them so the ABM and the
@@ -582,7 +584,7 @@ impl AbmState {
             .ok_or(Error::UnknownTable(plan.table))?;
         let chunk_state = table_state
             .versions
-            .get_mut(version_idx)
+            .get_mut(&version)
             .and_then(|v| v.chunks.get_mut(plan.chunk.index()))
             .ok_or(Error::UnknownChunk(plan.chunk))?;
         if chunk_state.residency != Residency::Loading {
@@ -631,7 +633,7 @@ impl AbmState {
         if let Some(chunk_state) = self
             .tables
             .get_mut(&table)
-            .and_then(|t| t.versions.get_mut(version))
+            .and_then(|t| t.versions.get_mut(&version))
             .and_then(|v| v.chunks.get_mut(chunk.index()))
         {
             chunk_state.interested.retain(|&s| s != scan);
@@ -747,30 +749,39 @@ impl Abm {
         // (checkpoint cases (i), (ii) and (iv) of Section 2.1).
         let table = request.table;
         let table_state = state.tables.entry(table).or_default();
-        let version = match table_state
+        let existing = table_state
             .versions
             .iter()
-            .position(|v| v.snapshot.same_pages(&request.snapshot))
-        {
-            Some(idx) => idx,
+            .find(|(_, v)| v.snapshot.same_pages(&request.snapshot));
+        let version = match existing {
+            Some((&id, _)) => id,
             None => {
-                table_state.versions.push(VersionState {
-                    snapshot: Arc::clone(&request.snapshot),
-                    chunks: Vec::new(),
-                    scans: Vec::new(),
-                    chunk_maps: Vec::new(),
-                });
-                table_state.versions.len() - 1
+                let id = table_state.next_version;
+                table_state.next_version += 1;
+                table_state.versions.insert(
+                    id,
+                    VersionState {
+                        snapshot: Arc::clone(&request.snapshot),
+                        layout: Arc::clone(&request.layout),
+                        chunks: Vec::new(),
+                        scans: 0,
+                        chunk_maps: Vec::new(),
+                    },
+                );
+                id
             }
         };
-        let version_state = &mut table_state.versions[version];
+        let version_state = table_state
+            .versions
+            .get_mut(&version)
+            .expect("found or inserted above");
         if version_state.chunks.len() < chunk_count {
             version_state
                 .chunks
                 .resize_with(chunk_count, CoreChunk::default);
         }
-        version_state.scans.push(id);
-        let chunk_map = version_state.chunk_map(&request.layout, &request.columns);
+        version_state.scans += 1;
+        let chunk_map = version_state.chunk_map(&request.columns);
         // Some of the requested chunks may already be cached (loaded for
         // other scans or by a previous query on the same table version).
         let mut available = Vec::new();
@@ -800,7 +811,7 @@ impl Abm {
                 available,
             },
         );
-        state.recompute_shared_prefix(table);
+        table_state.recompute_shared_prefix();
         Ok(handle)
     }
 
@@ -813,17 +824,18 @@ impl Abm {
         let removed = state.scans.remove(&scan).ok_or(Error::UnknownScan(scan))?;
         let table = removed.request.table;
         if let Some(table_state) = state.tables.get_mut(&table) {
-            if let Some(version) = table_state.versions.get_mut(removed.version) {
-                version.scans.retain(|&s| s != scan);
+            if let Some(version) = table_state.versions.get_mut(&removed.version) {
+                version.scans -= 1;
                 for chunk in removed.pending() {
                     version.chunks[chunk.index()]
                         .interested
                         .retain(|&s| s != scan);
                 }
-                if version.scans.is_empty() {
+                if version.scans == 0 {
                     // Drop the version, releasing its cached bytes via the
-                    // page reference counts; the later versions shift down.
-                    let dropped = table_state.versions.remove(removed.version);
+                    // page reference counts.
+                    let dropped = table_state.versions.remove(&removed.version);
+                    let dropped = dropped.expect("the version was just updated");
                     let page_size = self.config.page_size_bytes;
                     for chunk in &dropped.chunks {
                         if chunk.residency == Residency::Cached {
@@ -831,21 +843,14 @@ impl Abm {
                                 release(&mut table_state.resident_pages, &chunk.pages, page_size);
                         }
                     }
-                    let shifted = table_state.versions.iter().enumerate();
-                    for (idx, version) in shifted.skip(removed.version) {
-                        for sid in &version.scans {
-                            if let Some(s) = state.scans.get_mut(sid) {
-                                s.version = idx;
-                            }
-                        }
-                    }
                 }
             }
             if table_state.versions.is_empty() {
                 state.tables.remove(&table);
+            } else {
+                table_state.recompute_shared_prefix();
             }
         }
-        state.recompute_shared_prefix(table);
         Ok(())
     }
 

@@ -13,7 +13,8 @@
 //! Section 2):
 //!
 //! 1. [`ScanBackend::register_scan`] — `RegisterScan` / `RegisterCScan`:
-//!    announce the stable (SID) ranges and columns the scan will read;
+//!    announce the stable (SID) ranges and columns the scan will read (a
+//!    pooled backend with a prefetch window tops it up here);
 //! 2. [`ScanBackend::next_chunk`] — a non-blocking probe for the next SID
 //!    range the scan should produce: sequential for pooled backends, the
 //!    ABM's `GetChunk` choice (generally out of table order) for
@@ -21,8 +22,9 @@
 //!    is cached — the driver then waits for the load that
 //!    [`ScanBackend::pump_loads`], the loader's one step, left in flight;
 //! 3. [`ScanBackend::request_page`] — page-granular requests issued while
-//!    producing a delivered range (pooled backends count hits/misses and
-//!    charge misses to the device; the ABM already loaded the chunk);
+//!    producing a delivered range (pooled backends count hits/misses,
+//!    charge misses to the device and top up their prefetch window; the ABM
+//!    already loaded the chunk);
 //! 4. [`ScanBackend::report_position`] — `ReportScanPosition`: progress
 //!    feedback that PBM turns into next-consumption estimates;
 //! 5. [`ScanBackend::finish_scan`] — `UnregisterScan` / `UnregisterCScan`.
@@ -55,7 +57,7 @@ use scanshare_storage::snapshot::Snapshot;
 
 use crate::abm::{Abm, AbmConfig, LoadPlan};
 use crate::metrics::BufferStats;
-use crate::pool::{top_up_prefetch_window, BufferPool};
+use crate::pool::BufferPool;
 use crate::registry::{pooled_policy_name, PolicyRegistry};
 
 /// What a scan announces to a backend when it registers: the stable data it
@@ -153,17 +155,6 @@ pub trait ScanBackend: Send + Sync + std::fmt::Debug {
     /// volume metric).
     fn stats(&self) -> BufferStats;
 
-    /// Gives the backend an opportunity to issue asynchronous prefetch I/O
-    /// (top up its in-flight window from the policy's
-    /// [`prefetch_hints`](crate::policy::ReplacementPolicy::prefetch_hints)).
-    /// Called by scan operators at compute points — between producing
-    /// batches — so transfers overlap with tuple processing. The default
-    /// does nothing; backends without a prefetcher (or with
-    /// `prefetch_pages == 0`) ignore it.
-    fn drive_prefetch(&self, now: VirtualInstant) {
-        let _ = now;
-    }
-
     /// Notifies the backend that a checkpoint replaced `table`'s stable
     /// image: `stale_pages` belonged to the superseded master snapshot and
     /// can never be requested by a scan pinned to the new image. The caller
@@ -237,8 +228,10 @@ pub fn build_backend(
 /// device: their transfers proceed in virtual time while scans compute, and
 /// a demand access to a page still in flight waits only for the *remaining*
 /// transfer time instead of a full synchronous load. The window is topped
-/// up at registration, at [`ScanBackend::drive_prefetch`] and whenever an
-/// access changed the prefetch picture, always at the caller's `now`.
+/// up at [`ScanBackend::register_scan`] and at every
+/// [`ScanBackend::request_page`] that changed the prefetch picture (a miss,
+/// or a hit that consumed a window slot), always at the caller's `now` —
+/// the same two points in both executors.
 #[derive(Debug)]
 pub struct PooledBackend {
     pool: BufferPool,
@@ -284,20 +277,37 @@ impl PooledBackend {
         self
     }
 
-    /// Tops up the prefetch window: asks the pool (and through it the
-    /// policy) for the most urgent non-resident pages and submits their
-    /// transfers asynchronously at `now`.
+    /// Tops up the prefetch window at `now`: drops completed transfers from
+    /// `inflight`, asks the pool (and through it the policy) for the most
+    /// urgent non-resident pages, admits them (never evicting — only free
+    /// capacity is filled) and submits their transfers without blocking.
     fn top_up_prefetch(&self, now: VirtualInstant) {
         if self.prefetch_pages == 0 {
             return;
         }
-        top_up_prefetch_window(
-            &self.pool,
-            self.device.as_ref(),
-            &mut self.inflight.lock(),
-            self.prefetch_pages,
-            now,
-        );
+        let mut inflight = self.inflight.lock();
+        // Completed transfers free their window slots; their pages stay
+        // resident in the pool.
+        inflight.retain(|_, done| *done > now);
+        let slots = self
+            .prefetch_pages
+            .saturating_sub(inflight.len())
+            .min(self.pool.free_pages());
+        if slots == 0 {
+            return;
+        }
+        for page in self.pool.prefetch_candidates(slots, now) {
+            if self.pool.admit_prefetch(page, now) {
+                let targets = std::slice::from_ref(&page);
+                let spec = ReadSpec::for_pages(targets, self.page_size_bytes, IoKind::Prefetch);
+                // A failed speculative submission costs only the window slot:
+                // the page stays admitted and a later demand access loads it
+                // through the ordinary (error-reporting) miss path.
+                if let Ok(completion) = self.device.submit_read(now, spec) {
+                    inflight.insert(page, completion.done_at);
+                }
+            }
+        }
     }
 }
 
@@ -378,10 +388,6 @@ impl ScanBackend for PooledBackend {
 
     fn stats(&self) -> BufferStats {
         self.pool.stats()
-    }
-
-    fn drive_prefetch(&self, now: VirtualInstant) {
-        self.top_up_prefetch(now);
     }
 
     fn invalidate_stale(&self, _table: TableId, stale_pages: &[PageId]) {
@@ -746,9 +752,9 @@ mod tests {
                             now = backend.request_page(scan, page, now).unwrap();
                         }
                     }
-                    // Compute on the batch, then let the backend prefetch.
+                    // Compute on the batch while the window's transfers
+                    // proceed; the next page request tops the window up.
                     now = now.after(VirtualDuration::from_micros(20));
-                    backend.drive_prefetch(now);
                 }
             }
             backend.finish_scan(scan, now);

@@ -52,17 +52,20 @@ impl BufferStats {
         self.io_bytes as f64 / 1_000_000.0
     }
 
-    /// Merges another stats snapshot into this one.
-    pub fn merge(&mut self, other: &BufferStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.evictions += other.evictions;
-        self.pages_loaded += other.pages_loaded;
-        self.io_bytes += other.io_bytes;
-        self.prefetched_pages += other.prefetched_pages;
-        self.prefetch_io_bytes += other.prefetch_io_bytes;
-        self.invalidated_pages += other.invalidated_pages;
-        self.pruned_tuples += other.pruned_tuples;
+    /// What was counted after `earlier`, an earlier reading of the same
+    /// counters.
+    pub fn since(&self, earlier: &BufferStats) -> BufferStats {
+        BufferStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            evictions: self.evictions - earlier.evictions,
+            pages_loaded: self.pages_loaded - earlier.pages_loaded,
+            io_bytes: self.io_bytes - earlier.io_bytes,
+            prefetched_pages: self.prefetched_pages - earlier.prefetched_pages,
+            prefetch_io_bytes: self.prefetch_io_bytes - earlier.prefetch_io_bytes,
+            invalidated_pages: self.invalidated_pages - earlier.invalidated_pages,
+            pruned_tuples: self.pruned_tuples - earlier.pruned_tuples,
+        }
     }
 }
 
@@ -80,7 +83,7 @@ mod tests {
     }
 
     #[test]
-    fn merge_accumulates_all_fields() {
+    fn since_subtracts_every_field() {
         let a = BufferStats {
             hits: 1,
             misses: 2,
@@ -92,17 +95,33 @@ mod tests {
             invalidated_pages: 8,
             pruned_tuples: 9,
         };
-        let mut b = a;
-        b.merge(&a);
-        assert_eq!(b.hits, 2);
-        assert_eq!(b.misses, 4);
-        assert_eq!(b.evictions, 6);
-        assert_eq!(b.pages_loaded, 8);
-        assert_eq!(b.io_bytes, 10);
-        assert_eq!(b.prefetched_pages, 12);
-        assert_eq!(b.prefetch_io_bytes, 14);
-        assert_eq!(b.invalidated_pages, 16);
-        assert_eq!(b.pruned_tuples, 18);
+        let b = BufferStats {
+            hits: 11,
+            misses: 22,
+            evictions: 33,
+            pages_loaded: 44,
+            io_bytes: 55,
+            prefetched_pages: 66,
+            prefetch_io_bytes: 77,
+            invalidated_pages: 88,
+            pruned_tuples: 99,
+        };
+        let delta = b.since(&a);
+        assert_eq!(
+            delta,
+            BufferStats {
+                hits: 10,
+                misses: 20,
+                evictions: 30,
+                pages_loaded: 40,
+                io_bytes: 50,
+                prefetched_pages: 60,
+                prefetch_io_bytes: 70,
+                invalidated_pages: 80,
+                pruned_tuples: 90,
+            }
+        );
+        assert_eq!(a.since(&a), BufferStats::default());
         assert!((a.io_megabytes() - 5e-6).abs() < 1e-15);
     }
 }

@@ -22,10 +22,10 @@
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use scanshare_common::hash::{IdHashMap, IdHashSet};
+use scanshare_common::hash::IdHashSet;
 use scanshare_common::sync::Mutex;
 use scanshare_common::{Error, PageId, Result, ScanId, VirtualInstant};
-use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
+use scanshare_iosim::ReferenceTrace;
 use scanshare_storage::layout::ScanPagePlan;
 
 use crate::metrics::BufferStats;
@@ -313,46 +313,6 @@ impl ShardedPool {
     ) -> BufferPool {
         assert_eq!(shards, 1, "the buffer pool has exactly one lock");
         BufferPool::new(capacity_pages, page_size_bytes, policy)
-    }
-}
-
-/// Tops up a bounded asynchronous prefetch window: drops completed transfers
-/// from `inflight`, asks the pool's policy for the most urgent non-resident
-/// pages, admits them (never evicting — only free capacity is filled) and
-/// submits their transfers to `device` without blocking.
-///
-/// This is the one implementation of the window semantics: `PooledBackend`
-/// calls it at the explicit `now` of a registration, page request or
-/// compute point, whichever executor drives the backend.
-pub fn top_up_prefetch_window(
-    pool: &BufferPool,
-    device: &dyn BlockDevice,
-    inflight: &mut IdHashMap<PageId, VirtualInstant>,
-    window: usize,
-    now: VirtualInstant,
-) {
-    if window == 0 {
-        return;
-    }
-    // Completed transfers free their window slots; their pages stay
-    // resident in the pool.
-    inflight.retain(|_, done| *done > now);
-    let slots = window.saturating_sub(inflight.len()).min(pool.free_pages());
-    if slots == 0 {
-        return;
-    }
-    let page_size = pool.page_size_bytes();
-    for page in pool.prefetch_candidates(slots, now) {
-        if pool.admit_prefetch(page, now) {
-            let spec =
-                ReadSpec::for_pages(std::slice::from_ref(&page), page_size, IoKind::Prefetch);
-            // A failed speculative submission costs only the window slot:
-            // the page stays admitted and a later demand access loads it
-            // through the ordinary (error-reporting) miss path.
-            if let Ok(completion) = device.submit_read(now, spec) {
-                inflight.insert(page, completion.done_at);
-            }
-        }
     }
 }
 

@@ -78,13 +78,6 @@ pub enum StreamError {
 }
 
 impl StreamError {
-    /// Label of the stream this failure ended.
-    pub fn stream(&self) -> &str {
-        match self {
-            StreamError::Failed { stream, .. } | StreamError::Panicked { stream, .. } => stream,
-        }
-    }
-
     /// The typed error, for failures that have one (`None` for panics).
     pub fn error(&self) -> Option<&Error> {
         match self {
@@ -294,8 +287,6 @@ impl WorkloadDriver {
         }
         latencies.sort_unstable();
 
-        let buffer_end = self.engine.buffer_stats();
-        let io_end = self.engine.device().stats();
         Ok(WorkloadReport {
             workload: workload.name.clone(),
             streams: workload.stream_count(),
@@ -304,8 +295,8 @@ impl WorkloadDriver {
             wall,
             virtual_elapsed: self.engine.now().since(virtual_start),
             latencies,
-            buffer: diff_buffer(&buffer_start, &buffer_end),
-            io: diff_io(&io_start, &io_end),
+            buffer: self.engine.buffer_stats().since(&buffer_start),
+            io: self.engine.device().stats().since(&io_start),
             device_latency: self.engine.device().latency(),
             stream_errors,
             update_ops: barrier.update_ops,
@@ -589,34 +580,6 @@ impl Task for StreamSessionTask {
             }
         }
         Ok(TaskStep::Yield)
-    }
-}
-
-fn diff_buffer(start: &BufferStats, end: &BufferStats) -> BufferStats {
-    BufferStats {
-        hits: end.hits - start.hits,
-        misses: end.misses - start.misses,
-        evictions: end.evictions - start.evictions,
-        pages_loaded: end.pages_loaded - start.pages_loaded,
-        io_bytes: end.io_bytes - start.io_bytes,
-        prefetched_pages: end.prefetched_pages - start.prefetched_pages,
-        prefetch_io_bytes: end.prefetch_io_bytes - start.prefetch_io_bytes,
-        invalidated_pages: end.invalidated_pages - start.invalidated_pages,
-        pruned_tuples: end.pruned_tuples - start.pruned_tuples,
-    }
-}
-
-fn diff_io(start: &IoStats, end: &IoStats) -> IoStats {
-    IoStats {
-        bytes_read: end.bytes_read - start.bytes_read,
-        pages_read: end.pages_read - start.pages_read,
-        requests: end.requests - start.requests,
-        demand_bytes: end.demand_bytes - start.demand_bytes,
-        prefetch_bytes: end.prefetch_bytes - start.prefetch_bytes,
-        demand_requests: end.demand_requests - start.demand_requests,
-        prefetch_requests: end.prefetch_requests - start.prefetch_requests,
-        queue_wait_nanos: end.queue_wait_nanos - start.queue_wait_nanos,
-        service_nanos: end.service_nanos - start.service_nanos,
     }
 }
 

@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, MutexGuard, RwLock};
 use scanshare_common::{
-    cpu_time, DeviceKind, Error, PolicyKind, RangeList, Result, ScanId, ScanShareConfig, TableId,
-    TupleRange, VirtualClock, VirtualDuration, VirtualInstant,
+    cpu_time, DeviceKind, Error, RangeList, Result, ScanId, ScanShareConfig, TableId, TupleRange,
+    VirtualClock, VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{build_backend, ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
@@ -242,11 +242,6 @@ impl Engine {
     /// The engine configuration.
     pub fn config(&self) -> &ScanShareConfig {
         &self.config
-    }
-
-    /// The configured policy.
-    pub fn policy(&self) -> PolicyKind {
-        self.config.policy
     }
 
     /// The engine's virtual clock.
@@ -698,7 +693,7 @@ impl Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scanshare_common::Rid;
+    use scanshare_common::{PolicyKind, Rid};
     use scanshare_core::policy::{ReplacementPolicy, ScanInfo};
     use scanshare_pdt::pdt::Pdt;
     use scanshare_storage::column::{ColumnSpec, ColumnType};

@@ -318,10 +318,6 @@ impl BatchSource for ScanOperator {
             }
             if !self.window.is_empty() {
                 let batch = self.produce_from_window()?;
-                // A batch boundary is a compute point: let the backend top
-                // up its asynchronous prefetch window so the next pages'
-                // transfers overlap with this batch's downstream processing.
-                self.engine.backend().drive_prefetch(self.engine.now());
                 if batch.is_empty() {
                     continue;
                 }

@@ -333,11 +333,6 @@ impl TaskScheduler {
         }
     }
 
-    /// Number of worker threads in the pool.
-    pub fn workers(&self) -> usize {
-        self.shared.queues.len()
-    }
-
     /// Submits a task; it starts running as soon as a worker frees up.
     /// After [`TaskScheduler::shutdown`] the task is not run — the returned
     /// handle completes immediately with [`TaskOutcome::Failed`].

@@ -98,7 +98,6 @@ struct Metrics {
     busy_until: VirtualInstant,
     demand_latencies: Vec<u64>,
     prefetch_latencies: Vec<u64>,
-    prefetch_errors: u64,
 }
 
 #[derive(Debug)]
@@ -138,7 +137,6 @@ impl FileIoDevice {
                 busy_until: VirtualInstant::EPOCH,
                 demand_latencies: Vec::new(),
                 prefetch_latencies: Vec::new(),
-                prefetch_errors: 0,
             }),
             ewma_latency_nanos: AtomicU64::new(0),
         });
@@ -152,17 +150,6 @@ impl FileIoDevice {
             })
             .collect();
         Self { shared, workers }
-    }
-
-    /// Capacity of the bounded submission queue.
-    pub fn queue_depth(&self) -> usize {
-        self.shared.queue_depth
-    }
-
-    /// Prefetch reads that failed and were dropped (the demand path
-    /// re-surfaces the error when the page is actually needed).
-    pub fn prefetch_errors(&self) -> u64 {
-        self.shared.metrics.lock().prefetch_errors
     }
 
     /// Enqueues a job, blocking while the submission queue is full.
@@ -277,22 +264,20 @@ fn worker_loop(shared: Arc<Shared>) {
                     error,
                 });
             }
-            // Prefetch: record here; failures are counted and dropped.
-            None => {
+            // Prefetch: record here; failures are dropped (the demand path
+            // re-surfaces the error when the page is actually needed).
+            None if error.is_none() => {
                 let mut metrics = shared.metrics.lock();
-                if error.is_none() {
-                    metrics.stats.record_request(
-                        job.kind,
-                        bytes,
-                        VirtualDuration::from_nanos(queue_wait_nanos),
-                        VirtualDuration::from_nanos(service_nanos),
-                    );
-                    metrics.stats.pages_read += job.pages;
-                    metrics.prefetch_latencies.push(total);
-                } else {
-                    metrics.prefetch_errors += 1;
-                }
+                metrics.stats.record_request(
+                    job.kind,
+                    bytes,
+                    VirtualDuration::from_nanos(queue_wait_nanos),
+                    VirtualDuration::from_nanos(service_nanos),
+                );
+                metrics.stats.pages_read += job.pages;
+                metrics.prefetch_latencies.push(total);
             }
+            None => {}
         }
     }
 }
@@ -374,7 +359,6 @@ impl BlockDevice for FileIoDevice {
         metrics.stats = IoStats::default();
         metrics.demand_latencies.clear();
         metrics.prefetch_latencies.clear();
-        metrics.prefetch_errors = 0;
     }
 
     fn busy_until(&self) -> VirtualInstant {
@@ -535,7 +519,6 @@ mod tests {
             ReadSpec::for_pages(&empty, 4096, IoKind::Demand),
         )
         .unwrap();
-        assert_eq!(dev.prefetch_errors(), 1);
         assert_eq!(BlockDevice::stats(&dev).prefetch_requests, 1);
         assert_eq!(BlockDevice::stats(&dev).prefetch_bytes, 4096);
     }

@@ -71,17 +71,20 @@ impl IoStats {
         self.service_nanos += service.as_nanos();
     }
 
-    /// Merges another stats snapshot into this one.
-    pub fn merge(&mut self, other: &IoStats) {
-        self.bytes_read += other.bytes_read;
-        self.pages_read += other.pages_read;
-        self.requests += other.requests;
-        self.demand_bytes += other.demand_bytes;
-        self.prefetch_bytes += other.prefetch_bytes;
-        self.demand_requests += other.demand_requests;
-        self.prefetch_requests += other.prefetch_requests;
-        self.queue_wait_nanos += other.queue_wait_nanos;
-        self.service_nanos += other.service_nanos;
+    /// What was counted after `earlier`, an earlier reading of the same
+    /// counters.
+    pub fn since(&self, earlier: &IoStats) -> IoStats {
+        IoStats {
+            bytes_read: self.bytes_read - earlier.bytes_read,
+            pages_read: self.pages_read - earlier.pages_read,
+            requests: self.requests - earlier.requests,
+            demand_bytes: self.demand_bytes - earlier.demand_bytes,
+            prefetch_bytes: self.prefetch_bytes - earlier.prefetch_bytes,
+            demand_requests: self.demand_requests - earlier.demand_requests,
+            prefetch_requests: self.prefetch_requests - earlier.prefetch_requests,
+            queue_wait_nanos: self.queue_wait_nanos - earlier.queue_wait_nanos,
+            service_nanos: self.service_nanos - earlier.service_nanos,
+        }
     }
 }
 
@@ -138,7 +141,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_merge() {
+    fn record_and_since() {
         let read = |stats: &mut IoStats, bytes| {
             let zero = VirtualDuration::ZERO;
             stats.record_request(IoKind::Demand, bytes, zero, zero);
@@ -152,13 +155,16 @@ mod tests {
         assert_eq!(a.demand_bytes, 200);
         assert_eq!(a.demand_requests, 2);
 
-        let mut b = IoStats::default();
+        let mut b = a;
         read(&mut b, 1_000_000);
         b.pages_read += 1;
-        b.merge(&a);
-        assert_eq!(b.bytes_read, 1_000_200);
-        assert_eq!(b.pages_read, 3);
-        assert_eq!(b.requests, 3);
+        let delta = b.since(&a);
+        assert_eq!(delta.bytes_read, 1_000_000);
+        assert_eq!(delta.pages_read, 1);
+        assert_eq!(delta.requests, 1);
+        assert_eq!(delta.demand_bytes, 1_000_000);
+        assert_eq!(delta.demand_requests, 1);
+        assert_eq!(a.since(&a), IoStats::default());
     }
 
     #[test]

@@ -141,11 +141,6 @@ impl PdtStack {
         self.layers.iter().all(Pdt::is_empty)
     }
 
-    /// The layers, bottom (closest to stable storage) first.
-    pub fn layers(&self) -> &[Pdt] {
-        &self.layers
-    }
-
     /// Pushes `layer` as the new top (most private) layer. Its positions must
     /// refer to the output stream of the current stack.
     ///
@@ -441,7 +436,7 @@ mod tests {
         assert!(stack.split_upper(99).is_empty());
         assert!(!stack.is_empty());
         assert!(PdtStack::new(2, 3).is_empty());
-        assert_eq!(stack.layers().len(), 2);
+        assert_eq!(stack.depth(), 2);
     }
 
     #[test]

@@ -376,7 +376,8 @@ mod tests {
 
     fn layers(pin: &TablePin) -> Vec<Vec<(u64, Node)>> {
         let nodes = |layer: &Pdt| layer.nodes_iter().map(|(s, n)| (s, n.clone())).collect();
-        pin.stack.layers().iter().map(nodes).collect()
+        let stack = &pin.stack;
+        (0..stack.depth()).map(|i| nodes(stack.layer(i))).collect()
     }
 
     #[test]

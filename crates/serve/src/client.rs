@@ -49,14 +49,11 @@ pub(crate) fn handshake(sock: &mut Sock, tenant: &str) -> Result<u32> {
 /// [`query`](ServeClient::query).
 pub struct ServeClient {
     sock: Sock,
-    session_limit: u32,
 }
 
 impl std::fmt::Debug for ServeClient {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ServeClient")
-            .field("session_limit", &self.session_limit)
-            .finish()
+        f.debug_struct("ServeClient").finish_non_exhaustive()
     }
 }
 
@@ -74,16 +71,8 @@ impl ServeClient {
     }
 
     fn over(mut sock: Sock, tenant: &str) -> Result<Self> {
-        let session_limit = handshake(&mut sock, tenant)?;
-        Ok(Self {
-            sock,
-            session_limit,
-        })
-    }
-
-    /// The per-connection session limit the server advertised in WELCOME.
-    pub fn session_limit(&self) -> u32 {
-        self.session_limit
+        handshake(&mut sock, tenant)?;
+        Ok(Self { sock })
     }
 
     /// Runs one query on session 0 and blocks until the full result

@@ -1,30 +1,29 @@
 //! The discrete-event simulator.
 //!
-//! The simulator runs its workload on an execution [`Engine`] and replaces
-//! only the engine's *clock*. Every run builds one engine over the
-//! simulator's own bandwidth-limited [`IoDevice`] and uses it for everything
-//! but timing: the event loop drives the engine's [`ScanBackend`] —
-//! registering, requesting, reporting and unregistering through the trait,
-//! never looking behind it — queries are planned against the engine's table
-//! pins, update batches and checkpoints go through the [`UpdateBarrier`] the
-//! engine-side `WorkloadDriver` runs, and OPT is the engine's
-//! [`opt_result`](Engine::opt_result). Backends are clock-free, so where the
-//! engine advances a shared monotone clock to the instant a call returned,
-//! the simulator schedules the stream's next event there.
+//! The simulator runs its workload on an execution [`Engine`] and replaces only
+//! the engine's *clock*. Every run builds one engine over the simulated device
+//! ([`DeviceKind::Sim`]) and uses it for everything but timing: the event loop
+//! drives the engine's [`ScanBackend`] — registering, requesting, reporting and
+//! unregistering through the trait, never looking behind it — queries are
+//! planned against the engine's table pins, update batches and checkpoints go
+//! through the [`UpdateBarrier`] the engine-side `WorkloadDriver` runs, and OPT
+//! is the engine's [`opt_result`](Engine::opt_result). Backends are clock-free,
+//! so where the engine advances a shared monotone clock to the instant a call
+//! returned, the simulator schedules the stream's next event there.
 //!
-//! Streams execute their queries back to back. A query is lowered into its
-//! scan steps by the shared [`QuerySpec::steps`], and each step's backend
-//! request is built by the engine's own builder, [`Engine::scan_request`],
-//! the one its scan operator registers through. One event loop (`Simulation::phase`) then drives
-//! every backend the way the engine's scan operator does: a registered scan
-//! asks `next_chunk` for the next range to produce — in table order from the
-//! page-level policies (LRU, PBM, the PBM run recording OPT's trace), in
-//! whatever order the Active Buffer Manager chooses under Cooperative Scans
-//! — and a stream consumes one step of that range per event, blocking while
-//! starved; the backend's loader step ([`ScanBackend::pump_loads`], the one
-//! the engine runs before every probe) runs beside the streams for the
-//! backends that load chunks. Misses and chunk loads are served by a
-//! bandwidth-limited [`IoDevice`]; CPU work is charged by the shared
+//! Streams execute their queries back to back. A query is lowered into its scan
+//! steps by the shared [`QuerySpec::steps`], and each step's backend request is
+//! built by the engine's own builder, [`Engine::scan_request`], the one its
+//! scan operator registers through. One event loop (`Simulation::phase`) then
+//! drives every backend the way the engine's scan operator does: a registered
+//! scan asks `next_chunk` for the next range to produce — in table order from
+//! the page-level policies (LRU, PBM, the PBM run recording OPT's trace), in
+//! whatever order the Active Buffer Manager chooses under Cooperative Scans —
+//! and a stream consumes one step of that range per event, blocking while
+//! starved; the backend's loader step ([`ScanBackend::pump_loads`], the one the
+//! engine runs before every probe) runs beside the streams for the backends
+//! that load chunks. Misses and chunk loads are served by a bandwidth-limited
+//! [`IoDevice`](scanshare_iosim::IoDevice); CPU work is charged by the shared
 //! [`cpu_time`], per tuple of a step, scaled by the query's CPU factor and
 //! divided by the effective intra-query parallelism (`cores / streams`, at
 //! least 1), where the engine charges its rows at factor 1 on one core
@@ -57,14 +56,12 @@ use std::sync::Arc;
 
 use scanshare_common::hash::IdHashSet;
 use scanshare_common::{
-    cpu_time, Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig,
+    cpu_time, DeviceKind, Error, PageId, PolicyKind, RangeList, Result, ScanId, ScanShareConfig,
     VirtualDuration, VirtualInstant,
 };
 use scanshare_core::backend::{ScanBackend, ScanRequest, ScanStep};
 use scanshare_core::metrics::BufferStats;
-use scanshare_core::registry::PolicyRegistry;
 use scanshare_exec::{Engine, UpdateBarrier};
-use scanshare_iosim::IoDevice;
 use scanshare_storage::storage::Storage;
 use scanshare_workload::spec::{QuerySpec, WorkloadSpec};
 
@@ -319,15 +316,9 @@ impl Simulation {
             ));
         }
         let scanshare = &self.config.scanshare;
-        let device = Arc::new(IoDevice::new(
-            scanshare.io_bandwidth,
-            VirtualDuration::from_nanos(scanshare.io_latency_nanos),
-        ));
-        let engine = Engine::with_device(
+        let engine = Engine::new(
             Arc::clone(&self.storage),
-            scanshare.clone(),
-            &PolicyRegistry::default(),
-            device,
+            scanshare.clone().with_device(DeviceKind::Sim),
         )?;
         let mut state = RunState {
             backend: engine.backend(),

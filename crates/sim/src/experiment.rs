@@ -66,16 +66,17 @@ pub struct ExperimentScale {
     pub tpch_streams: Vec<usize>,
     /// Default number of concurrent streams.
     pub default_streams: usize,
-    /// Default buffer-pool fraction of the accessed volume (0.4 in the
-    /// microbenchmarks of the paper).
-    pub micro_default_pool_fraction: f64,
-    /// Default TPC-H pool fraction (0.3 in the paper).
-    pub tpch_default_pool_fraction: f64,
-    /// Default microbenchmark bandwidth (MB/s).
-    pub micro_default_bandwidth_mb: f64,
-    /// Default TPC-H bandwidth (MB/s).
-    pub tpch_default_bandwidth_mb: f64,
 }
+
+/// The microbenchmark's default I/O bandwidth (MB/s), at every scale.
+const MICRO_BANDWIDTH_MB: f64 = 700.0;
+/// The microbenchmark's default pool, as a fraction of the accessed volume
+/// (0.4 in the paper).
+const MICRO_POOL_FRACTION: f64 = 0.4;
+/// The TPC-H workload's default I/O bandwidth (MB/s), at every scale.
+const TPCH_BANDWIDTH_MB: f64 = 600.0;
+/// The TPC-H workload's default pool fraction (0.3 in the paper).
+const TPCH_POOL_FRACTION: f64 = 0.3;
 
 impl ExperimentScale {
     /// Tiny scale for unit tests (fractions of a second per figure).
@@ -90,10 +91,6 @@ impl ExperimentScale {
             micro_streams: vec![1, 4, 8],
             tpch_streams: vec![1, 4],
             default_streams: 4,
-            micro_default_pool_fraction: 0.4,
-            tpch_default_pool_fraction: 0.3,
-            micro_default_bandwidth_mb: 700.0,
-            tpch_default_bandwidth_mb: 600.0,
         }
     }
 
@@ -109,10 +106,6 @@ impl ExperimentScale {
             micro_streams: vec![1, 2, 4, 8, 16],
             tpch_streams: vec![1, 2, 4, 8],
             default_streams: 8,
-            micro_default_pool_fraction: 0.4,
-            tpch_default_pool_fraction: 0.3,
-            micro_default_bandwidth_mb: 700.0,
-            tpch_default_bandwidth_mb: 600.0,
         }
     }
 
@@ -129,10 +122,6 @@ impl ExperimentScale {
             micro_streams: vec![1, 2, 4, 8, 16, 32],
             tpch_streams: vec![1, 2, 4, 8, 16, 24],
             default_streams: 8,
-            micro_default_pool_fraction: 0.4,
-            tpch_default_pool_fraction: 0.3,
-            micro_default_bandwidth_mb: 700.0,
-            tpch_default_bandwidth_mb: 600.0,
         }
     }
 
@@ -140,16 +129,8 @@ impl ExperimentScale {
     /// accessed volume, and the stream counts its stream sweep visits.
     fn suite_defaults(&self, suite: Suite) -> (f64, f64, &[usize]) {
         match suite {
-            Suite::Micro => (
-                self.micro_default_bandwidth_mb,
-                self.micro_default_pool_fraction,
-                &self.micro_streams,
-            ),
-            Suite::Tpch => (
-                self.tpch_default_bandwidth_mb,
-                self.tpch_default_pool_fraction,
-                &self.tpch_streams,
-            ),
+            Suite::Micro => (MICRO_BANDWIDTH_MB, MICRO_POOL_FRACTION, &self.micro_streams),
+            Suite::Tpch => (TPCH_BANDWIDTH_MB, TPCH_POOL_FRACTION, &self.tpch_streams),
         }
     }
 

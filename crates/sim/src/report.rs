@@ -23,6 +23,9 @@ pub fn format_figure(figure: &Figure, data: &FigureData) -> String {
     }
 }
 
+/// What a table of [`format_rows`] shows of a row (`None` prints "-").
+type Cell = fn(&ExperimentRow) -> Option<f64>;
+
 /// Formats experiment rows as two aligned tables (stream time and I/O
 /// volume), one column per policy — the textual equivalent of the paper's
 /// paired plots.
@@ -48,53 +51,35 @@ pub fn format_rows(title: &str, rows: &[ExperimentRow]) -> String {
     xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 
     let _ = writeln!(out, "== {title} ==");
-    let _ = writeln!(out, "-- average stream time [s] --");
-    let _ = write!(out, "{x_label:>32}");
-    for p in &policies {
-        let _ = write!(out, "{:>12}", p.name());
-    }
-    let _ = writeln!(out);
-    for &x in &xs {
-        let _ = write!(out, "{x:>32.1}");
+    let tables: [(&str, Cell); 2] = [
+        ("average stream time [s]", |r| r.avg_stream_time_s),
+        ("total I/O volume [GB]", |r| Some(r.total_io_gb)),
+    ];
+    for (heading, value) in tables {
+        let _ = writeln!(out, "-- {heading} --");
+        let _ = write!(out, "{x_label:>32}");
         for p in &policies {
-            let cell = rows
-                .iter()
-                .find(|r| r.policy == *p && (r.x_value - x).abs() < 1e-9)
-                .and_then(|r| r.avg_stream_time_s);
-            match cell {
-                Some(v) => {
-                    let _ = write!(out, "{v:>12.3}");
-                }
-                None => {
-                    let _ = write!(out, "{:>12}", "-");
-                }
-            }
+            let _ = write!(out, "{:>12}", p.name());
         }
         let _ = writeln!(out);
-    }
-    let _ = writeln!(out, "-- total I/O volume [GB] --");
-    let _ = write!(out, "{x_label:>32}");
-    for p in &policies {
-        let _ = write!(out, "{:>12}", p.name());
-    }
-    let _ = writeln!(out);
-    for &x in &xs {
-        let _ = write!(out, "{x:>32.1}");
-        for p in &policies {
-            let cell = rows
-                .iter()
-                .find(|r| r.policy == *p && (r.x_value - x).abs() < 1e-9)
-                .map(|r| r.total_io_gb);
-            match cell {
-                Some(v) => {
-                    let _ = write!(out, "{v:>12.3}");
-                }
-                None => {
-                    let _ = write!(out, "{:>12}", "-");
+        for &x in &xs {
+            let _ = write!(out, "{x:>32.1}");
+            for p in &policies {
+                let cell = rows
+                    .iter()
+                    .find(|r| r.policy == *p && (r.x_value - x).abs() < 1e-9)
+                    .and_then(value);
+                match cell {
+                    Some(v) => {
+                        let _ = write!(out, "{v:>12.3}");
+                    }
+                    None => {
+                        let _ = write!(out, "{:>12}", "-");
+                    }
                 }
             }
+            let _ = writeln!(out);
         }
-        let _ = writeln!(out);
     }
     out
 }

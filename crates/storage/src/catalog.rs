@@ -121,11 +121,6 @@ impl Catalog {
             .collect()
     }
 
-    /// Number of registered tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Iterates over all registered tables.
     pub fn tables(&self) -> impl Iterator<Item = &Arc<TableEntry>> {
         self.tables.iter()
@@ -149,7 +144,6 @@ mod tests {
             .unwrap();
         assert_eq!(cat.table(id).unwrap().spec.name, "lineitem");
         assert_eq!(cat.table_by_name("lineitem").unwrap().id, id);
-        assert_eq!(cat.table_count(), 1);
         assert!(cat.table(TableId::new(9)).is_err());
         assert!(cat.table_by_name("orders").is_err());
     }

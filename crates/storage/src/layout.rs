@@ -65,11 +65,6 @@ impl TableLayout {
         &self.spec
     }
 
-    /// Global column ids, parallel to `spec().columns`.
-    pub fn column_ids(&self) -> &[ColumnId] {
-        &self.column_ids
-    }
-
     /// Page size in bytes.
     pub fn page_size_bytes(&self) -> u64 {
         self.page_size_bytes

@@ -32,7 +32,6 @@ use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scanshare_common::sync::{Mutex, RwLock};
@@ -527,9 +526,6 @@ impl DecodeCache {
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
-    /// Bytes read off disk through this store (device reads + synchronous
-    /// fallback reads).
-    bytes_read: AtomicU64,
     map: RwLock<FileMap>,
     cache: Mutex<DecodeCache>,
 }
@@ -539,7 +535,6 @@ impl FileStore {
     pub fn new(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: dir.into(),
-            bytes_read: AtomicU64::new(0),
             map: RwLock::new(FileMap::default()),
             cache: Mutex::new(DecodeCache {
                 map: HashMap::new(),
@@ -552,11 +547,6 @@ impl FileStore {
     /// The directory the segment files live in.
     pub fn dir(&self) -> &Path {
         &self.dir
-    }
-
-    /// Total bytes read off disk through this store so far.
-    pub fn bytes_read(&self) -> u64 {
-        self.bytes_read.load(Ordering::Relaxed)
     }
 
     /// Registers (or replaces) the mapping for one materialized table. The
@@ -648,8 +638,6 @@ impl FileStore {
         drop(map);
         let values = Arc::new(values);
         self.cache.lock().insert(page, Arc::clone(&values));
-        self.bytes_read
-            .fetch_add(slot.slot_bytes, Ordering::Relaxed);
         Ok(Some((values, slot.slot_bytes)))
     }
 }
@@ -690,7 +678,7 @@ mod tests {
     use super::*;
     use crate::datagen::DataGen;
     use crate::table::TableSpec;
-    use std::sync::atomic::AtomicU32;
+    use std::sync::atomic::{AtomicU32, Ordering};
 
     static TEST_DIR_SEQ: AtomicU32 = AtomicU32::new(0);
 
@@ -793,7 +781,6 @@ mod tests {
                 assert_eq!(*got, *expected.values);
             }
         }
-        assert!(store.bytes_read() > 0);
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl TableSpec {
             })
     }
 
-    /// Total compressed bytes per tuple across all columns.
-    pub fn bytes_per_tuple(&self) -> f64 {
-        self.columns.iter().map(|c| c.bytes_per_tuple).sum()
-    }
-
     /// Validates the spec.
     pub fn validate(&self) -> Result<()> {
         if self.name.is_empty() {
@@ -88,19 +83,6 @@ mod tests {
         assert_eq!(t.columns[2].name, "c2");
         assert_eq!(t.column_index("c1"), Some(1));
         assert_eq!(t.column_index("zzz"), None);
-    }
-
-    #[test]
-    fn bytes_per_tuple_sums_columns() {
-        let t = TableSpec::new(
-            "t",
-            vec![
-                ColumnSpec::with_width("a", ColumnType::Int64, 4.0),
-                ColumnSpec::with_width("b", ColumnType::Varchar { avg_len: 10 }, 10.0),
-            ],
-            1000,
-        );
-        assert_eq!(t.bytes_per_tuple(), 14.0);
     }
 
     #[test]

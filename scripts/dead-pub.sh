@@ -1,14 +1,18 @@
 #!/bin/sh
 # Dead public API: every `pub fn` in the non-test code of crates/*/src whose
-# name occurs nowhere else in the non-test code of crates/, src/, examples/
-# or benchmark/src. Non-test code is each file cut at its first column-0
-# `#[cfg(test)]` whose next line opens a `mod` (the rule of nontest-loc.sh),
-# with `//` comments (doc comments and their doctests included) stripped.
+# name is never used in call syntax in the non-test code of crates/, src/,
+# examples/ or benchmark/src. Non-test code is each file cut at its first
+# column-0 `#[cfg(test)]` whose next line opens a `mod` (the rule of
+# nontest-loc.sh), with `//` comments (doc comments and their doctests
+# included) stripped.
 #
-# The scan matches by NAME, not by path: a live function of the same name
-# anywhere (`TableState::pin` once hid `BufferPool::pin`) keeps a dead one
-# off the list, and a name used only in a string or macro counts as a use.
-# Grep the call syntax before deleting a hit.
+# A use is the name followed by `(` or `::<` (`.name(`, `name(`, a
+# turbofish) or preceded by `::` (`Type::name`, also as a function value),
+# never the `fn name` of a definition. Fields, modules and locals of the same
+# name therefore do not count. The scan still matches by NAME, not by path:
+# a live function of the same name anywhere keeps a dead one off the list,
+# and a call written inside a string or macro counts as a use. A function
+# passed by its bare name (`.map(name)`) is not seen: allow-list it.
 #
 # Prints "<file> <name>" per hit. Exits non-zero if a hit is not listed in
 # scripts/dead-pub.allow ("<file> <name>  # reason" per line) or if an
@@ -35,11 +39,18 @@ hits=$(awk '
             sub(/.* fn /, "", def)
             defs[FILENAME " " def] = def
         }
-        gsub(/[^A-Za-z0-9_]+/, " ", line)
-        n = split(line, words, " ")
-        for (i = 1; i <= n; i++) seen[words[i]]++
+        prev = ""
+        while (match(line, /[A-Za-z_][A-Za-z0-9_]*/)) {
+            gap = substr(line, 1, RSTART - 1)
+            name = substr(line, RSTART, RLENGTH)
+            after = substr(line, RSTART + RLENGTH, 3)
+            if (!(prev == "fn" && gap ~ /^[ \t]+$/) && (gap ~ /::$/ || after ~ /^(\(|::<)/))
+                seen[name]++
+            prev = name
+            line = substr(line, RSTART + RLENGTH)
+        }
     }
-    END { for (d in defs) if (seen[defs[d]] <= 1) print d }
+    END { for (d in defs) if (!(defs[d] in seen)) print d }
 ' $files | LC_ALL=C sort)
 printf '%s\n' "$hits" | awk -v allow="$allow" '
     BEGIN {

@@ -167,3 +167,58 @@ fn hundreds_of_sessions_complete_on_four_workers() {
     assert_eq!(stats.completed, 300);
     assert_eq!(stats.submitted, 300);
 }
+
+/// On one scheduler worker the streams' quanta run in one order, so a
+/// multi-stream Cooperative Scans run, whose chunk loads and evictions
+/// follow the order in which streams probe the ABM, is a function of its
+/// input: fresh engines account identical buffer statistics and virtual
+/// time. On several workers the threads interleave and the I/O volume
+/// varies from run to run.
+#[test]
+fn multi_stream_cscan_runs_repeat_exactly_on_one_worker() {
+    let config = MicrobenchConfig {
+        streams: 4,
+        queries_per_stream: 4,
+        lineitem_tuples: 200_000,
+        ..Default::default()
+    };
+    let (storage, workload) = scanshare::workload::microbench::build(&config, PAGE, CHUNK).unwrap();
+    let scanshare = ScanShareConfig {
+        page_size_bytes: PAGE,
+        chunk_tuples: CHUNK,
+        policy: PolicyKind::CScan,
+        scheduler_workers: 1,
+        ..Default::default()
+    };
+    let sim = SimConfig {
+        scanshare: scanshare.clone(),
+        cores: 8,
+        sharing_sample_interval: None,
+    };
+    let accessed = Simulation::new(Arc::clone(&storage), sim)
+        .unwrap()
+        .accessed_volume(&workload)
+        .unwrap();
+    let scanshare = ScanShareConfig {
+        buffer_pool_bytes: accessed * 2 / 5,
+        ..scanshare
+    };
+    let run = || {
+        let engine = Engine::new(Arc::clone(&storage), scanshare.clone()).unwrap();
+        let report = WorkloadDriver::new(engine).run(&workload).unwrap();
+        assert!(
+            report.stream_errors.is_empty(),
+            "{:?}",
+            report.stream_errors
+        );
+        (report.buffer, report.virtual_elapsed)
+    };
+    let first = run();
+    assert!(
+        first.0.evictions > 0,
+        "the pool is under pressure: {first:?}"
+    );
+    for _ in 0..4 {
+        assert_eq!(run(), first);
+    }
+}

@@ -244,8 +244,9 @@ fn prefetch_config(policy: PolicyKind, pool_bytes: u64, prefetch_pages: usize) -
 }
 
 /// Runs the workload on the execution engine (two sequential full scans,
-/// like the simulated stream) and returns the buffer-manager stats.
-fn engine_io(policy: PolicyKind, pool_bytes: u64, prefetch_pages: usize) -> BufferStats {
+/// like the simulated stream) and returns the engine, for its buffer-manager
+/// stats and its clock.
+fn engine_run(policy: PolicyKind, pool_bytes: u64, prefetch_pages: usize) -> Arc<Engine> {
     let (storage, table, _) = prefetch_setup();
     let engine = Engine::new(storage, prefetch_config(policy, pool_bytes, prefetch_pages)).unwrap();
     for _ in 0..2 {
@@ -257,7 +258,7 @@ fn engine_io(policy: PolicyKind, pool_bytes: u64, prefetch_pages: usize) -> Buff
             .unwrap();
         assert_eq!(result[&0].count, PF_TUPLES);
     }
-    engine.buffer_stats()
+    engine
 }
 
 /// Runs the same workload through the discrete-event simulator.
@@ -282,7 +283,7 @@ fn engine_and_simulator_agree_on_io_with_prefetch_enabled() {
     // the simulator must account the identical volume.
     let pool_small = 15 * PF_PAGE;
     for window in [0usize, 4] {
-        let engine = engine_io(PolicyKind::Lru, pool_small, window);
+        let engine = engine_run(PolicyKind::Lru, pool_small, window).buffer_stats();
         let sim = sim_io(PolicyKind::Lru, pool_small, window);
         assert_eq!(
             engine.io_bytes, sim.total_io_bytes,
@@ -298,7 +299,7 @@ fn engine_and_simulator_agree_on_io_with_prefetch_enabled() {
     // prefetch or by demand, in both implementations.
     let pool_large = 64 * PF_PAGE;
     for window in [0usize, 4] {
-        let engine = engine_io(PolicyKind::Pbm, pool_large, window);
+        let engine = engine_run(PolicyKind::Pbm, pool_large, window).buffer_stats();
         let sim = sim_io(PolicyKind::Pbm, pool_large, window);
         assert_eq!(
             engine.io_bytes, sim.total_io_bytes,
@@ -369,6 +370,25 @@ fn prefetch_overlap_reduces_stream_time_when_compute_can_hide_io() {
         sync.avg_stream_time_secs(),
         prefetch.avg_stream_time_secs()
     );
+}
+
+#[test]
+fn engine_prefetch_overlap_reduces_virtual_time() {
+    // The engine's twin of the simulator test above, at the parity test's
+    // two pools: the window is topped up at registration and at page
+    // requests only, and that alone must hide some transfer time behind
+    // the scans' compute.
+    for (policy, pool) in [
+        (PolicyKind::Lru, 15 * PF_PAGE),
+        (PolicyKind::Pbm, 64 * PF_PAGE),
+    ] {
+        let sync = engine_run(policy, pool, 0).now();
+        let prefetch = engine_run(policy, pool, 4).now();
+        assert!(
+            prefetch < sync,
+            "{policy}: prefetching must hide I/O behind compute (sync {sync} vs prefetch {prefetch})"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------
