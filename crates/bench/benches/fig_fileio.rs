@@ -4,7 +4,7 @@
 //!
 //! The table is materialized as on-disk column segments in a tempdir,
 //! reopened cold, and every read goes through the worker-pool `pread` path.
-//! Three things are measured:
+//! Two things are measured:
 //!
 //! 1. **Calibration fit**: sequential probe batches of doubling sizes are
 //!    timed on the real device and the simulator model is fitted by least
@@ -12,12 +12,11 @@
 //!    twin of this machine's storage is (gated loosely — the score depends
 //!    on the host, but a linear model should stay within a quarter of the
 //!    measurement on average).
-//! 2. **Prefetch overlap on real files**: single-stream wall time with and
-//!    without the asynchronous prefetch window. Unlike the virtual-clock
-//!    figure, this speedup is machine-dependent, so it is reported but not
-//!    gated.
-//! 3. **Multi-stream wall throughput**: aggregate bytes/s as concurrent
+//! 2. **Multi-stream wall throughput**: aggregate bytes/s as concurrent
 //!    streams scale, on the same cold files (reported, not gated).
+//!
+//! The prefetch window's effect is gated in virtual time by
+//! `prefetch_overlap`; wall-clock figures come from `benchmark/`.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -33,7 +32,6 @@ use scanshare_workload::microbench::{self, MicrobenchConfig};
 
 const PAGE: u64 = 64 * 1024;
 const CHUNK: u64 = 10_000;
-const WINDOW: usize = 8;
 
 /// Self-cleaning tempdir (no external tempfile dependency).
 struct TempDir(PathBuf);
@@ -53,29 +51,19 @@ impl Drop for TempDir {
     }
 }
 
-fn config(policy: PolicyKind, pool_bytes: u64, prefetch_pages: usize) -> ScanShareConfig {
+fn config(policy: PolicyKind, pool_bytes: u64) -> ScanShareConfig {
     ScanShareConfig {
         page_size_bytes: PAGE,
         chunk_tuples: CHUNK,
         buffer_pool_bytes: pool_bytes,
         policy,
         device: DeviceKind::File,
-        prefetch_pages,
         ..Default::default()
     }
 }
 
-fn file_engine(
-    storage: &Arc<Storage>,
-    policy: PolicyKind,
-    pool_bytes: u64,
-    prefetch_pages: usize,
-) -> Arc<Engine> {
-    Engine::new(
-        Arc::clone(storage),
-        config(policy, pool_bytes, prefetch_pages),
-    )
-    .expect("engine")
+fn file_engine(storage: &Arc<Storage>, policy: PolicyKind, pool_bytes: u64) -> Arc<Engine> {
+    Engine::new(Arc::clone(storage), config(policy, pool_bytes)).expect("engine")
 }
 
 /// Fits the device model, keeping the best of a few attempts: on a shared
@@ -178,41 +166,7 @@ fn main() {
         calib.request_latency.as_nanos() as f64 / 1e3,
     );
 
-    // --- 2. Prefetch overlap on real files ---------------------------------
-    // Single stream, pool with headroom: the window's transfers overlap the
-    // scan's compute, exactly the regime of the virtual-clock figure.
-    let single = MicrobenchConfig {
-        streams: 1,
-        queries_per_stream: 2,
-        lineitem_tuples,
-        ..Default::default()
-    };
-    let single_workload = microbench::generate(&single, table);
-    let pool = on_disk_bytes + (WINDOW as u64 + 4) * PAGE;
-    println!(
-        "{:<10} {:>12} {:>12} {:>9}",
-        "policy", "sync s", "prefetch s", "speedup"
-    );
-    for policy in [PolicyKind::Lru, PolicyKind::Pbm] {
-        let (t_sync, _) = run_wall(&file_engine(&storage, policy, pool, 0), &single_workload);
-        let (t_pf, _) = run_wall(
-            &file_engine(&storage, policy, pool, WINDOW),
-            &single_workload,
-        );
-        println!(
-            "{:<10} {:>12.4} {:>12.4} {:>8.2}x",
-            policy.name(),
-            t_sync,
-            t_pf,
-            t_sync / t_pf
-        );
-        metrics.set(
-            format!("wall_prefetch_speedup_{}", policy.name()),
-            t_sync / t_pf,
-        );
-    }
-
-    // --- 3. Multi-stream wall throughput -----------------------------------
+    // --- 2. Multi-stream wall throughput -----------------------------------
     println!(
         "{:<10} {:>8} {:>12} {:>14}",
         "policy", "streams", "wall s", "MB/s read"
@@ -228,7 +182,7 @@ fn main() {
             let workload = microbench::generate(&micro, table);
             // A pool at ~40% of the table keeps real misses in play as
             // streams contend, like the paper's pressure-point figures.
-            let engine = file_engine(&storage, policy, on_disk_bytes * 2 / 5, 0);
+            let engine = file_engine(&storage, policy, on_disk_bytes * 2 / 5);
             let (wall, bytes) = run_wall(&engine, &workload);
             let mbps = bytes as f64 / 1e6 / wall;
             println!(

@@ -5,23 +5,39 @@
 //! ([`Abm::register_cscan`]), repeatedly ask for whatever chunk is best to
 //! process next ([`Abm::get_chunk`]) and unregister when done. The ABM
 //! decides *which chunk to load next, for whom, what to hand out and what
-//! to evict* using the four relevance functions of Section 2 of the paper
-//! (see [`relevance`] for the scoring itself). It works at **chunk**
-//! granularity and is snapshot-aware: scans on different snapshots of the
-//! same table share the longest common prefix of their page arrays, and
-//! chunks inside that prefix are marked shared (worth loading early and
-//! keeping).
+//! to evict* using the four relevance functions of Section 2 of the paper.
+//! It works at **chunk** granularity and is snapshot-aware: scans on
+//! different snapshots of the same table share the longest common prefix of
+//! their page arrays, and chunks inside that prefix are marked shared (worth
+//! loading early and keeping).
 //!
-//! # Layering
+//! # One lock
 //!
-//! * this module — the ABM's state: per-scan progress and the per-version
-//!   chunk table (residency, interested scans, pages), all behind **one
-//!   lock**. Every operation, delivery included, applies its effects
-//!   immediately, so decisions are byte-identical to the frozen monolithic
-//!   original kept as the executable spec in `tests/abm_reference`
-//!   (`tests/abm_equivalence.rs` asserts this over randomized traces);
-//! * [`relevance`] — QueryRelevance, LoadRelevance, UseRelevance and
-//!   KeepRelevance as pure, unit-testable functions.
+//! This module is the one place that knows the Cooperative Scans state:
+//! per-scan progress, the per-version chunk table (residency, interested
+//! scans, pages) and the chunk load in flight, all behind **one lock**.
+//! Every operation, delivery included, applies its effects immediately, so
+//! decisions are byte-identical to the frozen monolithic original kept as
+//! the executable spec in `tests/abm_reference` (`tests/abm_equivalence.rs`
+//! asserts this over randomized traces). The four relevance functions are
+//! the keys of the one `sort`, `max_by` or `min_by_key` that applies each:
+//!
+//! * *QueryRelevance* ([`Abm::next_load`]): starved scans first, then those
+//!   with the fewest chunks left, then the lowest scan id;
+//! * *LoadRelevance*: the number of scans still interested in a chunk, plus
+//!   `SHARED_CHUNK_BONUS` inside the shared snapshot prefix; the lowest
+//!   chunk id breaks ties, for sequential locality;
+//! * *KeepRelevance*: scored exactly like LoadRelevance — a cached chunk is
+//!   evicted only for a load candidate it scores below;
+//! * *UseRelevance*: deliver the cached chunk the fewest scans still need
+//!   (it becomes evictable soonest), the lowest id among equals.
+//!
+//! The chunk loader works on the same state: [`ScanBackend::pump_loads`]
+//! (`CScanBackend`'s step) and direct callers of [`Abm::next_load`] /
+//! [`Abm::complete_load`] plan through the same core, so a caller drives one
+//! or the other, never both.
+//!
+//! [`ScanBackend::pump_loads`]: crate::backend::ScanBackend::pump_loads
 //!
 //! # Indexed state
 //!
@@ -45,8 +61,6 @@
 //!   and dropped with it;
 //! * the id-keyed maps hash with [`IdHasher`](scanshare_common::hash::IdHasher).
 
-pub mod relevance;
-
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -54,11 +68,25 @@ use std::sync::Arc;
 use scanshare_common::hash::IdHashMap;
 use scanshare_common::sync::Mutex;
 use scanshare_common::{ChunkId, Error, PageId, Result, ScanId, TableId, VirtualInstant};
+use scanshare_iosim::{BlockDevice, IoKind, ReadSpec};
 use scanshare_storage::layout::{ChunkMap, TableLayout};
 use scanshare_storage::snapshot::Snapshot;
 
 use crate::backend::{ScanRequest, ScanStep};
 use crate::metrics::BufferStats;
+
+/// Extra LoadRelevance and KeepRelevance of a shared chunk: half an
+/// interested scan. Relevance is otherwise a whole number of scans, so every
+/// bonus strictly between 0 and 1 makes the same decisions: the bonus breaks
+/// ties between chunks the same number of scans want.
+const SHARED_CHUNK_BONUS: f64 = 0.5;
+
+/// LoadRelevance and KeepRelevance of a chunk `interested` scans still need:
+/// shared chunks (inside a snapshot prefix at least two scans read) are
+/// worth loading early and keeping.
+fn relevance(interested: usize, shared: bool) -> f64 {
+    interested as f64 + if shared { SHARED_CHUNK_BONUS } else { 0.0 }
+}
 
 /// The buffer the Active Buffer Manager manages.
 #[derive(Debug, Clone, PartialEq)]
@@ -245,9 +273,6 @@ struct CoreScan {
     needed: Vec<u64>,
     /// Number of chunks not yet delivered.
     remaining: usize,
-    /// Chunk ids in ascending (table) order, for in-order delivery.
-    order: Vec<ChunkId>,
-    next_in_order: usize,
     /// The still-needed chunks that are cached. A cached chunk that is the
     /// *only* available chunk of some scan must not be evicted before that
     /// scan consumes it (otherwise two starved scans can keep evicting each
@@ -258,10 +283,10 @@ struct CoreScan {
 impl CoreScan {
     /// The chunks not yet delivered, in table order.
     fn pending(&self) -> impl Iterator<Item = ChunkId> + '_ {
-        self.order[self.next_in_order..]
-            .iter()
-            .copied()
-            .filter(|c| self.needed[c.index()] > 0)
+        (0u32..)
+            .zip(&self.needed)
+            .filter(|&(_, &tuples)| tuples > 0)
+            .map(|(chunk, _)| ChunkId::new(chunk))
     }
 
     /// Removes `chunk` from the available set (it was delivered or evicted).
@@ -277,11 +302,19 @@ struct AbmState {
     scans: IdHashMap<ScanId, CoreScan>,
     tables: IdHashMap<TableId, TableChunks>,
     stats: BufferStats,
-    cached_bytes: u64,
     next_scan: u64,
+    /// The chunk load [`Abm::pump_loads`] left in flight, with its
+    /// completion instant.
+    inflight: Option<(LoadPlan, VirtualInstant)>,
 }
 
 impl AbmState {
+    /// Bytes the cached chunks hold: every resident page once.
+    fn resident_bytes(&self, config: &AbmConfig) -> u64 {
+        let pages: usize = self.tables.values().map(|t| t.resident_pages.len()).sum();
+        pages as u64 * config.page_size_bytes
+    }
+
     /// The chunk table of the version `scan` reads.
     fn version_of(&self, scan: &CoreScan) -> Option<&VersionState> {
         self.tables
@@ -297,18 +330,18 @@ impl AbmState {
     }
 
     /// UseRelevance: the cached chunk `scan` should process next — the
-    /// available chunk with the lowest
-    /// [`use_preference`](relevance::use_preference) key; for in-order scans
-    /// only the next sequential chunk qualifies.
+    /// available chunk the fewest scans still need, the lowest id among
+    /// equals; for in-order scans only the next sequential chunk qualifies.
     fn cached_candidate(&self, scan: &CoreScan) -> Option<ChunkId> {
         let version = self.version_of(scan)?;
         if scan.request.in_order {
-            let next = *scan.order.get(scan.next_in_order)?;
+            let next = scan.pending().next()?;
             return (version.chunks[next.index()].residency == Residency::Cached).then_some(next);
         }
-        scan.available.iter().copied().min_by_key(|&chunk| {
-            relevance::use_preference(version.chunks[chunk.index()].interested.len(), chunk)
-        })
+        scan.available
+            .iter()
+            .copied()
+            .min_by_key(|&chunk| (version.chunks[chunk.index()].interested.len(), chunk))
     }
 
     /// Whether `scan` has no cached chunk to process right now.
@@ -320,34 +353,23 @@ impl AbmState {
         }
     }
 
-    /// QueryRelevance: starved queries first (they have no cached chunk to
-    /// process), then queries with the fewest chunks left.
-    fn query_relevance(&self, scan: &CoreScan) -> Option<(bool, i64)> {
-        (scan.remaining > 0).then(|| relevance::query_priority(self.starved(scan), scan.remaining))
-    }
-
     /// Chooses the next chunk to load: the most relevant query
-    /// (QueryRelevance), then its most relevant chunk (LoadRelevance).
-    /// Evicts low-KeepRelevance chunks to make room; returns `None` when
-    /// nothing should or can be loaded.
+    /// (QueryRelevance: starved queries first, as they have no cached chunk
+    /// to process, then those with the fewest chunks left, then the lowest
+    /// id), then its most relevant chunk (LoadRelevance). Evicts
+    /// low-KeepRelevance chunks to make room; returns `None` when nothing
+    /// should or can be loaded.
     fn next_load(&mut self, config: &AbmConfig) -> Option<LoadPlan> {
-        // Rank queries: starved first, then shortest remaining, then id.
-        let mut candidates: Vec<(bool, i64, ScanId)> = self
+        let mut candidates: Vec<_> = self
             .scans
             .iter()
-            .filter_map(|(&id, scan)| {
-                self.query_relevance(scan)
-                    .map(|(starved, rem)| (starved, rem, id))
-            })
+            .filter(|(_, scan)| scan.remaining > 0)
+            .map(|(&id, scan)| (Reverse(self.starved(scan)), scan.remaining, id))
             .collect();
-        candidates.sort_by_key(|&(starved, rem, id)| (Reverse(starved), Reverse(rem), id));
-
-        for (_starved, _rem, scan_id) in candidates {
-            if let Some(plan) = self.plan_load_for(scan_id, config) {
-                return Some(plan);
-            }
-        }
-        None
+        candidates.sort_unstable();
+        candidates
+            .into_iter()
+            .find_map(|(_, _, scan)| self.plan_load_for(scan, config))
     }
 
     fn plan_load_for(&mut self, scan_id: ScanId, config: &AbmConfig) -> Option<LoadPlan> {
@@ -371,13 +393,10 @@ impl AbmState {
             .take(window)
             .filter(|c| version.chunks[c.index()].residency == Residency::Empty)
             .map(|c| {
-                let score = relevance::load_relevance(
-                    version.chunks[c.index()].interested.len(),
-                    table_state.is_shared(c),
-                );
-                (c, score)
+                let interested = version.chunks[c.index()].interested.len();
+                (c, relevance(interested, table_state.is_shared(c)))
             })
-            .max_by(|(a, ra), (b, rb)| relevance::load_candidate_order(*ra, *a, *rb, *b))?;
+            .max_by(|(a, ra), (b, rb)| ra.total_cmp(rb).then(b.cmp(a)))?;
 
         // Pages to load: union of the pages every interested scan (the
         // requesting one among them) needs for this chunk, minus what is
@@ -443,7 +462,7 @@ impl AbmState {
         skip: (TableId, u64, ChunkId),
         config: &AbmConfig,
     ) -> bool {
-        while self.cached_bytes + bytes > config.buffer_capacity_bytes {
+        while self.resident_bytes(config) + bytes > config.buffer_capacity_bytes {
             // Find the cached, unprotected chunk with the lowest
             // KeepRelevance; ties are broken by (table, version, chunk) so
             // the decision is deterministic.
@@ -458,10 +477,8 @@ impl AbmState {
                         {
                             continue;
                         }
-                        let keep = relevance::keep_relevance(
-                            chunk_state.interested.len(),
-                            table_state.is_shared(chunk),
-                        );
+                        let keep =
+                            relevance(chunk_state.interested.len(), table_state.is_shared(chunk));
                         let candidate = (keep, table, vid, chunk);
                         let better = match victim {
                             None => true,
@@ -534,75 +551,54 @@ impl AbmState {
                 scan.forget_available(chunk);
             }
         }
-        self.cached_bytes -= freed;
         freed
     }
 
-    /// Counts a finished transfer in the I/O statistics.
-    fn account_load(&mut self, plan: &LoadPlan) {
+    /// Marks a chunk load as finished and counts its transfer. The chunk's
+    /// pages now occupy buffer space; pages that were already resident
+    /// (chunk boundaries, shared snapshot prefixes) are reference-counted
+    /// rather than duplicated.
+    fn complete_load(&mut self, plan: &LoadPlan) {
         self.stats.misses += 1;
         self.stats.pages_loaded += plan.pages.len() as u64;
         self.stats.io_bytes += plan.bytes;
-    }
-
-    /// Marks a chunk load as finished. The chunk's pages now occupy buffer
-    /// space; pages that were already resident (chunk boundaries, shared
-    /// snapshot prefixes) are reference-counted rather than duplicated.
-    fn complete_load(&mut self, plan: &LoadPlan, config: &AbmConfig) -> Result<()> {
-        // Resolve the target version through the planning scan when it is
-        // still registered. A scan may unregister (mid-flight abort, a
-        // dropped operator) while its load is in flight; the transfer still
-        // happened, so fall back to whichever version of the table has the
-        // chunk mid-load — the load completes for the surviving interested
-        // scans instead of poisoning the pipeline. (The frozen
-        // `MonolithicAbm` errors here instead; its synchronous callers
-        // completed every load before the scan could go away.)
-        let version = match self.scans.get(&plan.scan) {
-            Some(scan) => Some(scan.version),
-            None => self.tables.get(&plan.table).and_then(|t| {
-                t.versions
-                    .iter()
-                    .find(|(_, v)| {
-                        v.chunks
-                            .get(plan.chunk.index())
-                            .is_some_and(|c| c.residency == Residency::Loading)
-                    })
-                    .map(|(&id, _)| id)
-            }),
+        // The chunk mid-load in the planning scan's version. A scan may
+        // unregister (mid-flight abort, a dropped operator) while its load is
+        // in flight; the transfer still happened, so fall back to whichever
+        // version of the table has the chunk mid-load — the load completes
+        // for the surviving interested scans instead of poisoning the
+        // pipeline. (The frozen `MonolithicAbm` errors here instead; its
+        // synchronous callers completed every load before the scan could go
+        // away.)
+        let planner = self.scans.get(&plan.scan).map(|scan| scan.version);
+        let Some(TableChunks {
+            versions,
+            resident_pages,
+            ..
+        }) = self.tables.get_mut(&plan.table)
+        else {
+            return;
         };
-        let Some(version) = version else {
-            // The scan and its whole version are gone (it was the last
-            // registered scan): there is nothing left to cache, but the
-            // bytes were transferred — account them so the ABM and the
-            // device keep agreeing on the I/O volume.
-            self.account_load(plan);
-            return Ok(());
+        let loading = versions
+            .iter_mut()
+            .filter(|(&id, _)| planner.map_or(true, |planner| planner == id))
+            .find_map(|(_, version)| {
+                version
+                    .chunks
+                    .get_mut(plan.chunk.index())
+                    .filter(|c| c.residency == Residency::Loading)
+            });
+        // Otherwise only the bytes count: the scan and its whole version are
+        // gone (nothing is left to cache), or the chunk is not mid-load (a
+        // straggler raced this completion), where re-applying the side
+        // effects would add the chunk to `available` twice and silently
+        // defeat the is_protected anti-livelock rule.
+        let Some(chunk_state) = loading else {
+            return;
         };
-        let table_state = self
-            .tables
-            .get_mut(&plan.table)
-            .ok_or(Error::UnknownTable(plan.table))?;
-        let chunk_state = table_state
-            .versions
-            .get_mut(&version)
-            .and_then(|v| v.chunks.get_mut(plan.chunk.index()))
-            .ok_or(Error::UnknownChunk(plan.chunk))?;
-        if chunk_state.residency != Residency::Loading {
-            // The chunk is not mid-load: a straggler fallback (above) raced
-            // this completion, or the registration is new. Re-applying the
-            // completion side effects would add the chunk to `available`
-            // twice — and silently defeat the is_protected anti-livelock
-            // rule — so only account the transferred bytes.
-            self.account_load(plan);
-            return Ok(());
-        }
         chunk_state.residency = Residency::Cached;
         for &page in &chunk_state.pages {
-            let count = table_state.resident_pages.entry(page).or_insert(0);
-            *count += 1;
-            if *count == 1 {
-                self.cached_bytes += config.page_size_bytes;
-            }
+            *resident_pages.entry(page).or_insert(0) += 1;
         }
         // The chunk is now available to every scan that still needs it.
         for scan_id in &chunk_state.interested {
@@ -610,8 +606,6 @@ impl AbmState {
                 scan.available.push(plan.chunk);
             }
         }
-        self.account_load(plan);
-        Ok(())
     }
 
     /// UseRelevance's choice for `scan`, consumed (`GetChunk`); `None` when
@@ -624,9 +618,6 @@ impl AbmState {
         let scan_state = self.scans.get_mut(&scan).expect("checked above");
         let tuples = std::mem::take(&mut scan_state.needed[chunk.index()]);
         scan_state.remaining -= 1;
-        if scan_state.request.in_order {
-            scan_state.next_in_order += 1;
-        }
         scan_state.forget_available(chunk);
         let (table, version) = (scan_state.request.table, scan_state.version);
         self.stats.hits += 1;
@@ -646,13 +637,14 @@ impl AbmState {
 // The facade
 // ---------------------------------------------------------------------------
 
-/// The Active Buffer Manager: its state behind one lock and the pure
-/// [`relevance`] scoring. All methods take `&self`: one `Abm` is shared by
-/// every CScan stream of an engine without an outer lock. Loads run in two
-/// halves, [`Abm::next_load`] and [`Abm::complete_load`], so the transfer
-/// between them happens outside the lock
-/// ([`CScanBackend`](crate::backend::CScanBackend) keeps the one load in
-/// flight).
+/// The Active Buffer Manager: every Cooperative Scans fact, the load in
+/// flight included, behind one lock. All methods take `&self`: one `Abm` is
+/// shared by every CScan stream of an engine without an outer lock. A load
+/// runs in two halves, [`Abm::next_load`] and [`Abm::complete_load`], with
+/// the transfer between them. Callers run those halves themselves, or leave
+/// them to the loader step that
+/// [`CScanBackend`](crate::backend::CScanBackend) runs, never both: the two
+/// plan through the same core.
 #[derive(Debug)]
 pub struct Abm {
     config: AbmConfig,
@@ -676,7 +668,7 @@ impl Abm {
 
     /// Bytes currently cached.
     pub fn cached_bytes(&self) -> u64 {
-        self.state.lock().cached_bytes
+        self.state.lock().resident_bytes(&self.config)
     }
 
     /// Number of registered CScans.
@@ -721,19 +713,10 @@ impl Abm {
         let chunk_count = request.layout.chunk_count(stable) as usize;
         let chunk_ids = request.layout.chunks_for_ranges(&request.ranges, stable);
         let mut needed = vec![0; chunk_count];
-        let mut order = Vec::with_capacity(chunk_ids.len());
-        let mut total_tuples = 0u64;
         for &chunk in &chunk_ids {
             let chunk_range = request.layout.chunk_sid_range(chunk, stable);
-            let tuples = request.ranges.intersect_range(&chunk_range).total_tuples();
-            if tuples == 0 {
-                continue;
-            }
-            needed[chunk.index()] = tuples;
-            order.push(chunk);
-            total_tuples += tuples;
+            needed[chunk.index()] = request.ranges.intersect_range(&chunk_range).total_tuples();
         }
-        order.sort_unstable();
 
         let mut guard = self.state.lock();
         let state = &mut *guard;
@@ -784,33 +767,28 @@ impl Abm {
         let chunk_map = version_state.chunk_map(&request.columns);
         // Some of the requested chunks may already be cached (loaded for
         // other scans or by a previous query on the same table version).
-        let mut available = Vec::new();
-        for &chunk in &order {
+        let mut scan = CoreScan {
+            request,
+            chunk_map,
+            version,
+            needed,
+            remaining: 0,
+            available: Vec::new(),
+        };
+        for chunk in scan.pending().collect::<Vec<_>>() {
             let chunk_state = &mut version_state.chunks[chunk.index()];
             chunk_state.interested.push(id);
             if chunk_state.residency == Residency::Cached {
-                available.push(chunk);
+                scan.available.push(chunk);
             }
+            scan.remaining += 1;
         }
-
         let handle = CScanHandle {
             id,
-            total_chunks: order.len(),
-            total_tuples,
+            total_chunks: scan.remaining,
+            total_tuples: scan.needed.iter().sum(),
         };
-        state.scans.insert(
-            id,
-            CoreScan {
-                request,
-                chunk_map,
-                version,
-                needed,
-                remaining: order.len(),
-                order,
-                next_in_order: 0,
-                available,
-            },
-        );
+        state.scans.insert(id, scan);
         table_state.recompute_shared_prefix();
         Ok(handle)
     }
@@ -839,8 +817,7 @@ impl Abm {
                     let page_size = self.config.page_size_bytes;
                     for chunk in &dropped.chunks {
                         if chunk.residency == Residency::Cached {
-                            state.cached_bytes -=
-                                release(&mut table_state.resident_pages, &chunk.pages, page_size);
+                            release(&mut table_state.resident_pages, &chunk.pages, page_size);
                         }
                     }
                 }
@@ -859,15 +836,74 @@ impl Abm {
     // ------------------------------------------------------------------
 
     /// Chooses the next chunk to load (the
-    /// QueryRelevance → LoadRelevance → KeepRelevance pipeline).
+    /// QueryRelevance → LoadRelevance → KeepRelevance pipeline) and marks it
+    /// loading. This is the loader step's planner: a caller that plans here
+    /// performs the transfer and calls [`Abm::complete_load`] itself, and
+    /// does not also run [`ScanBackend::pump_loads`] on a backend over this
+    /// ABM.
+    ///
+    /// [`ScanBackend::pump_loads`]: crate::backend::ScanBackend::pump_loads
     pub fn next_load(&self, _now: VirtualInstant) -> Option<LoadPlan> {
         self.state.lock().next_load(&self.config)
     }
 
-    /// Marks a chunk load as finished (the caller performed and accounted
-    /// the actual transfer).
+    /// Marks a chunk load as finished (the caller performed the actual
+    /// transfer) and counts its bytes.
     pub fn complete_load(&self, plan: &LoadPlan, _now: VirtualInstant) -> Result<()> {
-        self.state.lock().complete_load(plan, &self.config)
+        self.state.lock().complete_load(plan);
+        Ok(())
+    }
+
+    /// The chunk loader's one step at `now` (see
+    /// [`ScanBackend::pump_loads`]), charging each load to `device`, one load
+    /// in flight at a time (the paper's model). The read is submitted under
+    /// the ABM's lock, so one step is atomic across threads. A plan whose
+    /// pages are all resident already (chunk boundaries, shared snapshot
+    /// prefixes) is submitted like any other: its zero-byte request pays the
+    /// device's fixed latency, as the simulator has always modelled it.
+    ///
+    /// [`ScanBackend::pump_loads`]: crate::backend::ScanBackend::pump_loads
+    pub(crate) fn pump_loads(
+        &self,
+        now: VirtualInstant,
+        device: &dyn BlockDevice,
+    ) -> Result<Option<VirtualInstant>> {
+        let mut state = self.state.lock();
+        let mut at = now;
+        loop {
+            match state.inflight.take() {
+                Some((plan, done_at)) if done_at > now => {
+                    state.inflight = Some((plan, done_at));
+                    return Ok(Some(done_at));
+                }
+                Some((plan, done_at)) => {
+                    state.complete_load(&plan);
+                    at = done_at;
+                }
+                None => {}
+            }
+            let Some(plan) = state.next_load(&self.config) else {
+                return Ok(None);
+            };
+            let spec = ReadSpec {
+                bytes: plan.bytes,
+                pages: plan.pages.len() as u64,
+                kind: IoKind::Demand,
+                targets: &plan.pages,
+            };
+            match device.submit_read(at, spec) {
+                Ok(completion) => state.inflight = Some((plan, completion.done_at)),
+                Err(err) => {
+                    // The plan is already claimed: complete it anyway so the
+                    // chunk pipeline cannot wedge (correctness never depends
+                    // on the device — storage reads fall back to a
+                    // synchronous path), then surface the device fault to the
+                    // pumping stream.
+                    state.complete_load(&plan);
+                    return Err(err);
+                }
+            }
+        }
     }
 
     /// Hands the best cached chunk to `scan` (`GetChunk`). Returns `None`
@@ -1123,6 +1159,117 @@ mod tests {
             "chunk {} is not shared with scan B",
             plan.chunk
         );
+    }
+
+    #[test]
+    fn equal_load_relevance_loads_the_lowest_chunk_first() {
+        let (storage, table) = setup(10_000);
+        let abm = abm(1 << 22);
+        let a = abm
+            .register_cscan(request(&storage, table, TupleRange::new(0, 10_000), false))
+            .unwrap();
+        let _b = abm
+            .register_cscan(request(
+                &storage,
+                table,
+                TupleRange::new(5_000, 10_000),
+                false,
+            ))
+            .unwrap();
+        // Chunks 5..10 are wanted by both scans: the lowest of them first.
+        assert_eq!(abm.plan_load_for(a.id).unwrap().chunk, ChunkId::new(5));
+        // A lone scan wants every chunk equally: table order.
+        let (storage, table) = setup(3_000);
+        let lone = self::abm(1 << 22);
+        lone.register_cscan(request(&storage, table, TupleRange::new(0, 3_000), false))
+            .unwrap();
+        let loaded: Vec<u32> = std::iter::from_fn(|| lone.next_load(now()))
+            .map(|plan| plan.chunk.raw())
+            .collect();
+        assert_eq!(loaded, [0, 1, 2]);
+    }
+
+    #[test]
+    fn use_relevance_delivers_the_least_wanted_then_the_lowest_chunk() {
+        let (storage, table) = setup(3_000);
+        let abm = abm(1 << 22);
+        let a = abm
+            .register_cscan(request(&storage, table, TupleRange::new(0, 3_000), false))
+            .unwrap();
+        let b = abm
+            .register_cscan(request(
+                &storage,
+                table,
+                TupleRange::new(2_000, 3_000),
+                false,
+            ))
+            .unwrap();
+        // The one-chunk scan loads (and consumes) chunk 2 first; then chunks
+        // 0 and 1 load behind it, so `a` holds them in the order 2, 0, 1.
+        let plan = abm.next_load(now()).unwrap();
+        assert_eq!((plan.scan, plan.chunk), (b.id, ChunkId::new(2)));
+        abm.complete_load(&plan, now()).unwrap();
+        assert_eq!(abm.get_chunk(b.id).unwrap().unwrap().chunk.raw(), 2);
+        for _ in 0..2 {
+            let plan = abm.next_load(now()).unwrap();
+            abm.complete_load(&plan, now()).unwrap();
+        }
+        assert_eq!(abm.state.lock().scans[&a.id].available.len(), 3);
+        // One interested scan each: the lowest id first.
+        let delivered: Vec<u32> = std::iter::from_fn(|| abm.get_chunk(a.id).unwrap())
+            .map(|d| d.chunk.raw())
+            .collect();
+        assert_eq!(delivered, [0, 1, 2]);
+
+        // Chunk 0 is wanted by two scans and chunk 1 by one: chunk 1 first.
+        let (storage, table) = setup(2_000);
+        let shared = self::abm(1 << 22);
+        let a = shared
+            .register_cscan(request(&storage, table, TupleRange::new(0, 2_000), false))
+            .unwrap();
+        shared
+            .register_cscan(request(&storage, table, TupleRange::new(0, 1_000), false))
+            .unwrap();
+        for _ in 0..2 {
+            let plan = shared.next_load(now()).unwrap();
+            shared.complete_load(&plan, now()).unwrap();
+        }
+        assert_eq!(shared.get_chunk(a.id).unwrap().unwrap().chunk.raw(), 1);
+    }
+
+    #[test]
+    fn query_relevance_ranks_starved_then_fewest_left_then_lowest_id() {
+        let (storage, table) = setup(10_000);
+        let abm = abm(1 << 22);
+        let long = abm
+            .register_cscan(request(&storage, table, TupleRange::new(0, 5_000), false))
+            .unwrap();
+        let short = abm
+            .register_cscan(request(
+                &storage,
+                table,
+                TupleRange::new(8_000, 10_000),
+                false,
+            ))
+            .unwrap();
+        // Both starved: the scan with fewer chunks left.
+        let plan = abm.next_load(now()).unwrap();
+        assert_eq!(plan.scan, short.id);
+        abm.complete_load(&plan, now()).unwrap();
+        // `short` holds a cached chunk now: the starved scan comes first,
+        // although it has more chunks left.
+        assert_eq!(abm.next_load(now()).unwrap().scan, long.id);
+
+        // Equal in both: the lowest scan id.
+        let (storage, table) = setup(2_000);
+        let twins = self::abm(1 << 22);
+        let ids: Vec<ScanId> = (0..2)
+            .map(|_| {
+                let request = request(&storage, table, TupleRange::new(0, 2_000), false);
+                twins.register_cscan(request).unwrap().id
+            })
+            .collect();
+        assert_eq!(twins.next_load(now()).unwrap().scan, ids[0]);
     }
 
     #[test]

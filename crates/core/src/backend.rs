@@ -55,7 +55,7 @@ use scanshare_iosim::{BlockDevice, IoKind, ReadSpec, ReferenceTrace};
 use scanshare_storage::layout::TableLayout;
 use scanshare_storage::snapshot::Snapshot;
 
-use crate::abm::{Abm, AbmConfig, LoadPlan};
+use crate::abm::{Abm, AbmConfig};
 use crate::metrics::BufferStats;
 use crate::pool::BufferPool;
 use crate::registry::{pooled_policy_name, PolicyRegistry};
@@ -417,13 +417,14 @@ impl ScanBackend for PooledBackend {
 /// — the engine calls it before every probe, the simulator's event loop at
 /// its load completions and stream events.
 ///
-/// Every per-scan fact lives in the ABM: a probe is one acquisition of its
-/// lock (see [`abm`](crate::abm)), which answers with the delivered chunk's
-/// SID range. The backend itself holds only the load in flight, behind a
-/// lock taken before the ABM's and never while holding it; the device read
-/// is issued between [`Abm::next_load`] and [`Abm::complete_load`], outside
-/// the ABM's lock, so a blocking read never stalls another stream's probe,
-/// and any stream's step retires the loads due, whoever planned them.
+/// Every Cooperative Scans fact, the load in flight included, lives in the
+/// ABM behind its one lock (see [`abm`](crate::abm)). A probe is one
+/// acquisition of that lock, which answers with the delivered chunk's SID
+/// range. So is a loader step, the device submission included; any stream's
+/// step retires the loads due, whoever planned them. The step plans through
+/// the same core as [`Abm::next_load`], so a caller drives one or the other:
+/// whoever plans through `next_load` runs no backend step over the same ABM.
+/// The backend holds only the ABM and the device.
 ///
 /// [`ScanBackend::invalidate_stale`] keeps its no-op default: the ABM caches
 /// at chunk granularity, keyed by snapshot *version*. Scans pinned to a
@@ -435,8 +436,6 @@ impl ScanBackend for PooledBackend {
 #[derive(Debug)]
 pub struct CScanBackend {
     abm: Abm,
-    /// The chunk load whose transfer is in flight, with its completion.
-    inflight: Mutex<Option<(LoadPlan, VirtualInstant)>>,
     device: Arc<dyn BlockDevice>,
 }
 
@@ -444,11 +443,7 @@ impl CScanBackend {
     /// Wraps `abm`, charging chunk loads to `device`, one load in flight at
     /// a time (the paper's model).
     pub fn new(abm: Abm, device: Arc<dyn BlockDevice>) -> Self {
-        Self {
-            abm,
-            inflight: Mutex::new(None),
-            device,
-        }
+        Self { abm, device }
     }
 }
 
@@ -479,49 +474,8 @@ impl ScanBackend for CScanBackend {
         Ok(now)
     }
 
-    /// Claims the relevance core's next load whenever nothing is in flight
-    /// and submits its transfer without waiting, under the `inflight` lock,
-    /// so one step is atomic across threads. A plan whose pages are all
-    /// resident already (chunk boundaries, shared snapshot prefixes) is
-    /// submitted like any other: its zero-byte request pays the device's
-    /// fixed latency, as the simulator has always modelled it.
     fn pump_loads(&self, now: VirtualInstant) -> Result<Option<VirtualInstant>> {
-        let mut inflight = self.inflight.lock();
-        let mut at = now;
-        loop {
-            match inflight.take() {
-                Some((plan, done_at)) if done_at > now => {
-                    *inflight = Some((plan, done_at));
-                    return Ok(Some(done_at));
-                }
-                Some((plan, done_at)) => {
-                    self.abm.complete_load(&plan, done_at)?;
-                    at = done_at;
-                }
-                None => {}
-            }
-            let Some(plan) = self.abm.next_load(at) else {
-                return Ok(None);
-            };
-            let spec = ReadSpec {
-                bytes: plan.bytes,
-                pages: plan.pages.len() as u64,
-                kind: IoKind::Demand,
-                targets: &plan.pages,
-            };
-            match self.device.submit_read(at, spec) {
-                Ok(completion) => *inflight = Some((plan, completion.done_at)),
-                Err(err) => {
-                    // The plan was already claimed from the relevance core:
-                    // complete it anyway so the chunk pipeline cannot wedge
-                    // (correctness never depends on the device — storage
-                    // reads fall back to a synchronous path), then surface
-                    // the device fault to the pumping stream.
-                    self.abm.complete_load(&plan, at)?;
-                    return Err(err);
-                }
-            }
-        }
+        self.abm.pump_loads(now, self.device.as_ref())
     }
 
     fn report_position(&self, _scan: ScanId, _tuples_consumed: u64, _now: VirtualInstant) {
@@ -541,6 +495,7 @@ impl ScanBackend for CScanBackend {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::abm::LoadPlan;
     use crate::lru::LruPolicy;
     use scanshare_common::{Bandwidth, VirtualDuration};
     use scanshare_iosim::IoDevice;
@@ -889,6 +844,39 @@ mod tests {
         assert_eq!(late.pump_loads(between).unwrap(), Some(d3));
         assert_eq!(late.pump_loads(now).unwrap(), None);
         assert_eq!(late.stats(), punctual.stats());
+    }
+
+    /// A load in flight outlives the scan it was planned for: the next step
+    /// at its completion retires it for the scan that still needs the chunk,
+    /// and its bytes are counted once.
+    #[test]
+    fn a_load_in_flight_survives_its_planning_scan_finishing() {
+        let (_storage, request) = setup(3000);
+        let layout = Arc::clone(&request.layout);
+        let device = device();
+        let backend = CScanBackend::new(Abm::new(AbmConfig::new(1 << 20, PAGE)), device.clone());
+        // A bare ABM with the same registrations names the first plan.
+        let mirror = Abm::new(AbmConfig::new(1 << 20, PAGE));
+        for _ in 0..2 {
+            let id = backend.register_scan(request.clone(), T0).unwrap();
+            assert_eq!(mirror.register_cscan(request.clone()).unwrap().id, id);
+        }
+        let plan = mirror.next_load(T0).unwrap();
+        let done = backend.pump_loads(T0).unwrap().expect("a load in flight");
+        backend.finish_scan(plan.scan, T0);
+        let survivor = ScanId::new(1 - plan.scan.raw());
+        assert_eq!(backend.next_chunk(survivor).unwrap(), ScanStep::Starved);
+
+        backend.pump_loads(done).unwrap();
+        assert_eq!(backend.stats().io_bytes, plan.bytes);
+        assert_eq!(
+            backend.next_chunk(survivor).unwrap(),
+            ScanStep::Deliver(layout.chunk_sid_range(plan.chunk, 3000))
+        );
+        let mut now = done;
+        while next_delivery(&backend, survivor, &mut now).is_some() {}
+        assert_eq!(backend.pump_loads(now).unwrap(), None);
+        assert_eq!(backend.stats().io_bytes, device.stats().bytes_read);
     }
 
     #[test]

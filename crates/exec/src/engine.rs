@@ -36,15 +36,6 @@ use crate::txn::Txn;
 /// once this many reads are waiting.
 const FILE_IO_QUEUE_DEPTH: usize = 64;
 
-/// Summary of the work an engine performed (virtual time and I/O volume).
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct QueryStats {
-    /// Virtual time elapsed on the engine's clock.
-    pub elapsed: VirtualDuration,
-    /// Buffer-manager counters (hits, misses, I/O bytes).
-    pub buffer: BufferStats,
-}
-
 /// Per-table transaction bookkeeping: the published [`TableState`] behind
 /// the mutex writers hold only for a commit's validate → log → apply (or a
 /// checkpoint's freeze and swap), never across I/O or materialization, plus
@@ -316,14 +307,6 @@ impl Engine {
             &trace.pages(),
             self.config.buffer_pool_pages().max(1),
         ))
-    }
-
-    /// Summary of the engine's work so far.
-    pub fn query_stats(&self) -> QueryStats {
-        QueryStats {
-            elapsed: self.now().since(VirtualInstant::EPOCH),
-            buffer: self.buffer_stats(),
-        }
     }
 
     // ------------------------------------------------------------------
@@ -1032,7 +1015,5 @@ mod tests {
         let t0 = engine.now();
         engine.charge_cpu(1_000_000);
         assert!(engine.now() > t0);
-        let stats = engine.query_stats();
-        assert!(stats.elapsed > VirtualDuration::ZERO);
     }
 }

@@ -44,7 +44,7 @@ pub mod txn;
 
 pub use batch::Batch;
 pub use driver::{StreamError, UpdateBarrier, WorkloadDriver, WorkloadReport};
-pub use engine::{Engine, QueryStats};
+pub use engine::Engine;
 pub use ops::{AggrSpec, Aggregate, Predicate};
 pub use query::Query;
 pub use scan::ScanOperator;
