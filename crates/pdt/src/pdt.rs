@@ -13,11 +13,16 @@
 //!   when rows were inserted before a stable tuple).
 //!
 //! Internally the PDT is an ordered map from SID to an update node plus a
-//! lazily rebuilt cumulative index that provides the "running delta" of the
-//! paper in `O(log n)`.
+//! cumulative index, one entry per node in SID order, that gives the
+//! "running delta" of the paper by one binary search (`O(log n)` for `n`
+//! anchors). Each update keeps the index current in place: one binary
+//! search for its anchor, at most one entry inserted or removed, and ±1 on
+//! the running counts of the entries after it (a modify changes no count).
+//! On top of its RID-to-SID translation an update thus costs at most one
+//! `O(n)` pass of integer adds and moves over the index; nothing rebuilds
+//! it.
 
 use std::collections::BTreeMap;
-use std::sync::Mutex;
 
 use scanshare_common::{Error, Result, Rid, Sid};
 use scanshare_storage::datagen::Value;
@@ -42,7 +47,7 @@ impl Node {
 
 /// Cumulative counters at (and including) one PDT node, used to compute the
 /// running delta between RID and SID.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexEntry {
     sid: u64,
     /// Inserted rows anchored at keys `<= sid`.
@@ -58,36 +63,25 @@ pub struct UpdateStats {
     pub inserts: u64,
     /// Total deleted stable tuples.
     pub deletes: u64,
-    /// Total per-column modifications.
+    /// Modified cells (column values) of stable tuples that are not deleted.
     pub modifies: u64,
     /// Number of distinct anchor positions.
     pub nodes: u64,
 }
 
 /// A Positional Delta Tree over a table with `column_count` columns.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct Pdt {
     column_count: usize,
     nodes: BTreeMap<u64, Node>,
-    /// Lazily rebuilt cumulative index (interior mutability so that read-only
-    /// translation calls can build it; a `Mutex` keeps the structure `Sync`).
-    index: Mutex<Option<Vec<IndexEntry>>>,
+    /// One entry per node of `nodes`, in SID order, with the running counts
+    /// through it. An update keeps it current in place: one binary search,
+    /// at most one entry inserted or removed and ±1 on the entries from its
+    /// anchor on, so at most one `O(n)` pass over `n` entries, no rebuild.
+    index: Vec<IndexEntry>,
     total_inserts: u64,
     total_deletes: u64,
     total_modifies: u64,
-}
-
-impl Clone for Pdt {
-    fn clone(&self) -> Self {
-        Self {
-            column_count: self.column_count,
-            nodes: self.nodes.clone(),
-            index: Mutex::new(None),
-            total_inserts: self.total_inserts,
-            total_deletes: self.total_deletes,
-            total_modifies: self.total_modifies,
-        }
-    }
 }
 
 impl Pdt {
@@ -129,52 +123,49 @@ impl Pdt {
     // Running-delta index
     // ------------------------------------------------------------------
 
-    fn invalidate(&self) {
-        *self.index.lock().expect("index lock poisoned") = None;
-    }
-
-    fn with_index<R>(&self, f: impl FnOnce(&[IndexEntry]) -> R) -> R {
-        let mut borrow = self.index.lock().expect("index lock poisoned");
-        if borrow.is_none() {
-            let mut entries = Vec::with_capacity(self.nodes.len());
-            let mut inserts = 0u64;
-            let mut deletes = 0u64;
-            for (&sid, node) in &self.nodes {
-                inserts += node.inserts.len() as u64;
-                deletes += u64::from(node.deleted);
-                entries.push(IndexEntry {
-                    sid,
-                    inserts_incl: inserts,
-                    deletes_incl: deletes,
-                });
-            }
-            *borrow = Some(entries);
-        }
-        f(borrow.as_ref().expect("index built above"))
-    }
-
     /// Inserted rows anchored strictly before `sid` / deletes strictly before
     /// `sid`.
     fn deltas_before(&self, sid: u64) -> (u64, u64) {
-        self.with_index(|idx| {
-            // Last entry with entry.sid < sid.
-            match idx.binary_search_by(|e| e.sid.cmp(&sid)) {
-                Ok(pos) => {
-                    if pos == 0 {
-                        (0, 0)
-                    } else {
-                        (idx[pos - 1].inserts_incl, idx[pos - 1].deletes_incl)
-                    }
-                }
-                Err(pos) => {
-                    if pos == 0 {
-                        (0, 0)
-                    } else {
-                        (idx[pos - 1].inserts_incl, idx[pos - 1].deletes_incl)
-                    }
-                }
-            }
+        self.counts_before(self.index.partition_point(|e| e.sid < sid))
+    }
+
+    /// The running counts through the index entry before position `pos`.
+    fn counts_before(&self, pos: usize) -> (u64, u64) {
+        pos.checked_sub(1).map_or((0, 0), |p| {
+            (self.index[p].inserts_incl, self.index[p].deletes_incl)
         })
+    }
+
+    /// Keeps the index current after an update at `sid` that changed the
+    /// rows inserted there by `inserts` and the deleted tuples by `deletes`:
+    /// lists a node that appeared, drops the entry of one that emptied, and
+    /// adds the change to the running counts from `sid` on.
+    fn reindex(&mut self, sid: u64, inserts: i64, deletes: u64) {
+        let pos = self.index.partition_point(|e| e.sid < sid);
+        let listed = self.index.get(pos).is_some_and(|e| e.sid == sid);
+        match (listed, self.nodes.contains_key(&sid)) {
+            (false, true) => {
+                let (inserts_incl, deletes_incl) = self.counts_before(pos);
+                self.index.insert(
+                    pos,
+                    IndexEntry {
+                        sid,
+                        inserts_incl,
+                        deletes_incl,
+                    },
+                );
+            }
+            (true, false) => {
+                self.index.remove(pos);
+            }
+            _ => {}
+        }
+        if inserts != 0 || deletes != 0 {
+            for e in &mut self.index[pos..] {
+                e.inserts_incl = e.inserts_incl.wrapping_add_signed(inserts);
+                e.deletes_incl += deletes;
+            }
+        }
     }
 
     fn node(&self, sid: u64) -> Option<&Node> {
@@ -216,20 +207,20 @@ impl Pdt {
         self.nodes.iter().map(|(&sid, node)| (sid, node))
     }
 
-    /// Installs a fully-formed node at `sid` (WAL replay decoding). The
-    /// insert/delete totals are recomputed exactly from the node contents;
-    /// `total_modifies` counts one per modified column, which can undercount
-    /// a live PDT that modified the same column twice — a statistics-only
-    /// difference, since positional translation never reads it.
+    /// Installs a fully-formed node at `sid` (WAL replay decoding), counting
+    /// its inserts, delete and modified cells as the updates that built it
+    /// did. A record lists its nodes in SID order, so `sid` holds no node yet.
     pub(crate) fn set_node(&mut self, sid: u64, node: Node) {
         if node.is_empty() {
             return;
         }
-        self.total_inserts += node.inserts.len() as u64;
-        self.total_deletes += u64::from(node.deleted);
+        let (inserts, deletes) = (node.inserts.len() as u64, u64::from(node.deleted));
+        self.total_inserts += inserts;
+        self.total_deletes += deletes;
         self.total_modifies += node.modifies.len() as u64;
-        self.nodes.insert(sid, node);
-        self.invalidate();
+        let replaced = self.nodes.insert(sid, node);
+        debug_assert!(replaced.is_none(), "sid {sid} already holds a node");
+        self.reindex(sid, inserts as i64, deletes);
     }
 
     // ------------------------------------------------------------------
@@ -337,7 +328,7 @@ impl Pdt {
         let offset = offset.min(node.inserts.len());
         node.inserts.insert(offset, row);
         self.total_inserts += 1;
-        self.invalidate();
+        self.reindex(sid, 1, 0);
         Ok(())
     }
 
@@ -352,22 +343,25 @@ impl Pdt {
         }
         let (sid, offset) = self.locate(rid, stable_tuples);
         let node = self.nodes.entry(sid).or_default();
-        if offset < node.inserts.len() {
+        let (inserts, deletes) = if offset < node.inserts.len() {
             node.inserts.remove(offset);
             self.total_inserts -= 1;
+            (-1, 0)
         } else {
             debug_assert!(
                 !node.deleted,
                 "visible row cannot be an already deleted tuple"
             );
             node.deleted = true;
+            self.total_modifies -= node.modifies.len() as u64;
             node.modifies.clear();
             self.total_deletes += 1;
-        }
+            (0, 1)
+        };
         if node.is_empty() {
             self.nodes.remove(&sid);
         }
-        self.invalidate();
+        self.reindex(sid, inserts, deletes);
         Ok(())
     }
 
@@ -392,10 +386,11 @@ impl Pdt {
             node.inserts[offset][col] = value;
         } else {
             debug_assert!(!node.deleted);
-            node.modifies.insert(col, value);
-            self.total_modifies += 1;
+            if node.modifies.insert(col, value).is_none() {
+                self.total_modifies += 1;
+            }
         }
-        self.invalidate();
+        self.reindex(sid, 0, 0);
         Ok(())
     }
 }
@@ -601,41 +596,89 @@ mod tests {
         assert_eq!(pdt.sid_to_rid_high(Sid::new(5)), Rid::new(5));
     }
 
+    /// The index recomputed from the nodes: what every update must leave.
+    fn rebuilt_index(pdt: &Pdt) -> Vec<IndexEntry> {
+        let (mut inserts_incl, mut deletes_incl) = (0, 0);
+        pdt.nodes_iter()
+            .map(|(sid, node)| {
+                inserts_incl += node.inserts.len() as u64;
+                deletes_incl += u64::from(node.deleted);
+                IndexEntry {
+                    sid,
+                    inserts_incl,
+                    deletes_incl,
+                }
+            })
+            .collect()
+    }
+
+    /// Random inserts, deletes and modifies against the reference model over
+    /// several seeds. After every operation the merged stream equals the
+    /// model, the index and the modified-cell count equal ones recomputed
+    /// from the nodes, and every visible row round-trips through `locate`
+    /// and the SID-to-RID translations.
     #[test]
     fn random_operations_match_reference_model() {
         use scanshare_storage::datagen::splitmix64;
         let n = 50u64;
         let base = stable(n);
-        let mut model = Model::new(&base);
-        let mut pdt = Pdt::new(2);
-        let mut seed = 0xfeed_f00d_u64;
-        for step in 0..400 {
-            seed = splitmix64(seed ^ step);
-            let visible = pdt.visible_count(n);
-            assert_eq!(visible as usize, model.rows.len());
-            let op = seed % 3;
-            match op {
-                0 => {
-                    let pos = seed.rotate_left(17) % (visible + 1);
-                    let row = vec![step as Value, (step * 2) as Value];
-                    pdt.insert(Rid::new(pos), row.clone(), n).unwrap();
-                    model.insert(pos as usize, row);
+        let mut emptied_nodes = 0;
+        for seed in [0xfeed_f00d_u64, 1, 2, 3, 0x5eed] {
+            let mut model = Model::new(&base);
+            let mut pdt = Pdt::new(2);
+            let mut rng = seed;
+            for step in 0..400 {
+                rng = splitmix64(rng ^ step);
+                let visible = pdt.visible_count(n);
+                assert_eq!(visible as usize, model.rows.len());
+                let nodes_before = pdt.stats().nodes;
+                match rng % 3 {
+                    0 => {
+                        let pos = rng.rotate_left(17) % (visible + 1);
+                        let row = vec![step as Value, (step * 2) as Value];
+                        pdt.insert(Rid::new(pos), row.clone(), n).unwrap();
+                        model.insert(pos as usize, row);
+                    }
+                    1 if visible > 0 => {
+                        let pos = rng.rotate_left(23) % visible;
+                        let (sid, offset) = pdt.locate(Rid::new(pos), n);
+                        let inserted = offset < pdt.node_inserts(sid);
+                        pdt.delete(Rid::new(pos), n).unwrap();
+                        model.delete(pos as usize);
+                        if inserted && pdt.stats().nodes < nodes_before {
+                            emptied_nodes += 1;
+                        }
+                    }
+                    2 if visible > 0 => {
+                        let pos = rng.rotate_left(31) % visible;
+                        let col = (rng >> 7) as usize % 2;
+                        pdt.modify(Rid::new(pos), col, -(step as Value), n).unwrap();
+                        model.modify(pos as usize, col, -(step as Value));
+                    }
+                    _ => {}
                 }
-                1 if visible > 0 => {
-                    let pos = seed.rotate_left(23) % visible;
-                    pdt.delete(Rid::new(pos), n).unwrap();
-                    model.delete(pos as usize);
+                let context = format!("seed {seed:#x}, step {step}");
+                assert_eq!(pdt.index, rebuilt_index(&pdt), "{context}");
+                let cells: usize = pdt.nodes_iter().map(|(_, node)| node.modifies.len()).sum();
+                assert_eq!(pdt.stats().modifies, cells as u64, "{context}");
+                assert_eq!(merged(&pdt, &base), model.rows, "{context}");
+                for rid in 0..pdt.visible_count(n) {
+                    let (sid, offset) = pdt.locate(Rid::new(rid), n);
+                    let low = pdt.sid_to_rid_low(Sid::new(sid)).raw();
+                    let high = pdt.sid_to_rid_high(Sid::new(sid)).raw();
+                    assert_eq!(low + offset as u64, rid, "{context}, rid {rid}");
+                    assert!(high >= rid, "{context}, rid {rid} past [{low},{high}]");
+                    assert!(
+                        offset < pdt.node_inserts(sid) || (sid < n && !pdt.node_deleted(sid)),
+                        "{context}, rid {rid} locates to no visible row"
+                    );
                 }
-                2 if visible > 0 => {
-                    let pos = seed.rotate_left(31) % visible;
-                    let col = (seed >> 7) as usize % 2;
-                    pdt.modify(Rid::new(pos), col, -(step as Value), n).unwrap();
-                    model.modify(pos as usize, col, -(step as Value));
-                }
-                _ => {}
             }
         }
-        assert_eq!(merged(&pdt, &base), model.rows);
+        assert!(
+            emptied_nodes > 0,
+            "no delete of an inserted row emptied a node"
+        );
     }
 
     #[test]

@@ -392,6 +392,7 @@ mod tests {
 
     #[test]
     fn absorb_top_matches_a_transactions_private_layer() {
+        use scanshare_storage::datagen::splitmix64;
         // A transaction works on base + private; committing via absorb_top
         // must produce the same stream the layered stack showed.
         let n = 20;
@@ -410,6 +411,58 @@ mod tests {
         assert_eq!(base.depth(), 1);
         assert_eq!(merged(&base, n, &[0, 1], TupleRange::new(0, 100)), expected);
         assert_eq!(base.visible_count(n), expected.len() as u64);
+
+        // The auto-commit path: hundreds of one-op private layers absorbed
+        // one at a time give the stream of the same ops applied to one
+        // layer, and so does absorbing them into the extra top layer a
+        // checkpoint pushes, read through the layers and through `flatten`.
+        let all = TupleRange::new(0, u64::MAX);
+        let mut direct = base;
+        let mut auto = direct.clone();
+        let mut window = direct.clone();
+        window.push_layer(Pdt::new(2));
+        let mut rng = 0xab50_4b1d_u64;
+        for step in 0..300u64 {
+            rng = splitmix64(rng ^ step);
+            let visible = direct.visible_count(n);
+            let pos = rng.rotate_left(17) % visible.max(1);
+            let value = -(step as Value) - 10;
+            let mut private = Pdt::new(2);
+            match rng % 3 {
+                0 => {
+                    let pos = rng.rotate_left(29) % (visible + 1);
+                    direct.insert(Rid::new(pos), vec![value, value], n).unwrap();
+                    private
+                        .insert(Rid::new(pos), vec![value, value], visible)
+                        .unwrap();
+                }
+                1 if visible > 0 => {
+                    direct.delete(Rid::new(pos), n).unwrap();
+                    private.delete(Rid::new(pos), visible).unwrap();
+                }
+                _ if visible > 0 => {
+                    let col = (rng >> 9) as usize % 2;
+                    direct.modify(Rid::new(pos), col, value, n).unwrap();
+                    private.modify(Rid::new(pos), col, value, visible).unwrap();
+                }
+                _ => continue,
+            }
+            auto.absorb_top(&private, n).unwrap();
+            window.absorb_top(&private, n).unwrap();
+            if step % 50 == 49 {
+                let expected = merged(&direct, n, &[0, 1], all);
+                assert_eq!(merged(&auto, n, &[0, 1], all), expected, "step {step}");
+                assert_eq!(merged(&window, n, &[0, 1], all), expected, "step {step}");
+                let flat = window.flatten(n).unwrap();
+                assert_eq!(
+                    merge_range(&flat, source(n), &[0, 1], all),
+                    expected,
+                    "step {step}"
+                );
+                assert_eq!(auto.top().stats(), direct.top().stats(), "step {step}");
+            }
+        }
+        assert_eq!(auto.visible_count(n), direct.visible_count(n));
     }
 
     #[test]

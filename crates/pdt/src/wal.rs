@@ -320,7 +320,33 @@ mod tests {
                 decoded[0].pdt.visible_count(stable),
                 pdt.visible_count(stable)
             );
+            assert_eq!(decoded[0].pdt.stats(), pdt.stats(), "seed {seed}");
         }
+    }
+
+    /// A live PDT and its WAL-replayed copy count modified cells alike: a
+    /// cell modified twice counts once, and deleting a modified stable tuple
+    /// takes its modified cells out of the count.
+    #[test]
+    fn replayed_pdt_reports_the_live_stats() {
+        let stable = 10;
+        let mut pdt = Pdt::new(2);
+        pdt.modify(Rid::new(3), 0, 7, stable).unwrap();
+        pdt.modify(Rid::new(3), 0, 8, stable).unwrap();
+        pdt.modify(Rid::new(3), 1, 9, stable).unwrap();
+        pdt.modify(Rid::new(5), 1, 1, stable).unwrap();
+        pdt.delete(Rid::new(5), stable).unwrap();
+        let body = encode_commit(&[CommitTableRecord {
+            table: TableId::new(1),
+            commit_seq: 1,
+            visible_before: stable,
+            pdt: pdt.clone(),
+        }]);
+        let decoded = decode_commit(&body).unwrap();
+        let live = pdt.stats();
+        assert_eq!(live.modifies, 2);
+        assert_eq!(live.deletes, 1);
+        assert_eq!(decoded[0].pdt.stats(), live);
     }
 
     #[test]
