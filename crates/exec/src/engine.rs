@@ -955,7 +955,7 @@ mod tests {
             table: TableId::new(9),
             commit_seq: 1,
             visible_before: 10,
-            pdt,
+            pdt: pdt.into(),
         }]);
         wal.append_commit(&body).unwrap();
         wal.sync_all().unwrap();
@@ -999,7 +999,7 @@ mod tests {
             table,
             commit_seq: 5,
             visible_before: 42,
-            pdt,
+            pdt: pdt.into(),
         }]);
         wal.append_commit(&body).unwrap();
         wal.sync_all().unwrap();

@@ -150,7 +150,9 @@ impl StableSource for PooledSource {
 /// in whatever order its backend schedules the underlying stable data.
 pub struct ScanOperator {
     engine: Arc<Engine>,
-    pdt: Pdt,
+    /// The pin's flattened PDT: its one layer, shared with the table until
+    /// the next commit copies it on write.
+    pdt: Arc<Pdt>,
     source: PooledSource,
     columns: Vec<usize>,
     scan_id: Option<ScanId>,
@@ -508,6 +510,58 @@ mod tests {
         let rows = collect(&mut op);
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[0], vec![0]);
+    }
+
+    #[test]
+    fn scan_keeps_its_view_while_commits_land() {
+        for policy in [PolicyKind::Lru, PolicyKind::CScan] {
+            let (engine, table) = engine_with(policy, 1 << 20, 3000, 7);
+            engine.delete_row(table, 5).unwrap();
+            engine.insert_row(table, 9, vec![-9, -9]).unwrap();
+            let mut model = collect(&mut scan(
+                &engine,
+                table,
+                vec![0, 1],
+                TupleRange::new(0, 3000),
+                true,
+            ));
+            let mut op = scan(&engine, table, vec![0, 1], TupleRange::new(0, 3000), true);
+            let mut rows = op.next_batch().unwrap().expect("a batch").to_rows();
+            let pinned = model.clone();
+            // 100 auto-commits: the first clones the layer the scan holds.
+            for i in 0..100u64 {
+                let rid = i * 29 % model.len() as u64;
+                match i % 3 {
+                    0 => {
+                        engine
+                            .insert_row(table, rid, vec![-(i as Value), 0])
+                            .unwrap();
+                        model.insert(rid as usize, vec![-(i as Value), 0]);
+                    }
+                    1 => {
+                        engine.delete_row(table, rid).unwrap();
+                        model.remove(rid as usize);
+                    }
+                    _ => {
+                        engine
+                            .update_value(table, rid, 1, 1000 + i as Value)
+                            .unwrap();
+                        model[rid as usize][1] = 1000 + i as Value;
+                    }
+                }
+            }
+            rows.extend(collect(&mut op));
+            assert_eq!(rows, pinned, "{policy}: the scan's pinned rows");
+            let visible = engine.visible_rows(table).unwrap();
+            let mut fresh = scan(
+                &engine,
+                table,
+                vec![0, 1],
+                TupleRange::new(0, visible),
+                true,
+            );
+            assert_eq!(collect(&mut fresh), model, "{policy}: the next pin's rows");
+        }
     }
 
     #[test]

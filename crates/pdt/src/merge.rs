@@ -7,9 +7,9 @@
 //! between two anchors the visible stream *is* the stable image. A run goes
 //! from the [`StableSource`] to the output columns in one
 //! [`StableSource::fill`] call (a slice copy, or a generator run straight
-//! into the output); only the positions the PDT touches — inserted rows, a
-//! deleted or modified stable tuple — are handled one row at a time, and an
-//! empty PDT never sees a row.
+//! into the output); only inserted rows are copied one row at a time. A
+//! deleted stable tuple ends a run, a modified one starts the next run and
+//! has its cells patched in, and an empty PDT never sees a row.
 //!
 //! Out-of-order chunk delivery (Cooperative Scans) means the merge must be
 //! **re-initializable at an arbitrary position**: whenever a new chunk
@@ -89,8 +89,8 @@ impl StableSource for SliceSource {
 /// The position of a columnar merge inside one RID range: where in the PDT
 /// and the stable image the next visible row comes from. Seeking costs a
 /// positional translation; advancing ([`MergeCursor::merge`]) costs one
-/// anchor lookup per run, so a scan seeks once per delivered range and
-/// carries the cursor across its batches.
+/// ordered walk of the PDT's nodes per call, so a scan seeks once per
+/// delivered range and carries the cursor across its batches.
 #[derive(Debug, Clone, Copy)]
 pub struct MergeCursor {
     next_rid: u64,
@@ -140,10 +140,12 @@ impl MergeCursor {
 
     /// Appends up to `limit` of the remaining visible rows, projected on
     /// `columns`, to `out` (one vector per projected column) and returns how
-    /// many. Untouched runs of the stable image are filled by one source
-    /// call each, in ascending SID order; at a touched position the source
-    /// is asked, in projection order, only for the columns the PDT does not
-    /// overwrite. On an error `out` may be ragged and the cursor is
+    /// many. A call walks the PDT's nodes from the cursor on with one
+    /// ordered iterator. Each untouched run of the stable image is one
+    /// source fill, in ascending SID order; a surviving anchored tuple
+    /// starts the run after it, and its modified cells are patched into
+    /// the output afterwards. So a call costs at most one fill per anchor it
+    /// passes, plus one. On an error `out` may be ragged and the cursor is
     /// mid-batch: restore a copy taken before the call to retry.
     pub fn merge<S: StableSource + ?Sized>(
         &mut self,
@@ -157,54 +159,54 @@ impl MergeCursor {
         let stable = source.stable_tuples();
         let wanted = limit.min(self.remaining());
         let mut left = wanted;
+        let mut nodes = pdt.nodes_from(self.sid).peekable();
         while left > 0 {
-            match pdt.next_node(self.sid) {
-                Some((anchor, node)) if anchor == self.sid => {
-                    // A touched position: the rows inserted before the
-                    // stable tuple, then the tuple itself unless deleted.
-                    while self.offset < node.inserts.len() && left > 0 {
-                        let row = &node.inserts[self.offset];
-                        for (out, &col) in out.iter_mut().zip(columns) {
-                            out.push(row[col]);
-                        }
-                        self.offset += 1;
-                        left -= 1;
+            // The anchor at the cursor, if any: its rows inserted before the
+            // stable tuple, then the tuple itself unless deleted.
+            let mut patch = None;
+            if let Some(&(_, node)) = nodes.peek().filter(|&&(anchor, _)| anchor == self.sid) {
+                while self.offset < node.inserts.len() && left > 0 {
+                    let row = &node.inserts[self.offset];
+                    for (out, &col) in out.iter_mut().zip(columns) {
+                        out.push(row[col]);
                     }
-                    if left == 0 {
-                        break;
-                    }
-                    if !node.deleted && self.sid < stable {
-                        let tuple = TupleRange::new(self.sid, self.sid + 1);
-                        for (slot, col) in columns.iter().enumerate() {
-                            match node.modifies.get(col) {
-                                Some(&value) => out[slot].push(value),
-                                None => source.fill(
-                                    &columns[slot..=slot],
-                                    tuple,
-                                    &mut out[slot..=slot],
-                                )?,
-                            }
-                        }
-                        left -= 1;
-                    }
-                    self.sid += 1;
-                    self.offset = 0;
+                    self.offset += 1;
+                    left -= 1;
                 }
-                next => {
-                    // An untouched run, up to the next anchor.
-                    let run_end = next.map_or(stable, |(anchor, _)| anchor.min(stable));
-                    if run_end <= self.sid {
-                        // Past the stable image with no insert left: cannot
-                        // happen for a clamped range, but never spin.
-                        self.end_rid = self.next_rid + (wanted - left);
-                        break;
+                if left == 0 {
+                    break;
+                }
+                nodes.next();
+                self.offset = 0;
+                if node.deleted || self.sid >= stable {
+                    self.sid += 1;
+                    continue;
+                }
+                patch = Some(&node.modifies);
+            }
+            // An untouched run up to the next anchor, starting with the
+            // surviving anchored tuple when there is one.
+            let run_end = nodes
+                .peek()
+                .map_or(stable, |&(anchor, _)| anchor.min(stable));
+            if run_end <= self.sid {
+                // Past the stable image with no insert left: cannot happen
+                // for a clamped range, but never spin.
+                self.end_rid = self.next_rid + (wanted - left);
+                break;
+            }
+            let run = TupleRange::new(self.sid, run_end.min(self.sid + left));
+            source.fill(columns, run, out)?;
+            if let Some(modifies) = patch {
+                for (out, col) in out.iter_mut().zip(columns) {
+                    if let Some(&value) = modifies.get(col) {
+                        let at = out.len() - run.len() as usize;
+                        out[at] = value;
                     }
-                    let run = TupleRange::new(self.sid, run_end.min(self.sid + left));
-                    source.fill(columns, run, out)?;
-                    self.sid = run.end;
-                    left -= run.len();
                 }
             }
+            self.sid = run.end;
+            left -= run.len();
         }
         let produced = wanted - left;
         self.next_rid += produced;
@@ -434,6 +436,96 @@ pub(crate) mod tests {
         // visible stream.
         let full = merged(&pdt, n, &[0], TupleRange::new(0, 100));
         assert_eq!(rows.as_slice(), &full[lo as usize..hi as usize]);
+    }
+
+    /// A [`SliceSource`] that counts its `fill` calls.
+    struct CountingSource {
+        inner: SliceSource,
+        fills: usize,
+    }
+
+    impl StableSource for CountingSource {
+        fn stable_tuples(&self) -> u64 {
+            self.inner.stable_tuples()
+        }
+        fn fill(
+            &mut self,
+            columns: &[usize],
+            sids: TupleRange,
+            out: &mut [Vec<Value>],
+        ) -> Result<()> {
+            self.fills += 1;
+            self.inner.fill(columns, sids, out)
+        }
+    }
+
+    #[test]
+    fn merge_equals_its_oracle_at_every_batch_boundary() {
+        use scanshare_storage::datagen::splitmix64;
+        let n = 60;
+        let three = |n| SliceSource::generate(3, n, |c, s| (s * 10 + c as u64) as Value);
+        let projections: [&[usize]; 4] = [&[0, 1, 2], &[2, 0], &[1, 1, 2], &[2]];
+        for seed in 0..6u64 {
+            let mut rng = splitmix64(0x3e7c_e000 + seed);
+            let mut next = |bound: u64| {
+                rng = splitmix64(rng);
+                rng % bound.max(1)
+            };
+            let mut pdt = Pdt::new(3);
+            // A stable tuple modified in two columns right before a deleted
+            // one, an inserted row modified in place, inserts at the end.
+            pdt.modify(Rid::new(5), 0, -50, n).unwrap();
+            pdt.modify(Rid::new(5), 2, -52, n).unwrap();
+            pdt.delete(Rid::new(6), n).unwrap();
+            pdt.insert(Rid::new(10), vec![-1, -2, -3], n).unwrap();
+            pdt.modify(Rid::new(10), 1, -20, n).unwrap();
+            for _ in 0..2 {
+                let end = pdt.visible_count(n);
+                pdt.insert(Rid::new(end), vec![-7, -8, -9], n).unwrap();
+            }
+            for step in 0..40 {
+                let visible = pdt.visible_count(n);
+                let value = -100 - step as Value;
+                match next(3) {
+                    0 => {
+                        let row = vec![value, value - 1, value - 2];
+                        pdt.insert(Rid::new(next(visible + 1)), row, n).unwrap();
+                    }
+                    1 => pdt.delete(Rid::new(next(visible)), n).unwrap(),
+                    _ => pdt
+                        .modify(Rid::new(next(visible)), next(3) as usize, value, n)
+                        .unwrap(),
+                }
+            }
+            let visible = pdt.visible_count(n);
+            let start = next(visible / 2);
+            for range in [TupleRange::new(0, visible), TupleRange::new(start, visible)] {
+                for columns in projections {
+                    let expected = merge_range(&pdt, three(n), columns, range);
+                    let mut source = CountingSource {
+                        inner: three(n),
+                        fills: 0,
+                    };
+                    let mut cursor = MergeCursor::seek(&pdt, n, range);
+                    let mut out = vec![Vec::new(); columns.len()];
+                    while !cursor.is_exhausted() {
+                        let (from, fills) = (cursor.sid, source.fills);
+                        let limit = if next(8) == 0 { 1 << 20 } else { 1 + next(7) };
+                        let produced = cursor
+                            .merge(&pdt, &mut source, columns, limit, &mut out)
+                            .unwrap();
+                        assert!(produced > 0 && produced <= limit, "seed {seed}");
+                        let passed = pdt.anchors_in(from, cursor.sid).count();
+                        assert!(
+                            source.fills - fills <= passed + 1,
+                            "seed {seed} {columns:?}: {} fills passing {passed} anchors",
+                            source.fills - fills
+                        );
+                    }
+                    assert_eq!(to_rows(&out), expected, "seed {seed} {columns:?} {range:?}");
+                }
+            }
+        }
     }
 
     #[test]

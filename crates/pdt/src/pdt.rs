@@ -188,23 +188,16 @@ impl Pdt {
         self.node(sid).and_then(|n| n.modifies.get(&col).copied())
     }
 
-    /// The first node anchored at or after `from`, with its anchor SID: the
-    /// end of the untouched run of the stable image that starts at `from`.
-    pub(crate) fn next_node(&self, from: u64) -> Option<(u64, &Node)> {
-        self.nodes
-            .range(from..)
-            .next()
-            .map(|(&sid, node)| (sid, node))
-    }
-
     /// Iterates the anchor SIDs present in the PDT within `[from, to)`.
     pub(crate) fn anchors_in(&self, from: u64, to: u64) -> impl Iterator<Item = u64> + '_ {
         self.nodes.range(from..to).map(|(&sid, _)| sid)
     }
 
-    /// Iterates every node with its anchor SID (WAL encoding).
-    pub(crate) fn nodes_iter(&self) -> impl Iterator<Item = (u64, &Node)> + '_ {
-        self.nodes.iter().map(|(&sid, node)| (sid, node))
+    /// Iterates the nodes anchored at or after `from` with their anchor
+    /// SIDs, in SID order: one ordered walk (the merge's per call, the WAL
+    /// encoding's from 0).
+    pub(crate) fn nodes_from(&self, from: u64) -> impl Iterator<Item = (u64, &Node)> + '_ {
+        self.nodes.range(from..).map(|(&sid, node)| (sid, node))
     }
 
     /// Installs a fully-formed node at `sid` (WAL replay decoding), counting
@@ -599,7 +592,7 @@ mod tests {
     /// The index recomputed from the nodes: what every update must leave.
     fn rebuilt_index(pdt: &Pdt) -> Vec<IndexEntry> {
         let (mut inserts_incl, mut deletes_incl) = (0, 0);
-        pdt.nodes_iter()
+        pdt.nodes_from(0)
             .map(|(sid, node)| {
                 inserts_incl += node.inserts.len() as u64;
                 deletes_incl += u64::from(node.deleted);
@@ -659,7 +652,7 @@ mod tests {
                 }
                 let context = format!("seed {seed:#x}, step {step}");
                 assert_eq!(pdt.index, rebuilt_index(&pdt), "{context}");
-                let cells: usize = pdt.nodes_iter().map(|(_, node)| node.modifies.len()).sum();
+                let cells: usize = pdt.nodes_from(0).map(|(_, node)| node.modifies.len()).sum();
                 assert_eq!(pdt.stats().modifies, cells as u64, "{context}");
                 assert_eq!(merged(&pdt, &base), model.rows, "{context}");
                 for rid in 0..pdt.visible_count(n) {

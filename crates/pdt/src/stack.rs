@@ -11,6 +11,14 @@
 //! and the merged stream of layer `k-1` acts as the "stable" input of layer
 //! `k`. [`PdtStack::absorb_top`] folds a transaction's private layer into
 //! the top one when it commits.
+//!
+//! Layers are `Arc`s, copied on write: cloning a stack shares every layer,
+//! and [`PdtStack::absorb_top`] / [`PdtStack::top_mut`] clone the top layer
+//! only while someone else holds it. [`PdtStack::flatten`] of a one-layer
+//! stack is that layer itself, O(1); a scan holding it makes the next commit
+//! copy the top layer once, and nothing else is copied.
+
+use std::sync::Arc;
 
 use scanshare_common::{Result, Rid, Sid, TupleRange};
 use scanshare_storage::datagen::Value;
@@ -23,7 +31,7 @@ use crate::pdt::Pdt;
 #[derive(Debug, Clone)]
 pub struct PdtStack {
     column_count: usize,
-    layers: Vec<Pdt>,
+    layers: Vec<Arc<Pdt>>,
 }
 
 impl PdtStack {
@@ -32,7 +40,9 @@ impl PdtStack {
         assert!(depth >= 1, "a stack needs at least one layer");
         Self {
             column_count,
-            layers: (0..depth).map(|_| Pdt::new(column_count)).collect(),
+            layers: (0..depth)
+                .map(|_| Arc::new(Pdt::new(column_count)))
+                .collect(),
         }
     }
 
@@ -51,9 +61,10 @@ impl PdtStack {
         &self.layers[i]
     }
 
-    /// Mutable access to the top (private) layer, where new updates land.
+    /// Mutable access to the top (private) layer, where new updates land;
+    /// clones the layer first if another stack or a scan still holds it.
     pub fn top_mut(&mut self) -> &mut Pdt {
-        self.layers.last_mut().expect("depth >= 1")
+        Arc::make_mut(self.layers.last_mut().expect("depth >= 1"))
     }
 
     /// Immutable access to the top layer.
@@ -138,7 +149,7 @@ impl PdtStack {
 
     /// Whether every layer is empty (no pending differences at all).
     pub fn is_empty(&self) -> bool {
-        self.layers.iter().all(Pdt::is_empty)
+        self.layers.iter().all(|layer| layer.is_empty())
     }
 
     /// Pushes `layer` as the new top (most private) layer. Its positions must
@@ -152,12 +163,12 @@ impl PdtStack {
             self.column_count,
             "layer column count must match the stack"
         );
-        self.layers.push(layer);
+        self.layers.push(Arc::new(layer));
     }
 
     /// Pops and returns the top layer. Returns `None` when only one layer is
     /// left (a stack never goes below depth 1).
-    pub fn pop_layer(&mut self) -> Option<Pdt> {
+    pub fn pop_layer(&mut self) -> Option<Arc<Pdt>> {
         if self.layers.len() <= 1 {
             return None;
         }
@@ -171,18 +182,17 @@ impl PdtStack {
     /// absorbed into the shared top layer.
     pub fn absorb_top(&mut self, upper: &Pdt, stable_tuples: u64) -> Result<()> {
         let below = self.visible_below(stable_tuples, self.layers.len() - 1);
-        let top = self.layers.last_mut().expect("depth >= 1");
-        compose_into(top, upper, below)
+        compose_into(self.top_mut(), upper, below)
     }
 
-    /// Clones the layers above index `at` (exclusive of the bottom `at`
-    /// layers) into a new stack. Used after a checkpoint: the bottom layers
+    /// Shares the layers above index `at` (exclusive of the bottom `at`
+    /// layers) in a new stack. Used after a checkpoint: the bottom layers
     /// were materialized into a new stable image, and the layers above them
     /// — anchored on exactly that image's visible stream — carry on as the
     /// table's live differences. Returns a single empty layer when `at`
     /// covers the whole stack.
     pub fn split_upper(&self, at: usize) -> PdtStack {
-        let layers: Vec<Pdt> = self.layers[at.min(self.layers.len())..].to_vec();
+        let layers = self.layers[at.min(self.layers.len())..].to_vec();
         if layers.is_empty() {
             return PdtStack::new(self.column_count, 1);
         }
@@ -192,22 +202,24 @@ impl PdtStack {
         }
     }
 
-    /// Flattens every layer into a single equivalent PDT (used by
-    /// checkpointing and by tests).
+    /// Flattens every layer into a single equivalent PDT (what scans merge
+    /// with and checkpoints materialize). For a one-layer stack that is the
+    /// layer itself, shared in O(1): the next commit copies it on write.
+    /// Deeper stacks (a checkpoint window) compose a new PDT.
     ///
     /// The combined PDT stays anchored directly on stable storage, so every
     /// composition step passes the same `stable_tuples` count.
-    pub fn flatten(&self, stable_tuples: u64) -> Result<Pdt> {
-        let mut combined = self.layers[0].clone();
+    pub fn flatten(&self, stable_tuples: u64) -> Result<Arc<Pdt>> {
+        let mut combined = Arc::clone(&self.layers[0]);
         for layer in &self.layers[1..] {
-            compose_into(&mut combined, layer, stable_tuples)?;
+            compose_into(Arc::make_mut(&mut combined), layer, stable_tuples)?;
         }
         Ok(combined)
     }
 }
 
 /// Rows visible after applying `layers`, bottom first, over `stable_tuples`.
-fn visible_through(layers: &[Pdt], stable_tuples: u64) -> u64 {
+fn visible_through(layers: &[Arc<Pdt>], stable_tuples: u64) -> u64 {
     layers
         .iter()
         .fold(stable_tuples, |acc, layer| layer.visible_count(acc))
@@ -252,7 +264,7 @@ fn compose_into(lower: &mut Pdt, upper: &Pdt, lower_stable: u64) -> Result<()> {
 /// A [`StableSource`] producing the merged output of `layers` over `source`:
 /// the stable input of the layer above them.
 struct StackSource<'a> {
-    layers: &'a [Pdt],
+    layers: &'a [Arc<Pdt>],
     source: &'a mut dyn StableSource,
 }
 

@@ -59,8 +59,10 @@ impl TablePin {
 
     /// Flattens the pinned layer stack into a single equivalent [`Pdt`]
     /// anchored directly on the pinned snapshot (what a scan operator merges
-    /// with).
-    pub fn flatten(&self) -> Result<Pdt> {
+    /// with). Outside a checkpoint window the stack has one layer and this is
+    /// that layer, shared in O(1); the table's next commit copies it on write
+    /// ([`PdtStack::flatten`]).
+    pub fn flatten(&self) -> Result<Arc<Pdt>> {
         self.stack.flatten(self.snapshot.stable_tuples())
     }
 }
@@ -176,7 +178,7 @@ impl TableState {
             table: self.table,
             commit_seq: self.next_commit_seq(),
             visible_before: self.visible_rows(),
-            pdt: writes.private,
+            pdt: Arc::new(writes.private),
         }))
     }
 
@@ -357,25 +359,24 @@ mod tests {
         state.apply(&record).unwrap();
     }
 
-    /// The visible stream of `pin`, column-major.
-    fn stream(storage: &Storage, pin: &TablePin) -> Vec<Vec<Value>> {
+    /// The stable image `pin` is anchored on.
+    fn stable(storage: &Storage, pin: &TablePin) -> SliceSource {
         let layout = storage.layout(pin.table).unwrap();
         let all = TupleRange::new(0, pin.snapshot.stable_tuples());
-        let stable = (0..2)
-            .map(|col| {
-                storage
-                    .read_range(&layout, &pin.snapshot, col, all)
-                    .unwrap()
-            })
-            .collect();
+        let read = |col| storage.read_range(&layout, &pin.snapshot, col, all);
+        SliceSource::new((0..2).map(|col| read(col).unwrap()).collect())
+    }
+
+    /// The visible stream of `pin`, column-major.
+    fn stream(storage: &Storage, pin: &TablePin) -> Vec<Vec<Value>> {
         let visible = TupleRange::new(0, pin.visible_rows());
         pin.stack
-            .merge_columns(&mut SliceSource::new(stable), &[0, 1], visible)
+            .merge_columns(&mut stable(storage, pin), &[0, 1], visible)
             .unwrap()
     }
 
     fn layers(pin: &TablePin) -> Vec<Vec<(u64, Node)>> {
-        let nodes = |layer: &Pdt| layer.nodes_iter().map(|(s, n)| (s, n.clone())).collect();
+        let nodes = |layer: &Pdt| layer.nodes_from(0).map(|(s, n)| (s, n.clone())).collect();
         let stack = &pin.stack;
         (0..stack.depth()).map(|i| nodes(stack.layer(i))).collect()
     }
@@ -415,7 +416,7 @@ mod tests {
                 table: state.pin().table,
                 commit_seq,
                 visible_before,
-                pdt,
+                pdt: pdt.into(),
             }
         };
         let (covered, gap, stale) = (record(1, 50), record(5, 49), record(6, 42));
@@ -489,6 +490,47 @@ mod tests {
         // The installed image is the storage master: nothing to adopt.
         state.adopt_master(&storage).unwrap();
         assert_eq!(state.pin().commit_seq, pin.commit_seq);
+    }
+
+    #[test]
+    fn flatten_shares_one_layer_and_commits_copy_only_the_top_layer() {
+        use std::ptr::eq;
+        let (storage, mut state) = open(100);
+        commit(&mut state, |w| w.delete(0).unwrap());
+        let pin = state.pin();
+        let flat = pin.flatten().unwrap();
+        assert!(
+            eq(&*flat, pin.stack.layer(0)),
+            "one layer: the layer itself"
+        );
+        assert!(Arc::ptr_eq(&flat, &pin.flatten().unwrap()));
+        // A commit clones the layer a scan holds and leaves the scan's alone.
+        commit(&mut state, |w| w.insert(0, vec![-1, -1]).unwrap());
+        assert_eq!((flat.stats().inserts, flat.stats().deletes), (0, 1));
+        assert!(!eq(state.pin().stack.layer(0), &*flat));
+
+        // A checkpoint window: the frozen layer is shared by the freeze and
+        // by every commit after it; only the top layer is copied.
+        let frozen = state.freeze();
+        let window = state.pin();
+        assert_eq!(window.stack.depth(), 2);
+        assert!(eq(window.stack.layer(0), frozen.stack.layer(0)));
+        commit(&mut state, |w| w.modify(3, 1, 33).unwrap());
+        let after = state.pin();
+        assert!(eq(after.stack.layer(0), frozen.stack.layer(0)));
+        assert!(!eq(after.stack.layer(1), window.stack.layer(1)));
+        assert!(
+            window.stack.top().is_empty(),
+            "the window pin's top is intact"
+        );
+        // Two layers: `flatten` composes a new PDT equal to the layered view.
+        let composed = after.flatten().unwrap();
+        assert!((0..2).all(|i| !eq(&*composed, after.stack.layer(i))));
+        let visible = TupleRange::new(0, after.visible_rows());
+        let merged =
+            crate::merge::merge_columns(&composed, &mut stable(&storage, &after), &[0, 1], visible)
+                .unwrap();
+        assert_eq!(merged, stream(&storage, &after));
     }
 
     #[test]

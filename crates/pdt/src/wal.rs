@@ -26,6 +26,8 @@
 //! record misordering as a typed [`Error::WalCorrupt`] instead of silently
 //! diverging.
 
+use std::sync::Arc;
+
 use scanshare_common::{Error, Result, TableId};
 
 use crate::pdt::{Node, Pdt};
@@ -39,8 +41,9 @@ pub struct CommitTableRecord {
     pub commit_seq: u64,
     /// Visible rows of the table immediately before this commit applied.
     pub visible_before: u64,
-    /// The committed private PDT (the delta `absorb_top` folds in).
-    pub pdt: Pdt,
+    /// The committed private PDT (the delta `absorb_top` folds in), shared
+    /// so a record can carry a pin's flattened layer without a copy.
+    pub pdt: Arc<Pdt>,
 }
 
 fn put_u32(buf: &mut Vec<u8>, v: u32) {
@@ -110,7 +113,7 @@ impl<'a> Reader<'a> {
 
 fn encode_pdt_into(buf: &mut Vec<u8>, pdt: &Pdt) {
     put_u32(buf, pdt.column_count() as u32);
-    let nodes: Vec<_> = pdt.nodes_iter().collect();
+    let nodes: Vec<_> = pdt.nodes_from(0).collect();
     put_u32(buf, nodes.len() as u32);
     for (sid, node) in nodes {
         put_u64(buf, sid);
@@ -219,7 +222,7 @@ pub fn decode_commit(body: &[u8]) -> Result<Vec<CommitTableRecord>> {
             table: TableId::new(table),
             commit_seq,
             visible_before,
-            pdt,
+            pdt: Arc::new(pdt),
         });
     }
     if !r.done() {
@@ -304,7 +307,7 @@ mod tests {
                 table: TableId::new(5),
                 commit_seq: seed + 1,
                 visible_before: pdt.visible_count(stable),
-                pdt: pdt.clone(),
+                pdt: pdt.clone().into(),
             };
             let body = encode_commit(&[record]);
             let decoded = decode_commit(&body).unwrap();
@@ -340,7 +343,7 @@ mod tests {
             table: TableId::new(1),
             commit_seq: 1,
             visible_before: stable,
-            pdt: pdt.clone(),
+            pdt: pdt.clone().into(),
         }]);
         let decoded = decode_commit(&body).unwrap();
         let live = pdt.stats();
@@ -358,13 +361,13 @@ mod tests {
                 table: TableId::new(1),
                 commit_seq: 4,
                 visible_before: a.visible_count(20),
-                pdt: a,
+                pdt: a.into(),
             },
             CommitTableRecord {
                 table: TableId::new(2),
                 commit_seq: 9,
                 visible_before: b.visible_count(30),
-                pdt: b,
+                pdt: b.into(),
             },
         ]);
         let decoded = decode_commit(&body).unwrap();
@@ -381,7 +384,7 @@ mod tests {
             table: TableId::new(1),
             commit_seq: 1,
             visible_before: pdt.visible_count(10),
-            pdt,
+            pdt: pdt.into(),
         }]);
         for cut in [1, body.len() / 2, body.len() - 1] {
             assert!(
@@ -402,7 +405,7 @@ mod tests {
             table: TableId::new(1),
             commit_seq: 1,
             visible_before: 10,
-            pdt,
+            pdt: pdt.into(),
         }]);
         // Patch the modify column index (u32 right after the node header) to
         // an out-of-range value. Layout: 4 (count) + 8+8+8 (entry header) +

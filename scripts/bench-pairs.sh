@@ -17,7 +17,9 @@
 # won and the gap between the medians. Then, from the same runs, every other
 # end-to-end metric the workload reports (not the placeholder 1 of a metric
 # that does not apply): each side's median and the pairs the change won, so
-# the no-regression check rests on the runs of the claim. Exits non-zero if a
+# the no-regression check rests on the runs of the claim. A metric whose change
+# median is worse than the parent's by more than its BENCHMARK.json `bound`
+# (a fraction of the parent median) is marked BEYOND BOUND. Exits non-zero if a
 # run fails, reports "correct": false or reports a failed operation.
 # `--smoke` passes `--smoke` to both drivers and runs them for 1 s, which
 # keeps this script exercised in CI. `--out <dir>` keeps each run's result
@@ -41,13 +43,16 @@ while [ $# -gt 0 ]; do
     shift
 done
 
-# The end-to-end metrics of BENCHMARK.json, one "<name> <better>" per line.
+# The end-to-end metrics of BENCHMARK.json, one "<name> <better> <bound>" per
+# line.
 end_to_end=$(awk '
     /"end_to_end"/ { on = 1 }
     /"per_layer"/ { on = 0 }
     on && match($0, /"name": "[a-z0-9_]+"/) {
         name = substr($0, RSTART + 9, RLENGTH - 10)
-        if (match($0, /"better": "[a-z]+"/)) print name, substr($0, RSTART + 11, RLENGTH - 12)
+        if (!match($0, /"better": "[a-z]+"/)) next
+        better = substr($0, RSTART + 11, RLENGTH - 12)
+        if (match($0, /"bound": *[0-9.]+/)) print name, better, substr($0, RSTART + 8) + 0
     }' "$(dirname "$0")/../BENCHMARK.json")
 better=$(echo "$end_to_end" | awk -v metric="$metric" '$1 == metric { print $2 }')
 [ -n "$better" ] || { echo "$metric is not an end-to-end metric of BENCHMARK.json" >&2; exit 2; }
@@ -139,6 +144,13 @@ echo "$end_to_end" | awk -v metric="$metric" '
         printf "%s: median %.6g, q1 %.6g, q3 %.6g\n", side,
             quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75)
     }
+    # " BEYOND BOUND" when the change median cm is worse than the parent
+    # median pm by more than the bound of metric m.
+    function breach(m, pm, cm) {
+        if (better[m] == "higher" ? cm < pm * (1 - bound[m]) : cm > pm * (1 + bound[m]))
+            return " BEYOND BOUND"
+        return ""
+    }
     # The pairs of metric m in p[1..n] and c[1..n], sorted, and the wins.
     function load(m,   k) {
         n = pairs[m]; wins = 0; placeholder = 1
@@ -149,22 +161,22 @@ echo "$end_to_end" | awk -v metric="$metric" '
         }
         sort(p, n); sort(c, n)
     }
-    NR == FNR { better[$1] = $2; order[++metrics] = $1; next }
+    NR == FNR { better[$1] = $2; bound[$1] = $3; order[++metrics] = $1; next }
     { k = ++pairs[$1]; pv[$1, k] = $2; cv[$1, k] = $3 }
     END {
         load(metric)
         summary("parent", p, n); summary("change", c, n)
         pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
         iqr = quantile(p, n, 0.75) - quantile(p, n, 0.25)
-        printf "%s (%s is better): change won %d of %d pairs; median gap %.6g (x%.4g), parent IQR %.6g\n",
-            metric, better[metric], wins, n, cm - pm, pm == 0 ? 0 : cm / pm, iqr
+        printf "%s (%s is better): change won %d of %d pairs; median gap %.6g (x%.4g), parent IQR %.6g%s\n",
+            metric, better[metric], wins, n, cm - pm, pm == 0 ? 0 : cm / pm, iqr, breach(metric, pm, cm)
         for (i = 1; i <= metrics; i++) {
             m = order[i]
             if (m == metric || !(m in pairs)) continue
             load(m)
             if (placeholder) continue
             pm = quantile(p, n, 0.5); cm = quantile(c, n, 0.5)
-            printf "  %s (%s is better): parent median %.6g, change median %.6g (x%.4g); change won %d of %d pairs\n",
-                m, better[m], pm, cm, pm == 0 ? 0 : cm / pm, wins, n
+            printf "  %s (%s is better): parent median %.6g, change median %.6g (x%.4g); change won %d of %d pairs%s\n",
+                m, better[m], pm, cm, pm == 0 ? 0 : cm / pm, wins, n, breach(m, pm, cm)
         }
     }' - "$tmp/pairs"
