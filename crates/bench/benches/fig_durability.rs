@@ -32,6 +32,7 @@ use scanshare_common::{PolicyKind, ScanShareConfig, TableId};
 use scanshare_exec::{Engine, WorkloadDriver};
 use scanshare_sim::{SimConfig, Simulation};
 use scanshare_storage::storage::Storage;
+use scanshare_storage::wal::Wal;
 use scanshare_workload::microbench::{self, MicrobenchConfig};
 use scanshare_workload::spec::{UpdateMix, UpdateStreamSpec, WorkloadSpec};
 
@@ -201,9 +202,11 @@ fn main() {
             );
             let committed = table_rows(&engine, table);
             let ops_per_sec = report.update_ops as f64 / report.wall.as_secs_f64().max(1e-12);
-            let wal_mb = std::fs::metadata(dir.path().join("wal.log"))
-                .map(|m| m.len() as f64 / 1e6)
-                .unwrap_or(0.0);
+            // The records' frames (header, kind byte, body; not a rotation's
+            // 17-byte marker), not the file's length, which runs on in zeros.
+            let wal_mb = Wal::read_records(dir.path()).map_or(0.0, |records| {
+                records.iter().map(|r| 9 + r.body.len()).sum::<usize>() as f64 / 1e6
+            });
             drop(engine); // "crash"
 
             // Gate 1: cold recovery reproduces the committed state exactly.

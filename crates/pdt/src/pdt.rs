@@ -13,14 +13,16 @@
 //!   when rows were inserted before a stable tuple).
 //!
 //! Internally the PDT is an ordered map from SID to an update node plus a
-//! cumulative index, one entry per node in SID order, that gives the
-//! "running delta" of the paper by one binary search (`O(log n)` for `n`
-//! anchors). Each update keeps the index current in place: one binary
-//! search for its anchor, at most one entry inserted or removed, and ±1 on
-//! the running counts of the entries after it (a modify changes no count).
-//! On top of its RID-to-SID translation an update thus costs at most one
-//! `O(n)` pass of integer adds and moves over the index; nothing rebuilds
-//! it.
+//! two-level index, one entry per node in SID order, that gives the
+//! "running delta" of the paper by two binary searches. The entries sit in
+//! blocks of at most `2·B` (`B` = `BLOCK`); an entry's counts are local
+//! to its block and a block holds the counts of all blocks before it. An
+//! update keeps the index current in place: one binary search over the
+//! blocks and one inside its block, at most one entry inserted or removed,
+//! ±1 on the rest of its block and on the bases of later blocks (a modify
+//! changes no count), a split of a block grown past `2·B` and the drop of
+//! an emptied one. On top of its RID-to-SID translation an update thus
+//! costs `O(B + n/B)` for `n` anchors; nothing rebuilds the index.
 
 use std::collections::BTreeMap;
 
@@ -45,15 +47,27 @@ impl Node {
     }
 }
 
+/// Half the most entries an index block holds: a block splits above
+/// `2 * BLOCK`, so an update touches `O(BLOCK)` entries and `O(n / BLOCK)`
+/// block bases.
+const BLOCK: usize = 64;
+
 /// Cumulative counters at (and including) one PDT node, used to compute the
 /// running delta between RID and SID.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct IndexEntry {
     sid: u64,
-    /// Inserted rows anchored at keys `<= sid`.
-    inserts_incl: u64,
-    /// Deleted stable tuples with position `<= sid`.
-    deletes_incl: u64,
+    /// Inserted rows anchored at keys `<= sid` and deleted stable tuples
+    /// with position `<= sid`.
+    incl: (u64, u64),
+}
+
+/// A run of index entries whose counts start at `base`, the counts of all
+/// earlier blocks. Never empty.
+#[derive(Debug, Clone, Default)]
+struct IndexBlock {
+    base: (u64, u64),
+    entries: Vec<IndexEntry>,
 }
 
 /// Summary statistics of a PDT.
@@ -74,11 +88,12 @@ pub struct UpdateStats {
 pub struct Pdt {
     column_count: usize,
     nodes: BTreeMap<u64, Node>,
-    /// One entry per node of `nodes`, in SID order, with the running counts
-    /// through it. An update keeps it current in place: one binary search,
-    /// at most one entry inserted or removed and ±1 on the entries from its
-    /// anchor on, so at most one `O(n)` pass over `n` entries, no rebuild.
-    index: Vec<IndexEntry>,
+    /// One entry per node of `nodes`, in SID order, in blocks of at most
+    /// `2 * BLOCK`, with the running counts through it (block base plus
+    /// entry). An update keeps it current in place: two binary searches, at
+    /// most one entry inserted or removed, ±1 on the rest of its block and on
+    /// the later blocks' bases, so `O(BLOCK + n / BLOCK)` for `n` entries.
+    index: Vec<IndexBlock>,
     total_inserts: u64,
     total_deletes: u64,
     total_modifies: u64,
@@ -126,45 +141,58 @@ impl Pdt {
     /// Inserted rows anchored strictly before `sid` / deletes strictly before
     /// `sid`.
     fn deltas_before(&self, sid: u64) -> (u64, u64) {
-        self.counts_before(self.index.partition_point(|e| e.sid < sid))
-    }
-
-    /// The running counts through the index entry before position `pos`.
-    fn counts_before(&self, pos: usize) -> (u64, u64) {
-        pos.checked_sub(1).map_or((0, 0), |p| {
-            (self.index[p].inserts_incl, self.index[p].deletes_incl)
-        })
+        let b = self.index.partition_point(|blk| blk.entries[0].sid < sid);
+        let Some(blk) = b.checked_sub(1).map(|b| &self.index[b]) else {
+            return (0, 0);
+        };
+        let e = blk.entries[blk.entries.partition_point(|e| e.sid < sid) - 1];
+        (blk.base.0 + e.incl.0, blk.base.1 + e.incl.1)
     }
 
     /// Keeps the index current after an update at `sid` that changed the
     /// rows inserted there by `inserts` and the deleted tuples by `deletes`:
-    /// lists a node that appeared, drops the entry of one that emptied, and
-    /// adds the change to the running counts from `sid` on.
+    /// lists a node that appeared, drops the entry of one that emptied, adds
+    /// the change to the running counts from `sid` on, and splits or drops
+    /// the block it touched.
     fn reindex(&mut self, sid: u64, inserts: i64, deletes: u64) {
-        let pos = self.index.partition_point(|e| e.sid < sid);
-        let listed = self.index.get(pos).is_some_and(|e| e.sid == sid);
+        let b = match self.index.partition_point(|blk| blk.entries[0].sid <= sid) {
+            0 if self.index.is_empty() => {
+                self.index.push(IndexBlock::default());
+                0
+            }
+            b => b.saturating_sub(1),
+        };
+        let (head, later) = self.index.split_at_mut(b + 1);
+        let entries = &mut head[b].entries;
+        let pos = entries.partition_point(|e| e.sid < sid);
+        let listed = entries.get(pos).is_some_and(|e| e.sid == sid);
         match (listed, self.nodes.contains_key(&sid)) {
             (false, true) => {
-                let (inserts_incl, deletes_incl) = self.counts_before(pos);
-                self.index.insert(
-                    pos,
-                    IndexEntry {
-                        sid,
-                        inserts_incl,
-                        deletes_incl,
-                    },
-                );
+                let incl = pos.checked_sub(1).map_or((0, 0), |p| entries[p].incl);
+                entries.insert(pos, IndexEntry { sid, incl });
             }
             (true, false) => {
-                self.index.remove(pos);
+                entries.remove(pos);
             }
             _ => {}
         }
         if inserts != 0 || deletes != 0 {
-            for e in &mut self.index[pos..] {
-                e.inserts_incl = e.inserts_incl.wrapping_add_signed(inserts);
-                e.deletes_incl += deletes;
+            let entry_counts = entries[pos..].iter_mut().map(|e| &mut e.incl);
+            for counts in entry_counts.chain(later.iter_mut().map(|blk| &mut blk.base)) {
+                *counts = (counts.0.wrapping_add_signed(inserts), counts.1 + deletes);
             }
+        }
+        let blk = &mut self.index[b];
+        if blk.entries.is_empty() {
+            self.index.remove(b);
+        } else if blk.entries.len() > 2 * BLOCK {
+            let mut entries = blk.entries.split_off(BLOCK);
+            let last = blk.entries[BLOCK - 1].incl;
+            for e in &mut entries {
+                e.incl = (e.incl.0 - last.0, e.incl.1 - last.1);
+            }
+            let base = (blk.base.0 + last.0, blk.base.1 + last.1);
+            self.index.insert(b + 1, IndexBlock { base, entries });
         }
     }
 
@@ -589,6 +617,24 @@ mod tests {
         assert_eq!(pdt.sid_to_rid_high(Sid::new(5)), Rid::new(5));
     }
 
+    /// The index as one list of entries with running counts from the start,
+    /// checking that no block is empty or over `2 * BLOCK` entries.
+    fn flat_index(pdt: &Pdt) -> Vec<IndexEntry> {
+        let mut flat = Vec::new();
+        for blk in &pdt.index {
+            assert!(
+                (1..=2 * BLOCK).contains(&blk.entries.len()),
+                "block of {}",
+                blk.entries.len()
+            );
+            flat.extend(blk.entries.iter().map(|e| IndexEntry {
+                sid: e.sid,
+                incl: (blk.base.0 + e.incl.0, blk.base.1 + e.incl.1),
+            }));
+        }
+        flat
+    }
+
     /// The index recomputed from the nodes: what every update must leave.
     fn rebuilt_index(pdt: &Pdt) -> Vec<IndexEntry> {
         let (mut inserts_incl, mut deletes_incl) = (0, 0);
@@ -598,8 +644,7 @@ mod tests {
                 deletes_incl += u64::from(node.deleted);
                 IndexEntry {
                     sid,
-                    inserts_incl,
-                    deletes_incl,
+                    incl: (inserts_incl, deletes_incl),
                 }
             })
             .collect()
@@ -651,7 +696,7 @@ mod tests {
                     _ => {}
                 }
                 let context = format!("seed {seed:#x}, step {step}");
-                assert_eq!(pdt.index, rebuilt_index(&pdt), "{context}");
+                assert_eq!(flat_index(&pdt), rebuilt_index(&pdt), "{context}");
                 let cells: usize = pdt.nodes_from(0).map(|(_, node)| node.modifies.len()).sum();
                 assert_eq!(pdt.stats().modifies, cells as u64, "{context}");
                 assert_eq!(merged(&pdt, &base), model.rows, "{context}");
@@ -672,6 +717,91 @@ mod tests {
             emptied_nodes > 0,
             "no delete of an inserted row emptied a node"
         );
+    }
+
+    /// The two-level index equals its rebuild after every one of thousands
+    /// of random operations over 3 000 stable tuples, through block splits
+    /// and the drop of emptied blocks. Rows anchored in the lower half of
+    /// the table only take inserts and deletes of inserted rows, so their
+    /// blocks hold insert-only nodes; a final drain deletes every inserted
+    /// row, which empties those blocks.
+    #[test]
+    fn two_level_index_equals_its_rebuild_through_splits_and_removals() {
+        use scanshare_storage::datagen::splitmix64;
+        let n = 3_000u64;
+        let base = stable(n);
+        for seed in [0x1dea_u64, 7, 0xb10c] {
+            let mut model = Model::new(&base);
+            let mut pdt = Pdt::new(2);
+            let mut rng = seed;
+            let (mut ops, mut most_blocks, mut emptied) = (0, 0, 0);
+            let mut check = |pdt: &Pdt, blocks_before: usize, context: &str| {
+                assert_eq!(flat_index(pdt), rebuilt_index(pdt), "{context}");
+                most_blocks = most_blocks.max(pdt.index.len());
+                if pdt.index.len() < blocks_before {
+                    emptied += 1;
+                }
+            };
+            for step in 0..6_000u64 {
+                rng = splitmix64(rng ^ step);
+                let visible = pdt.visible_count(n);
+                let pos = rng.rotate_left(17) % visible;
+                let (sid, offset) = pdt.locate(Rid::new(pos), n);
+                let inserted = offset < pdt.node_inserts(sid);
+                let blocks_before = pdt.index.len();
+                match rng % 3 {
+                    1 if inserted || sid >= n / 2 => {
+                        pdt.delete(Rid::new(pos), n).unwrap();
+                        model.delete(pos as usize);
+                    }
+                    2 if inserted || sid >= n / 2 => {
+                        let col = (rng >> 7) as usize % 2;
+                        pdt.modify(Rid::new(pos), col, -(step as Value), n).unwrap();
+                        model.modify(pos as usize, col, -(step as Value));
+                    }
+                    _ => {
+                        let row = vec![step as Value, (step * 2) as Value];
+                        pdt.insert(Rid::new(pos), row.clone(), n).unwrap();
+                        model.insert(pos as usize, row);
+                    }
+                }
+                ops += 1;
+                check(&pdt, blocks_before, &format!("seed {seed:#x}, step {step}"));
+            }
+            while pdt.stats().inserts > 0 {
+                rng = splitmix64(rng);
+                let mut k = rng % pdt.stats().inserts;
+                let (sid, offset) = pdt
+                    .nodes_from(0)
+                    .find_map(
+                        |(sid, node)| match k.checked_sub(node.inserts.len() as u64) {
+                            Some(rest) => {
+                                k = rest;
+                                None
+                            }
+                            None => Some((sid, k)),
+                        },
+                    )
+                    .unwrap();
+                let rid = pdt.sid_to_rid_low(Sid::new(sid)).raw() + offset;
+                let blocks_before = pdt.index.len();
+                pdt.delete(Rid::new(rid), n).unwrap();
+                model.delete(rid as usize);
+                ops += 1;
+                check(
+                    &pdt,
+                    blocks_before,
+                    &format!("seed {seed:#x}, drain op {ops}"),
+                );
+            }
+            assert!(ops >= 6_000);
+            assert!(
+                most_blocks > 10,
+                "seed {seed:#x}: only {most_blocks} blocks formed"
+            );
+            assert!(emptied > 0, "seed {seed:#x}: no block emptied");
+            assert_eq!(merged(&pdt, &base), model.rows, "seed {seed:#x}");
+        }
     }
 
     #[test]

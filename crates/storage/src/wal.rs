@@ -23,6 +23,19 @@
 //! markers make the WAL self-describing and are validated by the
 //! failure-injection tests).
 //!
+//! # Pre-extended file
+//!
+//! The file is grown ahead of the log in extents of `EXTENT` zero bytes,
+//! each written out and synced before a frame lands in it, and every frame
+//! is a positional write at the log's end. A commit's `fdatasync` thus
+//! overwrites blocks the file already owns and never has to make a new
+//! file size or block map durable, which costs a journal commit on most
+//! file systems. The extent is written rather than sized with `set_len`,
+//! which would leave holes that the first write must still allocate. A
+//! zero length word cannot start a frame, so the zero tail reads as the
+//! end of the log, exactly as a torn tail does; [`Wal::open`] truncates it
+//! away with the torn tail, and a rotated log starts unextended.
+//!
 //! # Group commit
 //!
 //! [`Wal::commit_sync`] amortizes `fsync` over a window of `group_commit`
@@ -36,7 +49,7 @@
 //! durable point.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::{Read as _, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard};
@@ -48,6 +61,9 @@ pub const WAL_FILE_NAME: &str = "wal.log";
 
 /// Frame header bytes: 4-byte length + 4-byte checksum.
 const FRAME_HEADER: usize = 8;
+
+/// Zero bytes the file grows by when a frame would cross its end.
+const EXTENT: u64 = 1 << 20;
 
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB8_8320`) of `bytes` —
 /// the checksum guarding every WAL frame. Hand-rolled so the workspace
@@ -140,9 +156,11 @@ pub fn decode_marker(body: &[u8]) -> Result<(TableId, u64)> {
 
 #[derive(Debug)]
 struct SyncState {
-    /// Bytes of complete frames written so far (the durable-candidate
-    /// length; used to roll back a failed partial append).
+    /// Bytes of complete frames written so far: where the next frame goes
+    /// (and where a failed partial append is rolled back to).
     len: u64,
+    /// Bytes the file holds, `len` plus a synced zero tail.
+    allocated: u64,
     /// Records appended so far.
     appended: u64,
     /// Records covered by the last successful fsync.
@@ -198,7 +216,6 @@ impl Wal {
             file.set_len(valid_len as u64)?;
             file.sync_data()?;
         }
-        file.seek(SeekFrom::Start(valid_len as u64))?;
         // Make the file's directory entry durable (first open creates it).
         fsync_dir_best_effort(dir);
         let appended = base + records.len() as u64;
@@ -210,6 +227,7 @@ impl Wal {
             rotated: AtomicU64::new(0),
             state: Mutex::new(SyncState {
                 len: valid_len as u64,
+                allocated: valid_len as u64,
                 appended,
                 synced: appended,
                 syncing: false,
@@ -232,16 +250,17 @@ impl Wal {
     }
 
     /// Appends one record without syncing, returning its (1-based) global
-    /// sequence number. A failed partial write is rolled back so later
-    /// appends never land behind garbage.
+    /// sequence number. A frame that would cross the file's end first grows
+    /// the file by a synced zero extent. A failed partial write is rolled
+    /// back so later appends never land behind garbage.
     fn append(&self, kind: WalRecordKind, body: &[u8]) -> Result<u64> {
         let frame = encode_frame(kind, body);
         let mut st = lock(&self.state);
         let file = read_file(&self.file);
-        if let Err(e) = (&*file).write_all(&frame) {
+        if let Err(e) = write_frame(&file, &mut st, &frame) {
             // Roll the file back to the last complete frame.
             let _ = file.set_len(st.len);
-            let _ = (&*file).seek(SeekFrom::Start(st.len));
+            st.allocated = st.len;
             return Err(e.into());
         }
         st.len += frame.len() as u64;
@@ -323,11 +342,12 @@ impl Wal {
         }
         fs::rename(&tmp_path, &self.path)?;
         fsync_dir_best_effort(&self.dir);
-        // Swap the append handle onto the new file, cursor at its end.
-        let mut fresh = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        fresh.seek(SeekFrom::End(0))?;
+        // Swap the append handle onto the new file, which holds no extent
+        // yet: the next append grows it.
+        let fresh = OpenOptions::new().read(true).write(true).open(&self.path)?;
         *self.file.write().unwrap_or_else(|e| e.into_inner()) = fresh;
         st.len = out.len() as u64;
+        st.allocated = st.len;
         st.appended = new_base + kept.len() as u64;
         st.synced = st.appended;
         self.rotated.fetch_add(1, Ordering::Relaxed);
@@ -373,6 +393,35 @@ impl Wal {
             self.cond.notify_all();
             res?;
         }
+    }
+}
+
+/// Writes `frame` at the log's end, first growing the file by a synced
+/// extent of zeros when the frame would cross the file's end.
+fn write_frame(file: &File, st: &mut SyncState, frame: &[u8]) -> std::io::Result<()> {
+    let end = st.len + frame.len() as u64;
+    if end > st.allocated {
+        let grow = (end - st.allocated).max(EXTENT);
+        pwrite_all(file, &vec![0; grow as usize], st.allocated)?;
+        file.sync_data()?;
+        st.allocated += grow;
+    }
+    pwrite_all(file, frame, st.len)
+}
+
+/// Writes all of `buf` at `offset` without moving the file cursor.
+fn pwrite_all(file: &File, buf: &[u8], offset: u64) -> std::io::Result<()> {
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::FileExt;
+        file.write_all_at(buf, offset)
+    }
+    #[cfg(not(unix))]
+    {
+        let _ = (file, buf, offset);
+        Err(std::io::Error::other(
+            "positional log writes require a unix platform",
+        ))
     }
 }
 
@@ -501,6 +550,21 @@ mod tests {
         assert_eq!(records[3].body, b"second");
     }
 
+    /// End of the last frame of the log in `dir`, summed from the records
+    /// read back (a header, a kind byte and the body each): the file runs on
+    /// past it in zeros. A log that was never rotated holds no other frame.
+    fn log_end(dir: &Path) -> usize {
+        Wal::read_records(dir)
+            .unwrap()
+            .iter()
+            .map(|r| FRAME_HEADER + 1 + r.body.len())
+            .sum()
+    }
+
+    fn file_len(dir: &Path) -> u64 {
+        fs::metadata(dir.join(WAL_FILE_NAME)).unwrap().len()
+    }
+
     #[test]
     fn torn_tail_is_ignored_and_truncated() {
         let dir = TestDir::new("torn");
@@ -509,7 +573,8 @@ mod tests {
         wal.sync_all().unwrap();
         drop(wal);
         let path = dir.0.join(WAL_FILE_NAME);
-        let full = fs::read(&path).unwrap();
+        let kept = log_end(&dir.0);
+        let full = fs::read(&path).unwrap()[..kept].to_vec();
 
         // A torn write: append a record then chop off its last byte.
         let wal = Wal::open(&dir.0, 1).unwrap();
@@ -517,7 +582,9 @@ mod tests {
         wal.sync_all().unwrap();
         drop(wal);
         let long = fs::read(&path).unwrap();
-        fs::write(&path, &long[..long.len() - 1]).unwrap();
+        let cut = log_end(&dir.0) - 1;
+        assert!(cut > kept, "the cut lands inside the last frame");
+        fs::write(&path, &long[..cut]).unwrap();
 
         let records = Wal::read_records(&dir.0).unwrap();
         assert_eq!(records.len(), 1, "torn final record is discarded");
@@ -534,6 +601,102 @@ mod tests {
         let records = Wal::read_records(&dir.0).unwrap();
         assert_eq!(records.len(), 2);
         assert_eq!(records[1].body, b"after");
+    }
+
+    #[test]
+    fn reopening_over_a_zero_tail_appends_after_the_last_frame() {
+        let dir = TestDir::new("zero-tail");
+        let wal = Wal::open(&dir.0, 1).unwrap();
+        wal.append_commit(b"first").unwrap();
+        drop(wal);
+        let first = log_end(&dir.0);
+        assert_eq!(
+            file_len(&dir.0),
+            EXTENT,
+            "one extent: the frame, then zeros"
+        );
+
+        let wal = Wal::open(&dir.0, 1).unwrap();
+        assert_eq!(wal.appended(), 1);
+        wal.append_commit(b"second").unwrap();
+        drop(wal);
+        let records = Wal::read_records(&dir.0).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].body, b"second");
+        let bytes = fs::read(dir.0.join(WAL_FILE_NAME)).unwrap();
+        assert_eq!(
+            bytes[first + FRAME_HEADER..log_end(&dir.0)],
+            *b"\x01second",
+            "the second frame starts where the first ends"
+        );
+    }
+
+    #[test]
+    fn a_frame_torn_inside_the_extent_ends_the_log_at_the_previous_frame() {
+        let dir = TestDir::new("torn-extent");
+        let wal = Wal::open(&dir.0, 1).unwrap();
+        wal.append_commit(b"keep me").unwrap();
+        let kept = log_end(&dir.0);
+        wal.append_commit(b"torn").unwrap();
+        drop(wal);
+        // A write that reached the disk only partly: the frame's last bytes
+        // are still the extent's zeros, and the file keeps its length.
+        let path = dir.0.join(WAL_FILE_NAME);
+        let mut bytes = fs::read(&path).unwrap();
+        let end = log_end(&dir.0);
+        bytes[end - 3..end].fill(0);
+        fs::write(&path, &bytes).unwrap();
+
+        let records = Wal::read_records(&dir.0).unwrap();
+        assert_eq!(records.len(), 1);
+        assert_eq!(records[0].body, b"keep me");
+        let wal = Wal::open(&dir.0, 1).unwrap();
+        assert_eq!(wal.appended(), 1);
+        assert_eq!(file_len(&dir.0), kept as u64, "open truncates to the frame");
+        wal.append_commit(b"after").unwrap();
+        drop(wal);
+        let records = Wal::read_records(&dir.0).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].body, b"after");
+    }
+
+    #[test]
+    fn frames_past_one_extent_round_trip() {
+        let dir = TestDir::new("extents");
+        let wal = Wal::open(&dir.0, 4).unwrap();
+        // Small frames across an extent boundary, then one frame larger
+        // than an extent.
+        let mut bodies: Vec<Vec<u8>> = (0..24u8).map(|i| vec![i; 64 << 10]).collect();
+        bodies.push(vec![0xab; EXTENT as usize + 4096]);
+        for body in &bodies {
+            wal.append_commit(body).unwrap();
+        }
+        wal.sync_all().unwrap();
+        drop(wal);
+        let records = Wal::read_records(&dir.0).unwrap();
+        assert_eq!(records.len(), bodies.len());
+        assert!(records.iter().zip(&bodies).all(|(r, b)| r.body == *b));
+        assert!(log_end(&dir.0) as u64 > 2 * EXTENT);
+        assert!(file_len(&dir.0) >= log_end(&dir.0) as u64);
+    }
+
+    #[test]
+    fn rotation_leaves_no_extent_and_the_next_append_extends_again() {
+        let dir = TestDir::new("rotate-extent");
+        let wal = Wal::open(&dir.0, 1).unwrap();
+        wal.append_commit(b"old").unwrap();
+        wal.append_commit(b"new").unwrap();
+        assert_eq!(wal.rotate(|r| r.body == b"old").unwrap(), 1);
+        // The Rotate marker (a header, a kind byte and an 8-byte base) and
+        // the kept frame, no zeros.
+        let rotated = (FRAME_HEADER + 9 + log_end(&dir.0)) as u64;
+        assert_eq!(file_len(&dir.0), rotated);
+        wal.append_commit(b"newer").unwrap();
+        assert_eq!(file_len(&dir.0), rotated + EXTENT);
+        drop(wal);
+        let records = Wal::read_records(&dir.0).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[1].body, b"newer");
     }
 
     #[test]

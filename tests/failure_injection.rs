@@ -540,6 +540,20 @@ mod crash_recovery {
         (engine, table, shadow)
     }
 
+    /// End of each frame of the never-rotated log in `dir`, summed from the
+    /// records read back (an 8-byte header, a kind byte and the body each).
+    /// The file itself runs on past the last one in zeros.
+    fn frame_ends(dir: &Path) -> Vec<usize> {
+        Wal::read_records(dir)
+            .unwrap()
+            .iter()
+            .scan(0, |end, r| {
+                *end += 9 + r.body.len();
+                Some(*end)
+            })
+            .collect()
+    }
+
     fn all_rows(engine: &Arc<Engine>, table: TableId) -> Vec<Vec<i64>> {
         engine
             .query(table)
@@ -626,8 +640,14 @@ mod crash_recovery {
 
         let wal_path = live.path().join(WAL_FILE_NAME);
         let bytes = std::fs::read(&wal_path).unwrap();
+        let ends = frame_ends(live.path());
+        let (last_start, end) = (ends[ends.len() - 2], ends[ends.len() - 1]);
         for cut in [1, 3, 8] {
-            std::fs::write(&wal_path, &bytes[..bytes.len() - cut]).unwrap();
+            assert!(
+                end - cut > last_start,
+                "cut {cut} lands inside the last frame"
+            );
+            std::fs::write(&wal_path, &bytes[..end - cut]).unwrap();
             let recovered = Engine::recover(live.path(), config()).unwrap();
             assert_eq!(
                 all_rows(&recovered, table),
@@ -647,7 +667,7 @@ mod crash_recovery {
         let wal_path = live.path().join(WAL_FILE_NAME);
 
         // (log length, shadow state) after each commit = one kill point each.
-        let mut points: Vec<(u64, Vec<Vec<i64>>)> = Vec::new();
+        let mut points: Vec<(usize, Vec<Vec<i64>>)> = Vec::new();
         for step in 0..6i64 {
             if step % 2 == 0 {
                 engine.insert_row(table, 0, vec![-step - 1, step]).unwrap();
@@ -656,13 +676,19 @@ mod crash_recovery {
                 engine.delete_row(table, 3).unwrap();
                 shadow.remove(3);
             }
-            points.push((std::fs::metadata(&wal_path).unwrap().len(), shadow.clone()));
+            let end = *frame_ends(live.path()).last().unwrap();
+            points.push((end, shadow.clone()));
         }
         drop(engine);
 
         let bytes = std::fs::read(&wal_path).unwrap();
+        let ends = frame_ends(live.path());
         for (idx, (len, expected)) in points.iter().enumerate() {
-            std::fs::write(&wal_path, &bytes[..*len as usize]).unwrap();
+            assert!(
+                ends.contains(len),
+                "kill point {idx} is on a frame boundary"
+            );
+            std::fs::write(&wal_path, &bytes[..*len]).unwrap();
             let recovered = Engine::recover(live.path(), config()).unwrap();
             assert_eq!(
                 &all_rows(&recovered, table),
