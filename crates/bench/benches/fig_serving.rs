@@ -184,8 +184,8 @@ fn main() {
     }
     if let Some(stats) = server.scheduler_stats() {
         println!(
-            "scheduler: {} tasks, {} yields, {} steals on {WORKERS} workers",
-            stats.completed, stats.yields, stats.steals
+            "scheduler: {} tasks, {} yields on {WORKERS} workers",
+            stats.completed, stats.yields
         );
         metrics.set("scheduler_yields", stats.yields as f64);
     }

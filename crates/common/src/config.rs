@@ -207,11 +207,11 @@ pub struct ScanShareConfig {
     /// executes query sessions (the `WorkloadDriver` and the serving layer
     /// both run on it). Each logical session is a cooperative task that
     /// yields at scan batch boundaries, so thousands of concurrent sessions
-    /// multiplex onto this many threads; per-query work is queued per task
-    /// and idle workers steal from busy ones. The default (8) matches the
-    /// paper's 8-thread evaluation host; `1` serializes every session onto
-    /// one thread (useful for deterministic debugging — results are
-    /// identical at any worker count).
+    /// multiplex onto this many threads, all taking tasks from one shared
+    /// run queue. The default (8) matches the paper's 8-thread evaluation
+    /// host; `1` serializes every session onto one thread (useful for
+    /// deterministic debugging — results are identical at any worker
+    /// count).
     pub scheduler_workers: usize,
 }
 

@@ -199,18 +199,13 @@ impl VersionState {
     }
 }
 
-/// The ABM's state of one table: its registered versions and which pages
-/// their cached chunks hold.
+/// The ABM's state of one table: its registered versions.
 #[derive(Debug, Default)]
 struct TableChunks {
     /// The registered versions by id; ids follow registration order.
     versions: BTreeMap<u64, VersionState>,
     /// The id the next new version gets.
     next_version: u64,
-    /// Reference counts of resident pages: how many cached chunks (across
-    /// versions) currently hold each page. Pages referenced by several
-    /// snapshots or by adjacent chunks are counted once for I/O purposes.
-    resident_pages: IdHashMap<PageId, usize>,
     /// Number of leading chunks shared by at least two registered scans.
     shared_prefix_chunks: u32,
 }
@@ -301,6 +296,12 @@ impl CoreScan {
 struct AbmState {
     scans: IdHashMap<ScanId, CoreScan>,
     tables: IdHashMap<TableId, TableChunks>,
+    /// Reference counts of resident pages: how many cached chunks (across
+    /// versions and tables) currently hold each page. Pages referenced by
+    /// several snapshots or by adjacent chunks are counted once for I/O
+    /// purposes. One map serves every table: a `Storage` allocates each
+    /// page id once, so tables never share one.
+    resident_pages: IdHashMap<PageId, usize>,
     stats: BufferStats,
     next_scan: u64,
     /// The chunk load [`Abm::pump_loads`] left in flight, with its
@@ -311,8 +312,7 @@ struct AbmState {
 impl AbmState {
     /// Bytes the cached chunks hold: every resident page once.
     fn resident_bytes(&self, config: &AbmConfig) -> u64 {
-        let pages: usize = self.tables.values().map(|t| t.resident_pages.len()).sum();
-        pages as u64 * config.page_size_bytes
+        self.resident_pages.len() as u64 * config.page_size_bytes
     }
 
     /// The chunk table of the version `scan` reads.
@@ -413,7 +413,7 @@ impl AbmState {
         let new_pages: Vec<PageId> = pages
             .iter()
             .copied()
-            .filter(|p| !table_state.resident_pages.contains_key(p))
+            .filter(|p| !self.resident_pages.contains_key(p))
             .collect();
         let bytes = new_pages.len() as u64 * config.page_size_bytes;
 
@@ -528,12 +528,10 @@ impl AbmState {
         chunk: ChunkId,
         config: &AbmConfig,
     ) -> u64 {
-        let Some(table_state) = self.tables.get_mut(&table) else {
-            return 0;
-        };
-        let Some(chunk_state) = table_state
-            .versions
-            .get_mut(&version)
+        let Some(chunk_state) = self
+            .tables
+            .get_mut(&table)
+            .and_then(|t| t.versions.get_mut(&version))
             .and_then(|v| v.chunks.get_mut(chunk.index()))
             .filter(|c| c.residency == Residency::Cached)
         else {
@@ -541,11 +539,7 @@ impl AbmState {
         };
         chunk_state.residency = Residency::Empty;
         let pages = std::mem::take(&mut chunk_state.pages);
-        let freed = release(
-            &mut table_state.resident_pages,
-            &pages,
-            config.page_size_bytes,
-        );
+        let freed = release(&mut self.resident_pages, &pages, config.page_size_bytes);
         for scan_id in &chunk_state.interested {
             if let Some(scan) = self.scans.get_mut(scan_id) {
                 scan.forget_available(chunk);
@@ -571,15 +565,11 @@ impl AbmState {
         // synchronous callers completed every load before the scan could go
         // away.)
         let planner = self.scans.get(&plan.scan).map(|scan| scan.version);
-        let Some(TableChunks {
-            versions,
-            resident_pages,
-            ..
-        }) = self.tables.get_mut(&plan.table)
-        else {
+        let Some(table_state) = self.tables.get_mut(&plan.table) else {
             return;
         };
-        let loading = versions
+        let loading = table_state
+            .versions
             .iter_mut()
             .filter(|(&id, _)| planner.map_or(true, |planner| planner == id))
             .find_map(|(_, version)| {
@@ -598,7 +588,7 @@ impl AbmState {
         };
         chunk_state.residency = Residency::Cached;
         for &page in &chunk_state.pages {
-            *resident_pages.entry(page).or_insert(0) += 1;
+            *self.resident_pages.entry(page).or_insert(0) += 1;
         }
         // The chunk is now available to every scan that still needs it.
         for scan_id in &chunk_state.interested {
@@ -817,7 +807,7 @@ impl Abm {
                     let page_size = self.config.page_size_bytes;
                     for chunk in &dropped.chunks {
                         if chunk.residency == Residency::Cached {
-                            release(&mut table_state.resident_pages, &chunk.pages, page_size);
+                            release(&mut state.resident_pages, &chunk.pages, page_size);
                         }
                     }
                 }

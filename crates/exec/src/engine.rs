@@ -491,8 +491,6 @@ impl Engine {
                     Err(_) => false,
                 }
             }
-            // Never surfaced by record iteration; unreachable in practice.
-            WalRecordKind::Rotate => false,
         })?;
         Ok(())
     }
@@ -552,9 +550,6 @@ impl Engine {
                         return Err(Error::WalUnknownTable(table));
                     }
                 }
-                // Rotation bases are folded into record sequences by the
-                // reader and never surface as records.
-                WalRecordKind::Rotate => {}
             }
         }
         Ok(())

@@ -445,7 +445,7 @@ impl Query {
     /// at batch boundaries so thousands of queries share a fixed worker
     /// pool. `parallelism` controls how many partial scans the task
     /// *interleaves*, not how many OS threads it occupies — cross-worker
-    /// parallelism comes from running many tasks, and from work stealing.
+    /// parallelism comes from running many tasks at once.
     pub fn into_task(self) -> Result<QueryTask> {
         self.aggregate_task(".into_task()")
     }

@@ -15,13 +15,12 @@
 //!   the natural yield point is the [`ScanOperator`] batch boundary — the
 //!   scan produces a bounded number of batches per quantum
 //!   ([`BATCHES_PER_QUANTUM`]) and hands the worker back;
-//! * every worker keeps its own run queue and **steals from the back** of
-//!   other workers' queues when it runs dry, so an uneven session mix still
-//!   saturates the pool;
-//! * a task that yields goes to the **back** of its worker's queue, so
-//!   sessions on one worker interleave round-robin: a short query never
-//!   stalls behind a long scan (see the starvation test in
-//!   `tests/scheduler_semantics.rs`).
+//! * all workers share **one FIFO run queue** under one mutex: a worker
+//!   takes its front and parks on a condvar while it is empty, so an uneven
+//!   session mix still saturates the pool;
+//! * spawned and yielding tasks join the **back** of the queue, so sessions
+//!   interleave round-robin: a short query never stalls behind a long scan
+//!   (see the starvation test in `tests/scheduler_semantics.rs`).
 //!
 //! Scheduling never changes results: queries compute order-insensitive
 //! aggregates over snapshot-pinned scans, so the same sessions produce
@@ -49,7 +48,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
 use std::thread::JoinHandle;
 
@@ -70,7 +69,7 @@ pub const BATCHES_PER_QUANTUM: usize = 8;
 /// What one [`Task::step`] quantum reports back to the scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskStep {
-    /// The task has more work; requeue it behind its worker's other tasks.
+    /// The task has more work; requeue it at the back of the run queue.
     Yield,
     /// The task is finished; complete its handle.
     Done,
@@ -80,7 +79,7 @@ pub enum TaskStep {
 /// one serving-layer request, ...). `step` runs one bounded quantum; a task
 /// that needs something unavailable right now (buffer space, a full
 /// outbound queue) returns [`TaskStep::Yield`] and is retried after the
-/// worker's other tasks have had their turn.
+/// other queued tasks have had their turn.
 pub trait Task: Send {
     /// Runs one quantum. Errors complete the task's handle with
     /// [`TaskOutcome::Failed`]; panics are caught and complete it with
@@ -211,7 +210,7 @@ enum StepResult {
     Complete,
 }
 
-/// Type-erased task + completion slot living on the run queues. The
+/// Type-erased task + completion slot living on the run queue. The
 /// `before_complete` callback runs just before the handle is signalled so
 /// the scheduler's counters are consistent by the time a waiter wakes.
 trait Runnable: Send {
@@ -253,39 +252,30 @@ pub struct SchedulerStats {
     pub completed: u64,
     /// Quanta after which a task yielded and was requeued.
     pub yields: u64,
-    /// Tasks a worker stole from another worker's queue.
+    /// Always 0: every worker takes from the one run queue, so no task is
+    /// ever stolen. Kept because existing readers of the stats name it.
     pub steals: u64,
 }
 
+/// The state the one scheduler mutex guards.
+#[derive(Default)]
+struct RunQueue {
+    /// Runnable tasks in FIFO order: spawned and yielding tasks join the
+    /// back, a worker takes the front.
+    runs: VecDeque<Box<dyn Runnable>>,
+    /// Set by [`TaskScheduler::shutdown`]. Under the same lock as `runs`,
+    /// so a spawn either queues its task before the shutdown (which then
+    /// runs or cancels it) or sees the flag and refuses the task.
+    shutdown: bool,
+}
+
 struct Shared {
-    /// One run queue per worker; a yielding task goes to the back of the
-    /// queue of the worker that ran it.
-    queues: Vec<Mutex<VecDeque<Box<dyn Runnable>>>>,
-    /// Freshly spawned tasks land here; each worker moves at most one
-    /// injector task into its own queue per scheduling iteration, so new
-    /// sessions are admitted round-robin with the already-running ones.
-    injector: Mutex<VecDeque<Box<dyn Runnable>>>,
-    /// Version counter + condvar parking: bumped (with a wake) on every
-    /// push, so a worker that observed version V and then found no work can
-    /// sleep until the version moves.
-    park: std::sync::Mutex<u64>,
+    queue: Mutex<RunQueue>,
+    /// Signalled once per spawn (one worker) and on shutdown (all).
     wake: Condvar,
-    shutdown: AtomicBool,
     submitted: AtomicU64,
     completed: AtomicU64,
     yields: AtomicU64,
-    steals: AtomicU64,
-}
-
-impl Shared {
-    fn bump(&self) {
-        *self.park.lock().unwrap_or_else(|e| e.into_inner()) += 1;
-        self.wake.notify_all();
-    }
-
-    fn version(&self) -> u64 {
-        *self.park.lock().unwrap_or_else(|e| e.into_inner())
-    }
 }
 
 /// The fixed worker pool executing [`Task`]s; see the [module docs](self).
@@ -306,24 +296,19 @@ impl std::fmt::Debug for TaskScheduler {
 impl TaskScheduler {
     /// Starts a scheduler with `workers` OS threads (clamped to at least 1).
     pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            injector: Mutex::new(VecDeque::new()),
-            park: std::sync::Mutex::new(0),
+            queue: Mutex::new(RunQueue::default()),
             wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
             submitted: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             yields: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
         });
-        let handles = (0..workers)
+        let handles = (0..workers.max(1))
             .map(|me| {
                 let shared = Arc::clone(&shared);
                 std::thread::Builder::new()
                     .name(format!("sched-worker-{me}"))
-                    .spawn(move || worker_loop(&shared, me))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn scheduler worker")
             })
             .collect();
@@ -358,7 +343,7 @@ impl TaskScheduler {
             submitted: self.shared.submitted.load(Ordering::Relaxed),
             completed: self.shared.completed.load(Ordering::Relaxed),
             yields: self.shared.yields.load(Ordering::Relaxed),
-            steals: self.shared.steals.load(Ordering::Relaxed),
+            steals: 0,
         }
     }
 
@@ -367,21 +352,19 @@ impl TaskScheduler {
     /// yielded) completes its handle with [`TaskOutcome::Failed`], and the
     /// worker threads are joined. Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {
-        if self.shared.shutdown.swap(true, Ordering::SeqCst) {
+        if std::mem::replace(&mut self.shared.queue.lock().shutdown, true) {
             return;
         }
-        self.shared.bump();
+        self.shared.wake.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
-        let mut cancelled: Vec<Box<dyn Runnable>> = self.shared.injector.lock().drain(..).collect();
-        for queue in &self.shared.queues {
-            cancelled.extend(queue.lock().drain(..));
-        }
-        let shared = Arc::clone(&self.shared);
+        // Cancel outside the lock: dropping a task may spawn (and so be
+        // refused) follow-up work.
+        let cancelled = std::mem::take(&mut self.shared.queue.lock().runs);
         for mut run in cancelled {
             run.cancel(shutdown_error(), &|| {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
+                self.shared.completed.fetch_add(1, Ordering::Relaxed);
             });
         }
     }
@@ -408,13 +391,11 @@ impl SchedHandle {
 
 impl std::fmt::Debug for SchedHandle {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedHandle")
-            .field("workers", &self.shared.queues.len())
-            .finish()
+        f.debug_struct("SchedHandle").finish_non_exhaustive()
     }
 }
 
-fn spawn_on<T: Task + 'static>(shared: &Arc<Shared>, task: T) -> TaskHandle<T> {
+fn spawn_on<T: Task + 'static>(shared: &Shared, task: T) -> TaskHandle<T> {
     let state = Arc::new(HandleState {
         slot: Mutex::new(None),
         done: Condvar::new(),
@@ -426,13 +407,16 @@ fn spawn_on<T: Task + 'static>(shared: &Arc<Shared>, task: T) -> TaskHandle<T> {
         task: Some(task),
         state,
     };
-    if shared.shutdown.load(Ordering::SeqCst) {
+    let mut queue = shared.queue.lock();
+    if queue.shutdown {
+        drop(queue);
         run.cancel(shutdown_error(), &|| {});
         return handle;
     }
     shared.submitted.fetch_add(1, Ordering::Relaxed);
-    shared.injector.lock().push_back(Box::new(run));
-    shared.bump();
+    queue.runs.push_back(Box::new(run));
+    drop(queue);
+    shared.wake.notify_one();
     handle
 }
 
@@ -441,53 +425,34 @@ fn shutdown_error() -> Error {
     Error::Unsupported("task scheduler shut down before the task completed".into())
 }
 
-fn worker_loop(shared: &Shared, me: usize) {
+/// Takes the front of the run queue, runs one quantum and, if the task
+/// yielded, puts it at the back in the same lock acquisition that takes the
+/// next one. Parks while the queue is empty; exits on shutdown, leaving a
+/// yielded task queued for [`TaskScheduler::shutdown`] to cancel.
+fn worker_loop(shared: &Shared) {
+    let mut yielded = None;
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            return;
-        }
-        // Snapshot the park version *before* looking for work: any push
-        // that races with the scan below bumps it, which keeps the final
-        // wait from sleeping through the wakeup.
-        let version = shared.version();
-        if let Some(mut run) = find_work(shared, me) {
-            let step = run.run_step(&|| {
-                shared.completed.fetch_add(1, Ordering::Relaxed);
-            });
-            if let StepResult::Requeue = step {
-                shared.yields.fetch_add(1, Ordering::Relaxed);
-                shared.queues[me].lock().push_back(run);
-                shared.bump();
+        let mut run = {
+            let mut queue = shared.queue.lock();
+            queue.runs.extend(yielded.take());
+            loop {
+                if queue.shutdown {
+                    return;
+                }
+                if let Some(run) = queue.runs.pop_front() {
+                    break run;
+                }
+                queue = shared.wake.wait(queue).expect("scheduler queue poisoned");
             }
-            continue;
-        }
-        let mut guard = shared.park.lock().unwrap_or_else(|e| e.into_inner());
-        while *guard == version && !shared.shutdown.load(Ordering::SeqCst) {
-            guard = shared.wake.wait(guard).expect("condvar poisoned");
-        }
-    }
-}
-
-/// One scheduling decision for worker `me`: admit at most one freshly
-/// spawned task behind the already-running ones (round-robin admission),
-/// run the front of the own queue, and steal from the back of a busy
-/// worker's queue when the own queue is dry.
-fn find_work(shared: &Shared, me: usize) -> Option<Box<dyn Runnable>> {
-    if let Some(fresh) = shared.injector.lock().pop_front() {
-        shared.queues[me].lock().push_back(fresh);
-    }
-    if let Some(run) = shared.queues[me].lock().pop_front() {
-        return Some(run);
-    }
-    let workers = shared.queues.len();
-    for offset in 1..workers {
-        let victim = (me + offset) % workers;
-        if let Some(run) = shared.queues[victim].lock().pop_back() {
-            shared.steals.fetch_add(1, Ordering::Relaxed);
-            return Some(run);
+        };
+        let step = run.run_step(&|| {
+            shared.completed.fetch_add(1, Ordering::Relaxed);
+        });
+        if let StepResult::Requeue = step {
+            shared.yields.fetch_add(1, Ordering::Relaxed);
+            yielded = Some(run);
         }
     }
-    None
 }
 
 // ---------------------------------------------------------------------------
@@ -634,7 +599,7 @@ impl Task for QueryTask {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
 
     /// Counts down `left` quanta, appending its label to `log` when done.
     struct CountTask {
@@ -683,7 +648,7 @@ mod tests {
     fn single_worker_round_robins_so_short_tasks_finish_first() {
         // The long task spins in its first quantum until both tasks are
         // spawned, so the single worker cannot burn through all 200 quanta
-        // before the short task even reaches the injector.
+        // before the short task is even queued.
         struct GatedCount {
             start: Arc<AtomicBool>,
             inner: CountTask,
@@ -832,10 +797,9 @@ mod tests {
     }
 
     #[test]
-    fn work_stealing_keeps_many_workers_busy() {
-        // 4 workers x 64 yieldy tasks: not deterministic enough to assert a
-        // steal count, but every task must complete and the yield counter
-        // must reflect the requeues.
+    fn many_yielding_tasks_finish_on_four_workers() {
+        // 4 workers x 64 yieldy tasks: every task must complete and the
+        // yield counter must reflect the requeues.
         let sched = TaskScheduler::new(4);
         let log = Arc::new(Mutex::new(Vec::new()));
         let handles: Vec<_> = (0..64)
@@ -853,5 +817,60 @@ mod tests {
         let stats = sched.stats();
         assert_eq!(stats.completed, 64);
         assert_eq!(stats.yields, 64 * 20);
+    }
+
+    #[test]
+    fn spawns_racing_a_shutdown_are_run_cancelled_or_refused() {
+        // Each spawn either queues its task before the shutdown, which then
+        // runs or cancels it, or is refused; a task pushed after the
+        // shutdown drained the queue would leave a handle that never
+        // completes.
+        struct OneQuantum;
+        impl Task for OneQuantum {
+            fn step(&mut self) -> Result<TaskStep> {
+                Ok(TaskStep::Done)
+            }
+        }
+        let mut sched = TaskScheduler::new(2);
+        let start = Arc::new(std::sync::Barrier::new(5));
+        let (handles_tx, handles_rx) = std::sync::mpsc::channel();
+        let spawners: Vec<_> = (0..4)
+            .map(|_| {
+                let sched = sched.handle();
+                let start = Arc::clone(&start);
+                let handles_tx = handles_tx.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    for _ in 0..500 {
+                        handles_tx
+                            .send(sched.spawn(OneQuantum))
+                            .expect("waiter alive");
+                    }
+                })
+            })
+            .collect();
+        drop(handles_tx);
+        // Wait on a helper thread so that a lost task fails the test below
+        // instead of hanging the suite.
+        let (verdict_tx, verdict_rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let outcomes: Vec<_> = handles_rx.into_iter().map(TaskHandle::wait).collect();
+            let all_ended = outcomes
+                .iter()
+                .all(|o| matches!(o, TaskOutcome::Finished(_) | TaskOutcome::Failed(_)));
+            let _ = verdict_tx.send((outcomes.len(), all_ended));
+        });
+        start.wait();
+        sched.shutdown();
+        for spawner in spawners {
+            spawner.join().expect("spawner panicked");
+        }
+        let stats = sched.stats();
+        assert_eq!(stats.completed, stats.submitted);
+        let (waited, all_ended) = verdict_rx
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("a spawned task's handle never completed");
+        assert_eq!(waited, 4 * 500);
+        assert!(all_ended, "every handle ends Finished or Failed");
     }
 }

@@ -697,7 +697,7 @@ impl Server {
         }
     }
 
-    /// The scheduler's counters (yields, steals, ...), for benches.
+    /// The scheduler's counters (tasks, yields, ...), for benches.
     pub fn scheduler_stats(&self) -> Option<SchedulerStats> {
         self.scheduler.as_ref().map(TaskScheduler::stats)
     }

@@ -93,13 +93,14 @@ pub enum WalRecordKind {
     /// The checkpoint's new image is durable (manifest renamed) and
     /// installed.
     CheckpointEnd,
-    /// Internal rotation marker: the first record of a rotated log, whose
-    /// body holds the cumulative count of records dropped by all rotations
-    /// so far. Never returned by [`Wal::read_records`] — the parser folds it
-    /// into the sequence-number base so global record numbering stays
-    /// monotonic across rotations.
-    Rotate,
 }
+
+/// The kind byte of the rotation marker: the first frame of a rotated log,
+/// whose body holds the cumulative count of records dropped by all
+/// rotations so far. Never returned by [`Wal::read_records`]: the parser
+/// folds it into the sequence-number base so global record numbering stays
+/// monotonic across rotations.
+const ROTATE: u8 = 4;
 
 impl WalRecordKind {
     fn to_byte(self) -> u8 {
@@ -107,7 +108,6 @@ impl WalRecordKind {
             WalRecordKind::Commit => 1,
             WalRecordKind::CheckpointBegin => 2,
             WalRecordKind::CheckpointEnd => 3,
-            WalRecordKind::Rotate => 4,
         }
     }
 
@@ -116,7 +116,6 @@ impl WalRecordKind {
             1 => Some(WalRecordKind::Commit),
             2 => Some(WalRecordKind::CheckpointBegin),
             3 => Some(WalRecordKind::CheckpointEnd),
-            4 => Some(WalRecordKind::Rotate),
             _ => None,
         }
     }
@@ -254,7 +253,7 @@ impl Wal {
     /// the file by a synced zero extent. A failed partial write is rolled
     /// back so later appends never land behind garbage.
     fn append(&self, kind: WalRecordKind, body: &[u8]) -> Result<u64> {
-        let frame = encode_frame(kind, body);
+        let frame = encode_frame(kind.to_byte(), body);
         let mut st = lock(&self.state);
         let file = read_file(&self.file);
         if let Err(e) = write_frame(&file, &mut st, &frame) {
@@ -330,9 +329,9 @@ impl Wal {
             return Ok(0);
         }
         let new_base = base + dropped.len() as u64;
-        let mut out = encode_frame(WalRecordKind::Rotate, &new_base.to_le_bytes());
+        let mut out = encode_frame(ROTATE, &new_base.to_le_bytes());
         for record in &kept {
-            out.extend_from_slice(&encode_frame(record.kind, &record.body));
+            out.extend_from_slice(&encode_frame(record.kind.to_byte(), &record.body));
         }
         let tmp_path = self.dir.join(format!("{WAL_FILE_NAME}.tmp"));
         {
@@ -445,14 +444,14 @@ fn parse_records(bytes: &[u8]) -> (Vec<WalRecord>, u64, usize) {
         if crc32(payload) != crc {
             break;
         }
-        let Some(kind) = WalRecordKind::from_byte(payload[0]) else {
-            break;
-        };
-        if kind == WalRecordKind::Rotate {
+        if payload[0] == ROTATE {
             if payload.len() == 9 {
                 base = u64::from_le_bytes(payload[1..9].try_into().expect("8 bytes"));
             }
         } else {
+            let Some(kind) = WalRecordKind::from_byte(payload[0]) else {
+                break;
+            };
             records.push(WalRecord {
                 kind,
                 body: payload[1..].to_vec(),
@@ -463,10 +462,10 @@ fn parse_records(bytes: &[u8]) -> (Vec<WalRecord>, u64, usize) {
     (records, base, pos)
 }
 
-/// Encodes one record frame (length, checksum, kind, body).
-fn encode_frame(kind: WalRecordKind, body: &[u8]) -> Vec<u8> {
+/// Encodes one record frame (length, checksum, kind byte, body).
+fn encode_frame(kind: u8, body: &[u8]) -> Vec<u8> {
     let mut payload = Vec::with_capacity(1 + body.len());
-    payload.push(kind.to_byte());
+    payload.push(kind);
     payload.extend_from_slice(body);
     let mut frame = Vec::with_capacity(FRAME_HEADER + payload.len());
     frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());

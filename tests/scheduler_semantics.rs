@@ -3,7 +3,9 @@
 //! long scan, and hundreds of logical sessions complete on a handful of
 //! workers.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use scanshare::prelude::*;
 
@@ -97,6 +99,31 @@ fn results_are_identical_at_any_worker_count() {
     }
 }
 
+/// Runs `inner`, holding its first quantum until `start` is set and its
+/// last until `finish` is set or five seconds have passed (so a scheduler
+/// that never runs the other sessions fails an assert instead of hanging).
+struct Gated<T> {
+    start: Arc<AtomicBool>,
+    finish: Arc<AtomicBool>,
+    inner: T,
+}
+
+impl<T: Task> Task for Gated<T> {
+    fn step(&mut self) -> scanshare::common::Result<TaskStep> {
+        while !self.start.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        let step = self.inner.step()?;
+        if step == TaskStep::Done {
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while !self.finish.load(Ordering::SeqCst) && Instant::now() < deadline {
+                std::thread::yield_now();
+            }
+        }
+        Ok(step)
+    }
+}
+
 /// Round-robin quanta on a single worker: a batch of one-quantum sessions
 /// spawned behind a long full-table scan must all finish while the long
 /// scan is still running — no session stalls behind it.
@@ -105,9 +132,6 @@ fn short_sessions_are_not_starved_behind_a_long_scan() {
     let (engine, table) = build_engine();
     let scheduler = TaskScheduler::new(1);
 
-    // Build the one-quantum sessions up front so that, once the long scan
-    // is spawned, the shorts reach the queue within a few microseconds —
-    // long before the scan's ~50 quanta can drain.
     let short_tasks: Vec<_> = (0..20)
         .map(|i| {
             engine
@@ -121,11 +145,21 @@ fn short_sessions_are_not_starved_behind_a_long_scan() {
         .collect();
 
     // ~50 quanta of work (400k tuples / 1k batch / 8 batches per quantum).
-    let long = scheduler.spawn(grouped_task(&engine, table, 1));
+    // Its first quantum waits until every short session is queued and its
+    // last until the check below has run, so neither a preempted spawning
+    // thread nor a preempted waiting one can let the scan drain first.
+    let start = Arc::new(AtomicBool::new(false));
+    let finish = Arc::new(AtomicBool::new(false));
+    let long = scheduler.spawn(Gated {
+        start: Arc::clone(&start),
+        finish: Arc::clone(&finish),
+        inner: grouped_task(&engine, table, 1),
+    });
     let shorts: Vec<_> = short_tasks
         .into_iter()
         .map(|task| scheduler.spawn(task))
         .collect();
+    start.store(true, Ordering::SeqCst);
 
     for short in shorts {
         let result = short.wait().into_result().unwrap().into_result();
@@ -136,7 +170,8 @@ fn short_sessions_are_not_starved_behind_a_long_scan() {
         "a 20-session batch of small queries drained before the long scan \
          finished; the scheduler is not round-robining quanta"
     );
-    let result = long.wait().into_result().unwrap().into_result();
+    finish.store(true, Ordering::SeqCst);
+    let result = long.wait().into_result().unwrap().inner.into_result();
     assert_eq!(result.len(), 7);
 }
 
