@@ -23,7 +23,7 @@
 use scanshare_common::{Result, Rid, TupleRange};
 use scanshare_storage::datagen::Value;
 
-use crate::pdt::Pdt;
+use crate::pdt::{Node, Pdt};
 
 /// A source of stable (on-disk, pre-update) tuple values.
 pub trait StableSource {
@@ -110,11 +110,7 @@ impl MergeCursor {
     pub fn seek(pdt: &Pdt, stable_tuples: u64, rid_range: TupleRange) -> Self {
         let visible = pdt.visible_count(stable_tuples);
         let clamped = rid_range.intersect(&TupleRange::new(0, visible));
-        let (sid, offset) = if clamped.start >= visible {
-            (stable_tuples, pdt.node_inserts(stable_tuples))
-        } else {
-            pdt.locate(Rid::new(clamped.start), stable_tuples)
-        };
+        let (sid, offset) = pdt.locate(Rid::new(clamped.start.min(visible)), stable_tuples);
         Self {
             next_rid: clamped.start,
             end_rid: clamped.end,
@@ -248,15 +244,16 @@ pub fn merge_range<S: StableSource>(
     let stable = source.stable_tuples();
     let mut rows = Vec::new();
     let mut rid = 0;
+    let empty = Node::default();
     for sid in 0..=stable {
-        for i in 0..pdt.node_inserts(sid) {
+        let node = pdt.node(sid).unwrap_or(&empty);
+        for row in &node.inserts {
             if rid_range.contains(rid) {
-                let row = pdt.node_insert_row(sid, i).expect("i < inserts");
                 rows.push(columns.iter().map(|&c| row[c]).collect());
             }
             rid += 1;
         }
-        if sid < stable && !pdt.node_deleted(sid) {
+        if sid < stable && !node.deleted {
             if rid_range.contains(rid) {
                 let mut row = vec![Vec::new(); columns.len()];
                 source
@@ -266,7 +263,7 @@ pub fn merge_range<S: StableSource>(
                     columns
                         .iter()
                         .zip(row)
-                        .map(|(&c, stable)| pdt.node_modify(sid, c).unwrap_or(stable[0]))
+                        .map(|(&c, stable)| node.modifies.get(&c).copied().unwrap_or(stable[0]))
                         .collect(),
                 );
             }
@@ -515,7 +512,10 @@ pub(crate) mod tests {
                             .merge(&pdt, &mut source, columns, limit, &mut out)
                             .unwrap();
                         assert!(produced > 0 && produced <= limit, "seed {seed}");
-                        let passed = pdt.anchors_in(from, cursor.sid).count();
+                        let passed = pdt
+                            .nodes_from(from)
+                            .take_while(|&(anchor, _)| anchor < cursor.sid)
+                            .count();
                         assert!(
                             source.fills - fills <= passed + 1,
                             "seed {seed} {columns:?}: {} fills passing {passed} anchors",

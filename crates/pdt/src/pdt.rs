@@ -12,17 +12,18 @@
 //!   to the lowest / highest visible position anchored at it (they differ
 //!   when rows were inserted before a stable tuple).
 //!
-//! Internally the PDT is an ordered map from SID to an update node plus a
-//! two-level index, one entry per node in SID order, that gives the
-//! "running delta" of the paper by two binary searches. The entries sit in
-//! blocks of at most `2·B` (`B` = `BLOCK`); an entry's counts are local
-//! to its block and a block holds the counts of all blocks before it. An
-//! update keeps the index current in place: one binary search over the
-//! blocks and one inside its block, at most one entry inserted or removed,
-//! ±1 on the rest of its block and on the bases of later blocks (a modify
-//! changes no count), a split of a block grown past `2·B` and the drop of
-//! an emptied one. On top of its RID-to-SID translation an update thus
-//! costs `O(B + n/B)` for `n` anchors; nothing rebuilds the index.
+//! Internally the PDT is one counted structure: its nodes, in SID order, sit
+//! in blocks of at most `2·B` entries (`B` = `BLOCK`), and each entry holds
+//! its anchor SID, its node and the running counts of inserted rows and
+//! deleted tuples through it, local to its block; a block holds the counts
+//! of all blocks before it. Either translation is two binary searches, one
+//! over the blocks and one inside a block: SID-to-RID by anchor SID, and
+//! RID-to-SID by the first RID after each anchor. Every update takes one
+//! path: the two searches by SID, the change to the node, ±1 on the rest of
+//! its block and on the bases of later blocks (a modify changes no count), a
+//! split of a block grown past `2·B` and the drop of an emptied node or
+//! block. On top of its RID-to-SID translation an update thus costs
+//! `O(B + n/B)` for `n` anchors.
 
 use std::collections::BTreeMap;
 
@@ -37,37 +38,52 @@ pub(crate) struct Node {
     pub inserts: Vec<Vec<Value>>,
     /// Whether stable tuple `sid` is deleted.
     pub deleted: bool,
-    /// Per-column new values for stable tuple `sid`.
+    /// Per-column new values for stable tuple `sid`; empty when it is
+    /// deleted.
     pub modifies: BTreeMap<usize, Value>,
 }
 
 impl Node {
-    fn is_empty(&self) -> bool {
-        self.inserts.is_empty() && !self.deleted && self.modifies.is_empty()
+    /// What the node adds to its PDT's [`UpdateStats`].
+    fn stats(&self) -> UpdateStats {
+        let (inserts, deletes) = (self.inserts.len() as u64, u64::from(self.deleted));
+        let modifies = self.modifies.len() as u64;
+        UpdateStats {
+            inserts,
+            deletes,
+            modifies,
+            nodes: u64::from(inserts + deletes + modifies > 0),
+        }
     }
 }
 
-/// Half the most entries an index block holds: a block splits above
-/// `2 * BLOCK`, so an update touches `O(BLOCK)` entries and `O(n / BLOCK)`
-/// block bases.
+/// Half the most entries a block holds: a block splits above `2 * BLOCK`, so
+/// an update touches `O(BLOCK)` entries and `O(n / BLOCK)` block bases.
 const BLOCK: usize = 64;
 
-/// Cumulative counters at (and including) one PDT node, used to compute the
-/// running delta between RID and SID.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct IndexEntry {
+/// One node with the running counts through it, counted from the start of
+/// its block: rows inserted at anchors `<= sid` and deleted stable tuples at
+/// positions `<= sid`.
+#[derive(Debug, Clone)]
+struct Entry {
     sid: u64,
-    /// Inserted rows anchored at keys `<= sid` and deleted stable tuples
-    /// with position `<= sid`.
     incl: (u64, u64),
+    node: Node,
 }
 
-/// A run of index entries whose counts start at `base`, the counts of all
-/// earlier blocks. Never empty.
+/// A run of entries whose counts start at `base`, the counts of all earlier
+/// blocks. Never empty.
 #[derive(Debug, Clone, Default)]
-struct IndexBlock {
+struct Block {
     base: (u64, u64),
-    entries: Vec<IndexEntry>,
+    entries: Vec<Entry>,
+}
+
+impl Block {
+    /// The running counts through `entry`, one of this block's.
+    fn through(&self, entry: &Entry) -> (u64, u64) {
+        (self.base.0 + entry.incl.0, self.base.1 + entry.incl.1)
+    }
 }
 
 /// Summary statistics of a PDT.
@@ -87,16 +103,9 @@ pub struct UpdateStats {
 #[derive(Debug, Clone, Default)]
 pub struct Pdt {
     column_count: usize,
-    nodes: BTreeMap<u64, Node>,
-    /// One entry per node of `nodes`, in SID order, in blocks of at most
-    /// `2 * BLOCK`, with the running counts through it (block base plus
-    /// entry). An update keeps it current in place: two binary searches, at
-    /// most one entry inserted or removed, ±1 on the rest of its block and on
-    /// the later blocks' bases, so `O(BLOCK + n / BLOCK)` for `n` entries.
-    index: Vec<IndexBlock>,
-    total_inserts: u64,
-    total_deletes: u64,
-    total_modifies: u64,
+    /// Every node, in SID order, in blocks of at most `2 * BLOCK` entries.
+    blocks: Vec<Block>,
+    stats: UpdateStats,
 }
 
 impl Pdt {
@@ -115,133 +124,119 @@ impl Pdt {
 
     /// Whether the PDT holds no updates (merging is the identity).
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.blocks.is_empty()
     }
 
     /// Summary statistics.
     pub fn stats(&self) -> UpdateStats {
-        UpdateStats {
-            inserts: self.total_inserts,
-            deletes: self.total_deletes,
-            modifies: self.total_modifies,
-            nodes: self.nodes.len() as u64,
-        }
+        self.stats
     }
 
     /// Number of rows visible after merging, for a stable image of
     /// `stable_tuples` tuples.
     pub fn visible_count(&self, stable_tuples: u64) -> u64 {
-        stable_tuples + self.total_inserts - self.total_deletes
+        stable_tuples + self.stats.inserts - self.stats.deletes
     }
 
     // ------------------------------------------------------------------
-    // Running-delta index
+    // The counted blocks
     // ------------------------------------------------------------------
 
     /// Inserted rows anchored strictly before `sid` / deletes strictly before
     /// `sid`.
     fn deltas_before(&self, sid: u64) -> (u64, u64) {
-        let b = self.index.partition_point(|blk| blk.entries[0].sid < sid);
-        let Some(blk) = b.checked_sub(1).map(|b| &self.index[b]) else {
+        let b = self.blocks.partition_point(|blk| blk.entries[0].sid < sid);
+        let Some(blk) = b.checked_sub(1).map(|b| &self.blocks[b]) else {
             return (0, 0);
         };
-        let e = blk.entries[blk.entries.partition_point(|e| e.sid < sid) - 1];
-        (blk.base.0 + e.incl.0, blk.base.1 + e.incl.1)
+        blk.through(&blk.entries[blk.entries.partition_point(|e| e.sid < sid) - 1])
     }
 
-    /// Keeps the index current after an update at `sid` that changed the
-    /// rows inserted there by `inserts` and the deleted tuples by `deletes`:
-    /// lists a node that appeared, drops the entry of one that emptied, adds
-    /// the change to the running counts from `sid` on, and splits or drops
-    /// the block it touched.
-    fn reindex(&mut self, sid: u64, inserts: i64, deletes: u64) {
-        let b = match self.index.partition_point(|blk| blk.entries[0].sid <= sid) {
-            0 if self.index.is_empty() => {
-                self.index.push(IndexBlock::default());
-                0
-            }
-            b => b.saturating_sub(1),
-        };
-        let (head, later) = self.index.split_at_mut(b + 1);
-        let entries = &mut head[b].entries;
-        let pos = entries.partition_point(|e| e.sid < sid);
-        let listed = entries.get(pos).is_some_and(|e| e.sid == sid);
-        match (listed, self.nodes.contains_key(&sid)) {
-            (false, true) => {
-                let incl = pos.checked_sub(1).map_or((0, 0), |p| entries[p].incl);
-                entries.insert(pos, IndexEntry { sid, incl });
-            }
-            (true, false) => {
-                entries.remove(pos);
-            }
-            _ => {}
+    /// Applies `change` to the node at `sid`, an empty one if there is none.
+    /// The stats and the running counts from `sid` on then take the
+    /// difference between the node's stats before and after; a node left
+    /// empty is dropped, and its block splits once past `2 * BLOCK` entries
+    /// or drops once empty.
+    fn update(&mut self, sid: u64, change: impl FnOnce(&mut Node)) {
+        let b = self.blocks.partition_point(|blk| blk.entries[0].sid <= sid);
+        let b = b.saturating_sub(1);
+        if self.blocks.is_empty() {
+            self.blocks.push(Block::default());
         }
+        let (head, later) = self.blocks.split_at_mut(b + 1);
+        let blk = &mut head[b];
+        let pos = blk.entries.partition_point(|e| e.sid < sid);
+        if !blk.entries.get(pos).is_some_and(|e| e.sid == sid) {
+            let incl = pos.checked_sub(1).map_or((0, 0), |p| blk.entries[p].incl);
+            let node = Node::default();
+            blk.entries.insert(pos, Entry { sid, incl, node });
+        }
+        let node = &mut blk.entries[pos].node;
+        let before = node.stats();
+        change(node);
+        let after = node.stats();
+        let total = &mut self.stats;
+        total.inserts = total.inserts + after.inserts - before.inserts;
+        total.deletes = total.deletes + after.deletes - before.deletes;
+        total.modifies = total.modifies + after.modifies - before.modifies;
+        total.nodes = total.nodes + after.nodes - before.nodes;
+        if after.nodes == 0 {
+            blk.entries.remove(pos);
+        }
+        let inserts = after.inserts as i64 - before.inserts as i64;
+        let deletes = after.deletes as i64 - before.deletes as i64;
         if inserts != 0 || deletes != 0 {
-            let entry_counts = entries[pos..].iter_mut().map(|e| &mut e.incl);
+            let entry_counts = blk.entries[pos..].iter_mut().map(|e| &mut e.incl);
             for counts in entry_counts.chain(later.iter_mut().map(|blk| &mut blk.base)) {
-                *counts = (counts.0.wrapping_add_signed(inserts), counts.1 + deletes);
+                counts.0 = counts.0.wrapping_add_signed(inserts);
+                counts.1 = counts.1.wrapping_add_signed(deletes);
             }
         }
-        let blk = &mut self.index[b];
         if blk.entries.is_empty() {
-            self.index.remove(b);
+            self.blocks.remove(b);
         } else if blk.entries.len() > 2 * BLOCK {
-            let mut entries = blk.entries.split_off(BLOCK);
+            let base = blk.through(&blk.entries[BLOCK - 1]);
             let last = blk.entries[BLOCK - 1].incl;
+            let mut entries = blk.entries.split_off(BLOCK);
             for e in &mut entries {
                 e.incl = (e.incl.0 - last.0, e.incl.1 - last.1);
             }
-            let base = (blk.base.0 + last.0, blk.base.1 + last.1);
-            self.index.insert(b + 1, IndexBlock { base, entries });
+            self.blocks.insert(b + 1, Block { base, entries });
         }
     }
 
-    fn node(&self, sid: u64) -> Option<&Node> {
-        self.nodes.get(&sid)
-    }
-
-    pub(crate) fn node_inserts(&self, sid: u64) -> usize {
-        self.node(sid).map(|n| n.inserts.len()).unwrap_or(0)
-    }
-
-    pub(crate) fn node_deleted(&self, sid: u64) -> bool {
-        self.node(sid).map(|n| n.deleted).unwrap_or(false)
-    }
-
-    pub(crate) fn node_insert_row(&self, sid: u64, offset: usize) -> Option<&Vec<Value>> {
-        self.node(sid).and_then(|n| n.inserts.get(offset))
-    }
-
-    pub(crate) fn node_modify(&self, sid: u64, col: usize) -> Option<Value> {
-        self.node(sid).and_then(|n| n.modifies.get(&col).copied())
-    }
-
-    /// Iterates the anchor SIDs present in the PDT within `[from, to)`.
-    pub(crate) fn anchors_in(&self, from: u64, to: u64) -> impl Iterator<Item = u64> + '_ {
-        self.nodes.range(from..to).map(|(&sid, _)| sid)
+    /// The node anchored at `sid`, if any.
+    pub(crate) fn node(&self, sid: u64) -> Option<&Node> {
+        let (anchor, node) = self.nodes_from(sid).next()?;
+        (anchor == sid).then_some(node)
     }
 
     /// Iterates the nodes anchored at or after `from` with their anchor
     /// SIDs, in SID order: one ordered walk (the merge's per call, the WAL
-    /// encoding's from 0).
-    pub(crate) fn nodes_from(&self, from: u64) -> impl Iterator<Item = (u64, &Node)> + '_ {
-        self.nodes.range(from..).map(|(&sid, node)| (sid, node))
+    /// encoding's from 0, a composition's backwards from the end).
+    pub(crate) fn nodes_from(
+        &self,
+        from: u64,
+    ) -> impl DoubleEndedIterator<Item = (u64, &Node)> + '_ {
+        let b = self
+            .blocks
+            .partition_point(|blk| blk.entries[blk.entries.len() - 1].sid < from);
+        let first = self.blocks.get(b).map_or(&[][..], |blk| {
+            &blk.entries[blk.entries.partition_point(|e| e.sid < from)..]
+        });
+        let rest = self.blocks.get(b + 1..).unwrap_or_default();
+        let entries = first.iter().chain(rest.iter().flat_map(|blk| &blk.entries));
+        entries.map(|e| (e.sid, &e.node))
     }
 
     /// Installs a fully-formed node at `sid` (WAL replay decoding), counting
     /// its inserts, delete and modified cells as the updates that built it
     /// did. A record lists its nodes in SID order, so `sid` holds no node yet.
     pub(crate) fn set_node(&mut self, sid: u64, node: Node) {
-        if node.is_empty() {
-            return;
-        }
-        let (inserts, deletes) = (node.inserts.len() as u64, u64::from(node.deleted));
-        self.total_inserts += inserts;
-        self.total_deletes += deletes;
-        self.total_modifies += node.modifies.len() as u64;
-        let replaced = self.nodes.insert(sid, node);
-        debug_assert!(replaced.is_none(), "sid {sid} already holds a node");
-        self.reindex(sid, inserts as i64, deletes);
+        self.update(sid, |slot| {
+            debug_assert_eq!(*slot, Node::default(), "sid {sid} already holds a node");
+            *slot = node;
+        });
     }
 
     // ------------------------------------------------------------------
@@ -278,46 +273,68 @@ impl Pdt {
     /// follows them; positions at or past the end of the visible stream
     /// translate to `stable_tuples`.
     pub fn rid_to_sid(&self, rid: Rid, stable_tuples: u64) -> Sid {
-        if self.is_empty() {
-            // No anchors: every sid's first row is at rid == sid.
-            return Sid::new(rid.raw().min(stable_tuples));
-        }
-        self.search_rid_to_sid(rid, stable_tuples)
-    }
-
-    /// [`Pdt::rid_to_sid`] by binary search, whatever the PDT holds.
-    fn search_rid_to_sid(&self, rid: Rid, stable_tuples: u64) -> Sid {
-        let rid = rid.raw();
-        // Binary search the largest sid in [0, stable_tuples] whose first
-        // anchored row is at or before `rid`.
-        let mut lo = 0u64;
-        let mut hi = stable_tuples;
-        while lo < hi {
-            let mid = lo + (hi - lo).div_ceil(2);
-            if self.sid_to_rid_low(Sid::new(mid)).raw() <= rid {
-                lo = mid;
-            } else {
-                hi = mid - 1;
-            }
-        }
-        Sid::new(lo)
+        Sid::new(self.locate(rid, stable_tuples).0)
     }
 
     /// Describes the visible row at `rid`: `(sid, offset)` where `offset <
     /// inserts_at(sid)` means the row is the `offset`-th insert anchored at
     /// `sid`, and `offset == inserts_at(sid)` means it is stable tuple `sid`
-    /// itself.
+    /// itself. `rid` equal to the visible count gives the end of the stream,
+    /// `(stable_tuples, inserts_at(stable_tuples))`; the offset of a `rid`
+    /// past it means nothing.
+    ///
+    /// One two-level search finds the last anchor whose first following RID,
+    /// `sid + 1 + inserts - deletes` with the counts through it, is at most
+    /// `rid`. Every SID `s` after that anchor, up to the next one, starts at
+    /// RID `s + inserts - deletes`, so `rid` belongs to SID `rid + deletes -
+    /// inserts`, capped by the next anchor and by `stable_tuples`.
     pub(crate) fn locate(&self, rid: Rid, stable_tuples: u64) -> (u64, usize) {
-        let sid = self.rid_to_sid(rid, stable_tuples).raw();
-        let low = self.sid_to_rid_low(Sid::new(sid)).raw();
-        (sid, (rid.raw() - low) as usize)
+        let rid = rid.raw();
+        let after = |blk: &Block, e: &Entry| {
+            let (inserts, deletes) = blk.through(e);
+            e.sid + 1 + inserts - deletes
+        };
+        let b = self
+            .blocks
+            .partition_point(|blk| after(blk, &blk.entries[0]) <= rid);
+        let ((inserts, deletes), next) = match b.checked_sub(1) {
+            None => ((0, 0), self.blocks.first().map(|blk| &blk.entries[0])),
+            Some(b) => {
+                let blk = &self.blocks[b];
+                let p = blk.entries.partition_point(|e| after(blk, e) <= rid);
+                let next = blk.entries.get(p);
+                let next = next.or_else(|| self.blocks.get(b + 1).map(|blk| &blk.entries[0]));
+                (blk.through(&blk.entries[p - 1]), next)
+            }
+        };
+        let unshifted = rid + deletes - inserts;
+        let sid = unshifted
+            .min(next.map_or(u64::MAX, |e| e.sid))
+            .min(stable_tuples);
+        (sid, (unshifted - sid) as usize)
     }
 
     // ------------------------------------------------------------------
     // Updates (positions given in RID space of the current visible stream)
     // ------------------------------------------------------------------
 
-    fn check_row(&self, row: &[Value]) -> Result<()> {
+    /// [`Pdt::locate`] of `rid`, or `PositionOutOfBounds` unless `rid` is
+    /// below the visible count plus `past_end` (1 for an insert, which may
+    /// append).
+    fn locate_within(&self, rid: Rid, stable_tuples: u64, past_end: u64) -> Result<(u64, usize)> {
+        let visible = self.visible_count(stable_tuples);
+        if rid.raw() >= visible + past_end {
+            return Err(Error::PositionOutOfBounds {
+                position: rid.raw(),
+                visible,
+            });
+        }
+        Ok(self.locate(rid, stable_tuples))
+    }
+
+    /// Inserts `row` so that it becomes the row at position `rid` in the new
+    /// visible stream (rows at `rid` and beyond shift right by one).
+    pub fn insert(&mut self, rid: Rid, row: Vec<Value>, stable_tuples: u64) -> Result<()> {
         if row.len() != self.column_count {
             return Err(Error::config(format!(
                 "inserted row has {} values but the table has {} columns",
@@ -325,64 +342,26 @@ impl Pdt {
                 self.column_count
             )));
         }
-        Ok(())
-    }
-
-    /// Inserts `row` so that it becomes the row at position `rid` in the new
-    /// visible stream (rows at `rid` and beyond shift right by one).
-    pub fn insert(&mut self, rid: Rid, row: Vec<Value>, stable_tuples: u64) -> Result<()> {
-        self.check_row(&row)?;
-        let visible = self.visible_count(stable_tuples);
-        if rid.raw() > visible {
-            return Err(Error::PositionOutOfBounds {
-                position: rid.raw(),
-                visible,
-            });
-        }
-        let (sid, offset) = if rid.raw() == visible {
-            // Append at the very end: anchor at the end-of-table position.
-            (stable_tuples, self.node_inserts(stable_tuples))
-        } else {
-            self.locate(rid, stable_tuples)
-        };
-        let node = self.nodes.entry(sid).or_default();
-        let offset = offset.min(node.inserts.len());
-        node.inserts.insert(offset, row);
-        self.total_inserts += 1;
-        self.reindex(sid, 1, 0);
+        let (sid, offset) = self.locate_within(rid, stable_tuples, 1)?;
+        self.update(sid, |node| node.inserts.insert(offset, row));
         Ok(())
     }
 
     /// Deletes the visible row at `rid`.
     pub fn delete(&mut self, rid: Rid, stable_tuples: u64) -> Result<()> {
-        let visible = self.visible_count(stable_tuples);
-        if rid.raw() >= visible {
-            return Err(Error::PositionOutOfBounds {
-                position: rid.raw(),
-                visible,
-            });
-        }
-        let (sid, offset) = self.locate(rid, stable_tuples);
-        let node = self.nodes.entry(sid).or_default();
-        let (inserts, deletes) = if offset < node.inserts.len() {
-            node.inserts.remove(offset);
-            self.total_inserts -= 1;
-            (-1, 0)
-        } else {
-            debug_assert!(
-                !node.deleted,
-                "visible row cannot be an already deleted tuple"
-            );
-            node.deleted = true;
-            self.total_modifies -= node.modifies.len() as u64;
-            node.modifies.clear();
-            self.total_deletes += 1;
-            (0, 1)
-        };
-        if node.is_empty() {
-            self.nodes.remove(&sid);
-        }
-        self.reindex(sid, inserts, deletes);
+        let (sid, offset) = self.locate_within(rid, stable_tuples, 0)?;
+        self.update(sid, |node| {
+            if offset < node.inserts.len() {
+                node.inserts.remove(offset);
+            } else {
+                debug_assert!(
+                    !node.deleted,
+                    "visible row cannot be an already deleted tuple"
+                );
+                node.deleted = true;
+                node.modifies.clear();
+            }
+        });
         Ok(())
     }
 
@@ -394,24 +373,14 @@ impl Pdt {
                 self.column_count
             )));
         }
-        let visible = self.visible_count(stable_tuples);
-        if rid.raw() >= visible {
-            return Err(Error::PositionOutOfBounds {
-                position: rid.raw(),
-                visible,
-            });
-        }
-        let (sid, offset) = self.locate(rid, stable_tuples);
-        let node = self.nodes.entry(sid).or_default();
-        if offset < node.inserts.len() {
-            node.inserts[offset][col] = value;
-        } else {
-            debug_assert!(!node.deleted);
-            if node.modifies.insert(col, value).is_none() {
-                self.total_modifies += 1;
+        let (sid, offset) = self.locate_within(rid, stable_tuples, 0)?;
+        self.update(sid, |node| match node.inserts.get_mut(offset) {
+            Some(row) => row[col] = value,
+            None => {
+                debug_assert!(!node.deleted);
+                node.modifies.insert(col, value);
             }
-        }
-        self.reindex(sid, 0, 0);
+        });
         Ok(())
     }
 }
@@ -455,20 +424,37 @@ mod tests {
     fn merged(pdt: &Pdt, stable_rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
         let mut out = Vec::new();
         for sid in 0..=stable_rows.len() as u64 {
-            for i in 0..pdt.node_inserts(sid) {
-                out.push(pdt.node_insert_row(sid, i).unwrap().clone());
-            }
-            if sid < stable_rows.len() as u64 && !pdt.node_deleted(sid) {
+            let node = pdt.node(sid).cloned().unwrap_or_default();
+            out.extend(node.inserts);
+            if sid < stable_rows.len() as u64 && !node.deleted {
                 let mut row = stable_rows[sid as usize].clone();
-                for (col, value) in row.iter_mut().enumerate() {
-                    if let Some(v) = pdt.node_modify(sid, col) {
-                        *value = v;
-                    }
+                for (col, value) in node.modifies {
+                    row[col] = value;
                 }
                 out.push(row);
             }
         }
         out
+    }
+
+    /// Rows inserted before stable tuple `sid`.
+    fn inserts_at(pdt: &Pdt, sid: u64) -> usize {
+        pdt.node(sid).map_or(0, |node| node.inserts.len())
+    }
+
+    /// The test oracle of [`Pdt::rid_to_sid`]: bisects `[0, stable]` for the
+    /// largest SID whose first row is at or before `rid`.
+    fn bisected_rid_to_sid(pdt: &Pdt, rid: u64, stable: u64) -> Sid {
+        let (mut lo, mut hi) = (0u64, stable);
+        while lo < hi {
+            let mid = lo + (hi - lo).div_ceil(2);
+            if pdt.sid_to_rid_low(Sid::new(mid)).raw() <= rid {
+                lo = mid;
+            } else {
+                hi = mid - 1;
+            }
+        }
+        Sid::new(lo)
     }
 
     #[test]
@@ -481,9 +467,9 @@ mod tests {
         assert_eq!(pdt.sid_to_rid_high(Sid::new(7)), Rid::new(7));
     }
 
-    /// The empty-PDT shortcut of `rid_to_sid` gives what the binary search
-    /// gives, past the end of the stream included, for stable images of 0,
-    /// 1 and a few tuples.
+    /// On an empty PDT `rid_to_sid` gives what the bisection oracle gives,
+    /// past the end of the stream included, for stable images of 0, 1 and a
+    /// few tuples.
     #[test]
     fn empty_pdt_rid_to_sid_matches_the_search() {
         let pdt = Pdt::new(2);
@@ -491,7 +477,7 @@ mod tests {
             for rid in 0..=stable + 2 {
                 assert_eq!(
                     pdt.rid_to_sid(Rid::new(rid), stable),
-                    pdt.search_rid_to_sid(Rid::new(rid), stable),
+                    bisected_rid_to_sid(&pdt, rid, stable),
                     "rid {rid} of {stable} stable tuples"
                 );
             }
@@ -617,44 +603,39 @@ mod tests {
         assert_eq!(pdt.sid_to_rid_high(Sid::new(5)), Rid::new(5));
     }
 
-    /// The index as one list of entries with running counts from the start,
-    /// checking that no block is empty or over `2 * BLOCK` entries.
-    fn flat_index(pdt: &Pdt) -> Vec<IndexEntry> {
+    /// Every entry's anchor and running counts from the start, checking that
+    /// no block is empty or over `2 * BLOCK` entries.
+    fn flat_index(pdt: &Pdt) -> Vec<(u64, (u64, u64))> {
         let mut flat = Vec::new();
-        for blk in &pdt.index {
+        for blk in &pdt.blocks {
             assert!(
                 (1..=2 * BLOCK).contains(&blk.entries.len()),
                 "block of {}",
                 blk.entries.len()
             );
-            flat.extend(blk.entries.iter().map(|e| IndexEntry {
-                sid: e.sid,
-                incl: (blk.base.0 + e.incl.0, blk.base.1 + e.incl.1),
-            }));
+            flat.extend(blk.entries.iter().map(|e| (e.sid, blk.through(e))));
         }
         flat
     }
 
-    /// The index recomputed from the nodes: what every update must leave.
-    fn rebuilt_index(pdt: &Pdt) -> Vec<IndexEntry> {
+    /// The running counts recomputed from the nodes: what every update must
+    /// leave.
+    fn rebuilt_index(pdt: &Pdt) -> Vec<(u64, (u64, u64))> {
         let (mut inserts_incl, mut deletes_incl) = (0, 0);
         pdt.nodes_from(0)
             .map(|(sid, node)| {
                 inserts_incl += node.inserts.len() as u64;
                 deletes_incl += u64::from(node.deleted);
-                IndexEntry {
-                    sid,
-                    incl: (inserts_incl, deletes_incl),
-                }
+                (sid, (inserts_incl, deletes_incl))
             })
             .collect()
     }
 
     /// Random inserts, deletes and modifies against the reference model over
     /// several seeds. After every operation the merged stream equals the
-    /// model, the index and the modified-cell count equal ones recomputed
-    /// from the nodes, and every visible row round-trips through `locate`
-    /// and the SID-to-RID translations.
+    /// model, the running counts, the modified-cell count and the node count
+    /// equal ones recomputed from the nodes, and every visible row
+    /// round-trips through `locate` and the SID-to-RID translations.
     #[test]
     fn random_operations_match_reference_model() {
         use scanshare_storage::datagen::splitmix64;
@@ -680,7 +661,7 @@ mod tests {
                     1 if visible > 0 => {
                         let pos = rng.rotate_left(23) % visible;
                         let (sid, offset) = pdt.locate(Rid::new(pos), n);
-                        let inserted = offset < pdt.node_inserts(sid);
+                        let inserted = offset < inserts_at(&pdt, sid);
                         pdt.delete(Rid::new(pos), n).unwrap();
                         model.delete(pos as usize);
                         if inserted && pdt.stats().nodes < nodes_before {
@@ -699,6 +680,8 @@ mod tests {
                 assert_eq!(flat_index(&pdt), rebuilt_index(&pdt), "{context}");
                 let cells: usize = pdt.nodes_from(0).map(|(_, node)| node.modifies.len()).sum();
                 assert_eq!(pdt.stats().modifies, cells as u64, "{context}");
+                let nodes = pdt.nodes_from(0).count();
+                assert_eq!(pdt.stats().nodes, nodes as u64, "{context}");
                 assert_eq!(merged(&pdt, &base), model.rows, "{context}");
                 for rid in 0..pdt.visible_count(n) {
                     let (sid, offset) = pdt.locate(Rid::new(rid), n);
@@ -707,7 +690,8 @@ mod tests {
                     assert_eq!(low + offset as u64, rid, "{context}, rid {rid}");
                     assert!(high >= rid, "{context}, rid {rid} past [{low},{high}]");
                     assert!(
-                        offset < pdt.node_inserts(sid) || (sid < n && !pdt.node_deleted(sid)),
+                        offset < inserts_at(&pdt, sid)
+                            || (sid < n && !pdt.node(sid).is_some_and(|node| node.deleted)),
                         "{context}, rid {rid} locates to no visible row"
                     );
                 }
@@ -719,9 +703,11 @@ mod tests {
         );
     }
 
-    /// The two-level index equals its rebuild after every one of thousands
-    /// of random operations over 3 000 stable tuples, through block splits
-    /// and the drop of emptied blocks. Rows anchored in the lower half of
+    /// The two-level running counts equal their rebuild after every one of
+    /// thousands of random operations over 3 000 stable tuples, through
+    /// block splits and the drop of emptied blocks, and `rid_to_sid` equals
+    /// the bisection oracle around every block's first and last anchor and
+    /// past the end of the stream. Rows anchored in the lower half of
     /// the table only take inserts and deletes of inserted rows, so their
     /// blocks hold insert-only nodes; a final drain deletes every inserted
     /// row, which empties those blocks.
@@ -737,8 +723,22 @@ mod tests {
             let (mut ops, mut most_blocks, mut emptied) = (0, 0, 0);
             let mut check = |pdt: &Pdt, blocks_before: usize, context: &str| {
                 assert_eq!(flat_index(pdt), rebuilt_index(pdt), "{context}");
-                most_blocks = most_blocks.max(pdt.index.len());
-                if pdt.index.len() < blocks_before {
+                let ends = pdt
+                    .blocks
+                    .iter()
+                    .flat_map(|blk| [&blk.entries[0], &blk.entries[blk.entries.len() - 1]]);
+                let rids = ends.flat_map(|e| {
+                    let low = pdt.sid_to_rid_low(Sid::new(e.sid)).raw();
+                    low.saturating_sub(1)..low + e.node.inserts.len() as u64 + 2
+                });
+                let visible = pdt.visible_count(n);
+                for rid in rids.chain(visible..visible + 3) {
+                    let sid = pdt.rid_to_sid(Rid::new(rid), n);
+                    let oracle = bisected_rid_to_sid(pdt, rid, n);
+                    assert_eq!(sid, oracle, "{context}, rid {rid}");
+                }
+                most_blocks = most_blocks.max(pdt.blocks.len());
+                if pdt.blocks.len() < blocks_before {
                     emptied += 1;
                 }
             };
@@ -747,8 +747,8 @@ mod tests {
                 let visible = pdt.visible_count(n);
                 let pos = rng.rotate_left(17) % visible;
                 let (sid, offset) = pdt.locate(Rid::new(pos), n);
-                let inserted = offset < pdt.node_inserts(sid);
-                let blocks_before = pdt.index.len();
+                let inserted = offset < inserts_at(&pdt, sid);
+                let blocks_before = pdt.blocks.len();
                 match rng % 3 {
                     1 if inserted || sid >= n / 2 => {
                         pdt.delete(Rid::new(pos), n).unwrap();
@@ -784,7 +784,7 @@ mod tests {
                     )
                     .unwrap();
                 let rid = pdt.sid_to_rid_low(Sid::new(sid)).raw() + offset;
-                let blocks_before = pdt.index.len();
+                let blocks_before = pdt.blocks.len();
                 pdt.delete(Rid::new(rid), n).unwrap();
                 model.delete(rid as usize);
                 ops += 1;

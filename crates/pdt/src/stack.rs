@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use scanshare_common::{Result, Rid, Sid, TupleRange};
+use scanshare_common::{Result, Rid, TupleRange};
 use scanshare_storage::datagen::Value;
 
 use crate::merge::{merge_columns, MergeCursor, StableSource};
@@ -80,35 +80,6 @@ impl PdtStack {
     /// Visible count after applying only the first `upto` layers.
     fn visible_below(&self, stable_tuples: u64, upto: usize) -> u64 {
         visible_through(&self.layers[..upto], stable_tuples)
-    }
-
-    /// Translates a top-level RID down to the stable SID it is anchored at,
-    /// going through every layer.
-    pub fn rid_to_sid(&self, rid: Rid, stable_tuples: u64) -> Sid {
-        let mut pos = rid.raw();
-        for (i, layer) in self.layers.iter().enumerate().rev() {
-            let below = self.visible_below(stable_tuples, i);
-            pos = layer.rid_to_sid(Rid::new(pos), below).raw();
-        }
-        Sid::new(pos)
-    }
-
-    /// Lowest top-level RID anchored at stable position `sid`.
-    pub fn sid_to_rid_low(&self, sid: Sid) -> Rid {
-        let mut pos = sid.raw();
-        for layer in &self.layers {
-            pos = layer.sid_to_rid_low(Sid::new(pos)).raw();
-        }
-        Rid::new(pos)
-    }
-
-    /// Highest top-level RID anchored at stable position `sid`.
-    pub fn sid_to_rid_high(&self, sid: Sid) -> Rid {
-        let mut pos = sid.raw();
-        for layer in &self.layers {
-            pos = layer.sid_to_rid_high(Sid::new(pos)).raw();
-        }
-        Rid::new(pos)
     }
 
     /// Inserts a row at top-level position `rid`.
@@ -234,28 +205,19 @@ fn visible_through(layers: &[Arc<Pdt>], stable_tuples: u64) -> u64 {
 /// replays still refer to the correct rows.
 fn compose_into(lower: &mut Pdt, upper: &Pdt, lower_stable: u64) -> Result<()> {
     let lower_visible = lower.visible_count(lower_stable);
-    let anchors: Vec<u64> = upper.anchors_in(0, u64::MAX).collect();
-    for &anchor in anchors.iter().rev() {
+    for (anchor, node) in upper.nodes_from(0).rev() {
         // 1. Delete / modify of the row at position `anchor` (a position in
-        //    lower's output space).
-        if upper.node_deleted(anchor) {
+        //    lower's output space); a deleted node modifies no cell.
+        if node.deleted {
             lower.delete(Rid::new(anchor), lower_stable)?;
-        } else {
-            for col in 0..upper.column_count() {
-                if let Some(v) = upper.node_modify(anchor, col) {
-                    lower.modify(Rid::new(anchor), col, v, lower_stable)?;
-                }
-            }
+        }
+        for (&col, &value) in &node.modifies {
+            lower.modify(Rid::new(anchor), col, value, lower_stable)?;
         }
         // 2. Rows inserted before position `anchor`, preserving their order.
-        let inserts = upper.node_inserts(anchor);
-        for i in 0..inserts {
-            let row = upper
-                .node_insert_row(anchor, i)
-                .expect("i < inserts")
-                .clone();
-            let pos = (anchor + i as u64).min(lower_visible + i as u64);
-            lower.insert(Rid::new(pos), row, lower_stable)?;
+        for (i, row) in (0u64..).zip(&node.inserts) {
+            let pos = (anchor + i).min(lower_visible + i);
+            lower.insert(Rid::new(pos), row.clone(), lower_stable)?;
         }
     }
     Ok(())
@@ -292,6 +254,7 @@ mod tests {
     use super::*;
     use crate::merge::tests::to_rows;
     use crate::merge::{merge_range, SliceSource};
+    use scanshare_common::Sid;
 
     fn source(n: u64) -> SliceSource {
         SliceSource::generate(2, n, |c, s| (s * 10 + c as u64) as Value)
@@ -351,14 +314,15 @@ mod tests {
         stack.push_layer(Pdt::new(2));
         stack.insert(Rid::new(0), vec![1, 1], n).unwrap();
         // Visible: [ins(1,1)], s0, s1, s2, [ins(0,0)], s3, ...
-        assert_eq!(stack.rid_to_sid(Rid::new(0), n), Sid::new(0));
-        assert_eq!(stack.rid_to_sid(Rid::new(1), n), Sid::new(0));
-        assert_eq!(stack.rid_to_sid(Rid::new(4), n), Sid::new(3));
-        assert_eq!(stack.rid_to_sid(Rid::new(5), n), Sid::new(3));
-        assert_eq!(stack.sid_to_rid_low(Sid::new(0)), Rid::new(0));
-        assert_eq!(stack.sid_to_rid_high(Sid::new(0)), Rid::new(1));
-        assert_eq!(stack.sid_to_rid_low(Sid::new(3)), Rid::new(4));
-        assert_eq!(stack.sid_to_rid_high(Sid::new(3)), Rid::new(5));
+        let flat = stack.flatten(n).unwrap();
+        assert_eq!(flat.rid_to_sid(Rid::new(0), n), Sid::new(0));
+        assert_eq!(flat.rid_to_sid(Rid::new(1), n), Sid::new(0));
+        assert_eq!(flat.rid_to_sid(Rid::new(4), n), Sid::new(3));
+        assert_eq!(flat.rid_to_sid(Rid::new(5), n), Sid::new(3));
+        assert_eq!(flat.sid_to_rid_low(Sid::new(0)), Rid::new(0));
+        assert_eq!(flat.sid_to_rid_high(Sid::new(0)), Rid::new(1));
+        assert_eq!(flat.sid_to_rid_low(Sid::new(3)), Rid::new(4));
+        assert_eq!(flat.sid_to_rid_high(Sid::new(3)), Rid::new(5));
     }
 
     #[test]

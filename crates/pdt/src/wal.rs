@@ -113,9 +113,8 @@ impl<'a> Reader<'a> {
 
 fn encode_pdt_into(buf: &mut Vec<u8>, pdt: &Pdt) {
     put_u32(buf, pdt.column_count() as u32);
-    let nodes: Vec<_> = pdt.nodes_from(0).collect();
-    put_u32(buf, nodes.len() as u32);
-    for (sid, node) in nodes {
+    put_u32(buf, pdt.stats().nodes as u32);
+    for (sid, node) in pdt.nodes_from(0) {
         put_u64(buf, sid);
         buf.push(u8::from(node.deleted));
         put_u32(buf, node.modifies.len() as u32);
@@ -156,6 +155,11 @@ fn decode_pdt_from(r: &mut Reader<'_>) -> Result<Pdt> {
             ..Node::default()
         };
         let modify_count = r.u32()?;
+        if node.deleted && modify_count > 0 {
+            return Err(Error::WalCorrupt(format!(
+                "commit record node {sid} is deleted but modifies {modify_count} cells"
+            )));
+        }
         for _ in 0..modify_count {
             let col = r.u32()? as usize;
             if col >= column_count {
@@ -244,15 +248,12 @@ mod tests {
     fn merged(pdt: &Pdt, stable_rows: &[Vec<Value>]) -> Vec<Vec<Value>> {
         let mut out = Vec::new();
         for sid in 0..=stable_rows.len() as u64 {
-            for i in 0..pdt.node_inserts(sid) {
-                out.push(pdt.node_insert_row(sid, i).unwrap().clone());
-            }
-            if sid < stable_rows.len() as u64 && !pdt.node_deleted(sid) {
+            let node = pdt.node(sid).cloned().unwrap_or_default();
+            out.extend(node.inserts);
+            if sid < stable_rows.len() as u64 && !node.deleted {
                 let mut row = stable_rows[sid as usize].clone();
-                for (col, value) in row.iter_mut().enumerate() {
-                    if let Some(v) = pdt.node_modify(sid, col) {
-                        *value = v;
-                    }
+                for (col, value) in node.modifies {
+                    row[col] = value;
                 }
                 out.push(row);
             }
@@ -413,5 +414,78 @@ mod tests {
         // (flags) + 4 (modify_count) = 53 bytes before the column index.
         body[53] = 9;
         assert!(matches!(decode_commit(&body), Err(Error::WalCorrupt(_))));
+    }
+
+    /// A deleted stable tuple has no modified cells, so a record whose
+    /// deleted node lists some contradicts itself (and would count them in
+    /// `stats().modifies`).
+    #[test]
+    fn deleted_node_with_modified_cells_is_rejected() {
+        let mut pdt = Pdt::new(2);
+        pdt.modify(Rid::new(0), 1, 5, 10).unwrap();
+        let mut body = encode_commit(&[CommitTableRecord {
+            table: TableId::new(1),
+            commit_seq: 1,
+            visible_before: 10,
+            pdt: pdt.into(),
+        }]);
+        // The node's flags byte: 4 + 24 (entry header) + 4 (pdt_len) + 4
+        // (column_count) + 4 (node_count) + 8 (sid) = 48 bytes in.
+        assert_eq!(body[48], 0);
+        body[48] = 1;
+        assert!(matches!(decode_commit(&body), Err(Error::WalCorrupt(_))));
+    }
+
+    /// The on-disk encoding of a fixed commit, byte for byte: a log written
+    /// by an earlier build still replays. The PDT over 8 stable tuples holds
+    /// an insert before stable tuple 2, a delete of 4, a modify of 6 and an
+    /// insert at the end anchor.
+    #[test]
+    fn encoding_is_pinned() {
+        let stable = 8;
+        let mut pdt = Pdt::new(2);
+        pdt.insert(Rid::new(2), vec![100, 101], stable).unwrap();
+        pdt.insert(Rid::new(9), vec![200, 201], stable).unwrap();
+        pdt.delete(Rid::new(5), stable).unwrap();
+        pdt.modify(Rid::new(6), 1, -7, stable).unwrap();
+        let body = encode_commit(&[CommitTableRecord {
+            table: TableId::new(3),
+            commit_seq: 1,
+            visible_before: stable,
+            pdt: pdt.into(),
+        }]);
+        #[rustfmt::skip]
+        let pinned: Vec<u8> = [
+            &[1, 0, 0, 0][..],                                    // table_count
+            &[3, 0, 0, 0, 0, 0, 0, 0],                            // table_id
+            &[1, 0, 0, 0, 0, 0, 0, 0],                            // commit_seq
+            &[8, 0, 0, 0, 0, 0, 0, 0],                            // visible_before
+            &[120, 0, 0, 0],                                      // pdt_len
+            &[2, 0, 0, 0, 4, 0, 0, 0],                            // columns, nodes
+            &[2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], // sid 2: 1 insert
+            &[100, 0, 0, 0, 0, 0, 0, 0, 101, 0, 0, 0, 0, 0, 0, 0],
+            &[4, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0], // sid 4: deleted
+            &[6, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0],             // sid 6: 1 modify
+            &[1, 0, 0, 0, 0xf9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0],
+            &[8, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0], // sid 8: 1 insert
+            &[200, 0, 0, 0, 0, 0, 0, 0, 201, 0, 0, 0, 0, 0, 0, 0],
+        ]
+        .concat();
+        assert_eq!(body, pinned);
+        let decoded = decode_commit(&pinned).unwrap();
+        assert_eq!(
+            merged(&decoded[0].pdt, &stable_rows(stable)),
+            [
+                [0, 0],
+                [1, 3],
+                [100, 101],
+                [2, 6],
+                [3, 9],
+                [5, 15],
+                [6, -7],
+                [7, 21],
+                [200, 201]
+            ]
+        );
     }
 }

@@ -290,7 +290,8 @@ fn layered_stack_merge_equals_the_flattened_merge() {
     }
 }
 
-/// Every visible position maps to a SID whose RID window contains it, and
+/// Every visible position maps to a SID whose RID window contains it,
+/// positions at or past the end of the visible stream map to `stable`, and
 /// SID->RID conversions are monotone.
 #[test]
 fn pdt_translation_round_trips() {
@@ -308,6 +309,13 @@ fn pdt_translation_round_trips() {
             assert!(
                 lo <= rid && rid <= hi,
                 "seed {seed}: rid {rid} not in [{lo}, {hi}]"
+            );
+        }
+        for rid in visible..visible + 3 {
+            assert_eq!(
+                pdt.rid_to_sid(Rid::new(rid), stable).raw(),
+                stable,
+                "seed {seed}: rid {rid} past the end of {visible} visible rows"
             );
         }
         let mut last_low = 0;
