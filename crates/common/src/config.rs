@@ -94,7 +94,8 @@ pub enum DeviceKind {
     #[default]
     Sim,
     /// A real file-backed device: positional reads against on-disk column
-    /// segment files off a fixed worker pool, measuring wall-clock latency.
+    /// segment files (demand reads on the calling thread, prefetches off a
+    /// fixed worker pool), measuring wall-clock latency.
     /// Requires the engine's `Storage` to have a file store attached (tables
     /// materialized to, or reopened from, a directory).
     File,
@@ -171,11 +172,13 @@ pub struct ScanShareConfig {
     pub custom_policy: Option<String>,
     /// Which I/O device backs the engine ([`DeviceKind::Sim`] by default).
     /// With [`DeviceKind::File`] the engine reads on-disk column segments
-    /// through a worker pool and `io_bandwidth`/`io_latency_nanos` only seed
-    /// the virtual-time mirror of measured wall latencies.
+    /// (demand reads on the scanning thread, prefetches through a worker
+    /// pool) and `io_bandwidth`/`io_latency_nanos` only seed the
+    /// virtual-time mirror of measured wall latencies.
     pub device: DeviceKind,
-    /// Number of worker threads the file device uses for positional reads.
-    /// Ignored by the simulated device.
+    /// Number of worker threads the file device uses for prefetch reads.
+    /// Demand reads run on the thread that waits for them. Ignored by the
+    /// simulated device.
     pub io_workers: usize,
     /// Directory holding the engine's durable state: on-disk column
     /// segments, per-table manifests and the `wal.log` write-ahead log.

@@ -32,8 +32,8 @@ use crate::query::Query;
 use crate::scan::ScanOperator;
 use crate::txn::Txn;
 
-/// Capacity of the file device's bounded submission queue: submitters block
-/// once this many reads are waiting.
+/// Capacity of the file device's bounded prefetch queue: submitters block
+/// once this many prefetches are waiting.
 const FILE_IO_QUEUE_DEPTH: usize = 64;
 
 /// Per-table transaction bookkeeping: the published [`TableState`] behind

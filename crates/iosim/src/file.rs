@@ -3,9 +3,21 @@
 //! [`FileIoDevice`] serves the same [`BlockDevice`] surface as the simulated
 //! device, but each request performs positional `pread`-style reads against
 //! on-disk column segments through a [`PageReader`] (implemented by the
-//! storage layer's file store). Requests are executed by a fixed pool of
-//! worker threads fed from a bounded submission queue: once `queue_depth`
-//! requests are waiting, further submitters block until a slot frees up.
+//! storage layer's file store).
+//!
+//! Demand reads run on the submitting thread (that is what "demand" means:
+//! the scan cannot proceed without the data, so the submitter would only
+//! block on a worker that did the read for it) and surface read failures as
+//! typed errors. They never queue, so their queue wait is zero and their
+//! latency is the service time alone.
+//!
+//! Prefetch reads are fire-and-forget: they go to a fixed pool of worker
+//! threads fed from a bounded submission queue (once `queue_depth` prefetches
+//! are waiting, further submitters block until a slot frees up), and the
+//! submitter gets a completion whose `done_at` is an estimate from an
+//! exponentially-weighted average of recent request latencies. A prefetch
+//! that fails is simply dropped — the page will be re-read (and the error
+//! surfaced deterministically) by the demand read that eventually needs it.
 //!
 //! Every request's wall-clock queue wait and service time are measured and
 //! mirrored onto the virtual timeline relative to the submission instant, so
@@ -14,19 +26,9 @@
 //! unchanged on real hardware. Per-request latencies are additionally kept
 //! per [`IoKind`] and summarized as p50/p95/p99 percentiles
 //! ([`IoLatency`]).
-//!
-//! Demand reads block the submitting OS thread until the worker finishes
-//! (that is what "demand" means: the scan cannot proceed without the data)
-//! and surface read failures as typed errors. Prefetch reads are fire-and-
-//! forget: the submitter gets a completion whose `done_at` is an estimate
-//! from an exponentially-weighted average of recent request latencies, and a
-//! prefetch that fails is simply dropped — the page will be re-read (and the
-//! error surfaced deterministically) by the demand read that eventually
-//! needs it.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Condvar, PoisonError};
 use std::time::Instant;
 
@@ -54,36 +56,17 @@ pub trait PageReader: Send + Sync + std::fmt::Debug {
 /// from a warm OS page cache.
 const DEFAULT_PREFETCH_ESTIMATE_NANOS: u64 = 200_000;
 
-/// How many times a worker retries a read that failed with
-/// `ErrorKind::Interrupted` (EINTR) before giving up.
+/// How many times a read that failed with `ErrorKind::Interrupted` (EINTR)
+/// is retried before giving up.
 const EINTR_RETRIES: u32 = 8;
 
+/// A queued prefetch.
+#[derive(Debug)]
 struct Job {
     targets: Vec<PageId>,
     bytes_hint: u64,
     pages: u64,
-    kind: IoKind,
     enqueued: Instant,
-    /// `Some` for demand reads (the submitter blocks on the reply), `None`
-    /// for fire-and-forget prefetches.
-    reply: Option<SyncSender<JobResult>>,
-}
-
-impl std::fmt::Debug for Job {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Job")
-            .field("pages", &self.pages)
-            .field("kind", &self.kind)
-            .finish()
-    }
-}
-
-#[derive(Debug)]
-struct JobResult {
-    queue_wait_nanos: u64,
-    service_nanos: u64,
-    bytes: u64,
-    error: Option<String>,
 }
 
 #[derive(Debug, Default)]
@@ -113,7 +96,41 @@ struct Shared {
     ewma_latency_nanos: AtomicU64,
 }
 
-/// A [`BlockDevice`] reading real files through a fixed worker pool.
+impl Shared {
+    /// Reads every target page in order, or charges `bytes_hint` for an
+    /// accounting-only request without targets. Returns the bytes read (or
+    /// the first failure) and the service time in nanoseconds.
+    fn read(&self, targets: &[PageId], bytes_hint: u64) -> (std::result::Result<u64, String>, u64) {
+        let start = Instant::now();
+        let bytes = if targets.is_empty() {
+            Ok(bytes_hint)
+        } else {
+            targets.iter().try_fold(0u64, |bytes, &page| {
+                read_page_retrying(&*self.reader, page)
+                    .map(|n| bytes + n)
+                    .map_err(|e| format!("reading page {page}: {e}"))
+            })
+        };
+        (bytes, (start.elapsed().as_nanos() as u64).max(1))
+    }
+
+    /// Folds one request's total latency (queue wait + service) into the
+    /// EWMA: alpha = 1/4, seeded with the first observation.
+    fn observe_latency(&self, total_nanos: u64) {
+        let _ = self
+            .ewma_latency_nanos
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |prev| {
+                Some(if prev == 0 {
+                    total_nanos
+                } else {
+                    prev - prev / 4 + total_nanos / 4
+                })
+            });
+    }
+}
+
+/// A [`BlockDevice`] reading real files: demand reads on the calling thread,
+/// prefetches through a fixed worker pool.
 #[derive(Debug)]
 pub struct FileIoDevice {
     shared: Arc<Shared>,
@@ -121,8 +138,8 @@ pub struct FileIoDevice {
 }
 
 impl FileIoDevice {
-    /// Creates a device with `workers` reader threads and a submission queue
-    /// bounded at `queue_depth` outstanding requests.
+    /// Creates a device with `workers` prefetch threads and a submission
+    /// queue bounded at `queue_depth` outstanding prefetches.
     pub fn new(reader: Arc<dyn PageReader>, workers: usize, queue_depth: usize) -> Self {
         assert!(workers >= 1, "the worker pool needs at least one thread");
         assert!(queue_depth >= 1, "the submission queue needs capacity");
@@ -152,7 +169,7 @@ impl FileIoDevice {
         Self { shared, workers }
     }
 
-    /// Enqueues a job, blocking while the submission queue is full.
+    /// Enqueues a prefetch, blocking while the submission queue is full.
     fn enqueue(&self, job: Job) -> Result<()> {
         let mut queue = self.shared.queue.lock();
         loop {
@@ -218,67 +235,25 @@ fn worker_loop(shared: Arc<Shared>) {
             }
         };
 
-        let queue_wait = job.enqueued.elapsed();
-        let start = Instant::now();
-        let mut bytes = 0u64;
-        let mut error = None;
-        if job.targets.is_empty() {
-            // Accounting-only request: nothing to read, charge the hint.
-            bytes = job.bytes_hint;
-        } else {
-            for &page in &job.targets {
-                match read_page_retrying(&*shared.reader, page) {
-                    Ok(n) => bytes += n,
-                    Err(e) => {
-                        error = Some(format!("reading page {page}: {e}"));
-                        break;
-                    }
-                }
-            }
-        }
-        let service = start.elapsed();
-
-        let queue_wait_nanos = queue_wait.as_nanos() as u64;
-        let service_nanos = (service.as_nanos() as u64).max(1);
-        let total = queue_wait_nanos + service_nanos;
-        // EWMA with alpha = 1/4; seeds with the first observation.
-        let _ =
-            shared
-                .ewma_latency_nanos
-                .fetch_update(Ordering::AcqRel, Ordering::Acquire, |prev| {
-                    Some(if prev == 0 {
-                        total
-                    } else {
-                        prev - prev / 4 + total / 4
-                    })
-                });
-
-        match job.reply {
-            // Demand: the blocked submitter records metrics (it also needs
-            // the timings to build its completion handle).
-            Some(reply) => {
-                let _ = reply.send(JobResult {
-                    queue_wait_nanos,
-                    service_nanos,
-                    bytes,
-                    error,
-                });
-            }
-            // Prefetch: record here; failures are dropped (the demand path
-            // re-surfaces the error when the page is actually needed).
-            None if error.is_none() => {
-                let mut metrics = shared.metrics.lock();
-                metrics.stats.record_request(
-                    job.kind,
-                    bytes,
-                    VirtualDuration::from_nanos(queue_wait_nanos),
-                    VirtualDuration::from_nanos(service_nanos),
-                );
-                metrics.stats.pages_read += job.pages;
-                metrics.prefetch_latencies.push(total);
-            }
-            None => {}
-        }
+        let queue_wait_nanos = job.enqueued.elapsed().as_nanos() as u64;
+        let (bytes, service_nanos) = shared.read(&job.targets, job.bytes_hint);
+        shared.observe_latency(queue_wait_nanos + service_nanos);
+        // A failed prefetch is dropped: the demand read that needs the page
+        // re-reads it and surfaces the error.
+        let Ok(bytes) = bytes else {
+            continue;
+        };
+        let mut metrics = shared.metrics.lock();
+        metrics.stats.record_request(
+            IoKind::Prefetch,
+            bytes,
+            VirtualDuration::from_nanos(queue_wait_nanos),
+            VirtualDuration::from_nanos(service_nanos),
+        );
+        metrics.stats.pages_read += job.pages;
+        metrics
+            .prefetch_latencies
+            .push(queue_wait_nanos + service_nanos);
     }
 }
 
@@ -286,41 +261,25 @@ impl BlockDevice for FileIoDevice {
     fn submit_read(&self, now: VirtualInstant, spec: ReadSpec<'_>) -> Result<IoCompletion> {
         match spec.kind {
             IoKind::Demand => {
-                let (reply, result) = std::sync::mpsc::sync_channel(1);
-                self.enqueue(Job {
-                    targets: spec.targets.to_vec(),
-                    bytes_hint: spec.bytes,
-                    pages: spec.pages,
-                    kind: spec.kind,
-                    enqueued: Instant::now(),
-                    reply: Some(reply),
-                })?;
-                let result = result
-                    .recv()
-                    .map_err(|_| Error::io("file I/O worker pool is shut down"))?;
-                if let Some(message) = result.error {
-                    return Err(Error::io(message));
-                }
-                let queue_wait = VirtualDuration::from_nanos(result.queue_wait_nanos);
-                let service = VirtualDuration::from_nanos(result.service_nanos);
-                let started_at = now.after(queue_wait);
-                let done_at = started_at.after(service);
+                let (bytes, service_nanos) = self.shared.read(spec.targets, spec.bytes);
+                self.shared.observe_latency(service_nanos);
+                let bytes = bytes.map_err(Error::io)?;
+                let service = VirtualDuration::from_nanos(service_nanos);
+                let done_at = now.after(service);
                 let mut metrics = self.shared.metrics.lock();
                 metrics
                     .stats
-                    .record_request(spec.kind, result.bytes, queue_wait, service);
+                    .record_request(spec.kind, bytes, VirtualDuration::ZERO, service);
                 metrics.stats.pages_read += spec.pages;
-                metrics
-                    .demand_latencies
-                    .push(result.queue_wait_nanos + result.service_nanos);
+                metrics.demand_latencies.push(service_nanos);
                 if done_at > metrics.busy_until {
                     metrics.busy_until = done_at;
                 }
                 Ok(IoCompletion {
                     submitted_at: now,
-                    started_at,
+                    started_at: now,
                     done_at,
-                    bytes: result.bytes,
+                    bytes,
                     kind: spec.kind,
                 })
             }
@@ -329,9 +288,7 @@ impl BlockDevice for FileIoDevice {
                     targets: spec.targets.to_vec(),
                     bytes_hint: spec.bytes,
                     pages: spec.pages,
-                    kind: spec.kind,
                     enqueued: Instant::now(),
-                    reply: None,
                 })?;
                 let estimate = self.shared.ewma_latency_nanos.load(Ordering::Acquire);
                 let estimate = if estimate == 0 {
@@ -382,12 +339,29 @@ impl BlockDevice for FileIoDevice {
 mod tests {
     use super::*;
 
+    use std::sync::mpsc;
+    use std::time::Duration;
+
+    /// How long a test waits for a worker before it fails instead of
+    /// hanging.
+    const PATIENCE: Duration = Duration::from_secs(10);
+
+    /// Holds every read of `page` until `open` receives (or loses its
+    /// sender), after telling `entered` that the read began.
+    #[derive(Debug)]
+    struct Gate {
+        page: PageId,
+        entered: Mutex<mpsc::Sender<()>>,
+        open: Mutex<mpsc::Receiver<()>>,
+    }
+
     /// A reader that serves `page_bytes` per page, optionally failing a
-    /// configured page id.
+    /// configured page id or holding a gated one.
     #[derive(Debug)]
     struct MockReader {
         page_bytes: u64,
         fail_page: Option<PageId>,
+        gate: Option<Gate>,
         eintr_budget: Mutex<u32>,
         reads: AtomicU64,
     }
@@ -397,6 +371,7 @@ mod tests {
             Self {
                 page_bytes,
                 fail_page: None,
+                gate: None,
                 eintr_budget: Mutex::new(0),
                 reads: AtomicU64::new(0),
             }
@@ -416,6 +391,10 @@ mod tests {
                     ));
                 }
             }
+            if let Some(gate) = self.gate.as_ref().filter(|g| g.page == page) {
+                let _ = gate.entered.lock().send(());
+                let _ = gate.open.lock().recv();
+            }
             if self.fail_page == Some(page) {
                 return Err(std::io::Error::other("injected EIO"));
             }
@@ -425,6 +404,24 @@ mod tests {
 
     fn pages(n: u64) -> Vec<PageId> {
         (0..n).map(PageId::new).collect()
+    }
+
+    /// Polls the device's counters until `done` holds, failing after
+    /// [`PATIENCE`]: prefetches complete on the worker pool, out of the
+    /// submitter's sight.
+    fn wait_for(dev: &FileIoDevice, done: impl Fn(&IoStats) -> bool) -> IoStats {
+        let deadline = Instant::now() + PATIENCE;
+        loop {
+            let stats = BlockDevice::stats(dev);
+            if done(&stats) {
+                return stats;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "prefetches still pending: {stats:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]
@@ -512,15 +509,11 @@ mod tests {
             ReadSpec::for_pages(&good, 4096, IoKind::Prefetch),
         )
         .unwrap();
-        // Drain the pool by issuing a demand read behind the prefetches.
-        let empty: [PageId; 0] = [];
-        dev.submit_read(
-            VirtualInstant::EPOCH,
-            ReadSpec::for_pages(&empty, 4096, IoKind::Demand),
-        )
-        .unwrap();
-        assert_eq!(BlockDevice::stats(&dev).prefetch_requests, 1);
-        assert_eq!(BlockDevice::stats(&dev).prefetch_bytes, 4096);
+        // The single worker runs the prefetches in order, so once the good
+        // one is counted the failed one has been dropped.
+        let stats = wait_for(&dev, |s| s.prefetch_requests >= 1);
+        assert_eq!(stats.prefetch_requests, 1);
+        assert_eq!(stats.prefetch_bytes, 4096);
     }
 
     #[test]
@@ -537,13 +530,53 @@ mod tests {
             )
             .unwrap();
         }
-        let empty: [PageId; 0] = [];
+        let stats = wait_for(&dev, |s| s.prefetch_requests >= 32);
+        assert_eq!(stats.prefetch_requests, 32);
+    }
+
+    #[test]
+    fn demand_reads_do_not_wait_behind_a_blocked_prefetch() {
+        let (entered, worker_entered) = mpsc::channel();
+        let (open, gate) = mpsc::channel();
+        let reader = Arc::new(MockReader {
+            gate: Some(Gate {
+                page: PageId::new(0),
+                entered: Mutex::new(entered),
+                open: Mutex::new(gate),
+            }),
+            ..MockReader::new(4096)
+        });
+        let dev = Arc::new(FileIoDevice::new(reader as Arc<dyn PageReader>, 1, 4));
+        let gated = [PageId::new(0)];
         dev.submit_read(
             VirtualInstant::EPOCH,
-            ReadSpec::for_pages(&empty, 0, IoKind::Demand),
+            ReadSpec::for_pages(&gated, 4096, IoKind::Prefetch),
         )
         .unwrap();
-        assert_eq!(BlockDevice::stats(&dev).prefetch_requests, 32);
+        worker_entered
+            .recv_timeout(PATIENCE)
+            .expect("the only worker is inside the gated read");
+        let (done, result) = mpsc::channel();
+        let demand = {
+            let dev = Arc::clone(&dev);
+            std::thread::spawn(move || {
+                let target = [PageId::new(1)];
+                let read = dev.submit_read(
+                    VirtualInstant::EPOCH,
+                    ReadSpec::for_pages(&target, 4096, IoKind::Demand),
+                );
+                let _ = done.send(read.map(|c| c.bytes));
+            })
+        };
+        let bytes = result.recv_timeout(PATIENCE);
+        // Release the worker before asserting, so a failure does not hang.
+        open.send(()).unwrap();
+        let bytes = bytes.expect("the demand read waited behind the blocked prefetch");
+        assert_eq!(bytes.unwrap(), 4096);
+        demand.join().unwrap();
+        let stats = wait_for(&dev, |s| s.prefetch_requests >= 1);
+        assert_eq!(stats.demand_requests, 1);
+        assert_eq!(stats.prefetch_requests, 1);
     }
 
     #[test]

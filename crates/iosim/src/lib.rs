@@ -9,9 +9,10 @@
 //! the pieces that connect the model to real hardware:
 //!
 //! - [`BlockDevice`], the object-safe trait both device families implement;
-//! - [`FileIoDevice`], positional reads against on-disk column segments off
-//!   a fixed worker pool with a bounded submission queue and wall-clock
-//!   latency percentiles ([`IoLatency`]);
+//! - [`FileIoDevice`], positional reads against on-disk column segments —
+//!   demand reads on the calling thread, prefetches off a fixed worker pool
+//!   with a bounded submission queue — and wall-clock latency percentiles
+//!   ([`IoLatency`]);
 //! - [`calib::calibrate_with_batches`], which fits the simulator's
 //!   bandwidth/latency parameters to a measured device and reports the fit
 //!   error;

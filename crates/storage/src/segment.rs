@@ -28,6 +28,7 @@
 //! reopened snapshot references the *same* page ids, so buffer-manager state
 //! and I/O traces are comparable across the round trip.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::fs::{self, File, OpenOptions};
 use std::io::{BufWriter, Write as _};
@@ -56,7 +57,8 @@ const MANIFEST_HEADER: &str = "scanshare-table-manifest v1";
 
 /// Default capacity (in pages) of the decoded-page cache a [`FileStore`]
 /// keeps so a page read by the I/O device is decoded once, not once per
-/// consumer.
+/// consumer or per re-read: a device read of a cached page moves its bytes
+/// but skips the decode.
 const DEFAULT_CACHE_PAGES: usize = 1024;
 
 fn align_up(n: u64, align: u64) -> u64 {
@@ -519,10 +521,13 @@ impl DecodeCache {
 ///
 /// The store implements [`scanshare_iosim::PageReader`], so an
 /// [`scanshare_iosim::FileIoDevice`] built over it performs real `pread`s
-/// against the segment files. Decoded pages land in a small bounded FIFO
-/// cache that [`Storage::read_page`] consults before falling back to its own
+/// against the segment files, each into a per-thread slot buffer reused
+/// across reads. Decoded pages land in a small bounded FIFO cache that
+/// [`Storage::read_page`] consults before falling back to its own
 /// synchronous read, so data correctness never depends on the device having
-/// read a page first.
+/// read a page first. A page id names one immutable page (re-registering a
+/// table evicts its ids), so a read of a page the cache holds skips the
+/// decode.
 #[derive(Debug)]
 pub struct FileStore {
     dir: PathBuf,
@@ -624,28 +629,42 @@ impl FileStore {
 
     /// Reads the slot of `page` off disk and decodes it, returning the
     /// values and the bytes transferred. `None` if the page is not mapped.
+    /// The slot is read into a per-thread buffer reused across reads; a page
+    /// the cache already holds is read but not decoded again.
     fn read_and_decode(&self, page: PageId) -> std::io::Result<Option<(Arc<Vec<Value>>, u64)>> {
+        thread_local! {
+            static SLOT: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+        }
         let map = self.map.read();
         let Some(slot) = map.pages.get(&page).copied() else {
             return Ok(None);
         };
-        let mut buf = vec![0u8; slot.slot_bytes as usize];
-        pread_exact(&map.segments[slot.segment], &mut buf, slot.offset)?;
-        let values: Vec<Value> = buf[..slot.value_count * 8]
-            .chunks_exact(8)
-            .map(|c| i64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
-            .collect();
-        drop(map);
-        let values = Arc::new(values);
-        self.cache.lock().insert(page, Arc::clone(&values));
-        Ok(Some((values, slot.slot_bytes)))
+        let len = slot.slot_bytes as usize;
+        SLOT.with_borrow_mut(|buf| {
+            if buf.len() < len {
+                buf.resize(len, 0);
+            }
+            let buf = &mut buf[..len];
+            pread_exact(&map.segments[slot.segment], buf, slot.offset)?;
+            if let Some(values) = self.cached_page(page) {
+                return Ok(Some((values, slot.slot_bytes)));
+            }
+            let values: Vec<Value> = buf[..slot.value_count * 8]
+                .chunks_exact(8)
+                .map(|c| i64::from_le_bytes(c.try_into().expect("chunk is 8 bytes")))
+                .collect();
+            let values = Arc::new(values);
+            self.cache.lock().insert(page, Arc::clone(&values));
+            Ok(Some((values, slot.slot_bytes)))
+        })
     }
 }
 
 impl PageReader for FileStore {
     /// Device-side read: always performs the disk transfer (the buffer
     /// manager asked for a load, so the bytes must move), then parks the
-    /// decoded values in the cache for [`Storage::read_page`] to pick up.
+    /// decoded values in the cache for [`Storage::read_page`] to pick up,
+    /// unless the cache already holds them.
     /// Pages that are not file-backed read as zero bytes — they live in
     /// memory (appended or checkpointed after the last materialization), so
     /// no disk transfer is needed to serve them.
@@ -779,6 +798,44 @@ mod tests {
                 assert_eq!(bytes, slot_bytes(&layout, col));
                 let got = store.cached_page(page).expect("read decodes into cache");
                 assert_eq!(*got, *expected.values);
+            }
+        }
+    }
+
+    #[test]
+    fn rereads_move_their_bytes_but_decode_a_page_once() {
+        let (storage, id) = sample_storage();
+        let dir = TestDir::new("reread");
+        let store = storage.materialize_table(id, &dir.0).unwrap();
+        let layout = storage.layout(id).unwrap();
+        let snap = storage.master_snapshot(id).unwrap();
+        for col in 0..layout.column_count() {
+            let slot = slot_bytes(&layout, col);
+            for &page in snap.column_pages(col) {
+                assert_eq!(store.read_page(page).unwrap(), slot);
+                let first = store.cached_page(page).expect("read decodes into cache");
+                assert_eq!(
+                    store.read_page(page).unwrap(),
+                    slot,
+                    "a re-read moves its bytes"
+                );
+                let second = store.cached_page(page).unwrap();
+                assert!(
+                    Arc::ptr_eq(&first, &second),
+                    "a cached page is decoded once"
+                );
+            }
+        }
+        // Re-registering the table evicts its pages, and reads decode the
+        // new segments.
+        let again = storage.materialize_table(id, &dir.0).unwrap();
+        assert!(Arc::ptr_eq(&store, &again));
+        for col in 0..layout.column_count() {
+            for (idx, &page) in snap.column_pages(col).iter().enumerate() {
+                assert!(store.cached_page(page).is_none(), "re-registration evicts");
+                let expected = storage.read_page(&layout, &snap, col, idx as u64).unwrap();
+                assert_eq!(store.read_page(page).unwrap(), slot_bytes(&layout, col));
+                assert_eq!(*store.cached_page(page).unwrap(), *expected.values);
             }
         }
     }
